@@ -29,7 +29,7 @@ receivers taking a private ``copy()`` only when they actually rewrite.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..ir.nodes import Program
@@ -64,28 +64,8 @@ class CacheStats:
     response_misses: int = 0
     evictions: int = 0
 
-    @property
-    def normalization_requests(self) -> int:
-        return self.normalization_hits + self.normalization_misses
-
-    @property
-    def schedule_requests(self) -> int:
-        return self.schedule_hits + self.schedule_misses
-
-    @property
-    def response_requests(self) -> int:
-        return self.response_hits + self.response_misses
-
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "normalization_hits": self.normalization_hits,
-            "normalization_misses": self.normalization_misses,
-            "schedule_hits": self.schedule_hits,
-            "schedule_misses": self.schedule_misses,
-            "response_hits": self.response_hits,
-            "response_misses": self.response_misses,
-            "evictions": self.evictions,
-        }
+        return asdict(self)
 
 
 @dataclass

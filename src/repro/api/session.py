@@ -27,6 +27,7 @@ cache file.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import threading
@@ -39,7 +40,7 @@ from ..interp.executor import programs_equivalent, run_program
 from ..ir.nodes import Loop, Program
 from ..normalization.pipeline import NormalizationOptions
 from ..observability import MetricsRegistry, Tracer, register_process_metrics
-from ..observability.tracing import span as trace_span
+from ..observability.tracing import NULL_SPAN, span as trace_span
 from ..passes.registry import (PipelineRegistryError, has_pipeline,
                                pipeline_names)
 from ..perf.cache import CacheHierarchy, CacheReport
@@ -57,9 +58,8 @@ from .cache import NormalizationCache, ResponseEntry
 from .hashing import fingerprint, program_content_hash, request_fingerprint
 from .registry import (FRONTENDS, SCHEDULERS, RegistryError, create_scheduler,
                        scheduler_normalizes, scheduler_tunes)
-from .types import (EncodedScheduleResponse, ExecuteResponse,
-                    NormalizeResponse, ProgramLike, ScheduleRequest,
-                    ScheduleResponse, SessionReport)
+from .types import (ExecuteResponse, NormalizeResponse, ProgramLike,
+                    ScheduleRequest, ScheduleResponse, SessionReport)
 
 #: Items accepted by :meth:`Session.schedule_batch`.
 BatchItem = Union[ScheduleRequest, ProgramLike,
@@ -152,8 +152,16 @@ class Session:
         # Frozen masters of named-workload resolutions; _resolve() hands out
         # copy-on-write snapshots instead of rebuilding the IR per request.
         self._resolved: Dict[str, Tuple[Program, Optional[Dict[str, int]]]] = {}
-        # Session half of the response-cache key (request-independent).
-        self._response_salt: Optional[str] = None
+        # Session half of the response-cache key.  Request fingerprints
+        # exclude session defaults, but sessions with different
+        # configurations may share one persistent cache file; the salt keys
+        # entries by everything the session itself contributes to a response.
+        self._response_salt = fingerprint({
+            "scheduler": self.default_scheduler,
+            "threads": self.threads,
+            "size": self.size,
+            "normalization": self.normalization,
+        })
         self._schedule_calls = 0
         self._tune_calls = 0
         self._batch_calls = 0
@@ -303,7 +311,100 @@ class Session:
                                       scheduler=scheduler, threads=threads,
                                       label=label, normalize=normalize, tune=tune,
                                       pipeline=pipeline)
-        return self._schedule(request)
+        name = request.scheduler or self.default_scheduler
+        with contextlib.ExitStack() as stack:
+            span = NULL_SPAN
+            trace_id = None
+            if request.trace and self.tracer.enabled:
+                # A serving layer propagated a trace context (possibly from
+                # another process): re-activate it so pass/cache/search spans
+                # recorded below parent under the coordinator's span for
+                # this request.
+                stack.enter_context(self.tracer.activate(request.trace))
+                span = stack.enter_context(
+                    trace_span("session.schedule", scheduler=name))
+                trace_id = request.trace.get("trace_id")
+
+            program, default_parameters = self._resolve(request.program)
+            parameters = (dict(request.parameters)
+                          if request.parameters is not None
+                          else default_parameters)
+            if parameters is None:
+                raise ValueError(
+                    f"no parameters given for {program.name!r} and none "
+                    "derivable from the workload registry")
+
+            instance = self.scheduler(name, request.threads)
+            normalizes = (scheduler_normalizes(name) if request.normalize is None
+                          else request.normalize)
+            if request.pipeline is not None and not normalizes:
+                # Mirror the eager Session(pipeline=, normalization=) conflict
+                # check: a pipeline on a request that skips normalization would
+                # be silently inert (and spoil coalescing fingerprints).
+                raise ValueError(
+                    f"request selects pipeline {request.pipeline!r} but "
+                    f"normalization is disabled for it "
+                    f"(scheduler {name!r}, normalize={request.normalize})")
+            if request.tune and not scheduler_tunes(name):
+                raise RegistryError(
+                    f"scheduler {name!r} does not support tuning (no database)")
+
+            with self._lock:
+                if request.tune:
+                    self._tune_calls += 1
+                else:
+                    self._schedule_calls += 1
+            self._metric_calls.labels(
+                "tune" if request.tune else "schedule").inc()
+
+            input_hash = canonical_hash = None
+            norm_hit = from_cache = False
+            if normalizes:
+                normalization = self.normalize(program, pipeline=request.pipeline)
+                target = normalization.program
+                input_hash = normalization.input_hash
+                canonical_hash = normalization.canonical_hash
+                norm_hit = normalization.cache_hit
+            elif request.tune:
+                target = program.copy()
+            else:
+                target = program
+                input_hash = program_content_hash(program)
+
+            if request.tune:
+                result = instance.tune(target, parameters,
+                                       label=request.label or program.name)
+                runtime = instance.cost_model.estimate_seconds(
+                    result.program, parameters)
+            else:
+                key = self.cache.schedule_key(
+                    canonical_hash if normalizes else input_hash, name,
+                    instance.threads, parameters,
+                    database_version=self._database_version(instance))
+                cached = self.cache.lookup_schedule(key)
+                if cached is not None:
+                    result, runtime = cached
+                    from_cache = True
+                    # The cached schedule came from a normalized-equivalent
+                    # program; keep the caller's program name on the served
+                    # copy.
+                    result.program.name = program.name
+                else:
+                    with trace_span("scheduler.search", scheduler=name,
+                                    threads=instance.threads):
+                        result = instance.schedule(target, parameters)
+                    runtime = instance.cost_model.estimate_seconds(
+                        result.program, parameters)
+                    self.cache.store_schedule(key, result, runtime)
+
+            span.set_attributes(from_cache=from_cache,
+                                normalization_cache_hit=norm_hit)
+            return ScheduleResponse(
+                request=request, scheduler=name, program=result.program,
+                result=result, runtime_s=runtime, normalized=normalizes,
+                input_hash=input_hash, canonical_hash=canonical_hash,
+                from_cache=from_cache, normalization_cache_hit=norm_hit,
+                trace_id=trace_id)
 
     def tune(self, source: Union[ScheduleRequest, ProgramLike],
              parameters: Optional[Mapping[str, int]] = None,
@@ -334,206 +435,72 @@ class Session:
         return self.schedule(source, parameters, scheduler, threads=threads,
                              normalize=normalize).runtime_s
 
-    def _schedule(self, request: ScheduleRequest) -> ScheduleResponse:
-        trace_context = getattr(request, "trace", None)
-        if not trace_context or not self.tracer.enabled:
-            return self._schedule_impl(request)
-        # A serving layer propagated a trace context (possibly from another
-        # process): re-activate it so pass/cache/search spans recorded below
-        # parent under the coordinator's span for this request.
-        with self.tracer.activate(trace_context):
-            with trace_span("session.schedule",
-                            scheduler=request.scheduler
-                            or self.default_scheduler) as span:
-                response = self._schedule_impl(request)
-                span.set_attributes(
-                    from_cache=response.from_cache,
-                    normalization_cache_hit=response.normalization_cache_hit)
-                response.trace_id = trace_context.get("trace_id")
-                return response
+    @staticmethod
+    def _database_version(instance: Scheduler) -> Any:
+        """Cache-key component of a database-backed scheduler (else None).
 
-    def _schedule_impl(self, request: ScheduleRequest) -> ScheduleResponse:
-        program, default_parameters = self._resolve(request.program)
-        parameters = (dict(request.parameters) if request.parameters is not None
-                      else default_parameters)
-        if parameters is None:
-            raise ValueError(
-                f"no parameters given for {program.name!r} and none derivable "
-                "from the workload registry")
-
-        name = request.scheduler or self.default_scheduler
-        instance = self.scheduler(name, request.threads)
-        threads = instance.threads
-        normalizes = (scheduler_normalizes(name) if request.normalize is None
-                      else request.normalize)
-        if request.pipeline is not None and not normalizes:
-            # Mirror the eager Session(pipeline=, normalization=) conflict
-            # check: a pipeline on a request that skips normalization would
-            # be silently inert (and spoil coalescing fingerprints).
-            raise ValueError(
-                f"request selects pipeline {request.pipeline!r} but "
-                f"normalization is disabled for it "
-                f"(scheduler {name!r}, normalize={request.normalize})")
-
-        if request.tune:
-            if not scheduler_tunes(name):
-                raise RegistryError(
-                    f"scheduler {name!r} does not support tuning (no database)")
-            with self._lock:
-                self._tune_calls += 1
-            self._metric_calls.labels("tune").inc()
-            normalization = (self.normalize(program, pipeline=request.pipeline)
-                             if normalizes else None)
-            target = normalization.program if normalization else program.copy()
-            result = instance.tune(target, parameters,
-                                   label=request.label or program.name)
-            runtime = instance.cost_model.estimate_seconds(result.program, parameters)
-            return ScheduleResponse(
-                request=request, scheduler=name, program=result.program,
-                result=result, runtime_s=runtime, normalized=normalizes,
-                input_hash=normalization.input_hash if normalization else None,
-                canonical_hash=normalization.canonical_hash if normalization else None,
-                normalization_cache_hit=bool(normalization and normalization.cache_hit))
-
-        with self._lock:
-            self._schedule_calls += 1
-        self._metric_calls.labels("schedule").inc()
-
-        if normalizes:
-            normalization = self.normalize(program, pipeline=request.pipeline)
-            target = normalization.program
-            content_key = normalization.canonical_hash
-            input_hash = normalization.input_hash
-            norm_hit = normalization.cache_hit
-        else:
-            normalization = None
-            target = program
-            content_key = program_content_hash(program)
-            input_hash = content_key
-            norm_hit = False
-
-        # Database-backed schedulers key on the database version too: a
-        # tune() in between grows the database, and a schedule cached before
-        # it must not shadow the transfer-tuned schedule available after.
-        # The version is content-derived (not the entry count): with a
-        # persistent cache, two different databases of equal size must not
-        # share cached schedules.
+        A tune() in between grows the database, and a schedule (or response)
+        cached before it must not shadow the transfer-tuned schedule
+        available after.  The version is content-derived (not the entry
+        count): with a persistent cache, two different databases of equal
+        size must not share cached entries.
+        """
         database = getattr(instance, "database", None)
-        if database is not None:
-            database_version = getattr(database, "version", None)
-            if database_version is None:
-                database_version = len(database)
-        else:
-            database_version = None
-        key = self.cache.schedule_key(
-            content_key, name, threads, parameters,
-            database_version=database_version)
-        cached = self.cache.lookup_schedule(key)
-        if cached is not None:
-            result, runtime = cached
-            # The cached schedule came from a normalized-equivalent program;
-            # keep the caller's program name on the served copy.
-            result.program.name = program.name
-            return ScheduleResponse(
-                request=request, scheduler=name, program=result.program,
-                result=result, runtime_s=runtime, normalized=normalizes,
-                input_hash=input_hash,
-                canonical_hash=content_key if normalizes else None,
-                from_cache=True, normalization_cache_hit=norm_hit)
-
-        with trace_span("scheduler.search", scheduler=name, threads=threads):
-            result = instance.schedule(target, parameters)
-        runtime = instance.cost_model.estimate_seconds(result.program, parameters)
-        self.cache.store_schedule(key, result, runtime)
-        return ScheduleResponse(
-            request=request, scheduler=name, program=result.program,
-            result=result, runtime_s=runtime, normalized=normalizes,
-            input_hash=input_hash,
-            canonical_hash=content_key if normalizes else None,
-            normalization_cache_hit=norm_hit)
+        if database is None:
+            return None
+        version = getattr(database, "version", None)
+        return len(database) if version is None else version
 
     # -- response fast lane -------------------------------------------------------------
-
-    def _response_salt_value(self) -> str:
-        # Request fingerprints exclude session defaults, but sessions with
-        # different configurations may share one persistent cache file; the
-        # salt keys entries by everything the session itself contributes to
-        # a response (built once — all components are construction-time).
-        salt = self._response_salt
-        if salt is None:
-            salt = fingerprint({
-                "scheduler": self.default_scheduler,
-                "threads": self.threads,
-                "size": self.size,
-                "normalization": self.normalization,
-            })
-            self._response_salt = salt
-        return salt
+    #
+    # The response cache is a serving-side level *around* schedule(): a
+    # serving layer reads it before admission and writes it after a batch.
 
     def _response_key(self, request: ScheduleRequest) -> Optional[str]:
         """Response-cache key of ``request``, or ``None`` when the request
-        can never be served from it (tune requests mutate the database)."""
+        can never be served from it (tune requests mutate the database, and
+        an invalid request gets its real error from the slow path)."""
         if request.tune:
             return None
-        # The live database version invalidates fast-lane entries the moment
-        # tuning grows the database, exactly like the schedule-level key.
-        instance = self.scheduler(request.scheduler or self.default_scheduler,
-                                  request.threads)
-        database = getattr(instance, "database", None)
-        if database is not None:
-            version = getattr(database, "version", None)
-            if version is None:
-                version = len(database)
-        else:
-            version = None
-        return "|".join((request_fingerprint(request),
-                         self._response_salt_value(), str(version)))
-
-    def probe_response(self, request: ScheduleRequest
-                       ) -> Optional[ResponseEntry]:
-        """Probe the response-level cache for ``request`` (no assembly).
-
-        A serving layer splits probe from :meth:`assemble_response` so it
-        can attach its trace context to the request between the two; plain
-        callers use :meth:`lookup_response`.  Returns ``None`` on a miss.
-        """
         try:
-            key = self._response_key(request)
+            # The live database version invalidates fast-lane entries the
+            # moment tuning grows the database, exactly like the
+            # schedule-level key.
+            version = self._database_version(self.scheduler(
+                request.scheduler or self.default_scheduler, request.threads))
+            return "|".join((request_fingerprint(request),
+                             self._response_salt, str(version)))
         except (RegistryError, TypeError, ValueError):
-            return None  # the slow path will produce the real error
-        if key is None:
             return None
-        return self.cache.lookup_response(key)
 
-    def assemble_response(self, entry: ResponseEntry,
-                          request: ScheduleRequest) -> EncodedScheduleResponse:
-        """Final response bytes for a :meth:`probe_response` hit.
-
-        Only the per-request echo (and the trace id, when the request
-        carries a trace context) is encoded fresh; everything else is the
-        entry's pre-encoded text.
-        """
-        text = entry.before + json.dumps(request.to_dict()) + entry.after
-        trace_id = (request.trace or {}).get("trace_id")
-        if trace_id is not None:
-            text = text[:-1] + ', "trace_id": ' + json.dumps(trace_id) + "}"
-        self._metric_calls.labels("fast_lane").inc()
-        return EncodedScheduleResponse(text)
-
-    def lookup_response(self, request: ScheduleRequest
-                        ) -> Optional[EncodedScheduleResponse]:
+    def lookup_response(self, request: ScheduleRequest,
+                        trace: Optional[Mapping[str, str]] = None
+                        ) -> Optional[ScheduleResponse]:
         """Serve ``request`` from the response-level cache, if possible.
 
         A hit returns the final response JSON assembled from pre-encoded
-        bytes — no session scheduling, no IR, no JSON parse.  Returns
-        ``None`` on a miss.
+        bytes — no session scheduling, no IR, no JSON parse: only the
+        per-request echo is encoded fresh.  ``trace`` is the serving
+        layer's trace context for this request; with one, the response
+        carries its trace id (and the echo the context) exactly like a
+        slow-path response would.  Returns ``None`` on a miss.
         """
-        entry = self.probe_response(request)
+        key = self._response_key(request)
+        entry = self.cache.lookup_response(key) if key is not None else None
         if entry is None:
             return None
-        return self.assemble_response(entry, request)
+        echo = request.to_dict()
+        tail = entry.after
+        if trace:
+            echo["trace"] = dict(trace)
+            tail = (tail[:-1] + ', "trace_id": '
+                    + json.dumps(trace.get("trace_id")) + "}")
+        self._metric_calls.labels("fast_lane").inc()
+        return ScheduleResponse.from_json(
+            entry.before + json.dumps(echo) + tail)
 
-    def store_response(self, request: ScheduleRequest, response: Any) -> None:
+    def store_response(self, request: ScheduleRequest,
+                       response: ScheduleResponse) -> None:
         """Store ``response``'s encoded bytes for the fast lane.
 
         Only fully cache-served responses are stored (``from_cache`` and
@@ -545,13 +512,9 @@ class Session:
         data = response.to_dict()
         if not (data.get("from_cache") and data.get("normalization_cache_hit")):
             return
-        try:
-            key = self._response_key(request)
-        except (RegistryError, TypeError, ValueError):
-            return
+        key = self._response_key(request)
         if key is None:
             return
-        data = dict(data)
         data.pop("trace_id", None)
         keys = list(data)
         split = keys.index("request")
@@ -562,24 +525,6 @@ class Session:
         before = head[:-1] + ', "request": '
         after = ", " + tail[1:]
         self.cache.store_response(key, ResponseEntry(before, after))
-
-    def schedule_encoded(self, request: Union[ScheduleRequest, ProgramLike]
-                         ) -> Union[ScheduleResponse, EncodedScheduleResponse]:
-        """Schedule through the response fast lane.
-
-        Repeat requests whose response is fully cache-served come back as
-        an :class:`EncodedScheduleResponse` (pre-encoded bytes); everything
-        else takes the normal :meth:`schedule` path, feeding the fast lane
-        for the next repeat.
-        """
-        if not isinstance(request, ScheduleRequest):
-            request = ScheduleRequest(program=request)
-        encoded = self.lookup_response(request)
-        if encoded is not None:
-            return encoded
-        response = self.schedule(request)
-        self.store_response(request, response)
-        return response
 
     # -- batching ---------------------------------------------------------------------
 
@@ -611,7 +556,7 @@ class Session:
             self._batch_calls += 1
         self._metric_calls.labels("batch").inc()
 
-        schedule = self._schedule
+        schedule = self.schedule
         if return_exceptions:
             def schedule(request):  # noqa: F811 - deliberate wrapper
                 # Tune items yield their rejection in-band too, so one bad
@@ -619,7 +564,7 @@ class Session:
                 if request.tune:
                     return ValueError(tune_message)
                 try:
-                    return self._schedule(request)
+                    return self.schedule(request)
                 except Exception as error:  # noqa: BLE001 - handed to caller
                     return error
 

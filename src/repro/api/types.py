@@ -9,7 +9,7 @@ persisted, shipped to workers, and replayed).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from ..ir.nodes import Program
@@ -136,12 +136,20 @@ class NormalizeResponse:
 
 @dataclass
 class ScheduleResponse:
-    """Outcome of one scheduling job.
+    """Outcome of one scheduling job — the one response type of every lane.
 
     ``program`` is the scheduled program; ``result`` carries the per-nest
     details. ``from_cache`` is True when the whole schedule was served from
     the content-addressed cache (a normalized-equivalent variant was already
     scheduled), ``normalization_cache_hit`` when only the normalization was.
+
+    A response is backed either by its fields (what a session constructs)
+    or by its JSON text (:meth:`from_json`: what the response fast lane and
+    the worker pool hand over).  The serving layers mostly shuttle response
+    bytes onward — the HTTP handler replies with exactly :meth:`to_json` —
+    so a text-backed response parses nothing until a *field* is read, and
+    then decodes all of them at once.  Its text stays the source of truth
+    for :meth:`to_json` / :meth:`to_dict`: treat it as read-only.
     """
 
     request: ScheduleRequest
@@ -158,11 +166,40 @@ class ScheduleResponse:
     #: cross-references the access log, latency exemplars, and /v1/traces.
     trace_id: Optional[str] = None
 
+    # The encoded text of a text-backed response.  Un-annotated on purpose:
+    # a plain class attribute, not a dataclass field.
+    _json = None
+
+    @classmethod
+    def from_json(cls, text: str) -> "ScheduleResponse":
+        """A response backed by its encoded JSON ``text`` (no parse)."""
+        response = object.__new__(cls)
+        response._json = text
+        return response
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached when ``name`` is not set on the instance: the first
+        # field read of a text-backed response, which decodes every field.
+        text = self._json
+        if text is None or name not in self.__dataclass_fields__:
+            raise AttributeError(name)
+        self.__dict__.update(vars(ScheduleResponse.from_dict(json.loads(text))))
+        return self.__dict__[name]
+
     def summary(self) -> str:
         cached = " [cached]" if self.from_cache else ""
         return f"{self.result.summary()} est={self.runtime_s:.3e}s{cached}"
 
+    def to_json(self) -> str:
+        """The response as JSON text — the bytes a server replies with
+        (the stored text itself, unparsed, when text-backed)."""
+        if self._json is not None:
+            return self._json
+        return json.dumps(self.to_dict())
+
     def to_dict(self) -> Dict[str, Any]:
+        if self._json is not None:
+            return json.loads(self._json)
         data = self.result.to_dict()
         if self.program is not self.result.program:
             # Normally the same object (every construction path shares it);
@@ -200,47 +237,14 @@ class ScheduleResponse:
         )
 
 
-class EncodedScheduleResponse:
-    """A :class:`ScheduleResponse` carried as its JSON text.
-
-    The serving fast lane (and the worker-pool coordinator) mostly shuttle
-    response bytes onward — the HTTP layer replies with exactly these bytes
-    — so parsing JSON or decoding the IR program in between would be pure
-    overhead on the warm path.  This wrapper keeps the pre-encoded JSON
-    verbatim (:meth:`to_json`), parses it only when :meth:`to_dict` is
-    called, and defers the full :meth:`ScheduleResponse.from_dict` until a
-    response *field* is actually accessed.
-    """
-
-    __slots__ = ("_json", "_payload", "_decoded")
-
-    def __init__(self, payload_json: str):
-        self._json = payload_json
-        self._payload: Optional[Dict[str, Any]] = None
-        self._decoded: Optional[ScheduleResponse] = None
-
-    def to_json(self) -> str:
-        """The response as JSON text, exactly as it was encoded."""
-        return self._json
-
-    def to_dict(self) -> Dict[str, Any]:
-        if self._payload is None:
-            self._payload = json.loads(self._json)
-        return self._payload
-
-    def _materialize(self) -> ScheduleResponse:
-        if self._decoded is None:
-            self._decoded = ScheduleResponse.from_dict(self.to_dict())
-        return self._decoded
-
-    def __getattr__(self, name: str) -> Any:
-        # Only reached for names not in __slots__, i.e. ScheduleResponse
-        # fields (request, program, result, runtime_s, from_cache, ...).
-        return getattr(self._materialize(), name)
-
-    def __repr__(self) -> str:
-        decoded = "decoded" if self._decoded is not None else "deferred"
-        return f"{type(self).__name__}({decoded})"
+# Dataclass defaults are also set as class attributes, where they would
+# answer ``from_cache`` / ``trace_id`` on an undecoded text-backed response
+# without ever reaching ``__getattr__``; the generated ``__init__`` keeps
+# its own copies of the defaults.
+for _field in fields(ScheduleResponse):
+    if _field.default is not MISSING:
+        delattr(ScheduleResponse, _field.name)
+del _field
 
 
 @dataclass
@@ -310,35 +314,7 @@ class SessionReport:
     feedback_skipped: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schedule_calls": self.schedule_calls,
-            "tune_calls": self.tune_calls,
-            "batch_calls": self.batch_calls,
-            "execute_calls": self.execute_calls,
-            "normalization_hits": self.normalization_hits,
-            "normalization_misses": self.normalization_misses,
-            "schedule_cache_hits": self.schedule_cache_hits,
-            "schedule_cache_misses": self.schedule_cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "database_entries": self.database_entries,
-            "schedulers": list(self.schedulers),
-            "cache_backend": self.cache_backend,
-            "cache_memory_hits": self.cache_memory_hits,
-            "cache_disk_hits": self.cache_disk_hits,
-            "cache_writes": self.cache_writes,
-            "cache_busy_retries": self.cache_busy_retries,
-            "coalesced_requests": self.coalesced_requests,
-            "response_cache_hits": self.response_cache_hits,
-            "response_cache_misses": self.response_cache_misses,
-            "database_shards": list(self.database_shards),
-            "normalization_passes": {name: dict(entry) for name, entry
-                                     in self.normalization_passes.items()},
-            "analysis_hits": self.analysis_hits,
-            "analysis_misses": self.analysis_misses,
-            "feedback_applied": self.feedback_applied,
-            "feedback_added": self.feedback_added,
-            "feedback_skipped": self.feedback_skipped,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "SessionReport":

@@ -11,8 +11,7 @@ plus loop normal form and canonical iterator renaming, combined in
 instrumented :mod:`repro.passes` pipelines selected by registered name
 (``"a-priori"`` and its ablations — see ``docs/pipelines.md``);
 :class:`NormalizationOptions` is a thin constructor over those pipeline
-specs, and :class:`PassManager` survives only as a deprecation shim over
-:class:`repro.passes.FixedPoint`.
+specs.
 """
 
 from .fission import (FissionReport, fission_loop, fission_sweep,
@@ -20,8 +19,8 @@ from .fission import (FissionReport, fission_loop, fission_sweep,
 from .loop_normal_form import (CANONICAL_ITERATOR_NAMES,
                                canonicalize_iterator_names,
                                normalize_loop_bounds, normalize_program_bounds)
-from .pipeline import (NormalizationOptions, NormalizationReport, PassManager,
-                       normalize, normalize_program)
+from .pipeline import (NormalizationOptions, NormalizationReport, normalize,
+                       normalize_program)
 from .scalar_expansion import (ScalarExpansionReport, contract_arrays,
                                expand_scalars)
 from .stride_minimization import (EXHAUSTIVE_DEPTH_LIMIT,
@@ -34,8 +33,8 @@ __all__ = [
     "maximal_loop_fission",
     "CANONICAL_ITERATOR_NAMES", "canonicalize_iterator_names",
     "normalize_loop_bounds", "normalize_program_bounds",
-    "NormalizationOptions", "NormalizationReport", "PassManager",
-    "normalize", "normalize_program",
+    "NormalizationOptions", "NormalizationReport", "normalize",
+    "normalize_program",
     "EXHAUSTIVE_DEPTH_LIMIT", "StrideMinimizationReport", "apply_permutation",
     "candidate_orders", "find_minimal_permutation", "minimize_strides",
     "ScalarExpansionReport", "expand_scalars",

@@ -31,15 +31,13 @@ with the report of what each stage did.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..ir.nodes import Program
 from ..passes.analysis import AnalysisManager
-from ..passes.base import (FunctionPass, PassContext, PassResult,
-                           aggregate_timings)
-from ..passes.pipeline import FixedPoint, Pipeline, PipelineResult
+from ..passes.base import PassContext, PassResult, aggregate_timings
+from ..passes.pipeline import Pipeline, PipelineResult
 from ..passes.library import build_normalization_pipeline
 from .fission import FissionReport
 from .scalar_expansion import ScalarExpansionReport
@@ -206,36 +204,3 @@ def normalize_program(program: Program, **kwargs) -> Program:
     """Convenience wrapper returning only the normalized program."""
     normalized, _ = normalize(program, NormalizationOptions(**kwargs) if kwargs else None)
     return normalized
-
-
-class PassManager:
-    """Deprecated shim over the pass framework's fixed-point groups.
-
-    Passes are callables ``Program -> bool`` returning whether they changed
-    the program.  Use :class:`repro.passes.Pipeline` with a
-    :class:`repro.passes.FixedPoint` group instead; this wrapper remains so
-    pre-PR-3 callers keep working.
-    """
-
-    def __init__(self, passes: Optional[List[Callable[[Program], bool]]] = None,
-                 max_iterations: int = 16):
-        warnings.warn(
-            "repro.normalization.PassManager is deprecated; build a "
-            "repro.passes.Pipeline with a FixedPoint group instead",
-            DeprecationWarning, stacklevel=2)
-        self.passes: List[Callable[[Program], bool]] = list(passes or [])
-        self.max_iterations = max_iterations
-
-    def add(self, pass_fn: Callable[[Program], bool]) -> "PassManager":
-        self.passes.append(pass_fn)
-        return self
-
-    def run(self, program: Program) -> int:
-        """Run the pipeline to a fixed point; returns the iteration count."""
-        if not self.passes:
-            return 1
-        group = FixedPoint([FunctionPass(fn) for fn in self.passes],
-                           name="pass-manager",
-                           max_iterations=self.max_iterations)
-        _results, iterations = group.run(program, PassContext())
-        return iterations

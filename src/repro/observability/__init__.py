@@ -18,17 +18,18 @@ POSTs snapshots + firing alerts to an HTTP sink for unattended nodes.
 
 from .alerts import (AlertEvaluator, AlertMonitor, AlertRule, AlertState,
                      default_alert_rules)
-from .metrics import (DEFAULT_LATENCY_BUCKETS, Counter, Gauge, Histogram,
-                      MetricsError, MetricsRegistry, merge_registry_dicts,
-                      register_process_metrics, render_registry_dict)
+from .metrics import (DEFAULT_LATENCY_BUCKETS, Counter, CounterView, Gauge,
+                      Histogram, MetricsError, MetricsRegistry,
+                      merge_registry_dicts, register_process_metrics,
+                      render_registry_dict)
 from .push import PushExporter
 from .tracing import (Span, TraceRecord, Tracer, chrome_trace_document,
                       current_trace_id, span, traces_to_jsonl)
 
 __all__ = [
-    "MetricsRegistry", "Counter", "Gauge", "Histogram", "MetricsError",
-    "DEFAULT_LATENCY_BUCKETS", "merge_registry_dicts", "render_registry_dict",
-    "register_process_metrics",
+    "MetricsRegistry", "Counter", "CounterView", "Gauge", "Histogram",
+    "MetricsError", "DEFAULT_LATENCY_BUCKETS", "merge_registry_dicts",
+    "render_registry_dict", "register_process_metrics",
     "Tracer", "Span", "TraceRecord", "span", "current_trace_id",
     "chrome_trace_document", "traces_to_jsonl",
     "AlertRule", "AlertState", "AlertEvaluator", "AlertMonitor",

@@ -460,6 +460,45 @@ class MetricsRegistry:
         return render_registry_dict(self.to_dict())
 
 
+class CounterView:
+    """What one component did since it started, read off registry counters.
+
+    Registry counters are cumulative across component generations
+    (Prometheus semantics: counters never reset within a process), so the
+    view snapshots their values at construction and reports deltas — a fresh
+    service over a reused session still starts its report at zero.  The
+    component counts through :meth:`inc`, so ``/metrics`` and the view are
+    fed by the same increments and cannot drift.
+
+    ``counters`` maps a view attribute to a counter (or one labelled series
+    of it), ``gauges`` likewise; gauges read as they are.  Attributes and
+    :meth:`to_dict` return ints, counters first, in declaration order.
+    """
+
+    def __init__(self, counters: Mapping[str, Any],
+                 gauges: Optional[Mapping[str, Any]] = None):
+        self._counters = dict(counters)
+        self._gauges = dict(gauges or {})
+        self._base = {name: series.value
+                      for name, series in self._counters.items()}
+
+    def inc(self, name: str, amount: float = 1.0) -> None:
+        self._counters[name].inc(amount)
+
+    def __getattr__(self, name: str) -> int:
+        # Only reached for names that are not instance attributes.
+        if not name.startswith("_"):
+            if name in self._counters:
+                return int(self._counters[name].value - self._base[name])
+            if name in self._gauges:
+                return int(self._gauges[name].value)
+        raise AttributeError(name)
+
+    def to_dict(self) -> Dict[str, int]:
+        return {name: getattr(self, name)
+                for name in (*self._counters, *self._gauges)}
+
+
 def merge_registry_dicts(snapshots: Iterable[Mapping[str, Any]]
                          ) -> Dict[str, Any]:
     """Sum many :meth:`MetricsRegistry.to_dict` snapshots into one.

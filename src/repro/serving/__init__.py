@@ -34,15 +34,15 @@ from .client import ServingClient, ServingError
 from .http import JsonAccessLog, ServingServer
 from .policy import (AdaptiveBatcher, PolicyError, QueuePolicy, create_policy,
                      policy_names, register_policy)
-from .service import (AdmissionController, AdmissionError, AdmissionStats,
-                      RequestTiming, SchedulingService, ServiceConfig,
-                      ServiceRunner, ServiceStats, request_fingerprint)
+from .service import (AdmissionController, AdmissionError, RequestTiming,
+                      SchedulingService, ServiceConfig, ServiceRunner,
+                      request_fingerprint)
 from .workers import (PoolStats, WorkerConfig, WorkerError, WorkerPool,
                       merge_worker_reports)
 
 __all__ = [
-    "SchedulingService", "ServiceConfig", "ServiceRunner", "ServiceStats",
-    "AdmissionController", "AdmissionError", "AdmissionStats",
+    "SchedulingService", "ServiceConfig", "ServiceRunner",
+    "AdmissionController", "AdmissionError",
     "RequestTiming", "request_fingerprint",
     "QueuePolicy", "PolicyError", "register_policy", "policy_names",
     "create_policy", "AdaptiveBatcher",

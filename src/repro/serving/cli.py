@@ -184,13 +184,13 @@ def _cmd_warm_cache(args: argparse.Namespace) -> int:
     responses = session.schedule_batch(requests)
     hits = sum(1 for response in responses if response.from_cache)
     # Second pass feeds the response-level fast lane: each repeat is now
-    # fully cache-served, so ``schedule_encoded`` stores its final encoded
-    # bytes — a later ``serve`` run on this cache file answers these
-    # requests zero-parse, straight from SQLite to the socket.
+    # fully cache-served, so its final encoded bytes are stored — a later
+    # ``serve`` run on this cache file answers these requests zero-parse,
+    # straight from SQLite to the socket.
     warmed_fast = 0
     for request in requests:
-        session.schedule_encoded(request)
-        if session.probe_response(request) is not None:
+        session.store_response(request, session.schedule(request))
+        if session.lookup_response(request) is not None:
             warmed_fast += 1
     report = session.report()
     print(f"warmed {len(responses)} schedules ({hits} already cached) "

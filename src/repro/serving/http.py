@@ -401,7 +401,10 @@ class ServingServer:
             return status, payload
 
         try:
-            request = ScheduleRequest.from_dict(body)
+            # Trace context belongs to the service: a client-supplied one is
+            # unvalidated outside input that would name the reply's trace id.
+            request = ScheduleRequest.from_dict(
+                {key: value for key, value in body.items() if key != "trace"})
         except (KeyError, TypeError, ValueError) as error:
             return done(400, {"error": f"invalid schedule request: {error}"},
                         "invalid")
@@ -448,12 +451,10 @@ class ServingServer:
         except Exception as error:  # noqa: BLE001 - surfaced as HTTP 500
             return done(500, {"error": f"{type(error).__name__}: {error}"},
                         "error", request)
-        # Pool and fast-lane responses arrive as pre-encoded JSON text (the
-        # worker process or the response cache serialized them); reply with
-        # those bytes verbatim instead of re-encoding on the handler thread.
-        encode = getattr(response, "to_json", None)
-        payload = encode() if encode is not None else response.to_dict()
-        return done(200, payload, "ok", request,
+        # Pool and fast-lane responses are backed by pre-encoded JSON text
+        # (the worker process or the response cache serialized them):
+        # ``to_json`` replies with those bytes verbatim.
+        return done(200, response.to_json(), "ok", request,
                     queue_wait_s=timing.queue_wait_s,
                     coalesced=timing.coalesced,
                     fast_lane=timing.fast_lane)

@@ -24,8 +24,8 @@ request processor:
   them over a :class:`~repro.serving.workers.WorkerPool` when one is
   attached — so one cache and one tuning database serve the whole batch.
 * **response fast lane** — before a request is admitted or queued, the
-  service probes the session's response-level cache
-  (:meth:`repro.api.Session.probe_response`); a hit returns the final,
+  service reads the session's response-level cache
+  (:meth:`repro.api.Session.lookup_response`); a hit returns the final,
   pre-encoded response bytes straight to the caller — no queue, no batch,
   no IR, no JSON parse — with a single sampled root span instead of the
   slow path's full span tree.  Entries are written back after each batch
@@ -50,14 +50,14 @@ import itertools
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..api.hashing import request_fingerprint
 from ..api.session import Session
 from ..api.types import ScheduleRequest, ScheduleResponse
 from ..ir.nodes import Program
-from ..observability import MetricsRegistry
+from ..observability import CounterView, MetricsRegistry, Span
 from .policy import AdaptiveBatcher, create_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (workers use api)
@@ -108,125 +108,6 @@ class ServiceConfig:
     adaptive_interval_s: float = 0.5
 
 
-class ServiceStats:
-    """What the service did since it started.
-
-    The counters live in a :class:`~repro.observability.MetricsRegistry`
-    (the ``repro_service_*`` instruments scraped at ``/metrics``); this
-    class is the backward-compatible view ``/v1/report`` renders from, so
-    the two are fed by the same increments and cannot drift.  Registry
-    counters are cumulative across service generations (Prometheus
-    semantics: counters never reset within a process), so each view
-    snapshots its construction-time values and reports deltas — a fresh
-    service over a reused session still starts its report at zero.
-    """
-
-    def __init__(self, metrics: Optional[MetricsRegistry] = None):
-        metrics = metrics if metrics is not None else MetricsRegistry()
-        self._requests = metrics.counter(
-            "repro_service_requests_total",
-            "Requests admitted into the scheduling service.")
-        self._coalesced = metrics.counter(
-            "repro_service_coalesced_total",
-            "Requests that rode an identical in-flight request.")
-        self._batches = metrics.counter(
-            "repro_service_batches_total", "Micro-batches executed.")
-        self._scheduled = metrics.counter(
-            "repro_service_scheduled_total",
-            "Requests resolved with a schedule response.")
-        self._fast_lane = metrics.counter(
-            "repro_service_fast_lane_total",
-            "Requests served from the response-level cache fast lane.")
-        self._errors = metrics.counter(
-            "repro_service_errors_total",
-            "Requests resolved with an exception.")
-        self._rejected = metrics.counter(
-            "repro_service_rejected_total",
-            "Requests shed by admission control.")
-        self._largest_batch = metrics.gauge(
-            "repro_service_largest_batch",
-            "High-water mark of the micro-batch size.")
-        self._base = {
-            "requests": self._requests.value,
-            "coalesced": self._coalesced.value,
-            "batches": self._batches.value,
-            "scheduled": self._scheduled.value,
-            "fast_lane": self._fast_lane.value,
-            "errors": self._errors.value,
-            "rejected": self._rejected.value,
-        }
-
-    # -- recording (used by the service) -----------------------------------------
-
-    def record_request(self) -> None:
-        self._requests.inc()
-
-    def record_coalesced(self) -> None:
-        self._coalesced.inc()
-
-    def record_batch(self, size: int) -> None:
-        self._batches.inc()
-        self._largest_batch.set_max(size)
-
-    def record_scheduled(self) -> None:
-        self._scheduled.inc()
-
-    def record_fast_lane(self) -> None:
-        self._fast_lane.inc()
-
-    def record_errors(self, count: int = 1) -> None:
-        self._errors.inc(count)
-
-    def record_rejected(self) -> None:
-        self._rejected.inc()
-
-    # -- the read-only view -------------------------------------------------------
-
-    @property
-    def requests(self) -> int:
-        return int(self._requests.value - self._base["requests"])
-
-    @property
-    def coalesced(self) -> int:
-        return int(self._coalesced.value - self._base["coalesced"])
-
-    @property
-    def batches(self) -> int:
-        return int(self._batches.value - self._base["batches"])
-
-    @property
-    def scheduled(self) -> int:
-        return int(self._scheduled.value - self._base["scheduled"])
-
-    @property
-    def fast_lane(self) -> int:
-        return int(self._fast_lane.value - self._base["fast_lane"])
-
-    @property
-    def errors(self) -> int:
-        return int(self._errors.value - self._base["errors"])
-
-    @property
-    def rejected(self) -> int:
-        return int(self._rejected.value - self._base["rejected"])
-
-    @property
-    def largest_batch(self) -> int:
-        return int(self._largest_batch.value)
-
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "requests": self.requests,
-            "coalesced": self.coalesced,
-            "batches": self.batches,
-            "scheduled": self.scheduled,
-            "fast_lane": self.fast_lane,
-            "errors": self.errors,
-            "rejected": self.rejected,
-            "largest_batch": self.largest_batch,
-        }
-
-
 class AdmissionError(RuntimeError):
     """A request the service refused to queue (load shedding).
 
@@ -239,58 +120,6 @@ class AdmissionError(RuntimeError):
         super().__init__(message)
         self.reason = reason
         self.retry_after_s = retry_after_s
-
-
-class AdmissionStats:
-    """What the admission controller decided since the service started.
-
-    Backed by the ``repro_admission_*`` registry instruments (admitted
-    counter plus a shed counter labelled by reason); ``/v1/report`` renders
-    this view, fed by the same increments as ``/metrics``.  Like
-    :class:`ServiceStats`, the view reports deltas from its construction so
-    a fresh controller over a reused registry starts at zero.
-    """
-
-    def __init__(self, metrics: Optional[MetricsRegistry] = None):
-        metrics = metrics if metrics is not None else MetricsRegistry()
-        self._admitted = metrics.counter(
-            "repro_admission_admitted_total",
-            "Requests admitted into the service queue.")
-        self._shed = metrics.counter(
-            "repro_admission_shed_total",
-            "Requests shed by admission control, by reason.", ("reason",))
-        self._base = {
-            "admitted": self._admitted.value,
-            "queue-full": self._shed.labels("queue-full").value,
-            "client-limit": self._shed.labels("client-limit").value,
-        }
-
-    def record_admitted(self) -> None:
-        self._admitted.inc()
-
-    def record_shed(self, reason: str) -> None:
-        self._shed.labels(reason).inc()
-
-    @property
-    def admitted(self) -> int:
-        return int(self._admitted.value - self._base["admitted"])
-
-    @property
-    def rejected_queue_full(self) -> int:
-        return int(self._shed.labels("queue-full").value
-                   - self._base["queue-full"])
-
-    @property
-    def rejected_client_limit(self) -> int:
-        return int(self._shed.labels("client-limit").value
-                   - self._base["client-limit"])
-
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "admitted": self.admitted,
-            "rejected_queue_full": self.rejected_queue_full,
-            "rejected_client_limit": self.rejected_client_limit,
-        }
 
 
 class AdmissionController:
@@ -308,13 +137,25 @@ class AdmissionController:
       carry no client identity are not client-limited.
 
     All calls happen on the service's event loop, so the controller needs no
-    locking; its counters are plain ints safe to read from other threads.
+    locking; ``stats`` reads registry counters, safe from other threads.
     """
 
     def __init__(self, config: ServiceConfig,
                  metrics: Optional[MetricsRegistry] = None):
         self.config = config
-        self.stats = AdmissionStats(metrics)
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        shed = metrics.counter(
+            "repro_admission_shed_total",
+            "Requests shed by admission control, by reason.", ("reason",))
+        #: What this controller decided since it started (``/v1/report``
+        #: renders this view of the ``repro_admission_*`` instruments).
+        self.stats = CounterView({
+            "admitted": metrics.counter(
+                "repro_admission_admitted_total",
+                "Requests admitted into the service queue."),
+            "rejected_queue_full": shed.labels("queue-full"),
+            "rejected_client_limit": shed.labels("client-limit"),
+        })
         self._client_inflight: Dict[str, int] = {}
 
     def admit(self, request: ScheduleRequest, queue_depth: int,
@@ -326,7 +167,7 @@ class AdmissionController:
         if client is not None and config.max_client_inflight > 0:
             inflight = self._client_inflight.get(client, 0)
             if inflight >= config.max_client_inflight:
-                self.stats.record_shed("client-limit")
+                self.stats.inc("rejected_client_limit")
                 raise AdmissionError(
                     "client-limit",
                     f"client {client!r} already has {inflight} requests "
@@ -334,13 +175,13 @@ class AdmissionController:
                     config.retry_after_s)
         if not rider and config.max_queue_depth > 0 \
                 and queue_depth >= config.max_queue_depth:
-            self.stats.record_shed("queue-full")
+            self.stats.inc("rejected_queue_full")
             raise AdmissionError(
                 "queue-full",
                 f"service queue is full ({queue_depth} requests, "
                 f"limit {config.max_queue_depth})",
                 config.retry_after_s)
-        self.stats.record_admitted()
+        self.stats.inc("admitted")
         if client is not None:
             self._client_inflight[client] = \
                 self._client_inflight.get(client, 0) + 1
@@ -360,8 +201,6 @@ class AdmissionController:
         return self._client_inflight.get(client, 0)
 
 
-
-
 @dataclass
 class RequestTiming:
     """Per-request serving timings (returned by ``schedule_timed``).
@@ -376,11 +215,6 @@ class RequestTiming:
     coalesced: bool = False
     fast_lane: bool = False
     trace_id: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"total_s": self.total_s, "queue_wait_s": self.queue_wait_s,
-                "coalesced": self.coalesced, "fast_lane": self.fast_lane,
-                "trace_id": self.trace_id}
 
 
 @dataclass
@@ -437,7 +271,35 @@ class SchedulingService:
         #: Fallback request-id source for programmatic callers that don't
         #: pass one (the HTTP layer always does).
         self._local_ids = itertools.count(1)
-        self.stats = ServiceStats(self.metrics)
+        counter = self.metrics.counter
+        self._largest_batch = self.metrics.gauge(
+            "repro_service_largest_batch",
+            "High-water mark of the micro-batch size.")
+        #: What this service did since it started: the view ``/v1/report``
+        #: renders from the ``repro_service_*`` instruments ``/metrics``
+        #: scrapes.
+        self.stats = CounterView({
+            "requests": counter(
+                "repro_service_requests_total",
+                "Requests admitted into the scheduling service."),
+            "coalesced": counter(
+                "repro_service_coalesced_total",
+                "Requests that rode an identical in-flight request."),
+            "batches": counter(
+                "repro_service_batches_total", "Micro-batches executed."),
+            "scheduled": counter(
+                "repro_service_scheduled_total",
+                "Requests resolved with a schedule response."),
+            "fast_lane": counter(
+                "repro_service_fast_lane_total",
+                "Requests served from the response-level cache fast lane."),
+            "errors": counter(
+                "repro_service_errors_total",
+                "Requests resolved with an exception."),
+            "rejected": counter(
+                "repro_service_rejected_total",
+                "Requests shed by admission control."),
+        }, {"largest_batch": self._largest_batch})
         self.admission = AdmissionController(self.config, self.metrics)
         self._queue_depth_gauge = self.metrics.gauge(
             "repro_service_queue_depth",
@@ -536,47 +398,43 @@ class SchedulingService:
                              "served; tune through the session directly")
         key = request_fingerprint(request)
         existing = self._inflight.get(key)
-        if self.config.fast_lane and existing is None:
-            # Probing before admission keeps hits immune to queue
-            # saturation (they add no queued work) and keeps the miss cost
-            # to one cache get; in-flight duplicates skip the probe and
-            # coalesce as before.
-            served = self._serve_fast_lane(request, request_id)
-            if served is not None:
-                return served
         tracer = self._tracer
         root = None
-        if tracer is not None and tracer.enabled:
-            if request_id is None:
-                request_id = f"local-{os.getpid()}-{next(self._local_ids)}"
-            admit_wall = time.time()
-            program = request.program
-            root = tracer.begin(
-                "request", tracer.trace_id_for(request_id),
-                attrs={"request_id": request_id,
-                       "priority": request.priority,
-                       "program": (program.name if isinstance(program, Program)
-                                   else str(program)),
-                       **({"client": request.client}
-                          if request.client is not None else {})})
         outcome = "error"
         try:
+            if self.config.fast_lane and existing is None:
+                # Reading the response cache before admission keeps hits
+                # immune to queue saturation (they add no queued work) and
+                # keeps the miss cost to one cache get; in-flight duplicates
+                # skip the read and coalesce as before.  A sampled root that
+                # misses simply becomes the slow lane's root.
+                arrived = time.perf_counter()
+                root = self._begin_root(request, request_id, sample=True)
+                served = self._serve_fast_lane(request, root, arrived)
+                if served is not None:
+                    outcome = "ok"
+                    return served
+            if root is None:
+                root = self._begin_root(request, request_id)
+            admit_wall = time.time()
             try:
                 self.admission.admit(
                     request,
                     queue_depth=self._queue.qsize() - self._stale_entries,
                     rider=existing is not None)
             except AdmissionError:
-                self.stats.record_rejected()
+                self.stats.inc("rejected")
                 outcome = "shed"
                 raise
             if root is not None:
                 tracer.record(root.trace_id, root.span_id,
                               "service.admission", admit_wall, time.time())
                 # Child spans of every downstream layer (queue, batch,
-                # session, worker) attach under this root via the request.
-                request.trace = root.context()
-            self.stats.record_request()
+                # session, worker) attach under this root via the request:
+                # the service's own shallow copy, so the caller's object is
+                # never written to (a reused one would carry a stale id).
+                request = replace(request, trace=root.context())
+            self.stats.inc("requests")
             loop = asyncio.get_running_loop()
             timing = RequestTiming(
                 coalesced=existing is not None,
@@ -587,7 +445,7 @@ class SchedulingService:
                     # Coalesce: ride the identical in-flight request.  The
                     # response program is copied so concurrent consumers never
                     # share IR.
-                    self.stats.record_coalesced()
+                    self.stats.inc("coalesced")
                     self.session.record_coalesced()
                     if root is not None:
                         root.set_attribute("coalesced", True)
@@ -613,7 +471,8 @@ class SchedulingService:
                     self._finish_timing(timing, request, existing, started,
                                         loop)
                     outcome = "ok"
-                    return self._reissue(response, request), timing
+                    return self._reissue(response, request,
+                                         timing.trace_id), timing
                 future: "asyncio.Future[ScheduleResponse]" = \
                     asyncio.get_running_loop().create_future()
                 sort_key = self.policy.sort_key(request, started)
@@ -649,60 +508,61 @@ class SchedulingService:
                 # since futures only resolve once the batch was decoded.
                 tracer.finish(root, status=outcome)
 
+    def _begin_root(self, request: ScheduleRequest, request_id: Optional[str],
+                    sample: bool = False) -> Optional[Span]:
+        """Open ``request``'s root span — ``None`` when it goes untraced.
+
+        Both lanes start here; :meth:`schedule_timed` finishes the span.
+        ``sample`` subjects the request to ``Tracer.sample_rate``: a
+        sampled-out fast-lane candidate pays one counter increment
+        (``Tracer.tick()``), no id minting and no span.
+        """
+        tracer = self._tracer
+        if tracer is None or not (tracer.tick() if sample else tracer.enabled):
+            return None
+        if request_id is None:
+            request_id = f"local-{os.getpid()}-{next(self._local_ids)}"
+        program = request.program
+        return tracer.begin(
+            "request", tracer.trace_id_for(request_id),
+            attrs={"request_id": request_id,
+                   "priority": request.priority,
+                   "program": (program.name if isinstance(program, Program)
+                               else str(program)),
+                   **({"client": request.client}
+                      if request.client is not None else {})})
+
     def _serve_fast_lane(self, request: ScheduleRequest,
-                         request_id: Optional[str]
+                         root: Optional[Span], started: float
                          ) -> Optional[Tuple[ScheduleResponse, RequestTiming]]:
         """Serve ``request`` from the response-level cache, if possible.
 
         A hit bypasses admission, queueing, and batching: the session's
         pre-encoded response bytes go straight back to the caller with only
-        the per-request echo re-encoded, under a single (sampled) root span
-        instead of the slow path's full span tree.  Returns ``None`` on a
-        miss — or when the session is a duck-typed stub without a response
+        the per-request echo re-encoded, under the single (sampled) ``root``
+        span instead of the slow path's full span tree.  Returns ``None`` on
+        a miss — or when the session is a duck-typed stub without a response
         cache — and the caller falls through to the full pipeline.
         """
-        probe = getattr(self.session, "probe_response", None)
-        if probe is None:
+        lookup = getattr(self.session, "lookup_response", None)
+        if lookup is None:
             return None
-        started = time.perf_counter()
-        entry = probe(request)
-        if entry is None:
+        # The context goes in explicitly (the request is the caller's), so
+        # the response carries this trace id like a slow-path one would —
+        # and none at all when sampled out.
+        response = lookup(request, root.context() if root is not None else None)
+        if response is None:
             return None
-        tracer = self._tracer
-        root = None
-        trace_id = None
-        if tracer is not None and tracer.tick():
-            # Only a sampled request mints ids and a root span; with
-            # ``sample_rate`` below 1.0 the tick above is all a sampled-out
-            # fast-lane request pays for tracing.
-            if request_id is None:
-                request_id = f"local-{os.getpid()}-{next(self._local_ids)}"
-            trace_id = tracer.trace_id_for(request_id)
-            program = request.program
-            root = tracer.begin(
-                "request", trace_id,
-                attrs={"request_id": request_id,
-                       "priority": request.priority,
-                       "program": (program.name
-                                   if isinstance(program, Program)
-                                   else str(program)),
-                       "fast_lane": True,
-                       **({"client": request.client}
-                          if request.client is not None else {})})
-            # Assembled before the echo is encoded, so the response
-            # carries this trace id like a slow-path response would.
-            request.trace = root.context()
-        response = self.session.assemble_response(entry, request)
-        self.stats.record_request()
-        self.stats.record_fast_lane()
-        self.stats.record_scheduled()
+        self.stats.inc("requests")
+        self.stats.inc("fast_lane")
+        self.stats.inc("scheduled")
         timing = RequestTiming(
-            total_s=max(0.0, time.perf_counter() - started),
-            fast_lane=True, trace_id=trace_id)
+            total_s=max(0.0, time.perf_counter() - started), fast_lane=True,
+            trace_id=root.trace_id if root is not None else None)
         self._latency_histogram.labels(str(request.priority)).observe(
-            timing.total_s, exemplar=trace_id)
+            timing.total_s, exemplar=timing.trace_id)
         if root is not None:
-            tracer.finish(root, status="ok")
+            root.set_attribute("fast_lane", True)
         return response, timing
 
     def _finish_timing(self, timing: RequestTiming, request: ScheduleRequest,
@@ -733,8 +593,8 @@ class SchedulingService:
                 max(0, queue.qsize() - self._stale_entries))
 
     @staticmethod
-    def _reissue(response: ScheduleResponse,
-                 request: ScheduleRequest) -> ScheduleResponse:
+    def _reissue(response: ScheduleResponse, request: ScheduleRequest,
+                 trace_id: Optional[str]) -> ScheduleResponse:
         copied = response.result.copy()
         # Match the sequential cache-hit path: the served program keeps the
         # *rider's* name, not the coalescing leader's (fingerprints are
@@ -753,8 +613,7 @@ class SchedulingService:
             from_cache=response.from_cache,
             normalization_cache_hit=response.normalization_cache_hit,
             # A rider reports *its own* trace, not its leader's.
-            trace_id=((request.trace or {}).get("trace_id")
-                      or getattr(response, "trace_id", None)))
+            trace_id=trace_id)
 
     # -- the batcher -------------------------------------------------------------
 
@@ -799,7 +658,8 @@ class SchedulingService:
         tracer = self._tracer
         while True:
             batch = await self._collect_batch()
-            self.stats.record_batch(len(batch))
+            self.stats.inc("batches")
+            self._largest_batch.set_max(len(batch))
             dispatched_at = loop.time()
             dispatched_wall = time.time()
             schedule_spans: Dict[str, Any] = {}
@@ -838,7 +698,7 @@ class SchedulingService:
             except Exception as error:  # noqa: BLE001 - forwarded to callers
                 # Batch-level failure (e.g. the executor itself); per-item
                 # failures are returned in-band by return_exceptions below.
-                self.stats.record_errors(len(batch))
+                self.stats.inc("errors", len(batch))
                 for span in schedule_spans.values():
                     tracer.finish(span, status="error")
                 for pending in batch:
@@ -856,11 +716,11 @@ class SchedulingService:
                     tracer.finish(span, status="error" if failed else "ok")
                 if failed:
                     # One invalid request must not fail its batchmates.
-                    self.stats.record_errors()
+                    self.stats.inc("errors")
                     if not pending.future.done():
                         pending.future.set_exception(response)
                 else:
-                    self.stats.record_scheduled()
+                    self.stats.inc("scheduled")
                     if not pending.future.done():
                         pending.future.set_result(response)
             if self.adaptive is not None:
@@ -923,7 +783,7 @@ class ServiceRunner:
         self.stop()
 
     @property
-    def stats(self) -> ServiceStats:
+    def stats(self) -> CounterView:
         return self.service.stats
 
     def start(self) -> None:

@@ -36,13 +36,12 @@ import multiprocessing
 import queue as queue_module
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..api.registry import RegistryError
 from ..api.session import Session
-from ..api.types import (EncodedScheduleResponse, ScheduleRequest,
-                         ScheduleResponse)
+from ..api.types import ScheduleRequest, ScheduleResponse
 from ..observability import merge_registry_dicts
 from ..passes.registry import PipelineRegistryError
 from ..scheduler.database import (DatabaseEntry, TuningDatabase,
@@ -173,7 +172,7 @@ def _worker_schedule(request_dict: Dict[str, Any]) -> Dict[str, Any]:
     try:
         request = ScheduleRequest.from_dict(request_dict)
         response = _WORKER_SESSION.schedule(request)
-        payload = {"response_json": json.dumps(response.to_dict())}
+        payload = {"response_json": response.to_json()}
     except Exception as error:  # noqa: BLE001 - marshalled to the coordinator
         payload = _error_payload(error)
     # Ship this worker's finished trace spans back in-band so they rejoin
@@ -207,8 +206,7 @@ def _worker_tune(request_dict: Dict[str, Any]) -> Dict[str, Any]:
                    for entry in session.database.entries[before:]]
     for item in new_entries:
         _WORKER_SEEN.add(_entry_key(item))
-    return {"response_json": json.dumps(response.to_dict()),
-            "entries": new_entries}
+    return {"response_json": response.to_json(), "entries": new_entries}
 
 
 def _worker_absorb_entries(entry_dicts: List[Dict[str, Any]]
@@ -291,19 +289,6 @@ def _worker_metrics() -> Tuple[int, Dict[str, Any]]:
 
 # -- coordinator half --------------------------------------------------------------
 
-
-class PortableScheduleResponse(EncodedScheduleResponse):
-    """A worker's :class:`~repro.api.ScheduleResponse` carried as its JSON
-    text (see :class:`~repro.api.types.EncodedScheduleResponse`).
-
-    The coordinator mostly shuttles worker responses onward — the HTTP
-    layer replies with exactly these bytes — so parsing JSON or decoding
-    the IR program on the coordinator would be pure overhead on the serving
-    hot path.
-    """
-
-    __slots__ = ()
-
 #: Report fields merged by union instead of summation.
 _UNION_FIELDS = {"schedulers"}
 #: Report fields merged by taking the first value (homogeneous per pool).
@@ -363,16 +348,7 @@ class PoolStats:
     feedback_skipped: int = 0
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "scheduled": self.scheduled,
-            "tuned": self.tuned,
-            "errors": self.errors,
-            "gathered_entries": self.gathered_entries,
-            "redistributed_entries": self.redistributed_entries,
-            "feedback_applied": self.feedback_applied,
-            "feedback_added": self.feedback_added,
-            "feedback_skipped": self.feedback_skipped,
-        }
+        return asdict(self)
 
 
 class WorkerPool:
@@ -493,7 +469,7 @@ class WorkerPool:
     # -- scheduling --------------------------------------------------------------
 
     def _decode(self, payload: Dict[str, Any]
-                ) -> Union[PortableScheduleResponse, Exception]:
+                ) -> Union[ScheduleResponse, Exception]:
         spans = payload.get("spans")
         if spans and self.tracer is not None:
             # Rejoin worker-side spans before the caller's future resolves,
@@ -505,10 +481,13 @@ class WorkerPool:
             if portable is not None:
                 return portable(error["message"])
             return WorkerError(error["type"], error["message"])
-        return PortableScheduleResponse(payload["response_json"])
+        # Text-backed: the coordinator mostly shuttles worker responses
+        # onward (the HTTP layer replies with exactly these bytes), so it
+        # parses nothing unless someone reads a field.
+        return ScheduleResponse.from_json(payload["response_json"])
 
     def schedule_batch(self, requests: Sequence[ScheduleRequest]
-                       ) -> List[Union[PortableScheduleResponse, Exception]]:
+                       ) -> List[Union[ScheduleResponse, Exception]]:
         """Scatter the batch over the workers; gather responses in order.
 
         Requests are split round-robin into one chunk per worker (a chunk
@@ -533,7 +512,7 @@ class WorkerPool:
                 _worker_schedule_many,
                 [request.to_dict() for _, request in chunk]))
             for chunk in chunks]
-        results: List[Union[PortableScheduleResponse, Exception]] = \
+        results: List[Union[ScheduleResponse, Exception]] = \
             [None] * len(requests)  # type: ignore[list-item]
         for chunk, future in submitted:
             try:

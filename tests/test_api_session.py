@@ -191,6 +191,74 @@ class TestRoundTrips:
             == pytest.approx(session.evaluate(response.program, PARAMS))
 
 
+class TestSingleResponseType:
+    """One ``ScheduleResponse``, field-backed or JSON-text-backed."""
+
+    def test_json_round_trips_cold_cached_and_coalesced_responses(self):
+        from repro.serving import ServiceConfig, ServiceRunner
+
+        session = fast_session()
+        cold = session.schedule("gemm:a")
+        cached = session.schedule("gemm:a")
+        with ServiceRunner(session, ServiceConfig(batch_window_s=0.05)) as runner:
+            leader, rider = runner.schedule_many(
+                [ScheduleRequest(program="atax:a") for _ in range(2)])
+            assert runner.stats.coalesced == 1
+        session.close()
+        assert not cold.from_cache and cached.from_cache
+        assert rider.program is not leader.program
+        for response in (cold, cached, leader, rider):
+            restored = ScheduleResponse.from_json(response.to_json())
+            assert type(restored) is ScheduleResponse
+            assert restored.to_dict() == response.to_dict()
+            # Decoding the fields does not change what it serializes to.
+            assert restored.runtime_s == response.runtime_s
+            assert restored.to_dict() == response.to_dict()
+
+    def test_text_backed_flags_decode_before_any_other_field(self, monkeypatch):
+        import json
+
+        session = fast_session()
+        session.schedule("gemm:a")
+        data = session.schedule("gemm:a").to_dict()
+        session.close()
+        assert data["from_cache"] and data["normalization_cache_hit"]
+        data["trace_id"] = "0123456789abcdef"
+        text = json.dumps(data)
+        # Each read is the first touch of a fresh text-backed response: a
+        # class-level dataclass default would answer False / None here.
+        assert ScheduleResponse.from_json(text).from_cache is True
+        assert ScheduleResponse.from_json(text).normalization_cache_hit is True
+        assert ScheduleResponse.from_json(text).trace_id == "0123456789abcdef"
+        assert ScheduleResponse.from_json(text).canonical_hash \
+            == data["canonical_hash"]
+
+        # to_json() hands back the stored text object itself, unparsed.
+        response = ScheduleResponse.from_json(text)
+        monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail(
+            "to_json() on a text-backed response must not parse"))
+        assert response.to_json() is text
+
+    def test_fast_lane_read_and_write_use_the_one_type(self):
+        session = fast_session()
+        request = ScheduleRequest(program="gemm:a")
+        assert session.lookup_response(request) is None
+        session.store_response(request, session.schedule(request))
+        assert session.lookup_response(request) is None  # cold: not stored
+        warm = session.schedule(request)
+        session.store_response(request, warm)
+        fast = session.lookup_response(request)
+        assert type(fast) is ScheduleResponse
+        assert fast.to_json() == warm.to_json()
+        assert fast.trace_id is None and fast.from_cache
+        traced = session.lookup_response(
+            request, trace={"trace_id": "abc", "span_id": "def"})
+        assert traced.trace_id == "abc"
+        assert traced.request.trace == {"trace_id": "abc", "span_id": "def"}
+        assert request.trace is None  # the caller's request is never written
+        session.close()
+
+
 class TestBatch:
     def items(self):
         return [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import build_gemm, build_stencil, build_vector_add
 from repro.interp import programs_equivalent, run_program
 from repro.ir import ProgramBuilder, to_pseudocode
-from repro.normalization import (NormalizationOptions, PassManager,
+from repro.normalization import (NormalizationOptions,
                                  canonicalize_iterator_names, contract_arrays,
                                  expand_scalars, find_minimal_permutation,
                                  is_maximally_fissioned, maximal_loop_fission,
@@ -195,17 +195,6 @@ class TestPipeline:
         once, _ = normalize(build_gemm_b())
         twice, report = normalize(once)
         assert to_pseudocode(once) == to_pseudocode(twice)
-
-    def test_pass_manager_fixed_point(self):
-        calls = []
-
-        def fake_pass(program):
-            calls.append(1)
-            return len(calls) < 3
-
-        manager = PassManager([fake_pass])
-        iterations = manager.run(build_vector_add())
-        assert iterations >= 3
 
 
 @given(st.permutations(["i", "j", "k"]))

@@ -652,28 +652,46 @@ class TestFastLaneObservability:
         for entry in logged_slow:
             assert by_id[entry["trace_id"]]["span_count"] > 1
 
-    def test_fast_lane_bytes_equal_slow_path_bytes(self):
-        """The fast lane serves byte-identical JSON to the slow path (the
-        tracer is disabled so responses carry no per-request trace ids)."""
+    @staticmethod
+    def _slow_and_fast_lane_bytes(body):
+        """POST ``body`` three times to an untraced server (so responses
+        carry no per-request trace ids): cold, fully cache-served through
+        the slow lane (stored), then served by the fast lane."""
         import urllib.request
 
         from repro.observability import Tracer
 
         session = fast_session(tracer=Tracer(enabled=False))
         with ServingServer(session) as server:
-            body = json.dumps({"program": "gemm:a"}).encode("utf-8")
+            data = json.dumps(body).encode("utf-8")
 
             def post():
                 request = urllib.request.Request(
-                    server.address + "/v1/schedule", data=body,
+                    server.address + "/v1/schedule", data=data,
                     headers={"Content-Type": "application/json"})
                 with urllib.request.urlopen(request) as response:
                     return response.read()
 
-            post()                      # cold
-            slow_bytes = post()         # fully cache-served, stores
-            fast_bytes = post()         # fast lane
+            post()
+            slow_bytes = post()
+            fast_bytes = post()
             report = ServingClient(server.address).report()
         session.close()
         assert report["service"]["fast_lane"] == 1
+        return slow_bytes, fast_bytes
+
+    def test_fast_lane_bytes_equal_slow_path_bytes(self):
+        """The fast lane serves byte-identical JSON to the slow path."""
+        slow_bytes, fast_bytes = self._slow_and_fast_lane_bytes(
+            {"program": "gemm:a"})
         assert fast_bytes == slow_bytes
+
+    def test_client_supplied_trace_is_dropped_in_both_lanes(self):
+        """``trace`` in an HTTP body is unvalidated outside input: it must
+        not name the reply's trace id (nor split the lanes' bytes)."""
+        slow_bytes, fast_bytes = self._slow_and_fast_lane_bytes(
+            {"program": "gemm:a",
+             "trace": {"trace_id": "evil-client-id", "span_id": "x"}})
+        assert fast_bytes == slow_bytes
+        assert b"evil-client-id" not in slow_bytes
+        assert "trace_id" not in json.loads(fast_bytes)

@@ -12,13 +12,12 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from helpers import fast_session
 
-from repro.api import (ScheduleRequest, SearchConfig, Session,
-                       SQLiteCacheBackend)
+from repro.api import (ScheduleRequest, ScheduleResponse, SearchConfig,
+                       Session, SQLiteCacheBackend)
 from repro.serving import (AdmissionController, AdmissionError,
                            SchedulingService, ServiceConfig, ServingClient,
                            ServingServer, WorkerConfig, WorkerPool,
                            merge_worker_reports)
-from repro.serving.workers import PortableScheduleResponse
 
 FAST_SEARCH = SearchConfig(population_size=4, epochs=1,
                            generations_per_epoch=1)
@@ -135,6 +134,8 @@ class TestWorkerPool:
                     ScheduleRequest(program="mvt:a")]
         results = pool.schedule_batch(requests)
         assert len(results) == 3
+        # The one response type, not a pool-specific subclass.
+        assert type(results[0]) is type(results[2]) is ScheduleResponse
         assert results[0].result.program.body
         assert isinstance(results[1], KeyError)  # RegistryError subclass
         assert results[2].result.program.body
@@ -153,11 +154,13 @@ class TestWorkerPool:
     def test_portable_response_json_dict_and_attrs_agree(self, shared_pool):
         pool, _ = shared_pool
         response = pool.schedule(ScheduleRequest(program="bicg:a"))
-        assert isinstance(response, PortableScheduleResponse)
+        assert type(response) is ScheduleResponse
         payload = json.loads(response.to_json())
         assert payload == response.to_dict()
         assert response.runtime_s == payload["runtime_s"]
         assert response.scheduler == payload["scheduler"]
+        assert ScheduleResponse.from_json(response.to_json()).to_dict() \
+            == payload
 
     def test_tune_gathers_and_merges_entries_at_the_coordinator(self, shared_pool):
         pool, _ = shared_pool

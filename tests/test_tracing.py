@@ -390,6 +390,29 @@ class TestSessionTracing:
         assert session.tracer.stored == 0
         session.close()
 
+    def test_reused_request_is_not_mutated_and_carries_no_stale_trace_id(self):
+        """One request object sent repeatedly: the service owns the trace
+        context, so the caller's object stays untouched and a sampled-out
+        fast-lane response reports no trace id (not the previous call's)."""
+        from repro.serving import ServiceRunner
+
+        session = fast_session(tracer=Tracer(sample_rate=0.25))
+        request = ScheduleRequest(program="gemm:a")
+        with ServiceRunner(session, ServiceConfig(batch_window_s=0.01)) as runner:
+            outcomes = [runner.schedule_timed(request) for _ in range(10)]
+            assert request.trace is None
+            assert runner.stats.fast_lane == 8
+        session.close()
+        traced = [response.trace_id for response, _ in outcomes
+                  if response.trace_id is not None]
+        # Both slow-lane calls are traced; the stride sampler keeps every
+        # fourth fast-lane candidate.
+        assert len(traced) == len(set(traced)) == 4
+        for response, timing in outcomes:
+            assert response.trace_id == timing.trace_id
+            echoed = response.request.trace
+            assert (echoed or {}).get("trace_id") == response.trace_id
+
     def test_build_info_and_uptime_gauges_are_registered(self):
         session = fast_session()
         snapshot = session.metrics.to_dict()
