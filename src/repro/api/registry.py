@@ -6,11 +6,22 @@ configuration) registers itself here, and :class:`repro.api.Session` resolves
 schedulers exclusively by name.  Third-party code extends the system the same
 way::
 
-    from repro.api import register_scheduler
+    from repro.api import Scheduler, register_scheduler
+    from repro.transforms import Parallelize, Recipe
 
-    @register_scheduler("my-sched", normalizes=True)
-    def build_my_scheduler(machine=None, threads=1, **options):
-        return MyScheduler(machine, threads)
+    class OuterParallelScheduler(Scheduler):
+        name = "outer-parallel"
+
+        def recipe_for(self, nest, index):
+            return Recipe(f"{self.name}#{index}", [Parallelize(index)])
+
+    @register_scheduler("outer-parallel", normalizes=True)
+    def build_outer_parallel(machine=None, threads=1, **options):
+        return OuterParallelScheduler(machine, threads)
+
+(:class:`~repro.scheduler.base.Scheduler` owns the walk over the nests; a
+subclass overrides ``recipe_for``, or ``schedule_nest`` / ``prepare`` /
+``price`` for more control.)
 
 Frontends translate non-IR inputs (e.g. C-like source text) into
 :class:`~repro.ir.nodes.Program` objects and register under
@@ -192,7 +203,7 @@ def _make_evolutionary(machine=None, threads=1, search=None, database=None,
     from ..scheduler.evolutionary import SearchConfig
 
     config = DaisyConfig(threads=threads, search=search or SearchConfig(),
-                         max_database_distance=-1.0, search_on_miss=True)
+                         max_database_distance=-1.0)
     return DaisyScheduler(machine=machine, config=config,
                           database=database if database is not None
                           else TuningDatabase(),

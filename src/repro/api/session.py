@@ -374,8 +374,6 @@ class Session:
             if request.tune:
                 result = instance.tune(target, parameters,
                                        label=request.label or program.name)
-                runtime = instance.cost_model.estimate_seconds(
-                    result.program, parameters)
             else:
                 key = self.cache.schedule_key(
                     canonical_hash if normalizes else input_hash, name,
@@ -393,8 +391,9 @@ class Session:
                     with trace_span("scheduler.search", scheduler=name,
                                     threads=instance.threads):
                         result = instance.schedule(target, parameters)
-                    runtime = instance.cost_model.estimate_seconds(
-                        result.program, parameters)
+            if not from_cache:
+                runtime = instance.price(result.program, parameters)
+                if not request.tune:
                     self.cache.store_schedule(key, result, runtime)
 
             span.set_attributes(from_cache=from_cache,

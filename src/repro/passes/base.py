@@ -114,11 +114,6 @@ class Pass:
     def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
         raise NotImplementedError
 
-    def _invoke(self, program: Program, context: PassContext) -> ApplyOutcome:
-        """Indirection so adapters (e.g. transformations with a legacy
-        single-argument ``apply``) can hook the invocation."""
-        return self.apply(program, context)
-
     def run(self, program: Program,
             context: Optional[PassContext] = None) -> PassResult:
         """Apply the pass and measure it; returns the :class:`PassResult`."""
@@ -128,7 +123,7 @@ class Pass:
             fingerprint_before = (None if self.detects_change
                                   else program_fingerprint(program))
             started = time.perf_counter()
-            outcome = self._invoke(program, context)
+            outcome = self.apply(program, context)
             wall_time = time.perf_counter() - started
 
             changed: Optional[bool]

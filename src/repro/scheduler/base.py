@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from ..ir.nodes import Program
+from ..ir.nodes import Loop, Program
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..perf.model import CostModel
-from ..transforms.recipe import Recipe
+from ..transforms.recipe import Recipe, apply_recipe
 
 
 @dataclass
@@ -116,24 +116,73 @@ class ScheduleResult:
 
 
 class Scheduler:
-    """Base class of all auto-schedulers and compiler baselines."""
+    """Base class of all auto-schedulers and compiler baselines.
+
+    :meth:`schedule` is the one walk over a program's top-level nests; a
+    scheduler customizes it through four hooks: :meth:`prepare` (the copy the
+    walk rewrites), :meth:`schedule_nest` (what happens to one nest),
+    :meth:`recipe_for` (the recipe the default ``schedule_nest`` applies) and
+    :meth:`price` (modeled seconds of the outcome).
+    """
 
     name = "scheduler"
+    #: Detail recorded for nests scheduled through :meth:`recipe_for`; when
+    #: empty, the reasons transformations refused to apply are recorded.
+    detail = ""
 
     def __init__(self, machine: MachineModel = DEFAULT_MACHINE, threads: int = 1):
         self.machine = machine
         self.threads = threads
         self.cost_model = CostModel(machine, threads)
 
-    def schedule(self, program: Program,
-                 parameters: Mapping[str, int]) -> ScheduleResult:
-        """Produce a scheduled copy of ``program``."""
+    def prepare(self, program: Program) -> ScheduleResult:
+        """The result whose program the nest walk rewrites in place."""
+        return ScheduleResult(scheduler=self.name, program=program.copy())
+
+    def recipe_for(self, nest: Loop, index: int) -> Recipe:
+        """The recipe for the top-level nest at ``index``."""
         raise NotImplementedError
+
+    def schedule_nest(self, program: Program, index: int,
+                      parameters: Mapping[str, int]) -> NestScheduleInfo:
+        """Schedule the top-level nest at ``index`` of ``program`` in place."""
+        recipe = self.recipe_for(program.body[index], index)
+        application = apply_recipe(program, recipe, strict=False)
+        status = "optimized" if application.applied else "unchanged"
+        detail = self.detail or "; ".join(msg for _, msg in application.failed)
+        return NestScheduleInfo(index, status, recipe, detail)
+
+    def schedule(self, program: Program, parameters: Mapping[str, int],
+                 **nest_options) -> ScheduleResult:
+        """Produce a scheduled copy of ``program``.
+
+        ``nest_options`` are forwarded to every :meth:`schedule_nest` call
+        (daisy's ``tune`` passes the label it seeds the database under).
+        """
+        result = self.prepare(program)
+        scheduled = result.program
+        for index in range(len(scheduled.body)):
+            if isinstance(scheduled.body[index], Loop):
+                result.nests.append(self.schedule_nest(
+                    scheduled, index, parameters, **nest_options))
+        return result
+
+    def price(self, program: Program, parameters: Mapping[str, int]) -> float:
+        """Modeled seconds of a program this scheduler produced."""
+        return self.cost_model.estimate_seconds(program, parameters)
 
     def estimate(self, program: Program, parameters: Mapping[str, int]) -> float:
         """Schedule the program and estimate its runtime in seconds."""
-        result = self.schedule(program, parameters)
-        return self.cost_model.estimate_seconds(result.program, parameters)
+        return self.price(self.schedule(program, parameters).program, parameters)
+
+
+def price_recipe(cost_model: CostModel, program: Program, recipe: Recipe,
+                 parameters: Mapping[str, int]) -> float:
+    """Modeled seconds of ``program`` with ``recipe`` applied to a copy —
+    how every search prices one candidate."""
+    trial = program.copy()
+    apply_recipe(trial, recipe, strict=False)
+    return cost_model.estimate_seconds(trial, parameters)
 
 
 def retarget_recipe(recipe: Recipe, nest_index: int, name: str = "") -> Recipe:

@@ -13,13 +13,23 @@ is executed as written.  These baselines reproduce that behavior:
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from ..analysis.parallelism import analyze_loop_parallelism
-from ..ir.nodes import Loop, Program
+from ..ir.nodes import Loop
 from ..transforms.parallelize import Parallelize, Vectorize
-from ..transforms.recipe import Recipe, apply_recipe
-from .base import NestScheduleInfo, ScheduleResult, Scheduler
+from ..transforms.recipe import Recipe
+from .base import Scheduler
+
+
+def compiler_recipe(name: str, nest: Loop, index: int,
+                    auto_parallel: bool) -> Recipe:
+    """What an optimizing compiler does to a nest as written: vectorize the
+    innermost loop, and with ``auto_parallel`` run the outermost loop in
+    parallel when independence can be proven."""
+    recipe = Recipe(f"{name}#{index}")
+    if auto_parallel and analyze_loop_parallelism(nest).is_parallel:
+        recipe.add(Parallelize(index))
+    recipe.add(Vectorize(index, require_unit_stride=True))
+    return recipe
 
 
 class ClangScheduler(Scheduler):
@@ -27,20 +37,8 @@ class ClangScheduler(Scheduler):
 
     name = "clang"
 
-    def schedule(self, program: Program,
-                 parameters: Mapping[str, int]) -> ScheduleResult:
-        scheduled = program.copy()
-        result = ScheduleResult(scheduler=self.name, program=scheduled)
-        for index, node in enumerate(scheduled.body):
-            if not isinstance(node, Loop):
-                continue
-            recipe = Recipe(f"{self.name}#{index}")
-            recipe.add(Vectorize(index, require_unit_stride=True))
-            application = apply_recipe(scheduled, recipe, strict=False)
-            status = "optimized" if application.applied else "unchanged"
-            result.nests.append(NestScheduleInfo(index, status, recipe,
-                                                 "; ".join(m for _, m in application.failed)))
-        return result
+    def recipe_for(self, nest: Loop, index: int) -> Recipe:
+        return compiler_recipe(self.name, nest, index, auto_parallel=False)
 
 
 class IccScheduler(Scheduler):
@@ -48,22 +46,5 @@ class IccScheduler(Scheduler):
 
     name = "icc"
 
-    def schedule(self, program: Program,
-                 parameters: Mapping[str, int]) -> ScheduleResult:
-        scheduled = program.copy()
-        result = ScheduleResult(scheduler=self.name, program=scheduled)
-        for index, node in enumerate(scheduled.body):
-            if not isinstance(node, Loop):
-                continue
-            recipe = Recipe(f"{self.name}#{index}")
-            # Auto-parallelization targets the outermost loop only, and only
-            # when the compiler can prove independence.
-            info = analyze_loop_parallelism(node)
-            if info.is_parallel:
-                recipe.add(Parallelize(index))
-            recipe.add(Vectorize(index, require_unit_stride=True))
-            application = apply_recipe(scheduled, recipe, strict=False)
-            status = "optimized" if application.applied else "unchanged"
-            result.nests.append(NestScheduleInfo(index, status, recipe,
-                                                 "; ".join(m for _, m in application.failed)))
-        return result
+    def recipe_for(self, nest: Loop, index: int) -> Recipe:
+        return compiler_recipe(self.name, nest, index, auto_parallel=True)

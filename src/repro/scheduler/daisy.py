@@ -17,9 +17,9 @@ paper evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
-from ..ir.nodes import Loop, Program
+from ..ir.nodes import Program
 from ..normalization.pipeline import NormalizationOptions, normalize
 from ..passes.analysis import AnalysisManager
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
@@ -41,12 +41,6 @@ class DaisyConfig:
     threads: int = 1
     search: SearchConfig = field(default_factory=SearchConfig)
     max_database_distance: float = DEFAULT_MAX_DISTANCE
-    #: When True, nests without a database match are tuned on the fly.
-    search_on_miss: bool = True
-    #: When True, nests that fail to lift/normalize are still parallelized
-    #: naively (with atomics for reductions), reproducing the behavior the
-    #: paper reports for correlation/covariance.
-    fallback_parallelize: bool = False
 
 
 class DaisyScheduler(Scheduler):
@@ -67,11 +61,9 @@ class DaisyScheduler(Scheduler):
             normalization = NormalizationOptions.named(normalization)
         self.normalization = normalization or NormalizationOptions()
         #: Scheduler-lifetime memo: repeat scheduling of equivalent nests
-        #: reuses dependence/permutation analyses across ``_run`` calls.
+        #: reuses dependence/permutation analyses across calls.
         self._analysis = AnalysisManager()
         self._search = EvolutionarySearch(self.cost_model, self.config.search)
-
-    # -- seeding ---------------------------------------------------------------------
 
     def tune(self, program: Program, parameters: Mapping[str, int],
              label: Optional[str] = None) -> ScheduleResult:
@@ -80,77 +72,51 @@ class DaisyScheduler(Scheduler):
         Returns the scheduled program so that callers can also use the tuned
         A variant directly.
         """
-        return self._run(program, parameters, seeding=True, label=label)
+        return self.schedule(program, parameters, seeding=True,
+                             label=label or program.name)
 
-    # -- scheduling -------------------------------------------------------------------
-
-    def schedule(self, program: Program,
-                 parameters: Mapping[str, int]) -> ScheduleResult:
-        """Schedule a program using only the existing database entries."""
-        return self._run(program, parameters, seeding=False)
-
-    # -- core -------------------------------------------------------------------------
-
-    def _run(self, program: Program, parameters: Mapping[str, int],
-             seeding: bool, label: Optional[str] = None) -> ScheduleResult:
+    def prepare(self, program: Program) -> ScheduleResult:
         normalized, _report = normalize(program, self.normalization,
                                         self._analysis)
-        result = ScheduleResult(scheduler=self.name, program=normalized)
+        return ScheduleResult(scheduler=self.name, program=normalized)
 
-        for index in range(len(normalized.body)):
-            node = normalized.body[index]
-            if not isinstance(node, Loop):
-                continue
-            info = self._schedule_nest(normalized, index, parameters, seeding,
-                                       label or program.name)
-            result.nests.append(info)
-        return result
-
-    def _schedule_nest(self, program: Program, index: int,
-                       parameters: Mapping[str, int], seeding: bool,
-                       label: str) -> NestScheduleInfo:
+    def schedule_nest(self, program: Program, index: int,
+                      parameters: Mapping[str, int], seeding: bool = False,
+                      label: Optional[str] = None) -> NestScheduleInfo:
+        """Idiom, then transfer, then search.  When ``seeding`` (tuning), the
+        transfer step is skipped and what was found is recorded in the
+        database under ``label``."""
         nest = program.body[index]
-        assert isinstance(nest, Loop)
+        label = f"{label or program.name}#{index}"
+        embedding = embed_nest(nest, program.arrays, parameters, label=label)
 
         # 1. BLAS-3 idiom detection on the normalized nest.
         if match_blas3(nest) is not None:
-            recipe = Recipe(f"{label}#{index}:blas", [ReplaceWithLibraryCall(index)])
-            embedding = embed_nest(nest, program.arrays, parameters,
-                                   label=f"{label}#{index}")
+            recipe = Recipe(f"{label}:blas", [ReplaceWithLibraryCall(index)])
             application = apply_recipe(program, recipe, strict=False)
             if seeding:
                 self.database.add(embedding, recipe)
             status = "optimized" if application.fully_applied else "failed"
             return NestScheduleInfo(index, status, recipe, "blas idiom")
 
-        embedding = embed_nest(nest, program.arrays, parameters,
-                               label=f"{label}#{index}")
-
         # 2. Transfer tuning: nearest database entry within the distance bound.
-        entry = self.database.best_match(embedding, self.config.max_database_distance)
-        if entry is not None and not seeding:
-            recipe = retarget_recipe(entry.recipe, index)
-            application = apply_recipe(program, recipe, strict=False)
-            if application.applied:
-                return NestScheduleInfo(index, "optimized", recipe,
-                                        f"transfer from {entry.label}")
-            # The recipe could not be applied at all: fall through to search
-            # (or leave unchanged when search is disabled).
-            if not self.config.search_on_miss:
-                return NestScheduleInfo(index, "unchanged", None,
-                                        f"recipe from {entry.label} not applicable")
+        if not seeding:
+            entry = self.database.best_match(embedding,
+                                             self.config.max_database_distance)
+            if entry is not None:
+                recipe = retarget_recipe(entry.recipe, index)
+                if apply_recipe(program, recipe, strict=False).applied:
+                    return NestScheduleInfo(index, "optimized", recipe,
+                                            f"transfer from {entry.label}")
+                # The recipe could not be applied at all: fall through.
 
         # 3. Evolutionary search (seeded with the recipes of the most similar
         #    nests, mirroring the epoch re-seeding of the paper).
-        if seeding or self.config.search_on_miss:
-            seeds: List[Recipe] = []
-            for _distance, neighbor in self.database.query(embedding, k=10):
-                seeds.append(retarget_recipe(neighbor.recipe, index))
-            outcome = self._search.search(program, index, parameters, seeds)
-            apply_recipe(program, outcome.recipe, strict=False)
-            if seeding:
-                self.database.add(embedding, outcome.recipe, runtime=outcome.runtime)
-            return NestScheduleInfo(index, "optimized", outcome.recipe,
-                                    f"evolutionary search ({outcome.evaluated} evals)")
-
-        return NestScheduleInfo(index, "unchanged", None, "no database match")
+        seeds = [retarget_recipe(neighbor.recipe, index)
+                 for _distance, neighbor in self.database.query(embedding, k=10)]
+        outcome = self._search.search(program, index, parameters, seeds)
+        apply_recipe(program, outcome.recipe, strict=False)
+        if seeding:
+            self.database.add(embedding, outcome.recipe, runtime=outcome.runtime)
+        return NestScheduleInfo(index, "optimized", outcome.recipe,
+                                f"evolutionary search ({outcome.evaluated} evals)")

@@ -12,34 +12,37 @@ from __future__ import annotations
 import json
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.dependence import legal_permutations
-from ..analysis.parallelism import analyze_loop_parallelism
 from ..ir.nodes import Loop, Program
 from ..perf.model import CostModel
 from ..transforms.base import TransformationError
 from ..transforms.interchange import Interchange
 from ..transforms.parallelize import Parallelize, Unroll, Vectorize
-from ..transforms.recipe import Recipe, apply_recipe
+from ..transforms.recipe import Recipe
 from ..transforms.tiling import Tile
-
-#: Candidate tile sizes (0 means "do not tile this loop").
-TILE_SIZES = (0, 16, 32, 64, 128)
-UNROLL_FACTORS = (1, 2, 4, 8)
+from .base import price_recipe
 
 
 def nest_salt(nest: Loop) -> int:
-    """A deterministic salt derived from a nest's content.
-
-    Searches draw from ``Random((seed, salt))`` so that (a) repeated searches
-    of the same nest are reproducible regardless of call order or concurrency
-    and (b) different nests still explore different candidate sequences.
-    """
+    """A deterministic salt derived from a nest's content."""
     from ..ir.serialization import node_to_dict
 
     return zlib.crc32(json.dumps(node_to_dict(nest), sort_keys=True).encode("utf-8"))
+
+
+def nest_rng(seed: int, nest: Loop) -> random.Random:
+    """A fresh rng for one search over ``nest``.
+
+    Salting the seed with the nest's content makes (a) repeated searches of
+    the same nest reproducible regardless of call order or concurrency —
+    which also makes one scheduler instance safe to share across batch
+    threads — while (b) different nests still explore different candidate
+    sequences.
+    """
+    return random.Random(f"{seed}:{nest_salt(nest)}")
 
 
 @dataclass
@@ -63,15 +66,16 @@ class SearchOutcome:
     evaluated: int
 
 
-@dataclass
-class _Candidate:
-    """Internal representation of one candidate schedule."""
+@dataclass(frozen=True)
+class Candidate:
+    """One candidate schedule of a nest."""
 
     order: Tuple[str, ...]
     tile_sizes: Dict[str, int]
     parallelize: bool
     vectorize: bool
     unroll: int
+    require_unit_stride: bool
 
     def to_recipe(self, nest_index: int, name: str = "candidate") -> Recipe:
         recipe = Recipe(name)
@@ -82,10 +86,64 @@ class _Candidate:
         if self.parallelize:
             recipe.add(Parallelize(nest_index))
         if self.vectorize:
-            recipe.add(Vectorize(nest_index))
+            recipe.add(Vectorize(nest_index,
+                                 require_unit_stride=self.require_unit_stride))
         if self.unroll > 1:
             recipe.add(Unroll(nest_index, factor=self.unroll))
         return recipe
+
+
+@dataclass(frozen=True)
+class CandidateSpace:
+    """The schedules a search draws its candidates from."""
+
+    #: Candidate tile sizes (0 means "do not tile this loop").
+    tile_sizes: Tuple[int, ...] = (0, 16, 32, 64, 128)
+    unroll_factors: Tuple[int, ...] = (1, 2, 4, 8)
+    parallelize_probability: float = 0.8
+    vectorize_probability: float = 0.8
+    #: Bands deeper than this keep the order they have.
+    max_permuted_band: int = 5
+    require_unit_stride: bool = True
+
+    def orders(self, nest: Loop) -> List[Tuple[str, ...]]:
+        band = nest.perfectly_nested_band()
+        if len(band) > self.max_permuted_band:
+            return [tuple(loop.iterator for loop in band)]
+        return legal_permutations(nest)
+
+    def sample(self, orders: Sequence[Tuple[str, ...]],
+               rng: random.Random) -> Candidate:
+        order = tuple(rng.choice(orders))
+        return Candidate(
+            order=order,
+            tile_sizes={iterator: rng.choice(self.tile_sizes)
+                        for iterator in order},
+            parallelize=rng.random() < self.parallelize_probability,
+            vectorize=rng.random() < self.vectorize_probability,
+            unroll=rng.choice(self.unroll_factors),
+            require_unit_stride=self.require_unit_stride,
+        )
+
+    def mutate(self, candidate: Candidate, orders: Sequence[Tuple[str, ...]],
+               rng: random.Random) -> Candidate:
+        roll = rng.random()
+        if roll < 0.25:
+            return replace(candidate, order=tuple(rng.choice(orders)))
+        if roll < 0.6 and candidate.tile_sizes:
+            tile_sizes = dict(candidate.tile_sizes)
+            iterator = rng.choice(list(tile_sizes))
+            tile_sizes[iterator] = rng.choice(self.tile_sizes)
+            return replace(candidate, tile_sizes=tile_sizes)
+        if roll < 0.75:
+            return replace(candidate, parallelize=not candidate.parallelize)
+        if roll < 0.9:
+            return replace(candidate, vectorize=not candidate.vectorize)
+        return replace(candidate, unroll=rng.choice(self.unroll_factors))
+
+
+#: The space the evolutionary search explores.
+SEARCH_SPACE = CandidateSpace()
 
 
 class EvolutionarySearch:
@@ -94,72 +152,6 @@ class EvolutionarySearch:
     def __init__(self, cost_model: CostModel, config: Optional[SearchConfig] = None):
         self.cost_model = cost_model
         self.config = config or SearchConfig()
-        # Kept as the default rng of random_candidate/mutate for direct
-        # callers; search() itself uses a fresh per-call rng so that results
-        # are reproducible per nest and independent of call order (which also
-        # makes one search instance safe to share across batch threads).
-        self._rng = random.Random(self.config.seed)
-
-    # -- candidate generation -------------------------------------------------------
-
-    def _legal_orders(self, nest: Loop) -> List[Tuple[str, ...]]:
-        band = nest.perfectly_nested_band()
-        if len(band) > 5:
-            return [tuple(loop.iterator for loop in band)]
-        return legal_permutations(nest)
-
-    def _nest_is_parallelizable(self, nest: Loop) -> bool:
-        return analyze_loop_parallelism(nest).is_parallel
-
-    def random_candidate(self, nest: Loop, orders: Sequence[Tuple[str, ...]],
-                         rng: Optional[random.Random] = None) -> _Candidate:
-        rng = rng or self._rng
-        order = rng.choice(list(orders))
-        tile_sizes = {}
-        for iterator in order:
-            tile_sizes[iterator] = rng.choice(TILE_SIZES)
-        return _Candidate(
-            order=tuple(order),
-            tile_sizes=tile_sizes,
-            parallelize=rng.random() < 0.8,
-            vectorize=rng.random() < 0.8,
-            unroll=rng.choice(UNROLL_FACTORS),
-        )
-
-    def mutate(self, candidate: _Candidate,
-               orders: Sequence[Tuple[str, ...]],
-               rng: Optional[random.Random] = None) -> _Candidate:
-        rng = rng or self._rng
-        order = candidate.order
-        tile_sizes = dict(candidate.tile_sizes)
-        parallelize = candidate.parallelize
-        vectorize = candidate.vectorize
-        unroll = candidate.unroll
-        roll = rng.random()
-        if roll < 0.25:
-            order = tuple(rng.choice(list(orders)))
-        elif roll < 0.6 and tile_sizes:
-            iterator = rng.choice(list(tile_sizes))
-            tile_sizes[iterator] = rng.choice(TILE_SIZES)
-        elif roll < 0.75:
-            parallelize = not parallelize
-        elif roll < 0.9:
-            vectorize = not vectorize
-        else:
-            unroll = rng.choice(UNROLL_FACTORS)
-        return _Candidate(order, tile_sizes, parallelize, vectorize, unroll)
-
-    # -- fitness --------------------------------------------------------------------
-
-    def _evaluate(self, program: Program, nest_index: int, candidate: _Candidate,
-                  parameters: Mapping[str, int]) -> Tuple[float, Recipe]:
-        recipe = candidate.to_recipe(nest_index)
-        trial = program.copy()
-        apply_recipe(trial, recipe, strict=False)
-        runtime = self.cost_model.estimate_seconds(trial, parameters)
-        return runtime, recipe
-
-    # -- search ---------------------------------------------------------------------
 
     def search(self, program: Program, nest_index: int,
                parameters: Mapping[str, int],
@@ -167,56 +159,46 @@ class EvolutionarySearch:
         """Search for the best recipe for one nest of ``program``.
 
         ``seed_recipes`` (e.g. the best recipes of the most similar nests in
-        the database, or Tiramisu-style candidates) join the initial
-        population after being re-targeted to ``nest_index``.
+        the database, or Tiramisu-style candidates) are priced first, after
+        being re-targeted to ``nest_index`` by the caller.
         """
         nest = program.body[nest_index]
         if not isinstance(nest, Loop):
             raise TransformationError(f"node {nest_index} is not a loop nest")
-        orders = self._legal_orders(nest)
-
-        # Fresh per-call rng: every search over the same nest draws the same
-        # sequence, regardless of previous calls or concurrent threads.
-        rng = random.Random(f"{self.config.seed}:{nest_salt(nest)}")
-        population: List[_Candidate] = [
-            self.random_candidate(nest, orders, rng=rng)
-            for _ in range(self.config.population_size)
-        ]
+        space = SEARCH_SPACE
+        orders = space.orders(nest)
+        rng = nest_rng(self.config.seed, nest)
+        population = [space.sample(orders, rng)
+                      for _ in range(self.config.population_size)]
 
         evaluated = 0
         best_runtime = float("inf")
         best_recipe = Recipe("identity")
 
-        seed_evaluations: List[Tuple[float, Recipe]] = []
-        for seed_recipe in (seed_recipes or []):
-            trial = program.copy()
-            apply_recipe(trial, seed_recipe, strict=False)
-            runtime = self.cost_model.estimate_seconds(trial, parameters)
+        def consider(recipe: Recipe) -> float:
+            nonlocal evaluated, best_runtime, best_recipe
+            runtime = price_recipe(self.cost_model, program, recipe, parameters)
             evaluated += 1
-            seed_evaluations.append((runtime, seed_recipe))
             if runtime < best_runtime:
-                best_runtime, best_recipe = runtime, seed_recipe
+                best_runtime, best_recipe = runtime, recipe
+            return runtime
+
+        for seed_recipe in (seed_recipes or []):
+            consider(seed_recipe)
 
         for _epoch in range(self.config.epochs):
             for _generation in range(self.config.generations_per_epoch):
-                scored: List[Tuple[float, _Candidate, Recipe]] = []
-                for candidate in population:
-                    runtime, recipe = self._evaluate(program, nest_index, candidate,
-                                                     parameters)
-                    evaluated += 1
-                    scored.append((runtime, candidate, recipe))
-                    if runtime < best_runtime:
-                        best_runtime, best_recipe = runtime, recipe
+                scored = [(consider(candidate.to_recipe(nest_index)), candidate)
+                          for candidate in population]
                 scored.sort(key=lambda item: item[0])
-                elite = [candidate for _, candidate, _ in scored[:self.config.elite]]
+                elite = [candidate for _, candidate in scored[:self.config.elite]]
                 next_population = list(elite)
                 while len(next_population) < self.config.population_size:
                     parent = rng.choice(elite)
                     if rng.random() < self.config.mutation_rate:
-                        next_population.append(self.mutate(parent, orders, rng=rng))
+                        next_population.append(space.mutate(parent, orders, rng))
                     else:
-                        next_population.append(
-                            self.random_candidate(nest, orders, rng=rng))
+                        next_population.append(space.sample(orders, rng))
                 population = next_population
 
         # Baseline: leaving the nest untouched must also be considered.

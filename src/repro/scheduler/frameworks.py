@@ -22,15 +22,15 @@ The pythonic frontend marks Python-level loops by giving their iterators a
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional
+from typing import Mapping
 
-from ..analysis.parallelism import analyze_loop_parallelism
 from ..ir.nodes import LibraryCall, Loop, Program
+from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..transforms.fusion import fuse_producer_consumer_chains
 from ..transforms.idiom import match_blas3, build_library_call
-from ..transforms.parallelize import Parallelize, Vectorize
-from ..transforms.recipe import Recipe, apply_recipe
+from ..transforms.recipe import Recipe
 from .base import NestScheduleInfo, ScheduleResult, Scheduler
+from .compiler_baseline import compiler_recipe
 
 #: Interpreter dispatch cost of one NumPy operator call, seconds.
 PYTHON_DISPATCH_OVERHEAD = 2.0e-6
@@ -65,31 +65,19 @@ class NumpyScheduler(Scheduler):
     custom operators exist."""
 
     name = "numpy"
+    detail = "numpy operator"
 
-    def __init__(self, machine=None, threads: int = 1):
-        from ..perf.machine import DEFAULT_MACHINE
+    def __init__(self, machine: MachineModel = DEFAULT_MACHINE, threads: int = 1):
         # NumPy element-wise operators are single threaded.
-        super().__init__(machine or DEFAULT_MACHINE, 1)
+        super().__init__(machine, 1)
 
-    def schedule(self, program: Program,
-                 parameters: Mapping[str, int]) -> ScheduleResult:
-        scheduled = program.copy()
-        result = ScheduleResult(scheduler=self.name, program=scheduled)
-        for index, node in enumerate(scheduled.body):
-            if not isinstance(node, Loop):
-                continue
-            recipe = Recipe(f"{self.name}#{index}")
-            recipe.add(Vectorize(index, require_unit_stride=True))
-            application = apply_recipe(scheduled, recipe, strict=False)
-            status = "optimized" if application.applied else "unchanged"
-            result.nests.append(NestScheduleInfo(index, status, recipe, "numpy operator"))
-        return result
+    def recipe_for(self, nest: Loop, index: int) -> Recipe:
+        return compiler_recipe(self.name, nest, index, auto_parallel=False)
 
-    def estimate(self, program: Program, parameters: Mapping[str, int]) -> float:
-        result = self.schedule(program, parameters)
-        runtime = self.cost_model.estimate_seconds(result.program, parameters)
-        dispatches = _python_loop_iterations(result.program, parameters)
-        return runtime + dispatches * PYTHON_DISPATCH_OVERHEAD
+    def price(self, program: Program, parameters: Mapping[str, int]) -> float:
+        dispatches = _python_loop_iterations(program, parameters)
+        return (super().price(program, parameters)
+                + dispatches * PYTHON_DISPATCH_OVERHEAD)
 
 
 class NumbaScheduler(Scheduler):
@@ -97,22 +85,10 @@ class NumbaScheduler(Scheduler):
     lifting and no loop reordering."""
 
     name = "numba"
+    detail = "numba jit"
 
-    def schedule(self, program: Program,
-                 parameters: Mapping[str, int]) -> ScheduleResult:
-        scheduled = program.copy()
-        result = ScheduleResult(scheduler=self.name, program=scheduled)
-        for index, node in enumerate(scheduled.body):
-            if not isinstance(node, Loop):
-                continue
-            recipe = Recipe(f"{self.name}#{index}")
-            if analyze_loop_parallelism(node).is_parallel:
-                recipe.add(Parallelize(index))
-            recipe.add(Vectorize(index, require_unit_stride=True))
-            application = apply_recipe(scheduled, recipe, strict=False)
-            status = "optimized" if application.applied else "unchanged"
-            result.nests.append(NestScheduleInfo(index, status, recipe, "numba jit"))
-        return result
+    def recipe_for(self, nest: Loop, index: int) -> Recipe:
+        return compiler_recipe(self.name, nest, index, auto_parallel=True)
 
 
 class DaceScheduler(Scheduler):
@@ -120,31 +96,25 @@ class DaceScheduler(Scheduler):
     without a-priori normalization."""
 
     name = "dace"
+    detail = "sdfg map"
 
-    def schedule(self, program: Program,
-                 parameters: Mapping[str, int]) -> ScheduleResult:
-        scheduled = program.copy()
-        fused = fuse_producer_consumer_chains(scheduled)
-        result = ScheduleResult(scheduler=self.name, program=scheduled,
-                                notes=f"fused {fused} producer/consumer map pairs")
-
-        for index in range(len(scheduled.body)):
-            node = scheduled.body[index]
-            if not isinstance(node, Loop):
-                continue
-            # Library nodes: DaCe replaces loop nests that literally match a
-            # BLAS pattern, but it does not normalize first.
-            match = match_blas3(node)
-            if match is not None:
-                scheduled.body[index] = build_library_call(node, match)
-                result.nests.append(NestScheduleInfo(index, "optimized", None,
-                                                     f"library node {match.routine}"))
-                continue
-            recipe = Recipe(f"{self.name}#{index}")
-            if analyze_loop_parallelism(node).is_parallel:
-                recipe.add(Parallelize(index))
-            recipe.add(Vectorize(index, require_unit_stride=True))
-            application = apply_recipe(scheduled, recipe, strict=False)
-            status = "optimized" if application.applied else "unchanged"
-            result.nests.append(NestScheduleInfo(index, status, recipe, "sdfg map"))
+    def prepare(self, program: Program) -> ScheduleResult:
+        result = super().prepare(program)
+        fused = fuse_producer_consumer_chains(result.program)
+        result.notes = f"fused {fused} producer/consumer map pairs"
         return result
+
+    def schedule_nest(self, program: Program, index: int,
+                      parameters: Mapping[str, int]) -> NestScheduleInfo:
+        # Library nodes: DaCe replaces loop nests that literally match a
+        # BLAS pattern, but it does not normalize first.
+        nest = program.body[index]
+        match = match_blas3(nest)
+        if match is not None:
+            program.body[index] = build_library_call(nest, match)
+            return NestScheduleInfo(index, "optimized", None,
+                                    f"library node {match.routine}")
+        return super().schedule_nest(program, index, parameters)
+
+    def recipe_for(self, nest: Loop, index: int) -> Recipe:
+        return compiler_recipe(self.name, nest, index, auto_parallel=True)

@@ -20,16 +20,15 @@ This baseline reproduces that behavior on our IR:
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional
+from typing import List, Mapping
 
 from ..analysis.affine import computation_accesses
 from ..analysis.parallelism import analyze_loop_parallelism
 from ..ir.nodes import Computation, Loop, Node, Program
-from ..transforms.base import TransformationError
 from ..transforms.parallelize import Parallelize, Vectorize
-from ..transforms.recipe import Recipe, apply_recipe
+from ..transforms.recipe import Recipe
 from ..transforms.tiling import Tile
-from .base import NestScheduleInfo, ScheduleResult, Scheduler
+from .base import NestScheduleInfo, Scheduler
 
 #: Default tile size used by Polly's isl scheduler.
 POLLY_TILE_SIZE = 32
@@ -61,33 +60,13 @@ class PollyScheduler(Scheduler):
 
     name = "polly"
 
-    def __init__(self, machine=None, threads: int = 1,
-                 tile_size: int = POLLY_TILE_SIZE, second_level_tiling: bool = True):
-        from ..perf.machine import DEFAULT_MACHINE
-        super().__init__(machine or DEFAULT_MACHINE, threads)
-        self.tile_size = tile_size
-        self.second_level_tiling = second_level_tiling
+    def schedule_nest(self, program: Program, index: int,
+                      parameters: Mapping[str, int]) -> NestScheduleInfo:
+        if not nest_is_scop(program.body[index]):
+            return NestScheduleInfo(index, "unsupported", None, "not a SCoP")
+        return super().schedule_nest(program, index, parameters)
 
-    def schedule(self, program: Program,
-                 parameters: Mapping[str, int]) -> ScheduleResult:
-        scheduled = program.copy()
-        result = ScheduleResult(scheduler=self.name, program=scheduled)
-
-        for index, node in enumerate(scheduled.body):
-            if not isinstance(node, Loop):
-                continue
-            if not nest_is_scop(node):
-                result.nests.append(NestScheduleInfo(index, "unsupported", None,
-                                                     "not a SCoP"))
-                continue
-            recipe = self._build_recipe(node, index)
-            application = apply_recipe(scheduled, recipe, strict=False)
-            status = "optimized" if application.applied else "unchanged"
-            detail = "; ".join(msg for _, msg in application.failed)
-            result.nests.append(NestScheduleInfo(index, status, recipe, detail))
-        return result
-
-    def _build_recipe(self, nest: Loop, index: int) -> Recipe:
+    def recipe_for(self, nest: Loop, index: int) -> Recipe:
         recipe = Recipe(f"polly#{index}")
         band = nest.perfectly_nested_band()
 
@@ -96,7 +75,7 @@ class PollyScheduler(Scheduler):
         for loop in band:
             info = analyze_loop_parallelism(loop)
             if info.is_parallel and len(band) >= 2:
-                tile_sizes[loop.iterator] = self.tile_size
+                tile_sizes[loop.iterator] = POLLY_TILE_SIZE
         if tile_sizes:
             recipe.add(Tile(index, tile_sizes))
 

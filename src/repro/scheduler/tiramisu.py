@@ -16,23 +16,22 @@ like the paper's top-3 protocol.
 
 from __future__ import annotations
 
-import math
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Tuple
 
-from ..analysis.dependence import legal_permutations
-from ..analysis.parallelism import is_fully_parallel_band
+from ..analysis.parallelism import analyze_loop_parallelism
 from ..ir.nodes import Loop, Program
 from ..normalization.fission import maximal_loop_fission
-from ..transforms.parallelize import Parallelize, Unroll, Vectorize
+from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..transforms.recipe import Recipe, apply_recipe
-from ..transforms.interchange import Interchange
-from ..transforms.tiling import Tile
-from .base import NestScheduleInfo, ScheduleResult, Scheduler
+from .base import NestScheduleInfo, ScheduleResult, Scheduler, price_recipe
+from .evolutionary import CandidateSpace, nest_rng
 
-TILE_CHOICES = (0, 32, 64, 128)
-UNROLL_CHOICES = (1, 4)
+#: The schedule decisions the MCTS rolls out.
+ROLLOUT_SPACE = CandidateSpace(tile_sizes=(0, 32, 64, 128), unroll_factors=(1, 4),
+                               parallelize_probability=0.9,
+                               vectorize_probability=0.7,
+                               max_permuted_band=4, require_unit_stride=False)
 
 
 @dataclass
@@ -40,18 +39,10 @@ class MctsConfig:
     """Parameters of the Monte-Carlo tree search."""
 
     rollouts: int = 24
-    exploration: float = 0.7
     top_candidates: int = 3
     #: Relative standard deviation of the surrogate model's prediction noise.
     model_noise: float = 0.35
     seed: int = 0
-
-
-@dataclass
-class _DecisionNode:
-    visits: int = 0
-    value: float = 0.0
-    children: Dict[Tuple, "_DecisionNode"] = field(default_factory=dict)
 
 
 class TiramisuScheduler(Scheduler):
@@ -59,40 +50,36 @@ class TiramisuScheduler(Scheduler):
 
     name = "tiramisu"
 
-    def __init__(self, machine=None, threads: int = 1,
+    def __init__(self, machine: MachineModel = DEFAULT_MACHINE, threads: int = 1,
                  config: Optional[MctsConfig] = None):
-        from ..perf.machine import DEFAULT_MACHINE
-        super().__init__(machine or DEFAULT_MACHINE, threads)
+        super().__init__(machine, threads)
         self.config = config or MctsConfig()
-        self._rng = random.Random(self.config.seed)
 
-    # -- public ----------------------------------------------------------------------
+    def prepare(self, program: Program) -> ScheduleResult:
+        result = super().prepare(program)
+        # The adapter applies maximal loop fission before conversion.
+        maximal_loop_fission(result.program)
+        return result
 
     def schedule(self, program: Program,
                  parameters: Mapping[str, int]) -> ScheduleResult:
-        scheduled = program.copy()
-        # The adapter applies maximal loop fission before conversion.
-        maximal_loop_fission(scheduled)
-        result = ScheduleResult(scheduler=self.name, program=scheduled)
-
-        supported_any = False
-        for index, node in enumerate(scheduled.body):
-            if not isinstance(node, Loop):
-                continue
-            if not self._supported(node):
-                result.nests.append(NestScheduleInfo(index, "unsupported", None,
-                                                     "not a perfectly nested parallel loop"))
-                continue
-            supported_any = True
-            recipe = self._mcts(scheduled, index, parameters)
-            application = apply_recipe(scheduled, recipe, strict=False)
-            status = "optimized" if application.applied else "unchanged"
-            result.nests.append(NestScheduleInfo(index, status, recipe,
-                                                 f"mcts ({self.config.rollouts} rollouts)"))
+        result = super().schedule(program, parameters)
         # The paper marks whole benchmarks with X when the scheduler could not
         # be applied successfully.
-        result.unsupported = not supported_any
+        result.unsupported = all(info.status == "unsupported"
+                                 for info in result.nests)
         return result
+
+    def schedule_nest(self, program: Program, index: int,
+                      parameters: Mapping[str, int]) -> NestScheduleInfo:
+        if not self._supported(program.body[index]):
+            return NestScheduleInfo(index, "unsupported", None,
+                                    "not a perfectly nested parallel loop")
+        recipe = self._mcts(program, index, parameters)
+        application = apply_recipe(program, recipe, strict=False)
+        status = "optimized" if application.applied else "unchanged"
+        return NestScheduleInfo(index, status, recipe,
+                                f"mcts ({self.config.rollouts} rollouts)")
 
     # -- support check ------------------------------------------------------------------
 
@@ -102,7 +89,6 @@ class TiramisuScheduler(Scheduler):
         band = nest.perfectly_nested_band()
         # Only the outer (non-reduction) part of the band must be parallel;
         # require at least the outermost loop to be parallel.
-        from ..analysis.parallelism import analyze_loop_parallelism
         if not analyze_loop_parallelism(band[0]).is_parallel:
             return False
         # Loop bounds must be rectangular (no dependence on outer iterators).
@@ -116,83 +102,28 @@ class TiramisuScheduler(Scheduler):
 
     # -- search -----------------------------------------------------------------------
 
-    def _candidate_space(self, nest: Loop) -> List[Tuple]:
-        band = nest.perfectly_nested_band()
-        orders = legal_permutations(nest) if len(band) <= 4 else [
-            tuple(loop.iterator for loop in band)]
-        return [("order", order) for order in orders]
-
-    def _random_schedule(self, nest: Loop, orders: Sequence[Tuple[str, ...]],
-                         rng: Optional[random.Random] = None) -> Dict[str, object]:
-        rng = rng or self._rng
-        order = rng.choice(list(orders))
-        tiles = {iterator: rng.choice(TILE_CHOICES) for iterator in order}
-        return {
-            "order": order,
-            "tiles": tiles,
-            "parallel": rng.random() < 0.9,
-            "vectorize": rng.random() < 0.7,
-            "unroll": rng.choice(UNROLL_CHOICES),
-        }
-
-    def _to_recipe(self, decision: Dict[str, object], index: int) -> Recipe:
-        recipe = Recipe(f"tiramisu#{index}")
-        recipe.add(Interchange(index, list(decision["order"])))
-        tiles = {k: v for k, v in decision["tiles"].items() if v and v > 1}
-        if tiles:
-            recipe.add(Tile(index, tiles))
-        if decision["parallel"]:
-            recipe.add(Parallelize(index))
-        if decision["vectorize"]:
-            recipe.add(Vectorize(index, require_unit_stride=False))
-        if decision["unroll"] > 1:
-            recipe.add(Unroll(index, factor=decision["unroll"]))
-        return recipe
-
-    def _surrogate(self, program: Program, index: int, decision: Dict[str, object],
-                   parameters: Mapping[str, int],
-                   rng: Optional[random.Random] = None) -> Tuple[float, Recipe]:
-        rng = rng or self._rng
-        recipe = self._to_recipe(decision, index)
-        trial = program.copy()
-        apply_recipe(trial, recipe, strict=False)
-        runtime = self.cost_model.estimate_seconds(trial, parameters)
-        noisy = runtime * max(0.05, 1.0 + rng.gauss(0.0, self.config.model_noise))
-        return noisy, recipe
-
-    def _measure(self, program: Program, recipe: Recipe,
-                 parameters: Mapping[str, int]) -> float:
-        trial = program.copy()
-        apply_recipe(trial, recipe, strict=False)
-        return self.cost_model.estimate_seconds(trial, parameters)
-
     def _mcts(self, program: Program, index: int,
               parameters: Mapping[str, int]) -> Recipe:
         nest = program.body[index]
-        assert isinstance(nest, Loop)
-        band = nest.perfectly_nested_band()
-        orders = (legal_permutations(nest) if len(band) <= 4
-                  else [tuple(loop.iterator for loop in band)])
+        orders = ROLLOUT_SPACE.orders(nest)
+        rng = nest_rng(self.config.seed, nest)
 
         # Rollouts: sample schedules, score them with the noisy surrogate.
-        # A fresh per-call rng (salted by the nest content) keeps results
-        # independent of call order and makes one scheduler instance safe to
-        # share across batch threads.
-        from .evolutionary import nest_salt
-        rng = random.Random(f"{self.config.seed}:{nest_salt(nest)}")
         scored: List[Tuple[float, Recipe]] = []
         for _ in range(self.config.rollouts):
-            decision = self._random_schedule(nest, orders, rng=rng)
-            scored.append(self._surrogate(program, index, decision, parameters,
-                                          rng=rng))
+            recipe = ROLLOUT_SPACE.sample(orders, rng).to_recipe(
+                index, f"tiramisu#{index}")
+            runtime = price_recipe(self.cost_model, program, recipe, parameters)
+            noise = max(0.05, 1.0 + rng.gauss(0.0, self.config.model_noise))
+            scored.append((runtime * noise, recipe))
         scored.sort(key=lambda item: item[0])
 
         # Measure the top candidates exactly and keep the best.
-        top = scored[:self.config.top_candidates]
         best_recipe = Recipe("identity")
-        best_runtime = self._measure(program, best_recipe, parameters)
-        for _, recipe in top:
-            runtime = self._measure(program, recipe, parameters)
+        best_runtime = price_recipe(self.cost_model, program, best_recipe,
+                                    parameters)
+        for _, recipe in scored[:self.config.top_candidates]:
+            runtime = price_recipe(self.cost_model, program, recipe, parameters)
             if runtime < best_runtime:
                 best_runtime, best_recipe = runtime, recipe
         return best_recipe

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Type
 
 from ..ir.nodes import Loop, Program
-from ..passes.base import ApplyOutcome, Pass, PassContext
+from ..passes.base import Pass, PassContext
 
 
 class TransformationError(Exception):
@@ -36,8 +36,8 @@ class Transformation(Pass):
     Subclasses implement :meth:`apply`, which mutates the given program in
     place (programs are cheap to copy; callers that need the original copy it
     first), and :meth:`params`, which returns the JSON-serializable parameter
-    dictionary used for persistence.  The legacy single-argument ``apply``
-    signature is preserved; the :class:`~repro.passes.base.Pass` protocol's
+    dictionary used for persistence.  ``apply(program)`` works without a
+    context; the :class:`~repro.passes.base.Pass` protocol's
     ``run(program, context)`` wraps it with timing and fingerprint-based
     change detection.
     """
@@ -59,13 +59,9 @@ class Transformation(Pass):
             raise ValueError(f"duplicate transformation name {cls.name!r}")
         Transformation.registry[cls.name] = cls
 
-    def apply(self, program: Program) -> Program:
+    def apply(self, program: Program,
+              context: Optional[PassContext] = None) -> None:
         raise NotImplementedError
-
-    def _invoke(self, program: Program, context: PassContext) -> ApplyOutcome:
-        # Adapt the legacy ``apply(program)`` signature to the Pass protocol.
-        self.apply(program)
-        return None
 
     def params(self) -> Dict[str, Any]:
         raise NotImplementedError

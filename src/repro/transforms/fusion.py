@@ -15,6 +15,7 @@ from ..analysis.dataflow import producer_consumer_pairs
 from ..analysis.dependence import dependences_between
 from ..ir.nodes import Loop, Node, Program
 from ..ir.symbols import Sym
+from ..passes.base import PassContext
 from .base import Transformation, TransformationError, get_nest
 
 
@@ -123,7 +124,8 @@ class Fuse(Transformation):
         return {"first_index": self.first_index, "second_index": self.second_index,
                 "depth": self.depth}
 
-    def apply(self, program: Program) -> Program:
+    def apply(self, program: Program,
+              context: Optional[PassContext] = None) -> None:
         if self.first_index == self.second_index:
             raise TransformationError("cannot fuse a nest with itself")
         first = get_nest(program, self.first_index)
@@ -141,7 +143,6 @@ class Fuse(Transformation):
                 "fusion requires the two nests to be adjacent in program order")
         fused = fuse_nests(first, second, self.depth)
         program.body[lo:hi + 1] = [fused]
-        return program
 
 
 def fuse_chains_in_body(body: List[Node]) -> int:

@@ -17,6 +17,7 @@ from ..analysis.affine import decompose_access
 from ..ir.nodes import Computation, LibraryCall, Loop, Program
 from ..ir.serialization import node_to_dict
 from ..ir.symbols import Expr, Mul, Read
+from ..passes.base import PassContext
 from .base import Transformation, TransformationError, get_nest
 
 
@@ -176,7 +177,8 @@ class ReplaceWithLibraryCall(Transformation):
         return {"nest_index": self.nest_index,
                 "expected_routine": self.expected_routine}
 
-    def apply(self, program: Program) -> Program:
+    def apply(self, program: Program,
+              context: Optional[PassContext] = None) -> None:
         nest = get_nest(program, self.nest_index)
         match = match_blas3(nest)
         if match is None:
@@ -188,7 +190,6 @@ class ReplaceWithLibraryCall(Transformation):
                 f"nest {self.nest_index} matched {match.routine!r}, expected "
                 f"{self.expected_routine!r}")
         program.body[self.nest_index] = build_library_call(nest, match)
-        return program
 
 
 def detect_blas3_nests(program: Program) -> List[Tuple[int, BlasMatch]]:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.dependence import permutation_is_legal
 from ..ir.nodes import Program
 from ..normalization.stride_minimization import apply_permutation
+from ..passes.base import PassContext
 from .base import Transformation, TransformationError, get_nest, set_nest
 
 
@@ -22,7 +23,8 @@ class Interchange(Transformation):
     def params(self) -> Dict[str, Any]:
         return {"nest_index": self.nest_index, "order": list(self.order)}
 
-    def apply(self, program: Program) -> Program:
+    def apply(self, program: Program,
+              context: Optional[PassContext] = None) -> None:
         nest = get_nest(program, self.nest_index)
         band = nest.perfectly_nested_band()
         current = [loop.iterator for loop in band]
@@ -30,10 +32,9 @@ class Interchange(Transformation):
             raise TransformationError(
                 f"interchange order {self.order} does not match band {current}")
         if self.order == current:
-            return program
+            return
         if not permutation_is_legal(nest, self.order):
             raise TransformationError(
                 f"interchange to {self.order} violates dependences in nest "
                 f"{self.nest_index} of {program.name!r}")
         set_nest(program, self.nest_index, apply_permutation(nest, self.order))
-        return program

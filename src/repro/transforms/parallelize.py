@@ -8,6 +8,7 @@ from ..analysis.parallelism import analyze_loop_parallelism
 from ..analysis.strides import access_stride, _array_strides
 from ..analysis.affine import computation_accesses
 from ..ir.nodes import Computation, Loop, Program
+from ..passes.base import PassContext
 from .base import Transformation, TransformationError, get_nest
 
 
@@ -41,19 +42,19 @@ class Parallelize(Transformation):
         return {"nest_index": self.nest_index, "iterator": self.iterator,
                 "allow_reductions": self.allow_reductions}
 
-    def apply(self, program: Program) -> Program:
+    def apply(self, program: Program,
+              context: Optional[PassContext] = None) -> None:
         nest = get_nest(program, self.nest_index)
         loop = _find_loop(nest, self.iterator)
         info = analyze_loop_parallelism(loop)
         if not info.is_parallel:
             if info.is_reduction and self.allow_reductions:
                 loop.parallel = True
-                return program
+                return
             raise TransformationError(
                 f"loop {loop.iterator!r} in nest {self.nest_index} carries "
                 f"dependences and cannot be parallelized")
         loop.parallel = True
-        return program
 
 
 class Vectorize(Transformation):
@@ -77,7 +78,8 @@ class Vectorize(Transformation):
         return {"nest_index": self.nest_index, "iterator": self.iterator,
                 "require_unit_stride": self.require_unit_stride}
 
-    def apply(self, program: Program) -> Program:
+    def apply(self, program: Program,
+              context: Optional[PassContext] = None) -> None:
         nest = get_nest(program, self.nest_index)
         if self.iterator is None:
             band = nest.perfectly_nested_band()
@@ -96,7 +98,6 @@ class Vectorize(Transformation):
                 f"loop {loop.iterator!r} has predominantly strided accesses; "
                 f"refusing to vectorize")
         loop.vectorized = True
-        return program
 
 
 def _mostly_unit_stride(program: Program, loop: Loop) -> bool:
@@ -140,7 +141,8 @@ class Unroll(Transformation):
         return {"nest_index": self.nest_index, "iterator": self.iterator,
                 "factor": self.factor}
 
-    def apply(self, program: Program) -> Program:
+    def apply(self, program: Program,
+              context: Optional[PassContext] = None) -> None:
         if self.factor < 1:
             raise TransformationError("unroll factor must be at least 1")
         nest = get_nest(program, self.nest_index)
@@ -149,4 +151,3 @@ class Unroll(Transformation):
         else:
             loop = _find_loop(nest, self.iterator)
         loop.unroll = self.factor
-        return program

@@ -7,6 +7,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 from ..analysis.dependence import permutation_is_legal
 from ..ir.nodes import Loop, Program
 from ..ir.symbols import Const, Min, Sym
+from ..passes.base import PassContext
 from .base import Transformation, TransformationError, get_nest, set_nest
 
 
@@ -64,9 +65,10 @@ class Tile(Transformation):
     def params(self) -> Dict[str, Any]:
         return {"nest_index": self.nest_index, "tile_sizes": dict(self.tile_sizes)}
 
-    def apply(self, program: Program) -> Program:
+    def apply(self, program: Program,
+              context: Optional[PassContext] = None) -> None:
         if not self.tile_sizes:
-            return program
+            return
         nest = get_nest(program, self.nest_index)
         band = nest.perfectly_nested_band()
         iterators = [loop.iterator for loop in band]
@@ -77,7 +79,7 @@ class Tile(Transformation):
                 f"{self.nest_index} of {program.name!r}")
         tiled = [it for it in iterators if self.tile_sizes.get(it, 0) > 1]
         if not tiled:
-            return program
+            return
         # Rectangular tiling is strip-mining plus interchange; it is legal when
         # the tiled loops form a fully permutable band.  We approximate full
         # permutability by requiring that both the original and the reversed
@@ -89,4 +91,3 @@ class Tile(Transformation):
                     f"tiling {self.tile_sizes} is not legal for nest "
                     f"{self.nest_index} of {program.name!r}")
         set_nest(program, self.nest_index, tile_band(nest, self.tile_sizes))
-        return program

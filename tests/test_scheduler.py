@@ -1,9 +1,15 @@
 """Tests for embeddings, the tuning database, the evolutionary search, the
-daisy scheduler, and the baseline schedulers."""
+daisy scheduler, the baseline schedulers, the pricing seam, and the golden
+recipes of every registered scheduler."""
+
+import json
+import os
 
 import pytest
 
 from helpers import build_gemm, build_stencil, build_vector_add
+from repro.api import Session, create_scheduler
+from repro.api.registry import scheduler_normalizes, scheduler_tunes
 from repro.normalization import normalize_program
 from repro.perf import CostModel
 from repro.scheduler import (ClangScheduler, DaceScheduler, DaisyConfig,
@@ -14,11 +20,15 @@ from repro.scheduler import (ClangScheduler, DaceScheduler, DaisyConfig,
                              nest_is_scop, retarget_recipe)
 from repro.scheduler.embedding import EMBEDDING_SIZE
 from repro.transforms import Recipe, Interchange, Parallelize
+from repro.workloads import registry as workloads
 from repro.workloads.polybench import (build_gemm_a, build_gemm_b,
                                        build_jacobi2d_a, build_jacobi2d_b)
 
 PARAMS = {"NI": 120, "NJ": 140, "NK": 160}
 FAST_SEARCH = SearchConfig(population_size=4, epochs=1, generations_per_epoch=1)
+#: Every scheduler the registry ships.
+SCHEDULER_NAMES = ("clang", "dace", "daisy", "evolutionary", "icc", "numba",
+                   "numpy", "polly", "tiramisu")
 
 
 class TestEmbeddings:
@@ -174,3 +184,91 @@ class TestBaselines:
         numpy_runtime = NumpyScheduler().estimate(program, params)
         numba_runtime = NumbaScheduler(threads=1).estimate(program, params)
         assert numpy_runtime > numba_runtime
+
+
+class TestPricingSeam:
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_session_prices_like_the_scheduler_itself(self, name):
+        """``Session`` must report what ``scheduler.estimate`` reports — for
+        NumPy that includes the interpreter-dispatch term of its ``py_``
+        loops."""
+        from repro.workloads.polybench import build_syrk_npbench
+        program = build_syrk_npbench()
+        params = {"N": 60, "M": 50}
+        direct = create_scheduler(name, threads=2, search=FAST_SEARCH,
+                                  mcts=MctsConfig(rollouts=4))
+        session = Session(threads=2, search=FAST_SEARCH,
+                          mcts=MctsConfig(rollouts=4))
+        # normalize=False: both sides schedule the program exactly as given.
+        assert (session.estimate(program, params, scheduler=name,
+                                 normalize=False)
+                == direct.estimate(program, params))
+
+
+# -- golden recipes ---------------------------------------------------------------
+#
+# ``tests/data/scheduler_golden.json`` records what every registered scheduler
+# chose for a fixed set of workloads; a scheduler refactor (or a cheaper
+# search) must reproduce it exactly.  Regenerate it only for an intended
+# behaviour change: ``PYTHONPATH=src:tests python -c "import test_scheduler;
+# test_scheduler.record_golden()"``.
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
+                           "scheduler_golden.json")
+GOLDEN_WORKLOADS = ("gemm:a", "gemm:b", "syrk:npbench", "jacobi-2d:a",
+                    "atax:b", "2mm:a")
+GOLDEN_THREADS = 4
+GOLDEN_SEARCH = SearchConfig(population_size=4, epochs=1,
+                             generations_per_epoch=2)
+GOLDEN_MCTS = MctsConfig(rollouts=6)
+
+
+def _result_dict(result):
+    return {"nests": [info.to_dict() for info in result.nests],
+            "unsupported": result.unsupported, "notes": result.notes}
+
+
+def golden_case(name, workload):
+    """What scheduler ``name`` does to ``workload``, as plain JSON data."""
+    benchmark, _, variant = workload.partition(":")
+    spec = workloads.benchmark(benchmark)
+    program, parameters = spec.variant(variant), spec.sizes("large")
+    if scheduler_normalizes(name):
+        program = normalize_program(program)
+    scheduler = create_scheduler(name, threads=GOLDEN_THREADS,
+                                 search=GOLDEN_SEARCH, mcts=GOLDEN_MCTS)
+    case = {}
+    if scheduler_tunes(name):
+        # Tuning searches every non-BLAS nest; the schedule() after it takes
+        # the transfer path against the entries tuning recorded.
+        case["tune"] = _result_dict(scheduler.tune(program, parameters))
+    case["schedule"] = _result_dict(scheduler.schedule(program, parameters))
+    case["runtime"] = scheduler.estimate(program, parameters)
+    return case
+
+
+def record_golden():
+    golden = {f"{name}/{workload}": golden_case(name, workload)
+              for name in SCHEDULER_NAMES for workload in GOLDEN_WORKLOADS}
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
+        json.dump(golden, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+class TestGoldenRecipes:
+    @pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_matches_golden(self, golden, name, workload):
+        expected = dict(golden[f"{name}/{workload}"])
+        # Round-trip through JSON so tuples compare as the lists they are
+        # stored as.
+        case = json.loads(json.dumps(golden_case(name, workload)))
+        assert case.pop("runtime") == pytest.approx(expected.pop("runtime"),
+                                                    rel=1e-12)
+        assert case == expected
