@@ -15,12 +15,18 @@ conservatively as a dependence with unknown direction.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import permutations as iter_permutations, product
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
+from ..ir.canonical import node_fragment
 from ..ir.nodes import ArrayAccess, Computation, LibraryCall, Loop, Node
 from .affine import AffineAccess, AffineIndex, decompose_access
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
+    from ..passes.analysis import AnalysisManager
 
 #: Direction symbols: "<" (carried forward), "=" (same iteration),
 #: ">" (carried backward), "*" (unknown).
@@ -411,46 +417,105 @@ def band_bounds_respect_order(band: Sequence[Loop],
     return True
 
 
-def permutation_is_legal(loop: Loop, permutation: Sequence[str]) -> bool:
-    """Check whether reordering the nest's loops to ``permutation`` is legal.
-
-    ``permutation`` lists the iterators of the perfectly nested band of
-    ``loop`` in their new order, outermost first.  Two conditions are
-    enforced.  Structurally, every loop bound must keep referencing only
-    iterators outside it (:func:`band_bounds_respect_order`).  Semantically,
-    the classical interchange condition is applied: every dependence
-    direction vector that can occur in the original execution order (i.e. is
-    lexicographically non-negative) must remain lexicographically
-    non-negative after reordering.  Unknown ("*") entries are expanded into
-    all concrete directions before the check, but only vectors that are
-    possible in the original order are considered — a backward vector cannot
-    flow from an earlier to a later instance.
+def dependence_skeleton(loop: Loop) -> str:
+    """Content key of everything dependence testing reads of a nest: the
+    iterators and tile links of its loops, their nesting, and the statements
+    (through their memoized canonical fragments).  Loop bounds and schedule
+    annotations are not part of it — no dependence test reads them — so one
+    answer serves a nest before and after it is tiled with other sizes or
+    marked parallel.
     """
-    band = loop.perfectly_nested_band()
+    parts: List[str] = []
+
+    def walk(node: Node) -> None:
+        if isinstance(node, Loop):
+            parts.append(f"loop {node.iterator!r} {node.tile_of!r} [")
+            for child in node.body:
+                walk(child)
+            parts.append("]")
+        else:
+            parts.append(node_fragment(node))
+
+    walk(loop)
+    return hashlib.sha256("".join(parts).encode("utf-8")).hexdigest()
+
+
+def nest_direction_vectors(loop: Loop,
+                           analysis: "Optional[AnalysisManager]" = None
+                           ) -> Tuple[Tuple[str, ...], ...]:
+    """The distinct direction vectors of :func:`nest_dependences`.
+
+    Permutation legality reads nothing else of a dependence, and the vectors
+    are a fact about the nest's content: with an ``analysis`` manager they
+    are derived once per :func:`dependence_skeleton`, whichever permutation,
+    candidate or call asks.  The value is plain tuples of direction symbols
+    — no :class:`Dependence` and no IR node is retained.
+    """
+
+    def compute() -> Tuple[Tuple[str, ...], ...]:
+        return tuple(dict.fromkeys(
+            dep.directions for dep in nest_dependences(loop)))
+
+    if analysis is None:
+        return compute()
+    return analysis.get("nest-directions", dependence_skeleton(loop), compute)
+
+
+def band_order_is_legal(band: Sequence[Loop],
+                        vectors: Iterable[Tuple[str, ...]],
+                        order: Sequence[str]) -> bool:
+    """Whether reordering ``band`` to ``order`` is legal, given the nest's
+    :func:`nest_direction_vectors`.
+
+    Two conditions are enforced.  Structurally, every loop bound must keep
+    referencing only iterators outside it
+    (:func:`band_bounds_respect_order`).  Semantically, the classical
+    interchange condition is applied: every dependence direction vector that
+    can occur in the original execution order (i.e. is lexicographically
+    non-negative) must remain lexicographically non-negative after
+    reordering.  Unknown ("*") entries are expanded into all concrete
+    directions before the check, but only vectors that are possible in the
+    original order are considered — a backward vector cannot flow from an
+    earlier to a later instance.
+    """
     original = [lp.iterator for lp in band]
-    if sorted(original) != sorted(permutation):
+    if sorted(original) != sorted(order):
         raise ValueError(
-            f"permutation {list(permutation)} is not a reordering of {original}")
-    if not band_bounds_respect_order(band, permutation):
+            f"permutation {list(order)} is not a reordering of {original}")
+    if not band_bounds_respect_order(band, order):
         return False
 
-    deps = nest_dependences(loop)
     index_of = {iterator: idx for idx, iterator in enumerate(original)}
-    for dep in deps:
+    for vector in vectors:
         # Direction vectors are reported over the loops common to both
         # endpoints; pad with "=" for the inner band loops not included.
-        directions = list(dep.directions) + [EQ] * (len(original) - len(dep.directions))
+        directions = list(vector) + [EQ] * (len(original) - len(vector))
         for concrete in _expand_directions(directions):
             if not _lexicographically_non_negative(concrete):
                 # This vector cannot occur in the original program order.
                 continue
             permuted = []
-            for iterator in permutation:
+            for iterator in order:
                 idx = index_of[iterator]
                 permuted.append(concrete[idx] if idx < len(concrete) else EQ)
             if not _lexicographically_non_negative(permuted):
                 return False
     return True
+
+
+def permutation_is_legal(loop: Loop, permutation: Sequence[str],
+                         analysis: "Optional[AnalysisManager]" = None) -> bool:
+    """Check whether reordering the nest's loops to ``permutation`` is legal.
+
+    ``permutation`` lists the iterators of the perfectly nested band of
+    ``loop`` in their new order, outermost first; see
+    :func:`band_order_is_legal` for the conditions.  Callers that ask about
+    several orders of one nest derive :func:`nest_direction_vectors` once
+    and call :func:`band_order_is_legal` per order.
+    """
+    return band_order_is_legal(loop.perfectly_nested_band(),
+                               nest_direction_vectors(loop, analysis),
+                               permutation)
 
 
 def _expand_directions(directions: Sequence[str]) -> Iterable[Tuple[str, ...]]:
@@ -486,15 +551,15 @@ def _lexicographically_non_negative(directions: Sequence[str]) -> bool:
     return True
 
 
-def legal_permutations(loop: Loop, limit: Optional[int] = None) -> List[Tuple[str, ...]]:
+def legal_permutations(loop: Loop, limit: Optional[int] = None,
+                       analysis: "Optional[AnalysisManager]" = None
+                       ) -> List[Tuple[str, ...]]:
     """Enumerate legal permutations of the nest's perfectly nested band."""
-    from itertools import permutations as iter_permutations
-
     band = loop.perfectly_nested_band()
-    iterators = [lp.iterator for lp in band]
+    vectors = nest_direction_vectors(loop, analysis)
     legal: List[Tuple[str, ...]] = []
-    for perm in iter_permutations(iterators):
-        if permutation_is_legal(loop, perm):
+    for perm in iter_permutations([lp.iterator for lp in band]):
+        if band_order_is_legal(band, vectors, perm):
             legal.append(perm)
             if limit is not None and len(legal) >= limit:
                 break

@@ -11,22 +11,30 @@ Section 4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 from ..ir.nodes import Computation, LibraryCall, Loop, Node
 from .affine import decompose_access
-from .dependence import Dependence, loop_carried_dependences
+from .dependence import dependence_skeleton, loop_carried_dependences
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
+    from ..passes.analysis import AnalysisManager
 
 
 @dataclass(frozen=True)
 class ParallelismInfo:
-    """Parallelism classification of a single loop."""
+    """Parallelism classification of a single loop.
+
+    A plain value — names, flags and direction symbols, no IR node — so an
+    :class:`~repro.passes.analysis.AnalysisManager` can hold it.
+    """
 
     iterator: str
     is_parallel: bool
     is_reduction: bool
-    carried: Tuple[Dependence, ...]
+    #: ``(array, kind, directions)`` of every dependence the loop carries.
+    carried: Tuple[Tuple[str, str, Tuple[str, ...]], ...]
     #: True when the loop is parallel only after privatizing per-iteration
     #: scalar temporaries (OpenMP ``private`` / SIMD scalar expansion).
     requires_privatization: bool = False
@@ -53,8 +61,9 @@ def _reduction_arrays(loop: Loop) -> Set[str]:
     return reductions
 
 
-def analyze_loop_parallelism(loop: Loop,
-                             arrays: Optional[dict] = None) -> ParallelismInfo:
+def analyze_loop_parallelism(loop: Loop, arrays: Optional[dict] = None,
+                             analysis: "Optional[AnalysisManager]" = None
+                             ) -> ParallelismInfo:
     """Classify a single loop as parallel, reduction, or sequential.
 
     Dependences carried only through per-iteration scalar temporaries do not
@@ -69,31 +78,48 @@ def analyze_loop_parallelism(loop: Loop,
     of the corresponding point loop; the subscripts reference the point
     iterator, which plain dependence testing over the tile iterator cannot
     see.
+
+    With an ``analysis`` manager the classification is derived once per
+    :func:`~repro.analysis.dependence.dependence_skeleton` of the loop (and
+    per set of transient containers, the only thing read of ``arrays``).
     """
+    if analysis is None:
+        return _classify_loop(loop, arrays, None)
+    key = dependence_skeleton(loop)
+    if arrays is not None:
+        key += "|" + ",".join(sorted(
+            name for name, declared in arrays.items()
+            if getattr(declared, "transient", False)))
+    return analysis.get("loop-parallelism", key,
+                        lambda: _classify_loop(loop, arrays, analysis))
+
+
+def _classify_loop(loop: Loop, arrays: Optional[dict],
+                   analysis: "Optional[AnalysisManager]") -> ParallelismInfo:
     if loop.tile_of is not None and loop.iterator != loop.tile_of:
         for candidate in loop.iter_loops():
             if candidate is loop:
                 continue
             if candidate.iterator == loop.tile_of:
-                inner = analyze_loop_parallelism(candidate, arrays)
-                return ParallelismInfo(loop.iterator, inner.is_parallel,
-                                       inner.is_reduction, inner.carried,
-                                       inner.requires_privatization)
-    carried = loop_carried_dependences(loop)
-    if not carried:
+                inner = analyze_loop_parallelism(candidate, arrays, analysis)
+                return replace(inner, iterator=loop.iterator)
+    dependences = loop_carried_dependences(loop)
+    if not dependences:
         return ParallelismInfo(loop.iterator, True, False, ())
+    carried = tuple((dep.array, dep.kind, dep.directions)
+                    for dep in dependences)
 
     privatizable = _privatizable_scalars(loop, arrays)
-    remaining = [dep for dep in carried if dep.array not in privatizable]
+    remaining = [dep for dep in dependences if dep.array not in privatizable]
     if not remaining:
-        return ParallelismInfo(loop.iterator, True, False, tuple(carried),
+        return ParallelismInfo(loop.iterator, True, False, carried,
                                requires_privatization=True)
 
     reduction_targets = _reduction_arrays(loop)
     non_reduction = [dep for dep in remaining if dep.array not in reduction_targets]
     if not non_reduction and reduction_targets:
-        return ParallelismInfo(loop.iterator, False, True, tuple(carried))
-    return ParallelismInfo(loop.iterator, False, False, tuple(carried))
+        return ParallelismInfo(loop.iterator, False, True, carried)
+    return ParallelismInfo(loop.iterator, False, False, carried)
 
 
 def _privatizable_scalars(loop: Loop, arrays: Optional[dict]) -> Set[str]:

@@ -10,12 +10,12 @@ approximation for deep nests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.arrays import Array
 from ..ir.nodes import Loop, Node, Program
-from ..analysis.dependence import band_bounds_respect_order, permutation_is_legal
+from ..analysis.dependence import (band_bounds_respect_order,
+                                   legal_permutations, permutation_is_legal)
 from ..analysis.strides import nest_stride_cost
 
 if TYPE_CHECKING:  # deferred to avoid a cycle with repro.passes.library
@@ -83,16 +83,7 @@ def apply_permutation(nest: Loop, order: Sequence[str]) -> Loop:
 
 def candidate_orders(nest: Loop) -> List[Tuple[str, ...]]:
     """All structurally and semantically legal loop orders of the nest band."""
-    band = nest.perfectly_nested_band()
-    iterators = [loop.iterator for loop in band]
-    legal: List[Tuple[str, ...]] = []
-    for order in iter_permutations(iterators):
-        if not _band_bounds_legal(band, order):
-            continue
-        if not permutation_is_legal(nest, order):
-            continue
-        legal.append(order)
-    return legal
+    return legal_permutations(nest)
 
 
 def _grouped_sort_order(nest: Loop, arrays: Mapping[str, Array],

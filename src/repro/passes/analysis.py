@@ -25,14 +25,21 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..ir.canonical import node_fragment
 from ..ir.nodes import Node, Program
-from ..ir.serialization import node_to_dict, program_to_dict
+from ..ir.serialization import program_to_dict
 
 
 def node_fingerprint(node: Node) -> str:
-    """Stable content hash of one IR subtree (loop nest, computation, ...)."""
-    text = json.dumps(node_to_dict(node), sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """Stable content hash of one IR subtree (loop nest, computation, ...).
+
+    Hashes the fragment the node already memoizes
+    (:func:`repro.ir.canonical.node_fragment`), so a repeat fingerprint of
+    an unchanged subtree costs one SHA-256, not a serialization walk.
+    Statement labels are not part of the content: an analysis whose answer
+    depends on them passes the label as ``extra`` key material.
+    """
+    return hashlib.sha256(node_fragment(node).encode("utf-8")).hexdigest()
 
 
 def program_fingerprint(program: Program) -> str:

@@ -22,7 +22,8 @@ generic loop nests, and atomic reductions are expensive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..analysis.affine import computation_accesses, decompose_access
 from ..analysis.parallelism import analyze_loop_parallelism
@@ -31,6 +32,9 @@ from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
 from ..ir.symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod, Mul,
                           Read, Sym)
 from .machine import DEFAULT_MACHINE, MachineModel
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
+    from ..passes.analysis import AnalysisManager
 
 #: Cost (in FLOP equivalents) of intrinsics, relative to one multiply-add.
 INTRINSIC_FLOP_COST = {
@@ -159,20 +163,38 @@ class CostModel:
                 except KeyError:
                     touched[name] = 0.0
         for index, node in enumerate(program.body):
-            if isinstance(node, LibraryCall):
-                cost = self._estimate_library_call(node, program, parameters, index)
-            elif isinstance(node, Loop):
-                cost = self._estimate_nest(node, program, parameters, index, touched)
-            elif isinstance(node, Computation):
-                cost = NestCost(label=f"{index}:{node.name}",
-                                flops=count_flops(node.value))
-                cost.compute_time = cost.flops / self.machine.scalar_flops(1)
-                cost.time = cost.compute_time
-            else:
-                continue
-            nests.append(cost)
-            total += cost.time
+            cost = self.estimate_node(node, program, parameters, index, touched)
+            if cost is not None:
+                nests.append(cost)
+                total += cost.time
         return RuntimeEstimate(program.name, total, nests, self.threads)
+
+    def estimate_node(self, node: Node, program: Program,
+                      parameters: Mapping[str, int], index: int,
+                      touched: Dict[str, float],
+                      analysis: "Optional[AnalysisManager]" = None
+                      ) -> Optional[NestCost]:
+        """Cost of the top-level ``node`` at ``index`` of ``program`` (None
+        for node kinds the model does not price).
+
+        ``touched`` is the only thing one top-level node's cost reads of
+        the others: the *names* of the containers earlier nodes touched (the
+        byte counts beside them are written, never read).  Loop nests add
+        theirs to it.  ``analysis`` shares the model's one legality question
+        (is the parallel loop a reduction?) with whoever asked it before.
+        """
+        if isinstance(node, LibraryCall):
+            return self._estimate_library_call(node, program, parameters, index)
+        if isinstance(node, Loop):
+            return self._estimate_nest(node, program, parameters, index,
+                                       touched, analysis)
+        if isinstance(node, Computation):
+            cost = NestCost(label=f"{index}:{node.name}",
+                            flops=count_flops(node.value))
+            cost.compute_time = cost.flops / self.machine.scalar_flops(1)
+            cost.time = cost.compute_time
+            return cost
+        return None
 
     def estimate_seconds(self, program: Program,
                          parameters: Mapping[str, int],
@@ -206,7 +228,9 @@ class CostModel:
 
     def _estimate_nest(self, nest: Loop, program: Program,
                        parameters: Mapping[str, int], index: int,
-                       touched: Optional[Dict[str, float]] = None) -> NestCost:
+                       touched: Optional[Dict[str, float]] = None,
+                       analysis: "Optional[AnalysisManager]" = None
+                       ) -> NestCost:
         cost = NestCost(label=f"{index}:{nest.iterator}")
         params = dict(parameters)
 
@@ -254,7 +278,7 @@ class CostModel:
         # Atomic reductions: parallel loops that carry reduction dependences
         # serialize their updates through atomics.
         if parallel_loop is not None and threads > 1:
-            info = analyze_loop_parallelism(parallel_loop)
+            info = analyze_loop_parallelism(parallel_loop, analysis=analysis)
             if info.is_reduction:
                 cost.atomic_time = stats.write_iterations * self.machine.atomic_cost_s
 
@@ -282,6 +306,67 @@ class CostModel:
         return max(0.0, (end - start) / step)
 
 
+class IncrementalEstimate:
+    """``estimate_seconds`` of a program of which one top-level node varies.
+
+    A search prices hundreds of candidate schedules of one nest; everything
+    else in the program is the same each time.  Top-level nodes are priced
+    in program order and coupled through one thing only — the set of
+    container names earlier nodes touched (see
+    :meth:`CostModel.estimate_node`) — so the nodes before ``index`` are
+    priced once, and the nodes after it once per distinct set of names the
+    varying node leaves behind.  The total is summed in program order, which
+    keeps it bit-identical to a from-scratch
+    :meth:`CostModel.estimate_seconds` of the same program.
+    """
+
+    def __init__(self, model: CostModel, program: Program,
+                 parameters: Mapping[str, int], index: int,
+                 analysis: "Optional[AnalysisManager]" = None):
+        self._model = model
+        self._analysis = analysis
+        self._program = program
+        self._parameters = parameters
+        self._index = index
+        self._touched: Dict[str, float] = {}
+        #: The running total a from-scratch estimate has reached at ``index``.
+        self._prefix = 0.0
+        for time in self._times(range(index), self._touched):
+            self._prefix += time
+        #: Touched names after ``index`` -> costs of the nodes after it.
+        self._suffix: Dict[frozenset, List[float]] = {}
+
+    def _times(self, indices: Sequence[int],
+               touched: Dict[str, float]) -> List[float]:
+        times = []
+        for index in indices:
+            cost = self._model.estimate_node(
+                self._program.body[index], self._program, self._parameters,
+                index, touched, self._analysis)
+            if cost is not None:
+                times.append(cost.time)
+        return times
+
+    def seconds(self, variant: Program) -> float:
+        """Modeled seconds of ``variant``: the program this estimate was
+        built for, with another node at ``index``."""
+        touched = dict(self._touched)
+        cost = self._model.estimate_node(
+            variant.body[self._index], variant, self._parameters, self._index,
+            touched, self._analysis)
+        names = frozenset(touched)
+        suffix = self._suffix.get(names)
+        if suffix is None:
+            suffix = self._suffix[names] = self._times(
+                range(self._index + 1, len(self._program.body)), touched)
+        total = self._prefix
+        if cost is not None:
+            total += cost.time
+        for time in suffix:
+            total += time
+        return total
+
+
 class _NestStatistics:
     """Collects flop and memory-traffic statistics of one loop nest."""
 
@@ -304,6 +389,8 @@ class _NestStatistics:
         #: Cold-miss volume already charged per container (the first touch of
         #: a container is charged once, not once per syntactic access).
         self._cold_charged: Dict[str, float] = {}
+        #: Container name -> (element size, row-major strides).
+        self._layouts: Dict[str, Tuple[float, Tuple[int, ...]]] = {}
 
     # -- traversal ------------------------------------------------------------------
 
@@ -395,23 +482,47 @@ class _NestStatistics:
 
         iterators = [frame.loop.iterator for frame in self._frames]
         trips = [max(frame.trip, 1.0) for frame in self._frames]
-        element = 8.0
         line = float(self.machine.line_bytes)
+        levels = range(len(iterators) + 1)
 
-        accesses = computation_accesses(comp, iterators)
+        # Per access: the distinct bytes it touches inside each loop level.
+        # Every term below is computed once per (access, iterator) and once
+        # per array, then combined in the same floating-point order as a
+        # straight evaluation per level would.
+        accounted = []
+        for access in computation_accesses(comp, iterators):
+            if access.array not in self.arrays:
+                continue
+            elem, strides = self._array_layout(access.array)
+            terms = self._access_terms(access, iterators, trips, strides,
+                                       elem, line)
+            distinct = [self._distinct_bytes(terms, elem, line, level)
+                        for level in levels]
+            accounted.append((access.array, elem, terms, distinct))
+
         # Footprint of one iteration of each loop level: the distinct bytes all
         # accesses of this computation touch inside that level.  Used to decide
         # which cache level serves temporal re-use.
-        level_footprints = self._level_footprints(accesses, iterators, trips, element, line)
+        level_footprints = []
+        for level in levels:
+            total = 0.0
+            for _array, _elem, _terms, distinct in accounted:
+                total += distinct[level]
+            level_footprints.append(total)
 
-        for access in accesses:
-            if access.array not in self.arrays:
-                continue
-            arr = self.arrays[access.array]
-            elem = float(arr.element_size)
-            strides = arr.row_major_strides(self._shape_bindings(arr))
-            self._account_access(access, iterators, trips, strides, elem, line,
-                                 level_footprints, iterations)
+        for array, elem, terms, distinct in accounted:
+            self._account_access(array, elem, {term[0] for term in terms},
+                                 distinct, trips, level_footprints, iterations)
+
+    def _array_layout(self, name: str) -> Tuple[float, Tuple[int, ...]]:
+        """Element size and row-major strides of one container."""
+        layout = self._layouts.get(name)
+        if layout is None:
+            arr = self.arrays[name]
+            layout = self._layouts[name] = (
+                float(arr.element_size),
+                arr.row_major_strides(self._shape_bindings(arr)))
+        return layout
 
     def _shape_bindings(self, arr: Array) -> Dict[str, int]:
         bindings = dict()
@@ -421,11 +532,6 @@ class _NestStatistics:
         return {**{k: int(v) for k, v in self.parameters.items()
                    if isinstance(v, (int, float))}, **bindings}
 
-    def _access_uses(self, access, iterator: str) -> bool:
-        if not access.affine:
-            return True
-        return access.uses_iterator(iterator)
-
     def _access_stride(self, access, iterator: str, strides: Sequence[int]) -> Optional[float]:
         if not access.affine or len(strides) != len(access.indices):
             return None
@@ -434,21 +540,35 @@ class _NestStatistics:
             movement += idx.coefficient(iterator) * stride
         return movement
 
-    def _distinct_bytes(self, access, iterators: Sequence[str], trips: Sequence[float],
-                        strides: Sequence[int], elem: float, line: float,
-                        from_level: int) -> float:
-        """Distinct bytes this access touches inside loops ``from_level..n``."""
+    def _access_terms(self, access, iterators: Sequence[str],
+                      trips: Sequence[float], strides: Sequence[int],
+                      elem: float, line: float
+                      ) -> List[Tuple[int, float, float]]:
+        """``(level, trip count, bytes between consecutive elements)`` of
+        every loop level the access varies in, outermost first."""
+        terms = []
+        affine = access.affine
+        for level, iterator in enumerate(iterators):
+            if affine and not access.uses_iterator(iterator):
+                continue
+            stride = self._access_stride(access, iterator, strides)
+            stride_bytes = (abs(stride) * elem if stride is not None and stride != 0
+                            else line)
+            terms.append((level, max(trips[level], 1.0), stride_bytes))
+        return terms
+
+    @staticmethod
+    def _distinct_bytes(terms: Sequence[Tuple[int, float, float]], elem: float,
+                        line: float, from_level: int) -> float:
+        """Distinct bytes an access touches inside loops ``from_level..n``."""
         distinct = 1.0
         min_stride_bytes: Optional[float] = None
-        for level in range(from_level, len(iterators)):
-            iterator = iterators[level]
-            if self._access_uses(access, iterator):
-                distinct *= max(trips[level], 1.0)
-                stride = self._access_stride(access, iterator, strides)
-                stride_bytes = (abs(stride) * elem if stride is not None and stride != 0
-                                else line)
-                if min_stride_bytes is None or stride_bytes < min_stride_bytes:
-                    min_stride_bytes = stride_bytes
+        for level, trip, stride_bytes in terms:
+            if level < from_level:
+                continue
+            distinct *= trip
+            if min_stride_bytes is None or stride_bytes < min_stride_bytes:
+                min_stride_bytes = stride_bytes
         if distinct <= 1.0 or min_stride_bytes is None:
             return elem
         # Bytes per distinct element: if *any* used loop walks the array with
@@ -459,23 +579,12 @@ class _NestStatistics:
         bytes_per_element = min(max(min_stride_bytes, elem), line)
         return max(distinct * bytes_per_element, elem)
 
-    def _level_footprints(self, accesses, iterators, trips, elem, line) -> List[float]:
-        footprints = []
-        for level in range(len(iterators) + 1):
-            total = 0.0
-            for access in accesses:
-                if access.array not in self.arrays:
-                    continue
-                arr = self.arrays[access.array]
-                strides = arr.row_major_strides(self._shape_bindings(arr))
-                total += self._distinct_bytes(access, iterators, trips, strides,
-                                              float(arr.element_size), line, level)
-            footprints.append(total)
-        return footprints
-
-    def _account_access(self, access, iterators: Sequence[str], trips: Sequence[float],
-                        strides: Sequence[int], elem: float, line: float,
+    def _account_access(self, array: str, elem: float, used_levels: set,
+                        distinct: Sequence[float], trips: Sequence[float],
                         level_footprints: List[float], iterations: float) -> None:
+        """Charge one access: ``distinct[level]`` are the bytes it touches
+        inside loop ``level`` and deeper, ``used_levels`` the loops it varies
+        in."""
         # Every dynamic access touches L1 (or a register); charge L1 port traffic.
         self.bytes_by_level["L1"] += iterations * elem
 
@@ -483,25 +592,25 @@ class _NestStatistics:
         # nest.  The first nest touching a container pays DRAM; later nests
         # (and later accesses within the same nest) re-read it from the cache
         # level its footprint fits in.
-        cold = self._distinct_bytes(access, iterators, trips, strides, elem, line, 0)
-        already_nest = self._cold_charged.get(access.array, 0.0)
+        cold = distinct[0]
+        already_nest = self._cold_charged.get(array, 0.0)
         volume = max(0.0, cold - already_nest)
         if volume > 0:
-            if access.array in self._touched:
+            if array in self._touched:
                 source = self.machine.smallest_level_fitting(cold)
                 if source != "L1":
                     self.bytes_by_level[source] += volume
             else:
                 self.bytes_by_level["DRAM"] += volume
-            self._cold_charged[access.array] = cold
-        self._touched[access.array] = max(self._touched.get(access.array, 0.0), cold)
+            self._cold_charged[array] = cold
+        self._touched[array] = max(self._touched.get(array, 0.0), cold)
 
         # Temporal re-use: for each loop the access is invariant to, the data
         # touched inside that loop is re-swept (trip - 1) times per execution
         # of the outer loops; the sweep is served by the smallest cache level
         # that holds the footprint of one iteration of that loop.
-        for level, iterator in enumerate(iterators):
-            if self._access_uses(access, iterator):
+        for level in range(len(trips)):
+            if level in used_levels:
                 continue
             resweeps = max(trips[level] - 1.0, 0.0)
             if resweeps <= 0:
@@ -509,11 +618,8 @@ class _NestStatistics:
             outer = 1.0
             for outer_level in range(level):
                 outer *= max(trips[outer_level], 1.0)
-            volume = self._distinct_bytes(access, iterators, trips, strides, elem,
-                                          line, level + 1)
-            footprint = level_footprints[level + 1] if level + 1 < len(level_footprints) else elem
-            source = self.machine.smallest_level_fitting(footprint)
+            source = self.machine.smallest_level_fitting(level_footprints[level + 1])
             if source == "L1":
                 # Already charged through the per-access L1 term.
                 continue
-            self.bytes_by_level[source] += resweeps * outer * volume
+            self.bytes_by_level[source] += resweeps * outer * distinct[level + 1]

@@ -10,11 +10,13 @@ as the paper measures the code generated by each auto-scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..ir.nodes import Loop, Program
+from ..passes.analysis import AnalysisManager
+from ..passes.base import PassContext
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
-from ..perf.model import CostModel
+from ..perf.model import CostModel, IncrementalEstimate
 from ..transforms.recipe import Recipe, apply_recipe
 
 
@@ -176,13 +178,58 @@ class Scheduler:
         return self.price(self.schedule(program, parameters).program, parameters)
 
 
-def price_recipe(cost_model: CostModel, program: Program, recipe: Recipe,
-                 parameters: Mapping[str, int]) -> float:
-    """Modeled seconds of ``program`` with ``recipe`` applied to a copy —
-    how every search prices one candidate."""
-    trial = program.copy()
-    apply_recipe(trial, recipe, strict=False)
-    return cost_model.estimate_seconds(trial, parameters)
+class NestPricer:
+    """Modeled seconds of one program under candidate recipes for one of its
+    top-level nests — how every search prices a candidate.
+
+    Built once per search.  A recipe whose transformations all address
+    ``nest_index`` is applied to a private copy of that nest, on a trial
+    program that shares every other node with ``program`` (which is never
+    mutated or frozen), and only the changed nest is re-priced
+    (:class:`~repro.perf.model.IncrementalEstimate`).  A recipe that names
+    another nest (``Fuse``) is applied to a full copy and priced whole.
+    Either way the price equals ``CostModel.estimate_seconds`` of a copy of
+    the program with the recipe applied, bit for bit.  Legality questions go
+    through ``analysis`` (the caller's manager, or one private to this
+    pricer), and a recipe priced before is answered from a memo.
+    """
+
+    def __init__(self, cost_model: CostModel, program: Program, nest_index: int,
+                 parameters: Mapping[str, int],
+                 analysis: Optional[AnalysisManager] = None):
+        self.cost_model = cost_model
+        self.program = program
+        self.nest_index = nest_index
+        self.parameters = parameters
+        # ``is not None``: an empty manager is falsy through ``__len__``.
+        self.analysis = analysis if analysis is not None else AnalysisManager()
+        self._context = PassContext(analysis=self.analysis)
+        self._estimate = IncrementalEstimate(cost_model, program, parameters,
+                                             nest_index, self.analysis)
+        self._prices: Dict[Tuple, float] = {}
+
+    def price(self, recipe: Recipe) -> float:
+        key = recipe.key()
+        seconds = self._prices.get(key)
+        if seconds is None:
+            seconds = self._prices[key] = self._price(recipe)
+        return seconds
+
+    def _price(self, recipe: Recipe) -> float:
+        program, index = self.program, self.nest_index
+        local = all(transformation.params().get("nest_index") == index
+                    for transformation in recipe)
+        if local:
+            body = list(program.body)
+            body[index] = body[index].copy()
+            trial = Program(program.name, list(program.arrays.values()), body,
+                            program.parameters)
+        else:
+            trial = program.copy()
+        apply_recipe(trial, recipe, strict=False, context=self._context)
+        if local:
+            return self._estimate.seconds(trial)
+        return self.cost_model.estimate_seconds(trial, self.parameters)
 
 
 def retarget_recipe(recipe: Recipe, nest_index: int, name: str = "") -> Recipe:

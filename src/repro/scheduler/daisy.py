@@ -22,6 +22,7 @@ from typing import Mapping, Optional, Union
 from ..ir.nodes import Program
 from ..normalization.pipeline import NormalizationOptions, normalize
 from ..passes.analysis import AnalysisManager
+from ..passes.base import PassContext
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..transforms.idiom import ReplaceWithLibraryCall, match_blas3
 from ..transforms.recipe import Recipe, apply_recipe
@@ -60,9 +61,11 @@ class DaisyScheduler(Scheduler):
         if isinstance(normalization, str):
             normalization = NormalizationOptions.named(normalization)
         self.normalization = normalization or NormalizationOptions()
-        #: Scheduler-lifetime memo: repeat scheduling of equivalent nests
-        #: reuses dependence/permutation analyses across calls.
+        #: Scheduler-lifetime memo: normalization, the search and every
+        #: recipe application ask it, so repeat scheduling of equivalent
+        #: nests reuses dependence/permutation analyses across calls.
         self._analysis = AnalysisManager()
+        self._context = PassContext(analysis=self._analysis)
         self._search = EvolutionarySearch(self.cost_model, self.config.search)
 
     def tune(self, program: Program, parameters: Mapping[str, int],
@@ -93,7 +96,8 @@ class DaisyScheduler(Scheduler):
         # 1. BLAS-3 idiom detection on the normalized nest.
         if match_blas3(nest) is not None:
             recipe = Recipe(f"{label}:blas", [ReplaceWithLibraryCall(index)])
-            application = apply_recipe(program, recipe, strict=False)
+            application = apply_recipe(program, recipe, strict=False,
+                                       context=self._context)
             if seeding:
                 self.database.add(embedding, recipe)
             status = "optimized" if application.fully_applied else "failed"
@@ -105,7 +109,8 @@ class DaisyScheduler(Scheduler):
                                              self.config.max_database_distance)
             if entry is not None:
                 recipe = retarget_recipe(entry.recipe, index)
-                if apply_recipe(program, recipe, strict=False).applied:
+                if apply_recipe(program, recipe, strict=False,
+                                context=self._context).applied:
                     return NestScheduleInfo(index, "optimized", recipe,
                                             f"transfer from {entry.label}")
                 # The recipe could not be applied at all: fall through.
@@ -114,8 +119,10 @@ class DaisyScheduler(Scheduler):
         #    nests, mirroring the epoch re-seeding of the paper).
         seeds = [retarget_recipe(neighbor.recipe, index)
                  for _distance, neighbor in self.database.query(embedding, k=10)]
-        outcome = self._search.search(program, index, parameters, seeds)
-        apply_recipe(program, outcome.recipe, strict=False)
+        outcome = self._search.search(program, index, parameters, seeds,
+                                      analysis=self._analysis)
+        apply_recipe(program, outcome.recipe, strict=False,
+                     context=self._context)
         if seeding:
             self.database.add(embedding, outcome.recipe, runtime=outcome.runtime)
         return NestScheduleInfo(index, "optimized", outcome.recipe,

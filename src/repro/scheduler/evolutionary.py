@@ -13,17 +13,18 @@ import json
 import random
 import zlib
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.dependence import legal_permutations
 from ..ir.nodes import Loop, Program
+from ..passes.analysis import AnalysisManager
 from ..perf.model import CostModel
 from ..transforms.base import TransformationError
 from ..transforms.interchange import Interchange
 from ..transforms.parallelize import Parallelize, Unroll, Vectorize
 from ..transforms.recipe import Recipe
 from ..transforms.tiling import Tile
-from .base import price_recipe
+from .base import NestPricer
 
 
 def nest_salt(nest: Loop) -> int:
@@ -71,7 +72,8 @@ class Candidate:
     """One candidate schedule of a nest."""
 
     order: Tuple[str, ...]
-    tile_sizes: Dict[str, int]
+    #: ``(iterator, tile size)`` per band loop, in ``order``.
+    tile_sizes: Tuple[Tuple[str, int], ...]
     parallelize: bool
     vectorize: bool
     unroll: int
@@ -80,7 +82,7 @@ class Candidate:
     def to_recipe(self, nest_index: int, name: str = "candidate") -> Recipe:
         recipe = Recipe(name)
         recipe.add(Interchange(nest_index, list(self.order)))
-        active_tiles = {k: v for k, v in self.tile_sizes.items() if v > 1}
+        active_tiles = {k: v for k, v in self.tile_sizes if v > 1}
         if active_tiles:
             recipe.add(Tile(nest_index, active_tiles))
         if self.parallelize:
@@ -106,19 +108,21 @@ class CandidateSpace:
     max_permuted_band: int = 5
     require_unit_stride: bool = True
 
-    def orders(self, nest: Loop) -> List[Tuple[str, ...]]:
+    def orders(self, nest: Loop,
+               analysis: Optional[AnalysisManager] = None
+               ) -> List[Tuple[str, ...]]:
         band = nest.perfectly_nested_band()
         if len(band) > self.max_permuted_band:
             return [tuple(loop.iterator for loop in band)]
-        return legal_permutations(nest)
+        return legal_permutations(nest, analysis=analysis)
 
     def sample(self, orders: Sequence[Tuple[str, ...]],
                rng: random.Random) -> Candidate:
         order = tuple(rng.choice(orders))
         return Candidate(
             order=order,
-            tile_sizes={iterator: rng.choice(self.tile_sizes)
-                        for iterator in order},
+            tile_sizes=tuple((iterator, rng.choice(self.tile_sizes))
+                             for iterator in order),
             parallelize=rng.random() < self.parallelize_probability,
             vectorize=rng.random() < self.vectorize_probability,
             unroll=rng.choice(self.unroll_factors),
@@ -131,10 +135,11 @@ class CandidateSpace:
         if roll < 0.25:
             return replace(candidate, order=tuple(rng.choice(orders)))
         if roll < 0.6 and candidate.tile_sizes:
-            tile_sizes = dict(candidate.tile_sizes)
-            iterator = rng.choice(list(tile_sizes))
-            tile_sizes[iterator] = rng.choice(self.tile_sizes)
-            return replace(candidate, tile_sizes=tile_sizes)
+            retiled = rng.choice([name for name, _ in candidate.tile_sizes])
+            size = rng.choice(self.tile_sizes)
+            return replace(candidate, tile_sizes=tuple(
+                (name, size if name == retiled else old)
+                for name, old in candidate.tile_sizes))
         if roll < 0.75:
             return replace(candidate, parallelize=not candidate.parallelize)
         if roll < 0.9:
@@ -155,18 +160,22 @@ class EvolutionarySearch:
 
     def search(self, program: Program, nest_index: int,
                parameters: Mapping[str, int],
-               seed_recipes: Optional[Sequence[Recipe]] = None) -> SearchOutcome:
+               seed_recipes: Optional[Sequence[Recipe]] = None,
+               analysis: Optional[AnalysisManager] = None) -> SearchOutcome:
         """Search for the best recipe for one nest of ``program``.
 
         ``seed_recipes`` (e.g. the best recipes of the most similar nests in
         the database, or Tiramisu-style candidates) are priced first, after
-        being re-targeted to ``nest_index`` by the caller.
+        being re-targeted to ``nest_index`` by the caller.  Legality answers
+        are shared through ``analysis`` when the caller owns a manager.
         """
         nest = program.body[nest_index]
         if not isinstance(nest, Loop):
             raise TransformationError(f"node {nest_index} is not a loop nest")
         space = SEARCH_SPACE
-        orders = space.orders(nest)
+        pricer = NestPricer(self.cost_model, program, nest_index, parameters,
+                            analysis)
+        orders = space.orders(nest, pricer.analysis)
         rng = nest_rng(self.config.seed, nest)
         population = [space.sample(orders, rng)
                       for _ in range(self.config.population_size)]
@@ -177,7 +186,7 @@ class EvolutionarySearch:
 
         def consider(recipe: Recipe) -> float:
             nonlocal evaluated, best_runtime, best_recipe
-            runtime = price_recipe(self.cost_model, program, recipe, parameters)
+            runtime = pricer.price(recipe)
             evaluated += 1
             if runtime < best_runtime:
                 best_runtime, best_recipe = runtime, recipe
@@ -202,10 +211,7 @@ class EvolutionarySearch:
                 population = next_population
 
         # Baseline: leaving the nest untouched must also be considered.
-        identity_runtime = self.cost_model.estimate_seconds(program, parameters)
-        evaluated += 1
-        if identity_runtime < best_runtime:
-            best_runtime, best_recipe = identity_runtime, Recipe("identity")
+        consider(Recipe("identity"))
 
         return SearchOutcome(recipe=best_recipe, runtime=best_runtime,
                              evaluated=evaluated)

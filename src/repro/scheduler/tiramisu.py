@@ -24,7 +24,7 @@ from ..ir.nodes import Loop, Program
 from ..normalization.fission import maximal_loop_fission
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..transforms.recipe import Recipe, apply_recipe
-from .base import NestScheduleInfo, ScheduleResult, Scheduler, price_recipe
+from .base import NestPricer, NestScheduleInfo, ScheduleResult, Scheduler
 from .evolutionary import CandidateSpace, nest_rng
 
 #: The schedule decisions the MCTS rolls out.
@@ -105,7 +105,8 @@ class TiramisuScheduler(Scheduler):
     def _mcts(self, program: Program, index: int,
               parameters: Mapping[str, int]) -> Recipe:
         nest = program.body[index]
-        orders = ROLLOUT_SPACE.orders(nest)
+        pricer = NestPricer(self.cost_model, program, index, parameters)
+        orders = ROLLOUT_SPACE.orders(nest, pricer.analysis)
         rng = nest_rng(self.config.seed, nest)
 
         # Rollouts: sample schedules, score them with the noisy surrogate.
@@ -113,17 +114,17 @@ class TiramisuScheduler(Scheduler):
         for _ in range(self.config.rollouts):
             recipe = ROLLOUT_SPACE.sample(orders, rng).to_recipe(
                 index, f"tiramisu#{index}")
-            runtime = price_recipe(self.cost_model, program, recipe, parameters)
+            runtime = pricer.price(recipe)
             noise = max(0.05, 1.0 + rng.gauss(0.0, self.config.model_noise))
             scored.append((runtime * noise, recipe))
         scored.sort(key=lambda item: item[0])
 
-        # Measure the top candidates exactly and keep the best.
+        # Measure the top candidates exactly and keep the best (the pricer
+        # remembers what the rollouts already priced).
         best_recipe = Recipe("identity")
-        best_runtime = price_recipe(self.cost_model, program, best_recipe,
-                                    parameters)
+        best_runtime = pricer.price(best_recipe)
         for _, recipe in scored[:self.config.top_candidates]:
-            runtime = price_recipe(self.cost_model, program, recipe, parameters)
+            runtime = pricer.price(recipe)
             if runtime < best_runtime:
                 best_runtime, best_recipe = runtime, recipe
         return best_recipe

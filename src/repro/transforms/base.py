@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Type
 
 from ..ir.nodes import Loop, Program
+from ..passes.analysis import AnalysisManager
 from ..passes.base import Pass, PassContext
 
 
@@ -79,6 +80,11 @@ class Transformation(Pass):
     def __repr__(self) -> str:
         args = ", ".join(f"{key}={value!r}" for key, value in self.params().items())
         return f"{type(self).__name__}({args})"
+
+
+def shared_analysis(context: Optional[PassContext]) -> Optional[AnalysisManager]:
+    """The analysis manager of ``context`` (None without a context)."""
+    return context.analysis if context is not None else None
 
 
 def get_nest(program: Program, nest_index: int) -> Loop:

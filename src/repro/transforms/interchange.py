@@ -8,7 +8,8 @@ from ..analysis.dependence import permutation_is_legal
 from ..ir.nodes import Program
 from ..normalization.stride_minimization import apply_permutation
 from ..passes.base import PassContext
-from .base import Transformation, TransformationError, get_nest, set_nest
+from .base import (Transformation, TransformationError, get_nest, set_nest,
+                   shared_analysis)
 
 
 class Interchange(Transformation):
@@ -33,7 +34,7 @@ class Interchange(Transformation):
                 f"interchange order {self.order} does not match band {current}")
         if self.order == current:
             return
-        if not permutation_is_legal(nest, self.order):
+        if not permutation_is_legal(nest, self.order, shared_analysis(context)):
             raise TransformationError(
                 f"interchange to {self.order} violates dependences in nest "
                 f"{self.nest_index} of {program.name!r}")

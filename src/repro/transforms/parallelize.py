@@ -9,7 +9,8 @@ from ..analysis.strides import access_stride, _array_strides
 from ..analysis.affine import computation_accesses
 from ..ir.nodes import Computation, Loop, Program
 from ..passes.base import PassContext
-from .base import Transformation, TransformationError, get_nest
+from .base import (Transformation, TransformationError, get_nest,
+                   shared_analysis)
 
 
 def _find_loop(nest: Loop, iterator: Optional[str]) -> Loop:
@@ -46,7 +47,8 @@ class Parallelize(Transformation):
               context: Optional[PassContext] = None) -> None:
         nest = get_nest(program, self.nest_index)
         loop = _find_loop(nest, self.iterator)
-        info = analyze_loop_parallelism(loop)
+        info = analyze_loop_parallelism(loop,
+                                        analysis=shared_analysis(context))
         if not info.is_parallel:
             if info.is_reduction and self.allow_reductions:
                 loop.parallel = True
@@ -87,7 +89,8 @@ class Vectorize(Transformation):
         else:
             loop = _find_loop(nest, self.iterator)
 
-        info = analyze_loop_parallelism(loop)
+        info = analyze_loop_parallelism(loop,
+                                        analysis=shared_analysis(context))
         if not (info.is_parallel or info.is_reduction):
             raise TransformationError(
                 f"loop {loop.iterator!r} cannot be vectorized: it carries "

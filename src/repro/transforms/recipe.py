@@ -20,6 +20,14 @@ from ..passes.pipeline import Pipeline
 from .base import Transformation, TransformationError
 
 
+def _hashable(value: Any) -> Any:
+    if isinstance(value, dict):
+        return tuple((key, _hashable(item)) for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_hashable(item) for item in value)
+    return value
+
+
 @dataclass
 class Recipe:
     """A named sequence of transformations."""
@@ -37,6 +45,13 @@ class Recipe:
 
     def __iter__(self):
         return iter(self.transformations)
+
+    def key(self) -> Tuple:
+        """A hashable value equal for recipes that apply the same
+        transformations with the same parameters (names and notes are
+        provenance, not content)."""
+        return tuple((transformation.name, _hashable(transformation.params()))
+                     for transformation in self.transformations)
 
     def to_pipeline(self) -> Pipeline:
         """This recipe as a pipeline of the unified pass framework.
@@ -89,7 +104,8 @@ class RecipeApplication:
 
 def apply_recipe(program: Program, recipe: Recipe,
                  strict: bool = False,
-                 instrument: bool = False) -> RecipeApplication:
+                 instrument: bool = False,
+                 context: Optional[PassContext] = None) -> RecipeApplication:
     """Apply a recipe to ``program`` in place.
 
     With ``strict=True`` the first illegal transformation raises; otherwise
@@ -99,15 +115,19 @@ def apply_recipe(program: Program, recipe: Recipe,
     transformation through the pass protocol and collects per-transformation
     :class:`~repro.passes.base.PassResult` timings (kept off by default: the
     evolutionary search applies thousands of recipes on its hot path).
+    The transformations answer their legality questions through
+    ``context.analysis`` when a ``context`` is given, so a caller applying
+    many recipes to equivalent nests asks each question once.
     """
     result = RecipeApplication(recipe=recipe)
-    context = PassContext() if instrument else None
+    if instrument and context is None:
+        context = PassContext()
     for transformation in recipe.transformations:
         try:
             if instrument:
                 result.results.append(transformation.run(program, context))
             else:
-                transformation.apply(program)
+                transformation.apply(program, context)
             result.applied.append(transformation)
         except TransformationError as error:
             if strict:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..analysis.dependence import permutation_is_legal
+from ..analysis.dependence import band_order_is_legal, nest_direction_vectors
 from ..ir.nodes import Loop, Program
 from ..ir.symbols import Const, Min, Sym
 from ..passes.base import PassContext
-from .base import Transformation, TransformationError, get_nest, set_nest
+from .base import (Transformation, TransformationError, get_nest, set_nest,
+                   shared_analysis)
 
 
 def tile_band(nest: Loop, tile_sizes: Mapping[str, int]) -> Loop:
@@ -85,8 +86,9 @@ class Tile(Transformation):
         # permutability by requiring that both the original and the reversed
         # relative order of the tiled loops (moved outermost) are legal.
         others = [it for it in iterators if it not in tiled]
+        vectors = nest_direction_vectors(nest, shared_analysis(context))
         for candidate in (tiled + others, list(reversed(tiled)) + others):
-            if not permutation_is_legal(nest, candidate):
+            if not band_order_is_legal(band, vectors, candidate):
                 raise TransformationError(
                     f"tiling {self.tile_sizes} is not legal for nest "
                     f"{self.nest_index} of {program.name!r}")

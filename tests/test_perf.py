@@ -163,6 +163,64 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel(threads=0)
 
+    #: Modeled seconds recorded before the per-access terms of the nest
+    #: walk were hoisted out of its level loop (PR 14): hoisting may not
+    #: reorder a floating-point operation, so these are exact.
+    PINNED_SECONDS = {
+        "gemm": "0x1.bd8fd3e59acf0p-3", "2mm": "0x1.a0494cdf8c39cp-3",
+        "jacobi-2d": "0x1.94e3af822242cp+2",
+        "fem-stiffness": "0x1.d5021fba29d74p-9",
+        "fuzz-1": "0x1.7cf6ae6f2a098p-22", "fuzz-5": "0x1.7dec3d2dd52a7p-22",
+        "fuzz-9": "0x1.7ce0b0ef48902p-22",
+    }
+
+    def test_modeled_seconds_are_bit_stable(self):
+        from repro.fuzz import generate_program
+        from repro.workloads import registry as workloads
+        model = CostModel(threads=4)
+        seconds = {}
+        for name in ("gemm", "2mm", "jacobi-2d", "fem-stiffness"):
+            spec = workloads.benchmark(name)
+            program = normalize_program(spec.variant("a"))
+            for index, nest in enumerate(program.body):
+                band = [lp.iterator for lp in nest.perfectly_nested_band()]
+                apply_recipe(program, Recipe("r", [
+                    Tile(index, {it: 32 for it in band[:2]}),
+                    Parallelize(index), Vectorize(index)]))
+            seconds[name] = model.estimate_seconds(program, spec.sizes("large"))
+        for seed in (1, 5, 9):
+            generated = generate_program(seed, "medium")
+            seconds[f"fuzz-{seed}"] = model.estimate_seconds(
+                normalize_program(generated.program), generated.parameters)
+        assert ({name: value.hex() for name, value in seconds.items()}
+                == self.PINNED_SECONDS)
+
+    def test_incremental_estimate_equals_from_scratch(self):
+        """One top-level node varies, the total is still what a from-scratch
+        estimate gives — also when the variant is a library call, which
+        leaves other containers touched for the nests after it."""
+        from repro.perf.model import IncrementalEstimate
+        from repro.transforms import match_blas3
+        from repro.workloads import registry as workloads
+        model = CostModel(threads=4)
+        spec = workloads.benchmark("3mm")
+        program = normalize_program(spec.variant("a"))
+        parameters = spec.sizes("large")
+        calls = 0
+        for index, nest in enumerate(program.body):
+            incremental = IncrementalEstimate(model, program, parameters, index)
+            recipes = [Recipe("same"), Recipe("par", [Parallelize(index)]),
+                       Recipe("same again")]
+            if match_blas3(nest) is not None:
+                calls += 1
+                recipes.insert(1, Recipe("call", [ReplaceWithLibraryCall(index)]))
+            for recipe in recipes:
+                variant = program.copy()
+                apply_recipe(variant, recipe)
+                assert (incremental.seconds(variant)
+                        == model.estimate_seconds(variant, parameters))
+        assert calls >= 3
+
 
 class TestMeasurementProtocol:
     def test_deterministic_measurement_converges_quickly(self):

@@ -1,9 +1,10 @@
 """Tests for embeddings, the tuning database, the evolutionary search, the
-daisy scheduler, the baseline schedulers, the pricing seam, and the golden
-recipes of every registered scheduler."""
+per-search nest pricer, the daisy scheduler, the baseline schedulers, the
+pricing seam, and the golden recipes of every registered scheduler."""
 
 import json
 import os
+import random
 
 import pytest
 
@@ -18,8 +19,16 @@ from repro.scheduler import (ClangScheduler, DaceScheduler, DaisyConfig,
                              PollyScheduler, SearchConfig, TiramisuScheduler,
                              TuningDatabase, embed_nest, embed_program,
                              nest_is_scop, retarget_recipe)
+from repro.fuzz import generate_program
+from repro.ir.canonical import node_fragment
+from repro.ir.nodes import Loop, Node
+from repro.passes import AnalysisManager
+from repro.scheduler.base import NestPricer
 from repro.scheduler.embedding import EMBEDDING_SIZE
-from repro.transforms import Recipe, Interchange, Parallelize
+from repro.scheduler.evolutionary import SEARCH_SPACE, Candidate
+from repro.scheduler.tiramisu import ROLLOUT_SPACE
+from repro.transforms import (Fuse, Interchange, Parallelize, Recipe,
+                              ReplaceWithLibraryCall, apply_recipe)
 from repro.workloads import registry as workloads
 from repro.workloads.polybench import (build_gemm_a, build_gemm_b,
                                        build_jacobi2d_a, build_jacobi2d_b)
@@ -104,6 +113,179 @@ class TestEvolutionarySearch:
         seed = Recipe("seed", [Parallelize(0)])
         outcome = search.search(program, 0, PARAMS, seed_recipes=[seed])
         assert outcome.runtime <= model.estimate_seconds(program, PARAMS)
+
+
+def _reference_price(model, program, recipe, parameters):
+    """What a price is defined as: the cost model on a full copy of the
+    program with the recipe applied (no memo, no sharing)."""
+    trial = program.copy()
+    apply_recipe(trial, recipe, strict=False)
+    return model.estimate_seconds(trial, parameters)
+
+
+def _holds_node(value):
+    if isinstance(value, Node):
+        return True
+    if isinstance(value, dict):
+        value = list(value.keys()) + list(value.values())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return any(_holds_node(item) for item in value)
+    return any(_holds_node(item)
+               for item in getattr(value, "__dict__", {}).values())
+
+
+def _fuzz_programs(seeds):
+    """Fuzz programs as generated and after a-priori normalization (the
+    form daisy searches on), with their size bindings."""
+    for seed in seeds:
+        generated = generate_program(seed, "small")
+        yield generated.program, generated.parameters
+        yield normalize_program(generated.program), generated.parameters
+
+
+class TestNestPricer:
+    def test_price_equals_cost_of_a_full_copy(self):
+        """Incremental price == (not approx) the whole-program estimate of
+        a full copy with the recipe applied: every nest index of multi-nest
+        fuzz programs, candidates of both search spaces, one shared
+        analysis manager across all of them."""
+        model = CostModel(threads=4)
+        analysis = AnalysisManager()
+        rng = random.Random("nest-pricer")
+        priced = nests = 0
+        for program, parameters in _fuzz_programs(range(12)):
+            for index, nest in enumerate(program.body):
+                if not isinstance(nest, Loop):
+                    continue
+                nests += 1
+                pricer = NestPricer(model, program, index, parameters, analysis)
+                for space in (SEARCH_SPACE, ROLLOUT_SPACE):
+                    orders = space.orders(nest, analysis)
+                    for _ in range(4):
+                        recipe = space.sample(orders, rng).to_recipe(index)
+                        assert pricer.price(recipe) == _reference_price(
+                            model, program, recipe, parameters)
+                        priced += 1
+                assert pricer.price(Recipe("identity")) == \
+                    model.estimate_seconds(program, parameters)
+        assert nests > 24 and priced == 8 * nests
+
+    def test_library_call_and_non_local_recipes(self):
+        """A seed that replaces the nest by a BLAS call changes which
+        containers later nests find touched; a recipe naming another nest
+        (``Fuse``) is priced on a full copy.  Both equal the reference."""
+        model = CostModel(threads=4)
+        spec = workloads.benchmark("2mm")
+        program = normalize_program(spec.variant("a"))
+        parameters = spec.sizes("large")
+        loops = [index for index, node in enumerate(program.body)
+                 if isinstance(node, Loop)]
+        assert len(loops) > 2
+        replaced = 0
+        for index in loops:
+            pricer = NestPricer(model, program, index, parameters)
+            blas = Recipe("seed", [ReplaceWithLibraryCall(index),
+                                   Parallelize(index)])
+            reference = _reference_price(model, program, blas, parameters)
+            assert pricer.price(blas) == reference
+            replaced += reference != model.estimate_seconds(program, parameters)
+            for other in loops:
+                fuse = Recipe("fuse", [Fuse(index, other)])
+                assert pricer.price(fuse) == _reference_price(
+                    model, program, fuse, parameters)
+        assert replaced  # some nest did match the idiom
+        # The later nest re-reads what the earlier one touched — unless the
+        # earlier one became a library call: one pricer, both suffixes.
+        program = normalize_program(build_gemm())
+        program.body.reverse()  # the contraction first, then the scaling
+        pricer = NestPricer(model, program, 0, PARAMS)
+        blas = Recipe("seed", [ReplaceWithLibraryCall(0)])
+        for recipe in (Recipe("identity"), blas, Recipe("p", [Parallelize(0)])):
+            assert pricer.price(recipe) == _reference_price(
+                model, program, recipe, PARAMS)
+        called = program.copy()
+        apply_recipe(called, blas)
+        assert (model.estimate(called, PARAMS).nests[1].time
+                != model.estimate(program, PARAMS).nests[1].time)
+        # A fusion that applies: two adjacent nests over the same domain.
+        program = build_vector_add()
+        program.body.append(program.body[0].copy())
+        fuse = Recipe("fuse", [Fuse(0, 1)])
+        assert apply_recipe(program.copy(), fuse).fully_applied
+        assert NestPricer(model, program, 0, {"N": 4096}).price(fuse) == \
+            _reference_price(model, program, fuse, {"N": 4096})
+
+    def test_program_being_scheduled_is_never_touched(self):
+        """100 prices leave every node of the program the same object,
+        unfrozen, with the same content."""
+        model = CostModel(threads=4)
+        program = normalize_program(generate_program(3, "medium").program)
+        parameters = generate_program(3, "medium").parameters
+        nodes = list(program.body)
+        fragments = [node_fragment(node) for node in nodes]
+        index = next(i for i, node in enumerate(nodes)
+                     if isinstance(node, Loop))
+        pricer = NestPricer(model, program, index, parameters)
+        orders = SEARCH_SPACE.orders(nodes[index], pricer.analysis)
+        rng = random.Random(0)
+        for _ in range(100):
+            pricer.price(SEARCH_SPACE.sample(orders, rng).to_recipe(index))
+        assert all(now is before for now, before in zip(program.body, nodes))
+        assert len(program.body) == len(nodes)
+        assert [node_fragment(node) for node in nodes] == fragments
+        assert not any(loop.frozen for loop in program.iter_loops())
+        assert not any(comp.frozen for comp in program.iter_computations())
+
+    def test_repeated_recipes_are_answered_from_the_memo(self):
+        calls = []
+
+        class Counting(CostModel):
+            def estimate_node(self, *args, **kwargs):
+                calls.append(1)
+                return super().estimate_node(*args, **kwargs)
+
+        program = normalize_program(build_gemm(with_scaling=False))
+        pricer = NestPricer(Counting(threads=4), program, 0, PARAMS)
+        first = pricer.price(Recipe("one", [Parallelize(0)]))
+        priced = len(calls)
+        assert pricer.price(Recipe("other name", [Parallelize(0)])) == first
+        assert len(calls) == priced
+
+    def test_tiramisu_measures_its_top_rollouts_from_the_memo(self, monkeypatch):
+        asked, priced = [], []
+        price, _price = NestPricer.price, NestPricer._price
+        monkeypatch.setattr(NestPricer, "price", lambda self, recipe: (
+            asked.append(recipe), price(self, recipe))[1])
+        monkeypatch.setattr(NestPricer, "_price", lambda self, recipe: (
+            priced.append(recipe), _price(self, recipe))[1])
+        config = MctsConfig(rollouts=6, top_candidates=3)
+        program = build_gemm(with_scaling=False)
+        TiramisuScheduler(threads=4, config=config).schedule(program, PARAMS)
+        assert len(asked) == 6 + 1 + 3
+        assert len(priced) <= 6 + 1
+
+    def test_analysis_entries_hold_no_ir(self):
+        """What the search leaves in the scheduler's manager is plain data:
+        direction tuples and flags, never a node or a dependence."""
+        daisy = DaisyScheduler(config=DaisyConfig(threads=4, search=FAST_SEARCH))
+        daisy.schedule(build_jacobi2d_a(), {"TSTEPS": 10, "N": 64})
+        daisy.schedule(build_gemm(with_scaling=False), PARAMS)
+        entries = daisy._analysis._entries
+        kinds = {kind for kind, _key in entries}
+        assert {"nest-directions", "loop-parallelism"} <= kinds
+        assert daisy._analysis.hits > 0
+        assert not any(_holds_node(value) for value in entries.values())
+
+    def test_candidates_are_hashable_values(self):
+        rng = random.Random(1)
+        nest = normalize_program(build_gemm(with_scaling=False)).body[0]
+        orders = SEARCH_SPACE.orders(nest)
+        candidate = SEARCH_SPACE.sample(orders, rng)
+        assert isinstance(candidate, Candidate)
+        assert candidate in {candidate}
+        assert [name for name, _ in candidate.tile_sizes] == list(candidate.order)
+        assert len({candidate, SEARCH_SPACE.mutate(candidate, orders, rng)}) <= 2
+        assert candidate.to_recipe(0).key() == candidate.to_recipe(0, "x").key()
 
 
 class TestDaisy:
