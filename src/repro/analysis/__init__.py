@@ -12,7 +12,7 @@
 
 from .affine import (AffineAccess, AffineIndex, access_is_contiguous,
                      computation_accesses, decompose_access, decompose_index,
-                     loop_nest_accesses)
+                     loop_nest_accesses, nest_statements)
 from .dataflow import (DataflowEdge, build_dataflow_graph, has_cycle,
                        node_reads_writes, producer_consumer_pairs,
                        program_dataflow, topological_order)
@@ -26,13 +26,14 @@ from .parallelism import (ParallelismInfo, analyze_loop_parallelism,
                           is_fully_parallel_band, outermost_parallel_loop,
                           parallel_loops)
 from .reuse import ReuseEstimate, estimate_reuse, program_working_set_bytes
-from .strides import (StrideReport, access_stride, nest_stride_cost,
-                      nest_stride_report, out_of_order_count,
-                      program_stride_cost)
+from .strides import (BandStrides, StrideReport, access_stride, band_strides,
+                      nest_stride_cost, nest_stride_report,
+                      out_of_order_count, program_stride_cost)
 
 __all__ = [
     "AffineAccess", "AffineIndex", "access_is_contiguous", "computation_accesses",
     "decompose_access", "decompose_index", "loop_nest_accesses",
+    "nest_statements",
     "DataflowEdge", "build_dataflow_graph", "has_cycle", "node_reads_writes",
     "producer_consumer_pairs", "program_dataflow", "topological_order",
     "ANY", "EQ", "GT", "LT", "Dependence", "body_dependence_pairs",
@@ -43,6 +44,7 @@ __all__ = [
     "ReuseEstimate", "estimate_reuse", "program_working_set_bytes",
     "computation_flops", "expr_flops", "expr_reads", "program_flops",
     "written_arrays",
-    "StrideReport", "access_stride", "nest_stride_cost", "nest_stride_report",
+    "BandStrides", "StrideReport", "access_stride", "band_strides",
+    "nest_stride_cost", "nest_stride_report",
     "out_of_order_count", "program_stride_cost",
 ]

@@ -14,13 +14,14 @@ representation are simply left unoptimized (Section 4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
-from ..ir.nodes import ArrayAccess, Computation, Loop
+from ..ir.nodes import ArrayAccess, Computation, Loop, Node, read_accesses
 from ..ir.symbols import Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineIndex:
     """One subscript decomposed over the surrounding loop iterators.
 
@@ -65,16 +66,25 @@ class AffineAccess:
     indices: Tuple[AffineIndex, ...]
     is_write: bool
 
-    @property
+    @cached_property
     def affine(self) -> bool:
         return all(index.affine for index in self.indices)
+
+    @cached_property
+    def columns(self) -> Mapping[str, Tuple[float, ...]]:
+        """Iterator -> its coefficient in every subscript, for exactly the
+        iterators the access varies in."""
+        names = {name for index in self.indices
+                 for name, coeff in index.coefficients if coeff != 0}
+        return {name: tuple(index.coefficient(name) for index in self.indices)
+                for name in names}
 
     def coefficient_matrix(self, iterators: Sequence[str]) -> List[List[float]]:
         """Rectangular matrix of subscript coefficients over ``iterators``."""
         return [[index.coefficient(it) for it in iterators] for index in self.indices]
 
     def uses_iterator(self, iterator: str) -> bool:
-        return any(index.coefficient(iterator) != 0 for index in self.indices)
+        return iterator in self.columns
 
 
 def decompose_index(expr: Expr, iterators: Sequence[str]) -> AffineIndex:
@@ -91,44 +101,72 @@ def decompose_index(expr: Expr, iterators: Sequence[str]) -> AffineIndex:
     return AffineIndex(iterator_coeffs, parameter_coeffs, float(constant))
 
 
-def decompose_access(access: ArrayAccess, iterators: Sequence[str],
+def decompose_access(access: ArrayAccess, iterators: Iterable[str],
                      is_write: bool) -> AffineAccess:
-    """Decompose every subscript of ``access``."""
-    indices = tuple(decompose_index(index, iterators) for index in access.indices)
-    return AffineAccess(access.array, indices, is_write)
+    """Decompose every subscript of ``access``.
+
+    The answer depends on the access and on which of the symbols in its
+    subscripts are iterators, nothing else, so it is kept on the (immutable)
+    access under that key: every copy of a statement, every candidate
+    schedule and every analysis reads the same decomposition.
+    """
+    symbols = access.free_symbols()
+    used = symbols.intersection(iterators)
+    if len(used) == len(symbols):
+        used = symbols  # the same set: keep one object, not two
+    try:
+        memo = access._decomposed
+    except AttributeError:
+        memo = ()
+    for known, write, found in memo:
+        if write == is_write and known == used:
+            return found
+    found = AffineAccess(
+        access.array,
+        tuple(decompose_index(index, used) for index in access.indices),
+        is_write)
+    object.__setattr__(access, "_decomposed", memo + ((used, is_write, found),))
+    return found
 
 
 def computation_accesses(comp: Computation,
-                         iterators: Sequence[str]) -> List[AffineAccess]:
+                         iterators: Iterable[str]) -> List[AffineAccess]:
     """All accesses of a computation decomposed over ``iterators``.
 
     The write is listed last so that analyses that care about order (for
     instance read-after-write within a statement) can rely on it.
     """
     accesses = [decompose_access(acc, iterators, is_write=False)
-                for acc in comp.reads()]
+                for acc in read_accesses(comp.value)]
     accesses.append(decompose_access(comp.target, iterators, is_write=True))
     return accesses
 
 
-def loop_nest_accesses(loop: Loop) -> List[Tuple[Computation, List[AffineAccess]]]:
-    """Accesses of every computation in a loop nest.
+def nest_statements(node: Node) -> List[Tuple[Node, Tuple[str, ...]]]:
+    """Every statement (computation or library call) of a subtree in program
+    order, with the iterators of the loops of the subtree that enclose it,
+    outermost first — the one walk over a nest every analysis shares."""
+    result: List[Tuple[Node, Tuple[str, ...]]] = []
 
-    Each computation is decomposed over the iterators that actually enclose
-    it (the in-order iterator list of the nest restricted to its ancestors).
-    """
-    result: List[Tuple[Computation, List[AffineAccess]]] = []
-
-    def recurse(node, enclosing: List[str]) -> None:
-        if isinstance(node, Loop):
-            inner = enclosing + [node.iterator]
-            for child in node.body:
+    def recurse(current: Node, enclosing: Tuple[str, ...]) -> None:
+        if isinstance(current, Loop):
+            inner = enclosing + (current.iterator,)
+            for child in current.body:
                 recurse(child, inner)
-        elif isinstance(node, Computation):
-            result.append((node, computation_accesses(node, enclosing)))
+        else:
+            result.append((current, enclosing))
 
-    recurse(loop, [])
+    recurse(node, ())
     return result
+
+
+def loop_nest_accesses(loop: Node) -> List[Tuple[Computation, Tuple[str, ...],
+                                                 List[AffineAccess]]]:
+    """``(computation, enclosing iterators, accesses)`` of every computation
+    in a loop nest, each decomposed over the iterators that enclose it."""
+    return [(node, enclosing, computation_accesses(node, enclosing))
+            for node, enclosing in nest_statements(loop)
+            if isinstance(node, Computation)]
 
 
 def access_is_contiguous(access: AffineAccess, innermost: str,

@@ -22,8 +22,9 @@ from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
 from ..ir.canonical import node_fragment
-from ..ir.nodes import ArrayAccess, Computation, LibraryCall, Loop, Node
-from .affine import AffineAccess, AffineIndex, decompose_access
+from ..ir.nodes import Computation, LibraryCall, Loop, Node
+from .affine import (AffineAccess, AffineIndex, computation_accesses,
+                     nest_statements)
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
     from ..passes.analysis import AnalysisManager
@@ -89,38 +90,32 @@ class Dependence:
 
 
 def _gather_accesses(node: Node, common_iterators: Sequence[str]
-                     ) -> List[Tuple[ArrayAccess, bool, List[str]]]:
+                     ) -> List[Tuple[AffineAccess, frozenset]]:
     """Collect all accesses in a subtree with their full iterator context.
 
-    Returns triples ``(access, is_write, private_iterators)`` where
-    ``private_iterators`` are iterators of loops inside ``node`` (not part of
-    the common surrounding nest).
+    Returns pairs ``(access, private_iterators)``: the access decomposed
+    over the common iterators plus its ``private_iterators``, the iterators
+    of loops inside ``node`` (not part of the common surrounding nest).
     """
-    collected: List[Tuple[ArrayAccess, bool, List[str]]] = []
-
-    def recurse(current: Node, private: List[str]) -> None:
-        if isinstance(current, Loop):
-            inner = private + [current.iterator]
-            for child in current.body:
-                recurse(child, inner)
-        elif isinstance(current, Computation):
-            for acc in current.reads():
-                collected.append((acc, False, list(private)))
-            collected.append((current.target, True, list(private)))
-        elif isinstance(current, LibraryCall):
+    collected: List[Tuple[AffineAccess, frozenset]] = []
+    for statement, enclosing in nest_statements(node):
+        private = frozenset(enclosing)
+        if isinstance(statement, Computation):
+            known = (*common_iterators, *enclosing)
+            collected.extend((acc, private)
+                             for acc in computation_accesses(statement, known))
+        elif isinstance(statement, LibraryCall):
             # Library calls touch whole containers; model as rank-0 accesses
             # which force a conservative dependence on any overlap.
-            for name in current.inputs:
-                collected.append((ArrayAccess(name, ()), False, list(private)))
-            for name in current.outputs:
-                collected.append((ArrayAccess(name, ()), True, list(private)))
-
-    recurse(node, [])
+            collected.extend((AffineAccess(name, (), False), private)
+                             for name in statement.inputs)
+            collected.extend((AffineAccess(name, (), True), private)
+                             for name in statement.outputs)
     return collected
 
 
 def _dimension_testable(index_a: AffineIndex, index_b: AffineIndex,
-                        private_a: Set[str], private_b: Set[str]) -> bool:
+                        private_a: frozenset, private_b: frozenset) -> bool:
     """A dimension is testable when both subscripts are affine and do not
     involve iterators private to either side."""
     if not index_a.affine or not index_b.affine:
@@ -227,30 +222,19 @@ def _directions_from_constraints(constraints: Dict[str, Optional[int]],
     return tuple(directions), tuple(distances)
 
 
-def _test_access_pair(access_a: ArrayAccess, private_a: List[str], write_a: bool,
-                      access_b: ArrayAccess, private_b: List[str], write_b: bool,
+def _test_access_pair(affine_a: AffineAccess, private_a: frozenset,
+                      affine_b: AffineAccess, private_b: frozenset,
                       common_iterators: Sequence[str]
                       ) -> Optional[Tuple[Tuple[str, ...], Tuple[Optional[int], ...]]]:
-    """Test one pair of accesses; returns direction/distance vectors or None."""
-    if access_a.array != access_b.array:
-        return None
-    if not (write_a or write_b):
-        return None
-
-    known_a = list(common_iterators) + private_a
-    known_b = list(common_iterators) + private_b
-    affine_a = decompose_access(access_a, known_a, write_a)
-    affine_b = decompose_access(access_b, known_b, write_b)
-
+    """Test one pair of accesses to one container, at least one of them a
+    write; returns direction/distance vectors or None."""
     if len(affine_a.indices) != len(affine_b.indices):
         # Rank mismatch (e.g. whole-container library-call access): conservative.
         return tuple(ANY for _ in common_iterators), tuple(None for _ in common_iterators)
 
     constraints: Dict[str, Optional[int]] = {}
-    private_set_a = set(private_a)
-    private_set_b = set(private_b)
     for index_a, index_b in zip(affine_a.indices, affine_b.indices):
-        if not _dimension_testable(index_a, index_b, private_set_a, private_set_b):
+        if not _dimension_testable(index_a, index_b, private_a, private_b):
             continue
         may_depend, dim_constraints = _test_dimension(index_a, index_b, common_iterators)
         if not may_depend:
@@ -284,21 +268,31 @@ def dependences_between(node_a: Node, node_b: Node,
     over exactly those loops.
     """
     accesses_a = _gather_accesses(node_a, common_iterators)
-    accesses_b = _gather_accesses(node_b, common_iterators)
+    accesses_b = (accesses_a if node_b is node_a
+                  else _gather_accesses(node_b, common_iterators))
+    # Only accesses to one container can depend on each other; pairs are
+    # still visited in ``product(accesses_a, accesses_b)`` order.
+    sinks: Dict[str, List[Tuple[AffineAccess, frozenset]]] = {}
+    for entry in accesses_b:
+        sinks.setdefault(entry[0].array, []).append(entry)
     found: List[Dependence] = []
     seen: Set[Tuple] = set()
-    for (acc_a, write_a, private_a), (acc_b, write_b, private_b) in product(accesses_a, accesses_b):
-        result = _test_access_pair(acc_a, private_a, write_a,
-                                   acc_b, private_b, write_b, common_iterators)
-        if result is None:
-            continue
-        directions, distances = result
-        kind = _classify(write_a, write_b)
-        key = (acc_a.array, kind, directions)
-        if key in seen:
-            continue
-        seen.add(key)
-        found.append(Dependence(node_a, node_b, acc_a.array, kind, directions, distances))
+    for acc_a, private_a in accesses_a:
+        for acc_b, private_b in sinks.get(acc_a.array, ()):
+            if not (acc_a.is_write or acc_b.is_write):
+                continue
+            result = _test_access_pair(acc_a, private_a, acc_b, private_b,
+                                       common_iterators)
+            if result is None:
+                continue
+            directions, distances = result
+            kind = _classify(acc_a.is_write, acc_b.is_write)
+            key = (acc_a.array, kind, directions)
+            if key in seen:
+                continue
+            seen.add(key)
+            found.append(Dependence(node_a, node_b, acc_a.array, kind,
+                                    directions, distances))
     return found
 
 
@@ -361,17 +355,9 @@ def nest_dependences(loop: Loop) -> List[Dependence]:
     over the iterators of the loops that enclose *both* computations within
     ``loop``.  Used for permutation legality.
     """
-    comps_with_context: List[Tuple[Computation, List[str]]] = []
-
-    def recurse(node: Node, iterators: List[str]) -> None:
-        if isinstance(node, Loop):
-            inner = iterators + [node.iterator]
-            for child in node.body:
-                recurse(child, inner)
-        elif isinstance(node, Computation):
-            comps_with_context.append((node, iterators))
-
-    recurse(loop, [])
+    comps_with_context = [(node, iterators)
+                          for node, iterators in nest_statements(loop)
+                          if isinstance(node, Computation)]
 
     deps: List[Dependence] = []
     for i, (comp_a, iters_a) in enumerate(comps_with_context):

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
-from ..ir.nodes import Computation, LibraryCall, Loop, Node
-from .affine import decompose_access
+from ..ir.nodes import Computation, Loop, read_accesses
+from .affine import decompose_access, nest_statements
 from .dependence import dependence_skeleton, loop_carried_dependences
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
@@ -44,20 +44,11 @@ def _reduction_arrays(loop: Loop) -> Set[str]:
     """Containers updated as ``X[..] = X[..] op expr`` with the subscript
     invariant in ``loop.iterator``."""
     reductions: Set[str] = set()
-
-    def recurse(node: Node, iterators: List[str]) -> None:
-        if isinstance(node, Loop):
-            for child in node.body:
-                recurse(child, iterators + [node.iterator])
-        elif isinstance(node, Computation):
-            if not node.is_reduction():
-                return
-            target = decompose_access(node.target, iterators + [loop.iterator], True)
+    for node, enclosing in nest_statements(loop):
+        if isinstance(node, Computation) and node.is_reduction():
+            target = decompose_access(node.target, enclosing, True)
             if target.affine and not target.uses_iterator(loop.iterator):
                 reductions.add(node.target.array)
-
-    for child in loop.body:
-        recurse(child, [loop.iterator])
     return reductions
 
 
@@ -136,19 +127,12 @@ def _privatizable_scalars(loop: Loop, arrays: Optional[dict]) -> Set[str]:
       loop (e.g. the CLOUDSC block loop) fully rewrites before reading.
     """
     candidates: Set[str] = set()
-    order: List[Tuple[str, bool]] = []
-
-    def recurse(node: Node) -> None:
-        if isinstance(node, Loop):
-            for child in node.body:
-                recurse(child)
-        elif isinstance(node, Computation):
-            for acc in node.reads():
+    order: List[Tuple[str, bool, int]] = []
+    for node, _enclosing in nest_statements(loop):
+        if isinstance(node, Computation):
+            for acc in read_accesses(node.value):
                 order.append((acc.array, False, len(acc.indices)))
             order.append((node.target.array, True, len(node.target.indices)))
-
-    for child in loop.body:
-        recurse(child)
 
     seen_write: Set[str] = set()
     disqualified: Set[str] = set()

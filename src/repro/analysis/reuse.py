@@ -11,11 +11,11 @@ The precise cache behavior is measured by the cache simulator in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..ir.arrays import Array
-from ..ir.nodes import Computation, Loop, Program
-from .affine import computation_accesses
+from ..ir.nodes import Loop, Program
+from .affine import loop_nest_accesses
 from .strides import DEFAULT_PARAMETER_VALUE, _array_strides, access_stride
 
 
@@ -76,9 +76,8 @@ def estimate_reuse(loop: Loop, arrays: Mapping[str, Array],
     per_execution = 0.0
     reuse: Dict[str, float] = {}
 
-    def handle(comp: Computation, enclosing: List[str]) -> None:
-        nonlocal per_iteration, per_execution
-        for access in computation_accesses(comp, enclosing):
+    for _comp, _enclosing, accesses in loop_nest_accesses(loop):
+        for access in accesses:
             if access.array not in arrays:
                 continue
             element_strides = _array_strides(arrays[access.array], parameters)
@@ -98,16 +97,6 @@ def estimate_reuse(loop: Loop, arrays: Mapping[str, Array],
                 reuse.setdefault(access.array, float(per_iteration))
             else:
                 per_execution += float(inner_trip)
-
-    def recurse(node, enclosing: List[str]) -> None:
-        if isinstance(node, Loop):
-            inner = enclosing + [node.iterator]
-            for child in node.body:
-                recurse(child, inner)
-        elif isinstance(node, Computation):
-            handle(node, enclosing)
-
-    recurse(loop, [])
 
     finite_reuse = tuple(sorted(
         (name, value) for name, value in reuse.items() if value != float("inf")))

@@ -16,11 +16,11 @@ array dimensions; :func:`out_of_order_count` implements that fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..ir.arrays import Array
-from ..ir.nodes import ArrayAccess, Computation, Loop, Program
-from .affine import AffineAccess, computation_accesses, decompose_access
+from ..ir.nodes import Loop, Program
+from .affine import AffineAccess, loop_nest_accesses
 
 #: Nominal extent used for size parameters without a concrete binding when
 #: evaluating symbolic strides.  Any value much larger than a cache line works;
@@ -50,8 +50,9 @@ def access_stride(access: AffineAccess, iterator: str,
     if len(element_strides) != len(access.indices):
         return None
     movement = 0.0
-    for index, stride in zip(access.indices, element_strides):
-        movement += index.coefficient(iterator) * stride
+    for coefficient, stride in zip(access.columns.get(iterator, ()),
+                                   element_strides):
+        movement += coefficient * stride
     return movement
 
 
@@ -70,6 +71,63 @@ class StrideReport:
         return 0.0
 
 
+@dataclass(frozen=True)
+class BandStrides:
+    """What the stride cost of a nest reads of its statements: one walk,
+    whatever the loop order.  Only the level weights depend on the order, so
+    pricing many orders of one nest is one :func:`band_strides` and one
+    :meth:`cost` per order."""
+
+    #: Band iterator -> summed ``|stride|`` of all affine accesses.
+    per_iterator: Mapping[str, float]
+    #: Charge for the accesses whose stride is unknown.
+    penalty: float
+    non_affine_accesses: int
+
+    def cost(self, order: Sequence[str]) -> float:
+        """``stride(loop)`` with the band in ``order`` (outermost first): the
+        innermost position gets weight 1, each level outward one decay."""
+        innermost = len(order) - 1
+        total = self.penalty
+        for position, iterator in enumerate(order):
+            total += (LEVEL_WEIGHT_DECAY ** (innermost - position)
+                      * self.per_iterator[iterator])
+        return total
+
+
+def band_strides(loop: Loop, arrays: Mapping[str, Array],
+                 parameters: Optional[Mapping[str, int]] = None) -> BandStrides:
+    """Sum the strides of every access of the nest per band iterator.
+
+    Loops below the perfectly nested band keep their position whatever the
+    band order; their strides are not charged.
+    """
+    parameters = dict(parameters or {})
+    per_iterator = {lp.iterator: 0.0 for lp in loop.perfectly_nested_band()}
+    element_strides: Dict[str, Tuple[int, ...]] = {}
+    non_affine = 0
+    penalty = 0.0
+    for _comp, _enclosing, accesses in loop_nest_accesses(loop):
+        for access in accesses:
+            if access.array not in arrays:
+                continue
+            strides = element_strides.get(access.array)
+            if strides is None:
+                strides = element_strides[access.array] = _array_strides(
+                    arrays[access.array], parameters)
+            if not access.affine:
+                non_affine += 1
+                # Unknown accesses are charged a large constant so that
+                # permutations cannot "hide" them.
+                penalty += max(strides) if strides else 1.0
+                continue
+            for iterator in per_iterator:
+                stride = access_stride(access, iterator, strides)
+                if stride is not None:
+                    per_iterator[iterator] += abs(stride)
+    return BandStrides(per_iterator, penalty, non_affine)
+
+
 def nest_stride_report(loop: Loop, arrays: Mapping[str, Array],
                        parameters: Optional[Mapping[str, int]] = None,
                        order: Optional[Sequence[str]] = None) -> StrideReport:
@@ -77,60 +135,18 @@ def nest_stride_report(loop: Loop, arrays: Mapping[str, Array],
 
     ``order`` lists the iterators of the nest's perfectly nested band from
     outermost to innermost; it defaults to the order in which they currently
-    appear.  Loops below the band keep their position; their strides are
-    charged at innermost weight.
+    appear.
     """
-    parameters = dict(parameters or {})
-    band = loop.perfectly_nested_band()
-    band_iterators = [lp.iterator for lp in band]
+    strides = band_strides(loop, arrays, parameters)
+    band_iterators = list(strides.per_iterator)
     if order is None:
         order = band_iterators
     if sorted(order) != sorted(band_iterators):
         raise ValueError(f"order {list(order)} does not match band {band_iterators}")
-
-    # Weight per iterator: innermost position gets weight 1.
-    weights: Dict[str, float] = {}
-    for position, iterator in enumerate(reversed(list(order))):
-        weights[iterator] = LEVEL_WEIGHT_DECAY ** position
-
-    per_level: Dict[str, float] = {iterator: 0.0 for iterator in order}
-    non_affine = 0
-    penalty = 0.0
-
-    def handle_computation(comp: Computation, enclosing: List[str]) -> None:
-        nonlocal non_affine, penalty
-        for affine_access in computation_accesses(comp, enclosing):
-            if affine_access.array not in arrays:
-                continue
-            element_strides = _array_strides(arrays[affine_access.array], parameters)
-            if not affine_access.affine:
-                non_affine += 1
-                # Unknown accesses are charged a large constant so that
-                # permutations cannot "hide" them.
-                penalty += max(element_strides) if element_strides else 1.0
-                continue
-            for iterator in order:
-                stride = access_stride(affine_access, iterator, element_strides)
-                if stride is None:
-                    continue
-                per_level[iterator] += abs(stride)
-
-    def recurse(node, enclosing: List[str]) -> None:
-        if isinstance(node, Loop):
-            inner = enclosing + [node.iterator]
-            for child in node.body:
-                recurse(child, inner)
-        elif isinstance(node, Computation):
-            handle_computation(node, enclosing)
-
-    recurse(loop, [])
-
-    total = penalty
-    for iterator in order:
-        total += weights.get(iterator, 1.0) * per_level[iterator]
-    return StrideReport(total=total,
-                        per_level=tuple((it, per_level[it]) for it in order),
-                        non_affine_accesses=non_affine)
+    return StrideReport(
+        total=strides.cost(order),
+        per_level=tuple((it, strides.per_iterator[it]) for it in order),
+        non_affine_accesses=strides.non_affine_accesses)
 
 
 def nest_stride_cost(loop: Loop, arrays: Mapping[str, Array],
@@ -175,9 +191,8 @@ def out_of_order_count(loop: Loop, arrays: Mapping[str, Array],
         # The iterator with the largest coefficient dominates the subscript.
         return max(names, key=lambda name: abs(index.coefficient(name)))
 
-    def handle(comp: Computation, enclosing: List[str]) -> None:
-        nonlocal violations
-        for affine_access in computation_accesses(comp, enclosing):
+    for _comp, _enclosing, accesses in loop_nest_accesses(loop):
+        for affine_access in accesses:
             if not affine_access.affine:
                 violations += 1
                 continue
@@ -188,14 +203,4 @@ def out_of_order_count(loop: Loop, arrays: Mapping[str, Array],
                 # be deeper (larger position) in the loop order.
                 if position[outer_dim] > position[inner_dim]:
                     violations += 1
-
-    def recurse(node, enclosing: List[str]) -> None:
-        if isinstance(node, Loop):
-            inner = enclosing + [node.iterator]
-            for child in node.body:
-                recurse(child, inner)
-        elif isinstance(node, Computation):
-            handle(node, enclosing)
-
-    recurse(loop, [])
     return violations

@@ -17,6 +17,7 @@ a loop nest replaced by an optimized library routine after idiom detection
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -53,14 +54,15 @@ def _invalidate(node) -> None:
             object.__delattr__(node, "_frag")
         except AttributeError:
             return
-        node = getattr(node, "_parent", None)
+        parent = getattr(node, "_parent", None)
+        node = parent() if parent is not None else None
 
 
-def _adopt(owner, child) -> None:
+def _adopt(owner_ref, child) -> None:
     # Frozen nodes are structurally shared between views and never mutate,
     # so they neither need nor can have a single parent pointer.
     if isinstance(child, Node) and not getattr(child, "_frozen", False):
-        object.__setattr__(child, "_parent", owner)
+        object.__setattr__(child, "_parent", owner_ref)
 
 
 class _Body(list):
@@ -78,17 +80,20 @@ class _Body(list):
 
     def __init__(self, owner, items=()):
         super().__init__(items)
-        self._owner = owner
+        # Back-pointers (body -> owner, child -> parent) are weak: a tree
+        # holds no reference cycle, so dropping its root frees it at once
+        # instead of leaving it to the cycle collector.
+        self._owner = weakref.ref(owner)
         for child in self:
-            _adopt(owner, child)
+            _adopt(self._owner, child)
 
     def _mutated(self, new_children=()) -> None:
-        owner = self._owner
+        owner = self._owner()
         if getattr(owner, "_frozen", False):
             raise FrozenNodeError(
                 f"cannot mutate the body of frozen node {owner!r}")
         for child in new_children:
-            _adopt(owner, child)
+            _adopt(self._owner, child)
         _invalidate(owner)
 
     def __setitem__(self, index, value):
@@ -139,25 +144,45 @@ class _Body(list):
         super().reverse()
 
 
-@dataclass(frozen=True)
+#: Fresh nodes are initialised past the mutation seam (a node under
+#: construction has no memo, no parent and no frozen flag to honour), and the
+#: memo slots of frozen dataclasses are filled through it.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True)
 class ArrayAccess:
-    """A single array access: container name plus symbolic index expressions."""
+    """A single array access: container name plus symbolic index expressions.
+
+    An access is immutable, so what analyses derive from it is kept on it, in
+    the two slots below (unset until first asked; equality, hashing and
+    ``repr`` never read them), and is shared by every copy of the statement
+    that holds it.
+    """
 
     array: str
     indices: Tuple[Expr, ...] = ()
+    _symbols: frozenset = field(init=False, repr=False, compare=False)
+    #: ``(iterators used, is_write, affine decomposition)`` entries; filled
+    #: by :func:`repro.analysis.affine.decompose_access`.
+    _decomposed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(as_expr(i) for i in self.indices))
+        _set(self, "indices", tuple(as_expr(i) for i in self.indices))
 
     @property
     def rank(self) -> int:
         return len(self.indices)
 
     def free_symbols(self) -> frozenset:
-        out = frozenset()
-        for index in self.indices:
-            out |= index.free_symbols()
-        return out
+        try:
+            return self._symbols
+        except AttributeError:
+            out = frozenset()
+            for index in self.indices:
+                out |= index.free_symbols()
+            _set(self, "_symbols", out)
+            return out
 
     def substitute(self, mapping) -> "ArrayAccess":
         return ArrayAccess(self.array, tuple(i.substitute(mapping) for i in self.indices))
@@ -176,6 +201,26 @@ def access(array: str, *indices: ExprLike) -> ArrayAccess:
     return ArrayAccess(array, tuple(indices))
 
 
+def read_accesses(expr: Expr) -> Tuple[ArrayAccess, ...]:
+    """All array reads appearing in ``expr``, in order.  Memoized on the
+    expression asked about (a statement's value), not on its parts."""
+    try:
+        return expr._reads
+    except AttributeError:
+        pass
+    found: List[ArrayAccess] = []
+
+    def visit(part: Expr) -> None:
+        if isinstance(part, Read):
+            found.append(ArrayAccess(part.array, part.indices))
+        for child in part.children():
+            visit(child)
+
+    visit(expr)
+    expr._reads = reads = tuple(found)
+    return reads
+
+
 class Node:
     """Base class of loop-tree nodes.
 
@@ -187,7 +232,7 @@ class Node:
     between program views; :meth:`copy` always returns unfrozen nodes.
     """
 
-    __slots__ = ("node_id", "_frag", "_parent", "_frozen")
+    __slots__ = ("node_id", "_frag", "_parent", "_frozen", "__weakref__")
 
     def __setattr__(self, name, value):
         if name[0] == "_":
@@ -245,10 +290,11 @@ class Computation(Node):
     __slots__ = ("name", "target", "value")
 
     def __init__(self, target: ArrayAccess, value: ExprLike, name: Optional[str] = None):
-        self.node_id = _next_id()
-        self.name = name or f"S{self.node_id}"
-        self.target = target
-        self.value = as_expr(value)
+        node_id = _next_id()
+        _set(self, "node_id", node_id)
+        _set(self, "name", name or f"S{node_id}")
+        _set(self, "target", target)
+        _set(self, "value", as_expr(value))
 
     def copy(self) -> "Computation":
         return Computation(self.target, self.value, name=self.name)
@@ -261,16 +307,7 @@ class Computation(Node):
 
     def reads(self) -> List[ArrayAccess]:
         """All array reads appearing in the right-hand side, in order."""
-        found: List[ArrayAccess] = []
-
-        def visit(expr: Expr) -> None:
-            if isinstance(expr, Read):
-                found.append(ArrayAccess(expr.array, expr.indices))
-            for child in expr.children():
-                visit(child)
-
-        visit(self.value)
-        return found
+        return list(read_accesses(self.value))
 
     def writes(self) -> List[ArrayAccess]:
         """The single write of this computation, as a one-element list."""
@@ -288,7 +325,7 @@ class Computation(Node):
     def is_reduction(self) -> bool:
         """True if the target element is also read (e.g. ``C[i,j] += ...``)."""
         return any(acc.array == self.target.array and acc.indices == self.target.indices
-                   for acc in self.reads())
+                   for acc in read_accesses(self.value))
 
     def free_symbols(self) -> frozenset:
         out = self.target.free_symbols()
@@ -319,22 +356,25 @@ class Loop(Node):
                  step: ExprLike = 1, body: Optional[Sequence[Node]] = None,
                  parallel: bool = False, vectorized: bool = False,
                  unroll: int = 1, tile_of: Optional[str] = None):
-        self.node_id = _next_id()
-        self.iterator = iterator
-        self.start = as_expr(start)
-        self.end = as_expr(end)
-        self.step = as_expr(step)
-        self.body: List[Node] = list(body or [])
-        self.parallel = parallel
-        self.vectorized = vectorized
-        self.unroll = unroll
-        self.tile_of = tile_of
+        _set(self, "node_id", _next_id())
+        _set(self, "iterator", iterator)
+        _set(self, "start", as_expr(start))
+        _set(self, "end", as_expr(end))
+        _set(self, "step", as_expr(step))
+        _set(self, "body", _Body(self, body or ()))
+        _set(self, "parallel", parallel)
+        _set(self, "vectorized", vectorized)
+        _set(self, "unroll", unroll)
+        _set(self, "tile_of", tile_of)
 
-    def copy(self) -> "Loop":
-        return Loop(self.iterator, self.start, self.end, self.step,
-                    body=[child.copy() for child in self.body],
+    def with_body(self, body: Sequence[Node]) -> "Loop":
+        """A fresh loop with this loop's header and annotations over ``body``."""
+        return Loop(self.iterator, self.start, self.end, self.step, body=body,
                     parallel=self.parallel, vectorized=self.vectorized,
                     unroll=self.unroll, tile_of=self.tile_of)
+
+    def copy(self) -> "Loop":
+        return self.with_body([child.copy() for child in self.body])
 
     def iter_computations(self) -> Iterator[Computation]:
         for child in self.body:
@@ -432,12 +472,12 @@ class LibraryCall(Node):
 
     def __init__(self, routine: str, outputs: Sequence[str], inputs: Sequence[str],
                  flop_expr: ExprLike = 0, metadata: Optional[Dict[str, object]] = None):
-        self.node_id = _next_id()
-        self.routine = routine
-        self.outputs = tuple(outputs)
-        self.inputs = tuple(inputs)
-        self.flop_expr = as_expr(flop_expr)
-        self.metadata = dict(metadata or {})
+        _set(self, "node_id", _next_id())
+        _set(self, "routine", routine)
+        _set(self, "outputs", tuple(outputs))
+        _set(self, "inputs", tuple(inputs))
+        _set(self, "flop_expr", as_expr(flop_expr))
+        _set(self, "metadata", dict(metadata or {}))
 
     def copy(self) -> "LibraryCall":
         return LibraryCall(self.routine, self.outputs, self.inputs,

@@ -26,7 +26,8 @@ compare by identity.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 ExprLike = Union["Expr", int, float, str]
@@ -48,10 +49,12 @@ def _as_expr(value: ExprLike) -> "Expr":
 class Expr:
     """Base class of all symbolic expressions."""
 
-    # ``_hash`` memoizes the structural hash; ``_frag`` memoizes the
-    # canonical JSON fragment (written by ``repro.ir.canonical``).  Both are
-    # safe to cache forever because expressions are immutable.
-    __slots__ = ("_hash", "_frag")
+    # Memos, safe to keep forever because expressions are immutable:
+    # ``_hash`` the structural hash, ``_frag`` the canonical JSON fragment
+    # (written by ``repro.ir.canonical``), ``_affine`` the affine form,
+    # ``_reads`` the array reads in order (``repro.ir.nodes``), ``_flops``
+    # the operation count (``repro.perf.model``).
+    __slots__ = ("_hash", "_frag", "_affine", "_reads", "_flops")
 
     # -- construction helpers -------------------------------------------------
 
@@ -114,24 +117,23 @@ class Expr:
     def is_constant(self) -> bool:
         return isinstance(self, Const)
 
-    def as_affine(self, symbols: Optional[Iterable[str]] = None
-                  ) -> Optional[Tuple[Dict[str, Number], Number]]:
+    def as_affine(self) -> Optional[Tuple[Mapping[str, Number], Number]]:
         """Decompose into an affine form ``sum(coeff_s * s) + const``.
 
         Returns ``None`` if the expression is not affine in its free symbols.
-        If ``symbols`` is given, symbols outside that set are still allowed as
-        long as they appear linearly (they are reported like any other symbol).
+        The form is memoized, so the coefficients are a read-only mapping.
         """
         try:
+            return self._affine
+        except AttributeError:
+            pass
+        try:
             coeffs, const = _affine_decompose(self)
+            form = (MappingProxyType(coeffs), const)
         except _NotAffine:
-            return None
-        if symbols is not None:
-            allowed = set(symbols)
-            # Symbols outside ``allowed`` are treated as symbolic parameters;
-            # they are still part of the affine form.
-            del allowed
-        return coeffs, const
+            form = None
+        self._affine = form
+        return form
 
     # -- protocol --------------------------------------------------------------
 

@@ -109,18 +109,7 @@ def fission_loop(loop: Loop,
 
     new_loops: List[Loop] = []
     for group in groups:
-        body = [loop.body[index] for index in group]
-        new_loops.append(Loop(
-            iterator=loop.iterator,
-            start=loop.start,
-            end=loop.end,
-            step=loop.step,
-            body=body,
-            parallel=loop.parallel,
-            vectorized=loop.vectorized,
-            unroll=loop.unroll,
-            tile_of=loop.tile_of,
-        ))
+        new_loops.append(loop.with_body([loop.body[index] for index in group]))
     return new_loops, True
 
 

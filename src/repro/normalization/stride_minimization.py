@@ -14,9 +14,8 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.arrays import Array
 from ..ir.nodes import Loop, Node, Program
-from ..analysis.dependence import (band_bounds_respect_order,
-                                   legal_permutations, permutation_is_legal)
-from ..analysis.strides import nest_stride_cost
+from ..analysis.dependence import legal_permutations, permutation_is_legal
+from ..analysis.strides import BandStrides, band_strides, nest_stride_cost
 
 if TYPE_CHECKING:  # deferred to avoid a cycle with repro.passes.library
     from ..passes.analysis import AnalysisManager
@@ -37,16 +36,6 @@ class StrideMinimizationReport:
     total_cost_after: float = 0.0
 
 
-def _band_bounds_legal(band: Sequence[Loop], order: Sequence[str]) -> bool:
-    """Structural legality: a loop's bounds may only reference iterators that
-    are *outside* it after permutation (triangular domains constrain order).
-
-    Delegates to the canonical check in :mod:`repro.analysis.dependence`;
-    kept as a local name because it predates that helper.
-    """
-    return band_bounds_respect_order(band, order)
-
-
 def apply_permutation(nest: Loop, order: Sequence[str]) -> Loop:
     """Rebuild the nest's perfectly nested band in the given loop order.
 
@@ -64,18 +53,7 @@ def apply_permutation(nest: Loop, order: Sequence[str]) -> Loop:
     current_body: List[Node] = innermost_body
     rebuilt: Optional[Loop] = None
     for iterator in reversed(list(order)):
-        template = by_iterator[iterator]
-        rebuilt = Loop(
-            iterator=template.iterator,
-            start=template.start,
-            end=template.end,
-            step=template.step,
-            body=current_body,
-            parallel=template.parallel,
-            vectorized=template.vectorized,
-            unroll=template.unroll,
-            tile_of=template.tile_of,
-        )
+        rebuilt = by_iterator[iterator].with_body(current_body)
         current_body = [rebuilt]
     assert rebuilt is not None
     return rebuilt
@@ -86,16 +64,14 @@ def candidate_orders(nest: Loop) -> List[Tuple[str, ...]]:
     return legal_permutations(nest)
 
 
-def _grouped_sort_order(nest: Loop, arrays: Mapping[str, Array],
-                        parameters: Optional[Mapping[str, int]]) -> Tuple[str, ...]:
+def _grouped_sort_order(iterators: Sequence[str],
+                        strides: BandStrides) -> Tuple[str, ...]:
     """Approximate order for deep nests: sort iterators by the stride cost
     they would incur if placed innermost (smallest innermost)."""
-    band = nest.perfectly_nested_band()
-    iterators = [loop.iterator for loop in band]
 
     def innermost_cost(iterator: str) -> float:
         order = [it for it in iterators if it != iterator] + [iterator]
-        return nest_stride_cost(nest, arrays, parameters, order)
+        return strides.cost(order)
 
     ranked = sorted(iterators, key=innermost_cost, reverse=True)
     return tuple(ranked)
@@ -108,20 +84,22 @@ def find_minimal_permutation(nest: Loop, arrays: Mapping[str, Array],
 
     Returns ``(order, cost, evaluated)`` where ``evaluated`` is the number of
     permutations whose cost was computed.  The current order is always a
-    candidate, so the result never increases the cost.
+    candidate, so the result never increases the cost.  The statements are
+    walked once (:func:`~repro.analysis.strides.band_strides`); each order is
+    then priced as a weighted sum over that walk.
     """
     band = nest.perfectly_nested_band()
     iterators = tuple(loop.iterator for loop in band)
-    current_cost = nest_stride_cost(nest, arrays, parameters, iterators)
+    strides = band_strides(nest, arrays, parameters)
+    current_cost = strides.cost(iterators)
     if len(band) <= 1:
         return iterators, current_cost, 1
 
     if len(band) > EXHAUSTIVE_DEPTH_LIMIT:
-        candidate = _grouped_sort_order(nest, arrays, parameters)
+        candidate = _grouped_sort_order(iterators, strides)
         evaluated = len(band) + 1
-        if (_band_bounds_legal(band, candidate)
-                and permutation_is_legal(nest, candidate)):
-            cost = nest_stride_cost(nest, arrays, parameters, candidate)
+        if permutation_is_legal(nest, candidate):
+            cost = strides.cost(candidate)
             if cost < current_cost:
                 return candidate, cost, evaluated
         return iterators, current_cost, evaluated
@@ -130,7 +108,7 @@ def find_minimal_permutation(nest: Loop, arrays: Mapping[str, Array],
     best_cost = current_cost
     evaluated = 0
     for order in candidate_orders(nest):
-        cost = nest_stride_cost(nest, arrays, parameters, order)
+        cost = strides.cost(order)
         evaluated += 1
         if cost < best_cost - 1e-12:
             best_cost = cost

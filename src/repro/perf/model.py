@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from ..analysis.affine import computation_accesses, decompose_access
+from ..analysis.affine import computation_accesses
 from ..analysis.parallelism import analyze_loop_parallelism
+from ..analysis.strides import access_stride
 from ..ir.arrays import Array
-from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
+from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program, read_accesses
 from ..ir.symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod, Mul,
                           Read, Sym)
 from .machine import DEFAULT_MACHINE, MachineModel
@@ -51,22 +52,31 @@ REGISTER_BUDGET = 16
 
 
 def count_flops(expr: Expr) -> float:
-    """Number of arithmetic operations in an expression tree."""
+    """Number of arithmetic operations in an expression tree.  Memoized on
+    the expression asked about (a statement's value), not on its parts."""
+    try:
+        return expr._flops
+    except AttributeError:
+        flops = expr._flops = _count_flops(expr)
+        return flops
+
+
+def _count_flops(expr: Expr) -> float:
     if isinstance(expr, (Const, Sym)):
         return 0.0
     if isinstance(expr, Read):
-        return sum(count_flops(i) for i in expr.indices)
+        return sum(_count_flops(i) for i in expr.indices)
     if isinstance(expr, Add):
-        return (len(expr.terms) - 1) + sum(count_flops(t) for t in expr.terms)
+        return (len(expr.terms) - 1) + sum(_count_flops(t) for t in expr.terms)
     if isinstance(expr, Mul):
-        return (len(expr.factors) - 1) + sum(count_flops(f) for f in expr.factors)
+        return (len(expr.factors) - 1) + sum(_count_flops(f) for f in expr.factors)
     if isinstance(expr, (FloorDiv, Mod)):
-        return 1 + sum(count_flops(c) for c in expr.children())
+        return 1 + sum(_count_flops(c) for c in expr.children())
     if isinstance(expr, (Min, Max)):
-        return (len(expr.args) - 1) + sum(count_flops(a) for a in expr.args)
+        return (len(expr.args) - 1) + sum(_count_flops(a) for a in expr.args)
     if isinstance(expr, Call):
         return (INTRINSIC_FLOP_COST.get(expr.func, 4.0)
-                + sum(count_flops(a) for a in expr.args))
+                + sum(_count_flops(a) for a in expr.args))
     return 1.0
 
 
@@ -453,7 +463,7 @@ class _NestStatistics:
         operands = 0
         for child in loop.body:
             if isinstance(child, Computation):
-                operands += len(child.reads()) + 1
+                operands += len(read_accesses(child.value)) + 1
         self._pressure_cache[key] = float(operands)
         return float(operands)
 
@@ -532,14 +542,6 @@ class _NestStatistics:
         return {**{k: int(v) for k, v in self.parameters.items()
                    if isinstance(v, (int, float))}, **bindings}
 
-    def _access_stride(self, access, iterator: str, strides: Sequence[int]) -> Optional[float]:
-        if not access.affine or len(strides) != len(access.indices):
-            return None
-        movement = 0.0
-        for idx, stride in zip(access.indices, strides):
-            movement += idx.coefficient(iterator) * stride
-        return movement
-
     def _access_terms(self, access, iterators: Sequence[str],
                       trips: Sequence[float], strides: Sequence[int],
                       elem: float, line: float
@@ -551,7 +553,7 @@ class _NestStatistics:
         for level, iterator in enumerate(iterators):
             if affine and not access.uses_iterator(iterator):
                 continue
-            stride = self._access_stride(access, iterator, strides)
+            stride = access_stride(access, iterator, strides)
             stride_bytes = (abs(stride) * elem if stride is not None and stride != 0
                             else line)
             terms.append((level, max(trips[level], 1.0), stride_bytes))

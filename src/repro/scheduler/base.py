@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..ir.nodes import Loop, Program
+from ..analysis.affine import nest_statements
+from ..ir.nodes import Loop, Node, Program
 from ..passes.analysis import AnalysisManager
 from ..passes.base import PassContext
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
@@ -183,11 +184,13 @@ class NestPricer:
     top-level nests — how every search prices a candidate.
 
     Built once per search.  A recipe whose transformations all address
-    ``nest_index`` is applied to a private copy of that nest, on a trial
-    program that shares every other node with ``program`` (which is never
-    mutated or frozen), and only the changed nest is re-priced
-    (:class:`~repro.perf.model.IncrementalEstimate`).  A recipe that names
-    another nest (``Fuse``) is applied to a full copy and priced whole.
+    ``nest_index`` is applied to a private copy of that nest's loops, on a
+    trial program that shares every other node with ``program`` (which is
+    never mutated or frozen), and only the changed nest is re-priced
+    (:class:`~repro.perf.model.IncrementalEstimate`).  Schedules reorder and
+    annotate loops and leave statements alone, so the candidates share one
+    frozen copy of the nest's statements.  A recipe that names another nest
+    (``Fuse``) is applied to a full copy and priced whole.
     Either way the price equals ``CostModel.estimate_seconds`` of a copy of
     the program with the recipe applied, bit for bit.  Legality questions go
     through ``analysis`` (the caller's manager, or one private to this
@@ -207,6 +210,10 @@ class NestPricer:
         self._estimate = IncrementalEstimate(cost_model, program, parameters,
                                              nest_index, self.analysis)
         self._prices: Dict[Tuple, float] = {}
+        #: The searched nest over frozen statements (see :func:`_copy_loops`).
+        self._nest = program.body[nest_index].copy()
+        for statement, _enclosing in nest_statements(self._nest):
+            statement.freeze()
 
     def price(self, recipe: Recipe) -> float:
         key = recipe.key()
@@ -221,7 +228,7 @@ class NestPricer:
                     for transformation in recipe)
         if local:
             body = list(program.body)
-            body[index] = body[index].copy()
+            body[index] = _copy_loops(self._nest)
             trial = Program(program.name, list(program.arrays.values()), body,
                             program.parameters)
         else:
@@ -230,6 +237,15 @@ class NestPricer:
         if local:
             return self._estimate.seconds(trial)
         return self.cost_model.estimate_seconds(trial, self.parameters)
+
+
+def _copy_loops(node: Node) -> Node:
+    """A copy of the loops of a subtree over its frozen statements, which the
+    copy shares (a transformation that did rewrite one would raise
+    :class:`~repro.ir.nodes.FrozenNodeError`)."""
+    if not isinstance(node, Loop):
+        return node
+    return node.with_body([_copy_loops(child) for child in node.body])
 
 
 def retarget_recipe(recipe: Recipe, nest_index: int, name: str = "") -> Recipe:

@@ -16,11 +16,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.affine import computation_accesses
+from ..analysis.affine import computation_accesses, nest_statements
 from ..analysis.parallelism import analyze_loop_parallelism
 from ..analysis.strides import DEFAULT_PARAMETER_VALUE, _array_strides, access_stride
 from ..ir.arrays import Array
-from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
+from ..ir.nodes import Computation, LibraryCall, Loop, Program
 from ..perf.model import count_flops
 
 #: Names of the embedding dimensions, in order.
@@ -85,20 +85,15 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
     trips = _loop_trips(nest, parameters)
 
     total_iterations = 1.0
-    computations: List[Tuple[Computation, List[str]]] = []
+    num_computations = 0
     zero = unit = strided = non_affine = 0
     flops = 0.0
     footprint = 0.0
     has_reduction = 0.0
 
-    def recurse(node: Node, enclosing: List[str]) -> None:
-        nonlocal zero, unit, strided, non_affine, flops, footprint, has_reduction
-        if isinstance(node, Loop):
-            inner = enclosing + [node.iterator]
-            for child in node.body:
-                recurse(child, inner)
-        elif isinstance(node, Computation):
-            computations.append((node, list(enclosing)))
+    for node, enclosing in nest_statements(nest):
+        if isinstance(node, Computation):
+            num_computations += 1
             iterations = 1.0
             for iterator in enclosing:
                 iterations *= max(trips.get(iterator, 1.0), 1.0)
@@ -134,8 +129,6 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
                 {**{s: DEFAULT_PARAMETER_VALUE for s in node.flop_expr.free_symbols()},
                  **parameters}))
 
-    recurse(nest, [])
-
     for loop in nest.perfectly_nested_band():
         total_iterations *= max(trips.get(loop.iterator, 1.0), 1.0)
 
@@ -143,7 +136,6 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
     denominator = max(num_accesses, 1)
     num_parallel = sum(1 for loop in nest.iter_loops()
                        if analyze_loop_parallelism(loop).is_parallel)
-    num_computations = len(computations)
     flops_per_iter = flops / max(total_iterations, 1.0)
 
     vector = (

@@ -20,11 +20,11 @@ This baseline reproduces that behavior on our IR:
 
 from __future__ import annotations
 
-from typing import List, Mapping
+from typing import Mapping
 
-from ..analysis.affine import computation_accesses
+from ..analysis.affine import computation_accesses, nest_statements
 from ..analysis.parallelism import analyze_loop_parallelism
-from ..ir.nodes import Computation, Loop, Node, Program
+from ..ir.nodes import Computation, Loop, Program
 from ..transforms.parallelize import Parallelize, Vectorize
 from ..transforms.recipe import Recipe
 from ..transforms.tiling import Tile
@@ -35,24 +35,14 @@ POLLY_TILE_SIZE = 32
 
 
 def nest_is_scop(nest: Loop) -> bool:
-    """True when every access and every loop bound in the nest is affine."""
-    def recurse(node: Node, enclosing: List[str]) -> bool:
-        if isinstance(node, Loop):
-            symbols = (node.start.free_symbols() | node.end.free_symbols()
-                       | node.step.free_symbols())
-            # Bounds may reference parameters and outer iterators only; any
-            # Read/Call inside bounds would have produced non-affine symbols
-            # at construction time, so checking affinity of accesses suffices.
-            inner = enclosing + [node.iterator]
-            return all(recurse(child, inner) for child in node.body)
-        if isinstance(node, Computation):
-            for access in computation_accesses(node, enclosing):
-                if not access.affine:
-                    return False
-            return True
-        return False
-
-    return recurse(nest, [])
+    """True when every statement of the nest is a computation whose accesses
+    are all affine.  (Bounds may reference parameters and outer iterators
+    only; any Read/Call inside bounds would have produced non-affine symbols
+    at construction time, so checking affinity of accesses suffices.)"""
+    return all(isinstance(node, Computation)
+               and all(access.affine
+                       for access in computation_accesses(node, enclosing))
+               for node, enclosing in nest_statements(nest))
 
 
 class PollyScheduler(Scheduler):

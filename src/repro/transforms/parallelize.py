@@ -6,8 +6,8 @@ from typing import Any, Dict, Optional
 
 from ..analysis.parallelism import analyze_loop_parallelism
 from ..analysis.strides import access_stride, _array_strides
-from ..analysis.affine import computation_accesses
-from ..ir.nodes import Computation, Loop, Program
+from ..analysis.affine import loop_nest_accesses
+from ..ir.nodes import Loop, Program
 from ..passes.base import PassContext
 from .base import (Transformation, TransformationError, get_nest,
                    shared_analysis)
@@ -108,23 +108,15 @@ def _mostly_unit_stride(program: Program, loop: Loop) -> bool:
     unit-stride or invariant with respect to the loop iterator."""
     good = 0
     total = 0
-
-    def recurse(node, enclosing):
-        nonlocal good, total
-        if isinstance(node, Loop):
-            for child in node.body:
-                recurse(child, enclosing + [node.iterator])
-        elif isinstance(node, Computation):
-            for acc in computation_accesses(node, enclosing):
-                if acc.array not in program.arrays:
-                    continue
-                total += 1
-                strides = _array_strides(program.arrays[acc.array], {})
-                stride = access_stride(acc, loop.iterator, strides)
-                if stride is not None and abs(stride) <= 1:
-                    good += 1
-
-    recurse(loop, [])
+    for _comp, _enclosing, accesses in loop_nest_accesses(loop):
+        for acc in accesses:
+            if acc.array not in program.arrays:
+                continue
+            total += 1
+            strides = _array_strides(program.arrays[acc.array], {})
+            stride = access_stride(acc, loop.iterator, strides)
+            if stride is not None and abs(stride) <= 1:
+                good += 1
     if total == 0:
         return True
     return good * 2 >= total
