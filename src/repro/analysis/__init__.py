@@ -4,6 +4,9 @@
 * :mod:`repro.analysis.dependence` — dependence testing and direction vectors.
 * :mod:`repro.analysis.dataflow` — producer/consumer graphs across loop nests.
 * :mod:`repro.analysis.parallelism` — DOALL and reduction-loop detection.
+* :mod:`repro.analysis.band` — a nest's schedule as data: the view the
+  schedule transformations edit, legality is asked of and the cost model
+  walks.
 * :mod:`repro.analysis.strides` — the ``stride(loop)`` normalization criterion.
 * :mod:`repro.analysis.reuse` — static reuse-distance and working-set estimates.
 * :mod:`repro.analysis.flops` — flop counting and invariance facts for the
@@ -13,6 +16,7 @@
 from .affine import (AffineAccess, AffineIndex, access_is_contiguous,
                      computation_accesses, decompose_access, decompose_index,
                      loop_nest_accesses, nest_statements)
+from .band import BandView, Frame
 from .dataflow import (DataflowEdge, build_dataflow_graph, has_cycle,
                        node_reads_writes, producer_consumer_pairs,
                        program_dataflow, topological_order)
@@ -34,6 +38,7 @@ __all__ = [
     "AffineAccess", "AffineIndex", "access_is_contiguous", "computation_accesses",
     "decompose_access", "decompose_index", "loop_nest_accesses",
     "nest_statements",
+    "BandView", "Frame",
     "DataflowEdge", "build_dataflow_graph", "has_cycle", "node_reads_writes",
     "producer_consumer_pairs", "program_dataflow", "topological_order",
     "ANY", "EQ", "GT", "LT", "Dependence", "body_dependence_pairs",

@@ -1,0 +1,435 @@
+"""The band view: one loop nest's schedule as data.
+
+A schedule transforms the iteration space and leaves the access functions
+alone: interchange, tiling, parallelization, vectorization and unrolling
+reorder, split and annotate the loops of a nest's perfectly nested band and
+never touch a statement.  A :class:`BandView` is that band as a list of
+:class:`Frame` values over the subtree below it, which it shares and never
+rewrites.  The schedule transformations edit the frames, legality is
+answered from the statements and the frame order, the cost model walks the
+frames — and a ``Loop`` is built only by :meth:`BandView.materialise`, for
+the schedule that is kept.
+
+What a view derives is a fact about the statements, the containers or an
+order of iterators, never about one candidate, so it is kept for the view's
+lifetime and shared by its :meth:`forks <BandView.fork>`:
+
+===============================  =========================================
+fact                             keyed by
+===============================  =========================================
+direction vectors                the band's ``(iterator, tile_of)`` order
+legality of a reordering         the band's order + the target order
+parallelism of a band loop       its iterator + the iterators inside it
+unit-stride share of a band loop its iterator
+layout of a container            its name
+accesses of a statement          the statement
+register pressure of a body      the body
+===============================  =========================================
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
+
+from ..ir.arrays import Array
+from ..ir.nodes import Computation, Loop, Node, read_accesses
+from ..ir.symbols import Const, Expr, Min, Sym
+from .affine import (AffineAccess, computation_accesses, loop_nest_accesses,
+                     nest_statements)
+from .dependence import (Statements, band_order_is_legal, chain_skeleton,
+                         direction_vectors, skeleton_text)
+from .parallelism import (ParallelismInfo, analyze_loop_parallelism,
+                          classify_iterations)
+from .strides import DEFAULT_PARAMETER_VALUE, _array_strides, access_stride
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
+    from ..passes.analysis import AnalysisManager
+
+
+class Frame(NamedTuple):
+    """One loop of a band: its header and schedule annotations.
+
+    With ``tile == 0`` the loop runs ``start <= iterator < end`` by ``step``
+    as written.  ``tile > 0`` marks the point loop of a tiling made on the
+    view: it runs from the origin its tile loop ``{iterator}_t`` binds to
+    ``min(origin + tile, end)``, which :meth:`bounds` computes numerically
+    and only :meth:`realised` spells out as expressions.
+    """
+
+    iterator: str
+    start: Expr
+    end: Expr
+    step: Expr
+    tile_of: Optional[str] = None
+    tile: int = 0
+    parallel: bool = False
+    vectorized: bool = False
+    unroll: int = 1
+
+    @staticmethod
+    def of(loop: Loop) -> "Frame":
+        return Frame(loop.iterator, loop.start, loop.end, loop.step,
+                     loop.tile_of, 0, loop.parallel, loop.vectorized,
+                     loop.unroll)
+
+    @property
+    def origin(self) -> str:
+        """The iterator of the tile loop a point loop starts from."""
+        return f"{self.iterator}_t"
+
+    def bound_symbols(self) -> frozenset:
+        """Symbols the loop header references (as ``Loop.bound_symbols``)."""
+        symbols = self.end.free_symbols() | self.step.free_symbols()
+        if self.tile:
+            return symbols | {self.origin}
+        return symbols | self.start.free_symbols()
+
+    def bounds(self, bindings: Mapping[str, float]) -> Tuple[float, float, float]:
+        """``(start, end, step)`` under ``bindings``: the values evaluating
+        the header expressions gives, and the same ``KeyError`` when a
+        symbol (or the tile origin) is unbound."""
+        if self.tile:
+            start = bindings[self.origin]
+            end = min(start + self.tile, self.end.evaluate(bindings))
+        else:
+            start = self.start.evaluate(bindings)
+            end = self.end.evaluate(bindings)
+        return start, end, self.step.evaluate(bindings)
+
+    def realised(self) -> "Frame":
+        """This frame with its bounds as expressions (``tile == 0``)."""
+        if not self.tile:
+            return self
+        origin = Sym(self.origin)
+        return self._replace(start=origin, tile=0,
+                             end=Min.make([origin + self.tile, self.end]))
+
+    def loop(self, body: Sequence[Node]) -> Loop:
+        frame = self.realised()
+        return Loop(frame.iterator, frame.start, frame.end, frame.step,
+                    body=body, parallel=frame.parallel,
+                    vectorized=frame.vectorized, unroll=frame.unroll,
+                    tile_of=frame.tile_of)
+
+
+#: What a schedule annotation aims at: a band position, or a loop below the
+#: band (a node of the shared subtree).
+Target = Union[int, Loop]
+
+#: ``(container, element size, moves)`` of one access: ``moves`` maps every
+#: enclosing iterator the access varies in to the bytes between consecutive
+#: elements (0.0 when unknown); ``None`` for a non-affine access, which may
+#: vary in every loop.
+AccessMoves = Tuple[str, float, Optional[Dict[str, float]]]
+
+
+class BandView:
+    """The perfectly nested band of ``nest`` as frames over its inner body.
+
+    ``arrays`` and ``parameters`` bind the layout facts (a view made only to
+    reorder or tile needs neither); legality answers are shared through
+    ``analysis`` under the keys the tree-based entry points use.  The view
+    assumes the subtree below the band does not change while it lives.
+    """
+
+    def __init__(self, nest: Loop, arrays: Optional[Mapping[str, Array]] = None,
+                 parameters: Optional[Mapping[str, float]] = None,
+                 analysis: "Optional[AnalysisManager]" = None,
+                 program_name: str = ""):
+        band = nest.perfectly_nested_band()
+        #: The nest the view was made of (its loops own ``inner``: a frozen
+        #: nest guards the body only while they live).
+        self.nest = nest
+        self.frames: List[Frame] = [Frame.of(loop) for loop in band]
+        #: The children of the innermost band loop, shared with ``nest``.
+        self.inner: Sequence[Node] = band[-1].body
+        self.arrays: Mapping[str, Array] = arrays if arrays is not None else {}
+        self.parameters: Dict[str, float] = dict(parameters or {})
+        self.analysis = analysis
+        self.program_name = program_name
+        self._base: Tuple[Frame, ...] = tuple(self.frames)
+        # The facts; forks share these dictionaries.
+        self._memo: Dict[Tuple, Any] = {}
+        self._layouts: Dict[str, Tuple[float, Tuple[int, ...]]] = {}
+        self._moves: Dict[int, List[AccessMoves]] = {}
+        self._pressure: Dict[int, float] = {}
+
+    def fork(self) -> "BandView":
+        """A view of the same nest whose frames are edited separately; the
+        facts stay shared."""
+        twin = BandView.__new__(BandView)
+        twin.__dict__.update(self.__dict__)
+        twin.frames = list(self.frames)
+        return twin
+
+    # -- the band ---------------------------------------------------------------------
+
+    def order(self) -> List[str]:
+        return [frame.iterator for frame in self.frames]
+
+    def state(self) -> Tuple[Frame, ...]:
+        """The schedule as a hashable value."""
+        return tuple(self.frames)
+
+    def changed(self) -> bool:
+        """Whether the schedule differs from the nest the view was made of."""
+        return self.state() != self._base
+
+    def find(self, iterator: str, below: int = 0) -> Optional[Target]:
+        """The first loop with ``iterator``, in pre-order, from band
+        position ``below`` inwards."""
+        for position in range(below, len(self.frames)):
+            if self.frames[position].iterator == iterator:
+                return position
+        for node in self.inner:
+            for loop in node.iter_loops():
+                if loop.iterator == iterator:
+                    return loop
+        return None
+
+    def header(self, target: Target) -> Frame:
+        return (self.frames[target] if isinstance(target, int)
+                else Frame.of(target))
+
+    def annotate(self, target: Target, **flags: Any) -> None:
+        """Set schedule annotations on a band frame — or, in place, on a
+        loop below the band."""
+        if isinstance(target, int):
+            self.frames[target] = self.frames[target]._replace(**flags)
+        else:
+            for name, value in flags.items():
+                setattr(target, name, value)
+
+    def reorder(self, order: Sequence[str]) -> None:
+        """Put the band in ``order``; the caller answers for legality."""
+        by_iterator = {frame.iterator: frame for frame in self.frames}
+        if sorted(order) != sorted(by_iterator):
+            raise ValueError(f"order {list(order)} does not match band "
+                             f"{self.order()}")
+        self.frames = [by_iterator[iterator] for iterator in order]
+
+    def tile(self, tile_sizes: Mapping[str, int]) -> None:
+        """Strip-mine every band loop with a size above 1 into a tile loop
+        (over tile origins, the size as step) and a point loop (within the
+        tile), all tile loops outside all point loops, both groups in band
+        order — rectangular tiling; the caller answers for legality."""
+        tiles: List[Frame] = []
+        points: List[Frame] = []
+        for frame in self.frames:
+            frame = frame.realised()
+            size = tile_sizes.get(frame.iterator)
+            if size is None or size <= 1:
+                points.append(frame._replace(tile_of=None))
+                continue
+            tiles.append(Frame(f"{frame.iterator}_t", frame.start, frame.end,
+                               Const(size), tile_of=frame.iterator,
+                               parallel=frame.parallel))
+            points.append(frame._replace(tile_of=frame.iterator, tile=size,
+                                         parallel=False))
+        self.frames = tiles + points
+
+    def materialise(self) -> Loop:
+        """The nest this view describes, built over the shared inner body."""
+        body: Sequence[Node] = self.inner
+        for frame in reversed(self.frames):
+            body = [frame.loop(body)]
+        return body[0]
+
+    # -- statements -------------------------------------------------------------------
+
+    def _children(self) -> List[Statements]:
+        """Per node of the inner body, its statements with the iterators
+        that enclose them below the band."""
+        children = self._memo.get(("children",))
+        if children is None:
+            children = self._memo[("children",)] = [
+                nest_statements(node) for node in self.inner]
+        return children
+
+    def _statements(self, outer: Sequence[str]) -> Statements:
+        """Every statement, enclosed by ``outer`` and then its loops below
+        the band."""
+        outer = tuple(outer)
+        return [(statement, outer + enclosing)
+                for child in self._children() for statement, enclosing in child]
+
+    def _skeleton(self, headers: Sequence[Tuple[str, Optional[str]]]) -> str:
+        """``dependence_skeleton`` of loops with ``headers`` nested over the
+        inner body, were they built."""
+        body_text = self._memo.get(("body-text",))
+        if body_text is None:
+            body_text = self._memo[("body-text",)] = "".join(
+                skeleton_text(node) for node in self.inner)
+        return chain_skeleton(headers, body_text)
+
+    def _shared(self, kind: str, headers: Sequence[Tuple[str, Optional[str]]],
+                compute) -> Any:
+        """``compute()``, or what the manager holds for the loop chain."""
+        if self.analysis is None:
+            return compute()
+        return self.analysis.get(kind, self._skeleton(headers), compute)
+
+    # -- legality ---------------------------------------------------------------------
+
+    def vectors(self) -> Tuple[Tuple[str, ...], ...]:
+        """Dependence direction vectors of the nest as scheduled
+        (``nest_direction_vectors`` of the materialised nest).
+
+        Subscripts are tested iterator by iterator, so reordering the band
+        permutes the band entries of every vector and changes nothing else:
+        only the order the view was made with — and one with loops the view
+        added — is analysed.
+        """
+        base = [frame.iterator for frame in self._base]
+        order = self.order()
+        if len(order) != len(base) or order == base:
+            return self._analysed_vectors(self.frames)
+        vectors = self._memo.get(("permuted", tuple(order)))
+        if vectors is None:
+            source = [base.index(iterator) for iterator in order]
+            vectors = self._memo[("permuted", tuple(order))] = tuple(
+                tuple(vector[index] for index in source) + vector[len(base):]
+                for vector in self._analysed_vectors(self._base))
+        return vectors
+
+    def _analysed_vectors(self, frames: Sequence[Frame]
+                          ) -> Tuple[Tuple[str, ...], ...]:
+        headers = tuple((frame.iterator, frame.tile_of) for frame in frames)
+        vectors = self._memo.get(("vectors", headers))
+        if vectors is None:
+            vectors = self._memo[("vectors", headers)] = self._shared(
+                "nest-directions", headers, lambda: direction_vectors(
+                    self._statements([iterator for iterator, _ in headers])))
+        return vectors
+
+    def order_is_legal(self, order: Sequence[str]) -> bool:
+        """Whether reordering the band to ``order`` is legal
+        (:func:`~repro.analysis.dependence.band_order_is_legal`)."""
+        key = ("legal", tuple(self.order()), tuple(order))
+        legal = self._memo.get(key)
+        if legal is None:
+            legal = self._memo[key] = band_order_is_legal(
+                self.frames, self.vectors(), order)
+        return legal
+
+    def parallelism(self, target: Target) -> ParallelismInfo:
+        """``analyze_loop_parallelism`` of the loop at ``target``."""
+        if not isinstance(target, int):
+            return analyze_loop_parallelism(target, analysis=self.analysis)
+        frame = self.frames[target]
+        inside = [inner.iterator for inner in self.frames[target + 1:]]
+        # A classification reads which loops are inside, not their order; a
+        # tile loop asks its point loop, which depends on where that is.
+        key = ("parallelism", frame.iterator,
+               frozenset(inside) if frame.tile_of in (None, frame.iterator)
+               else tuple(inside))
+        info = self._memo.get(key)
+        if info is None:
+            info = self._memo[key] = self._classify(target)
+        return info
+
+    def _classify(self, target: int) -> ParallelismInfo:
+        frame = self.frames[target]
+        if frame.tile_of is not None and frame.iterator != frame.tile_of:
+            # A tile loop partitions the iterations of its point loop, the
+            # first loop inside it that has the tiled iterator.
+            point = self.find(frame.tile_of, below=target + 1)
+            if point is not None:
+                return replace(self.parallelism(point), iterator=frame.iterator)
+        # Asked under one key whatever the order of the loops inside.
+        inside = sorted((f.iterator, f.tile_of)
+                        for f in self.frames[target + 1:])
+        return self._shared(
+            "loop-parallelism", [(frame.iterator, frame.tile_of)] + inside,
+            lambda: classify_iterations(
+                frame.iterator,
+                [self._statements([iterator for iterator, _ in inside])]
+                if inside else self._children()))
+
+    def mostly_unit_stride(self, target: Target) -> bool:
+        """True when at least half of the affine accesses under the loop at
+        ``target`` are unit-stride or invariant in its iterator, at the
+        containers' nominal extents."""
+        iterator = self.header(target).iterator
+        if not isinstance(target, int):
+            return self._unit_stride_share(
+                iterator, (accesses for _comp, _enclosing, accesses
+                           in loop_nest_accesses(target)))
+        answer = self._memo.get(("unit-stride", iterator))
+        if answer is None:
+            answer = self._memo[("unit-stride", iterator)] = \
+                self._unit_stride_share(iterator, (
+                    computation_accesses(statement, enclosing)
+                    for statement, enclosing in self._statements(self.order())
+                    if isinstance(statement, Computation)))
+        return answer
+
+    def _unit_stride_share(self, iterator: str,
+                           statements: Iterable[List[AffineAccess]]) -> bool:
+        good = total = 0
+        for accesses in statements:
+            for access in accesses:
+                if access.array not in self.arrays:
+                    continue
+                total += 1
+                strides = self._memo.get(("nominal", access.array))
+                if strides is None:
+                    strides = self._memo[("nominal", access.array)] = \
+                        _array_strides(self.arrays[access.array], {})
+                stride = access_stride(access, iterator, strides)
+                if stride is not None and abs(stride) <= 1:
+                    good += 1
+        return total == 0 or good * 2 >= total
+
+    # -- what the cost model reads ------------------------------------------------------
+
+    def layout(self, name: str) -> Tuple[float, Tuple[int, ...]]:
+        """Element size and row-major strides of a container at the view's
+        parameters (extents they leave unbound take the nominal value)."""
+        layout = self._layouts.get(name)
+        if layout is None:
+            array = self.arrays[name]
+            bindings = {key: int(value)
+                        for key, value in self.parameters.items()
+                        if isinstance(value, (int, float))}
+            for dim in array.shape:
+                for symbol in dim.free_symbols():
+                    bindings[symbol] = int(self.parameters.get(
+                        symbol, DEFAULT_PARAMETER_VALUE))
+            layout = self._layouts[name] = (float(array.element_size),
+                                            array.row_major_strides(bindings))
+        return layout
+
+    def access_moves(self, comp: Computation,
+                     iterators: Sequence[str]) -> List[AccessMoves]:
+        """:data:`AccessMoves` of every access of ``comp``, enclosed by
+        ``iterators``, to a declared container, reads first.  Asked once per
+        statement: the loops a view adds (tile loops) bring iterators no
+        subscript mentions."""
+        moves = self._moves.get(id(comp))
+        if moves is None:
+            moves = self._moves[id(comp)] = []
+            for access in computation_accesses(comp, iterators):
+                if access.array not in self.arrays:
+                    continue
+                elem, strides = self.layout(access.array)
+                varies: Optional[Dict[str, float]] = None
+                if access.affine:
+                    varies = {}
+                    for iterator in access.columns:
+                        stride = access_stride(access, iterator, strides)
+                        varies[iterator] = abs(stride) * elem if stride else 0.0
+                moves.append((access.array, elem, varies))
+        return moves
+
+    def register_pressure(self, body: Sequence[Node]) -> float:
+        """Distinct values live in one iteration of the statements directly
+        in ``body`` (operands plus temporaries), a spill predictor."""
+        pressure = self._pressure.get(id(body))
+        if pressure is None:
+            pressure = self._pressure[id(body)] = float(sum(
+                len(read_accesses(child.value)) + 1
+                for child in body if isinstance(child, Computation)))
+        return pressure

@@ -89,16 +89,22 @@ class Dependence:
 # -- helpers -------------------------------------------------------------------
 
 
-def _gather_accesses(node: Node, common_iterators: Sequence[str]
+#: What :func:`~repro.analysis.affine.nest_statements` returns: the
+#: statements of a subtree with the iterators enclosing each inside it.
+Statements = Sequence[Tuple[Node, Tuple[str, ...]]]
+
+
+def _gather_accesses(statements: Statements, common_iterators: Sequence[str]
                      ) -> List[Tuple[AffineAccess, frozenset]]:
-    """Collect all accesses in a subtree with their full iterator context.
+    """Collect all accesses of a subtree's statements with their full
+    iterator context.
 
     Returns pairs ``(access, private_iterators)``: the access decomposed
     over the common iterators plus its ``private_iterators``, the iterators
-    of loops inside ``node`` (not part of the common surrounding nest).
+    of loops inside the subtree (not part of the common surrounding nest).
     """
     collected: List[Tuple[AffineAccess, frozenset]] = []
-    for statement, enclosing in nest_statements(node):
+    for statement, enclosing in statements:
         private = frozenset(enclosing)
         if isinstance(statement, Computation):
             known = (*common_iterators, *enclosing)
@@ -259,23 +265,19 @@ def _classify(write_a: bool, write_b: bool) -> str:
 # -- public API ----------------------------------------------------------------
 
 
-def dependences_between(node_a: Node, node_b: Node,
-                        common_iterators: Sequence[str]) -> List[Dependence]:
-    """All dependences from ``node_a`` (earlier) to ``node_b`` (later).
-
-    ``common_iterators`` are the iterators of the loops enclosing *both*
-    nodes, outermost first.  Dependences are reported with direction vectors
-    over exactly those loops.
-    """
-    accesses_a = _gather_accesses(node_a, common_iterators)
-    accesses_b = (accesses_a if node_b is node_a
-                  else _gather_accesses(node_b, common_iterators))
+def _access_dependences(accesses_a: List[Tuple[AffineAccess, frozenset]],
+                        accesses_b: List[Tuple[AffineAccess, frozenset]],
+                        common_iterators: Sequence[str]
+                        ) -> List[Tuple[str, str, Tuple[str, ...],
+                                        Tuple[Optional[int], ...]]]:
+    """``(array, kind, directions, distance)`` of every distinct dependence
+    from the gathered accesses of an earlier subtree to those of a later."""
     # Only accesses to one container can depend on each other; pairs are
     # still visited in ``product(accesses_a, accesses_b)`` order.
     sinks: Dict[str, List[Tuple[AffineAccess, frozenset]]] = {}
     for entry in accesses_b:
         sinks.setdefault(entry[0].array, []).append(entry)
-    found: List[Dependence] = []
+    found = []
     seen: Set[Tuple] = set()
     for acc_a, private_a in accesses_a:
         for acc_b, private_b in sinks.get(acc_a.array, ()):
@@ -291,9 +293,23 @@ def dependences_between(node_a: Node, node_b: Node,
             if key in seen:
                 continue
             seen.add(key)
-            found.append(Dependence(node_a, node_b, acc_a.array, kind,
-                                    directions, distances))
+            found.append((acc_a.array, kind, directions, distances))
     return found
+
+
+def dependences_between(node_a: Node, node_b: Node,
+                        common_iterators: Sequence[str]) -> List[Dependence]:
+    """All dependences from ``node_a`` (earlier) to ``node_b`` (later).
+
+    ``common_iterators`` are the iterators of the loops enclosing *both*
+    nodes, outermost first.  Dependences are reported with direction vectors
+    over exactly those loops.
+    """
+    accesses_a = _gather_accesses(nest_statements(node_a), common_iterators)
+    accesses_b = (accesses_a if node_b is node_a else
+                  _gather_accesses(nest_statements(node_b), common_iterators))
+    return [Dependence(node_a, node_b, *found) for found in
+            _access_dependences(accesses_a, accesses_b, common_iterators)]
 
 
 def self_dependences(node: Node, common_iterators: Sequence[str]) -> List[Dependence]:
@@ -331,21 +347,33 @@ def body_dependence_pairs(loop: Loop) -> List[Tuple[int, int, Dependence]]:
     return pairs
 
 
+def carried_dependences(iterator: str, children: Sequence[Statements]
+                        ) -> List[Tuple[int, int, Tuple]]:
+    """What a loop over ``iterator`` carries, read from the statements of
+    its body alone: ``(source child, sink child, (array, kind, directions,
+    distance))`` of every dependence between two different iterations.
+    ``children`` holds, per direct child of the body, its
+    :func:`~repro.analysis.affine.nest_statements`."""
+    common = [iterator]
+    gathered = [_gather_accesses(child, common) for child in children]
+    carried = []
+    for i in range(len(gathered)):
+        for j in range(i, len(gathered)):
+            # Forward, then (between two children) backward.
+            for source, sink in ((i, j), (j, i))[:1 + (i != j)]:
+                for found in _access_dependences(gathered[source],
+                                                 gathered[sink], common):
+                    if any(direction != EQ for direction in found[2]):
+                        carried.append((source, sink, found))
+    return carried
+
+
 def loop_carried_dependences(loop: Loop) -> List[Dependence]:
     """All dependences carried by ``loop`` (over its own iterator)."""
-    carried: List[Dependence] = []
-    common = [loop.iterator]
     children = list(loop.body)
-    for i, child_a in enumerate(children):
-        for child_b in children[i:]:
-            for dep in dependences_between(child_a, child_b, common):
-                if not dep.loop_independent:
-                    carried.append(dep)
-            if child_a is not child_b:
-                for dep in dependences_between(child_b, child_a, common):
-                    if not dep.loop_independent:
-                        carried.append(dep)
-    return carried
+    return [Dependence(children[i], children[j], *found)
+            for i, j, found in carried_dependences(
+                loop.iterator, [nest_statements(child) for child in children])]
 
 
 def nest_dependences(loop: Loop) -> List[Dependence]:
@@ -355,8 +383,13 @@ def nest_dependences(loop: Loop) -> List[Dependence]:
     over the iterators of the loops that enclose *both* computations within
     ``loop``.  Used for permutation legality.
     """
-    comps_with_context = [(node, iterators)
-                          for node, iterators in nest_statements(loop)
+    return statement_dependences(nest_statements(loop))
+
+
+def statement_dependences(statements: Statements) -> List[Dependence]:
+    """:func:`nest_dependences` of a nest given as its
+    :func:`~repro.analysis.affine.nest_statements`."""
+    comps_with_context = [(node, iterators) for node, iterators in statements
                           if isinstance(node, Computation)]
 
     deps: List[Dependence] = []
@@ -386,7 +419,9 @@ MAX_ANY_EXPANSION = 8
 
 def band_bounds_respect_order(band: Sequence[Loop],
                               order: Sequence[str]) -> bool:
-    """Structural legality of a band reordering: a loop's bounds may only
+    """Structural legality of a band reordering (``band`` holds loops, or
+    the frames a :class:`~repro.analysis.band.BandView` stands for them
+    with): a loop's bounds may only
     reference iterators that remain *outside* it.  Triangular and other
     non-rectangular domains constrain which permutations are expressible at
     all — moving ``j`` with bound ``N - i`` above ``i`` leaves ``i`` unbound
@@ -395,12 +430,43 @@ def band_bounds_respect_order(band: Sequence[Loop],
     position = {iterator: idx for idx, iterator in enumerate(order)}
     band_iterators = set(position)
     for lp in band:
-        referenced = ((lp.start.free_symbols() | lp.end.free_symbols()
-                       | lp.step.free_symbols()) & band_iterators)
+        referenced = lp.bound_symbols() & band_iterators
         if any(position[other] >= position[lp.iterator]
                for other in referenced):
             return False
     return True
+
+
+def _loop_header(iterator: str, tile_of: Optional[str]) -> str:
+    return f"loop {iterator!r} {tile_of!r} ["
+
+
+def skeleton_text(node: Node) -> str:
+    """The text :func:`dependence_skeleton` hashes, for any subtree."""
+    parts: List[str] = []
+
+    def walk(node: Node) -> None:
+        if isinstance(node, Loop):
+            parts.append(_loop_header(node.iterator, node.tile_of))
+            for child in node.body:
+                walk(child)
+            parts.append("]")
+        else:
+            parts.append(node_fragment(node))
+
+    walk(node)
+    return "".join(parts)
+
+
+def chain_skeleton(headers: Sequence[Tuple[str, Optional[str]]],
+                   body_text: str) -> str:
+    """:func:`dependence_skeleton` of a chain of singly nested loops, given
+    as ``(iterator, tile_of)`` outermost first, over a body whose
+    :func:`skeleton_text` (children concatenated) is ``body_text`` — the
+    same key, without the loops having to exist."""
+    text = ("".join(_loop_header(*header) for header in headers)
+            + body_text + "]" * len(headers))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def dependence_skeleton(loop: Loop) -> str:
@@ -411,40 +477,31 @@ def dependence_skeleton(loop: Loop) -> str:
     answer serves a nest before and after it is tiled with other sizes or
     marked parallel.
     """
-    parts: List[str] = []
+    return hashlib.sha256(skeleton_text(loop).encode("utf-8")).hexdigest()
 
-    def walk(node: Node) -> None:
-        if isinstance(node, Loop):
-            parts.append(f"loop {node.iterator!r} {node.tile_of!r} [")
-            for child in node.body:
-                walk(child)
-            parts.append("]")
-        else:
-            parts.append(node_fragment(node))
 
-    walk(loop)
-    return hashlib.sha256("".join(parts).encode("utf-8")).hexdigest()
+def direction_vectors(statements: Statements) -> Tuple[Tuple[str, ...], ...]:
+    """The distinct direction vectors of :func:`statement_dependences` —
+    plain tuples of direction symbols; no :class:`Dependence` and no IR node
+    is retained."""
+    return tuple(dict.fromkeys(
+        dep.directions for dep in statement_dependences(statements)))
 
 
 def nest_direction_vectors(loop: Loop,
                            analysis: "Optional[AnalysisManager]" = None
                            ) -> Tuple[Tuple[str, ...], ...]:
-    """The distinct direction vectors of :func:`nest_dependences`.
+    """The :func:`direction_vectors` of a nest.
 
     Permutation legality reads nothing else of a dependence, and the vectors
     are a fact about the nest's content: with an ``analysis`` manager they
     are derived once per :func:`dependence_skeleton`, whichever permutation,
-    candidate or call asks.  The value is plain tuples of direction symbols
-    — no :class:`Dependence` and no IR node is retained.
+    candidate or call asks.
     """
-
-    def compute() -> Tuple[Tuple[str, ...], ...]:
-        return tuple(dict.fromkeys(
-            dep.directions for dep in nest_dependences(loop)))
-
     if analysis is None:
-        return compute()
-    return analysis.get("nest-directions", dependence_skeleton(loop), compute)
+        return direction_vectors(nest_statements(loop))
+    return analysis.get("nest-directions", dependence_skeleton(loop),
+                        lambda: direction_vectors(nest_statements(loop)))
 
 
 def band_order_is_legal(band: Sequence[Loop],

@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 from ..ir.nodes import Computation, Loop, read_accesses
 from .affine import decompose_access, nest_statements
-from .dependence import dependence_skeleton, loop_carried_dependences
+from .dependence import (Statements, carried_dependences,
+                         dependence_skeleton)
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
     from ..passes.analysis import AnalysisManager
@@ -40,14 +41,14 @@ class ParallelismInfo:
     requires_privatization: bool = False
 
 
-def _reduction_arrays(loop: Loop) -> Set[str]:
+def _reduction_arrays(iterator: str, statements: Statements) -> Set[str]:
     """Containers updated as ``X[..] = X[..] op expr`` with the subscript
-    invariant in ``loop.iterator``."""
+    invariant in ``iterator``."""
     reductions: Set[str] = set()
-    for node, enclosing in nest_statements(loop):
+    for node, enclosing in statements:
         if isinstance(node, Computation) and node.is_reduction():
-            target = decompose_access(node.target, enclosing, True)
-            if target.affine and not target.uses_iterator(loop.iterator):
+            target = decompose_access(node.target, (iterator, *enclosing), True)
+            if target.affine and not target.uses_iterator(iterator):
                 reductions.add(node.target.array)
     return reductions
 
@@ -94,27 +95,39 @@ def _classify_loop(loop: Loop, arrays: Optional[dict],
             if candidate.iterator == loop.tile_of:
                 inner = analyze_loop_parallelism(candidate, arrays, analysis)
                 return replace(inner, iterator=loop.iterator)
-    dependences = loop_carried_dependences(loop)
-    if not dependences:
-        return ParallelismInfo(loop.iterator, True, False, ())
-    carried = tuple((dep.array, dep.kind, dep.directions)
-                    for dep in dependences)
+    return classify_iterations(
+        loop.iterator, [nest_statements(child) for child in loop.body], arrays)
 
-    privatizable = _privatizable_scalars(loop, arrays)
-    remaining = [dep for dep in dependences if dep.array not in privatizable]
+
+def classify_iterations(iterator: str, children: Sequence[Statements],
+                        arrays: Optional[dict] = None) -> ParallelismInfo:
+    """Classify a loop over ``iterator`` from the statements of its body:
+    ``children`` holds, per direct child of the body, its
+    :func:`~repro.analysis.affine.nest_statements` — all the classification
+    reads, so a loop that was never built can be asked about."""
+    carried = tuple(found[:3] for _source, _sink, found
+                    in carried_dependences(iterator, children))
+    if not carried:
+        return ParallelismInfo(iterator, True, False, ())
+
+    statements = [entry for child in children for entry in child]
+    privatizable = _privatizable_scalars(statements, arrays)
+    remaining = [dep for dep in carried if dep[0] not in privatizable]
     if not remaining:
-        return ParallelismInfo(loop.iterator, True, False, carried,
+        return ParallelismInfo(iterator, True, False, carried,
                                requires_privatization=True)
 
-    reduction_targets = _reduction_arrays(loop)
-    non_reduction = [dep for dep in remaining if dep.array not in reduction_targets]
+    reduction_targets = _reduction_arrays(iterator, statements)
+    non_reduction = [dep for dep in remaining if dep[0] not in reduction_targets]
     if not non_reduction and reduction_targets:
-        return ParallelismInfo(loop.iterator, False, True, carried)
-    return ParallelismInfo(loop.iterator, False, False, carried)
+        return ParallelismInfo(iterator, False, True, carried)
+    return ParallelismInfo(iterator, False, False, carried)
 
 
-def _privatizable_scalars(loop: Loop, arrays: Optional[dict]) -> Set[str]:
-    """Temporaries that can be privatized per iteration of ``loop``.
+def _privatizable_scalars(statements: Statements,
+                          arrays: Optional[dict]) -> Set[str]:
+    """Temporaries that can be privatized per iteration of the loop whose
+    body holds ``statements``.
 
     A container qualifies when, inside one iteration of the loop, it is
     written before it is read (in statement order), and it does not carry a
@@ -128,7 +141,7 @@ def _privatizable_scalars(loop: Loop, arrays: Optional[dict]) -> Set[str]:
     """
     candidates: Set[str] = set()
     order: List[Tuple[str, bool, int]] = []
-    for node, _enclosing in nest_statements(loop):
+    for node, _enclosing in statements:
         if isinstance(node, Computation):
             for acc in read_accesses(node.value):
                 order.append((acc.array, False, len(acc.indices)))

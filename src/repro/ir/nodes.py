@@ -394,6 +394,11 @@ class Loop(Node):
             raise ValueError(f"loop {self.iterator} has non-positive step {step}")
         return max(0, -(-(end - start) // step))
 
+    def bound_symbols(self) -> frozenset:
+        """Symbols the loop header (start, end, step) references."""
+        return (self.start.free_symbols() | self.end.free_symbols()
+                | self.step.free_symbols())
+
     def symbolic_trip_count(self) -> Expr:
         """Trip count as a symbolic expression (assumes step divides range)."""
         from .symbols import FloorDiv, Mul

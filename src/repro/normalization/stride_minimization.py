@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.arrays import Array
 from ..ir.nodes import Loop, Node, Program
+from ..analysis.band import BandView
 from ..analysis.dependence import legal_permutations, permutation_is_legal
 from ..analysis.strides import BandStrides, band_strides, nest_stride_cost
 
@@ -43,20 +44,9 @@ def apply_permutation(nest: Loop, order: Sequence[str]) -> Loop:
     is responsible for legality; :func:`find_minimal_permutation` only offers
     legal orders.
     """
-    band = nest.perfectly_nested_band()
-    by_iterator: Dict[str, Loop] = {loop.iterator: loop for loop in band}
-    if sorted(order) != sorted(by_iterator):
-        raise ValueError(f"order {list(order)} does not match band "
-                         f"{[l.iterator for l in band]}")
-    innermost_body = band[-1].body
-
-    current_body: List[Node] = innermost_body
-    rebuilt: Optional[Loop] = None
-    for iterator in reversed(list(order)):
-        rebuilt = by_iterator[iterator].with_body(current_body)
-        current_body = [rebuilt]
-    assert rebuilt is not None
-    return rebuilt
+    view = BandView(nest)
+    view.reorder(order)
+    return view.materialise()
 
 
 def candidate_orders(nest: Loop) -> List[Tuple[str, ...]]:

@@ -23,13 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
-from ..analysis.affine import computation_accesses
-from ..analysis.parallelism import analyze_loop_parallelism
-from ..analysis.strides import access_stride
-from ..ir.arrays import Array
-from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program, read_accesses
+from ..analysis.band import BandView, Frame, Target
+from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
 from ..ir.symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod, Mul,
                           Read, Sym)
 from .machine import DEFAULT_MACHINE, MachineModel
@@ -49,6 +46,8 @@ MEMORY_LEVELS = ("L1", "L2", "L3", "DRAM")
 #: Number of values that can be held in registers within one iteration of an
 #: innermost loop before the compiler starts spilling (16 ymm registers).
 REGISTER_BUDGET = 16
+
+_UNBOUND = object()
 
 
 def count_flops(expr: Expr) -> float:
@@ -132,13 +131,6 @@ class RuntimeEstimate:
                 "nests": [nest.as_dict() for nest in self.nests]}
 
 
-@dataclass
-class _LoopFrame:
-    loop: Loop
-    trip: float
-    midpoint: float
-
-
 class CostModel:
     """Estimates program runtime on a :class:`MachineModel`."""
 
@@ -179,13 +171,15 @@ class CostModel:
                 total += cost.time
         return RuntimeEstimate(program.name, total, nests, self.threads)
 
-    def estimate_node(self, node: Node, program: Program,
+    def estimate_node(self, node: Union[Node, BandView], program: Program,
                       parameters: Mapping[str, int], index: int,
                       touched: Dict[str, float],
                       analysis: "Optional[AnalysisManager]" = None
                       ) -> Optional[NestCost]:
         """Cost of the top-level ``node`` at ``index`` of ``program`` (None
-        for node kinds the model does not price).
+        for node kinds the model does not price).  A loop nest may come as a
+        :class:`~repro.analysis.band.BandView` of it — a schedule that was
+        never built.
 
         ``touched`` is the only thing one top-level node's cost reads of
         the others: the *names* of the containers earlier nodes touched (the
@@ -196,8 +190,9 @@ class CostModel:
         if isinstance(node, LibraryCall):
             return self._estimate_library_call(node, program, parameters, index)
         if isinstance(node, Loop):
-            return self._estimate_nest(node, program, parameters, index,
-                                       touched, analysis)
+            node = BandView(node, program.arrays, parameters, analysis)
+        if isinstance(node, BandView):
+            return self._estimate_nest(node, index, touched)
         if isinstance(node, Computation):
             cost = NestCost(label=f"{index}:{node.name}",
                             flops=count_flops(node.value))
@@ -236,23 +231,18 @@ class CostModel:
 
     # -- loop nests -----------------------------------------------------------------
 
-    def _estimate_nest(self, nest: Loop, program: Program,
-                       parameters: Mapping[str, int], index: int,
-                       touched: Optional[Dict[str, float]] = None,
-                       analysis: "Optional[AnalysisManager]" = None
-                       ) -> NestCost:
-        cost = NestCost(label=f"{index}:{nest.iterator}")
-        params = dict(parameters)
+    def _estimate_nest(self, view: BandView, index: int,
+                       touched: Optional[Dict[str, float]] = None) -> NestCost:
+        cost = NestCost(label=f"{index}:{view.frames[0].iterator}")
 
-        parallel_loop = self._outermost_parallel(nest)
+        parallel_loop = self._outermost_parallel(view)
         if parallel_loop is not None:
-            trip = self._trip(parallel_loop, params, {})
+            trip = self._trip(view.header(parallel_loop), view.parameters)
             cost.active_threads = max(1, min(self.threads, int(trip) or 1))
         threads = cost.active_threads
 
-        stats = _NestStatistics(self.machine, program.arrays, params,
-                                touched=touched)
-        stats.walk(nest)
+        stats = _NestStatistics(self.machine, view, touched)
+        stats.walk(view.frames, view.inner)
 
         cost.flops = stats.flops
         cost.bytes_by_level = stats.bytes_by_level
@@ -288,27 +278,26 @@ class CostModel:
         # Atomic reductions: parallel loops that carry reduction dependences
         # serialize their updates through atomics.
         if parallel_loop is not None and threads > 1:
-            info = analyze_loop_parallelism(parallel_loop, analysis=analysis)
-            if info.is_reduction:
+            if view.parallelism(parallel_loop).is_reduction:
                 cost.atomic_time = stats.write_iterations * self.machine.atomic_cost_s
 
         cost.time = (max(cost.compute_time, cost.memory_time)
                      + cost.overhead_time + cost.atomic_time)
         return cost
 
-    def _outermost_parallel(self, nest: Loop) -> Optional[Loop]:
-        for loop in nest.iter_loops():
-            if loop.parallel:
-                return loop
+    def _outermost_parallel(self, view: BandView) -> Optional[Target]:
+        for position, frame in enumerate(view.frames):
+            if frame.parallel:
+                return position
+        for node in view.inner:
+            for loop in node.iter_loops():
+                if loop.parallel:
+                    return loop
         return None
 
-    def _trip(self, loop: Loop, params: Mapping[str, float],
-              env: Mapping[str, float]) -> float:
-        bindings = {**params, **env}
+    def _trip(self, frame: Frame, bindings: Mapping[str, float]) -> float:
         try:
-            start = loop.start.evaluate(bindings)
-            end = loop.end.evaluate(bindings)
-            step = loop.step.evaluate(bindings)
+            start, end, step = frame.bounds(bindings)
         except (KeyError, ZeroDivisionError):
             return 0.0
         if step <= 0:
@@ -357,13 +346,13 @@ class IncrementalEstimate:
                 times.append(cost.time)
         return times
 
-    def seconds(self, variant: Program) -> float:
-        """Modeled seconds of ``variant``: the program this estimate was
-        built for, with another node at ``index``."""
+    def seconds(self, node: Union[Node, BandView]) -> float:
+        """Modeled seconds of the program this estimate was built for with
+        ``node`` (or the nest a view describes) at ``index``."""
         touched = dict(self._touched)
         cost = self._model.estimate_node(
-            variant.body[self._index], variant, self._parameters, self._index,
-            touched, self._analysis)
+            node, self._program, self._parameters, self._index, touched,
+            self._analysis)
         names = frozenset(touched)
         suffix = self._suffix.get(names)
         if suffix is None:
@@ -378,14 +367,15 @@ class IncrementalEstimate:
 
 
 class _NestStatistics:
-    """Collects flop and memory-traffic statistics of one loop nest."""
+    """Collects flop and memory-traffic statistics of one loop nest, walking
+    the frames of its :class:`~repro.analysis.band.BandView` and the loops
+    below them.  What does not depend on the schedule — accesses, layouts,
+    strides, register pressure — is the view's to remember."""
 
-    def __init__(self, machine: MachineModel, arrays: Mapping[str, Array],
-                 parameters: Mapping[str, float],
+    def __init__(self, machine: MachineModel, view: BandView,
                  touched: Optional[Dict[str, float]] = None):
         self.machine = machine
-        self.arrays = arrays
-        self.parameters = dict(parameters)
+        self.view = view
         self._touched = touched if touched is not None else {}
         self.flops = 0.0
         self.scalar_flops = 0.0
@@ -394,83 +384,82 @@ class _NestStatistics:
         self.write_iterations = 0.0
         self.any_vectorized = False
         self.bytes_by_level: Dict[str, float] = {lvl: 0.0 for lvl in MEMORY_LEVELS}
-        self._frames: List[_LoopFrame] = []
-        self._pressure_cache: Dict[int, float] = {}
+        # The enclosing loops, outermost first: iterators, trip counts (at
+        # least 1), how many are SIMD-marked, the product of the trips
+        # outside each depth, and the parameters plus every enclosing
+        # iterator at its midpoint.
+        self._iterators: List[str] = []
+        self._trips: List[float] = []
+        self._simd_marked = 0
+        self._iterations: List[float] = [1.0]
+        self._bindings: Dict[str, float] = dict(view.parameters)
         #: Cold-miss volume already charged per container (the first touch of
         #: a container is charged once, not once per syntactic access).
         self._cold_charged: Dict[str, float] = {}
-        #: Container name -> (element size, row-major strides).
-        self._layouts: Dict[str, Tuple[float, Tuple[int, ...]]] = {}
 
     # -- traversal ------------------------------------------------------------------
 
-    def walk(self, node: Node) -> None:
-        if isinstance(node, Loop):
-            self._walk_loop(node)
-        elif isinstance(node, Computation):
-            self._handle_computation(node)
-        elif isinstance(node, LibraryCall):
-            self._handle_library_call(node)
-
-    def _walk_loop(self, loop: Loop) -> None:
-        env = {frame.loop.iterator: frame.midpoint for frame in self._frames}
-        bindings = {**self.parameters, **env}
+    def walk(self, frames: Sequence[Frame], body: Sequence[Node]) -> None:
+        """Walk the loops ``frames`` stand for, nested over ``body``."""
+        if not frames:
+            for node in body:
+                if isinstance(node, Loop):
+                    self.walk((Frame.of(node),), node.body)
+                elif isinstance(node, Computation):
+                    self._handle_computation(node, body)
+                elif isinstance(node, LibraryCall):
+                    self._handle_library_call(node)
+            return
+        frame = frames[0]
+        bindings = self._bindings
         try:
-            start = loop.start.evaluate(bindings)
-            end = loop.end.evaluate(bindings)
-            step = loop.step.evaluate(bindings)
+            start, end, step = frame.bounds(bindings)
         except (KeyError, ZeroDivisionError):
             start, end, step = 0.0, 0.0, 1.0
         trip = max(0.0, (end - start) / step) if step > 0 else 0.0
-        midpoint = start + (end - start) / 2.0
 
-        outer_iterations = 1.0
-        for frame in self._frames:
-            outer_iterations *= max(frame.trip, 1.0)
-        effective_unroll = max(1, loop.unroll)
-        if loop.vectorized:
+        effective_unroll = max(1, frame.unroll)
+        if frame.vectorized:
             effective_unroll *= self.machine.vector_width
-        self.loop_iterations += outer_iterations * trip / effective_unroll
-        if loop.vectorized:
             self.any_vectorized = True
+        self.loop_iterations += self._iterations[-1] * trip / effective_unroll
 
-        self._frames.append(_LoopFrame(loop, trip, midpoint))
-        for child in loop.body:
-            self.walk(child)
-        self._frames.pop()
+        shadowed = bindings.get(frame.iterator, _UNBOUND)
+        bindings[frame.iterator] = start + (end - start) / 2.0
+        self._iterators.append(frame.iterator)
+        self._trips.append(max(trip, 1.0))
+        self._iterations.append(self._iterations[-1] * max(trip, 1.0))
+        self._simd_marked += frame.vectorized
+        self.walk(frames[1:], body)
+        self._simd_marked -= frame.vectorized
+        self._iterations.pop()
+        self._trips.pop()
+        self._iterators.pop()
+        if shadowed is _UNBOUND:
+            del bindings[frame.iterator]
+        else:
+            bindings[frame.iterator] = shadowed
 
     def _handle_library_call(self, call: LibraryCall) -> None:
-        flops = _safe_flops(call, self.parameters)
-        multiplier = 1.0
-        for frame in self._frames:
-            multiplier *= max(frame.trip, 1.0)
+        parameters = self.view.parameters
+        flops = _safe_flops(call, parameters)
+        multiplier = self._iterations[-1]
         self.flops += flops * multiplier
         # Library routines are hand-vectorized.
         self.vector_flops += flops * multiplier
+        arrays = self.view.arrays
         for name in set(call.inputs) | set(call.outputs):
-            if name in self.arrays:
+            if name in arrays:
                 self.bytes_by_level["DRAM"] += (
-                    self.arrays[name].size_in_bytes(self.parameters) * multiplier)
+                    arrays[name].size_in_bytes(parameters) * multiplier)
 
     # -- per computation --------------------------------------------------------------
 
-    def _loop_register_pressure(self, loop: Loop) -> float:
-        """Distinct values live in one iteration of ``loop``'s directly nested
-        statements (operands plus temporaries), used as a spill predictor."""
-        key = id(loop)
-        if key in self._pressure_cache:
-            return self._pressure_cache[key]
-        operands = 0
-        for child in loop.body:
-            if isinstance(child, Computation):
-                operands += len(read_accesses(child.value)) + 1
-        self._pressure_cache[key] = float(operands)
-        return float(operands)
-
-    def _handle_computation(self, comp: Computation) -> None:
-        iterations = 1.0
-        for frame in self._frames:
-            iterations *= max(frame.trip, 1.0)
+    def _handle_computation(self, comp: Computation,
+                            body: Sequence[Node]) -> None:
+        """Charge ``comp``, a statement directly in ``body``, the body of
+        the innermost enclosing loop."""
+        iterations = self._iterations[-1]
         comp_flops = count_flops(comp.value) * iterations
         self.flops += comp_flops
         self.write_iterations += iterations
@@ -479,10 +468,8 @@ class _NestStatistics:
         # innermost loop body fits the register budget.  Oversized bodies
         # (heavily inlined/unrolled code such as the original CLOUDSC erosion
         # loop) fall back to scalar execution and pay spill traffic.
-        innermost = self._frames[-1].loop if self._frames else None
-        pressure = self._loop_register_pressure(innermost) if innermost else 0.0
-        simd_marked = any(frame.loop.vectorized for frame in self._frames)
-        if simd_marked and pressure <= REGISTER_BUDGET:
+        pressure = self.view.register_pressure(body)
+        if self._simd_marked and pressure <= REGISTER_BUDGET:
             self.vector_flops += comp_flops
         else:
             self.scalar_flops += comp_flops
@@ -490,103 +477,78 @@ class _NestStatistics:
             spilled = pressure - REGISTER_BUDGET
             self.bytes_by_level["L1"] += iterations * spilled * 2.0 * 8.0
 
-        iterators = [frame.loop.iterator for frame in self._frames]
-        trips = [max(frame.trip, 1.0) for frame in self._frames]
+        iterators = self._iterators
+        trips = self._trips
+        depth = len(iterators)
         line = float(self.machine.line_bytes)
-        levels = range(len(iterators) + 1)
 
-        # Per access: the distinct bytes it touches inside each loop level.
-        # Every term below is computed once per (access, iterator) and once
-        # per array, then combined in the same floating-point order as a
+        # Per access: the loop levels it varies in and the distinct bytes it
+        # touches inside each level.  Strides and layouts are the view's;
+        # the trips are combined in the same floating-point order as a
         # straight evaluation per level would.
         accounted = []
-        for access in computation_accesses(comp, iterators):
-            if access.array not in self.arrays:
-                continue
-            elem, strides = self._array_layout(access.array)
-            terms = self._access_terms(access, iterators, trips, strides,
-                                       elem, line)
-            distinct = [self._distinct_bytes(terms, elem, line, level)
-                        for level in levels]
-            accounted.append((access.array, elem, terms, distinct))
+        for array, elem, moves in self.view.access_moves(comp, iterators):
+            if moves is None:
+                terms = [(level, trips[level], line) for level in range(depth)]
+            else:
+                terms = [(level, trips[level], moves[iterator] or line)
+                         for level, iterator in enumerate(iterators)
+                         if iterator in moves]
+            accounted.append((array, elem, {term[0] for term in terms},
+                              self._distinct_bytes(terms, elem, line, depth)))
 
-        # Footprint of one iteration of each loop level: the distinct bytes all
-        # accesses of this computation touch inside that level.  Used to decide
-        # which cache level serves temporal re-use.
-        level_footprints = []
-        for level in levels:
-            total = 0.0
-            for _array, _elem, _terms, distinct in accounted:
-                total += distinct[level]
-            level_footprints.append(total)
+        # Per loop level, the cache level that holds the footprint of one
+        # of its iterations (the distinct bytes all accesses of this
+        # computation touch inside it) — it serves temporal re-use.
+        sources = []
+        for level in range(depth + 1):
+            footprint = 0.0
+            for _array, _elem, _used, distinct in accounted:
+                footprint += distinct[level]
+            sources.append(self.machine.smallest_level_fitting(footprint))
 
-        for array, elem, terms, distinct in accounted:
-            self._account_access(array, elem, {term[0] for term in terms},
-                                 distinct, trips, level_footprints, iterations)
-
-    def _array_layout(self, name: str) -> Tuple[float, Tuple[int, ...]]:
-        """Element size and row-major strides of one container."""
-        layout = self._layouts.get(name)
-        if layout is None:
-            arr = self.arrays[name]
-            layout = self._layouts[name] = (
-                float(arr.element_size),
-                arr.row_major_strides(self._shape_bindings(arr)))
-        return layout
-
-    def _shape_bindings(self, arr: Array) -> Dict[str, int]:
-        bindings = dict()
-        for dim in arr.shape:
-            for symbol in dim.free_symbols():
-                bindings[symbol] = int(self.parameters.get(symbol, 256))
-        return {**{k: int(v) for k, v in self.parameters.items()
-                   if isinstance(v, (int, float))}, **bindings}
-
-    def _access_terms(self, access, iterators: Sequence[str],
-                      trips: Sequence[float], strides: Sequence[int],
-                      elem: float, line: float
-                      ) -> List[Tuple[int, float, float]]:
-        """``(level, trip count, bytes between consecutive elements)`` of
-        every loop level the access varies in, outermost first."""
-        terms = []
-        affine = access.affine
-        for level, iterator in enumerate(iterators):
-            if affine and not access.uses_iterator(iterator):
-                continue
-            stride = access_stride(access, iterator, strides)
-            stride_bytes = (abs(stride) * elem if stride is not None and stride != 0
-                            else line)
-            terms.append((level, max(trips[level], 1.0), stride_bytes))
-        return terms
+        for array, elem, used_levels, distinct in accounted:
+            self._account_access(array, elem, used_levels, distinct, sources,
+                                 iterations)
 
     @staticmethod
     def _distinct_bytes(terms: Sequence[Tuple[int, float, float]], elem: float,
-                        line: float, from_level: int) -> float:
-        """Distinct bytes an access touches inside loops ``from_level..n``."""
-        distinct = 1.0
-        min_stride_bytes: Optional[float] = None
-        for level, trip, stride_bytes in terms:
-            if level < from_level:
-                continue
-            distinct *= trip
-            if min_stride_bytes is None or stride_bytes < min_stride_bytes:
-                min_stride_bytes = stride_bytes
-        if distinct <= 1.0 or min_stride_bytes is None:
-            return elem
-        # Bytes per distinct element: if *any* used loop walks the array with
-        # (near-)unit stride, consecutive elements share cache lines even when
-        # another loop strides across rows (the spatial reuse is recovered at
-        # some cache level); only accesses with no dense dimension at all pull
-        # a full line per element.
-        bytes_per_element = min(max(min_stride_bytes, elem), line)
-        return max(distinct * bytes_per_element, elem)
+                        line: float, depth: int) -> List[float]:
+        """Per loop level ``0..depth``, the distinct bytes an access touches
+        inside the loops from that level inwards.  ``terms`` holds ``(level,
+        trip count, bytes between consecutive elements)`` of the levels the
+        access varies in, outermost first; only those start a new value."""
+        distinct_bytes = [elem] * (depth + 1)
+        filled = 0
+        for first, (level, _trip, _stride) in enumerate(terms):
+            distinct = 1.0
+            min_stride_bytes = line
+            for position in range(first, len(terms)):
+                _level, trip, stride_bytes = terms[position]
+                distinct *= trip
+                if position == first or stride_bytes < min_stride_bytes:
+                    min_stride_bytes = stride_bytes
+            if distinct > 1.0:
+                # Bytes per distinct element: if *any* used loop walks the
+                # array with (near-)unit stride, consecutive elements share
+                # cache lines even when another loop strides across rows
+                # (the spatial reuse is recovered at some cache level); only
+                # accesses with no dense dimension at all pull a full line
+                # per element.
+                bytes_per_element = min(max(min_stride_bytes, elem), line)
+                value = max(distinct * bytes_per_element, elem)
+                for covered in range(filled, level + 1):
+                    distinct_bytes[covered] = value
+            filled = level + 1
+        return distinct_bytes
 
     def _account_access(self, array: str, elem: float, used_levels: set,
-                        distinct: Sequence[float], trips: Sequence[float],
-                        level_footprints: List[float], iterations: float) -> None:
+                        distinct: Sequence[float], sources: Sequence[str],
+                        iterations: float) -> None:
         """Charge one access: ``distinct[level]`` are the bytes it touches
         inside loop ``level`` and deeper, ``used_levels`` the loops it varies
-        in."""
+        in, ``sources[level]`` the cache level one iteration of loop
+        ``level - 1`` fits in."""
         # Every dynamic access touches L1 (or a register); charge L1 port traffic.
         self.bytes_by_level["L1"] += iterations * elem
 
@@ -611,17 +573,12 @@ class _NestStatistics:
         # touched inside that loop is re-swept (trip - 1) times per execution
         # of the outer loops; the sweep is served by the smallest cache level
         # that holds the footprint of one iteration of that loop.
+        trips = self._trips
         for level in range(len(trips)):
             if level in used_levels:
                 continue
-            resweeps = max(trips[level] - 1.0, 0.0)
-            if resweeps <= 0:
-                continue
-            outer = 1.0
-            for outer_level in range(level):
-                outer *= max(trips[outer_level], 1.0)
-            source = self.machine.smallest_level_fitting(level_footprints[level + 1])
-            if source == "L1":
-                # Already charged through the per-access L1 term.
-                continue
-            self.bytes_by_level[source] += resweeps * outer * distinct[level + 1]
+            resweeps = trips[level] - 1.0
+            # L1 sweeps are already charged through the per-access L1 term.
+            if resweeps > 0 and sources[level + 1] != "L1":
+                self.bytes_by_level[sources[level + 1]] += (
+                    resweeps * self._iterations[level] * distinct[level + 1])

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..analysis.affine import nest_statements
-from ..ir.nodes import Loop, Node, Program
+from ..analysis.band import BandView
+from ..ir.nodes import Loop, Program
 from ..passes.analysis import AnalysisManager
 from ..passes.base import PassContext
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..perf.model import CostModel, IncrementalEstimate
+from ..transforms.base import BandSchedule, TransformationError
 from ..transforms.recipe import Recipe, apply_recipe
 
 
@@ -183,18 +184,19 @@ class NestPricer:
     """Modeled seconds of one program under candidate recipes for one of its
     top-level nests — how every search prices a candidate.
 
-    Built once per search.  A recipe whose transformations all address
-    ``nest_index`` is applied to a private copy of that nest's loops, on a
-    trial program that shares every other node with ``program`` (which is
-    never mutated or frozen), and only the changed nest is re-priced
-    (:class:`~repro.perf.model.IncrementalEstimate`).  Schedules reorder and
-    annotate loops and leave statements alone, so the candidates share one
-    frozen copy of the nest's statements.  A recipe that names another nest
-    (``Fuse``) is applied to a full copy and priced whole.
-    Either way the price equals ``CostModel.estimate_seconds`` of a copy of
-    the program with the recipe applied, bit for bit.  Legality questions go
-    through ``analysis`` (the caller's manager, or one private to this
-    pricer), and a recipe priced before is answered from a memo.
+    Built once per search around one :class:`~repro.analysis.band.BandView`
+    of the searched nest, over a frozen private copy of it (``program`` is
+    never mutated or frozen).  A recipe of band schedules for that nest is
+    interpreted on a fork of the view — its transformations run the very
+    ``schedule`` that ``apply_recipe`` runs between viewing and building —
+    and the outcome is priced as frames: no loop is built, only the changed
+    nest is re-priced (:class:`~repro.perf.model.IncrementalEstimate`), and
+    recipes that end in the same schedule share one price.  Anything else
+    (``Fuse``, an idiom replacement, an annotation below the band) is
+    applied to a full copy and priced whole.  Either way the price equals
+    ``CostModel.estimate_seconds`` of a copy of the program with the recipe
+    applied, bit for bit.  Legality questions go through ``analysis`` (the
+    caller's manager, or one private to this pricer).
     """
 
     def __init__(self, cost_model: CostModel, program: Program, nest_index: int,
@@ -209,43 +211,34 @@ class NestPricer:
         self._context = PassContext(analysis=self.analysis)
         self._estimate = IncrementalEstimate(cost_model, program, parameters,
                                              nest_index, self.analysis)
+        #: Schedule of the nest (the view's frames) -> modeled seconds.
         self._prices: Dict[Tuple, float] = {}
-        #: The searched nest over frozen statements (see :func:`_copy_loops`).
-        self._nest = program.body[nest_index].copy()
-        for statement, _enclosing in nest_statements(self._nest):
-            statement.freeze()
+        self.view = BandView(program.body[nest_index].copy().freeze(),
+                             program.arrays, parameters, self.analysis,
+                             program.name)
 
     def price(self, recipe: Recipe) -> float:
-        key = recipe.key()
-        seconds = self._prices.get(key)
+        if not all(isinstance(transformation, BandSchedule)
+                   and transformation.nest_index == self.nest_index
+                   and transformation.within_band(self.view)
+                   for transformation in recipe):
+            trial = self.program.copy()
+            apply_recipe(trial, recipe, strict=False, context=self._context)
+            return self.cost_model.estimate_seconds(trial, self.parameters)
+        view = self.view.fork()
+        for transformation in recipe:
+            try:
+                transformation.schedule(view)
+            except TransformationError:
+                pass  # skipped, as ``apply_recipe(strict=False)`` skips it
+        state = view.state()
+        seconds = self._prices.get(state)
         if seconds is None:
-            seconds = self._prices[key] = self._price(recipe)
+            seconds = self._prices[state] = self._price(view)
         return seconds
 
-    def _price(self, recipe: Recipe) -> float:
-        program, index = self.program, self.nest_index
-        local = all(transformation.params().get("nest_index") == index
-                    for transformation in recipe)
-        if local:
-            body = list(program.body)
-            body[index] = _copy_loops(self._nest)
-            trial = Program(program.name, list(program.arrays.values()), body,
-                            program.parameters)
-        else:
-            trial = program.copy()
-        apply_recipe(trial, recipe, strict=False, context=self._context)
-        if local:
-            return self._estimate.seconds(trial)
-        return self.cost_model.estimate_seconds(trial, self.parameters)
-
-
-def _copy_loops(node: Node) -> Node:
-    """A copy of the loops of a subtree over its frozen statements, which the
-    copy shares (a transformation that did rewrite one would raise
-    :class:`~repro.ir.nodes.FrozenNodeError`)."""
-    if not isinstance(node, Loop):
-        return node
-    return node.with_body([_copy_loops(child) for child in node.body])
+    def _price(self, view: BandView) -> float:
+        return self._estimate.seconds(view)
 
 
 def retarget_recipe(recipe: Recipe, nest_index: int, name: str = "") -> Recipe:

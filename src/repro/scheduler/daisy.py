@@ -91,7 +91,8 @@ class DaisyScheduler(Scheduler):
         database under ``label``."""
         nest = program.body[index]
         label = f"{label or program.name}#{index}"
-        embedding = embed_nest(nest, program.arrays, parameters, label=label)
+        embedding = embed_nest(nest, program.arrays, parameters, label=label,
+                               analysis=self._analysis)
 
         # 1. BLAS-3 idiom detection on the normalized nest.
         if match_blas3(nest) is not None:

@@ -12,7 +12,8 @@ footprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from ..analysis.strides import DEFAULT_PARAMETER_VALUE, _array_strides, access_s
 from ..ir.arrays import Array
 from ..ir.nodes import Computation, LibraryCall, Loop, Program
 from ..perf.model import count_flops
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
+    from ..passes.analysis import AnalysisManager
 
 #: Names of the embedding dimensions, in order.
 FEATURE_NAMES: Tuple[str, ...] = (
@@ -79,10 +83,16 @@ def _loop_trips(nest: Loop, parameters: Mapping[str, int]) -> Dict[str, float]:
 
 def embed_nest(nest: Loop, arrays: Mapping[str, Array],
                parameters: Optional[Mapping[str, int]] = None,
-               label: str = "") -> PerformanceEmbedding:
-    """Compute the performance embedding of one loop nest."""
+               label: str = "",
+               analysis: "Optional[AnalysisManager]" = None
+               ) -> PerformanceEmbedding:
+    """Compute the performance embedding of one loop nest.  With an
+    ``analysis`` manager the loop classifications are shared with whoever
+    schedules the nest next."""
     parameters = dict(parameters or {})
     trips = _loop_trips(nest, parameters)
+    #: Container name -> (size in bytes, element strides), looked up once.
+    layouts: Dict[str, Tuple[float, Tuple[int, ...]]] = {}
 
     total_iterations = 1.0
     num_computations = 0
@@ -104,18 +114,22 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
             for access in computation_accesses(node, enclosing):
                 if access.array not in arrays:
                     continue
-                arr = arrays[access.array]
-                footprint += arr.size_in_bytes(
-                    {**{s: DEFAULT_PARAMETER_VALUE for dim in arr.shape
-                        for s in dim.free_symbols()}, **parameters})
+                layout = layouts.get(access.array)
+                if layout is None:
+                    arr = arrays[access.array]
+                    layout = layouts[access.array] = (arr.size_in_bytes(
+                        {**{s: DEFAULT_PARAMETER_VALUE for dim in arr.shape
+                            for s in dim.free_symbols()}, **parameters}),
+                        _array_strides(arr, parameters))
+                size_in_bytes, strides = layout
+                footprint += size_in_bytes
                 if not access.affine:
                     non_affine += 1
                     continue
                 if innermost is None:
                     zero += 1
                     continue
-                stride = access_stride(access, innermost,
-                                       _array_strides(arr, parameters))
+                stride = access_stride(access, innermost, strides)
                 if stride is None:
                     non_affine += 1
                 elif stride == 0:
@@ -135,7 +149,8 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
     num_accesses = zero + unit + strided + non_affine
     denominator = max(num_accesses, 1)
     num_parallel = sum(1 for loop in nest.iter_loops()
-                       if analyze_loop_parallelism(loop).is_parallel)
+                       if analyze_loop_parallelism(
+                           loop, analysis=analysis).is_parallel)
     flops_per_iter = flops / max(total_iterations, 1.0)
 
     vector = (

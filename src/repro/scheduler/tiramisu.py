@@ -22,6 +22,7 @@ from typing import List, Mapping, Optional, Tuple
 from ..analysis.parallelism import analyze_loop_parallelism
 from ..ir.nodes import Loop, Program
 from ..normalization.fission import maximal_loop_fission
+from ..passes.analysis import AnalysisManager
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..transforms.recipe import Recipe, apply_recipe
 from .base import NestPricer, NestScheduleInfo, ScheduleResult, Scheduler
@@ -72,10 +73,13 @@ class TiramisuScheduler(Scheduler):
 
     def schedule_nest(self, program: Program, index: int,
                       parameters: Mapping[str, int]) -> NestScheduleInfo:
-        if not self._supported(program.body[index]):
+        # One manager per nest: what the support check asks, the search
+        # does not derive again.
+        analysis = AnalysisManager()
+        if not self._supported(program.body[index], analysis):
             return NestScheduleInfo(index, "unsupported", None,
                                     "not a perfectly nested parallel loop")
-        recipe = self._mcts(program, index, parameters)
+        recipe = self._mcts(program, index, parameters, analysis)
         application = apply_recipe(program, recipe, strict=False)
         status = "optimized" if application.applied else "unchanged"
         return NestScheduleInfo(index, status, recipe,
@@ -83,29 +87,26 @@ class TiramisuScheduler(Scheduler):
 
     # -- support check ------------------------------------------------------------------
 
-    def _supported(self, nest: Loop) -> bool:
+    def _supported(self, nest: Loop, analysis: AnalysisManager) -> bool:
         if not nest.is_perfect_nest():
             return False
         band = nest.perfectly_nested_band()
         # Only the outer (non-reduction) part of the band must be parallel;
         # require at least the outermost loop to be parallel.
-        if not analyze_loop_parallelism(band[0]).is_parallel:
+        if not analyze_loop_parallelism(band[0], analysis=analysis).is_parallel:
             return False
         # Loop bounds must be rectangular (no dependence on outer iterators).
         iterators = {loop.iterator for loop in band}
-        for loop in band:
-            bound_symbols = (loop.start.free_symbols() | loop.end.free_symbols()
-                             | loop.step.free_symbols())
-            if bound_symbols & iterators:
-                return False
-        return True
+        return not any(loop.bound_symbols() & iterators for loop in band)
 
     # -- search -----------------------------------------------------------------------
 
     def _mcts(self, program: Program, index: int,
-              parameters: Mapping[str, int]) -> Recipe:
+              parameters: Mapping[str, int],
+              analysis: AnalysisManager) -> Recipe:
         nest = program.body[index]
-        pricer = NestPricer(self.cost_model, program, index, parameters)
+        pricer = NestPricer(self.cost_model, program, index, parameters,
+                            analysis)
         orders = ROLLOUT_SPACE.orders(nest, pricer.analysis)
         rng = nest_rng(self.config.seed, nest)
 

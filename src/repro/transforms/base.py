@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Type
 
+from ..analysis.band import BandView
 from ..ir.nodes import Loop, Program
-from ..passes.analysis import AnalysisManager
 from ..passes.base import Pass, PassContext
 
 
@@ -56,6 +56,8 @@ class Transformation(Pass):
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        if "name" not in cls.__dict__:
+            return  # an abstract family (no serialized name of its own)
         if cls.name in Transformation.registry:
             raise ValueError(f"duplicate transformation name {cls.name!r}")
         Transformation.registry[cls.name] = cls
@@ -82,9 +84,40 @@ class Transformation(Pass):
         return f"{type(self).__name__}({args})"
 
 
-def shared_analysis(context: Optional[PassContext]) -> Optional[AnalysisManager]:
-    """The analysis manager of ``context`` (None without a context)."""
-    return context.analysis if context is not None else None
+class BandSchedule(Transformation):
+    """A transformation that reorders, splits or annotates the loops of one
+    top-level nest and leaves its statements alone.
+
+    Its legality check and its effect are one method, :meth:`schedule`, on a
+    :class:`~repro.analysis.band.BandView` of the nest.  :meth:`apply` is
+    that method between viewing the nest and materialising the view; a
+    search calls it on views alone and builds nothing.
+    """
+
+    nest_index: int
+
+    def schedule(self, view: BandView) -> None:
+        """Check legality against ``view`` and edit it, or raise
+        :class:`TransformationError`."""
+        raise NotImplementedError
+
+    def within_band(self, view: BandView) -> bool:
+        """Whether :meth:`schedule` edits frames of ``view`` only, and no
+        loop of the subtree below its band."""
+        return True
+
+    def view(self, program: Program,
+             context: Optional[PassContext] = None) -> BandView:
+        """A view of the nest this transformation addresses."""
+        return BandView(get_nest(program, self.nest_index), program.arrays,
+                        analysis=context.analysis if context is not None else None,
+                        program_name=program.name)
+
+    def apply(self, program: Program,
+              context: Optional[PassContext] = None) -> None:
+        view = self.view(program, context)
+        self.schedule(view)
+        build_view(program, self.nest_index, view)
 
 
 def get_nest(program: Program, nest_index: int) -> Loop:
@@ -103,3 +136,10 @@ def get_nest(program: Program, nest_index: int) -> Loop:
 def set_nest(program: Program, nest_index: int, nest: Loop) -> None:
     """Replace the top-level nest at ``nest_index``."""
     program.body[nest_index] = nest
+
+
+def build_view(program: Program, nest_index: int, view: BandView) -> None:
+    """Put the nest ``view`` describes at ``nest_index`` (the nest it was
+    made of stays when no frame changed)."""
+    if view.changed():
+        set_nest(program, nest_index, view.materialise())

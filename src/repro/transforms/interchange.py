@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Sequence
 
-from ..analysis.dependence import permutation_is_legal
-from ..ir.nodes import Program
-from ..normalization.stride_minimization import apply_permutation
-from ..passes.base import PassContext
-from .base import (Transformation, TransformationError, get_nest, set_nest,
-                   shared_analysis)
+from ..analysis.band import BandView
+from .base import BandSchedule, TransformationError
 
 
-class Interchange(Transformation):
+class Interchange(BandSchedule):
     """Reorder the perfectly nested band of one top-level loop nest."""
 
     name = "interchange"
@@ -24,18 +20,15 @@ class Interchange(Transformation):
     def params(self) -> Dict[str, Any]:
         return {"nest_index": self.nest_index, "order": list(self.order)}
 
-    def apply(self, program: Program,
-              context: Optional[PassContext] = None) -> None:
-        nest = get_nest(program, self.nest_index)
-        band = nest.perfectly_nested_band()
-        current = [loop.iterator for loop in band]
+    def schedule(self, view: BandView) -> None:
+        current = view.order()
         if sorted(current) != sorted(self.order):
             raise TransformationError(
                 f"interchange order {self.order} does not match band {current}")
         if self.order == current:
             return
-        if not permutation_is_legal(nest, self.order, shared_analysis(context)):
+        if not view.order_is_legal(self.order):
             raise TransformationError(
                 f"interchange to {self.order} violates dependences in nest "
-                f"{self.nest_index} of {program.name!r}")
-        set_nest(program, self.nest_index, apply_permutation(nest, self.order))
+                f"{self.nest_index} of {view.program_name!r}")
+        view.reorder(self.order)

@@ -4,25 +4,32 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..analysis.parallelism import analyze_loop_parallelism
-from ..analysis.strides import access_stride, _array_strides
-from ..analysis.affine import loop_nest_accesses
-from ..ir.nodes import Loop, Program
-from ..passes.base import PassContext
-from .base import (Transformation, TransformationError, get_nest,
-                   shared_analysis)
+from ..analysis.band import BandView, Target
+from .base import BandSchedule, TransformationError
 
 
-def _find_loop(nest: Loop, iterator: Optional[str]) -> Loop:
-    if iterator is None:
-        return nest
-    for loop in nest.iter_loops():
-        if loop.iterator == iterator:
-            return loop
-    raise TransformationError(f"no loop with iterator {iterator!r} in nest")
+class _Annotation(BandSchedule):
+    """A schedule annotation of one loop of a nest: the loop named
+    ``iterator``, or by default the outermost (``innermost = False``) or the
+    innermost loop of the band."""
+
+    iterator: Optional[str]
+    innermost = True
+
+    def _target(self, view: BandView) -> Target:
+        if self.iterator is None:
+            return len(view.frames) - 1 if self.innermost else 0
+        target = view.find(self.iterator)
+        if target is None:
+            raise TransformationError(
+                f"no loop with iterator {self.iterator!r} in nest")
+        return target
+
+    def within_band(self, view: BandView) -> bool:
+        return self.iterator is None or isinstance(view.find(self.iterator), int)
 
 
-class Parallelize(Transformation):
+class Parallelize(_Annotation):
     """Mark a loop for parallel execution across threads.
 
     By default the transformation refuses to parallelize loops that carry
@@ -32,6 +39,7 @@ class Parallelize(Transformation):
     """
 
     name = "parallelize"
+    innermost = False
 
     def __init__(self, nest_index: int, iterator: Optional[str] = None,
                  allow_reductions: bool = False):
@@ -43,23 +51,19 @@ class Parallelize(Transformation):
         return {"nest_index": self.nest_index, "iterator": self.iterator,
                 "allow_reductions": self.allow_reductions}
 
-    def apply(self, program: Program,
-              context: Optional[PassContext] = None) -> None:
-        nest = get_nest(program, self.nest_index)
-        loop = _find_loop(nest, self.iterator)
-        info = analyze_loop_parallelism(loop,
-                                        analysis=shared_analysis(context))
-        if not info.is_parallel:
-            if info.is_reduction and self.allow_reductions:
-                loop.parallel = True
-                return
+    def schedule(self, view: BandView) -> None:
+        target = self._target(view)
+        info = view.parallelism(target)
+        if not (info.is_parallel
+                or (info.is_reduction and self.allow_reductions)):
             raise TransformationError(
-                f"loop {loop.iterator!r} in nest {self.nest_index} carries "
-                f"dependences and cannot be parallelized")
-        loop.parallel = True
+                f"loop {view.header(target).iterator!r} in nest "
+                f"{self.nest_index} carries dependences and cannot be "
+                f"parallelized")
+        view.annotate(target, parallel=True)
 
 
-class Vectorize(Transformation):
+class Vectorize(_Annotation):
     """Mark the innermost loop of a nest for SIMD execution.
 
     Vectorization requires the loop to be parallel (or a reduction over a
@@ -80,49 +84,22 @@ class Vectorize(Transformation):
         return {"nest_index": self.nest_index, "iterator": self.iterator,
                 "require_unit_stride": self.require_unit_stride}
 
-    def apply(self, program: Program,
-              context: Optional[PassContext] = None) -> None:
-        nest = get_nest(program, self.nest_index)
-        if self.iterator is None:
-            band = nest.perfectly_nested_band()
-            loop = band[-1]
-        else:
-            loop = _find_loop(nest, self.iterator)
-
-        info = analyze_loop_parallelism(loop,
-                                        analysis=shared_analysis(context))
+    def schedule(self, view: BandView) -> None:
+        target = self._target(view)
+        iterator = view.header(target).iterator
+        info = view.parallelism(target)
         if not (info.is_parallel or info.is_reduction):
             raise TransformationError(
-                f"loop {loop.iterator!r} cannot be vectorized: it carries "
+                f"loop {iterator!r} cannot be vectorized: it carries "
                 f"non-reduction dependences")
-
-        if self.require_unit_stride and not _mostly_unit_stride(program, loop):
+        if self.require_unit_stride and not view.mostly_unit_stride(target):
             raise TransformationError(
-                f"loop {loop.iterator!r} has predominantly strided accesses; "
+                f"loop {iterator!r} has predominantly strided accesses; "
                 f"refusing to vectorize")
-        loop.vectorized = True
+        view.annotate(target, vectorized=True)
 
 
-def _mostly_unit_stride(program: Program, loop: Loop) -> bool:
-    """True when at least half of the affine accesses in the loop body are
-    unit-stride or invariant with respect to the loop iterator."""
-    good = 0
-    total = 0
-    for _comp, _enclosing, accesses in loop_nest_accesses(loop):
-        for acc in accesses:
-            if acc.array not in program.arrays:
-                continue
-            total += 1
-            strides = _array_strides(program.arrays[acc.array], {})
-            stride = access_stride(acc, loop.iterator, strides)
-            if stride is not None and abs(stride) <= 1:
-                good += 1
-    if total == 0:
-        return True
-    return good * 2 >= total
-
-
-class Unroll(Transformation):
+class Unroll(_Annotation):
     """Annotate a loop with an unroll factor (consumed by the CPU model)."""
 
     name = "unroll"
@@ -136,13 +113,7 @@ class Unroll(Transformation):
         return {"nest_index": self.nest_index, "iterator": self.iterator,
                 "factor": self.factor}
 
-    def apply(self, program: Program,
-              context: Optional[PassContext] = None) -> None:
+    def schedule(self, view: BandView) -> None:
         if self.factor < 1:
             raise TransformationError("unroll factor must be at least 1")
-        nest = get_nest(program, self.nest_index)
-        if self.iterator is None:
-            loop = nest.perfectly_nested_band()[-1]
-        else:
-            loop = _find_loop(nest, self.iterator)
-        loop.unroll = self.factor
+        view.annotate(self._target(view), unroll=self.factor)

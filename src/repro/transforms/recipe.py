@@ -12,20 +12,14 @@ runs are instrumented per transformation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..ir.nodes import Program
 from ..passes.base import PassContext, PassResult
 from ..passes.pipeline import Pipeline
-from .base import Transformation, TransformationError
-
-
-def _hashable(value: Any) -> Any:
-    if isinstance(value, dict):
-        return tuple((key, _hashable(item)) for key, item in value.items())
-    if isinstance(value, (list, tuple)):
-        return tuple(_hashable(item) for item in value)
-    return value
+from ..analysis.band import BandView
+from .base import (BandSchedule, Transformation, TransformationError,
+                   build_view)
 
 
 @dataclass
@@ -45,13 +39,6 @@ class Recipe:
 
     def __iter__(self):
         return iter(self.transformations)
-
-    def key(self) -> Tuple:
-        """A hashable value equal for recipes that apply the same
-        transformations with the same parameters (names and notes are
-        provenance, not content)."""
-        return tuple((transformation.name, _hashable(transformation.params()))
-                     for transformation in self.transformations)
 
     def to_pipeline(self) -> Pipeline:
         """This recipe as a pipeline of the unified pass framework.
@@ -122,19 +109,42 @@ def apply_recipe(program: Program, recipe: Recipe,
     result = RecipeApplication(recipe=recipe)
     if instrument and context is None:
         context = PassContext()
-    for transformation in recipe.transformations:
-        try:
-            if instrument:
-                result.results.append(transformation.run(program, context))
-            else:
-                transformation.apply(program, context)
-            result.applied.append(transformation)
-        except TransformationError as error:
-            if strict:
-                raise
-            result.failed.append((transformation, str(error)))
-            if instrument:
-                result.results.append(PassResult(
-                    pass_name=transformation.name, changed=False,
-                    error=str(error)))
+    # Consecutive band schedules of one nest edit one view of it, built into
+    # loops once — when something else comes next, or at the end.
+    view: Optional[BandView] = None
+    viewed = -1
+
+    def build() -> None:
+        nonlocal view
+        if view is not None:
+            build_view(program, viewed, view)
+            view = None
+
+    try:
+        for transformation in recipe.transformations:
+            try:
+                if isinstance(transformation, BandSchedule) and not instrument:
+                    if view is None or transformation.nest_index != viewed:
+                        build()
+                        viewed = transformation.nest_index
+                        view = transformation.view(program, context)
+                    transformation.schedule(view)
+                else:
+                    build()
+                    if instrument:
+                        result.results.append(
+                            transformation.run(program, context))
+                    else:
+                        transformation.apply(program, context)
+                result.applied.append(transformation)
+            except TransformationError as error:
+                if strict:
+                    raise
+                result.failed.append((transformation, str(error)))
+                if instrument:
+                    result.results.append(PassResult(
+                        pass_name=transformation.name, changed=False,
+                        error=str(error)))
+    finally:
+        build()
     return result

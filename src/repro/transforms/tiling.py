@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping
 
-from ..analysis.dependence import band_order_is_legal, nest_direction_vectors
-from ..ir.nodes import Loop, Program
-from ..ir.symbols import Const, Min, Sym
-from ..passes.base import PassContext
-from .base import (Transformation, TransformationError, get_nest, set_nest,
-                   shared_analysis)
+from ..analysis.band import BandView
+from ..ir.nodes import Loop
+from .base import BandSchedule, TransformationError
 
 
 def tile_band(nest: Loop, tile_sizes: Mapping[str, int]) -> Loop:
@@ -21,40 +18,15 @@ def tile_band(nest: Loop, tile_sizes: Mapping[str, int]) -> Loop:
     All tile loops are placed outside all point loops, preserving the
     relative order within each group — the standard rectangular tiling.
     """
-    band = nest.perfectly_nested_band()
-    iterators = [loop.iterator for loop in band]
-    unknown = set(tile_sizes) - set(iterators)
+    view = BandView(nest)
+    unknown = set(tile_sizes) - set(view.order())
     if unknown:
         raise TransformationError(f"cannot tile unknown iterators {sorted(unknown)}")
-
-    inner_body = band[-1].body
-
-    tile_loops: List[Loop] = []
-    point_loops: List[Loop] = []
-    for loop in band:
-        size = tile_sizes.get(loop.iterator)
-        if size is None or size <= 1:
-            point_loops.append(Loop(loop.iterator, loop.start, loop.end, loop.step,
-                                    body=[], parallel=loop.parallel,
-                                    vectorized=loop.vectorized, unroll=loop.unroll))
-            continue
-        tile_iterator = f"{loop.iterator}_t"
-        tile_loops.append(Loop(tile_iterator, loop.start, loop.end, Const(size),
-                               body=[], parallel=loop.parallel,
-                               tile_of=loop.iterator))
-        point_loops.append(Loop(loop.iterator, Sym(tile_iterator),
-                                Min.make([Sym(tile_iterator) + size, loop.end]),
-                                loop.step, body=[], vectorized=loop.vectorized,
-                                unroll=loop.unroll, tile_of=loop.iterator))
-
-    ordered = tile_loops + point_loops
-    for outer, inner in zip(ordered, ordered[1:]):
-        outer.body = [inner]
-    ordered[-1].body = inner_body
-    return ordered[0]
+    view.tile(tile_sizes)
+    return view.materialise()
 
 
-class Tile(Transformation):
+class Tile(BandSchedule):
     """Tile selected loops of a top-level nest with rectangular tiles."""
 
     name = "tile"
@@ -66,18 +38,13 @@ class Tile(Transformation):
     def params(self) -> Dict[str, Any]:
         return {"nest_index": self.nest_index, "tile_sizes": dict(self.tile_sizes)}
 
-    def apply(self, program: Program,
-              context: Optional[PassContext] = None) -> None:
-        if not self.tile_sizes:
-            return
-        nest = get_nest(program, self.nest_index)
-        band = nest.perfectly_nested_band()
-        iterators = [loop.iterator for loop in band]
+    def schedule(self, view: BandView) -> None:
+        iterators = view.order()
         unknown = set(self.tile_sizes) - set(iterators)
         if unknown:
             raise TransformationError(
                 f"cannot tile unknown iterators {sorted(unknown)} in nest "
-                f"{self.nest_index} of {program.name!r}")
+                f"{self.nest_index} of {view.program_name!r}")
         tiled = [it for it in iterators if self.tile_sizes.get(it, 0) > 1]
         if not tiled:
             return
@@ -86,10 +53,9 @@ class Tile(Transformation):
         # permutability by requiring that both the original and the reversed
         # relative order of the tiled loops (moved outermost) are legal.
         others = [it for it in iterators if it not in tiled]
-        vectors = nest_direction_vectors(nest, shared_analysis(context))
         for candidate in (tiled + others, list(reversed(tiled)) + others):
-            if not band_order_is_legal(band, vectors, candidate):
+            if not view.order_is_legal(candidate):
                 raise TransformationError(
                     f"tiling {self.tile_sizes} is not legal for nest "
-                    f"{self.nest_index} of {program.name!r}")
-        set_nest(program, self.nest_index, tile_band(nest, self.tile_sizes))
+                    f"{self.nest_index} of {view.program_name!r}")
+        view.tile(self.tile_sizes)

@@ -217,7 +217,7 @@ class TestCostModel:
             for recipe in recipes:
                 variant = program.copy()
                 apply_recipe(variant, recipe)
-                assert (incremental.seconds(variant)
+                assert (incremental.seconds(variant.body[index])
                         == model.estimate_seconds(variant, parameters))
         assert calls >= 3
 

@@ -285,7 +285,9 @@ class TestNestPricer:
         assert candidate in {candidate}
         assert [name for name, _ in candidate.tile_sizes] == list(candidate.order)
         assert len({candidate, SEARCH_SPACE.mutate(candidate, orders, rng)}) <= 2
-        assert candidate.to_recipe(0).key() == candidate.to_recipe(0, "x").key()
+        # The name is provenance: the same candidate is the same schedule.
+        assert (candidate.to_recipe(0).to_dict()["transformations"]
+                == candidate.to_recipe(0, "x").to_dict()["transformations"])
 
 
 class TestDaisy:

@@ -413,7 +413,7 @@ class TestSharedStatementPricer:
         assert refused > priced // 10
 
     def test_candidates_share_one_frozen_copy_of_the_statements(self):
-        """What a candidate copies is the loops; a transformation that tried
+        """What a candidate copies is the frames; a transformation that tried
         to rewrite a shared statement would raise instead of corrupting the
         other candidates."""
         program = normalize_program(generate_program(3, "medium").program)
@@ -421,13 +421,16 @@ class TestSharedStatementPricer:
         index = next(i for i, node in enumerate(program.body)
                      if isinstance(node, Loop))
         pricer = NestPricer(CostModel(threads=4), program, index, parameters)
-        shared = list(pricer._nest.iter_computations())
+        shared = [comp for node in pricer.view.inner
+                  for comp in node.iter_computations()]
         originals = list(program.body[index].iter_computations())
         assert all(comp.frozen for comp in shared)
         assert not any(comp.frozen for comp in originals)
         assert all(copy is not original and copy.value is original.value
                    for copy, original in zip(shared, originals))
-        assert not any(loop.frozen for loop in pricer._nest.iter_loops())
+        # The loops below the band are as shared as the statements.
+        assert all(loop.frozen for node in pricer.view.inner
+                   for loop in node.iter_loops())
         with pytest.raises(FrozenNodeError):
             shared[0].value = shared[0].value + 1
         orders = list(itertools.permutations(
