@@ -17,9 +17,9 @@ from .affine import (AffineAccess, AffineIndex, access_is_contiguous,
                      computation_accesses, decompose_access, decompose_index,
                      loop_nest_accesses, nest_statements)
 from .band import BandView, Frame
-from .dataflow import (DataflowEdge, build_dataflow_graph, has_cycle,
-                       node_reads_writes, producer_consumer_pairs,
-                       program_dataflow, topological_order)
+from .dataflow import (DataflowEdge, build_dataflow_graph, node_reads_writes,
+                       producer_consumer_pairs, program_dataflow,
+                       topological_order)
 from .flops import (computation_flops, expr_flops, expr_reads, program_flops,
                     written_arrays)
 from .dependence import (ANY, EQ, GT, LT, Dependence, body_dependence_pairs,
@@ -39,7 +39,7 @@ __all__ = [
     "decompose_access", "decompose_index", "loop_nest_accesses",
     "nest_statements",
     "BandView", "Frame",
-    "DataflowEdge", "build_dataflow_graph", "has_cycle", "node_reads_writes",
+    "DataflowEdge", "build_dataflow_graph", "node_reads_writes",
     "producer_consumer_pairs", "program_dataflow", "topological_order",
     "ANY", "EQ", "GT", "LT", "Dependence", "body_dependence_pairs",
     "dependences_between", "legal_permutations", "loop_carried_dependences",

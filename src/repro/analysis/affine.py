@@ -13,9 +13,9 @@ representation are simply left unoptimized (Section 4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from ..ir.nodes import ArrayAccess, Computation, Loop, Node, read_accesses
 from ..ir.symbols import Expr
@@ -33,18 +33,29 @@ class AffineIndex:
         constant: The constant part of the subscript.
         affine: False when the subscript could not be decomposed; in that case
             the other fields are meaningless.
+
+    What the dependence tests ask of every pair of subscripts is derived
+    once, with the index: ``coefficient_of`` and ``offsets`` are the two
+    coefficient tuples as mappings, ``iterators`` the names with a non-zero
+    coefficient.
     """
 
     coefficients: Tuple[Tuple[str, float], ...]
     offset_coefficients: Tuple[Tuple[str, float], ...]
     constant: float
     affine: bool = True
+    coefficient_of: Mapping[str, float] = field(init=False, repr=False, compare=False)
+    offsets: Mapping[str, float] = field(init=False, repr=False, compare=False)
+    iterators: FrozenSet[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coefficient_of", dict(self.coefficients))
+        object.__setattr__(self, "offsets", dict(self.offset_coefficients))
+        object.__setattr__(self, "iterators", frozenset(
+            [name for name, coeff in self.coefficients if coeff != 0]))
 
     def coefficient(self, iterator: str) -> float:
-        for name, coeff in self.coefficients:
-            if name == iterator:
-                return coeff
-        return 0.0
+        return self.coefficient_of.get(iterator, 0.0)
 
     def iterator_names(self) -> Tuple[str, ...]:
         return tuple(name for name, coeff in self.coefficients if coeff != 0)

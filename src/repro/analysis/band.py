@@ -150,6 +150,8 @@ class BandView:
         self.analysis = analysis
         self.program_name = program_name
         self._base: Tuple[Frame, ...] = tuple(self.frames)
+        #: Whether :meth:`annotate` edited a loop below the band in place.
+        self.edited_below = False
         # The facts; forks share these dictionaries.
         self._memo: Dict[Tuple, Any] = {}
         self._layouts: Dict[str, Tuple[float, Tuple[int, ...]]] = {}
@@ -200,7 +202,9 @@ class BandView:
             self.frames[target] = self.frames[target]._replace(**flags)
         else:
             for name, value in flags.items():
-                setattr(target, name, value)
+                if getattr(target, name) != value:
+                    setattr(target, name, value)
+                    self.edited_below = True
 
     def reorder(self, order: Sequence[str]) -> None:
         """Put the band in ``order``; the caller answers for legality."""

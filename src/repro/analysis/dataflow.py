@@ -9,11 +9,12 @@ case study (Section 5.1) and the SDFG-style reasoning of Section 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
+
+if TYPE_CHECKING:  # networkx loads with the first graph, not with repro.api
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,8 @@ def build_dataflow_graph(nodes: List[Node]) -> nx.DiGraph:
     Graph nodes are the indices of ``nodes``; edges carry ``arrays`` (the
     containers that induce the edge) and ``kind``.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     summaries = [node_reads_writes(node) for node in nodes]
     for index, node in enumerate(nodes):
@@ -147,9 +150,6 @@ def transient_candidates(program: Program) -> Set[str]:
 
 def topological_order(graph: nx.DiGraph) -> List[int]:
     """A topological order of the dataflow graph (program order ties kept)."""
+    import networkx as nx
+
     return list(nx.lexicographical_topological_sort(graph))
-
-
-def has_cycle(graph: nx.DiGraph) -> bool:
-    """True if the dataflow graph contains a dependence cycle."""
-    return not nx.is_directed_acyclic_graph(graph)

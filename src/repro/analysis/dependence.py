@@ -124,24 +124,21 @@ def _dimension_testable(index_a: AffineIndex, index_b: AffineIndex,
                         private_a: frozenset, private_b: frozenset) -> bool:
     """A dimension is testable when both subscripts are affine and do not
     involve iterators private to either side."""
-    if not index_a.affine or not index_b.affine:
-        return False
-    if any(name in private_a for name in index_a.iterator_names()):
-        return False
-    if any(name in private_b for name in index_b.iterator_names()):
-        return False
-    return True
+    return (index_a.affine and index_b.affine
+            and index_a.iterators.isdisjoint(private_a)
+            and index_b.iterators.isdisjoint(private_b))
 
 
 def _offsets_match(index_a: AffineIndex, index_b: AffineIndex) -> bool:
     """True when the parameter-dependent parts of both subscripts agree."""
-    return dict(index_a.offset_coefficients) == dict(index_b.offset_coefficients)
+    return index_a.offsets == index_b.offsets
 
 
-def _test_dimension(index_a: AffineIndex, index_b: AffineIndex,
-                    common_iterators: Sequence[str]
+def _test_dimension(index_a: AffineIndex, index_b: AffineIndex
                     ) -> Tuple[bool, Dict[str, Optional[int]]]:
-    """Test a single subscript dimension.
+    """Test a single subscript dimension that is :func:`_dimension_testable`
+    — so every iterator either subscript varies in is a common one (both
+    were decomposed over the common and the private iterators only).
 
     Returns ``(may_depend, constraints)``.  ``constraints`` maps iterator
     names to a required integer distance (``iteration_b - iteration_a``) when
@@ -149,11 +146,9 @@ def _test_dimension(index_a: AffineIndex, index_b: AffineIndex,
     constrains that iterator to any single consistent value (not used here).
     ``may_depend=False`` proves independence outright.
     """
-    coeffs_a = dict(index_a.coefficients)
-    coeffs_b = dict(index_b.coefficients)
-    involved = {name for name in list(coeffs_a) + list(coeffs_b)
-                if coeffs_a.get(name, 0) != 0 or coeffs_b.get(name, 0) != 0}
-    involved &= set(common_iterators)
+    coeffs_a = index_a.coefficient_of
+    coeffs_b = index_b.coefficient_of
+    involved = index_a.iterators | index_b.iterators
 
     if not involved:
         # ZIV: both subscripts are constants (possibly parameter-dependent).
@@ -242,7 +237,7 @@ def _test_access_pair(affine_a: AffineAccess, private_a: frozenset,
     for index_a, index_b in zip(affine_a.indices, affine_b.indices):
         if not _dimension_testable(index_a, index_b, private_a, private_b):
             continue
-        may_depend, dim_constraints = _test_dimension(index_a, index_b, common_iterators)
+        may_depend, dim_constraints = _test_dimension(index_a, index_b)
         if not may_depend:
             return None
         for iterator, distance in dim_constraints.items():

@@ -121,7 +121,8 @@ def band_strides(loop: Loop, arrays: Mapping[str, Array],
                 # permutations cannot "hide" them.
                 penalty += max(strides) if strides else 1.0
                 continue
-            for iterator in per_iterator:
+            # An iterator the access does not vary in moves it by 0.
+            for iterator in per_iterator.keys() & access.columns.keys():
                 stride = access_stride(access, iterator, strides)
                 if stride is not None:
                     per_iterator[iterator] += abs(stride)

@@ -16,9 +16,7 @@ next preserves all dependences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
 from ..analysis.dependence import body_dependence_pairs
@@ -63,13 +61,38 @@ def _dependence_edges(loop: Loop,
     return analysis.cached_node("fission-edges", loop, compute)
 
 
-def _dependence_graph(loop: Loop,
-                      analysis: "Optional[AnalysisManager]" = None) -> nx.DiGraph:
-    """Dependence graph over the direct children of ``loop``."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(loop.body)))
-    graph.add_edges_from(_dependence_edges(loop, analysis))
-    return graph
+def scc_groups(count: int, edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
+    """The strongly connected components of the digraph ``edges`` over
+    ``range(count)``, each as its sorted members, in the topological order
+    of the condensation that always emits the ready component holding the
+    smallest member — program order wherever the dependences allow it.
+    Loop bodies are small: reachability is one bit set per vertex.
+    """
+    reach = [1 << vertex for vertex in range(count)]
+    # Sinks first, so forward (program-order) edges close in one sweep.
+    edges = sorted(edges, reverse=True)
+    grew = True
+    while grew:
+        grew = False
+        for source, sink in edges:
+            if reach[source] | reach[sink] != reach[source]:
+                reach[source] |= reach[sink]
+                grew = True
+    groups: Dict[int, List[int]] = {}  # smallest member -> members
+    for vertex in range(count):
+        first = next(other for other in range(count)
+                     if reach[vertex] >> other & 1 and reach[other] >> vertex & 1)
+        groups.setdefault(first, []).append(vertex)
+    blockers = {group: sum(reach[other] >> group & 1 for other in groups) - 1
+                for group in groups}
+    ordered: List[List[int]] = []
+    while blockers:
+        ready = min(group for group, ahead in blockers.items() if not ahead)
+        del blockers[ready]
+        ordered.append(groups[ready])
+        for group in blockers:
+            blockers[group] -= reach[ready] >> group & 1
+    return ordered
 
 
 def _partition_children(loop: Loop,
@@ -81,15 +104,7 @@ def _partition_children(loop: Loop,
     in the topological order are broken by original program order so that the
     transformation is deterministic and order-preserving when possible.
     """
-    graph = _dependence_graph(loop, analysis)
-    condensation = nx.condensation(graph)
-    order = list(nx.lexicographical_topological_sort(
-        condensation, key=lambda scc: min(condensation.nodes[scc]["members"])))
-    groups: List[List[int]] = []
-    for scc in order:
-        members = sorted(condensation.nodes[scc]["members"])
-        groups.append(members)
-    return groups
+    return scc_groups(len(loop.body), _dependence_edges(loop, analysis))
 
 
 def fission_loop(loop: Loop,

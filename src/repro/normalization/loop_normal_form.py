@@ -15,15 +15,14 @@ from typing import Dict, List, Optional
 from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
 from ..ir.symbols import Const, Expr, FloorDiv, Sym
 
-#: Canonical iterator names used by :func:`canonicalize_iterator_names`.
-CANONICAL_ITERATOR_NAMES = [
-    "i0", "i1", "i2", "i3", "i4", "i5", "i6", "i7", "i8", "i9",
-    "i10", "i11", "i12", "i13", "i14", "i15",
-]
+#: Canonical iterator names used by :func:`canonicalize_iterator_names`;
+#: past the table the sequence continues ``i16, i17, ...``.
+CANONICAL_ITERATOR_NAMES = [f"i{index}" for index in range(16)]
 
 
-def normalize_loop_bounds(node: Node) -> Node:
-    """Rewrite all loops in a subtree to start at 0 with step 1 (in place).
+def normalize_loop_bounds(node: Node) -> bool:
+    """Rewrite all loops in a subtree to start at 0 with step 1 (in place);
+    returns whether any loop was rewritten.
 
     For a loop ``for (i = start; i < end; i += step)`` the rewritten loop is
     ``for (i = 0; i < ceil((end - start) / step); i++)`` and every use of
@@ -31,21 +30,22 @@ def normalize_loop_bounds(node: Node) -> Node:
     a positive constant are left untouched (they cannot be lifted by the
     symbolic representation anyway).
     """
-    if isinstance(node, Loop):
-        for child in node.body:
-            normalize_loop_bounds(child)
-        _normalize_single_loop(node)
-    return node
+    if not isinstance(node, Loop):
+        return False
+    changed = False
+    for child in node.body:
+        changed = normalize_loop_bounds(child) or changed
+    return _normalize_single_loop(node) or changed
 
 
-def _normalize_single_loop(loop: Loop) -> None:
+def _normalize_single_loop(loop: Loop) -> bool:
     start, step = loop.start, loop.step
     if isinstance(step, Const) and step.value <= 0:
-        return
+        return False
     if start == Const(0) and step == Const(1):
-        return
+        return False
     if not isinstance(step, Const):
-        return
+        return False
 
     iterator = loop.iterator
     replacement: Expr = Sym(iterator)
@@ -77,37 +77,41 @@ def _normalize_single_loop(loop: Loop) -> None:
     loop.start = Const(0)
     loop.end = new_end
     loop.step = Const(1)
+    return True
 
 
-def normalize_program_bounds(program: Program) -> Program:
-    """Apply :func:`normalize_loop_bounds` to every top-level node (in place)."""
+def normalize_program_bounds(program: Program) -> bool:
+    """Apply :func:`normalize_loop_bounds` to every top-level node (in
+    place); returns whether any loop was rewritten."""
+    changed = False
     for node in program.body:
-        normalize_loop_bounds(node)
-    return program
+        changed = normalize_loop_bounds(node) or changed
+    return changed
 
 
 def canonicalize_iterator_names(program: Program,
-                                names: Optional[List[str]] = None) -> Program:
-    """Rename loop iterators to a canonical sequence per top-level nest.
+                                names: Optional[List[str]] = None) -> bool:
+    """Rename loop iterators to a canonical sequence per top-level nest;
+    returns whether any nest was renamed.
 
     Within each top-level loop nest, iterators are renamed to ``i0, i1, ...``
-    in pre-order.  Renaming is capture-free because loop iterators are only
-    visible within their own nest.
+    in pre-order (however many loops the nest holds).  Renaming is
+    capture-free because loop iterators are only visible within their own
+    nest.  A nest that already carries its canonical names is not touched.
     """
     names = names or CANONICAL_ITERATOR_NAMES
-
+    changed = False
     for top in program.body:
         if not isinstance(top, Loop):
             continue
-        loops = list(top.iter_loops())
-        if len(loops) > len(names):
-            raise ValueError(
-                f"loop nest deeper than {len(names)} levels cannot be canonicalized")
         mapping: Dict[str, str] = {}
-        for index, loop in enumerate(loops):
-            mapping[loop.iterator] = names[index]
-        _rename_iterators(top, mapping)
-    return program
+        for index, loop in enumerate(top.iter_loops()):
+            mapping[loop.iterator] = (names[index] if index < len(names)
+                                      else f"i{index}")
+        if any(old != new for old, new in mapping.items()):
+            _rename_iterators(top, mapping)
+            changed = True
+    return changed
 
 
 def _rename_iterators(node: Node, mapping: Dict[str, str]) -> None:

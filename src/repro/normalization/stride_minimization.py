@@ -15,8 +15,9 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..ir.arrays import Array
 from ..ir.nodes import Loop, Node, Program
 from ..analysis.band import BandView
+from ..analysis.dataflow import node_reads_writes
 from ..analysis.dependence import legal_permutations, permutation_is_legal
-from ..analysis.strides import BandStrides, band_strides, nest_stride_cost
+from ..analysis.strides import BandStrides, band_strides
 
 if TYPE_CHECKING:  # deferred to avoid a cycle with repro.passes.library
     from ..passes.analysis import AnalysisManager
@@ -78,12 +79,20 @@ def find_minimal_permutation(nest: Loop, arrays: Mapping[str, Array],
     walked once (:func:`~repro.analysis.strides.band_strides`); each order is
     then priced as a weighted sum over that walk.
     """
+    return _minimal_permutation(nest, arrays, parameters)[:3]
+
+
+def _minimal_permutation(nest: Loop, arrays: Mapping[str, Array],
+                         parameters: Optional[Mapping[str, int]]
+                         ) -> Tuple[Tuple[str, ...], float, int, float]:
+    """:func:`find_minimal_permutation` plus the cost of the current order,
+    priced from the same walk."""
     band = nest.perfectly_nested_band()
     iterators = tuple(loop.iterator for loop in band)
     strides = band_strides(nest, arrays, parameters)
     current_cost = strides.cost(iterators)
     if len(band) <= 1:
-        return iterators, current_cost, 1
+        return iterators, current_cost, 1, current_cost
 
     if len(band) > EXHAUSTIVE_DEPTH_LIMIT:
         candidate = _grouped_sort_order(iterators, strides)
@@ -91,8 +100,8 @@ def find_minimal_permutation(nest: Loop, arrays: Mapping[str, Array],
         if permutation_is_legal(nest, candidate):
             cost = strides.cost(candidate)
             if cost < current_cost:
-                return candidate, cost, evaluated
-        return iterators, current_cost, evaluated
+                return candidate, cost, evaluated, current_cost
+        return iterators, current_cost, evaluated, current_cost
 
     best_order = iterators
     best_cost = current_cost
@@ -106,20 +115,23 @@ def find_minimal_permutation(nest: Loop, arrays: Mapping[str, Array],
         elif abs(cost - best_cost) <= 1e-12 and order < best_order:
             # Deterministic tie-break: lexicographically smallest order.
             best_order = order
-    return best_order, best_cost, max(evaluated, 1)
+    return best_order, best_cost, max(evaluated, 1), current_cost
 
 
-def _nest_key_material(arrays: Mapping[str, Array],
+def _nest_key_material(nest: Loop, arrays: Mapping[str, Array],
                        parameters: Optional[Mapping[str, int]]) -> Dict[str, object]:
     """Extra key material for memoized per-nest permutation results.
 
-    Stride costs depend on array shapes/dtypes and the parameter bindings,
-    so both join the nest content fingerprint in the memo key.
+    Stride costs depend on the shapes/dtypes of the arrays the nest touches
+    and on the parameter bindings, so both join the nest content fingerprint
+    in the memo key — and no other array of the program does: one nest in
+    two programs shares its answer.
     """
+    reads, writes = node_reads_writes(nest)
     return {
-        "arrays": sorted((name, tuple(str(dim) for dim in array.shape),
-                          str(array.dtype))
-                         for name, array in arrays.items()),
+        "arrays": sorted((name, tuple(str(dim) for dim in arrays[name].shape),
+                          str(arrays[name].dtype))
+                         for name in reads | writes if name in arrays),
         "parameters": sorted((parameters or {}).items()),
     }
 
@@ -136,8 +148,6 @@ def minimize_strides(program: Program,
     repeated normalization of equivalent nests skips the search entirely.
     """
     report = StrideMinimizationReport()
-    extra = _nest_key_material(program.arrays, parameters) \
-        if analysis is not None else None
     new_body: List[Node] = []
     for node in program.body:
         if not isinstance(node, Loop):
@@ -148,14 +158,12 @@ def minimize_strides(program: Program,
 
         def compute(nest: Loop = node) -> Tuple[Tuple[str, ...], float, int, float]:
             computed.append(True)
-            before = nest_stride_cost(nest, program.arrays, parameters)
-            order, cost, evaluated = find_minimal_permutation(
-                nest, program.arrays, parameters)
-            return tuple(order), cost, evaluated, before
+            return _minimal_permutation(nest, program.arrays, parameters)
 
         if analysis is not None:
             order, cost, evaluated, before = analysis.cached_node(
-                "minimal-permutation", node, compute, extra=extra)
+                "minimal-permutation", node, compute,
+                extra=_nest_key_material(node, program.arrays, parameters))
         else:
             order, cost, evaluated, before = compute()
 

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Unio
 
 from ..ir.nodes import Program
 from ..observability.tracing import span as _trace_span
-from .analysis import AnalysisManager, program_fingerprint
+from .analysis import AnalysisManager
 
 
 def program_ir_size(program: Program) -> int:
@@ -89,8 +89,8 @@ class PassContext:
     scratch: Dict[str, Any] = field(default_factory=dict)
 
 
-#: What ``Pass.apply`` may return: nothing (change detected by fingerprint),
-#: a changed-flag, or ``(changed-flag-or-None, counters)``.
+#: What ``Pass.apply`` returns: a changed-flag, or ``(changed-flag,
+#: counters)``.  Nothing (or a ``None`` flag) reads as "changed".
 ApplyOutcome = Union[None, bool, Tuple[Optional[bool], Dict[str, float]]]
 
 
@@ -98,52 +98,44 @@ class Pass:
     """Base class of all passes.
 
     Subclasses implement :meth:`apply`, which mutates the program in place
-    and reports what it did; :meth:`run` wraps the application with timing,
-    IR-size accounting, and — for passes that cannot cheaply self-report a
-    changed-flag (``detects_change = False``) — content-fingerprint change
-    detection.
+    and reports whether it rewrote anything — the rewrite knows, and nothing
+    else is asked: no pass serialises the program to find out.  :meth:`run`
+    wraps the application with timing and IR-size accounting.
     """
 
     #: Name used in results, registries, and reports; set by subclasses.
     name: str = "pass"
 
-    #: When False, ``run`` compares program fingerprints before and after
-    #: ``apply`` to derive the changed-flag.
-    detects_change: bool = True
-
     def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
         raise NotImplementedError
 
-    def run(self, program: Program,
-            context: Optional[PassContext] = None) -> PassResult:
-        """Apply the pass and measure it; returns the :class:`PassResult`."""
+    def run(self, program: Program, context: Optional[PassContext] = None,
+            ir_size: Optional[int] = None) -> PassResult:
+        """Apply the pass and measure it; returns the :class:`PassResult`.
+
+        ``ir_size`` is the program's :func:`program_ir_size` when the caller
+        knows it (a pipeline hands each pass the size its predecessor left);
+        a pass that reports no change leaves it as it was.
+        """
         context = context or PassContext()
         with _trace_span("pass:" + self.name) as span:
-            size_before = program_ir_size(program)
-            fingerprint_before = (None if self.detects_change
-                                  else program_fingerprint(program))
+            size_before = (program_ir_size(program) if ir_size is None
+                           else ir_size)
             started = time.perf_counter()
             outcome = self.apply(program, context)
             wall_time = time.perf_counter() - started
 
-            changed: Optional[bool]
-            counters: Dict[str, float]
+            counters: Dict[str, float] = {}
             if isinstance(outcome, tuple):
-                changed, counters = outcome
-                counters = dict(counters or {})
-            elif isinstance(outcome, bool):
-                changed, counters = outcome, {}
-            else:
-                changed, counters = None, {}
-            if changed is None:
-                # A pass that declared detects_change but reported nothing is
-                # treated conservatively as having changed the program.
-                changed = (True if fingerprint_before is None
-                           else program_fingerprint(program) != fingerprint_before)
-            result = PassResult(pass_name=self.name, changed=bool(changed),
+                outcome, counters = outcome[0], dict(outcome[1] or {})
+            # A pass that reported nothing is treated conservatively as
+            # having changed the program.
+            changed = True if outcome is None else bool(outcome)
+            result = PassResult(pass_name=self.name, changed=changed,
                                 wall_time_s=wall_time, counters=counters,
                                 ir_size_before=size_before,
-                                ir_size_after=program_ir_size(program))
+                                ir_size_after=(program_ir_size(program)
+                                               if changed else size_before))
             span.set_attributes(changed=result.changed,
                                 wall_time_s=result.wall_time_s,
                                 ir_delta=result.ir_size_after - size_before)

@@ -41,11 +41,9 @@ class LoopNormalFormPass(Pass):
     """Rewrite every loop to start at 0 with step 1 (classical preconditioning)."""
 
     name = "loop-normal-form"
-    detects_change = False  # the underlying rewrite does not self-report
 
     def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
-        normalize_program_bounds(program)
-        return None
+        return normalize_program_bounds(program)
 
 
 class ScalarExpansionPass(Pass):
@@ -97,12 +95,10 @@ class CanonicalizeIteratorsPass(Pass):
     """Rename iterators to ``i0, i1, ...`` so equivalent nests compare equal."""
 
     name = "canonicalize-iterators"
-    detects_change = False
 
     def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
-        canonicalize_iterator_names(program)
         context.scratch["canonical_iterators"] = True
-        return None
+        return canonicalize_iterator_names(program)
 
 
 class ValidatePass(Pass):

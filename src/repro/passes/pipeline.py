@@ -45,15 +45,16 @@ class FixedPoint:
     def identity(self) -> str:
         return f"fp({'+'.join(self.pass_names())})"
 
-    def run(self, program: Program, context: PassContext
-            ) -> "tuple[List[PassResult], int]":
+    def run(self, program: Program, context: PassContext,
+            ir_size: Optional[int] = None) -> "tuple[List[PassResult], int]":
         """Iterate to a fixed point; returns (per-application results, iterations)."""
         results: List[PassResult] = []
         for iteration in range(1, self.max_iterations + 1):
             changed = False
             for stage_pass in self.passes:
-                result = stage_pass.run(program, context)
+                result = stage_pass.run(program, context, ir_size)
                 results.append(result)
+                ir_size = result.ir_size_after
                 changed = result.changed or changed
             if not changed:
                 return results, iteration
@@ -133,13 +134,18 @@ class Pipeline:
         context = context or PassContext()
         result = PipelineResult(pipeline=self.name)
         started = time.perf_counter()
+        # The IR size is taken once per pass boundary: each pass starts from
+        # the size its predecessor left.
+        ir_size: Optional[int] = None
         for stage in self.stages:
             if isinstance(stage, FixedPoint):
-                stage_results, iterations = stage.run(program, context)
+                stage_results, iterations = stage.run(program, context, ir_size)
                 result.passes.extend(stage_results)
                 result.fixed_point_iterations[stage.name] = iterations
             else:
-                result.passes.append(stage.run(program, context))
+                result.passes.append(stage.run(program, context, ir_size))
+            if result.passes:
+                ir_size = result.passes[-1].ir_size_after
         result.wall_time_s = time.perf_counter() - started
         return result
 

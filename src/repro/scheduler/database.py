@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..transforms.recipe import Recipe
 from .base import retarget_recipe
-from .embedding import (EMBEDDING_SIZE, PerformanceEmbedding, feedback_bias,
-                        pairwise_distance)
+from .embedding import EMBEDDING_SIZE, PerformanceEmbedding, feedback_bias
 
 _RETARGET_SUFFIX = re.compile(r"(?:@\d+)+$")
 
@@ -164,6 +167,10 @@ class TuningDatabase:
 
     def __init__(self, entries: Optional[List[DatabaseEntry]] = None):
         self.entries: List[DatabaseEntry] = []
+        #: Row ``i`` holds ``entries[i].embedding``; rows past ``len(entries)``
+        #: are spare capacity.
+        self._vectors = np.empty((0, EMBEDDING_SIZE))
+        self._append_lock = threading.Lock()
         self._digest = hashlib.sha256(b"tuning-database")
         for entry in entries or []:
             self.add_entry(entry)
@@ -183,10 +190,16 @@ class TuningDatabase:
 
     def add_entry(self, entry: DatabaseEntry) -> DatabaseEntry:
         """Append a ready entry (the seam all mutation funnels through, so
-        the content version stays in sync)."""
-        self.entries.append(entry)
-        self._digest.update(
-            json.dumps(entry.to_dict(), sort_keys=True).encode("utf-8"))
+        the content version and the embedding matrix stay in sync)."""
+        with self._append_lock:  # row, entry and digest advance together
+            count = len(self.entries)
+            if count == len(self._vectors):  # full: double the capacity
+                self._vectors = np.concatenate(
+                    [self._vectors, np.empty((max(16, count), EMBEDDING_SIZE))])
+            self._vectors[count] = entry.embedding
+            self.entries.append(entry)
+            self._digest.update(
+                json.dumps(entry.to_dict(), sort_keys=True).encode("utf-8"))
         return entry
 
     def add(self, embedding: PerformanceEmbedding, recipe: Recipe,
@@ -199,16 +212,29 @@ class TuningDatabase:
             DatabaseEntry(embedding=tuple(embedding.vector), recipe=recipe,
                           label=embedding.label, runtime=runtime))
 
+    def distances(self, vector: Sequence[float]) -> List[float]:
+        """Euclidean distance from ``vector`` to every entry, in entry order.
+
+        One subtraction for the whole database, then ``sqrt(row . row)`` per
+        row — the arithmetic of
+        :func:`~repro.scheduler.embedding.pairwise_distance`, to the last bit
+        (a vectorised norm sums in another order and is not).
+        """
+        if not self.entries:
+            return []
+        difference = (self._vectors[:len(self.entries)]
+                      - np.asarray(vector, dtype=float))
+        return [math.sqrt(row.dot(row)) for row in difference]
+
     def scored_query(self, embedding: PerformanceEmbedding, k: int = 1
                      ) -> List[Tuple[float, float, DatabaseEntry]]:
         """The ``k`` best entries as ``(score, distance, entry)`` triples,
         where ``score = distance * entry.bias()`` folds in online feedback.
         Without feedback every bias is exactly 1.0, so the ranking is the
         plain nearest-neighbor ranking."""
-        scored = []
-        for entry in self.entries:
-            distance = pairwise_distance(embedding.vector, entry.embedding)
-            scored.append((distance * entry.bias(), distance, entry))
+        scored = [(distance * entry.bias(), distance, entry)
+                  for distance, entry in zip(self.distances(embedding.vector),
+                                             self.entries)]
         scored.sort(key=lambda triple: triple[0])
         return scored[:k]
 
@@ -226,8 +252,8 @@ class TuningDatabase:
         embedding distance — feedback re-ranks but never widens the
         transfer radius), or None."""
         best = None
-        for entry in self.entries:
-            distance = pairwise_distance(embedding.vector, entry.embedding)
+        for distance, entry in zip(self.distances(embedding.vector),
+                                   self.entries):
             if max_distance is not None and distance > max_distance:
                 continue
             score = distance * entry.bias()
@@ -251,10 +277,9 @@ class TuningDatabase:
         entries prescribing that recipe (retarget-insensitive), the one
         whose embedding is nearest to ``vector``."""
         best = None
-        for entry in self.entries:
+        for distance, entry in zip(self.distances(vector), self.entries):
             if recipe_identity(entry.recipe) != recipe_key:
                 continue
-            distance = pairwise_distance(vector, entry.embedding)
             if best is None or distance < best[0]:
                 best = (distance, entry)
         return best

@@ -38,9 +38,9 @@ class Transformation(Pass):
     place (programs are cheap to copy; callers that need the original copy it
     first), and :meth:`params`, which returns the JSON-serializable parameter
     dictionary used for persistence.  ``apply(program)`` works without a
-    context; the :class:`~repro.passes.base.Pass` protocol's
-    ``run(program, context)`` wraps it with timing and fingerprint-based
-    change detection.
+    context and returns whether it rewrote the program (an illegal
+    transformation raises instead); the :class:`~repro.passes.base.Pass`
+    protocol's ``run(program, context)`` wraps it with timing.
     """
 
     #: Registry of transformation names to classes, for deserialization.
@@ -49,10 +49,6 @@ class Transformation(Pass):
     #: Short name used in serialized recipes (and pass results); set by
     #: subclasses.
     name: str = "transformation"
-
-    #: Transformations cannot cheaply self-report a changed-flag, so
-    #: ``run()`` derives it from content fingerprints.
-    detects_change = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -63,7 +59,7 @@ class Transformation(Pass):
         Transformation.registry[cls.name] = cls
 
     def apply(self, program: Program,
-              context: Optional[PassContext] = None) -> None:
+              context: Optional[PassContext] = None) -> bool:
         raise NotImplementedError
 
     def params(self) -> Dict[str, Any]:
@@ -114,10 +110,10 @@ class BandSchedule(Transformation):
                         program_name=program.name)
 
     def apply(self, program: Program,
-              context: Optional[PassContext] = None) -> None:
+              context: Optional[PassContext] = None) -> bool:
         view = self.view(program, context)
         self.schedule(view)
-        build_view(program, self.nest_index, view)
+        return build_view(program, self.nest_index, view)
 
 
 def get_nest(program: Program, nest_index: int) -> Loop:
@@ -138,8 +134,11 @@ def set_nest(program: Program, nest_index: int, nest: Loop) -> None:
     program.body[nest_index] = nest
 
 
-def build_view(program: Program, nest_index: int, view: BandView) -> None:
+def build_view(program: Program, nest_index: int, view: BandView) -> bool:
     """Put the nest ``view`` describes at ``nest_index`` (the nest it was
-    made of stays when no frame changed)."""
-    if view.changed():
+    made of stays when no frame changed); returns whether the nest changed,
+    in a frame or below the band."""
+    changed = view.changed()
+    if changed:
         set_nest(program, nest_index, view.materialise())
+    return changed or view.edited_below

@@ -125,7 +125,7 @@ class Fuse(Transformation):
                 "depth": self.depth}
 
     def apply(self, program: Program,
-              context: Optional[PassContext] = None) -> None:
+              context: Optional[PassContext] = None) -> bool:
         if self.first_index == self.second_index:
             raise TransformationError("cannot fuse a nest with itself")
         first = get_nest(program, self.first_index)
@@ -143,6 +143,7 @@ class Fuse(Transformation):
                 "fusion requires the two nests to be adjacent in program order")
         fused = fuse_nests(first, second, self.depth)
         program.body[lo:hi + 1] = [fused]
+        return True
 
 
 def fuse_chains_in_body(body: List[Node]) -> int:

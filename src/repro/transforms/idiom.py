@@ -178,7 +178,7 @@ class ReplaceWithLibraryCall(Transformation):
                 "expected_routine": self.expected_routine}
 
     def apply(self, program: Program,
-              context: Optional[PassContext] = None) -> None:
+              context: Optional[PassContext] = None) -> bool:
         nest = get_nest(program, self.nest_index)
         match = match_blas3(nest)
         if match is None:
@@ -190,6 +190,7 @@ class ReplaceWithLibraryCall(Transformation):
                 f"nest {self.nest_index} matched {match.routine!r}, expected "
                 f"{self.expected_routine!r}")
         program.body[self.nest_index] = build_library_call(nest, match)
+        return True
 
 
 def detect_blas3_nests(program: Program) -> List[Tuple[int, BlasMatch]]:

@@ -1,0 +1,640 @@
+"""Normalization and transfer at the cost of their analyses — the oracles.
+
+What a cold normalization + database transfer stopped doing (serialising the
+program to learn a changed-flag, walking a nest twice per criterion, building
+a graph library's objects for five vertices, three NumPy calls per database
+entry, two dicts and a set per subscript pair) must not change a single
+answer.  The replaced code is kept here as the specification and compared
+with ``==``, never approximately, over all 54 registry variants and 40 fuzz
+programs.
+"""
+
+import contextlib
+import itertools
+import math
+import os
+import random
+import subprocess
+import sys
+from math import gcd
+
+import networkx as nx
+import pytest
+
+from repro.analysis import dependence
+from repro.analysis.dependence import (_directions_from_constraints,
+                                       body_dependence_pairs, nest_dependences)
+from repro.analysis.strides import program_stride_cost
+from repro.api import Session
+from repro.fuzz import generate_program
+from repro.interp import programs_equivalent
+from repro.ir import ProgramBuilder
+from repro.ir.nodes import Loop
+from repro.normalization import (NormalizationOptions, minimize_strides,
+                                 normalize, stride_minimization)
+from repro.normalization.fission import _dependence_edges, scc_groups
+from repro.passes import (AnalysisManager, FixedPoint, Pass, PassContext,
+                          build_normalization_pipeline, program_fingerprint)
+from repro.passes.base import program_ir_size
+from repro.scheduler import (PerformanceEmbedding, ShardedTuningDatabase,
+                             TuningDatabase, embed_nest, pairwise_distance)
+from repro.scheduler.database import recipe_identity
+from repro.transforms import (Interchange, Parallelize, Recipe, Tile,
+                              TransformationError, Unroll, Vectorize)
+from repro.workloads import registry as workloads
+
+VARIANTS = ("a", "b", "npbench")
+FUZZ_SEEDS = range(40)
+
+
+def _programs():
+    """``(label, program as written, parameters)`` of every registry variant
+    and fuzz program — fresh IR on every call."""
+    for name in workloads.benchmark_names():
+        spec = workloads.benchmark(name)
+        for variant in VARIANTS:
+            yield f"{name}:{variant}", spec.variant(variant), spec.sizes("large")
+    for seed in FUZZ_SEEDS:
+        generated = generate_program(seed, "medium")
+        yield f"fuzz:{seed}", generated.program, dict(generated.parameters)
+
+
+def _fissioned(program, parameters):
+    """``program`` as stride minimization receives it."""
+    options = NormalizationOptions(apply_stride_minimization=False,
+                                   canonicalize_iterators=False,
+                                   parameters=parameters)
+    return normalize(program, options)[0]
+
+
+# -- passes report their changes ------------------------------------------------------
+
+
+class _Witnessed(Pass):
+    """The replaced protocol, kept as the specification: the changed-flag is
+    whether the program's serialisation differs around ``apply``, and the IR
+    sizes are walked before and after every application."""
+
+    def __init__(self, inner, log):
+        self.inner, self.name, self.log = inner, inner.name, log
+
+    def apply(self, program, context):
+        before = program_fingerprint(program)
+        size_before = program_ir_size(program)
+        outcome = self.inner.apply(program, context)
+        self.log.append((self.name, program_fingerprint(program) != before,
+                         size_before, program_ir_size(program)))
+        return outcome
+
+
+def _witnessed_pipeline(log):
+    pipeline = build_normalization_pipeline("a-priori")
+    for position, stage in enumerate(pipeline.stages):
+        if isinstance(stage, FixedPoint):
+            stage.passes = [_Witnessed(inner, log) for inner in stage.passes]
+        else:
+            pipeline.stages[position] = _Witnessed(stage, log)
+    return pipeline
+
+
+class TestPassesReportTheirChanges:
+    def test_reported_change_is_fingerprint_change(self):
+        applications = changed = 0
+        for label, program, parameters in _programs():
+            log = []
+            outcome = _witnessed_pipeline(log).run(
+                program, PassContext(parameters=parameters))
+            reported = [(result.pass_name, result.changed,
+                         result.ir_size_before, result.ir_size_after)
+                        for result in outcome.passes]
+            assert reported == log, label
+            applications += len(log)
+            changed += sum(1 for entry in log if entry[1])
+        # Both outcomes are exercised, by every rewriting pass.
+        assert applications > 6 * 94 and 94 < changed < applications
+
+    def test_canonical_nest_is_not_rewritten(self):
+        program = normalize(workloads.benchmark("gemm").variant("a"))[0]
+        nests = list(program.body)
+        fragments = [id(loop) for loop in program.iter_loops()]
+        from repro.normalization import canonicalize_iterator_names
+        assert canonicalize_iterator_names(program) is False
+        assert list(program.body) == nests
+        assert [id(loop) for loop in program.iter_loops()] == fragments
+
+    def test_instrumented_transformations_report_fingerprint_change(self):
+        """``Transformation.run`` derives its flag from the view it edited
+        (or the in-place edit below the band), not from a program dump."""
+        rng = random.Random(17)
+        checked = unchanged = 0
+        for seed in range(12):
+            generated = generate_program(seed, "medium")
+            program = normalize(generated.program)[0]
+            for index, nest in enumerate(program.body):
+                if not isinstance(nest, Loop):
+                    continue
+                iterators = [loop.iterator for loop in nest.iter_loops()]
+                band = [loop.iterator for loop in nest.perfectly_nested_band()]
+                candidates = [
+                    Interchange(index, band),
+                    Interchange(index, list(reversed(band))),
+                    Tile(index, {band[0]: 8}),
+                    Parallelize(index, rng.choice(iterators)),
+                    Parallelize(index, rng.choice(iterators)),
+                    Vectorize(index, rng.choice(iterators),
+                              require_unit_stride=False),
+                    Unroll(index, rng.choice(iterators), 4),
+                    Unroll(index, iterators[-1], 4),
+                ]
+                for transformation in candidates:
+                    before = program_fingerprint(program)
+                    try:
+                        result = transformation.run(program)
+                    except TransformationError:
+                        assert program_fingerprint(program) == before
+                        continue
+                    differs = program_fingerprint(program) != before
+                    assert result.changed == differs, (seed, transformation)
+                    checked += 1
+                    unchanged += not differs
+        assert checked > 60 and 0 < unchanged < checked
+
+
+class TestWideNests:
+    """A nest's loop *count* is not its depth: seventeen sibling recurrences
+    under one time loop used to exhaust the sixteen canonical names."""
+
+    @staticmethod
+    def _wide():
+        b = ProgramBuilder("wide", parameters=["T", "N"])
+        b.add_array("A", ("N",))
+        b.add_array("B", ("T",))
+        with b.loop("t", 0, "T"):
+            for _ in range(17):
+                with b.loop("a", 1, "N"):
+                    b.assign(("A", "a"),
+                             b.read("A", b.sym("a") - 1) + b.read("B", "t"))
+        return b.finish()
+
+    def test_wide_nest_normalizes(self):
+        with contextlib.closing(Session()) as session:
+            normalized = session.normalize(self._wide())
+            nest, = normalized.program.body
+            assert len(list(nest.iter_loops())) == 18
+            assert len(nest.perfectly_nested_band()) == 1
+            assert all(loop.iterator.startswith("i")
+                       for loop in nest.iter_loops())
+            assert programs_equivalent(self._wide(), normalized.program,
+                                       {"T": 3, "N": 6})
+            again = session.normalize(normalized.program)
+            assert again.canonical_hash == normalized.canonical_hash
+            assert not again.report.changed
+
+
+# -- fission without a graph library --------------------------------------------------
+
+
+def _spec_partition(count, edges):
+    """``_partition_children`` as it was: networkx condensation, then the
+    lexicographical topological sort keyed by each component's first member."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(count))
+    graph.add_edges_from(edges)
+    condensation = nx.condensation(graph)
+    order = nx.lexicographical_topological_sort(
+        condensation, key=lambda scc: min(condensation.nodes[scc]["members"]))
+    return [sorted(condensation.nodes[scc]["members"]) for scc in order]
+
+
+class TestLocalScc:
+    def test_every_loop_body(self):
+        bodies = split = 0
+        for label, program, parameters in _programs():
+            for form in (program, _fissioned(program.copy(), parameters)):
+                for loop in form.iter_loops():
+                    edges = _dependence_edges(loop)
+                    groups = scc_groups(len(loop.body), edges)
+                    assert groups == _spec_partition(len(loop.body), edges), label
+                    bodies += 1
+                    split += len(groups) > 1
+        assert bodies > 500 and split > 20
+
+    def test_random_digraphs(self):
+        rng = random.Random(2025)
+        for _ in range(500):
+            count = rng.randint(0, 8)
+            pairs = [pair for pair in itertools.permutations(range(count), 2)
+                     if rng.random() < rng.choice((0.1, 0.3, 0.6))]
+            rng.shuffle(pairs)
+            assert scc_groups(count, pairs) == _spec_partition(count, pairs), pairs
+
+
+# -- stride minimization: one walk, nest-local key ----------------------------------
+
+
+class TestStrideMinimizationOnce:
+    def test_report_costs_are_program_stride_costs(self):
+        manager = AnalysisManager()
+        for label, program, parameters in _programs():
+            form = _fissioned(program, parameters)
+            before = program_stride_cost(form, parameters)
+            twin = form.copy()
+            report = minimize_strides(form, parameters, manager)
+            assert report.total_cost_before == before, label
+            assert report.total_cost_after == program_stride_cost(
+                form, parameters), label
+            # The same question through the (now warm) memo and without one.
+            for analysis in (manager, None):
+                other = twin.copy()
+                again = minimize_strides(other, parameters, analysis)
+                assert (again.total_cost_before, again.total_cost_after,
+                        again.nests_permuted) == (
+                    report.total_cost_before, report.total_cost_after,
+                    report.nests_permuted), label
+                assert program_fingerprint(other) == program_fingerprint(form)
+
+    def test_one_walk_per_computed_nest(self, monkeypatch):
+        walks = []
+        walk = stride_minimization.band_strides
+        monkeypatch.setattr(
+            stride_minimization, "band_strides",
+            lambda *args, **kwargs: walks.append(1) or walk(*args, **kwargs))
+        manager = AnalysisManager()
+        spec = workloads.benchmark("gemm")
+        form = _fissioned(spec.variant("a"), spec.sizes("large"))
+        nests = sum(1 for node in form.body if isinstance(node, Loop))
+        minimize_strides(form.copy(), spec.sizes("large"), manager)
+        assert len(walks) == nests == manager.misses
+        minimize_strides(form.copy(), spec.sizes("large"), manager)
+        assert len(walks) == nests and manager.hits == nests
+
+    @staticmethod
+    def _scaled(extra_array, c_shape=("NI", "NJ")):
+        b = ProgramBuilder("scaled", parameters=["NI", "NJ"])
+        b.add_array("C", c_shape)
+        b.add_scalar("beta")
+        if extra_array:
+            b.add_array("unrelated", ("NJ", "NI", "NJ"))
+        with b.loop("i", 0, "NI"):
+            with b.loop("j", 0, "NJ"):
+                b.assign(("C", "i", "j"), b.read("C", "i", "j") * b.read("beta"))
+        return b.finish()
+
+    def test_memo_key_holds_only_the_arrays_the_nest_touches(self):
+        parameters = {"NI": 64, "NJ": 48}
+        manager = AnalysisManager()
+        minimize_strides(self._scaled(False), parameters, manager)
+        assert (manager.hits, manager.misses) == (0, 1)
+        # Another program, another array nobody in the nest reads: a hit.
+        minimize_strides(self._scaled(True), parameters, manager)
+        assert (manager.hits, manager.misses) == (1, 1)
+        # An array the nest does touch, laid out differently: another key.
+        minimize_strides(self._scaled(False, c_shape=("NJ", "NI")),
+                         parameters, manager)
+        assert (manager.hits, manager.misses) == (1, 2)
+        # ... and so are other parameter bindings.
+        minimize_strides(self._scaled(False), {"NI": 8, "NJ": 48}, manager)
+        assert (manager.hits, manager.misses) == (1, 3)
+
+    def test_scaling_nest_is_shared_across_registry_programs(self):
+        """``C[i][j] *= beta`` opens both syrk and syr2k; syr2k declares one
+        array more, which used to keep the two nests under different keys."""
+        forms = {}
+        for name in ("syrk", "syr2k"):
+            spec = workloads.benchmark(name)
+            forms[name] = _fissioned(spec.variant("a"), spec.sizes("large"))
+        assert set(forms["syrk"].arrays) < set(forms["syr2k"].arrays)
+        sizes = workloads.benchmark("syr2k").sizes("large")
+        manager = AnalysisManager()
+        minimize_strides(forms["syrk"], sizes, manager)
+        assert manager.hits == 0
+        minimize_strides(forms["syr2k"], sizes, manager)
+        assert manager.hits == 1
+
+
+# -- dependence tests read index facts --------------------------------------------------
+
+
+def _spec_dimension_testable(index_a, index_b, private_a, private_b):
+    if not index_a.affine or not index_b.affine:
+        return False
+    if any(name in private_a for name, coeff in index_a.coefficients if coeff != 0):
+        return False
+    if any(name in private_b for name, coeff in index_b.coefficients if coeff != 0):
+        return False
+    return True
+
+
+def _spec_offsets_match(index_a, index_b):
+    return dict(index_a.offset_coefficients) == dict(index_b.offset_coefficients)
+
+
+def _spec_test_dimension(index_a, index_b, common_iterators):
+    """``_test_dimension`` as it was: two dicts and a set built per call."""
+    coeffs_a = dict(index_a.coefficients)
+    coeffs_b = dict(index_b.coefficients)
+    involved = {name for name in list(coeffs_a) + list(coeffs_b)
+                if coeffs_a.get(name, 0) != 0 or coeffs_b.get(name, 0) != 0}
+    involved &= set(common_iterators)
+
+    if not involved:
+        if _spec_offsets_match(index_a, index_b):
+            return (index_a.constant == index_b.constant), {}
+        return True, {}
+
+    if len(involved) == 1:
+        iterator = next(iter(involved))
+        a = coeffs_a.get(iterator, 0.0)
+        b = coeffs_b.get(iterator, 0.0)
+        if not _spec_offsets_match(index_a, index_b):
+            return True, {}
+        delta = index_a.constant - index_b.constant
+        if a == b and a != 0:
+            distance = delta / a
+            if abs(distance - round(distance)) > 1e-9:
+                return False, {}
+            return True, {iterator: int(round(distance))}
+        if a != 0 and b != 0:
+            g = (gcd(int(abs(a)), int(abs(b)))
+                 if float(a).is_integer() and float(b).is_integer() else 1)
+            if g != 0 and float(delta).is_integer() and int(delta) % g != 0:
+                return False, {}
+            return True, {}
+        return True, {}
+
+    all_coeffs = []
+    integral = True
+    for name in involved:
+        for value in (coeffs_a.get(name, 0.0), -coeffs_b.get(name, 0.0)):
+            if value == 0:
+                continue
+            if not float(value).is_integer():
+                integral = False
+            all_coeffs.append(int(abs(value)) if float(value).is_integer() else 0)
+    delta = index_b.constant - index_a.constant
+    if (integral and all_coeffs and float(delta).is_integer()
+            and _spec_offsets_match(index_a, index_b)):
+        g = 0
+        for value in all_coeffs:
+            g = gcd(g, value)
+        if g != 0 and int(delta) % g != 0:
+            return False, {}
+    return True, {}
+
+
+def _spec_test_access_pair(affine_a, private_a, affine_b, private_b,
+                           common_iterators):
+    if len(affine_a.indices) != len(affine_b.indices):
+        return (tuple("*" for _ in common_iterators),
+                tuple(None for _ in common_iterators))
+    constraints = {}
+    for index_a, index_b in zip(affine_a.indices, affine_b.indices):
+        if not _spec_dimension_testable(index_a, index_b, private_a, private_b):
+            continue
+        may_depend, dim_constraints = _spec_test_dimension(
+            index_a, index_b, common_iterators)
+        if not may_depend:
+            return None
+        for iterator, distance in dim_constraints.items():
+            if iterator in constraints and constraints[iterator] != distance:
+                return None
+            constraints[iterator] = distance
+    return _directions_from_constraints(constraints, common_iterators)
+
+
+class TestIndexFacts:
+    def test_every_access_pair_the_analyses_visit(self, monkeypatch):
+        tested = []
+        current = dependence._test_access_pair
+
+        def both(*args):
+            result = current(*args)
+            assert result == _spec_test_access_pair(*args), args
+            tested.append(result is None)
+            return result
+
+        monkeypatch.setattr(dependence, "_test_access_pair", both)
+        for label, program, parameters in _programs():
+            for form in (program, _fissioned(program.copy(), parameters)):
+                for loop in form.iter_loops():
+                    body_dependence_pairs(loop)
+                for node in form.body:
+                    if isinstance(node, Loop):
+                        nest_dependences(node)
+        assert len(tested) > 10000 and 0 < sum(tested) < len(tested)
+
+    def test_facts_mirror_the_coefficient_tuples(self):
+        from repro.analysis.affine import loop_nest_accesses
+        seen = 0
+        for label, program, _parameters in itertools.islice(_programs(), 0, None, 5):
+            for node in program.body:
+                for _comp, _enclosing, accesses in loop_nest_accesses(node):
+                    for access in accesses:
+                        for index in access.indices:
+                            assert index.coefficient_of == dict(index.coefficients)
+                            assert index.offsets == dict(index.offset_coefficients)
+                            assert index.iterators == frozenset(index.iterator_names())
+                            seen += 1
+        assert seen > 200
+
+
+# -- the database scores a query against one matrix ---------------------------------
+
+
+def _spec_scored_query(entries, vector, k):
+    scored = []
+    for entry in entries:
+        distance = pairwise_distance(vector, entry.embedding)
+        scored.append((distance * entry.bias(), distance, entry))
+    scored.sort(key=lambda triple: triple[0])
+    return scored[:k]
+
+
+def _spec_best_scored(entries, vector, max_distance):
+    best = None
+    for entry in entries:
+        distance = pairwise_distance(vector, entry.embedding)
+        if max_distance is not None and distance > max_distance:
+            continue
+        score = distance * entry.bias()
+        if best is None or (score, distance) < (best[0], best[1]):
+            best = (score, distance, entry)
+    return best
+
+
+def _spec_measurement_target(entries, vector, recipe_key):
+    best = None
+    for entry in entries:
+        if recipe_identity(entry.recipe) != recipe_key:
+            continue
+        distance = pairwise_distance(vector, entry.embedding)
+        if best is None or distance < best[0]:
+            best = (distance, entry)
+    return best
+
+
+def _embeddings(variant):
+    """The embedding of every normalized nest of every benchmark."""
+    found = []
+    for name in workloads.benchmark_names():
+        spec = workloads.benchmark(name)
+        program = normalize(spec.variant(variant))[0]
+        for index, nest in enumerate(program.body):
+            if isinstance(nest, Loop):
+                found.append(embed_nest(nest, program.arrays, spec.sizes("large"),
+                                        label=f"{name}:{variant}#{index}"))
+    return found
+
+
+@pytest.fixture(scope="module")
+def seeded():
+    """Entries as seeding leaves them, recipes cycling through a few
+    identities; and queries: other variants' nests, the entries themselves
+    (distance 0, ties) and scaled copies at every magnitude."""
+    recipes = [Recipe(f"r{n}", [Unroll(0, None, 2 + n)]) for n in range(5)]
+    entries = [(embedding, recipes[position % len(recipes)],
+                1e-3 * (1 + position % 7))
+               for position, embedding in enumerate(_embeddings("a"))]
+    rng = random.Random(5)
+    queries = _embeddings("b") + _embeddings("npbench")
+    queries += [embedding for embedding, _recipe, _runtime in entries[::3]]
+    queries += [PerformanceEmbedding("scaled", tuple(
+        value * rng.choice((0.5, 1.0, 1.0 + 2 ** -40, 3.0)) for value in query.vector))
+        for query in queries[::2]]
+    return entries, queries, recipes
+
+
+def _filled(database, entries, feedback):
+    for embedding, recipe, runtime in entries:
+        database.add(embedding, recipe, runtime=runtime)
+    if feedback:
+        rng = random.Random(9)
+        for embedding, recipe, runtime in entries[::2]:
+            for _ in range(rng.randint(1, 3)):
+                database.record_measurement(
+                    embedding, recipe, runtime * rng.choice((0.2, 0.9, 1.0, 5.0)))
+    return database
+
+
+@pytest.mark.parametrize("feedback", [False, True], ids=["plain", "feedback"])
+class TestDatabaseMatrix:
+    def test_unsharded_scores_are_the_pairwise_spec(self, seeded, feedback):
+        entries, queries, recipes = seeded
+        database = _filled(TuningDatabase(), entries, feedback)
+        assert len(database) >= 25
+        biased = sum(1 for entry in database.entries if entry.bias() != 1.0)
+        assert (biased > 0) == feedback
+        for query in queries:
+            for k in (1, 10, len(database) + 5):
+                assert (database.scored_query(query, k)
+                        == _spec_scored_query(database.entries, query.vector, k))
+            for bound in (None, 0.0, 0.35, 2.0):
+                assert (database.best_scored(query, bound)
+                        == _spec_best_scored(database.entries, query.vector, bound))
+            for recipe in recipes:
+                key = recipe_identity(recipe)
+                assert (database.find_measurement_target(query.vector, key)
+                        == _spec_measurement_target(database.entries,
+                                                    query.vector, key))
+
+    def test_sharded_scores_are_the_pairwise_spec(self, seeded, feedback):
+        entries, queries, _recipes = seeded
+        database = _filled(ShardedTuningDatabase(4), entries, feedback)
+        assert sum(1 for size in database.shard_sizes() if size) >= 3
+        shards = [shard.entries for shard in database._shards]
+        for query in queries:
+            for k in (1, 10):
+                gathered = [triple for shard in shards
+                            for triple in _spec_scored_query(shard, query.vector, k)]
+                gathered.sort(key=lambda triple: triple[0])
+                assert database.query(query, k) == [
+                    (distance, entry) for _score, distance, entry in gathered[:k]]
+            for bound in (None, 0.35):
+                best = None
+                for shard in shards:
+                    candidate = _spec_best_scored(shard, query.vector, bound)
+                    if candidate is not None and (
+                            best is None or candidate[:2] < best[:2]):
+                        best = candidate
+                assert database.best_match(query, bound) is (
+                    best[2] if best is not None else None)
+
+    def test_matrix_follows_every_way_entries_arrive(self, seeded, feedback):
+        entries, queries, _recipes = seeded
+        database = _filled(TuningDatabase(), entries, feedback)
+        copies = [TuningDatabase(list(database.entries)),
+                  TuningDatabase.from_json(database.to_json()),
+                  ShardedTuningDatabase.from_database(database, 3).merged()]
+        for copy in copies:
+            assert len(copy) == len(database)
+            for query in queries[::4]:
+                assert ([(score, distance) for score, distance, _entry
+                         in copy.scored_query(query, len(copy))]
+                        == [(score, distance) for score, distance, _entry
+                            in _spec_scored_query(copy.entries, query.vector,
+                                                  len(copy))])
+
+
+def test_vectorised_norms_are_not_the_pairwise_distance(seeded):
+    """Why the database takes ``sqrt(row . row)`` row by row: the one-call
+    norms sum in another order and differ in the last place on real rows."""
+    import numpy as np
+    entries, queries, _recipes = seeded
+    matrix = np.array([embedding.vector for embedding, _r, _t in entries])
+    differing = 0
+    for query in queries:
+        difference = matrix - np.asarray(query.vector)
+        exact = [pairwise_distance(query.vector, row) for row in matrix]
+        assert [math.sqrt(row.dot(row)) for row in difference] == exact
+        differing += sum(1 for a, b in zip(exact, np.linalg.norm(difference, axis=1))
+                         if a != float(b))
+    assert differing > 0
+
+
+# -- counted, not only timed ------------------------------------------------------------
+
+
+class TestCounted:
+    def test_a_transfer_pass_serialises_no_program_and_walks_each_nest_once(
+            self, monkeypatch):
+        import repro.passes
+        import repro.passes.analysis
+        fingerprints, walks, computed = [], [], []
+
+        def counting(log, function):
+            return lambda *args, **kwargs: log.append(1) or function(*args, **kwargs)
+
+        for module in (repro.passes, repro.passes.analysis):
+            monkeypatch.setattr(module, "program_fingerprint",
+                                counting(fingerprints, program_fingerprint))
+        monkeypatch.setattr(
+            stride_minimization, "band_strides",
+            counting(walks, stride_minimization.band_strides))
+        monkeypatch.setattr(
+            stride_minimization, "_minimal_permutation",
+            counting(computed, stride_minimization._minimal_permutation))
+        names = ("gemm", "atax", "jacobi-2d")
+        database = TuningDatabase()
+        with contextlib.closing(Session(database=database)) as seeder:
+            seeder.seed(names)
+        with contextlib.closing(Session(database=database)) as session:
+            for name in names:
+                for variant in VARIANTS:
+                    assert session.schedule(f"{name}:{variant}").program.body
+        assert fingerprints == []
+        assert len(walks) == len(computed) > 0
+
+    def test_serving_a_request_does_not_import_networkx(self):
+        source = os.path.join(os.path.dirname(__file__), "..", "src")
+        code = ("import sys, repro.api\n"
+                "assert 'networkx' not in sys.modules, 'import repro.api'\n"
+                "session = repro.api.Session()\n"
+                "assert session.schedule('gemm:a').program.body\n"
+                "session.close()\n"
+                "assert 'networkx' not in sys.modules, 'schedule'\n")
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(source), environment.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", code], env=environment,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

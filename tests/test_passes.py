@@ -51,18 +51,30 @@ class TestPassProtocol:
         assert result.wall_time_s >= 0.0
         assert result.counters == {"budget": 0}
 
-    def test_fingerprint_change_detection(self):
+    def test_change_is_what_the_pass_reports(self):
+        """One way to report change: ``apply`` says so.  Nothing is derived
+        by serialising the program; a pass that says nothing reads,
+        conservatively, as having changed it."""
+
         class Renamer(Pass):
             name = "renamer"
-            detects_change = False
 
             def apply(self, program, context):
+                changed = program.body[0].iterator != "renamed"
                 program.body[0].iterator = "renamed"
+                return changed
+
+        class Silent(Pass):
+            name = "silent"
+
+            def apply(self, program, context):
+                return None
 
         program = build_vector_add()
         assert Renamer().run(program).changed
         # Second application leaves the (already renamed) program unchanged.
         assert not Renamer().run(program).changed
+        assert Silent().run(program).changed
 
     def test_function_pass_wraps_callables(self):
         seen = []
