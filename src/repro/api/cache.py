@@ -182,6 +182,9 @@ class NormalizationCache:
             "repro_cache_requests_total",
             "Content-addressed cache lookups by level and outcome.",
             ("level", "outcome"))
+        self._response_outcomes = (  # (miss, hit), bound once: the fast lane
+            self._metric_requests.labels("response", "miss"),
+            self._metric_requests.labels("response", "hit"))
         self._metric_pass_runs = self.metrics.counter(
             "repro_pass_runs_total",
             "Normalization pass applications.", ("pass",))
@@ -299,11 +302,9 @@ class NormalizationCache:
         with self._lock:
             if entry is None:
                 self._stats.response_misses += 1
-                outcome = "miss"
             else:
                 self._stats.response_hits += 1
-                outcome = "hit"
-        self._metric_requests.labels("response", outcome).inc()
+        self._response_outcomes[entry is not None].inc()
         return entry
 
     def store_response(self, key: str, entry: ResponseEntry) -> None:

@@ -57,9 +57,13 @@ def canonical_program_dict(program: Program) -> Dict[str, Any]:
 
 def _stable_value(value: Any) -> Any:
     """Reduce configuration values to something JSON/stable-comparable."""
-    if is_dataclass(value) and not isinstance(value, type):
+    # Exact types first, same answers: skips the slow dataclass/Mapping tests.
+    kind = type(value)
+    if value is None or kind in (str, int, float, bool):
+        return value
+    if kind is not dict and is_dataclass(value) and not isinstance(value, type):
         return {f.name: _stable_value(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, Mapping):
+    if kind is dict or isinstance(value, Mapping):
         return {str(k): _stable_value(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
         return [_stable_value(v) for v in value]
@@ -68,9 +72,13 @@ def _stable_value(value: Any) -> Any:
     return repr(value)
 
 
+#: ``json.dumps(value, sort_keys=True)`` without an encoder built per call.
+_dumps_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 def fingerprint(value: Any) -> str:
     """A short stable fingerprint of a configuration object (e.g. options)."""
-    text = json.dumps(_stable_value(value), sort_keys=True)
+    text = _dumps_sorted(_stable_value(value))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -126,16 +134,18 @@ def request_fingerprint(request: "ScheduleRequest") -> str:
         program_key = program_content_hash(program)
     else:
         program_key = str(program)
-    return fingerprint({
+    # ``fingerprint`` of six fields, built directly (persisted keys: same bytes).
+    text = _dumps_sorted({
         "program": program_key,
         # None (use registry defaults) and {} (schedule with no bindings)
         # resolve differently and must not coalesce onto one another.
-        "parameters": (dict(request.parameters)
+        "parameters": (_stable_value(dict(request.parameters))
                        if request.parameters is not None else None),
-        "scheduler": request.scheduler,
-        "threads": request.threads,
-        "normalize": request.normalize,
+        "scheduler": _stable_value(request.scheduler),
+        "threads": _stable_value(request.threads),
+        "normalize": _stable_value(request.normalize),
         # Different normalization pipelines produce different schedules;
         # they must never ride one another's in-flight request.
-        "pipeline": request.pipeline,
+        "pipeline": _stable_value(request.pipeline),
     })
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

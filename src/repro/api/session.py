@@ -140,6 +140,7 @@ class Session:
         self._metric_calls = self.metrics.counter(
             "repro_session_calls_total",
             "Session entry-point calls by kind.", ("kind",))
+        self._fast_lane_calls = self._metric_calls.labels("fast_lane")
         self._metric_feedback = self.metrics.counter(
             "repro_feedback_measurements_total",
             "Executed-schedule timings fed back into the tuning database, "
@@ -455,7 +456,8 @@ class Session:
     # The response cache is a serving-side level *around* schedule(): a
     # serving layer reads it before admission and writes it after a batch.
 
-    def _response_key(self, request: ScheduleRequest) -> Optional[str]:
+    def _response_key(self, request: ScheduleRequest,
+                      key: Optional[str] = None) -> Optional[str]:
         """Response-cache key of ``request``, or ``None`` when the request
         can never be served from it (tune requests mutate the database, and
         an invalid request gets its real error from the slow path)."""
@@ -467,13 +469,14 @@ class Session:
             # schedule-level key.
             version = self._database_version(self.scheduler(
                 request.scheduler or self.default_scheduler, request.threads))
-            return "|".join((request_fingerprint(request),
+            return "|".join((key or request_fingerprint(request),
                              self._response_salt, str(version)))
         except (RegistryError, TypeError, ValueError):
             return None
 
     def lookup_response(self, request: ScheduleRequest,
-                        trace: Optional[Mapping[str, str]] = None
+                        trace: Optional[Mapping[str, str]] = None,
+                        key: Optional[str] = None
                         ) -> Optional[ScheduleResponse]:
         """Serve ``request`` from the response-level cache, if possible.
 
@@ -482,9 +485,10 @@ class Session:
         per-request echo is encoded fresh.  ``trace`` is the serving
         layer's trace context for this request; with one, the response
         carries its trace id (and the echo the context) exactly like a
-        slow-path response would.  Returns ``None`` on a miss.
+        slow-path response would; ``key`` is the ``request_fingerprint`` the
+        serving layer already computed.  Returns ``None`` on a miss.
         """
-        key = self._response_key(request)
+        key = self._response_key(request, key)
         entry = self.cache.lookup_response(key) if key is not None else None
         if entry is None:
             return None
@@ -494,7 +498,7 @@ class Session:
             echo["trace"] = dict(trace)
             tail = (tail[:-1] + ', "trace_id": '
                     + json.dumps(trace.get("trace_id")) + "}")
-        self._metric_calls.labels("fast_lane").inc()
+        self._fast_lane_calls.inc()
         return ScheduleResponse.from_json(
             entry.before + json.dumps(echo) + tail)
 

@@ -84,6 +84,7 @@ class _Instrument:
                 raise MetricsError(f"invalid label name {label!r} on {name!r}")
         self._lock = threading.RLock()
         self._series: "Dict[Tuple[str, ...], Any]" = {}
+        self._unlabelled: Any = None
 
     # -- label binding ----------------------------------------------------------
 
@@ -120,8 +121,10 @@ class _Instrument:
         raise NotImplementedError
 
     def _default(self):
-        """The series bound to no labels (shortcut for label-less metrics)."""
-        return self.labels()
+        """The series bound to no labels (label-less metrics), bound once."""
+        if self._unlabelled is None:
+            self._unlabelled = self.labels()
+        return self._unlabelled
 
     def series_items(self) -> List[Tuple[Tuple[str, ...], Any]]:
         with self._lock:

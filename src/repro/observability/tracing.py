@@ -254,9 +254,9 @@ class Tracer:
         A stride sampler: one call in every ``round(1 / sample_rate)``
         returns True.  The fast lane asks *before* minting a request id or
         hashing a trace id, so a sampled-out request pays one counter
-        increment — nothing else.  Unlocked: the service calls this from
-        its single event-loop thread, and a rare lost increment under
-        concurrent use only nudges the effective rate.
+        increment — nothing else.  Unlocked, although the fast lane calls
+        this on every submitting thread: a rare lost increment only nudges
+        the effective rate (and rates 0.0 and 1.0 never count).
         """
         if not self.enabled:
             return False
@@ -319,18 +319,21 @@ class Tracer:
                 record.spans.append(span)
                 record.spans.sort(key=lambda s: (s.start_s, s.span_id))
                 return
-            bucket = self._open.setdefault(span.trace_id, [])
-            bucket.append(span)
             if span.parent_id is None:
-                self._finalize(span)
+                # A root closes its trace; a fast-lane root is all of it.
+                spans = self._open.pop(span.trace_id, [])
+                spans.append(span)
+                self._finalize(span, spans)
+                return
+            self._open.setdefault(span.trace_id, []).append(span)
             while len(self._open) > self.max_open:
                 stale, _ = self._open.popitem(last=False)
                 self._seq.pop(stale, None)
 
-    def _finalize(self, root: Span) -> None:
-        spans = self._open.pop(root.trace_id, [])
+    def _finalize(self, root: Span, spans: List[Span]) -> None:
         self._seq.pop(root.trace_id, None)
-        spans.sort(key=lambda s: (s.start_s, s.span_id))
+        if len(spans) > 1:
+            spans.sort(key=lambda s: (s.start_s, s.span_id))
         record = TraceRecord(
             trace_id=root.trace_id,
             name=root.name,
@@ -340,8 +343,7 @@ class Tracer:
             attributes=dict(root.attributes),
             spans=spans,
         )
-        self._finished[root.trace_id] = record
-        self._finished.move_to_end(root.trace_id)
+        self._finished[root.trace_id] = record  # a new key: _record checked
         while len(self._finished) > self.capacity:
             self._finished.popitem(last=False)
 

@@ -31,10 +31,10 @@ Schedule traffic can additionally be written to a **structured access log**
 priority, client identity, queue wait, total duration, outcome, and whether
 the response-cache fast lane served it.
 
-The handler threads of :class:`ThreadingHTTPServer` block on the
-:class:`~repro.serving.service.ServiceRunner`, whose event loop performs the
-actual micro-batching, so HTTP concurrency translates directly into batch
-formation and coalescing.
+The handler threads of :class:`ThreadingHTTPServer` serve response-cache hits
+themselves and block on the :class:`~repro.serving.service.ServiceRunner` only
+on a miss; its event loop performs the actual micro-batching, so concurrent
+misses translate directly into batch formation and coalescing.
 """
 
 from __future__ import annotations

@@ -23,12 +23,12 @@ request processor:
   :meth:`repro.api.Session.schedule_batch` in a worker thread — or scatters
   them over a :class:`~repro.serving.workers.WorkerPool` when one is
   attached — so one cache and one tuning database serve the whole batch.
-* **response fast lane** — before a request is admitted or queued, the
+* **response fast lane** — on the caller's thread, before the loop, the
   service reads the session's response-level cache
   (:meth:`repro.api.Session.lookup_response`); a hit returns the final,
-  pre-encoded response bytes straight to the caller — no queue, no batch,
-  no IR, no JSON parse — with a single sampled root span instead of the
-  slow path's full span tree.  Entries are written back after each batch
+  pre-encoded response bytes straight to the caller — no loop hop, no queue,
+  no batch, no IR, no JSON parse — with a single sampled root span instead
+  of the slow path's full span tree.  Entries are written back after each batch
   from responses whose normalization and schedule both came from cache, so
   the fast lane is bit-identical to what the slow path would have served.
 * **coalescing** — identical in-flight requests (same program content hash,
@@ -40,12 +40,13 @@ request processor:
 
 :class:`ServiceRunner` hosts the service on an event loop in a background
 thread and exposes a blocking ``schedule()`` for synchronous callers (the
-HTTP endpoint, benchmarks, tests).
+HTTP endpoint, benchmarks, tests); only a fast-lane miss crosses to the loop.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import os
 import threading
@@ -62,6 +63,8 @@ from .policy import AdaptiveBatcher, create_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (workers use api)
     from .workers import WorkerPool
+
+_NOT_RUNNING = "service is not running; call start() first"
 
 
 @dataclass
@@ -136,8 +139,9 @@ class AdmissionController:
       identity, so one client cannot monopolize the queue.  Requests that
       carry no client identity are not client-limited.
 
-    All calls happen on the service's event loop, so the controller needs no
-    locking; ``stats`` reads registry counters, safe from other threads.
+    All calls happen on the service's event loop — a fast-lane hit, the only
+    thing served on callers' threads, is never admitted — so the controller
+    needs no locking; ``stats`` reads registry counters, safe from any thread.
     """
 
     def __init__(self, config: ServiceConfig,
@@ -304,10 +308,13 @@ class SchedulingService:
         self._queue_depth_gauge = self.metrics.gauge(
             "repro_service_queue_depth",
             "Live requests in the service queue (stale entries excluded).")
-        self._latency_histogram = self.metrics.histogram(
+        latency = self.metrics.histogram(
             "repro_request_latency_seconds",
             "End-to-end latency of admitted requests by priority class.",
             ("priority",))
+        #: One series per priority class, each bound on first use.
+        self._latency = functools.lru_cache(maxsize=None)(
+            lambda priority: latency.labels(str(priority)))
         self._phase_histogram = self.metrics.histogram(
             "repro_request_phase_seconds",
             "Time spent per serving phase (queue wait, batch formation, "
@@ -391,29 +398,76 @@ class SchedulingService:
         layer's access log consumes it.  ``request_id`` seeds the request's
         deterministic trace id (so the HTTP layer, access log, and trace
         ring buffer all agree); omitted, the service mints a local one."""
+        served, key, root = self.fast_lane(request, request_id)
+        if served is not None:
+            return served
+        return await self.slow_lane(request, request_id, key, root)
+
+    def fast_lane(self, request: ScheduleRequest,
+                  request_id: Optional[str] = None
+                  ) -> Tuple[Optional[Tuple[ScheduleResponse, RequestTiming]],
+                             str, Optional[Span]]:
+        """The synchronous front of every request, on the thread that asks.
+
+        Returns ``(served, key, root)``: a response-cache hit is ``served``,
+        the finished ``(response, timing)`` — pre-encoded bytes, only the echo
+        re-encoded, one sampled ``root`` span, no loop, admission or queue;
+        else ``served`` is ``None`` and :meth:`slow_lane` takes the fingerprint
+        ``key`` and the still-open ``root`` (if any).  Thread-safe (cache,
+        tracer and instruments lock; ``_inflight`` is only peeked at), so a
+        slow cache read stalls nobody else's request.
+        """
+        arrived = time.perf_counter()
         if not self._running:
-            raise RuntimeError("service is not running; call start() first")
+            raise RuntimeError(_NOT_RUNNING)
         if request.tune:
             raise ValueError("tune requests mutate the database and are not "
                              "served; tune through the session directly")
         key = request_fingerprint(request)
+        # (stub sessions have no response cache; in-flight duplicates coalesce)
+        lookup = getattr(self.session, "lookup_response", None)
+        if not (lookup and self.config.fast_lane) or key in self._inflight:
+            return None, key, None
+        # Reading the response cache before admission keeps hits immune to
+        # queue saturation (they add no queued work) at one cache get per
+        # miss.  A sampled root that misses becomes the slow lane's root.
+        root = self._begin_root(request, request_id, sample=True)
+        try:
+            # The context goes in explicitly (the request is the caller's):
+            # the response carries this trace id, or none when sampled out.
+            response = lookup(
+                request, root.context() if root is not None else None, key)
+        except BaseException:
+            if root is not None:
+                self._tracer.finish(root, status="error")
+            raise
+        if response is None:
+            return None, key, root
+        self.stats.inc("requests")
+        self.stats.inc("fast_lane")
+        self.stats.inc("scheduled")
+        timing = RequestTiming(
+            total_s=max(0.0, time.perf_counter() - arrived), fast_lane=True,
+            trace_id=root.trace_id if root is not None else None)
+        self._latency(request.priority).observe(
+            timing.total_s, exemplar=timing.trace_id)
+        if root is not None:
+            root.set_attribute("fast_lane", True)
+            self._tracer.finish(root, status="ok")
+        return (response, timing), key, root
+
+    async def slow_lane(self, request: ScheduleRequest,
+                        request_id: Optional[str], key: str,
+                        root: Optional[Span]
+                        ) -> Tuple[ScheduleResponse, RequestTiming]:
+        """Admit, coalesce or enqueue and await a :meth:`fast_lane` miss (its
+        ``key`` and ``root``) — loop only, where ``_inflight`` is authoritative."""
         existing = self._inflight.get(key)
         tracer = self._tracer
-        root = None
         outcome = "error"
         try:
-            if self.config.fast_lane and existing is None:
-                # Reading the response cache before admission keeps hits
-                # immune to queue saturation (they add no queued work) and
-                # keeps the miss cost to one cache get; in-flight duplicates
-                # skip the read and coalesce as before.  A sampled root that
-                # misses simply becomes the slow lane's root.
-                arrived = time.perf_counter()
-                root = self._begin_root(request, request_id, sample=True)
-                served = self._serve_fast_lane(request, root, arrived)
-                if served is not None:
-                    outcome = "ok"
-                    return served
+            if not self._running:  # stop() may have run since the front asked
+                raise RuntimeError(_NOT_RUNNING)
             if root is None:
                 root = self._begin_root(request, request_id)
             admit_wall = time.time()
@@ -473,8 +527,7 @@ class SchedulingService:
                     outcome = "ok"
                     return self._reissue(response, request,
                                          timing.trace_id), timing
-                future: "asyncio.Future[ScheduleResponse]" = \
-                    asyncio.get_running_loop().create_future()
+                future: "asyncio.Future[ScheduleResponse]" = loop.create_future()
                 sort_key = self.policy.sort_key(request, started)
                 self._policy_decisions.labels(
                     self.config.policy, str(request.priority)).inc()
@@ -512,7 +565,7 @@ class SchedulingService:
                     sample: bool = False) -> Optional[Span]:
         """Open ``request``'s root span — ``None`` when it goes untraced.
 
-        Both lanes start here; :meth:`schedule_timed` finishes the span.
+        Both lanes start here; whichever lane serves finishes the span.
         ``sample`` subjects the request to ``Tracer.sample_rate``: a
         sampled-out fast-lane candidate pays one counter increment
         (``Tracer.tick()``), no id minting and no span.
@@ -532,39 +585,6 @@ class SchedulingService:
                    **({"client": request.client}
                       if request.client is not None else {})})
 
-    def _serve_fast_lane(self, request: ScheduleRequest,
-                         root: Optional[Span], started: float
-                         ) -> Optional[Tuple[ScheduleResponse, RequestTiming]]:
-        """Serve ``request`` from the response-level cache, if possible.
-
-        A hit bypasses admission, queueing, and batching: the session's
-        pre-encoded response bytes go straight back to the caller with only
-        the per-request echo re-encoded, under the single (sampled) ``root``
-        span instead of the slow path's full span tree.  Returns ``None`` on
-        a miss — or when the session is a duck-typed stub without a response
-        cache — and the caller falls through to the full pipeline.
-        """
-        lookup = getattr(self.session, "lookup_response", None)
-        if lookup is None:
-            return None
-        # The context goes in explicitly (the request is the caller's), so
-        # the response carries this trace id like a slow-path one would —
-        # and none at all when sampled out.
-        response = lookup(request, root.context() if root is not None else None)
-        if response is None:
-            return None
-        self.stats.inc("requests")
-        self.stats.inc("fast_lane")
-        self.stats.inc("scheduled")
-        timing = RequestTiming(
-            total_s=max(0.0, time.perf_counter() - started), fast_lane=True,
-            trace_id=root.trace_id if root is not None else None)
-        self._latency_histogram.labels(str(request.priority)).observe(
-            timing.total_s, exemplar=timing.trace_id)
-        if root is not None:
-            root.set_attribute("fast_lane", True)
-        return response, timing
-
     def _finish_timing(self, timing: RequestTiming, request: ScheduleRequest,
                        pending: _Pending, started: float,
                        loop: asyncio.AbstractEventLoop) -> None:
@@ -577,7 +597,7 @@ class SchedulingService:
                 0.0, pending.claimed_at - pending.enqueued_at)
         # The trace id rides along as the bucket's exemplar, so a saturated
         # latency bucket links straight to a representative slow trace.
-        self._latency_histogram.labels(str(request.priority)).observe(
+        self._latency(request.priority).observe(
             timing.total_s, exemplar=timing.trace_id)
         # Per-policy latency (queued traffic only — the fast lane bypasses
         # the queue, so no policy shaped it): the basis for comparing how
@@ -815,11 +835,7 @@ class ServiceRunner:
     def schedule(self, request: ScheduleRequest,
                  timeout: Optional[float] = None) -> ScheduleResponse:
         """Blocking submit of one request through the async service."""
-        if self._loop is None:
-            raise RuntimeError("runner is not started")
-        future = asyncio.run_coroutine_threadsafe(
-            self.service.schedule(request), self._loop)
-        return future.result(timeout)
+        return self.schedule_timed(request, timeout)[0]
 
     def schedule_timed(self, request: ScheduleRequest,
                        timeout: Optional[float] = None,
@@ -827,13 +843,17 @@ class ServiceRunner:
                        ) -> Tuple[ScheduleResponse, RequestTiming]:
         """Blocking submit returning ``(response, RequestTiming)`` — the
         HTTP layer uses the timing for its structured access log and passes
-        ``request_id`` so the trace id matches the log line."""
-        if self._loop is None:
+        ``request_id`` so the trace id matches the log line.  A hit is served
+        on the calling thread; only a miss crosses to the event loop."""
+        loop = self._loop
+        if loop is None:
             raise RuntimeError("runner is not started")
-        future = asyncio.run_coroutine_threadsafe(
-            self.service.schedule_timed(request, request_id=request_id),
-            self._loop)
-        return future.result(timeout)
+        served, key, root = self.service.fast_lane(request, request_id)
+        if served is not None:
+            return served
+        return asyncio.run_coroutine_threadsafe(
+            self.service.slow_lane(request, request_id, key, root),
+            loop).result(timeout)
 
     def schedule_many(self, requests: List[ScheduleRequest],
                       timeout: Optional[float] = None) -> List[ScheduleResponse]:
