@@ -147,8 +147,10 @@ class ScheduleResponse:
     or by its JSON text (:meth:`from_json`: what the response fast lane and
     the worker pool hand over).  The serving layers mostly shuttle response
     bytes onward — the HTTP handler replies with exactly :meth:`to_json` —
-    so a text-backed response parses nothing until a *field* is read, and
-    then decodes all of them at once.  Its text stays the source of truth
+    so a text-backed response parses nothing until a *field* is read: the
+    first read parses the text and answers the scalar fields, ``request``
+    and the IR-bearing ``program`` / ``result`` are built from the retained
+    payload when they are read.  Its text stays the source of truth
     for :meth:`to_json` / :meth:`to_dict`: treat it as read-only.
     """
 
@@ -178,13 +180,22 @@ class ScheduleResponse:
         return response
 
     def __getattr__(self, name: str) -> Any:
-        # Only reached when ``name`` is not set on the instance: the first
-        # field read of a text-backed response, which decodes every field.
+        # Only reached when ``name`` is not set on the instance: a field of
+        # a text-backed response that has not been decoded yet.
         text = self._json
         if text is None or name not in self.__dataclass_fields__:
             raise AttributeError(name)
-        self.__dict__.update(vars(ScheduleResponse.from_dict(json.loads(text))))
-        return self.__dict__[name]
+        state = self.__dict__
+        data = state.get("_payload")
+        if data is None:
+            data = state["_payload"] = json.loads(text)
+            state.update(_scalar_fields(data))
+        if name == "request":
+            state["request"] = ScheduleRequest.from_dict(data["request"])
+        elif name in ("program", "result"):
+            result = state["result"] = ScheduleResult.from_dict(data)
+            state["program"] = result.program
+        return state[name]
 
     def summary(self) -> str:
         cached = " [cached]" if self.from_cache else ""
@@ -224,17 +235,22 @@ class ScheduleResponse:
         result = ScheduleResult.from_dict(data)
         return ScheduleResponse(
             request=ScheduleRequest.from_dict(data["request"]),
-            scheduler=data["scheduler"],
-            program=result.program,
-            result=result,
-            runtime_s=float(data["runtime_s"]),
-            normalized=bool(data.get("normalized", False)),
-            input_hash=data.get("input_hash"),
-            canonical_hash=data.get("canonical_hash"),
-            from_cache=bool(data.get("from_cache", False)),
-            normalization_cache_hit=bool(data.get("normalization_cache_hit", False)),
-            trace_id=data.get("trace_id"),
-        )
+            program=result.program, result=result, **_scalar_fields(data))
+
+
+def _scalar_fields(data: Mapping[str, Any]) -> Dict[str, Any]:
+    """The :class:`ScheduleResponse` fields a parsed payload answers as is."""
+    return {
+        "scheduler": data["scheduler"],
+        "runtime_s": float(data["runtime_s"]),
+        "normalized": bool(data.get("normalized", False)),
+        "input_hash": data.get("input_hash"),
+        "canonical_hash": data.get("canonical_hash"),
+        "from_cache": bool(data.get("from_cache", False)),
+        "normalization_cache_hit": bool(
+            data.get("normalization_cache_hit", False)),
+        "trace_id": data.get("trace_id"),
+    }
 
 
 # Dataclass defaults are also set as class attributes, where they would

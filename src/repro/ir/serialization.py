@@ -12,9 +12,10 @@ import json
 from typing import Any, Dict, List
 
 from .arrays import Array
+from .canonical import intern_expr
 from .nodes import ArrayAccess, Computation, LibraryCall, Loop, Node, Program
 from .symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod, Mul,
-                      Read, Sym)
+                      Read, Sym, const, sym)
 
 
 def expr_to_dict(expr: Expr) -> Dict[str, Any]:
@@ -49,38 +50,37 @@ def expr_to_dict(expr: Expr) -> Dict[str, Any]:
 def expr_from_dict(data: Dict[str, Any]) -> Expr:
     """Inverse of :func:`expr_to_dict`.
 
-    Decoded expressions are hash-consed (:func:`repro.ir.canonical.intern_expr`),
-    so identical sub-trees across cache entries share one interned instance.
+    Decoded expressions are hash-consed, so identical sub-trees across cache
+    entries share one instance: leaves come from the interned constructors
+    (the one leaf table, keyed by value), composites from
+    :func:`repro.ir.canonical.intern_expr`.
     """
-    from .canonical import intern_expr
-    return intern_expr(_expr_from_dict(data))
-
-
-def _expr_from_dict(data: Dict[str, Any]) -> Expr:
     kind = data["kind"]
     if kind == "const":
-        return Const(data["value"])
+        return const(data["value"])
     if kind == "sym":
-        return Sym(data["name"])
+        return sym(data["name"])
     if kind == "add":
-        return Add.make([expr_from_dict(t) for t in data["terms"]])
-    if kind == "mul":
-        return Mul.make([expr_from_dict(f) for f in data["factors"]])
-    if kind == "floordiv":
-        return FloorDiv.make(expr_from_dict(data["numerator"]),
-                             expr_from_dict(data["denominator"]))
-    if kind == "mod":
-        return Mod.make(expr_from_dict(data["numerator"]),
-                        expr_from_dict(data["denominator"]))
-    if kind == "min":
-        return Min.make([expr_from_dict(a) for a in data["args"]])
-    if kind == "max":
-        return Max.make([expr_from_dict(a) for a in data["args"]])
-    if kind == "read":
-        return Read(data["array"], [expr_from_dict(i) for i in data["indices"]])
-    if kind == "call":
-        return Call(data["func"], [expr_from_dict(a) for a in data["args"]])
-    raise ValueError(f"unknown expression kind {kind!r}")
+        built = Add.make([expr_from_dict(t) for t in data["terms"]])
+    elif kind == "mul":
+        built = Mul.make([expr_from_dict(f) for f in data["factors"]])
+    elif kind == "floordiv":
+        built = FloorDiv.make(expr_from_dict(data["numerator"]),
+                              expr_from_dict(data["denominator"]))
+    elif kind == "mod":
+        built = Mod.make(expr_from_dict(data["numerator"]),
+                         expr_from_dict(data["denominator"]))
+    elif kind == "min":
+        built = Min.make([expr_from_dict(a) for a in data["args"]])
+    elif kind == "max":
+        built = Max.make([expr_from_dict(a) for a in data["args"]])
+    elif kind == "read":
+        built = Read(data["array"], [expr_from_dict(i) for i in data["indices"]])
+    elif kind == "call":
+        built = Call(data["func"], [expr_from_dict(a) for a in data["args"]])
+    else:
+        raise ValueError(f"unknown expression kind {kind!r}")
+    return intern_expr(built)
 
 
 def node_to_dict(node: Node) -> Dict[str, Any]:

@@ -237,7 +237,7 @@ class Add(Expr):
     @staticmethod
     def make(terms: Sequence[Expr]) -> Expr:
         flat = []
-        const = 0
+        folded = 0
         for term in terms:
             term = _as_expr(term)
             if isinstance(term, Add):
@@ -246,11 +246,11 @@ class Add(Expr):
                 inner_terms = [term]
             for t in inner_terms:
                 if isinstance(t, Const):
-                    const += t.value
+                    folded += t.value
                 else:
                     flat.append(t)
-        if const != 0 or not flat:
-            flat.append(Const(const))
+        if folded != 0 or not flat:
+            flat.append(const(folded))
         if len(flat) == 1:
             return flat[0]
         return Add(flat)
@@ -294,7 +294,7 @@ class Mul(Expr):
     @staticmethod
     def make(factors: Sequence[Expr]) -> Expr:
         flat = []
-        const = 1
+        folded = 1
         for factor in factors:
             factor = _as_expr(factor)
             if isinstance(factor, Mul):
@@ -303,13 +303,13 @@ class Mul(Expr):
                 inner = [factor]
             for f in inner:
                 if isinstance(f, Const):
-                    const *= f.value
+                    folded *= f.value
                 else:
                     flat.append(f)
-        if const == 0:
-            return Const(0)
-        if const != 1 or not flat:
-            flat.insert(0, Const(const))
+        if folded == 0:
+            return const(0)
+        if folded != 1 or not flat:
+            flat.insert(0, const(folded))
         if len(flat) == 1:
             return flat[0]
         return Mul(flat)

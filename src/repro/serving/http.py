@@ -44,6 +44,7 @@ import concurrent.futures
 import itertools
 import json
 import math
+import socket
 import threading
 import time
 import uuid
@@ -173,6 +174,7 @@ class ServingServer:
         self._thread: Optional[threading.Thread] = None
         self._started_at = 0.0
         self._closed = False
+        self._connections: set = set()  # sockets of the live handlers
 
     @property
     def host(self) -> str:
@@ -227,6 +229,13 @@ class ServingServer:
         self._httpd.shutdown()
         self._thread.join()
         self._httpd.server_close()
+        for connection in list(self._connections):
+            # Kept-alive connections end with the server: an idle handler
+            # reads EOF and exits, a reply in flight is still written whole.
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it meanwhile
         self._alert_monitor.stop()
         if self.push_exporter is not None:
             self.push_exporter.stop()
@@ -353,14 +362,18 @@ class ServingServer:
                       outcome: str, started: float,
                       queue_wait_s: Optional[float],
                       coalesced: Optional[bool],
-                      trace_id: Optional[str] = None,
                       fast_lane: Optional[bool] = None) -> None:
         if self.access_log is None:
             return
         self.access_log.write({
             "ts": round(time.time(), 6),
             "request_id": request_id,
-            "trace_id": trace_id,
+            # Derived, not generated: the service derives the same id from
+            # the request id, so the log cross-references the trace ring
+            # buffer even for requests that shed or fail before scheduling.
+            "trace_id": (self.tracer.trace_id_for(request_id)
+                         if self.tracer is not None and self.tracer.enabled
+                         else None),
             "route": "/v1/schedule",
             "program": _program_descriptor(
                 request.program if request is not None
@@ -382,12 +395,6 @@ class ServingServer:
                         ) -> "Tuple[int, Dict[str, Any] | str]":
         started = time.monotonic()
         request_id = self._next_request_id()
-        # Derived, not generated: the service derives the same id from the
-        # request id, so the access log cross-references the trace ring
-        # buffer even for requests that shed or fail before scheduling.
-        trace_id = (self.tracer.trace_id_for(request_id)
-                    if self.tracer is not None and self.tracer.enabled
-                    else None)
 
         def done(status: int, payload: "Dict[str, Any] | str", outcome: str,
                  request: Optional[ScheduleRequest] = None,
@@ -397,7 +404,7 @@ class ServingServer:
                  ) -> "Tuple[int, Dict[str, Any] | str]":
             self._log_schedule(request_id, body, request, status, outcome,
                                started, queue_wait_s, coalesced,
-                               trace_id=trace_id, fast_lane=fast_lane)
+                               fast_lane=fast_lane)
             return status, payload
 
         try:
@@ -468,43 +475,49 @@ def _make_handler(server: ServingServer):
         #: that under-sends its declared body must not pin a handler thread
         #: forever (slowloris).
         timeout = 30
+        disable_nagle_algorithm = True  # TCP_NODELAY; see _reply
+
+        def handle(self) -> None:
+            server._connections.add(self.connection)
+            try:
+                if not server._closed:  # stop() may have swept already
+                    super().handle()
+            finally:
+                server._connections.discard(self.connection)
 
         def log_message(self, format: str, *args: Any) -> None:
             pass  # quiet by default; traffic is visible through /v1/report
 
         def _reply(self, status: int, payload: "Dict[str, Any] | str",
-                   close: bool = False) -> None:
-            # A str payload is pre-encoded JSON (the worker-pool fast path).
+                   close: bool = False,
+                   content_type: str = "application/json") -> None:
+            # A str payload is pre-encoded (the worker-pool fast path).
             body = (payload if isinstance(payload, str)
                     else json.dumps(payload)).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
+            head = [
+                f"{self.protocol_version} {status} {self.responses[status][0]}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                f"Content-Type: {content_type}",
+                f"Content-Length: {len(body)}"]
             if status == 429 and isinstance(payload, dict) \
                     and "retry_after_s" in payload:
                 # Retry-After takes whole seconds; math.ceil (not round(),
                 # whose banker's rounding maps 2.5 to 2) so hints always
                 # round up and "0" never tells clients to hammer immediately.
-                self.send_header(
-                    "Retry-After",
-                    str(max(1, math.ceil(payload["retry_after_s"]))))
+                head.append("Retry-After: %d"
+                            % max(1, math.ceil(payload["retry_after_s"])))
             if close:
                 # The request body was not consumed: keeping the connection
                 # alive would desync HTTP/1.1 (unread bytes parse as the
                 # next request line).
-                self.send_header("Connection", "close")
+                head.append("Connection: close")
                 self.close_connection = True
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _reply_text(self, status: int, content_type: str,
-                        body_text: str) -> None:
-            body = body_text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            # One write per reply: a header/body split (or a buffered
+            # writer's 8 KiB) is two segments, and a kept-alive client's
+            # delayed ACK of the first holds the second ~40 ms under Nagle.
+            self.wfile.write("\r\n".join(head + ["", ""]).encode("latin-1")
+                             + body)
 
         @staticmethod
         def _workers_flag(query: Dict[str, list]) -> bool:
@@ -520,7 +533,9 @@ def _make_handler(server: ServingServer):
                 self._reply(*server.handle_report(include_workers))
             elif parts.path == "/metrics":
                 include_workers = self._workers_flag(parse_qs(parts.query))
-                self._reply_text(*server.handle_metrics(include_workers))
+                status, content_type, text = \
+                    server.handle_metrics(include_workers)
+                self._reply(status, text, content_type=content_type)
             elif parts.path == "/alerts":
                 self._reply(*server.handle_alerts())
             elif parts.path == "/v1/traces":
