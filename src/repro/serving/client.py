@@ -132,8 +132,8 @@ class ServingClient:
         """Scrape ``GET /metrics``: the Prometheus text exposition body.
 
         ``include_workers`` merges every worker process's registry into the
-        scrape when the server runs a pool (slower — it rendezvouses with
-        all workers).
+        scrape when the server runs a pool (slower — one round trip to
+        every worker).
         """
         return self._checked(
             "GET", "/metrics" + ("?workers=1" if include_workers else ""))

@@ -6,12 +6,12 @@ Routes:
 * ``GET  /v1/report``   — session counters plus service and admission
   stats; with an attached worker pool, coordinator pool counters too, and
   ``?workers=1`` additionally scatter-gathers every worker's session report
-  (slower — it rendezvouses with all worker processes).
+  (slower — one round trip to every worker process).
 * ``GET  /metrics``     — the session's metrics registry in the Prometheus
   text exposition format (queue-depth gauge, per-priority latency
   histograms, admission-shed counters, cache and pass counters); with an
   attached worker pool, ``?workers=1`` merges every worker's registry into
-  the scrape (rendezvous, like the report).
+  the scrape (one round trip per worker, like the report).
 * ``GET  /v1/traces``   — newest-first summaries of the trace ring buffer
   (``?limit=N`` caps the listing); ``GET /v1/traces/<trace_id>`` returns
   one full span tree.  404 when tracing is disabled.
@@ -259,8 +259,8 @@ class ServingServer:
         if self.pool is not None:
             if include_workers:
                 # Full scatter-gather: one session report per worker process
-                # plus the merged aggregate (may block while busy workers
-                # reach the rendezvous barrier).
+                # plus the merged aggregate (waits for batches in flight;
+                # raises WorkerError if a worker is dead).
                 payload["pool"] = self.pool.report()
             else:
                 payload["pool"] = {"num_workers": self.pool.num_workers,
@@ -301,7 +301,7 @@ class ServingServer:
 
     def _push_payload(self) -> Dict[str, Any]:
         """One push-exporter datagram: node identity, registry snapshot
-        (best-effort pool-merged), and the currently firing alerts."""
+        (pool-merged unless a worker is dead), and the firing alerts."""
         import os
         import sys
         states = self.alerts.sample_and_evaluate()
@@ -335,8 +335,8 @@ class ServingServer:
         The coordinator registry (service queue/latency/admission plus the
         coordinator session's cache traffic) renders directly; with a pool
         and ``include_workers``, every worker's registry is gathered
-        (rendezvous) and merged in, so per-worker cache and pass counters
-        aggregate into the scrape.
+        (one round trip each) and merged in, so per-worker cache and pass
+        counters aggregate into the scrape.
         """
         if self.pool is not None and include_workers:
             gathered = self.pool.metrics()

@@ -27,17 +27,24 @@ async :class:`~repro.serving.service.SchedulingService` plugs it in as its
 batch executor (``serve --workers N``), keeping micro-batching and
 coalescing semantics unchanged — batches are simply scattered over
 processes instead of threads.
+
+Workers are addressed by index: worker ``i`` is one spawned process at the
+far end of one pipe, and a round trip sends it one message and receives
+exactly one reply.  A worker that dies (OOM kill, segfault) is detected on
+its pipe: its batch items come back in-band as :class:`WorkerError` naming
+its index and exit code, the other workers keep serving, and every
+pool-wide round (report, metrics, redistribution) raises that error.
+There is no automatic restart.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import queue as queue_module
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from ..api.registry import RegistryError
 from ..api.session import Session
@@ -69,7 +76,8 @@ _PORTABLE_ERRORS = {
 
 class WorkerError(RuntimeError):
     """An exception raised inside a worker process that has no portable
-    builtin type; ``error_type`` names the original class."""
+    builtin type (``error_type`` names the original class), or the death
+    of a worker process (``error_type`` is ``"WorkerExited"``)."""
 
     def __init__(self, error_type: str, message: str):
         super().__init__(f"{error_type}: {message}")
@@ -106,59 +114,42 @@ class WorkerConfig:
 
 # -- worker-process half ----------------------------------------------------------
 #
-# ProcessPoolExecutor workers run these module-level functions; the session
-# built by ``_init_worker`` lives in the globals of the *child* process.
+# Every worker process runs ``_worker_main``; the session it builds lives in
+# the globals of the *child* process, where the per-op bodies below read it.
 
 _WORKER_SESSION: Optional[Session] = None
 _WORKER_INDEX: int = -1
 _WORKER_COUNT: int = 0
-_WORKER_BARRIER = None
-_WORKER_SEEN: set = set()
 
 
-def _entry_key(entry_dict: Dict[str, Any]) -> str:
-    """Stable identity of one database entry (dedupe for redistribution).
-
-    Feedback fields are stripped first: online measurements mutate an
-    entry's ``measured_runtime``/``measurements`` in place, and an entry
-    must stay *one* entry across redistribution rounds no matter how many
-    timings it absorbed in between (mirrors ``DatabaseEntry.identity``).
-    """
-    stripped = {key: value for key, value in entry_dict.items()
-                if key not in ("measured_runtime", "measurements")}
-    return json.dumps(stripped, sort_keys=True)
-
-
-def _init_worker(config: WorkerConfig,
-                 shard_payloads: List[List[Dict[str, Any]]],
-                 index_queue, barrier) -> None:
-    """Initializer of every pool process: claim an index, build the session."""
-    global _WORKER_SESSION, _WORKER_INDEX, _WORKER_COUNT, _WORKER_BARRIER
-    global _WORKER_SEEN
+def _worker_main(connection, config: WorkerConfig,
+                 shard: List[Dict[str, Any]], index: int, count: int) -> None:
+    """Body of worker ``index``: build the session, send the outcome as the
+    first reply, then answer each ``(op, payload)`` message with one
+    ``(error, value)`` reply until the coordinator closes the pipe."""
+    global _WORKER_SESSION, _WORKER_INDEX, _WORKER_COUNT
+    _WORKER_INDEX, _WORKER_COUNT = index, count
     try:
-        index = index_queue.get(timeout=30)
-    except queue_module.Empty:
-        raise RuntimeError("worker pool initializer found no free worker index")
-    _WORKER_INDEX = index
-    _WORKER_COUNT = len(shard_payloads)
-    _WORKER_BARRIER = barrier
-    shard = shard_payloads[index]
-    _WORKER_SEEN = {_entry_key(item) for item in shard}
-    _WORKER_SESSION = config.build_session(shard)
+        _WORKER_SESSION = config.build_session(shard)
+    except Exception as error:  # noqa: BLE001 - start() re-raises it
+        connection.send((_describe(error), None))
+        return
+    connection.send((None, None))
+    while True:
+        try:
+            op, payload = connection.recv()
+        except EOFError:
+            break
+        try:
+            reply = (None, _WORKER_OPS[op](payload))
+        except Exception as error:  # noqa: BLE001 - sent to the coordinator
+            reply = (_describe(error), None)
+        connection.send(reply)
+    _WORKER_SESSION.close()
 
 
-def _worker_ping() -> int:
-    """Barrier rendezvous used by ``start()``/``report()`` to reach every
-    worker exactly once; returns the worker index."""
-    try:
-        _WORKER_BARRIER.wait(timeout=60)
-    except threading.BrokenBarrierError:
-        pass  # degraded: the coordinator tolerates duplicate/missing workers
-    return _WORKER_INDEX
-
-
-def _error_payload(error: BaseException) -> Dict[str, Any]:
-    return {"error": {"type": type(error).__name__, "message": str(error)}}
+def _describe(error: BaseException) -> Dict[str, str]:
+    return {"type": type(error).__name__, "message": str(error)}
 
 
 def _worker_schedule(request_dict: Dict[str, Any]) -> Dict[str, Any]:
@@ -167,73 +158,49 @@ def _worker_schedule(request_dict: Dict[str, Any]) -> Dict[str, Any]:
     The response travels as one pre-encoded JSON string: JSON encoding
     happens here, on a parallel worker, and the coordinator (and the HTTP
     layer, which replies with exactly these bytes) never re-parses or
-    re-serializes the response on its serial hot path.
+    re-serializes the response on its serial hot path.  A tune request
+    also returns the database entries it added, for the coordinator's
+    scatter-gather merge.
     """
-    try:
-        request = ScheduleRequest.from_dict(request_dict)
-        response = _WORKER_SESSION.schedule(request)
-        payload = {"response_json": response.to_json()}
-    except Exception as error:  # noqa: BLE001 - marshalled to the coordinator
-        payload = _error_payload(error)
-    # Ship this worker's finished trace spans back in-band so they rejoin
-    # the coordinator's trace (the request carried the parent context).
-    trace = request_dict.get("trace")
-    if trace and _WORKER_SESSION is not None:
-        spans = _WORKER_SESSION.tracer.export_fragment(trace["trace_id"])
-        if spans:
-            payload["spans"] = spans
-    return payload
-
-
-def _worker_schedule_many(request_dicts: List[Dict[str, Any]]
-                          ) -> List[Dict[str, Any]]:
-    """Run one scatter chunk; one task per worker amortizes the IPC cost
-    that per-request tasks would pay."""
-    return [_worker_schedule(item) for item in request_dicts]
-
-
-def _worker_tune(request_dict: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one tune request; returns the response plus the database entries
-    the tune added, for the coordinator's scatter-gather merge."""
     session = _WORKER_SESSION
     before = len(session.database)
     try:
         request = ScheduleRequest.from_dict(request_dict)
-        response = session.schedule(request)
+        payload = {"response_json": session.schedule(request).to_json()}
     except Exception as error:  # noqa: BLE001 - marshalled to the coordinator
-        return _error_payload(error)
-    new_entries = [entry.to_dict()
-                   for entry in session.database.entries[before:]]
-    for item in new_entries:
-        _WORKER_SEEN.add(_entry_key(item))
-    return {"response_json": response.to_json(), "entries": new_entries}
+        payload = {"error": _describe(error)}
+    else:
+        if request.tune:
+            payload["entries"] = [entry.to_dict() for entry
+                                  in session.database.entries[before:]]
+    # Ship this worker's finished trace spans back in-band so they rejoin
+    # the coordinator's trace (the request carried the parent context).
+    trace = request_dict.get("trace")
+    spans = trace and session.tracer.export_fragment(trace["trace_id"])
+    if spans:
+        payload["spans"] = spans
+    return payload
 
 
-def _worker_absorb_entries(entry_dicts: List[Dict[str, Any]]
-                           ) -> Tuple[int, int]:
-    """Barrier-synchronized redistribution: add the entries hashing to this
-    worker's shard that it has not seen yet; returns (index, added)."""
-    try:
-        _WORKER_BARRIER.wait(timeout=60)
-    except threading.BrokenBarrierError:
-        pass
+def _worker_absorb_entries(entry_dicts: List[Dict[str, Any]]) -> int:
+    """Redistribution: add the entries hashing to this worker's shard that
+    it does not hold yet (by feedback-blind ``DatabaseEntry.identity``);
+    returns how many were added."""
+    database = _WORKER_SESSION.database
+    held = {entry.identity() for entry in database.entries}
     added = 0
     for item in entry_dicts:
         entry = DatabaseEntry.from_dict(item)
-        if embedding_shard(entry.embedding, _WORKER_COUNT) != _WORKER_INDEX:
-            continue
-        key = _entry_key(item)
-        if key in _WORKER_SEEN:
-            continue
-        _WORKER_SEEN.add(key)
-        _WORKER_SESSION.database.add_entry(entry)
-        added += 1
-    return _WORKER_INDEX, added
+        if embedding_shard(entry.embedding, _WORKER_COUNT) == _WORKER_INDEX \
+                and entry.identity() not in held:
+            held.add(entry.identity())
+            database.add_entry(entry)
+            added += 1
+    return added
 
 
-def _worker_apply_feedback(records: List[Dict[str, Any]]
-                           ) -> Tuple[int, Dict[str, int]]:
-    """Barrier-synchronized online-feedback round (one task per worker).
+def _worker_apply_feedback(records: List[Dict[str, Any]]) -> Dict[str, int]:
+    """Online-feedback round (one message per worker).
 
     The coordinator already applied every record to its own sharded
     database and marked which ones created a measurement-born entry
@@ -243,10 +210,6 @@ def _worker_apply_feedback(records: List[Dict[str, Any]]
     are created only by the worker owning the embedding's shard — the same
     routing redistribution uses.
     """
-    try:
-        _WORKER_BARRIER.wait(timeout=60)
-    except threading.BrokenBarrierError:
-        pass
     session = _WORKER_SESSION
     counts = {"applied": 0, "added": 0, "skipped": 0}
     for record in records:
@@ -266,25 +229,17 @@ def _worker_apply_feedback(records: List[Dict[str, Any]]
                 # shard" no-ops of the others are routing, not skips.
                 counts[outcome] += 1
     session.note_feedback(counts)
-    return _WORKER_INDEX, counts
+    return counts
 
 
-def _worker_report() -> Tuple[int, Dict[str, Any]]:
-    """Barrier-synchronized session report of this worker."""
-    try:
-        _WORKER_BARRIER.wait(timeout=60)
-    except threading.BrokenBarrierError:
-        pass
-    return _WORKER_INDEX, _WORKER_SESSION.report().to_dict()
-
-
-def _worker_metrics() -> Tuple[int, Dict[str, Any]]:
-    """Barrier-synchronized metrics-registry snapshot of this worker."""
-    try:
-        _WORKER_BARRIER.wait(timeout=60)
-    except threading.BrokenBarrierError:
-        pass
-    return _WORKER_INDEX, _WORKER_SESSION.metrics.to_dict()
+#: What a worker does with each message ``(op, payload)``.
+_WORKER_OPS = {
+    "schedule": lambda items: [_worker_schedule(item) for item in items],
+    "absorb": _worker_absorb_entries,
+    "feedback": _worker_apply_feedback,
+    "report": lambda _: _WORKER_SESSION.report().to_dict(),
+    "metrics": lambda _: _WORKER_SESSION.metrics.to_dict(),
+}
 
 
 # -- coordinator half --------------------------------------------------------------
@@ -293,6 +248,16 @@ def _worker_metrics() -> Tuple[int, Dict[str, Any]]:
 _UNION_FIELDS = {"schedulers"}
 #: Report fields merged by taking the first value (homogeneous per pool).
 _FIRST_FIELDS = {"cache_backend"}
+
+
+def _sum_into(target: Dict[str, Any], source: Dict[str, Any]) -> None:
+    """Add ``source``'s numbers into ``target`` key-wise, nested dicts too
+    (per-pass stats and their counters: hoisted, cse_hits, ...)."""
+    for key, value in source.items():
+        if isinstance(value, dict):
+            _sum_into(target.setdefault(key, {}), value)
+        else:
+            target[key] = target.get(key, 0) + value
 
 
 def merge_worker_reports(reports: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
@@ -314,18 +279,7 @@ def merge_worker_reports(reports: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             elif key in _UNION_FIELDS:
                 merged[key] = sorted(set(merged.get(key, [])) | set(value))
             elif key == "normalization_passes":
-                target = merged.setdefault(key, {})
-                for name, entry in value.items():
-                    bucket = target.setdefault(name, {})
-                    for stat, amount in entry.items():
-                        if isinstance(amount, dict):
-                            # Nested pass counters (hoisted, cse_hits,
-                            # flops_saved, ...) sum key-wise.
-                            nested = bucket.setdefault(stat, {})
-                            for counter, delta in amount.items():
-                                nested[counter] = nested.get(counter, 0) + delta
-                        else:
-                            bucket[stat] = bucket.get(stat, 0) + amount
+                _sum_into(merged.setdefault(key, {}), value)
             elif isinstance(value, (int, float)) and not isinstance(value, bool):
                 merged[key] = merged.get(key, 0) + value
             else:
@@ -351,6 +305,21 @@ class PoolStats:
         return asdict(self)
 
 
+def _rebuild_error(error: Dict[str, str]) -> Exception:
+    """The coordinator-side exception for a worker's ``_describe`` dict."""
+    portable = _PORTABLE_ERRORS.get(error["type"])
+    if portable is not None:
+        return portable(error["message"])
+    return WorkerError(error["type"], error["message"])
+
+
+class _Worker(NamedTuple):
+    # The lock keeps one round trip at a time on the pipe.
+    process: multiprocessing.process.BaseProcess
+    connection: Any
+    lock: threading.Lock
+
+
 class WorkerPool:
     """``num_workers`` processes, each a Session over the shared cache.
 
@@ -374,8 +343,7 @@ class WorkerPool:
     def __init__(self, num_workers: int,
                  config: Optional[WorkerConfig] = None,
                  database: Optional[Union[ShardedTuningDatabase,
-                                          TuningDatabase]] = None,
-                 mp_context: str = "spawn"):
+                                          TuningDatabase]] = None):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
@@ -391,23 +359,9 @@ class WorkerPool:
         else:
             self.database = ShardedTuningDatabase.from_database(
                 database, num_workers)
-        shard_payloads = [
-            [entry.to_dict() for entry in self.database.shard(index).entries]
-            for index in range(num_workers)]
-        context = multiprocessing.get_context(mp_context)
-        self._index_queue = context.Queue()
-        for index in range(num_workers):
-            self._index_queue.put(index)
-        self._barrier = context.Barrier(num_workers)
-        # Rendezvous rounds (start / report / redistribute) must not
-        # interleave: two concurrent rounds against the one shared barrier
-        # would break its one-task-per-worker guarantee.
-        self._rendezvous_lock = threading.Lock()
-        self._executor: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-            max_workers=num_workers, mp_context=context,
-            initializer=_init_worker,
-            initargs=(self.config, shard_payloads,
-                      self._index_queue, self._barrier))
+        self._workers: Optional[List[_Worker]] = None
+        self._closed = False
+        self._lifecycle_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -419,113 +373,144 @@ class WorkerPool:
         self.close()
 
     def start(self) -> None:
-        """Force-spawn every worker and block until all sessions are built.
+        """Spawn every worker and block until all sessions are built.
 
-        Optional — the first batch spawns workers on demand — but a server
-        (and any benchmark) wants the spawn cost paid up front, and an
-        initializer failure (bad cache path, unknown scheduler) surfaces
-        here instead of on the first request.
+        Optional — the first batch starts the pool on demand — but a server
+        (and any benchmark) wants the spawn cost paid up front.  A session
+        build failure (bad cache path, unknown scheduler) is that worker's
+        first reply: ``start()`` closes the pool and re-raises it.
         """
-        self._reach_all_workers(_worker_ping)
+        with self._lifecycle_lock:
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            if self._workers is not None:
+                return
+            context = multiprocessing.get_context("spawn")
+            workers = []
+            for index in range(self.num_workers):
+                connection, child_end = context.Pipe()
+                shard = [entry.to_dict()
+                         for entry in self.database.shard(index).entries]
+                process = context.Process(target=_worker_main, daemon=True,
+                                          args=(child_end, self.config, shard,
+                                                index, self.num_workers))
+                process.start()
+                # Only the child may hold its end: a coordinator copy would
+                # make recv() on a dead worker block instead of hit EOF.
+                child_end.close()
+                workers.append(_Worker(process, connection, threading.Lock()))
+            # Published only now, so no round trip reads a build reply.
+            built = [self._receive(index, worker)
+                     for index, worker in enumerate(workers)]
+            self._workers = workers
+        for outcome in built:
+            if isinstance(outcome, Exception):
+                self.close()
+                raise outcome
 
     def close(self) -> None:
-        """Shut the worker processes down.  Idempotent."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-            self._index_queue.close()
+        """Shut the workers down (idempotent): a pipe closes after its round
+        trip in flight; its worker then closes its session and exits."""
+        with self._lifecycle_lock:
+            self._closed = True
+        for worker in self._workers or ():
+            with worker.lock:
+                worker.connection.close()
+            worker.process.join()
 
-    def _require_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            raise RuntimeError("worker pool is closed")
-        return self._executor
+    @staticmethod
+    def _receive(index: int, worker: _Worker) -> Any:
+        """The next reply of worker ``index``: its value, or the exception
+        it stands for — :class:`WorkerError` if the worker is gone."""
+        try:
+            error, value = worker.connection.recv()
+        except (EOFError, OSError):
+            worker.process.join(timeout=1)  # reap it: the exit code is known
+            return WorkerError("WorkerExited", f"worker {index} exited "
+                               f"(exit code {worker.process.exitcode})")
+        return value if error is None else _rebuild_error(error)
 
-    def _reach_all_workers(self, task, *args) -> Dict[int, Any]:
-        """Submit one barrier-synchronized task per worker and gather their
-        results keyed by worker index.
+    def _exchange(self, messages: Dict[int, Tuple[str, Any]]
+                  ) -> Dict[int, Any]:
+        """Send ``messages[i]`` to worker ``i``, then receive one reply from
+        each (a dead worker's is its :class:`WorkerError`).  Every round
+        trip of the pool goes through here; locks are taken in index order,
+        so concurrent rounds never interleave on one pipe or deadlock."""
+        if self._workers is None or self._closed:
+            self.start()  # on first use; raises once the pool is closed
+        workers = self._workers
+        with ExitStack() as held:
+            for index in sorted(messages):
+                held.enter_context(workers[index].lock)
+            for index in sorted(messages):
+                try:
+                    workers[index].connection.send(messages[index])
+                except OSError:
+                    pass  # a broken pipe: the receive below reports the worker
+            return {index: self._receive(index, workers[index])
+                    for index in sorted(messages)}
 
-        The barrier makes each live worker take exactly one task; if a
-        worker is busy past the barrier timeout the barrier breaks and the
-        gather degrades gracefully (some indices may repeat or be absent —
-        callers treat the result as best-effort).  Rounds are serialized by
-        a coordinator-side lock so concurrent report()/tune() calls cannot
-        break each other's rendezvous.
-        """
-        executor = self._require_executor()
-        with self._rendezvous_lock:
-            futures = [executor.submit(task, *args)
-                       for _ in range(self.num_workers)]
-            gathered: Dict[int, Any] = {}
-            for future in futures:
-                outcome = future.result()
-                if isinstance(outcome, tuple):
-                    index, value = outcome
-                else:
-                    index, value = outcome, outcome
-                gathered[index] = value
-            self._barrier.reset()
-        return gathered
+    def _broadcast(self, op: str, payload: Any = None) -> List[Any]:
+        """One ``(op, payload)`` message to every worker; the replies in
+        index order.  The survivors take the round even if a worker is
+        dead, whose :class:`WorkerError` is then raised."""
+        replies = list(self._exchange(dict.fromkeys(
+            range(self.num_workers), (op, payload))).values())
+        for reply in replies:
+            if isinstance(reply, Exception):
+                raise reply
+        return replies
 
     # -- scheduling --------------------------------------------------------------
 
-    def _decode(self, payload: Dict[str, Any]
+    def _scatter(self, requests: Sequence[ScheduleRequest]
+                 ) -> List[Union[Dict[str, Any], Exception]]:
+        """Send worker ``i`` the requests ``i``, ``i + n``, ... as one
+        message; the per-item payloads in input order, a dead worker's
+        items as its :class:`WorkerError`."""
+        n = self.num_workers
+        dicts = [request.to_dict() for request in requests]
+        replies = self._exchange({index: ("schedule", dicts[index::n])
+                                  for index in range(min(n, len(dicts)))})
+        payloads: List[Any] = [None] * len(requests)
+        for index, reply in replies.items():
+            if isinstance(reply, Exception):
+                reply = [reply] * len(payloads[index::n])
+            payloads[index::n] = reply
+        return payloads
+
+    def _decode(self, payload: Union[Dict[str, Any], Exception]
                 ) -> Union[ScheduleResponse, Exception]:
+        if isinstance(payload, Exception):
+            return payload
         spans = payload.get("spans")
         if spans and self.tracer is not None:
-            # Rejoin worker-side spans before the caller's future resolves,
-            # so the root span always closes over a complete trace.
+            # Rejoined before the caller's future resolves: the root span
+            # always closes over a complete trace.
             self.tracer.absorb(spans)
         error = payload.get("error")
         if error is not None:
-            portable = _PORTABLE_ERRORS.get(error["type"])
-            if portable is not None:
-                return portable(error["message"])
-            return WorkerError(error["type"], error["message"])
-        # Text-backed: the coordinator mostly shuttles worker responses
-        # onward (the HTTP layer replies with exactly these bytes), so it
-        # parses nothing unless someone reads a field.
+            return _rebuild_error(error)
+        # Text-backed: the coordinator mostly shuttles these bytes onward
+        # (to HTTP as they are), so it parses nothing until a field is read.
         return ScheduleResponse.from_json(payload["response_json"])
 
     def schedule_batch(self, requests: Sequence[ScheduleRequest]
                        ) -> List[Union[ScheduleResponse, Exception]]:
         """Scatter the batch over the workers; gather responses in order.
 
-        Requests are split round-robin into one chunk per worker (a chunk
-        is one executor task, amortizing IPC over the chunk).  Matches
-        ``Session.schedule_batch(..., return_exceptions=True)``: per-item
-        *exceptions* (bad requests, scheduler errors) come back in-band so
-        one bad request cannot fail its batchmates.  A crashed worker
-        *process* (OOM kill, segfault) is different: ``concurrent.futures``
-        marks the whole pool broken, every chunk of the batch returns
-        ``BrokenProcessPool`` in-band, and the pool must be recreated —
-        there is no automatic restart.
+        Requests are split round-robin into one message per worker.
+        Matches ``Session.schedule_batch(..., return_exceptions=True)``:
+        per-item exceptions come back in-band so one bad request cannot
+        fail its batchmates.  So does a dead worker *process*: each item
+        sent to it is a :class:`WorkerError` naming its index and exit
+        code, while the other workers' items, in this batch and every later
+        one, succeed.  Dead workers are not restarted.
         """
-        executor = self._require_executor()
-        if not requests:
-            return []
-        indexed = list(enumerate(requests))
-        chunks = [chunk for chunk
-                  in (indexed[offset::self.num_workers]
-                      for offset in range(self.num_workers)) if chunk]
-        submitted = [
-            (chunk, executor.submit(
-                _worker_schedule_many,
-                [request.to_dict() for _, request in chunk]))
-            for chunk in chunks]
-        results: List[Union[ScheduleResponse, Exception]] = \
-            [None] * len(requests)  # type: ignore[list-item]
-        for chunk, future in submitted:
-            try:
-                payloads = future.result()
-                decoded = [self._decode(payload) for payload in payloads]
-            except Exception as error:  # noqa: BLE001 - broken pool etc.
-                decoded = [error] * len(chunk)
-            for (index, _), outcome in zip(chunk, decoded):
-                if isinstance(outcome, Exception):
-                    self.stats.errors += 1
-                else:
-                    self.stats.scheduled += 1
-                results[index] = outcome
+        results = list(map(self._decode, self._scatter(requests)))
+        failed = sum(isinstance(result, Exception) for result in results)
+        self.stats.errors += failed
+        self.stats.scheduled += len(results) - failed
         return results
 
     def schedule(self, request: ScheduleRequest) -> ScheduleResponse:
@@ -537,52 +522,31 @@ class WorkerPool:
 
     # -- tuning: scatter, gather, merge, redistribute ----------------------------
 
-    def tune(self, requests: Sequence[ScheduleRequest],
-             redistribute: bool = True
+    def tune(self, requests: Sequence[ScheduleRequest]
              ) -> List[Union[ScheduleResponse, Exception]]:
         """Scatter tune requests over the workers and gather the results.
 
-        Each worker tunes into its local database; the entries it produced
-        are gathered and merged into the coordinator's sharded database
-        (``pool.database``) by embedding hash.  With ``redistribute`` (the
-        default) the merged entries are then pushed back so the worker
-        owning each entry's shard absorbs it — after which every future
+        Requests are split like :meth:`schedule_batch`'s.  The entries each
+        worker's tuning added are merged into the coordinator's sharded
+        database (``pool.database``) by embedding hash, then broadcast so
+        the worker owning each entry's shard absorbs it: every later
         request, on any worker, schedules against the grown database.
         """
-        executor = self._require_executor()
-        prepared = []
-        for request in requests:
-            if not request.tune:
-                raise ValueError(
-                    "WorkerPool.tune takes tune requests "
-                    "(ScheduleRequest(..., tune=True))")
-            prepared.append(request.to_dict())
-        futures = [executor.submit(_worker_tune, item) for item in prepared]
-        results: List[Union[ScheduleResponse, Exception]] = []
-        gathered: List[Dict[str, Any]] = []
-        for future in futures:
-            try:
-                payload = future.result()
-            except Exception as error:  # noqa: BLE001 - broken pool etc.
-                self.stats.errors += 1
-                results.append(error)
-                continue
-            decoded = self._decode(payload)
-            if isinstance(decoded, Exception):
-                self.stats.errors += 1
-            else:
-                self.stats.tuned += 1
-                gathered.extend(payload.get("entries", ()))
-            results.append(decoded)
+        if not all(request.tune for request in requests):
+            raise ValueError("WorkerPool.tune takes tune requests "
+                             "(ScheduleRequest(..., tune=True))")
+        payloads = self._scatter(requests)
+        results = [self._decode(payload) for payload in payloads]
+        failed = sum(isinstance(result, Exception) for result in results)
+        self.stats.errors += failed
+        self.stats.tuned += len(results) - failed
+        gathered = [item for payload in payloads if isinstance(payload, dict)
+                    for item in payload.get("entries", ())]
         if gathered:
             self.stats.gathered_entries += self.database.add_entries(
                 DatabaseEntry.from_dict(item) for item in gathered)
-            if redistribute:
-                absorbed = self._reach_all_workers(
-                    _worker_absorb_entries, gathered)
-                self.stats.redistributed_entries += sum(
-                    value for value in absorbed.values()
-                    if isinstance(value, int))
+            self.stats.redistributed_entries += sum(
+                self._broadcast("absorb", gathered))
         return results
 
     # -- online feedback ---------------------------------------------------------
@@ -595,15 +559,11 @@ class WorkerPool:
         (plain JSON values, so they cross the process boundary unchanged).
         The coordinator's sharded database absorbs them first — deciding,
         under its shard locks, which records update an existing entry and
-        which create a measurement-born one — then a barrier round pushes
-        the records (decisions attached) to every worker so each mirrors
-        the effect on its own shard.  Future batches, on any worker, then
-        schedule against the re-ranked database.  Returns the
-        coordinator-side outcome counts ``{"applied", "added", "skipped"}``.
-
-        Safe to call concurrently with :meth:`tune`: rendezvous rounds are
-        serialized by the coordinator lock, and the coordinator database's
-        per-shard locks order the merge against feedback application.
+        which create a measurement-born one — then a broadcast carries the
+        records (decisions attached) so each worker mirrors the effect on
+        its own shard.  Returns the coordinator-side outcome counts
+        ``{"applied", "added", "skipped"}``.  Safe to call concurrently
+        with :meth:`tune`.
         """
         prepared: List[Dict[str, Any]] = []
         counts = {"applied": 0, "added": 0, "skipped": 0}
@@ -618,7 +578,7 @@ class WorkerPool:
         self.stats.feedback_added += counts["added"]
         self.stats.feedback_skipped += counts["skipped"]
         if prepared:
-            self._reach_all_workers(_worker_apply_feedback, prepared)
+            self._broadcast("feedback", prepared)
         return counts
 
     # -- introspection -----------------------------------------------------------
@@ -629,16 +589,15 @@ class WorkerPool:
         Returns ``{"num_workers", "reports_collected", "merged",
         "per_worker", "pool"}`` where ``merged`` aggregates the per-worker
         counters (see :func:`merge_worker_reports`) and ``pool`` carries the
-        coordinator-side :class:`PoolStats`.
+        coordinator-side :class:`PoolStats`.  Exact: one report per worker.
         """
-        per_worker = {index: report for index, report
-                      in self._reach_all_workers(_worker_report).items()}
+        reports = self._broadcast("report")
         return {
             "num_workers": self.num_workers,
-            "reports_collected": len(per_worker),
-            "merged": merge_worker_reports(per_worker.values()),
+            "reports_collected": len(reports),
+            "merged": merge_worker_reports(reports),
             "per_worker": {str(index): report
-                           for index, report in sorted(per_worker.items())},
+                           for index, report in enumerate(reports)},
             "pool": self.stats.to_dict(),
         }
 
@@ -649,16 +608,13 @@ class WorkerPool:
         "per_worker"}``; ``merged`` sums the per-worker snapshots with
         :func:`~repro.observability.merge_registry_dicts` (counters and
         histogram buckets add, so the merged histogram count equals the sum
-        of per-worker counts).  Like :meth:`report`, this rendezvouses with
-        every worker process and may block while busy workers finish.
+        of per-worker counts).  Exact like :meth:`report`.
         """
-        per_worker = {index: snapshot for index, snapshot
-                      in self._reach_all_workers(_worker_metrics).items()}
+        snapshots = self._broadcast("metrics")
         return {
             "num_workers": self.num_workers,
-            "registries_collected": len(per_worker),
-            "merged": merge_registry_dicts(
-                snapshot for _, snapshot in sorted(per_worker.items())),
+            "registries_collected": len(snapshots),
+            "merged": merge_registry_dicts(snapshots),
             "per_worker": {str(index): snapshot
-                           for index, snapshot in sorted(per_worker.items())},
+                           for index, snapshot in enumerate(snapshots)},
         }

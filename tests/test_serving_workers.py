@@ -4,6 +4,8 @@ correctness, priority ordering, and admission control (HTTP included)."""
 import asyncio
 import json
 import multiprocessing
+import os
+import signal
 import threading
 import urllib.error
 import urllib.request
@@ -16,8 +18,8 @@ from repro.api import (ScheduleRequest, ScheduleResponse, SearchConfig,
                        Session, SQLiteCacheBackend)
 from repro.serving import (AdmissionController, AdmissionError,
                            SchedulingService, ServiceConfig, ServingClient,
-                           ServingServer, WorkerConfig, WorkerPool,
-                           merge_worker_reports)
+                           ServingServer, WorkerConfig, WorkerError,
+                           WorkerPool, merge_worker_reports)
 
 FAST_SEARCH = SearchConfig(population_size=4, epochs=1,
                            generations_per_epoch=1)
@@ -189,6 +191,37 @@ class TestWorkerPool:
         assert len(report["per_worker"]) == 2
         assert report["pool"]["scheduled"] >= 4
 
+    def test_broadcast_rounds_are_exact_under_traffic(self, shared_pool):
+        """Every report/metrics round reaches each worker exactly once, even
+        while batches keep the workers busy."""
+        pool, _ = shared_pool
+        stop = threading.Event()
+        failures = []
+
+        def traffic():
+            while not stop.is_set():
+                results = pool.schedule_batch(
+                    [ScheduleRequest(program="gemm:a"),
+                     ScheduleRequest(program="mvt:a")])
+                failures.extend(result for result in results
+                                if isinstance(result, Exception))
+
+        thread = threading.Thread(target=traffic, daemon=True)
+        thread.start()
+        try:
+            for _ in range(20):
+                report = pool.report()
+                metrics = pool.metrics()
+                assert set(report["per_worker"]) == {"0", "1"}
+                assert set(metrics["per_worker"]) == {"0", "1"}
+                assert report["reports_collected"] == 2
+                assert metrics["registries_collected"] == 2
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert failures == []
+
     def test_closed_pool_refuses_work(self):
         config = WorkerConfig(threads=1, search=FAST_SEARCH)
         pool = WorkerPool(1, config)
@@ -207,6 +240,53 @@ class TestWorkerPool:
             second = pool.schedule(ScheduleRequest(program="gemm:a"))
             assert second.from_cache
             assert second.runtime_s == first.runtime_s
+
+
+def _within(seconds, call):
+    """``call()`` on a daemon thread: fail the test instead of hanging it."""
+    outcome = {}
+
+    def body():
+        try:
+            outcome["value"] = call()
+        except BaseException as error:  # noqa: BLE001 - re-raised below
+            outcome["error"] = error
+
+    thread = threading.Thread(target=body, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{call} still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class TestDeadWorker:
+    def test_killed_worker_fails_in_band_and_survivors_serve(self, tmp_path):
+        config = WorkerConfig(threads=2, search=FAST_SEARCH,
+                              cache_path=str(tmp_path / "cache.sqlite"))
+        pool = WorkerPool(2, config)
+        _within(60, pool.start)
+        processes = [worker.process for worker in pool._workers]
+        os.kill(processes[1].pid, signal.SIGKILL)
+        processes[1].join(timeout=10)
+        requests = [ScheduleRequest(program=name)
+                    for name in ("gemm:a", "mvt:a", "atax:a", "bicg:a")]
+        try:
+            for _ in range(2):  # the second batch behaves like the first
+                results = _within(10, lambda: pool.schedule_batch(requests))
+                # Round-robin: items 0 and 2 went to worker 0, 1 and 3 to 1.
+                assert [type(result) for result in results[0::2]] \
+                    == [ScheduleResponse, ScheduleResponse]
+                for failed in results[1::2]:
+                    assert isinstance(failed, WorkerError)
+                    assert "worker 1" in str(failed)
+                for round_trip in (pool.report, pool.metrics):
+                    with pytest.raises(WorkerError, match="worker 1"):
+                        _within(10, round_trip)
+        finally:
+            _within(10, pool.close)
+        assert not any(process.is_alive() for process in processes)
 
 
 class TestMergeWorkerReports:
