@@ -483,24 +483,31 @@ class Session:
         A hit returns the final response JSON assembled from pre-encoded
         bytes — no session scheduling, no IR, no JSON parse: only the
         per-request echo is encoded fresh.  ``trace`` is the serving
-        layer's trace context for this request; with one, the response
-        carries its trace id (and the echo the context) exactly like a
-        slow-path response would; ``key`` is the ``request_fingerprint`` the
-        serving layer already computed.  Returns ``None`` on a miss.
+        layer's ``{"trace_id", "span_id"}`` context for this request (hex
+        ids, as the tracer mints them); with one, the response carries its
+        trace id (and the echo the context) exactly like a slow-path
+        response would; ``key`` is the ``request_fingerprint`` the serving
+        layer already computed.  Returns ``None`` on a miss.
         """
         key = self._response_key(request, key)
         entry = self.cache.lookup_response(key) if key is not None else None
         if entry is None:
             return None
         echo = request.to_dict()
-        tail = entry.after
         if trace:
-            echo["trace"] = dict(trace)
-            tail = (tail[:-1] + ', "trace_id": '
-                    + json.dumps(trace.get("trace_id")) + "}")
+            # Spliced as text: hex ids need no escaping, so these bytes are
+            # ``json.dumps`` of the echo with ``echo["trace"] = dict(trace)``
+            # (``trace`` is the echo's last key) and of the trace id.
+            echo.pop("trace", None)
+            trace_id = trace["trace_id"]
+            parts = (entry.before, json.dumps(echo)[:-1],
+                     ', "trace": {"trace_id": "', trace_id,
+                     '", "span_id": "', trace["span_id"], '"}}',
+                     entry.after[:-1], ', "trace_id": "', trace_id, '"}')
+        else:
+            parts = (entry.before, json.dumps(echo), entry.after)
         self._fast_lane_calls.inc()
-        return ScheduleResponse.from_json(
-            entry.before + json.dumps(echo) + tail)
+        return ScheduleResponse.from_json("".join(parts))
 
     def store_response(self, request: ScheduleRequest,
                        response: ScheduleResponse) -> None:

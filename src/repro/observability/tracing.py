@@ -16,7 +16,9 @@ Finished traces live in a bounded in-memory ring buffer
 (:meth:`Tracer.traces` / :meth:`Tracer.get`) and export as JSONL
 (:func:`traces_to_jsonl`) or the Chrome trace-event format
 (:func:`chrome_trace_document`) that ``chrome://tracing`` and Perfetto
-load directly.
+load directly.  A trace that is one request root and nothing else (a
+response-cache hit) is stored as its raw fields, a :class:`RequestRoot`;
+its :class:`Span` and :class:`TraceRecord` are built when it is first read.
 """
 
 import contextlib
@@ -28,9 +30,10 @@ import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
+    "RequestRoot",
     "Span",
     "TraceRecord",
     "Tracer",
@@ -49,6 +52,18 @@ _ACTIVE = contextvars.ContextVar("repro_trace_active", default=None)
 def _hash_id(material: str) -> str:
     """A short, stable hex id derived from ``material``."""
     return hashlib.blake2s(material.encode("utf-8"), digest_size=8).hexdigest()
+
+
+def _root_ids(request_id: str) -> Tuple[str, str]:
+    """A request's trace id and root span id, both from one digest."""
+    ids = hashlib.blake2s(f"trace:{request_id}".encode("utf-8"),
+                          digest_size=16).hexdigest()
+    return ids[:16], ids[16:]
+
+
+def _span_order(span: "Span") -> Tuple[float, str]:
+    """The order of a finished trace's spans."""
+    return span.start_s, span.span_id
 
 
 @dataclass
@@ -197,6 +212,55 @@ class TraceRecord:
                 parent["children"].append(node)
         return roots
 
+    @classmethod
+    def of_root(cls, root: Span, spans: List[Span]) -> "TraceRecord":
+        """The finished trace closed by the parentless ``root``."""
+        return cls(trace_id=root.trace_id, name=root.name,
+                   start_s=root.start_s, end_s=root.end_s, status=root.status,
+                   attributes=dict(root.attributes), spans=spans)
+
+
+class RequestRoot:
+    """A served request's root span as raw fields, before it is a ``Span``.
+
+    The serving front mints one per traced request: the trace id and the
+    root span id come from one digest of the request id, beside the start
+    time, the thread, and the request's attributes as plain values.  A
+    response-cache hit is then a whole trace and is stored as is
+    (:meth:`Tracer.record_hit`), its ``request`` span built on first read;
+    a miss is opened as a real span (:meth:`span`, finished with
+    :meth:`Tracer.finish`) that the slow lane's spans hang under.
+    """
+
+    __slots__ = ("trace_id", "span_id", "start_s", "end_s", "thread",
+                 "request_id", "priority", "program", "client")
+
+    def __init__(self, request_id: str, priority: int, program: str,
+                 client: Optional[str] = None):
+        self.trace_id, self.span_id = _root_ids(request_id)
+        self.start_s = time.time()
+        self.end_s = 0.0
+        self.thread = threading.get_ident()
+        self.request_id = request_id
+        self.priority = priority
+        self.program = program
+        self.client = client
+
+    def context(self) -> Dict[str, str]:
+        """The wire form, as :meth:`Span.context`."""
+        return {"trace_id": self.trace_id, "span_id": self.span_id}
+
+    def span(self, process: str) -> Span:
+        """The root as an open ``request`` span recorded by ``process``."""
+        attributes = {"request_id": self.request_id,
+                      "priority": self.priority, "program": self.program}
+        if self.client is not None:
+            attributes["client"] = self.client
+        return Span(trace_id=self.trace_id, span_id=self.span_id,
+                    parent_id=None, name="request", start_s=self.start_s,
+                    attributes=attributes, process=process,
+                    thread=self.thread)
+
 
 class Tracer:
     """Span factory + bounded ring buffer of finished traces.
@@ -223,14 +287,17 @@ class Tracer:
         self._lock = threading.RLock()
         self._open: "OrderedDict[str, List[Span]]" = OrderedDict()
         self._seq: Dict[str, int] = {}
-        self._finished: "OrderedDict[str, TraceRecord]" = OrderedDict()
+        #: Finished traces, oldest first: a :class:`TraceRecord`, or the
+        #: :class:`RequestRoot` of a hit until the trace is first read.
+        self._finished: \
+            "OrderedDict[str, Union[TraceRecord, RequestRoot]]" = OrderedDict()
 
     # -- identity ---------------------------------------------------------
 
     @staticmethod
     def trace_id_for(request_id: str) -> str:
         """Deterministic trace id for a request id (stable across layers)."""
-        return _hash_id(f"trace:{request_id}")
+        return _root_ids(request_id)[0]
 
     def sampled(self, trace_id: str) -> bool:
         """Whether a fast-path request with ``trace_id`` records its trace.
@@ -310,17 +377,51 @@ class Tracer:
         span = self.begin(name, trace_id, parent_id, attrs, start_s=start_s)
         return self.finish(span, status=status, end_s=end_s)
 
+    def record_hit(self, root: RequestRoot) -> None:
+        """Finish ``root`` as its whole trace: a request the fast lane
+        served, without child spans (its span carries ``fast_lane: True``).
+        The ring stores the root as is and builds its span and record on
+        first read (:meth:`get`, :meth:`traces`)."""
+        root.end_s = time.time()
+        trace_id = root.trace_id
+        with self._lock:
+            finished = self._finished
+            if trace_id not in finished and trace_id not in self._open:
+                finished[trace_id] = root
+                while len(finished) > self.capacity:
+                    finished.popitem(last=False)
+                return
+            # A reused request id: the root joins the trace already under
+            # its id, as any finishing root span does.
+            self._record(self._hit_span(root))
+
+    def _hit_span(self, root: RequestRoot) -> Span:
+        span = root.span(self.process)
+        span.end_s = root.end_s
+        span.attributes["fast_lane"] = True
+        return span
+
+    def _stored(self, trace_id: str) -> Optional[TraceRecord]:
+        """The finished trace ``trace_id``, built from a stored hit on
+        first read and kept in its place (lock held)."""
+        entry = self._finished.get(trace_id)
+        if entry is None or isinstance(entry, TraceRecord):
+            return entry
+        span = self._hit_span(entry)
+        record = self._finished[trace_id] = TraceRecord.of_root(span, [span])
+        return record
+
     def _record(self, span: Span) -> None:
         with self._lock:
-            record = self._finished.get(span.trace_id)
+            record = self._stored(span.trace_id)
             if record is not None:
                 # Late span for an already-finalized trace (e.g. absorbed
                 # worker fragments that raced the root close): append.
                 record.spans.append(span)
-                record.spans.sort(key=lambda s: (s.start_s, s.span_id))
+                record.spans.sort(key=_span_order)
                 return
             if span.parent_id is None:
-                # A root closes its trace; a fast-lane root is all of it.
+                # A root closes its trace.
                 spans = self._open.pop(span.trace_id, [])
                 spans.append(span)
                 self._finalize(span, spans)
@@ -333,17 +434,9 @@ class Tracer:
     def _finalize(self, root: Span, spans: List[Span]) -> None:
         self._seq.pop(root.trace_id, None)
         if len(spans) > 1:
-            spans.sort(key=lambda s: (s.start_s, s.span_id))
-        record = TraceRecord(
-            trace_id=root.trace_id,
-            name=root.name,
-            start_s=root.start_s,
-            end_s=root.end_s,
-            status=root.status,
-            attributes=dict(root.attributes),
-            spans=spans,
-        )
-        self._finished[root.trace_id] = record  # a new key: _record checked
+            spans.sort(key=_span_order)
+        # A new key: _record checked.
+        self._finished[root.trace_id] = TraceRecord.of_root(root, spans)
         while len(self._finished) > self.capacity:
             self._finished.popitem(last=False)
 
@@ -358,25 +451,34 @@ class Tracer:
         with self._lock:
             spans = self._open.pop(trace_id, [])
             self._seq.pop(trace_id, None)
-            record = self._finished.pop(trace_id, None)
+            record = self._stored(trace_id)
+            if record is not None:
+                del self._finished[trace_id]
         if record is not None:
             spans = list(record.spans) + spans
         return [s.to_dict() for s in spans]
 
     def absorb(self, span_dicts: Iterable[Mapping[str, Any]]) -> None:
         """Merge spans exported by another process (coordinator side)."""
+        spans = []
         for data in span_dicts:
             try:
-                span = Span.from_dict(data)
+                spans.append(Span.from_dict(data))
             except (KeyError, TypeError):
                 continue
-            with self._lock:
-                record = self._finished.get(span.trace_id)
+        late: Dict[str, TraceRecord] = {}
+        with self._lock:
+            for span in spans:
+                record = self._stored(span.trace_id)
                 if record is not None:
                     record.spans.append(span)
-                    record.spans.sort(key=lambda s: (s.start_s, s.span_id))
+                    late[span.trace_id] = record
                 else:
                     self._open.setdefault(span.trace_id, []).append(span)
+            # Spans that arrived after their trace was finalized: one sort
+            # per trace, not one per span.
+            for record in late.values():
+                record.spans.sort(key=_span_order)
 
     @contextlib.contextmanager
     def activate(self, context: Mapping[str, str]):
@@ -435,15 +537,15 @@ class Tracer:
     def traces(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
         """Newest-first summaries of finished traces."""
         with self._lock:
-            records = list(self._finished.values())
-        records.reverse()
-        if limit is not None:
-            records = records[:max(0, int(limit))]
+            trace_ids = list(reversed(self._finished))
+            if limit is not None:
+                trace_ids = trace_ids[:max(0, int(limit))]
+            records = [self._stored(trace_id) for trace_id in trace_ids]
         return [r.summary() for r in records]
 
     def get(self, trace_id: str) -> Optional[TraceRecord]:
         with self._lock:
-            return self._finished.get(trace_id)
+            return self._stored(trace_id)
 
 
 class _SpanScope:

@@ -357,23 +357,33 @@ class ServingServer:
     def _next_request_id(self) -> str:
         return f"{self._id_prefix}-{next(self._id_sequence)}"
 
+    def _failed_trace_id(self, request_id: str) -> Optional[str]:
+        """The trace the service recorded for a request it failed, if any.
+
+        A shed, failed or cancelled request has no timing to name its
+        trace, and the exception that reports it may be shared by a whole
+        batch; the ring buffer is asked instead (failures are rare)."""
+        tracer = self.tracer
+        if tracer is None or not tracer.enabled:
+            return None
+        trace_id = tracer.trace_id_for(request_id)
+        return trace_id if tracer.get(trace_id) is not None else None
+
     def _log_schedule(self, request_id: str, body: Dict[str, Any],
                       request: Optional[ScheduleRequest], status: int,
                       outcome: str, started: float,
                       queue_wait_s: Optional[float],
                       coalesced: Optional[bool],
-                      fast_lane: Optional[bool] = None) -> None:
+                      fast_lane: Optional[bool] = None,
+                      trace_id: Optional[str] = None) -> None:
         if self.access_log is None:
             return
         self.access_log.write({
             "ts": round(time.time(), 6),
             "request_id": request_id,
-            # Derived, not generated: the service derives the same id from
-            # the request id, so the log cross-references the trace ring
-            # buffer even for requests that shed or fail before scheduling.
-            "trace_id": (self.tracer.trace_id_for(request_id)
-                         if self.tracer is not None and self.tracer.enabled
-                         else None),
+            # The trace the service recorded for this request, as the reply
+            # and the ring buffer name it; null when none was recorded.
+            "trace_id": trace_id,
             "route": "/v1/schedule",
             "program": _program_descriptor(
                 request.program if request is not None
@@ -400,12 +410,18 @@ class ServingServer:
                  request: Optional[ScheduleRequest] = None,
                  queue_wait_s: Optional[float] = None,
                  coalesced: Optional[bool] = None,
-                 fast_lane: Optional[bool] = None
+                 fast_lane: Optional[bool] = None,
+                 trace_id: Optional[str] = None
                  ) -> "Tuple[int, Dict[str, Any] | str]":
             self._log_schedule(request_id, body, request, status, outcome,
                                started, queue_wait_s, coalesced,
-                               fast_lane=fast_lane)
+                               fast_lane=fast_lane, trace_id=trace_id)
             return status, payload
+
+        def failed(status: int, payload: Dict[str, Any], outcome: str
+                   ) -> "Tuple[int, Dict[str, Any] | str]":
+            return done(status, payload, outcome, request,
+                        trace_id=self._failed_trace_id(request_id))
 
         try:
             # Trace context belongs to the service: a client-supplied one is
@@ -442,29 +458,29 @@ class ServingServer:
         except AdmissionError as error:
             # Load shedding is not a client mistake: 429 plus a retry hint,
             # so well-behaved clients back off instead of hammering.
-            return done(429, {"error": str(error), "reason": error.reason,
-                              "retry_after_s": error.retry_after_s},
-                        "shed", request)
+            return failed(429, {"error": str(error), "reason": error.reason,
+                                "retry_after_s": error.retry_after_s},
+                          "shed")
         except (ValueError, TypeError, KeyError) as error:
             # Unknown workloads/schedulers raise RegistryError (a KeyError):
             # the request was malformed, not the server.
-            return done(400, {"error": str(error)}, "invalid", request)
+            return failed(400, {"error": str(error)}, "invalid")
         except (asyncio.CancelledError, concurrent.futures.CancelledError):
             # Server shutdown cancelled the in-flight future; CancelledError
             # is a BaseException and would otherwise kill the handler thread
             # without sending any response.
-            return done(503, {"error": "server is shutting down"},
-                        "cancelled", request)
+            return failed(503, {"error": "server is shutting down"},
+                          "cancelled")
         except Exception as error:  # noqa: BLE001 - surfaced as HTTP 500
-            return done(500, {"error": f"{type(error).__name__}: {error}"},
-                        "error", request)
+            return failed(500, {"error": f"{type(error).__name__}: {error}"},
+                          "error")
         # Pool and fast-lane responses are backed by pre-encoded JSON text
         # (the worker process or the response cache serialized them):
         # ``to_json`` replies with those bytes verbatim.
         return done(200, response.to_json(), "ok", request,
                     queue_wait_s=timing.queue_wait_s,
                     coalesced=timing.coalesced,
-                    fast_lane=timing.fast_lane)
+                    fast_lane=timing.fast_lane, trace_id=timing.trace_id)
 
 
 def _make_handler(server: ServingServer):

@@ -27,10 +27,11 @@ request processor:
   service reads the session's response-level cache
   (:meth:`repro.api.Session.lookup_response`); a hit returns the final,
   pre-encoded response bytes straight to the caller — no loop hop, no queue,
-  no batch, no IR, no JSON parse — with a single sampled root span instead
-  of the slow path's full span tree.  Entries are written back after each batch
-  from responses whose normalization and schedule both came from cache, so
-  the fast lane is bit-identical to what the slow path would have served.
+  no batch, no IR, no JSON parse — with a single sampled root, stored as its
+  raw fields, instead of the slow path's full span tree.  Entries are
+  written back after each batch from responses whose normalization and
+  schedule both came from cache, so the fast lane is bit-identical to what
+  the slow path would have served.
 * **coalescing** — identical in-flight requests (same program content hash,
   parameters, scheduler, threads, normalize flag) share one future: burst
   duplicates cost a single scheduler invocation, counted on
@@ -58,7 +59,7 @@ from ..api.hashing import request_fingerprint
 from ..api.session import Session
 from ..api.types import ScheduleRequest, ScheduleResponse
 from ..ir.nodes import Program
-from ..observability import CounterView, MetricsRegistry, Span
+from ..observability import CounterView, MetricsRegistry, RequestRoot, Span
 from .policy import AdaptiveBatcher, create_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (workers use api)
@@ -274,6 +275,7 @@ class SchedulingService:
         self._tracer = getattr(session, "tracer", None)
         #: Fallback request-id source for programmatic callers that don't
         #: pass one (the HTTP layer always does).
+        self._local_prefix = f"local-{os.getpid()}-"
         self._local_ids = itertools.count(1)
         counter = self.metrics.counter
         self._largest_batch = self.metrics.gauge(
@@ -411,11 +413,12 @@ class SchedulingService:
 
         Returns ``(served, key, root)``: a response-cache hit is ``served``,
         the finished ``(response, timing)`` — pre-encoded bytes, only the echo
-        re-encoded, one sampled ``root`` span, no loop, admission or queue;
-        else ``served`` is ``None`` and :meth:`slow_lane` takes the fingerprint
-        ``key`` and the still-open ``root`` (if any).  Thread-safe (cache,
-        tracer and instruments lock; ``_inflight`` is only peeked at), so a
-        slow cache read stalls nobody else's request.
+        re-encoded, one sampled root stored as its raw fields, no loop,
+        admission or queue — and ``root`` is ``None``; else ``served`` is
+        ``None`` and :meth:`slow_lane` takes the fingerprint ``key`` and the
+        still-open ``root`` span (if any).  Thread-safe (cache, tracer and
+        instruments lock; ``_inflight`` is only peeked at), so a slow cache
+        read stalls nobody else's request.
         """
         arrived = time.perf_counter()
         if not self._running:
@@ -432,6 +435,7 @@ class SchedulingService:
         # queue saturation (they add no queued work) at one cache get per
         # miss.  A sampled root that misses becomes the slow lane's root.
         root = self._begin_root(request, request_id, sample=True)
+        tracer = self._tracer
         try:
             # The context goes in explicitly (the request is the caller's):
             # the response carries this trace id, or none when sampled out.
@@ -439,10 +443,11 @@ class SchedulingService:
                 request, root.context() if root is not None else None, key)
         except BaseException:
             if root is not None:
-                self._tracer.finish(root, status="error")
+                tracer.finish(root.span(tracer.process), status="error")
             raise
         if response is None:
-            return None, key, root
+            return None, key, (root.span(tracer.process)
+                               if root is not None else None)
         self.stats.inc("requests")
         self.stats.inc("fast_lane")
         self.stats.inc("scheduled")
@@ -452,9 +457,8 @@ class SchedulingService:
         self._latency(request.priority).observe(
             timing.total_s, exemplar=timing.trace_id)
         if root is not None:
-            root.set_attribute("fast_lane", True)
-            self._tracer.finish(root, status="ok")
-        return (response, timing), key, root
+            tracer.record_hit(root)
+        return (response, timing), key, None
 
     async def slow_lane(self, request: ScheduleRequest,
                         request_id: Optional[str], key: str,
@@ -469,7 +473,9 @@ class SchedulingService:
             if not self._running:  # stop() may have run since the front asked
                 raise RuntimeError(_NOT_RUNNING)
             if root is None:
-                root = self._begin_root(request, request_id)
+                minted = self._begin_root(request, request_id)
+                if minted is not None:
+                    root = minted.span(tracer.process)
             admit_wall = time.time()
             try:
                 self.admission.admit(
@@ -562,28 +568,24 @@ class SchedulingService:
                 tracer.finish(root, status=outcome)
 
     def _begin_root(self, request: ScheduleRequest, request_id: Optional[str],
-                    sample: bool = False) -> Optional[Span]:
-        """Open ``request``'s root span — ``None`` when it goes untraced.
+                    sample: bool = False) -> Optional[RequestRoot]:
+        """Mint ``request``'s root — ``None`` when it goes untraced.
 
-        Both lanes start here; whichever lane serves finishes the span.
-        ``sample`` subjects the request to ``Tracer.sample_rate``: a
-        sampled-out fast-lane candidate pays one counter increment
-        (``Tracer.tick()``), no id minting and no span.
+        Both lanes start here: a hit stores the root as its whole trace, a
+        miss opens it as the slow lane's root span.  ``sample`` subjects the
+        request to ``Tracer.sample_rate``: a sampled-out fast-lane candidate
+        pays one counter increment (``Tracer.tick()``), no id minting.
         """
         tracer = self._tracer
         if tracer is None or not (tracer.tick() if sample else tracer.enabled):
             return None
         if request_id is None:
-            request_id = f"local-{os.getpid()}-{next(self._local_ids)}"
+            request_id = self._local_prefix + str(next(self._local_ids))
         program = request.program
-        return tracer.begin(
-            "request", tracer.trace_id_for(request_id),
-            attrs={"request_id": request_id,
-                   "priority": request.priority,
-                   "program": (program.name if isinstance(program, Program)
-                               else str(program)),
-                   **({"client": request.client}
-                      if request.client is not None else {})})
+        return RequestRoot(
+            request_id, request.priority,
+            program.name if isinstance(program, Program) else str(program),
+            request.client)
 
     def _finish_timing(self, timing: RequestTiming, request: ScheduleRequest,
                        pending: _Pending, started: float,

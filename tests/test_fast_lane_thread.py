@@ -14,6 +14,7 @@ import collections
 import collections.abc
 import hashlib
 import json
+import os
 import random
 import re
 import sys
@@ -31,7 +32,7 @@ from repro.api.backends import MemoryCacheBackend
 from repro.api.cache import RESPONSE_NAMESPACE
 from repro.experiments.figure1 import LOOP_ORDERS, build_gemm_order
 from repro.ir.nodes import Program
-from repro.observability import Tracer
+from repro.observability import Span, TraceRecord, Tracer
 from repro.observability.metrics import _Instrument
 from repro.serving import (SchedulingService, ServiceConfig, ServiceRunner,
                            request_fingerprint)
@@ -625,4 +626,92 @@ def test_a_thousand_warm_requests_counted(monkeypatch):
         assert (cold.response_hits, cold.response_misses) \
             == (after.response_hits, after.response_misses + 1)
         monkeypatch.undo()
+    session.close()
+
+
+# -- the specification: a hit's trace as begin/finish built it ---------------------------
+
+
+def _spec_hit_record(process, request_id, request, trace_id, span_id):
+    """The trace of a fast-lane hit as the tracer's span lifecycle builds it:
+    ``begin`` a ``request`` root with the request's attributes, mark it
+    ``fast_lane``, ``finish`` it into a ``TraceRecord``.  Only the root span
+    id is taken as given — one digest now yields it beside the trace id."""
+    tracer = Tracer(process=process)
+    program = request.program
+    root = tracer.begin(
+        "request", trace_id,
+        attrs={"request_id": request_id,
+               "priority": request.priority,
+               "program": (program.name if isinstance(program, Program)
+                           else str(program)),
+               **({"client": request.client}
+                  if request.client is not None else {})})
+    root.span_id = span_id
+    root.set_attribute("fast_lane", True)
+    tracer.finish(root, status="ok")
+    return tracer.get(trace_id)
+
+
+_TIMESTAMPS = {"start_s", "end_s", "duration_s"}
+
+
+def untimed(value):
+    if isinstance(value, dict):
+        return {key: untimed(item) for key, item in value.items()
+                if key not in _TIMESTAMPS}
+    if isinstance(value, list):
+        return [untimed(item) for item in value]
+    return value
+
+
+def test_a_thousand_traced_warm_requests_counted(monkeypatch):
+    session = fast_session()
+    tracer = session.tracer
+    requests = [ScheduleRequest(program=program, priority=number,
+                                client=None if number % 2 else "alice")
+                for number, program in enumerate(WARM)]
+    counts = collections.Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    with ServiceRunner(session) as runner:
+        for request in requests:
+            warm(runner, request)
+        minted = len(requests) * 3          # one request id per request
+        monkeypatch.setattr(hashlib, "blake2s",
+                            counting("hash", hashlib.blake2s))
+        monkeypatch.setattr(Span, "__init__", counting("span", Span.__init__))
+        monkeypatch.setattr(TraceRecord, "__init__",
+                            counting("record", TraceRecord.__init__))
+        started = time.time()
+        responses = [runner.schedule(requests[number % len(requests)])
+                     for number in range(1000)]
+        finished = time.time()
+        assert (counts["hash"], counts["span"], counts["record"]) \
+            == (1000, 0, 0)                 # was 2 000, 1 000, 1 000
+        monkeypatch.undo()
+        assert tracer.stored == tracer.capacity
+        here = threading.get_ident()
+        retained = list(enumerate(responses))[-tracer.capacity:]
+        for number, response in retained:
+            request = requests[number % len(requests)]
+            request_id = f"local-{os.getpid()}-{minted + number + 1}"
+            echoed = response.request.trace
+            assert echoed["trace_id"] == response.trace_id \
+                == Tracer.trace_id_for(request_id)
+            record = tracer.get(response.trace_id)
+            expected = _spec_hit_record(tracer.process, request_id, request,
+                                        response.trace_id, echoed["span_id"])
+            assert untimed(record.to_dict()) == untimed(expected.to_dict())
+            span, = record.spans
+            assert span.thread == here and span.parent_id is None
+            assert started <= record.start_s <= record.end_s <= finished
+        # Read once, kept built: the ring still holds every retained trace.
+        assert [summary["trace_id"] for summary in tracer.traces()] \
+            == [response.trace_id for _, response in reversed(retained)]
     session.close()

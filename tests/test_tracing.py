@@ -3,6 +3,7 @@ exporter: tracer core semantics, cross-process span propagation through a
 real 2-worker pool, the /v1/traces and /alerts endpoints, and the
 trace-dump CLI exporters."""
 
+import collections
 import json
 import threading
 import time
@@ -17,8 +18,10 @@ from repro.observability import (AlertEvaluator, AlertRule, MetricsRegistry,
                                  current_trace_id, default_alert_rules,
                                  register_process_metrics, span,
                                  traces_to_jsonl)
-from repro.serving import (ServiceConfig, ServingClient, ServingServer,
-                           WorkerConfig, WorkerPool)
+from repro.observability import tracing as tracing_module
+from repro.serving import (AdmissionError, ServiceConfig, ServingClient,
+                           ServingError, ServingServer, WorkerConfig,
+                           WorkerPool)
 from repro.serving.cli import main as cli_main
 
 FAST_SEARCH = SearchConfig(population_size=4, epochs=1,
@@ -122,6 +125,54 @@ class TestTracerCore:
         coordinator.absorb(worker.export_fragment(trace_id))
         assert {s.name for s in coordinator.get(trace_id).spans} == \
             {"request", "late"}
+
+    def test_late_spans_sort_once(self, monkeypatch):
+        """A 300-span worker fragment absorbed in reverse after its root
+        closed lands sorted, with one sort of the trace (not one per span);
+        late spans recorded one at a time land sorted too."""
+        def build(order, late_singles=False):
+            coordinator = Tracer(process="coordinator")
+            worker = Tracer(process="worker")
+            trace_id = Tracer.trace_id_for("req-1")
+            root = coordinator.begin("request", trace_id, start_s=0.0)
+            parents = [root.span_id]
+            for index in range(300):
+                # Ties on start_s exercise the span-id tiebreak; parents
+                # nest the fragment three levels deep.
+                span = worker.record(trace_id, parents[index // 100],
+                                     f"work-{index}", (index // 3) * 1e-3,
+                                     1.0)
+                if index % 100 == 0:
+                    parents.append(span.span_id)
+            coordinator.finish(root, end_s=1.0)
+            fragment = worker.export_fragment(trace_id)
+            if late_singles:
+                for data in order(fragment):
+                    coordinator.record(trace_id, root.span_id, data["name"],
+                                       data["start_s"], data["end_s"])
+            else:
+                coordinator.absorb(order(fragment))
+            return coordinator.get(trace_id)
+
+        forward = build(list)
+        calls = collections.Counter()
+        span_order = tracing_module._span_order
+
+        def counted(span):
+            calls["key"] += 1
+            return span_order(span)
+        monkeypatch.setattr(tracing_module, "_span_order", counted)
+        backward = build(lambda fragment: list(reversed(fragment)))
+        assert calls["key"] == 301          # one sort of 1 + 300 spans
+        spans = backward.spans
+        assert len(spans) == 301
+        assert spans == sorted(spans, key=span_order)
+        assert backward.to_dict()["tree"] == forward.to_dict()["tree"]
+        assert len(backward.tree()) == 1
+        singles = build(lambda fragment: list(reversed(fragment)),
+                        late_singles=True)
+        assert len(singles.spans) == 301
+        assert singles.spans == sorted(singles.spans, key=span_order)
 
     def test_chrome_document_and_jsonl_exporters(self):
         tracer = Tracer(process="pid-test")
@@ -453,6 +504,57 @@ class TestHttpTracing:
         assert listing["traces"][0]["trace_id"] == response.trace_id
         entry = json.loads(log_path.read_text().splitlines()[0])
         assert entry["trace_id"] == response.trace_id
+
+    def test_access_log_names_only_recorded_traces(self, tmp_path,
+                                                   monkeypatch):
+        """Sampled-out hits and invalid requests log a null trace id; an
+        answered request logs its reply's; a shed one its recorded root's."""
+        session = fast_session(tracer=Tracer(sample_rate=0.25))
+        log_path = tmp_path / "access.jsonl"
+        server = ServingServer(session,
+                               config=ServiceConfig(batch_window_s=0.01),
+                               access_log=str(log_path))
+        with server, ServingClient(server.address) as client:
+            replies = [client.schedule("gemm:a") for _ in range(8)]
+            status, _ = client.request(
+                "POST", "/v1/schedule", {"program": "gemm:a", "priority": 42})
+            assert status == 400
+            admit = server.runner.service.admission.admit
+
+            def shed_mvt(request, queue_depth, rider):
+                if request.program == "mvt:a":
+                    raise AdmissionError("queue-full", "queue is full", 1.0)
+                return admit(request, queue_depth, rider)
+            monkeypatch.setattr(server.runner.service.admission, "admit",
+                                shed_mvt)
+            with pytest.raises(ServingError) as shed:
+                client.schedule("mvt:a")
+            assert shed.value.status == 429
+            # A batch that fails after the request was admitted: a 500
+            # whose root the slow lane recorded with status "error".
+            service = server.runner.service
+
+            def broken_batch(requests):
+                raise RuntimeError("executor lost")
+            monkeypatch.setattr(service, "_schedule_batch", broken_batch)
+            with pytest.raises(ServingError) as failed:
+                client.schedule("gemm:b")
+            assert failed.value.status == 500
+            buffered = {t["trace_id"]: t for t in client.traces()["traces"]}
+        session.close()
+        entries = [json.loads(line)
+                   for line in log_path.read_text().splitlines()]
+        assert [e["status"] for e in entries] == [200] * 8 + [400, 429, 500]
+        # Two slow-lane misses, then every fourth fast-lane candidate.
+        assert [reply.trace_id is not None for reply in replies] \
+            == [True, True, False, True, False, False, False, True]
+        for entry, reply in zip(entries, replies):
+            assert entry["trace_id"] == reply.trace_id
+        assert entries[8]["trace_id"] is None
+        assert buffered[entries[9]["trace_id"]]["status"] == "shed"
+        assert buffered[entries[10]["trace_id"]]["status"] == "error"
+        logged = [e["trace_id"] for e in entries if e["trace_id"] is not None]
+        assert len(logged) == 6 and set(logged) <= set(buffered)
 
     def test_full_span_tree_is_served_and_nested(self, served):
         _, _, client, _ = served
