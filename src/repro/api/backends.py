@@ -236,10 +236,6 @@ class SQLiteCacheBackend(CacheBackend):
         os.makedirs(directory, exist_ok=True)
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.execute(f"PRAGMA busy_timeout = {int(busy_timeout_s * 1000)}")
-        # WAL lets concurrent worker processes read while one writes; on
-        # filesystems that refuse it SQLite keeps the rollback journal and
-        # the busy timeout still serializes writers correctly.
-        self._conn.execute("PRAGMA journal_mode = WAL")
         self._conn.execute("PRAGMA synchronous = NORMAL")
         self._with_write_retries(self._create_schema)
         self._hot: Dict[str, "OrderedDict[str, Any]"] = {}
@@ -249,6 +245,13 @@ class SQLiteCacheBackend(CacheBackend):
         self._dirty_seq: Dict[Tuple[str, str], None] = {}
 
     def _create_schema(self) -> None:
+        # WAL lets concurrent worker processes read while one writes; on
+        # filesystems that refuse it SQLite keeps the rollback journal and
+        # the busy timeout still serializes writers correctly.  Switching a
+        # fresh file to WAL takes an exclusive lock that SQLite reports as
+        # busy without waiting out the timeout, so processes opening the
+        # same new file at once retry it with the schema.
+        self._conn.execute("PRAGMA journal_mode = WAL")
         self._conn.execute(self._SCHEMA)
         self._conn.execute(self._SEQ_INDEX)
         self._conn.commit()

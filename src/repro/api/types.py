@@ -3,7 +3,9 @@
 Consumers used to pass ad-hoc ``(program, parameters)`` tuples around and
 unpack ``(program, report)`` results; the facade instead speaks small
 dataclasses that serialize to plain dictionaries (so batch jobs can be
-persisted, shipped to workers, and replayed).
+persisted, shipped to workers, and replayed).  ``from_dict`` reads the keys
+it knows and ignores any other, so a request body carrying an unknown key
+is served exactly as the same body without it.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ class ScheduleRequest:
 
     ``priority`` and ``client`` only matter to a serving layer: priorities
     run 0 (most urgent) through 9 (least, the default is
-    :data:`DEFAULT_PRIORITY`), and a serving queue drains strictly in
-    priority order (FIFO within one priority).  ``client`` is an opaque
-    caller identity used for per-client admission control; neither field
-    affects the scheduling outcome, so they are excluded from coalescing
-    fingerprints and cache keys.
+    :data:`DEFAULT_PRIORITY`), and the default ``strict-priority`` serving
+    queue drains strictly in priority order (FIFO within one priority).
+    ``client`` is an opaque caller identity used for per-client admission
+    control; neither field affects the scheduling outcome, so they are
+    excluded from coalescing fingerprints and cache keys.
     """
 
     program: ProgramLike
@@ -58,13 +60,6 @@ class ScheduleRequest:
     pipeline: Optional[str] = None
     priority: int = DEFAULT_PRIORITY
     client: Optional[str] = None
-    #: Relative deadline in seconds from submission, consumed by the
-    #: serving layer's ``edf`` queue policy (earliest deadline drains
-    #: first; ``None`` sorts after every deadlined request, a value <= 0 is
-    #: already-late and sorts most urgent).  Like ``priority``/``client``
-    #: it never affects the scheduling outcome and is excluded from
-    #: coalescing fingerprints and cache keys.
-    deadline_s: Optional[float] = None
     #: Propagated trace context (``{"trace_id", "span_id"}``), set by a
     #: serving layer so worker-side spans rejoin the coordinator's trace.
     #: Like ``priority``/``client`` it never affects the scheduling outcome
@@ -87,10 +82,6 @@ class ScheduleRequest:
             "priority": self.priority,
             "client": self.client,
         }
-        # Only emitted when set, keeping deadline-free payloads (and any
-        # digests derived from them) byte-identical to earlier versions.
-        if self.deadline_s is not None:
-            payload["deadline_s"] = self.deadline_s
         if self.trace is not None:
             payload["trace"] = dict(self.trace)
         return payload
@@ -113,8 +104,6 @@ class ScheduleRequest:
             pipeline=data.get("pipeline"),
             priority=DEFAULT_PRIORITY if priority is None else int(priority),
             client=data.get("client"),
-            deadline_s=(float(data["deadline_s"])
-                        if data.get("deadline_s") is not None else None),
             trace=dict(data["trace"]) if data.get("trace") else None,
         )
 
@@ -165,7 +154,7 @@ class ScheduleResponse:
     from_cache: bool = False
     normalization_cache_hit: bool = False
     #: Trace id of the request's span tree, when tracing was active;
-    #: cross-references the access log, latency exemplars, and /v1/traces.
+    #: cross-references the access log and /v1/traces.
     trace_id: Optional[str] = None
 
     # The encoded text of a text-backed response.  Un-annotated on purpose:

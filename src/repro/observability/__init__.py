@@ -10,10 +10,9 @@ layer serves it all as a Prometheus-text ``/metrics`` endpoint.
 
 On top of the aggregates, :mod:`repro.observability.tracing` records
 per-request span trees (deterministic trace ids, contextvar propagation,
-cross-process rejoin), :mod:`repro.observability.alerts` evaluates
+cross-process rejoin), and :mod:`repro.observability.alerts` evaluates
 declarative rules — threshold, rate, and SRE-style multi-window SLO
-burn — over registry snapshots, and :mod:`repro.observability.push`
-POSTs snapshots + firing alerts to an HTTP sink for unattended nodes.
+burn — over registry snapshots.
 """
 
 from .alerts import (AlertEvaluator, AlertMonitor, AlertRule, AlertState,
@@ -22,7 +21,6 @@ from .metrics import (DEFAULT_LATENCY_BUCKETS, Counter, CounterView, Gauge,
                       Histogram, MetricsError, MetricsRegistry,
                       merge_registry_dicts, register_process_metrics,
                       render_registry_dict)
-from .push import PushExporter
 from .tracing import (RequestRoot, Span, TraceRecord, Tracer,
                       chrome_trace_document, current_trace_id, span,
                       traces_to_jsonl)
@@ -36,5 +34,4 @@ __all__ = [
     "chrome_trace_document", "traces_to_jsonl",
     "AlertRule", "AlertState", "AlertEvaluator", "AlertMonitor",
     "default_alert_rules",
-    "PushExporter",
 ]

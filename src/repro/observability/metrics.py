@@ -236,24 +236,19 @@ class _HistogramSeries:
     form); the final slot counts overflow beyond the largest bound.
     """
 
-    __slots__ = ("_lock", "bounds", "counts", "_sum", "exemplars")
+    __slots__ = ("_lock", "bounds", "counts", "_sum")
 
     def __init__(self, lock: threading.RLock, bounds: Tuple[float, ...]):
         self._lock = lock
         self.bounds = bounds
         self.counts = [0] * (len(bounds) + 1)
         self._sum = 0.0
-        #: Last trace exemplar seen per bucket index: {index: {trace_id, value}}.
-        self.exemplars: Dict[int, Dict[str, Any]] = {}
 
-    def observe(self, value: float, exemplar: Optional[str] = None) -> None:
+    def observe(self, value: float) -> None:
         index = bisect_left(self.bounds, value)
         with self._lock:
             self.counts[index] += 1
             self._sum += value
-            if exemplar:
-                self.exemplars[index] = {"trace_id": exemplar,
-                                         "value": value}
 
     @property
     def count(self) -> int:
@@ -323,8 +318,8 @@ class Histogram(_Instrument):
     def _new_series(self) -> _HistogramSeries:
         return _HistogramSeries(self._lock, self.buckets)
 
-    def observe(self, value: float, exemplar: Optional[str] = None) -> None:
-        self._default().observe(value, exemplar=exemplar)
+    def observe(self, value: float) -> None:
+        self._default().observe(value)
 
     @property
     def count(self) -> int:
@@ -441,17 +436,11 @@ class MetricsRegistry:
             for key, series in instrument.series_items():
                 if isinstance(series, _HistogramSeries):
                     with series._lock:
-                        sample: Dict[str, Any] = {
+                        entry["series"].append({
                             "labels": list(key),
                             "counts": list(series.counts),
                             "sum": series._sum,
-                        }
-                        if series.exemplars:
-                            sample["exemplars"] = {
-                                str(index): dict(exemplar)
-                                for index, exemplar
-                                in series.exemplars.items()}
-                        entry["series"].append(sample)
+                        })
                 else:
                     entry["series"].append({"labels": list(key),
                                             "value": series.value})
@@ -521,12 +510,7 @@ def merge_registry_dicts(snapshots: Iterable[Mapping[str, Any]]
                     "labelnames": list(entry.get("labelnames", [])),
                     "series": [dict(series, labels=list(series["labels"]),
                                     **({"counts": list(series["counts"])}
-                                       if "counts" in series else {}),
-                                    **({"exemplars": {
-                                        index: dict(exemplar)
-                                        for index, exemplar
-                                        in series["exemplars"].items()}}
-                                       if "exemplars" in series else {}))
+                                       if "counts" in series else {}))
                                for series in entry.get("series", [])],
                     **({"buckets": list(entry["buckets"])}
                        if "buckets" in entry else {}),
@@ -555,11 +539,6 @@ def merge_registry_dicts(snapshots: Iterable[Mapping[str, Any]]
                                           zip(existing["counts"],
                                               series["counts"])]
                     existing["sum"] += series["sum"]
-                    if "exemplars" in series:
-                        union = dict(existing.get("exemplars", {}))
-                        union.update({index: dict(exemplar) for index, exemplar
-                                      in series["exemplars"].items()})
-                        existing["exemplars"] = union
                 else:
                     existing["value"] += series["value"]
     for entry in merged.values():
@@ -571,7 +550,7 @@ def register_process_metrics(registry: MetricsRegistry) -> None:
     """Add build/process-identity gauges to ``registry`` (idempotent).
 
     ``repro_build_info{version,python,pid} 1`` identifies the origin node
-    of pushed/merged snapshots; ``repro_process_start_time_seconds`` and
+    of merged snapshots; ``repro_process_start_time_seconds`` and
     ``repro_process_uptime_seconds`` (refreshed on every snapshot via an
     :meth:`MetricsRegistry.on_snapshot` hook) date them.  Labelled by pid
     so worker-merged snapshots keep one series per process.

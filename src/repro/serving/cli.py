@@ -7,14 +7,11 @@ Subcommands:
   :class:`~repro.serving.workers.WorkerPool` sharing one SQLite cache,
   ``--max-queue-depth`` / ``--max-client-inflight`` configure admission
   control (load shedding with HTTP 429), ``--policy`` selects the
-  queue-scheduling policy (strict-priority / weighted-fair / edf / aging),
-  ``--adaptive`` / ``--latency-slo`` close the loop from live latency onto
-  the batching and admission knobs, ``--metrics`` / ``--no-metrics``
-  toggle the Prometheus-text ``/metrics`` endpoint, ``--access-log``
-  writes structured JSON access logs, ``--no-trace`` disables request
-  tracing (``/v1/traces``), and ``--push-url`` / ``--push-interval``
-  push merged metric snapshots + firing alerts to an HTTP sink for
-  unattended nodes.
+  queue-scheduling policy (strict-priority / weighted-fair),
+  ``--latency-slo`` sets the target the SLO alert rules burn against,
+  ``--metrics`` / ``--no-metrics`` toggle the Prometheus-text ``/metrics``
+  endpoint, ``--access-log`` writes structured JSON access logs, and
+  ``--no-trace`` disables request tracing (``/v1/traces``).
 * ``trace-dump``  — fetch finished traces from a running server and emit
   them as Chrome trace-event JSON (loadable in Perfetto /
   ``chrome://tracing``) or as JSONL, to ``--output`` or stdout.
@@ -116,8 +113,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                            max_queue_depth=args.max_queue_depth,
                            max_client_inflight=args.max_client_inflight,
                            policy=args.policy,
-                           aging_interval_s=args.aging_interval,
-                           adaptive=args.adaptive,
                            latency_slo_s=args.latency_slo)
     pool = None
     session = None
@@ -147,21 +142,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                expose_metrics=args.metrics,
                                access_log=access_log,
                                expose_traces=args.trace,
-                               alert_interval_s=args.alert_interval,
-                               push_url=args.push_url,
-                               push_interval_s=args.push_interval)
+                               alert_interval_s=args.alert_interval)
         server.start()
         print(f"serving on {server.address} "
               f"(scheduler={args.scheduler}, threads={args.threads}, "
-              f"policy={args.policy}"
-              f"{', adaptive' if args.adaptive else ''}, "
+              f"policy={args.policy}, "
               f"workers={args.workers or 'in-process'}, "
               f"cache={'sqlite:' + args.cache_path if args.cache_path else 'memory'}, "
               f"database={len(session.database)} entries, "
               f"queue-depth={args.max_queue_depth}, "
               f"metrics={'on' if args.metrics else 'off'}, "
-              f"tracing={'on' if args.trace else 'off'}, "
-              f"push={args.push_url or 'off'})", flush=True)
+              f"tracing={'on' if args.trace else 'off'})", flush=True)
         server.serve_forever()
     finally:
         # Reached on a clean shutdown *and* on boot failures (port in use,
@@ -294,16 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=policy_names(),
                        help="queue-scheduling policy "
                             "(default: strict-priority)")
-    serve.add_argument("--aging-interval", type=float, default=0.5,
-                       help="aging policy: seconds of queue wait worth one "
-                            "priority class of boost (default: 0.5)")
-    serve.add_argument("--adaptive", action="store_true", default=False,
-                       help="tune batch window/size and admission depth "
-                            "from live latency against --latency-slo")
     serve.add_argument("--latency-slo", type=float, default=0.25,
                        help="target p95 end-to-end latency in seconds "
-                            "(adaptive batching and alert rules; "
-                            "default: 0.25)")
+                            "(alert rules; default: 0.25)")
     serve.add_argument("--max-client-inflight", type=int, default=0,
                        help="per-client in-flight request limit "
                             "(0: unlimited)")
@@ -322,12 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--alert-interval", type=float, default=5.0,
                        help="seconds between background alert-rule "
                             "evaluations (default: 5)")
-    serve.add_argument("--push-url", default=None, metavar="URL",
-                       help="POST merged metric snapshots + firing alerts "
-                            "to this HTTP sink (off by default)")
-    serve.add_argument("--push-interval", type=float, default=30.0,
-                       help="seconds between push-exporter deliveries "
-                            "(default: 30)")
     serve.set_defaults(func=_cmd_serve)
 
     warm = commands.add_parser(

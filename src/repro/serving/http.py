@@ -55,7 +55,7 @@ from urllib.parse import parse_qs, urlsplit
 from ..api.session import Session
 from ..api.types import (HIGHEST_PRIORITY, LOWEST_PRIORITY, ScheduleRequest)
 from ..ir.nodes import Program
-from ..observability import (AlertEvaluator, AlertMonitor, PushExporter,
+from ..observability import (AlertEvaluator, AlertMonitor,
                              default_alert_rules, merge_registry_dicts,
                              render_registry_dict)
 from .service import AdmissionError, ServiceConfig, ServiceRunner
@@ -130,9 +130,7 @@ class ServingServer:
                  access_log: "Union[None, str, IO[str]]" = None,
                  expose_traces: bool = True,
                  alert_rules=None,
-                 alert_interval_s: float = 5.0,
-                 push_url: Optional[str] = None,
-                 push_interval_s: float = 30.0):
+                 alert_interval_s: float = 5.0):
         self.session = session
         self.pool = pool
         self.runner = ServiceRunner(session, config, pool=pool)
@@ -152,10 +150,6 @@ class ServingServer:
             snapshot_fn=self.metrics.to_dict,
             metrics=self.metrics)
         self._alert_monitor = AlertMonitor(self.alerts, alert_interval_s)
-        self.push_exporter = (
-            PushExporter(push_url, self._push_payload,
-                         interval_s=push_interval_s, metrics=self.metrics)
-            if push_url else None)
         self.access_log = (JsonAccessLog(access_log)
                            if access_log is not None else None)
         # Request ids: a per-server random prefix plus a monotonic sequence
@@ -205,8 +199,6 @@ class ServingServer:
             return
         self.runner.start()
         self._alert_monitor.start()
-        if self.push_exporter is not None:
-            self.push_exporter.start()
         self._started_at = time.monotonic()
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         name="repro-serving-http", daemon=True)
@@ -237,8 +229,6 @@ class ServingServer:
             except OSError:
                 pass  # its handler closed it meanwhile
         self._alert_monitor.stop()
-        if self.push_exporter is not None:
-            self.push_exporter.stop()
         self.runner.stop()
         if self.access_log is not None:
             self.access_log.close()
@@ -298,36 +288,6 @@ class ServingServer:
         if record is None:
             return 404, {"error": f"unknown trace {trace_id!r}"}
         return 200, record.to_dict()
-
-    def _push_payload(self) -> Dict[str, Any]:
-        """One push-exporter datagram: node identity, registry snapshot
-        (pool-merged unless a worker is dead), and the firing alerts."""
-        import os
-        import sys
-        states = self.alerts.sample_and_evaluate()
-        snapshot = self.metrics.to_dict()
-        if self.pool is not None:
-            try:
-                gathered = self.pool.metrics()
-                snapshot = merge_registry_dicts(
-                    [snapshot] + [worker_snapshot for _, worker_snapshot
-                                  in sorted(gathered["per_worker"].items())])
-            except Exception:  # noqa: BLE001 - push what we have
-                pass
-        try:
-            import repro
-            version = getattr(repro, "__version__", "unknown")
-        except Exception:  # noqa: BLE001
-            version = "unknown"
-        return {
-            "node": {"version": version,
-                     "python": "%d.%d.%d" % sys.version_info[:3],
-                     "pid": os.getpid(),
-                     "address": self.address},
-            "ts": time.time(),
-            "metrics": snapshot,
-            "alerts": [state.to_dict() for state in states if state.firing],
-        }
 
     def render_metrics(self, include_workers: bool = False) -> str:
         """The Prometheus text scrape body of ``GET /metrics``.
@@ -442,15 +402,6 @@ class ServingServer:
                                        f"[{HIGHEST_PRIORITY}, "
                                        f"{LOWEST_PRIORITY}] "
                                        f"({HIGHEST_PRIORITY} most urgent)"},
-                        "invalid", request)
-        if request.deadline_s is not None and not (
-                isinstance(request.deadline_s, (int, float))
-                and not isinstance(request.deadline_s, bool)
-                and math.isfinite(request.deadline_s)):
-            # A deadline may already be in the past (edf serves it most
-            # urgently), but it must at least be a finite number.
-            return done(400, {"error": "deadline_s must be a finite number "
-                                       "of seconds"},
                         "invalid", request)
         try:
             response, timing = self.runner.schedule_timed(

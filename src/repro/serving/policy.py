@@ -1,89 +1,33 @@
-"""Queue-scheduling policies and the SLO-driven adaptive batcher.
+"""Queue-scheduling policies of the serving queue.
 
-*OpenMP Loop Scheduling Revisited* (PAPERS.md) argues that choosing a
-scheduling policy requires distributional runtime data — and that no single
-policy wins every workload.  This module gives the serving stack the same
-freedom the paper asks of loop schedulers: the queue-ordering discipline is
-a pluggable :class:`QueuePolicy` selected per service
-(``ServiceConfig.policy`` / ``serve --policy``), and an
-:class:`AdaptiveBatcher` closes the loop from the live per-priority latency
-histograms back onto the batching and admission knobs.
+*OpenMP Loop Scheduling Revisited* (PAPERS.md) argues that a scheduling
+policy is chosen on measured runtime distributions, and that no single
+policy wins every workload.  The serving queue therefore takes its
+ordering discipline from a :class:`QueuePolicy` selected per service
+(``ServiceConfig.policy`` / ``serve --policy``); two ship:
+
+* ``strict-priority`` — key ``(priority,)``: the default.
+* ``weighted-fair`` — start-time fair queueing: each priority class *c*
+  owns a virtual finish time advanced by ``1/weight(c)`` per enqueue, and
+  the class clocks are floored by a global virtual time advanced on
+  dequeue, so an idle class earns no credit and no class starves.
 
 **How policies plug into the queue.**  The service keeps an
 ``asyncio.PriorityQueue`` and never re-sorts it; a policy therefore reduces
 its discipline to a *static sort key* computed once at enqueue time —
 smaller keys drain first, ties broken FIFO by the service's arrival
-sequence.  Every shipped policy's discipline admits such a key:
-
-* ``strict-priority`` — key ``(priority,)``: the pre-policy behavior,
-  and still the default.
-* ``weighted-fair`` — start-time fair queueing: each priority class *c*
-  owns a virtual finish time advanced by ``1/weight(c)`` per enqueue, and
-  the class clocks are floored by a global virtual time advanced on
-  dequeue, so an idle class earns no credit and no class starves.
-* ``edf`` — earliest deadline first: key ``(enqueue_time + deadline_s,
-  priority)``; requests without a deadline sort last (+inf), a deadline
-  already in the past sorts most urgent of all.
-* ``aging`` — strict priority with a linear starvation-proof age boost:
-  the effective priority ``p - elapsed/interval`` decays with queue time.
-  Comparing two requests' effective priorities at any common instant is
-  equivalent to comparing ``p * interval + enqueue_time``, which is
-  time-independent — exactly what a static key needs.
-
-Third-party policies register with the same :func:`register_policy`
-decorator the shipped ones use.
+sequence.
 """
 
 from __future__ import annotations
 
-import math
-from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple,
-                    Type)
+from typing import Dict, List, Tuple, Type
 
 from ..api.types import LOWEST_PRIORITY, ScheduleRequest
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..observability import MetricsRegistry
-
 
 class PolicyError(ValueError):
-    """Unknown policy name or invalid policy configuration."""
-
-
-#: The policy registry: name -> QueuePolicy subclass.
-POLICIES: Dict[str, Type["QueuePolicy"]] = {}
-
-
-def register_policy(name: str):
-    """Class decorator registering a :class:`QueuePolicy` under ``name``."""
-    def decorator(cls: Type["QueuePolicy"]) -> Type["QueuePolicy"]:
-        if name in POLICIES:
-            raise PolicyError(f"queue policy {name!r} is already registered")
-        cls.name = name
-        POLICIES[name] = cls
-        return cls
-    return decorator
-
-
-def policy_names() -> List[str]:
-    """Registered policy names, sorted."""
-    return sorted(POLICIES)
-
-
-def create_policy(name: str, config: Optional[Any] = None) -> "QueuePolicy":
-    """Instantiate the policy registered under ``name``.
-
-    ``config`` is the service's :class:`~repro.serving.service.ServiceConfig`
-    (policies read their tunables off it; duck-typed, so tests may pass any
-    object carrying the fields a policy wants, or nothing).
-    """
-    try:
-        cls = POLICIES[name]
-    except KeyError:
-        raise PolicyError(
-            f"unknown queue policy {name!r}; registered policies: "
-            f"{', '.join(policy_names())}") from None
-    return cls(config)
+    """Unknown queue-policy name."""
 
 
 class QueuePolicy:
@@ -94,11 +38,6 @@ class QueuePolicy:
     first, FIFO within equal keys.  All calls happen on the service's event
     loop, so stateful policies need no locking.
     """
-
-    name = "?"
-
-    def __init__(self, config: Optional[Any] = None):
-        self.config = config
 
     def sort_key(self, request: ScheduleRequest,
                  now: float) -> Tuple[float, ...]:
@@ -123,13 +62,11 @@ class QueuePolicy:
         (weighted-fair advances its global virtual clock here)."""
 
 
-@register_policy("strict-priority")
 class StrictPriorityPolicy(QueuePolicy):
-    """Priority 0 drains first, FIFO within a class (the historic default).
+    """Priority 0 drains first, FIFO within a class (the default).
 
     A sustained stream of urgent requests starves lower classes forever —
-    by design; pick ``aging`` or ``weighted-fair`` when that is not
-    acceptable.
+    by design; pick ``weighted-fair`` when that is not acceptable.
     """
 
     def sort_key(self, request: ScheduleRequest,
@@ -137,33 +74,24 @@ class StrictPriorityPolicy(QueuePolicy):
         return (float(request.priority),)
 
 
-@register_policy("weighted-fair")
 class WeightedFairPolicy(QueuePolicy):
     """Start-time fair queueing over priority classes — no starvation.
 
-    Each class *c* receives service in proportion to ``weight(c)``
-    (default ``LOWEST_PRIORITY + 1 - c``: priority 0 weighs 10, priority 9
-    weighs 1; override per class via ``ServiceConfig.policy_weights``).
-    A request's key is its class's virtual *finish* time: the class clock
-    advances ``1/weight`` per request and is floored by the global virtual
-    time, which itself advances to the key of each request entering service
-    — so an idle class accumulates no credit, and every queued request
-    holds a finite key that the advancing floor eventually reaches: no
-    class waits forever behind a burst.
+    Each class *c* receives service in proportion to its weight
+    ``LOWEST_PRIORITY + 1 - c``: priority 0 weighs 10, priority 9 weighs 1
+    (a class outside that range weighs 1).  A request's key is its class's
+    virtual *finish* time: the class clock advances ``1/weight`` per
+    request and is floored by the global virtual time, which itself
+    advances to the key of each request entering service — so an idle
+    class accumulates no credit, and every queued request holds a finite
+    key that the advancing floor eventually reaches: no class waits
+    forever behind a burst.
     """
 
-    def __init__(self, config: Optional[Any] = None):
-        super().__init__(config)
-        self.weights = {c: float(LOWEST_PRIORITY + 1 - c)
-                        for c in range(LOWEST_PRIORITY + 1)}
-        overrides = getattr(config, "policy_weights", None)
-        for klass, weight in (overrides or {}).items():
-            weight = float(weight)
-            if weight <= 0:
-                raise PolicyError(
-                    f"weighted-fair weights must be positive; class "
-                    f"{klass!r} got {weight}")
-            self.weights[int(klass)] = weight
+    weights: Dict[int, float] = {c: float(LOWEST_PRIORITY + 1 - c)
+                                 for c in range(LOWEST_PRIORITY + 1)}
+
+    def __init__(self) -> None:
         self._virtual = 0.0
         self._finish: Dict[int, float] = {}
 
@@ -188,215 +116,24 @@ class WeightedFairPolicy(QueuePolicy):
         self._virtual = max(self._virtual, key[0])
 
 
-@register_policy("edf")
-class EarliestDeadlinePolicy(QueuePolicy):
-    """Earliest deadline first over ``ScheduleRequest.deadline_s``.
-
-    Deadlines are relative seconds from enqueue; the key is the absolute
-    deadline on the event-loop clock, tie-broken by priority.  Requests
-    without a deadline sort after every deadlined request (+inf); a
-    deadline already in the past (``deadline_s <= 0``) sorts *before* every
-    future deadline — the request most behind is the most urgent.
-    """
-
-    def sort_key(self, request: ScheduleRequest,
-                 now: float) -> Tuple[float, ...]:
-        deadline = request.deadline_s
-        absolute = now + deadline if deadline is not None else math.inf
-        return (absolute, float(request.priority))
+#: The shipped policies: name -> QueuePolicy subclass.
+POLICIES: Dict[str, Type[QueuePolicy]] = {
+    "strict-priority": StrictPriorityPolicy,
+    "weighted-fair": WeightedFairPolicy,
+}
 
 
-@register_policy("aging")
-class AgingPolicy(QueuePolicy):
-    """Strict priority with a linear, starvation-proof age boost.
-
-    A queued request's effective priority improves by one class per
-    ``ServiceConfig.aging_interval_s`` of queue time.  Because the decay is
-    linear and identical for everyone, ``p1 - (t - e1)/I < p2 - (t - e2)/I``
-    holds at one instant iff it holds at every instant, and is equivalent
-    to ``p1*I + e1 < p2*I + e2`` — so the time-independent key
-    ``priority * interval + enqueue_time`` realizes the aging order with no
-    re-sorting.  The oldest priority-9 request overtakes a fresh
-    priority-0 request after ``9 * interval`` seconds of waiting: bounded
-    worst-case delay for every class.
-    """
-
-    def __init__(self, config: Optional[Any] = None):
-        super().__init__(config)
-        interval = float(getattr(config, "aging_interval_s", 0.5) or 0.5)
-        if interval <= 0:
-            raise PolicyError(
-                f"aging_interval_s must be positive, got {interval}")
-        self.age_interval_s = interval
-
-    def sort_key(self, request: ScheduleRequest,
-                 now: float) -> Tuple[float, ...]:
-        return (request.priority * self.age_interval_s + now,)
+def policy_names() -> List[str]:
+    """The policy names, sorted."""
+    return sorted(POLICIES)
 
 
-# -- adaptive batching against a latency SLO ----------------------------------------
-
-
-def quantile_from_counts(bounds: Tuple[float, ...], counts: List[float],
-                         q: float) -> float:
-    """The fixed-bucket quantile estimate over raw (delta) bucket counts —
-    the same walk :meth:`Histogram.quantile` does, usable on count deltas
-    between two snapshots."""
-    total = sum(counts)
-    if total <= 0:
-        return math.nan
-    rank = max(1, math.ceil(q * total))
-    seen = 0.0
-    for index, count in enumerate(counts):
-        seen += count
-        if seen >= rank:
-            return bounds[index] if index < len(bounds) else math.inf
-    return math.inf  # pragma: no cover - loop always reaches rank
-
-
-class AdaptiveBatcher:
-    """Tunes batch window, batch size, and admission depth against an SLO.
-
-    Reads the live ``repro_request_latency_seconds`` histogram, takes the
-    bucket-count delta since its last tick, and compares the target
-    quantile (p95 by default) of *that interval's* traffic against
-    ``ServiceConfig.latency_slo_s``:
-
-    * over the SLO → **tighten**: halve the batch window (stragglers wait
-      less), double ``max_batch_size`` up to 4x the configured value (drain
-      the queue in fewer dispatches), and cut ``max_queue_depth`` by a
-      quarter (shed sooner, bounding queueing delay) — never below a floor
-      of 1/4 of the configured depth.
-    * under half the SLO with headroom spent → **relax**: walk every knob
-      back toward its configured value.
-    * otherwise → **hold**.
-
-    Decisions mutate the service's live :class:`ServiceConfig` in place
-    (the batcher and admission controller read it per request) and are
-    observable three ways: the ``repro_adaptive_adjustments_total{action}``
-    counter (alertable as a rate — a sustained ``tighten`` rate means the
-    SLO is chronically missed), three ``repro_adaptive_*`` gauges mirroring
-    the live knob values, and a ``service.adaptive`` trace span per
-    adjustment recorded by the service.
-    """
-
-    #: Which latency quantile is compared against the SLO.
-    target_quantile = 0.95
-
-    def __init__(self, config: Any, metrics: "MetricsRegistry"):
-        self.config = config
-        self.metrics = metrics
-        self.slo_s = float(getattr(config, "latency_slo_s", 0.25))
-        self.interval_s = float(getattr(config, "adaptive_interval_s", 0.5))
-        # The configured values are the operating point adaptation drifts
-        # from under pressure and back to when pressure passes.
-        self._configured_window = config.batch_window_s
-        self._configured_batch = config.max_batch_size
-        self._configured_depth = config.max_queue_depth
-        self._min_window = config.batch_window_s / 8.0
-        self._max_batch = max(1, config.max_batch_size * 4)
-        self._min_depth = (max(1, config.max_queue_depth // 4)
-                           if config.max_queue_depth > 0 else 0)
-        self._last_counts: Optional[List[float]] = None
-        self._last_tick: Optional[float] = None
-        self._adjustments = metrics.counter(
-            "repro_adaptive_adjustments_total",
-            "Adaptive-batcher decisions by action "
-            "(tighten / relax / hold).", ("action",))
-        self._window_gauge = metrics.gauge(
-            "repro_adaptive_batch_window_seconds",
-            "Live batch window after adaptive adjustment.")
-        self._batch_gauge = metrics.gauge(
-            "repro_adaptive_batch_size",
-            "Live max batch size after adaptive adjustment.")
-        self._depth_gauge = metrics.gauge(
-            "repro_adaptive_queue_depth",
-            "Live max queue depth after adaptive adjustment "
-            "(0: unbounded).")
-        self._publish()
-
-    def _publish(self) -> None:
-        self._window_gauge.set(self.config.batch_window_s)
-        self._batch_gauge.set(self.config.max_batch_size)
-        self._depth_gauge.set(self.config.max_queue_depth)
-
-    def _latency_totals(self) -> Optional[Tuple[Tuple[float, ...],
-                                                List[float]]]:
-        histogram = self.metrics.get("repro_request_latency_seconds")
-        if histogram is None:
-            return None
-        bounds = histogram.buckets
-        totals = [0.0] * (len(bounds) + 1)
-        for _, series in histogram.series_items():
-            for index, count in enumerate(series.counts):
-                totals[index] += count
-        return bounds, totals
-
-    def maybe_tick(self, now: float) -> Optional[Dict[str, Any]]:
-        """Run one adaptation step if ``interval_s`` has elapsed; returns
-        the decision (see :meth:`tick`) or None when it is not yet time."""
-        if self._last_tick is not None \
-                and now - self._last_tick < self.interval_s:
-            return None
-        self._last_tick = now
-        return self.tick()
-
-    def tick(self) -> Dict[str, Any]:
-        """One adaptation step over the latency observed since the last."""
-        observed = self._latency_totals()
-        if observed is None:
-            return self._decide("hold", math.nan)
-        bounds, totals = observed
-        previous, self._last_counts = self._last_counts, totals
-        if previous is None or len(previous) != len(totals):
-            return self._decide("hold", math.nan)
-        deltas = [max(0.0, cur - prev)
-                  for cur, prev in zip(totals, previous)]
-        latency = quantile_from_counts(bounds, deltas, self.target_quantile)
-        if math.isnan(latency):
-            # No traffic this interval: nothing to adapt on.
-            return self._decide("hold", latency)
-        if latency > self.slo_s:
-            return self._decide("tighten", latency)
-        if latency < self.slo_s / 2.0 and self._adapted():
-            return self._decide("relax", latency)
-        return self._decide("hold", latency)
-
-    def _adapted(self) -> bool:
-        config = self.config
-        return (config.batch_window_s != self._configured_window
-                or config.max_batch_size != self._configured_batch
-                or config.max_queue_depth != self._configured_depth)
-
-    def _decide(self, action: str, latency: float) -> Dict[str, Any]:
-        config = self.config
-        if action == "tighten":
-            config.batch_window_s = max(self._min_window,
-                                        config.batch_window_s * 0.5)
-            config.max_batch_size = min(self._max_batch,
-                                        config.max_batch_size * 2)
-            if config.max_queue_depth > 0:
-                config.max_queue_depth = max(
-                    self._min_depth, (config.max_queue_depth * 3) // 4)
-        elif action == "relax":
-            config.batch_window_s = min(self._configured_window,
-                                        config.batch_window_s * 2.0
-                                        or self._configured_window)
-            config.max_batch_size = max(self._configured_batch,
-                                        config.max_batch_size // 2)
-            if self._configured_depth > 0:
-                config.max_queue_depth = min(
-                    self._configured_depth,
-                    config.max_queue_depth
-                    + max(1, self._configured_depth // 4))
-        self._adjustments.labels(action).inc()
-        self._publish()
-        return {
-            "action": action,
-            "latency_s": latency,
-            "target_quantile": self.target_quantile,
-            "slo_s": self.slo_s,
-            "batch_window_s": config.batch_window_s,
-            "max_batch_size": config.max_batch_size,
-            "max_queue_depth": config.max_queue_depth,
-        }
+def create_policy(name: str) -> QueuePolicy:
+    """A fresh instance of the policy named ``name``."""
+    try:
+        cls = POLICIES[name]
+    except KeyError:
+        raise PolicyError(
+            f"unknown queue policy {name!r}; known policies: "
+            f"{', '.join(policy_names())}") from None
+    return cls()

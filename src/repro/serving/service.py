@@ -9,10 +9,7 @@ request processor:
   (:attr:`ServiceConfig.policy`).  The default, ``strict-priority``, drains
   strictly by :attr:`~repro.api.ScheduleRequest.priority` (0 most urgent,
   FIFO within one priority) so urgent requests overtake queued bulk traffic;
-  ``weighted-fair``, ``edf``, and ``aging`` trade that for starvation-freedom
-  or deadline awareness.  Every ordering decision is counted on
-  ``repro_queue_policy_decisions_total{policy,class}`` and per-policy latency
-  lands in ``repro_policy_request_latency_seconds{policy,class}``.
+  ``weighted-fair`` trades that for starvation-freedom.
 * **admission control** — an :class:`AdmissionController` sheds load before
   it queues: a bounded queue depth and optional per-client in-flight limits
   reject excess requests with a typed :class:`AdmissionError` (the HTTP
@@ -60,7 +57,7 @@ from ..api.session import Session
 from ..api.types import ScheduleRequest, ScheduleResponse
 from ..ir.nodes import Program
 from ..observability import CounterView, MetricsRegistry, RequestRoot, Span
-from .policy import AdaptiveBatcher, create_policy
+from .policy import create_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (workers use api)
     from .workers import WorkerPool
@@ -93,23 +90,12 @@ class ServiceConfig:
     #: Responses are bit-identical to the slow path's, so this is safe to
     #: leave on; disable to force every request through the full pipeline.
     fast_lane: bool = True
-    #: Queue-scheduling policy (a name registered with
-    #: :func:`~repro.serving.policy.register_policy`): ``strict-priority``
-    #: (the historic default), ``weighted-fair``, ``edf``, or ``aging``.
+    #: Queue-scheduling policy (see :mod:`repro.serving.policy`):
+    #: ``strict-priority`` (the default) or ``weighted-fair``.
     policy: str = "strict-priority"
-    #: ``weighted-fair`` per-class weight overrides (priority class ->
-    #: positive weight; None keeps the default ``10 - priority``).
-    policy_weights: Optional[Dict[int, float]] = None
-    #: ``aging``: seconds of queue wait worth one priority class of boost.
-    aging_interval_s: float = 0.5
-    #: Close the loop from live latency onto batching/admission knobs
-    #: (see :class:`~repro.serving.policy.AdaptiveBatcher`).
-    adaptive: bool = False
-    #: Target end-to-end latency SLO (adaptive batching compares its p95
-    #: against this; the default alert rules burn against it too).
+    #: Target end-to-end latency SLO (the default alert rules burn
+    #: against it).
     latency_slo_s: float = 0.25
-    #: Seconds between adaptive-batcher adaptation steps.
-    adaptive_interval_s: float = 0.5
 
 
 class AdmissionError(RuntimeError):
@@ -323,19 +309,7 @@ class SchedulingService:
             "schedule execution).", ("phase",))
         #: The queue-ordering policy.  Raises PolicyError for unknown names
         #: at construction, not at first request.
-        self.policy = create_policy(self.config.policy, self.config)
-        self._policy_decisions = self.metrics.counter(
-            "repro_queue_policy_decisions_total",
-            "Queue-ordering decisions, by policy and priority class.",
-            ("policy", "class"))
-        self._policy_latency = self.metrics.histogram(
-            "repro_policy_request_latency_seconds",
-            "End-to-end latency of queued (non-fast-lane) requests, by "
-            "policy and priority class.", ("policy", "class"))
-        #: The measurement->batching feedback loop, when enabled; ticks on
-        #: the batcher task between batches.
-        self.adaptive = (AdaptiveBatcher(self.config, self.metrics)
-                         if self.config.adaptive else None)
+        self.policy = create_policy(self.config.policy)
         # Entries are ``(sort_key, arrival_seq, _Pending)``: the asyncio
         # PriorityQueue pops the smallest tuple, so the policy's key order
         # decides who drains first (strict-priority keys are ``(priority,)``
@@ -454,8 +428,7 @@ class SchedulingService:
         timing = RequestTiming(
             total_s=max(0.0, time.perf_counter() - arrived), fast_lane=True,
             trace_id=root.trace_id if root is not None else None)
-        self._latency(request.priority).observe(
-            timing.total_s, exemplar=timing.trace_id)
+        self._latency(request.priority).observe(timing.total_s)
         if root is not None:
             tracer.record_hit(root)
         return (response, timing), key, None
@@ -510,8 +483,6 @@ class SchedulingService:
                     if root is not None:
                         root.set_attribute("coalesced", True)
                     rider_key = self.policy.rider_key(request, started)
-                    self._policy_decisions.labels(
-                        self.config.policy, str(request.priority)).inc()
                     if rider_key < existing.best_key \
                             and not existing.claimed:
                         # An urgent rider must not drain at its leader's
@@ -535,8 +506,6 @@ class SchedulingService:
                                          timing.trace_id), timing
                 future: "asyncio.Future[ScheduleResponse]" = loop.create_future()
                 sort_key = self.policy.sort_key(request, started)
-                self._policy_decisions.labels(
-                    self.config.policy, str(request.priority)).inc()
                 pending = _Pending(key, request, future,
                                    best_priority=request.priority,
                                    best_key=sort_key,
@@ -597,16 +566,7 @@ class SchedulingService:
         if pending.claimed_at:
             timing.queue_wait_s = max(
                 0.0, pending.claimed_at - pending.enqueued_at)
-        # The trace id rides along as the bucket's exemplar, so a saturated
-        # latency bucket links straight to a representative slow trace.
-        self._latency(request.priority).observe(
-            timing.total_s, exemplar=timing.trace_id)
-        # Per-policy latency (queued traffic only — the fast lane bypasses
-        # the queue, so no policy shaped it): the basis for comparing how
-        # each policy bounds per-class tails under the same load.
-        self._policy_latency.labels(
-            self.config.policy, str(request.priority)).observe(
-            timing.total_s, exemplar=timing.trace_id)
+        self._latency(request.priority).observe(timing.total_s)
 
     def _update_queue_gauge(self) -> None:
         queue = self._queue
@@ -745,19 +705,6 @@ class SchedulingService:
                     self.stats.inc("scheduled")
                     if not pending.future.done():
                         pending.future.set_result(response)
-            if self.adaptive is not None:
-                decision = self.adaptive.maybe_tick(loop.time())
-                if decision is not None and decision["action"] != "hold" \
-                        and tracer is not None and tracer.enabled:
-                    # A parentless span per adjustment: the trace ring
-                    # buffer shows when and why the knobs moved.
-                    adjusted = time.time()
-                    span = tracer.begin(
-                        "service.adaptive",
-                        tracer.trace_id_for(
-                            f"adaptive-{os.getpid()}-{self._arrival_seq}"),
-                        attrs=decision, start_s=adjusted)
-                    tracer.finish(span, status="ok", end_s=adjusted)
 
     def _schedule_batch(self, requests: List[ScheduleRequest]
                         ) -> List[ScheduleResponse]:

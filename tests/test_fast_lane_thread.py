@@ -192,8 +192,7 @@ def _random_request(rng, programs):
         normalize=maybe(lambda: rng.random() < 0.5),
         pipeline=maybe(lambda: rng.choice(["a-priori", "no-fission"])),
         priority=rng.randrange(10),
-        client=maybe(lambda: rng.choice(["alice", "bob"])),
-        deadline_s=maybe(rng.random))
+        client=maybe(lambda: rng.choice(["alice", "bob"])))
 
 
 class TestOneFingerprint:

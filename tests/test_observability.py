@@ -271,6 +271,25 @@ class TestMerge:
         with pytest.raises(MetricsError):
             merge_registry_dicts([first.to_dict(), second.to_dict()])
 
+    def test_histogram_series_carry_counts_and_sum_only(self):
+        first = _sample_registry([0.1, 1.0])
+        second = _sample_registry([2.0])
+        for snapshot in (first.to_dict(), second.to_dict(),
+                         merge_registry_dicts([first.to_dict(),
+                                               second.to_dict()])):
+            (series,) = snapshot["repro_m_seconds"]["series"]
+            assert set(series) == {"labels", "counts", "sum"}
+        assert series["counts"] == [1, 1, 1]
+
+    def test_observe_takes_a_value_only(self):
+        histogram = MetricsRegistry().histogram("repro_o_seconds", "",
+                                                buckets=(1.0,))
+        with pytest.raises(TypeError):
+            histogram.observe(0.5, exemplar="0" * 32)
+        with pytest.raises(TypeError):
+            histogram.labels().observe(0.5, exemplar="0" * 32)
+        assert histogram.count == 0
+
     def test_snapshot_is_json_serializable(self):
         registry = _sample_registry([0.2])
         round_tripped = json.loads(json.dumps(registry.to_dict()))

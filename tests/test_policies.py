@@ -1,5 +1,5 @@
-"""Tests for queue-scheduling policies, the adaptive batcher, and the
-online measurement-feedback loop (session-, database-, and pool-level)."""
+"""Tests for the queue-scheduling policies and the online
+measurement-feedback loop (session-, database-, and pool-level)."""
 
 import asyncio
 import json
@@ -18,15 +18,12 @@ from repro.scheduler.database import (DatabaseEntry, TuningDatabase,
                                       apply_feedback_record, recipe_base_name,
                                       recipe_identity)
 from repro.scheduler.embedding import EMBEDDING_SIZE, PerformanceEmbedding
-from repro.observability import MetricsRegistry
 from repro.serving import (PolicyError, SchedulingService, ServiceConfig,
                            ServingClient, ServingServer, WorkerConfig,
                            WorkerPool, create_policy, policy_names,
-                           register_policy, request_fingerprint)
-from repro.serving.policy import (POLICIES, AdaptiveBatcher, AgingPolicy,
-                                  EarliestDeadlinePolicy, QueuePolicy,
-                                  StrictPriorityPolicy, WeightedFairPolicy,
-                                  quantile_from_counts)
+                           request_fingerprint)
+from repro.serving.cli import build_parser
+from repro.serving.policy import StrictPriorityPolicy, WeightedFairPolicy
 from repro.transforms.recipe import Recipe
 
 FAST_SEARCH = SearchConfig(population_size=4, epochs=1,
@@ -37,57 +34,111 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def _request(priority=0, deadline_s=None, program="p"):
-    return ScheduleRequest(program=program, priority=priority,
-                           deadline_s=deadline_s)
+def _request(priority=0, program="p"):
+    return ScheduleRequest(program=program, priority=priority)
 
 
-# -- the registry -------------------------------------------------------------------
+# -- the policy table ---------------------------------------------------------------
 
 class TestPolicyRegistry:
     def test_shipped_policies_are_registered(self):
-        assert policy_names() == ["aging", "edf", "strict-priority",
-                                  "weighted-fair"]
+        assert policy_names() == ["strict-priority", "weighted-fair"]
 
     def test_create_policy_returns_named_instances(self):
         for name, cls in (("strict-priority", StrictPriorityPolicy),
-                          ("weighted-fair", WeightedFairPolicy),
-                          ("edf", EarliestDeadlinePolicy),
-                          ("aging", AgingPolicy)):
-            policy = create_policy(name)
-            assert isinstance(policy, cls)
-            assert policy.name == name
+                          ("weighted-fair", WeightedFairPolicy)):
+            assert isinstance(create_policy(name), cls)
 
     def test_unknown_policy_raises_with_the_known_names(self):
+        messages = []
+        for name in ("shortest-job-first", "edf", "aging"):
+            with pytest.raises(PolicyError) as caught:
+                create_policy(name)
+            messages.append(str(caught.value))
+            assert name in messages[-1]
         with pytest.raises(PolicyError) as caught:
-            create_policy("shortest-job-first")
-        message = str(caught.value)
-        assert "shortest-job-first" in message
-        assert "strict-priority" in message
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(PolicyError):
-            register_policy("strict-priority")(StrictPriorityPolicy)
-
-    def test_custom_policy_registers_and_serves(self):
-        try:
-            @register_policy("test-lifo")
-            class LifoPolicy(QueuePolicy):
-                def sort_key(self, request, now):
-                    return (-now,)
-
-            policy = create_policy("test-lifo")
-            assert isinstance(policy, LifoPolicy)
-            assert policy.sort_key(_request(), 3.0) == (-3.0,)
-            assert "test-lifo" in policy_names()
-        finally:
-            POLICIES.pop("test-lifo", None)
-        assert "test-lifo" not in policy_names()
+            SchedulingService(_StubSession(), ServiceConfig(policy="aging"))
+        messages.append(str(caught.value))
+        for message in messages:
+            assert message.endswith(
+                "known policies: strict-priority, weighted-fair")
 
     def test_unknown_policy_fails_at_service_construction(self):
         with pytest.raises(PolicyError):
             SchedulingService(_StubSession(),
                               ServiceConfig(policy="not-a-policy"))
+
+
+# -- removed options fail loudly, removed request keys are ignored ------------------
+
+@pytest.mark.parametrize("flags", [["--adaptive"], ["--aging-interval", "1"],
+                                   ["--push-url", "http://x"],
+                                   ["--push-interval", "1"]],
+                         ids=lambda flags: flags[0])
+def test_removed_serve_flags_exit_with_a_usage_error(flags, capsys):
+    with pytest.raises(SystemExit) as caught:
+        build_parser().parse_args(["serve", *flags])
+    assert caught.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy,accepted", [("strict-priority", True),
+                                             ("weighted-fair", True),
+                                             ("edf", False), ("aging", False)])
+def test_serve_policy_choices_are_the_two_policies(policy, accepted, capsys):
+    if accepted:
+        args = build_parser().parse_args(["serve", "--policy", policy])
+        assert args.policy == policy
+        return
+    with pytest.raises(SystemExit) as caught:
+        build_parser().parse_args(["serve", "--policy", policy])
+    assert caught.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert f"invalid choice: '{policy}'" in error
+    choices = error[error.index("(choose from"):]
+    assert choices.replace("'", "") \
+        == "(choose from strict-priority, weighted-fair)"
+
+
+def test_serve_help_lists_no_removed_flag(capsys):
+    with pytest.raises(SystemExit) as caught:
+        build_parser().parse_args(["serve", "--help"])
+    assert caught.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--policy" in usage
+    for flag in ("--adaptive", "--aging-interval", "--push-url",
+                 "--push-interval"):
+        assert flag not in usage
+
+
+@pytest.mark.parametrize("field,value", [("policy_weights", {9: 5.0}),
+                                         ("aging_interval_s", 0.5),
+                                         ("adaptive", True),
+                                         ("adaptive_interval_s", 1.0)])
+def test_removed_service_config_fields_are_rejected(field, value):
+    with pytest.raises(TypeError, match=field):
+        ServiceConfig(**{field: value})
+
+
+@pytest.mark.parametrize("keyword,value", [("push_url", "http://x"),
+                                           ("push_interval_s", 1.0)])
+def test_removed_server_keywords_are_rejected(keyword, value):
+    # Rejected by the signature, before a session is touched or a port bound.
+    with pytest.raises(TypeError, match=keyword):
+        ServingServer(None, **{keyword: value})
+
+
+def test_a_deadline_key_is_ignored():
+    with_key = ScheduleRequest.from_dict(
+        {"program": "gemm:a", "deadline_s": 0.5})
+    without = ScheduleRequest.from_dict({"program": "gemm:a"})
+    assert with_key == without
+    assert request_fingerprint(with_key) == request_fingerprint(without)
+
+
+def test_a_deadline_keyword_is_rejected():
+    with pytest.raises(TypeError, match="deadline_s"):
+        ScheduleRequest(program="gemm:a", deadline_s=0.5)
 
 
 # -- per-policy key semantics -------------------------------------------------------
@@ -102,7 +153,7 @@ class TestStrictPriorityKeys:
 
 class TestWeightedFairKeys:
     def test_class_clocks_advance_inversely_to_weight(self):
-        policy = WeightedFairPolicy(None)
+        policy = WeightedFairPolicy()
         # Priority 0 weighs 10 (finish += 0.1); priority 9 weighs 1.
         assert policy.sort_key(_request(priority=0), 0.0) == (0.1,)
         assert policy.sort_key(_request(priority=0), 0.0) == (0.2,)
@@ -110,14 +161,34 @@ class TestWeightedFairKeys:
         assert policy.sort_key(_request(priority=9), 0.0) == (2.0,)
 
     def test_rider_key_peeks_without_advancing_the_clock(self):
-        policy = WeightedFairPolicy(None)
+        policy = WeightedFairPolicy()
         peeked = policy.rider_key(_request(priority=0), 0.0)
         assert peeked == (0.1,)
         # The peek committed nothing: the real enqueue gets the same key.
         assert policy.sort_key(_request(priority=0), 0.0) == peeked
 
+    @pytest.mark.parametrize("priority,weight", [(0, 10), (5, 5), (9, 1),
+                                                 (12, 1)])
+    def test_weight_is_the_distance_from_the_lowest_class(self, priority,
+                                                          weight):
+        # LOWEST_PRIORITY + 1 - priority; a class outside 0..9 weighs 1.
+        policy = WeightedFairPolicy()
+        assert policy.sort_key(_request(priority=priority), 0.0) \
+            == pytest.approx((1.0 / weight,))
+        assert policy.sort_key(_request(priority=priority), 0.0) \
+            == pytest.approx((2.0 / weight,))
+
+    def test_each_instance_keeps_its_own_clocks(self):
+        # Two services never share class clocks or virtual time.
+        first = create_policy("weighted-fair")
+        second = create_policy("weighted-fair")
+        for _ in range(3):
+            first.on_dequeue(first.sort_key(_request(priority=9), 0.0))
+        assert second.sort_key(_request(priority=9), 0.0) == (1.0,)
+        assert first.sort_key(_request(priority=9), 0.0) == (4.0,)
+
     def test_dequeue_floors_idle_classes_at_the_virtual_time(self):
-        policy = WeightedFairPolicy(None)
+        policy = WeightedFairPolicy()
         for _ in range(5):
             key = policy.sort_key(_request(priority=9), 0.0)
         policy.on_dequeue(key)  # virtual time jumps to 5.0
@@ -125,53 +196,6 @@ class TestWeightedFairKeys:
         # it earned no credit while absent.
         (finish,) = policy.sort_key(_request(priority=0), 0.0)
         assert finish == pytest.approx(5.1)
-
-    def test_weight_overrides_apply_and_must_be_positive(self):
-        config = types.SimpleNamespace(policy_weights={9: 5.0})
-        policy = WeightedFairPolicy(config)
-        assert policy.sort_key(_request(priority=9), 0.0) == (0.2,)
-        for bad in (0.0, -1.0):
-            with pytest.raises(PolicyError):
-                WeightedFairPolicy(
-                    types.SimpleNamespace(policy_weights={0: bad}))
-
-
-class TestEarliestDeadlineKeys:
-    def test_no_deadline_sorts_last(self):
-        policy = create_policy("edf")
-        assert policy.sort_key(_request(deadline_s=None), 10.0)[0] == math.inf
-        assert policy.sort_key(_request(deadline_s=100.0), 10.0) \
-            < policy.sort_key(_request(deadline_s=None), 10.0)
-
-    def test_past_deadline_sorts_most_urgent(self):
-        policy = create_policy("edf")
-        late = policy.sort_key(_request(deadline_s=-1.0), 50.0)
-        soon = policy.sort_key(_request(deadline_s=0.5), 50.0)
-        assert late < soon
-        assert late[0] == 49.0
-
-    def test_priority_breaks_deadline_ties(self):
-        policy = create_policy("edf")
-        urgent = policy.sort_key(_request(priority=0, deadline_s=1.0), 5.0)
-        bulk = policy.sort_key(_request(priority=9, deadline_s=1.0), 5.0)
-        assert urgent < bulk
-
-
-class TestAgingKeys:
-    def test_interval_comes_from_the_config_and_must_be_positive(self):
-        policy = AgingPolicy(types.SimpleNamespace(aging_interval_s=2.0))
-        assert policy.age_interval_s == 2.0
-        assert AgingPolicy(None).age_interval_s == 0.5
-        with pytest.raises(PolicyError):
-            AgingPolicy(types.SimpleNamespace(aging_interval_s=-1.0))
-
-    def test_old_bulk_overtakes_fresh_urgent_after_nine_intervals(self):
-        policy = AgingPolicy(types.SimpleNamespace(aging_interval_s=0.5))
-        old_bulk = policy.sort_key(_request(priority=9), 0.0)   # key 4.5
-        # A fresh priority-0 request still beats it before 9 intervals...
-        assert policy.sort_key(_request(priority=0), 4.4) < old_bulk
-        # ...and loses to it after.
-        assert old_bulk < policy.sort_key(_request(priority=0), 4.6)
 
 
 # -- drain order through the service ------------------------------------------------
@@ -213,30 +237,17 @@ class _StubSession:
         pass
 
 
-async def _drain(service, submissions, stall_s=0.0):
-    """Stack ``submissions`` behind a gate request and release the batcher.
-
-    ``submissions`` are ``(request, stalled)`` pairs; after enqueueing the
-    stalled prefix the driver sleeps ``stall_s`` so age-sensitive policies
-    see real queue time before the rest arrives.
-    """
+async def _drain(service, requests):
+    """Stack ``requests`` behind a gate request and release the batcher."""
     session = service.session
     await service.start()
     try:
         gate = asyncio.ensure_future(
             service.schedule(ScheduleRequest(program="gate")))
         await asyncio.sleep(0.05)  # the batcher is now blocked on the gate
-        tasks, queued = [], 0
-        stalled = True
-        for request, early in submissions:
-            if stalled and not early and stall_s:
-                while service._queue.qsize() < queued:
-                    await asyncio.sleep(0.005)
-                await asyncio.sleep(stall_s)
-                stalled = False
-            tasks.append(asyncio.ensure_future(service.schedule(request)))
-            queued += 1
-        while service._queue.qsize() < queued:
+        tasks = [asyncio.ensure_future(service.schedule(request))
+                 for request in requests]
+        while service._queue.qsize() < len(tasks):
             await asyncio.sleep(0.005)
         session.gate.set()
         await asyncio.gather(gate, *tasks)
@@ -244,189 +255,84 @@ async def _drain(service, submissions, stall_s=0.0):
         await service.stop()
 
 
-def _drive(config, submissions, stall_s=0.0):
+def _drive(config, requests):
     session = _StubSession()
-    service = SchedulingService(session, config)
-    run(_drain(service, submissions, stall_s=stall_s))
+    run(_drain(SchedulingService(session, config), requests))
     assert session.order[0] == "gate"
-    return session.order[1:], service
-
-
-class TestEdfDrainOrder:
-    def test_past_deadline_drains_first_and_deadline_free_last(self):
-        order, _ = _drive(
-            ServiceConfig(max_batch_size=1, batch_window_s=0.0,
-                          policy="edf"),
-            [(ScheduleRequest(program="never"), True),
-             (ScheduleRequest(program="later", deadline_s=5.0), True),
-             (ScheduleRequest(program="soon", deadline_s=0.5), True),
-             (ScheduleRequest(program="late", deadline_s=-1.0), True)])
-        assert order == ["late", "soon", "later", "never"]
-
-
-class TestAgingDrainOrder:
-    def test_starved_bulk_overtakes_a_fresh_urgent_burst(self):
-        """A priority-9 request that waited longer than nine aging
-        intervals must drain before priority-0 requests that just arrived —
-        the exact starvation case strict-priority never resolves."""
-        order, _ = _drive(
-            ServiceConfig(max_batch_size=1, batch_window_s=0.0,
-                          policy="aging", aging_interval_s=0.01),
-            [(ScheduleRequest(program="old-bulk", priority=9), True),
-             (ScheduleRequest(program="fresh-urgent", priority=0), False),
-             (ScheduleRequest(program="fresh-bulk", priority=9), False)],
-            stall_s=0.25)
-        assert order == ["old-bulk", "fresh-urgent", "fresh-bulk"]
-
-    def test_without_the_wait_strict_order_is_kept(self):
-        order, _ = _drive(
-            ServiceConfig(max_batch_size=1, batch_window_s=0.0,
-                          policy="aging", aging_interval_s=10.0),
-            [(ScheduleRequest(program="bulk", priority=9), True),
-             (ScheduleRequest(program="urgent", priority=0), True)])
-        assert order == ["urgent", "bulk"]
+    return session.order[1:]
 
 
 class TestWeightedFairDrainOrder:
-    MIX = ([(ScheduleRequest(program=f"starved-{i}", priority=9), True)
+    MIX = ([ScheduleRequest(program=f"starved-{i}", priority=9)
             for i in range(1, 3)]
-           + [(ScheduleRequest(program=f"bulk-{i}", priority=0), True)
+           + [ScheduleRequest(program=f"bulk-{i}", priority=0)
               for i in range(1, 13)])
 
     def test_urgent_burst_does_not_starve_the_low_class(self):
-        order, service = _drive(
+        order = _drive(
             ServiceConfig(max_batch_size=1, batch_window_s=0.0,
                           policy="weighted-fair"), self.MIX)
         # The burst mostly goes first (it holds 10x the weight), but the
         # starved class is interleaved, not parked behind the whole burst.
         assert order.index("starved-1") < order.index("bulk-12")
-        decisions = service.metrics.get("repro_queue_policy_decisions_total")
-        assert decisions.labels("weighted-fair", "0").value == 12
-        assert decisions.labels("weighted-fair", "9").value == 2
-        latency = service.metrics.get("repro_policy_request_latency_seconds")
-        assert latency is not None and latency.series_items()
 
     def test_strict_priority_parks_the_low_class_behind_the_burst(self):
-        order, _ = _drive(
+        order = _drive(
             ServiceConfig(max_batch_size=1, batch_window_s=0.0,
                           policy="strict-priority"), self.MIX)
         assert order[-2:] == ["starved-1", "starved-2"]
 
-
-# -- the adaptive batcher -----------------------------------------------------------
-
-class TestQuantileFromCounts:
-    def test_empty_counts_are_nan(self):
-        assert math.isnan(quantile_from_counts((0.1, 1.0), [0.0, 0.0, 0.0],
-                                               0.95))
-
-    def test_rank_walk_matches_the_bucket_bound(self):
-        bounds = (0.1, 1.0)
-        assert quantile_from_counts(bounds, [9.0, 1.0, 0.0], 0.5) == 0.1
-        assert quantile_from_counts(bounds, [9.0, 1.0, 0.0], 0.95) == 1.0
-
-    def test_overflow_bucket_is_infinite(self):
-        assert quantile_from_counts((0.1,), [0.0, 5.0], 0.95) == math.inf
+    def test_classes_share_service_in_proportion_to_their_weights(self):
+        # Priority 0 weighs 10, priority 4 weighs 6: while the 20 urgent
+        # requests drain, the normal class gets 6/10 of as many slots (one
+        # either way for the key tie at the boundary).
+        mix = [ScheduleRequest(program=f"{name}-{i}", priority=priority)
+               for i in range(1, 21)
+               for name, priority in (("urgent", 0), ("normal", 4))]
+        order = _drive(
+            ServiceConfig(max_batch_size=1, batch_window_s=0.0,
+                          policy="weighted-fair"), mix)
+        before = order[:order.index("urgent-20")]
+        assert 11 <= sum(name.startswith("normal") for name in before) <= 12
 
 
-def _batcher(**overrides):
-    settings = dict(max_batch_size=8, batch_window_s=0.01,
-                    max_queue_depth=64, latency_slo_s=0.1,
-                    adaptive_interval_s=0.0)
-    settings.update(overrides)
-    config = ServiceConfig(**settings)
-    metrics = MetricsRegistry()
-    histogram = metrics.histogram(
-        "repro_request_latency_seconds", "test", ("priority",))
-    return AdaptiveBatcher(config, metrics), config, metrics, histogram
+class TestDrainOrder:
+    @pytest.mark.parametrize("policy", policy_names())
+    def test_each_class_drains_in_arrival_order(self, policy):
+        mix = [ScheduleRequest(program=f"{name}-{i}", priority=priority)
+               for i in range(1, 4)
+               for name, priority in (("high", 2), ("low", 7))]
+        order = _drive(ServiceConfig(max_batch_size=1, batch_window_s=0.0,
+                                     policy=policy), mix)
+        assert sorted(order) == sorted(request.program for request in mix)
+        for name in ("high", "low"):
+            assert [program for program in order if program.startswith(name)] \
+                == [f"{name}-{i}" for i in range(1, 4)]
+
+    def test_strict_priority_sorts_by_class_then_arrival(self):
+        mix = [ScheduleRequest(program=program, priority=priority)
+               for program, priority in (("five-1", 5), ("zero-1", 0),
+                                         ("nine-1", 9), ("zero-2", 0),
+                                         ("five-2", 5))]
+        order = _drive(ServiceConfig(max_batch_size=1, batch_window_s=0.0,
+                                     policy="strict-priority"), mix)
+        assert order == ["zero-1", "zero-2", "five-1", "five-2", "nine-1"]
 
 
-class TestAdaptiveBatcher:
-    def test_slo_misses_tighten_and_recovery_relaxes(self):
-        batcher, config, metrics, histogram = _batcher()
-        assert batcher.tick()["action"] == "hold"  # first tick: baseline
-        for _ in range(20):
-            histogram.labels("0").observe(0.2)  # p95 = 0.25 > slo 0.1
-        decision = batcher.tick()
-        assert decision["action"] == "tighten"
-        assert config.batch_window_s == pytest.approx(0.005)
-        assert config.max_batch_size == 16
-        assert config.max_queue_depth == 48
-        for _ in range(40):
-            histogram.labels("0").observe(0.0004)  # p95 well under slo/2
-        decision = batcher.tick()
-        assert decision["action"] == "relax"
-        assert config.batch_window_s == pytest.approx(0.01)
-        assert config.max_batch_size == 8
-        assert config.max_queue_depth == 64
-        # A quiet interval holds (no traffic to adapt on).
-        assert batcher.tick()["action"] == "hold"
-        adjustments = metrics.get("repro_adaptive_adjustments_total")
-        assert adjustments.labels("tighten").value == 1
-        assert adjustments.labels("relax").value == 1
-
-    def test_fast_traffic_without_prior_tightening_holds(self):
-        batcher, config, _, histogram = _batcher()
-        batcher.tick()
-        for _ in range(10):
-            histogram.labels("0").observe(0.0004)
-        assert batcher.tick()["action"] == "hold"
-        assert config.max_batch_size == 8
-
-    def test_tightening_bottoms_out_at_the_floors(self):
-        batcher, config, _, _ = _batcher()
-        for _ in range(10):
-            batcher._decide("tighten", 1.0)
-        assert config.batch_window_s == pytest.approx(0.01 / 8.0)
-        assert config.max_batch_size == 32          # 4x the configured 8
-        assert config.max_queue_depth == 16         # 1/4 of the configured 64
-
-    def test_unbounded_queue_depth_stays_unbounded(self):
-        batcher, config, _, _ = _batcher(max_queue_depth=0)
-        batcher._decide("tighten", 1.0)
-        assert config.max_queue_depth == 0
-        batcher._decide("relax", 0.0)
-        assert config.max_queue_depth == 0
-
-    def test_gauges_mirror_the_live_knobs(self):
-        batcher, config, metrics, _ = _batcher()
-        batcher._decide("tighten", 1.0)
-        assert metrics.get("repro_adaptive_batch_window_seconds").value \
-            == config.batch_window_s
-        assert metrics.get("repro_adaptive_batch_size").value \
-            == config.max_batch_size
-        assert metrics.get("repro_adaptive_queue_depth").value \
-            == config.max_queue_depth
-
-    def test_maybe_tick_rate_limits(self):
-        batcher, _, _, _ = _batcher(adaptive_interval_s=10.0)
-        assert batcher.maybe_tick(0.0) is not None
-        assert batcher.maybe_tick(5.0) is None
-        assert batcher.maybe_tick(11.0) is not None
-
-
-# -- the deadline field -------------------------------------------------------------
-
-class TestDeadlineField:
-    def test_round_trips_through_the_wire_format(self):
-        request = ScheduleRequest(program="gemm:a", deadline_s=1.5)
-        data = request.to_dict()
-        assert data["deadline_s"] == 1.5
-        assert ScheduleRequest.from_dict(data).deadline_s == 1.5
-
-    def test_absent_when_unset(self):
-        # Byte-compatibility: deadline-free requests serialize exactly as
-        # they did before the field existed.
-        assert "deadline_s" not in ScheduleRequest(program="gemm:a").to_dict()
-        assert ScheduleRequest.from_dict({"program": "gemm:a"}).deadline_s \
-            is None
-
-    def test_fingerprint_ignores_the_deadline(self):
-        # Deadlines shape queue order, not the scheduling outcome: they
-        # must not split coalescing or cache keys.
-        assert request_fingerprint(ScheduleRequest(program="gemm:a")) \
-            == request_fingerprint(
-                ScheduleRequest(program="gemm:a", deadline_s=0.5))
+def test_weighted_fair_server_serves_and_reports_its_policy():
+    session = fast_session()
+    config = ServiceConfig(batch_window_s=0.01, policy="weighted-fair")
+    try:
+        with ServingServer(session, config=config) as server:
+            client = ServingClient(server.address)
+            for program, priority in (("gemm:a", 9), ("atax:a", 0)):
+                response = client.schedule(program, priority=priority)
+                assert response.program.body
+            report = client.report()
+        assert report["service"]["policy"] == "weighted-fair"
+        assert report["service"]["scheduled"] == 2
+    finally:
+        session.close()
 
 
 # -- Retry-After rounding (regression) ----------------------------------------------

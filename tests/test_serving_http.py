@@ -34,6 +34,24 @@ class TestEndpoints:
         assert response.runtime_s > 0
         assert response.program.body
 
+    def test_a_deadline_key_is_ignored(self, served):
+        """A body that still carries the removed ``deadline_s`` is served
+        exactly as the same body without it, whatever its value."""
+        _, _, client = served
+        body = ScheduleRequest(program="gemm:a").to_dict()
+
+        def reply(payload):
+            status, data = client.request("POST", "/v1/schedule", payload)
+            assert status == 200, data
+            data.pop("trace_id", None)
+            data["request"].pop("trace", None)
+            return data
+
+        reply(body)
+        expected = reply(body)
+        for deadline in (0.5, "soon"):
+            assert reply(dict(body, deadline_s=deadline)) == expected
+
     def test_schedule_with_inline_program(self, served):
         _, _, client = served
         response = client.schedule(build_gemm(), PARAMS)

@@ -52,6 +52,18 @@ def _hammer_cache(path, worker_id, writes, barrier):
     backend.close()
 
 
+def _open_fresh_caches(paths, barrier):
+    """Subprocess body: open each new cache file in step with a sibling
+    process doing the same, as pool workers do on their first start."""
+    for path in paths:
+        barrier.wait(timeout=60)
+        try:
+            SQLiteCacheBackend(path).close()
+        except Exception:
+            barrier.abort()  # fail the sibling now, not at its timeout
+            raise
+
+
 class TestCrossProcessCache:
     def test_wal_mode_and_busy_timeout_are_active(self, tmp_path):
         backend = SQLiteCacheBackend(str(tmp_path / "cache.sqlite"))
@@ -61,6 +73,27 @@ class TestCrossProcessCache:
         assert timeout == 5000
         assert backend.stats.to_dict()["busy_retries"] == 0
         backend.close()
+
+    def test_processes_opening_one_new_file_at_once_all_succeed(self, tmp_path):
+        """Switching a new file to WAL is reported busy at once, without the
+        busy timeout; a backend must retry it rather than fail its worker's
+        session build."""
+        paths = [str(tmp_path / f"new-{index}.sqlite") for index in range(20)]
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(2)
+        processes = [context.Process(target=_open_fresh_caches,
+                                     args=(paths, barrier))
+                     for _ in range(2)]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=120)
+            assert process.exitcode == 0
+        for path in paths:
+            backend = SQLiteCacheBackend(path)
+            assert backend._conn.execute(
+                "PRAGMA journal_mode").fetchone()[0] == "wal"
+            backend.close()
 
     def test_two_processes_write_and_read_one_cache(self, tmp_path):
         """The acceptance scenario: concurrent writers on one SQLite file,

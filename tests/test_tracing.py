@@ -1,20 +1,17 @@
-"""Tests for end-to-end request tracing, SLO alert rules, and the push
-exporter: tracer core semantics, cross-process span propagation through a
-real 2-worker pool, the /v1/traces and /alerts endpoints, and the
-trace-dump CLI exporters."""
+"""Tests for end-to-end request tracing and SLO alert rules: tracer core
+semantics, cross-process span propagation through a real 2-worker pool,
+the /v1/traces and /alerts endpoints, and the trace-dump CLI exporters."""
 
 import collections
 import json
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from helpers import fast_session
 
 from repro.api import ScheduleRequest, SearchConfig, Session
 from repro.observability import (AlertEvaluator, AlertRule, MetricsRegistry,
-                                 PushExporter, Tracer, chrome_trace_document,
+                                 Tracer, chrome_trace_document,
                                  current_trace_id, default_alert_rules,
                                  register_process_metrics, span,
                                  traces_to_jsonl)
@@ -298,116 +295,6 @@ class TestAlertEvaluator:
         assert "queue-depth-saturation" not in unbounded
 
 
-# -- push exporter ------------------------------------------------------------------
-
-class _Sink:
-    """Stdlib HTTP sink recording every POST; fails the first N of them."""
-
-    def __init__(self, fail_first=0):
-        self.bodies = []
-        sink = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0))
-                raw = self.rfile.read(length)
-                status = 500 if len(sink.bodies) < fail_first else 200
-                sink.bodies.append(json.loads(raw))
-                reply = b"{}"
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(reply)))
-                self.end_headers()
-                self.wfile.write(reply)
-
-            def log_message(self, *args):
-                pass
-
-        self.server = HTTPServer(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self.server.server_port}/push"
-        self._thread = threading.Thread(target=self.server.serve_forever,
-                                        daemon=True)
-        self._thread.start()
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-
-
-@pytest.fixture
-def metric_values():
-    registry = MetricsRegistry()
-
-    def values(name):
-        entry = registry.to_dict().get(name, {"series": []})
-        return {tuple(series["labels"]): series["value"]
-                for series in entry["series"]}
-
-    return registry, values
-
-
-class TestPushExporter:
-    def test_delivers_after_a_failed_first_attempt(self, metric_values):
-        registry, values = metric_values
-        sink = _Sink(fail_first=1)
-        try:
-            exporter = PushExporter(sink.url, lambda: {"node": "n1"},
-                                    backoff_s=0.01, metrics=registry)
-            assert exporter.push_once()
-        finally:
-            sink.close()
-        assert len(sink.bodies) == 2  # one 500, one 200
-        assert sink.bodies[-1] == {"node": "n1"}
-        assert values("repro_push_attempts_total") == {
-            ("error",): 1.0, ("ok",): 1.0}
-        assert values("repro_push_total") == {("ok",): 1.0}
-        assert values(
-            "repro_push_last_success_timestamp_seconds")[()] > 0
-
-    def test_gives_up_after_max_attempts(self, metric_values):
-        registry, values = metric_values
-        sink = _Sink(fail_first=10)
-        try:
-            exporter = PushExporter(sink.url, dict, max_attempts=2,
-                                    backoff_s=0.01, metrics=registry)
-            assert not exporter.push_once()
-        finally:
-            sink.close()
-        assert len(sink.bodies) == 2
-        assert values("repro_push_attempts_total") == {("error",): 2.0}
-        assert values("repro_push_total") == {("error",): 1.0}
-
-    def test_unreachable_sink_never_raises(self):
-        exporter = PushExporter("http://127.0.0.1:9/push", dict,
-                                max_attempts=1, backoff_s=0.0)
-        assert not exporter.push_once()
-
-    def test_broken_payload_is_counted_not_raised(self, metric_values):
-        registry, values = metric_values
-
-        def explode():
-            raise ValueError("no payload today")
-
-        exporter = PushExporter("http://127.0.0.1:9/push", explode,
-                                metrics=registry)
-        assert not exporter.push_once()
-        assert values("repro_push_total") == {("payload-error",): 1.0}
-
-    def test_background_loop_pushes_until_stopped(self):
-        sink = _Sink()
-        try:
-            exporter = PushExporter(sink.url, lambda: {"tick": True},
-                                    interval_s=0.02)
-            exporter.start()
-            deadline = time.time() + 5.0
-            while len(sink.bodies) < 2 and time.time() < deadline:
-                time.sleep(0.01)
-            exporter.stop()
-        finally:
-            sink.close()
-        assert len(sink.bodies) >= 2
-
-
 # -- session + service tracing ------------------------------------------------------
 
 class TestSessionTracing:
@@ -648,18 +535,6 @@ class TestHttpTracing:
                  in capsys.readouterr().out.splitlines() if line.strip()]
         assert len(lines) >= 6
         assert len({line["trace_id"] for line in lines}) == 1
-
-    def test_latency_histogram_links_slow_traces_as_exemplars(self, served):
-        session, _, client, _ = served
-        response = client.schedule("gemm:a")
-        entry = session.metrics.to_dict()["repro_request_latency_seconds"]
-        exemplars = {}
-        for series in entry["series"]:
-            exemplars.update(series.get("exemplars", {}))
-        assert response.trace_id in \
-            {e["trace_id"] for e in exemplars.values()}
-        # Exemplars stay out of the Prometheus text exposition.
-        assert "exemplar" not in client.metrics()
 
 
 # -- cross-process propagation ------------------------------------------------------
