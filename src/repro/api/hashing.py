@@ -85,8 +85,8 @@ def fingerprint(value: Any) -> str:
 def program_content_hash(program: Program, extra: Optional[Any] = None) -> str:
     """SHA-256 content hash of a program (plus optional extra key material).
 
-    Hashes the exact bytes :func:`program_content_hash_reference` hashes, but
-    assembles them from the IR's memoized canonical fragments
+    Hashes the bytes the reference in ``tests/test_hash_consing.py`` hashes,
+    but assembles them from the IR's memoized canonical fragments
     (:mod:`repro.ir.canonical`) instead of re-walking the tree, so repeat
     hashes of a warm program cost only the program-level join.
     """
@@ -98,21 +98,6 @@ def program_content_hash(program: Program, extra: Optional[Any] = None) -> str:
         # payload is byte-identical to the reference json.dumps of the dict.
         text = '{"extra": %s, "program": %s}' % (
             json.dumps(_stable_value(extra), sort_keys=True), body)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def program_content_hash_reference(program: Program,
-                                   extra: Optional[Any] = None) -> str:
-    """Reference implementation of :func:`program_content_hash`.
-
-    Re-serializes the whole program per call (``program_to_dict`` +
-    ``json.dumps``).  Kept as the executable specification the memoized fast
-    path is fuzz-tested against (``tests/test_hash_consing.py``).
-    """
-    payload = {"program": canonical_program_dict(program)}
-    if extra is not None:
-        payload["extra"] = _stable_value(extra)
-    text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -7,12 +7,70 @@ demo, the smoke test, and the benchmark all drive traffic through it.
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
+import time
 from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from urllib.parse import urlsplit
 
 from ..api.types import ProgramLike, ScheduleRequest, ScheduleResponse
+
+#: Longest message head, most header lines and largest body (16 MiB) read.
+MAX_HEAD_BYTES, MAX_HEADERS, MAX_BODY_BYTES = 65536, 100, 16 * 1024 * 1024
+
+
+class MessageError(ValueError):
+    """A malformed HTTP message; a server answers it with ``status``."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def read_message(sock: socket.socket, buffer: bytearray,
+                 timeout: Optional[float] = None
+                 ) -> Tuple[str, Dict[str, str], bytearray]:
+    """Read one HTTP/1.x message off ``sock``: ``(start line, fields lower-
+    cased whole, body)``; ``buffer`` holds bytes received but not yet read.
+    Given a ``timeout``, the message must be whole that long after its first
+    byte.  ``Expect: 100-continue`` is answered before the body is read."""
+    deadline = None  # set by the first byte received
+
+    def receive() -> None:
+        nonlocal deadline
+        if timeout:  # until the first byte, the whole timeout
+            wait = timeout if deadline is None else deadline - time.monotonic()
+            if wait <= 0:
+                raise socket.timeout("message not whole within its timeout")
+            sock.settimeout(wait)
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionResetError("connection closed by the peer")
+        buffer.extend(chunk)
+        if deadline is None and timeout:
+            deadline = time.monotonic() + timeout
+
+    while (end := buffer.find(b"\r\n\r\n")) < 0 and len(buffer) <= MAX_HEAD_BYTES:
+        receive()
+    head = (buffer[:end] if end >= 0 else buffer).decode("latin-1")
+    start_line, *fields = head.split("\r\n")
+    if len(head) > MAX_HEAD_BYTES or len(fields) > MAX_HEADERS:
+        raise MessageError(414 if len(start_line) > MAX_HEAD_BYTES else 431,
+                           "message head too long")
+    if not all(":" in field for field in fields):
+        raise MessageError(400, f"bad header block {head[:200]!r}")
+    headers = dict(field.lower().split(":", 1) for field in fields)
+    length = headers.get("content-length", "0").strip()
+    if not length.isdecimal() or int(length) > MAX_BODY_BYTES:
+        raise MessageError(400, "malformed or oversized Content-Length")
+    stop = end + 4 + int(length)
+    if len(buffer) < stop and "100-continue" in headers.get("expect", ""):
+        sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+    while len(buffer) < stop:
+        receive()
+    body, buffer[:stop] = buffer[end + 4:stop], b""
+    return start_line, headers, body
 
 
 class ServingError(RuntimeError):
@@ -30,8 +88,7 @@ def _decoded(status: int, text: str) -> Dict[str, Any]:
     except ValueError:
         if status == 200:
             raise
-        reason = http.client.responses.get(status, "")
-        return {"error": f"HTTP Error {status}: {reason}"}
+        return {"error": f"HTTP Error {status}: {text[:200]}"}
 
 
 class ServingClient:
@@ -45,7 +102,10 @@ class ServingClient:
     def __init__(self, base_url: str, timeout: float = 60.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self._idle: List[http.client.HTTPConnection] = []
+        self._idle: List[socket.socket] = []
+        location = urlsplit("//" + self.base_url.split("://", 1)[-1])
+        self._address = (location.hostname, location.port or 80)
+        self._host, self._prefix = location.netloc, location.path
 
     def __enter__(self) -> "ServingClient":
         return self
@@ -63,33 +123,45 @@ class ServingClient:
     def _exchange(self, method: str, path: str,
                   body: Optional[Dict[str, Any]] = None) -> Tuple[int, str]:
         """One HTTP exchange, ``(status, reply text)`` — the one function
-        that touches a socket.  The server closes connections idle for 30 s,
-        so a reused one may be stale: when it fails before any byte of a
-        reply, the exchange is retried once, on a fresh connection."""
-        data = json.dumps(body).encode("utf-8") if body is not None else None
-        headers = {"Content-Type": "application/json"} if data else {}
-        netloc, slash, prefix = self.base_url.split("://", 1)[-1].partition("/")
+        that touches a socket; the request is one send.  The server closes
+        connections idle for 30 s, so a reused one may be stale: when it
+        fails before any byte of a reply, the exchange is retried once, on
+        a fresh connection."""
+        data = json.dumps(body).encode("utf-8") if body is not None else b""
+        fields = (f"Content-Type: application/json\r\n"
+                  f"Content-Length: {len(data)}\r\n" if data else "")
+        message = (f"{method} {self._prefix}{path} HTTP/1.1\r\nHost: "
+                   f"{self._host}\r\n{fields}\r\n").encode("latin-1") + data
         try:
-            connection = self._idle.pop()
+            connection, reused = self._idle.pop(), True
         except IndexError:
-            connection = http.client.HTTPConnection(netloc,
-                                                    timeout=self.timeout)
+            connection, reused = None, False
         while True:
-            # request() connects, with TCP_NODELAY, when there is no socket.
-            reused, reply = connection.sock is not None, None
+            if connection is None:
+                connection = socket.create_connection(self._address,
+                                                      self.timeout)
+                connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            unread = bytearray()
             try:
-                connection.request(method, slash + prefix + path, data, headers)
-                reply = connection.getresponse()
-                raw = reply.read()
-            except (OSError, http.client.HTTPException) as error:
+                connection.sendall(message)
+                start_line, headers, raw = read_message(connection, unread)
+                if start_line[:7] != "HTTP/1." or "content-length" not in headers:
+                    raise ValueError(f"not an HTTP/1.x reply with a "
+                                     f"Content-Length: {start_line!r}")
+                status, text = int(start_line[9:12]), raw.decode("utf-8")
+            except (OSError, ValueError) as error:
                 connection.close()
-                if reused and reply is None and isinstance(error,
-                                                           ConnectionError):
+                if reused and not unread and isinstance(error, ConnectionError):
+                    connection, reused = None, False
                     continue
                 raise
-            # Without its socket after a "Connection: close" reply.
-            self._idle.append(connection)
-            return reply.status, raw.decode("utf-8")
+            said = headers.get("connection", "").strip()
+            if said == "close" or unread or (start_line[:8] == "HTTP/1.0"
+                                             and said != "keep-alive"):
+                connection.close()
+            else:
+                self._idle.append(connection)
+            return status, text
 
     def request(self, method: str, path: str,
                 body: Optional[Dict[str, Any]] = None

@@ -31,10 +31,10 @@ Schedule traffic can additionally be written to a **structured access log**
 priority, client identity, queue wait, total duration, outcome, and whether
 the response-cache fast lane served it.
 
-The handler threads of :class:`ThreadingHTTPServer` serve response-cache hits
-themselves and block on the :class:`~repro.serving.service.ServiceRunner` only
-on a miss; its event loop performs the actual micro-batching, so concurrent
-misses translate directly into batch formation and coalescing.
+Each handler thread reads one kept-alive connection, answers response-cache
+hits itself and blocks on the :class:`~repro.serving.service.ServiceRunner`
+only on a miss; its event loop performs the actual micro-batching, so
+concurrent misses translate directly into batch formation and coalescing.
 """
 
 from __future__ import annotations
@@ -45,10 +45,12 @@ import itertools
 import json
 import math
 import socket
+import socketserver
+import sys
 import threading
 import time
 import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import TYPE_CHECKING, Any, Dict, IO, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
@@ -58,6 +60,7 @@ from ..ir.nodes import Program
 from ..observability import (AlertEvaluator, AlertMonitor,
                              default_alert_rules, merge_registry_dicts,
                              render_registry_dict)
+from .client import MAX_BODY_BYTES, MessageError, read_message
 from .service import AdmissionError, ServiceConfig, ServiceRunner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,13 +69,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-#: Largest accepted request body (16 MiB guards against runaway programs).
-MAX_BODY_BYTES = 16 * 1024 * 1024
-
 #: Largest accepted ``threads`` value.  Session caches one scheduler and
 #: cost model per distinct thread count, so an unbounded client-supplied
 #: value would grow server memory without limit.
 MAX_REQUEST_THREADS = 256
+
+
+class _TCPServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = daemon_threads = True
 
 
 class JsonAccessLog:
@@ -158,7 +162,7 @@ class ServingServer:
         self._id_sequence = itertools.count(1)
         handler = _make_handler(self)
         try:
-            self._httpd = ThreadingHTTPServer((host, port), handler)
+            self._httpd = _TCPServer((host, port), handler)
         except Exception:
             # Binding can fail (port in use); don't leak the opened log
             # handle — stop() never runs for a half-constructed server.
@@ -435,25 +439,55 @@ class ServingServer:
 
 
 def _make_handler(server: ServingServer):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        server_version = "repro-serving/0.1"
-        #: Socket timeout (applied by StreamRequestHandler.setup): a client
-        #: that under-sends its declared body must not pin a handler thread
-        #: forever (slowloris).
+    class Handler(socketserver.StreamRequestHandler):
+        server_version = "repro-serving/0.1 Python/" + sys.version.split()[0]
+        #: Seconds an idle kept connection stays open, and seconds a request
+        #: has from its first byte to its last (slow-loris: a trickled head
+        #: or an under-sent body must not pin a handler thread).
         timeout = 30
         disable_nagle_algorithm = True  # TCP_NODELAY; see _reply
 
         def handle(self) -> None:
             server._connections.add(self.connection)
-            try:
-                if not server._closed:  # stop() may have swept already
-                    super().handle()
+            self._buffer = bytearray()  # received, not yet read
+            try:  # stop() may have swept already
+                while not server._closed and self._read_request():
+                    (self.do_GET if self.command == "GET" else self.do_POST)()
+                    if self.close_connection:
+                        break
             finally:
                 server._connections.discard(self.connection)
 
-        def log_message(self, format: str, *args: Any) -> None:
-            pass  # quiet by default; traffic is visible through /v1/report
+        def _reject(self, status: int, message: str) -> bool:
+            self._reply(status, {"error": message}, close=True)
+            return False
+
+        def _read_request(self) -> bool:
+            """Read one request into ``command``, ``path`` and ``body``;
+            False when the connection ends first (answered, if it must be)."""
+            try:
+                request_line, headers, self.body = read_message(
+                    self.connection, self._buffer, self.timeout)
+            except MessageError as error:
+                return self._reject(error.status, str(error))
+            except socket.timeout:  # an idle connection closes quietly
+                if self._buffer:
+                    self._reject(408, "timed out reading the request")
+                return False
+            except OSError:  # EOF or a reset
+                return False
+            words = request_line.split()
+            if len(words) != 3 or not words[2].startswith("HTTP/"):
+                return self._reject(400, f"bad request line {request_line!r}")
+            self.command, self.path, version = words
+            if not version.startswith("HTTP/1."):
+                return self._reject(505, f"unsupported version {version!r}")
+            if self.command not in ("GET", "POST"):
+                return self._reject(501, f"unsupported method {words[0]!r}")
+            connection = headers.get("connection", "").strip()
+            self.close_connection = connection == "close" or (
+                version == "HTTP/1.0" and connection != "keep-alive")
+            return True
 
         def _reply(self, status: int, payload: "Dict[str, Any] | str",
                    close: bool = False,
@@ -461,10 +495,11 @@ def _make_handler(server: ServingServer):
             # A str payload is pre-encoded (the worker-pool fast path).
             body = (payload if isinstance(payload, str)
                     else json.dumps(payload)).encode("utf-8")
+            day, month, date, clock, year = time.asctime(time.gmtime()).split()
             head = [
-                f"{self.protocol_version} {status} {self.responses[status][0]}",
-                f"Server: {self.version_string()}",
-                f"Date: {self.date_time_string()}",
+                f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+                f"Server: {self.server_version}",
+                f"Date: {day}, {int(date):02d} {month} {year} {clock} GMT",
                 f"Content-Type: {content_type}",
                 f"Content-Length: {len(body)}"]
             if status == 429 and isinstance(payload, dict) \
@@ -475,9 +510,6 @@ def _make_handler(server: ServingServer):
                 head.append("Retry-After: %d"
                             % max(1, math.ceil(payload["retry_after_s"])))
             if close:
-                # The request body was not consumed: keeping the connection
-                # alive would desync HTTP/1.1 (unread bytes parse as the
-                # next request line).
                 head.append("Connection: close")
                 self.close_connection = True
             # One write per reply: a header/body split (or a buffered
@@ -491,7 +523,7 @@ def _make_handler(server: ServingServer):
             flag = query.get("workers", [""])[-1].strip().lower()
             return flag in ("1", "true", "yes", "on")
 
-        def do_GET(self) -> None:  # noqa: N802 - http.server API
+        def do_GET(self) -> None:  # noqa: N802 - named for its method
             parts = urlsplit(self.path)
             if parts.path == "/healthz":
                 self._reply(*server.handle_healthz())
@@ -520,33 +552,15 @@ def _make_handler(server: ServingServer):
             else:
                 self._reply(404, {"error": f"unknown path {self.path!r}"})
 
-        def do_POST(self) -> None:  # noqa: N802 - http.server API
+        def do_POST(self) -> None:  # noqa: N802 - named for its method
             if self.path != "/v1/schedule":
-                # The body stays unread on this branch too: close so the
-                # next keep-alive request does not parse body bytes.
-                self._reply(404, {"error": f"unknown path {self.path!r}"},
-                            close=True)
+                self._reject(404, f"unknown path {self.path!r}")
+                return
+            if not self.body:
+                self._reject(400, "missing request body")
                 return
             try:
-                length = int(self.headers.get("Content-Length") or 0)
-            except ValueError:
-                self._reply(400, {"error": "malformed Content-Length header"},
-                            close=True)
-                return
-            if length <= 0 or length > MAX_BODY_BYTES:
-                self._reply(400, {"error": "missing or oversized request body"},
-                            close=True)
-                return
-            try:
-                raw = self.rfile.read(length)
-            except (TimeoutError, OSError):
-                # The client declared more body than it sent within the
-                # socket timeout.
-                self._reply(408, {"error": "timed out reading request body"},
-                            close=True)
-                return
-            try:
-                body = json.loads(raw.decode("utf-8"))
+                body = json.loads(self.body.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as error:
                 self._reply(400, {"error": f"invalid JSON body: {error}"})
                 return

@@ -9,15 +9,31 @@ every registered normalization pipeline has mutated them in place (the
 mutation seams must have invalidated exactly the right fragments).
 """
 
+import hashlib
 import json
 
 import pytest
 
-from repro.api.hashing import (canonical_program_dict, program_content_hash,
-                               program_content_hash_reference)
+from repro.api.hashing import (_stable_value, canonical_program_dict,
+                               program_content_hash)
 from repro.fuzz import generate_program
 from repro.ir.canonical import canonical_program_json
 from repro.passes import get_pipeline, pipeline_names
+
+
+def program_content_hash_reference(program, extra=None) -> str:
+    """The reference implementation of ``program_content_hash``.
+
+    Re-serializes the whole program per call (``program_to_dict`` +
+    ``json.dumps``): the executable specification the memoized fast path
+    is fuzz-tested against.
+    """
+    payload = {"program": canonical_program_dict(program)}
+    if extra is not None:
+        payload["extra"] = _stable_value(extra)
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 #: 100 deterministic fuzz programs (the satellite bar for this property).
 SEEDS = range(100)
