@@ -20,7 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.api import SearchConfig, Session
-from repro.serving import ServiceConfig, ServingClient, ServingServer
+from repro.serving import ServingClient, ServingServer
 
 COLD = ["gemm:a", "atax:a", "bicg:a", "mvt:a"]
 WARM = ["gemm:b", "atax:b", "bicg:b", "mvt:b", "gemm:a"]
@@ -50,7 +50,7 @@ def main():
         threads=args.threads, cache_path=args.cache,
         search=SearchConfig(population_size=8, epochs=1,
                             generations_per_epoch=2))
-    with ServingServer(session, config=ServiceConfig(batch_window_s=0.02)) as server:
+    with ServingServer(session) as server:
         client = ServingClient(server.address)
         print(f"serving on {server.address} "
               f"({client.health()['status']}, cache={'sqlite' if args.cache else 'memory'})\n")

@@ -109,7 +109,6 @@ def _format_pass_timings(report) -> str:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(max_batch_size=args.max_batch,
-                           batch_window_s=args.batch_window,
                            max_queue_depth=args.max_queue_depth,
                            max_client_inflight=args.max_client_inflight,
                            policy=args.policy,
@@ -272,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8422)
     serve.add_argument("--max-batch", type=int, default=16,
-                       help="largest micro-batch per schedule_batch call")
-    serve.add_argument("--batch-window", type=float, default=0.01,
-                       help="seconds the batcher waits for stragglers")
+                       help="most queued requests one schedule_batch call "
+                            "takes (the batcher dispatches what is queued; "
+                            "arrivals during a batch form the next one)")
     serve.add_argument("--workers", type=int, default=0,
                        help="serve through N worker processes sharing the "
                             "cache (0: schedule in-process)")

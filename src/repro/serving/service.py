@@ -14,11 +14,12 @@ request processor:
   it queues: a bounded queue depth and optional per-client in-flight limits
   reject excess requests with a typed :class:`AdmissionError` (the HTTP
   layer maps it to ``429 Too Many Requests`` with a retry hint).
-* **micro-batching** — the batcher collects up to
-  :attr:`ServiceConfig.max_batch_size` requests (waiting at most
-  :attr:`ServiceConfig.batch_window_s` for stragglers) and runs them through
-  :meth:`repro.api.Session.schedule_batch` in a worker thread — or scatters
-  them over a :class:`~repro.serving.workers.WorkerPool` when one is
+* **micro-batching** — the batcher dispatches what is queued: the most
+  urgent request plus every request already waiting behind it, up to
+  :attr:`ServiceConfig.max_batch_size`, with no window for stragglers —
+  arrivals during a batch form the next one.  A batch runs through
+  :meth:`repro.api.Session.schedule_batch` in a worker thread — or is
+  scattered over a :class:`~repro.serving.workers.WorkerPool` when one is
   attached — so one cache and one tuning database serve the whole batch.
 * **response fast lane** — on the caller's thread, before the loop, the
   service reads the session's response-level cache
@@ -67,12 +68,14 @@ _NOT_RUNNING = "service is not running; call start() first"
 
 @dataclass
 class ServiceConfig:
-    """Tunables of the async scheduling service."""
+    """Tunables of the async scheduling service.
+
+    The batcher has no timer: it dispatches what is queued when it is free,
+    so batches grow only while requests arrive faster than batches run.
+    """
 
     #: Largest batch handed to ``Session.schedule_batch`` at once.
     max_batch_size: int = 16
-    #: How long the batcher waits for more requests after the first arrives.
-    batch_window_s: float = 0.01
     #: Thread-pool width of each ``schedule_batch`` call (None: session default).
     max_workers: Optional[int] = None
     #: Most requests allowed in the service queue before load shedding
@@ -305,8 +308,8 @@ class SchedulingService:
             lambda priority: latency.labels(str(priority)))
         self._phase_histogram = self.metrics.histogram(
             "repro_request_phase_seconds",
-            "Time spent per serving phase (queue wait, batch formation, "
-            "schedule execution).", ("phase",))
+            "Time spent per serving phase (queue wait, schedule "
+            "execution).", ("phase",))
         #: The queue-ordering policy.  Raises PolicyError for unknown names
         #: at construction, not at first request.
         self.policy = create_policy(self.config.policy)
@@ -462,7 +465,7 @@ class SchedulingService:
             if root is not None:
                 tracer.record(root.trace_id, root.span_id,
                               "service.admission", admit_wall, time.time())
-                # Child spans of every downstream layer (queue, batch,
+                # Child spans of every downstream layer (queue, schedule,
                 # session, worker) attach under this root via the request:
                 # the service's own shallow copy, so the caller's object is
                 # never written to (a reused one would carry a stale id).
@@ -599,40 +602,33 @@ class SchedulingService:
 
     # -- the batcher -------------------------------------------------------------
 
-    async def _next_pending(self) -> _Pending:
-        """Pop the most urgent unclaimed request (skipping stale duplicate
-        entries left behind by rider re-prioritization)."""
-        while True:
-            sort_key, _, pending = await self._queue.get()
+    async def _collect_batch(self) -> List[_Pending]:
+        """Claim the most urgent request, waiting for one if none is queued,
+        then every request already queued behind it in policy order, up to
+        ``max_batch_size``.  Nothing waits for stragglers: requests that
+        arrive while a batch runs form the next one."""
+        queue = self._queue
+        loop = asyncio.get_running_loop()
+        batch: List[_Pending] = []
+        # ``get`` suspends only on an empty queue, so once the batch holds a
+        # request the drain claims what is queued without yielding.
+        while len(batch) < self.config.max_batch_size \
+                and not (batch and queue.empty()):
+            sort_key, _, pending = await queue.get()
             if pending.claimed:
+                # A stale duplicate left behind by rider re-prioritization:
+                # its live twin's better key already was or will be served.
                 self._stale_entries -= 1
-                self._update_queue_gauge()
                 continue
             # Stateful policies advance on entry into service (weighted-fair
             # moves its global virtual clock to the served key, which floors
-            # idle classes' next keys).  Stale pops are skipped above — the
-            # live duplicate's better key already was or will be served.
+            # idle classes' next keys).
             self.policy.on_dequeue(sort_key)
             pending.claimed = True
-            pending.claimed_at = asyncio.get_running_loop().time()
+            pending.claimed_at = loop.time()
             pending.claimed_wall = time.time()
-            self._update_queue_gauge()
-            return pending
-
-    async def _collect_batch(self) -> List[_Pending]:
-        """Drain up to ``max_batch_size`` requests in priority order."""
-        batch = [await self._next_pending()]
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.batch_window_s
-        while len(batch) < self.config.max_batch_size:
-            timeout = deadline - loop.time()
-            if timeout <= 0:
-                break
-            try:
-                batch.append(await asyncio.wait_for(
-                    self._next_pending(), timeout))
-            except asyncio.TimeoutError:
-                break
+            batch.append(pending)
+        self._update_queue_gauge()
         return batch
 
     async def _run(self) -> None:
@@ -648,8 +644,6 @@ class SchedulingService:
             for pending in batch:
                 self._phase_histogram.labels("queue").observe(
                     max(0.0, pending.claimed_at - pending.enqueued_at))
-                self._phase_histogram.labels("batch").observe(
-                    max(0.0, dispatched_at - pending.claimed_at))
                 context = getattr(pending.request, "trace", None)
                 if tracer is None or not tracer.enabled or not context:
                     continue
@@ -658,9 +652,6 @@ class SchedulingService:
                 tracer.record(trace_id, parent_id, "service.queue",
                               pending.enqueued_wall, pending.claimed_wall,
                               {"priority": pending.best_priority})
-                tracer.record(trace_id, parent_id, "service.batch",
-                              pending.claimed_wall, dispatched_wall,
-                              {"batch_size": len(batch)})
                 # The schedule span becomes the parent of everything the
                 # executing side records (session, passes, cache, search) —
                 # including worker-process spans, which rejoin through the

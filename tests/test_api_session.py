@@ -195,12 +195,12 @@ class TestSingleResponseType:
     """One ``ScheduleResponse``, field-backed or JSON-text-backed."""
 
     def test_json_round_trips_cold_cached_and_coalesced_responses(self):
-        from repro.serving import ServiceConfig, ServiceRunner
+        from repro.serving import ServiceRunner
 
         session = fast_session()
         cold = session.schedule("gemm:a")
         cached = session.schedule("gemm:a")
-        with ServiceRunner(session, ServiceConfig(batch_window_s=0.05)) as runner:
+        with ServiceRunner(session) as runner:
             leader, rider = runner.schedule_many(
                 [ScheduleRequest(program="atax:a") for _ in range(2)])
             assert runner.stats.coalesced == 1

@@ -275,7 +275,7 @@ def _reference_texts(programs):
 def test_eight_threads_through_one_runner_match_the_reference(fast_lane):
     reference = _reference_texts(WARM + COLD)
     session = fast_session()
-    config = ServiceConfig(fast_lane=fast_lane, batch_window_s=0.002)
+    config = ServiceConfig(fast_lane=fast_lane)
     results = [[] for _ in range(THREADS)]
     barrier = threading.Barrier(THREADS)
 

@@ -432,7 +432,7 @@ class TestMetricsOverHttp:
         """Satellite: drive every traffic class through the server and hold
         the ``/metrics`` scrape to the client-observed request mix."""
         session = fast_session()
-        config = ServiceConfig(max_batch_size=1, batch_window_s=0.01,
+        config = ServiceConfig(max_batch_size=1,
                                max_queue_depth=1, retry_after_s=0.05)
         with ServingServer(session, config=config) as server:
             client = ServingClient(server.address)

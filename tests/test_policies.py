@@ -19,9 +19,9 @@ from repro.scheduler.database import (DatabaseEntry, TuningDatabase,
                                       recipe_identity)
 from repro.scheduler.embedding import EMBEDDING_SIZE, PerformanceEmbedding
 from repro.serving import (PolicyError, SchedulingService, ServiceConfig,
-                           ServingClient, ServingServer, WorkerConfig,
-                           WorkerPool, create_policy, policy_names,
-                           request_fingerprint)
+                           ServiceRunner, ServingClient, ServingServer,
+                           WorkerConfig, WorkerPool, create_policy,
+                           policy_names, request_fingerprint)
 from repro.serving.cli import build_parser
 from repro.serving.policy import StrictPriorityPolicy, WeightedFairPolicy
 from repro.transforms.recipe import Recipe
@@ -73,7 +73,8 @@ class TestPolicyRegistry:
 
 @pytest.mark.parametrize("flags", [["--adaptive"], ["--aging-interval", "1"],
                                    ["--push-url", "http://x"],
-                                   ["--push-interval", "1"]],
+                                   ["--push-interval", "1"],
+                                   ["--batch-window", "0.01"]],
                          ids=lambda flags: flags[0])
 def test_removed_serve_flags_exit_with_a_usage_error(flags, capsys):
     with pytest.raises(SystemExit) as caught:
@@ -107,14 +108,15 @@ def test_serve_help_lists_no_removed_flag(capsys):
     usage = capsys.readouterr().out
     assert "--policy" in usage
     for flag in ("--adaptive", "--aging-interval", "--push-url",
-                 "--push-interval"):
+                 "--push-interval", "--batch-window"):
         assert flag not in usage
 
 
 @pytest.mark.parametrize("field,value", [("policy_weights", {9: 5.0}),
                                          ("aging_interval_s", 0.5),
                                          ("adaptive", True),
-                                         ("adaptive_interval_s", 1.0)])
+                                         ("adaptive_interval_s", 1.0),
+                                         ("batch_window_s", 0.01)])
 def test_removed_service_config_fields_are_rejected(field, value):
     with pytest.raises(TypeError, match=field):
         ServiceConfig(**{field: value})
@@ -212,7 +214,8 @@ def _stub_response(program):
 
 
 class _StubSession:
-    """Session stand-in recording the order requests reach the executor.
+    """Session stand-in recording the order requests reach the executor and
+    the size of each batch.
 
     The "gate" request blocks until released, pinning the batcher while a
     test stacks the queue; everything behind the gate then drains in the
@@ -221,10 +224,12 @@ class _StubSession:
 
     def __init__(self):
         self.order = []
+        self.batches = []
         self.gate = threading.Event()
 
     def schedule_batch(self, requests, max_workers=None,
                        return_exceptions=False):
+        self.batches.append(len(requests))
         responses = []
         for request in requests:
             if request.program == "gate":
@@ -270,15 +275,14 @@ class TestWeightedFairDrainOrder:
 
     def test_urgent_burst_does_not_starve_the_low_class(self):
         order = _drive(
-            ServiceConfig(max_batch_size=1, batch_window_s=0.0,
-                          policy="weighted-fair"), self.MIX)
+            ServiceConfig(max_batch_size=1, policy="weighted-fair"), self.MIX)
         # The burst mostly goes first (it holds 10x the weight), but the
         # starved class is interleaved, not parked behind the whole burst.
         assert order.index("starved-1") < order.index("bulk-12")
 
     def test_strict_priority_parks_the_low_class_behind_the_burst(self):
         order = _drive(
-            ServiceConfig(max_batch_size=1, batch_window_s=0.0,
+            ServiceConfig(max_batch_size=1,
                           policy="strict-priority"), self.MIX)
         assert order[-2:] == ["starved-1", "starved-2"]
 
@@ -290,8 +294,7 @@ class TestWeightedFairDrainOrder:
                for i in range(1, 21)
                for name, priority in (("urgent", 0), ("normal", 4))]
         order = _drive(
-            ServiceConfig(max_batch_size=1, batch_window_s=0.0,
-                          policy="weighted-fair"), mix)
+            ServiceConfig(max_batch_size=1, policy="weighted-fair"), mix)
         before = order[:order.index("urgent-20")]
         assert 11 <= sum(name.startswith("normal") for name in before) <= 12
 
@@ -302,8 +305,7 @@ class TestDrainOrder:
         mix = [ScheduleRequest(program=f"{name}-{i}", priority=priority)
                for i in range(1, 4)
                for name, priority in (("high", 2), ("low", 7))]
-        order = _drive(ServiceConfig(max_batch_size=1, batch_window_s=0.0,
-                                     policy=policy), mix)
+        order = _drive(ServiceConfig(max_batch_size=1, policy=policy), mix)
         assert sorted(order) == sorted(request.program for request in mix)
         for name in ("high", "low"):
             assert [program for program in order if program.startswith(name)] \
@@ -314,14 +316,71 @@ class TestDrainOrder:
                for program, priority in (("five-1", 5), ("zero-1", 0),
                                          ("nine-1", 9), ("zero-2", 0),
                                          ("five-2", 5))]
-        order = _drive(ServiceConfig(max_batch_size=1, batch_window_s=0.0,
+        order = _drive(ServiceConfig(max_batch_size=1,
                                      policy="strict-priority"), mix)
         assert order == ["zero-1", "zero-2", "five-1", "five-2", "nine-1"]
 
 
+class TestBatcherTakesWhatIsQueued:
+    """The batcher dispatches what is queued and waits for nothing else."""
+
+    def test_sequential_slow_lane_requests_arm_no_timer(self):
+        session = _StubSession()
+        with ServiceRunner(session) as runner:
+            loop = runner._loop
+            armed = []
+            call_at = loop.call_at
+
+            def counting_call_at(when, callback, *args, **kwargs):
+                armed.append(callback)
+                return call_at(when, callback, *args, **kwargs)
+
+            loop.call_at = counting_call_at
+            for index in range(20):
+                runner.schedule(ScheduleRequest(program=f"p-{index}"))
+            timers = len(armed)
+        assert runner.stats.batches == 20 and session.batches == [1] * 20
+        assert timers == 0
+
+    @pytest.mark.parametrize("max_batch_size,batches",
+                             [(16, [1, 10]), (3, [1, 3, 3, 3, 1])])
+    def test_queued_requests_go_out_together_in_priority_order(
+            self, max_batch_size, batches):
+        mix = [ScheduleRequest(program=f"{name}-{i}", priority=priority)
+               for i in range(1, 4)
+               for name, priority in (("low", 7), ("high", 2), ("mid", 5))]
+        mix.append(ScheduleRequest(program="high-4", priority=2))
+        session = _StubSession()
+        run(_drain(SchedulingService(
+            session, ServiceConfig(max_batch_size=max_batch_size)), mix))
+        assert session.batches == batches
+        assert session.order == ["gate", "high-1", "high-2", "high-3",
+                                 "high-4", "mid-1", "mid-2", "mid-3",
+                                 "low-1", "low-2", "low-3"]
+
+    @pytest.mark.parametrize("max_batch_size", [16, 1])
+    def test_a_stale_rider_entry_is_never_dispatched_twice(self,
+                                                          max_batch_size):
+        # The urgent rider re-enqueues its queued priority-9 leader at its
+        # own key, which leaves the leader's first entry stale.
+        requests = ([ScheduleRequest(program="dup", priority=9)]
+                    + [ScheduleRequest(program=f"other-{i}", priority=5)
+                       for i in range(1, 4)]
+                    + [ScheduleRequest(program="dup", priority=0)])
+        session = _StubSession()
+        service = SchedulingService(
+            session, ServiceConfig(max_batch_size=max_batch_size))
+        run(_drain(service, requests))
+        assert session.order == ["gate", "dup", "other-1", "other-2",
+                                 "other-3"]
+        assert sum(session.batches) == 5
+        assert service.stats.coalesced == 1
+        assert service._stale_entries == 0
+
+
 def test_weighted_fair_server_serves_and_reports_its_policy():
     session = fast_session()
-    config = ServiceConfig(batch_window_s=0.01, policy="weighted-fair")
+    config = ServiceConfig(policy="weighted-fair")
     try:
         with ServingServer(session, config=config) as server:
             client = ServingClient(server.address)
@@ -344,7 +403,7 @@ class TestRetryAfterRounding:
         must ceil so the hint never undercuts the configured backoff and
         never tells clients to retry immediately."""
         session = fast_session()
-        config = ServiceConfig(max_batch_size=1, batch_window_s=0.01,
+        config = ServiceConfig(max_batch_size=1,
                                max_client_inflight=1, retry_after_s=hint)
         with ServingServer(session, config=config) as server:
             statuses = []

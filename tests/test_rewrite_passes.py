@@ -32,8 +32,7 @@ from repro.ir import ProgramBuilder
 from repro.normalization import normalize
 from repro.passes import (PassResult, PassStats, pipeline_bit_exact,
                           program_fingerprint)
-from repro.serving import (ServiceConfig, ServingClient, ServingServer,
-                           merge_worker_reports)
+from repro.serving import ServingClient, ServingServer, merge_worker_reports
 from repro.workloads import benchmark
 
 REWRITE_PIPELINES = ("rewrite", "rewrite-licm-only", "rewrite-cse-only",
@@ -311,8 +310,7 @@ class TestHttpReportRewriteCounters:
 
     def test_v1_report_exposes_rewrite_counters(self):
         session = fast_session()
-        with ServingServer(session,
-                           config=ServiceConfig(batch_window_s=0.02)) as server:
+        with ServingServer(session) as server:
             client = ServingClient(server.address)
             status, _ = client.request(
                 "POST", "/v1/schedule",
@@ -338,7 +336,6 @@ class TestHttpReportRewriteCounters:
         session = fast_session()
         with WorkerPool(2, config) as pool:
             with ServingServer(session,
-                               config=ServiceConfig(batch_window_s=0.005),
                                pool=pool) as server:
                 client = ServingClient(server.address)
                 client.schedule("fem-rhs:a")

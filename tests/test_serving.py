@@ -58,8 +58,7 @@ class TestSchedulingService:
         session = fast_session()
 
         async def fire():
-            service = SchedulingService(
-                session, ServiceConfig(batch_window_s=0.05))
+            service = SchedulingService(session)
             await service.start()
             try:
                 return await asyncio.gather(
@@ -81,8 +80,7 @@ class TestSchedulingService:
         session = fast_session()
 
         async def fire():
-            service = SchedulingService(
-                session, ServiceConfig(batch_window_s=0.05))
+            service = SchedulingService(session)
             await service.start()
             try:
                 return await asyncio.gather(
@@ -100,7 +98,7 @@ class TestSchedulingService:
 
         async def fire():
             service = SchedulingService(
-                session, ServiceConfig(batch_window_s=0.2, max_batch_size=8))
+                session, ServiceConfig(max_batch_size=8))
             await service.start()
             try:
                 return await asyncio.gather(
@@ -154,7 +152,7 @@ class TestSchedulingService:
 
         async def fire():
             service = SchedulingService(
-                session, ServiceConfig(batch_window_s=0.2, max_batch_size=8))
+                session, ServiceConfig(max_batch_size=8))
             await service.start()
             try:
                 good, bad = await asyncio.gather(
@@ -205,7 +203,7 @@ class TestSchedulingService:
 class TestServiceRunner:
     def test_runner_context_schedules_from_plain_threads(self):
         session = fast_session()
-        with ServiceRunner(session, ServiceConfig(batch_window_s=0.02)) as runner:
+        with ServiceRunner(session) as runner:
             response = runner.schedule(ScheduleRequest(program="gemm:a"))
             assert response.runtime_s > 0
             repeat = runner.schedule(ScheduleRequest(program="gemm:a"))
@@ -214,7 +212,7 @@ class TestServiceRunner:
 
     def test_schedule_many_coalesces_duplicates(self):
         session = fast_session()
-        with ServiceRunner(session, ServiceConfig(batch_window_s=0.05)) as runner:
+        with ServiceRunner(session) as runner:
             requests = [ScheduleRequest(program="gemm:a") for _ in range(5)]
             requests += [ScheduleRequest(program="atax:a") for _ in range(5)]
             responses = runner.schedule_many(requests)

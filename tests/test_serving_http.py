@@ -7,14 +7,14 @@ from helpers import GEMM_PARAMS as PARAMS
 from helpers import build_gemm, fast_session
 
 from repro.api import ScheduleRequest, ScheduleResponse
-from repro.serving import ServiceConfig, ServingClient, ServingError, ServingServer
+from repro.serving import ServingClient, ServingError, ServingServer
 
 
 @pytest.fixture
 def served():
     """A server on an ephemeral port plus its client."""
     session = fast_session()
-    with ServingServer(session, config=ServiceConfig(batch_window_s=0.02)) as server:
+    with ServingServer(session) as server:
         yield session, server, ServingClient(server.address)
 
 
@@ -110,16 +110,17 @@ class TestEndpoints:
         assert full.canonical_hash != response.canonical_hash
 
     def test_duplicate_concurrent_http_requests_coalesce(self, served):
-        session, _, client = served
+        session, server, client = served
         with ThreadPoolExecutor(max_workers=6) as pool:
             responses = list(pool.map(
                 lambda _: client.schedule("atax:a"), range(6)))
         assert len({response.runtime_s for response in responses}) == 1
         report = session.report()
-        # One scheduler invocation total; everything else coalesced or hit
-        # the cache, depending on arrival timing.
+        # One scheduler invocation total; everything else coalesced, hit the
+        # schedule cache or took the fast lane, depending on arrival timing.
         assert report.schedule_cache_misses == 1
-        assert report.coalesced_requests + report.schedule_cache_hits == 5
+        assert report.coalesced_requests + report.schedule_cache_hits \
+            + server.runner.stats.fast_lane == 5
 
 
 class TestErrorHandling:

@@ -392,7 +392,7 @@ class TestPriorityOrdering:
 
         async def drive():
             service = SchedulingService(
-                session, ServiceConfig(max_batch_size=1, batch_window_s=0.0))
+                session, ServiceConfig(max_batch_size=1))
             await service.start()
             try:
                 gate_task = asyncio.ensure_future(service.schedule(
@@ -426,7 +426,7 @@ class TestPriorityOrdering:
 
         async def drive():
             service = SchedulingService(
-                session, ServiceConfig(max_batch_size=1, batch_window_s=0.0))
+                session, ServiceConfig(max_batch_size=1))
             await service.start()
             try:
                 gate_task = asyncio.ensure_future(service.schedule(
@@ -456,7 +456,7 @@ class TestPriorityOrdering:
 
         async def drive():
             service = SchedulingService(
-                session, ServiceConfig(max_batch_size=1, batch_window_s=0.0))
+                session, ServiceConfig(max_batch_size=1))
             await service.start()
             try:
                 gate_task = asyncio.ensure_future(service.schedule(
@@ -519,7 +519,7 @@ class TestAdmissionController:
 
         async def drive():
             service = SchedulingService(
-                session, ServiceConfig(max_batch_size=1, batch_window_s=0.0,
+                session, ServiceConfig(max_batch_size=1,
                                        max_client_inflight=1))
             await service.start()
             try:
@@ -549,7 +549,7 @@ class TestAdmissionOverHttp:
         """Flood a 1-deep queue with distinct cold requests: some must be
         shed as HTTP 429 with Retry-After, the rest succeed."""
         session = fast_session()
-        config = ServiceConfig(max_batch_size=1, batch_window_s=0.01,
+        config = ServiceConfig(max_batch_size=1,
                                max_queue_depth=1, retry_after_s=0.25)
         with ServingServer(session, config=config) as server:
             client = ServingClient(server.address)
@@ -578,8 +578,7 @@ class TestAdmissionOverHttp:
 
     def test_client_limit_returns_429_and_other_clients_pass(self):
         session = fast_session()
-        config = ServiceConfig(max_batch_size=1, batch_window_s=0.01,
-                               max_client_inflight=1)
+        config = ServiceConfig(max_batch_size=1, max_client_inflight=1)
         with ServingServer(session, config=config) as server:
             client = ServingClient(server.address)
 
@@ -606,7 +605,7 @@ class TestAdmissionOverHttp:
 
     def test_retry_after_header_is_sent(self):
         session = fast_session()
-        config = ServiceConfig(max_batch_size=1, batch_window_s=0.01,
+        config = ServiceConfig(max_batch_size=1,
                                max_client_inflight=1, retry_after_s=2.0)
         with ServingServer(session, config=config) as server:
             statuses = []
@@ -661,8 +660,7 @@ class TestPoolThroughService:
     def test_server_schedules_through_the_pool(self, shared_pool, tmp_path):
         pool, cache = shared_pool
         session = Session(threads=4)
-        config = ServiceConfig(batch_window_s=0.005)
-        with ServingServer(session, config=config, pool=pool) as server:
+        with ServingServer(session, pool=pool) as server:
             client = ServingClient(server.address)
             response = client.schedule("gemver:a", priority=0,
                                        client="test-suite")

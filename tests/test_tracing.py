@@ -336,7 +336,7 @@ class TestSessionTracing:
 
         session = fast_session(tracer=Tracer(sample_rate=0.25))
         request = ScheduleRequest(program="gemm:a")
-        with ServiceRunner(session, ServiceConfig(batch_window_s=0.01)) as runner:
+        with ServiceRunner(session) as runner:
             outcomes = [runner.schedule_timed(request) for _ in range(10)]
             assert request.trace is None
             assert runner.stats.fast_lane == 8
@@ -373,7 +373,7 @@ def served(tmp_path):
     """A traced server on an ephemeral port, with a JSON access log."""
     session = fast_session()
     log_path = tmp_path / "access.jsonl"
-    server = ServingServer(session, config=ServiceConfig(batch_window_s=0.02),
+    server = ServingServer(session, config=ServiceConfig(),
                            access_log=str(log_path))
     with server:
         yield session, server, ServingClient(server.address), log_path
@@ -399,7 +399,6 @@ class TestHttpTracing:
         session = fast_session(tracer=Tracer(sample_rate=0.25))
         log_path = tmp_path / "access.jsonl"
         server = ServingServer(session,
-                               config=ServiceConfig(batch_window_s=0.01),
                                access_log=str(log_path))
         with server, ServingClient(server.address) as client:
             replies = [client.schedule("gemm:a") for _ in range(8)]
@@ -448,15 +447,17 @@ class TestHttpTracing:
         response = client.schedule("gemm:a")
         record = client.trace(response.trace_id)
         assert record["span_count"] >= 6
-        names = {s["name"] for s in record["spans"]}
+        spans = {s["name"]: s for s in record["spans"]}
         assert {"request", "service.admission", "service.queue",
-                "service.batch", "service.schedule", "session.schedule",
-                "scheduler.search"} <= names
+                "service.schedule", "session.schedule",
+                "scheduler.search"} <= set(spans)
+        # No batch window: the claim-to-dispatch interval has no span.
+        assert "service.batch" not in spans
+        assert spans["service.schedule"]["attributes"]["batch_size"] == 1
         tree = record["tree"]
         assert len(tree) == 1 and tree[0]["name"] == "request"
         # Queue wait is a measured sub-interval, not a placeholder.
-        queued = next(s for s in record["spans"]
-                      if s["name"] == "service.queue")
+        queued = spans["service.queue"]
         assert queued["duration_s"] >= 0.0
         assert queued["attributes"]["priority"] == 5
 
@@ -481,7 +482,6 @@ class TestHttpTracing:
             window_s=300.0, short_window_s=60.0, objective=0.95,
             latency_slo_s=1e-9)
         server = ServingServer(session,
-                               config=ServiceConfig(batch_window_s=0.02),
                                alert_rules=[strict], alert_interval_s=60.0)
         with server:
             client = ServingClient(server.address)
@@ -503,7 +503,6 @@ class TestHttpTracing:
         session.tracer.enabled = False
         log_path = tmp_path / "access.jsonl"
         server = ServingServer(session,
-                               config=ServiceConfig(batch_window_s=0.02),
                                expose_traces=False,
                                access_log=str(log_path))
         with server:
@@ -551,9 +550,7 @@ class TestCrossProcessTracing:
     def test_one_request_yields_one_trace_spanning_both_processes(
             self, traced_pool):
         session = Session(threads=4)
-        config = ServiceConfig(batch_window_s=0.005)
-        with ServingServer(session, config=config,
-                           pool=traced_pool) as server:
+        with ServingServer(session, pool=traced_pool) as server:
             client = ServingClient(server.address)
             response = client.schedule("gemm:a")
             assert response.trace_id
