@@ -59,7 +59,8 @@ from .hashing import fingerprint, program_content_hash, request_fingerprint
 from .registry import (FRONTENDS, SCHEDULERS, RegistryError, create_scheduler,
                        scheduler_normalizes, scheduler_tunes)
 from .types import (ExecuteResponse, NormalizeResponse, ProgramLike,
-                    ScheduleRequest, ScheduleResponse, SessionReport)
+                    ScheduleRequest, ScheduleResponse, SessionReport,
+                    echo_span)
 
 #: Items accepted by :meth:`Session.schedule_batch`.
 BatchItem = Union[ScheduleRequest, ProgramLike,
@@ -517,24 +518,25 @@ class Session:
         ``normalization_cache_hit`` both set): those are exactly the
         responses a repeat of ``request`` through the slow path would
         reproduce byte for byte, so the fast lane can never serve bytes the
-        session itself would not.
+        session itself would not.  The stored parts are the response's own
+        text split around its echo (a text :func:`echo_span` cannot place
+        is not stored), without the trace id the server splices per request.
         """
-        data = response.to_dict()
-        if not (data.get("from_cache") and data.get("normalization_cache_hit")):
+        if not (response.from_cache and response.normalization_cache_hit):
             return
         key = self._response_key(request)
         if key is None:
             return
-        data.pop("trace_id", None)
-        keys = list(data)
-        split = keys.index("request")
-        head = json.dumps({name: data[name] for name in keys[:split]})
-        tail = json.dumps({name: data[name] for name in keys[split + 1:]})
-        # before + json.dumps(request.to_dict()) + after reproduces
-        # json.dumps(data) byte for byte, with the echo spliced per request.
-        before = head[:-1] + ', "request": '
-        after = ", " + tail[1:]
-        self.cache.store_response(key, ResponseEntry(before, after))
+        text = response.to_json()
+        span = echo_span(text)
+        if span is None:
+            return
+        start, end = span
+        after = text[end:]
+        cut = after.find(', "trace_id": ')
+        if cut >= 0:                  # the tail's last key, when present
+            after = after[:cut] + "}"
+        self.cache.store_response(key, ResponseEntry(text[:start], after))
 
     # -- batching ---------------------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..ir.nodes import Program
 from ..ir.serialization import program_from_dict, program_to_dict
@@ -133,14 +133,19 @@ class ScheduleResponse:
     scheduled), ``normalization_cache_hit`` when only the normalization was.
 
     A response is backed either by its fields (what a session constructs)
-    or by its JSON text (:meth:`from_json`: what the response fast lane and
-    the worker pool hand over).  The serving layers mostly shuttle response
-    bytes onward — the HTTP handler replies with exactly :meth:`to_json` —
-    so a text-backed response parses nothing until a *field* is read: the
-    first read parses the text and answers the scalar fields, ``request``
-    and the IR-bearing ``program`` / ``result`` are built from the retained
-    payload when they are read.  Its text stays the source of truth
-    for :meth:`to_json` / :meth:`to_dict`: treat it as read-only.
+    or by its JSON text (:meth:`from_json`: what the response fast lane, the
+    worker pool and the HTTP client hand over).  The serving layers mostly
+    shuttle response bytes onward — the HTTP handler replies with exactly
+    :meth:`to_json` — so a text-backed response parses nothing until a
+    *field* is read.  The first read of a scalar field decodes only what
+    sits outside the program: the head key ``scheduler`` and the tail after
+    the ``request`` echo (:func:`echo_span`), which answer all eight
+    scalars.  The first read of ``request``, ``program`` or ``result``
+    parses the whole text once; ``request`` and the IR-bearing ``program``
+    / ``result`` are built from that payload when they are read.  A text
+    in any other layout (compact separators, reordered keys) is parsed
+    whole on the first read of any field.  Its text stays the source of
+    truth for :meth:`to_json` / :meth:`to_dict`: treat it as read-only.
     """
 
     request: ScheduleRequest
@@ -177,8 +182,14 @@ class ScheduleResponse:
         state = self.__dict__
         data = state.get("_payload")
         if data is None:
+            scalars = (_text_scalars(text) if name not in _DECODED_FIELDS
+                       else None)
+            if scalars is not None:
+                state.update(scalars)
+                return state[name]
             data = state["_payload"] = json.loads(text)
-            state.update(_scalar_fields(data))
+            if "scheduler" not in state:      # not answered by the tail
+                state.update(_scalar_fields(data))
         if name == "request":
             state["request"] = ScheduleRequest.from_dict(data["request"])
         elif name in ("program", "result"):
@@ -240,6 +251,71 @@ def _scalar_fields(data: Mapping[str, Any]) -> Dict[str, Any]:
             data.get("normalization_cache_hit", False)),
         "trace_id": data.get("trace_id"),
     }
+
+
+#: The fields of a text-backed response that need the whole text parsed.
+_DECODED_FIELDS = frozenset(("request", "program", "result"))
+#: How ``json.dumps`` writes a response's head key, the key of its request
+#: echo (whose first key is always ``program``) and its tail's first key.
+_HEAD = '{"scheduler": "'
+_ECHO = ', "request": {"program": '
+_TAIL = '}, "runtime_s": '
+#: The keys of a tail, besides the optional ``trace_id``.
+_TAIL_KEYS = frozenset(("runtime_s", "normalized", "input_hash",
+                        "canonical_hash", "from_cache",
+                        "normalization_cache_hit"))
+
+
+def _tail_start(text: str) -> int:
+    """Where the scalar tail of a response text starts, just after the
+    request echo's closing brace; -1 unless the text is headed by
+    ``scheduler`` and has a tail, as ``json.dumps`` writes them.
+
+    The tail holds no object, so the last match of its first key is the
+    tail's own.  A quote inside a JSON string is always escaped, so no
+    label, client or program name can match a key.
+    """
+    if not text.startswith(_HEAD):
+        return -1
+    return text.rfind(_TAIL) + 1 or -1
+
+
+def echo_span(text: str) -> Optional[Tuple[int, int]]:
+    """Where the request echo is in a response text: ``(start, end)``.
+
+    ``text[:start]`` ends with the echo's key, ``text[start:end]`` is the
+    echo and ``text[end:]`` the scalar tail (``, "runtime_s": ...}``), as
+    ``json.dumps(response.to_dict())`` writes them.  Returns ``None`` for a
+    text in another layout (see :func:`_tail_start`) or one whose echo key
+    occurs twice: IR may nest any object in library-call metadata, and a
+    repeat is refused, not guessed at.
+    """
+    end = _tail_start(text)
+    key = text.find(_ECHO)
+    if end < 0 or key < 0 or text.rfind(_ECHO, 0, end) != key:
+        return None
+    return key + len(', "request": '), end
+
+
+def _text_scalars(text: str) -> Optional[Dict[str, Any]]:
+    """The scalar fields of a response text, decoded from its head key and
+    its tail alone (``None`` when they are not where :func:`_tail_start`
+    expects them)."""
+    end = _tail_start(text)
+    if end < 0:
+        return None
+    # The first '", "' after the opening quote closes the name, or the
+    # slice is not one JSON string and does not decode.
+    stop = text.find('", "', len(_HEAD))
+    try:
+        scheduler = json.loads(text[len(_HEAD) - 1:stop + 1])
+        tail = json.loads("{" + text[end + 2:])
+    except ValueError:
+        return None
+    if tail.keys() - {"trace_id"} != _TAIL_KEYS:
+        return None
+    tail["scheduler"] = scheduler
+    return _scalar_fields(tail)
 
 
 # Dataclass defaults are also set as class attributes, where they would

@@ -1,12 +1,15 @@
 """An HTTP hit costs what its bytes cost — identically.
 
 One keep-alive connection per client instead of one per request, one socket
-write per reply, a response whose fields decode when they are read, and
-expression leaves decoded through the one interned leaf table.  None of that
-may change an answer, so the checks are ``==`` against what the code did
-before — the all-at-once decode and the construct-then-intern
-``expr_from_dict``, both kept below as the specification — and *counts*
-(connects, handler threads, socket writes, ``program_from_dict`` calls,
+write per reply, a response whose scalars are read from the tail of its text
+and whose other fields decode when they are read, a response-cache store
+that splits the response's own text, and expression leaves decoded through
+the one interned leaf table.  None of that may change an answer, so the
+checks are ``==`` against what the code did before — the all-at-once
+decode, the head/tail re-encode of a stored response and the
+construct-then-intern ``expr_from_dict``, all kept below as the
+specification — and *counts* (connects, handler threads, socket writes,
+``program_from_dict`` / ``program_to_dict`` calls, decoded lengths,
 ``Const``/``Sym`` constructions) rather than timings.
 """
 
@@ -22,7 +25,10 @@ import time
 import pytest
 
 from helpers import fast_session
-from repro.api import ScheduleRequest, ScheduleResponse, program_content_hash
+from repro.api import (ScheduleRequest, ScheduleResponse, SearchConfig,
+                       program_content_hash)
+from repro.api import types as api_types
+from repro.api.cache import ResponseEntry
 from repro.experiments.figure1 import LOOP_ORDERS, build_gemm_order
 from repro.fuzz import generate_program
 from repro.ir import canonical, nodes, serialization
@@ -32,7 +38,7 @@ from repro.ir.serialization import (expr_from_dict, expr_to_dict,
 from repro.ir.symbols import (Add, Call, Const, FloorDiv, Max, Min, Mod, Mul,
                               Read, Sym, const, sym)
 from repro.serving import (AdmissionError, ServingClient, ServingError,
-                           ServingServer)
+                           ServingServer, WorkerConfig, WorkerPool)
 from repro.serving import http as http_module
 from repro.workloads.registry import benchmark, benchmark_names
 
@@ -42,6 +48,11 @@ NODELAY = (socket.IPPROTO_TCP, socket.TCP_NODELAY)
 SCALARS = ("scheduler", "runtime_s", "normalized", "input_hash",
            "canonical_hash", "from_cache", "normalization_cache_hit",
            "trace_id")
+#: What a text-backed response holds once its whole text was parsed or an
+#: IR-bearing field was built.
+DECODED = {"_payload", "request", "program", "result"}
+TRACE = {"trace_id": "0123456789abcdef0123456789abcdef",
+         "span_id": "fedcba9876543210"}
 
 
 # -- the specification: the decodes as they were ----------------------------------
@@ -50,6 +61,18 @@ SCALARS = ("scheduler", "runtime_s", "normalized", "input_hash",
 def _spec_decode_all(text: str) -> ScheduleResponse:
     """What the first field read of a text-backed response used to do."""
     return ScheduleResponse.from_dict(json.loads(text))
+
+
+def _spec_response_entry(response: ScheduleResponse) -> ResponseEntry:
+    """What ``Session.store_response`` stored before: the response's dict
+    without its trace id, re-encoded as a head and a tail around the echo."""
+    data = response.to_dict()
+    data.pop("trace_id", None)
+    keys = list(data)
+    split = keys.index("request")
+    head = json.dumps({name: data[name] for name in keys[:split]})
+    tail = json.dumps({name: data[name] for name in keys[split + 1:]})
+    return ResponseEntry(head[:-1] + ', "request": ', ", " + tail[1:])
 
 
 def _spec_expr_from_dict(data):
@@ -103,6 +126,37 @@ def _requests():
                                  parameters=dict(sizes))
                  for order in LOOP_ORDERS]
     return requests
+
+
+#: Labels, clients and program names carrying the keys a response text is
+#: split at, quotes, backslashes and non-ASCII text.
+ADVERSARIAL = ('"request": ', '"runtime_s": ',
+               ', "request": {"program": "gemm:a"}',
+               '}, "runtime_s": 1.0, "normalized": true}', 'x", ', 'a\\',
+               '\\"', 'ünïcødé “quoted” 日本語', '\n\t ')
+
+
+def _adversarial_requests():
+    """Each adversarial string as label and client of a registry request,
+    and as the name of a GEMM program sent as IR (the echo carries it)."""
+    sizes = dict(benchmark("gemm").sizes("large"))
+    requests = []
+    for text in ADVERSARIAL:
+        program = build_gemm_order(LOOP_ORDERS[0])
+        program.name = text
+        requests += [ScheduleRequest(program="gemm:a", label=text, client=text),
+                     ScheduleRequest(program=program, parameters=sizes,
+                                     label=text)]
+    return requests
+
+
+def _assert_scalars_first(response: ScheduleResponse) -> None:
+    """The eight scalars of an untouched text-backed response, read first,
+    equal the eager decode's, and nothing IR-bearing or whole was decoded."""
+    eager = _spec_decode_all(response.to_json())
+    assert {name: getattr(response, name) for name in SCALARS} == \
+        {name: getattr(eager, name) for name in SCALARS}
+    assert not DECODED & set(vars(response))
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +274,70 @@ class TestStagedDecodeEqualsEager:
         del payload["scheduler"]
         with pytest.raises(KeyError):
             ScheduleResponse.from_json(json.dumps(payload)).runtime_s
+
+    def test_scalars_read_first_equal_eager_on_every_lane(self, served,
+                                                          replies):
+        server, client = served
+        session = server.session
+        assert session.tracer.enabled
+        for index, request in enumerate(_requests() + _adversarial_requests()):
+            _assert_scalars_first(client.schedule(request))
+            traced = dataclasses.replace(request, trace=TRACE)
+            for fast in (session.lookup_response(request),
+                         session.lookup_response(request, trace=TRACE)):
+                # Every registry request and GEMM order is stored by now.
+                assert fast is not None or index >= len(replies)
+                if fast is not None:
+                    _assert_scalars_first(fast)
+            for slow in (session.schedule(request), session.schedule(traced)):
+                assert slow.from_cache and slow._json is None
+                _assert_scalars_first(
+                    ScheduleResponse.from_json(slow.to_json()))
+            assert ScheduleResponse.from_json(
+                session.schedule(traced).to_json()).trace_id == TRACE["trace_id"]
+
+    def test_scalars_read_first_equal_eager_on_worker_replies(self):
+        config = WorkerConfig(threads=4, search=SearchConfig(
+            population_size=4, epochs=1, generations_per_epoch=1))
+        requests = [ScheduleRequest(program=name) for name in
+                    ("gemm:a", "gemm:b", "fuzz:small-0")]
+        requests += _requests()[-2:] + _adversarial_requests()[:4]
+        with WorkerPool(1, config) as pool:
+            for request in requests + requests:     # cold, then warm
+                response = pool.schedule(request)
+                _assert_scalars_first(response)
+            assert response.from_cache
+
+    def test_other_layouts_are_parsed_whole(self, replies):
+        for _, text in replies[::6]:
+            payload = json.loads(text)
+            moved = {"scheduler": payload["scheduler"],
+                     "canonical_hash": payload["canonical_hash"]}
+            moved.update(payload)          # canonical_hash before the echo
+            extra = dict(payload, extra_key=1)
+            layouts = [json.dumps(payload, separators=(",", ":")),
+                       json.dumps(payload, sort_keys=True),
+                       json.dumps(payload, indent=1),
+                       json.dumps(moved), json.dumps(extra)]
+            for other in layouts:
+                response = ScheduleResponse.from_json(other)
+                eager = _spec_decode_all(other)
+                for name in SCALARS:
+                    assert getattr(response, name) == getattr(eager, name)
+                assert "_payload" in vars(response)
+                assert response.to_json() is other
+
+    def test_adversarial_scheduler_names_decode_or_fall_back(self, replies):
+        _, text = replies[0]
+        payload = json.loads(text)
+        for name in ADVERSARIAL + ("", "daisy"):
+            payload["scheduler"] = name
+            other = json.dumps(payload)
+            response = ScheduleResponse.from_json(other)
+            eager = _spec_decode_all(other)
+            for field in SCALARS:
+                assert getattr(response, field) == getattr(eager, field)
+            assert response.program.name == eager.program.name
 
 
 # -- oracle: one leaf table -------------------------------------------------------
@@ -443,6 +561,125 @@ class TestCountedHit:
         assert response.program is response.result.program
         assert response.program.body and response.result.nests
         assert counts == {"program_from_dict": 1, "Loop": loops}
+
+    def test_eight_scalars_decode_only_the_tail(self, replies, monkeypatch):
+        counts = {"program_from_dict": 0, "Loop": 0}
+        decoded = []                # the length of every string decoded
+        decode, init = serialization.program_from_dict, nodes.Loop.__init__
+        raw_decode = json.JSONDecoder.raw_decode
+
+        def counted_decode(data):
+            counts["program_from_dict"] += 1
+            return decode(data)
+
+        def counted_init(self, *args, **kwargs):
+            counts["Loop"] += 1
+            init(self, *args, **kwargs)
+
+        def recorded_raw_decode(self, s, idx=0):
+            decoded.append(len(s) - idx)
+            return raw_decode(self, s, idx)
+        monkeypatch.setattr(serialization, "program_from_dict", counted_decode)
+        monkeypatch.setattr(nodes.Loop, "__init__", counted_init)
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode",
+                            recorded_raw_decode)
+
+        for _, text in replies:
+            response = ScheduleResponse.from_json(text)
+            for name in SCALARS:
+                getattr(response, name)
+            assert not DECODED & set(vars(response))
+            tail = text[text.rindex(', "runtime_s": '):]
+            assert len(decoded) == 2 and max(decoded) <= len(tail) < 400
+            decoded.clear()
+        assert counts == {"program_from_dict": 0, "Loop": 0}
+        # `request` parses the whole text; `program` reuses that parse.
+        response.request
+        response.program
+        assert decoded == [len(text)] and "_payload" in vars(response)
+
+
+# -- the response-cache store splits the response's own text ----------------------
+
+
+class TestStoreResponse:
+    def _recording(self, session, monkeypatch):
+        stored = []
+        store = session.cache.store_response
+
+        def recorded(key, entry):
+            stored.append(entry)
+            store(key, entry)
+        monkeypatch.setattr(session.cache, "store_response", recorded)
+        return stored
+
+    def test_entries_equal_the_head_tail_construction(self, served, replies,
+                                                      monkeypatch):
+        server, _ = served
+        session = server.session
+        stored = self._recording(session, monkeypatch)
+        for request in _requests() + _adversarial_requests():
+            traced = dataclasses.replace(request, trace=TRACE)
+            entries = []
+            for served_as in (request, traced):
+                response = session.schedule(served_as)
+                assert response.from_cache and response.normalization_cache_hit
+                assert (response.trace_id is None) == (served_as is request)
+                # Field-backed (in-process) and text-backed (a worker's).
+                for candidate in (response,
+                                  ScheduleResponse.from_json(response.to_json())):
+                    session.store_response(served_as, candidate)
+                    assert stored[-1] == _spec_response_entry(candidate)
+                    entries.append(stored[-1])
+            # The echo and the trace id are not part of an entry.
+            assert entries == entries[:1] * 4
+            entry = entries[0]
+            assert entry.before + json.dumps(request.to_dict()) + entry.after \
+                == session.schedule(request).to_json()
+
+    def test_an_echo_key_seen_twice_is_not_stored(self, served, replies,
+                                                  monkeypatch):
+        server, _ = served
+        session = server.session
+        stored = self._recording(session, monkeypatch)
+        response, text = replies[0]
+        start, end = api_types.echo_span(text)
+        assert text[start:end] == json.dumps(json.loads(text)["request"])
+        # Any object may nest in IR (library-call metadata): here a copy
+        # of the echo key inside the echo itself.
+        payload = json.loads(text)
+        payload["request"]["parameters"] = {
+            "N": 1, "request": {"program": "gemm:a"}}
+        nested = ScheduleResponse.from_json(json.dumps(payload))
+        assert api_types.echo_span(nested.to_json()) is None
+        _assert_scalars_first(nested)               # the tail is still read
+        assert nested.from_cache and nested.normalization_cache_hit
+        session.store_response(response.request, nested)
+        assert stored == []
+
+    def test_only_what_is_stored_is_encoded(self, monkeypatch):
+        session = fast_session()
+        counts = {"program_to_dict": 0}
+
+        def counted(program):
+            counts["program_to_dict"] += 1
+            return program_to_dict(program)
+        monkeypatch.setattr(serialization, "program_to_dict", counted)
+        monkeypatch.setattr(api_types, "program_to_dict", counted)
+        stored = self._recording(session, monkeypatch)
+        # Cold, then a variant whose schedule (not normalization) is cached.
+        for name in ("gemm:a", "gemm:b", "fuzz:small-0"):
+            response = session.schedule(name)
+            assert not (response.from_cache
+                        and response.normalization_cache_hit)
+            counts["program_to_dict"] = 0
+            session.store_response(response.request, response)
+            assert counts == {"program_to_dict": 0} and stored == []
+        warm = session.schedule("gemm:a")
+        counts["program_to_dict"] = 0
+        session.store_response(warm.request, warm)
+        assert counts == {"program_to_dict": 1} and len(stored) == 1
+        session.close()
 
 
 # -- protocol: what the server does on one connection -----------------------------
