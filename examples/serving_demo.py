@@ -72,7 +72,7 @@ def main():
         for key in ("schedule_calls", "schedule_cache_hits",
                     "schedule_cache_misses", "normalization_hits",
                     "coalesced_requests", "cache_backend", "cache_memory_hits",
-                    "cache_disk_hits", "database_shards"):
+                    "cache_disk_hits", "database_version"):
             print(f"  {key:22} {report[key]}")
         service = report["service"]
         print(f"  {'service batches':22} {service['batches']} "

@@ -15,7 +15,7 @@ The package is organized in layers:
 * :mod:`repro.interp` — a reference interpreter for semantic validation.
 * :mod:`repro.perf` — the cache/CPU performance-model substrate.
 * :mod:`repro.scheduler` — the daisy auto-scheduler, the baselines, and the
-  (sharded) transfer-tuning database.
+  transfer-tuning database.
 * :mod:`repro.workloads` — PolyBench A/B variants, NPBench variants, CLOUDSC proxy.
 * :mod:`repro.api` — the unified Session facade: pluggable scheduler and
   frontend registries, a content-addressed normalization cache over

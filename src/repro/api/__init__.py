@@ -34,7 +34,6 @@ from ..perf.machine import DEFAULT_MACHINE, CacheLevel, MachineModel
 from ..perf.model import CostModel
 from ..scheduler.base import NestScheduleInfo, ScheduleResult, Scheduler
 from ..scheduler.database import TuningDatabase
-from ..scheduler.sharding import ShardedTuningDatabase, embedding_shard
 from ..scheduler.evolutionary import SearchConfig
 from ..scheduler.tiramisu import MctsConfig
 from ..transforms.fusion import (fuse_adjacent_loops, fuse_chains_in_body,
@@ -81,7 +80,6 @@ __all__ = [
     "pipeline_bit_exact",
     # scheduler interface types
     "Scheduler", "ScheduleResult", "NestScheduleInfo", "TuningDatabase",
-    "ShardedTuningDatabase", "embedding_shard",
     # IR / execution conveniences
     "Program", "ProgramBuilder", "Loop", "to_pseudocode",
     "normalize_program", "programs_equivalent", "run_program",

@@ -19,7 +19,7 @@ Typical use::
 
 ``schedule_batch`` fans a list of workloads through a thread pool sharing
 the same cache and database, which is the seam every scaling feature
-(sharding, async serving, multi-backend) plugs into; the serving layer's
+(async serving, multi-backend) plugs into; the serving layer's
 multi-process :class:`~repro.serving.workers.WorkerPool` is its
 process-level analogue, one session per worker over one shared SQLite
 cache file.
@@ -783,7 +783,6 @@ class Session:
         per-pass normalization timings, and memoized-analysis traffic."""
         stats = self.cache.stats
         backend = self.cache.backend
-        shard_sizes = getattr(self.database, "shard_sizes", None)
         analysis = self.cache.analysis
         with self._lock:
             return SessionReport(
@@ -806,7 +805,7 @@ class Session:
                 coalesced_requests=self._coalesced_requests,
                 response_cache_hits=stats.response_hits,
                 response_cache_misses=stats.response_misses,
-                database_shards=list(shard_sizes()) if callable(shard_sizes) else [],
+                database_version=self.database.version,
                 normalization_passes=self.cache.pass_stats.to_dict(),
                 analysis_hits=analysis.hits,
                 analysis_misses=analysis.misses,

@@ -351,8 +351,9 @@ class SessionReport:
     found the store locked by another process and had to retry — the
     contention signal of a cache file shared across worker processes.  ``coalesced_requests`` counts requests a serving
     layer merged into an identical in-flight request instead of scheduling
-    them again, and ``database_shards`` lists per-shard entry counts when
-    the tuning database is sharded (empty for the unsharded database).
+    them again, and ``database_version`` is the tuning database's content
+    version (:attr:`~repro.scheduler.database.TuningDatabase.version`), which
+    every worker of a pool shares with its coordinator.
 
     ``normalization_passes`` aggregates the instrumented pass results of
     every pipeline run the session's cache performed: per pass name, the
@@ -383,7 +384,7 @@ class SessionReport:
     #: pre-encoded bytes without touching the session or the IR.
     response_cache_hits: int = 0
     response_cache_misses: int = 0
-    database_shards: List[int] = field(default_factory=list)
+    database_version: str = ""
     normalization_passes: Dict[str, Dict[str, float]] = field(default_factory=dict)
     analysis_hits: int = 0
     analysis_misses: int = 0
@@ -411,8 +412,6 @@ class SessionReport:
                        f"{self.cache_disk_hits} disk hits)")
         if self.coalesced_requests:
             extras += f", {self.coalesced_requests} coalesced requests"
-        if self.database_shards:
-            extras += f", shards {self.database_shards}"
         return (f"{self.schedule_calls} schedules ({self.schedule_cache_hits} served "
                 f"from cache), {self.tune_calls} tunes, "
                 f"{self.normalization_hits}/{self.normalization_hits + self.normalization_misses} "

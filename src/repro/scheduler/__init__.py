@@ -1,8 +1,5 @@
 """Auto-schedulers: daisy plus every baseline the paper compares against,
-and the transfer-tuning database they share — unsharded
-(:class:`TuningDatabase`) or partitioned by embedding hash
-(:class:`ShardedTuningDatabase`, the layout multi-process serving maps one
-shard per worker)."""
+and the transfer-tuning database they share (:class:`TuningDatabase`)."""
 
 from .base import (NestScheduleInfo, ScheduleResult, Scheduler,
                    retarget_recipe)
@@ -14,7 +11,6 @@ from .embedding import (EMBEDDING_SIZE, FEATURE_NAMES, PerformanceEmbedding,
 from .evolutionary import EvolutionarySearch, SearchConfig, SearchOutcome
 from .frameworks import DaceScheduler, NumbaScheduler, NumpyScheduler
 from .polyhedral import PollyScheduler, nest_is_scop
-from .sharding import ShardedTuningDatabase, embedding_shard
 from .tiramisu import MctsConfig, TiramisuScheduler
 
 __all__ = [
@@ -27,6 +23,5 @@ __all__ = [
     "EvolutionarySearch", "SearchConfig", "SearchOutcome",
     "DaceScheduler", "NumbaScheduler", "NumpyScheduler",
     "PollyScheduler", "nest_is_scop",
-    "ShardedTuningDatabase", "embedding_shard",
     "MctsConfig", "TiramisuScheduler",
 ]

@@ -212,6 +212,25 @@ class TuningDatabase:
             DatabaseEntry(embedding=tuple(embedding.vector), recipe=recipe,
                           label=embedding.label, runtime=runtime))
 
+    def checkpoint(self) -> Tuple[int, "hashlib._Hash"]:
+        """The state :meth:`rewind` returns to: the entry count and the
+        content digest.  Only appends can be undone: feedback folded into
+        an existing entry after the checkpoint would stay on the entry but
+        leave the restored version."""
+        with self._append_lock:
+            return len(self.entries), self._digest.copy()
+
+    def rewind(self, checkpoint: Tuple[int, "hashlib._Hash"]
+               ) -> List[DatabaseEntry]:
+        """Drop the entries appended since ``checkpoint`` and restore its
+        :attr:`version`; returns the dropped entries in insertion order."""
+        count, digest = checkpoint
+        with self._append_lock:
+            dropped = self.entries[count:]
+            del self.entries[count:]
+            self._digest = digest.copy()
+        return dropped
+
     def distances(self, vector: Sequence[float]) -> List[float]:
         """Euclidean distance from ``vector`` to every entry, in entry order.
 
@@ -312,8 +331,9 @@ class TuningDatabase:
         Locates the entry by retarget-insensitive recipe identity plus
         nearest embedding and folds the timing in; when no entry prescribes
         the recipe (a search result that was never seeded) a new
-        measurement-born entry is added — unless ``add_missing`` is False,
-        for callers that only own part of a sharded database.  Returns
+        measurement-born entry is added — unless ``add_missing`` is False
+        (a pool worker passes its coordinator's decision here, so its
+        database mutates exactly like the coordinator's).  Returns
         ``(entry_or_None, created)``.
 
         ``prediction_scale`` is the program-level measured/predicted runtime
@@ -347,7 +367,11 @@ class TuningDatabase:
 
     @staticmethod
     def from_json(text: str) -> "TuningDatabase":
-        return TuningDatabase([DatabaseEntry.from_dict(item) for item in json.loads(text)])
+        data = json.loads(text)
+        if not isinstance(data, list):
+            raise ValueError("a tuning database is a JSON list of entries, "
+                             f"not a JSON {type(data).__name__}")
+        return TuningDatabase([DatabaseEntry.from_dict(item) for item in data])
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:

@@ -11,8 +11,9 @@ The subsystem layers onto :mod:`repro.api` without changing it:
   requests by content hash.
 * :class:`WorkerPool` / :class:`WorkerConfig` — a multi-process worker pool
   where every worker holds its own Session over one shared SQLite cache
-  file and one tuning-database shard; the service scatters its
-  micro-batches over the pool when one is attached (``serve --workers N``).
+  file and a whole copy of the pool's tuning database; the service
+  scatters its micro-batches over the pool when one is attached
+  (``serve --workers N``).
 * :class:`ServingServer` / :class:`ServingClient` — a stdlib JSON-over-HTTP
   endpoint plus its client, speaking the existing
   ``ScheduleRequest`` / ``ScheduleResponse`` round-trips (load shedding
@@ -22,9 +23,9 @@ The subsystem layers onto :mod:`repro.api` without changing it:
   SLO alert rules (``/alerts``), and an optional structured JSON access
   log (:class:`JsonAccessLog`).
 * persistence is provided by the pluggable cache backends
-  (:class:`repro.api.SQLiteCacheBackend`) and the sharded tuning database
-  (:class:`repro.api.ShardedTuningDatabase`); the ``python -m repro.serving``
-  CLI wires them together (``serve`` / ``warm-cache`` / ``db-shard``).
+  (:class:`repro.api.SQLiteCacheBackend`) and the JSON tuning database
+  (:meth:`repro.api.TuningDatabase.save`); the ``python -m repro.serving``
+  CLI wires them together (``serve`` / ``warm-cache`` / ``trace-dump``).
 """
 
 from .client import ServingClient, ServingError

@@ -1,4 +1,4 @@
-"""``python -m repro.serving`` — serve, warm caches, and manage shards.
+"""``python -m repro.serving`` — serve, warm caches, and dump traces.
 
 Subcommands:
 
@@ -22,9 +22,10 @@ Subcommands:
   registry-named normalization pipeline, ``--report-json`` dumps the
   session report (with per-pass timings), and ``--metrics-json`` dumps the
   metrics-registry snapshot for CI artifacts.
-* ``db-shard``   — convert/rebalance tuning databases between the unsharded
-  JSON format, the sharded JSON format, and the sharded SQLite format, or
-  print shard statistics.
+
+``serve`` and ``warm-cache`` take ``--db-path``: a tuning database as
+:meth:`~repro.api.TuningDatabase.save` writes it, a JSON list of entries.
+Any other file exits with status 2 and one line naming that format.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import List, Optional
 from ..api.session import Session
 from ..api.types import ScheduleRequest
 from ..scheduler.database import TuningDatabase
-from ..scheduler.sharding import (DEFAULT_NUM_SHARDS, ShardedTuningDatabase)
 from ..workloads.registry import benchmark_names
 from .http import ServingServer
 from .policy import policy_names
@@ -61,32 +61,16 @@ def _session_arguments(parser: argparse.ArgumentParser) -> None:
                         help="SQLite file backing the normalization cache "
                              "(default: in-memory)")
     parser.add_argument("--db-path", default=None,
-                        help="tuning database to load: .json (sharded or "
-                             "unsharded) or .sqlite")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="shard the tuning database N ways (0: unsharded)")
+                        help="tuning database to load: a JSON list of "
+                             "entries, as TuningDatabase.save writes it")
+    # main() loads --db-path into ``database`` before the command runs.
+    parser.set_defaults(database=None)
 
 
-def _load_database(path: Optional[str], shards: int):
-    if path is None:
-        return ShardedTuningDatabase(shards) if shards > 0 else None
-    if path.endswith((".sqlite", ".sqlite3", ".db")):
-        return ShardedTuningDatabase.load_sqlite(path, shards or None)
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    data = json.loads(text)
-    if isinstance(data, dict):  # sharded JSON layout
-        database = ShardedTuningDatabase.from_json(text)
-        return database.rebalance(shards) if shards else database
-    database = TuningDatabase.from_json(text)
-    if shards:
-        return ShardedTuningDatabase.from_database(database, shards)
-    return database
-
-
-def _build_session(args: argparse.Namespace, database=None) -> Session:
+def _build_session(args: argparse.Namespace,
+                   database: Optional[TuningDatabase] = None) -> Session:
     if database is None:
-        database = _load_database(args.db_path, args.shards)
+        database = args.database
     return Session(threads=args.threads, scheduler=args.scheduler,
                    size=args.size, cache_path=args.cache_path,
                    pipeline=args.pipeline, database=database)
@@ -121,12 +105,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 scheduler=args.scheduler, threads=args.threads, size=args.size,
                 pipeline=args.pipeline, cache_path=args.cache_path)
             pool = WorkerPool(args.workers, worker_config,
-                              database=_load_database(
-                                  args.db_path, args.shards or args.workers))
+                              database=args.database)
             pool.start()
             # The coordinator session does coalescing bookkeeping and
             # reporting; all scheduling happens in the pool.  It shares the
-            # pool's sharded database view and (via WAL) the same cache file.
+            # pool's database and (via WAL) the same cache file.
             session = _build_session(args, database=pool.database)
         else:
             session = _build_session(args)
@@ -233,33 +216,6 @@ def _cmd_trace_dump(args: argparse.Namespace) -> int:
     return 0
 
 
-def _save_database(database: ShardedTuningDatabase, path: str) -> None:
-    if path.endswith((".sqlite", ".sqlite3", ".db")):
-        database.save_sqlite(path)
-    else:
-        database.save(path)
-
-
-def _cmd_db_shard(args: argparse.Namespace) -> int:
-    database = _load_database(args.input, args.shards)
-    if isinstance(database, TuningDatabase):
-        database = ShardedTuningDatabase.from_database(
-            database, args.shards or DEFAULT_NUM_SHARDS)
-    sizes = database.shard_sizes()
-    print(f"{args.input}: {len(database)} entries across "
-          f"{database.num_shards} shards {sizes}")
-    if args.stats:
-        labels: dict = {}
-        for entry in database.entries:
-            labels[entry.label] = labels.get(entry.label, 0) + 1
-        for label, count in sorted(labels.items()):
-            print(f"  {label or '<unlabeled>'}: {count}")
-    if args.output:
-        _save_database(database, args.output)
-        print(f"wrote {args.output}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serving",
@@ -338,20 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--output", default=None, metavar="PATH",
                       help="write here instead of stdout")
     dump.set_defaults(func=_cmd_trace_dump)
-
-    shard = commands.add_parser(
-        "db-shard", help="shard/rebalance/inspect a tuning database")
-    shard.add_argument("--input", required=True,
-                       help=".json (sharded or unsharded) or .sqlite database")
-    shard.add_argument("--output", default=None,
-                       help="write the sharded database here "
-                            "(.json or .sqlite; default: inspect only)")
-    shard.add_argument("--shards", type=int, default=0,
-                       help="target shard count (default: keep / 4 for "
-                            "unsharded inputs)")
-    shard.add_argument("--stats", action="store_true",
-                       help="print per-label entry counts")
-    shard.set_defaults(func=_cmd_db_shard)
     return parser
 
 
@@ -361,4 +303,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("warm-cache requires --cache-path (a persistent backend to warm)",
               file=sys.stderr)
         return 2
+    if getattr(args, "db_path", None):
+        try:
+            args.database = TuningDatabase.load(args.db_path)
+        except (ValueError, TypeError, KeyError, AttributeError) as error:
+            # A .sqlite file, a JSON object, or any other non-database:
+            # no traceback, one line naming the format.
+            print(f"--db-path {args.db_path}: expected a tuning database, a "
+                  f"JSON list of entries as TuningDatabase.save writes it "
+                  f"({type(error).__name__}: {error})", file=sys.stderr)
+            return 2
     return args.func(args)

@@ -9,18 +9,20 @@ that property:
 * **one Session per worker process** — each worker of the pool builds its
   own :class:`~repro.api.Session` from a picklable :class:`WorkerConfig`,
   so scheduling runs on real CPU cores instead of GIL-sharing threads.
+* **one whole tuning database per worker** — every worker holds all of the
+  coordinator's :class:`~repro.api.TuningDatabase` entries, in the
+  coordinator's order, so a daisy request transfers from the same nearest
+  neighbours on any worker as in one :class:`~repro.api.Session`.
+* **one mutation order** — a worker's tune hands its new entries back and
+  leaves its own database as it found it; the coordinator appends what it
+  gathered in input order and broadcasts it, and broadcasts feedback with
+  its own decisions attached, both under one lock.  Every worker therefore
+  reads the coordinator's ``database.version``.
 * **one shared cache file** — every worker session binds the same
   :class:`~repro.api.SQLiteCacheBackend` path (WAL mode, busy timeout,
-  retried writes), so a schedule computed by one worker is a disk hit for
-  every other worker and for later pool generations.
-* **one tuning-database shard per worker** — the coordinator partitions a
-  :class:`~repro.api.ShardedTuningDatabase` so worker ``i`` holds shard
-  ``i`` (the layout a multi-machine deployment maps one shard per node).
-* **scatter-gather tuning** — :meth:`WorkerPool.tune` scatters tune
-  requests over the workers, gathers the database entries each worker
-  produced, merges them into the coordinator's sharded database by
-  embedding hash, and redistributes them so every worker sees the grown
-  database.
+  retried writes).  Schedule keys carry the shared database version, so a
+  schedule computed by one worker is a disk hit for every other worker and
+  for later pool generations over the same database.
 
 The pool is the process-level analogue of ``Session.schedule_batch``: the
 async :class:`~repro.serving.service.SchedulingService` plugs it in as its
@@ -33,7 +35,8 @@ far end of one pipe, and a round trip sends it one message and receives
 exactly one reply.  A worker that dies (OOM kill, segfault) is detected on
 its pipe: its batch items come back in-band as :class:`WorkerError` naming
 its index and exit code, the other workers keep serving, and every
-pool-wide round (report, metrics, redistribution) raises that error.
+pool-wide round (report, metrics, a tune's or feedback's broadcast) raises
+that error.
 There is no automatic restart.
 """
 
@@ -53,7 +56,6 @@ from ..observability import merge_registry_dicts
 from ..passes.registry import PipelineRegistryError
 from ..scheduler.database import (DatabaseEntry, TuningDatabase,
                                   apply_feedback_record)
-from ..scheduler.sharding import ShardedTuningDatabase, embedding_shard
 from ..scheduler.evolutionary import SearchConfig
 from ..scheduler.tiramisu import MctsConfig
 
@@ -102,10 +104,10 @@ class WorkerConfig:
     search: Optional[SearchConfig] = None
     mcts: Optional[MctsConfig] = None
 
-    def build_session(self, shard_entries: Sequence[Dict[str, Any]]) -> Session:
-        """Build this worker's session around its database shard."""
+    def build_session(self, entries: Sequence[Dict[str, Any]]) -> Session:
+        """Build this worker's session around the pool's database entries."""
         database = TuningDatabase(
-            [DatabaseEntry.from_dict(item) for item in shard_entries])
+            [DatabaseEntry.from_dict(item) for item in entries])
         return Session(threads=self.threads, scheduler=self.scheduler,
                        size=self.size, pipeline=self.pipeline,
                        cache_path=self.cache_path, database=database,
@@ -118,19 +120,16 @@ class WorkerConfig:
 # the globals of the *child* process, where the per-op bodies below read it.
 
 _WORKER_SESSION: Optional[Session] = None
-_WORKER_INDEX: int = -1
-_WORKER_COUNT: int = 0
 
 
 def _worker_main(connection, config: WorkerConfig,
-                 shard: List[Dict[str, Any]], index: int, count: int) -> None:
-    """Body of worker ``index``: build the session, send the outcome as the
-    first reply, then answer each ``(op, payload)`` message with one
+                 entries: List[Dict[str, Any]]) -> None:
+    """Body of one worker: build the session, send the outcome as the first
+    reply, then answer each ``(op, payload)`` message with one
     ``(error, value)`` reply until the coordinator closes the pipe."""
-    global _WORKER_SESSION, _WORKER_INDEX, _WORKER_COUNT
-    _WORKER_INDEX, _WORKER_COUNT = index, count
+    global _WORKER_SESSION
     try:
-        _WORKER_SESSION = config.build_session(shard)
+        _WORKER_SESSION = config.build_session(entries)
     except Exception as error:  # noqa: BLE001 - start() re-raises it
         connection.send((_describe(error), None))
         return
@@ -159,20 +158,20 @@ def _worker_schedule(request_dict: Dict[str, Any]) -> Dict[str, Any]:
     happens here, on a parallel worker, and the coordinator (and the HTTP
     layer, which replies with exactly these bytes) never re-parses or
     re-serializes the response on its serial hot path.  A tune request
-    also returns the database entries it added, for the coordinator's
-    scatter-gather merge.
+    returns the database entries it added and takes them back out of this
+    worker's database: the coordinator appends them, in its order, on every
+    worker.
     """
     session = _WORKER_SESSION
-    before = len(session.database)
+    checkpoint = session.database.checkpoint()
     try:
         request = ScheduleRequest.from_dict(request_dict)
         payload = {"response_json": session.schedule(request).to_json()}
     except Exception as error:  # noqa: BLE001 - marshalled to the coordinator
         payload = {"error": _describe(error)}
-    else:
-        if request.tune:
-            payload["entries"] = [entry.to_dict() for entry
-                                  in session.database.entries[before:]]
+    added = session.database.rewind(checkpoint)
+    if added:
+        payload["entries"] = [entry.to_dict() for entry in added]
     # Ship this worker's finished trace spans back in-band so they rejoin
     # the coordinator's trace (the request carried the parent context).
     trace = request_dict.get("trace")
@@ -182,52 +181,27 @@ def _worker_schedule(request_dict: Dict[str, Any]) -> Dict[str, Any]:
     return payload
 
 
-def _worker_absorb_entries(entry_dicts: List[Dict[str, Any]]) -> int:
-    """Redistribution: add the entries hashing to this worker's shard that
-    it does not hold yet (by feedback-blind ``DatabaseEntry.identity``);
-    returns how many were added."""
-    database = _WORKER_SESSION.database
-    held = {entry.identity() for entry in database.entries}
-    added = 0
+def _worker_absorb_entries(entry_dicts: List[Dict[str, Any]]) -> None:
+    """Append the coordinator's newly gathered entries, in its order."""
     for item in entry_dicts:
-        entry = DatabaseEntry.from_dict(item)
-        if embedding_shard(entry.embedding, _WORKER_COUNT) == _WORKER_INDEX \
-                and entry.identity() not in held:
-            held.add(entry.identity())
-            database.add_entry(entry)
-            added += 1
-    return added
+        _WORKER_SESSION.database.add_entry(DatabaseEntry.from_dict(item))
 
 
 def _worker_apply_feedback(records: List[Dict[str, Any]]) -> Dict[str, int]:
     """Online-feedback round (one message per worker).
 
-    The coordinator already applied every record to its own sharded
-    database and marked which ones created a measurement-born entry
-    (``record["added"]``); each worker mirrors that decision on its shard:
-    existing-entry updates apply wherever the matching entry lives
-    (``add_missing=False`` everywhere else is a silent no-op), new entries
-    are created only by the worker owning the embedding's shard — the same
-    routing redistribution uses.
+    The coordinator already applied every record to its own database and
+    marked which ones created a measurement-born entry
+    (``record["added"]``).  Holding the same entries, this worker applies
+    each record with that decision as ``add_missing``, so it updates the
+    same entry or creates the same one, and its version follows the
+    coordinator's.
     """
     session = _WORKER_SESSION
     counts = {"applied": 0, "added": 0, "skipped": 0}
     for record in records:
-        vector = record.get("embedding")
-        if vector is None:
-            continue  # the coordinator counted the skip once, pool-wide
-        if record.get("added"):
-            if embedding_shard(vector, _WORKER_COUNT) != _WORKER_INDEX:
-                continue
-            counts[apply_feedback_record(record, session.database,
-                                         add_missing=True)] += 1
-        else:
-            outcome = apply_feedback_record(record, session.database,
-                                            add_missing=False)
-            if outcome != "skipped":
-                # Exactly one worker holds the matching entry; the "not my
-                # shard" no-ops of the others are routing, not skips.
-                counts[outcome] += 1
+        counts[apply_feedback_record(record, session.database,
+                                     add_missing=bool(record["added"]))] += 1
     session.note_feedback(counts)
     return counts
 
@@ -246,8 +220,9 @@ _WORKER_OPS = {
 
 #: Report fields merged by union instead of summation.
 _UNION_FIELDS = {"schedulers"}
-#: Report fields merged by taking the first value (homogeneous per pool).
-_FIRST_FIELDS = {"cache_backend"}
+#: Report fields merged by taking the first value (homogeneous per pool:
+#: every worker holds the same tuning database).
+_FIRST_FIELDS = {"cache_backend", "database_entries", "database_version"}
 
 
 def _sum_into(target: Dict[str, Any], source: Dict[str, Any]) -> None:
@@ -264,16 +239,12 @@ def merge_worker_reports(reports: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Aggregate per-worker ``SessionReport`` dicts into one pool-wide dict.
 
     Counters sum, ``schedulers`` unions, ``normalization_passes`` sums per
-    pass name, and ``database_shards`` concatenates one entry count per
-    worker (each worker's database is one shard).
+    pass name, and the database fields and ``cache_backend`` are the first
+    worker's (every worker reports the same ones).
     """
     merged: Dict[str, Any] = {}
-    shards: List[int] = []
     for report in reports:
-        shards.append(int(report.get("database_entries", 0)))
         for key, value in report.items():
-            if key == "database_shards":
-                continue
             if key in _FIRST_FIELDS:
                 merged.setdefault(key, value)
             elif key in _UNION_FIELDS:
@@ -284,7 +255,6 @@ def merge_worker_reports(reports: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
                 merged[key] = merged.get(key, 0) + value
             else:
                 merged.setdefault(key, value)
-    merged["database_shards"] = shards
     return merged
 
 
@@ -296,7 +266,6 @@ class PoolStats:
     tuned: int = 0
     errors: int = 0
     gathered_entries: int = 0
-    redistributed_entries: int = 0
     feedback_applied: int = 0
     feedback_added: int = 0
     feedback_skipped: int = 0
@@ -331,10 +300,11 @@ class WorkerPool:
     micro-batches over processes without changing queueing, coalescing, or
     error semantics.
 
-    ``database`` seeds the workers: a :class:`ShardedTuningDatabase` is
-    re-hashed to one shard per worker, a plain :class:`TuningDatabase` is
-    partitioned the same way.  The coordinator keeps its own sharded copy
-    (``pool.database``) that :meth:`tune` grows by gathering worker results.
+    ``database`` seeds the workers: each one holds all of its entries, in
+    order.  The coordinator keeps its own copy (``pool.database``), built
+    from the same entry dicts as the workers' so that all start at one
+    :attr:`~repro.api.TuningDatabase.version`; :meth:`tune` and
+    :meth:`record_measurement` mutate it and then every worker the same way.
 
     Use as a context manager, or call :meth:`close` — worker processes are
     real OS resources.
@@ -342,8 +312,7 @@ class WorkerPool:
 
     def __init__(self, num_workers: int,
                  config: Optional[WorkerConfig] = None,
-                 database: Optional[Union[ShardedTuningDatabase,
-                                          TuningDatabase]] = None):
+                 database: Optional[TuningDatabase] = None):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
@@ -352,13 +321,12 @@ class WorkerPool:
         #: Coordinator-side tracer that worker span fragments rejoin; the
         #: serving layer points this at the coordinator session's tracer.
         self.tracer = None
-        if database is None:
-            self.database = ShardedTuningDatabase(num_workers)
-        elif isinstance(database, ShardedTuningDatabase):
-            self.database = database.rebalance(num_workers)
-        else:
-            self.database = ShardedTuningDatabase.from_database(
-                database, num_workers)
+        self.database = TuningDatabase(
+            [DatabaseEntry.from_dict(entry.to_dict())
+             for entry in (database.entries if database is not None else ())])
+        #: Held while ``database`` changes and the change is broadcast, so
+        #: every worker applies the coordinator's mutations in its order.
+        self._database_lock = threading.Lock()
         self._workers: Optional[List[_Worker]] = None
         self._closed = False
         self._lifecycle_lock = threading.Lock()
@@ -386,14 +354,13 @@ class WorkerPool:
             if self._workers is not None:
                 return
             context = multiprocessing.get_context("spawn")
+            entries = [entry.to_dict() for entry in self.database.entries]
             workers = []
-            for index in range(self.num_workers):
+            for _ in range(self.num_workers):
                 connection, child_end = context.Pipe()
-                shard = [entry.to_dict()
-                         for entry in self.database.shard(index).entries]
                 process = context.Process(target=_worker_main, daemon=True,
-                                          args=(child_end, self.config, shard,
-                                                index, self.num_workers))
+                                          args=(child_end, self.config,
+                                                entries))
                 process.start()
                 # Only the child may hold its end: a coordinator copy would
                 # make recv() on a dead worker block instead of hit EOF.
@@ -505,12 +472,27 @@ class WorkerPool:
         fail its batchmates.  So does a dead worker *process*: each item
         sent to it is a :class:`WorkerError` naming its index and exit
         code, while the other workers' items, in this batch and every later
-        one, succeed.  Dead workers are not restarted.
+        one, succeed.  Dead workers are not restarted.  The entries of tune
+        requests reach ``pool.database`` and every worker as :meth:`tune`
+        describes.
         """
-        results = list(map(self._decode, self._scatter(requests)))
-        failed = sum(isinstance(result, Exception) for result in results)
-        self.stats.errors += failed
-        self.stats.scheduled += len(results) - failed
+        payloads = self._scatter(requests)
+        results = list(map(self._decode, payloads))
+        for request, result in zip(requests, results):
+            if isinstance(result, Exception):
+                self.stats.errors += 1
+            elif request.tune:
+                self.stats.tuned += 1
+            else:
+                self.stats.scheduled += 1
+        gathered = [item for payload in payloads if isinstance(payload, dict)
+                    for item in payload.get("entries", ())]
+        if gathered:
+            with self._database_lock:
+                for item in gathered:
+                    self.database.add_entry(DatabaseEntry.from_dict(item))
+                self.stats.gathered_entries += len(gathered)
+                self._broadcast("absorb", gathered)
         return results
 
     def schedule(self, request: ScheduleRequest) -> ScheduleResponse:
@@ -520,34 +502,24 @@ class WorkerPool:
             raise result
         return result
 
-    # -- tuning: scatter, gather, merge, redistribute ----------------------------
+    # -- tuning: scatter, gather, append, broadcast ------------------------------
 
     def tune(self, requests: Sequence[ScheduleRequest]
              ) -> List[Union[ScheduleResponse, Exception]]:
         """Scatter tune requests over the workers and gather the results.
 
-        Requests are split like :meth:`schedule_batch`'s.  The entries each
-        worker's tuning added are merged into the coordinator's sharded
-        database (``pool.database``) by embedding hash, then broadcast so
-        the worker owning each entry's shard absorbs it: every later
-        request, on any worker, schedules against the grown database.
+        Requests are split like :meth:`schedule_batch`'s.  Each tune runs
+        against the database as the call found it: the worker hands back
+        the entries it added and takes them out of its own database.  The
+        coordinator appends every gathered entry to ``pool.database`` in
+        input order and broadcasts them under one lock, so every worker
+        appends them in that order too: every later request, on any worker,
+        schedules against the grown database, at the coordinator's version.
         """
         if not all(request.tune for request in requests):
             raise ValueError("WorkerPool.tune takes tune requests "
                              "(ScheduleRequest(..., tune=True))")
-        payloads = self._scatter(requests)
-        results = [self._decode(payload) for payload in payloads]
-        failed = sum(isinstance(result, Exception) for result in results)
-        self.stats.errors += failed
-        self.stats.tuned += len(results) - failed
-        gathered = [item for payload in payloads if isinstance(payload, dict)
-                    for item in payload.get("entries", ())]
-        if gathered:
-            self.stats.gathered_entries += self.database.add_entries(
-                DatabaseEntry.from_dict(item) for item in gathered)
-            self.stats.redistributed_entries += sum(
-                self._broadcast("absorb", gathered))
-        return results
+        return self.schedule_batch(requests)
 
     # -- online feedback ---------------------------------------------------------
 
@@ -557,28 +529,30 @@ class WorkerPool:
 
         ``records`` come from :meth:`repro.api.Session.measurement_feedback`
         (plain JSON values, so they cross the process boundary unchanged).
-        The coordinator's sharded database absorbs them first — deciding,
-        under its shard locks, which records update an existing entry and
-        which create a measurement-born one — then a broadcast carries the
-        records (decisions attached) so each worker mirrors the effect on
-        its own shard.  Returns the coordinator-side outcome counts
-        ``{"applied", "added", "skipped"}``.  Safe to call concurrently
-        with :meth:`tune`.
+        The coordinator's database absorbs them first, deciding which
+        records update an existing entry and which create a
+        measurement-born one; then, under the same lock :meth:`tune` takes,
+        a broadcast carries the records with those decisions so every
+        worker applies them the same way.  Returns the coordinator-side
+        outcome counts ``{"applied", "added", "skipped"}``.  Safe to call
+        concurrently with :meth:`tune`.
         """
+        self.start()  # workers are built from the database before feedback
         prepared: List[Dict[str, Any]] = []
         counts = {"applied": 0, "added": 0, "skipped": 0}
-        for record in records:
-            record = dict(record)
-            outcome = apply_feedback_record(record, self.database,
-                                            add_missing=True)
-            counts[outcome] += 1
-            record["added"] = outcome == "added"
-            prepared.append(record)
+        with self._database_lock:
+            for record in records:
+                record = dict(record)
+                outcome = apply_feedback_record(record, self.database,
+                                                add_missing=True)
+                counts[outcome] += 1
+                record["added"] = outcome == "added"
+                prepared.append(record)
+            if prepared:
+                self._broadcast("feedback", prepared)
         self.stats.feedback_applied += counts["applied"]
         self.stats.feedback_added += counts["added"]
         self.stats.feedback_skipped += counts["skipped"]
-        if prepared:
-            self._broadcast("feedback", prepared)
         return counts
 
     # -- introspection -----------------------------------------------------------

@@ -36,8 +36,8 @@ from repro.normalization.fission import _dependence_edges, scc_groups
 from repro.passes import (AnalysisManager, FixedPoint, Pass, PassContext,
                           build_normalization_pipeline, program_fingerprint)
 from repro.passes.base import program_ir_size
-from repro.scheduler import (PerformanceEmbedding, ShardedTuningDatabase,
-                             TuningDatabase, embed_nest, pairwise_distance)
+from repro.scheduler import (PerformanceEmbedding, TuningDatabase, embed_nest,
+                             pairwise_distance)
 from repro.scheduler.database import recipe_identity
 from repro.transforms import (Interchange, Parallelize, Recipe, Tile,
                               TransformationError, Unroll, Vectorize)
@@ -518,7 +518,7 @@ def _filled(database, entries, feedback):
 
 @pytest.mark.parametrize("feedback", [False, True], ids=["plain", "feedback"])
 class TestDatabaseMatrix:
-    def test_unsharded_scores_are_the_pairwise_spec(self, seeded, feedback):
+    def test_scores_are_the_pairwise_spec(self, seeded, feedback):
         entries, queries, recipes = seeded
         database = _filled(TuningDatabase(), entries, feedback)
         assert len(database) >= 25
@@ -537,34 +537,16 @@ class TestDatabaseMatrix:
                         == _spec_measurement_target(database.entries,
                                                     query.vector, key))
 
-    def test_sharded_scores_are_the_pairwise_spec(self, seeded, feedback):
-        entries, queries, _recipes = seeded
-        database = _filled(ShardedTuningDatabase(4), entries, feedback)
-        assert sum(1 for size in database.shard_sizes() if size) >= 3
-        shards = [shard.entries for shard in database._shards]
-        for query in queries:
-            for k in (1, 10):
-                gathered = [triple for shard in shards
-                            for triple in _spec_scored_query(shard, query.vector, k)]
-                gathered.sort(key=lambda triple: triple[0])
-                assert database.query(query, k) == [
-                    (distance, entry) for _score, distance, entry in gathered[:k]]
-            for bound in (None, 0.35):
-                best = None
-                for shard in shards:
-                    candidate = _spec_best_scored(shard, query.vector, bound)
-                    if candidate is not None and (
-                            best is None or candidate[:2] < best[:2]):
-                        best = candidate
-                assert database.best_match(query, bound) is (
-                    best[2] if best is not None else None)
-
     def test_matrix_follows_every_way_entries_arrive(self, seeded, feedback):
         entries, queries, _recipes = seeded
         database = _filled(TuningDatabase(), entries, feedback)
+        rewound = TuningDatabase(list(database.entries))
+        checkpoint = rewound.checkpoint()
+        for embedding, recipe, _runtime in entries[::-1]:
+            rewound.add(embedding, recipe)
+        rewound.rewind(checkpoint)
         copies = [TuningDatabase(list(database.entries)),
-                  TuningDatabase.from_json(database.to_json()),
-                  ShardedTuningDatabase.from_database(database, 3).merged()]
+                  TuningDatabase.from_json(database.to_json()), rewound]
         for copy in copies:
             assert len(copy) == len(database)
             for query in queries[::4]:

@@ -498,11 +498,12 @@ class TestDatabaseFeedback:
         novel = {"embedding": list(_vector(2.0)), "label": "run",
                  "recipe": Recipe(name="novel").to_dict(),
                  "measured": 0.5, "scale": None, "nest_index": 0}
-        # A shard that does not own the entry must not create it...
+        # A pool worker whose coordinator updated an entry must not create
+        # one...
         assert apply_feedback_record(novel, database,
                                      add_missing=False) == "skipped"
         assert len(database) == 1
-        # ...the owner does.
+        # ...one whose coordinator created it does.
         assert apply_feedback_record(novel, database) == "added"
         assert len(database) == 2
 
@@ -560,9 +561,10 @@ class TestSessionFeedback:
 
 class TestPoolFeedback:
     def test_record_measurement_races_tune_redistribution(self, tmp_path):
-        """Feedback application concurrent with a tune() redistribution
-        round on a 2-worker pool: both must complete, and the feedback
-        must land in the pool stats and the merged worker reports."""
+        """Feedback application concurrent with a tune() broadcast round on
+        a 2-worker pool: both must complete, the feedback must land in the
+        pool stats and on every worker, and every worker must end at the
+        coordinator's database version."""
         session = fast_session()
         try:
             response = session.schedule("gemm:a")
@@ -591,8 +593,12 @@ class TestPoolFeedback:
             assert stats["feedback_applied"] == counts["applied"]
             assert stats["feedback_added"] == counts["added"]
             assert stats["feedback_skipped"] == counts["skipped"]
-            merged = pool.report()["merged"]
-            # Every embeddable record was absorbed by exactly the worker
-            # owning its shard (or applied on workers holding a match).
-            assert merged.get("feedback_applied", 0) \
-                + merged.get("feedback_added", 0) >= 1
+            report = pool.report()
+            # Every worker applied every record with the coordinator's
+            # decision, and so took the coordinator's mutations in its order.
+            for worker in report["per_worker"].values():
+                assert (worker["feedback_applied"], worker["feedback_added"],
+                        worker["feedback_skipped"]) \
+                    == (counts["applied"], counts["added"], counts["skipped"])
+                assert worker["database_entries"] == len(pool.database)
+                assert worker["database_version"] == pool.database.version

@@ -15,11 +15,13 @@ import pytest
 from helpers import fast_session
 
 from repro.api import (ScheduleRequest, ScheduleResponse, SearchConfig,
-                       Session, SQLiteCacheBackend)
+                       Session, SQLiteCacheBackend, TuningDatabase)
+from repro.scheduler.embedding import EMBEDDING_SIZE, PerformanceEmbedding
 from repro.serving import (AdmissionController, AdmissionError,
                            SchedulingService, ServiceConfig, ServingClient,
                            ServingServer, WorkerConfig, WorkerError,
                            WorkerPool, merge_worker_reports)
+from repro.transforms.recipe import Recipe
 
 FAST_SEARCH = SearchConfig(population_size=4, epochs=1,
                            generations_per_epoch=1)
@@ -205,8 +207,24 @@ class TestWorkerPool:
         assert not isinstance(results[0], Exception)
         assert len(pool.database) > before
         assert pool.stats.gathered_entries >= len(pool.database) - before
-        # The merged entries landed in hash-routed shards.
-        assert sum(pool.database.shard_sizes()) == len(pool.database)
+        # Every worker holds every entry, at the coordinator's version.
+        for worker in pool.report()["per_worker"].values():
+            assert worker["database_entries"] == len(pool.database)
+            assert worker["database_version"] == pool.database.version
+
+    def test_a_tune_request_in_a_batch_reaches_every_worker(self,
+                                                            shared_pool):
+        pool, _ = shared_pool
+        before = (len(pool.database), pool.stats.tuned, pool.stats.scheduled)
+        results = pool.schedule_batch([
+            ScheduleRequest(program="mvt:a", tune=True, label="mvt"),
+            ScheduleRequest(program="gemm:a")])
+        assert not any(isinstance(result, Exception) for result in results)
+        assert len(pool.database) > before[0]
+        assert (pool.stats.tuned, pool.stats.scheduled) \
+            == (before[1] + 1, before[2] + 1)
+        for worker in pool.report()["per_worker"].values():
+            assert worker["database_version"] == pool.database.version
 
     def test_tune_rejects_non_tune_requests(self, shared_pool):
         pool, _ = shared_pool
@@ -255,6 +273,23 @@ class TestWorkerPool:
         assert not thread.is_alive()
         assert failures == []
 
+    def test_the_pool_keeps_its_own_copy_of_the_database(self):
+        """``pool.database`` is rebuilt from entry dicts, as every worker
+        builds its own: it starts at their version even when the caller's
+        database carries feedback history, and the pool never mutates the
+        caller's object."""
+        given = TuningDatabase()
+        entry = given.add(PerformanceEmbedding("nest", (1.0,) * EMBEDDING_SIZE),
+                          Recipe("r"), runtime=1.0)
+        given.apply_measurement(entry, 2.0)
+        rebuilt = TuningDatabase.from_json(given.to_json())
+        assert rebuilt.version != given.version  # the history is not content
+        pool = WorkerPool(2, WorkerConfig(search=FAST_SEARCH), database=given)
+        assert pool.database is not given
+        assert pool.database.version == rebuilt.version
+        assert pool.database.entries[0] is not entry
+        pool.close()
+
     def test_closed_pool_refuses_work(self):
         config = WorkerConfig(threads=1, search=FAST_SEARCH)
         pool = WorkerPool(1, config)
@@ -273,6 +308,124 @@ class TestWorkerPool:
             second = pool.schedule(ScheduleRequest(program="gemm:a"))
             assert second.from_cache
             assert second.runtime_s == first.runtime_s
+
+
+# -- the pool transfers like a Session ----------------------------------------------
+#
+# With an empty database every lane agrees by accident; these seed one.  At
+# size small the eight kernels tune to 25 entries, and a worker that sees only
+# part of them schedules most ``:b`` variants from other neighbours.
+
+AGREEMENT_KERNELS = ("gemm", "2mm", "atax", "bicg", "mvt", "gesummv", "syrk",
+                     "syr2k")
+
+
+def _agreement_session(database=None):
+    """An in-process reference over a copy of ``database``."""
+    copy = (TuningDatabase.from_json(database.to_json())
+            if database is not None else None)
+    return Session(threads=4, size="small", search=FAST_SEARCH, database=copy)
+
+
+def _agreement_pool(num_workers, database=None):
+    config = WorkerConfig(threads=4, size="small", search=FAST_SEARCH)
+    return WorkerPool(num_workers, config, database=database)
+
+
+def _reply(response):
+    """What must agree: the modelled runtime, the program and every nest's
+    schedule (status, recipe, and where it came from)."""
+    return (response.runtime_s, response.to_dict()["program"],
+            [info.to_dict() for info in response.result.nests])
+
+
+def _assert_pool_schedules_like(pool, database):
+    reference = _agreement_session(database)
+    try:
+        requests = [ScheduleRequest(program=f"{name}:b")
+                    for name in AGREEMENT_KERNELS]
+        pooled = pool.schedule_batch(requests)
+        differing = [request.program for request, response
+                     in zip(requests, pooled)
+                     if _reply(response) != _reply(reference.schedule(request))]
+        assert differing == [], (
+            f"{len(differing)}/{len(requests)} pooled replies differ from "
+            f"the in-process reply: {differing}")
+    finally:
+        reference.close()
+    for worker in pool.report()["per_worker"].values():
+        assert worker["database_entries"] == len(database)
+        assert worker["database_version"] == pool.database.version
+
+
+@pytest.fixture(scope="module")
+def tuned_database():
+    session = _agreement_session()
+    try:
+        session.seed(AGREEMENT_KERNELS)
+        return TuningDatabase.from_json(session.database.to_json())
+    finally:
+        session.close()
+
+
+@pytest.fixture(scope="module")
+def separately_tuned():
+    """Each ``:a`` variant tuned against an empty database, the entries
+    appended in kernel order: what ``WorkerPool.tune`` builds."""
+    database = TuningDatabase()
+    for name in AGREEMENT_KERNELS:
+        session = _agreement_session()
+        session.tune(f"{name}:a", label=name)
+        for entry in session.database.entries:
+            database.add_entry(entry)
+        session.close()
+    return database
+
+
+@pytest.mark.parametrize("num_workers", [1, 2, 4])
+class TestPoolAgreement:
+    def test_a_seeded_pool_schedules_like_a_session(self, tuned_database,
+                                                    num_workers):
+        assert len(tuned_database) == 25
+        with _agreement_pool(num_workers, tuned_database) as pool:
+            _assert_pool_schedules_like(pool, tuned_database)
+            assert pool.database.version == tuned_database.version
+
+    def test_a_pool_tuned_database_schedules_like_a_session(
+            self, separately_tuned, num_workers):
+        with _agreement_pool(num_workers) as pool:
+            tuned = pool.tune([ScheduleRequest(program=f"{name}:a",
+                                               tune=True, label=name)
+                               for name in AGREEMENT_KERNELS])
+            assert not any(isinstance(result, Exception) for result in tuned)
+            assert len(pool.database) == pool.stats.gathered_entries > 0
+            _assert_pool_schedules_like(pool, pool.database)
+            # Every tune ran against the database as the call found it, and
+            # the coordinator appended in input order: the result does not
+            # depend on how the requests were split over the workers.
+            assert pool.database.to_json() == separately_tuned.to_json()
+
+    def test_feedback_keeps_the_pool_agreeing(self, tuned_database,
+                                              num_workers):
+        reference = _agreement_session(tuned_database)
+        try:
+            records = []
+            for name in AGREEMENT_KERNELS:
+                response = reference.schedule(f"{name}:b")
+                records += reference.measurement_feedback(
+                    response, response.runtime_s * 100)
+        finally:
+            reference.close()
+        # Not started yet: record_measurement must build the workers from
+        # the database before the feedback, or they would take it twice.
+        pool = _agreement_pool(num_workers, tuned_database)
+        try:
+            counts = pool.record_measurement(records)
+            assert counts["applied"] + counts["added"] > 0
+            assert pool.database.version != tuned_database.version
+            _assert_pool_schedules_like(pool, pool.database)
+        finally:
+            pool.close()
 
 
 def _within(seconds, call):
@@ -322,21 +475,43 @@ class TestDeadWorker:
         assert not any(process.is_alive() for process in processes)
 
 
+    def test_a_tune_broadcast_reaches_the_survivors_then_raises(self):
+        pool = WorkerPool(2, WorkerConfig(threads=2, search=FAST_SEARCH))
+        _within(60, pool.start)
+        os.kill(pool._workers[1].process.pid, signal.SIGKILL)
+        pool._workers[1].process.join(timeout=10)
+        try:
+            # One request: worker 0 tunes it, then every worker is sent
+            # the entries.
+            with pytest.raises(WorkerError, match="worker 1"):
+                _within(60, lambda: pool.tune([ScheduleRequest(
+                    program="gemm:a", tune=True, label="gemm")]))
+            assert len(pool.database) > 0
+            survivor = _within(10, lambda: pool._exchange(
+                {0: ("report", None)})[0])
+            assert survivor["database_version"] == pool.database.version
+        finally:
+            _within(10, pool.close)
+
+
 class TestMergeWorkerReports:
-    def test_counters_sum_and_shards_concatenate(self):
+    def test_counters_sum_and_the_database_is_reported_once(self):
         merged = merge_worker_reports([
             {"schedule_calls": 2, "database_entries": 3,
+             "database_version": "3:abc",
              "schedulers": ["daisy"], "cache_backend": "sqlite",
              "normalization_passes": {"fission": {"runs": 1,
                                                   "wall_time_s": 0.5}}},
-            {"schedule_calls": 5, "database_entries": 1,
+            {"schedule_calls": 5, "database_entries": 3,
+             "database_version": "3:abc",
              "schedulers": ["daisy", "clang"], "cache_backend": "sqlite",
              "normalization_passes": {"fission": {"runs": 2,
                                                   "wall_time_s": 0.25}}},
         ])
         assert merged["schedule_calls"] == 7
-        assert merged["database_entries"] == 4
-        assert merged["database_shards"] == [3, 1]
+        # Every worker holds the whole database: it is not summed.
+        assert merged["database_entries"] == 3
+        assert merged["database_version"] == "3:abc"
         assert merged["schedulers"] == ["clang", "daisy"]
         assert merged["cache_backend"] == "sqlite"
         assert merged["normalization_passes"]["fission"] == {
