@@ -161,32 +161,20 @@ def scheduler_tunes(name: str) -> bool:
 # Built-in registrations
 # ---------------------------------------------------------------------------
 
-def _pre_normalized_options():
-    """Normalization options that make a scheduler's internal pipeline a no-op.
-
-    Session-managed daisy instances receive programs that already went
-    through the content-addressed normalization cache; their internal
-    pipeline must not redo (or undo) that work — the registered
-    ``"identity"`` pipeline is exactly that no-op.
-    """
-    from ..normalization.pipeline import NormalizationOptions
-
-    return NormalizationOptions.named("identity")
-
+# The daisy-family factories build schedulers whose internal pipeline is
+# ``"identity"``: the session hands them programs that already went through
+# the content-addressed normalization cache, and their own pipeline must not
+# redo (or undo) that work.
 
 @register_scheduler("daisy", normalizes=True, tunes=True)
 def _make_daisy(machine=None, threads=1, search=None, database=None,
-                pre_normalized=True, normalization=None, **_ignored):
-    from ..normalization.pipeline import NormalizationOptions
+                **_ignored):
     from ..scheduler.daisy import DaisyConfig, DaisyScheduler
     from ..scheduler.evolutionary import SearchConfig
 
-    if normalization is None:
-        normalization = (_pre_normalized_options() if pre_normalized
-                         else NormalizationOptions())
     config = DaisyConfig(threads=threads, search=search or SearchConfig())
     return DaisyScheduler(machine=machine, config=config, database=database,
-                          normalization=normalization)
+                          pipeline="identity")
 
 
 @register_scheduler("evolutionary", normalizes=True, tunes=True)
@@ -207,7 +195,7 @@ def _make_evolutionary(machine=None, threads=1, search=None, database=None,
     return DaisyScheduler(machine=machine, config=config,
                           database=database if database is not None
                           else TuningDatabase(),
-                          normalization=_pre_normalized_options())
+                          pipeline="identity")
 
 
 @register_scheduler("polly", normalizes=False)

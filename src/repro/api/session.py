@@ -41,8 +41,6 @@ from ..ir.nodes import Loop, Program
 from ..normalization.pipeline import NormalizationOptions
 from ..observability import MetricsRegistry, Tracer, register_process_metrics
 from ..observability.tracing import NULL_SPAN, span as trace_span
-from ..passes.registry import (PipelineRegistryError, has_pipeline,
-                               pipeline_names)
 from ..perf.cache import CacheHierarchy, CacheReport
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..perf.model import CostModel
@@ -73,7 +71,6 @@ class Session:
     def __init__(self,
                  machine: Optional[MachineModel] = None,
                  threads: int = 1,
-                 normalization: Optional[NormalizationOptions] = None,
                  pipeline: Optional[str] = None,
                  scheduler: str = "daisy",
                  search: Optional[SearchConfig] = None,
@@ -91,20 +88,10 @@ class Session:
                 f"unknown scheduler {scheduler!r}; registered: {SCHEDULERS.names()}")
         self.machine = machine or DEFAULT_MACHINE
         self.threads = threads
-        # ``pipeline`` is the registry-named shorthand for ``normalization``
-        # (e.g. "a-priori", "no-fission"); pass one or the other, not both.
-        # Validated eagerly, like the scheduler name above: a typo must fail
+        # The registered normalization pipeline ("a-priori" when None).
+        # Checked eagerly, like the scheduler name above: a typo must fail
         # at construction, not on the first request of a booted server.
-        if pipeline is not None and normalization is not None:
-            raise ValueError("pass either normalization= options or a "
-                             "pipeline= name, not both")
-        if pipeline is not None:
-            if not has_pipeline(pipeline):
-                raise PipelineRegistryError(
-                    f"unknown pipeline {pipeline!r}; "
-                    f"registered: {pipeline_names()}")
-            normalization = NormalizationOptions.named(pipeline)
-        self.normalization = normalization or NormalizationOptions()
+        self.normalization = NormalizationOptions(pipeline or "a-priori")
         self.default_scheduler = scheduler
         self.search = search
         self.mcts = mcts
@@ -274,19 +261,16 @@ class Session:
     # -- normalization ----------------------------------------------------------------
 
     def normalize(self, source: ProgramLike,
-                  options: Optional[NormalizationOptions] = None, *,
                   pipeline: Optional[str] = None) -> NormalizeResponse:
         """Run a-priori normalization through the content-addressed cache.
 
         ``pipeline`` selects a registered pipeline by name for this call;
-        without it, ``options`` (or the session default) applies.
+        without it, the session's pipeline applies.
         """
-        if pipeline is not None:
-            if options is not None:
-                raise ValueError("pass either options= or pipeline=, not both")
-            options = NormalizationOptions.named(pipeline)
+        options = (self.normalization if pipeline is None
+                   else NormalizationOptions(pipeline))
         program = self.load(source)
-        entry = self.cache.normalized(program, options or self.normalization)
+        entry = self.cache.normalized(program, options)
         # Cache keys are name-insensitive: a hit may carry the program name
         # of whoever populated the entry.  Serve under the caller's name,
         # like the schedule-cache-hit path does.
@@ -340,9 +324,8 @@ class Session:
             normalizes = (scheduler_normalizes(name) if request.normalize is None
                           else request.normalize)
             if request.pipeline is not None and not normalizes:
-                # Mirror the eager Session(pipeline=, normalization=) conflict
-                # check: a pipeline on a request that skips normalization would
-                # be silently inert (and spoil coalescing fingerprints).
+                # A pipeline on a request that skips normalization would be
+                # silently inert (and spoil coalescing fingerprints).
                 raise ValueError(
                     f"request selects pipeline {request.pipeline!r} but "
                     f"normalization is disabled for it "

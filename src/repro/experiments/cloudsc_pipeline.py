@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..api import (Loop, NormalizationOptions, Program, Session,
-                   analyze_loop_parallelism, contract_arrays,
-                   fuse_adjacent_loops, fuse_chains_in_body,
+from ..api import (Loop, Program, Session, analyze_loop_parallelism,
+                   contract_arrays, fuse_adjacent_loops, fuse_chains_in_body,
                    fuse_chains_in_loop)
 
 #: Runtime factors of the C and DaCe code generators relative to the tuned
@@ -40,7 +39,7 @@ DACE_CODEGEN_FACTOR = 1.18
 
 #: CLOUDSC keeps source iterator names: recipes are not transferred across
 #: nests here, and the pseudocode listings of Figure 10 stay readable.
-PIPELINE_OPTIONS = NormalizationOptions(canonicalize_iterators=False)
+PIPELINE = "a-priori-keep-names"
 
 _shared_session: Optional[Session] = None
 
@@ -49,7 +48,7 @@ def pipeline_session() -> Session:
     """The session shared by the CLOUDSC harnesses (one normalization cache)."""
     global _shared_session
     if _shared_session is None:
-        _shared_session = Session(normalization=PIPELINE_OPTIONS)
+        _shared_session = Session(pipeline=PIPELINE)
     return _shared_session
 
 
@@ -79,7 +78,7 @@ def daisy_optimize(program: Program, parallel_blocks: bool = True,
     Returns the optimized program and a small report dictionary.
     """
     session = session or pipeline_session()
-    normalization = session.normalize(program, PIPELINE_OPTIONS)
+    normalization = session.normalize(program, PIPELINE)
     normalized, report = normalization.program, normalization.report
 
     fused = 0

@@ -19,8 +19,8 @@ from typing import Iterable, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..api import (DEFAULT_MACHINE, BenchmarkSpec, MachineModel, MctsConfig,
-                   NormalizationOptions, Program, SearchConfig, Session,
-                   all_benchmarks, polybench_benchmarks)
+                   Program, SearchConfig, Session, all_benchmarks,
+                   polybench_benchmarks)
 
 #: Thread count of the paper's evaluation machine (Xeon E5-2680v3).
 DEFAULT_THREADS = 12
@@ -59,24 +59,22 @@ class ExperimentSettings:
         wanted = set(self.benchmarks)
         return [spec for spec in all_benchmarks() if spec.name in wanted]
 
-    def session(self, normalization: Optional[NormalizationOptions] = None,
-                pipeline: Optional[str] = None) -> Session:
+    def session(self, pipeline: Optional[str] = None) -> Session:
         """A fresh Session configured like this experiment run.
 
         ``pipeline`` selects a registry-named normalization pipeline
-        ("a-priori", "no-fission", ...), the preferred way for ablations.
+        ("a-priori", "no-fission", ...).
         """
         return Session(machine=self.machine, threads=self.threads,
-                       normalization=normalization, pipeline=pipeline,
-                       search=self.search, mcts=self.mcts, size=self.size)
+                       pipeline=pipeline, search=self.search,
+                       mcts=self.mcts, size=self.size)
 
 
 def make_session(settings: ExperimentSettings,
                  seed_specs: Optional[Sequence[BenchmarkSpec]] = None,
-                 normalization: Optional[NormalizationOptions] = None,
                  pipeline: Optional[str] = None) -> Session:
     """Create a session, optionally seeding its database from A variants."""
-    session = settings.session(normalization, pipeline)
+    session = settings.session(pipeline)
     if seed_specs:
         session.seed([spec.name for spec in seed_specs], variant="a")
     return session

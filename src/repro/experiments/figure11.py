@@ -12,7 +12,7 @@ from typing import Dict, List, Optional
 
 from ..api import CloudscConfiguration, build_cloudsc_model
 from .cloudsc_pipeline import (C_CODEGEN_FACTOR, DACE_CODEGEN_FACTOR,
-                               PIPELINE_OPTIONS, annotate_baseline,
+                               PIPELINE, annotate_baseline,
                                daisy_optimize)
 from .common import ExperimentSettings, format_table
 
@@ -25,7 +25,7 @@ def run(settings: Optional[ExperimentSettings] = None,
     settings = settings or ExperimentSettings()
     configuration = configuration or CloudscConfiguration(nproma=128, nblocks=512)
     parameters = configuration.parameters()
-    session = settings.session(normalization=PIPELINE_OPTIONS)
+    session = settings.session(PIPELINE)
 
     model_program = build_cloudsc_model()
     baseline = annotate_baseline(model_program, parallel_blocks=False)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..api import (WEAK_SCALING_POINTS, CloudscConfiguration, Session,
                    build_cloudsc_model)
 from .cloudsc_pipeline import (C_CODEGEN_FACTOR, DACE_CODEGEN_FACTOR,
-                               PIPELINE_OPTIONS, annotate_baseline,
+                               PIPELINE, annotate_baseline,
                                daisy_optimize)
 from .common import ExperimentSettings, format_table
 
@@ -47,7 +47,7 @@ def run_strong_scaling(settings: Optional[ExperimentSettings] = None,
                        ) -> List[Dict[str, object]]:
     """Figure 12a: fixed problem size, increasing thread count."""
     settings = settings or ExperimentSettings()
-    session = settings.session(normalization=PIPELINE_OPTIONS)
+    session = settings.session(PIPELINE)
     configuration = CloudscConfiguration(nproma=128, nblocks=512)
     rows: List[Dict[str, object]] = []
     for count in threads:
@@ -68,7 +68,7 @@ def run_weak_scaling(settings: Optional[ExperimentSettings] = None,
                      ) -> List[Dict[str, object]]:
     """Figure 12b: workload grows proportionally with the thread count."""
     settings = settings or ExperimentSettings()
-    session = settings.session(normalization=PIPELINE_OPTIONS)
+    session = settings.session(PIPELINE)
     rows: List[Dict[str, object]] = []
     for columns, threads in points:
         nblocks = max(1, columns // 128)

@@ -17,8 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..api import build_erosion_kernel
-from .cloudsc_pipeline import (PIPELINE_OPTIONS, annotate_baseline,
-                               daisy_optimize)
+from .cloudsc_pipeline import PIPELINE, annotate_baseline, daisy_optimize
 from .common import ExperimentSettings, format_table
 
 #: Configuration of Section 5.1: NPROMA=128, KLEV vertical levels.
@@ -29,7 +28,7 @@ KLEV = 137
 def run(settings: Optional[ExperimentSettings] = None) -> List[Dict[str, object]]:
     settings = settings or ExperimentSettings()
     parameters = {"NPROMA": NPROMA}
-    session = settings.session(normalization=PIPELINE_OPTIONS)
+    session = settings.session(PIPELINE)
 
     kernel = build_erosion_kernel()
     original = annotate_baseline(kernel, parallel_blocks=False)

@@ -10,8 +10,7 @@ plus loop normal form and canonical iterator renaming, combined in
 :func:`normalize` (the pipeline of Figure 5).  The stages run as
 instrumented :mod:`repro.passes` pipelines selected by registered name
 (``"a-priori"`` and its ablations — see ``docs/pipelines.md``);
-:class:`NormalizationOptions` is a thin constructor over those pipeline
-specs.
+:class:`NormalizationOptions` is that name plus the symbolic sizes.
 """
 
 from .fission import (FissionReport, fission_loop, fission_sweep,

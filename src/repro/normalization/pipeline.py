@@ -1,10 +1,9 @@
 """The a-priori normalization pipeline, built on the unified pass framework.
 
-Since PR 3 normalization is not a hard-coded if-chain: :func:`normalize`
-resolves a :class:`NormalizationOptions` to a named
-:class:`~repro.passes.pipeline.Pipeline` of :class:`~repro.passes.base.Pass`
-stages (``repro.passes``) and runs it on a copy of the input.  The paper's
-Figure 5 order is the registered ``"a-priori"`` pipeline:
+:func:`normalize` runs a registered :class:`~repro.passes.pipeline.Pipeline`
+of :class:`~repro.passes.base.Pass` stages (``repro.passes``) on a copy of
+the input; :class:`NormalizationOptions` names the pipeline and binds the
+symbolic sizes.  The paper's Figure 5 order is the ``"a-priori"`` pipeline:
 
 1. loop normal form (zero-based, unit-step loops),
 2. scalar expansion of per-iteration temporaries,
@@ -14,13 +13,12 @@ Figure 5 order is the registered ``"a-priori"`` pipeline:
 6. structural validation.
 
 The Section 4.2 ablations are the sibling registrations ``"no-fission"``,
-``"no-stride"``, ``"no-scalar-expansion"``, and ``"identity"``; consumers
-select pipelines by name (``NormalizationOptions.named("no-fission")``)
-instead of flag combinations.  Every run returns a
-:class:`NormalizationReport` that carries, besides the classic stage
-reports, one instrumented :class:`~repro.passes.base.PassResult` per pass —
-wall time, change flag, counters, IR-size delta — which the Session/serving
-layers aggregate into their reports.  Passing a shared
+``"no-stride"``, ``"no-scalar-expansion"``, and ``"identity"``, and the
+CLOUDSC case study runs ``"a-priori-keep-names"`` (no iterator renaming).
+Every run returns a :class:`NormalizationReport` that carries, besides the
+stage reports, one instrumented :class:`~repro.passes.base.PassResult` per
+pass — wall time, change flag, counters, IR-size delta — which the
+Session/serving layers aggregate into their reports.  Passing a shared
 :class:`~repro.passes.analysis.AnalysisManager` memoizes per-nest analyses
 (dependence edges, minimal permutations) across runs.
 
@@ -38,7 +36,8 @@ from ..ir.nodes import Program
 from ..passes.analysis import AnalysisManager
 from ..passes.base import PassContext, PassResult, aggregate_timings
 from ..passes.pipeline import Pipeline, PipelineResult
-from ..passes.library import build_normalization_pipeline
+from ..passes.registry import (PipelineRegistryError, get_pipeline,
+                               has_pipeline, pipeline_names)
 from .fission import FissionReport
 from .scalar_expansion import ScalarExpansionReport
 from .stride_minimization import StrideMinimizationReport
@@ -48,11 +47,10 @@ from .stride_minimization import StrideMinimizationReport
 class NormalizationReport:
     """What the normalization pipeline did to one program.
 
-    The classic per-stage summaries (``fission``, ``strides``,
-    ``scalar_expansion``) are kept for compatibility; ``passes`` carries the
-    instrumented per-pass results of the pipeline run (one entry per pass
-    application, fixed-point iterations included) and ``pipeline`` names the
-    pipeline that produced them.
+    ``fission``, ``strides`` and ``scalar_expansion`` summarize their
+    stages; ``passes`` carries the instrumented per-pass results of the
+    pipeline run (one entry per pass application, fixed-point iterations
+    included) and ``pipeline`` names the pipeline that produced them.
     """
 
     fission: FissionReport = field(default_factory=FissionReport)
@@ -65,18 +63,9 @@ class NormalizationReport:
 
     @property
     def changed(self) -> bool:
-        """Whether any pass changed the program.
-
-        With instrumented pass results available this is exact (bound
-        normalization and scalar expansion included — the historical
-        if-chain ignored both); reports deserialized from old cache entries
-        fall back to the stage counters.
-        """
-        if self.passes:
-            return any(result.changed for result in self.passes)
-        return (self.fission.loops_split > 0
-                or self.strides.nests_permuted > 0
-                or self.scalar_expansion.count > 0)
+        """Whether any pass changed the program (a run of the empty
+        ``identity`` pipeline changed nothing)."""
+        return any(result.changed for result in self.passes)
 
     def pass_timings(self) -> Dict[str, float]:
         """Total wall time per pass name for this run."""
@@ -118,46 +107,28 @@ class NormalizationReport:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalizationOptions:
-    """Configuration of the normalization pipeline.
+    """Which registered pipeline normalizes, with which symbolic sizes.
 
-    This is a thin constructor over pipeline specs: ``pipeline`` selects a
-    registered pipeline by name (``"a-priori"``, ``"no-fission"``,
-    ``"no-stride"``, ``"no-scalar-expansion"``, ``"identity"``, or any
-    third-party registration) and wins over the individual stage flags,
-    which remain for finer-grained custom pipelines.  :meth:`to_pipeline`
-    resolves either form to the actual :class:`~repro.passes.pipeline.Pipeline`.
+    ``pipeline`` names a registration (``"a-priori"``, an ablation, the
+    rewrite family, or a third-party one) and is checked on construction,
+    so a typo fails before any program is touched; ``parameters`` bind the
+    symbolic sizes stride minimization prices strides with.
     """
 
-    normalize_bounds: bool = True
-    apply_scalar_expansion: bool = True
-    apply_fission: bool = True
-    apply_stride_minimization: bool = True
-    canonicalize_iterators: bool = True
+    pipeline: str = "a-priori"
     parameters: Optional[Mapping[str, int]] = None
-    validate: bool = True
-    pipeline: Optional[str] = None
 
-    @classmethod
-    def named(cls, pipeline: str,
-              parameters: Optional[Mapping[str, int]] = None
-              ) -> "NormalizationOptions":
-        """Options selecting a registered pipeline by name."""
-        return cls(pipeline=pipeline, parameters=parameters)
+    def __post_init__(self) -> None:
+        if not has_pipeline(self.pipeline):
+            raise PipelineRegistryError(
+                f"unknown pipeline {self.pipeline!r}; "
+                f"registered: {pipeline_names()}")
 
     def to_pipeline(self) -> Pipeline:
-        """Resolve these options to the pipeline they describe."""
-        if self.pipeline is not None:
-            return build_normalization_pipeline(self.pipeline)
-        return build_normalization_pipeline(
-            normalize_bounds=self.normalize_bounds,
-            apply_scalar_expansion=self.apply_scalar_expansion,
-            apply_fission=self.apply_fission,
-            apply_stride_minimization=self.apply_stride_minimization,
-            canonicalize_iterators=self.canonicalize_iterators,
-            validate=self.validate,
-        )
+        """A fresh instance of the named pipeline."""
+        return get_pipeline(self.pipeline)
 
 
 def _assemble_report(outcome: PipelineResult,
@@ -182,10 +153,10 @@ def normalize(program: Program,
     """Run the configured normalization pipeline on a copy of ``program``.
 
     ``analysis`` optionally shares a memo of per-nest analyses across runs
-    (the normalization cache passes its own, long-lived manager here), and
-    ``pipeline`` accepts an already-resolved pipeline so callers that
-    resolved ``options`` for other purposes (e.g. cache keying) do not
-    build it twice.
+    (the normalization cache passes its own, long-lived manager here).
+    ``pipeline`` runs in place of the one ``options`` names: the cache
+    hands over the instance it keyed with, and tests run unregistered
+    stage lists this way.
     """
     options = options or NormalizationOptions()
     if pipeline is None:

@@ -1,35 +1,33 @@
 """``repro.passes`` — the unified, instrumented pass framework.
 
-One abstraction covers every program rewrite in the repo: a-priori
-normalization stages, scheduling transformations, and recipe application all
-run as :class:`Pass` objects composed into :class:`Pipeline` objects, with
-per-pass wall time, change counters, and IR-size deltas collected on every
-run.  Named pipelines (``"a-priori"`` and its ablations, the expression-
-rewrite family of :mod:`repro.passes.rewrite`) live in a process-wide
-registry, and an :class:`AnalysisManager` memoizes per-nest analyses so
-repeated normalization of equivalent nests gets measurably faster.
+One abstraction covers every program rewrite in the repo: the a-priori
+normalization stages and the scheduling transformations are :class:`Pass`
+objects, composed into :class:`Pipeline` objects with per-pass wall time,
+change counters, and IR-size deltas collected on every run.  A
+normalization pipeline is selected by its registered name (``"a-priori"``
+and its ablations, the expression-rewrite family of
+:mod:`repro.passes.rewrite`), and an :class:`AnalysisManager` memoizes
+per-nest analyses so repeated normalization of equivalent nests gets
+measurably faster.
 """
 
 from .analysis import AnalysisManager, node_fingerprint, program_fingerprint
-from .base import (FunctionPass, Pass, PassContext, PassResult, PassStats,
-                   program_ir_size)
+from .base import Pass, PassContext, PassResult, PassStats, program_ir_size
 from .pipeline import (DEFAULT_MAX_ITERATIONS, FixedPoint, Pipeline,
                        PipelineResult)
 from .registry import (PipelineRegistryError, get_pipeline, has_pipeline,
                        pipeline_bit_exact, pipeline_names, register_pipeline,
                        unregister_pipeline)
 from .library import (CanonicalizeIteratorsPass, FissionSweepPass,
-                      LoopNormalFormPass, NAMED_PIPELINE_FLAGS,
-                      ScalarExpansionPass, StrideMinimizationPass,
-                      ValidatePass, build_normalization_pipeline)
+                      LoopNormalFormPass, ScalarExpansionPass,
+                      StrideMinimizationPass, ValidatePass)
 from .rewrite import (CommonSubexpressionEliminationPass,
                       ConstantPreEvaluationPass, ExpansionPass,
                       FactorizationPass, LoopInvariantCodeMotionPass)
 
 __all__ = [
     # protocol + instrumentation
-    "Pass", "FunctionPass", "PassContext", "PassResult", "PassStats",
-    "program_ir_size",
+    "Pass", "PassContext", "PassResult", "PassStats", "program_ir_size",
     # composition
     "Pipeline", "PipelineResult", "FixedPoint", "DEFAULT_MAX_ITERATIONS",
     # registry
@@ -37,10 +35,9 @@ __all__ = [
     "pipeline_bit_exact", "unregister_pipeline", "PipelineRegistryError",
     # memoized analyses
     "AnalysisManager", "node_fingerprint", "program_fingerprint",
-    # shipped passes / builders
+    # shipped passes
     "LoopNormalFormPass", "ScalarExpansionPass", "FissionSweepPass",
     "StrideMinimizationPass", "CanonicalizeIteratorsPass", "ValidatePass",
-    "build_normalization_pipeline", "NAMED_PIPELINE_FLAGS",
     # expression-rewrite family
     "ConstantPreEvaluationPass", "FactorizationPass", "ExpansionPass",
     "LoopInvariantCodeMotionPass", "CommonSubexpressionEliminationPass",

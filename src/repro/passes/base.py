@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from ..ir.nodes import Program
 from ..observability.tracing import span as _trace_span
@@ -140,17 +140,6 @@ class Pass:
                                 wall_time_s=result.wall_time_s,
                                 ir_delta=result.ir_size_after - size_before)
             return result
-
-
-class FunctionPass(Pass):
-    """Adapter wrapping a plain ``Program -> bool`` callable as a pass."""
-
-    def __init__(self, fn: Callable[[Program], Any], name: Optional[str] = None):
-        self._fn = fn
-        self.name = name or getattr(fn, "__name__", "function-pass")
-
-    def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
-        return bool(self._fn(program))
 
 
 def aggregate_timings(results: Iterable[PassResult]) -> Dict[str, float]:

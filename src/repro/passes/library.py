@@ -2,27 +2,28 @@
 
 The a-priori normalization stages (Section 3.2, Figure 5) are wrapped here as
 :class:`~repro.passes.base.Pass` subclasses, and the paper's pipeline plus
-its Section 4.2 ablations are registered by name:
+its Section 4.2 ablations are registered by name, each as a literal stage
+list:
 
 * ``"a-priori"``            — the full Figure 5 order: loop normal form,
   scalar expansion, maximal fission (fixed point), stride minimization,
   canonical iterator renaming, validation.
+* ``"a-priori-keep-names"`` — the same without iterator renaming (the
+  CLOUDSC case study keeps its source names).
 * ``"no-fission"``          — drops maximal fission (and scalar expansion,
   which only exists to enable fission).
 * ``"no-stride"``           — drops stride minimization.
 * ``"no-scalar-expansion"`` — drops only scalar expansion.
-* ``"identity"``            — no rewriting at all (the "Opt"-only ablation
+* ``"identity"``            — no stages at all (the "Opt"-only ablation
   and the internal pipeline of session-managed schedulers, whose input is
   already normalized).
 
-Each stage pass deposits its classic stage report in ``context.scratch`` so
-:func:`repro.normalization.pipeline.normalize` can keep assembling the
-backward-compatible :class:`~repro.normalization.pipeline.NormalizationReport`.
+Each stage pass deposits its stage report in ``context.scratch``, from which
+:func:`repro.normalization.pipeline.normalize` assembles the
+:class:`~repro.normalization.pipeline.NormalizationReport`.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional
 
 from ..ir.nodes import Program
 from ..ir.validation import validate_program
@@ -113,80 +114,55 @@ class ValidatePass(Pass):
 
 
 # ---------------------------------------------------------------------------
-# Pipeline construction
+# Pipeline registrations
 # ---------------------------------------------------------------------------
 
-#: Flag combinations of the registered pipeline names, mirroring the fields
-#: of :class:`~repro.normalization.pipeline.NormalizationOptions`.
-NAMED_PIPELINE_FLAGS: Dict[str, Dict[str, bool]] = {
-    "a-priori": {},
-    "no-fission": {"apply_fission": False, "apply_scalar_expansion": False},
-    "no-stride": {"apply_stride_minimization": False},
-    "no-scalar-expansion": {"apply_scalar_expansion": False},
-    "identity": {"normalize_bounds": False, "apply_scalar_expansion": False,
-                 "apply_fission": False, "apply_stride_minimization": False,
-                 "canonicalize_iterators": False, "validate": False},
-}
 
-_FLAG_DEFAULTS: Dict[str, bool] = {
-    "normalize_bounds": True,
-    "apply_scalar_expansion": True,
-    "apply_fission": True,
-    "apply_stride_minimization": True,
-    "canonicalize_iterators": True,
-    "validate": True,
-}
+def _fission() -> FixedPoint:
+    return FixedPoint([FissionSweepPass()], name="maximal-fission",
+                      max_iterations=MAX_FIXED_POINT_ITERATIONS)
 
 
-def _resolve_name(flags: Dict[str, bool]) -> str:
-    for name, overrides in NAMED_PIPELINE_FLAGS.items():
-        named = dict(_FLAG_DEFAULTS, **overrides)
-        if named == flags:
-            return name
-    return "custom"
+@register_pipeline("a-priori")
+def _a_priori() -> Pipeline:
+    """The paper's Figure 5 order."""
+    return Pipeline("a-priori", [
+        LoopNormalFormPass(), ScalarExpansionPass(), _fission(),
+        StrideMinimizationPass(), CanonicalizeIteratorsPass(), ValidatePass()])
 
 
-def build_normalization_pipeline(name: Optional[str] = None,
-                                 **overrides: bool) -> Pipeline:
-    """Build a normalization pipeline from a registered name or from flags.
-
-    With ``name`` given, the flags of that registered pipeline are used; with
-    flag overrides only, the stages are assembled accordingly and the
-    pipeline is named after the matching registered combination (or
-    ``"custom"``).
-    """
-    if name is not None:
-        if name not in NAMED_PIPELINE_FLAGS:
-            from .registry import get_pipeline
-            return get_pipeline(name)  # third-party registrations
-        overrides = dict(NAMED_PIPELINE_FLAGS[name])
-    flags = dict(_FLAG_DEFAULTS)
-    flags.update(overrides)
-
-    stages = []
-    if flags["normalize_bounds"]:
-        stages.append(LoopNormalFormPass())
-    if flags["apply_scalar_expansion"]:
-        stages.append(ScalarExpansionPass())
-    if flags["apply_fission"]:
-        stages.append(FixedPoint([FissionSweepPass()],
-                                 name="maximal-fission",
-                                 max_iterations=MAX_FIXED_POINT_ITERATIONS))
-    if flags["apply_stride_minimization"]:
-        stages.append(StrideMinimizationPass())
-    if flags["canonicalize_iterators"]:
-        stages.append(CanonicalizeIteratorsPass())
-    if flags["validate"]:
-        stages.append(ValidatePass())
-    return Pipeline(name or _resolve_name(flags), stages)
+@register_pipeline("a-priori-keep-names")
+def _a_priori_keep_names() -> Pipeline:
+    """Figure 5 without iterator renaming: CLOUDSC keeps its source names."""
+    return Pipeline("a-priori-keep-names", [
+        LoopNormalFormPass(), ScalarExpansionPass(), _fission(),
+        StrideMinimizationPass(), ValidatePass()])
 
 
-def _register_named_pipelines() -> None:
-    for pipeline_name in NAMED_PIPELINE_FLAGS:
-        def factory(pipeline_name: str = pipeline_name) -> Pipeline:
-            return build_normalization_pipeline(pipeline_name)
+@register_pipeline("no-fission")
+def _no_fission() -> Pipeline:
+    """Drops fission, and scalar expansion, which only exists to enable it."""
+    return Pipeline("no-fission", [
+        LoopNormalFormPass(), StrideMinimizationPass(),
+        CanonicalizeIteratorsPass(), ValidatePass()])
 
-        register_pipeline(pipeline_name)(factory)
+
+@register_pipeline("no-stride")
+def _no_stride() -> Pipeline:
+    return Pipeline("no-stride", [
+        LoopNormalFormPass(), ScalarExpansionPass(), _fission(),
+        CanonicalizeIteratorsPass(), ValidatePass()])
 
 
-_register_named_pipelines()
+@register_pipeline("no-scalar-expansion")
+def _no_scalar_expansion() -> Pipeline:
+    return Pipeline("no-scalar-expansion", [
+        LoopNormalFormPass(), _fission(), StrideMinimizationPass(),
+        CanonicalizeIteratorsPass(), ValidatePass()])
+
+
+@register_pipeline("identity")
+def _identity() -> Pipeline:
+    """No stages at all: the internal pipeline of session-managed
+    schedulers, whose input the session already normalized."""
+    return Pipeline("identity", [])

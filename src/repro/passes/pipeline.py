@@ -106,10 +106,6 @@ class Pipeline:
         self.name = name
         self.stages: List[Stage] = list(stages)
 
-    def add(self, stage: Stage) -> "Pipeline":
-        self.stages.append(stage)
-        return self
-
     def pass_names(self) -> List[str]:
         names: List[str] = []
         for stage in self.stages:
@@ -124,9 +120,6 @@ class Pipeline:
         parts = [stage.identity() if isinstance(stage, FixedPoint) else stage.name
                  for stage in self.stages]
         return f"{self.name}[{','.join(parts)}]"
-
-    def describe(self) -> str:
-        return self.identity()
 
     def run(self, program: Program,
             context: Optional[PassContext] = None) -> PipelineResult:

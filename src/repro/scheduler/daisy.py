@@ -17,7 +17,7 @@ paper evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from ..ir.nodes import Program
 from ..normalization.pipeline import NormalizationOptions, normalize
@@ -52,15 +52,11 @@ class DaisyScheduler(Scheduler):
     def __init__(self, machine: MachineModel = DEFAULT_MACHINE,
                  config: Optional[DaisyConfig] = None,
                  database: Optional[TuningDatabase] = None,
-                 normalization: Union[NormalizationOptions, str, None] = None):
+                 pipeline: str = "a-priori"):
         self.config = config or DaisyConfig()
         super().__init__(machine, self.config.threads)
         self.database = database if database is not None else TuningDatabase()
-        # ``normalization`` may be options or a registry pipeline name
-        # ("a-priori", "identity", ...); names resolve through the registry.
-        if isinstance(normalization, str):
-            normalization = NormalizationOptions.named(normalization)
-        self.normalization = normalization or NormalizationOptions()
+        self.normalization = NormalizationOptions(pipeline)
         #: Scheduler-lifetime memo: normalization, the search and every
         #: recipe application ask it, so repeat scheduling of equivalent
         #: nests reuses dependence/permutation analyses across calls.

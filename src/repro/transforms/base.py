@@ -3,12 +3,11 @@
 The daisy auto-scheduler (Section 4) stores *optimization recipes* — sequences
 of loop transformations such as interchange, tiling, parallelization and
 vectorization — in a database and applies them to normalized loop nests.
-Since PR 3 every transformation is also a :class:`repro.passes.Pass`: the
-same protocol that runs the a-priori normalization stages runs scheduling
-transformations, so recipes convert to instrumented
-:class:`~repro.passes.pipeline.Pipeline` objects
-(:meth:`repro.transforms.recipe.Recipe.to_pipeline`) with per-pass wall time
-and change counters for free.  Each transformation is therefore:
+Every transformation is also a :class:`repro.passes.Pass`: the same
+protocol that runs the a-priori normalization stages runs a single
+transformation with wall time and a change flag (``run``), while recipes
+are applied through :func:`repro.transforms.recipe.apply_recipe`.  Each
+transformation is therefore:
 
 * addressable (it names the top-level nest it applies to),
 * checkable (it can refuse to apply when illegal, via

@@ -3,10 +3,7 @@
 A recipe is what the transfer-tuning database stores per loop nest: the
 sequence of transformations (interchange, tiling, parallelization,
 vectorization, idiom replacement, ...) that turned the normalized nest into
-its optimized form.  Because transformations are passes of the unified
-framework, a recipe converts directly to a
-:class:`~repro.passes.pipeline.Pipeline` (:meth:`Recipe.to_pipeline`) whose
-runs are instrumented per transformation.
+its optimized form.  :func:`apply_recipe` is the one way to apply it.
 """
 
 from __future__ import annotations
@@ -15,8 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..ir.nodes import Program
-from ..passes.base import PassContext, PassResult
-from ..passes.pipeline import Pipeline
+from ..passes.base import PassContext
 from ..analysis.band import BandView
 from .base import (BandSchedule, Transformation, TransformationError,
                    build_view)
@@ -40,15 +36,6 @@ class Recipe:
     def __iter__(self):
         return iter(self.transformations)
 
-    def to_pipeline(self) -> Pipeline:
-        """This recipe as a pipeline of the unified pass framework.
-
-        Running the pipeline applies the transformations *strictly* (an
-        illegal transformation raises); use :func:`apply_recipe` for the
-        skip-on-failure semantics of transfer tuning.
-        """
-        return Pipeline(self.name, list(self.transformations))
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -68,17 +55,11 @@ class Recipe:
 
 @dataclass
 class RecipeApplication:
-    """Outcome of applying a recipe to a program.
-
-    ``results`` carries one instrumented :class:`~repro.passes.base.PassResult`
-    per transformation when the recipe was applied with ``instrument=True``
-    (failed transformations get a result with ``error`` set).
-    """
+    """Outcome of applying a recipe to a program."""
 
     recipe: Recipe
     applied: List[Transformation] = field(default_factory=list)
     failed: List[Tuple[Transformation, str]] = field(default_factory=list)
-    results: List[PassResult] = field(default_factory=list)
 
     @property
     def fully_applied(self) -> bool:
@@ -91,24 +72,18 @@ class RecipeApplication:
 
 def apply_recipe(program: Program, recipe: Recipe,
                  strict: bool = False,
-                 instrument: bool = False,
                  context: Optional[PassContext] = None) -> RecipeApplication:
     """Apply a recipe to ``program`` in place.
 
     With ``strict=True`` the first illegal transformation raises; otherwise
     illegal transformations are recorded and skipped — mirroring the paper's
     behavior that a transformation sequence "cannot be applied" when a B loop
-    nest does not reduce to an A loop nest.  ``instrument=True`` runs each
-    transformation through the pass protocol and collects per-transformation
-    :class:`~repro.passes.base.PassResult` timings (kept off by default: the
-    evolutionary search applies thousands of recipes on its hot path).
-    The transformations answer their legality questions through
-    ``context.analysis`` when a ``context`` is given, so a caller applying
-    many recipes to equivalent nests asks each question once.
+    nest does not reduce to an A loop nest.  The transformations answer
+    their legality questions through ``context.analysis`` when a
+    ``context`` is given, so a caller applying many recipes to equivalent
+    nests asks each question once.
     """
     result = RecipeApplication(recipe=recipe)
-    if instrument and context is None:
-        context = PassContext()
     # Consecutive band schedules of one nest edit one view of it, built into
     # loops once — when something else comes next, or at the end.
     view: Optional[BandView] = None
@@ -123,7 +98,7 @@ def apply_recipe(program: Program, recipe: Recipe,
     try:
         for transformation in recipe.transformations:
             try:
-                if isinstance(transformation, BandSchedule) and not instrument:
+                if isinstance(transformation, BandSchedule):
                     if view is None or transformation.nest_index != viewed:
                         build()
                         viewed = transformation.nest_index
@@ -131,20 +106,12 @@ def apply_recipe(program: Program, recipe: Recipe,
                     transformation.schedule(view)
                 else:
                     build()
-                    if instrument:
-                        result.results.append(
-                            transformation.run(program, context))
-                    else:
-                        transformation.apply(program, context)
+                    transformation.apply(program, context)
                 result.applied.append(transformation)
             except TransformationError as error:
                 if strict:
                     raise
                 result.failed.append((transformation, str(error)))
-                if instrument:
-                    result.results.append(PassResult(
-                        pass_name=transformation.name, changed=False,
-                        error=str(error)))
     finally:
         build()
     return result

@@ -36,7 +36,7 @@ class TestContentHash:
         assert (fingerprint(NormalizationOptions())
                 == fingerprint(NormalizationOptions()))
         assert (fingerprint(NormalizationOptions())
-                != fingerprint(NormalizationOptions(apply_fission=False)))
+                != fingerprint(NormalizationOptions("no-fission")))
 
 
 class TestNormalizationLevel:
@@ -53,7 +53,7 @@ class TestNormalizationLevel:
         cache = NormalizationCache()
         cache.normalized(build_gemm())
         other = cache.normalized(build_gemm(),
-                                 NormalizationOptions(apply_fission=False))
+                                 NormalizationOptions("no-fission"))
         assert not other.hit
         assert cache.stats.normalization_misses == 2
 

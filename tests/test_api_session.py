@@ -5,8 +5,7 @@ import pytest
 from helpers import GEMM_PARAMS as PARAMS
 from helpers import build_gemm, build_vector_add, fast_session
 
-from repro.api import (NormalizationOptions, RegistryError, ScheduleRequest,
-                       ScheduleResponse)
+from repro.api import RegistryError, ScheduleRequest, ScheduleResponse
 
 VEC_SOURCE = """
 double x[N];
@@ -425,16 +424,14 @@ class TestExecutionAndMeasurement:
 
 class TestNormalizationOptionsPlumbing:
     def test_session_options_flow_into_normalize(self):
-        session = fast_session(
-            normalization=NormalizationOptions(apply_fission=False))
+        session = fast_session(pipeline="no-fission")
         program = build_gemm()
         response = session.normalize(program)
         assert response.report.fission.loops_split == 0
 
     def test_explicit_options_override(self):
         session = fast_session()
-        response = session.normalize(build_gemm(),
-                                     NormalizationOptions(apply_fission=False))
+        response = session.normalize(build_gemm(), "no-fission")
         assert response.report.fission.loops_split == 0
         full = session.normalize(build_gemm())
         assert full.report.fission.loops_split >= 0

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from helpers import build_gemm, build_stencil, build_vector_add
 from repro.interp import programs_equivalent, run_program
 from repro.ir import ProgramBuilder, to_pseudocode
-from repro.normalization import (NormalizationOptions,
-                                 canonicalize_iterator_names, contract_arrays,
+from repro.normalization import (canonicalize_iterator_names, contract_arrays,
                                  expand_scalars, find_minimal_permutation,
                                  is_maximally_fissioned, maximal_loop_fission,
                                  normalize, normalize_loop_bounds,
                                  normalize_program, normalize_program_bounds)
+from repro.passes import (LoopNormalFormPass, Pipeline, ScalarExpansionPass,
+                          ValidatePass)
 from repro.workloads.polybench import build_gemm_a, build_gemm_b
 
 PARAMS = {"NI": 8, "NJ": 9, "NK": 10}
@@ -179,11 +180,10 @@ class TestPipeline:
             assert report.validation_errors == ()
 
     def test_disabling_passes(self):
-        options = NormalizationOptions(apply_fission=False,
-                                       apply_stride_minimization=False,
-                                       canonicalize_iterators=False)
+        pipeline = Pipeline("no-fission-no-stride", [
+            LoopNormalFormPass(), ScalarExpansionPass(), ValidatePass()])
         program = build_gemm_a()
-        normalized, report = normalize(program, options)
+        normalized, report = normalize(program, pipeline=pipeline)
         assert len(normalized.body) == len(program.body)
         assert not report.changed
 

@@ -32,9 +32,12 @@ from repro.ir import ProgramBuilder
 from repro.ir.nodes import Loop
 from repro.normalization import (NormalizationOptions, minimize_strides,
                                  normalize, stride_minimization)
-from repro.normalization.fission import _dependence_edges, scc_groups
-from repro.passes import (AnalysisManager, FixedPoint, Pass, PassContext,
-                          build_normalization_pipeline, program_fingerprint)
+from repro.normalization.fission import (MAX_FIXED_POINT_ITERATIONS,
+                                        _dependence_edges, scc_groups)
+from repro.passes import (AnalysisManager, FissionSweepPass, FixedPoint,
+                          LoopNormalFormPass, Pass, PassContext, Pipeline,
+                          ScalarExpansionPass, get_pipeline,
+                          program_fingerprint)
 from repro.passes.base import program_ir_size
 from repro.scheduler import (PerformanceEmbedding, TuningDatabase, embed_nest,
                              pairwise_distance)
@@ -61,10 +64,12 @@ def _programs():
 
 def _fissioned(program, parameters):
     """``program`` as stride minimization receives it."""
-    options = NormalizationOptions(apply_stride_minimization=False,
-                                   canonicalize_iterators=False,
-                                   parameters=parameters)
-    return normalize(program, options)[0]
+    pipeline = Pipeline("fissioned", [
+        LoopNormalFormPass(), ScalarExpansionPass(),
+        FixedPoint([FissionSweepPass()], name="maximal-fission",
+                   max_iterations=MAX_FIXED_POINT_ITERATIONS)])
+    options = NormalizationOptions(parameters=parameters)
+    return normalize(program, options, pipeline=pipeline)[0]
 
 
 # -- passes report their changes ------------------------------------------------------
@@ -88,7 +93,7 @@ class _Witnessed(Pass):
 
 
 def _witnessed_pipeline(log):
-    pipeline = build_normalization_pipeline("a-priori")
+    pipeline = get_pipeline("a-priori")
     for position, stage in enumerate(pipeline.stages):
         if isinstance(stage, FixedPoint):
             stage.passes = [_Witnessed(inner, log) for inner in stage.passes]

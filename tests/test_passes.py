@@ -12,19 +12,50 @@ from repro.api import (MemoryCacheBackend, NormalizationCache,
 from repro.interp import programs_equivalent
 from repro.ir import ProgramBuilder
 from repro.normalization import normalize
-from repro.passes import (AnalysisManager, FixedPoint, FunctionPass, Pass,
-                          PassContext, PassResult, PassStats, Pipeline,
-                          PipelineRegistryError, build_normalization_pipeline,
-                          get_pipeline, pipeline_names, program_ir_size,
-                          register_pipeline, unregister_pipeline)
-from repro.transforms import Interchange, Parallelize, Recipe, apply_recipe
+from repro.passes import (AnalysisManager, FixedPoint, LoopNormalFormPass,
+                          Pass, PassContext, PassResult, PassStats, Pipeline,
+                          PipelineRegistryError, ScalarExpansionPass,
+                          ValidatePass, get_pipeline, pipeline_names,
+                          program_ir_size, register_pipeline,
+                          unregister_pipeline)
+from repro.scheduler.daisy import DaisyScheduler
+from repro.transforms import Interchange, Recipe, apply_recipe
 from repro.workloads.polybench import build_gemm_a, build_gemm_b
 
 PARAMS = {"NI": 8, "NJ": 9, "NK": 10}
 
-#: The five shipped pipeline names of the paper's Figure 5 + Section 4.2.
-NAMED_PIPELINES = ["a-priori", "identity", "no-fission",
-                   "no-scalar-expansion", "no-stride"]
+#: The six shipped pipeline names: the paper's Figure 5, its Section 4.2
+#: ablations, and the CLOUDSC variant that keeps source iterator names.
+NAMED_PIPELINES = ["a-priori", "a-priori-keep-names", "identity",
+                   "no-fission", "no-scalar-expansion", "no-stride"]
+
+#: Every registered pipeline's ``identity()``: the normalization cache keys
+#: its entries with these strings, so changing one orphans every persisted
+#: entry of that pipeline.
+PIPELINE_IDENTITIES = {
+    "a-priori": "a-priori[loop-normal-form,scalar-expansion,"
+                "fp(maximal-fission),stride-minimization,"
+                "canonicalize-iterators,validate]",
+    "a-priori-keep-names": "a-priori-keep-names[loop-normal-form,"
+                           "scalar-expansion,fp(maximal-fission),"
+                           "stride-minimization,validate]",
+    "a-priori+rewrite": "a-priori+rewrite[fp(loop-normal-form+"
+                        "scalar-expansion+maximal-fission+pre-evaluate+"
+                        "factorize+licm+cse+stride-minimization+"
+                        "canonicalize-iterators),validate]",
+    "identity": "identity[]",
+    "no-fission": "no-fission[loop-normal-form,stride-minimization,"
+                  "canonicalize-iterators,validate]",
+    "no-scalar-expansion": "no-scalar-expansion[loop-normal-form,"
+                           "fp(maximal-fission),stride-minimization,"
+                           "canonicalize-iterators,validate]",
+    "no-stride": "no-stride[loop-normal-form,scalar-expansion,"
+                 "fp(maximal-fission),canonicalize-iterators,validate]",
+    "rewrite": "rewrite[pre-evaluate,factorize,licm,cse,validate]",
+    "rewrite-cse-only": "rewrite-cse-only[cse,validate]",
+    "rewrite-expand": "rewrite-expand[pre-evaluate,expand,licm,cse,validate]",
+    "rewrite-licm-only": "rewrite-licm-only[licm,validate]",
+}
 
 
 class _CountingPass(Pass):
@@ -76,18 +107,6 @@ class TestPassProtocol:
         assert not Renamer().run(program).changed
         assert Silent().run(program).changed
 
-    def test_function_pass_wraps_callables(self):
-        seen = []
-
-        def touch(program):
-            seen.append(program.name)
-            return False
-
-        result = FunctionPass(touch).run(build_vector_add())
-        assert result.pass_name == "touch"
-        assert not result.changed
-        assert seen
-
     def test_ir_size_accounting(self):
         program = build_gemm_a()
         size = program_ir_size(program)
@@ -128,13 +147,13 @@ class TestPipeline:
         assert iterations == 4
 
     def test_identity_names_structure(self):
-        pipeline = build_normalization_pipeline("a-priori")
+        pipeline = get_pipeline("a-priori")
         identity = pipeline.identity()
         assert identity.startswith("a-priori[")
         assert "fp(maximal-fission)" in identity
         assert "stride-minimization" in identity
         # Ablations have distinct identities.
-        assert identity != build_normalization_pipeline("no-fission").identity()
+        assert identity != get_pipeline("no-fission").identity()
 
     def test_pass_stats_aggregation(self):
         stats = PassStats()
@@ -167,8 +186,8 @@ class TestRegistry:
                 "test-custom-pipeline"
             with pytest.raises(PipelineRegistryError):
                 register_pipeline("test-custom-pipeline")(factory)
-            # A named options object resolves third-party names too.
-            options = NormalizationOptions.named("test-custom-pipeline")
+            # Options resolve third-party names too.
+            options = NormalizationOptions("test-custom-pipeline")
             assert options.to_pipeline().name == "test-custom-pipeline"
         finally:
             unregister_pipeline("test-custom-pipeline")
@@ -179,9 +198,63 @@ class TestRegistry:
         program = build_gemm_a()
         before = program_content_hash(program)
         normalized, report = normalize(program,
-                                       NormalizationOptions.named("identity"))
+                                       NormalizationOptions("identity"))
         assert program_content_hash(normalized) == before
         assert not report.changed and not report.passes
+
+    def test_identities_are_pinned(self):
+        """Cache-key material: each registered pipeline's identity string."""
+        assert set(PIPELINE_IDENTITIES) <= set(pipeline_names())
+        for name, identity in PIPELINE_IDENTITIES.items():
+            assert get_pipeline(name).identity() == identity, name
+            assert NormalizationOptions(name).to_pipeline().identity() == \
+                identity, name
+
+
+class TestUnknownPipelineFailsEarly:
+    """An unknown name raises at construction, before any program is
+    touched, on every path that accepts one."""
+
+    def test_options(self):
+        with pytest.raises(PipelineRegistryError):
+            NormalizationOptions("typo")
+
+    def test_daisy_scheduler(self):
+        with pytest.raises(PipelineRegistryError):
+            DaisyScheduler(pipeline="typo")
+
+    def test_session(self):
+        with pytest.raises(PipelineRegistryError):
+            Session(pipeline="typo")
+
+    def test_session_normalize(self):
+        session = Session()
+        with pytest.raises(PipelineRegistryError):
+            # An unloadable source: the name is checked before loading.
+            session.normalize(object(), pipeline="typo")
+        assert session.report().normalization_misses == 0
+
+
+def _removed_spellings():
+    program = build_gemm_a()
+    return {
+        "options-flag": lambda: NormalizationOptions(apply_fission=False),
+        "options-named": lambda: NormalizationOptions.named("no-fission"),
+        "session-normalization": lambda: Session(
+            pipeline="a-priori", normalization=NormalizationOptions()),
+        "normalize-options": lambda: Session().normalize(
+            program, options=NormalizationOptions()),
+        "recipe-instrument": lambda: apply_recipe(
+            program, Recipe("r", []), instrument=True),
+    }
+
+
+@pytest.mark.parametrize("spelling", sorted(_removed_spellings()))
+def test_removed_spellings_raise(spelling):
+    """A pipeline is a registered name: flag soup, a second options knob
+    and an instrumented recipe path are no longer accepted."""
+    with pytest.raises((TypeError, AttributeError)):
+        _removed_spellings()[spelling]()
 
 
 class TestAnalysisManager:
@@ -238,26 +311,6 @@ class TestTransformationsArePasses:
         current = tuple(loop.iterator for loop in band)
         assert not Interchange(1, current).run(normalized).changed
 
-    def test_recipe_to_pipeline(self):
-        recipe = Recipe("r", [Parallelize(0, "i0")])
-        pipeline = recipe.to_pipeline()
-        assert isinstance(pipeline, Pipeline)
-        assert pipeline.pass_names() == ["parallelize"]
-        normalized, _ = normalize(build_vector_add())
-        outcome = pipeline.run(normalized)
-        assert outcome.changed
-        assert normalized.body[0].parallel
-
-    def test_apply_recipe_instrumented(self):
-        normalized, _ = normalize(build_gemm_a())
-        recipe = Recipe("r", [Parallelize(1, "i0"),
-                              Interchange(99, ("i0",))])  # second one fails
-        application = apply_recipe(normalized, recipe, instrument=True)
-        assert len(application.results) == 2
-        assert application.results[0].changed
-        assert application.results[1].error
-        assert len(application.applied) == 1 and len(application.failed) == 1
-
 
 class TestChangedFlag:
     """Satellite: ``NormalizationReport.changed`` must see every pass."""
@@ -271,10 +324,9 @@ class TestChangedFlag:
             b.assign(("tmp",), b.read("x", "i") * 2)
             b.assign(("y", "i"), b.read("tmp") + 1)
         program = b.finish()
-        # Disable fission/strides so scalar expansion is the only rewrite.
-        _, report = normalize(program, NormalizationOptions(
-            apply_fission=False, apply_stride_minimization=False,
-            canonicalize_iterators=False))
+        # No fission/strides stages: scalar expansion is the only rewrite.
+        _, report = normalize(program, pipeline=Pipeline("expand-only", [
+            LoopNormalFormPass(), ScalarExpansionPass(), ValidatePass()]))
         assert report.scalar_expansion.count == 1
         assert report.fission.loops_split == 0
         assert report.strides.nests_permuted == 0
@@ -286,9 +338,8 @@ class TestChangedFlag:
         with b.loop("i", 2, "N", 3):
             b.assign(("x", "i"), 1.0)
         program = b.finish()
-        _, report = normalize(program, NormalizationOptions(
-            apply_scalar_expansion=False, apply_fission=False,
-            apply_stride_minimization=False, canonicalize_iterators=False))
+        _, report = normalize(program, pipeline=Pipeline("bounds-only", [
+            LoopNormalFormPass(), ValidatePass()]))
         assert report.fission.loops_split == 0
         assert report.strides.nests_permuted == 0
         assert report.changed
@@ -304,19 +355,17 @@ class TestPipelineCacheKeys:
 
     def _distinct_entries(self, cache):
         program = build_gemm_a()
-        full = cache.normalized(program, NormalizationOptions.named("a-priori"))
-        ablated = cache.normalized(program,
-                                   NormalizationOptions.named("no-fission"))
+        full = cache.normalized(program, NormalizationOptions("a-priori"))
+        ablated = cache.normalized(program, NormalizationOptions("no-fission"))
         # Both were misses: the ablated request must not be served from the
         # full-pipeline entry.
         assert not full.hit and not ablated.hit
         assert full.input_hash != ablated.input_hash
         assert len(full.program.body) > len(ablated.program.body)  # fissioned
         # Repeats hit their own entries.
+        assert cache.normalized(program, NormalizationOptions("a-priori")).hit
         assert cache.normalized(program,
-                                NormalizationOptions.named("a-priori")).hit
-        assert cache.normalized(program,
-                                NormalizationOptions.named("no-fission")).hit
+                                NormalizationOptions("no-fission")).hit
         assert cache.stats.normalization_misses == 2
 
     def test_memory_backend(self):
@@ -334,27 +383,18 @@ class TestPipelineCacheKeys:
         path = str(tmp_path / "cache.sqlite")
         program = build_gemm_a()
         cache = NormalizationCache(backend=SQLiteCacheBackend(path))
-        cache.normalized(program, NormalizationOptions.named("a-priori"))
+        cache.normalized(program, NormalizationOptions("a-priori"))
         cache.close()
         # A fresh process-equivalent cache must hit the full entry but miss
         # for the ablated pipeline.
         cache = NormalizationCache(backend=SQLiteCacheBackend(path))
         try:
             assert cache.normalized(
-                program, NormalizationOptions.named("a-priori")).hit
+                program, NormalizationOptions("a-priori")).hit
             assert not cache.normalized(
-                program, NormalizationOptions.named("no-fission")).hit
+                program, NormalizationOptions("no-fission")).hit
         finally:
             cache.close()
-
-    def test_flag_combo_shares_key_with_equivalent_name(self):
-        # The same pass structure must key identically however it was spelled.
-        cache = NormalizationCache()
-        program = build_gemm_a()
-        cache.normalized(program, NormalizationOptions(
-            apply_fission=False, apply_scalar_expansion=False))
-        assert cache.normalized(
-            program, NormalizationOptions.named("no-fission")).hit
 
 
 class TestSessionPipelines:
@@ -363,11 +403,6 @@ class TestSessionPipelines:
         response = session.normalize(build_gemm_a())
         assert response.report.pipeline == "no-fission"
         assert response.report.fission.loops_split == 0
-
-    def test_session_rejects_both_forms(self):
-        with pytest.raises(ValueError):
-            Session(pipeline="a-priori",
-                    normalization=NormalizationOptions())
 
     def test_request_pipeline_round_trip_and_selection(self):
         request = ScheduleRequest(program="gemm:a", pipeline="no-stride")
@@ -406,7 +441,7 @@ class TestIdempotence:
     @pytest.mark.parametrize("pipeline", NAMED_PIPELINES)
     def test_normalize_twice_is_noop(self, pipeline):
         session = Session()
-        options = NormalizationOptions.named(pipeline)
+        options = NormalizationOptions(pipeline)
         for workload in self.WORKLOADS:
             program = session.load(workload)
             once, _ = normalize(program, options)

@@ -133,14 +133,14 @@ class TestCacheKeys:
         hashes = {}
         for pipeline in pipelines:
             entry = cache.normalized(program,
-                                     NormalizationOptions.named(pipeline))
+                                     NormalizationOptions(pipeline))
             assert not entry.hit, f"{pipeline} served from a foreign entry"
             hashes[pipeline] = entry.input_hash
         assert len(set(hashes.values())) == len(pipelines), hashes
         # Repeats hit their own entries.
         for pipeline in pipelines:
             assert cache.normalized(
-                program, NormalizationOptions.named(pipeline)).hit
+                program, NormalizationOptions(pipeline)).hit
         assert cache.stats.normalization_misses == len(pipelines)
 
     def test_memory_backend(self):
@@ -158,14 +158,14 @@ class TestCacheKeys:
         path = str(tmp_path / "cache.sqlite")
         program, _, _ = _fem_program("fem-rhs")
         cache = NormalizationCache(backend=SQLiteCacheBackend(path))
-        cache.normalized(program, NormalizationOptions.named("rewrite"))
+        cache.normalized(program, NormalizationOptions("rewrite"))
         cache.close()
         cache = NormalizationCache(backend=SQLiteCacheBackend(path))
         try:
             assert cache.normalized(
-                program, NormalizationOptions.named("rewrite")).hit
+                program, NormalizationOptions("rewrite")).hit
             assert not cache.normalized(
-                program, NormalizationOptions.named("rewrite-licm-only")).hit
+                program, NormalizationOptions("rewrite-licm-only")).hit
         finally:
             cache.close()
 
