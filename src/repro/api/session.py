@@ -19,7 +19,7 @@ Typical use::
 
 ``schedule_batch`` fans a list of workloads through a thread pool sharing
 the same cache and database, which is the seam every scaling feature
-(async serving, multi-backend) plugs into; the serving layer's
+(serving, multi-backend) plugs into; the serving layer's
 multi-process :class:`~repro.serving.workers.WorkerPool` is its
 process-level analogue, one session per worker over one shared SQLite
 cache file.

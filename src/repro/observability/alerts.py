@@ -37,6 +37,17 @@ __all__ = [
 ]
 
 
+_OPS: Dict[str, Callable[[float, float], bool]] = {
+    ">": lambda v, t: v > t,
+    ">=": lambda v, t: v >= t,
+    "<": lambda v, t: v < t,
+    "<=": lambda v, t: v <= t,
+}
+
+
+_KINDS = ("threshold", "rate", "slo-burn-rate")
+
+
 @dataclass(frozen=True)
 class AlertRule:
     """One declarative alert over registry snapshots."""
@@ -53,6 +64,14 @@ class AlertRule:
     latency_slo_s: float = 0.5
     severity: str = "page"
     description: str = ""
+
+    def __post_init__(self) -> None:
+        # A misspelt kind would never fire, an unknown op compare as ">".
+        for name, value, known in (("kind", self.kind, _KINDS),
+                                   ("op", self.op, tuple(_OPS))):
+            if value not in known:
+                raise ValueError(f"unknown alert {name} {value!r}; known "
+                                 f"{name}s: {', '.join(known)}")
 
     def to_dict(self) -> Dict[str, Any]:
         payload = asdict(self)
@@ -86,14 +105,6 @@ class AlertState:
             "since_s": self.since_s,
             "detail": dict(self.detail),
         }
-
-
-_OPS: Dict[str, Callable[[float, float], bool]] = {
-    ">": lambda v, t: v > t,
-    ">=": lambda v, t: v >= t,
-    "<": lambda v, t: v < t,
-    "<=": lambda v, t: v <= t,
-}
 
 
 def _series_labels(metric: Mapping[str, Any],
@@ -256,7 +267,7 @@ class AlertEvaluator:
         value: Optional[float] = None
         detail: Dict[str, Any] = {}
         firing = False
-        compare = _OPS.get(rule.op, _OPS[">"])
+        compare = _OPS[rule.op]
         if samples:
             latest_ts, latest = samples[-1]
             if rule.kind == "threshold":
@@ -339,6 +350,8 @@ class AlertMonitor:
     """Daemon thread that samples + evaluates on an interval."""
 
     def __init__(self, evaluator: AlertEvaluator, interval_s: float = 5.0):
+        if not interval_s > 0:  # 0 would sample in a busy loop
+            raise ValueError(f"interval_s must be > 0, got {interval_s!r}")
         self.evaluator = evaluator
         self.interval_s = interval_s
         self._stop = threading.Event()

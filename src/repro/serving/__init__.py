@@ -1,12 +1,14 @@
-"""``repro.serving`` — async scheduling service over the Session facade.
+"""``repro.serving`` — scheduling service over the Session facade.
 
 The subsystem layers onto :mod:`repro.api` without changing it:
 
-* :class:`SchedulingService` / :class:`ServiceRunner` — asyncio request
-  queue ordered by a :class:`QueuePolicy` (``strict-priority`` by
-  default — ``ScheduleRequest.priority``, 0 most urgent — or
-  ``weighted-fair``), admission control (:class:`AdmissionController`
-  sheds load with a typed :class:`AdmissionError`), micro-batching over
+* :class:`ServiceRunner` — a blocking ``schedule()`` that serves
+  response-cache hits on the calling thread and queues misses for one
+  batcher thread: a queue ordered by a :class:`QueuePolicy`
+  (``strict-priority`` by default — ``ScheduleRequest.priority``, 0 most
+  urgent — or ``weighted-fair``), admission control
+  (:class:`AdmissionController` sheds load with a typed
+  :class:`AdmissionError`), micro-batching over
   ``Session.schedule_batch``, and coalescing of identical in-flight
   requests by content hash.
 * :class:`WorkerPool` / :class:`WorkerConfig` — a multi-process worker pool
@@ -32,13 +34,12 @@ from .client import ServingClient, ServingError
 from .http import JsonAccessLog, ServingServer
 from .policy import PolicyError, QueuePolicy, create_policy, policy_names
 from .service import (AdmissionController, AdmissionError, RequestTiming,
-                      SchedulingService, ServiceConfig, ServiceRunner,
-                      request_fingerprint)
+                      ServiceConfig, ServiceRunner, request_fingerprint)
 from .workers import (PoolStats, WorkerConfig, WorkerError, WorkerPool,
                       merge_worker_reports)
 
 __all__ = [
-    "SchedulingService", "ServiceConfig", "ServiceRunner",
+    "ServiceConfig", "ServiceRunner",
     "AdmissionController", "AdmissionError",
     "RequestTiming", "request_fingerprint",
     "QueuePolicy", "PolicyError", "policy_names", "create_policy",

@@ -92,11 +92,18 @@ def _format_pass_timings(report) -> str:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    config = ServiceConfig(max_batch_size=args.max_batch,
-                           max_queue_depth=args.max_queue_depth,
-                           max_client_inflight=args.max_client_inflight,
-                           policy=args.policy,
-                           latency_slo_s=args.latency_slo)
+    try:
+        config = ServiceConfig(max_batch_size=args.max_batch,
+                               max_queue_depth=args.max_queue_depth,
+                               max_client_inflight=args.max_client_inflight,
+                               policy=args.policy,
+                               latency_slo_s=args.latency_slo)
+        if not args.alert_interval > 0:
+            raise ValueError(f"--alert-interval must be > 0, got "
+                             f"{args.alert_interval!r}")
+    except ValueError as error:  # before any worker or session is built
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
     pool = None
     session = None
     try:
@@ -219,7 +226,7 @@ def _cmd_trace_dump(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serving",
-        description="Async scheduling service over the repro.api Session")
+        description="Scheduling service over the repro.api Session")
     commands = parser.add_subparsers(dest="command", required=True)
 
     serve = commands.add_parser("serve", help="boot the HTTP scheduling service")

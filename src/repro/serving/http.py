@@ -33,13 +33,13 @@ the response-cache fast lane served it.
 
 Each handler thread reads one kept-alive connection, answers response-cache
 hits itself and blocks on the :class:`~repro.serving.service.ServiceRunner`
-only on a miss; its event loop performs the actual micro-batching, so
-concurrent misses translate directly into batch formation and coalescing.
+only on a miss; the runner's batcher thread performs the actual
+micro-batching, so concurrent misses translate directly into batch
+formation and coalescing.
 """
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import itertools
 import json
@@ -115,7 +115,7 @@ def _program_descriptor(program: Any) -> str:
 
 
 class ServingServer:
-    """The HTTP front of one session + async scheduling service.
+    """The HTTP front of one session + scheduling service.
 
     ``pool`` optionally attaches a :class:`~repro.serving.workers.WorkerPool`
     whose processes serve the micro-batches; the server reports through it
@@ -145,7 +145,7 @@ class ServingServer:
         if pool is not None and getattr(pool, "tracer", None) is None:
             # Worker span fragments rejoin the coordinator session's tracer.
             pool.tracer = self.tracer
-        service_config = self.runner.service.config
+        service_config = self.runner.config
         self.alerts = AlertEvaluator(
             (default_alert_rules(
                 max_queue_depth=service_config.max_queue_depth,
@@ -194,7 +194,7 @@ class ServingServer:
         self.stop()
 
     def start(self) -> None:
-        """Start the service loop and serve HTTP in a background thread."""
+        """Start the service and serve HTTP in a background thread."""
         if self._closed:
             # stop() closed the listening socket for good; serving on it
             # again would accept nothing while looking healthy.
@@ -248,8 +248,8 @@ class ServingServer:
                       ) -> Tuple[int, Dict[str, Any]]:
         payload = self.session.report().to_dict()
         payload["service"] = self.runner.stats.to_dict()
-        payload["service"]["policy"] = self.runner.service.config.policy
-        payload["admission"] = self.runner.service.admission.stats.to_dict()
+        payload["service"]["policy"] = self.runner.config.policy
+        payload["admission"] = self.runner.admission.stats.to_dict()
         if self.pool is not None:
             if include_workers:
                 # Full scatter-gather: one session report per worker process
@@ -420,10 +420,9 @@ class ServingServer:
             # Unknown workloads/schedulers raise RegistryError (a KeyError):
             # the request was malformed, not the server.
             return failed(400, {"error": str(error)}, "invalid")
-        except (asyncio.CancelledError, concurrent.futures.CancelledError):
-            # Server shutdown cancelled the in-flight future; CancelledError
-            # is a BaseException and would otherwise kill the handler thread
-            # without sending any response.
+        except concurrent.futures.CancelledError:
+            # Server shutdown cancelled the in-flight request (caught before
+            # the generic 500 below).
             return failed(503, {"error": "server is shutting down"},
                           "cancelled")
         except Exception as error:  # noqa: BLE001 - surfaced as HTTP 500

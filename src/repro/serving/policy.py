@@ -12,11 +12,11 @@ ordering discipline from a :class:`QueuePolicy` selected per service
   the class clocks are floored by a global virtual time advanced on
   dequeue, so an idle class earns no credit and no class starves.
 
-**How policies plug into the queue.**  The service keeps an
-``asyncio.PriorityQueue`` and never re-sorts it; a policy therefore reduces
-its discipline to a *static sort key* computed once at enqueue time —
-smaller keys drain first, ties broken FIFO by the service's arrival
-sequence.
+**How policies plug into the queue.**  The service keeps a ``heapq``
+heap; a policy reduces its discipline to a *static sort key* computed once
+at enqueue time — smaller keys drain first, ties broken FIFO by the
+service's arrival sequence.  Only an urgent coalescing rider re-keys an
+entry (to its :meth:`QueuePolicy.rider_key`).
 """
 
 from __future__ import annotations
@@ -35,15 +35,15 @@ class QueuePolicy:
 
     A policy maps each admitted request to a static sort key
     (:meth:`sort_key`); the service's priority queue drains smaller keys
-    first, FIFO within equal keys.  All calls happen on the service's event
-    loop, so stateful policies need no locking.
+    first, FIFO within equal keys.  All calls happen under the service's
+    lock, so stateful policies need no locking of their own.
     """
 
     def sort_key(self, request: ScheduleRequest,
                  now: float) -> Tuple[float, ...]:
-        """The queue key of ``request`` enqueued at ``now`` (event-loop
-        clock).  Smaller drains first.  May advance policy state — call
-        exactly once per queued request."""
+        """The queue key of ``request`` enqueued at ``now``
+        (``time.perf_counter``).  Smaller drains first.  May advance policy
+        state — call exactly once per queued request."""
         raise NotImplementedError
 
     def rider_key(self, request: ScheduleRequest,

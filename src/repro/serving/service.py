@@ -1,55 +1,43 @@
-"""The asyncio scheduling service core.
+"""The scheduling service core.
 
-:class:`SchedulingService` turns a :class:`~repro.api.Session` into an async
-request processor:
+:class:`ServiceRunner` turns a :class:`~repro.api.Session` into a request
+processor for synchronous callers (the HTTP endpoint, benchmarks, scripts,
+tests):
 
-* **policy-ordered queue** — ``schedule()`` coroutines enqueue their request
-  and await a future; a single batcher task drains the queue in the order of
-  the configured :class:`~repro.serving.policy.QueuePolicy`
-  (:attr:`ServiceConfig.policy`).  The default, ``strict-priority``, drains
-  strictly by :attr:`~repro.api.ScheduleRequest.priority` (0 most urgent,
-  FIFO within one priority) so urgent requests overtake queued bulk traffic;
-  ``weighted-fair`` trades that for starvation-freedom.
+* **response fast lane** — on the caller's thread, before any lock, a
+  response-cache hit (:meth:`repro.api.Session.lookup_response`) is
+  answered with its stored bytes — no queue, no batch, no IR, no JSON
+  parse.  Entries are written back after each batch from responses whose
+  normalization and schedule both came from cache, so the fast lane is
+  bit-identical to what the slow path would have served.
 * **admission control** — an :class:`AdmissionController` sheds load before
   it queues: a bounded queue depth and optional per-client in-flight limits
-  reject excess requests with a typed :class:`AdmissionError` (the HTTP
-  layer maps it to ``429 Too Many Requests`` with a retry hint).
-* **micro-batching** — the batcher dispatches what is queued: the most
-  urgent request plus every request already waiting behind it, up to
-  :attr:`ServiceConfig.max_batch_size`, with no window for stragglers —
-  arrivals during a batch form the next one.  A batch runs through
-  :meth:`repro.api.Session.schedule_batch` in a worker thread — or is
-  scattered over a :class:`~repro.serving.workers.WorkerPool` when one is
-  attached — so one cache and one tuning database serve the whole batch.
-* **response fast lane** — on the caller's thread, before the loop, the
-  service reads the session's response-level cache
-  (:meth:`repro.api.Session.lookup_response`); a hit returns the final,
-  pre-encoded response bytes straight to the caller — no loop hop, no queue,
-  no batch, no IR, no JSON parse — with a single sampled root, stored as its
-  raw fields, instead of the slow path's full span tree.  Entries are
-  written back after each batch from responses whose normalization and
-  schedule both came from cache, so the fast lane is bit-identical to what
-  the slow path would have served.
+  reject excess requests with a typed :class:`AdmissionError` (HTTP 429
+  with a retry hint).
 * **coalescing** — identical in-flight requests (same program content hash,
   parameters, scheduler, threads, normalize flag) share one future: burst
-  duplicates cost a single scheduler invocation, counted on
-  ``Session.report().coalesced_requests``.  Priority and client identity do
-  not split the coalescing key — they affect queue order and admission, not
-  the scheduling outcome.
-
-:class:`ServiceRunner` hosts the service on an event loop in a background
-thread and exposes a blocking ``schedule()`` for synchronous callers (the
-HTTP endpoint, benchmarks, tests); only a fast-lane miss crosses to the loop.
+  duplicates cost a single scheduler invocation.  Priority and client
+  identity do not split the key; they affect queue order and admission.
+* **policy-ordered queue** — a miss is queued and its caller blocks on a
+  future; one batcher thread drains the queue in the order of the
+  configured :class:`~repro.serving.policy.QueuePolicy`:
+  ``strict-priority`` (the default; 0 most urgent, FIFO within one
+  priority) or the starvation-free ``weighted-fair``.
+* **micro-batching** — the batcher dispatches the most urgent request plus
+  every request already queued behind it, up to
+  :attr:`ServiceConfig.max_batch_size`, with no window for stragglers, and
+  runs the batch through :meth:`repro.api.Session.schedule_batch` — or a
+  :class:`~repro.serving.workers.WorkerPool` when one is attached.
 """
-
 from __future__ import annotations
 
-import asyncio
 import functools
+import heapq
 import itertools
 import os
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -68,7 +56,7 @@ _NOT_RUNNING = "service is not running; call start() first"
 
 @dataclass
 class ServiceConfig:
-    """Tunables of the async scheduling service.
+    """Tunables of the scheduling service.
 
     The batcher has no timer: it dispatches what is queued when it is free,
     so batches grow only while requests arrive faster than batches run.
@@ -76,8 +64,6 @@ class ServiceConfig:
 
     #: Largest batch handed to ``Session.schedule_batch`` at once.
     max_batch_size: int = 16
-    #: Thread-pool width of each ``schedule_batch`` call (None: session default).
-    max_workers: Optional[int] = None
     #: Most requests allowed in the service queue before load shedding
     #: rejects new arrivals.  0 (the default) is unbounded — identical to
     #: the pre-admission behavior, so existing programmatic consumers are
@@ -88,17 +74,24 @@ class ServiceConfig:
     max_client_inflight: int = 0
     #: Retry hint attached to admission rejections (HTTP ``Retry-After``).
     retry_after_s: float = 0.05
-    #: Serve repeat requests from the session's response-level cache,
-    #: bypassing queueing and batching entirely (the warm-path fast lane).
-    #: Responses are bit-identical to the slow path's, so this is safe to
-    #: leave on; disable to force every request through the full pipeline.
-    fast_lane: bool = True
     #: Queue-scheduling policy (see :mod:`repro.serving.policy`):
     #: ``strict-priority`` (the default) or ``weighted-fair``.
     policy: str = "strict-priority"
     #: Target end-to-end latency SLO (the default alert rules burn
     #: against it).
     latency_slo_s: float = 0.25
+
+    def __post_init__(self) -> None:
+        # Out of range, each of these breaks the service silently: a batch
+        # size of 0 spins the batcher on empty batches forever.
+        for name, low in (("max_batch_size", 1), ("max_queue_depth", 0),
+                          ("max_client_inflight", 0), ("retry_after_s", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(
+                    f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        if not self.latency_slo_s > 0:
+            raise ValueError(
+                f"latency_slo_s must be > 0, got {self.latency_slo_s!r}")
 
 
 class AdmissionError(RuntimeError):
@@ -129,9 +122,10 @@ class AdmissionController:
       identity, so one client cannot monopolize the queue.  Requests that
       carry no client identity are not client-limited.
 
-    All calls happen on the service's event loop — a fast-lane hit, the only
-    thing served on callers' threads, is never admitted — so the controller
-    needs no locking; ``stats`` reads registry counters, safe from any thread.
+    The runner calls :meth:`admit` and :meth:`release` under its lock — a
+    fast-lane hit, the only request served without it, is never admitted —
+    so the controller keeps no lock of its own; ``stats`` reads registry
+    counters, safe from any thread.
     """
 
     def __init__(self, config: ServiceConfig,
@@ -211,41 +205,48 @@ class RequestTiming:
     trace_id: Optional[str] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class _Pending:
-    """One queued request plus the future its submitters await.
+    """One queued request plus the future its submitters block on.
 
-    ``best_key`` is the best (smallest) policy sort key any coalesced rider
-    has contributed — ``best_priority`` keeps the human-readable twin for
-    traces — and ``claimed`` marks the entry once a batch picked it up,
-    so stale duplicate queue entries (left behind by re-prioritization) are
-    skipped on pop.  ``enqueued_at`` / ``claimed_at`` (event-loop clock)
-    feed the queue-wait metrics and access logs.
+    The queue is a heap of these ordered by ``(best_key, seq)``: the best
+    (smallest) policy sort key any submitter contributed, then arrival —
+    FIFO within one key.  An urgent coalescing rider re-keys its
+    still-queued leader in place (``best_priority`` is the human-readable
+    twin for traces).  ``enqueued_at`` / ``claimed_at`` (``perf_counter``;
+    0 until a batch claims the entry) feed the queue-wait metrics and
+    access logs.
     """
 
     key: str
     request: ScheduleRequest
-    future: "asyncio.Future[ScheduleResponse]" = field(repr=False, default=None)
-    best_priority: int = 0
-    best_key: Tuple[float, ...] = (0.0,)
-    claimed: bool = False
+    best_key: Tuple[float, ...]
+    seq: int
+    best_priority: int
+    future: "Future[ScheduleResponse]" = field(default_factory=Future,
+                                               repr=False)
     enqueued_at: float = 0.0
     claimed_at: float = 0.0
-    # Wall-clock twins of the loop-clock stamps above: trace spans use
-    # ``time.time()`` so coordinator and worker spans share one timeline.
+    # Wall-clock twins of the stamps above: trace spans use ``time.time()``
+    # so coordinator and worker spans share one timeline.
     enqueued_wall: float = 0.0
     claimed_wall: float = 0.0
 
+    def __lt__(self, other: "_Pending") -> bool:
+        return (self.best_key, self.seq) < (other.best_key, other.seq)
 
-class SchedulingService:
-    """Async facade over one session: priority queue, admission control,
-    micro-batching, coalescing.
 
-    ``pool`` optionally attaches a :class:`~repro.serving.workers.WorkerPool`:
-    micro-batches are then scattered over worker processes instead of the
-    session's thread pool, with identical queueing/coalescing/error
-    semantics (the pool's ``schedule_batch`` has the same in-band-exception
-    contract as ``Session.schedule_batch(return_exceptions=True)``).
+class ServiceRunner:
+    """One session as a service for synchronous callers.
+
+    :meth:`schedule` serves a response-cache hit on the calling thread; a
+    miss is queued and its caller blocks until the batcher thread (the
+    runner's one thread) has run the batch that holds it.  ``pool``
+    optionally attaches a :class:`~repro.serving.workers.WorkerPool`, whose
+    ``schedule_batch`` has the in-band-exception contract of
+    ``Session.schedule_batch(return_exceptions=True)``: batches are then
+    scattered over processes with the same queueing, coalescing and error
+    semantics.
     """
 
     def __init__(self, session: Session, config: Optional[ServiceConfig] = None,
@@ -296,7 +297,7 @@ class SchedulingService:
                 "Requests shed by admission control."),
         }, {"largest_batch": self._largest_batch})
         self.admission = AdmissionController(self.config, self.metrics)
-        self._queue_depth_gauge = self.metrics.gauge(
+        self._queue_depth = self.metrics.gauge(
             "repro_service_queue_depth",
             "Live requests in the service queue (stale entries excluded).")
         latency = self.metrics.histogram(
@@ -313,89 +314,89 @@ class SchedulingService:
         #: The queue-ordering policy.  Raises PolicyError for unknown names
         #: at construction, not at first request.
         self.policy = create_policy(self.config.policy)
-        # Entries are ``(sort_key, arrival_seq, _Pending)``: the asyncio
-        # PriorityQueue pops the smallest tuple, so the policy's key order
-        # decides who drains first (strict-priority keys are ``(priority,)``
-        # — the historic order) and the monotonically increasing arrival
-        # sequence keeps FIFO order within one key (and keeps _Pending out
-        # of comparisons).  A pending may appear more than once (an urgent
-        # rider re-enqueues its queued leader at the better key);
-        # ``_Pending.claimed`` makes the stale duplicates no-ops on pop.
-        self._queue: "Optional[asyncio.PriorityQueue[Tuple[Tuple[float, ...], int, _Pending]]]" = None
-        self._arrival_seq = 0
-        # Stale duplicates currently in the queue; subtracted from qsize()
-        # so admission control sees real pending work, not bookkeeping.
-        self._stale_entries = 0
+        # The condition's lock guards the queue, ``_inflight``, the policy
+        # and admission state; the batcher waits on it for work.
+        self._cond = threading.Condition()
+        self._queue: List[_Pending] = []  # a heap (see _Pending)
+        self._arrivals = itertools.count(1)
         self._inflight: Dict[str, _Pending] = {}
-        self._batcher: Optional[asyncio.Task] = None
+        self._batcher: Optional[threading.Thread] = None
         self._running = False
+
+    def __enter__(self) -> "ServiceRunner":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
 
     # -- lifecycle ---------------------------------------------------------------
 
-    async def start(self) -> None:
-        if self._running:
-            return
-        self._queue = asyncio.PriorityQueue()
-        self._stale_entries = 0
-        self._update_queue_gauge()
-        self._running = True
-        self._batcher = asyncio.get_running_loop().create_task(self._run())
+    def start(self) -> None:
+        with self._cond:
+            if self._batcher is not None:
+                return
+            self._running = True
+            self._batcher = threading.Thread(target=self._run,
+                                             name="repro-serving", daemon=True)
+            self._batcher.start()
 
-    async def stop(self) -> None:
-        if not self._running:
-            return
-        self._running = False
-        if self._batcher is not None:
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except asyncio.CancelledError:
-                pass
-            self._batcher = None
-        for pending in self._inflight.values():
-            if not pending.future.done():
+    def stop(self) -> None:
+        """Cancel every waiting request at once, then join the batcher after
+        the batch in flight (if any): no batch outlives ``stop()``."""
+        with self._cond:
+            batcher, self._batcher = self._batcher, None
+            if batcher is None:
+                return
+            self._running = False
+            for pending in self._inflight.values():
                 pending.future.cancel()
-        self._inflight.clear()
+            self._inflight.clear()
+            self._queue.clear()
+            self._queue_depth.set(0)
+            self._cond.notify()
+        batcher.join()
 
     # -- submission --------------------------------------------------------------
 
-    async def schedule(self, request: ScheduleRequest) -> ScheduleResponse:
-        """Submit one request; awaits its (possibly coalesced) response.
+    def schedule(self, request: ScheduleRequest,
+                 timeout: Optional[float] = None) -> ScheduleResponse:
+        """Submit one request; blocks until its (possibly coalesced) response.
 
         May raise :class:`AdmissionError` before any work is queued when the
         service is saturated (queue depth) or the request's client is over
         its in-flight limit.
         """
-        response, _ = await self.schedule_timed(request)
-        return response
+        return self.schedule_timed(request, timeout)[0]
 
-    async def schedule_timed(self, request: ScheduleRequest,
-                             request_id: Optional[str] = None
-                             ) -> Tuple[ScheduleResponse, RequestTiming]:
+    def schedule_timed(self, request: ScheduleRequest,
+                       timeout: Optional[float] = None,
+                       request_id: Optional[str] = None
+                       ) -> Tuple[ScheduleResponse, RequestTiming]:
         """Like :meth:`schedule`, additionally returning the request's
         :class:`RequestTiming` (end-to-end latency, queue wait) — the HTTP
         layer's access log consumes it.  ``request_id`` seeds the request's
         deterministic trace id (so the HTTP layer, access log, and trace
-        ring buffer all agree); omitted, the service mints a local one."""
+        ring buffer all agree); omitted, the runner mints a local one."""
         served, key, root = self.fast_lane(request, request_id)
         if served is not None:
             return served
-        return await self.slow_lane(request, request_id, key, root)
+        return self._slow_lane(request, request_id, key, root, timeout)
 
     def fast_lane(self, request: ScheduleRequest,
                   request_id: Optional[str] = None
                   ) -> Tuple[Optional[Tuple[ScheduleResponse, RequestTiming]],
                              str, Optional[Span]]:
-        """The synchronous front of every request, on the thread that asks.
+        """The lock-free front of every request, on the thread that asks.
 
         Returns ``(served, key, root)``: a response-cache hit is ``served``,
         the finished ``(response, timing)`` — pre-encoded bytes, only the echo
-        re-encoded, one sampled root stored as its raw fields, no loop,
-        admission or queue — and ``root`` is ``None``; else ``served`` is
-        ``None`` and :meth:`slow_lane` takes the fingerprint ``key`` and the
-        still-open ``root`` span (if any).  Thread-safe (cache, tracer and
-        instruments lock; ``_inflight`` is only peeked at), so a slow cache
-        read stalls nobody else's request.
+        re-encoded, one sampled root stored as its raw fields, no admission
+        or queue — and ``root`` is ``None``; else ``served`` is ``None`` and
+        the slow lane takes the fingerprint ``key`` and the still-open
+        ``root`` span (if any).  Thread-safe (cache, tracer and instruments
+        lock; ``_inflight`` is only peeked at), so a slow cache read stalls
+        nobody else's request.
         """
         arrived = time.perf_counter()
         if not self._running:
@@ -406,7 +407,7 @@ class SchedulingService:
         key = request_fingerprint(request)
         # (stub sessions have no response cache; in-flight duplicates coalesce)
         lookup = getattr(self.session, "lookup_response", None)
-        if not (lookup and self.config.fast_lane) or key in self._inflight:
+        if lookup is None or key in self._inflight:
             return None, key, None
         # Reading the response cache before admission keeps hits immune to
         # queue saturation (they add no queued work) at one cache get per
@@ -436,108 +437,99 @@ class SchedulingService:
             tracer.record_hit(root)
         return (response, timing), key, None
 
-    async def slow_lane(self, request: ScheduleRequest,
-                        request_id: Optional[str], key: str,
-                        root: Optional[Span]
-                        ) -> Tuple[ScheduleResponse, RequestTiming]:
-        """Admit, coalesce or enqueue and await a :meth:`fast_lane` miss (its
-        ``key`` and ``root``) — loop only, where ``_inflight`` is authoritative."""
-        existing = self._inflight.get(key)
+    def _slow_lane(self, request: ScheduleRequest, request_id: Optional[str],
+                   key: str, root: Optional[Span], timeout: Optional[float]
+                   ) -> Tuple[ScheduleResponse, RequestTiming]:
+        """Admit a :meth:`fast_lane` miss (its ``key`` and ``root``), then
+        ride an identical in-flight request or queue it, and block until
+        the batcher resolves it."""
         tracer = self._tracer
         outcome = "error"
         try:
-            if not self._running:  # stop() may have run since the front asked
-                raise RuntimeError(_NOT_RUNNING)
             if root is None:
                 minted = self._begin_root(request, request_id)
                 if minted is not None:
                     root = minted.span(tracer.process)
-            admit_wall = time.time()
-            try:
-                self.admission.admit(
-                    request,
-                    queue_depth=self._queue.qsize() - self._stale_entries,
-                    rider=existing is not None)
-            except AdmissionError:
-                self.stats.inc("rejected")
-                outcome = "shed"
-                raise
             if root is not None:
-                tracer.record(root.trace_id, root.span_id,
-                              "service.admission", admit_wall, time.time())
                 # Child spans of every downstream layer (queue, schedule,
                 # session, worker) attach under this root via the request:
-                # the service's own shallow copy, so the caller's object is
+                # the runner's own shallow copy, so the caller's object is
                 # never written to (a reused one would carry a stale id).
                 request = replace(request, trace=root.context())
-            self.stats.inc("requests")
-            loop = asyncio.get_running_loop()
-            timing = RequestTiming(
-                coalesced=existing is not None,
-                trace_id=root.trace_id if root is not None else None)
-            started = loop.time()
-            try:
-                if existing is not None:
-                    # Coalesce: ride the identical in-flight request.  The
-                    # response program is copied so concurrent consumers never
-                    # share IR.
-                    self.stats.inc("coalesced")
-                    self.session.record_coalesced()
-                    if root is not None:
-                        root.set_attribute("coalesced", True)
-                    rider_key = self.policy.rider_key(request, started)
-                    if rider_key < existing.best_key \
-                            and not existing.claimed:
-                        # An urgent rider must not drain at its leader's
-                        # worse key: re-enqueue the still-queued leader at
-                        # the better one.  The now-stale worse entry pops
-                        # later and is skipped through ``claimed``.
-                        existing.best_key = rider_key
-                        existing.best_priority = min(existing.best_priority,
-                                                     request.priority)
-                        self._arrival_seq += 1
-                        # The superseded worse-key entry is now stale.
-                        self._stale_entries += 1
-                        await self._queue.put((rider_key,
-                                               self._arrival_seq, existing))
-                        self._update_queue_gauge()
-                    response = await asyncio.shield(existing.future)
-                    self._finish_timing(timing, request, existing, started,
-                                        loop)
-                    outcome = "ok"
-                    return self._reissue(response, request,
-                                         timing.trace_id), timing
-                future: "asyncio.Future[ScheduleResponse]" = loop.create_future()
-                sort_key = self.policy.sort_key(request, started)
-                pending = _Pending(key, request, future,
-                                   best_priority=request.priority,
-                                   best_key=sort_key,
-                                   enqueued_at=started,
-                                   enqueued_wall=time.time())
-                self._inflight[key] = pending
-                self._arrival_seq += 1
-                await self._queue.put((sort_key, self._arrival_seq,
-                                       pending))
-                self._update_queue_gauge()
+            admit_wall = time.time()
+            with self._cond:
+                if not self._running:  # stop() may have run since the front
+                    raise RuntimeError(_NOT_RUNNING)
+                pending = self._inflight.get(key)
+                rider = pending is not None
                 try:
-                    response = await asyncio.shield(future)
-                finally:
-                    # Failed requests are end-to-end requests too: their
-                    # latency belongs in the per-priority distribution.
-                    self._finish_timing(timing, request, pending, started,
-                                        loop)
-                outcome = "ok"
-                return response, timing
+                    self.admission.admit(request, len(self._queue), rider)
+                except AdmissionError:
+                    self.stats.inc("rejected")
+                    outcome = "shed"
+                    raise
+                if root is not None:
+                    tracer.record(root.trace_id, root.span_id,
+                                  "service.admission", admit_wall, time.time())
+                self.stats.inc("requests")
+                started = time.perf_counter()
+                if rider:
+                    self._ride(pending, request, root, started)
+                else:
+                    pending = _Pending(
+                        key, request, self.policy.sort_key(request, started),
+                        next(self._arrivals), request.priority,
+                        enqueued_at=started, enqueued_wall=time.time())
+                    self._inflight[key] = pending
+                    heapq.heappush(self._queue, pending)
+                    self._queue_depth.set(len(self._queue))
+                    self._cond.notify()
+            timing = RequestTiming(
+                coalesced=rider,
+                trace_id=root.trace_id if root is not None else None)
+            try:
+                response = pending.future.result(timeout)
             finally:
-                # Admitted requests hold their per-client slot until their
-                # response (or failure) resolves, riders included.
-                self.admission.release(request)
+                # Failed requests are end-to-end requests too: their latency
+                # belongs in the distribution of the submitter's priority (a
+                # rider keeps its own class, not its leader's).  Admitted
+                # requests, riders included, hold their per-client slot
+                # until here.
+                timing.total_s = max(0.0, time.perf_counter() - started)
+                if pending.claimed_at:
+                    timing.queue_wait_s = \
+                        pending.claimed_at - pending.enqueued_at
+                self._latency(request.priority).observe(timing.total_s)
+                with self._cond:
+                    self.admission.release(request)
+            outcome = "ok"
+            if rider:
+                response = self._reissue(response, request, timing.trace_id)
+            return response, timing
         finally:
             if root is not None:
                 # Finishing the parentless root finalizes the trace into
                 # the ring buffer — after worker fragments were absorbed,
                 # since futures only resolve once the batch was decoded.
                 tracer.finish(root, status=outcome)
+
+    def _ride(self, leader: _Pending, request: ScheduleRequest,
+              root: Optional[Span], now: float) -> None:
+        """Coalesce ``request`` onto its identical in-flight ``leader``
+        (under the lock); its response is a copy (see :meth:`_reissue`)."""
+        self.stats.inc("coalesced")
+        self.session.record_coalesced()
+        if root is not None:
+            root.set_attribute("coalesced", True)
+        rider_key = self.policy.rider_key(request, now)
+        if rider_key < leader.best_key and not leader.claimed_at:
+            # An urgent rider must not drain at its leader's worse key: the
+            # still-queued leader moves to the better one, behind whatever
+            # already waits there.
+            leader.best_key = rider_key
+            leader.best_priority = min(leader.best_priority, request.priority)
+            leader.seq = next(self._arrivals)
+            heapq.heapify(self._queue)
 
     def _begin_root(self, request: ScheduleRequest, request_id: Optional[str],
                     sample: bool = False) -> Optional[RequestRoot]:
@@ -558,24 +550,6 @@ class SchedulingService:
             request_id, request.priority,
             program.name if isinstance(program, Program) else str(program),
             request.client)
-
-    def _finish_timing(self, timing: RequestTiming, request: ScheduleRequest,
-                       pending: _Pending, started: float,
-                       loop: asyncio.AbstractEventLoop) -> None:
-        """Observe one admitted request's end-to-end latency under the
-        *submitter's* priority (riders keep their own class, not their
-        leader's) and fill in the timing the access log reports."""
-        timing.total_s = max(0.0, loop.time() - started)
-        if pending.claimed_at:
-            timing.queue_wait_s = max(
-                0.0, pending.claimed_at - pending.enqueued_at)
-        self._latency(request.priority).observe(timing.total_s)
-
-    def _update_queue_gauge(self) -> None:
-        queue = self._queue
-        if queue is not None:
-            self._queue_depth_gauge.set(
-                max(0, queue.qsize() - self._stale_entries))
 
     @staticmethod
     def _reissue(response: ScheduleResponse, request: ScheduleRequest,
@@ -602,84 +576,78 @@ class SchedulingService:
 
     # -- the batcher -------------------------------------------------------------
 
-    async def _collect_batch(self) -> List[_Pending]:
-        """Claim the most urgent request, waiting for one if none is queued,
-        then every request already queued behind it in policy order, up to
-        ``max_batch_size``.  Nothing waits for stragglers: requests that
-        arrive while a batch runs form the next one."""
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                while self._running and not self._queue:
+                    self._cond.wait()
+                if not self._running:
+                    return
+                batch = self._claim()
+            self._dispatch(batch)
+
+    def _claim(self) -> List[_Pending]:
+        """Claim the most urgent request and every request queued behind it
+        in policy order, up to ``max_batch_size`` (under the lock).  Nothing
+        waits for stragglers: requests that arrive while a batch runs form
+        the next one."""
         queue = self._queue
-        loop = asyncio.get_running_loop()
+        claimed_at, claimed_wall = time.perf_counter(), time.time()
         batch: List[_Pending] = []
-        # ``get`` suspends only on an empty queue, so once the batch holds a
-        # request the drain claims what is queued without yielding.
-        while len(batch) < self.config.max_batch_size \
-                and not (batch and queue.empty()):
-            sort_key, _, pending = await queue.get()
-            if pending.claimed:
-                # A stale duplicate left behind by rider re-prioritization:
-                # its live twin's better key already was or will be served.
-                self._stale_entries -= 1
-                continue
+        while queue and len(batch) < self.config.max_batch_size:
+            pending = heapq.heappop(queue)
             # Stateful policies advance on entry into service (weighted-fair
             # moves its global virtual clock to the served key, which floors
             # idle classes' next keys).
-            self.policy.on_dequeue(sort_key)
-            pending.claimed = True
-            pending.claimed_at = loop.time()
-            pending.claimed_wall = time.time()
+            self.policy.on_dequeue(pending.best_key)
+            pending.claimed_at, pending.claimed_wall = claimed_at, claimed_wall
             batch.append(pending)
-        self._update_queue_gauge()
+        self._queue_depth.set(len(queue))
         return batch
 
-    async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
+    def _dispatch(self, batch: List[_Pending]) -> None:
+        """Run one claimed batch on the batcher thread, then resolve its
+        futures."""
         tracer = self._tracer
-        while True:
-            batch = await self._collect_batch()
-            self.stats.inc("batches")
-            self._largest_batch.set_max(len(batch))
-            dispatched_at = loop.time()
-            dispatched_wall = time.time()
-            schedule_spans: Dict[str, Any] = {}
-            for pending in batch:
-                self._phase_histogram.labels("queue").observe(
-                    max(0.0, pending.claimed_at - pending.enqueued_at))
-                context = getattr(pending.request, "trace", None)
-                if tracer is None or not tracer.enabled or not context:
-                    continue
-                trace_id = context["trace_id"]
-                parent_id = context.get("span_id")
-                tracer.record(trace_id, parent_id, "service.queue",
-                              pending.enqueued_wall, pending.claimed_wall,
-                              {"priority": pending.best_priority})
-                # The schedule span becomes the parent of everything the
-                # executing side records (session, passes, cache, search) —
-                # including worker-process spans, which rejoin through the
-                # serialized request.trace context.
-                span = tracer.begin(
-                    "service.schedule", trace_id, parent_id=parent_id,
-                    attrs={"executor": ("pool" if self.pool is not None
-                                        else "threads"),
-                           "batch_size": len(batch)},
-                    start_s=dispatched_wall)
-                pending.request.trace = span.context()
-                schedule_spans[pending.key] = span
-            requests = [pending.request for pending in batch]
-            try:
-                responses = await loop.run_in_executor(
-                    None, self._schedule_batch, requests)
-            except Exception as error:  # noqa: BLE001 - forwarded to callers
-                # Batch-level failure (e.g. the executor itself); per-item
-                # failures are returned in-band by return_exceptions below.
-                self.stats.inc("errors", len(batch))
-                for span in schedule_spans.values():
-                    tracer.finish(span, status="error")
-                for pending in batch:
-                    self._inflight.pop(pending.key, None)
-                    if not pending.future.done():
-                        pending.future.set_exception(error)
+        self.stats.inc("batches")
+        self._largest_batch.set_max(len(batch))
+        dispatched_at = time.perf_counter()
+        dispatched_wall = time.time()
+        schedule_spans: Dict[str, Any] = {}
+        for pending in batch:
+            self._phase_histogram.labels("queue").observe(
+                max(0.0, pending.claimed_at - pending.enqueued_at))
+            context = getattr(pending.request, "trace", None)
+            if tracer is None or not tracer.enabled or not context:
                 continue
-            schedule_s = max(0.0, loop.time() - dispatched_at)
+            trace_id = context["trace_id"]
+            parent_id = context.get("span_id")
+            tracer.record(trace_id, parent_id, "service.queue",
+                          pending.enqueued_wall, pending.claimed_wall,
+                          {"priority": pending.best_priority})
+            # The schedule span becomes the parent of everything the
+            # executing side records (session, passes, cache, search) —
+            # including worker-process spans, which rejoin through the
+            # serialized request.trace context.
+            span = tracer.begin(
+                "service.schedule", trace_id, parent_id=parent_id,
+                attrs={"executor": ("pool" if self.pool is not None
+                                    else "threads"),
+                       "batch_size": len(batch)},
+                start_s=dispatched_wall)
+            pending.request.trace = span.context()
+            schedule_spans[pending.key] = span
+        try:
+            responses = self._schedule_batch(
+                [pending.request for pending in batch])
+        except Exception as error:  # noqa: BLE001 - forwarded to callers
+            # A batch-level failure (a lost pool, say) fails every item;
+            # per-item failures come back in-band (return_exceptions).
+            responses = [error] * len(batch)
+        schedule_s = max(0.0, time.perf_counter() - dispatched_at)
+        # Under the lock: stop() cancels waiters under it too, so a future
+        # is resolved only if nobody cancelled it.
+        with self._cond:
             for pending, response in zip(batch, responses):
                 self._inflight.pop(pending.key, None)
                 self._phase_histogram.labels("schedule").observe(schedule_s)
@@ -687,15 +655,14 @@ class SchedulingService:
                 failed = isinstance(response, Exception)
                 if span is not None:
                     tracer.finish(span, status="error" if failed else "ok")
+                # One invalid request must not fail its batchmates.
+                self.stats.inc("errors" if failed else "scheduled")
+                if pending.future.done():
+                    continue
                 if failed:
-                    # One invalid request must not fail its batchmates.
-                    self.stats.inc("errors")
-                    if not pending.future.done():
-                        pending.future.set_exception(response)
+                    pending.future.set_exception(response)
                 else:
-                    self.stats.inc("scheduled")
-                    if not pending.future.done():
-                        pending.future.set_result(response)
+                    pending.future.set_result(response)
 
     def _schedule_batch(self, requests: List[ScheduleRequest]
                         ) -> List[ScheduleResponse]:
@@ -703,107 +670,14 @@ class SchedulingService:
             responses = self.pool.schedule_batch(requests)
         else:
             responses = self.session.schedule_batch(
-                requests, max_workers=self.config.max_workers,
-                return_exceptions=True)
-        if self.config.fast_lane:
-            # Feed the fast lane: responses whose normalization and
-            # schedule both came from cache are deterministic repeats, so
-            # their encoded bytes are stored for zero-parse serving (the
-            # store itself checks the flags).  Runs on the executor thread,
-            # off the event loop.
-            store = getattr(self.session, "store_response", None)
-            if store is not None:
-                for request, response in zip(requests, responses):
-                    if not isinstance(response, Exception):
-                        store(request, response)
+                requests, return_exceptions=True)
+        # Feed the fast lane: responses whose normalization and schedule
+        # both came from cache are deterministic repeats, so their encoded
+        # bytes are stored for zero-parse serving (the store itself checks
+        # the flags).
+        store = getattr(self.session, "store_response", None)
+        if store is not None:
+            for request, response in zip(requests, responses):
+                if not isinstance(response, Exception):
+                    store(request, response)
         return responses
-
-
-class ServiceRunner:
-    """A :class:`SchedulingService` on an event loop in a background thread.
-
-    Synchronous consumers (the HTTP endpoint, scripts, tests) call
-    :meth:`schedule`, which blocks the calling thread while the service
-    batches and coalesces on its own loop.
-    """
-
-    def __init__(self, session: Session, config: Optional[ServiceConfig] = None,
-                 pool: "Optional[WorkerPool]" = None):
-        self.session = session
-        self.service = SchedulingService(session, config, pool=pool)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-
-    def __enter__(self) -> "ServiceRunner":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    @property
-    def stats(self) -> CounterView:
-        return self.service.stats
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._loop = asyncio.new_event_loop()
-
-        def run() -> None:
-            asyncio.set_event_loop(self._loop)
-            self._loop.call_soon(self._started.set)
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(target=run, name="repro-serving",
-                                        daemon=True)
-        self._thread.start()
-        self._started.wait()
-        asyncio.run_coroutine_threadsafe(self.service.start(), self._loop).result()
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        asyncio.run_coroutine_threadsafe(self.service.stop(), self._loop).result()
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join()
-        self._loop.close()
-        self._thread = None
-        self._loop = None
-
-    def schedule(self, request: ScheduleRequest,
-                 timeout: Optional[float] = None) -> ScheduleResponse:
-        """Blocking submit of one request through the async service."""
-        return self.schedule_timed(request, timeout)[0]
-
-    def schedule_timed(self, request: ScheduleRequest,
-                       timeout: Optional[float] = None,
-                       request_id: Optional[str] = None
-                       ) -> Tuple[ScheduleResponse, RequestTiming]:
-        """Blocking submit returning ``(response, RequestTiming)`` — the
-        HTTP layer uses the timing for its structured access log and passes
-        ``request_id`` so the trace id matches the log line.  A hit is served
-        on the calling thread; only a miss crosses to the event loop."""
-        loop = self._loop
-        if loop is None:
-            raise RuntimeError("runner is not started")
-        served, key, root = self.service.fast_lane(request, request_id)
-        if served is not None:
-            return served
-        return asyncio.run_coroutine_threadsafe(
-            self.service.slow_lane(request, request_id, key, root),
-            loop).result(timeout)
-
-    def schedule_many(self, requests: List[ScheduleRequest],
-                      timeout: Optional[float] = None) -> List[ScheduleResponse]:
-        """Submit many requests concurrently; returns responses in order."""
-        if self._loop is None:
-            raise RuntimeError("runner is not started")
-
-        async def gather() -> Tuple[ScheduleResponse, ...]:
-            return await asyncio.gather(
-                *(self.service.schedule(request) for request in requests))
-
-        future = asyncio.run_coroutine_threadsafe(gather(), self._loop)
-        return list(future.result(timeout))

@@ -24,11 +24,11 @@ that property:
   schedule computed by one worker is a disk hit for every other worker and
   for later pool generations over the same database.
 
-The pool is the process-level analogue of ``Session.schedule_batch``: the
-async :class:`~repro.serving.service.SchedulingService` plugs it in as its
-batch executor (``serve --workers N``), keeping micro-batching and
-coalescing semantics unchanged — batches are simply scattered over
-processes instead of threads.
+The pool is the process-level analogue of ``Session.schedule_batch``:
+:class:`~repro.serving.service.ServiceRunner` plugs it in as its batch
+executor (``serve --workers N``), keeping micro-batching and coalescing
+semantics unchanged — batches are simply scattered over processes instead
+of threads.
 
 Workers are addressed by index: worker ``i`` is one spawned process at the
 far end of one pipe, and a round trip sends it one message and receives
@@ -292,11 +292,11 @@ class _Worker(NamedTuple):
 class WorkerPool:
     """``num_workers`` processes, each a Session over the shared cache.
 
-    The pool is a drop-in batch executor for the async service: its
+    The pool is a drop-in batch executor for the service: its
     :meth:`schedule_batch` has the contract of
     ``Session.schedule_batch(..., return_exceptions=True)`` — responses in
     input order, per-item exceptions in-band — so
-    :class:`~repro.serving.service.SchedulingService` can scatter its
+    :class:`~repro.serving.service.ServiceRunner` can scatter its
     micro-batches over processes without changing queueing, coalescing, or
     error semantics.
 

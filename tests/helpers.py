@@ -9,6 +9,10 @@ import name and works from any rootdir.
 
 import os
 import sys
+import threading
+import time
+import types
+from concurrent.futures import ThreadPoolExecutor
 
 # Allow running the tests without installing the package (e.g. straight from
 # a source checkout) by putting ``src`` on the path.
@@ -204,3 +208,94 @@ def fast_session(**kwargs):
                                              generations_per_epoch=1))
     kwargs.setdefault("threads", 4)
     return Session(**kwargs)
+
+
+# -- serving: a stub session and a held batch --------------------------------
+
+def stub_response(program):
+    """A ScheduleResponse-shaped object (enough for service bookkeeping and
+    the coalescing ``_reissue`` path)."""
+    result = types.SimpleNamespace(
+        program=types.SimpleNamespace(name=str(program)))
+    result.copy = lambda: result
+    return types.SimpleNamespace(
+        result=result, scheduler="stub", program=result.program,
+        runtime_s=0.0, normalized=False, input_hash=None,
+        canonical_hash=None, from_cache=False,
+        normalization_cache_hit=False)
+
+
+class StubSession:
+    """Session stand-in recording the order requests reach the executor,
+    the size of each batch, and how many requests rode another."""
+
+    def __init__(self):
+        self.order = []
+        self.batches = []
+        self.coalesced = 0
+
+    def schedule_batch(self, requests, return_exceptions=False):
+        self.batches.append(len(requests))
+        self.order.extend(request.program for request in requests)
+        return [stub_response(request.program) for request in requests]
+
+    def record_coalesced(self, count=1):
+        self.coalesced += count
+
+
+def wait_until(condition, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting: {condition}"
+        time.sleep(0.001)
+
+
+def hold_next_batch(runner, until, timeout=60.0):
+    """Make the runner's next batch, once claimed, wait until ``until()``
+    is true; returns an event set when the batch starts waiting.  While it
+    waits nothing else is claimed, so arrivals queue (or are shed) as they
+    would behind a slow batch."""
+    session = runner.session
+    schedule_batch = session.schedule_batch
+    held = threading.Event()
+
+    def holding(*args, **kwargs):
+        session.schedule_batch = schedule_batch  # only this batch waits
+        held.set()
+        wait_until(until, timeout)
+        return schedule_batch(*args, **kwargs)
+
+    session.schedule_batch = holding
+    return held
+
+
+def queue_behind(runner, first, requests, timeout=60.0):
+    """Schedule ``first`` and hold its batch while ``requests`` are
+    submitted, one thread each, each admitted (or shed) before the next is
+    sent; then release it.  Returns every outcome — a response or the
+    exception raised — in the order ``[first, *requests]``.
+
+    So ``requests`` queue in policy order or ride an identical in-flight
+    request, as a burst does behind a slow batch.
+    """
+    release = threading.Event()
+    held = hold_next_batch(runner, release.is_set, timeout)
+
+    def outcome(request):
+        try:
+            return runner.schedule(request, timeout)
+        except Exception as error:  # noqa: BLE001 - returned to the test
+            return error
+
+    def arrived():
+        return runner.stats.requests + runner.stats.rejected
+
+    with ThreadPoolExecutor(len(requests) + 1) as pool:
+        futures = [pool.submit(outcome, first)]
+        assert held.wait(timeout)
+        for request in requests:
+            expected = arrived() + 1
+            futures.append(pool.submit(outcome, request))
+            wait_until(lambda: arrived() == expected, timeout)
+        release.set()
+        return [future.result() for future in futures]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from helpers import GEMM_PARAMS as PARAMS
-from helpers import build_gemm, build_vector_add, fast_session
+from helpers import build_gemm, build_vector_add, fast_session, queue_behind
 
 from repro.api import RegistryError, ScheduleRequest, ScheduleResponse
 
@@ -199,9 +199,9 @@ class TestSingleResponseType:
         session = fast_session()
         cold = session.schedule("gemm:a")
         cached = session.schedule("gemm:a")
+        request = ScheduleRequest(program="atax:a")
         with ServiceRunner(session) as runner:
-            leader, rider = runner.schedule_many(
-                [ScheduleRequest(program="atax:a") for _ in range(2)])
+            leader, rider = queue_behind(runner, request, [request])
             assert runner.stats.coalesced == 1
         session.close()
         assert not cold.from_cache and cached.from_cache

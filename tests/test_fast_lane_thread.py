@@ -1,15 +1,15 @@
 """A warm hit is served on the thread that asks — identically.
 
-The service's fast lane runs on the caller's thread (``SchedulingService.
-fast_lane``) and only a miss crosses to the event loop (``slow_lane``); a
-request is fingerprinted once; the fast lane's instruments are bound once.
+The service's fast lane runs on the caller's thread, before any lock
+(``ServiceRunner.fast_lane``), and only a miss is queued for the batcher
+thread; a request is fingerprinted once; the fast lane's instruments are
+bound once.
 None of that may change a byte, a span, a counter or a digest, so every
 check here is ``==`` against a reference: the request fingerprint the
 serving tier used before (kept below as the specification), a plain
 single-threaded ``Session``, and the three entrances against one another.
 """
 
-import asyncio
 import collections
 import collections.abc
 import hashlib
@@ -21,6 +21,7 @@ import sys
 import threading
 import time
 import types
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Mapping
 
@@ -34,8 +35,7 @@ from repro.experiments.figure1 import LOOP_ORDERS, build_gemm_order
 from repro.ir.nodes import Program
 from repro.observability import Span, TraceRecord, Tracer
 from repro.observability.metrics import _Instrument
-from repro.serving import (SchedulingService, ServiceConfig, ServiceRunner,
-                           request_fingerprint)
+from repro.serving import ServiceRunner, request_fingerprint
 from repro.serving import service as service_module
 from repro.workloads.registry import benchmark, benchmark_names
 
@@ -272,10 +272,14 @@ def _reference_texts(programs):
 
 
 @pytest.mark.parametrize("fast_lane", [True, False])
-def test_eight_threads_through_one_runner_match_the_reference(fast_lane):
+def test_eight_threads_through_one_runner_match_the_reference(fast_lane,
+                                                              monkeypatch):
     reference = _reference_texts(WARM + COLD)
     session = fast_session()
-    config = ServiceConfig(fast_lane=fast_lane)
+    if not fast_lane:
+        # A session without a response-cache read: every request takes
+        # the slow lane.
+        monkeypatch.setattr(session, "lookup_response", None)
     results = [[] for _ in range(THREADS)]
     barrier = threading.Barrier(THREADS)
 
@@ -296,12 +300,12 @@ def test_eight_threads_through_one_runner_match_the_reference(fast_lane):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with ServiceRunner(session, config) as runner:
+        with ServiceRunner(session) as runner:
             for program in WARM:
                 runner.schedule(ScheduleRequest(program=program))
                 runner.schedule(ScheduleRequest(program=program))
             before = runner.stats.to_dict()
-            admitted = runner.service.admission.stats.admitted
+            admitted = runner.admission.stats.admitted
             reads = session.cache.stats
             threads = [threading.Thread(target=client, args=(number,))
                        for number in range(THREADS)]
@@ -310,8 +314,10 @@ def test_eight_threads_through_one_runner_match_the_reference(fast_lane):
             for thread in threads:
                 thread.join(JOIN_S)
             assert not any(thread.is_alive() for thread in threads)
+            # Every admitted request was claimed and resolved exactly once.
+            assert runner._queue == [] and runner._inflight == {}
             after = runner.stats.to_dict()
-            admitted = runner.service.admission.stats.admitted - admitted
+            admitted = runner.admission.stats.admitted - admitted
     finally:
         sys.setswitchinterval(interval)
 
@@ -349,36 +355,26 @@ SEQUENCE = ["gemm:a", "gemm:a", "gemm:a", "atax:a", "gemm:a"]
 
 
 def _drive(entrance):
-    """Run SEQUENCE through one entrance of a fresh service; returns what a
+    """Run SEQUENCE through one entrance of a fresh runner; returns what a
     caller and an operator can observe."""
     session = fast_session()
     requests = [ScheduleRequest(program=program) for program in SEQUENCE]
-    if entrance == "await":
-        async def run():
-            service = SchedulingService(session)
-            await service.start()
-            try:
-                responses = [(await service.schedule_timed(request))[0]
-                             for request in requests]
-                return responses, service
-            finally:
-                await service.stop()
-        responses, service = asyncio.run(run())
-    else:
-        with ServiceRunner(session) as runner:
-            service = runner.service
-            if entrance == "runner":
-                responses = [runner.schedule_timed(request)[0]
-                             for request in requests]
-            else:
-                responses = [runner.schedule_many([request], timeout=JOIN_S)[0]
+    with ServiceRunner(session) as runner:
+        if entrance == "timed":
+            responses = [runner.schedule_timed(request)[0]
+                         for request in requests]
+        elif entrance == "schedule":
+            responses = [runner.schedule(request) for request in requests]
+        else:  # one request at a time from another thread
+            with ThreadPoolExecutor(1) as pool:
+                responses = [pool.submit(runner.schedule, request).result()
                              for request in requests]
     traces = [session.tracer.get(summary["trace_id"])
               for summary in reversed(session.tracer.traces())]
     observed = {
         "texts": [response.to_json() for response in responses],
-        "service": service.stats.to_dict(),
-        "admission": service.admission.stats.to_dict(),
+        "service": runner.stats.to_dict(),
+        "admission": runner.admission.stats.to_dict(),
         "cache": session.cache.stats.to_dict(),
         "calls": {tuple(series["labels"]): series["value"] for series in
                   session.metrics.to_dict()["repro_session_calls_total"]["series"]},
@@ -391,12 +387,12 @@ def _drive(entrance):
 
 
 def test_the_three_entrances_agree():
-    awaited, runner, many = (_drive(entrance)
-                             for entrance in ("await", "runner", "many"))
+    timed, plain, threaded = (_drive(entrance) for entrance
+                              in ("timed", "schedule", "thread"))
     # Same bytes — trace ids included: ids are minted from the same local
     # request ids, once per request, whichever thread runs the front.
-    assert awaited == runner == many
-    observed = runner
+    assert timed == plain == threaded
+    observed = timed
     assert observed["service"]["requests"] == len(SEQUENCE)
     assert observed["service"]["fast_lane"] == 2
     assert observed["admission"]["admitted"] == len(SEQUENCE) - 2
@@ -506,7 +502,7 @@ class TestSlowCacheRead:
             warm(runner, third)
             thread = self._parked_caller(runner, backend, slow, outcome)
             try:
-                # A cold request crosses to the loop and back...
+                # A cold request is queued, batched and answered...
                 cold, timing = runner.schedule_timed(
                     ScheduleRequest(program="mvt:a"), timeout=10.0)
                 assert not timing.fast_lane and cold.runtime_s > 0
@@ -544,27 +540,26 @@ class TestSlowCacheRead:
         (response, timing), = outcome
         assert timing.fast_lane
         backend.park = None
-        with pytest.raises(RuntimeError, match="runner is not started"):
+        with pytest.raises(RuntimeError, match="service is not running"):
             runner.schedule(request)
         session.close()
 
-    def test_a_stopped_service_refuses_on_either_side_of_the_hop(self):
+    def test_a_stopped_service_refuses_on_either_side_of_the_lock(self):
         session = fast_session()
         request = ScheduleRequest(program="gemm:a")
         message = "service is not running; call start\\(\\) first"
         with ServiceRunner(session) as runner:
             warm(runner, request)
-            service, loop = runner.service, runner._loop
-            served, key, root = service.fast_lane(
+            served, key, root = runner.fast_lane(
                 ScheduleRequest(program="atax:a"))
             assert served is None and root is not None
-            asyncio.run_coroutine_threadsafe(service.stop(), loop).result(JOIN_S)
+            runner.stop()
             with pytest.raises(RuntimeError, match=message):
-                runner.schedule(request)            # a hit, on this thread
+                runner.schedule(request)            # a hit, before the lock
             with pytest.raises(RuntimeError, match=message):
-                asyncio.run_coroutine_threadsafe(   # a miss, past the front
-                    service.slow_lane(ScheduleRequest(program="atax:a"),
-                                      None, key, root), loop).result(JOIN_S)
+                runner._slow_lane(                  # a miss, past the front
+                    ScheduleRequest(program="atax:a"), None, key, root,
+                    JOIN_S)
             # The root the front opened was closed by the slow lane.
             assert session.tracer.get(root.trace_id).status == "error"
         session.close()
@@ -598,9 +593,8 @@ def test_a_thousand_warm_requests_counted(monkeypatch):
     with ServiceRunner(session) as runner:
         for request in requests:
             warm(runner, request)
-        monkeypatch.setattr(
-            service_module.asyncio, "run_coroutine_threadsafe",
-            counting("hop", asyncio.run_coroutine_threadsafe))
+        monkeypatch.setattr(runner, "_slow_lane",
+                            counting("hop", runner._slow_lane))
         for module in (service_module, sys.modules["repro.api.session"]):
             monkeypatch.setattr(module, "request_fingerprint",
                                 counting("fingerprint", request_fingerprint))

@@ -428,8 +428,8 @@ class TestClientAgainstBrokenPeers:
 def test_import_loads_no_stdlib_http_or_email_parser():
     src = os.path.dirname(os.path.dirname(repro.__file__))
     code = ("import sys, repro.serving; print(sorted(m for m in "
-            "('http.client', 'http.server', 'email.feedparser', 'email') "
-            "if m in sys.modules))")
+            "('http.client', 'http.server', 'email.feedparser', 'email', "
+            "'asyncio') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)

@@ -1,7 +1,7 @@
 """Tests of the observability subsystem: the metrics registry and its
 instruments (property-based histogram invariants included), concurrency
 safety across threads and real processes, the wiring through Session /
-SchedulingService / WorkerPool, and the end-to-end ``/metrics`` scrape."""
+ServiceRunner / WorkerPool, and the end-to-end ``/metrics`` scrape."""
 
 import json
 import math
@@ -10,9 +10,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from helpers import (build_gemm, fast_session, observation_streams,
-                     parse_prometheus_text, prometheus_sample,
-                     uniform_buckets)
+from helpers import (build_gemm, fast_session, hold_next_batch,
+                     observation_streams, parse_prometheus_text,
+                     prometheus_sample, uniform_buckets)
 
 from repro.api import SearchConfig, Session
 from repro.observability import (DEFAULT_LATENCY_BUCKETS, MetricsError,
@@ -445,8 +445,11 @@ class TestMetricsOverHttp:
                 list(pool.map(lambda _: client.schedule("atax:a", priority=2),
                               range(4)))
 
-            # Saturate the 1-deep queue with distinct cold programs until
-            # the server sheds at least one request.
+            # Saturate the 1-deep queue with distinct cold programs: the
+            # first runs once the server has shed one of the others.
+            runner = server.runner
+            hold_next_batch(runner, lambda: runner.stats.rejected >= 1)
+
             def flood(index):
                 try:
                     client.schedule("gemm:a",

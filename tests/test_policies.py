@@ -1,37 +1,32 @@
 """Tests for the queue-scheduling policies and the online
 measurement-feedback loop (session-, database-, and pool-level)."""
 
-import asyncio
 import json
 import math
-import threading
 import types
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from helpers import fast_session
+from helpers import StubSession, fast_session, hold_next_batch, queue_behind
 
 from repro.api import ScheduleRequest, SearchConfig
 from repro.scheduler.database import (DatabaseEntry, TuningDatabase,
                                       apply_feedback_record, recipe_base_name,
                                       recipe_identity)
 from repro.scheduler.embedding import EMBEDDING_SIZE, PerformanceEmbedding
-from repro.serving import (PolicyError, SchedulingService, ServiceConfig,
-                           ServiceRunner, ServingClient, ServingServer,
-                           WorkerConfig, WorkerPool, create_policy,
-                           policy_names, request_fingerprint)
+from repro.serving import (PolicyError, ServiceConfig, ServiceRunner,
+                           ServingClient, ServingServer, WorkerConfig,
+                           WorkerPool, create_policy, policy_names,
+                           request_fingerprint)
+from repro.serving import cli
 from repro.serving.cli import build_parser
 from repro.serving.policy import StrictPriorityPolicy, WeightedFairPolicy
 from repro.transforms.recipe import Recipe
 
 FAST_SEARCH = SearchConfig(population_size=4, epochs=1,
                            generations_per_epoch=1)
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 def _request(priority=0, program="p"):
@@ -57,7 +52,7 @@ class TestPolicyRegistry:
             messages.append(str(caught.value))
             assert name in messages[-1]
         with pytest.raises(PolicyError) as caught:
-            SchedulingService(_StubSession(), ServiceConfig(policy="aging"))
+            ServiceRunner(StubSession(), ServiceConfig(policy="aging"))
         messages.append(str(caught.value))
         for message in messages:
             assert message.endswith(
@@ -65,8 +60,7 @@ class TestPolicyRegistry:
 
     def test_unknown_policy_fails_at_service_construction(self):
         with pytest.raises(PolicyError):
-            SchedulingService(_StubSession(),
-                              ServiceConfig(policy="not-a-policy"))
+            ServiceRunner(StubSession(), ServiceConfig(policy="not-a-policy"))
 
 
 # -- removed options fail loudly, removed request keys are ignored ------------------
@@ -116,10 +110,43 @@ def test_serve_help_lists_no_removed_flag(capsys):
                                          ("aging_interval_s", 0.5),
                                          ("adaptive", True),
                                          ("adaptive_interval_s", 1.0),
-                                         ("batch_window_s", 0.01)])
+                                         ("batch_window_s", 0.01),
+                                         ("max_workers", 4),
+                                         ("fast_lane", False)])
 def test_removed_service_config_fields_are_rejected(field, value):
     with pytest.raises(TypeError, match=field):
         ServiceConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [("max_batch_size", 0),
+                                         ("max_queue_depth", -1),
+                                         ("max_client_inflight", -1),
+                                         ("retry_after_s", -0.5),
+                                         ("latency_slo_s", 0.0),
+                                         ("latency_slo_s", float("nan"))])
+def test_out_of_range_service_config_values_are_rejected(field, value):
+    # A batch size of 0 used to spin the batcher on empty batches while the
+    # request it never claimed timed out.
+    with pytest.raises(ValueError, match=field):
+        ServiceConfig(**{field: value})
+
+
+@pytest.mark.parametrize("flags", [["--max-batch", "0"],
+                                   ["--max-queue-depth", "-1"],
+                                   ["--max-client-inflight", "-1"],
+                                   ["--latency-slo", "0"],
+                                   ["--alert-interval", "0"],
+                                   ["--alert-interval", "-5"]],
+                         ids=lambda flags: " ".join(flags))
+def test_serve_exits_2_on_an_out_of_range_value(flags, capsys, monkeypatch):
+    def boot(*args, **kwargs):
+        raise AssertionError("serve booted a server")
+
+    monkeypatch.setattr(cli, "ServingServer", boot)
+    monkeypatch.setattr(cli, "_build_session", boot)
+    assert cli.main(["serve", *flags]) == 2
+    error = capsys.readouterr().err
+    assert error.startswith("serve: ") and len(error.splitlines()) == 1
 
 
 @pytest.mark.parametrize("keyword,value", [("push_url", "http://x"),
@@ -202,67 +229,15 @@ class TestWeightedFairKeys:
 
 # -- drain order through the service ------------------------------------------------
 
-def _stub_response(program):
-    result = types.SimpleNamespace(
-        program=types.SimpleNamespace(name=str(program)))
-    result.copy = lambda: result
-    return types.SimpleNamespace(
-        result=result, scheduler="stub", program=result.program,
-        runtime_s=0.0, normalized=False, input_hash=None,
-        canonical_hash=None, from_cache=False,
-        normalization_cache_hit=False)
-
-
-class _StubSession:
-    """Session stand-in recording the order requests reach the executor and
-    the size of each batch.
-
-    The "gate" request blocks until released, pinning the batcher while a
-    test stacks the queue; everything behind the gate then drains in the
-    configured policy's order.
-    """
-
-    def __init__(self):
-        self.order = []
-        self.batches = []
-        self.gate = threading.Event()
-
-    def schedule_batch(self, requests, max_workers=None,
-                       return_exceptions=False):
-        self.batches.append(len(requests))
-        responses = []
-        for request in requests:
-            if request.program == "gate":
-                self.gate.wait(timeout=30)
-            self.order.append(request.program)
-            responses.append(_stub_response(request.program))
-        return responses
-
-    def record_coalesced(self, count=1):
-        pass
-
-
-async def _drain(service, requests):
-    """Stack ``requests`` behind a gate request and release the batcher."""
-    session = service.session
-    await service.start()
-    try:
-        gate = asyncio.ensure_future(
-            service.schedule(ScheduleRequest(program="gate")))
-        await asyncio.sleep(0.05)  # the batcher is now blocked on the gate
-        tasks = [asyncio.ensure_future(service.schedule(request))
-                 for request in requests]
-        while service._queue.qsize() < len(tasks):
-            await asyncio.sleep(0.005)
-        session.gate.set()
-        await asyncio.gather(gate, *tasks)
-    finally:
-        await service.stop()
+def _drain(runner, requests):
+    """Stack ``requests`` behind a held gate request, then release it."""
+    queue_behind(runner, ScheduleRequest(program="gate"), requests)
 
 
 def _drive(config, requests):
-    session = _StubSession()
-    run(_drain(SchedulingService(session, config), requests))
+    session = StubSession()
+    with ServiceRunner(session, config) as runner:
+        _drain(runner, requests)
     assert session.order[0] == "gate"
     return session.order[1:]
 
@@ -324,23 +299,22 @@ class TestDrainOrder:
 class TestBatcherTakesWhatIsQueued:
     """The batcher dispatches what is queued and waits for nothing else."""
 
-    def test_sequential_slow_lane_requests_arm_no_timer(self):
-        session = _StubSession()
+    def test_sequential_slow_lane_requests_wait_without_a_timeout(self):
+        session = StubSession()
         with ServiceRunner(session) as runner:
-            loop = runner._loop
-            armed = []
-            call_at = loop.call_at
+            timeouts = []
+            wait = runner._cond.wait
 
-            def counting_call_at(when, callback, *args, **kwargs):
-                armed.append(callback)
-                return call_at(when, callback, *args, **kwargs)
+            def recording_wait(timeout=None):
+                timeouts.append(timeout)
+                return wait(timeout)
 
-            loop.call_at = counting_call_at
+            runner._cond.wait = recording_wait
             for index in range(20):
                 runner.schedule(ScheduleRequest(program=f"p-{index}"))
-            timers = len(armed)
         assert runner.stats.batches == 20 and session.batches == [1] * 20
-        assert timers == 0
+        # The batcher waited for requests, never with a timeout.
+        assert timeouts and set(timeouts) == {None}
 
     @pytest.mark.parametrize("max_batch_size,batches",
                              [(16, [1, 10]), (3, [1, 3, 3, 3, 1])])
@@ -350,32 +324,31 @@ class TestBatcherTakesWhatIsQueued:
                for i in range(1, 4)
                for name, priority in (("low", 7), ("high", 2), ("mid", 5))]
         mix.append(ScheduleRequest(program="high-4", priority=2))
-        session = _StubSession()
-        run(_drain(SchedulingService(
-            session, ServiceConfig(max_batch_size=max_batch_size)), mix))
+        session = StubSession()
+        config = ServiceConfig(max_batch_size=max_batch_size)
+        with ServiceRunner(session, config) as runner:
+            _drain(runner, mix)
         assert session.batches == batches
         assert session.order == ["gate", "high-1", "high-2", "high-3",
                                  "high-4", "mid-1", "mid-2", "mid-3",
                                  "low-1", "low-2", "low-3"]
 
     @pytest.mark.parametrize("max_batch_size", [16, 1])
-    def test_a_stale_rider_entry_is_never_dispatched_twice(self,
-                                                          max_batch_size):
-        # The urgent rider re-enqueues its queued priority-9 leader at its
-        # own key, which leaves the leader's first entry stale.
+    def test_a_rekeyed_leader_is_dispatched_once(self, max_batch_size):
+        # The urgent rider re-keys its queued priority-9 leader in place.
         requests = ([ScheduleRequest(program="dup", priority=9)]
                     + [ScheduleRequest(program=f"other-{i}", priority=5)
                        for i in range(1, 4)]
                     + [ScheduleRequest(program="dup", priority=0)])
-        session = _StubSession()
-        service = SchedulingService(
-            session, ServiceConfig(max_batch_size=max_batch_size))
-        run(_drain(service, requests))
+        session = StubSession()
+        config = ServiceConfig(max_batch_size=max_batch_size)
+        with ServiceRunner(session, config) as runner:
+            _drain(runner, requests)
         assert session.order == ["gate", "dup", "other-1", "other-2",
                                  "other-3"]
         assert sum(session.batches) == 5
-        assert service.stats.coalesced == 1
-        assert service._stale_entries == 0
+        assert runner.stats.coalesced == 1
+        assert runner._queue == []
 
 
 def test_weighted_fair_server_serves_and_reports_its_policy():
@@ -406,6 +379,9 @@ class TestRetryAfterRounding:
         config = ServiceConfig(max_batch_size=1,
                                max_client_inflight=1, retry_after_s=hint)
         with ServingServer(session, config=config) as server:
+            # Alice's first request runs once one of hers was shed.
+            runner = server.runner
+            hold_next_batch(runner, lambda: runner.stats.rejected >= 1)
             statuses = []
 
             def submit(size):

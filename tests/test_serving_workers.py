@@ -1,7 +1,6 @@
 """Tests for multi-process serving: the worker pool, cross-process cache
 correctness, priority ordering, and admission control (HTTP included)."""
 
-import asyncio
 import json
 import multiprocessing
 import os
@@ -12,23 +11,19 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from helpers import fast_session
+from helpers import StubSession, fast_session, hold_next_batch, queue_behind
 
 from repro.api import (ScheduleRequest, ScheduleResponse, SearchConfig,
                        Session, SQLiteCacheBackend, TuningDatabase)
 from repro.scheduler.embedding import EMBEDDING_SIZE, PerformanceEmbedding
 from repro.serving import (AdmissionController, AdmissionError,
-                           SchedulingService, ServiceConfig, ServingClient,
+                           ServiceConfig, ServiceRunner, ServingClient,
                            ServingServer, WorkerConfig, WorkerError,
                            WorkerPool, merge_worker_reports)
 from repro.transforms.recipe import Recipe
 
 FAST_SEARCH = SearchConfig(population_size=4, epochs=1,
                            generations_per_epoch=1)
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 # -- cross-process cache correctness ------------------------------------------------
@@ -520,74 +515,24 @@ class TestMergeWorkerReports:
 
 # -- priority ordering --------------------------------------------------------------
 
-def _stub_response(program):
-    """A ScheduleResponse-shaped object (enough for service bookkeeping and
-    the coalescing ``_reissue`` path)."""
-    import types
-    result = types.SimpleNamespace(
-        program=types.SimpleNamespace(name=str(program)))
-    result.copy = lambda: result
-    return types.SimpleNamespace(
-        result=result, scheduler="stub", program=result.program,
-        runtime_s=0.0, normalized=False, input_hash=None,
-        canonical_hash=None, from_cache=False,
-        normalization_cache_hit=False)
+def _drain(session, requests):
+    """Stack ``requests``, in order, behind a held gate request (the
+    batcher is pinned while they queue)."""
+    with ServiceRunner(session, ServiceConfig(max_batch_size=1)) as runner:
+        queue_behind(runner, ScheduleRequest(program="gate"), requests)
 
 
-class _StubSession:
-    """Session stand-in recording the order requests reach the executor.
-
-    The first request (program "gate") blocks until released, which pins the
-    batcher while the test stacks the queue — everything enqueued behind the
-    gate must then drain in priority order.
-    """
-
-    def __init__(self):
-        self.order = []
-        self.coalesced = 0
-        self.gate = threading.Event()
-
-    def schedule_batch(self, requests, max_workers=None,
-                       return_exceptions=False):
-        responses = []
-        for request in requests:
-            if request.program == "gate":
-                self.gate.wait(timeout=30)
-            self.order.append(request.program)
-            responses.append(_stub_response(request.program))
-        return responses
-
-    def record_coalesced(self, count=1):
-        self.coalesced += count
+def _requests(*submissions):
+    return [ScheduleRequest(program=program, priority=priority)
+            for program, priority in submissions]
 
 
 class TestPriorityOrdering:
     def test_queue_drains_strictly_by_priority_under_load(self):
-        session = _StubSession()
-
-        async def drive():
-            service = SchedulingService(
-                session, ServiceConfig(max_batch_size=1))
-            await service.start()
-            try:
-                gate_task = asyncio.ensure_future(service.schedule(
-                    ScheduleRequest(program="gate")))
-                await asyncio.sleep(0.05)  # the batcher is now blocked
-                submissions = [
-                    ("bulk-1", 9), ("bulk-2", 9), ("mid", 5),
-                    ("urgent-1", 0), ("bulk-3", 9), ("urgent-2", 0),
-                ]
-                tasks = [asyncio.ensure_future(service.schedule(
-                    ScheduleRequest(program=program, priority=priority)))
-                    for program, priority in submissions]
-                while service._queue.qsize() < len(submissions):
-                    await asyncio.sleep(0.005)
-                session.gate.set()
-                await asyncio.gather(gate_task, *tasks)
-            finally:
-                await service.stop()
-
-        run(drive())
+        session = StubSession()
+        _drain(session, _requests(("bulk-1", 9), ("bulk-2", 9), ("mid", 5),
+                                  ("urgent-1", 0), ("bulk-3", 9),
+                                  ("urgent-2", 0)))
         assert session.order[0] == "gate"
         assert session.order[1:] == [
             # Priority first; FIFO within one priority class.
@@ -597,57 +542,16 @@ class TestPriorityOrdering:
         """A priority-0 request that coalesces onto a queued priority-9
         leader must pull the leader forward — it must not drain at the
         leader's priority behind less urgent work."""
-        session = _StubSession()
-
-        async def drive():
-            service = SchedulingService(
-                session, ServiceConfig(max_batch_size=1))
-            await service.start()
-            try:
-                gate_task = asyncio.ensure_future(service.schedule(
-                    ScheduleRequest(program="gate")))
-                await asyncio.sleep(0.05)
-                leader = asyncio.ensure_future(service.schedule(
-                    ScheduleRequest(program="shared", priority=9)))
-                mid = asyncio.ensure_future(service.schedule(
-                    ScheduleRequest(program="mid", priority=5)))
-                while service._queue.qsize() < 2:
-                    await asyncio.sleep(0.005)
-                rider = asyncio.ensure_future(service.schedule(
-                    ScheduleRequest(program="shared", priority=0)))
-                await asyncio.sleep(0.05)   # rider coalesces + re-enqueues
-                session.gate.set()
-                await asyncio.gather(gate_task, leader, mid, rider)
-            finally:
-                await service.stop()
-
-        run(drive())
+        session = StubSession()
+        _drain(session, _requests(("shared", 9), ("mid", 5), ("shared", 0)))
         # Without re-prioritization the order would be gate, mid, shared.
         assert session.order == ["gate", "shared", "mid"]
         assert session.coalesced == 1
 
     def test_default_priorities_keep_fifo_order(self):
-        session = _StubSession()
-
-        async def drive():
-            service = SchedulingService(
-                session, ServiceConfig(max_batch_size=1))
-            await service.start()
-            try:
-                gate_task = asyncio.ensure_future(service.schedule(
-                    ScheduleRequest(program="gate")))
-                await asyncio.sleep(0.05)
-                tasks = [asyncio.ensure_future(service.schedule(
-                    ScheduleRequest(program=f"r{index}")))
-                    for index in range(4)]
-                while service._queue.qsize() < 4:
-                    await asyncio.sleep(0.005)
-                session.gate.set()
-                await asyncio.gather(gate_task, *tasks)
-            finally:
-                await service.stop()
-
-        run(drive())
+        session = StubSession()
+        _drain(session, [ScheduleRequest(program=f"r{index}")
+                         for index in range(4)])
         assert session.order == ["gate", "r0", "r1", "r2", "r3"]
 
 
@@ -690,32 +594,17 @@ class TestAdmissionController:
         assert controller.stats.rejected_client_limit == 1
 
     def test_service_counts_rejections(self):
-        session = _StubSession()
-
-        async def drive():
-            service = SchedulingService(
-                session, ServiceConfig(max_batch_size=1,
-                                       max_client_inflight=1))
-            await service.start()
-            try:
-                # Alice's first request blocks in the executor (the gate);
-                # her second arrives while it is in flight and must be shed.
-                first = asyncio.ensure_future(service.schedule(
-                    ScheduleRequest(program="gate", client="alice")))
-                await asyncio.sleep(0.05)
-                with pytest.raises(AdmissionError):
-                    await service.schedule(
-                        ScheduleRequest(program="other", client="alice"))
-                session.gate.set()
-                await first
-                return (service.stats.rejected,
-                        service.admission.stats.rejected_client_limit)
-            finally:
-                await service.stop()
-
-        rejected, client_limited = run(drive())
-        assert rejected == 1
-        assert client_limited == 1
+        # Alice's first request is held in the executor (the gate); her
+        # second arrives while it is in flight and must be shed.
+        session = StubSession()
+        config = ServiceConfig(max_batch_size=1, max_client_inflight=1)
+        with ServiceRunner(session, config) as runner:
+            _, shed = queue_behind(
+                runner, ScheduleRequest(program="gate", client="alice"),
+                [ScheduleRequest(program="other", client="alice")])
+        assert isinstance(shed, AdmissionError)
+        assert runner.stats.rejected == 1
+        assert runner.admission.stats.rejected_client_limit == 1
         assert session.order == ["gate"]
 
 
@@ -727,6 +616,10 @@ class TestAdmissionOverHttp:
         config = ServiceConfig(max_batch_size=1,
                                max_queue_depth=1, retry_after_s=0.25)
         with ServingServer(session, config=config) as server:
+            # The first batch runs once a request was shed: until then one
+            # request runs, one waits, and the rest find the queue full.
+            runner = server.runner
+            hold_next_batch(runner, lambda: runner.stats.rejected >= 1)
             client = ServingClient(server.address)
             programs = [("gemm:a", {"NI": 32 + index, "NJ": 32, "NK": 32})
                         for index in range(8)]
@@ -755,6 +648,9 @@ class TestAdmissionOverHttp:
         session = fast_session()
         config = ServiceConfig(max_batch_size=1, max_client_inflight=1)
         with ServingServer(session, config=config) as server:
+            # Alice's first request runs once one of hers was shed.
+            runner = server.runner
+            hold_next_batch(runner, lambda: runner.stats.rejected >= 1)
             client = ServingClient(server.address)
 
             def submit(identity, size):
@@ -783,6 +679,8 @@ class TestAdmissionOverHttp:
         config = ServiceConfig(max_batch_size=1,
                                max_client_inflight=1, retry_after_s=2.0)
         with ServingServer(session, config=config) as server:
+            runner = server.runner
+            hold_next_batch(runner, lambda: runner.stats.rejected >= 1)
             statuses = []
 
             def submit(size):

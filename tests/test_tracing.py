@@ -10,9 +10,10 @@ import pytest
 from helpers import fast_session
 
 from repro.api import ScheduleRequest, SearchConfig, Session
-from repro.observability import (AlertEvaluator, AlertRule, MetricsRegistry,
-                                 Tracer, chrome_trace_document,
-                                 current_trace_id, default_alert_rules,
+from repro.observability import (AlertEvaluator, AlertMonitor, AlertRule,
+                                 MetricsRegistry, Tracer,
+                                 chrome_trace_document, current_trace_id,
+                                 default_alert_rules,
                                  register_process_metrics, span,
                                  traces_to_jsonl)
 from repro.observability import tracing as tracing_module
@@ -294,6 +295,25 @@ class TestAlertEvaluator:
                      default_alert_rules(max_queue_depth=0)]
         assert "queue-depth-saturation" not in unbounded
 
+    def test_a_misspelt_kind_is_refused(self):
+        # It used to be accepted and never fire, whatever its gauge read.
+        with pytest.raises(ValueError, match="'treshold'.*known kinds: "
+                                             "threshold, rate, slo-burn-rate"):
+            AlertRule(name="depth", kind="treshold",
+                      metric="repro_service_queue_depth", threshold=1.0)
+
+    def test_an_unknown_op_is_refused(self):
+        # It used to be read as ">" without a word.
+        with pytest.raises(ValueError, match="'=>'.*known ops: >, >=, <, <="):
+            AlertRule(name="depth", kind="threshold", op="=>",
+                      metric="repro_service_queue_depth", threshold=1.0)
+
+    @pytest.mark.parametrize("interval_s", [0.0, -1.0, float("nan")])
+    def test_a_monitor_interval_must_be_positive(self, interval_s):
+        # 0 sampled the registry in a busy loop.
+        with pytest.raises(ValueError, match="interval_s must be > 0"):
+            AlertMonitor(AlertEvaluator([BURN_RULE]), interval_s=interval_s)
+
 
 # -- session + service tracing ------------------------------------------------------
 
@@ -405,24 +425,23 @@ class TestHttpTracing:
             status, _ = client.request(
                 "POST", "/v1/schedule", {"program": "gemm:a", "priority": 42})
             assert status == 400
-            admit = server.runner.service.admission.admit
+            admit = server.runner.admission.admit
 
             def shed_mvt(request, queue_depth, rider):
                 if request.program == "mvt:a":
                     raise AdmissionError("queue-full", "queue is full", 1.0)
                 return admit(request, queue_depth, rider)
-            monkeypatch.setattr(server.runner.service.admission, "admit",
+            monkeypatch.setattr(server.runner.admission, "admit",
                                 shed_mvt)
             with pytest.raises(ServingError) as shed:
                 client.schedule("mvt:a")
             assert shed.value.status == 429
             # A batch that fails after the request was admitted: a 500
             # whose root the slow lane recorded with status "error".
-            service = server.runner.service
-
             def broken_batch(requests):
                 raise RuntimeError("executor lost")
-            monkeypatch.setattr(service, "_schedule_batch", broken_batch)
+            monkeypatch.setattr(server.runner, "_schedule_batch",
+                                broken_batch)
             with pytest.raises(ServingError) as failed:
                 client.schedule("gemm:b")
             assert failed.value.status == 500
