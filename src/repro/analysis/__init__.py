@@ -8,7 +8,6 @@
   schedule transformations edit, legality is asked of and the cost model
   walks.
 * :mod:`repro.analysis.strides` — the ``stride(loop)`` normalization criterion.
-* :mod:`repro.analysis.reuse` — static reuse-distance and working-set estimates.
 * :mod:`repro.analysis.flops` — flop counting and invariance facts for the
   expression-rewrite passes.
 """
@@ -29,7 +28,6 @@ from .dependence import (ANY, EQ, GT, LT, Dependence, body_dependence_pairs,
 from .parallelism import (ParallelismInfo, analyze_loop_parallelism,
                           is_fully_parallel_band, outermost_parallel_loop,
                           parallel_loops)
-from .reuse import ReuseEstimate, estimate_reuse, program_working_set_bytes
 from .strides import (BandStrides, StrideReport, access_stride, band_strides,
                       nest_stride_cost, nest_stride_report,
                       out_of_order_count, program_stride_cost)
@@ -46,7 +44,6 @@ __all__ = [
     "nest_dependences", "permutation_is_legal", "self_dependences",
     "ParallelismInfo", "analyze_loop_parallelism", "is_fully_parallel_band",
     "outermost_parallel_loop", "parallel_loops",
-    "ReuseEstimate", "estimate_reuse", "program_working_set_bytes",
     "computation_flops", "expr_flops", "expr_reads", "program_flops",
     "written_arrays",
     "BandStrides", "StrideReport", "access_stride", "band_strides",

@@ -4,7 +4,7 @@ This package is the one blessed entry point for every consumer (experiments,
 examples, benchmarks, services): a :class:`Session` bundles the frontend →
 normalize → schedule → measure pipeline behind typed requests/responses, a
 content-addressed normalization cache, one shared transfer-tuning database,
-and batch scheduling over a thread pool.
+and batch scheduling (a batch replies exactly like sequential calls).
 
 Plugins register through :func:`register_scheduler` / :func:`register_frontend`;
 all built-in schedulers (daisy, polly, clang, icc, tiramisu, numpy, numba,

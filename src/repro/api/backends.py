@@ -75,7 +75,8 @@ class CacheBackend:
     namespace.  ``get`` refreshes recency; ``put`` may evict the least
     recently used entries of the namespace once it exceeds the backend's
     bound.  All methods must be thread-safe: one backend is shared by every
-    worker of a ``schedule_batch`` fan-out.
+    thread that uses its session (serving handler threads, the batcher,
+    direct callers).
     """
 
     #: Short identifier surfaced in ``Session.report()``.

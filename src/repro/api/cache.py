@@ -1,8 +1,8 @@
 """Content-addressed normalization and schedule caching.
 
 The cache has two levels, both keyed by content hashes
-(:mod:`repro.api.hashing`) and safe to share across the threads of a
-:meth:`repro.api.Session.schedule_batch` fan-out:
+(:mod:`repro.api.hashing`) and safe to share across threads (a serving
+layer's handler threads read it while its batcher schedules):
 
 * **normalization level** — ``hash(program as written, pipeline identity,
   parameters) -> normalized program``.  Re-scheduling the same program

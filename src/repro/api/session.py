@@ -17,12 +17,11 @@ Typical use::
     response = session.schedule("gemm:b")       # served via transfer tuning
     print(response.summary(), session.report().summary())
 
-``schedule_batch`` fans a list of workloads through a thread pool sharing
-the same cache and database, which is the seam every scaling feature
-(serving, multi-backend) plugs into; the serving layer's
-multi-process :class:`~repro.serving.workers.WorkerPool` is its
-process-level analogue, one session per worker over one shared SQLite
-cache file.
+``schedule_batch`` schedules a list of workloads in order through
+``schedule``, sharing the same cache and database, which is the seam every
+scaling feature (serving, multi-backend) plugs into; the serving layer's
+multi-process :class:`~repro.serving.workers.WorkerPool` is its parallel
+analogue, one session per worker over one shared SQLite cache file.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import contextlib
 import json
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -66,7 +64,8 @@ BatchItem = Union[ScheduleRequest, ProgramLike,
 
 
 class Session:
-    """One configured pipeline instance; thread-safe for batch scheduling."""
+    """One configured pipeline instance; thread-safe, so serving threads
+    and direct callers may share one."""
 
     def __init__(self,
                  machine: Optional[MachineModel] = None,
@@ -80,7 +79,6 @@ class Session:
                  cache: Optional[NormalizationCache] = None,
                  cache_backend: Optional[CacheBackend] = None,
                  cache_path: Optional[str] = None,
-                 max_workers: Optional[int] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None):
         if scheduler not in SCHEDULERS:
@@ -120,7 +118,6 @@ class Session:
                      if cache_backend is not None
                      else NormalizationCache(metrics=metrics))
         self.cache = cache
-        self.max_workers = max_workers
         # One tracer per session/process; serving layers share it so
         # request spans from every layer land in the same ring buffer.
         self.tracer = tracer if tracer is not None else Tracer()
@@ -135,7 +132,6 @@ class Session:
             "by outcome (applied / added / skipped).", ("outcome",))
 
         self._lock = threading.RLock()
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._schedulers: Dict[Tuple[str, int], Scheduler] = {}
         self._cost_models: Dict[int, CostModel] = {}
         # Frozen masters of named-workload resolutions; _resolve() hands out
@@ -524,21 +520,19 @@ class Session:
     # -- batching ---------------------------------------------------------------------
 
     def schedule_batch(self, items: Sequence[BatchItem],
-                       max_workers: Optional[int] = None,
                        return_exceptions: bool = False) -> List[ScheduleResponse]:
-        """Schedule many programs concurrently, sharing one cache and database.
+        """Schedule many programs, one after another, through :meth:`schedule`.
 
-        Results are returned in input order; scheduled programs and runtimes
-        are identical to sequential ``schedule()`` calls, because every stage
-        a worker runs (normalization, database lookup, deterministic per-call
-        search) is a pure function of the session state at batch entry.  Only
-        the ``from_cache`` / ``normalization_cache_hit`` bookkeeping flags can
-        differ: two equivalent items racing may both miss and compute the
-        same result twice instead of one serving the other.
+        A batch is a loop: results come back in input order and equal
+        sequential ``schedule()`` calls byte for byte, ``from_cache`` and
+        ``normalization_cache_hit`` included — a later item is served from
+        the cache entries an earlier one stored.
 
         With ``return_exceptions=True`` a failing item yields its exception
         in the result list instead of aborting the whole batch (the serving
         layer uses this so one bad request cannot fail its batchmates).
+        Tune items are rejected either way: tuning mutates the database and
+        is issued on its own.
         """
         requests = [self._as_request(item) for item in items]
         tune_message = ("tune requests mutate the database and must "
@@ -550,51 +544,23 @@ class Session:
         with self._lock:
             self._batch_calls += 1
         self._metric_calls.labels("batch").inc()
-
-        schedule = self.schedule
-        if return_exceptions:
-            def schedule(request):  # noqa: F811 - deliberate wrapper
-                # Tune items yield their rejection in-band too, so one bad
-                # item never aborts the batch in this mode.
-                if request.tune:
-                    return ValueError(tune_message)
-                try:
-                    return self.schedule(request)
-                except Exception as error:  # noqa: BLE001 - handed to caller
-                    return error
-
-        explicit_cap = max_workers or self.max_workers
-        workers = explicit_cap or min(8, max(1, len(requests)))
-        if workers <= 1 or len(requests) <= 1:
-            return [schedule(request) for request in requests]
-        if explicit_cap:
-            # An explicit cap bounds concurrency exactly (callers use it to
-            # limit CPU/memory): a dedicated pool of that width honors it.
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(schedule, requests))
-        # Uncapped batches reuse one shared executor: a serving layer calls
-        # schedule_batch once per micro-batch, and spawning/joining a fresh
-        # pool every few milliseconds is pure overhead.
-        return list(self._shared_executor().map(schedule, requests))
-
-    _SHARED_POOL_WIDTH = 8
-
-    def _shared_executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._SHARED_POOL_WIDTH,
-                    thread_name_prefix="repro-session")
-            return self._executor
+        responses: List[Any] = []
+        for request in requests:
+            if request.tune:          # only with return_exceptions (see above)
+                responses.append(ValueError(tune_message))
+                continue
+            try:
+                responses.append(self.schedule(request))
+            except Exception as error:  # noqa: BLE001 - handed to caller
+                if not return_exceptions:
+                    raise
+                responses.append(error)
+        return responses
 
     def close(self) -> None:
-        """Release the batch executor, and the cache backend if this session
-        created it (an injected ``cache=`` may be shared with other sessions
-        and stays open).  Idempotent."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
+        """Release the cache backend if this session created it (an injected
+        ``cache=`` may be shared with other sessions and stays open).
+        Idempotent."""
         if self._owns_cache:
             self.cache.close()
 

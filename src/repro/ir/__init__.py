@@ -18,9 +18,6 @@ from .symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod, Mul,
                       Read, Sym, as_expr, call, const, maximum, minimum, read,
                       sym)
 from .validation import ValidationError, assert_valid, validate_program
-from .visitor import (NodeTransformer, NodeVisitor, enclosing_loops_of,
-                      find_parent, map_computations, replace_node,
-                      walk_with_ancestors)
 
 __all__ = [
     "Array", "array", "scalar", "DTYPES",
@@ -32,6 +29,4 @@ __all__ = [
     "Add", "Call", "Const", "Expr", "FloorDiv", "Max", "Min", "Mod", "Mul",
     "Read", "Sym", "as_expr", "call", "const", "maximum", "minimum", "read", "sym",
     "ValidationError", "assert_valid", "validate_program",
-    "NodeTransformer", "NodeVisitor", "enclosing_loops_of", "find_parent",
-    "map_computations", "replace_node", "walk_with_ancestors",
 ]

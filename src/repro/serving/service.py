@@ -632,7 +632,7 @@ class ServiceRunner:
             span = tracer.begin(
                 "service.schedule", trace_id, parent_id=parent_id,
                 attrs={"executor": ("pool" if self.pool is not None
-                                    else "threads"),
+                                    else "session"),
                        "batch_size": len(batch)},
                 start_s=dispatched_wall)
             pending.request.trace = span.context()

@@ -1,10 +1,10 @@
-"""Tests for dataflow graphs, parallelism detection, strides and reuse."""
+"""Tests for dataflow graphs, parallelism detection and strides."""
 
 import pytest
 
 from helpers import build_gemm, build_stencil, build_vector_add
 from repro.analysis import (analyze_loop_parallelism, build_dataflow_graph,
-                            estimate_reuse, is_fully_parallel_band,
+                            is_fully_parallel_band,
                             nest_stride_cost, nest_stride_report,
                             node_reads_writes, out_of_order_count,
                             outermost_parallel_loop, parallel_loops,
@@ -121,9 +121,3 @@ class TestStridesAndReuse:
     def test_program_stride_cost_sums_nests(self, gemm_program, gemm_params):
         total = program_stride_cost(gemm_program, gemm_params)
         assert total > 0
-
-    def test_reuse_estimate(self, gemm_program, gemm_params):
-        nest = gemm_program.body[1]
-        estimate = estimate_reuse(nest, gemm_program.arrays, gemm_params)
-        assert estimate.innermost_footprint >= 4
-        assert estimate.reuse_of("C") is not None

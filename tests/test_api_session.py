@@ -1,11 +1,15 @@
 """Tests for the Session facade: loading, scheduling, caching, batching."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from helpers import GEMM_PARAMS as PARAMS
 from helpers import build_gemm, build_vector_add, fast_session, queue_behind
 
-from repro.api import RegistryError, ScheduleRequest, ScheduleResponse
+from repro.api import (RegistryError, ScheduleRequest, ScheduleResponse,
+                       Session, benchmark_names)
+from repro.serving.cli import main as cli_main
 
 VEC_SOURCE = """
 double x[N];
@@ -276,24 +280,35 @@ class TestBatch:
     def test_batch_matches_sequential(self):
         items = [(p, params) for p, params in self.items() if params is not None]
         sequential = [fast_session().schedule(p, params) for p, params in items]
-        batched = fast_session().schedule_batch(items, max_workers=4)
+        batched = fast_session().schedule_batch(items)
         assert self._signature(batched) == self._signature(sequential)
 
     def test_batch_is_deterministic_across_runs(self):
-        first = fast_session().schedule_batch(self.items(), max_workers=4)
-        second = fast_session().schedule_batch(self.items(), max_workers=4)
+        first = fast_session().schedule_batch(self.items())
+        second = fast_session().schedule_batch(self.items())
         assert self._signature(first) == self._signature(second)
+
+    def test_batch_equals_a_schedule_loop_byte_for_byte(self):
+        # Flags included: each b variant that normalizes onto its a
+        # variant's canonical form is served from the entry the a stored.
+        items = [f"{name}:{variant}" for name in benchmark_names()
+                 for variant in "ab"]
+        assert len(items) == 36
+        batched = Session(size="small").schedule_batch(items)
+        loop_session = Session(size="small")
+        looped = [loop_session.schedule(item) for item in items]
+        assert [r.to_json() for r in batched] == [r.to_json() for r in looped]
+        assert sum(r.from_cache for r in batched) == 13
 
     def test_batch_shares_cache(self):
         session = fast_session()
-        # Warm the cache sequentially first: concurrent equivalent items may
-        # legitimately both miss (benign duplicate compute), but a warmed
-        # canonical form must be served to every batch worker.
-        session.schedule(build_gemm(("i", "j", "k")), PARAMS)
-        responses = session.schedule_batch(self.items(), max_workers=4)
-        assert responses[0].from_cache and responses[1].from_cache
+        responses = session.schedule_batch(self.items())
+        # Item 1 is item 0 in another loop order: one canonical form, so
+        # the schedule item 0 stored serves item 1 in the same batch.
+        assert not responses[0].from_cache
+        assert responses[1].from_cache
         report = session.report()
-        assert report.schedule_cache_hits >= 2
+        assert report.schedule_cache_hits == 1
         assert report.batch_calls == 1
 
     def test_batch_accepts_requests_and_preserves_order(self):
@@ -314,7 +329,7 @@ class TestBatch:
             [ScheduleRequest(program="gemm:a"),
              ScheduleRequest(program="not-a-workload"),
              ScheduleRequest(program="atax:a")],
-            max_workers=3, return_exceptions=True)
+            return_exceptions=True)
         assert responses[0].runtime_s > 0
         assert isinstance(responses[1], Exception)
         assert responses[2].runtime_s > 0
@@ -324,31 +339,56 @@ class TestBatch:
         responses = session.schedule_batch(
             [ScheduleRequest(program="gemm:a"),
              ScheduleRequest(program="gemm:a", tune=True)],
-            max_workers=2, return_exceptions=True)
+            return_exceptions=True)
         assert responses[0].runtime_s > 0
         assert isinstance(responses[1], ValueError)
         assert session.report().tune_calls == 0  # the tune never ran
 
     def test_batch_without_return_exceptions_raises(self):
         session = fast_session()
-        with pytest.raises(Exception):
+        with pytest.raises(RegistryError):
             session.schedule_batch([ScheduleRequest(program="not-a-workload"),
-                                    ScheduleRequest(program="gemm:a")],
-                                   max_workers=2)
+                                    ScheduleRequest(program="gemm:a")])
+        assert session.report().schedule_calls == 0  # stopped at item 0
+
+
+def test_warm_cache_counts_every_canonical_form_hit(tmp_path, capsys):
+    # Seven a/b pairs; every b but jacobi-2d's normalizes onto its a.
+    status = cli_main(["warm-cache", "--cache-path",
+                       str(tmp_path / "cache.sqlite"), "--size", "small",
+                       "--workloads", "gemm", "2mm", "atax", "mvt", "bicg",
+                       "syrk", "jacobi-2d", "--variants", "a", "b"])
+    assert status == 0
+    assert "warmed 14 schedules (6 already cached)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Session(max_workers=1),
+    lambda: fast_session().schedule_batch(["gemm:a"], max_workers=1),
+], ids=["Session", "schedule_batch"])
+def test_removed_max_workers_spelling_is_rejected(call):
+    # A batch is a loop; parallel scheduling is the worker pool's job.
+    with pytest.raises(TypeError, match="max_workers"):
+        call()
 
 
 class TestConcurrentCacheLoad:
-    """LRU eviction and hit/miss accounting under schedule_batch concurrency
-    (previously only exercised single-threaded)."""
+    """LRU eviction and hit/miss accounting under concurrent ``schedule()``
+    callers sharing one session (the test owns the threads)."""
 
     ORDERS = [("i", "j", "k"), ("i", "k", "j"), ("k", "i", "j"),
               ("k", "j", "i"), ("j", "i", "k"), ("j", "k", "i")]
+
+    @staticmethod
+    def _concurrently(session, items, workers):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda item: session.schedule(*item), items))
 
     def test_counters_do_not_lose_updates_under_concurrency(self):
         session = fast_session()
         items = [(build_gemm(order), PARAMS)
                  for order in self.ORDERS for _ in range(4)]
-        responses = session.schedule_batch(items, max_workers=8)
+        responses = self._concurrently(session, items, 8)
         assert len(responses) == 24
         report = session.report()
         # Every request touches the normalization level exactly once, and
@@ -362,13 +402,13 @@ class TestConcurrentCacheLoad:
         assert report.schedule_cache_hits >= 24 - 2 * len(self.ORDERS)
         assert len({response.runtime_s for response in responses}) == 1
 
-    def test_lru_eviction_under_concurrent_batches(self):
+    def test_lru_eviction_under_concurrent_callers(self):
         from repro.api import MemoryCacheBackend, NormalizationCache
 
         cache = NormalizationCache(backend=MemoryCacheBackend(max_entries=2))
         session = fast_session(cache=cache)
         items = [(build_gemm(order), PARAMS) for order in self.ORDERS] * 2
-        session.schedule_batch(items, max_workers=6)
+        self._concurrently(session, items, 6)
         report = session.report()
         # Six distinct normalization entries through a two-entry store must
         # evict, and the store must stay within its bound throughout.
@@ -382,12 +422,9 @@ class TestConcurrentCacheLoad:
 
         cache = NormalizationCache(backend=MemoryCacheBackend(max_entries=1))
         session = fast_session(cache=cache)
-        first = session.schedule_batch(
-            [(build_gemm(order), PARAMS) for order in self.ORDERS],
-            max_workers=4)
-        second = session.schedule_batch(
-            [(build_gemm(order), PARAMS) for order in self.ORDERS],
-            max_workers=4)
+        items = [(build_gemm(order), PARAMS) for order in self.ORDERS]
+        first = self._concurrently(session, items, 4)
+        second = self._concurrently(session, items, 4)
         # Evicted entries are recomputed to identical results.
         assert [r.runtime_s for r in first] == [r.runtime_s for r in second]
         assert [r.canonical_hash for r in first] \

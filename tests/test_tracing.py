@@ -473,6 +473,8 @@ class TestHttpTracing:
         # No batch window: the claim-to-dispatch interval has no span.
         assert "service.batch" not in spans
         assert spans["service.schedule"]["attributes"]["batch_size"] == 1
+        # In process, the batch runs through the session (a pool is "pool").
+        assert spans["service.schedule"]["attributes"]["executor"] == "session"
         tree = record["tree"]
         assert len(tree) == 1 and tree[0]["name"] == "request"
         # Queue wait is a measured sub-interval, not a placeholder.
