@@ -5,7 +5,8 @@ The package is organized in layers:
 * :mod:`repro.ir` — the symbolic loop-nest representation.
 * :mod:`repro.frontend` — the C-like source frontend (further frontends
   plug in through :func:`repro.api.register_frontend`).
-* :mod:`repro.analysis` — dependence, dataflow, parallelism and stride analyses.
+* :mod:`repro.analysis` — dependence, parallelism and stride analyses, and
+  the per-body read/write (dataflow) summary fusion reads.
 * :mod:`repro.passes` — the unified pass framework: instrumented passes,
   pipelines with fixed-point groups, the named-pipeline registry, and
   memoized per-nest analyses.

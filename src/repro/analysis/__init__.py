@@ -1,8 +1,10 @@
 """Static analyses over the symbolic loop-nest IR.
 
 * :mod:`repro.analysis.affine` — affine access-function extraction.
-* :mod:`repro.analysis.dependence` — dependence testing and direction vectors.
-* :mod:`repro.analysis.dataflow` — producer/consumer graphs across loop nests.
+* :mod:`repro.analysis.dependence` — dependence testing and direction vectors;
+  one scan of a loop body answers both fission and parallelism.
+* :mod:`repro.analysis.dataflow` — per-body read/write summary: which node
+  of a body produces what a later node consumes.
 * :mod:`repro.analysis.parallelism` — DOALL and reduction-loop detection.
 * :mod:`repro.analysis.band` — a nest's schedule as data: the view the
   schedule transformations edit, legality is asked of and the cost model
@@ -16,18 +18,14 @@ from .affine import (AffineAccess, AffineIndex, access_is_contiguous,
                      computation_accesses, decompose_access, decompose_index,
                      loop_nest_accesses, nest_statements)
 from .band import BandView, Frame
-from .dataflow import (DataflowEdge, build_dataflow_graph, node_reads_writes,
-                       producer_consumer_pairs, program_dataflow,
-                       topological_order)
+from .dataflow import adjacent_flows, body_dataflow, node_reads_writes
 from .flops import (computation_flops, expr_flops, expr_reads, program_flops,
                     written_arrays)
-from .dependence import (ANY, EQ, GT, LT, Dependence, body_dependence_pairs,
+from .dependence import (ANY, EQ, GT, LT, Dependence, body_dependences,
                          dependences_between, legal_permutations,
-                         loop_carried_dependences, nest_dependences,
-                         permutation_is_legal, self_dependences)
-from .parallelism import (ParallelismInfo, analyze_loop_parallelism,
-                          is_fully_parallel_band, outermost_parallel_loop,
-                          parallel_loops)
+                         nest_dependences, permutation_is_legal,
+                         self_dependences)
+from .parallelism import ParallelismInfo, analyze_loop_parallelism
 from .strides import (BandStrides, StrideReport, access_stride, band_strides,
                       nest_stride_cost, nest_stride_report,
                       out_of_order_count, program_stride_cost)
@@ -37,13 +35,11 @@ __all__ = [
     "decompose_access", "decompose_index", "loop_nest_accesses",
     "nest_statements",
     "BandView", "Frame",
-    "DataflowEdge", "build_dataflow_graph", "node_reads_writes",
-    "producer_consumer_pairs", "program_dataflow", "topological_order",
-    "ANY", "EQ", "GT", "LT", "Dependence", "body_dependence_pairs",
-    "dependences_between", "legal_permutations", "loop_carried_dependences",
-    "nest_dependences", "permutation_is_legal", "self_dependences",
-    "ParallelismInfo", "analyze_loop_parallelism", "is_fully_parallel_band",
-    "outermost_parallel_loop", "parallel_loops",
+    "adjacent_flows", "body_dataflow", "node_reads_writes",
+    "ANY", "EQ", "GT", "LT", "Dependence", "body_dependences",
+    "dependences_between", "legal_permutations", "nest_dependences",
+    "permutation_is_legal", "self_dependences",
+    "ParallelismInfo", "analyze_loop_parallelism",
     "computation_flops", "expr_flops", "expr_reads", "program_flops",
     "written_arrays",
     "BandStrides", "StrideReport", "access_stride", "band_strides",

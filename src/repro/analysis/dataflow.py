@@ -1,30 +1,21 @@
-"""Dataflow (producer/consumer) analysis between top-level loop nests.
+"""Dataflow between the nodes of one body: what each reads and writes.
 
-After maximal loop fission a program is a *sequence* of atomic loop nests.
-The dataflow graph over that sequence — which nest produces data consumed by
-which later nest — drives the producer-consumer fusion used in the CLOUDSC
-case study (Section 5.1) and the SDFG-style reasoning of Section 3.
+After maximal loop fission a program — or the body of an outer loop — is a
+*sequence* of atomic loop nests.  Which node produces data that a later node
+consumes drives the producer-consumer fusion of the CLOUDSC case study
+(Section 5.1) and the ``dace`` baseline's map fusion.  The summary is plain
+sets and a dict keyed by node indices; no graph object is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
+from ..ir.nodes import Computation, LibraryCall, Loop, Node
 
-if TYPE_CHECKING:  # networkx loads with the first graph, not with repro.api
-    import networkx as nx
-
-
-@dataclass(frozen=True)
-class DataflowEdge:
-    """An edge of the dataflow graph: producer index -> consumer index."""
-
-    producer: int
-    consumer: int
-    arrays: FrozenSet[str]
-    kind: str  # "flow", "anti" or "output"
+#: ``{(producer, consumer): (kinds, arrays)}`` — ``kinds`` among ``"flow"``,
+#: ``"anti"`` and ``"output"``, ``arrays`` the containers of all of them.
+Edges = Dict[Tuple[int, int], Tuple[FrozenSet[str], FrozenSet[str]]]
 
 
 def node_reads_writes(node: Node) -> Tuple[Set[str], Set[str]]:
@@ -48,108 +39,40 @@ def node_reads_writes(node: Node) -> Tuple[Set[str], Set[str]]:
     return reads, writes
 
 
-def build_dataflow_graph(nodes: List[Node]) -> nx.DiGraph:
-    """Build the dataflow graph over an ordered sequence of nodes.
-
-    Graph nodes are the indices of ``nodes``; edges carry ``arrays`` (the
-    containers that induce the edge) and ``kind``.
-    """
-    import networkx as nx
-
-    graph = nx.DiGraph()
+def body_dataflow(nodes: Sequence[Node]
+                  ) -> Tuple[List[Tuple[Set[str], Set[str]]], Edges]:
+    """Per-node :func:`node_reads_writes` of a body, and its :data:`Edges`:
+    one per pair of an earlier and a later node that share a container one
+    of them writes."""
     summaries = [node_reads_writes(node) for node in nodes]
-    for index, node in enumerate(nodes):
-        reads, writes = summaries[index]
-        graph.add_node(index, node=node, reads=frozenset(reads), writes=frozenset(writes))
-
-    for i in range(len(nodes)):
-        reads_i, writes_i = summaries[i]
-        for j in range(i + 1, len(nodes)):
+    edges: Edges = {}
+    for i, (reads_i, writes_i) in enumerate(summaries):
+        for j in range(i + 1, len(summaries)):
             reads_j, writes_j = summaries[j]
-            flow = writes_i & reads_j
-            anti = reads_i & writes_j
-            output = writes_i & writes_j
-            if flow:
-                _add_edge(graph, i, j, flow, "flow")
-            if anti:
-                _add_edge(graph, i, j, anti, "anti")
-            if output:
-                _add_edge(graph, i, j, output, "output")
-    return graph
+            by_kind = {"flow": writes_i & reads_j, "anti": reads_i & writes_j,
+                       "output": writes_i & writes_j}
+            kinds = frozenset(kind for kind, arrays in by_kind.items() if arrays)
+            if kinds:
+                edges[(i, j)] = (kinds, frozenset().union(*by_kind.values()))
+    return summaries, edges
 
 
-def _add_edge(graph: nx.DiGraph, src: int, dst: int, arrays: Set[str], kind: str) -> None:
-    if graph.has_edge(src, dst):
-        data = graph[src][dst]
-        data["arrays"] = frozenset(data["arrays"] | arrays)
-        data["kinds"] = frozenset(data["kinds"] | {kind})
-    else:
-        graph.add_edge(src, dst, arrays=frozenset(arrays), kinds=frozenset({kind}))
-
-
-def program_dataflow(program: Program) -> nx.DiGraph:
-    """Dataflow graph over the program's top-level nodes."""
-    return build_dataflow_graph(list(program.body))
-
-
-def producer_consumer_pairs(program: Program) -> List[Tuple[int, int, FrozenSet[str]]]:
-    """One-to-one producer/consumer pairs among top-level nodes.
-
-    A pair ``(p, c)`` qualifies when node ``p`` is the *only* producer of the
-    containers that node ``c`` reads from ``p``, and ``c`` is the *only*
-    consumer of those containers — the fusion precondition used for CLOUDSC
-    (Figure 10b: "fused by one-to-one produce-consumer loop nest relations").
-    """
-    graph = program_dataflow(program)
-    pairs: List[Tuple[int, int, FrozenSet[str]]] = []
-    for producer, consumer, data in graph.edges(data=True):
-        if "flow" not in data["kinds"]:
+def adjacent_flows(nodes: Sequence[Node]
+                   ) -> List[Tuple[int, FrozenSet[int], FrozenSet[int]]]:
+    """Each flow edge between neighbours ``producer`` and ``producer + 1``
+    of a body, in program order, with who else touches the containers of the
+    edge: ``(producer, writers, readers)``, where ``writers`` are the nodes
+    other than the producer that write one of them and ``readers`` the nodes
+    other than the consumer that read one.  Fusion rules differ only in
+    which of those they allow."""
+    summaries, edges = body_dataflow(nodes)
+    flows = []
+    for (producer, consumer), (kinds, arrays) in edges.items():
+        if consumer != producer + 1 or "flow" not in kinds:
             continue
-        arrays = data["arrays"]
-        exclusive = True
-        for array in arrays:
-            producers = [n for n in graph.nodes
-                         if array in graph.nodes[n]["writes"] and n != producer]
-            consumers = [n for n in graph.nodes
-                         if array in graph.nodes[n]["reads"] and n != consumer]
-            if producers or consumers:
-                exclusive = False
-                break
-        if exclusive:
-            pairs.append((producer, consumer, arrays))
-    return pairs
-
-
-def transient_candidates(program: Program) -> Set[str]:
-    """Containers only ever used as intermediate storage between nests.
-
-    These are candidates for demotion to small local buffers after fusion
-    (the ``ZQP_0`` / ``ZCOND_0`` arrays of Figure 10b).
-    """
-    graph = program_dataflow(program)
-    written: Dict[str, List[int]] = {}
-    read: Dict[str, List[int]] = {}
-    for index in graph.nodes:
-        for array in graph.nodes[index]["writes"]:
-            written.setdefault(array, []).append(index)
-        for array in graph.nodes[index]["reads"]:
-            read.setdefault(array, []).append(index)
-    candidates: Set[str] = set()
-    for name, arr in program.arrays.items():
-        if arr.transient:
-            candidates.add(name)
-            continue
-        writers = written.get(name, [])
-        readers = read.get(name, [])
-        if len(writers) == 1 and readers and all(r > writers[0] for r in readers):
-            # Written once, read only afterwards: behaves like a temporary if
-            # the caller does not observe it (callers decide that).
-            continue
-    return candidates
-
-
-def topological_order(graph: nx.DiGraph) -> List[int]:
-    """A topological order of the dataflow graph (program order ties kept)."""
-    import networkx as nx
-
-    return list(nx.lexicographical_topological_sort(graph))
+        writers = frozenset(index for index, (_reads, writes) in enumerate(summaries)
+                            if index != producer and not arrays.isdisjoint(writes))
+        readers = frozenset(index for index, (reads, _writes) in enumerate(summaries)
+                            if index != consumer and not arrays.isdisjoint(reads))
+        flows.append((producer, writers, readers))
+    return flows

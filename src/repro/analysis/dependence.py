@@ -7,6 +7,8 @@ The normalization passes rely on two legality questions:
 * **Permutation** (Section 2.2): which loop orders of a nest preserve the
   original semantics?
 
+Fission and the parallelism of a loop read one scan of its body
+(:func:`body_dependences`); permutation reads a nest's direction vectors.
 Both are answered through classical data-dependence analysis on affine
 subscripts: ZIV and strong-SIV tests with a GCD fallback produce dependence
 *direction vectors*; anything that cannot be analyzed is treated
@@ -60,30 +62,7 @@ class Dependence:
     @property
     def loop_independent(self) -> bool:
         """True when the dependence occurs within a single iteration."""
-        return all(direction == EQ for direction in self.directions)
-
-    def carried_levels(self) -> List[int]:
-        """Loop levels (0-based, outermost first) that may carry the dependence."""
-        levels = []
-        for level, direction in enumerate(self.directions):
-            if direction in (LT, GT, ANY):
-                levels.append(level)
-        return levels
-
-    def is_carried_by(self, level: int) -> bool:
-        """True if this dependence may be carried by loop ``level``.
-
-        A dependence is carried by level *k* when the first non-"=" entry of
-        its direction vector is at position *k* (or unknown up to *k*).
-        """
-        for idx in range(level):
-            if self.directions[idx] in (LT, GT):
-                return False
-            if self.directions[idx] == ANY:
-                return True
-        if level >= len(self.directions):
-            return False
-        return self.directions[level] in (LT, GT, ANY)
+        return not is_carried(self.directions)
 
 
 # -- helpers -------------------------------------------------------------------
@@ -316,59 +295,38 @@ def self_dependences(node: Node, common_iterators: Sequence[str]) -> List[Depend
     return [dep for dep in deps if not dep.loop_independent]
 
 
-def body_dependence_pairs(loop: Loop) -> List[Tuple[int, int, Dependence]]:
-    """Dependences among the direct children of ``loop``'s body.
+def is_carried(directions: Sequence[str]) -> bool:
+    """True when a dependence with these directions links two different
+    iterations (some entry is not "=")."""
+    return any(direction != EQ for direction in directions)
 
-    Children are identified by index; dependences from child ``i`` to child
-    ``j >= i`` are reported (including ``i == j`` self dependences carried by
-    the loop itself).
+
+def body_dependences(iterator: str, children: Sequence[Statements]
+                     ) -> List[Tuple[int, int, Tuple]]:
+    """Every dependence between the direct children of a loop over
+    ``iterator``, read from the statements of its body alone: ``(source
+    child, sink child, (array, kind, directions, distance))``.  ``children``
+    holds, per child, its :func:`~repro.analysis.affine.nest_statements`,
+    so a loop that was never built can be asked about.
+
+    A child's dependences on itself are reported only when the loop carries
+    them, a child's on a later child all, and a later child's on an earlier
+    one (backward) only when carried — in program order of the pairs, each
+    forward pair before its backward twin.  Fission reads the pairs of two
+    different children; parallelism the ones :func:`is_carried`.  Each
+    child's accesses are gathered once.
     """
-    common = [loop.iterator]
-    pairs: List[Tuple[int, int, Dependence]] = []
-    for i, child_a in enumerate(loop.body):
-        for j in range(i, len(loop.body)):
-            child_b = loop.body[j]
-            if i == j:
-                for dep in self_dependences(child_a, common):
-                    pairs.append((i, j, dep))
-                continue
-            for dep in dependences_between(child_a, child_b, common):
-                pairs.append((i, j, dep))
-            # Backward dependences (from the later to the earlier child) can
-            # only be carried by the surrounding loop.
-            for dep in dependences_between(child_b, child_a, common):
-                if not dep.loop_independent:
-                    pairs.append((j, i, dep))
-    return pairs
-
-
-def carried_dependences(iterator: str, children: Sequence[Statements]
-                        ) -> List[Tuple[int, int, Tuple]]:
-    """What a loop over ``iterator`` carries, read from the statements of
-    its body alone: ``(source child, sink child, (array, kind, directions,
-    distance))`` of every dependence between two different iterations.
-    ``children`` holds, per direct child of the body, its
-    :func:`~repro.analysis.affine.nest_statements`."""
     common = [iterator]
     gathered = [_gather_accesses(child, common) for child in children]
-    carried = []
+    found = []
     for i in range(len(gathered)):
         for j in range(i, len(gathered)):
-            # Forward, then (between two children) backward.
             for source, sink in ((i, j), (j, i))[:1 + (i != j)]:
-                for found in _access_dependences(gathered[source],
-                                                 gathered[sink], common):
-                    if any(direction != EQ for direction in found[2]):
-                        carried.append((source, sink, found))
-    return carried
-
-
-def loop_carried_dependences(loop: Loop) -> List[Dependence]:
-    """All dependences carried by ``loop`` (over its own iterator)."""
-    children = list(loop.body)
-    return [Dependence(children[i], children[j], *found)
-            for i, j, found in carried_dependences(
-                loop.iterator, [nest_statements(child) for child in children])]
+                for dependence in _access_dependences(gathered[source],
+                                                      gathered[sink], common):
+                    if source < sink or is_carried(dependence[2]):
+                        found.append((source, sink, dependence))
+    return found
 
 
 def nest_dependences(loop: Loop) -> List[Dependence]:

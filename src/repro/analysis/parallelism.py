@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 from ..ir.nodes import Computation, Loop, read_accesses
 from .affine import decompose_access, nest_statements
-from .dependence import (Statements, carried_dependences,
-                         dependence_skeleton)
+from .dependence import (Statements, body_dependences, dependence_skeleton,
+                         is_carried)
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
     from ..passes.analysis import AnalysisManager
@@ -106,7 +106,8 @@ def classify_iterations(iterator: str, children: Sequence[Statements],
     :func:`~repro.analysis.affine.nest_statements` — all the classification
     reads, so a loop that was never built can be asked about."""
     carried = tuple(found[:3] for _source, _sink, found
-                    in carried_dependences(iterator, children))
+                    in body_dependences(iterator, children)
+                    if is_carried(found[2]))
     if not carried:
         return ParallelismInfo(iterator, True, False, ())
 
@@ -167,27 +168,3 @@ def _privatizable_scalars(statements: Statements,
             disqualified.add(name)
     return candidates - disqualified
 
-
-def parallel_loops(nest: Loop) -> List[str]:
-    """Iterators of all parallel loops in the nest (pre-order)."""
-    result = []
-    for loop in nest.iter_loops():
-        if analyze_loop_parallelism(loop).is_parallel:
-            result.append(loop.iterator)
-    return result
-
-
-def outermost_parallel_loop(nest: Loop) -> Optional[Loop]:
-    """The outermost parallel loop of the nest, if any."""
-    for loop in nest.iter_loops():
-        if analyze_loop_parallelism(loop).is_parallel:
-            return loop
-    return None
-
-
-def is_fully_parallel_band(nest: Loop) -> bool:
-    """True if every loop of the perfectly nested band is parallel."""
-    for loop in nest.perfectly_nested_band():
-        if not analyze_loop_parallelism(loop).is_parallel:
-            return False
-    return True

@@ -36,8 +36,7 @@ from ..scheduler.base import NestScheduleInfo, ScheduleResult, Scheduler
 from ..scheduler.database import TuningDatabase
 from ..scheduler.evolutionary import SearchConfig
 from ..scheduler.tiramisu import MctsConfig
-from ..transforms.fusion import (fuse_adjacent_loops, fuse_chains_in_body,
-                                 fuse_chains_in_loop)
+from ..transforms.fusion import fuse_adjacent_loops, fuse_chains_in_body
 from ..workloads.cloudsc import (WEAK_SCALING_POINTS, CloudscConfiguration,
                                  build_cloudsc_model, build_erosion_kernel)
 from ..workloads.registry import (BenchmarkSpec, all_benchmarks, benchmark,
@@ -90,5 +89,5 @@ __all__ = [
     "WEAK_SCALING_POINTS",
     # loop-level building blocks (CLOUDSC pipeline)
     "analyze_loop_parallelism", "contract_arrays", "fuse_adjacent_loops",
-    "fuse_chains_in_body", "fuse_chains_in_loop",
+    "fuse_chains_in_body",
 ]

@@ -7,7 +7,7 @@ Two program versions are compared throughout the case study:
   innermost ``NPROMA`` loops vectorized, the block loop parallelized;
 * the **daisy** version — the same program run through a-priori
   normalization (scalar expansion, maximal fission, stride minimization),
-  then re-fused along one-to-one producer/consumer relations, array
+  then re-fused along producer/consumer relations, array
   contraction, and the same vectorization/parallelization annotations.
 
 The C and DaCe versions of the paper are modeled as calibrated factors on
@@ -27,8 +27,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..api import (Loop, Program, Session, analyze_loop_parallelism,
-                   contract_arrays, fuse_adjacent_loops, fuse_chains_in_body,
-                   fuse_chains_in_loop)
+                   contract_arrays, fuse_adjacent_loops, fuse_chains_in_body)
 
 #: Runtime factors of the C and DaCe code generators relative to the tuned
 #: Fortran build, taken from the paper's Figure 11 (both versions share the
@@ -85,11 +84,12 @@ def daisy_optimize(program: Program, parallel_blocks: bool = True,
     # Re-join outer (block/vertical) loops that maximal fission separated —
     # splitting those only multiplies cold memory traffic and loop overhead.
     fused += fuse_adjacent_loops(normalized.body, min_depth=2)
-    # Inside, fuse one-to-one producer/consumer chains (Figure 10b) and demote
-    # temporaries that no longer cross loop boundaries back to scalars.
+    # Inside, fuse producer/consumer chains no other nest touches (Figure
+    # 10b) and demote temporaries that no longer cross loop boundaries back
+    # to scalars.
     fused += fuse_chains_in_body(normalized.body)
     for loop in list(normalized.iter_loops()):
-        fused += fuse_chains_in_loop(loop)
+        fused += fuse_chains_in_body(loop.body)
     contracted = contract_arrays(normalized)
 
     annotated = annotate_baseline(normalized, parallel_blocks=parallel_blocks)

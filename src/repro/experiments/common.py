@@ -88,11 +88,6 @@ def geometric_mean(values: Iterable[float]) -> float:
     return float(np.exp(np.mean(np.log(positive))))
 
 
-def benchmark_parameters(spec: BenchmarkSpec, size: str) -> Mapping[str, int]:
-    """Concrete parameter bindings (sizes) for a benchmark."""
-    return spec.sizes(size)
-
-
 def format_table(rows: Sequence[Mapping[str, object]],
                  columns: Sequence[str]) -> str:
     """Render rows as a fixed-width text table (used by examples and logs)."""

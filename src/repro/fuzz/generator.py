@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..ir.builder import ProgramBuilder
 from ..ir.nodes import Program
@@ -504,9 +504,3 @@ def generate_program(seed: int, size_class: str = "small", *,
     if validate:
         validate_program(generated.program, strict=True)
     return generated
-
-
-def generate_batch(seeds: Sequence[int], size_class: str = "small"
-                   ) -> List[GeneratedProgram]:
-    """Generate one program per seed (deterministic, order-preserving)."""
-    return [generate_program(seed, size_class) for seed in seeds]

@@ -17,7 +17,7 @@ from .serialization import (expr_from_dict, expr_to_dict, node_from_dict,
 from .symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod, Mul,
                       Read, Sym, as_expr, call, const, maximum, minimum, read,
                       sym)
-from .validation import ValidationError, assert_valid, validate_program
+from .validation import ValidationError, validate_program
 
 __all__ = [
     "Array", "array", "scalar", "DTYPES",
@@ -28,5 +28,5 @@ __all__ = [
     "program_from_dict", "program_from_json", "program_to_dict", "program_to_json",
     "Add", "Call", "Const", "Expr", "FloorDiv", "Max", "Min", "Mod", "Mul",
     "Read", "Sym", "as_expr", "call", "const", "maximum", "minimum", "read", "sym",
-    "ValidationError", "assert_valid", "validate_program",
+    "ValidationError", "validate_program",
 ]

@@ -22,9 +22,7 @@ a fuzz property test (``tests/test_hash_consing.py``).
 
 from __future__ import annotations
 
-import hashlib
 import json
-from typing import Union
 
 from .arrays import Array
 from .nodes import Computation, LibraryCall, Loop, Node, Program
@@ -138,18 +136,6 @@ def canonical_program_json(program: Program) -> str:
     body = ", ".join(node_fragment(node) for node in program.body)
     return '{"arrays": [%s], "body": [%s], "name": "", "parameters": %s}' % (
         arrays, body, _dumps(sorted(program.parameters)))
-
-
-def structural_digest(item: Union[Expr, Node, Program]) -> str:
-    """SHA-256 over the canonical fragment of one expression, node, or
-    program — the memoized structural digest of that subtree."""
-    if isinstance(item, Program):
-        text = canonical_program_json(item)
-    elif isinstance(item, Node):
-        text = node_fragment(item)
-    else:
-        text = expr_fragment(item)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # -- hash-consing ---------------------------------------------------------------

@@ -102,9 +102,3 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
     if strict and errors:
         raise ValidationError(errors)
     return errors
-
-
-def assert_valid(program: Program) -> Program:
-    """Validate and return ``program`` (convenience for pipelines)."""
-    validate_program(program, strict=True)
-    return program

@@ -23,9 +23,8 @@ from .pipeline import (NormalizationOptions, NormalizationReport, normalize,
 from .scalar_expansion import (ScalarExpansionReport, contract_arrays,
                                expand_scalars)
 from .stride_minimization import (EXHAUSTIVE_DEPTH_LIMIT,
-                                  StrideMinimizationReport, apply_permutation,
-                                  candidate_orders, find_minimal_permutation,
-                                  minimize_strides)
+                                  StrideMinimizationReport,
+                                  find_minimal_permutation, minimize_strides)
 
 __all__ = [
     "FissionReport", "fission_loop", "fission_sweep", "is_maximally_fissioned",
@@ -34,7 +33,7 @@ __all__ = [
     "normalize_loop_bounds", "normalize_program_bounds",
     "NormalizationOptions", "NormalizationReport", "normalize",
     "normalize_program",
-    "EXHAUSTIVE_DEPTH_LIMIT", "StrideMinimizationReport", "apply_permutation",
-    "candidate_orders", "find_minimal_permutation", "minimize_strides",
+    "EXHAUSTIVE_DEPTH_LIMIT", "StrideMinimizationReport",
+    "find_minimal_permutation", "minimize_strides",
     "ScalarExpansionReport", "expand_scalars",
 ]

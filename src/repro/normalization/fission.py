@@ -15,11 +15,12 @@ next preserves all dependences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
-from ..analysis.dependence import body_dependence_pairs
+from ..ir.nodes import Loop, Node, Program
+from ..analysis.affine import nest_statements
+from ..analysis.dependence import body_dependences
 
 if TYPE_CHECKING:  # deferred to avoid a cycle with repro.passes.library
     from ..passes.analysis import AnalysisManager
@@ -53,8 +54,10 @@ def _dependence_edges(loop: Loop,
     """
 
     def compute() -> Tuple[Tuple[int, int], ...]:
-        return tuple((src, dst) for src, dst, _dep in body_dependence_pairs(loop)
-                     if src != dst)
+        children = [nest_statements(child) for child in loop.body]
+        return tuple((source, sink) for source, sink, _found
+                     in body_dependences(loop.iterator, children)
+                     if source != sink)
 
     if analysis is None:
         return compute()

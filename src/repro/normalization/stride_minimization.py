@@ -38,23 +38,6 @@ class StrideMinimizationReport:
     total_cost_after: float = 0.0
 
 
-def apply_permutation(nest: Loop, order: Sequence[str]) -> Loop:
-    """Rebuild the nest's perfectly nested band in the given loop order.
-
-    The innermost body (everything below the band) is preserved.  The caller
-    is responsible for legality; :func:`find_minimal_permutation` only offers
-    legal orders.
-    """
-    view = BandView(nest)
-    view.reorder(order)
-    return view.materialise()
-
-
-def candidate_orders(nest: Loop) -> List[Tuple[str, ...]]:
-    """All structurally and semantically legal loop orders of the nest band."""
-    return legal_permutations(nest)
-
-
 def _grouped_sort_order(iterators: Sequence[str],
                         strides: BandStrides) -> Tuple[str, ...]:
     """Approximate order for deep nests: sort iterators by the stride cost
@@ -106,7 +89,7 @@ def _minimal_permutation(nest: Loop, arrays: Mapping[str, Array],
     best_order = iterators
     best_cost = current_cost
     evaluated = 0
-    for order in candidate_orders(nest):
+    for order in legal_permutations(nest):
         cost = strides.cost(order)
         evaluated += 1
         if cost < best_cost - 1e-12:
@@ -173,7 +156,10 @@ def minimize_strides(program: Program,
         report.permutations_evaluated += evaluated if computed else 0
         current = tuple(loop.iterator for loop in node.perfectly_nested_band())
         if tuple(order) != current:
-            node = apply_permutation(node, order)
+            # Rebuild the band in the new order; everything below it stays.
+            view = BandView(node)
+            view.reorder(order)
+            node = view.materialise()
             report.nests_permuted += 1
         report.total_cost_after += cost
         new_body.append(node)

@@ -2,8 +2,7 @@
 
 from .base import Transformation, TransformationError, get_nest, set_nest
 from .fusion import (Fuse, can_fuse, fuse_adjacent_loops, fuse_chains_in_body,
-                     fuse_chains_in_loop, fuse_nests,
-                     fuse_producer_consumer_chains)
+                     fuse_nests, fuse_producer_consumer_chains)
 from .idiom import (BlasMatch, ReplaceWithLibraryCall, blas_flop_expr,
                     build_library_call, detect_blas3_nests, match_blas3)
 from .interchange import Interchange
@@ -14,7 +13,7 @@ from .tiling import Tile, tile_band
 __all__ = [
     "Transformation", "TransformationError", "get_nest", "set_nest",
     "Fuse", "can_fuse", "fuse_adjacent_loops", "fuse_chains_in_body",
-    "fuse_chains_in_loop", "fuse_nests", "fuse_producer_consumer_chains",
+    "fuse_nests", "fuse_producer_consumer_chains",
     "BlasMatch", "ReplaceWithLibraryCall", "blas_flop_expr",
     "build_library_call", "detect_blas3_nests", "match_blas3",
     "Interchange",

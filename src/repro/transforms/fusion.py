@@ -2,16 +2,17 @@
 
 Producer-consumer fusion of adjacent loop nests with matching iteration
 domains is the optimization recipe discovered for the CLOUDSC erosion kernel
-(Section 5.1, Figure 10b): after maximal fission, one-to-one
-producer/consumer nests are re-fused so that intermediate values stay in
-short-lived local storage.
+(Section 5.1, Figure 10b): after maximal fission, producer/consumer nests
+whose flowing containers no other nest touches are re-fused so that
+intermediate values stay in short-lived local storage.  The ``dace``
+baseline fuses by a stricter, one-to-one rule over the same scan.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional
 
-from ..analysis.dataflow import producer_consumer_pairs
+from ..analysis.dataflow import adjacent_flows
 from ..analysis.dependence import dependences_between
 from ..ir.nodes import Loop, Node, Program
 from ..ir.symbols import Sym
@@ -146,54 +147,50 @@ class Fuse(Transformation):
         return True
 
 
-def fuse_chains_in_body(body: List[Node]) -> int:
-    """Fuse adjacent one-to-one producer/consumer loops within a body list.
-
-    This is the in-place building block used both at a program's top level
-    and inside an outer loop (the CLOUDSC vertical loop).  Returns the number
-    of fusions performed.
-    """
-    from ..analysis.dataflow import build_dataflow_graph
-
+def _fuse_flows(body: List[Node],
+                exclusive: Callable[[int, FrozenSet[int], FrozenSet[int]], bool]
+                ) -> int:
+    """Fuse adjacent producer/consumer loops of ``body`` in place, first
+    legal pair first, until none is left; ``exclusive(producer, writers,
+    readers)`` is the rule on who else may touch the flowing containers
+    (see :func:`~repro.analysis.dataflow.adjacent_flows`).  Returns the
+    number of fusions performed."""
     fused_total = 0
     changed = True
     while changed:
         changed = False
-        graph = build_dataflow_graph(list(body))
-        for producer, consumer, data in sorted(graph.edges(data=True)):
-            if "flow" not in data["kinds"]:
-                continue
-            if consumer != producer + 1:
-                continue
-            first = body[producer]
-            second = body[consumer]
-            if not isinstance(first, Loop) or not isinstance(second, Loop):
-                continue
-            # The flowing containers must not be touched by any other node.
-            exclusive = True
-            for array in data["arrays"]:
-                for index in graph.nodes:
-                    if index in (producer, consumer):
-                        continue
-                    if (array in graph.nodes[index]["writes"]
-                            or array in graph.nodes[index]["reads"]):
-                        exclusive = False
-            if not exclusive:
-                continue
-            if not can_fuse(first, second):
-                continue
-            body[producer:consumer + 1] = [fuse_nests(first, second)]
-            fused_total += 1
-            changed = True
-            break
+        for producer, writers, readers in adjacent_flows(body):
+            first, second = body[producer], body[producer + 1]
+            if (isinstance(first, Loop) and isinstance(second, Loop)
+                    and exclusive(producer, writers, readers)
+                    and can_fuse(first, second)):
+                body[producer:producer + 2] = [fuse_nests(first, second)]
+                fused_total += 1
+                changed = True
+                break
     return fused_total
+
+
+def fuse_chains_in_body(body: List[Node]) -> int:
+    """Fuse adjacent producer/consumer loops within a body list, in place —
+    the CLOUDSC recipe (Figure 10b), applied at a program's top level and
+    inside an outer loop (the CLOUDSC vertical loop).
+
+    Rule: no node *other than the two* reads or writes a container of the
+    edge.  This is looser than one-to-one: the consumer may also write a
+    flowing container, and the producer may also read one
+    (:func:`fuse_producer_consumer_chains` refuses both).  Returns the number
+    of fusions performed.
+    """
+    return _fuse_flows(body, lambda producer, writers, readers:
+                       writers | readers <= {producer, producer + 1})
 
 
 def fuse_adjacent_loops(body: List[Node], depth: Optional[int] = None,
                         min_depth: int = 1) -> int:
     """Greedily fuse adjacent loops of a body whenever fusion is legal.
 
-    Unlike :func:`fuse_chains_in_body` this does not require a one-to-one
+    Unlike :func:`fuse_chains_in_body` this does not require a
     producer/consumer relation — any pair of *adjacent* loops whose matching
     band carries only loop-independent dependences is fused.  Adjacency plus
     :func:`can_fuse` guarantees legality because the relative order of all
@@ -219,33 +216,13 @@ def fuse_adjacent_loops(body: List[Node], depth: Optional[int] = None,
     return fused_total
 
 
-def fuse_chains_in_loop(loop: Loop) -> int:
-    """Fuse one-to-one producer/consumer chains among a loop's children."""
-    return fuse_chains_in_body(loop.body)
-
-
 def fuse_producer_consumer_chains(program: Program) -> int:
-    """Greedily fuse adjacent one-to-one producer/consumer nests, in place.
+    """Greedily fuse adjacent one-to-one producer/consumer nests at the
+    program's top level, in place — the ``dace`` baseline's map fusion.
 
-    Returns the number of fusions performed.  This is the recipe applied to
-    the CLOUDSC vertical loop after maximal fission.
+    Rule: the producer is the *only* writer and the consumer the *only*
+    reader of every container of the edge (stricter than
+    :func:`fuse_chains_in_body`).  Returns the number of fusions performed.
     """
-    fused_total = 0
-    changed = True
-    while changed:
-        changed = False
-        pairs = producer_consumer_pairs(program)
-        for producer, consumer, _arrays in sorted(pairs):
-            if consumer != producer + 1:
-                continue
-            first = program.body[producer]
-            second = program.body[consumer]
-            if not isinstance(first, Loop) or not isinstance(second, Loop):
-                continue
-            if not can_fuse(first, second):
-                continue
-            program.body[producer:consumer + 1] = [fuse_nests(first, second)]
-            fused_total += 1
-            changed = True
-            break
-    return fused_total
+    return _fuse_flows(program.body, lambda _producer, writers, readers:
+                       not (writers or readers))

@@ -5,10 +5,11 @@ from itertools import permutations
 import pytest
 
 from helpers import build_gemm, build_stencil, build_vector_add
-from repro.analysis import (EQ, LT, computation_accesses, decompose_access,
-                            dependences_between, legal_permutations,
-                            loop_carried_dependences, nest_dependences,
-                            permutation_is_legal, self_dependences)
+from repro.analysis import (EQ, LT, body_dependences, computation_accesses,
+                            decompose_access, dependences_between,
+                            legal_permutations, nest_dependences,
+                            nest_statements, permutation_is_legal,
+                            self_dependences)
 from repro.analysis import analyze_loop_parallelism
 from repro.analysis.affine import access_is_contiguous, decompose_index
 from repro.fuzz import generate_program
@@ -103,7 +104,10 @@ class TestDependenceTesting:
 
     def test_loop_carried_on_reduction(self, gemm_program):
         inner_k = gemm_program.body[1].body[0].body[0]
-        carried = loop_carried_dependences(inner_k)
+        children = [nest_statements(child) for child in inner_k.body]
+        carried = [found for _source, _sink, found
+                   in body_dependences(inner_k.iterator, children)
+                   if found[2] != (EQ,)]
         assert carried  # C[i][j] accumulation carried by k
 
 

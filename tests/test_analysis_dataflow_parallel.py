@@ -1,15 +1,12 @@
-"""Tests for dataflow graphs, parallelism detection and strides."""
+"""Tests for the dataflow summary, parallelism detection and strides."""
 
 import pytest
 
 from helpers import build_gemm, build_stencil, build_vector_add
-from repro.analysis import (analyze_loop_parallelism, build_dataflow_graph,
-                            is_fully_parallel_band,
-                            nest_stride_cost, nest_stride_report,
-                            node_reads_writes, out_of_order_count,
-                            outermost_parallel_loop, parallel_loops,
-                            producer_consumer_pairs, program_dataflow,
-                            program_stride_cost, topological_order)
+from repro.analysis import (adjacent_flows, analyze_loop_parallelism,
+                            body_dataflow, nest_stride_cost,
+                            nest_stride_report, node_reads_writes,
+                            out_of_order_count, program_stride_cost)
 from repro.ir import ProgramBuilder
 from repro.normalization import normalize_program
 from repro.workloads.polybench import build_atax_b, build_gesummv_b
@@ -23,18 +20,19 @@ class TestDataflow:
 
     def test_flow_edge_between_nests(self):
         program = build_atax_b()
-        graph = program_dataflow(program)
+        summaries, edges = body_dataflow(program.body)
         # tmp is produced by nest 2 and consumed by nest 3.
-        assert graph.has_edge(2, 3)
-        assert "flow" in graph[2][3]["kinds"]
+        kinds, arrays = edges[(2, 3)]
+        assert "flow" in kinds and "tmp" in arrays
+        assert len(summaries) == len(program.body)
 
-    def test_topological_order_respects_program_order(self):
+    def test_edges_only_run_forward(self):
         program = build_gesummv_b()
-        graph = program_dataflow(program)
-        order = topological_order(graph)
-        assert order.index(2) < order.index(4)
+        _summaries, edges = body_dataflow(program.body)
+        assert (2, 4) in edges
+        assert all(producer < consumer for producer, consumer in edges)
 
-    def test_producer_consumer_pairs_exclusive(self):
+    def test_adjacent_flow_exclusive(self):
         b = ProgramBuilder("p", parameters=["N"])
         b.add_array("x", ("N",))
         b.add_array("t", ("N",), transient=True)
@@ -43,8 +41,25 @@ class TestDataflow:
             b.assign(("t", "i"), b.read("x", "i") * 2)
         with b.loop("i", 0, "N"):
             b.assign(("y", "i"), b.read("t", "i") + 1)
-        pairs = producer_consumer_pairs(b.finish())
-        assert pairs and pairs[0][:2] == (0, 1)
+        # No one else writes or reads ``t``: both fusion rules accept it.
+        assert adjacent_flows(b.finish().body) == [(0, frozenset(), frozenset())]
+
+    def test_adjacent_flow_names_the_other_writers_and_readers(self):
+        b = ProgramBuilder("p", parameters=["N"])
+        b.add_array("x", ("N",))
+        b.add_array("t", ("N",))
+        with b.loop("i", 0, "N"):
+            b.assign(("t", "i"), b.read("x", "i") * 2)
+        with b.loop("i", 0, "N"):
+            b.assign(("t", "i"), b.read("t", "i") + 1)
+        with b.loop("i", 0, "N"):
+            b.assign(("x", "i"), b.read("t", "i"))
+        # ``t`` flows 0 -> 1 and 1 -> 2.  Other writers: the consumer 1
+        # (of 0 -> 1) and the first producer 0 (of 1 -> 2); other readers:
+        # nest 2 (of 0 -> 1) and the producer 1 itself (of 1 -> 2).
+        assert adjacent_flows(b.finish().body) == [
+            (0, frozenset({1}), frozenset({2})),
+            (1, frozenset({0}), frozenset({1}))]
 
 
 class TestParallelism:
@@ -82,10 +97,13 @@ class TestParallelism:
         assert info.is_parallel and info.requires_privatization
 
     def test_gemm_parallel_loops(self, gemm_program):
-        names = parallel_loops(gemm_program.body[1])
+        nest = gemm_program.body[1]
+        names = [loop.iterator for loop in nest.iter_loops()
+                 if analyze_loop_parallelism(loop).is_parallel]
         assert "i" in names and "j" in names and "k" not in names
-        assert outermost_parallel_loop(gemm_program.body[1]).iterator == "i"
-        assert not is_fully_parallel_band(gemm_program.body[1])
+        assert names[0] == nest.iterator == "i"
+        assert not all(analyze_loop_parallelism(loop).is_parallel
+                       for loop in nest.perfectly_nested_band())
 
     def test_stencil_time_loop_sequential(self, stencil_program):
         info = analyze_loop_parallelism(stencil_program.body[0])

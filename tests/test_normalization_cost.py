@@ -9,10 +9,12 @@ with ``==``, never approximately, over all 54 registry variants and 40 fuzz
 programs.
 """
 
+import ast
 import contextlib
 import itertools
 import math
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -22,8 +24,13 @@ import networkx as nx
 import pytest
 
 from repro.analysis import dependence
-from repro.analysis.dependence import (_directions_from_constraints,
-                                       body_dependence_pairs, nest_dependences)
+from repro.analysis.affine import nest_statements
+from repro.analysis.dependence import (EQ, _access_dependences,
+                                       _directions_from_constraints,
+                                       _gather_accesses, body_dependences,
+                                       dependences_between, is_carried,
+                                       nest_dependences, self_dependences)
+from repro.analysis.parallelism import classify_iterations
 from repro.analysis.strides import program_stride_cost
 from repro.api import Session
 from repro.fuzz import generate_program
@@ -234,6 +241,100 @@ class TestLocalScc:
             assert scc_groups(count, pairs) == _spec_partition(count, pairs), pairs
 
 
+# -- fission and parallelism: one scan of a loop body -------------------------------
+
+
+def _spec_body_dependence_pairs(loop: Loop):
+    """Dependences among the direct children of ``loop``'s body.
+
+    Children are identified by index; dependences from child ``i`` to child
+    ``j >= i`` are reported (including ``i == j`` self dependences carried by
+    the loop itself).
+    """
+    common = [loop.iterator]
+    pairs = []
+    for i, child_a in enumerate(loop.body):
+        for j in range(i, len(loop.body)):
+            child_b = loop.body[j]
+            if i == j:
+                for dep in self_dependences(child_a, common):
+                    pairs.append((i, j, dep))
+                continue
+            for dep in dependences_between(child_a, child_b, common):
+                pairs.append((i, j, dep))
+            # Backward dependences (from the later to the earlier child) can
+            # only be carried by the surrounding loop.
+            for dep in dependences_between(child_b, child_a, common):
+                if not dep.loop_independent:
+                    pairs.append((j, i, dep))
+    return pairs
+
+
+def _spec_carried_dependences(iterator, children):
+    """What a loop over ``iterator`` carries, read from the statements of
+    its body alone: ``(source child, sink child, (array, kind, directions,
+    distance))`` of every dependence between two different iterations.
+    ``children`` holds, per direct child of the body, its
+    :func:`~repro.analysis.affine.nest_statements`."""
+    common = [iterator]
+    gathered = [_gather_accesses(child, common) for child in children]
+    carried = []
+    for i in range(len(gathered)):
+        for j in range(i, len(gathered)):
+            # Forward, then (between two children) backward.
+            for source, sink in ((i, j), (j, i))[:1 + (i != j)]:
+                for found in _access_dependences(gathered[source],
+                                                 gathered[sink], common):
+                    if any(direction != EQ for direction in found[2]):
+                        carried.append((source, sink, found))
+    return carried
+
+
+def _scan_programs():
+    """Every registry variant, CLOUDSC, erosion and 80 small fuzz programs,
+    each under the ``identity`` and the ``a-priori`` pipeline."""
+    names = [f"{name}:{variant}" for name in workloads.benchmark_names()
+             for variant in VARIANTS]
+    names += ["cloudsc", "erosion"] + [f"fuzz:small-{seed}" for seed in range(80)]
+    with contextlib.closing(Session()) as session:
+        for pipeline in ("identity", "a-priori"):
+            for name in names:
+                yield f"{name} ({pipeline})", session.normalize(name, pipeline).program
+
+
+class TestOneBodyScan:
+    """Fission's edges and a loop's carried dependences come from one scan,
+    which must answer exactly what the two scans it replaced answered."""
+
+    def test_every_loop_body(self):
+        loops = split = carrying = 0
+        for label, program in _scan_programs():
+            for loop in program.iter_loops():
+                children = [nest_statements(child) for child in loop.body]
+                scan = body_dependences(loop.iterator, children)
+                spec = _spec_body_dependence_pairs(loop)
+                assert scan == [(source, sink, (dep.array, dep.kind,
+                                                dep.directions, dep.distance))
+                                for source, sink, dep in spec], label
+                edges = [(source, sink) for source, sink, _dep in spec
+                         if source != sink]
+                assert list(_dependence_edges(loop)) == edges, label
+                carried = _spec_carried_dependences(loop.iterator, children)
+                assert [entry for entry in scan if is_carried(entry[2][2])] \
+                    == carried, label
+                assert classify_iterations(loop.iterator, children).carried \
+                    == tuple(found[:3] for *_, found in carried), label
+                # A band view asks with everything inside as one child.
+                whole = [[entry for child in children for entry in child]]
+                assert classify_iterations(loop.iterator, whole).carried == tuple(
+                    found[:3] for *_, found
+                    in _spec_carried_dependences(loop.iterator, whole)), label
+                loops += 1
+                split += bool(edges)
+                carrying += bool(carried)
+        assert loops == 1430 and 0 < split < loops and 0 < carrying < loops
+
+
 # -- stride minimization: one walk, nest-local key ----------------------------------
 
 
@@ -422,7 +523,8 @@ class TestIndexFacts:
         for label, program, parameters in _programs():
             for form in (program, _fissioned(program.copy(), parameters)):
                 for loop in form.iter_loops():
-                    body_dependence_pairs(loop)
+                    body_dependences(loop.iterator, [
+                        nest_statements(child) for child in loop.body])
                 for node in form.body:
                     if isinstance(node, Loop):
                         nest_dependences(node)
@@ -610,6 +712,22 @@ class TestCounted:
                     assert session.schedule(f"{name}:{variant}").program.body
         assert fingerprints == []
         assert len(walks) == len(computed) > 0
+
+    def test_no_module_imports_networkx(self):
+        """networkx is a test dependency only: the SCC spec above uses it."""
+        root = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+        importers = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(module.split(".")[0] == "networkx" for module in modules):
+                    importers.append(path.name)
+        assert len(list(root.rglob("*.py"))) > 100 and importers == []
 
     def test_serving_a_request_does_not_import_networkx(self):
         source = os.path.join(os.path.dirname(__file__), "..", "src")

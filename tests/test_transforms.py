@@ -1,8 +1,11 @@
 """Tests for loop transformations, idiom detection, and recipes."""
 
+import contextlib
+
 import pytest
 
 from helpers import build_gemm, build_stencil, build_vector_add
+from repro.api import Session
 from repro.interp import programs_equivalent
 from repro.ir import Loop, ProgramBuilder
 from repro.normalization import normalize_program
@@ -11,7 +14,9 @@ from repro.transforms import (Fuse, Interchange, Parallelize, Recipe,
                               TransformationError, Unroll, Vectorize,
                               apply_recipe, can_fuse, detect_blas3_nests,
                               fuse_adjacent_loops, fuse_chains_in_body,
-                              fuse_nests, match_blas3)
+                              fuse_nests, fuse_producer_consumer_chains,
+                              match_blas3)
+from repro.workloads import registry as workloads
 
 PARAMS = {"NI": 8, "NJ": 9, "NK": 10}
 
@@ -173,6 +178,44 @@ class TestFusion:
         program = self._two_maps()
         assert fuse_adjacent_loops(program.body, min_depth=2) == 0
         assert fuse_adjacent_loops(program.body, min_depth=1) == 1
+
+
+class TestFusionRules:
+    """The CLOUDSC rule (``fuse_chains_in_body``) lets the consumer write, and
+    the producer read, what flows between them; the ``dace`` rule
+    (``fuse_producer_consumer_chains``) is one-to-one and refuses both."""
+
+    @staticmethod
+    def _both(program):
+        cloudsc, dace = program.copy(), program.copy()
+        return (fuse_chains_in_body(cloudsc.body), cloudsc,
+                fuse_producer_consumer_chains(dace), dace)
+
+    def test_gemm_scaling_nest_fuses_only_under_the_cloudsc_rule(self):
+        # ``C *= beta`` flows into ``C += alpha * A * B``, which writes C too.
+        with contextlib.closing(Session()) as session:
+            program = session.normalize("gemm:a", "a-priori").program
+        fused, cloudsc, refused, dace = self._both(program)
+        assert (fused, refused) == (1, 0)
+        assert len(cloudsc.body) == len(program.body) - 1
+        assert len(dace.body) == len(program.body)
+
+    def test_the_rules_split_where_they_did(self):
+        names = [f"{name}:{variant}" for name in workloads.benchmark_names()
+                 for variant in ("a", "b", "npbench")]
+        names += ["cloudsc", "erosion"] + [f"fuzz:small-{seed}" for seed in range(60)]
+        counts = []
+        with contextlib.closing(Session()) as session:
+            for pipeline in ("identity", "a-priori", "a-priori-keep-names"):
+                for name in names:
+                    program = session.normalize(name, pipeline).program
+                    fused, _cloudsc, strict, _dace = self._both(program)
+                    counts.append((fused, strict))
+        assert len(counts) == 348
+        # The stricter rule never fuses more; it fuses less in 71 cases.
+        assert sum(1 for fused, strict in counts if fused != strict) == 71
+        assert all(fused >= strict for fused, strict in counts)
+        assert [sum(column) for column in zip(*counts)] == [101, 14]
 
 
 class TestIdiomDetection:
