@@ -28,15 +28,14 @@ receivers taking a private ``copy()`` only when they actually rewrite.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..ir.nodes import Program
 from ..ir.serialization import program_from_dict, program_to_dict
 from ..normalization.pipeline import (NormalizationOptions,
                                       NormalizationReport, normalize)
-from ..observability import MetricsRegistry
+from ..observability import CounterView, MetricsRegistry
 from ..observability.tracing import span as trace_span
 from ..passes.analysis import AnalysisManager
 from ..passes.base import PassStats
@@ -52,9 +51,10 @@ SCHEDULE_NAMESPACE = "schedules"
 RESPONSE_NAMESPACE = "responses"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss counters of the cache levels."""
+    """A snapshot of the cache levels' hits and misses (and the backend's
+    evictions) at the moment :attr:`NormalizationCache.stats` was read."""
 
     normalization_hits: int = 0
     normalization_misses: int = 0
@@ -168,8 +168,6 @@ class NormalizationCache:
         self.backend.bind(SCHEDULE_NAMESPACE, _encode_schedule, _decode_schedule)
         self.backend.bind(RESPONSE_NAMESPACE, _encode_response,
                           _decode_response, raw=True)
-        self._stats = CacheStats()
-        self._lock = threading.RLock()
         #: Long-lived memo of per-nest analyses, shared by every pipeline
         #: run this cache performs (repeat/batch traffic hits it).
         self.analysis = AnalysisManager()
@@ -178,13 +176,24 @@ class NormalizationCache:
         #: Instrument registry (a session that builds this cache passes its
         #: own, so cache and session telemetry land in one registry).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._metric_requests = self.metrics.counter(
+        requests = self.metrics.counter(
             "repro_cache_requests_total",
             "Content-addressed cache lookups by level and outcome.",
             ("level", "outcome"))
-        self._response_outcomes = (  # (miss, hit), bound once: the fast lane
-            self._metric_requests.labels("response", "miss"),
-            self._metric_requests.labels("response", "hit"))
+        # Each level's (miss, hit) series, bound once: a lookup indexes the
+        # pair by whether it found an entry.
+        outcomes = {level: (requests.labels(level, "miss"),
+                            requests.labels(level, "hit"))
+                    for level in ("normalization", "schedule", "response")}
+        self._normalized_outcomes = outcomes["normalization"]
+        self._schedule_outcomes = outcomes["schedule"]
+        self._response_outcomes = outcomes["response"]
+        #: What this cache served since it was built, read off those
+        #: series (``stats`` snapshots it).
+        self._served = CounterView({
+            f"{level}_{name}": series
+            for level, pair in outcomes.items()
+            for name, series in zip(("misses", "hits"), pair)})
         self._metric_pass_runs = self.metrics.counter(
             "repro_pass_runs_total",
             "Normalization pass applications.", ("pass",))
@@ -199,10 +208,12 @@ class NormalizationCache:
 
     @property
     def stats(self) -> CacheStats:
-        """A snapshot of the counters; evictions come from the backend (the
-        single source of truth, also visible to other caches sharing it)."""
-        with self._lock:
-            return replace(self._stats, evictions=self.backend.stats.evictions)
+        """A snapshot of the lookups since construction, read off
+        ``repro_cache_requests_total``; evictions come from the backend
+        (the single source of truth, also visible to other caches sharing
+        it)."""
+        return CacheStats(**self._served.to_dict(),
+                          evictions=self.backend.stats.evictions)
 
     # -- normalization level -----------------------------------------------------
 
@@ -227,15 +238,11 @@ class NormalizationCache:
             entry = self.backend.get(NORMALIZED_NAMESPACE, key)
             lookup.set_attribute("outcome",
                                  "hit" if entry is not None else "miss")
-        with self._lock:
-            if entry is not None:
-                self._stats.normalization_hits += 1
-                self._metric_requests.labels("normalization", "hit").inc()
-                served = entry.take()
-                served.hit = True
-                return served
-            self._stats.normalization_misses += 1
-        self._metric_requests.labels("normalization", "miss").inc()
+        self._normalized_outcomes[entry is not None].inc()
+        if entry is not None:
+            served = entry.take()
+            served.hit = True
+            return served
 
         with trace_span("normalize.pipeline",
                         pipeline=getattr(pipeline, "name", "pipeline")):
@@ -275,14 +282,7 @@ class NormalizationCache:
             entry = self.backend.get(SCHEDULE_NAMESPACE, key)
             lookup.set_attribute("outcome",
                                  "hit" if entry is not None else "miss")
-        with self._lock:
-            if entry is None:
-                self._stats.schedule_misses += 1
-                outcome = "miss"
-            else:
-                self._stats.schedule_hits += 1
-                outcome = "hit"
-        self._metric_requests.labels("schedule", outcome).inc()
+        self._schedule_outcomes[entry is not None].inc()
         return entry.take() if entry is not None else None
 
     def store_schedule(self, key: str, result: ScheduleResult,
@@ -299,11 +299,6 @@ class NormalizationCache:
         decoding, or touching the IR — this is the serving fast lane.
         """
         entry = self.backend.get(RESPONSE_NAMESPACE, key)
-        with self._lock:
-            if entry is None:
-                self._stats.response_misses += 1
-            else:
-                self._stats.response_hits += 1
         self._response_outcomes[entry is not None].inc()
         return entry
 

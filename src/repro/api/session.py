@@ -37,7 +37,8 @@ import numpy as np
 from ..interp.executor import programs_equivalent, run_program
 from ..ir.nodes import Loop, Program
 from ..normalization.pipeline import NormalizationOptions
-from ..observability import MetricsRegistry, Tracer, register_process_metrics
+from ..observability import (CounterView, MetricsRegistry, Tracer,
+                             register_process_metrics)
 from ..observability.tracing import NULL_SPAN, span as trace_span
 from ..perf.cache import CacheHierarchy, CacheReport
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
@@ -122,14 +123,26 @@ class Session:
         # request spans from every layer land in the same ring buffer.
         self.tracer = tracer if tracer is not None else Tracer()
         register_process_metrics(self.metrics)
-        self._metric_calls = self.metrics.counter(
+        calls = self.metrics.counter(
             "repro_session_calls_total",
             "Session entry-point calls by kind.", ("kind",))
-        self._fast_lane_calls = self._metric_calls.labels("fast_lane")
-        self._metric_feedback = self.metrics.counter(
+        self._fast_lane_calls = calls.labels("fast_lane")
+        feedback = self.metrics.counter(
             "repro_feedback_measurements_total",
             "Executed-schedule timings fed back into the tuning database, "
             "by outcome (applied / added / skipped).", ("outcome",))
+        #: What this session did since it was built, read off the registry
+        #: series ``/metrics`` scrapes (:meth:`report` renders it).  A
+        #: serving layer counts its coalesced rides on its own series.
+        self._counts = CounterView({
+            **{f"{kind}_calls": calls.labels(kind)
+               for kind in ("schedule", "tune", "batch", "execute")},
+            "coalesced_requests": self.metrics.counter(
+                "repro_service_coalesced_total",
+                "Requests that rode an identical in-flight request."),
+            **{f"feedback_{outcome}": feedback.labels(outcome)
+               for outcome in ("applied", "added", "skipped")},
+        })
 
         self._lock = threading.RLock()
         self._schedulers: Dict[Tuple[str, int], Scheduler] = {}
@@ -147,12 +160,6 @@ class Session:
             "size": self.size,
             "normalization": self.normalization,
         })
-        self._schedule_calls = 0
-        self._tune_calls = 0
-        self._batch_calls = 0
-        self._execute_calls = 0
-        self._coalesced_requests = 0
-        self._feedback = {"applied": 0, "added": 0, "skipped": 0}
 
     # -- loading ---------------------------------------------------------------------
 
@@ -330,13 +337,8 @@ class Session:
                 raise RegistryError(
                     f"scheduler {name!r} does not support tuning (no database)")
 
-            with self._lock:
-                if request.tune:
-                    self._tune_calls += 1
-                else:
-                    self._schedule_calls += 1
-            self._metric_calls.labels(
-                "tune" if request.tune else "schedule").inc()
+            self._counts.inc("tune_calls" if request.tune
+                             else "schedule_calls")
 
             input_hash = canonical_hash = None
             norm_hit = from_cache = False
@@ -541,9 +543,7 @@ class Session:
             for request in requests:
                 if request.tune:
                     raise ValueError(tune_message)
-        with self._lock:
-            self._batch_calls += 1
-        self._metric_calls.labels("batch").inc()
+        self._counts.inc("batch_calls")
         responses: List[Any] = []
         for request in requests:
             if request.tune:          # only with return_exceptions (see above)
@@ -604,9 +604,7 @@ class Session:
                       else default_parameters)
         if parameters is None:
             raise ValueError(f"no parameters given for {program.name!r}")
-        with self._lock:
-            self._execute_calls += 1
-        self._metric_calls.labels("execute").inc()
+        self._counts.inc("execute_calls")
         outputs = run_program(program, parameters, inputs, seed)
         return ExecuteResponse(program=program, parameters=dict(parameters),
                                outputs=dict(outputs))
@@ -697,8 +695,8 @@ class Session:
         the database's content version advances, so schedule- and
         response-level cache entries for affected programs revalidate
         instead of serving the pre-feedback ranking.  Returns outcome
-        counts ``{"applied", "added", "skipped"}``; the same counts feed
-        ``repro_feedback_measurements_total`` and :meth:`report`.
+        counts ``{"applied", "added", "skipped"}``, counted on
+        ``repro_feedback_measurements_total``, which :meth:`report` reads.
         """
         counts = {"applied": 0, "added": 0, "skipped": 0}
         for record in self.measurement_feedback(response, measured):
@@ -707,25 +705,14 @@ class Session:
         return counts
 
     def note_feedback(self, counts: Mapping[str, int]) -> None:
-        """Fold feedback outcome counts into this session's report and
-        metrics (the worker pool applies records itself and accounts for
-        them here)."""
-        with self._lock:
-            for outcome, count in counts.items():
-                if count:
-                    self._feedback[outcome] = \
-                        self._feedback.get(outcome, 0) + count
+        """Count feedback outcomes on ``repro_feedback_measurements_total``,
+        which :meth:`report` reads (the worker pool applies records itself
+        and accounts for them here)."""
         for outcome, count in counts.items():
             if count:
-                self._metric_feedback.labels(outcome).inc(count)
+                self._counts.inc(f"feedback_{outcome}", count)
 
     # -- introspection ----------------------------------------------------------------
-
-    def record_coalesced(self, count: int = 1) -> None:
-        """Count ``count`` requests a serving layer coalesced into an
-        identical in-flight request (surfaced by :meth:`report`)."""
-        with self._lock:
-            self._coalesced_requests += count
 
     def report(self) -> SessionReport:
         """Counters: calls, cache hits/misses, backend traffic, database size,
@@ -734,31 +721,25 @@ class Session:
         backend = self.cache.backend
         analysis = self.cache.analysis
         with self._lock:
-            return SessionReport(
-                schedule_calls=self._schedule_calls,
-                tune_calls=self._tune_calls,
-                batch_calls=self._batch_calls,
-                execute_calls=self._execute_calls,
-                normalization_hits=stats.normalization_hits,
-                normalization_misses=stats.normalization_misses,
-                schedule_cache_hits=stats.schedule_hits,
-                schedule_cache_misses=stats.schedule_misses,
-                cache_evictions=backend.stats.evictions,
-                database_entries=len(self.database),
-                schedulers=sorted({name for name, _ in self._schedulers}),
-                cache_backend=backend.name,
-                cache_memory_hits=backend.stats.memory_hits,
-                cache_disk_hits=backend.stats.disk_hits,
-                cache_writes=backend.stats.writes,
-                cache_busy_retries=backend.stats.busy_retries,
-                coalesced_requests=self._coalesced_requests,
-                response_cache_hits=stats.response_hits,
-                response_cache_misses=stats.response_misses,
-                database_version=self.database.version,
-                normalization_passes=self.cache.pass_stats.to_dict(),
-                analysis_hits=analysis.hits,
-                analysis_misses=analysis.misses,
-                feedback_applied=self._feedback.get("applied", 0),
-                feedback_added=self._feedback.get("added", 0),
-                feedback_skipped=self._feedback.get("skipped", 0),
-            )
+            schedulers = sorted({name for name, _ in self._schedulers})
+        return SessionReport(
+            **self._counts.to_dict(),
+            normalization_hits=stats.normalization_hits,
+            normalization_misses=stats.normalization_misses,
+            schedule_cache_hits=stats.schedule_hits,
+            schedule_cache_misses=stats.schedule_misses,
+            cache_evictions=backend.stats.evictions,
+            database_entries=len(self.database),
+            schedulers=schedulers,
+            cache_backend=backend.name,
+            cache_memory_hits=backend.stats.memory_hits,
+            cache_disk_hits=backend.stats.disk_hits,
+            cache_writes=backend.stats.writes,
+            cache_busy_retries=backend.stats.busy_retries,
+            response_cache_hits=stats.response_hits,
+            response_cache_misses=stats.response_misses,
+            database_version=self.database.version,
+            normalization_passes=self.cache.pass_stats.to_dict(),
+            analysis_hits=analysis.hits,
+            analysis_misses=analysis.misses,
+        )

@@ -78,7 +78,8 @@ def daisy_optimize(program: Program, parallel_blocks: bool = True,
     """
     session = session or pipeline_session()
     normalization = session.normalize(program, PIPELINE)
-    normalized, report = normalization.program, normalization.report
+    normalized = normalization.program
+    counters = normalization.report.counters()
 
     fused = 0
     # Re-join outer (block/vertical) loops that maximal fission separated —
@@ -94,8 +95,8 @@ def daisy_optimize(program: Program, parallel_blocks: bool = True,
 
     annotated = annotate_baseline(normalized, parallel_blocks=parallel_blocks)
     info = {
-        "scalars_expanded": report.scalar_expansion.count,
-        "loops_split": report.fission.loops_split,
+        "scalars_expanded": counters["scalars_expanded"],
+        "loops_split": counters["loops_split"],
         "chains_fused": fused,
         "arrays_contracted": contracted,
         "normalization_cache_hit": normalization.cache_hit,

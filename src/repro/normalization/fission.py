@@ -35,13 +35,7 @@ class FissionReport:
     """Summary of what maximal fission did to a program."""
 
     loops_split: int = 0
-    nests_created: int = 0
-    iterations: int = 0
     atomic_nests: int = 0
-
-    def merge(self, other: "FissionReport") -> None:
-        self.loops_split += other.loops_split
-        self.nests_created += other.nests_created
 
 
 def _dependence_edges(loop: Loop,
@@ -145,7 +139,6 @@ def _fission_node(node: Node, report: FissionReport,
     loops, changed = fission_loop(node, analysis)
     if changed:
         report.loops_split += 1
-        report.nests_created += len(loops) - 1
     return list(loops)
 
 
@@ -162,7 +155,6 @@ def fission_sweep(program: Program, report: FissionReport,
     for node in program.body:
         new_top.extend(_fission_node(node, report, analysis))
     program.body = new_top
-    report.iterations += 1
     report.atomic_nests = sum(1 for node in program.body if isinstance(node, Loop))
     return report.loops_split > before_split
 

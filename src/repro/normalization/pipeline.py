@@ -15,12 +15,12 @@ symbolic sizes.  The paper's Figure 5 order is the ``"a-priori"`` pipeline:
 The Section 4.2 ablations are the sibling registrations ``"no-fission"``,
 ``"no-stride"``, ``"no-scalar-expansion"``, and ``"identity"``, and the
 CLOUDSC case study runs ``"a-priori-keep-names"`` (no iterator renaming).
-Every run returns a :class:`NormalizationReport` that carries, besides the
-stage reports, one instrumented :class:`~repro.passes.base.PassResult` per
-pass — wall time, change flag, counters, IR-size delta — which the
-Session/serving layers aggregate into their reports.  Passing a shared
-:class:`~repro.passes.analysis.AnalysisManager` memoizes per-nest analyses
-(dependence edges, minimal permutations) across runs.
+Every run returns a :class:`NormalizationReport`: one instrumented
+:class:`~repro.passes.base.PassResult` per pass — wall time, change flag,
+counters, IR-size delta — which the Session/serving layers aggregate into
+their reports, and whose summed counters are the stage summaries.  Passing
+a shared :class:`~repro.passes.analysis.AnalysisManager` memoizes per-nest
+analyses (dependence edges, minimal permutations) across runs.
 
 The pipeline never mutates its input; it returns a normalized copy together
 with the report of what each stage did.
@@ -28,36 +28,30 @@ with the report of what each stage did.
 
 from __future__ import annotations
 
-import dataclasses
+import collections
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..ir.nodes import Program
 from ..passes.analysis import AnalysisManager
 from ..passes.base import PassContext, PassResult, aggregate_timings
-from ..passes.pipeline import Pipeline, PipelineResult
+from ..passes.pipeline import Pipeline
 from ..passes.registry import (PipelineRegistryError, get_pipeline,
                                has_pipeline, pipeline_names)
-from .fission import FissionReport
-from .scalar_expansion import ScalarExpansionReport
-from .stride_minimization import StrideMinimizationReport
 
 
 @dataclass
 class NormalizationReport:
-    """What the normalization pipeline did to one program.
-
-    ``fission``, ``strides`` and ``scalar_expansion`` summarize their
-    stages; ``passes`` carries the instrumented per-pass results of the
-    pipeline run (one entry per pass application, fixed-point iterations
+    """What the normalization pipeline did to one program: ``passes`` holds
+    one instrumented result per pass application (fixed-point iterations
     included) and ``pipeline`` names the pipeline that produced them.
+
+    A stage's summary is its counters, summed over the run
+    (:meth:`counters`): ``scalars_expanded``, ``loops_split`` and
+    ``atomic_nests``, ``nests_considered``/``nests_permuted`` and the stride
+    ``cost_before``/``cost_after``, ``validation_errors``.
     """
 
-    fission: FissionReport = field(default_factory=FissionReport)
-    strides: StrideMinimizationReport = field(default_factory=StrideMinimizationReport)
-    scalar_expansion: ScalarExpansionReport = field(default_factory=ScalarExpansionReport)
-    canonical_iterators: bool = False
-    validation_errors: Tuple[str, ...] = ()
     pipeline: str = ""
     passes: List[PassResult] = field(default_factory=list)
 
@@ -71,36 +65,38 @@ class NormalizationReport:
         """Total wall time per pass name for this run."""
         return aggregate_timings(self.passes)
 
+    def counters(self) -> "collections.Counter[str]":
+        """Every pass counter of this run, summed by name; a name no pass
+        reported reads 0."""
+        total: "collections.Counter[str]" = collections.Counter()
+        for result in self.passes:
+            total.update(result.counters)
+        return total
+
     def summary(self) -> str:
-        return (f"fission: split {self.fission.loops_split} loops into "
-                f"{self.fission.atomic_nests} atomic nests; "
-                f"strides: permuted {self.strides.nests_permuted}/"
-                f"{self.strides.nests_considered} nests "
-                f"(cost {self.strides.total_cost_before:.1f} -> "
-                f"{self.strides.total_cost_after:.1f})")
+        """Fission's splits summed over its sweeps, and the atomic nests
+        and stride counters of their last report: in a fixed point over
+        the whole pipeline (``a-priori+rewrite``) each iteration's stride
+        pass considers every nest again."""
+        last: Dict[str, float] = collections.defaultdict(int)
+        for result in self.passes:
+            last.update(result.counters)
+        return (f"fission: split {self.counters()['loops_split']} loops into "
+                f"{last['atomic_nests']} atomic nests; "
+                f"strides: permuted {last['nests_permuted']}/"
+                f"{last['nests_considered']} nests "
+                f"(cost {last['cost_before']:.1f} -> "
+                f"{last['cost_after']:.1f})")
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "fission": dataclasses.asdict(self.fission),
-            "strides": dataclasses.asdict(self.strides),
-            "scalar_expansion": {
-                "expanded": [list(pair) for pair in self.scalar_expansion.expanded]},
-            "canonical_iterators": self.canonical_iterators,
-            "validation_errors": list(self.validation_errors),
             "pipeline": self.pipeline,
             "passes": [result.to_dict() for result in self.passes],
         }
 
     @staticmethod
     def from_dict(data: Mapping[str, object]) -> "NormalizationReport":
-        expansion = data.get("scalar_expansion") or {}
         return NormalizationReport(
-            fission=FissionReport(**dict(data.get("fission") or {})),
-            strides=StrideMinimizationReport(**dict(data.get("strides") or {})),
-            scalar_expansion=ScalarExpansionReport(
-                expanded=[tuple(pair) for pair in expansion.get("expanded", [])]),
-            canonical_iterators=bool(data.get("canonical_iterators", False)),
-            validation_errors=tuple(data.get("validation_errors", ())),
             pipeline=str(data.get("pipeline", "")),
             passes=[PassResult.from_dict(entry)
                     for entry in data.get("passes", ())],
@@ -131,20 +127,6 @@ class NormalizationOptions:
         return get_pipeline(self.pipeline)
 
 
-def _assemble_report(outcome: PipelineResult,
-                     context: PassContext) -> NormalizationReport:
-    return NormalizationReport(
-        fission=context.scratch.get("fission", FissionReport()),
-        strides=context.scratch.get("strides", StrideMinimizationReport()),
-        scalar_expansion=context.scratch.get("scalar_expansion",
-                                             ScalarExpansionReport()),
-        canonical_iterators=bool(context.scratch.get("canonical_iterators", False)),
-        validation_errors=tuple(context.scratch.get("validation_errors", ())),
-        pipeline=outcome.pipeline,
-        passes=list(outcome.passes),
-    )
-
-
 def normalize(program: Program,
               options: Optional[NormalizationOptions] = None,
               analysis: Optional[AnalysisManager] = None, *,
@@ -168,7 +150,8 @@ def normalize(program: Program,
                           analysis=analysis if analysis is not None
                           else AnalysisManager())
     outcome = pipeline.run(normalized, context)
-    return normalized, _assemble_report(outcome, context)
+    return normalized, NormalizationReport(outcome.pipeline,
+                                           list(outcome.passes))
 
 
 def normalize_program(program: Program, **kwargs) -> Program:

@@ -28,6 +28,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .metrics import CounterView, MetricsRegistry
+
 __all__ = [
     "AlertEvaluator",
     "AlertMonitor",
@@ -178,7 +180,7 @@ class AlertEvaluator:
     def __init__(self, rules: Sequence[AlertRule],
                  snapshot_fn: Optional[Callable[[], Mapping[str, Any]]] = None,
                  history_s: float = 3900.0, max_samples: int = 512,
-                 metrics: Optional[Any] = None):
+                 metrics: Optional[MetricsRegistry] = None):
         self.rules = list(rules)
         self.snapshot_fn = snapshot_fn
         self.history_s = history_s
@@ -187,19 +189,18 @@ class AlertEvaluator:
         self._samples: List[Tuple[float, Mapping[str, Any]]] = []
         self._since: Dict[str, float] = {}
         self._states: List[AlertState] = []
-        self._clock_skew_dropped = 0
-        self._clock_skew_counter = None
-        if metrics is not None:
-            self._clock_skew_counter = metrics.counter(
-                "repro_alert_clock_skew_total",
-                "Alert snapshots dropped because their timestamp ran "
-                "backwards (wall-clock step, e.g. NTP).")
+        # Without a registry the evaluator counts into a private one.
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._dropped = CounterView({"clock_skew": metrics.counter(
+            "repro_alert_clock_skew_total",
+            "Alert snapshots dropped because their timestamp ran "
+            "backwards (wall-clock step, e.g. NTP).")})
 
     @property
     def clock_skew_dropped(self) -> int:
-        """How many snapshots were dropped for running backwards in time."""
-        with self._lock:
-            return self._clock_skew_dropped
+        """How many snapshots this evaluator dropped for running backwards
+        in time (read off ``repro_alert_clock_skew_total``)."""
+        return self._dropped.clock_skew
 
     # -- sampling ---------------------------------------------------------
 
@@ -210,15 +211,12 @@ class AlertEvaluator:
         Timestamps must be monotonic — the windowed rule kinds subtract
         counters across samples, so a wall-clock step backwards (NTP)
         would corrupt burn-rate windows.  Non-monotonic samples are
-        dropped and counted (``repro_alert_clock_skew_total`` when the
-        evaluator was built with a metrics registry, and always in
-        :attr:`clock_skew_dropped`)."""
+        dropped and counted on ``repro_alert_clock_skew_total``
+        (:attr:`clock_skew_dropped`)."""
         ts = time.time() if ts is None else ts
         with self._lock:
             if self._samples and ts < self._samples[-1][0]:
-                self._clock_skew_dropped += 1
-                if self._clock_skew_counter is not None:
-                    self._clock_skew_counter.inc()
+                self._dropped.inc("clock_skew")
                 return
             self._samples.append((ts, snapshot))
             if len(self._samples) > self.max_samples:

@@ -280,8 +280,7 @@ class Tracer:
         self.max_open = max_open
         #: Fraction of *fast-path* requests whose trace root is recorded
         #: (``1.0`` records every request, the default; full slow-path
-        #: traces ignore this).  Sampling is deterministic per trace id, so
-        #: every layer of a stack makes the same decision for one request.
+        #: traces ignore this); :meth:`tick` applies it.
         self.sample_rate = sample_rate
         self._tick = 0
         self._lock = threading.RLock()
@@ -299,24 +298,8 @@ class Tracer:
         """Deterministic trace id for a request id (stable across layers)."""
         return _root_ids(request_id)[0]
 
-    def sampled(self, trace_id: str) -> bool:
-        """Whether a fast-path request with ``trace_id`` records its trace.
-
-        Deterministic in the trace id (no RNG, no shared state), so
-        coordinator and workers agree without coordination.  With the
-        default ``sample_rate`` of 1.0 every request is recorded.
-        """
-        if not self.enabled:
-            return False
-        rate = self.sample_rate
-        if rate >= 1.0:
-            return True
-        if rate <= 0.0:
-            return False
-        return int(trace_id[:8] or "0", 16) % 10000 < rate * 10000
-
     def tick(self) -> bool:
-        """Like :meth:`sampled`, for call sites that have no trace id yet.
+        """Whether the next fast-path request records its trace.
 
         A stride sampler: one call in every ``round(1 / sample_rate)``
         returns True.  The fast lane asks *before* minting a request id or

@@ -79,14 +79,13 @@ class PassContext:
     """Shared state threaded through one pipeline run.
 
     ``parameters`` are the symbolic-size bindings (used e.g. by stride
-    minimization), ``analysis`` memoizes per-nest analyses across passes *and*
-    across runs when callers share one manager, and ``scratch`` lets passes
-    deposit stage-specific reports for the caller to assemble.
+    minimization), and ``analysis`` memoizes per-nest analyses across passes
+    *and* across runs when callers share one manager.  A pass reports what
+    it did through the counters :meth:`Pass.apply` returns.
     """
 
     parameters: Optional[Mapping[str, int]] = None
     analysis: AnalysisManager = field(default_factory=AnalysisManager)
-    scratch: Dict[str, Any] = field(default_factory=dict)
 
 
 #: What ``Pass.apply`` returns: a changed-flag, or ``(changed-flag,

@@ -18,9 +18,9 @@ list:
   and the internal pipeline of session-managed schedulers, whose input is
   already normalized).
 
-Each stage pass deposits its stage report in ``context.scratch``, from which
-:func:`repro.normalization.pipeline.normalize` assembles the
-:class:`~repro.normalization.pipeline.NormalizationReport`.
+Each stage pass reports what it did as :class:`~repro.passes.base.PassResult`
+counters; the :class:`~repro.normalization.pipeline.NormalizationReport` of
+a run is those results, and its stage summary their sums.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class ScalarExpansionPass(Pass):
 
     def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
         report = expand_scalars(program)
-        context.scratch["scalar_expansion"] = report
         return report.count > 0, {"scalars_expanded": report.count}
 
 
@@ -64,14 +63,12 @@ class FissionSweepPass(Pass):
     name = "maximal-fission"
 
     def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
-        report = context.scratch.setdefault("fission", FissionReport())
-        # Counters are per-sweep deltas (the report accumulates across the
-        # fixed point, and summing per-application counters must not
-        # double-count); ``atomic_nests`` is a gauge, reported by the final
+        # Each sweep reports its own splits, so the run's counters sum to
+        # the total; ``atomic_nests`` is a gauge, reported by the final
         # no-change sweep only.
-        split_before = report.loops_split
+        report = FissionReport()
         changed = fission_sweep(program, report, context.analysis)
-        counters = {"loops_split": report.loops_split - split_before}
+        counters = {"loops_split": report.loops_split}
         if not changed:
             counters["atomic_nests"] = report.atomic_nests
         return changed, counters
@@ -84,11 +81,12 @@ class StrideMinimizationPass(Pass):
 
     def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
         report = minimize_strides(program, context.parameters, context.analysis)
-        context.scratch["strides"] = report
         return report.nests_permuted > 0, {
             "nests_considered": report.nests_considered,
             "nests_permuted": report.nests_permuted,
             "permutations_evaluated": report.permutations_evaluated,
+            "cost_before": report.total_cost_before,
+            "cost_after": report.total_cost_after,
         }
 
 
@@ -98,18 +96,16 @@ class CanonicalizeIteratorsPass(Pass):
     name = "canonicalize-iterators"
 
     def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
-        context.scratch["canonical_iterators"] = True
         return canonicalize_iterator_names(program)
 
 
 class ValidatePass(Pass):
-    """Structural validation; never rewrites, only reports errors."""
+    """Structural validation; never rewrites, only counts errors."""
 
     name = "validate"
 
     def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
-        errors = tuple(validate_program(program, strict=False))
-        context.scratch["validation_errors"] = errors
+        errors = validate_program(program, strict=False)
         return False, {"validation_errors": len(errors)}
 
 

@@ -518,7 +518,6 @@ class ServiceRunner:
         """Coalesce ``request`` onto its identical in-flight ``leader``
         (under the lock); its response is a copy (see :meth:`_reissue`)."""
         self.stats.inc("coalesced")
-        self.session.record_coalesced()
         if root is not None:
             root.set_attribute("coalesced", True)
         rider_key = self.policy.rider_key(request, now)

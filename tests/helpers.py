@@ -226,21 +226,18 @@ def stub_response(program):
 
 
 class StubSession:
-    """Session stand-in recording the order requests reach the executor,
-    the size of each batch, and how many requests rode another."""
+    """Session stand-in recording the order requests reach the executor
+    and the size of each batch (a runner counts coalesced rides in its
+    own ``stats``)."""
 
     def __init__(self):
         self.order = []
         self.batches = []
-        self.coalesced = 0
 
     def schedule_batch(self, requests, return_exceptions=False):
         self.batches.append(len(requests))
         self.order.extend(request.program for request in requests)
         return [stub_response(request.program) for request in requests]
-
-    def record_coalesced(self, count=1):
-        self.coalesced += count
 
 
 def wait_until(condition, timeout=60.0):

@@ -52,7 +52,7 @@ class TestErosionKernel:
     def test_normalization_fissions_and_expands(self):
         kernel = build_erosion_kernel()
         normalized, report = normalize(kernel)
-        assert report.scalar_expansion.count == 6
+        assert report.counters()["scalars_expanded"] == 6
         assert len(normalized.body) > 1
 
     def test_daisy_pipeline_preserves_semantics(self):

@@ -1,0 +1,452 @@
+"""Each event is counted once, in the metrics registry.
+
+A session call, a feedback outcome, a coalesced ride, a cache hit or miss
+and a dropped alert snapshot each bump one registry series; the session
+report, ``cache.stats``, ``/v1/report`` and ``AlertEvaluator`` read that
+series.  A normalization report is its pass results: the stage summary is
+read off the summed ``PassResult`` counters.
+
+``PINNED`` is what the reports said for the scripted traffic below when
+every event also had a private counter beside its series (timings
+excluded).  The only report data added since is the stride pass's
+``cost_before``/``cost_after`` counters, which ``summary()`` prints.
+"""
+
+import copy
+
+import pytest
+from helpers import fast_session, queue_behind
+
+from repro.api import NormalizationOptions, ScheduleRequest, Session
+from repro.normalization import normalize
+from repro.observability import AlertEvaluator, AlertRule, MetricsRegistry
+from repro.observability.tracing import Tracer
+from repro.passes import PassContext
+from repro.serving import ServingServer
+
+SMALL_GEMM = {"NI": 4, "NJ": 4, "NK": 4}
+
+#: ``(workload, pipeline)`` of the normalization reports pinned below.
+NORMALIZED = [("gemm:a", "a-priori"), ("jacobi-2d:b", "a-priori"),
+              ("cloudsc", "a-priori-keep-names")]
+
+#: The stride pass's counters that are new report data.
+NEW_STRIDE_COUNTERS = ("cost_before", "cost_after")
+
+
+def _families(scrape):
+    return sorted(line.split()[2] for line in scrape.splitlines()
+                  if line.startswith("# TYPE repro_"))
+
+
+def observe():
+    """Run the scripted traffic; return every report pinned below."""
+    session = fast_session()
+    with ServingServer(session) as server:
+        runner = server.runner
+        cold = runner.schedule(ScheduleRequest(program="gemm:a"))
+        # The repeat is a schedule-cache hit, stored for the fast lane,
+        # which answers the one after it.
+        runner.schedule(ScheduleRequest(program="gemm:a"))
+        runner.schedule(ScheduleRequest(program="gemm:a"))
+        runner.schedule(ScheduleRequest(program="gemm:b"))
+        session.tune("atax:a")
+        session.schedule_batch(["atax:b", "mvt:a"])   # atax:b transfers
+        session.execute("gemm:a", SMALL_GEMM)
+        feedback = session.record_measurement(cold, 1e-3)
+        bicg = ScheduleRequest(program="bicg:a")
+        queue_behind(runner, bicg, [bicg, bicg])      # two coalesced riders
+        _, payload = server.handle_report()
+        scrape = server.render_metrics()
+    report = session.report().to_dict()
+    for entry in report["normalization_passes"].values():
+        del entry["wall_time_s"]
+    stats = session.cache.stats.to_dict()
+    session.close()
+
+    loader = Session()
+    normalized = {}
+    for workload, pipeline in NORMALIZED:
+        _, outcome = normalize(loader.load(workload),
+                               NormalizationOptions(pipeline))
+        normalized[workload] = {
+            "summary": outcome.summary(),
+            "counters": [[result.pass_name, dict(result.counters)]
+                         for result in outcome.passes],
+        }
+    return {
+        "feedback": feedback,
+        "report": report,
+        "cache_stats": stats,
+        "service": payload["service"],
+        "admission": payload["admission"],
+        "families": _families(scrape),
+        "normalized": normalized,
+    }
+
+
+def _stride_counters(observed):
+    """Every stride-pass counter dict in ``observed``."""
+    yield observed["report"]["normalization_passes"][
+        "stride-minimization"]["counters"]
+    for entry in observed["normalized"].values():
+        for name, counters in entry["counters"]:
+            if name == "stride-minimization":
+                yield counters
+
+
+@pytest.fixture(scope="module")
+def observed():
+    return observe()
+
+
+def test_reports_equal_the_private_counters(observed):
+    old = copy.deepcopy(observed)
+    for counters in _stride_counters(old):
+        for name in NEW_STRIDE_COUNTERS:
+            del counters[name]
+    assert old == PINNED
+
+
+def test_the_new_stride_counters_are_the_summary_costs(observed):
+    for workload, entry in observed["normalized"].items():
+        (counters,) = [counters for name, counters in entry["counters"]
+                       if name == "stride-minimization"]
+        assert (f"(cost {counters['cost_before']:.1f} -> "
+                f"{counters['cost_after']:.1f})") in entry["summary"], workload
+
+
+# -- removed spellings ---------------------------------------------------------
+
+def _removed_spellings():
+    _, report = normalize(Session().load("gemm:a"))
+    return {
+        "session-record-coalesced": lambda: Session().record_coalesced(),
+        "report-fission": lambda: report.fission,
+        "report-strides": lambda: report.strides,
+        "report-scalar-expansion": lambda: report.scalar_expansion,
+        "report-canonical-iterators": lambda: report.canonical_iterators,
+        "report-validation-errors": lambda: report.validation_errors,
+        "context-scratch": lambda: PassContext(scratch={}),
+        "tracer-sampled": lambda: Tracer().sampled("0" * 32),
+    }
+
+
+@pytest.mark.parametrize("spelling", sorted(_removed_spellings()))
+def test_removed_spellings_raise(spelling):
+    """Reports read the registry and the pass results: the private counters,
+    the stage fields and the stage-report mailbox are gone."""
+    with pytest.raises((TypeError, AttributeError)):
+        _removed_spellings()[spelling]()
+
+
+# -- a dropped alert snapshot --------------------------------------------------
+
+def _snapshot(shed, good, bad):
+    return {
+        "repro_admission_shed_total": {
+            "type": "counter", "labelnames": [],
+            "series": [{"labels": [], "value": shed}]},
+        "repro_request_latency_seconds": {
+            "type": "histogram", "labelnames": [], "buckets": [0.1, 0.5],
+            "series": [{"labels": [], "counts": [good, 0, bad],
+                        "sum": 0.0}]},
+    }
+
+
+@pytest.mark.parametrize("shared", [False, True],
+                         ids=["private-registry", "shared-registry"])
+def test_a_snapshot_running_backwards_is_dropped_and_counted_once(shared):
+    registry = MetricsRegistry() if shared else None
+    evaluator = AlertEvaluator([
+        AlertRule(name="shed", kind="rate",
+                  metric="repro_admission_shed_total", threshold=0.5,
+                  window_s=60.0),
+        AlertRule(name="burn", kind="slo-burn-rate",
+                  metric="repro_request_latency_seconds", threshold=14.4,
+                  window_s=300.0, short_window_s=60.0, objective=0.95,
+                  latency_slo_s=0.1),
+    ], metrics=registry)
+    evaluator.ingest(_snapshot(shed=0, good=50, bad=0), ts=1000.0)
+    evaluator.ingest(_snapshot(shed=30, good=50, bad=70), ts=1030.0)
+    before = [state.to_dict() for state in evaluator.evaluate(now=1030.0)]
+    assert [state["firing"] for state in before] == [True, True]
+    assert evaluator.clock_skew_dropped == 0
+
+    # A wall-clock step backwards, carrying numbers that would change both
+    # the rate and the burn had it been ingested.
+    evaluator.ingest(_snapshot(shed=30, good=500, bad=70), ts=1010.0)
+    after = [state.to_dict() for state in evaluator.evaluate(now=1030.0)]
+
+    assert after == before
+    assert evaluator.clock_skew_dropped == 1
+    if shared:
+        assert registry.get("repro_alert_clock_skew_total").value == 1
+        # A second evaluator over the same registry starts from zero.
+        assert AlertEvaluator([], metrics=registry).clock_skew_dropped == 0
+
+
+#: The reports of ``observe()`` when each event had a private counter too.
+PINNED = {
+    "admission": {
+        "admitted": 6,
+        "rejected_client_limit": 0,
+        "rejected_queue_full": 0
+    },
+    "cache_stats": {
+        "evictions": 0,
+        "normalization_hits": 2,
+        "normalization_misses": 6,
+        "response_hits": 1,
+        "response_misses": 4,
+        "schedule_hits": 2,
+        "schedule_misses": 4
+    },
+    "families": [
+        "repro_admission_admitted_total",
+        "repro_admission_shed_total",
+        "repro_alert_clock_skew_total",
+        "repro_build_info",
+        "repro_cache_requests_total",
+        "repro_feedback_measurements_total",
+        "repro_pass_changed_total",
+        "repro_pass_runs_total",
+        "repro_pass_wall_seconds_total",
+        "repro_process_start_time_seconds",
+        "repro_process_uptime_seconds",
+        "repro_request_latency_seconds",
+        "repro_request_phase_seconds",
+        "repro_service_batches_total",
+        "repro_service_coalesced_total",
+        "repro_service_errors_total",
+        "repro_service_fast_lane_total",
+        "repro_service_largest_batch",
+        "repro_service_queue_depth",
+        "repro_service_rejected_total",
+        "repro_service_requests_total",
+        "repro_service_scheduled_total",
+        "repro_session_calls_total"
+    ],
+    "feedback": {
+        "added": 2,
+        "applied": 0,
+        "skipped": 0
+    },
+    "normalized": {
+        "cloudsc": {
+            "counters": [
+                [
+                    "loop-normal-form",
+                    {}
+                ],
+                [
+                    "scalar-expansion",
+                    {
+                        "scalars_expanded": 14
+                    }
+                ],
+                [
+                    "maximal-fission",
+                    {
+                        "loops_split": 7
+                    }
+                ],
+                [
+                    "maximal-fission",
+                    {
+                        "atomic_nests": 4,
+                        "loops_split": 0
+                    }
+                ],
+                [
+                    "stride-minimization",
+                    {
+                        "nests_considered": 4,
+                        "nests_permuted": 0,
+                        "permutations_evaluated": 4
+                    }
+                ],
+                [
+                    "validate",
+                    {
+                        "validation_errors": 0
+                    }
+                ]
+            ],
+            "summary": "fission: split 7 loops into 4 atomic nests; strides: permuted 0/4 nests (cost 1977655.3 -> 1977655.3)"
+        },
+        "gemm:a": {
+            "counters": [
+                [
+                    "loop-normal-form",
+                    {}
+                ],
+                [
+                    "scalar-expansion",
+                    {
+                        "scalars_expanded": 0
+                    }
+                ],
+                [
+                    "maximal-fission",
+                    {
+                        "loops_split": 2
+                    }
+                ],
+                [
+                    "maximal-fission",
+                    {
+                        "atomic_nests": 2,
+                        "loops_split": 0
+                    }
+                ],
+                [
+                    "stride-minimization",
+                    {
+                        "nests_considered": 2,
+                        "nests_permuted": 1,
+                        "permutations_evaluated": 8
+                    }
+                ],
+                [
+                    "canonicalize-iterators",
+                    {}
+                ],
+                [
+                    "validate",
+                    {
+                        "validation_errors": 0
+                    }
+                ]
+            ],
+            "summary": "fission: split 2 loops into 2 atomic nests; strides: permuted 1/2 nests (cost 259.5 -> 5.8)"
+        },
+        "jacobi-2d:b": {
+            "counters": [
+                [
+                    "loop-normal-form",
+                    {}
+                ],
+                [
+                    "scalar-expansion",
+                    {
+                        "scalars_expanded": 0
+                    }
+                ],
+                [
+                    "maximal-fission",
+                    {
+                        "atomic_nests": 1,
+                        "loops_split": 0
+                    }
+                ],
+                [
+                    "stride-minimization",
+                    {
+                        "nests_considered": 1,
+                        "nests_permuted": 0,
+                        "permutations_evaluated": 1
+                    }
+                ],
+                [
+                    "canonicalize-iterators",
+                    {}
+                ],
+                [
+                    "validate",
+                    {
+                        "validation_errors": 0
+                    }
+                ]
+            ],
+            "summary": "fission: split 0 loops into 1 atomic nests; strides: permuted 0/1 nests (cost 0.0 -> 0.0)"
+        }
+    },
+    "report": {
+        "analysis_hits": 3,
+        "analysis_misses": 20,
+        "batch_calls": 5,
+        "cache_backend": "memory",
+        "cache_busy_retries": 0,
+        "cache_disk_hits": 0,
+        "cache_evictions": 0,
+        "cache_memory_hits": 5,
+        "cache_writes": 11,
+        "coalesced_requests": 2,
+        "database_entries": 6,
+        "database_version": "6:7959b9cbb72f2f49",
+        "execute_calls": 1,
+        "feedback_added": 2,
+        "feedback_applied": 0,
+        "feedback_skipped": 0,
+        "normalization_hits": 2,
+        "normalization_misses": 6,
+        "normalization_passes": {
+            "canonicalize-iterators": {
+                "changed": 6,
+                "ir_size_delta": 0,
+                "runs": 6
+            },
+            "loop-normal-form": {
+                "changed": 0,
+                "ir_size_delta": 0,
+                "runs": 6
+            },
+            "maximal-fission": {
+                "changed": 3,
+                "counters": {
+                    "atomic_nests": 18,
+                    "loops_split": 5
+                },
+                "ir_size_delta": 7,
+                "runs": 9
+            },
+            "scalar-expansion": {
+                "changed": 0,
+                "counters": {
+                    "scalars_expanded": 0
+                },
+                "ir_size_delta": 0,
+                "runs": 6
+            },
+            "stride-minimization": {
+                "changed": 4,
+                "counters": {
+                    "nests_considered": 18,
+                    "nests_permuted": 5,
+                    "permutations_evaluated": 34
+                },
+                "ir_size_delta": 0,
+                "runs": 6
+            },
+            "validate": {
+                "changed": 0,
+                "counters": {
+                    "validation_errors": 0
+                },
+                "ir_size_delta": 0,
+                "runs": 6
+            }
+        },
+        "response_cache_hits": 1,
+        "response_cache_misses": 4,
+        "schedule_cache_hits": 2,
+        "schedule_cache_misses": 4,
+        "schedule_calls": 6,
+        "schedulers": [
+            "daisy"
+        ],
+        "tune_calls": 1
+    },
+    "service": {
+        "batches": 4,
+        "coalesced": 2,
+        "errors": 0,
+        "fast_lane": 1,
+        "largest_batch": 1,
+        "policy": "strict-priority",
+        "rejected": 0,
+        "requests": 7,
+        "scheduled": 5
+    }
+}

@@ -132,7 +132,7 @@ class TestEndToEndPipeline:
         from repro.transforms import detect_blas3_nests
         program = parse_clike_program(GEMM_SOURCE, "gemm_from_c")
         normalized, report = normalize(program)
-        assert report.fission.loops_split >= 1
+        assert report.counters()["loops_split"] >= 1
         assert any(match.routine == "gemm" for _, match in detect_blas3_nests(normalized))
 
     def test_parsed_program_schedulable_by_daisy(self):

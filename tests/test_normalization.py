@@ -177,7 +177,7 @@ class TestPipeline:
             normalized, report = normalize(program)
             params = PARAMS if "gemm" in program.name else {"T": 3, "N": 12}
             assert programs_equivalent(program, normalized, params)
-            assert report.validation_errors == ()
+            assert report.counters()["validation_errors"] == 0
 
     def test_disabling_passes(self):
         pipeline = Pipeline("no-fission-no-stride", [

@@ -64,7 +64,7 @@ def elementwise_programs(draw):
 @settings(max_examples=25, deadline=None)
 def test_normalization_preserves_semantics_and_statement_count(program):
     normalized, report = normalize(program)
-    assert report.validation_errors == ()
+    assert report.counters()["validation_errors"] == 0
     assert (len(list(normalized.iter_computations()))
             == len(list(program.iter_computations())))
     assert programs_equivalent(program, normalized, {"N": 7})

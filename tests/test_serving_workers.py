@@ -517,9 +517,10 @@ class TestMergeWorkerReports:
 
 def _drain(session, requests):
     """Stack ``requests``, in order, behind a held gate request (the
-    batcher is pinned while they queue)."""
+    batcher is pinned while they queue); returns the runner's stats."""
     with ServiceRunner(session, ServiceConfig(max_batch_size=1)) as runner:
         queue_behind(runner, ScheduleRequest(program="gate"), requests)
+    return runner.stats
 
 
 def _requests(*submissions):
@@ -543,10 +544,11 @@ class TestPriorityOrdering:
         leader must pull the leader forward — it must not drain at the
         leader's priority behind less urgent work."""
         session = StubSession()
-        _drain(session, _requests(("shared", 9), ("mid", 5), ("shared", 0)))
+        stats = _drain(session, _requests(("shared", 9), ("mid", 5),
+                                          ("shared", 0)))
         # Without re-prioritization the order would be gate, mid, shared.
         assert session.order == ["gate", "shared", "mid"]
-        assert session.coalesced == 1
+        assert stats.coalesced == 1
 
     def test_default_priorities_keep_fifo_order(self):
         session = StubSession()

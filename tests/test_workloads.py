@@ -91,7 +91,7 @@ class TestVariantEquivalence:
                     f"{name}: variant {which} diverges on {output}"
 
         normalized, report = normalize(spec.variant("a"))
-        assert report.validation_errors == ()
+        assert report.counters()["validation_errors"] == 0
         normalized_result = run_program(normalized, params, inputs)
         for output in spec.outputs:
             assert np.allclose(reference[output], normalized_result[output], rtol=1e-9), \
