@@ -457,39 +457,24 @@ class Session:
             return None
 
     def lookup_response(self, request: ScheduleRequest,
-                        trace: Optional[Mapping[str, str]] = None,
                         key: Optional[str] = None
                         ) -> Optional[ScheduleResponse]:
         """Serve ``request`` from the response-level cache, if possible.
 
         A hit returns the final response JSON assembled from pre-encoded
         bytes — no session scheduling, no IR, no JSON parse: only the
-        per-request echo is encoded fresh.  ``trace`` is the serving
-        layer's ``{"trace_id", "span_id"}`` context for this request (hex
-        ids, as the tracer mints them); with one, the response carries its
-        trace id (and the echo the context) exactly like a slow-path
-        response would; ``key`` is the ``request_fingerprint`` the serving
-        layer already computed.  Returns ``None`` on a miss.
+        per-request echo is encoded fresh.  A hit is not traced: its
+        response carries no trace id.  ``key`` is the
+        ``request_fingerprint`` the serving layer already computed.
+        Returns ``None`` on a miss.
         """
         key = self._response_key(request, key)
         entry = self.cache.lookup_response(key) if key is not None else None
         if entry is None:
             return None
-        echo = request.to_dict()
-        if trace:
-            # Spliced as text: hex ids need no escaping, so these bytes are
-            # ``json.dumps`` of the echo with ``echo["trace"] = dict(trace)``
-            # (``trace`` is the echo's last key) and of the trace id.
-            echo.pop("trace", None)
-            trace_id = trace["trace_id"]
-            parts = (entry.before, json.dumps(echo)[:-1],
-                     ', "trace": {"trace_id": "', trace_id,
-                     '", "span_id": "', trace["span_id"], '"}}',
-                     entry.after[:-1], ', "trace_id": "', trace_id, '"}')
-        else:
-            parts = (entry.before, json.dumps(echo), entry.after)
         self._fast_lane_calls.inc()
-        return ScheduleResponse.from_json("".join(parts))
+        return ScheduleResponse.from_json(
+            entry.before + json.dumps(request.to_dict()) + entry.after)
 
     def store_response(self, request: ScheduleRequest,
                        response: ScheduleResponse) -> None:
@@ -501,7 +486,7 @@ class Session:
         reproduce byte for byte, so the fast lane can never serve bytes the
         session itself would not.  The stored parts are the response's own
         text split around its echo (a text :func:`echo_span` cannot place
-        is not stored), without the trace id the server splices per request.
+        is not stored), without the trace id of the request that computed it.
         """
         if not (response.from_cache and response.normalization_cache_hit):
             return

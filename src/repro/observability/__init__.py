@@ -21,15 +21,14 @@ from .metrics import (DEFAULT_LATENCY_BUCKETS, Counter, CounterView, Gauge,
                       Histogram, MetricsError, MetricsRegistry,
                       merge_registry_dicts, register_process_metrics,
                       render_registry_dict)
-from .tracing import (RequestRoot, Span, TraceRecord, Tracer,
-                      chrome_trace_document, current_trace_id, span,
-                      traces_to_jsonl)
+from .tracing import (Span, TraceRecord, Tracer, chrome_trace_document,
+                      current_trace_id, span, traces_to_jsonl)
 
 __all__ = [
     "MetricsRegistry", "Counter", "CounterView", "Gauge", "Histogram",
     "MetricsError", "DEFAULT_LATENCY_BUCKETS", "merge_registry_dicts",
     "render_registry_dict", "register_process_metrics",
-    "Tracer", "Span", "TraceRecord", "RequestRoot", "span",
+    "Tracer", "Span", "TraceRecord", "span",
     "current_trace_id",
     "chrome_trace_document", "traces_to_jsonl",
     "AlertRule", "AlertState", "AlertEvaluator", "AlertMonitor",

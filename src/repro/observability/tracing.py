@@ -16,9 +16,7 @@ Finished traces live in a bounded in-memory ring buffer
 (:meth:`Tracer.traces` / :meth:`Tracer.get`) and export as JSONL
 (:func:`traces_to_jsonl`) or the Chrome trace-event format
 (:func:`chrome_trace_document`) that ``chrome://tracing`` and Perfetto
-load directly.  A trace that is one request root and nothing else (a
-response-cache hit) is stored as its raw fields, a :class:`RequestRoot`;
-its :class:`Span` and :class:`TraceRecord` are built when it is first read.
+load directly.
 """
 
 import contextlib
@@ -30,10 +28,9 @@ import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
-    "RequestRoot",
     "Span",
     "TraceRecord",
     "Tracer",
@@ -220,48 +217,6 @@ class TraceRecord:
                    attributes=dict(root.attributes), spans=spans)
 
 
-class RequestRoot:
-    """A served request's root span as raw fields, before it is a ``Span``.
-
-    The serving front mints one per traced request: the trace id and the
-    root span id come from one digest of the request id, beside the start
-    time, the thread, and the request's attributes as plain values.  A
-    response-cache hit is then a whole trace and is stored as is
-    (:meth:`Tracer.record_hit`), its ``request`` span built on first read;
-    a miss is opened as a real span (:meth:`span`, finished with
-    :meth:`Tracer.finish`) that the slow lane's spans hang under.
-    """
-
-    __slots__ = ("trace_id", "span_id", "start_s", "end_s", "thread",
-                 "request_id", "priority", "program", "client")
-
-    def __init__(self, request_id: str, priority: int, program: str,
-                 client: Optional[str] = None):
-        self.trace_id, self.span_id = _root_ids(request_id)
-        self.start_s = time.time()
-        self.end_s = 0.0
-        self.thread = threading.get_ident()
-        self.request_id = request_id
-        self.priority = priority
-        self.program = program
-        self.client = client
-
-    def context(self) -> Dict[str, str]:
-        """The wire form, as :meth:`Span.context`."""
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    def span(self, process: str) -> Span:
-        """The root as an open ``request`` span recorded by ``process``."""
-        attributes = {"request_id": self.request_id,
-                      "priority": self.priority, "program": self.program}
-        if self.client is not None:
-            attributes["client"] = self.client
-        return Span(trace_id=self.trace_id, span_id=self.span_id,
-                    parent_id=None, name="request", start_s=self.start_s,
-                    attributes=attributes, process=process,
-                    thread=self.thread)
-
-
 class Tracer:
     """Span factory + bounded ring buffer of finished traces.
 
@@ -270,26 +225,18 @@ class Tracer:
     """
 
     def __init__(self, capacity: int = 256, process: Optional[str] = None,
-                 enabled: bool = True, max_open: int = 1024,
-                 sample_rate: float = 1.0):
+                 enabled: bool = True, max_open: int = 1024):
         if capacity < 1:
             raise ValueError("tracer capacity must be >= 1")
         self.capacity = capacity
         self.enabled = enabled
         self.process = process if process is not None else f"pid-{os.getpid()}"
         self.max_open = max_open
-        #: Fraction of *fast-path* requests whose trace root is recorded
-        #: (``1.0`` records every request, the default; full slow-path
-        #: traces ignore this); :meth:`tick` applies it.
-        self.sample_rate = sample_rate
-        self._tick = 0
         self._lock = threading.RLock()
         self._open: "OrderedDict[str, List[Span]]" = OrderedDict()
         self._seq: Dict[str, int] = {}
-        #: Finished traces, oldest first: a :class:`TraceRecord`, or the
-        #: :class:`RequestRoot` of a hit until the trace is first read.
-        self._finished: \
-            "OrderedDict[str, Union[TraceRecord, RequestRoot]]" = OrderedDict()
+        #: Finished traces, oldest first.
+        self._finished: "OrderedDict[str, TraceRecord]" = OrderedDict()
 
     # -- identity ---------------------------------------------------------
 
@@ -297,26 +244,6 @@ class Tracer:
     def trace_id_for(request_id: str) -> str:
         """Deterministic trace id for a request id (stable across layers)."""
         return _root_ids(request_id)[0]
-
-    def tick(self) -> bool:
-        """Whether the next fast-path request records its trace.
-
-        A stride sampler: one call in every ``round(1 / sample_rate)``
-        returns True.  The fast lane asks *before* minting a request id or
-        hashing a trace id, so a sampled-out request pays one counter
-        increment — nothing else.  Unlocked, although the fast lane calls
-        this on every submitting thread: a rare lost increment only nudges
-        the effective rate (and rates 0.0 and 1.0 never count).
-        """
-        if not self.enabled:
-            return False
-        rate = self.sample_rate
-        if rate >= 1.0:
-            return True
-        if rate <= 0.0:
-            return False
-        self._tick = (self._tick + 1) % max(1, round(1.0 / rate))
-        return self._tick == 0
 
     def _next_span_id(self, trace_id: str, parent_id: Optional[str],
                       name: str) -> str:
@@ -344,6 +271,16 @@ class Tracer:
             thread=threading.get_ident(),
         )
 
+    def begin_request(self, request_id: str, attributes: Dict[str, Any],
+                      start_s: float) -> Span:
+        """Open a served request's ``request`` root span; pair with
+        :meth:`finish`.  Its trace id (:meth:`trace_id_for`) and span id
+        both come from one digest of ``request_id``."""
+        trace_id, span_id = _root_ids(request_id)
+        return Span(trace_id=trace_id, span_id=span_id, parent_id=None,
+                    name="request", start_s=start_s, attributes=attributes,
+                    process=self.process, thread=threading.get_ident())
+
     def finish(self, span: Span, status: Optional[str] = None,
                end_s: Optional[float] = None) -> Span:
         span.end_s = time.time() if end_s is None else end_s
@@ -360,43 +297,9 @@ class Tracer:
         span = self.begin(name, trace_id, parent_id, attrs, start_s=start_s)
         return self.finish(span, status=status, end_s=end_s)
 
-    def record_hit(self, root: RequestRoot) -> None:
-        """Finish ``root`` as its whole trace: a request the fast lane
-        served, without child spans (its span carries ``fast_lane: True``).
-        The ring stores the root as is and builds its span and record on
-        first read (:meth:`get`, :meth:`traces`)."""
-        root.end_s = time.time()
-        trace_id = root.trace_id
-        with self._lock:
-            finished = self._finished
-            if trace_id not in finished and trace_id not in self._open:
-                finished[trace_id] = root
-                while len(finished) > self.capacity:
-                    finished.popitem(last=False)
-                return
-            # A reused request id: the root joins the trace already under
-            # its id, as any finishing root span does.
-            self._record(self._hit_span(root))
-
-    def _hit_span(self, root: RequestRoot) -> Span:
-        span = root.span(self.process)
-        span.end_s = root.end_s
-        span.attributes["fast_lane"] = True
-        return span
-
-    def _stored(self, trace_id: str) -> Optional[TraceRecord]:
-        """The finished trace ``trace_id``, built from a stored hit on
-        first read and kept in its place (lock held)."""
-        entry = self._finished.get(trace_id)
-        if entry is None or isinstance(entry, TraceRecord):
-            return entry
-        span = self._hit_span(entry)
-        record = self._finished[trace_id] = TraceRecord.of_root(span, [span])
-        return record
-
     def _record(self, span: Span) -> None:
         with self._lock:
-            record = self._stored(span.trace_id)
+            record = self._finished.get(span.trace_id)
             if record is not None:
                 # Late span for an already-finalized trace (e.g. absorbed
                 # worker fragments that raced the root close): append.
@@ -434,7 +337,7 @@ class Tracer:
         with self._lock:
             spans = self._open.pop(trace_id, [])
             self._seq.pop(trace_id, None)
-            record = self._stored(trace_id)
+            record = self._finished.get(trace_id)
             if record is not None:
                 del self._finished[trace_id]
         if record is not None:
@@ -452,7 +355,7 @@ class Tracer:
         late: Dict[str, TraceRecord] = {}
         with self._lock:
             for span in spans:
-                record = self._stored(span.trace_id)
+                record = self._finished.get(span.trace_id)
                 if record is not None:
                     record.spans.append(span)
                     late[span.trace_id] = record
@@ -520,15 +423,14 @@ class Tracer:
     def traces(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
         """Newest-first summaries of finished traces."""
         with self._lock:
-            trace_ids = list(reversed(self._finished))
-            if limit is not None:
-                trace_ids = trace_ids[:max(0, int(limit))]
-            records = [self._stored(trace_id) for trace_id in trace_ids]
+            records = list(reversed(self._finished.values()))
+        if limit is not None:
+            records = records[:max(0, int(limit))]
         return [r.summary() for r in records]
 
     def get(self, trace_id: str) -> Optional[TraceRecord]:
         with self._lock:
-            return self._stored(trace_id)
+            return self._finished.get(trace_id)
 
 
 class _SpanScope:

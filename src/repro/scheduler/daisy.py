@@ -87,11 +87,17 @@ class DaisyScheduler(Scheduler):
         database under ``label``."""
         nest = program.body[index]
         label = f"{label or program.name}#{index}"
-        embedding = embed_nest(nest, program.arrays, parameters, label=label,
-                               analysis=self._analysis)
+        blas = match_blas3(nest) is not None
+        # The database is the embedding's only reader: embed the nest to
+        # seed the database, or to query one that holds entries (a BLAS
+        # nest queries nothing).
+        embedding = None
+        if seeding or (len(self.database) and not blas):
+            embedding = embed_nest(nest, program.arrays, parameters,
+                                   label=label, analysis=self._analysis)
 
         # 1. BLAS-3 idiom detection on the normalized nest.
-        if match_blas3(nest) is not None:
+        if blas:
             recipe = Recipe(f"{label}:blas", [ReplaceWithLibraryCall(index)])
             application = apply_recipe(program, recipe, strict=False,
                                        context=self._context)
@@ -101,7 +107,7 @@ class DaisyScheduler(Scheduler):
             return NestScheduleInfo(index, status, recipe, "blas idiom")
 
         # 2. Transfer tuning: nearest database entry within the distance bound.
-        if not seeding:
+        if not seeding and embedding is not None:
             entry = self.database.best_match(embedding,
                                              self.config.max_database_distance)
             if entry is not None:
@@ -114,8 +120,9 @@ class DaisyScheduler(Scheduler):
 
         # 3. Evolutionary search (seeded with the recipes of the most similar
         #    nests, mirroring the epoch re-seeding of the paper).
-        seeds = [retarget_recipe(neighbor.recipe, index)
-                 for _distance, neighbor in self.database.query(embedding, k=10)]
+        seeds = ([] if embedding is None else
+                 [retarget_recipe(neighbor.recipe, index) for _distance, neighbor
+                  in self.database.query(embedding, k=10)])
         outcome = self._search.search(program, index, parameters, seeds,
                                       analysis=self._analysis)
         apply_recipe(program, outcome.recipe, strict=False,

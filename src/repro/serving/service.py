@@ -45,7 +45,7 @@ from ..api.hashing import request_fingerprint
 from ..api.session import Session
 from ..api.types import ScheduleRequest, ScheduleResponse
 from ..ir.nodes import Program
-from ..observability import CounterView, MetricsRegistry, RequestRoot, Span
+from ..observability import CounterView, MetricsRegistry, Span
 from .policy import create_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (workers use api)
@@ -195,7 +195,8 @@ class RequestTiming:
 
     ``queue_wait_s`` is the time the request's queue entry (or, for a
     coalesced rider, its leader's) spent queued before a batch claimed it;
-    ``total_s`` is end-to-end from admission to response.
+    ``total_s`` is end-to-end from admission to response; ``trace_id``
+    names a miss's trace (``None`` for a hit or an untraced service).
     """
 
     total_s: float = 0.0
@@ -375,28 +376,27 @@ class ServiceRunner:
                        ) -> Tuple[ScheduleResponse, RequestTiming]:
         """Like :meth:`schedule`, additionally returning the request's
         :class:`RequestTiming` (end-to-end latency, queue wait) — the HTTP
-        layer's access log consumes it.  ``request_id`` seeds the request's
+        layer's access log consumes it.  ``request_id`` seeds a miss's
         deterministic trace id (so the HTTP layer, access log, and trace
-        ring buffer all agree); omitted, the runner mints a local one."""
-        served, key, root = self.fast_lane(request, request_id)
+        ring buffer all agree); omitted, the runner mints a local one.  A
+        hit records no trace."""
+        served, key, arrived = self.fast_lane(request)
         if served is not None:
             return served
-        return self._slow_lane(request, request_id, key, root, timeout)
+        return self._slow_lane(request, request_id, key, arrived, timeout)
 
-    def fast_lane(self, request: ScheduleRequest,
-                  request_id: Optional[str] = None
+    def fast_lane(self, request: ScheduleRequest
                   ) -> Tuple[Optional[Tuple[ScheduleResponse, RequestTiming]],
-                             str, Optional[Span]]:
+                             str, float]:
         """The lock-free front of every request, on the thread that asks.
 
-        Returns ``(served, key, root)``: a response-cache hit is ``served``,
-        the finished ``(response, timing)`` — pre-encoded bytes, only the echo
-        re-encoded, one sampled root stored as its raw fields, no admission
-        or queue — and ``root`` is ``None``; else ``served`` is ``None`` and
-        the slow lane takes the fingerprint ``key`` and the still-open
-        ``root`` span (if any).  Thread-safe (cache, tracer and instruments
-        lock; ``_inflight`` is only peeked at), so a slow cache read stalls
-        nobody else's request.
+        Returns ``(served, key, arrived)``: a response-cache hit is
+        ``served``, the finished ``(response, timing)`` — pre-encoded bytes,
+        only the echo re-encoded, no admission, queue or trace; else
+        ``served`` is ``None`` and the slow lane takes the fingerprint
+        ``key`` and the ``perf_counter`` time the request ``arrived``.
+        Thread-safe (cache and instruments lock; ``_inflight`` is only
+        peeked at), so a slow cache read stalls nobody else's request.
         """
         arrived = time.perf_counter()
         if not self._running:
@@ -408,49 +408,33 @@ class ServiceRunner:
         # (stub sessions have no response cache; in-flight duplicates coalesce)
         lookup = getattr(self.session, "lookup_response", None)
         if lookup is None or key in self._inflight:
-            return None, key, None
+            return None, key, arrived
         # Reading the response cache before admission keeps hits immune to
         # queue saturation (they add no queued work) at one cache get per
-        # miss.  A sampled root that misses becomes the slow lane's root.
-        root = self._begin_root(request, request_id, sample=True)
-        tracer = self._tracer
-        try:
-            # The context goes in explicitly (the request is the caller's):
-            # the response carries this trace id, or none when sampled out.
-            response = lookup(
-                request, root.context() if root is not None else None, key)
-        except BaseException:
-            if root is not None:
-                tracer.finish(root.span(tracer.process), status="error")
-            raise
+        # miss.
+        response = lookup(request, key)
         if response is None:
-            return None, key, (root.span(tracer.process)
-                               if root is not None else None)
+            return None, key, arrived
         self.stats.inc("requests")
         self.stats.inc("fast_lane")
         self.stats.inc("scheduled")
         timing = RequestTiming(
-            total_s=max(0.0, time.perf_counter() - arrived), fast_lane=True,
-            trace_id=root.trace_id if root is not None else None)
+            total_s=max(0.0, time.perf_counter() - arrived), fast_lane=True)
         self._latency(request.priority).observe(timing.total_s)
-        if root is not None:
-            tracer.record_hit(root)
-        return (response, timing), key, None
+        return (response, timing), key, arrived
 
     def _slow_lane(self, request: ScheduleRequest, request_id: Optional[str],
-                   key: str, root: Optional[Span], timeout: Optional[float]
+                   key: str, arrived: float, timeout: Optional[float]
                    ) -> Tuple[ScheduleResponse, RequestTiming]:
-        """Admit a :meth:`fast_lane` miss (its ``key`` and ``root``), then
-        ride an identical in-flight request or queue it, and block until
-        the batcher resolves it."""
+        """Admit a :meth:`fast_lane` miss (its ``key``, arrived at the
+        ``perf_counter`` time ``arrived``), then ride an identical in-flight
+        request or queue it, and block until the batcher resolves it."""
         tracer = self._tracer
+        root = None
         outcome = "error"
         try:
-            if root is None:
-                minted = self._begin_root(request, request_id)
-                if minted is not None:
-                    root = minted.span(tracer.process)
-            if root is not None:
+            if tracer is not None and tracer.enabled:
+                root = self._open_root(request, request_id, arrived)
                 # Child spans of every downstream layer (queue, schedule,
                 # session, worker) attach under this root via the request:
                 # the runner's own shallow copy, so the caller's object is
@@ -530,25 +514,22 @@ class ServiceRunner:
             leader.seq = next(self._arrivals)
             heapq.heapify(self._queue)
 
-    def _begin_root(self, request: ScheduleRequest, request_id: Optional[str],
-                    sample: bool = False) -> Optional[RequestRoot]:
-        """Mint ``request``'s root — ``None`` when it goes untraced.
-
-        Both lanes start here: a hit stores the root as its whole trace, a
-        miss opens it as the slow lane's root span.  ``sample`` subjects the
-        request to ``Tracer.sample_rate``: a sampled-out fast-lane candidate
-        pays one counter increment (``Tracer.tick()``), no id minting.
-        """
-        tracer = self._tracer
-        if tracer is None or not (tracer.tick() if sample else tracer.enabled):
-            return None
+    def _open_root(self, request: ScheduleRequest, request_id: Optional[str],
+                   arrived: float) -> Span:
+        """Open a miss's ``request`` root span, started when the request
+        arrived (before the fast lane's cache read)."""
         if request_id is None:
             request_id = self._local_prefix + str(next(self._local_ids))
         program = request.program
-        return RequestRoot(
-            request_id, request.priority,
-            program.name if isinstance(program, Program) else str(program),
-            request.client)
+        attributes = {"request_id": request_id, "priority": request.priority,
+                      "program": (program.name if isinstance(program, Program)
+                                  else str(program))}
+        if request.client is not None:
+            attributes["client"] = request.client
+        # ``arrived`` is a perf_counter reading; the span wants wall time.
+        return self._tracer.begin_request(
+            request_id, attributes,
+            time.time() - (time.perf_counter() - arrived))
 
     @staticmethod
     def _reissue(response: ScheduleResponse, request: ScheduleRequest,

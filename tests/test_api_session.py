@@ -254,11 +254,6 @@ class TestSingleResponseType:
         assert type(fast) is ScheduleResponse
         assert fast.to_json() == warm.to_json()
         assert fast.trace_id is None and fast.from_cache
-        traced = session.lookup_response(
-            request, trace={"trace_id": "abc", "span_id": "def"})
-        assert traced.trace_id == "abc"
-        assert traced.request.trace == {"trace_id": "abc", "span_id": "def"}
-        assert request.trace is None  # the caller's request is never written
         session.close()
 
 

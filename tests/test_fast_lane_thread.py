@@ -14,7 +14,6 @@ import collections
 import collections.abc
 import hashlib
 import json
-import os
 import random
 import re
 import sys
@@ -396,19 +395,17 @@ def test_the_three_entrances_agree():
     assert observed["service"]["requests"] == len(SEQUENCE)
     assert observed["service"]["fast_lane"] == 2
     assert observed["admission"]["admitted"] == len(SEQUENCE) - 2
-    assert len(observed["traces"]) == len(SEQUENCE)     # one trace per request
+    # One trace per miss; the two hits record none.
+    assert len(observed["traces"]) == len(SEQUENCE) - 2
     for position, (_, status, attributes, names) in enumerate(observed["traces"]):
         assert status == "ok"
         assert attributes["request_id"].endswith(f"-{position + 1}")
-        if attributes.get("fast_lane"):
-            assert names == ["request"]
-        else:
-            # The root the front minted is the slow lane's root: one
-            # ``request`` span, the slow lane's spans under it.
-            assert names.count("request") == 1
-            assert "service.admission" in names and "service.queue" in names
-    assert [bool(t[2].get("fast_lane")) for t in observed["traces"]] \
-        == [False, False, True, False, True]
+        assert "fast_lane" not in attributes
+        # One ``request`` root, the slow lane's spans under it.
+        assert names.count("request") == 1
+        assert "service.admission" in names and "service.queue" in names
+    assert [json.loads(text).get("trace_id") is not None
+            for text in observed["texts"]] == [True, True, False, True, False]
     assert split_response(observed["texts"][2]) \
         == split_response(observed["texts"][1])
 
@@ -416,9 +413,8 @@ def test_the_three_entrances_agree():
 # -- (4) untraced hits stay untraced ---------------------------------------------------
 
 
-@pytest.mark.parametrize("tracer", [lambda: Tracer(sample_rate=0.0),
-                                    lambda: Tracer(enabled=False)],
-                         ids=["sampled-out", "disabled"])
+@pytest.mark.parametrize("tracer", [Tracer, lambda: Tracer(enabled=False)],
+                         ids=["default", "disabled"])
 def test_untraced_hits_carry_no_trace_id(tracer):
     session = fast_session(tracer=tracer())
     request = ScheduleRequest(program="gemm:a")
@@ -550,18 +546,19 @@ class TestSlowCacheRead:
         message = "service is not running; call start\\(\\) first"
         with ServiceRunner(session) as runner:
             warm(runner, request)
-            served, key, root = runner.fast_lane(
+            served, key, arrived = runner.fast_lane(
                 ScheduleRequest(program="atax:a"))
-            assert served is None and root is not None
+            assert served is None
             runner.stop()
             with pytest.raises(RuntimeError, match=message):
                 runner.schedule(request)            # a hit, before the lock
             with pytest.raises(RuntimeError, match=message):
                 runner._slow_lane(                  # a miss, past the front
-                    ScheduleRequest(program="atax:a"), None, key, root,
+                    ScheduleRequest(program="atax:a"), "req-9", key, arrived,
                     JOIN_S)
-            # The root the front opened was closed by the slow lane.
-            assert session.tracer.get(root.trace_id).status == "error"
+            # The slow lane opened the miss's root and closed it.
+            record = session.tracer.get(Tracer.trace_id_for("req-9"))
+            assert record.status == "error"
         session.close()
 
 
@@ -622,43 +619,10 @@ def test_a_thousand_warm_requests_counted(monkeypatch):
     session.close()
 
 
-# -- the specification: a hit's trace as begin/finish built it ---------------------------
+# -- a traced session records nothing for a hit --------------------------------------
 
 
-def _spec_hit_record(process, request_id, request, trace_id, span_id):
-    """The trace of a fast-lane hit as the tracer's span lifecycle builds it:
-    ``begin`` a ``request`` root with the request's attributes, mark it
-    ``fast_lane``, ``finish`` it into a ``TraceRecord``.  Only the root span
-    id is taken as given — one digest now yields it beside the trace id."""
-    tracer = Tracer(process=process)
-    program = request.program
-    root = tracer.begin(
-        "request", trace_id,
-        attrs={"request_id": request_id,
-               "priority": request.priority,
-               "program": (program.name if isinstance(program, Program)
-                           else str(program)),
-               **({"client": request.client}
-                  if request.client is not None else {})})
-    root.span_id = span_id
-    root.set_attribute("fast_lane", True)
-    tracer.finish(root, status="ok")
-    return tracer.get(trace_id)
-
-
-_TIMESTAMPS = {"start_s", "end_s", "duration_s"}
-
-
-def untimed(value):
-    if isinstance(value, dict):
-        return {key: untimed(item) for key, item in value.items()
-                if key not in _TIMESTAMPS}
-    if isinstance(value, list):
-        return [untimed(item) for item in value]
-    return value
-
-
-def test_a_thousand_traced_warm_requests_counted(monkeypatch):
+def test_a_thousand_warm_hits_record_no_trace(monkeypatch):
     session = fast_session()
     tracer = session.tracer
     requests = [ScheduleRequest(program=program, priority=number,
@@ -675,36 +639,22 @@ def test_a_thousand_traced_warm_requests_counted(monkeypatch):
     with ServiceRunner(session) as runner:
         for request in requests:
             warm(runner, request)
-        minted = len(requests) * 3          # one request id per request
+        stored = tracer.stored
+        traces = tracer.traces()
         monkeypatch.setattr(hashlib, "blake2s",
                             counting("hash", hashlib.blake2s))
         monkeypatch.setattr(Span, "__init__", counting("span", Span.__init__))
         monkeypatch.setattr(TraceRecord, "__init__",
                             counting("record", TraceRecord.__init__))
-        started = time.time()
-        responses = [runner.schedule(requests[number % len(requests)])
+        responses = [runner.schedule_timed(requests[number % len(requests)])
                      for number in range(1000)]
-        finished = time.time()
         assert (counts["hash"], counts["span"], counts["record"]) \
-            == (1000, 0, 0)                 # was 2 000, 1 000, 1 000
+            == (0, 0, 0)                    # was 1 000, 0, 0
         monkeypatch.undo()
-        assert tracer.stored == tracer.capacity
-        here = threading.get_ident()
-        retained = list(enumerate(responses))[-tracer.capacity:]
-        for number, response in retained:
-            request = requests[number % len(requests)]
-            request_id = f"local-{os.getpid()}-{minted + number + 1}"
-            echoed = response.request.trace
-            assert echoed["trace_id"] == response.trace_id \
-                == Tracer.trace_id_for(request_id)
-            record = tracer.get(response.trace_id)
-            expected = _spec_hit_record(tracer.process, request_id, request,
-                                        response.trace_id, echoed["span_id"])
-            assert untimed(record.to_dict()) == untimed(expected.to_dict())
-            span, = record.spans
-            assert span.thread == here and span.parent_id is None
-            assert started <= record.start_s <= record.end_s <= finished
-        # Read once, kept built: the ring still holds every retained trace.
-        assert [summary["trace_id"] for summary in tracer.traces()] \
-            == [response.trace_id for _, response in reversed(retained)]
+        assert all(timing.fast_lane and timing.trace_id is None
+                   and response.trace_id is None
+                   for response, timing in responses)
+        # The ring holds the warm-up misses' traces and nothing else.
+        assert tracer.stored == stored == 2 * len(requests)
+        assert tracer.traces() == traces
     session.close()

@@ -317,6 +317,36 @@ class TestDaisy:
         result = daisy.schedule(build_jacobi2d_a(), {"TSTEPS": 10, "N": 64})
         assert result.nests
 
+    def test_a_nest_is_embedded_only_when_the_database_reads_it(
+            self, monkeypatch):
+        """The database is the embedding's only reader: no embedding on an
+        empty database, one per seeded nest when tuning (the BLAS nest's
+        included), and a BLAS nest is never embedded to be looked up."""
+        from repro.scheduler import daisy as daisy_module
+
+        embedded = []
+
+        def counted(nest, *args, **kwargs):
+            embedded.append(kwargs["label"])
+            return embed_nest(nest, *args, **kwargs)
+        monkeypatch.setattr(daisy_module, "embed_nest", counted)
+        daisy = self._daisy()
+        stencil = {"TSTEPS": 10, "N": 64}
+        assert daisy.schedule(build_jacobi2d_a(), stencil).nests
+        assert embedded == []
+        tuned = daisy.tune(build_gemm_a(), PARAMS, label="gemm")
+        assert [info.detail for info in tuned.nests][1] == "blas idiom"
+        assert embedded == [entry.label for entry in daisy.database.entries] \
+            == ["gemm#0", "gemm#1"]
+        embedded.clear()
+        transferred = daisy.schedule(build_gemm_b(), PARAMS)
+        assert [info.detail for info in transferred.nests] \
+            == ["transfer from gemm#0", "blas idiom"]
+        assert embedded == ["gemm_b#0"]
+        embedded.clear()
+        daisy.schedule(build_jacobi2d_a(), stencil)
+        assert embedded == ["jacobi2d_a#0"]
+
 
 class TestBaselines:
     def test_polly_optimizes_scop(self, gemm_program):

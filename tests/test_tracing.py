@@ -350,11 +350,11 @@ class TestSessionTracing:
 
     def test_reused_request_is_not_mutated_and_carries_no_stale_trace_id(self):
         """One request object sent repeatedly: the service owns the trace
-        context, so the caller's object stays untouched and a sampled-out
-        fast-lane response reports no trace id (not the previous call's)."""
+        context, so the caller's object stays untouched and a fast-lane
+        response reports no trace id (not the previous call's)."""
         from repro.serving import ServiceRunner
 
-        session = fast_session(tracer=Tracer(sample_rate=0.25))
+        session = fast_session()
         request = ScheduleRequest(program="gemm:a")
         with ServiceRunner(session) as runner:
             outcomes = [runner.schedule_timed(request) for _ in range(10)]
@@ -363,9 +363,10 @@ class TestSessionTracing:
         session.close()
         traced = [response.trace_id for response, _ in outcomes
                   if response.trace_id is not None]
-        # Both slow-lane calls are traced; the stride sampler keeps every
-        # fourth fast-lane candidate.
-        assert len(traced) == len(set(traced)) == 4
+        # Both slow-lane calls are traced; no fast-lane hit is.
+        assert len(traced) == len(set(traced)) == 2
+        assert [timing.fast_lane for _, timing in outcomes] \
+            == [False] * 2 + [True] * 8
         for response, timing in outcomes:
             assert response.trace_id == timing.trace_id
             echoed = response.request.trace
@@ -414,9 +415,9 @@ class TestHttpTracing:
 
     def test_access_log_names_only_recorded_traces(self, tmp_path,
                                                    monkeypatch):
-        """Sampled-out hits and invalid requests log a null trace id; an
-        answered request logs its reply's; a shed one its recorded root's."""
-        session = fast_session(tracer=Tracer(sample_rate=0.25))
+        """Fast-lane hits and invalid requests log a null trace id; an
+        answered miss logs its reply's; a shed one its recorded root's."""
+        session = fast_session()
         log_path = tmp_path / "access.jsonl"
         server = ServingServer(session,
                                access_log=str(log_path))
@@ -450,16 +451,49 @@ class TestHttpTracing:
         entries = [json.loads(line)
                    for line in log_path.read_text().splitlines()]
         assert [e["status"] for e in entries] == [200] * 8 + [400, 429, 500]
-        # Two slow-lane misses, then every fourth fast-lane candidate.
+        # Two slow-lane misses, then six untraced hits.
         assert [reply.trace_id is not None for reply in replies] \
-            == [True, True, False, True, False, False, False, True]
+            == [True, True] + [False] * 6
+        assert [e["fast_lane"] for e in entries[:8]] == [False] * 2 + [True] * 6
         for entry, reply in zip(entries, replies):
             assert entry["trace_id"] == reply.trace_id
         assert entries[8]["trace_id"] is None
         assert buffered[entries[9]["trace_id"]]["status"] == "shed"
         assert buffered[entries[10]["trace_id"]]["status"] == "error"
         logged = [e["trace_id"] for e in entries if e["trace_id"] is not None]
-        assert len(logged) == 6 and set(logged) <= set(buffered)
+        assert len(logged) == 4 and set(logged) <= set(buffered)
+
+    def test_a_hit_is_logged_untraced_and_a_miss_traced_from_arrival(
+            self, served, monkeypatch):
+        """A fast-lane hit records no trace: its log line names none and the
+        ring does not grow.  A miss's reply, log line and ring entry name
+        the trace of its request id, whose root starts no later than the
+        fast lane's cache read that missed."""
+        session, _, client, log_path = served
+        lookup = session.lookup_response
+        looked_up = []
+
+        def timed_lookup(request, key=None):
+            looked_up.append(time.time())
+            return lookup(request, key)
+        monkeypatch.setattr(session, "lookup_response", timed_lookup)
+        sent = time.time()
+        miss = client.schedule("gemm:a")
+        client.schedule("gemm:a")       # cache-served: stored for the fast lane
+        stored = session.tracer.stored
+        hit = client.schedule("gemm:a")
+        assert session.tracer.stored == stored == 2
+        entries = [json.loads(line)
+                   for line in log_path.read_text().splitlines()]
+        assert [e["fast_lane"] for e in entries] == [False, False, True]
+        assert hit.trace_id is None and entries[2]["trace_id"] is None
+        request_id = entries[0]["request_id"]
+        trace_id = Tracer.trace_id_for(request_id)
+        assert miss.trace_id == entries[0]["trace_id"] == trace_id
+        root = session.tracer.get(trace_id).spans[0]
+        assert root.name == "request" and root.parent_id is None
+        assert root.attributes["request_id"] == request_id
+        assert sent <= root.start_s <= looked_up[0]
 
     def test_full_span_tree_is_served_and_nested(self, served):
         _, _, client, _ = served
