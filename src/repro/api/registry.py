@@ -161,11 +161,6 @@ def scheduler_tunes(name: str) -> bool:
 # Built-in registrations
 # ---------------------------------------------------------------------------
 
-# The daisy-family factories build schedulers whose internal pipeline is
-# ``"identity"``: the session hands them programs that already went through
-# the content-addressed normalization cache, and their own pipeline must not
-# redo (or undo) that work.
-
 @register_scheduler("daisy", normalizes=True, tunes=True)
 def _make_daisy(machine=None, threads=1, search=None, database=None,
                 **_ignored):
@@ -173,8 +168,7 @@ def _make_daisy(machine=None, threads=1, search=None, database=None,
     from ..scheduler.evolutionary import SearchConfig
 
     config = DaisyConfig(threads=threads, search=search or SearchConfig())
-    return DaisyScheduler(machine=machine, config=config, database=database,
-                          pipeline="identity")
+    return DaisyScheduler(machine=machine, config=config, database=database)
 
 
 @register_scheduler("evolutionary", normalizes=True, tunes=True)
@@ -194,8 +188,7 @@ def _make_evolutionary(machine=None, threads=1, search=None, database=None,
                          max_database_distance=-1.0)
     return DaisyScheduler(machine=machine, config=config,
                           database=database if database is not None
-                          else TuningDatabase(),
-                          pipeline="identity")
+                          else TuningDatabase())
 
 
 @register_scheduler("polly", normalizes=False)

@@ -428,10 +428,7 @@ class Session:
         size must not share cached entries.
         """
         database = getattr(instance, "database", None)
-        if database is None:
-            return None
-        version = getattr(database, "version", None)
-        return len(database) if version is None else version
+        return None if database is None else database.version
 
     # -- response fast lane -------------------------------------------------------------
     #

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..api import Session
-from ..ir.nodes import Computation, LibraryCall, Loop, Program
+from ..ir.nodes import Computation, Loop, Program, substitute_symbols
 from ..ir.serialization import program_to_dict
 from ..ir.symbols import Const
 from ..ir.validation import validate_program
@@ -105,20 +105,6 @@ def _owner(program: Program, path: Path) -> List[Any]:
     return body
 
 
-def _substitute_node(node: Any, mapping: Mapping[str, Any]) -> Any:
-    if isinstance(node, Computation):
-        return node.substitute(mapping)
-    if isinstance(node, Loop):
-        return Loop(node.iterator, node.start.substitute(mapping),
-                    node.end.substitute(mapping),
-                    node.step.substitute(mapping),
-                    body=[_substitute_node(child, mapping)
-                          for child in node.body],
-                    parallel=node.parallel, vectorized=node.vectorized,
-                    unroll=node.unroll, tile_of=node.tile_of)
-    return node.copy()
-
-
 def _prune_containers(program: Program) -> Optional[Program]:
     """Drop arrays nothing references; None when nothing can be pruned."""
     used = set()
@@ -154,9 +140,9 @@ def _unwrap_candidates(program: Program):
         clone = program.copy()
         body = _owner(clone, path)
         loop = body[path[-1]]
-        mapping = {loop.iterator: loop.start}
-        body[path[-1]:path[-1] + 1] = [
-            _substitute_node(child, mapping) for child in loop.body]
+        for child in loop.body:
+            substitute_symbols(child, {loop.iterator: loop.start})
+        body[path[-1]:path[-1] + 1] = list(loop.body)
         yield f"unwrap@{loop.iterator}", clone
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .arrays import Array
 from .symbols import Const, Expr, ExprLike, Read, Sym, as_expr
@@ -506,6 +506,31 @@ class LibraryCall(Node):
 
 
 NodeLike = Union[Loop, Computation, LibraryCall]
+
+
+def substitute_symbols(node: Node, mapping: Mapping[str, ExprLike]) -> None:
+    """Substitute symbols per ``mapping`` through a subtree, in place: loop
+    headers, statements and library-call FLOP counts."""
+    if isinstance(node, Loop):
+        node.start = node.start.substitute(mapping)
+        node.end = node.end.substitute(mapping)
+        node.step = node.step.substitute(mapping)
+        for child in node.body:
+            substitute_symbols(child, mapping)
+    elif isinstance(node, Computation):
+        node.target = node.target.substitute(mapping)
+        node.value = node.value.substitute(mapping)
+    elif isinstance(node, LibraryCall):
+        node.flop_expr = node.flop_expr.substitute(mapping)
+
+
+def rename_iterators(node: Node, mapping: Mapping[str, str]) -> None:
+    """Rename loop iterators per ``mapping`` through a subtree, in place:
+    the loops that declare them and every use."""
+    for loop in node.iter_loops():
+        if loop.iterator in mapping:
+            loop.iterator = mapping[loop.iterator]
+    substitute_symbols(node, {old: Sym(new) for old, new in mapping.items()})
 
 
 class Program:

@@ -617,6 +617,20 @@ class Call(Expr):
         return f"{self.func}(" + ", ".join(str(a) for a in self.args) + ")"
 
 
+def rebuild(expr: Expr, children: Sequence[Expr]) -> Expr:
+    """``expr`` over new direct sub-expressions, built through the folding
+    ``make`` constructors so constants re-fold; a leaf comes back as is."""
+    if isinstance(expr, (Add, Mul, Min, Max)):
+        return type(expr).make(children)
+    if isinstance(expr, (FloorDiv, Mod)):
+        return type(expr).make(*children)
+    if isinstance(expr, Read):
+        return Read(expr.array, children)
+    if isinstance(expr, Call):
+        return Call(expr.func, children)
+    return expr
+
+
 # -- affine decomposition ------------------------------------------------------
 
 

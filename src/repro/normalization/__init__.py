@@ -15,8 +15,7 @@ instrumented :mod:`repro.passes` pipelines selected by registered name
 
 from .fission import (FissionReport, fission_loop, fission_sweep,
                       is_maximally_fissioned, maximal_loop_fission)
-from .loop_normal_form import (CANONICAL_ITERATOR_NAMES,
-                               canonicalize_iterator_names,
+from .loop_normal_form import (canonicalize_iterator_names,
                                normalize_loop_bounds, normalize_program_bounds)
 from .pipeline import (NormalizationOptions, NormalizationReport, normalize,
                        normalize_program)
@@ -29,7 +28,7 @@ from .stride_minimization import (EXHAUSTIVE_DEPTH_LIMIT,
 __all__ = [
     "FissionReport", "fission_loop", "fission_sweep", "is_maximally_fissioned",
     "maximal_loop_fission",
-    "CANONICAL_ITERATOR_NAMES", "canonicalize_iterator_names",
+    "canonicalize_iterator_names",
     "normalize_loop_bounds", "normalize_program_bounds",
     "NormalizationOptions", "NormalizationReport", "normalize",
     "normalize_program",

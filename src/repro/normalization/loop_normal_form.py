@@ -10,14 +10,9 @@ construction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
+from ..ir.nodes import (Loop, Node, Program, rename_iterators,
+                        substitute_symbols)
 from ..ir.symbols import Const, Expr, FloorDiv, Sym
-
-#: Canonical iterator names used by :func:`canonicalize_iterator_names`;
-#: past the table the sequence continues ``i16, i17, ...``.
-CANONICAL_ITERATOR_NAMES = [f"i{index}" for index in range(16)]
 
 
 def normalize_loop_bounds(node: Node) -> bool:
@@ -52,21 +47,8 @@ def _normalize_single_loop(loop: Loop) -> bool:
     if step.value != 1:
         replacement = replacement * step.value
     replacement = replacement + start
-    mapping = {iterator: replacement}
-
-    def rewrite(node: Node) -> None:
-        if isinstance(node, Loop):
-            node.start = node.start.substitute(mapping)
-            node.end = node.end.substitute(mapping)
-            node.step = node.step.substitute(mapping)
-            for child in node.body:
-                rewrite(child)
-        elif isinstance(node, Computation):
-            node.target = node.target.substitute(mapping)
-            node.value = node.value.substitute(mapping)
-
     for child in loop.body:
-        rewrite(child)
+        substitute_symbols(child, {iterator: replacement})
 
     span = loop.end - loop.start
     if step.value == 1:
@@ -89,8 +71,7 @@ def normalize_program_bounds(program: Program) -> bool:
     return changed
 
 
-def canonicalize_iterator_names(program: Program,
-                                names: Optional[List[str]] = None) -> bool:
+def canonicalize_iterator_names(program: Program) -> bool:
     """Rename loop iterators to a canonical sequence per top-level nest;
     returns whether any nest was renamed.
 
@@ -99,33 +80,13 @@ def canonicalize_iterator_names(program: Program,
     capture-free because loop iterators are only visible within their own
     nest.  A nest that already carries its canonical names is not touched.
     """
-    names = names or CANONICAL_ITERATOR_NAMES
     changed = False
     for top in program.body:
         if not isinstance(top, Loop):
             continue
-        mapping: Dict[str, str] = {}
-        for index, loop in enumerate(top.iter_loops()):
-            mapping[loop.iterator] = (names[index] if index < len(names)
-                                      else f"i{index}")
+        mapping = {loop.iterator: f"i{index}"
+                   for index, loop in enumerate(top.iter_loops())}
         if any(old != new for old, new in mapping.items()):
-            _rename_iterators(top, mapping)
+            rename_iterators(top, mapping)
             changed = True
     return changed
-
-
-def _rename_iterators(node: Node, mapping: Dict[str, str]) -> None:
-    substitution = {old: Sym(new) for old, new in mapping.items()}
-    if isinstance(node, Loop):
-        if node.iterator in mapping:
-            node.iterator = mapping[node.iterator]
-        node.start = node.start.substitute(substitution)
-        node.end = node.end.substitute(substitution)
-        node.step = node.step.substitute(substitution)
-        for child in node.body:
-            _rename_iterators(child, mapping)
-    elif isinstance(node, Computation):
-        node.target = node.target.substitute(substitution)
-        node.value = node.value.substitute(substitution)
-    elif isinstance(node, LibraryCall):
-        node.flop_expr = node.flop_expr.substitute(substitution)

@@ -20,12 +20,13 @@ These conditions make the transformation trivially semantics-preserving.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..ir.arrays import Array
 from ..ir.nodes import ArrayAccess, Computation, LibraryCall, Loop, Node, Program
-from ..ir.symbols import Expr, Read, Sym
+from ..ir.symbols import Expr, Read, Sym, rebuild
 
 
 @dataclass
@@ -43,80 +44,39 @@ class ScalarExpansionReport:
         return len(self.expanded)
 
 
-def _scalar_accesses_in(node: Node, scalars: Set[str]) -> List[Tuple[str, bool]]:
-    """All accesses to the given scalars in a subtree: (name, is_write), in order."""
-    out: List[Tuple[str, bool]] = []
-
-    def visit_expr(expr: Expr) -> None:
-        if isinstance(expr, Read) and expr.array in scalars and not expr.indices:
-            out.append((expr.array, False))
-        for child in expr.children():
-            visit_expr(child)
-
-    def recurse(current: Node) -> None:
-        if isinstance(current, Loop):
-            for child in current.body:
-                recurse(child)
-        elif isinstance(current, Computation):
-            visit_expr(current.value)
-            if current.target.array in scalars and not current.target.indices:
-                out.append((current.target.array, True))
-        elif isinstance(current, LibraryCall):
-            for name in list(current.inputs):
-                if name in scalars:
-                    out.append((name, False))
-            for name in list(current.outputs):
-                if name in scalars:
-                    out.append((name, True))
-
-    recurse(node)
+def _accesses(nodes: Sequence[Node], names: Set[str]
+              ) -> List[Tuple[str, bool, Tuple[Expr, ...]]]:
+    """Every access to the named containers under ``nodes``, in program
+    order, as ``(name, is_write, indices)``: a statement's reads, then its
+    write; a library call's inputs, then its outputs, with no indices."""
+    out: List[Tuple[str, bool, Tuple[Expr, ...]]] = []
+    for node in nodes:
+        if isinstance(node, Loop):
+            out += _accesses(node.body, names)
+        elif isinstance(node, LibraryCall):
+            out += [(name, False, ()) for name in node.inputs if name in names]
+            out += [(name, True, ()) for name in node.outputs if name in names]
+        else:
+            out += [(read.array, False, read.indices) for read in node.reads()
+                    if read.array in names]
+            if node.target.array in names:
+                out.append((node.target.array, True, node.target.indices))
     return out
 
 
-def _rewrite_scalar(node: Node, scalar: str, iterator: str, new_name: str) -> None:
-    """Replace scalar accesses with accesses to ``new_name[iterator]`` in place."""
+def _retarget(node: Node, name: str, new: ArrayAccess) -> None:
+    """Point every statement access to ``name`` in a subtree at ``new``, in
+    place."""
 
-    def rewrite_expr(expr: Expr) -> Expr:
-        if isinstance(expr, Read) and expr.array == scalar and not expr.indices:
-            return Read(new_name, (Sym(iterator),))
-        children = expr.children()
-        if not children:
-            return expr
-        return _rebuild(expr, [rewrite_expr(child) for child in children])
+    def rewrite(expr: Expr) -> Expr:
+        if isinstance(expr, Read) and expr.array == name:
+            return new.as_read()
+        return rebuild(expr, [rewrite(child) for child in expr.children()])
 
-    def recurse(current: Node) -> None:
-        if isinstance(current, Loop):
-            for child in current.body:
-                recurse(child)
-        elif isinstance(current, Computation):
-            current.value = rewrite_expr(current.value)
-            if current.target.array == scalar and not current.target.indices:
-                current.target = ArrayAccess(new_name, (Sym(iterator),))
-
-    recurse(node)
-
-
-def _rebuild(expr: Expr, children: List[Expr]) -> Expr:
-    """Rebuild an expression node with new children."""
-    from ..ir.symbols import Add, Call, FloorDiv, Max, Min, Mod, Mul, Read as ReadExpr
-
-    if isinstance(expr, Add):
-        return Add.make(children)
-    if isinstance(expr, Mul):
-        return Mul.make(children)
-    if isinstance(expr, FloorDiv):
-        return FloorDiv.make(children[0], children[1])
-    if isinstance(expr, Mod):
-        return Mod.make(children[0], children[1])
-    if isinstance(expr, Min):
-        return Min.make(children)
-    if isinstance(expr, Max):
-        return Max.make(children)
-    if isinstance(expr, ReadExpr):
-        return ReadExpr(expr.array, children)
-    if isinstance(expr, Call):
-        return Call(expr.func, children)
-    return expr
+    for comp in node.iter_computations():
+        comp.value = rewrite(comp.value)
+        if comp.target.array == name:
+            comp.target = new
 
 
 def contract_arrays(program: Program) -> int:
@@ -128,135 +88,34 @@ def contract_arrays(program: Program) -> int:
     actually cross loop boundaries as local arrays).  Returns the number of
     arrays contracted.
 
-    A transient rank-1 array qualifies when all of its accesses are inside a
-    single loop, every subscript is exactly that loop's iterator, and the
-    first access per iteration is a write.
+    A transient rank-1 array qualifies when all of its accesses, library-call
+    operands included, are inside a single loop, every subscript is exactly
+    that loop's iterator, and the first access per iteration is a write.
     """
     contracted = 0
     candidates = [name for name, arr in program.arrays.items()
                   if arr.transient and arr.rank == 1]
-    if not candidates:
-        return 0
-
-    # Locate, for each candidate, the loops that contain accesses to it.
     for name in candidates:
-        containing: List[Loop] = []
-        access_count = 0
-        simple = True
-
-        def inspect(loop: Loop) -> None:
-            nonlocal access_count, simple
-            local: List[Tuple[str, bool]] = []
-
-            def visit_expr(expr: Expr) -> None:
-                nonlocal simple
-                if isinstance(expr, Read) and expr.array == name:
-                    local.append((name, False))
-                    if list(expr.indices) != [Sym(loop.iterator)]:
-                        simple = False
-                for child in expr.children():
-                    visit_expr(child)
-
-            def recurse(node: Node) -> None:
-                nonlocal simple
-                if isinstance(node, Loop):
-                    for child in node.body:
-                        recurse(child)
-                elif isinstance(node, Computation):
-                    visit_expr(node.value)
-                    if node.target.array == name:
-                        local.append((name, True))
-                        if list(node.target.indices) != [Sym(loop.iterator)]:
-                            simple = False
-
-            for child in loop.body:
-                recurse(child)
-            if local:
-                containing.append(loop)
-                access_count += len(local)
-                if not local[0][1]:
-                    simple = False
-
-        # Only the *innermost* loops directly enclosing accesses matter; walk
-        # all loops and keep those whose immediate body (recursively, but not
-        # through another loop that also qualifies) touches the array.
-        direct_parents: List[Loop] = []
-        for top in program.body:
-            if not isinstance(top, Loop):
-                continue
-            for loop in top.iter_loops():
-                touches = False
-                for child in loop.body:
-                    if isinstance(child, Computation):
-                        if (child.target.array == name
-                                or any(acc.array == name for acc in child.reads())):
-                            touches = True
-                if touches:
-                    direct_parents.append(loop)
+        # The one loop whose own statements touch the array.
+        direct_parents = [
+            loop for top in program.top_level_loops() for loop in top.iter_loops()
+            if _accesses([child for child in loop.body
+                          if isinstance(child, Computation)], {name})]
         if len(direct_parents) != 1:
             continue
         loop = direct_parents[0]
-        inspect(loop)
-        if not simple or access_count == 0:
+        local = _accesses(loop.body, {name})
+        subscript = (Sym(loop.iterator),)
+        if (not local[0][1]
+                or any(indices != subscript for _, _, indices in local)
+                or len(_accesses(program.body, {name})) != len(local)):
             continue
-        # Every access program-wide must be inside this loop.
-        total = 0
-        for node in program.body:
-            total += len(_scalar_like_accesses(node, name))
-        if total != access_count:
-            continue
-
-        scalar_name = name
-        array_decl = program.arrays[name]
-        del program.arrays[name]
-        program.arrays[scalar_name] = Array(name=scalar_name, shape=(),
-                                            dtype=array_decl.dtype, transient=True)
-        _rewrite_array_to_scalar(loop, name)
+        dtype = program.arrays.pop(name).dtype
+        program.arrays[name] = Array(name=name, shape=(), dtype=dtype,
+                                     transient=True)
+        _retarget(loop, name, ArrayAccess(name, ()))
         contracted += 1
     return contracted
-
-
-def _scalar_like_accesses(node: Node, name: str) -> List[Tuple[str, bool]]:
-    out: List[Tuple[str, bool]] = []
-
-    def visit_expr(expr: Expr) -> None:
-        if isinstance(expr, Read) and expr.array == name:
-            out.append((name, False))
-        for child in expr.children():
-            visit_expr(child)
-
-    def recurse(current: Node) -> None:
-        if isinstance(current, Loop):
-            for child in current.body:
-                recurse(child)
-        elif isinstance(current, Computation):
-            visit_expr(current.value)
-            if current.target.array == name:
-                out.append((name, True))
-
-    recurse(node)
-    return out
-
-
-def _rewrite_array_to_scalar(node: Node, name: str) -> None:
-    def rewrite_expr(expr: Expr) -> Expr:
-        if isinstance(expr, Read) and expr.array == name:
-            return Read(name, ())
-        children = expr.children()
-        if not children:
-            return expr
-        return _rebuild(expr, [rewrite_expr(child) for child in children])
-
-    def recurse(current: Node) -> None:
-        if isinstance(current, Loop):
-            for child in current.body:
-                recurse(child)
-        elif isinstance(current, Computation):
-            current.value = rewrite_expr(current.value)
-            if current.target.array == name:
-                current.target = ArrayAccess(name, ())
-
-    recurse(node)
 
 
 def expand_scalars(program: Program) -> ScalarExpansionReport:
@@ -268,28 +127,20 @@ def expand_scalars(program: Program) -> ScalarExpansionReport:
     if not transient_scalars:
         return report
 
-    # Count accesses per scalar per loop and per top-level region so that we
-    # can check the "private to one loop" condition.
-    global_counts: Dict[str, int] = {name: 0 for name in transient_scalars}
-    for node in program.body:
-        for name, _ in _scalar_accesses_in(node, transient_scalars):
-            global_counts[name] += 1
+    # A scalar is private to a loop when the loop holds all of its accesses.
+    global_counts = Counter(name for name, _, _ in
+                            _accesses(program.body, transient_scalars))
+    iterators = {loop.iterator for loop in program.iter_loops()}
 
     def eligible_in_loop(loop: Loop, scalar: str) -> bool:
         # The expansion array's extent is the loop's upper bound, which must
         # therefore not depend on other loop iterators.
-        iterators = {other.iterator for top_node in program.body
-                     if isinstance(top_node, Loop)
-                     for other in top_node.iter_loops()}
         if loop.end.free_symbols() & iterators:
             return False
-        accesses = _scalar_accesses_in(loop, {scalar})
-        if not accesses:
-            return False
-        if len(accesses) != global_counts[scalar]:
-            return False
+        accesses = _accesses([loop], {scalar})
         # First access in program order must be a write.
-        return accesses[0][1]
+        return (bool(accesses) and len(accesses) == global_counts[scalar]
+                and accesses[0][1])
 
     def innermost_candidates(loop: Loop) -> List[Loop]:
         # Post-order so that scalars are expanded over the innermost loop that
@@ -317,7 +168,8 @@ def expand_scalars(program: Program) -> ScalarExpansionReport:
                 program.add_array(Array(name=new_name, shape=(loop.end,),
                                         dtype=program.arrays[scalar].dtype,
                                         transient=True))
-                _rewrite_scalar(loop, scalar, loop.iterator, new_name)
+                _retarget(loop, scalar,
+                          ArrayAccess(new_name, (Sym(loop.iterator),)))
                 handled.add(scalar)
                 report.expanded.append((scalar, loop.iterator))
     return report

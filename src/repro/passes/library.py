@@ -14,9 +14,7 @@ list:
   which only exists to enable fission).
 * ``"no-stride"``           — drops stride minimization.
 * ``"no-scalar-expansion"`` — drops only scalar expansion.
-* ``"identity"``            — no stages at all (the "Opt"-only ablation
-  and the internal pipeline of session-managed schedulers, whose input is
-  already normalized).
+* ``"identity"``            — no stages at all (the "Opt"-only ablation).
 
 Each stage pass reports what it did as :class:`~repro.passes.base.PassResult`
 counters; the :class:`~repro.normalization.pipeline.NormalizationReport` of
@@ -159,6 +157,5 @@ def _no_scalar_expansion() -> Pipeline:
 
 @register_pipeline("identity")
 def _identity() -> Pipeline:
-    """No stages at all: the internal pipeline of session-managed
-    schedulers, whose input the session already normalized."""
+    """No stages at all: the "Opt"-only ablation."""
     return Pipeline("identity", [])

@@ -42,9 +42,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..analysis.flops import expr_flops, expr_reads, written_arrays
 from ..interp.executor import INTRINSICS
 from ..ir.arrays import Array
-from ..ir.nodes import ArrayAccess, Computation, LibraryCall, Loop, Node, Program
+from ..ir.nodes import ArrayAccess, Computation, Loop, Node, Program
 from ..ir.symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod,
-                          Mul, Read)
+                          Mul, Read, rebuild)
 from .base import ApplyOutcome, Pass, PassContext
 from .library import (CanonicalizeIteratorsPass, FissionSweepPass,
                       LoopNormalFormPass, ScalarExpansionPass,
@@ -71,33 +71,13 @@ _UNSAFE_SPECULATION = frozenset({"log", "div", "pow"})
 # ---------------------------------------------------------------------------
 
 
-def _rebuild(expr: Expr, children: Sequence[Expr]) -> Expr:
-    """Rebuild a compound expression with new children (via the folding
-    ``make`` constructors, so constants re-fold)."""
-    if isinstance(expr, Add):
-        return Add.make(children)
-    if isinstance(expr, Mul):
-        return Mul.make(children)
-    if isinstance(expr, FloorDiv):
-        return FloorDiv.make(children[0], children[1])
-    if isinstance(expr, Mod):
-        return Mod.make(children[0], children[1])
-    if isinstance(expr, Min):
-        return Min.make(children)
-    if isinstance(expr, Max):
-        return Max.make(children)
-    if isinstance(expr, Call):
-        return Call(expr.func, tuple(children))
-    raise TypeError(f"cannot rebuild {type(expr).__name__}")
-
-
 def _map_value(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
     """Bottom-up rewrite of a value expression; never descends into Read
     indices."""
     if isinstance(expr, Read) or not expr.children():
         return fn(expr)
     children = [_map_value(child, fn) for child in expr.children()]
-    return fn(_rebuild(expr, children))
+    return fn(rebuild(expr, children))
 
 
 def _count_occurrences(expr: Expr, target: Expr) -> int:
@@ -123,7 +103,7 @@ def _replace_occurrences(expr: Expr, target: Expr, replacement: Expr
         children.append(new_child)
     if total == 0:
         return expr, 0
-    return _rebuild(expr, children), total
+    return rebuild(expr, children), total
 
 
 def _replace_in_subtree(node: Node, target: Expr, replacement: Expr) -> int:

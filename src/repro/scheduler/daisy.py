@@ -2,7 +2,8 @@
 
 daisy is the paper's auto-scheduler built on top of a-priori normalization:
 
-1. the program is normalized (maximal fission + stride minimization),
+1. the session normalizes the program (maximal fission + stride
+   minimization) before daisy sees it,
 2. every nest matching a BLAS-3 kernel is replaced by the library call,
 3. every other nest is optimized with a recipe retrieved from the
    transfer-tuning database by embedding similarity; if no suitable entry
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ..ir.nodes import Program
-from ..normalization.pipeline import NormalizationOptions, normalize
 from ..passes.analysis import AnalysisManager
 from ..passes.base import PassContext
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
@@ -45,21 +45,19 @@ class DaisyConfig:
 
 
 class DaisyScheduler(Scheduler):
-    """Normalization + similarity-based transfer tuning."""
+    """Similarity-based transfer tuning of an already normalized program."""
 
     name = "daisy"
 
     def __init__(self, machine: MachineModel = DEFAULT_MACHINE,
                  config: Optional[DaisyConfig] = None,
-                 database: Optional[TuningDatabase] = None,
-                 pipeline: str = "a-priori"):
+                 database: Optional[TuningDatabase] = None):
         self.config = config or DaisyConfig()
         super().__init__(machine, self.config.threads)
         self.database = database if database is not None else TuningDatabase()
-        self.normalization = NormalizationOptions(pipeline)
-        #: Scheduler-lifetime memo: normalization, the search and every
-        #: recipe application ask it, so repeat scheduling of equivalent
-        #: nests reuses dependence/permutation analyses across calls.
+        #: Scheduler-lifetime memo: the search and every recipe application
+        #: ask it, so repeat scheduling of equivalent nests reuses
+        #: dependence/permutation analyses across calls.
         self._analysis = AnalysisManager()
         self._context = PassContext(analysis=self._analysis)
         self._search = EvolutionarySearch(self.cost_model, self.config.search)
@@ -73,11 +71,6 @@ class DaisyScheduler(Scheduler):
         """
         return self.schedule(program, parameters, seeding=True,
                              label=label or program.name)
-
-    def prepare(self, program: Program) -> ScheduleResult:
-        normalized, _report = normalize(program, self.normalization,
-                                        self._analysis)
-        return ScheduleResult(scheduler=self.name, program=normalized)
 
     def schedule_nest(self, program: Program, index: int,
                       parameters: Mapping[str, int], seeding: bool = False,

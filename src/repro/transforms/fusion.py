@@ -14,33 +14,9 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional
 
 from ..analysis.dataflow import adjacent_flows
 from ..analysis.dependence import dependences_between
-from ..ir.nodes import Loop, Node, Program
-from ..ir.symbols import Sym
+from ..ir.nodes import Loop, Node, Program, rename_iterators
 from ..passes.base import PassContext
 from .base import Transformation, TransformationError, get_nest
-
-
-def _rename_nest_iterators(nest: Loop, mapping: Dict[str, str]) -> Loop:
-    """Return a copy of ``nest`` with band iterators renamed per ``mapping``."""
-    clone = nest.copy()
-    substitution = {old: Sym(new) for old, new in mapping.items()}
-
-    def rewrite(node: Node) -> None:
-        if isinstance(node, Loop):
-            if node.iterator in mapping:
-                node.iterator = mapping[node.iterator]
-            node.start = node.start.substitute(substitution)
-            node.end = node.end.substitute(substitution)
-            node.step = node.step.substitute(substitution)
-            for child in node.body:
-                rewrite(child)
-        else:
-            if hasattr(node, "target"):
-                node.target = node.target.substitute(substitution)
-                node.value = node.value.substitute(substitution)
-
-    rewrite(clone)
-    return clone
 
 
 def _matching_band_depth(first: Loop, second: Loop) -> int:
@@ -73,7 +49,8 @@ def can_fuse(first: Loop, second: Loop, depth: Optional[int] = None) -> bool:
     band_a = first.perfectly_nested_band()[:match]
     band_b = second.perfectly_nested_band()[:match]
     mapping = {b.iterator: a.iterator for a, b in zip(band_a, band_b)}
-    renamed_second = _rename_nest_iterators(second, mapping)
+    renamed_second = second.copy()
+    rename_iterators(renamed_second, mapping)
 
     fused_iterators = [loop.iterator for loop in band_a]
     inner_a = first.perfectly_nested_band()[match - 1].body
@@ -101,7 +78,8 @@ def fuse_nests(first: Loop, second: Loop, depth: Optional[int] = None) -> Loop:
     band_a = first.perfectly_nested_band()[:match]
     band_b = second.perfectly_nested_band()[:match]
     mapping = {b.iterator: a.iterator for a, b in zip(band_a, band_b)}
-    renamed_second = _rename_nest_iterators(second, mapping)
+    renamed_second = second.copy()
+    rename_iterators(renamed_second, mapping)
 
     fused = first.copy()
     fused_inner = fused.perfectly_nested_band()[match - 1]

@@ -6,6 +6,7 @@ from helpers import build_gemm, build_vector_add
 from repro.ir import (Computation, LibraryCall, Loop, ProgramBuilder,
                       ValidationError, access, to_pseudocode, to_tree,
                       validate_program)
+from repro.ir.nodes import rename_iterators
 from repro.ir.symbols import Read, Sym
 
 
@@ -31,6 +32,18 @@ class TestComputation:
 
 
 class TestLoop:
+    def test_rename_iterators_reaches_headers_statements_and_flops(self):
+        inner = Loop("j", "i", "N", body=[
+            Computation(access("y", "i", "j"), Read("x", ("j",))),
+            LibraryCall("axpy", ["y"], ["x"], flop_expr=Sym("j") * Sym("i"))])
+        nest = Loop("i", 0, "N", body=[inner])
+        rename_iterators(nest, {"i": "a", "j": "b"})
+        assert nest.nested_iterators() == ["a", "b"]
+        assert inner.start == Sym("a")
+        assert str(inner.body[0].target) == "y[a, b]"
+        assert inner.body[0].value == Read("x", (Sym("b"),))
+        assert inner.body[1].flop_expr.free_symbols() == {"a", "b"}
+
     def test_trip_count(self):
         loop = Loop("i", 2, "N", 3)
         assert loop.trip_count({"N": 11}) == 3

@@ -1,14 +1,22 @@
 """Tests for the normalization passes: loop normal form, maximal fission,
 stride minimization, scalar expansion, and the combined pipeline."""
 
+import contextlib
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import build_gemm, build_stencil, build_vector_add
+from repro.api import Session
+from repro.api.hashing import program_content_hash
+from repro.experiments.cloudsc_pipeline import PIPELINE, daisy_optimize
 from repro.interp import programs_equivalent, run_program
-from repro.ir import ProgramBuilder, to_pseudocode
+from repro.ir import ProgramBuilder, program_to_dict, to_pseudocode
 from repro.normalization import (canonicalize_iterator_names, contract_arrays,
                                  expand_scalars, find_minimal_permutation,
                                  is_maximally_fissioned, maximal_loop_fission,
@@ -16,6 +24,7 @@ from repro.normalization import (canonicalize_iterator_names, contract_arrays,
                                  normalize_program, normalize_program_bounds)
 from repro.passes import (LoopNormalFormPass, Pipeline, ScalarExpansionPass,
                           ValidatePass)
+from repro.workloads import registry as workloads
 from repro.workloads.polybench import build_gemm_a, build_gemm_b
 
 PARAMS = {"NI": 8, "NJ": 9, "NK": 10}
@@ -38,6 +47,17 @@ class TestLoopNormalForm:
         before = to_pseudocode(vector_add_program)
         normalize_program_bounds(vector_add_program)
         assert to_pseudocode(vector_add_program) == before
+
+    def test_library_call_flops_are_reindexed(self):
+        b = ProgramBuilder("p", parameters=["N"])
+        b.add_array("x", ("N",))
+        b.add_array("y", ("N",))
+        with b.loop("i", 2, "N"):
+            b.library_call("axpy", ["y"], ["x"], flop_expr=b.sym("i") * 2)
+        program = b.finish()
+        assert normalize_loop_bounds(program.body[0])
+        call = program.body[0].body[0]
+        assert call.flop_expr == ((b.sym("i") + 2) * 2)
 
     def test_canonical_iterator_names(self, gemm_program):
         canonicalize_iterator_names(gemm_program)
@@ -161,6 +181,18 @@ class TestScalarExpansion:
         assert contracted == 1
         assert programs_equivalent(reference, program, {"N": 16})
 
+    def test_contraction_keeps_an_array_a_library_call_reads(self):
+        b = ProgramBuilder("p", parameters=["N"])
+        b.add_array("x", ("N",))
+        b.add_array("y", ("N",))
+        b.add_array("t", ("N",), transient=True)
+        with b.loop("i", 0, "N"):
+            b.assign(("t", "i"), b.read("x", "i") * 2)
+        b.library_call("copy", ["y"], ["t"], flop_expr="N")
+        program = b.finish()
+        assert contract_arrays(program) == 0
+        assert program.arrays["t"].rank == 1
+
 
 class TestPipeline:
     def test_gemm_variants_reach_same_canonical_form(self):
@@ -205,3 +237,77 @@ def test_all_gemm_loop_orders_normalize_equivalently(order):
     program = build_gemm(order=order)
     normalized, _ = normalize(program)
     assert programs_equivalent(program, normalized, {"NI": 6, "NJ": 7, "NK": 5})
+
+
+# -- pinned normalization outputs ---------------------------------------------
+#
+# ``tests/data/normalization_golden.json`` holds one digest per corpus
+# program: what every registered pipeline makes of it (content hash, full IR
+# and summed pass counters), plus daisy's CLOUDSC/erosion optimization.  A
+# rewrite of the IR walkers must reproduce it exactly.  Regenerate it only for
+# an intended behaviour change: ``PYTHONPATH=src:tests python -c "import
+# test_normalization; test_normalization.record_golden()"``.
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
+                           "normalization_golden.json")
+GOLDEN_PIPELINES = ("a-priori", "a-priori+rewrite", "a-priori-keep-names",
+                    "identity", "no-fission", "no-scalar-expansion",
+                    "no-stride", "rewrite", "rewrite-cse-only",
+                    "rewrite-expand", "rewrite-licm-only")
+GOLDEN_PROGRAMS = tuple(
+    [f"{name}:{variant}" for name in workloads.benchmark_names()
+     for variant in ("a", "b", "npbench")]
+    + ["cloudsc", "erosion"] + [f"fuzz:small-{seed}" for seed in range(80)])
+
+
+def _program_data(program):
+    """``program_to_dict`` with statements relabelled by first appearance:
+    an unnamed statement's label counts every node the process built."""
+    data = program_to_dict(program)
+    labels = {}
+
+    def relabel(nodes):
+        for node in nodes:
+            if node["kind"] == "computation":
+                node["name"] = labels.setdefault(node["name"], f"S{len(labels)}")
+            relabel(node.get("body", ()))
+
+    relabel(data["body"])
+    return data
+
+
+def _digest(data) -> str:
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def golden_digests():
+    """``{case: digest}`` for every corpus program and both daisy runs."""
+    digests = {}
+    with contextlib.closing(Session()) as session:
+        for name in GOLDEN_PROGRAMS:
+            outputs = {}
+            for pipeline in GOLDEN_PIPELINES:
+                result = session.normalize(name, pipeline)
+                outputs[pipeline] = [program_content_hash(result.program),
+                                     _program_data(result.program),
+                                     result.report.counters()]
+            digests[name] = _digest(outputs)
+    for name in ("cloudsc", "erosion"):
+        with contextlib.closing(Session(pipeline=PIPELINE)) as session:
+            program, info = daisy_optimize(session.load(name), session=session)
+        digests[f"daisy_optimize/{name}"] = _digest(
+            [_program_data(program), info])
+    return digests
+
+
+def record_golden():
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
+        json.dump(golden_digests(), handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
+def test_normalization_outputs_match_golden():
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert golden_digests() == golden

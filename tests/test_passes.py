@@ -18,7 +18,6 @@ from repro.passes import (AnalysisManager, FixedPoint, LoopNormalFormPass,
                           ValidatePass, get_pipeline, pipeline_names,
                           program_ir_size, register_pipeline,
                           unregister_pipeline)
-from repro.scheduler.daisy import DaisyScheduler
 from repro.transforms import Interchange, Recipe, apply_recipe
 from repro.workloads.polybench import build_gemm_a, build_gemm_b
 
@@ -218,10 +217,6 @@ class TestUnknownPipelineFailsEarly:
     def test_options(self):
         with pytest.raises(PipelineRegistryError):
             NormalizationOptions("typo")
-
-    def test_daisy_scheduler(self):
-        with pytest.raises(PipelineRegistryError):
-            DaisyScheduler(pipeline="typo")
 
     def test_session(self):
         with pytest.raises(PipelineRegistryError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.ir.symbols import (Add, Call, Const, FloorDiv, Max, Min, Mod, Mul,
                               Read, Sym, as_expr, call, const, maximum,
-                              minimum, read, sym)
+                              minimum, read, rebuild, sym)
 
 
 class TestConstruction:
@@ -76,6 +76,21 @@ class TestQueries:
         expr = Sym("i") + 1
         expr.substitute({"i": 5})
         assert expr.free_symbols() == {"i"}
+
+    @pytest.mark.parametrize("expr", [
+        Sym("i") + Sym("j") + 1, Sym("i") * Sym("N"),
+        FloorDiv.make(Sym("i"), Const(4)), Mod.make(Sym("i"), Const(4)),
+        minimum(Sym("i"), Sym("N")), maximum(Sym("i"), 0),
+        read("A", Sym("i"), 2), call("sqrt", read("A", Sym("i")))])
+    def test_rebuild_over_own_children_is_identity(self, expr):
+        assert type(rebuild(expr, expr.children())) is type(expr)
+        assert rebuild(expr, expr.children()) == expr
+
+    def test_rebuild_refolds_constants_and_keeps_leaves(self):
+        assert rebuild(Sym("i") + 1, [Const(2), Const(1)]) == Const(3)
+        assert rebuild(read("A", Sym("i")), [Const(0)]) == read("A", 0)
+        for leaf in (Sym("i"), Const(2)):
+            assert rebuild(leaf, []) is leaf
 
     def test_evaluate_unbound_symbol_raises(self):
         with pytest.raises(KeyError):
