@@ -43,8 +43,8 @@ class ScheduleRequest:
 
     ``priority`` and ``client`` only matter to a serving layer: priorities
     run 0 (most urgent) through 9 (least, the default is
-    :data:`DEFAULT_PRIORITY`), and the default ``strict-priority`` serving
-    queue drains strictly in priority order (FIFO within one priority).
+    :data:`DEFAULT_PRIORITY`), and the serving queue drains strictly in
+    priority order (FIFO within one priority).
     ``client`` is an opaque caller identity used for per-client admission
     control; neither field affects the scheduling outcome, so they are
     excluded from coalescing fingerprints and cache keys.

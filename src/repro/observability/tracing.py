@@ -45,6 +45,10 @@ __all__ = [
 #: parent correctly even though ContextVar values are immutable snapshots.
 _ACTIVE = contextvars.ContextVar("repro_trace_active", default=None)
 
+#: Most traces a tracer holds open at once; the oldest open one is dropped
+#: past this (a root that never finishes must not grow the table forever).
+MAX_OPEN_TRACES = 1024
+
 
 def _hash_id(material: str) -> str:
     """A short, stable hex id derived from ``material``."""
@@ -225,13 +229,12 @@ class Tracer:
     """
 
     def __init__(self, capacity: int = 256, process: Optional[str] = None,
-                 enabled: bool = True, max_open: int = 1024):
+                 enabled: bool = True):
         if capacity < 1:
             raise ValueError("tracer capacity must be >= 1")
         self.capacity = capacity
         self.enabled = enabled
         self.process = process if process is not None else f"pid-{os.getpid()}"
-        self.max_open = max_open
         self._lock = threading.RLock()
         self._open: "OrderedDict[str, List[Span]]" = OrderedDict()
         self._seq: Dict[str, int] = {}
@@ -313,7 +316,7 @@ class Tracer:
                 self._finalize(span, spans)
                 return
             self._open.setdefault(span.trace_id, []).append(span)
-            while len(self._open) > self.max_open:
+            while len(self._open) > MAX_OPEN_TRACES:
                 stale, _ = self._open.popitem(last=False)
                 self._seq.pop(stale, None)
 

@@ -4,9 +4,8 @@ The subsystem layers onto :mod:`repro.api` without changing it:
 
 * :class:`ServiceRunner` — a blocking ``schedule()`` that serves
   response-cache hits on the calling thread and queues misses for one
-  batcher thread: a queue ordered by a :class:`QueuePolicy`
-  (``strict-priority`` by default — ``ScheduleRequest.priority``, 0 most
-  urgent — or ``weighted-fair``), admission control
+  batcher thread: a queue drained by ``ScheduleRequest.priority`` (0 most
+  urgent, FIFO within one priority), admission control
   (:class:`AdmissionController` sheds load with a typed
   :class:`AdmissionError`), micro-batching over
   ``Session.schedule_batch``, and coalescing of identical in-flight
@@ -32,7 +31,6 @@ The subsystem layers onto :mod:`repro.api` without changing it:
 
 from .client import ServingClient, ServingError
 from .http import JsonAccessLog, ServingServer
-from .policy import PolicyError, QueuePolicy, create_policy, policy_names
 from .service import (AdmissionController, AdmissionError, RequestTiming,
                       ServiceConfig, ServiceRunner, request_fingerprint)
 from .workers import (PoolStats, WorkerConfig, WorkerError, WorkerPool,
@@ -42,7 +40,6 @@ __all__ = [
     "ServiceConfig", "ServiceRunner",
     "AdmissionController", "AdmissionError",
     "RequestTiming", "request_fingerprint",
-    "QueuePolicy", "PolicyError", "policy_names", "create_policy",
     "WorkerPool", "WorkerConfig", "WorkerError", "PoolStats",
     "merge_worker_reports",
     "ServingServer", "ServingClient", "ServingError", "JsonAccessLog",

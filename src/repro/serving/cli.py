@@ -6,12 +6,11 @@ Subcommands:
   ``--workers N`` serves through a multi-process
   :class:`~repro.serving.workers.WorkerPool` sharing one SQLite cache,
   ``--max-queue-depth`` / ``--max-client-inflight`` configure admission
-  control (load shedding with HTTP 429), ``--policy`` selects the
-  queue-scheduling policy (strict-priority / weighted-fair),
-  ``--latency-slo`` sets the target the SLO alert rules burn against,
-  ``--metrics`` / ``--no-metrics`` toggle the Prometheus-text ``/metrics``
-  endpoint, ``--access-log`` writes structured JSON access logs, and
-  ``--no-trace`` disables request tracing (``/v1/traces``).
+  control (load shedding with HTTP 429), ``--latency-slo`` sets the target
+  the SLO alert rules burn against, ``--access-log`` writes structured
+  JSON access logs, and ``--no-trace`` disables request tracing
+  (``/v1/traces``).  The Prometheus-text ``/metrics`` endpoint is always
+  served.
 * ``trace-dump``  — fetch finished traces from a running server and emit
   them as Chrome trace-event JSON (loadable in Perfetto /
   ``chrome://tracing``) or as JSONL, to ``--output`` or stdout.
@@ -40,7 +39,6 @@ from ..api.types import ScheduleRequest
 from ..scheduler.database import TuningDatabase
 from ..workloads.registry import benchmark_names
 from .http import ServingServer
-from .policy import policy_names
 from .service import ServiceConfig
 from .workers import WorkerConfig, WorkerPool
 
@@ -96,7 +94,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = ServiceConfig(max_batch_size=args.max_batch,
                                max_queue_depth=args.max_queue_depth,
                                max_client_inflight=args.max_client_inflight,
-                               policy=args.policy,
                                latency_slo_s=args.latency_slo)
         if not args.alert_interval > 0:
             raise ValueError(f"--alert-interval must be > 0, got "
@@ -128,19 +125,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             session.tracer.enabled = False
         server = ServingServer(session, host=args.host, port=args.port,
                                config=config, pool=pool,
-                               expose_metrics=args.metrics,
                                access_log=access_log,
-                               expose_traces=args.trace,
                                alert_interval_s=args.alert_interval)
         server.start()
         print(f"serving on {server.address} "
               f"(scheduler={args.scheduler}, threads={args.threads}, "
-              f"policy={args.policy}, "
               f"workers={args.workers or 'in-process'}, "
               f"cache={'sqlite:' + args.cache_path if args.cache_path else 'memory'}, "
               f"database={len(session.database)} entries, "
               f"queue-depth={args.max_queue_depth}, "
-              f"metrics={'on' if args.metrics else 'off'}, "
               f"tracing={'on' if args.trace else 'off'})", flush=True)
         server.serve_forever()
     finally:
@@ -243,21 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queue-depth", type=int, default=256,
                        help="shed load (HTTP 429) beyond this many queued "
                             "requests (0: unbounded)")
-    serve.add_argument("--policy", default="strict-priority",
-                       choices=policy_names(),
-                       help="queue-scheduling policy "
-                            "(default: strict-priority)")
     serve.add_argument("--latency-slo", type=float, default=0.25,
                        help="target p95 end-to-end latency in seconds "
                             "(alert rules; default: 0.25)")
     serve.add_argument("--max-client-inflight", type=int, default=0,
                        help="per-client in-flight request limit "
                             "(0: unlimited)")
-    serve.add_argument("--metrics", action="store_true", default=True,
-                       help="expose the Prometheus-text /metrics endpoint "
-                            "(on by default; see --no-metrics)")
-    serve.add_argument("--no-metrics", dest="metrics", action="store_false",
-                       help="disable the /metrics endpoint")
     serve.add_argument("--access-log", default=None, metavar="PATH",
                        help="write a JSON-lines access log of schedule "
                             "traffic to PATH ('-' for stdout)")

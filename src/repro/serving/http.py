@@ -14,7 +14,7 @@ Routes:
   the scrape (one round trip per worker, like the report).
 * ``GET  /v1/traces``   — newest-first summaries of the trace ring buffer
   (``?limit=N`` caps the listing); ``GET /v1/traces/<trace_id>`` returns
-  one full span tree.  404 when tracing is disabled.
+  one full span tree.  404 while the session's tracer is disabled.
 * ``GET  /alerts``      — a fresh evaluation of every alert rule over the
   live registry (threshold, rate, and multi-window SLO burn), with the
   currently firing subset called out.
@@ -121,28 +121,24 @@ class ServingServer:
     whose processes serve the micro-batches; the server reports through it
     but does not own it — whoever created the pool closes it.
 
-    ``expose_metrics`` controls the ``/metrics`` route (on by default; the
-    scrape itself is read-only and cheap).  ``access_log`` — a path or a
-    writable text stream — enables the structured JSON access log for
-    ``/v1/schedule`` traffic.
+    ``access_log`` — a path or a writable text stream — enables the
+    structured JSON access log for ``/v1/schedule`` traffic.  ``/metrics``
+    is always served (it reads the registry every request writes); the
+    ``/v1/traces`` routes answer while the session's tracer is enabled.
     """
 
     def __init__(self, session: Session, host: str = "127.0.0.1",
                  port: int = 0, config: Optional[ServiceConfig] = None,
                  pool: "Optional[WorkerPool]" = None,
-                 expose_metrics: bool = True,
                  access_log: "Union[None, str, IO[str]]" = None,
-                 expose_traces: bool = True,
                  alert_rules=None,
                  alert_interval_s: float = 5.0):
         self.session = session
         self.pool = pool
         self.runner = ServiceRunner(session, config, pool=pool)
         self.metrics = session.metrics
-        self.expose_metrics = expose_metrics
-        self.tracer = getattr(session, "tracer", None)
-        self.expose_traces = expose_traces and self.tracer is not None
-        if pool is not None and getattr(pool, "tracer", None) is None:
+        self.tracer = session.tracer
+        if pool is not None and pool.tracer is None:
             # Worker span fragments rejoin the coordinator session's tracer.
             pool.tracer = self.tracer
         service_config = self.runner.config
@@ -248,7 +244,6 @@ class ServingServer:
                       ) -> Tuple[int, Dict[str, Any]]:
         payload = self.session.report().to_dict()
         payload["service"] = self.runner.stats.to_dict()
-        payload["service"]["policy"] = self.runner.config.policy
         payload["admission"] = self.runner.admission.stats.to_dict()
         if self.pool is not None:
             if include_workers:
@@ -278,7 +273,7 @@ class ServingServer:
     def handle_traces(self, limit: Optional[int] = None
                       ) -> Tuple[int, Dict[str, Any]]:
         """``GET /v1/traces``: newest-first trace summaries."""
-        if not self.expose_traces:
+        if not self.tracer.enabled:
             return 404, {"error": "tracing is disabled"}
         return 200, {"traces": self.tracer.traces(limit),
                      "capacity": self.tracer.capacity,
@@ -286,7 +281,7 @@ class ServingServer:
 
     def handle_trace(self, trace_id: str) -> Tuple[int, Dict[str, Any]]:
         """``GET /v1/traces/<trace_id>``: one full span tree."""
-        if not self.expose_traces:
+        if not self.tracer.enabled:
             return 404, {"error": "tracing is disabled"}
         record = self.tracer.get(trace_id)
         if record is None:
@@ -313,9 +308,6 @@ class ServingServer:
     def handle_metrics(self, include_workers: bool = False
                        ) -> Tuple[int, str, str]:
         """Returns ``(status, content_type, body)`` for ``GET /metrics``."""
-        if not self.expose_metrics:
-            return (404, "application/json",
-                    json.dumps({"error": "metrics endpoint is disabled"}))
         return 200, PROMETHEUS_CONTENT_TYPE, self.render_metrics(include_workers)
 
     def _next_request_id(self) -> str:
@@ -328,7 +320,7 @@ class ServingServer:
         trace, and the exception that reports it may be shared by a whole
         batch; the ring buffer is asked instead (failures are rare)."""
         tracer = self.tracer
-        if tracer is None or not tracer.enabled:
+        if not tracer.enabled:
             return None
         trace_id = tracer.trace_id_for(request_id)
         return trace_id if tracer.get(trace_id) is not None else None
@@ -494,7 +486,10 @@ def _make_handler(server: ServingServer):
             # A str payload is pre-encoded (the worker-pool fast path).
             body = (payload if isinstance(payload, str)
                     else json.dumps(payload)).encode("utf-8")
-            day, month, date, clock, year = time.asctime(time.gmtime()).split()
+            # time.gmtime() alone reads C time(), a coarser clock that lags
+            # time.time() just after a second boundary.
+            day, month, date, clock, year = \
+                time.asctime(time.gmtime(time.time())).split()
             head = [
                 f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
                 f"Server: {self.server_version}",

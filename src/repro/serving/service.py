@@ -18,11 +18,9 @@ tests):
   parameters, scheduler, threads, normalize flag) share one future: burst
   duplicates cost a single scheduler invocation.  Priority and client
   identity do not split the key; they affect queue order and admission.
-* **policy-ordered queue** — a miss is queued and its caller blocks on a
-  future; one batcher thread drains the queue in the order of the
-  configured :class:`~repro.serving.policy.QueuePolicy`:
-  ``strict-priority`` (the default; 0 most urgent, FIFO within one
-  priority) or the starvation-free ``weighted-fair``.
+* **priority queue** — a miss is queued and its caller blocks on a
+  future; one batcher thread drains the queue by priority (0 most urgent),
+  FIFO within one priority.
 * **micro-batching** — the batcher dispatches the most urgent request plus
   every request already queued behind it, up to
   :attr:`ServiceConfig.max_batch_size`, with no window for stragglers, and
@@ -46,7 +44,6 @@ from ..api.session import Session
 from ..api.types import ScheduleRequest, ScheduleResponse
 from ..ir.nodes import Program
 from ..observability import CounterView, MetricsRegistry, Span
-from .policy import create_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (workers use api)
     from .workers import WorkerPool
@@ -74,9 +71,6 @@ class ServiceConfig:
     max_client_inflight: int = 0
     #: Retry hint attached to admission rejections (HTTP ``Retry-After``).
     retry_after_s: float = 0.05
-    #: Queue-scheduling policy (see :mod:`repro.serving.policy`):
-    #: ``strict-priority`` (the default) or ``weighted-fair``.
-    policy: str = "strict-priority"
     #: Target end-to-end latency SLO (the default alert rules burn
     #: against it).
     latency_slo_s: float = 0.25
@@ -210,20 +204,18 @@ class RequestTiming:
 class _Pending:
     """One queued request plus the future its submitters block on.
 
-    The queue is a heap of these ordered by ``(best_key, seq)``: the best
-    (smallest) policy sort key any submitter contributed, then arrival —
-    FIFO within one key.  An urgent coalescing rider re-keys its
-    still-queued leader in place (``best_priority`` is the human-readable
-    twin for traces).  ``enqueued_at`` / ``claimed_at`` (``perf_counter``;
+    The queue is a heap of these ordered by ``(priority, seq)``: the most
+    urgent priority any submitter brought, then arrival — FIFO within one
+    priority.  An urgent coalescing rider moves its still-queued leader up
+    in place.  ``enqueued_at`` / ``claimed_at`` (``perf_counter``;
     0 until a batch claims the entry) feed the queue-wait metrics and
     access logs.
     """
 
     key: str
     request: ScheduleRequest
-    best_key: Tuple[float, ...]
+    priority: int
     seq: int
-    best_priority: int
     future: "Future[ScheduleResponse]" = field(default_factory=Future,
                                                repr=False)
     enqueued_at: float = 0.0
@@ -234,7 +226,7 @@ class _Pending:
     claimed_wall: float = 0.0
 
     def __lt__(self, other: "_Pending") -> bool:
-        return (self.best_key, self.seq) < (other.best_key, other.seq)
+        return (self.priority, self.seq) < (other.priority, other.seq)
 
 
 class ServiceRunner:
@@ -256,14 +248,9 @@ class ServiceRunner:
         self.config = config or ServiceConfig()
         self.pool = pool
         #: All service instruments live on the session's registry, so one
-        #: ``/metrics`` scrape covers session, cache, and service.  Sessions
-        #: are duck-typed here (tests stub them), so a missing registry
-        #: falls back to a private one.
-        metrics = getattr(session, "metrics", None)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: The session's tracer (sessions are duck-typed in tests; a stub
-        #: without one simply serves untraced).
-        self._tracer = getattr(session, "tracer", None)
+        #: ``/metrics`` scrape covers session, cache, and service.
+        self.metrics = session.metrics
+        self._tracer = session.tracer
         #: Fallback request-id source for programmatic callers that don't
         #: pass one (the HTTP layer always does).
         self._local_prefix = f"local-{os.getpid()}-"
@@ -312,11 +299,8 @@ class ServiceRunner:
             "repro_request_phase_seconds",
             "Time spent per serving phase (queue wait, schedule "
             "execution).", ("phase",))
-        #: The queue-ordering policy.  Raises PolicyError for unknown names
-        #: at construction, not at first request.
-        self.policy = create_policy(self.config.policy)
-        # The condition's lock guards the queue, ``_inflight``, the policy
-        # and admission state; the batcher waits on it for work.
+        # The condition's lock guards the queue, ``_inflight`` and the
+        # admission state; the batcher waits on it for work.
         self._cond = threading.Condition()
         self._queue: List[_Pending] = []  # a heap (see _Pending)
         self._arrivals = itertools.count(1)
@@ -405,14 +389,12 @@ class ServiceRunner:
             raise ValueError("tune requests mutate the database and are not "
                              "served; tune through the session directly")
         key = request_fingerprint(request)
-        # (stub sessions have no response cache; in-flight duplicates coalesce)
-        lookup = getattr(self.session, "lookup_response", None)
-        if lookup is None or key in self._inflight:
+        if key in self._inflight:  # an in-flight duplicate coalesces
             return None, key, arrived
         # Reading the response cache before admission keeps hits immune to
         # queue saturation (they add no queued work) at one cache get per
         # miss.
-        response = lookup(request, key)
+        response = self.session.lookup_response(request, key)
         if response is None:
             return None, key, arrived
         self.stats.inc("requests")
@@ -433,7 +415,7 @@ class ServiceRunner:
         root = None
         outcome = "error"
         try:
-            if tracer is not None and tracer.enabled:
+            if tracer.enabled:
                 root = self._open_root(request, request_id, arrived)
                 # Child spans of every downstream layer (queue, schedule,
                 # session, worker) attach under this root via the request:
@@ -458,11 +440,10 @@ class ServiceRunner:
                 self.stats.inc("requests")
                 started = time.perf_counter()
                 if rider:
-                    self._ride(pending, request, root, started)
+                    self._ride(pending, request, root)
                 else:
                     pending = _Pending(
-                        key, request, self.policy.sort_key(request, started),
-                        next(self._arrivals), request.priority,
+                        key, request, request.priority, next(self._arrivals),
                         enqueued_at=started, enqueued_wall=time.time())
                     self._inflight[key] = pending
                     heapq.heappush(self._queue, pending)
@@ -498,19 +479,17 @@ class ServiceRunner:
                 tracer.finish(root, status=outcome)
 
     def _ride(self, leader: _Pending, request: ScheduleRequest,
-              root: Optional[Span], now: float) -> None:
+              root: Optional[Span]) -> None:
         """Coalesce ``request`` onto its identical in-flight ``leader``
         (under the lock); its response is a copy (see :meth:`_reissue`)."""
         self.stats.inc("coalesced")
         if root is not None:
             root.set_attribute("coalesced", True)
-        rider_key = self.policy.rider_key(request, now)
-        if rider_key < leader.best_key and not leader.claimed_at:
-            # An urgent rider must not drain at its leader's worse key: the
-            # still-queued leader moves to the better one, behind whatever
-            # already waits there.
-            leader.best_key = rider_key
-            leader.best_priority = min(leader.best_priority, request.priority)
+        if request.priority < leader.priority and not leader.claimed_at:
+            # An urgent rider must not drain at its leader's worse priority:
+            # the still-queued leader moves up to the rider's, behind
+            # whatever already waits there.
+            leader.priority = request.priority
             leader.seq = next(self._arrivals)
             heapq.heapify(self._queue)
 
@@ -568,7 +547,7 @@ class ServiceRunner:
 
     def _claim(self) -> List[_Pending]:
         """Claim the most urgent request and every request queued behind it
-        in policy order, up to ``max_batch_size`` (under the lock).  Nothing
+        in priority order, up to ``max_batch_size`` (under the lock).  Nothing
         waits for stragglers: requests that arrive while a batch runs form
         the next one."""
         queue = self._queue
@@ -576,10 +555,6 @@ class ServiceRunner:
         batch: List[_Pending] = []
         while queue and len(batch) < self.config.max_batch_size:
             pending = heapq.heappop(queue)
-            # Stateful policies advance on entry into service (weighted-fair
-            # moves its global virtual clock to the served key, which floors
-            # idle classes' next keys).
-            self.policy.on_dequeue(pending.best_key)
             pending.claimed_at, pending.claimed_wall = claimed_at, claimed_wall
             batch.append(pending)
         self._queue_depth.set(len(queue))
@@ -597,14 +572,14 @@ class ServiceRunner:
         for pending in batch:
             self._phase_histogram.labels("queue").observe(
                 max(0.0, pending.claimed_at - pending.enqueued_at))
-            context = getattr(pending.request, "trace", None)
-            if tracer is None or not tracer.enabled or not context:
+            context = pending.request.trace
+            if not tracer.enabled or not context:
                 continue
             trace_id = context["trace_id"]
             parent_id = context.get("span_id")
             tracer.record(trace_id, parent_id, "service.queue",
                           pending.enqueued_wall, pending.claimed_wall,
-                          {"priority": pending.best_priority})
+                          {"priority": pending.priority})
             # The schedule span becomes the parent of everything the
             # executing side records (session, passes, cache, search) —
             # including worker-process spans, which rejoin through the
@@ -655,9 +630,7 @@ class ServiceRunner:
         # both came from cache are deterministic repeats, so their encoded
         # bytes are stored for zero-parse serving (the store itself checks
         # the flags).
-        store = getattr(self.session, "store_response", None)
-        if store is not None:
-            for request, response in zip(requests, responses):
-                if not isinstance(response, Exception):
-                    store(request, response)
+        for request, response in zip(requests, responses):
+            if not isinstance(response, Exception):
+                self.session.store_response(request, response)
         return responses

@@ -21,6 +21,7 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, os.path.abspath(_SRC))
 
 from repro.ir import ProgramBuilder  # noqa: E402
+from repro.observability import MetricsRegistry, Tracer  # noqa: E402
 
 
 def build_gemm(order=("i", "j", "k"), name=None, with_scaling=True):
@@ -228,11 +229,21 @@ def stub_response(program):
 class StubSession:
     """Session stand-in recording the order requests reach the executor
     and the size of each batch (a runner counts coalesced rides in its
-    own ``stats``)."""
+    own ``stats``).  It has the members a runner reads: a registry, a
+    disabled tracer, and a response cache that never hits and keeps
+    nothing."""
 
     def __init__(self):
         self.order = []
         self.batches = []
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer(enabled=False)
+
+    def lookup_response(self, request, key=None):
+        return None
+
+    def store_response(self, request, response):
+        pass
 
     def schedule_batch(self, requests, return_exceptions=False):
         self.batches.append(len(requests))
@@ -272,7 +283,7 @@ def queue_behind(runner, first, requests, timeout=60.0):
     sent; then release it.  Returns every outcome — a response or the
     exception raised — in the order ``[first, *requests]``.
 
-    So ``requests`` queue in policy order or ride an identical in-flight
+    So ``requests`` queue in priority order or ride an identical in-flight
     request, as a burst does behind a slow batch.
     """
     release = threading.Event()

@@ -444,7 +444,6 @@ PINNED = {
         "errors": 0,
         "fast_lane": 1,
         "largest_batch": 1,
-        "policy": "strict-priority",
         "rejected": 0,
         "requests": 7,
         "scheduled": 5

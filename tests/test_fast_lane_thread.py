@@ -276,9 +276,10 @@ def test_eight_threads_through_one_runner_match_the_reference(fast_lane,
     reference = _reference_texts(WARM + COLD)
     session = fast_session()
     if not fast_lane:
-        # A session without a response-cache read: every request takes
+        # A response-cache read that always misses: every request takes
         # the slow lane.
-        monkeypatch.setattr(session, "lookup_response", None)
+        monkeypatch.setattr(session, "lookup_response",
+                            lambda request, key=None: None)
     results = [[] for _ in range(THREADS)]
     barrier = threading.Barrier(THREADS)
 

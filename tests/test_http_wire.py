@@ -99,6 +99,23 @@ class TestServerWire:
                 return
         pytest.fail("the clock never held still for a second")
 
+    @pytest.mark.parametrize("now,date", [
+        (1_000_000_000.5, "Sun, 09 Sep 2001 01:46:40 GMT"),
+        (1_000_000_000.999, "Sun, 09 Sep 2001 01:46:40 GMT"),
+        (1_000_000_001.0, "Sun, 09 Sep 2001 01:46:41 GMT")],
+        ids=["mid-second", "end-of-second", "next-second"])
+    def test_date_reads_the_clock_time_time_reads(self, server, monkeypatch,
+                                                  now, date):
+        # time.gmtime() with no argument reads C time(), which can lag
+        # time.time() by a second just after a boundary; pinned here, it
+        # would not read the pin at all.  The second is truncated, never
+        # rounded up.
+        monkeypatch.setattr(time, "time", lambda: now)
+        with _connect(server) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            head, _ = _read_reply(sock, bytearray())
+        assert f"\r\nDate: {date}\r\n" in head
+
     def test_expect_100_continue_then_the_reply(self, server):
         body = json.dumps({"program": "gemm:a"}).encode()
         with _connect(server) as sock:

@@ -1,6 +1,8 @@
-"""Tests for the queue-scheduling policies and the online
-measurement-feedback loop (session-, database-, and pool-level)."""
+"""Tests for the serving queue's drain order, the options removed from
+the service, and the online measurement-feedback loop (session-,
+database-, and pool-level)."""
 
+import importlib
 import json
 import math
 import types
@@ -16,51 +18,15 @@ from repro.scheduler.database import (DatabaseEntry, TuningDatabase,
                                       apply_feedback_record, recipe_base_name,
                                       recipe_identity)
 from repro.scheduler.embedding import EMBEDDING_SIZE, PerformanceEmbedding
-from repro.serving import (PolicyError, ServiceConfig, ServiceRunner,
-                           ServingClient, ServingServer, WorkerConfig,
-                           WorkerPool, create_policy, policy_names,
-                           request_fingerprint)
+from repro.serving import (ServiceConfig, ServiceRunner, ServingServer,
+                           WorkerConfig, WorkerPool, request_fingerprint)
 from repro.serving import cli
 from repro.serving.cli import build_parser
-from repro.serving.policy import StrictPriorityPolicy, WeightedFairPolicy
+from repro.serving.service import _Pending
 from repro.transforms.recipe import Recipe
 
 FAST_SEARCH = SearchConfig(population_size=4, epochs=1,
                            generations_per_epoch=1)
-
-
-def _request(priority=0, program="p"):
-    return ScheduleRequest(program=program, priority=priority)
-
-
-# -- the policy table ---------------------------------------------------------------
-
-class TestPolicyRegistry:
-    def test_shipped_policies_are_registered(self):
-        assert policy_names() == ["strict-priority", "weighted-fair"]
-
-    def test_create_policy_returns_named_instances(self):
-        for name, cls in (("strict-priority", StrictPriorityPolicy),
-                          ("weighted-fair", WeightedFairPolicy)):
-            assert isinstance(create_policy(name), cls)
-
-    def test_unknown_policy_raises_with_the_known_names(self):
-        messages = []
-        for name in ("shortest-job-first", "edf", "aging"):
-            with pytest.raises(PolicyError) as caught:
-                create_policy(name)
-            messages.append(str(caught.value))
-            assert name in messages[-1]
-        with pytest.raises(PolicyError) as caught:
-            ServiceRunner(StubSession(), ServiceConfig(policy="aging"))
-        messages.append(str(caught.value))
-        for message in messages:
-            assert message.endswith(
-                "known policies: strict-priority, weighted-fair")
-
-    def test_unknown_policy_fails_at_service_construction(self):
-        with pytest.raises(PolicyError):
-            ServiceRunner(StubSession(), ServiceConfig(policy="not-a-policy"))
 
 
 # -- removed options fail loudly, removed request keys are ignored ------------------
@@ -68,7 +34,9 @@ class TestPolicyRegistry:
 @pytest.mark.parametrize("flags", [["--adaptive"], ["--aging-interval", "1"],
                                    ["--push-url", "http://x"],
                                    ["--push-interval", "1"],
-                                   ["--batch-window", "0.01"]],
+                                   ["--batch-window", "0.01"],
+                                   ["--policy", "weighted-fair"],
+                                   ["--metrics"], ["--no-metrics"]],
                          ids=lambda flags: flags[0])
 def test_removed_serve_flags_exit_with_a_usage_error(flags, capsys):
     with pytest.raises(SystemExit) as caught:
@@ -77,32 +45,15 @@ def test_removed_serve_flags_exit_with_a_usage_error(flags, capsys):
     assert flags[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("policy,accepted", [("strict-priority", True),
-                                             ("weighted-fair", True),
-                                             ("edf", False), ("aging", False)])
-def test_serve_policy_choices_are_the_two_policies(policy, accepted, capsys):
-    if accepted:
-        args = build_parser().parse_args(["serve", "--policy", policy])
-        assert args.policy == policy
-        return
-    with pytest.raises(SystemExit) as caught:
-        build_parser().parse_args(["serve", "--policy", policy])
-    assert caught.value.code == 2
-    error = capsys.readouterr().err.splitlines()[-1]
-    assert f"invalid choice: '{policy}'" in error
-    choices = error[error.index("(choose from"):]
-    assert choices.replace("'", "") \
-        == "(choose from strict-priority, weighted-fair)"
-
-
 def test_serve_help_lists_no_removed_flag(capsys):
     with pytest.raises(SystemExit) as caught:
         build_parser().parse_args(["serve", "--help"])
     assert caught.value.code == 0
     usage = capsys.readouterr().out
-    assert "--policy" in usage
+    assert "--max-queue-depth" in usage
     for flag in ("--adaptive", "--aging-interval", "--push-url",
-                 "--push-interval", "--batch-window"):
+                 "--push-interval", "--batch-window", "--policy",
+                 "--metrics", "--no-metrics"):
         assert flag not in usage
 
 
@@ -112,7 +63,8 @@ def test_serve_help_lists_no_removed_flag(capsys):
                                          ("adaptive_interval_s", 1.0),
                                          ("batch_window_s", 0.01),
                                          ("max_workers", 4),
-                                         ("fast_lane", False)])
+                                         ("fast_lane", False),
+                                         ("policy", "weighted-fair")])
 def test_removed_service_config_fields_are_rejected(field, value):
     with pytest.raises(TypeError, match=field):
         ServiceConfig(**{field: value})
@@ -150,11 +102,64 @@ def test_serve_exits_2_on_an_out_of_range_value(flags, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("keyword,value", [("push_url", "http://x"),
-                                           ("push_interval_s", 1.0)])
+                                           ("push_interval_s", 1.0),
+                                           ("expose_metrics", False),
+                                           ("expose_traces", False)])
 def test_removed_server_keywords_are_rejected(keyword, value):
     # Rejected by the signature, before a session is touched or a port bound.
     with pytest.raises(TypeError, match=keyword):
         ServingServer(None, **{keyword: value})
+
+
+@pytest.mark.parametrize("name", ["QueuePolicy", "PolicyError",
+                                  "create_policy", "policy_names"])
+def test_removed_policy_exports_are_gone(name):
+    serving = importlib.import_module("repro.serving")
+    assert name not in serving.__all__
+    with pytest.raises(ImportError, match=name):
+        exec(f"from repro.serving import {name}", {})
+
+
+def test_the_policy_module_is_gone():
+    with pytest.raises(ModuleNotFoundError, match="repro.serving.policy"):
+        importlib.import_module("repro.serving.policy")
+
+
+@pytest.mark.parametrize("flags,tracing", [([], True), (["--no-trace"], False)],
+                         ids=["default", "no-trace"])
+def test_serve_hands_the_server_its_session_and_nothing_else(
+        flags, tracing, capsys, monkeypatch):
+    # The banner names no policy or metrics switch, and the trace routes
+    # follow the session's tracer, the one switch --no-trace sets.
+    session = StubSession()
+    session.tracer.enabled = True
+    session.database = []
+    session.close = lambda: None
+    built = []
+
+    class Server:
+        address = "http://127.0.0.1:0"
+
+        def __init__(self, served, **kwargs):
+            built.append((served, kwargs))
+
+        def start(self):
+            pass
+
+        def serve_forever(self):
+            pass
+
+    monkeypatch.setattr(cli, "ServingServer", Server)
+    monkeypatch.setattr(cli, "_build_session", lambda args: session)
+    assert cli.main(["serve", *flags]) == 0
+    (served, kwargs), = built
+    assert served is session and session.tracer.enabled is tracing
+    assert set(kwargs) == {"host", "port", "config", "pool", "access_log",
+                           "alert_interval_s"}
+    banner = capsys.readouterr().out
+    assert banner.startswith("serving on http://127.0.0.1:0 (")
+    assert f"tracing={'on' if tracing else 'off'})" in banner
+    assert "policy=" not in banner and "metrics=" not in banner
 
 
 def test_a_deadline_key_is_ignored():
@@ -168,63 +173,6 @@ def test_a_deadline_key_is_ignored():
 def test_a_deadline_keyword_is_rejected():
     with pytest.raises(TypeError, match="deadline_s"):
         ScheduleRequest(program="gemm:a", deadline_s=0.5)
-
-
-# -- per-policy key semantics -------------------------------------------------------
-
-class TestStrictPriorityKeys:
-    def test_key_is_the_priority(self):
-        policy = create_policy("strict-priority")
-        assert policy.sort_key(_request(priority=7), 123.0) == (7.0,)
-        assert policy.rider_key(_request(priority=2), 9.0) \
-            < policy.sort_key(_request(priority=3), 0.0)
-
-
-class TestWeightedFairKeys:
-    def test_class_clocks_advance_inversely_to_weight(self):
-        policy = WeightedFairPolicy()
-        # Priority 0 weighs 10 (finish += 0.1); priority 9 weighs 1.
-        assert policy.sort_key(_request(priority=0), 0.0) == (0.1,)
-        assert policy.sort_key(_request(priority=0), 0.0) == (0.2,)
-        assert policy.sort_key(_request(priority=9), 0.0) == (1.0,)
-        assert policy.sort_key(_request(priority=9), 0.0) == (2.0,)
-
-    def test_rider_key_peeks_without_advancing_the_clock(self):
-        policy = WeightedFairPolicy()
-        peeked = policy.rider_key(_request(priority=0), 0.0)
-        assert peeked == (0.1,)
-        # The peek committed nothing: the real enqueue gets the same key.
-        assert policy.sort_key(_request(priority=0), 0.0) == peeked
-
-    @pytest.mark.parametrize("priority,weight", [(0, 10), (5, 5), (9, 1),
-                                                 (12, 1)])
-    def test_weight_is_the_distance_from_the_lowest_class(self, priority,
-                                                          weight):
-        # LOWEST_PRIORITY + 1 - priority; a class outside 0..9 weighs 1.
-        policy = WeightedFairPolicy()
-        assert policy.sort_key(_request(priority=priority), 0.0) \
-            == pytest.approx((1.0 / weight,))
-        assert policy.sort_key(_request(priority=priority), 0.0) \
-            == pytest.approx((2.0 / weight,))
-
-    def test_each_instance_keeps_its_own_clocks(self):
-        # Two services never share class clocks or virtual time.
-        first = create_policy("weighted-fair")
-        second = create_policy("weighted-fair")
-        for _ in range(3):
-            first.on_dequeue(first.sort_key(_request(priority=9), 0.0))
-        assert second.sort_key(_request(priority=9), 0.0) == (1.0,)
-        assert first.sort_key(_request(priority=9), 0.0) == (4.0,)
-
-    def test_dequeue_floors_idle_classes_at_the_virtual_time(self):
-        policy = WeightedFairPolicy()
-        for _ in range(5):
-            key = policy.sort_key(_request(priority=9), 0.0)
-        policy.on_dequeue(key)  # virtual time jumps to 5.0
-        # A class that was idle all along starts at the floor, not at zero:
-        # it earned no credit while absent.
-        (finish,) = policy.sort_key(_request(priority=0), 0.0)
-        assert finish == pytest.approx(5.1)
 
 
 # -- drain order through the service ------------------------------------------------
@@ -242,45 +190,12 @@ def _drive(config, requests):
     return session.order[1:]
 
 
-class TestWeightedFairDrainOrder:
-    MIX = ([ScheduleRequest(program=f"starved-{i}", priority=9)
-            for i in range(1, 3)]
-           + [ScheduleRequest(program=f"bulk-{i}", priority=0)
-              for i in range(1, 13)])
-
-    def test_urgent_burst_does_not_starve_the_low_class(self):
-        order = _drive(
-            ServiceConfig(max_batch_size=1, policy="weighted-fair"), self.MIX)
-        # The burst mostly goes first (it holds 10x the weight), but the
-        # starved class is interleaved, not parked behind the whole burst.
-        assert order.index("starved-1") < order.index("bulk-12")
-
-    def test_strict_priority_parks_the_low_class_behind_the_burst(self):
-        order = _drive(
-            ServiceConfig(max_batch_size=1,
-                          policy="strict-priority"), self.MIX)
-        assert order[-2:] == ["starved-1", "starved-2"]
-
-    def test_classes_share_service_in_proportion_to_their_weights(self):
-        # Priority 0 weighs 10, priority 4 weighs 6: while the 20 urgent
-        # requests drain, the normal class gets 6/10 of as many slots (one
-        # either way for the key tie at the boundary).
-        mix = [ScheduleRequest(program=f"{name}-{i}", priority=priority)
-               for i in range(1, 21)
-               for name, priority in (("urgent", 0), ("normal", 4))]
-        order = _drive(
-            ServiceConfig(max_batch_size=1, policy="weighted-fair"), mix)
-        before = order[:order.index("urgent-20")]
-        assert 11 <= sum(name.startswith("normal") for name in before) <= 12
-
-
 class TestDrainOrder:
-    @pytest.mark.parametrize("policy", policy_names())
-    def test_each_class_drains_in_arrival_order(self, policy):
+    def test_each_class_drains_in_arrival_order(self):
         mix = [ScheduleRequest(program=f"{name}-{i}", priority=priority)
                for i in range(1, 4)
                for name, priority in (("high", 2), ("low", 7))]
-        order = _drive(ServiceConfig(max_batch_size=1, policy=policy), mix)
+        order = _drive(ServiceConfig(max_batch_size=1), mix)
         assert sorted(order) == sorted(request.program for request in mix)
         for name in ("high", "low"):
             assert [program for program in order if program.startswith(name)] \
@@ -291,9 +206,31 @@ class TestDrainOrder:
                for program, priority in (("five-1", 5), ("zero-1", 0),
                                          ("nine-1", 9), ("zero-2", 0),
                                          ("five-2", 5))]
-        order = _drive(ServiceConfig(max_batch_size=1,
-                                     policy="strict-priority"), mix)
+        order = _drive(ServiceConfig(max_batch_size=1), mix)
         assert order == ["zero-1", "zero-2", "five-1", "five-2", "nine-1"]
+
+    def test_strict_priority_parks_the_low_class_behind_the_burst(self):
+        mix = ([ScheduleRequest(program=f"starved-{i}", priority=9)
+                for i in range(1, 3)]
+               + [ScheduleRequest(program=f"bulk-{i}", priority=0)
+                  for i in range(1, 13)])
+        order = _drive(ServiceConfig(max_batch_size=1), mix)
+        assert order[-2:] == ["starved-1", "starved-2"]
+
+    def test_priorities_outside_the_classes_sort_by_value(self):
+        mix = [ScheduleRequest(program=program, priority=priority)
+               for program, priority in (("twelve", 12), ("three", 3),
+                                         ("minus-one", -1), ("nine", 9))]
+        order = _drive(ServiceConfig(max_batch_size=1), mix)
+        assert order == ["minus-one", "three", "nine", "twelve"]
+
+    def test_pending_entries_order_by_priority_then_arrival(self):
+        request = ScheduleRequest(program="p")
+        first, second, urgent = (_Pending("k", request, priority, seq)
+                                 for priority, seq in ((5, 1), (5, 2),
+                                                       (0, 3)))
+        assert first < second and not second < first
+        assert urgent < first and not first < urgent
 
 
 class TestBatcherTakesWhatIsQueued:
@@ -350,21 +287,46 @@ class TestBatcherTakesWhatIsQueued:
         assert runner.stats.coalesced == 1
         assert runner._queue == []
 
+    def test_a_less_urgent_rider_leaves_its_leader_in_place(self):
+        requests = [ScheduleRequest(program="dup", priority=0),
+                    ScheduleRequest(program="other", priority=5),
+                    ScheduleRequest(program="dup", priority=9)]
+        order = _drive(ServiceConfig(max_batch_size=1), requests)
+        assert order == ["dup", "other"]
 
-def test_weighted_fair_server_serves_and_reports_its_policy():
-    session = fast_session()
-    config = ServiceConfig(policy="weighted-fair")
-    try:
-        with ServingServer(session, config=config) as server:
-            client = ServingClient(server.address)
-            for program, priority in (("gemm:a", 9), ("atax:a", 0)):
-                response = client.schedule(program, priority=priority)
-                assert response.program.body
-            report = client.report()
-        assert report["service"]["policy"] == "weighted-fair"
-        assert report["service"]["scheduled"] == 2
-    finally:
-        session.close()
+    def test_an_equally_urgent_rider_keeps_its_leaders_place(self):
+        # Moving the leader would give it a fresh arrival number and send
+        # it behind the requests queued after it at the same priority.
+        requests = ([ScheduleRequest(program="dup", priority=5)]
+                    + [ScheduleRequest(program=f"other-{i}", priority=5)
+                       for i in range(1, 3)]
+                    + [ScheduleRequest(program="dup", priority=5)])
+        order = _drive(ServiceConfig(max_batch_size=1), requests)
+        assert order == ["dup", "other-1", "other-2"]
+
+    def test_a_rider_of_a_claimed_leader_queues_nothing(self):
+        # The held gate is already claimed: its urgent rider waits for the
+        # batch in flight instead of queueing the gate again.
+        session = StubSession()
+        with ServiceRunner(session, ServiceConfig(max_batch_size=1)) as runner:
+            queue_behind(runner, ScheduleRequest(program="gate", priority=9),
+                         [ScheduleRequest(program="gate", priority=0),
+                          ScheduleRequest(program="other", priority=5)])
+        assert session.order == ["gate", "other"]
+        assert runner.stats.coalesced == 1 and runner.stats.batches == 2
+
+
+def test_a_runner_reads_its_sessions_registry_and_tracer():
+    session = StubSession()
+    with ServiceRunner(session) as runner:
+        runner.schedule(ScheduleRequest(program="p"))
+    assert runner.metrics is session.metrics
+    assert session.metrics.counter(
+        "repro_service_requests_total", "").value == 1
+    assert session.metrics.counter(
+        "repro_service_scheduled_total", "").value == 1
+    # The stub's tracer is off: the miss opened no trace.
+    assert session.tracer.traces() == []
 
 
 # -- Retry-After rounding (regression) ----------------------------------------------

@@ -88,6 +88,25 @@ class TestTracerCore:
         assert tracer.traces(limit=1)[0]["trace_id"] == \
             Tracer.trace_id_for("req-2")
 
+    def test_open_traces_are_bounded_dropping_the_oldest(self):
+        # A child span whose root never finishes holds its trace open; past
+        # MAX_OPEN_TRACES the oldest open trace loses what it held.
+        tracer = Tracer()
+        roots = [tracer.begin_request(f"req-{index}", {}, 0.0)
+                 for index in range(tracing_module.MAX_OPEN_TRACES + 1)]
+        for root in roots:
+            tracer.record(root.trace_id, root.span_id, "child", 0.0, 1.0)
+        tracer.finish(roots[0], end_s=1.0)
+        tracer.finish(roots[1], end_s=1.0)
+        assert [s.name for s in tracer.get(roots[0].trace_id).spans] \
+            == ["request"]
+        assert sorted(s.name for s in tracer.get(roots[1].trace_id).spans) \
+            == ["child", "request"]
+
+    def test_a_max_open_keyword_is_rejected(self):
+        with pytest.raises(TypeError, match="max_open"):
+            Tracer(max_open=8)
+
     def test_fragment_export_rejoins_the_coordinator_trace(self):
         """The worker/coordinator handshake, single-process edition: the
         worker's spans never finalize locally and re-parent correctly
@@ -557,9 +576,7 @@ class TestHttpTracing:
         session = fast_session()
         session.tracer.enabled = False
         log_path = tmp_path / "access.jsonl"
-        server = ServingServer(session,
-                               expose_traces=False,
-                               access_log=str(log_path))
+        server = ServingServer(session, access_log=str(log_path))
         with server:
             client = ServingClient(server.address)
             response = client.schedule("gemm:a")
@@ -569,6 +586,15 @@ class TestHttpTracing:
         entry = json.loads(log_path.read_text().splitlines()[0])
         assert entry["trace_id"] is None
         session.close()
+
+    def test_trace_routes_follow_the_tracer_switch(self, served):
+        session, _, client, _ = served
+        trace_id = client.schedule("gemm:a").trace_id
+        paths = ("/v1/traces", f"/v1/traces/{trace_id}")
+        for enabled, status in ((False, 404), (True, 200)):
+            session.tracer.enabled = enabled
+            for path in paths:
+                assert client.request("GET", path)[0] == status
 
     def test_trace_dump_cli_exports_chrome_and_jsonl(self, served, tmp_path,
                                                      capsys):
