@@ -90,10 +90,6 @@ class AffineAccess:
         return {name: tuple(index.coefficient(name) for index in self.indices)
                 for name in names}
 
-    def coefficient_matrix(self, iterators: Sequence[str]) -> List[List[float]]:
-        """Rectangular matrix of subscript coefficients over ``iterators``."""
-        return [[index.coefficient(it) for it in iterators] for index in self.indices]
-
     def uses_iterator(self, iterator: str) -> bool:
         return iterator in self.columns
 

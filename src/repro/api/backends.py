@@ -2,7 +2,7 @@
 
 :class:`~repro.api.cache.NormalizationCache` speaks to a
 :class:`CacheBackend`: a namespaced key/value store with LRU bounds and
-hit/miss/eviction accounting.  Two backends ship:
+hit/write/eviction accounting.  Two backends ship:
 
 * :class:`MemoryCacheBackend` — per-namespace ``OrderedDict`` LRU stores
   holding live Python objects.  This is the historical in-process behavior
@@ -39,7 +39,8 @@ Decoder = Callable[[Dict[str, Any]], Any]
 
 @dataclass
 class BackendStats:
-    """Hit/miss/eviction accounting of one backend instance.
+    """Hit/write/eviction accounting of one backend instance (misses are
+    counted once, by the cache's ``repro_cache_requests_total``).
 
     ``busy_retries`` counts writes that found the store locked by another
     process and succeeded on a later attempt (only persistent backends
@@ -48,20 +49,14 @@ class BackendStats:
 
     memory_hits: int = 0
     disk_hits: int = 0
-    misses: int = 0
     writes: int = 0
     evictions: int = 0
     busy_retries: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
 
     def to_dict(self) -> Dict[str, int]:
         return {
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
-            "misses": self.misses,
             "writes": self.writes,
             "evictions": self.evictions,
             "busy_retries": self.busy_retries,
@@ -152,7 +147,6 @@ class MemoryCacheBackend(CacheBackend):
             store = self._store(namespace)
             value = store.get(key)
             if value is None:
-                self.stats.misses += 1
                 return None
             store.move_to_end(key)
             self.stats.memory_hits += 1
@@ -328,7 +322,6 @@ class SQLiteCacheBackend(CacheBackend):
                 "SELECT payload FROM cache WHERE namespace = ? AND key = ?",
                 (namespace, key)).fetchone()
             if row is None:
-                self.stats.misses += 1
                 return None
             _, decode = self._codec(namespace)
             try:
@@ -350,7 +343,6 @@ class SQLiteCacheBackend(CacheBackend):
                     self._conn.commit()
                 except sqlite3.OperationalError:
                     self._conn.rollback()
-                self.stats.misses += 1
                 return None
             self.stats.disk_hits += 1
             self._remember(namespace, key, value)

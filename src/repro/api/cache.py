@@ -194,17 +194,6 @@ class NormalizationCache:
             f"{level}_{name}": series
             for level, pair in outcomes.items()
             for name, series in zip(("misses", "hits"), pair)})
-        self._metric_pass_runs = self.metrics.counter(
-            "repro_pass_runs_total",
-            "Normalization pass applications.", ("pass",))
-        self._metric_pass_changed = self.metrics.counter(
-            "repro_pass_changed_total",
-            "Normalization pass applications that changed the program.",
-            ("pass",))
-        self._metric_pass_wall = self.metrics.counter(
-            "repro_pass_wall_seconds_total",
-            "Total wall time spent inside each normalization pass.",
-            ("pass",))
 
     @property
     def stats(self) -> CacheStats:
@@ -249,12 +238,6 @@ class NormalizationCache:
             normalized, report = normalize(program, options, self.analysis,
                                            pipeline=pipeline)
         self.pass_stats.add(report.passes)
-        for pass_result in report.passes:
-            self._metric_pass_runs.labels(pass_result.pass_name).inc()
-            if pass_result.changed:
-                self._metric_pass_changed.labels(pass_result.pass_name).inc()
-            self._metric_pass_wall.labels(pass_result.pass_name).inc(
-                pass_result.wall_time_s)
         canonical_hash = program_content_hash(normalized)
         entry = NormalizedEntry(normalized, report, key, canonical_hash)
         self.backend.put(NORMALIZED_NAMESPACE, key, entry)

@@ -37,8 +37,7 @@ import numpy as np
 from ..interp.executor import programs_equivalent, run_program
 from ..ir.nodes import Loop, Program
 from ..normalization.pipeline import NormalizationOptions
-from ..observability import (CounterView, MetricsRegistry, Tracer,
-                             register_process_metrics)
+from ..observability import CounterView, MetricsRegistry, Tracer
 from ..observability.tracing import NULL_SPAN, span as trace_span
 from ..perf.cache import CacheHierarchy, CacheReport
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
@@ -77,10 +76,8 @@ class Session:
                  mcts: Optional[MctsConfig] = None,
                  size: str = "large",
                  database: Optional[TuningDatabase] = None,
-                 cache: Optional[NormalizationCache] = None,
                  cache_backend: Optional[CacheBackend] = None,
                  cache_path: Optional[str] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None):
         if scheduler not in SCHEDULERS:
             raise RegistryError(
@@ -96,33 +93,21 @@ class Session:
         self.mcts = mcts
         self.size = size
         self.database = database if database is not None else TuningDatabase()
-        if cache is not None and (cache_backend is not None or cache_path is not None):
-            raise ValueError(
-                "pass either a ready cache= or a cache_backend=/cache_path= "
-                "for the session to build one, not both")
-        # The session owns (and may close) the cache only when it built both
-        # the cache and its backend; injected ones may be shared elsewhere.
-        self._owns_cache = cache is None and cache_backend is None
+        # The session owns (and may close) the cache backend only when it
+        # built it; an injected ``cache_backend`` may be shared elsewhere.
+        self._owns_cache = cache_backend is None
         # One metrics registry per session: cache, service, and session
-        # instruments all land here.  An injected cache brings its own
-        # registry (already holding the cache instruments), which the
-        # session adopts unless the caller supplied one explicitly.
-        if metrics is None:
-            metrics = cache.metrics if cache is not None else MetricsRegistry()
-        self.metrics = metrics
-        if cache is None:
-            # ``cache_path`` is shorthand for a persistent SQLite backend;
-            # an explicit ``cache_backend`` wins over it.
-            if cache_backend is None and cache_path is not None:
-                cache_backend = SQLiteCacheBackend(cache_path)
-            cache = (NormalizationCache(backend=cache_backend, metrics=metrics)
-                     if cache_backend is not None
-                     else NormalizationCache(metrics=metrics))
-        self.cache = cache
+        # instruments all land here.
+        self.metrics = MetricsRegistry()
+        # ``cache_path`` is shorthand for a persistent SQLite backend; an
+        # explicit ``cache_backend`` wins over it.
+        if cache_backend is None and cache_path is not None:
+            cache_backend = SQLiteCacheBackend(cache_path)
+        self.cache = NormalizationCache(backend=cache_backend,
+                                        metrics=self.metrics)
         # One tracer per session/process; serving layers share it so
         # request spans from every layer land in the same ring buffer.
         self.tracer = tracer if tracer is not None else Tracer()
-        register_process_metrics(self.metrics)
         calls = self.metrics.counter(
             "repro_session_calls_total",
             "Session entry-point calls by kind.", ("kind",))
@@ -541,7 +526,7 @@ class Session:
 
     def close(self) -> None:
         """Release the cache backend if this session created it (an injected
-        ``cache=`` may be shared with other sessions and stays open).
+        ``cache_backend=`` may be shared with other sessions and stays open).
         Idempotent."""
         if self._owns_cache:
             self.cache.close()

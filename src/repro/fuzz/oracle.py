@@ -22,9 +22,8 @@ expression-rewrite family re-associates sums of products) are compared
 under ``OracleConfig.rewrite_tolerance`` via ``np.allclose`` instead;
 setting ``tolerance`` explicitly overrides both modes for every pipeline.
 
-Outcomes are counted in the session's metrics registry as
-``repro_fuzz_programs_total{outcome}`` and
-``repro_fuzz_checks_total{stage}``.
+Outcomes are counted once, by the :class:`OracleReport` a run returns:
+``counts`` by outcome and ``checks`` summed over its verdicts.
 """
 
 from __future__ import annotations
@@ -269,12 +268,6 @@ class Oracle:
             search=SearchConfig(population_size=4, epochs=1,
                                 generations_per_epoch=1),
             mcts=MctsConfig(rollouts=8))
-        self._metric_programs = self.session.metrics.counter(
-            "repro_fuzz_programs_total",
-            "Fuzzed programs by oracle outcome.", ("outcome",))
-        self._metric_checks = self.session.metrics.counter(
-            "repro_fuzz_checks_total",
-            "Differential checks by stage.", ("stage",))
 
     # -- one program -------------------------------------------------------------
 
@@ -293,7 +286,6 @@ class Oracle:
         except Exception as error:  # noqa: BLE001 - classified, not hidden
             verdict.outcome = "generator-error"
             verdict.error = f"{type(error).__name__}: {error}"
-            self._metric_programs.labels(verdict.outcome).inc()
             return verdict
 
         for pipeline in self.pipelines:
@@ -303,7 +295,6 @@ class Oracle:
                 verdict.divergences.append(divergence)
         if verdict.divergences:
             verdict.outcome = "divergence"
-        self._metric_programs.labels(verdict.outcome).inc()
         return verdict
 
     def _check_pipeline(self, generated: GeneratedProgram, pipeline: str,
@@ -314,7 +305,6 @@ class Oracle:
         seed_info = dict(seed=generated.seed, size_class=generated.size_class)
         tolerance = self.config.effective_tolerance(pipeline)
         verdict.checks += 1
-        self._metric_checks.labels("normalize").inc()
         try:
             normalized = self.session.normalize(program, pipeline=pipeline)
         except Exception as error:  # noqa: BLE001
@@ -330,7 +320,6 @@ class Oracle:
 
         for scheduler in self.schedulers:
             verdict.checks += 1
-            self._metric_checks.labels("schedule").inc()
             request = ScheduleRequest(program=normalized.program,
                                       parameters=parameters,
                                       scheduler=scheduler, normalize=False,
@@ -352,7 +341,6 @@ class Oracle:
             if not self.config.check_cache_consistency:
                 continue
             verdict.checks += 1
-            self._metric_checks.labels("cache").inc()
             try:
                 warm = self.session.schedule(request)
             except Exception as error:  # noqa: BLE001
@@ -404,7 +392,6 @@ class Oracle:
                     seed=seed, size_class=size_class,
                     outcome="generator-error",
                     error=f"{type(error).__name__}: {error}")
-                self._metric_programs.labels(verdict.outcome).inc()
                 report.verdicts.append(verdict)
                 continue
             verdict = self.check(generated)

@@ -427,10 +427,6 @@ class Loop(Node):
             band.append(current)
         return band
 
-    def innermost_body(self) -> List[Node]:
-        """Body of the deepest loop of the perfectly nested band."""
-        return self.perfectly_nested_band()[-1].body
-
     def is_perfect_nest(self) -> bool:
         """True if every body on the band except the innermost holds one loop."""
         band = self.perfectly_nested_band()
@@ -558,11 +554,6 @@ class Program:
             raise ValueError(f"duplicate container name {arr.name!r}")
         self.arrays[arr.name] = arr
         return arr
-
-    def get_array(self, name: str) -> Array:
-        if name not in self.arrays:
-            raise KeyError(f"unknown container {name!r} in program {self.name!r}")
-        return self.arrays[name]
 
     def ensure_parameter(self, name: str) -> None:
         if name not in self.parameters:

@@ -2,11 +2,13 @@
 
 One :class:`MetricsRegistry` per :class:`~repro.api.Session` collects typed
 :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments from every
-layer: the session and its normalization cache (cache traffic, per-pass wall
-time), the scheduling service (queue depth, per-priority end-to-end
+layer: the session and its normalization cache (calls, feedback, cache
+traffic), the scheduling service (queue depth, per-priority end-to-end
 latency, admission sheds), and the worker pool (per-worker registries
 scatter-gathered and merged with :func:`merge_registry_dicts`).  The HTTP
-layer serves it all as a Prometheus-text ``/metrics`` endpoint.
+layer serves it all as a Prometheus-text ``/metrics`` endpoint.  Each
+family has a named reader (a report field, an alert rule or the docs
+catalog in ``docs/observability.md``).
 
 On top of the aggregates, :mod:`repro.observability.tracing` records
 per-request span trees (deterministic trace ids, contextvar propagation,
@@ -19,15 +21,14 @@ from .alerts import (AlertEvaluator, AlertMonitor, AlertRule, AlertState,
                      default_alert_rules)
 from .metrics import (DEFAULT_LATENCY_BUCKETS, Counter, CounterView, Gauge,
                       Histogram, MetricsError, MetricsRegistry,
-                      merge_registry_dicts, register_process_metrics,
-                      render_registry_dict)
+                      merge_registry_dicts, render_registry_dict)
 from .tracing import (Span, TraceRecord, Tracer, chrome_trace_document,
                       current_trace_id, span, traces_to_jsonl)
 
 __all__ = [
     "MetricsRegistry", "Counter", "CounterView", "Gauge", "Histogram",
     "MetricsError", "DEFAULT_LATENCY_BUCKETS", "merge_registry_dicts",
-    "render_registry_dict", "register_process_metrics",
+    "render_registry_dict",
     "Tracer", "Span", "TraceRecord", "span",
     "current_trace_id",
     "chrome_trace_document", "traces_to_jsonl",

@@ -13,8 +13,7 @@ self-contained metrics core:
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` — thread-safe
   instruments with optional label dimensions (``labels("5")`` /
   ``labels(priority="5")`` binds one labelled series).  Histograms use
-  fixed upper-bound buckets (Prometheus ``le`` semantics) and support
-  quantile estimation with one-bucket-width resolution.
+  fixed upper-bound buckets (Prometheus ``le`` semantics).
 * **Prometheus text rendering** — :meth:`MetricsRegistry.render` (and
   :func:`render_registry_dict` for merged snapshots) produce the
   Prometheus text exposition format served by the ``/metrics`` endpoint.
@@ -189,14 +188,6 @@ class _GaugeSeries:
         with self._lock:
             self._value = max(self._value, float(value))
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -216,12 +207,6 @@ class Gauge(_Instrument):
 
     def set_max(self, value: float) -> None:
         self._default().set_max(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default().dec(amount)
 
     @property
     def value(self) -> float:
@@ -260,40 +245,6 @@ class _HistogramSeries:
         with self._lock:
             return self._sum
 
-    def quantile(self, q: float) -> float:
-        """Estimated q-quantile: the upper bound of the bucket holding the
-        rank-``ceil(q*count)`` observation — within one bucket width of the
-        exact sorted-sample answer whenever the buckets cover the data.
-
-        Boundary contract: an empty histogram returns ``nan``; ``q=0.0``
-        returns the lowest bucket edge; ``q=1.0`` returns the finite upper
-        edge of the highest nonempty bucket, clamping overflow beyond the
-        last bound to the highest finite edge — so the extremes are always
-        defined, finite values rather than whatever the bucket walk happens
-        to produce (``q=1.0`` on a distribution with overflow used to come
-        back ``inf``, which no dashboard can plot)."""
-        if not 0.0 <= q <= 1.0:
-            raise MetricsError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            total = sum(self.counts)
-            if total == 0:
-                return math.nan
-            if q == 0.0:
-                return self.bounds[0]
-            if q == 1.0:
-                for index in range(len(self.counts) - 1, -1, -1):
-                    if self.counts[index]:
-                        return self.bounds[min(index, len(self.bounds) - 1)]
-            rank = max(1, math.ceil(q * total))
-            seen = 0
-            for index, count in enumerate(self.counts):
-                seen += count
-                if seen >= rank:
-                    if index < len(self.bounds):
-                        return self.bounds[index]
-                    return math.inf
-        return math.inf  # pragma: no cover - loop always reaches rank
-
 
 class Histogram(_Instrument):
     """Fixed-bucket distribution (latency per priority class, batch sizes)."""
@@ -329,9 +280,6 @@ class Histogram(_Instrument):
     def sum(self) -> float:
         return self._default().sum
 
-    def quantile(self, q: float) -> float:
-        return self._default().quantile(q)
-
     def signature(self) -> Tuple[str, Tuple[str, ...], Tuple[float, ...]]:  # type: ignore[override]
         return (self.kind, self.labelnames, self.buckets)
 
@@ -347,14 +295,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._metrics: Dict[str, _Instrument] = {}
-        self._snapshot_hooks: List[Any] = []
-
-    def on_snapshot(self, hook) -> None:
-        """Register a callable invoked at the start of every :meth:`to_dict`
-        (used to refresh derived gauges like process uptime).  Exceptions
-        from hooks are swallowed — a snapshot must always succeed."""
-        with self._lock:
-            self._snapshot_hooks.append(hook)
 
     # -- declaration ------------------------------------------------------------
 
@@ -417,12 +357,6 @@ class MetricsRegistry:
         """A JSON-serializable snapshot (see :func:`merge_registry_dicts`)."""
         with self._lock:
             instruments = list(self._metrics.values())
-            hooks = list(self._snapshot_hooks)
-        for hook in hooks:
-            try:
-                hook()
-            except Exception:  # noqa: BLE001 - snapshots must not fail
-                pass
         snapshot: Dict[str, Any] = {}
         for instrument in instruments:
             entry: Dict[str, Any] = {
@@ -544,48 +478,6 @@ def merge_registry_dicts(snapshots: Iterable[Mapping[str, Any]]
     for entry in merged.values():
         entry["series"].sort(key=lambda series: series["labels"])
     return merged
-
-
-def register_process_metrics(registry: MetricsRegistry) -> None:
-    """Add build/process-identity gauges to ``registry`` (idempotent).
-
-    ``repro_build_info{version,python,pid} 1`` identifies the origin node
-    of merged snapshots; ``repro_process_start_time_seconds`` and
-    ``repro_process_uptime_seconds`` (refreshed on every snapshot via an
-    :meth:`MetricsRegistry.on_snapshot` hook) date them.  Labelled by pid
-    so worker-merged snapshots keep one series per process.
-    """
-    import os
-    import sys
-    import time
-
-    if getattr(registry, "_process_metrics_pid", None) == os.getpid():
-        return
-    registry._process_metrics_pid = os.getpid()
-    try:
-        import repro
-        version = getattr(repro, "__version__", "unknown")
-    except Exception:  # noqa: BLE001 - identity must never block startup
-        version = "unknown"
-    pid = str(os.getpid())
-    python = "%d.%d.%d" % sys.version_info[:3]
-    build = registry.gauge(
-        "repro_build_info",
-        "Build/runtime identity of this process; value is always 1.",
-        labelnames=("version", "python", "pid"))
-    build.labels(version=version, python=python, pid=pid).set(1)
-    start_s = time.time()
-    started = registry.gauge(
-        "repro_process_start_time_seconds",
-        "Unix time this process registered its metrics.",
-        labelnames=("pid",))
-    started.labels(pid=pid).set(start_s)
-    uptime = registry.gauge(
-        "repro_process_uptime_seconds",
-        "Seconds since this process registered its metrics.",
-        labelnames=("pid",))
-    uptime_series = uptime.labels(pid=pid)
-    registry.on_snapshot(lambda: uptime_series.set(time.time() - start_s))
 
 
 def _render_labels(labelnames: Sequence[str], values: Sequence[str],

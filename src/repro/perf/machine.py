@@ -70,11 +70,6 @@ class MachineModel:
         return self.cache_levels[0].line_bytes
 
     @property
-    def peak_flops(self) -> float:
-        """Peak double-precision FLOP/s of the full machine."""
-        return self.cores * self.frequency_hz * self.vector_flops_per_cycle
-
-    @property
     def peak_flops_per_core(self) -> float:
         return self.frequency_hz * self.vector_flops_per_cycle
 

@@ -99,10 +99,6 @@ class TraceGenerator:
         for node in self.program.body:
             yield from self._trace_node(node, env, None)
 
-    def trace_node(self, node: Node) -> Iterator[Tuple[int, bool]]:
-        """Trace a single node (e.g. one loop nest) of the program."""
-        yield from self._trace_node(node, {}, None)
-
     def _trace_node(self, node: Node, env: Dict[str, int],
                     enclosing: Optional[Loop]) -> Iterator[Tuple[int, bool]]:
         if isinstance(node, Loop):

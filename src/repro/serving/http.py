@@ -9,9 +9,10 @@ Routes:
   (slower — one round trip to every worker process).
 * ``GET  /metrics``     — the session's metrics registry in the Prometheus
   text exposition format (queue-depth gauge, per-priority latency
-  histograms, admission-shed counters, cache and pass counters); with an
-  attached worker pool, ``?workers=1`` merges every worker's registry into
-  the scrape (one round trip per worker, like the report).
+  histograms, admission-shed counters, cache traffic); with an attached
+  worker pool, ``?workers=1`` merges every worker's registry into the
+  scrape (one round trip per worker, like the report).  A route that
+  raises (a dead worker, say) answers 500 with the error.
 * ``GET  /v1/traces``   — newest-first summaries of the trace ring buffer
   (``?limit=N`` caps the listing); ``GET /v1/traces/<trace_id>`` returns
   one full span tree.  404 while the session's tracer is disabled.
@@ -294,7 +295,7 @@ class ServingServer:
         The coordinator registry (service queue/latency/admission plus the
         coordinator session's cache traffic) renders directly; with a pool
         and ``include_workers``, every worker's registry is gathered
-        (one round trip each) and merged in, so per-worker cache and pass
+        (one round trip each) and merged in, so per-worker session and cache
         counters aggregate into the scrape.
         """
         if self.pool is not None and include_workers:
@@ -518,33 +519,39 @@ def _make_handler(server: ServingServer):
             return flag in ("1", "true", "yes", "on")
 
         def do_GET(self) -> None:  # noqa: N802 - named for its method
-            parts = urlsplit(self.path)
-            if parts.path == "/healthz":
-                self._reply(*server.handle_healthz())
-            elif parts.path == "/v1/report":
-                include_workers = self._workers_flag(parse_qs(parts.query))
-                self._reply(*server.handle_report(include_workers))
-            elif parts.path == "/metrics":
-                include_workers = self._workers_flag(parse_qs(parts.query))
-                status, content_type, text = \
-                    server.handle_metrics(include_workers)
-                self._reply(status, text, content_type=content_type)
-            elif parts.path == "/alerts":
-                self._reply(*server.handle_alerts())
-            elif parts.path == "/v1/traces":
-                query = parse_qs(parts.query)
-                raw_limit = query.get("limit", [""])[-1].strip()
-                try:
-                    limit = int(raw_limit) if raw_limit else None
-                except ValueError:
-                    self._reply(400, {"error": "limit must be an integer"})
-                    return
-                self._reply(*server.handle_traces(limit))
-            elif parts.path.startswith("/v1/traces/"):
-                trace_id = parts.path[len("/v1/traces/"):]
-                self._reply(*server.handle_trace(trace_id))
-            else:
-                self._reply(404, {"error": f"unknown path {self.path!r}"})
+            # A route that raises (a dead worker behind ``?workers=1``) is
+            # answered like an unexpected scheduling error, and the
+            # kept-alive connection stays usable.
+            try:
+                parts = urlsplit(self.path)
+                if parts.path == "/healthz":
+                    self._reply(*server.handle_healthz())
+                elif parts.path == "/v1/report":
+                    include_workers = self._workers_flag(parse_qs(parts.query))
+                    self._reply(*server.handle_report(include_workers))
+                elif parts.path == "/metrics":
+                    include_workers = self._workers_flag(parse_qs(parts.query))
+                    status, content_type, text = \
+                        server.handle_metrics(include_workers)
+                    self._reply(status, text, content_type=content_type)
+                elif parts.path == "/alerts":
+                    self._reply(*server.handle_alerts())
+                elif parts.path == "/v1/traces":
+                    query = parse_qs(parts.query)
+                    raw_limit = query.get("limit", [""])[-1].strip()
+                    try:
+                        limit = int(raw_limit) if raw_limit else None
+                    except ValueError:
+                        self._reply(400, {"error": "limit must be an integer"})
+                        return
+                    self._reply(*server.handle_traces(limit))
+                elif parts.path.startswith("/v1/traces/"):
+                    trace_id = parts.path[len("/v1/traces/"):]
+                    self._reply(*server.handle_trace(trace_id))
+                else:
+                    self._reply(404, {"error": f"unknown path {self.path!r}"})
+            except Exception as error:  # noqa: BLE001 - surfaced as HTTP 500
+                self._reply(500, {"error": f"{type(error).__name__}: {error}"})
 
         def do_POST(self) -> None:  # noqa: N802 - named for its method
             if self.path != "/v1/schedule":

@@ -295,10 +295,6 @@ class ServiceRunner:
         #: One series per priority class, each bound on first use.
         self._latency = functools.lru_cache(maxsize=None)(
             lambda priority: latency.labels(str(priority)))
-        self._phase_histogram = self.metrics.histogram(
-            "repro_request_phase_seconds",
-            "Time spent per serving phase (queue wait, schedule "
-            "execution).", ("phase",))
         # The condition's lock guards the queue, ``_inflight`` and the
         # admission state; the batcher waits on it for work.
         self._cond = threading.Condition()
@@ -566,12 +562,9 @@ class ServiceRunner:
         tracer = self._tracer
         self.stats.inc("batches")
         self._largest_batch.set_max(len(batch))
-        dispatched_at = time.perf_counter()
         dispatched_wall = time.time()
         schedule_spans: Dict[str, Any] = {}
         for pending in batch:
-            self._phase_histogram.labels("queue").observe(
-                max(0.0, pending.claimed_at - pending.enqueued_at))
             context = pending.request.trace
             if not tracer.enabled or not context:
                 continue
@@ -599,13 +592,11 @@ class ServiceRunner:
             # A batch-level failure (a lost pool, say) fails every item;
             # per-item failures come back in-band (return_exceptions).
             responses = [error] * len(batch)
-        schedule_s = max(0.0, time.perf_counter() - dispatched_at)
         # Under the lock: stop() cancels waiters under it too, so a future
         # is resolved only if nobody cancelled it.
         with self._cond:
             for pending, response in zip(batch, responses):
                 self._inflight.pop(pending.key, None)
-                self._phase_histogram.labels("schedule").observe(schedule_s)
                 span = schedule_spans.pop(pending.key, None)
                 failed = isinstance(response, Exception)
                 if span is not None:

@@ -256,9 +256,6 @@ class CloudscConfiguration:
     def parameters(self) -> Dict[str, int]:
         return {"NPROMA": self.nproma, "NBLOCKS": self.nblocks, "KLEV": self.klev}
 
-    def erosion_parameters(self) -> Dict[str, int]:
-        return {"NPROMA": self.nproma, "KLEV": self.klev}
-
 
 #: The configuration used in Section 5.2 (NPROMA=128, NBLOCKS=512).
 DEFAULT_CONFIGURATION = CloudscConfiguration()

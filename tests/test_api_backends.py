@@ -34,7 +34,6 @@ class TestMemoryBackend:
         assert backend.get("ns", "absent") is None
         backend.put("ns", "k", 1)
         backend.get("ns", "k")
-        assert backend.stats.misses == 1
         assert backend.stats.memory_hits == 1
         assert backend.stats.disk_hits == 0
         assert backend.stats.writes == 1

@@ -367,6 +367,18 @@ def test_removed_max_workers_spelling_is_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("keyword", ["cache", "metrics"])
+def test_removed_session_keywords_are_rejected(keyword):
+    # Each session builds its own cache and registry; a fake store goes in
+    # as cache_backend=.
+    from repro.api import NormalizationCache
+    from repro.observability import MetricsRegistry
+
+    value = {"cache": NormalizationCache, "metrics": MetricsRegistry}[keyword]
+    with pytest.raises(TypeError, match=keyword):
+        Session(**{keyword: value()})
+
+
 class TestConcurrentCacheLoad:
     """LRU eviction and hit/miss accounting under concurrent ``schedule()``
     callers sharing one session (the test owns the threads)."""
@@ -398,25 +410,23 @@ class TestConcurrentCacheLoad:
         assert len({response.runtime_s for response in responses}) == 1
 
     def test_lru_eviction_under_concurrent_callers(self):
-        from repro.api import MemoryCacheBackend, NormalizationCache
+        from repro.api import MemoryCacheBackend
 
-        cache = NormalizationCache(backend=MemoryCacheBackend(max_entries=2))
-        session = fast_session(cache=cache)
+        session = fast_session(cache_backend=MemoryCacheBackend(max_entries=2))
         items = [(build_gemm(order), PARAMS) for order in self.ORDERS] * 2
         self._concurrently(session, items, 6)
         report = session.report()
         # Six distinct normalization entries through a two-entry store must
         # evict, and the store must stay within its bound throughout.
         assert report.cache_evictions > 0
-        sizes = cache.backend.sizes()
+        sizes = session.cache.backend.sizes()
         assert all(size <= 2 for size in sizes.values()), sizes
         assert report.normalization_hits + report.normalization_misses == 12
 
     def test_eviction_then_recompute_is_consistent(self):
-        from repro.api import MemoryCacheBackend, NormalizationCache
+        from repro.api import MemoryCacheBackend
 
-        cache = NormalizationCache(backend=MemoryCacheBackend(max_entries=1))
-        session = fast_session(cache=cache)
+        session = fast_session(cache_backend=MemoryCacheBackend(max_entries=1))
         items = [(build_gemm(order), PARAMS) for order in self.ORDERS]
         first = self._concurrently(session, items, 4)
         second = self._concurrently(session, items, 4)

@@ -206,16 +206,9 @@ PINNED = {
         "repro_admission_admitted_total",
         "repro_admission_shed_total",
         "repro_alert_clock_skew_total",
-        "repro_build_info",
         "repro_cache_requests_total",
         "repro_feedback_measurements_total",
-        "repro_pass_changed_total",
-        "repro_pass_runs_total",
-        "repro_pass_wall_seconds_total",
-        "repro_process_start_time_seconds",
-        "repro_process_uptime_seconds",
         "repro_request_latency_seconds",
-        "repro_request_phase_seconds",
         "repro_service_batches_total",
         "repro_service_coalesced_total",
         "repro_service_errors_total",

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import fast_session, parse_prometheus_text, prometheus_sample
+from helpers import fast_session
 
 from repro.fuzz import (Corpus, CorpusEntry, FailureSpec, GeneratedProgram,
                         Oracle, OracleConfig, SIZE_CLASSES, generate_program,
@@ -76,12 +76,13 @@ class TestOracle:
         assert report.counts == {"pass": 3}
         assert report.checks > 0
 
-    def test_metrics_counters(self):
-        oracle = small_oracle()
-        oracle.run(range(2), "tiny")
-        metrics = parse_prometheus_text(oracle.session.metrics.render())
-        assert prometheus_sample(metrics, "repro_fuzz_programs_total",
-                                 outcome="pass") == 2
+    def test_summary_counts_each_program_once(self):
+        # The fuzz CLI prints this line; it is the one count of programs
+        # and checks.
+        report = small_oracle().run(range(2), "tiny")
+        checks = sum(verdict.checks for verdict in report.verdicts)
+        assert len(report.verdicts) == 2 and checks > 0
+        assert report.summary() == f"2 programs, {checks} checks: pass=2"
 
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(KeyError):

@@ -6,15 +6,17 @@ ServiceRunner / WorkerPool, and the end-to-end ``/metrics`` scrape."""
 import json
 import math
 import multiprocessing
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from helpers import (build_gemm, fast_session, hold_next_batch,
+from helpers import (fast_session, hold_next_batch,
                      observation_streams, parse_prometheus_text,
                      prometheus_sample, uniform_buckets)
 
 from repro.api import SearchConfig, Session
+from repro.fuzz import Oracle
 from repro.observability import (DEFAULT_LATENCY_BUCKETS, MetricsError,
                                  MetricsRegistry, merge_registry_dicts,
                                  render_registry_dict)
@@ -55,11 +57,10 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec_and_max(self):
+    def test_set_and_max(self):
         gauge = MetricsRegistry().gauge("repro_depth", "")
         gauge.set(5)
-        gauge.dec(2)
-        gauge.inc()
+        gauge.set(4)
         assert gauge.value == 4
         gauge.set_max(2)
         assert gauge.value == 4
@@ -139,10 +140,10 @@ class TestHistogramProperties:
     """Satellite: Hypothesis-style random-stream invariants over the
     fixed-bucket histogram (generators in ``tests/helpers.py``)."""
 
-    def test_bucket_monotonicity_sum_count_and_quantiles(self):
+    def test_bucket_monotonicity_sum_and_count(self):
         for index, (shape, stream) in enumerate(
                 observation_streams(seed=0xC60, count=40)):
-            bounds, width = uniform_buckets(stream)
+            bounds, _ = uniform_buckets(stream)
             registry = MetricsRegistry()
             histogram = registry.histogram("repro_p_seconds", "",
                                            buckets=bounds)
@@ -166,64 +167,30 @@ class TestHistogramProperties:
             assert cumulative == sorted(cumulative), (index, shape)
             assert cumulative[-1] == len(stream), (index, shape)
 
-            # Invariant 3: quantile estimates land within one bucket width
-            # of the sorted-sample oracle (buckets cover the stream).
-            ordered = sorted(stream)
-            for q in (0.0, 0.1, 0.5, 0.9, 0.99, 1.0):
-                oracle = ordered[max(0, math.ceil(q * len(ordered)) - 1)]
-                estimate = histogram.quantile(q)
-                assert estimate != math.inf, (index, shape, q)
-                assert abs(estimate - oracle) <= width + 1e-9, \
-                    (index, shape, q, estimate, oracle)
-
-    def test_quantile_of_empty_histogram_is_nan(self):
-        histogram = MetricsRegistry().histogram("repro_p", "",
-                                                buckets=(1.0,))
-        assert math.isnan(histogram.quantile(0.5))
-        with pytest.raises(MetricsError):
-            histogram.quantile(1.5)
-
     def test_observations_beyond_the_last_bound_overflow_to_inf(self):
-        histogram = MetricsRegistry().histogram("repro_p", "",
-                                                buckets=(1.0, 2.0))
+        registry = MetricsRegistry()
+        histogram = registry.histogram("repro_p", "", buckets=(1.0, 2.0))
         histogram.observe(99.0)
         assert histogram.count == 1
-        # Mid-range quantiles land in the +Inf overflow bucket...
-        assert histogram.quantile(0.5) == math.inf
-        # ...but q=1.0 clamps to the highest finite edge (a plottable,
-        # defined value) instead of leaking inf.
-        assert histogram.quantile(1.0) == 2.0
+        # The overflow slot follows the finite buckets...
+        assert registry.to_dict()["repro_p"]["series"][0]["counts"] \
+            == [0, 0, 1]
+        # ...and renders only in the +Inf bucket.
+        parsed = parse_prometheus_text(registry.render())
+        assert prometheus_sample(parsed, "repro_p_bucket", le="2") == 0
+        assert prometheus_sample(parsed, "repro_p_bucket", le="+Inf") == 1
 
-    def test_quantile_boundary_contract(self):
-        """Satellite: q=0.0 / q=1.0 / empty return defined values — checked
-        property-style over random streams, not just one example."""
-        for index, (shape, stream) in enumerate(
-                observation_streams(seed=0xB0DA, count=40)):
-            bounds, _ = uniform_buckets(stream)
-            histogram = MetricsRegistry().histogram("repro_b_seconds", "",
-                                                    buckets=bounds)
-            assert math.isnan(histogram.quantile(0.0)), (index, shape)
-            assert math.isnan(histogram.quantile(1.0)), (index, shape)
-            for value in stream:
-                histogram.observe(value)
-            # q=0.0 is the lowest bucket edge, q=1.0 the finite upper edge
-            # of the highest nonempty bucket; both finite, properly ordered,
-            # and bracketing every mid quantile.
-            low, high = histogram.quantile(0.0), histogram.quantile(1.0)
-            assert low == bounds[0], (index, shape)
-            assert math.isfinite(high), (index, shape)
-            assert low <= high <= bounds[-1], (index, shape)
-            for q in (0.25, 0.5, 0.75):
-                estimate = histogram.quantile(q)
-                assert low <= estimate <= high, (index, shape, q)
-
-    def test_quantile_one_clamps_overflow_to_highest_finite_edge(self):
-        histogram = MetricsRegistry().histogram("repro_b", "",
-                                                buckets=(1.0, 2.0, 4.0))
-        for value in (0.5, 99.0, 123.0):
+    def test_an_observation_on_a_bound_counts_in_that_bucket(self):
+        # Prometheus's ``le`` is inclusive: 1.0 belongs to le="1".
+        registry = MetricsRegistry()
+        histogram = registry.histogram("repro_p", "", buckets=(1.0, 2.0))
+        for value in (1.0, 2.0):
             histogram.observe(value)
-        assert histogram.quantile(1.0) == 4.0
-        assert histogram.quantile(0.0) == 1.0
+        assert registry.to_dict()["repro_p"]["series"][0]["counts"] \
+            == [1, 1, 0]
+        parsed = parse_prometheus_text(registry.render())
+        assert prometheus_sample(parsed, "repro_p_bucket", le="1") == 1
+        assert prometheus_sample(parsed, "repro_p_bucket", le="2") == 2
 
 
 # -- merging snapshots ----------------------------------------------------------------
@@ -311,7 +278,7 @@ def _thread_stress(registry, barrier):
     for index in range(_STRESS_INCREMENTS):
         counter.labels("shared").inc()
         histogram.observe(index % 2)  # alternates below/above the bound
-        gauge.inc()
+        gauge.set_max(index)
 
 
 def _process_stress(observations, queue):
@@ -342,7 +309,8 @@ class TestConcurrency:
         histogram = registry.histogram("repro_s_seconds", "", buckets=(0.5,))
         assert histogram.count == expected
         assert histogram.sum == expected / 2  # half the observations are 1.0
-        assert registry.gauge("repro_s_gauge", "").value == expected
+        assert registry.gauge("repro_s_gauge", "").value \
+            == _STRESS_INCREMENTS - 1
 
     def test_two_real_processes_merge_without_loss(self):
         """Satellite: registries built in two real processes merge at the
@@ -402,27 +370,51 @@ class TestSessionWiring:
         assert calls.labels("schedule").value == report.schedule_calls
         session.close()
 
-    def test_per_pass_wall_time_flows_from_pass_results(self):
+    def test_a_snapshot_is_a_read(self):
+        # No instrument updates itself when the registry is read: two
+        # snapshots of an idle session are equal.
         session = fast_session()
-        session.schedule(build_gemm(), {"NI": 16, "NJ": 16, "NK": 16})
-        report = session.report()
-        runs = session.metrics.counter("repro_pass_runs_total", "", ("pass",))
-        wall = session.metrics.counter("repro_pass_wall_seconds_total", "",
-                                       ("pass",))
-        for name, entry in report.normalization_passes.items():
-            assert runs.labels(name).value == entry["runs"], name
-            assert wall.labels(name).value \
-                == pytest.approx(entry["wall_time_s"]), name
+        session.schedule("gemm:a")
+        first = session.metrics.to_dict()
+        assert session.metrics.to_dict() == first
         session.close()
 
-    def test_injected_cache_registry_is_adopted(self):
-        from repro.api import NormalizationCache
 
-        cache = NormalizationCache()
-        session = Session(cache=cache)
-        assert session.metrics is cache.metrics
-        session.close()
-        cache.close()
+# -- the catalog: every family has a reader ------------------------------------------
+
+def _catalog_rows():
+    """``(name, read by)`` for each row of the metric catalog in
+    ``docs/observability.md``."""
+    path = os.path.join(os.path.dirname(__file__), "..", "docs",
+                        "observability.md")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("## The metric catalog", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("| `repro_"):
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            rows.append((cells[0].strip("`"), cells[-1]))
+    return rows
+
+
+def test_the_catalog_lists_every_declared_family():
+    # Every layer that declares instruments on a session's registry: the
+    # session and its cache, a server's runner, admission control and
+    # alert evaluator, and a fuzz oracle.
+    session = Session()
+    with ServingServer(session):
+        Oracle(session=session)
+        declared = session.metrics.names()
+    session.close()
+    assert sorted(name for name, _ in _catalog_rows()) == declared
+    assert len(declared) == 16
+
+
+def test_every_catalog_row_names_its_reader():
+    rows = _catalog_rows()
+    assert rows
+    assert [name for name, reader in rows if not reader] == []
 
 
 # -- the end-to-end scrape ------------------------------------------------------------
@@ -488,11 +480,9 @@ class TestMetricsOverHttp:
             parsed, "repro_service_coalesced_total")
         assert report["admission"]["rejected_queue_full"] == shed
 
-        # Cache and pass instruments from the session appear in the scrape.
+        # Cache instruments from the session appear in the scrape.
         assert prometheus_sample(parsed, "repro_cache_requests_total",
                                  level="schedule", outcome="hit") >= 2
-        assert prometheus_sample(parsed, "repro_pass_runs_total",
-                                 **{"pass": "stride-minimization"}) >= 1
         session.close()
 
     def test_report_keys_are_byte_compatible(self):

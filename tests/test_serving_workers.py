@@ -470,6 +470,34 @@ class TestDeadWorker:
         assert not any(process.is_alive() for process in processes)
 
 
+    def test_get_routes_answer_500_and_keep_the_connection(self,
+                                                           monkeypatch):
+        pool = WorkerPool(1, WorkerConfig(threads=2, search=FAST_SEARCH))
+        _within(60, pool.start)
+        os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+        pool._workers[0].process.join(timeout=10)
+        session = Session(threads=2)
+        try:
+            with ServingServer(session, pool=pool) as server:
+                handler = server._httpd.RequestHandlerClass
+                setup, connects = handler.setup, []
+
+                def counted_setup(self):
+                    connects.append(self)
+                    setup(self)
+                monkeypatch.setattr(handler, "setup", counted_setup)
+                with ServingClient(server.address) as client:
+                    for path in ("/v1/report?workers=1", "/metrics?workers=1"):
+                        assert _within(10, lambda: client.request(
+                            "GET", path)) == (500, {
+                                "error": "WorkerError: WorkerExited: worker 0 "
+                                         "exited (exit code -9)"}), path
+                    assert _within(10, client.health)["status"] == "ok"
+                assert len(connects) == 1
+        finally:
+            session.close()
+            _within(10, pool.close)
+
     def test_a_tune_broadcast_reaches_the_survivors_then_raises(self):
         pool = WorkerPool(2, WorkerConfig(threads=2, search=FAST_SEARCH))
         _within(60, pool.start)

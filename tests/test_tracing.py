@@ -13,8 +13,7 @@ from repro.api import ScheduleRequest, SearchConfig, Session
 from repro.observability import (AlertEvaluator, AlertMonitor, AlertRule,
                                  MetricsRegistry, Tracer,
                                  chrome_trace_document, current_trace_id,
-                                 default_alert_rules,
-                                 register_process_metrics, span,
+                                 default_alert_rules, span,
                                  traces_to_jsonl)
 from repro.observability import tracing as tracing_module
 from repro.serving import (AdmissionError, ServiceConfig, ServingClient,
@@ -390,22 +389,6 @@ class TestSessionTracing:
             assert response.trace_id == timing.trace_id
             echoed = response.request.trace
             assert (echoed or {}).get("trace_id") == response.trace_id
-
-    def test_build_info_and_uptime_gauges_are_registered(self):
-        session = fast_session()
-        snapshot = session.metrics.to_dict()
-        build = snapshot["repro_build_info"]
-        labels = dict(zip(build["labelnames"], build["series"][0]["labels"]))
-        assert set(labels) == {"version", "python", "pid"}
-        first = snapshot["repro_process_uptime_seconds"]["series"][0]["value"]
-        assert first >= 0.0
-        time.sleep(0.02)
-        again = session.metrics.to_dict()
-        assert again["repro_process_uptime_seconds"]["series"][0]["value"] \
-            > first
-        assert again["repro_process_start_time_seconds"]["series"][0]["value"] \
-            == snapshot["repro_process_start_time_seconds"]["series"][0]["value"]
-        session.close()
 
 
 @pytest.fixture
