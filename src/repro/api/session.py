@@ -30,9 +30,8 @@ import contextlib
 import json
 import math
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 from ..interp.executor import programs_equivalent, run_program
 from ..ir.nodes import Loop, Program
@@ -57,6 +56,9 @@ from .registry import (FRONTENDS, SCHEDULERS, RegistryError, create_scheduler,
 from .types import (ExecuteResponse, NormalizeResponse, ProgramLike,
                     ScheduleRequest, ScheduleResponse, SessionReport,
                     echo_span)
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
+    import numpy as np
 
 #: Items accepted by :meth:`Session.schedule_batch`.
 BatchItem = Union[ScheduleRequest, ProgramLike,

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Mapping, Optional, Sequence
 
-import numpy as np
-
 from ..api import (DEFAULT_MACHINE, BenchmarkSpec, MachineModel, MctsConfig,
                    Program, SearchConfig, Session, all_benchmarks,
                    polybench_benchmarks)
@@ -85,6 +83,7 @@ def geometric_mean(values: Iterable[float]) -> float:
     positive = [v for v in values if v > 0]
     if not positive:
         return float("nan")
+    import numpy as np
     return float(np.exp(np.mean(np.log(positive))))
 
 

@@ -29,9 +29,8 @@ Outcomes are counted once, by the :class:`OracleReport` a run returns:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..api import ScheduleRequest, SearchConfig, Session
 from ..interp.executor import ExecutionError, run_program
@@ -40,6 +39,9 @@ from ..passes.registry import has_pipeline, pipeline_bit_exact, pipeline_names
 from ..api.registry import SCHEDULERS, RegistryError
 from ..scheduler.tiramisu import MctsConfig
 from .generator import GeneratedProgram, generate_program
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
+    import numpy as np
 
 #: Default scheduler set: the normalizing transfer-tuned scheduler, the
 #: polyhedral baseline, and the MCTS baseline — three structurally different
@@ -193,6 +195,7 @@ def _shared_inputs(program: Program, parameters: Mapping[str, int],
     Mirrors :func:`repro.interp.executor.allocate_storage`'s fill order so
     the reference run with these inputs equals a plain ``run_program``.
     """
+    import numpy as np
     rng = np.random.default_rng(exec_seed)
     inputs: Dict[str, np.ndarray] = {}
     for name, arr in program.arrays.items():
@@ -209,6 +212,7 @@ def _outputs(program: Program) -> List[str]:
 def _compare(reference: Mapping[str, np.ndarray],
              candidate: Mapping[str, np.ndarray],
              names: Sequence[str], tolerance: float) -> List[Dict[str, Any]]:
+    import numpy as np
     mismatches: List[Dict[str, Any]] = []
     for name in names:
         expected = reference[name]

@@ -11,15 +11,15 @@ come from the analytical model in :mod:`repro.perf`.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence
 
-import numpy as np
-
-from ..ir.arrays import DTYPES
 from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
 from ..ir.serialization import node_from_dict
 from ..ir.symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod, Mul,
                           Read, Sym)
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
+    import numpy as np
 
 #: Intrinsics available to computations, evaluated element-wise on scalars.
 INTRINSICS: Dict[str, Callable] = {
@@ -291,11 +291,12 @@ def allocate_storage(program: Program, parameters: Mapping[str, int],
     containers are filled with reproducible random data and transients with
     zeros.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     storage: Dict[str, np.ndarray] = {}
     for name, arr in program.arrays.items():
         if inputs is not None and name in inputs:
-            storage[name] = np.array(inputs[name], dtype=DTYPES[arr.dtype], copy=True)
+            storage[name] = np.array(inputs[name], dtype=arr.dtype, copy=True)
             continue
         if arr.transient:
             storage[name] = arr.allocate(parameters)
@@ -324,6 +325,7 @@ def programs_equivalent(first: Program, second: Program,
     Both programs are run on identical inputs (containers are matched by
     name); all non-transient containers present in both programs must agree.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     shared_inputs: Dict[str, np.ndarray] = {}
     for name, arr in first.arrays.items():

@@ -9,18 +9,19 @@ is executed or measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple
 
 from .symbols import Expr, ExprLike, as_expr
 
-#: Supported element types and their NumPy equivalents.
+if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
+    import numpy as np
+
+#: Supported element types (NumPy dtype names) and their sizes in bytes.
 DTYPES = {
-    "float64": np.float64,
-    "float32": np.float32,
-    "int64": np.int64,
-    "int32": np.int32,
+    "float64": 8,
+    "float32": 4,
+    "int64": 8,
+    "int32": 4,
 }
 
 
@@ -59,7 +60,7 @@ class Array:
 
     @property
     def element_size(self) -> int:
-        return np.dtype(DTYPES[self.dtype]).itemsize
+        return DTYPES[self.dtype]
 
     def concrete_shape(self, parameters: Mapping[str, int]) -> Tuple[int, ...]:
         """Evaluate the symbolic shape under concrete parameter bindings."""
@@ -102,16 +103,20 @@ class Array:
         """Allocate a NumPy array matching the declaration.
 
         ``fill`` initializes all elements to a constant.  If ``rng`` is given,
-        the array is filled with uniform random values; otherwise it is
+        the array is filled with random values, uniform in [0, 1) for
+        floating-point types and drawn from {0, 1, 2, 3} for integer types
+        (a cast of [0, 1) would be all zeros); otherwise it is
         zero-initialized.
         """
+        import numpy as np
         shape = self.concrete_shape(parameters)
-        dtype = DTYPES[self.dtype]
         if fill is not None:
-            return np.full(shape, fill, dtype=dtype)
+            return np.full(shape, fill, dtype=self.dtype)
         if rng is not None:
-            return rng.uniform(0.0, 1.0, size=shape).astype(dtype)
-        return np.zeros(shape, dtype=dtype)
+            if self.dtype.startswith("int"):
+                return rng.integers(0, 4, size=shape, dtype=self.dtype)
+            return rng.uniform(0.0, 1.0, size=shape).astype(self.dtype)
+        return np.zeros(shape, dtype=self.dtype)
 
 
 def array(name: str, shape: Sequence[ExprLike] = (), dtype: str = "float64",

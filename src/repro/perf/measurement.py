@@ -16,8 +16,6 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-import numpy as np
-
 
 @dataclass
 class MeasurementResult:
@@ -79,6 +77,7 @@ def measure_with_noise(base_runtime: float, noise: float = 0.02,
     experiment harness exercises the full variance-bounded protocol rather
     than short-circuiting on identical samples.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     protocol = protocol or MeasurementProtocol()
 

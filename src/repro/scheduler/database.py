@@ -22,13 +22,14 @@ import math
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..transforms.recipe import Recipe
 from .base import retarget_recipe
 from .embedding import EMBEDDING_SIZE, PerformanceEmbedding, feedback_bias
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
+    import numpy as np
 
 _RETARGET_SUFFIX = re.compile(r"(?:@\d+)+$")
 
@@ -168,8 +169,8 @@ class TuningDatabase:
     def __init__(self, entries: Optional[List[DatabaseEntry]] = None):
         self.entries: List[DatabaseEntry] = []
         #: Row ``i`` holds ``entries[i].embedding``; rows past ``len(entries)``
-        #: are spare capacity.
-        self._vectors = np.empty((0, EMBEDDING_SIZE))
+        #: are spare capacity.  Allocated by the first :meth:`add_entry`.
+        self._vectors: Optional[np.ndarray] = None
         self._append_lock = threading.Lock()
         self._digest = hashlib.sha256(b"tuning-database")
         for entry in entries or []:
@@ -193,9 +194,12 @@ class TuningDatabase:
         the content version and the embedding matrix stay in sync)."""
         with self._append_lock:  # row, entry and digest advance together
             count = len(self.entries)
-            if count == len(self._vectors):  # full: double the capacity
-                self._vectors = np.concatenate(
-                    [self._vectors, np.empty((max(16, count), EMBEDDING_SIZE))])
+            if self._vectors is None or count == len(self._vectors):
+                # First entry or full: allocate, or double the capacity.
+                import numpy as np
+                spare = np.empty((max(16, count), EMBEDDING_SIZE))
+                self._vectors = (spare if self._vectors is None
+                                 else np.concatenate([self._vectors, spare]))
             self._vectors[count] = entry.embedding
             self.entries.append(entry)
             self._digest.update(
@@ -241,6 +245,7 @@ class TuningDatabase:
         """
         if not self.entries:
             return []
+        import numpy as np
         difference = (self._vectors[:len(self.entries)]
                       - np.asarray(vector, dtype=float))
         return [math.sqrt(row.dot(row)) for row in difference]

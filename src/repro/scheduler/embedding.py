@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
-import numpy as np
-
 from ..analysis.affine import computation_accesses, nest_statements
 from ..analysis.parallelism import analyze_loop_parallelism
 from ..analysis.strides import DEFAULT_PARAMETER_VALUE, _array_strides, access_stride
@@ -56,7 +54,7 @@ class PerformanceEmbedding:
     vector: Tuple[float, ...]
 
     def distance(self, other: "PerformanceEmbedding") -> float:
-        return float(np.linalg.norm(np.asarray(self.vector) - np.asarray(other.vector)))
+        return pairwise_distance(self.vector, other.vector)
 
     def as_dict(self) -> Dict[str, float]:
         return dict(zip(FEATURE_NAMES, self.vector))
@@ -153,6 +151,9 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
                            loop, analysis=analysis).is_parallel)
     flops_per_iter = flops / max(total_iterations, 1.0)
 
+    # np.log1p, not math.log1p: the two differ in the last bit on some
+    # inputs, and stored embeddings must not move.
+    import numpy as np
     vector = (
         float(np.log1p(total_iterations)),
         float(nest.depth()),
@@ -186,6 +187,7 @@ def embed_program(program: Program,
 
 def pairwise_distance(first: Sequence[float], second: Sequence[float]) -> float:
     """Euclidean distance between two raw embedding vectors."""
+    import numpy as np
     return float(np.linalg.norm(np.asarray(first) - np.asarray(second)))
 
 

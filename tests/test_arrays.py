@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ir.arrays import Array, array, scalar
+from repro.ir.arrays import DTYPES, Array, array, scalar
 from repro.ir.symbols import Sym
 
 
@@ -25,6 +25,11 @@ class TestDeclaration:
 
     def test_float32_element_size(self):
         assert array("A", ("N",), dtype="float32").element_size == 4
+
+    @pytest.mark.parametrize("dtype", sorted(DTYPES))
+    def test_element_size_is_the_numpy_itemsize(self, dtype):
+        assert DTYPES[dtype] == np.dtype(dtype).itemsize
+        assert array("A", ("N",), dtype=dtype).element_size == np.dtype(dtype).itemsize
 
 
 class TestShapes:

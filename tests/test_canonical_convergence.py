@@ -13,36 +13,39 @@ from repro.api import Session
 from repro.workloads.registry import benchmark_names
 
 #: ``:a`` vs ``:b`` (the C variants of Figure 6) that normalize apart,
-#: with their causes (ROADMAP item 1).
+#: with their causes.
+_TIME_LOOP = ("`minimize_strides` permutes only the band of each top-level "
+              "nest (ROADMAP item 1), so the sweeps below the sequential "
+              "time loop keep the order they were written in; not the "
+              "rename map and not fission")
+_PHANTOM_CYCLE = ("`body_dependences` reports a `*` cycle between "
+                  "`corr[i0, i1+i0+1]` and `corr[i1+i0+1, i0]` that cannot "
+                  "exist, because the test ignores the zero-based bounds "
+                  "loop normal form guarantees (ROADMAP item 10), so the "
+                  "body stays fused; not fission")
 AB_APART = {
-    "correlation": "cause (iii): `corr[i,j] = 0; for k: ...; corr[j,i] = "
-                   "corr[i,j]` stays fused in :a while the other variant is "
-                   "written fissioned, so fission is not maximal or not "
-                   "confluent",
-    "covariance": "cause (iii): the same fused initialise/accumulate/mirror "
-                  "body as correlation",
-    "jacobi-2d": "causes (i) and (ii): sibling sweeps reuse `i, j`, and the "
-                 "per-nest rename map lets one overwrite the other; the "
-                 "sweeps sit under a sequential time loop that stride "
-                 "minimization and fission never enter",
-    "fdtd-2d": "cause (ii): the sweeps under the time loop keep the order "
-               "they were written in",
-    "heat-3d": "cause (ii): the sweeps under the time loop keep the order "
-               "they were written in",
+    "correlation": _PHANTOM_CYCLE,
+    "covariance": _PHANTOM_CYCLE,
+    "jacobi-2d": _TIME_LOOP,
+    "fdtd-2d": _TIME_LOOP,
+    "heat-3d": _TIME_LOOP,
 }
 
 #: ``:a`` vs ``:npbench`` (the Python variants of Figure 9) that normalize
-#: apart.  Five NumPy versions carry array temporaries the C versions do not
-#: (ROADMAP item 3, contracting single-use transients); in the other two the
-#: NumPy version is written fissioned and ``:a`` stays fused, as against
-#: ``:b``.
+#: apart.  The NumPy versions of gemm and 2mm re-associate, those of the FEM
+#: kernels materialise temporaries in nests of their own, and correlation and
+#: covariance miss for the same reason as against ``:b``.
 NPBENCH_APART = dict(
-    {name: f"only the NumPy variant carries {arrays}; no pass contracts a "
-           "single-use transient array back to a scalar (ROADMAP item 3)"
-     for name, arrays in (("gemm", "`tmp`"), ("2mm", "`tmp2`"),
-                          ("fem-mass", "`detJ`"),
-                          ("fem-stiffness", "`gpx`, `gpy`"),
-                          ("fem-rhs", "`detJ`, `fq`"))},
+    {name: "the NumPy variant re-associates `alpha*(A.B) + beta*C` through "
+           f"{tmp}, which is not bit-exact (the boundary of ROADMAP item 3)"
+     for name, tmp in (("gemm", "`tmp`"), ("2mm", "`tmp2`"))},
+    **{name: f"the NumPy variant computes {arrays} in a nest of its own; "
+             "sibling order, transient names and hoisting have no normal "
+             "form yet (ROADMAP item 3 (a)-(c)); not contraction of "
+             "single-use transients"
+       for name, arrays in (("fem-mass", "`detJ`"),
+                            ("fem-stiffness", "`gpx`, `gpy`"),
+                            ("fem-rhs", "`detJ`, `fq`"))},
     correlation=AB_APART["correlation"], covariance=AB_APART["covariance"])
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import build_gemm, build_vector_add
+from repro.frontend import parse_clike_program
 from repro.interp import (ExecutionError, allocate_storage,
                           programs_equivalent, run_program)
 from repro.ir import ProgramBuilder
@@ -100,6 +101,24 @@ class TestStorageAndEquivalence:
         with b.loop("i", 0, "N"):
             b.assign(("z", "i"), b.read("x", "i") - b.read("y", "i"))
         assert not programs_equivalent(left, b.finish(), {"N": 8})
+
+    @pytest.mark.parametrize("element", ["int", "double"])
+    def test_sum_and_square_differ_on_random_inputs(self, element):
+        # Integer containers once got uniform [0, 1) draws cast to int, i.e.
+        # all zeros, on which A[i] + A[i] and A[i] * A[i] agree.
+        def program(operator):
+            return parse_clike_program(
+                f"{element} A[N];\n{element} B[N];\n"
+                f"for (i = 0; i < N; i++) {{ B[i] = A[i] {operator} A[i]; }}")
+
+        assert not programs_equivalent(program("+"), program("*"), {"N": 8})
+
+    def test_integer_containers_get_small_non_negative_inputs(self):
+        program = parse_clike_program("int A[N];\nint B[N];\n"
+                                      "for (i = 0; i < N; i++) { B[i] = A[i]; }")
+        data = allocate_storage(program, {"N": 64}, seed=1)["A"]
+        assert data.dtype == np.int64
+        assert set(np.unique(data)) == {0, 1, 2, 3}
 
 
 class TestTypedErrors:
