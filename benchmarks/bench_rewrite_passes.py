@@ -88,9 +88,7 @@ def _ablate(name, program, parameters, scalars, outputs):
                   if not arr.transient]
     rows = []
     for pipeline in PIPELINES:
-        options = NormalizationOptions(pipeline=pipeline,
-                                       parameters=parameters)
-        rewritten, report = normalize(program, options)
+        rewritten, report = normalize(program, NormalizationOptions(pipeline))
         flops = program_flops(rewritten, parameters)
         wall, result = _timed_run(rewritten, parameters, inputs)
         agree = all(np.allclose(reference[out], result[out],

@@ -49,6 +49,10 @@ NORMALIZED_NAMESPACE = "normalized"
 SCHEDULE_NAMESPACE = "schedules"
 #: Backend namespace of the response level (pre-encoded response bytes).
 RESPONSE_NAMESPACE = "responses"
+#: The size bindings a normalized entry was once keyed by.  A normal form
+#: takes no sizes, but the digest stays in the key: it is part of every
+#: persisted normalized key and of the ``input_hash`` of every reply.
+NO_PARAMETERS = fingerprint({})
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,7 @@ class NormalizationCache:
         pipeline = options.to_pipeline()
         key = program_content_hash(program, extra={
             "pipeline": pipeline.identity(),
-            "parameters": fingerprint(dict(options.parameters or {})),
+            "parameters": NO_PARAMETERS,
         })
         with trace_span("cache.lookup", level="normalization") as lookup:
             entry = self.backend.get(NORMALIZED_NAMESPACE, key)

@@ -141,11 +141,14 @@ class Session:
         # exclude session defaults, but sessions with different
         # configurations may share one persistent cache file; the salt keys
         # entries by everything the session itself contributes to a response.
+        # The normalization entry keeps the shape the options once had (a
+        # pipeline and its sizes), so persisted keys stay valid.
         self._response_salt = fingerprint({
             "scheduler": self.default_scheduler,
             "threads": self.threads,
             "size": self.size,
-            "normalization": self.normalization,
+            "normalization": {"pipeline": self.normalization.pipeline,
+                              "parameters": None},
         })
 
     # -- loading ---------------------------------------------------------------------

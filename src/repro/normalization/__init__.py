@@ -10,29 +10,29 @@ plus loop normal form and canonical iterator renaming, combined in
 :func:`normalize` (the pipeline of Figure 5).  The stages run as
 instrumented :mod:`repro.passes` pipelines selected by registered name
 (``"a-priori"`` and its ablations — see ``docs/pipelines.md``);
-:class:`NormalizationOptions` is that name plus the symbolic sizes.
+:class:`NormalizationOptions` is that name.  Each stage function returns
+what it did: :func:`maximal_loop_fission` its split count,
+:func:`expand_scalars` its expanded pairs, :func:`minimize_strides` its
+counters.
 """
 
-from .fission import (FissionReport, fission_loop, fission_sweep,
-                      is_maximally_fissioned, maximal_loop_fission)
+from .fission import (fission_loop, fission_sweep, is_maximally_fissioned,
+                      maximal_loop_fission)
 from .loop_normal_form import (canonicalize_iterator_names,
                                normalize_loop_bounds, normalize_program_bounds)
 from .pipeline import (NormalizationOptions, NormalizationReport, normalize,
                        normalize_program)
-from .scalar_expansion import (ScalarExpansionReport, contract_arrays,
-                               expand_scalars)
+from .scalar_expansion import contract_arrays, expand_scalars
 from .stride_minimization import (EXHAUSTIVE_DEPTH_LIMIT,
-                                  StrideMinimizationReport,
                                   find_minimal_permutation, minimize_strides)
 
 __all__ = [
-    "FissionReport", "fission_loop", "fission_sweep", "is_maximally_fissioned",
+    "fission_loop", "fission_sweep", "is_maximally_fissioned",
     "maximal_loop_fission",
     "canonicalize_iterator_names",
     "normalize_loop_bounds", "normalize_program_bounds",
     "NormalizationOptions", "NormalizationReport", "normalize",
     "normalize_program",
-    "EXHAUSTIVE_DEPTH_LIMIT", "StrideMinimizationReport",
-    "find_minimal_permutation", "minimize_strides",
-    "ScalarExpansionReport", "expand_scalars",
+    "EXHAUSTIVE_DEPTH_LIMIT", "find_minimal_permutation", "minimize_strides",
+    "expand_scalars",
 ]

@@ -15,7 +15,6 @@ next preserves all dependences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.nodes import Loop, Node, Program
@@ -28,14 +27,6 @@ if TYPE_CHECKING:  # deferred to avoid a cycle with repro.passes.library
 #: Safety bound for the fixed-point iteration; fission strictly reduces the
 #: number of children per loop so this is never reached in practice.
 MAX_FIXED_POINT_ITERATIONS = 64
-
-
-@dataclass
-class FissionReport:
-    """Summary of what maximal fission did to a program."""
-
-    loops_split: int = 0
-    atomic_nests: int = 0
 
 
 def _dependence_edges(loop: Loop,
@@ -125,53 +116,51 @@ def fission_loop(loop: Loop,
     return new_loops, True
 
 
-def _fission_node(node: Node, report: FissionReport,
-                  analysis: "Optional[AnalysisManager]" = None) -> List[Node]:
-    """Recursively fission a subtree, bottom-up."""
-    if not isinstance(node, Loop):
-        return [node]
+def _fission_nodes(nodes: List[Node],
+                   analysis: "Optional[AnalysisManager]" = None
+                   ) -> Tuple[List[Node], int]:
+    """Fission every loop among ``nodes``, bottom-up; returns the nodes
+    that replace them and the number of loops split."""
+    out: List[Node] = []
+    split = 0
+    for node in nodes:
+        if not isinstance(node, Loop):
+            out.append(node)
+            continue
+        node.body, below = _fission_nodes(node.body, analysis)
+        loops, changed = fission_loop(node, analysis)
+        out.extend(loops)
+        split += below + changed
+    return out, split
 
-    new_body: List[Node] = []
-    for child in node.body:
-        new_body.extend(_fission_node(child, report, analysis))
-    node.body = new_body
 
-    loops, changed = fission_loop(node, analysis)
-    if changed:
-        report.loops_split += 1
-    return list(loops)
-
-
-def fission_sweep(program: Program, report: FissionReport,
-                  analysis: "Optional[AnalysisManager]" = None) -> bool:
+def fission_sweep(program: Program,
+                  analysis: "Optional[AnalysisManager]" = None) -> int:
     """One bottom-up fission sweep over the program, in place.
 
-    Returns whether any loop was split.  The pass framework drives sweeps to
+    Returns the number of loops split.  The pass framework drives sweeps to
     a fixed point through its ``FixedPoint`` groups; ``maximal_loop_fission``
     keeps the self-contained fixed point for direct callers.
     """
-    before_split = report.loops_split
-    new_top: List[Node] = []
-    for node in program.body:
-        new_top.extend(_fission_node(node, report, analysis))
-    program.body = new_top
-    report.atomic_nests = sum(1 for node in program.body if isinstance(node, Loop))
-    return report.loops_split > before_split
+    program.body, split = _fission_nodes(program.body, analysis)
+    return split
 
 
 def maximal_loop_fission(program: Program,
-                         analysis: "Optional[AnalysisManager]" = None
-                         ) -> FissionReport:
-    """Apply maximal loop fission to a program, in place.
+                         analysis: "Optional[AnalysisManager]" = None) -> int:
+    """Apply maximal loop fission to a program, in place; returns the
+    number of loops split.
 
     The pass runs to a fixed point: fission is re-applied until no loop body
     can be split further (Section 3.2, "fixed-point pipeline").
     """
-    report = FissionReport()
+    total = 0
     for _iteration in range(MAX_FIXED_POINT_ITERATIONS):
-        if not fission_sweep(program, report, analysis):
+        split = fission_sweep(program, analysis)
+        if not split:
             break
-    return report
+        total += split
+    return total
 
 
 def is_maximally_fissioned(program: Program) -> bool:

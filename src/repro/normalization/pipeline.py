@@ -2,8 +2,9 @@
 
 :func:`normalize` runs a registered :class:`~repro.passes.pipeline.Pipeline`
 of :class:`~repro.passes.base.Pass` stages (``repro.passes``) on a copy of
-the input; :class:`NormalizationOptions` names the pipeline and binds the
-symbolic sizes.  The paper's Figure 5 order is the ``"a-priori"`` pipeline:
+the input; :class:`NormalizationOptions` names the pipeline.  A normal form
+takes no sizes: stride minimization prices strides at the nominal extents.
+The paper's Figure 5 order is the ``"a-priori"`` pipeline:
 
 1. loop normal form (zero-based, unit-step loops),
 2. scalar expansion of per-iteration temporaries,
@@ -15,12 +16,13 @@ symbolic sizes.  The paper's Figure 5 order is the ``"a-priori"`` pipeline:
 The Section 4.2 ablations are the sibling registrations ``"no-fission"``,
 ``"no-stride"``, ``"no-scalar-expansion"``, and ``"identity"``, and the
 CLOUDSC case study runs ``"a-priori-keep-names"`` (no iterator renaming).
-Every run returns a :class:`NormalizationReport`: one instrumented
-:class:`~repro.passes.base.PassResult` per pass — wall time, change flag,
-counters, IR-size delta — which the Session/serving layers aggregate into
-their reports, and whose summed counters are the stage summaries.  Passing
-a shared :class:`~repro.passes.analysis.AnalysisManager` memoizes per-nest
-analyses (dependence edges, minimal permutations) across runs.
+Every run returns a :class:`NormalizationReport`, the only record of the
+run: one instrumented :class:`~repro.passes.base.PassResult` per pass —
+wall time, change flag, counters, IR-size delta — which the Session/serving
+layers aggregate into their reports, and whose summed counters are the
+stage summaries.  Passing a shared
+:class:`~repro.passes.analysis.AnalysisManager` memoizes per-nest analyses
+(dependence edges, minimal permutations) across runs.
 
 The pipeline never mutates its input; it returns a normalized copy together
 with the report of what each stage did.
@@ -34,7 +36,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..ir.nodes import Program
 from ..passes.analysis import AnalysisManager
-from ..passes.base import PassContext, PassResult, aggregate_timings
+from ..passes.base import PassResult
 from ..passes.pipeline import Pipeline
 from ..passes.registry import (PipelineRegistryError, get_pipeline,
                                has_pipeline, pipeline_names)
@@ -62,8 +64,13 @@ class NormalizationReport:
         return any(result.changed for result in self.passes)
 
     def pass_timings(self) -> Dict[str, float]:
-        """Total wall time per pass name for this run."""
-        return aggregate_timings(self.passes)
+        """Total wall time per pass name for this run (fixed-point
+        iterations summed)."""
+        timings: Dict[str, float] = {}
+        for result in self.passes:
+            timings[result.pass_name] = (timings.get(result.pass_name, 0.0)
+                                         + result.wall_time_s)
+        return timings
 
     def counters(self) -> "collections.Counter[str]":
         """Every pass counter of this run, summed by name; a name no pass
@@ -105,16 +112,15 @@ class NormalizationReport:
 
 @dataclass(frozen=True)
 class NormalizationOptions:
-    """Which registered pipeline normalizes, with which symbolic sizes.
+    """Which registered pipeline normalizes.
 
     ``pipeline`` names a registration (``"a-priori"``, an ablation, the
     rewrite family, or a third-party one) and is checked on construction,
-    so a typo fails before any program is touched; ``parameters`` bind the
-    symbolic sizes stride minimization prices strides with.
+    so a typo fails before any program is touched.  A normal form takes no
+    sizes: stride minimization prices strides at the nominal extents.
     """
 
     pipeline: str = "a-priori"
-    parameters: Optional[Mapping[str, int]] = None
 
     def __post_init__(self) -> None:
         if not has_pipeline(self.pipeline):
@@ -144,14 +150,8 @@ def normalize(program: Program,
     if pipeline is None:
         pipeline = options.to_pipeline()
     normalized = program.copy()
-    # ``is not None``, not ``or``: an empty AnalysisManager is falsy through
-    # ``__len__`` and must still be used (sharing it is the whole point).
-    context = PassContext(parameters=options.parameters,
-                          analysis=analysis if analysis is not None
-                          else AnalysisManager())
-    outcome = pipeline.run(normalized, context)
-    return normalized, NormalizationReport(outcome.pipeline,
-                                           list(outcome.passes))
+    return normalized, NormalizationReport(pipeline.name,
+                                           pipeline.run(normalized, analysis))
 
 
 def normalize_program(program: Program, **kwargs) -> Program:

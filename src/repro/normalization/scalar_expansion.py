@@ -21,27 +21,11 @@ These conditions make the transformation trivially semantics-preserving.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import List, Sequence, Set, Tuple
 
 from ..ir.arrays import Array
 from ..ir.nodes import ArrayAccess, Computation, LibraryCall, Loop, Node, Program
 from ..ir.symbols import Expr, Read, Sym, rebuild
-
-
-@dataclass
-class ScalarExpansionReport:
-    """Summary of the scalar-expansion pass."""
-
-    expanded: List[Tuple[str, str]] = None  # (scalar, loop iterator)
-
-    def __post_init__(self) -> None:
-        if self.expanded is None:
-            self.expanded = []
-
-    @property
-    def count(self) -> int:
-        return len(self.expanded)
 
 
 def _accesses(nodes: Sequence[Node], names: Set[str]
@@ -118,14 +102,15 @@ def contract_arrays(program: Program) -> int:
     return contracted
 
 
-def expand_scalars(program: Program) -> ScalarExpansionReport:
-    """Apply scalar expansion to every eligible (scalar, loop) pair, in place."""
-    report = ScalarExpansionReport()
+def expand_scalars(program: Program) -> List[Tuple[str, str]]:
+    """Apply scalar expansion to every eligible (scalar, loop) pair, in
+    place; returns the expanded ``(scalar, loop iterator)`` pairs."""
+    expanded: List[Tuple[str, str]] = []
 
     transient_scalars = {name for name, arr in program.arrays.items()
                          if arr.transient and arr.is_scalar}
     if not transient_scalars:
-        return report
+        return expanded
 
     # A scalar is private to a loop when the loop holds all of its accesses.
     global_counts = Counter(name for name, _, _ in
@@ -171,5 +156,5 @@ def expand_scalars(program: Program) -> ScalarExpansionReport:
                 _retarget(loop, scalar,
                           ArrayAccess(new_name, (Sym(loop.iterator),)))
                 handled.add(scalar)
-                report.expanded.append((scalar, loop.iterator))
-    return report
+                expanded.append((scalar, loop.iterator))
+    return expanded

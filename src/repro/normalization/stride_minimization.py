@@ -9,7 +9,6 @@ approximation for deep nests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.arrays import Array
@@ -25,17 +24,6 @@ if TYPE_CHECKING:  # deferred to avoid a cycle with repro.passes.library
 #: Nests whose perfectly nested band is at most this deep are permuted by
 #: exhaustive enumeration; deeper nests use the grouped-sort approximation.
 EXHAUSTIVE_DEPTH_LIMIT = 6
-
-
-@dataclass
-class StrideMinimizationReport:
-    """Summary of the stride-minimization pass."""
-
-    nests_considered: int = 0
-    nests_permuted: int = 0
-    permutations_evaluated: int = 0
-    total_cost_before: float = 0.0
-    total_cost_after: float = 0.0
 
 
 def _grouped_sort_order(iterators: Sequence[str],
@@ -122,21 +110,27 @@ def _nest_key_material(nest: Loop, arrays: Mapping[str, Array],
 def minimize_strides(program: Program,
                      parameters: Optional[Mapping[str, int]] = None,
                      analysis: "Optional[AnalysisManager]" = None
-                     ) -> StrideMinimizationReport:
+                     ) -> Dict[str, float]:
     """Apply stride minimization to every top-level loop nest, in place.
 
+    Returns the pass's counters: ``nests_considered``, ``nests_permuted``,
+    ``permutations_evaluated`` and the summed stride ``cost_before`` and
+    ``cost_after``.  ``parameters`` bind the symbolic sizes the strides are
+    priced at (the nominal extents when ``None``, as in every pipeline).
     With an :class:`~repro.passes.analysis.AnalysisManager`, the minimal
     permutation of each nest — the expensive part: legality checks and cost
     evaluation over every candidate order — is memoized by nest content, so
     repeated normalization of equivalent nests skips the search entirely.
     """
-    report = StrideMinimizationReport()
+    counters: Dict[str, float] = {
+        "nests_considered": 0, "nests_permuted": 0,
+        "permutations_evaluated": 0, "cost_before": 0.0, "cost_after": 0.0}
     new_body: List[Node] = []
     for node in program.body:
         if not isinstance(node, Loop):
             new_body.append(node)
             continue
-        report.nests_considered += 1
+        counters["nests_considered"] += 1
         computed = []
 
         def compute(nest: Loop = node) -> Tuple[Tuple[str, ...], float, int, float]:
@@ -150,18 +144,18 @@ def minimize_strides(program: Program,
         else:
             order, cost, evaluated, before = compute()
 
-        report.total_cost_before += before
+        counters["cost_before"] += before
         # A memo hit skipped the permutation search: it must not re-count
         # the cached run's evaluations as work done by this run.
-        report.permutations_evaluated += evaluated if computed else 0
+        counters["permutations_evaluated"] += evaluated if computed else 0
         current = tuple(loop.iterator for loop in node.perfectly_nested_band())
         if tuple(order) != current:
             # Rebuild the band in the new order; everything below it stays.
             view = BandView(node)
             view.reorder(order)
             node = view.materialise()
-            report.nests_permuted += 1
-        report.total_cost_after += cost
+            counters["nests_permuted"] += 1
+        counters["cost_after"] += cost
         new_body.append(node)
     program.body = new_body
-    return report
+    return counters

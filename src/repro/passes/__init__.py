@@ -1,9 +1,10 @@
 """``repro.passes`` — the unified, instrumented pass framework.
 
-One abstraction covers every program rewrite in the repo: the a-priori
-normalization stages and the scheduling transformations are :class:`Pass`
-objects, composed into :class:`Pipeline` objects with per-pass wall time,
-change counters, and IR-size deltas collected on every run.  A
+One abstraction covers every normalization rewrite in the repo: a
+:class:`Pass` is a function of ``(program, analysis)`` that rewrites the
+program in place and returns ``(changed, counters)``.  Passes compose into
+:class:`Pipeline` objects whose runs return one :class:`PassResult` per
+pass application, with wall time, change counters and IR-size deltas.  A
 normalization pipeline is selected by its registered name (``"a-priori"``
 and its ablations, the expression-rewrite family of
 :mod:`repro.passes.rewrite`), and an :class:`AnalysisManager` memoizes
@@ -12,9 +13,8 @@ measurably faster.
 """
 
 from .analysis import AnalysisManager, node_fingerprint, program_fingerprint
-from .base import Pass, PassContext, PassResult, PassStats, program_ir_size
-from .pipeline import (DEFAULT_MAX_ITERATIONS, FixedPoint, Pipeline,
-                       PipelineResult)
+from .base import Pass, PassResult, PassStats, program_ir_size
+from .pipeline import DEFAULT_MAX_ITERATIONS, FixedPoint, Pipeline
 from .registry import (PipelineRegistryError, get_pipeline, has_pipeline,
                        pipeline_bit_exact, pipeline_names, register_pipeline,
                        unregister_pipeline)
@@ -27,9 +27,9 @@ from .rewrite import (CommonSubexpressionEliminationPass,
 
 __all__ = [
     # protocol + instrumentation
-    "Pass", "PassContext", "PassResult", "PassStats", "program_ir_size",
+    "Pass", "PassResult", "PassStats", "program_ir_size",
     # composition
-    "Pipeline", "PipelineResult", "FixedPoint", "DEFAULT_MAX_ITERATIONS",
+    "Pipeline", "FixedPoint", "DEFAULT_MAX_ITERATIONS",
     # registry
     "register_pipeline", "get_pipeline", "has_pipeline", "pipeline_names",
     "pipeline_bit_exact", "unregister_pipeline", "PipelineRegistryError",

@@ -1,13 +1,13 @@
 """The ``Pass`` protocol: one uniform, instrumented unit of program rewriting.
 
-Every rewrite in the repo — a-priori normalization stages and scheduling
-transformations alike — runs through this protocol: a pass mutates a program
-in place and its :meth:`Pass.run` wrapper measures what happened, producing a
-:class:`PassResult` with a changed-flag, named counters, the IR-size delta,
+A pass is a function of ``(program, analysis)``: :meth:`Pass.apply` mutates
+the program in place and returns ``(changed, counters)``, and its
+:meth:`Pass.run` wrapper measures the application, producing a
+:class:`PassResult` with that flag and those counters, the IR-size delta,
 and wall time.  Pipelines (:mod:`repro.passes.pipeline`) compose passes,
 :class:`PassStats` aggregates their results across many runs for reporting,
-and the :class:`~repro.passes.analysis.AnalysisManager` in the
-:class:`PassContext` lets passes share memoized analyses.
+and the shared :class:`~repro.passes.analysis.AnalysisManager` lets passes
+reuse memoized analyses.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from ..ir.nodes import Program
 from ..observability.tracing import span as _trace_span
@@ -44,7 +44,6 @@ class PassResult:
     counters: Dict[str, float] = field(default_factory=dict)
     ir_size_before: int = 0
     ir_size_after: int = 0
-    error: Optional[str] = None
 
     @property
     def ir_size_delta(self) -> int:
@@ -58,7 +57,6 @@ class PassResult:
             "counters": dict(self.counters),
             "ir_size_before": self.ir_size_before,
             "ir_size_after": self.ir_size_after,
-            "error": self.error,
         }
 
     @staticmethod
@@ -70,66 +68,50 @@ class PassResult:
             counters={str(k): v for k, v in dict(data.get("counters") or {}).items()},
             ir_size_before=int(data.get("ir_size_before", 0)),
             ir_size_after=int(data.get("ir_size_after", 0)),
-            error=data.get("error"),
         )
 
 
-@dataclass
-class PassContext:
-    """Shared state threaded through one pipeline run.
-
-    ``parameters`` are the symbolic-size bindings (used e.g. by stride
-    minimization), and ``analysis`` memoizes per-nest analyses across passes
-    *and* across runs when callers share one manager.  A pass reports what
-    it did through the counters :meth:`Pass.apply` returns.
-    """
-
-    parameters: Optional[Mapping[str, int]] = None
-    analysis: AnalysisManager = field(default_factory=AnalysisManager)
-
-
-#: What ``Pass.apply`` returns: a changed-flag, or ``(changed-flag,
-#: counters)``.  Nothing (or a ``None`` flag) reads as "changed".
-ApplyOutcome = Union[None, bool, Tuple[Optional[bool], Dict[str, float]]]
+#: What ``Pass.apply`` returns: whether it rewrote the program, and its
+#: named counters.
+ApplyOutcome = Tuple[bool, Dict[str, float]]
 
 
 class Pass:
     """Base class of all passes.
 
     Subclasses implement :meth:`apply`, which mutates the program in place
-    and reports whether it rewrote anything — the rewrite knows, and nothing
-    else is asked: no pass serialises the program to find out.  :meth:`run`
-    wraps the application with timing and IR-size accounting.
+    and returns whether it rewrote anything, with its counters — the
+    rewrite knows, and nothing else is asked: no pass serialises the
+    program to find out.  :meth:`run` wraps the application with timing and
+    IR-size accounting.
     """
 
     #: Name used in results, registries, and reports; set by subclasses.
     name: str = "pass"
 
-    def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
+    def apply(self, program: Program,
+              analysis: AnalysisManager) -> ApplyOutcome:
         raise NotImplementedError
 
-    def run(self, program: Program, context: Optional[PassContext] = None,
+    def run(self, program: Program,
+            analysis: Optional[AnalysisManager] = None,
             ir_size: Optional[int] = None) -> PassResult:
         """Apply the pass and measure it; returns the :class:`PassResult`.
 
-        ``ir_size`` is the program's :func:`program_ir_size` when the caller
-        knows it (a pipeline hands each pass the size its predecessor left);
-        a pass that reports no change leaves it as it was.
+        ``analysis`` is the memo the pass asks its analyses through (a
+        fresh one when not given).  ``ir_size`` is the program's
+        :func:`program_ir_size` when the caller knows it (a pipeline hands
+        each pass the size its predecessor left); a pass that reports no
+        change leaves it as it was.
         """
-        context = context or PassContext()
+        if analysis is None:
+            analysis = AnalysisManager()
         with _trace_span("pass:" + self.name) as span:
             size_before = (program_ir_size(program) if ir_size is None
                            else ir_size)
             started = time.perf_counter()
-            outcome = self.apply(program, context)
+            changed, counters = self.apply(program, analysis)
             wall_time = time.perf_counter() - started
-
-            counters: Dict[str, float] = {}
-            if isinstance(outcome, tuple):
-                outcome, counters = outcome[0], dict(outcome[1] or {})
-            # A pass that reported nothing is treated conservatively as
-            # having changed the program.
-            changed = True if outcome is None else bool(outcome)
             result = PassResult(pass_name=self.name, changed=changed,
                                 wall_time_s=wall_time, counters=counters,
                                 ir_size_before=size_before,
@@ -139,15 +121,6 @@ class Pass:
                                 wall_time_s=result.wall_time_s,
                                 ir_delta=result.ir_size_after - size_before)
             return result
-
-
-def aggregate_timings(results: Iterable[PassResult]) -> Dict[str, float]:
-    """Total wall time per pass name (fixed-point iterations summed)."""
-    timings: Dict[str, float] = {}
-    for result in results:
-        timings[result.pass_name] = (timings.get(result.pass_name, 0.0)
-                                     + result.wall_time_s)
-    return timings
 
 
 class PassStats:

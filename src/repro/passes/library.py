@@ -16,22 +16,23 @@ list:
 * ``"no-scalar-expansion"`` — drops only scalar expansion.
 * ``"identity"``            — no stages at all (the "Opt"-only ablation).
 
-Each stage pass reports what it did as :class:`~repro.passes.base.PassResult`
-counters; the :class:`~repro.normalization.pipeline.NormalizationReport` of
-a run is those results, and its stage summary their sums.
+Each stage pass hands on what its stage function returns, as
+:class:`~repro.passes.base.PassResult` counters; the
+:class:`~repro.normalization.pipeline.NormalizationReport` of a run is
+those results, and its stage summary their sums.
 """
 
 from __future__ import annotations
 
 from ..ir.nodes import Program
 from ..ir.validation import validate_program
-from ..normalization.fission import (MAX_FIXED_POINT_ITERATIONS, FissionReport,
-                                     fission_sweep)
+from ..normalization.fission import MAX_FIXED_POINT_ITERATIONS, fission_sweep
 from ..normalization.loop_normal_form import (canonicalize_iterator_names,
                                               normalize_program_bounds)
 from ..normalization.scalar_expansion import expand_scalars
 from ..normalization.stride_minimization import minimize_strides
-from .base import ApplyOutcome, Pass, PassContext
+from .analysis import AnalysisManager
+from .base import ApplyOutcome, Pass
 from .pipeline import FixedPoint, Pipeline
 from .registry import register_pipeline
 
@@ -41,8 +42,9 @@ class LoopNormalFormPass(Pass):
 
     name = "loop-normal-form"
 
-    def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
-        return normalize_program_bounds(program)
+    def apply(self, program: Program,
+              analysis: AnalysisManager) -> ApplyOutcome:
+        return normalize_program_bounds(program), {}
 
 
 class ScalarExpansionPass(Pass):
@@ -50,9 +52,10 @@ class ScalarExpansionPass(Pass):
 
     name = "scalar-expansion"
 
-    def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
-        report = expand_scalars(program)
-        return report.count > 0, {"scalars_expanded": report.count}
+    def apply(self, program: Program,
+              analysis: AnalysisManager) -> ApplyOutcome:
+        expanded = len(expand_scalars(program))
+        return expanded > 0, {"scalars_expanded": expanded}
 
 
 class FissionSweepPass(Pass):
@@ -60,16 +63,16 @@ class FissionSweepPass(Pass):
 
     name = "maximal-fission"
 
-    def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
+    def apply(self, program: Program,
+              analysis: AnalysisManager) -> ApplyOutcome:
         # Each sweep reports its own splits, so the run's counters sum to
         # the total; ``atomic_nests`` is a gauge, reported by the final
         # no-change sweep only.
-        report = FissionReport()
-        changed = fission_sweep(program, report, context.analysis)
-        counters = {"loops_split": report.loops_split}
-        if not changed:
-            counters["atomic_nests"] = report.atomic_nests
-        return changed, counters
+        split = fission_sweep(program, analysis)
+        if split:
+            return True, {"loops_split": split}
+        return False, {"loops_split": 0,
+                       "atomic_nests": len(program.top_level_loops())}
 
 
 class StrideMinimizationPass(Pass):
@@ -77,15 +80,10 @@ class StrideMinimizationPass(Pass):
 
     name = "stride-minimization"
 
-    def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
-        report = minimize_strides(program, context.parameters, context.analysis)
-        return report.nests_permuted > 0, {
-            "nests_considered": report.nests_considered,
-            "nests_permuted": report.nests_permuted,
-            "permutations_evaluated": report.permutations_evaluated,
-            "cost_before": report.total_cost_before,
-            "cost_after": report.total_cost_after,
-        }
+    def apply(self, program: Program,
+              analysis: AnalysisManager) -> ApplyOutcome:
+        counters = minimize_strides(program, analysis=analysis)
+        return counters["nests_permuted"] > 0, counters
 
 
 class CanonicalizeIteratorsPass(Pass):
@@ -93,8 +91,9 @@ class CanonicalizeIteratorsPass(Pass):
 
     name = "canonicalize-iterators"
 
-    def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
-        return canonicalize_iterator_names(program)
+    def apply(self, program: Program,
+              analysis: AnalysisManager) -> ApplyOutcome:
+        return canonicalize_iterator_names(program), {}
 
 
 class ValidatePass(Pass):
@@ -102,7 +101,8 @@ class ValidatePass(Pass):
 
     name = "validate"
 
-    def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
+    def apply(self, program: Program,
+              analysis: AnalysisManager) -> ApplyOutcome:
         errors = validate_program(program, strict=False)
         return False, {"validation_errors": len(errors)}
 
@@ -113,7 +113,7 @@ class ValidatePass(Pass):
 
 
 def _fission() -> FixedPoint:
-    return FixedPoint([FissionSweepPass()], name="maximal-fission",
+    return FixedPoint([FissionSweepPass()],
                       max_iterations=MAX_FIXED_POINT_ITERATIONS)
 
 

@@ -45,7 +45,8 @@ from ..ir.arrays import Array
 from ..ir.nodes import ArrayAccess, Computation, Loop, Node, Program
 from ..ir.symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod,
                           Mul, Read, rebuild)
-from .base import ApplyOutcome, Pass, PassContext
+from .analysis import AnalysisManager
+from .base import ApplyOutcome, Pass
 from .library import (CanonicalizeIteratorsPass, FissionSweepPass,
                       LoopNormalFormPass, ScalarExpansionPass,
                       StrideMinimizationPass, ValidatePass)
@@ -157,7 +158,8 @@ class ConstantPreEvaluationPass(Pass):
 
     name = "pre-evaluate"
 
-    def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
+    def apply(self, program: Program,
+              analysis: AnalysisManager) -> ApplyOutcome:
         counters = {"exprs_folded": 0.0, "flops_saved": 0.0}
         changed = False
 
@@ -202,7 +204,8 @@ class FactorizationPass(Pass):
 
     name = "factorize"
 
-    def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
+    def apply(self, program: Program,
+              analysis: AnalysisManager) -> ApplyOutcome:
         counters = {"factored": 0.0, "flops_saved": 0.0}
         changed = False
 
@@ -286,7 +289,8 @@ class ExpansionPass(Pass):
     #: Do not expand a product into more than this many terms.
     max_terms = 64
 
-    def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
+    def apply(self, program: Program,
+              analysis: AnalysisManager) -> ApplyOutcome:
         counters = {"expanded": 0.0, "terms_created": 0.0}
         changed = False
 
@@ -340,12 +344,13 @@ class LoopInvariantCodeMotionPass(Pass):
 
     name = "licm"
 
-    def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
+    def apply(self, program: Program,
+              analysis: AnalysisManager) -> ApplyOutcome:
         counters = {"hoisted": 0.0, "hoisted_uses": 0.0, "flops_saved": 0.0}
         changed = False
 
         def written(node: Node) -> frozenset:
-            return context.analysis.cached_node(
+            return analysis.cached_node(
                 "written-arrays", node, lambda: written_arrays(node))
 
         def boundary_for(expr: Expr, chain: List[Loop]) -> Optional[int]:
@@ -436,12 +441,13 @@ class CommonSubexpressionEliminationPass(Pass):
 
     name = "cse"
 
-    def apply(self, program: Program, context: PassContext) -> ApplyOutcome:
+    def apply(self, program: Program,
+              analysis: AnalysisManager) -> ApplyOutcome:
         counters = {"cse_hits": 0.0, "cse_temps": 0.0, "flops_saved": 0.0}
         changed = False
 
         def written(node: Node) -> frozenset:
-            return context.analysis.cached_node(
+            return analysis.cached_node(
                 "written-arrays", node, lambda: written_arrays(node))
 
         def collect(expr: Expr, into: Dict[Expr, int]) -> None:
@@ -569,6 +575,6 @@ def _a_priori_rewrite() -> Pipeline:
                     FactorizationPass(), LoopInvariantCodeMotionPass(),
                     CommonSubexpressionEliminationPass(),
                     StrideMinimizationPass(), CanonicalizeIteratorsPass()],
-                   name="a-priori+rewrite-fp", max_iterations=10),
+                   max_iterations=10),
         ValidatePass(),
     ])

@@ -15,7 +15,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from ..analysis.band import BandView
 from ..ir.nodes import Loop, Program
 from ..passes.analysis import AnalysisManager
-from ..passes.base import PassContext
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..perf.model import CostModel, IncrementalEstimate
 from ..transforms.base import BandSchedule, TransformationError
@@ -208,7 +207,6 @@ class NestPricer:
         self.parameters = parameters
         # ``is not None``: an empty manager is falsy through ``__len__``.
         self.analysis = analysis if analysis is not None else AnalysisManager()
-        self._context = PassContext(analysis=self.analysis)
         self._estimate = IncrementalEstimate(cost_model, program, parameters,
                                              nest_index, self.analysis)
         #: Schedule of the nest (the view's frames) -> modeled seconds.
@@ -223,7 +221,7 @@ class NestPricer:
                    and transformation.within_band(self.view)
                    for transformation in recipe):
             trial = self.program.copy()
-            apply_recipe(trial, recipe, strict=False, context=self._context)
+            apply_recipe(trial, recipe, strict=False, analysis=self.analysis)
             return self.cost_model.estimate_seconds(trial, self.parameters)
         view = self.view.fork()
         for transformation in recipe:

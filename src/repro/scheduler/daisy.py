@@ -22,7 +22,6 @@ from typing import Mapping, Optional
 
 from ..ir.nodes import Program
 from ..passes.analysis import AnalysisManager
-from ..passes.base import PassContext
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..transforms.idiom import ReplaceWithLibraryCall, match_blas3
 from ..transforms.recipe import Recipe, apply_recipe
@@ -59,7 +58,6 @@ class DaisyScheduler(Scheduler):
         #: ask it, so repeat scheduling of equivalent nests reuses
         #: dependence/permutation analyses across calls.
         self._analysis = AnalysisManager()
-        self._context = PassContext(analysis=self._analysis)
         self._search = EvolutionarySearch(self.cost_model, self.config.search)
 
     def tune(self, program: Program, parameters: Mapping[str, int],
@@ -93,7 +91,7 @@ class DaisyScheduler(Scheduler):
         if blas:
             recipe = Recipe(f"{label}:blas", [ReplaceWithLibraryCall(index)])
             application = apply_recipe(program, recipe, strict=False,
-                                       context=self._context)
+                                       analysis=self._analysis)
             if seeding:
                 self.database.add(embedding, recipe)
             status = "optimized" if application.fully_applied else "failed"
@@ -106,7 +104,7 @@ class DaisyScheduler(Scheduler):
             if entry is not None:
                 recipe = retarget_recipe(entry.recipe, index)
                 if apply_recipe(program, recipe, strict=False,
-                                context=self._context).applied:
+                                analysis=self._analysis).applied:
                     return NestScheduleInfo(index, "optimized", recipe,
                                             f"transfer from {entry.label}")
                 # The recipe could not be applied at all: fall through.
@@ -119,7 +117,7 @@ class DaisyScheduler(Scheduler):
         outcome = self._search.search(program, index, parameters, seeds,
                                       analysis=self._analysis)
         apply_recipe(program, outcome.recipe, strict=False,
-                     context=self._context)
+                     analysis=self._analysis)
         if seeding:
             self.database.add(embedding, outcome.recipe, runtime=outcome.runtime)
         return NestScheduleInfo(index, "optimized", outcome.recipe,

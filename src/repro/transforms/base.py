@@ -1,19 +1,17 @@
-"""Transformations as passes of the unified framework.
+"""Transformations: the steps of an optimization recipe.
 
 The daisy auto-scheduler (Section 4) stores *optimization recipes* — sequences
 of loop transformations such as interchange, tiling, parallelization and
-vectorization — in a database and applies them to normalized loop nests.
-Every transformation is also a :class:`repro.passes.Pass`: the same
-protocol that runs the a-priori normalization stages runs a single
-transformation with wall time and a change flag (``run``), while recipes
-are applied through :func:`repro.transforms.recipe.apply_recipe`.  Each
-transformation is therefore:
+vectorization — in a database and applies them to normalized loop nests
+through :func:`repro.transforms.recipe.apply_recipe`, which hands every step
+the caller's :class:`~repro.passes.analysis.AnalysisManager`.  Each
+transformation is:
 
 * addressable (it names the top-level nest it applies to),
 * checkable (it can refuse to apply when illegal, via
   :class:`TransformationError`),
 * serializable (recipes are persisted alongside embeddings), and
-* instrumented (``run()`` yields a :class:`~repro.passes.base.PassResult`).
+* honest about change (``apply`` returns whether it rewrote the program).
 """
 
 from __future__ import annotations
@@ -23,30 +21,29 @@ from typing import Any, Dict, List, Optional, Type
 
 from ..analysis.band import BandView
 from ..ir.nodes import Loop, Program
-from ..passes.base import Pass, PassContext
+from ..passes.analysis import AnalysisManager
 
 
 class TransformationError(Exception):
     """Raised when a transformation cannot be applied legally."""
 
 
-class Transformation(Pass):
-    """Base class for all transformations — a serializable, registered pass.
+class Transformation:
+    """Base class for all transformations — a serializable, registered
+    recipe step.
 
     Subclasses implement :meth:`apply`, which mutates the given program in
     place (programs are cheap to copy; callers that need the original copy it
     first), and :meth:`params`, which returns the JSON-serializable parameter
-    dictionary used for persistence.  ``apply(program)`` works without a
-    context and returns whether it rewrote the program (an illegal
-    transformation raises instead); the :class:`~repro.passes.base.Pass`
-    protocol's ``run(program, context)`` wraps it with timing.
+    dictionary used for persistence.  ``apply(program, analysis=None)``
+    returns whether it rewrote the program (an illegal transformation
+    raises instead); legality questions go through ``analysis`` when given.
     """
 
     #: Registry of transformation names to classes, for deserialization.
     registry: Dict[str, Type["Transformation"]] = {}
 
-    #: Short name used in serialized recipes (and pass results); set by
-    #: subclasses.
+    #: Short name used in serialized recipes; set by subclasses.
     name: str = "transformation"
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -58,7 +55,7 @@ class Transformation(Pass):
         Transformation.registry[cls.name] = cls
 
     def apply(self, program: Program,
-              context: Optional[PassContext] = None) -> bool:
+              analysis: Optional[AnalysisManager] = None) -> bool:
         raise NotImplementedError
 
     def params(self) -> Dict[str, Any]:
@@ -102,15 +99,14 @@ class BandSchedule(Transformation):
         return True
 
     def view(self, program: Program,
-             context: Optional[PassContext] = None) -> BandView:
+             analysis: Optional[AnalysisManager] = None) -> BandView:
         """A view of the nest this transformation addresses."""
         return BandView(get_nest(program, self.nest_index), program.arrays,
-                        analysis=context.analysis if context is not None else None,
-                        program_name=program.name)
+                        analysis=analysis, program_name=program.name)
 
     def apply(self, program: Program,
-              context: Optional[PassContext] = None) -> bool:
-        view = self.view(program, context)
+              analysis: Optional[AnalysisManager] = None) -> bool:
+        view = self.view(program, analysis)
         self.schedule(view)
         return build_view(program, self.nest_index, view)
 

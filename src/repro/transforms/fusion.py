@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional
 from ..analysis.dataflow import adjacent_flows
 from ..analysis.dependence import dependences_between
 from ..ir.nodes import Loop, Node, Program, rename_iterators
-from ..passes.base import PassContext
+from ..passes.analysis import AnalysisManager
 from .base import Transformation, TransformationError, get_nest
 
 
@@ -104,7 +104,7 @@ class Fuse(Transformation):
                 "depth": self.depth}
 
     def apply(self, program: Program,
-              context: Optional[PassContext] = None) -> bool:
+              analysis: Optional[AnalysisManager] = None) -> bool:
         if self.first_index == self.second_index:
             raise TransformationError("cannot fuse a nest with itself")
         first = get_nest(program, self.first_index)

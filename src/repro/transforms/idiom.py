@@ -17,7 +17,7 @@ from ..analysis.affine import decompose_access
 from ..ir.nodes import Computation, LibraryCall, Loop, Program
 from ..ir.serialization import node_to_dict
 from ..ir.symbols import Expr, Mul, Read
-from ..passes.base import PassContext
+from ..passes.analysis import AnalysisManager
 from .base import Transformation, TransformationError, get_nest
 
 
@@ -178,7 +178,7 @@ class ReplaceWithLibraryCall(Transformation):
                 "expected_routine": self.expected_routine}
 
     def apply(self, program: Program,
-              context: Optional[PassContext] = None) -> bool:
+              analysis: Optional[AnalysisManager] = None) -> bool:
         nest = get_nest(program, self.nest_index)
         match = match_blas3(nest)
         if match is None:

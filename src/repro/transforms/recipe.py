@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..ir.nodes import Program
-from ..passes.base import PassContext
+from ..passes.analysis import AnalysisManager
 from ..analysis.band import BandView
 from .base import (BandSchedule, Transformation, TransformationError,
                    build_view)
@@ -72,16 +72,17 @@ class RecipeApplication:
 
 def apply_recipe(program: Program, recipe: Recipe,
                  strict: bool = False,
-                 context: Optional[PassContext] = None) -> RecipeApplication:
+                 analysis: Optional[AnalysisManager] = None
+                 ) -> RecipeApplication:
     """Apply a recipe to ``program`` in place.
 
     With ``strict=True`` the first illegal transformation raises; otherwise
     illegal transformations are recorded and skipped — mirroring the paper's
     behavior that a transformation sequence "cannot be applied" when a B loop
     nest does not reduce to an A loop nest.  The transformations answer
-    their legality questions through ``context.analysis`` when a
-    ``context`` is given, so a caller applying many recipes to equivalent
-    nests asks each question once.
+    their legality questions through ``analysis`` when one is given, so a
+    caller applying many recipes to equivalent nests asks each question
+    once.
     """
     result = RecipeApplication(recipe=recipe)
     # Consecutive band schedules of one nest edit one view of it, built into
@@ -102,11 +103,11 @@ def apply_recipe(program: Program, recipe: Recipe,
                     if view is None or transformation.nest_index != viewed:
                         build()
                         viewed = transformation.nest_index
-                        view = transformation.view(program, context)
+                        view = transformation.view(program, analysis)
                     transformation.schedule(view)
                 else:
                     build()
-                    transformation.apply(program, context)
+                    transformation.apply(program, analysis)
                 result.applied.append(transformation)
             except TransformationError as error:
                 if strict:

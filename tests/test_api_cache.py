@@ -2,9 +2,11 @@
 
 from helpers import build_gemm, build_vector_add
 
+import pytest
+
 from repro.api import (NormalizationCache, NormalizationOptions,
-                       canonical_program_dict, fingerprint,
-                       program_content_hash)
+                       ScheduleRequest, Session, canonical_program_dict,
+                       fingerprint, program_content_hash)
 
 
 class TestContentHash:
@@ -109,3 +111,25 @@ class TestScheduleLevel:
         # The oldest entry was evicted: normalizing it again misses.
         entry = cache.normalized(build_gemm(("i", "j", "k")))
         assert not entry.hit
+
+
+class TestPersistedKeyMaterial:
+    """Persisted cache keys and every reply's ``input_hash`` are made of
+    these bytes: a refactor of the options, the cache key or the session
+    salt must leave them as they are, or every persisted entry misses."""
+
+    @pytest.mark.parametrize("pipeline, salt, input_hash", [
+        (None, "5b79359a2774f9d0",
+         "16d40e9138e4889ff704e42400e799efbb15927c943cb5fb601411a1975c6d8b"),
+        ("no-fission", "1b22410fbc7d8847",
+         "015bc0c42f690cdd99ff65f5ff2d1bfa8b494bcd8d0d6c82f4a2149257a0ecb4"),
+    ], ids=["a-priori", "no-fission"])
+    def test_salt_and_normalized_key_are_pinned(self, pipeline, salt,
+                                                input_hash):
+        session = Session(pipeline=pipeline)
+        assert session._response_salt == salt
+        assert session.normalize("gemm:a").input_hash == input_hash
+
+    def test_response_key_is_pinned(self):
+        assert (Session()._response_key(ScheduleRequest(program="gemm:a"))
+                == "cd2c5662d91af06b|5b79359a2774f9d0|0:19ff6864d3680eb0")

@@ -17,12 +17,15 @@ import copy
 import pytest
 from helpers import fast_session, queue_behind
 
+import repro.normalization
+import repro.passes
 from repro.api import NormalizationOptions, ScheduleRequest, Session
 from repro.normalization import normalize
 from repro.observability import AlertEvaluator, AlertRule, MetricsRegistry
 from repro.observability.tracing import Tracer
-from repro.passes import PassContext
+from repro.passes import FixedPoint, LoopNormalFormPass, Pass
 from repro.serving import ServingServer
+from repro.transforms import Interchange
 
 SMALL_GEMM = {"NI": 4, "NJ": 4, "NK": 4}
 
@@ -127,7 +130,12 @@ def _removed_spellings():
         "report-scalar-expansion": lambda: report.scalar_expansion,
         "report-canonical-iterators": lambda: report.canonical_iterators,
         "report-validation-errors": lambda: report.validation_errors,
-        "context-scratch": lambda: PassContext(scratch={}),
+        "pass-context": lambda: repro.passes.PassContext,
+        "pipeline-result": lambda: repro.passes.PipelineResult,
+        "fission-report": lambda: repro.normalization.FissionReport,
+        "options-parameters": lambda: NormalizationOptions(parameters={}),
+        "fixed-point-name": lambda: FixedPoint([LoopNormalFormPass()],
+                                               name="x"),
         "tracer-sampled": lambda: Tracer().sampled("0" * 32),
     }
 
@@ -135,9 +143,14 @@ def _removed_spellings():
 @pytest.mark.parametrize("spelling", sorted(_removed_spellings()))
 def test_removed_spellings_raise(spelling):
     """Reports read the registry and the pass results: the private counters,
-    the stage fields and the stage-report mailbox are gone."""
+    the stage fields, the stage-report mailboxes, the pass context and the
+    second run record are gone."""
     with pytest.raises((TypeError, AttributeError)):
         _removed_spellings()[spelling]()
+
+
+def test_a_transformation_is_not_a_pass():
+    assert not isinstance(Interchange(0, ["i"]), Pass)
 
 
 # -- a dropped alert snapshot --------------------------------------------------

@@ -98,11 +98,11 @@ class _ShortenFirstLoop(Pass):
 
     name = "inject-shorten"
 
-    def apply(self, program, context):
+    def apply(self, program, analysis):
         for loop in program.iter_loops():
             loop.end = loop.end - 1
-            return True
-        return False
+            return True, {}
+        return False, {}
 
 
 @pytest.fixture

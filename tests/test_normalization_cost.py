@@ -37,12 +37,12 @@ from repro.fuzz import generate_program
 from repro.interp import programs_equivalent
 from repro.ir import ProgramBuilder
 from repro.ir.nodes import Loop
-from repro.normalization import (NormalizationOptions, minimize_strides,
-                                 normalize, stride_minimization)
+from repro.normalization import (minimize_strides, normalize,
+                                 stride_minimization)
 from repro.normalization.fission import (MAX_FIXED_POINT_ITERATIONS,
                                         _dependence_edges, scc_groups)
 from repro.passes import (AnalysisManager, FissionSweepPass, FixedPoint,
-                          LoopNormalFormPass, Pass, PassContext, Pipeline,
+                          LoopNormalFormPass, Pass, Pipeline,
                           ScalarExpansionPass, get_pipeline,
                           program_fingerprint)
 from repro.passes.base import program_ir_size
@@ -69,14 +69,14 @@ def _programs():
         yield f"fuzz:{seed}", generated.program, dict(generated.parameters)
 
 
-def _fissioned(program, parameters):
-    """``program`` as stride minimization receives it."""
+def _fissioned(program):
+    """``program`` as stride minimization receives it (fission reads no
+    sizes)."""
     pipeline = Pipeline("fissioned", [
         LoopNormalFormPass(), ScalarExpansionPass(),
-        FixedPoint([FissionSweepPass()], name="maximal-fission",
+        FixedPoint([FissionSweepPass()],
                    max_iterations=MAX_FIXED_POINT_ITERATIONS)])
-    options = NormalizationOptions(parameters=parameters)
-    return normalize(program, options, pipeline=pipeline)[0]
+    return normalize(program, pipeline=pipeline)[0]
 
 
 # -- passes report their changes ------------------------------------------------------
@@ -90,10 +90,10 @@ class _Witnessed(Pass):
     def __init__(self, inner, log):
         self.inner, self.name, self.log = inner, inner.name, log
 
-    def apply(self, program, context):
+    def apply(self, program, analysis):
         before = program_fingerprint(program)
         size_before = program_ir_size(program)
-        outcome = self.inner.apply(program, context)
+        outcome = self.inner.apply(program, analysis)
         self.log.append((self.name, program_fingerprint(program) != before,
                          size_before, program_ir_size(program)))
         return outcome
@@ -112,13 +112,12 @@ def _witnessed_pipeline(log):
 class TestPassesReportTheirChanges:
     def test_reported_change_is_fingerprint_change(self):
         applications = changed = 0
-        for label, program, parameters in _programs():
+        for label, program, _parameters in _programs():
             log = []
-            outcome = _witnessed_pipeline(log).run(
-                program, PassContext(parameters=parameters))
+            results = _witnessed_pipeline(log).run(program)
             reported = [(result.pass_name, result.changed,
                          result.ir_size_before, result.ir_size_after)
-                        for result in outcome.passes]
+                        for result in results]
             assert reported == log, label
             applications += len(log)
             changed += sum(1 for entry in log if entry[1])
@@ -135,7 +134,7 @@ class TestPassesReportTheirChanges:
         assert [id(loop) for loop in program.iter_loops()] == fragments
 
     def test_instrumented_transformations_report_fingerprint_change(self):
-        """``Transformation.run`` derives its flag from the view it edited
+        """``Transformation.apply`` derives its flag from the view it edited
         (or the in-place edit below the band), not from a program dump."""
         rng = random.Random(17)
         checked = unchanged = 0
@@ -161,12 +160,12 @@ class TestPassesReportTheirChanges:
                 for transformation in candidates:
                     before = program_fingerprint(program)
                     try:
-                        result = transformation.run(program)
+                        changed = transformation.apply(program)
                     except TransformationError:
                         assert program_fingerprint(program) == before
                         continue
                     differs = program_fingerprint(program) != before
-                    assert result.changed == differs, (seed, transformation)
+                    assert changed == differs, (seed, transformation)
                     checked += 1
                     unchanged += not differs
         assert checked > 60 and 0 < unchanged < checked
@@ -222,7 +221,7 @@ class TestLocalScc:
     def test_every_loop_body(self):
         bodies = split = 0
         for label, program, parameters in _programs():
-            for form in (program, _fissioned(program.copy(), parameters)):
+            for form in (program, _fissioned(program.copy())):
                 for loop in form.iter_loops():
                     edges = _dependence_edges(loop)
                     groups = scc_groups(len(loop.body), edges)
@@ -342,21 +341,21 @@ class TestStrideMinimizationOnce:
     def test_report_costs_are_program_stride_costs(self):
         manager = AnalysisManager()
         for label, program, parameters in _programs():
-            form = _fissioned(program, parameters)
+            form = _fissioned(program)
             before = program_stride_cost(form, parameters)
             twin = form.copy()
-            report = minimize_strides(form, parameters, manager)
-            assert report.total_cost_before == before, label
-            assert report.total_cost_after == program_stride_cost(
+            counters = minimize_strides(form, parameters, manager)
+            assert counters["cost_before"] == before, label
+            assert counters["cost_after"] == program_stride_cost(
                 form, parameters), label
             # The same question through the (now warm) memo and without one.
             for analysis in (manager, None):
                 other = twin.copy()
                 again = minimize_strides(other, parameters, analysis)
-                assert (again.total_cost_before, again.total_cost_after,
-                        again.nests_permuted) == (
-                    report.total_cost_before, report.total_cost_after,
-                    report.nests_permuted), label
+                assert (again["cost_before"], again["cost_after"],
+                        again["nests_permuted"]) == (
+                    counters["cost_before"], counters["cost_after"],
+                    counters["nests_permuted"]), label
                 assert program_fingerprint(other) == program_fingerprint(form)
 
     def test_one_walk_per_computed_nest(self, monkeypatch):
@@ -367,7 +366,7 @@ class TestStrideMinimizationOnce:
             lambda *args, **kwargs: walks.append(1) or walk(*args, **kwargs))
         manager = AnalysisManager()
         spec = workloads.benchmark("gemm")
-        form = _fissioned(spec.variant("a"), spec.sizes("large"))
+        form = _fissioned(spec.variant("a"))
         nests = sum(1 for node in form.body if isinstance(node, Loop))
         minimize_strides(form.copy(), spec.sizes("large"), manager)
         assert len(walks) == nests == manager.misses
@@ -408,7 +407,7 @@ class TestStrideMinimizationOnce:
         forms = {}
         for name in ("syrk", "syr2k"):
             spec = workloads.benchmark(name)
-            forms[name] = _fissioned(spec.variant("a"), spec.sizes("large"))
+            forms[name] = _fissioned(spec.variant("a"))
         assert set(forms["syrk"].arrays) < set(forms["syr2k"].arrays)
         sizes = workloads.benchmark("syr2k").sizes("large")
         manager = AnalysisManager()
@@ -521,7 +520,7 @@ class TestIndexFacts:
 
         monkeypatch.setattr(dependence, "_test_access_pair", both)
         for label, program, parameters in _programs():
-            for form in (program, _fissioned(program.copy(), parameters)):
+            for form in (program, _fissioned(program.copy())):
                 for loop in form.iter_loops():
                     body_dependences(loop.iterator, [
                         nest_statements(child) for child in loop.body])

@@ -70,9 +70,8 @@ class TestIdempotence:
     @pytest.mark.parametrize("pipeline", REWRITE_PIPELINES)
     def test_fem_workloads(self, pipeline):
         for name in FEM_WORKLOADS:
-            program, parameters, _ = _fem_program(name)
-            options = NormalizationOptions(pipeline=pipeline,
-                                           parameters=parameters)
+            program, _parameters, _ = _fem_program(name)
+            options = NormalizationOptions(pipeline=pipeline)
             once, _ = normalize(program, options)
             twice, report = normalize(once, options)
             assert program_fingerprint(once) == program_fingerprint(twice), \
@@ -83,8 +82,7 @@ class TestIdempotence:
     def test_expression_heavy_fuzz_programs(self, pipeline):
         for seed in range(8):
             generated = generate_program(seed, "expression-heavy")
-            options = NormalizationOptions(pipeline=pipeline,
-                                           parameters=generated.parameters)
+            options = NormalizationOptions(pipeline=pipeline)
             once, _ = normalize(generated.program, options)
             twice, _ = normalize(once, options)
             assert program_fingerprint(once) == program_fingerprint(twice), \
@@ -106,8 +104,7 @@ class TestSemanticPreservation:
         # Rotate through the family so every pipeline sees many programs
         # without interpreting 50 x 5 programs.
         pipeline = REWRITE_PIPELINES[seed % len(REWRITE_PIPELINES)]
-        rewritten, _ = normalize(program, NormalizationOptions(
-            pipeline=pipeline, parameters=parameters))
+        rewritten, _ = normalize(program, NormalizationOptions(pipeline))
         result = run_program(rewritten, parameters, inputs)
         for output in _observable_outputs(program):
             assert np.allclose(reference[output], result[output],
@@ -117,8 +114,7 @@ class TestSemanticPreservation:
     def test_rewrite_reduces_fem_flops(self):
         """The acceptance bar: LICM+CSE measurably reduce interpreter work."""
         program, parameters, _ = _fem_program("fem-mass")
-        rewritten, _ = normalize(program, NormalizationOptions(
-            pipeline="rewrite", parameters=parameters))
+        rewritten, _ = normalize(program, NormalizationOptions("rewrite"))
         before = program_flops(program, parameters)
         after = program_flops(rewritten, parameters)
         assert after < 0.75 * before, (before, after)
@@ -212,8 +208,7 @@ class TestOracleToleranceMode:
         parameters = {"N": 64}
         inputs = _inputs_for(program, parameters)
         reference = run_program(program, parameters, inputs)
-        rewritten, _ = normalize(program, NormalizationOptions(
-            pipeline="rewrite", parameters=parameters))
+        rewritten, _ = normalize(program, NormalizationOptions("rewrite"))
         result = run_program(rewritten, parameters, inputs)
         # Not bitwise equal -- but within the registered tolerance.
         assert not np.array_equal(reference["y"], result["y"])
