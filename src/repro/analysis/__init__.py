@@ -14,9 +14,9 @@
   expression-rewrite passes.
 """
 
-from .affine import (AffineAccess, AffineIndex, access_is_contiguous,
-                     computation_accesses, decompose_access, decompose_index,
-                     loop_nest_accesses, nest_statements)
+from .affine import (AffineAccess, AffineIndex, computation_accesses,
+                     decompose_access, decompose_index, loop_nest_accesses,
+                     nest_statements)
 from .band import BandView, Frame
 from .dataflow import adjacent_flows, body_dataflow, node_reads_writes
 from .flops import (computation_flops, expr_flops, expr_reads, program_flops,
@@ -26,12 +26,11 @@ from .dependence import (ANY, EQ, GT, LT, Dependence, body_dependences,
                          nest_dependences, permutation_is_legal,
                          self_dependences)
 from .parallelism import ParallelismInfo, analyze_loop_parallelism
-from .strides import (BandStrides, StrideReport, access_stride, band_strides,
-                      nest_stride_cost, nest_stride_report,
-                      out_of_order_count, program_stride_cost)
+from .strides import (BandStrides, access_stride, band_strides,
+                      program_stride_cost)
 
 __all__ = [
-    "AffineAccess", "AffineIndex", "access_is_contiguous", "computation_accesses",
+    "AffineAccess", "AffineIndex", "computation_accesses",
     "decompose_access", "decompose_index", "loop_nest_accesses",
     "nest_statements",
     "BandView", "Frame",
@@ -42,7 +41,5 @@ __all__ = [
     "ParallelismInfo", "analyze_loop_parallelism",
     "computation_flops", "expr_flops", "expr_reads", "program_flops",
     "written_arrays",
-    "BandStrides", "StrideReport", "access_stride", "band_strides",
-    "nest_stride_cost", "nest_stride_report",
-    "out_of_order_count", "program_stride_cost",
+    "BandStrides", "access_stride", "band_strides", "program_stride_cost",
 ]

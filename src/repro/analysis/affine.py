@@ -175,16 +175,3 @@ def loop_nest_accesses(loop: Node) -> List[Tuple[Computation, Tuple[str, ...],
             for node, enclosing in nest_statements(loop)
             if isinstance(node, Computation)]
 
-
-def access_is_contiguous(access: AffineAccess, innermost: str,
-                         strides: Sequence[float]) -> bool:
-    """True if advancing ``innermost`` by one moves the address by one element.
-
-    ``strides`` are the row-major element strides of the array's dimensions.
-    """
-    if not access.affine or len(strides) != len(access.indices):
-        return False
-    movement = 0.0
-    for index, stride in zip(access.indices, strides):
-        movement += index.coefficient(innermost) * stride
-    return movement == 1.0

@@ -547,16 +547,11 @@ def _lexicographically_non_negative(directions: Sequence[str]) -> bool:
     return True
 
 
-def legal_permutations(loop: Loop, limit: Optional[int] = None,
+def legal_permutations(loop: Loop,
                        analysis: "Optional[AnalysisManager]" = None
                        ) -> List[Tuple[str, ...]]:
     """Enumerate legal permutations of the nest's perfectly nested band."""
     band = loop.perfectly_nested_band()
     vectors = nest_direction_vectors(loop, analysis)
-    legal: List[Tuple[str, ...]] = []
-    for perm in iter_permutations([lp.iterator for lp in band]):
-        if band_order_is_legal(band, vectors, perm):
-            legal.append(perm)
-            if limit is not None and len(legal) >= limit:
-                break
-    return legal
+    return [perm for perm in iter_permutations([lp.iterator for lp in band])
+            if band_order_is_legal(band, vectors, perm)]

@@ -8,9 +8,12 @@ iterator, so the dominant term is the per-access stride with respect to the
 innermost loop; outer loops contribute with geometrically decreasing weight
 so that the total order over permutations is well defined.
 
-When array extents are not statically known, the paper proposes counting
-out-of-order accesses with respect to the permutation of loop iterators and
-array dimensions; :func:`out_of_order_count` implements that fallback.
+The criterion is one function: :func:`band_strides` walks a nest's accesses
+once, and :meth:`BandStrides.cost` prices any order of its band from that
+walk.  A size parameter without a binding is priced at the nominal extent
+:data:`DEFAULT_PARAMETER_VALUE`, so symbolic shapes need no second
+criterion, and normalization prices every nest at those extents (a normal
+form takes no sizes).
 """
 
 from __future__ import annotations
@@ -54,21 +57,6 @@ def access_stride(access: AffineAccess, iterator: str,
                                    element_strides):
         movement += coefficient * stride
     return movement
-
-
-@dataclass(frozen=True)
-class StrideReport:
-    """Break-down of the stride cost of one loop nest."""
-
-    total: float
-    per_level: Tuple[Tuple[str, float], ...]
-    non_affine_accesses: int
-
-    def level_cost(self, iterator: str) -> float:
-        for name, cost in self.per_level:
-            if name == iterator:
-                return cost
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -129,79 +117,13 @@ def band_strides(loop: Loop, arrays: Mapping[str, Array],
     return BandStrides(per_iterator, penalty, non_affine)
 
 
-def nest_stride_report(loop: Loop, arrays: Mapping[str, Array],
-                       parameters: Optional[Mapping[str, int]] = None,
-                       order: Optional[Sequence[str]] = None) -> StrideReport:
-    """Compute the stride cost of a loop nest for a given loop order.
-
-    ``order`` lists the iterators of the nest's perfectly nested band from
-    outermost to innermost; it defaults to the order in which they currently
-    appear.
-    """
-    strides = band_strides(loop, arrays, parameters)
-    band_iterators = list(strides.per_iterator)
-    if order is None:
-        order = band_iterators
-    if sorted(order) != sorted(band_iterators):
-        raise ValueError(f"order {list(order)} does not match band {band_iterators}")
-    return StrideReport(
-        total=strides.cost(order),
-        per_level=tuple((it, strides.per_iterator[it]) for it in order),
-        non_affine_accesses=strides.non_affine_accesses)
-
-
-def nest_stride_cost(loop: Loop, arrays: Mapping[str, Array],
-                     parameters: Optional[Mapping[str, int]] = None,
-                     order: Optional[Sequence[str]] = None) -> float:
-    """The scalar ``stride(loop)`` criterion of Section 2.2."""
-    return nest_stride_report(loop, arrays, parameters, order).total
-
-
 def program_stride_cost(program: Program,
                         parameters: Optional[Mapping[str, int]] = None) -> float:
-    """Sum of the stride costs of all top-level loop nests of a program."""
+    """Sum of the stride costs of all top-level loop nests of a program,
+    each in its current band order."""
     total = 0.0
     for node in program.body:
         if isinstance(node, Loop):
-            total += nest_stride_cost(node, program.arrays, parameters)
+            strides = band_strides(node, program.arrays, parameters)
+            total += strides.cost(tuple(strides.per_iterator))
     return total
-
-
-def out_of_order_count(loop: Loop, arrays: Mapping[str, Array],
-                       order: Optional[Sequence[str]] = None) -> int:
-    """Count accesses whose subscript order disagrees with the loop order.
-
-    For each affine access, the access is "in order" when the iterator used
-    in the last (fastest-varying) array dimension appears innermost among the
-    iterators the access uses, the second-to-last dimension's iterator next,
-    and so on.  The count of violated adjacent pairs is returned, summed over
-    all accesses.  This is the paper's fallback criterion for symbolic shapes.
-    """
-    band = loop.perfectly_nested_band()
-    band_iterators = [lp.iterator for lp in band]
-    if order is None:
-        order = band_iterators
-    position = {iterator: idx for idx, iterator in enumerate(order)}
-
-    violations = 0
-
-    def dominant_iterator(index) -> Optional[str]:
-        names = [name for name in index.iterator_names() if name in position]
-        if not names:
-            return None
-        # The iterator with the largest coefficient dominates the subscript.
-        return max(names, key=lambda name: abs(index.coefficient(name)))
-
-    for _comp, _enclosing, accesses in loop_nest_accesses(loop):
-        for affine_access in accesses:
-            if not affine_access.affine:
-                violations += 1
-                continue
-            dominant = [dominant_iterator(index) for index in affine_access.indices]
-            dominant = [d for d in dominant if d is not None]
-            for outer_dim, inner_dim in zip(dominant, dominant[1:]):
-                # The later array dimension varies faster; its iterator should
-                # be deeper (larger position) in the loop order.
-                if position[outer_dim] > position[inner_dim]:
-                    violations += 1
-    return violations

@@ -142,14 +142,24 @@ class Session:
         # configurations may share one persistent cache file; the salt keys
         # entries by everything the session itself contributes to a response.
         # The normalization entry keeps the shape the options once had (a
-        # pipeline and its sizes), so persisted keys stay valid.
-        self._response_salt = fingerprint({
+        # pipeline and its sizes), so persisted keys stay valid.  A machine
+        # or search budget the caller chose keys the salt and the schedule
+        # level too; one left at None adds nothing, so default sessions
+        # keep their keys.
+        chosen = {name: value for name, value in
+                  (("machine", machine), ("search", search), ("mcts", mcts))
+                  if value is not None}
+        self._settings_key = f"|{fingerprint(chosen)}" if chosen else ""
+        salt: Dict[str, Any] = {
             "scheduler": self.default_scheduler,
             "threads": self.threads,
             "size": self.size,
             "normalization": {"pipeline": self.normalization.pipeline,
                               "parameters": None},
-        })
+        }
+        if chosen:
+            salt["settings"] = chosen
+        self._response_salt = fingerprint(salt)
 
     # -- loading ---------------------------------------------------------------------
 
@@ -351,7 +361,8 @@ class Session:
                 key = self.cache.schedule_key(
                     canonical_hash if normalizes else input_hash, name,
                     instance.threads, parameters,
-                    database_version=self._database_version(instance))
+                    database_version=self._database_version(instance)
+                ) + self._settings_key
                 cached = self.cache.lookup_schedule(key)
                 if cached is not None:
                     result, runtime = cached

@@ -88,15 +88,6 @@ class Array:
             strides[dim] = strides[dim + 1] * shape[dim + 1]
         return tuple(strides)
 
-    def symbolic_strides(self) -> Tuple[Expr, ...]:
-        """Row-major strides as symbolic expressions."""
-        from .symbols import Const, Mul
-        rank = self.rank
-        strides: list = [Const(1)] * rank
-        for dim in range(rank - 2, -1, -1):
-            strides[dim] = Mul.make([strides[dim + 1], self.shape[dim + 1]])
-        return tuple(strides)
-
     def allocate(self, parameters: Mapping[str, int],
                  fill: Optional[float] = None,
                  rng: Optional[np.random.Generator] = None) -> np.ndarray:

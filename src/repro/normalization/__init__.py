@@ -1,10 +1,12 @@
 """A-priori loop nest normalization — the paper's primary contribution.
 
-The two normalization criteria of Section 2:
+The two normalization criteria of Section 2, one function each:
 
-* :func:`maximal_loop_fission` — split loop bodies into atomic nests,
+* :func:`maximal_loop_fission` — split loop bodies into atomic nests, in
+  one bottom-up sweep,
 * :func:`minimize_strides` — per nest, pick the legal loop order with the
-  minimal stride cost,
+  minimal stride cost, priced at the nominal extents
+  (:func:`find_minimal_permutation` is the one search),
 
 plus loop normal form and canonical iterator renaming, combined in
 :func:`normalize` (the pipeline of Figure 5).  The stages run as
@@ -16,8 +18,7 @@ what it did: :func:`maximal_loop_fission` its split count,
 counters.
 """
 
-from .fission import (fission_loop, fission_sweep, is_maximally_fissioned,
-                      maximal_loop_fission)
+from .fission import fission_loop, is_maximally_fissioned, maximal_loop_fission
 from .loop_normal_form import (canonicalize_iterator_names,
                                normalize_loop_bounds, normalize_program_bounds)
 from .pipeline import (NormalizationOptions, NormalizationReport, normalize,
@@ -27,8 +28,7 @@ from .stride_minimization import (EXHAUSTIVE_DEPTH_LIMIT,
                                   find_minimal_permutation, minimize_strides)
 
 __all__ = [
-    "fission_loop", "fission_sweep", "is_maximally_fissioned",
-    "maximal_loop_fission",
+    "fission_loop", "is_maximally_fissioned", "maximal_loop_fission",
     "canonicalize_iterator_names",
     "normalize_loop_bounds", "normalize_program_bounds",
     "NormalizationOptions", "NormalizationReport", "normalize",

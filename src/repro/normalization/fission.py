@@ -11,6 +11,11 @@ each SCC becomes its own loop, and the loops are emitted in a topological
 order of the SCC condensation.  Statements in different SCCs have no
 dependence cycle, so executing one group's loop to completion before the
 next preserves all dependences.
+
+One bottom-up sweep is maximal.  A loop's children are split before the
+loop itself, and the statements of one SCC stay strongly connected in the
+loop of their own, because :func:`~repro.analysis.dependence.body_dependences`
+tests the edges pairwise.  So no loop the sweep builds can be split again.
 """
 
 from __future__ import annotations
@@ -23,10 +28,6 @@ from ..analysis.dependence import body_dependences
 
 if TYPE_CHECKING:  # deferred to avoid a cycle with repro.passes.library
     from ..passes.analysis import AnalysisManager
-
-#: Safety bound for the fixed-point iteration; fission strictly reduces the
-#: number of children per loop so this is never reached in practice.
-MAX_FIXED_POINT_ITERATIONS = 64
 
 
 def _dependence_edges(loop: Loop,
@@ -83,18 +84,6 @@ def scc_groups(count: int, edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
     return ordered
 
 
-def _partition_children(loop: Loop,
-                        analysis: "Optional[AnalysisManager]" = None
-                        ) -> List[List[int]]:
-    """Partition child indices into SCC groups in topological order.
-
-    Children that end up in the same group must stay in the same loop.  Ties
-    in the topological order are broken by original program order so that the
-    transformation is deterministic and order-preserving when possible.
-    """
-    return scc_groups(len(loop.body), _dependence_edges(loop, analysis))
-
-
 def fission_loop(loop: Loop,
                  analysis: "Optional[AnalysisManager]" = None
                  ) -> Tuple[List[Loop], bool]:
@@ -106,7 +95,9 @@ def fission_loop(loop: Loop,
     if len(loop.body) < 2:
         return [loop], False
 
-    groups = _partition_children(loop, analysis)
+    # Ties in the topological order keep program order, so the split is
+    # deterministic and order-preserving where the dependences allow it.
+    groups = scc_groups(len(loop.body), _dependence_edges(loop, analysis))
     if len(groups) <= 1:
         return [loop], False
 
@@ -134,33 +125,12 @@ def _fission_nodes(nodes: List[Node],
     return out, split
 
 
-def fission_sweep(program: Program,
-                  analysis: "Optional[AnalysisManager]" = None) -> int:
-    """One bottom-up fission sweep over the program, in place.
-
-    Returns the number of loops split.  The pass framework drives sweeps to
-    a fixed point through its ``FixedPoint`` groups; ``maximal_loop_fission``
-    keeps the self-contained fixed point for direct callers.
-    """
-    program.body, split = _fission_nodes(program.body, analysis)
-    return split
-
-
 def maximal_loop_fission(program: Program,
                          analysis: "Optional[AnalysisManager]" = None) -> int:
-    """Apply maximal loop fission to a program, in place; returns the
-    number of loops split.
-
-    The pass runs to a fixed point: fission is re-applied until no loop body
-    can be split further (Section 3.2, "fixed-point pipeline").
-    """
-    total = 0
-    for _iteration in range(MAX_FIXED_POINT_ITERATIONS):
-        split = fission_sweep(program, analysis)
-        if not split:
-            break
-        total += split
-    return total
+    """Apply maximal loop fission to a program, in place: one bottom-up
+    sweep.  Returns the number of loops split."""
+    program.body, split = _fission_nodes(program.body, analysis)
+    return split
 
 
 def is_maximally_fissioned(program: Program) -> bool:

@@ -39,28 +39,21 @@ def _grouped_sort_order(iterators: Sequence[str],
     return tuple(ranked)
 
 
-def find_minimal_permutation(nest: Loop, arrays: Mapping[str, Array],
-                             parameters: Optional[Mapping[str, int]] = None
-                             ) -> Tuple[Tuple[str, ...], float, int]:
-    """Find the legal loop order with minimal stride cost.
+def find_minimal_permutation(nest: Loop, arrays: Mapping[str, Array]
+                             ) -> Tuple[Tuple[str, ...], float, int, float]:
+    """Find the legal loop order with minimal stride cost, priced at the
+    nominal extents.
 
-    Returns ``(order, cost, evaluated)`` where ``evaluated`` is the number of
-    permutations whose cost was computed.  The current order is always a
-    candidate, so the result never increases the cost.  The statements are
-    walked once (:func:`~repro.analysis.strides.band_strides`); each order is
-    then priced as a weighted sum over that walk.
+    Returns ``(order, cost, evaluated, current_cost)``: ``evaluated`` is the
+    number of permutations whose cost was computed, ``current_cost`` the
+    cost of the nest's own order.  The current order is always a candidate,
+    so the result never increases the cost.  The statements are walked once
+    (:func:`~repro.analysis.strides.band_strides`); each order is then
+    priced as a weighted sum over that walk.
     """
-    return _minimal_permutation(nest, arrays, parameters)[:3]
-
-
-def _minimal_permutation(nest: Loop, arrays: Mapping[str, Array],
-                         parameters: Optional[Mapping[str, int]]
-                         ) -> Tuple[Tuple[str, ...], float, int, float]:
-    """:func:`find_minimal_permutation` plus the cost of the current order,
-    priced from the same walk."""
     band = nest.perfectly_nested_band()
     iterators = tuple(loop.iterator for loop in band)
-    strides = band_strides(nest, arrays, parameters)
+    strides = band_strides(nest, arrays)
     current_cost = strides.cost(iterators)
     if len(band) <= 1:
         return iterators, current_cost, 1, current_cost
@@ -89,38 +82,34 @@ def _minimal_permutation(nest: Loop, arrays: Mapping[str, Array],
     return best_order, best_cost, max(evaluated, 1), current_cost
 
 
-def _nest_key_material(nest: Loop, arrays: Mapping[str, Array],
-                       parameters: Optional[Mapping[str, int]]) -> Dict[str, object]:
+def _nest_key_material(nest: Loop,
+                       arrays: Mapping[str, Array]) -> Dict[str, object]:
     """Extra key material for memoized per-nest permutation results.
 
-    Stride costs depend on the shapes/dtypes of the arrays the nest touches
-    and on the parameter bindings, so both join the nest content fingerprint
-    in the memo key — and no other array of the program does: one nest in
-    two programs shares its answer.
+    Stride costs depend on the shapes/dtypes of the arrays the nest touches,
+    so they join the nest content fingerprint in the memo key — and no other
+    array of the program does: one nest in two programs shares its answer.
     """
     reads, writes = node_reads_writes(nest)
     return {
         "arrays": sorted((name, tuple(str(dim) for dim in arrays[name].shape),
                           str(arrays[name].dtype))
                          for name in reads | writes if name in arrays),
-        "parameters": sorted((parameters or {}).items()),
     }
 
 
 def minimize_strides(program: Program,
-                     parameters: Optional[Mapping[str, int]] = None,
                      analysis: "Optional[AnalysisManager]" = None
                      ) -> Dict[str, float]:
     """Apply stride minimization to every top-level loop nest, in place.
 
     Returns the pass's counters: ``nests_considered``, ``nests_permuted``,
     ``permutations_evaluated`` and the summed stride ``cost_before`` and
-    ``cost_after``.  ``parameters`` bind the symbolic sizes the strides are
-    priced at (the nominal extents when ``None``, as in every pipeline).
-    With an :class:`~repro.passes.analysis.AnalysisManager`, the minimal
-    permutation of each nest — the expensive part: legality checks and cost
-    evaluation over every candidate order — is memoized by nest content, so
-    repeated normalization of equivalent nests skips the search entirely.
+    ``cost_after``, priced at the nominal extents.  With an
+    :class:`~repro.passes.analysis.AnalysisManager`, the minimal permutation
+    of each nest — the expensive part: legality checks and cost evaluation
+    over every candidate order — is memoized by nest content, so repeated
+    normalization of equivalent nests skips the search entirely.
     """
     counters: Dict[str, float] = {
         "nests_considered": 0, "nests_permuted": 0,
@@ -135,12 +124,12 @@ def minimize_strides(program: Program,
 
         def compute(nest: Loop = node) -> Tuple[Tuple[str, ...], float, int, float]:
             computed.append(True)
-            return _minimal_permutation(nest, program.arrays, parameters)
+            return find_minimal_permutation(nest, program.arrays)
 
         if analysis is not None:
             order, cost, evaluated, before = analysis.cached_node(
                 "minimal-permutation", node, compute,
-                extra=_nest_key_material(node, program.arrays, parameters))
+                extra=_nest_key_material(node, program.arrays))
         else:
             order, cost, evaluated, before = compute()
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from ..ir.nodes import Program
 from ..ir.validation import validate_program
-from ..normalization.fission import MAX_FIXED_POINT_ITERATIONS, fission_sweep
+from ..normalization.fission import maximal_loop_fission
 from ..normalization.loop_normal_form import (canonicalize_iterator_names,
                                               normalize_program_bounds)
 from ..normalization.scalar_expansion import expand_scalars
@@ -59,7 +59,12 @@ class ScalarExpansionPass(Pass):
 
 
 class FissionSweepPass(Pass):
-    """One bottom-up maximal-fission sweep; grouped in a fixed point."""
+    """Maximal loop fission, one bottom-up sweep.
+
+    The sweep is maximal, so the :class:`FixedPoint` group around it always
+    stops after a second sweep that splits nothing.  The group stays because
+    its ``fp(maximal-fission)`` identity keys persisted normalized entries.
+    """
 
     name = "maximal-fission"
 
@@ -68,7 +73,7 @@ class FissionSweepPass(Pass):
         # Each sweep reports its own splits, so the run's counters sum to
         # the total; ``atomic_nests`` is a gauge, reported by the final
         # no-change sweep only.
-        split = fission_sweep(program, analysis)
+        split = maximal_loop_fission(program, analysis)
         if split:
             return True, {"loops_split": split}
         return False, {"loops_split": 0,
@@ -113,8 +118,7 @@ class ValidatePass(Pass):
 
 
 def _fission() -> FixedPoint:
-    return FixedPoint([FissionSweepPass()],
-                      max_iterations=MAX_FIXED_POINT_ITERATIONS)
+    return FixedPoint([FissionSweepPass()])
 
 
 @register_pipeline("a-priori")

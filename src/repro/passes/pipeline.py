@@ -22,8 +22,8 @@ from ..ir.nodes import Program
 from .analysis import AnalysisManager
 from .base import Pass, PassResult
 
-#: Safety bound for fixed-point groups (mirrors the historical bound of
-#: ``maximal_loop_fission``; well-formed passes converge far earlier).
+#: Safety bound for fixed-point groups; well-formed passes converge far
+#: earlier (the maximal-fission group stops after its second sweep).
 DEFAULT_MAX_ITERATIONS = 16
 
 

@@ -4,9 +4,9 @@ import pytest
 
 from helpers import build_gemm, build_stencil, build_vector_add
 from repro.analysis import (adjacent_flows, analyze_loop_parallelism,
-                            body_dataflow, nest_stride_cost,
-                            nest_stride_report, node_reads_writes,
-                            out_of_order_count, program_stride_cost)
+                            band_strides, body_dataflow, node_reads_writes,
+                            program_stride_cost)
+from repro.analysis.strides import DEFAULT_PARAMETER_VALUE
 from repro.ir import ProgramBuilder
 from repro.normalization import normalize_program
 from repro.workloads.polybench import build_atax_b, build_gesummv_b
@@ -112,29 +112,30 @@ class TestParallelism:
 
 class TestStridesAndReuse:
     def test_loop_order_changes_stride_cost(self, gemm_program, gemm_params):
-        nest = gemm_program.body[1]
-        cost_ijk = nest_stride_cost(nest, gemm_program.arrays, gemm_params,
-                                    order=["i", "j", "k"])
-        cost_ikj = nest_stride_cost(nest, gemm_program.arrays, gemm_params,
-                                    order=["i", "k", "j"])
-        assert cost_ikj < cost_ijk
+        strides = band_strides(gemm_program.body[1], gemm_program.arrays,
+                               gemm_params)
+        assert strides.cost(["i", "k", "j"]) < strides.cost(["i", "j", "k"])
 
-    def test_report_per_level(self, gemm_program, gemm_params):
-        nest = gemm_program.body[1]
-        report = nest_stride_report(nest, gemm_program.arrays, gemm_params)
-        assert report.level_cost("k") > report.level_cost("j")
-        assert report.non_affine_accesses == 0
+    def test_strides_per_iterator(self, gemm_program, gemm_params):
+        strides = band_strides(gemm_program.body[1], gemm_program.arrays,
+                               gemm_params)
+        assert strides.per_iterator["k"] > strides.per_iterator["j"]
+        assert strides.non_affine_accesses == 0
 
-    def test_out_of_order_count_detects_transposed_traversal(self):
+    def test_unbound_sizes_are_priced_at_the_nominal_extent(self):
         b = ProgramBuilder("p", parameters=["N"])
         b.add_array("A", ("N", "N"))
         with b.loop("j", 0, "N"):
             with b.loop("i", 0, "N"):
                 b.assign(("A", "i", "j"), 1.0)
-        bad = b.finish()
-        good = normalize_program(bad)
-        assert out_of_order_count(bad.body[0], bad.arrays) > 0
-        assert out_of_order_count(good.body[0], good.arrays) == 0
+        transposed = b.finish()
+        strides = band_strides(transposed.body[0], transposed.arrays)
+        assert strides.per_iterator == {"j": 1.0,
+                                        "i": float(DEFAULT_PARAMETER_VALUE)}
+        assert strides.cost(["i", "j"]) < strides.cost(["j", "i"])
+        # Normalization takes no sizes: it picks the unit-stride order.
+        good = normalize_program(transposed)
+        assert program_stride_cost(good) == strides.cost(["i", "j"])
 
     def test_program_stride_cost_sums_nests(self, gemm_program, gemm_params):
         total = program_stride_cost(gemm_program, gemm_params)

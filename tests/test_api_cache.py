@@ -1,12 +1,18 @@
 """Tests for content addressing and the two-level normalization cache."""
 
+from dataclasses import replace
+
 from helpers import build_gemm, build_vector_add
 
 import pytest
 
-from repro.api import (NormalizationCache, NormalizationOptions,
-                       ScheduleRequest, Session, canonical_program_dict,
-                       fingerprint, program_content_hash)
+from repro.api import (MctsConfig, MemoryCacheBackend, NormalizationCache,
+                       NormalizationOptions, ScheduleRequest, SearchConfig,
+                       Session, canonical_program_dict, fingerprint,
+                       program_content_hash)
+from repro.perf.machine import DEFAULT_MACHINE
+
+TINY_SEARCH = SearchConfig(population_size=2, epochs=1, generations_per_epoch=1)
 
 
 class TestContentHash:
@@ -133,3 +139,41 @@ class TestPersistedKeyMaterial:
     def test_response_key_is_pinned(self):
         assert (Session()._response_key(ScheduleRequest(program="gemm:a"))
                 == "cd2c5662d91af06b|5b79359a2774f9d0|0:19ff6864d3680eb0")
+
+
+class TestChosenSettingsKeyTheirEntries:
+    """Sessions on one cache backend that differ in a machine or a search
+    budget the caller chose must not serve each other's schedules; sessions
+    that agree still share them."""
+
+    @pytest.mark.parametrize("scheduler, ours, theirs", [
+        ("daisy", {"search": TINY_SEARCH},
+         {"search": TINY_SEARCH, "machine": replace(
+             DEFAULT_MACHINE, frequency_hz=DEFAULT_MACHINE.frequency_hz / 4)}),
+        ("daisy", {"search": TINY_SEARCH},
+         {"search": SearchConfig(population_size=4, epochs=1,
+                                 generations_per_epoch=2)}),
+        ("tiramisu", {"mcts": MctsConfig(rollouts=2)},
+         {"mcts": MctsConfig(rollouts=6)}),
+    ], ids=["machine", "search", "mcts"])
+    def test_a_setting_keys_schedules_and_responses(self, scheduler, ours,
+                                                    theirs):
+        backend = MemoryCacheBackend()
+
+        def session(settings, cache_backend=backend):
+            return Session(scheduler=scheduler, cache_backend=cache_backend,
+                           **settings)
+
+        first = session(ours)
+        mine = first.schedule("atax:a")
+        assert session(ours).schedule("atax:a").from_cache
+        served = session(theirs).schedule("atax:a")
+        fresh = session(theirs, MemoryCacheBackend()).schedule("atax:a")
+        assert not served.from_cache
+        assert served.runtime_s == fresh.runtime_s != mine.runtime_s
+        assert served.result.summary() == fresh.result.summary()
+        request = ScheduleRequest(program="atax:a")
+        assert (first._response_key(request)
+                != session(theirs)._response_key(request))
+        assert (first._response_key(request)
+                == session(ours)._response_key(request))

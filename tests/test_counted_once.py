@@ -17,10 +17,12 @@ import copy
 import pytest
 from helpers import fast_session, queue_behind
 
+import repro.analysis
 import repro.normalization
 import repro.passes
+from repro.analysis import legal_permutations
 from repro.api import NormalizationOptions, ScheduleRequest, Session
-from repro.normalization import normalize
+from repro.normalization import minimize_strides, normalize
 from repro.observability import AlertEvaluator, AlertRule, MetricsRegistry
 from repro.observability.tracing import Tracer
 from repro.passes import FixedPoint, LoopNormalFormPass, Pass
@@ -122,7 +124,7 @@ def test_the_new_stride_counters_are_the_summary_costs(observed):
 # -- removed spellings ---------------------------------------------------------
 
 def _removed_spellings():
-    _, report = normalize(Session().load("gemm:a"))
+    program, report = normalize(Session().load("gemm:a"))
     return {
         "session-record-coalesced": lambda: Session().record_coalesced(),
         "report-fission": lambda: report.fission,
@@ -137,6 +139,15 @@ def _removed_spellings():
         "fixed-point-name": lambda: FixedPoint([LoopNormalFormPass()],
                                                name="x"),
         "tracer-sampled": lambda: Tracer().sampled("0" * 32),
+        # One implementation per normalization criterion.
+        "nest-stride-report": lambda: repro.analysis.nest_stride_report,
+        "stride-report": lambda: repro.analysis.StrideReport,
+        "out-of-order-count": lambda: repro.analysis.out_of_order_count,
+        "fission-sweep": lambda: repro.normalization.fission_sweep,
+        "minimize-strides-parameters": lambda: minimize_strides(
+            program, parameters={}),
+        "legal-permutations-limit": lambda: legal_permutations(
+            program.body[-1], limit=2),
     }
 
 
@@ -144,7 +155,8 @@ def _removed_spellings():
 def test_removed_spellings_raise(spelling):
     """Reports read the registry and the pass results: the private counters,
     the stage fields, the stage-report mailboxes, the pass context and the
-    second run record are gone."""
+    second run record are gone; so are the second stride criterion, its
+    report, the sized search and fission's private fixed point."""
     with pytest.raises((TypeError, AttributeError)):
         _removed_spellings()[spelling]()
 

@@ -15,6 +15,7 @@ from helpers import build_gemm, build_stencil, build_vector_add
 from repro.api import Session
 from repro.api.hashing import program_content_hash
 from repro.experiments.cloudsc_pipeline import PIPELINE, daisy_optimize
+from repro.fuzz.generator import SIZE_CLASSES
 from repro.interp import programs_equivalent, run_program
 from repro.ir import ProgramBuilder, program_to_dict, to_pseudocode
 from repro.normalization import (canonicalize_iterator_names, contract_arrays,
@@ -107,6 +108,32 @@ class TestMaximalFission:
         assert programs_equivalent(original, stencil_program, {"T": 3, "N": 12})
 
 
+#: Where one fission sweep is checked to be maximal: every registry variant,
+#: CLOUDSC, erosion, and seeds 0-99 of every fuzz size class.
+ONE_SWEEP_CORPORA = {
+    "registry": [f"{name}:{variant}" for name in workloads.benchmark_names()
+                 for variant in ("a", "b", "npbench")] + ["cloudsc", "erosion"],
+    **{size: [f"fuzz:{size}-{seed}" for seed in range(100)]
+       for size in SIZE_CLASSES},
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(ONE_SWEEP_CORPORA))
+def test_one_fission_sweep_is_maximal(corpus):
+    """Why fission has no fixed point of its own: on what ``a-priori``
+    hands it (loop normal form, then scalar expansion), one bottom-up sweep
+    leaves no loop that can be split."""
+    prepare = Pipeline("fission-input",
+                       [LoopNormalFormPass(), ScalarExpansionPass()])
+    split = 0
+    with contextlib.closing(Session()) as session:
+        for name in ONE_SWEEP_CORPORA[corpus]:
+            program, _report = normalize(session.load(name), pipeline=prepare)
+            split += maximal_loop_fission(program)
+            assert is_maximally_fissioned(program), name
+    assert split > 0
+
+
 class TestStrideMinimization:
     def test_gemm_normalizes_to_ikj(self):
         program = build_gemm_b()
@@ -126,7 +153,7 @@ class TestStrideMinimization:
                 b.assign(("A", "j", "i"), 1.0)
         program = b.finish()
         nest = program.body[0]
-        order, _cost, _evaluated = find_minimal_permutation(nest, program.arrays)
+        order, *_ = find_minimal_permutation(nest, program.arrays)
         # j's bound references i, so i must stay outermost regardless of cost.
         assert order[0] == "i"
 

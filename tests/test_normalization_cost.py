@@ -39,8 +39,7 @@ from repro.ir import ProgramBuilder
 from repro.ir.nodes import Loop
 from repro.normalization import (minimize_strides, normalize,
                                  stride_minimization)
-from repro.normalization.fission import (MAX_FIXED_POINT_ITERATIONS,
-                                        _dependence_edges, scc_groups)
+from repro.normalization.fission import _dependence_edges, scc_groups
 from repro.passes import (AnalysisManager, FissionSweepPass, FixedPoint,
                           LoopNormalFormPass, Pass, Pipeline,
                           ScalarExpansionPass, get_pipeline,
@@ -74,8 +73,7 @@ def _fissioned(program):
     sizes)."""
     pipeline = Pipeline("fissioned", [
         LoopNormalFormPass(), ScalarExpansionPass(),
-        FixedPoint([FissionSweepPass()],
-                   max_iterations=MAX_FIXED_POINT_ITERATIONS)])
+        FixedPoint([FissionSweepPass()])])
     return normalize(program, pipeline=pipeline)[0]
 
 
@@ -206,7 +204,7 @@ class TestWideNests:
 
 
 def _spec_partition(count, edges):
-    """``_partition_children`` as it was: networkx condensation, then the
+    """Fission's SCC partition as it was: networkx condensation, then the
     lexicographical topological sort keyed by each component's first member."""
     graph = nx.DiGraph()
     graph.add_nodes_from(range(count))
@@ -340,18 +338,17 @@ class TestOneBodyScan:
 class TestStrideMinimizationOnce:
     def test_report_costs_are_program_stride_costs(self):
         manager = AnalysisManager()
-        for label, program, parameters in _programs():
+        for label, program, _parameters in _programs():
             form = _fissioned(program)
-            before = program_stride_cost(form, parameters)
+            before = program_stride_cost(form)
             twin = form.copy()
-            counters = minimize_strides(form, parameters, manager)
+            counters = minimize_strides(form, manager)
             assert counters["cost_before"] == before, label
-            assert counters["cost_after"] == program_stride_cost(
-                form, parameters), label
+            assert counters["cost_after"] == program_stride_cost(form), label
             # The same question through the (now warm) memo and without one.
             for analysis in (manager, None):
                 other = twin.copy()
-                again = minimize_strides(other, parameters, analysis)
+                again = minimize_strides(other, analysis)
                 assert (again["cost_before"], again["cost_after"],
                         again["nests_permuted"]) == (
                     counters["cost_before"], counters["cost_after"],
@@ -368,9 +365,9 @@ class TestStrideMinimizationOnce:
         spec = workloads.benchmark("gemm")
         form = _fissioned(spec.variant("a"))
         nests = sum(1 for node in form.body if isinstance(node, Loop))
-        minimize_strides(form.copy(), spec.sizes("large"), manager)
+        minimize_strides(form.copy(), manager)
         assert len(walks) == nests == manager.misses
-        minimize_strides(form.copy(), spec.sizes("large"), manager)
+        minimize_strides(form.copy(), manager)
         assert len(walks) == nests and manager.hits == nests
 
     @staticmethod
@@ -386,20 +383,15 @@ class TestStrideMinimizationOnce:
         return b.finish()
 
     def test_memo_key_holds_only_the_arrays_the_nest_touches(self):
-        parameters = {"NI": 64, "NJ": 48}
         manager = AnalysisManager()
-        minimize_strides(self._scaled(False), parameters, manager)
+        minimize_strides(self._scaled(False), manager)
         assert (manager.hits, manager.misses) == (0, 1)
         # Another program, another array nobody in the nest reads: a hit.
-        minimize_strides(self._scaled(True), parameters, manager)
+        minimize_strides(self._scaled(True), manager)
         assert (manager.hits, manager.misses) == (1, 1)
         # An array the nest does touch, laid out differently: another key.
-        minimize_strides(self._scaled(False, c_shape=("NJ", "NI")),
-                         parameters, manager)
+        minimize_strides(self._scaled(False, c_shape=("NJ", "NI")), manager)
         assert (manager.hits, manager.misses) == (1, 2)
-        # ... and so are other parameter bindings.
-        minimize_strides(self._scaled(False), {"NI": 8, "NJ": 48}, manager)
-        assert (manager.hits, manager.misses) == (1, 3)
 
     def test_scaling_nest_is_shared_across_registry_programs(self):
         """``C[i][j] *= beta`` opens both syrk and syr2k; syr2k declares one
@@ -409,11 +401,10 @@ class TestStrideMinimizationOnce:
             spec = workloads.benchmark(name)
             forms[name] = _fissioned(spec.variant("a"))
         assert set(forms["syrk"].arrays) < set(forms["syr2k"].arrays)
-        sizes = workloads.benchmark("syr2k").sizes("large")
         manager = AnalysisManager()
-        minimize_strides(forms["syrk"], sizes, manager)
+        minimize_strides(forms["syrk"], manager)
         assert manager.hits == 0
-        minimize_strides(forms["syr2k"], sizes, manager)
+        minimize_strides(forms["syr2k"], manager)
         assert manager.hits == 1
 
 
@@ -699,8 +690,8 @@ class TestCounted:
             stride_minimization, "band_strides",
             counting(walks, stride_minimization.band_strides))
         monkeypatch.setattr(
-            stride_minimization, "_minimal_permutation",
-            counting(computed, stride_minimization._minimal_permutation))
+            stride_minimization, "find_minimal_permutation",
+            counting(computed, stride_minimization.find_minimal_permutation))
         names = ("gemm", "atax", "jacobi-2d")
         database = TuningDatabase()
         with contextlib.closing(Session(database=database)) as seeder:

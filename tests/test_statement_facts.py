@@ -17,9 +17,9 @@ import weakref
 
 import pytest
 
-from repro.analysis import (analyze_loop_parallelism, computation_accesses,
-                            legal_permutations, loop_nest_accesses,
-                            nest_stride_cost, permutation_is_legal)
+from repro.analysis import (analyze_loop_parallelism, band_strides,
+                            computation_accesses, legal_permutations,
+                            loop_nest_accesses, permutation_is_legal)
 from repro.analysis.affine import AffineAccess, decompose_index
 from repro.analysis.dependence import nest_direction_vectors
 from repro.analysis.strides import LEVEL_WEIGHT_DECAY, _array_strides
@@ -88,8 +88,8 @@ def _assert_memos_match_fresh_ir(program, analysis):
                 assert computation_accesses(comp, enclosing) == accesses
         assert (nest_direction_vectors(node, analysis)
                 == nest_direction_vectors(twin))
-        assert (nest_stride_cost(node, program.arrays)
-                == nest_stride_cost(twin, fresh.arrays))
+        assert (band_strides(node, program.arrays)
+                == band_strides(twin, fresh.arrays))
         for loop, other in zip(node.iter_loops(), twin.iter_loops()):
             assert (analyze_loop_parallelism(loop, program.arrays, analysis)
                     == analyze_loop_parallelism(other, fresh.arrays))
@@ -253,34 +253,34 @@ def _reference_stride_cost(nest, arrays, parameters, order):
     return total
 
 
-def _brute_force_minimal_permutation(nest, arrays, parameters):
+def _brute_force_minimal_permutation(nest, arrays):
     """``find_minimal_permutation`` as it was before the one-walk pricing:
-    one full walk of the nest per order."""
+    one full walk of the nest per order, at the nominal extents."""
     band = nest.perfectly_nested_band()
     iterators = tuple(loop.iterator for loop in band)
-    current_cost = _reference_stride_cost(nest, arrays, parameters, iterators)
+    current_cost = _reference_stride_cost(nest, arrays, None, iterators)
     if len(band) <= 1:
-        return iterators, current_cost, 1
+        return iterators, current_cost, 1, current_cost
     if len(band) > EXHAUSTIVE_DEPTH_LIMIT:
         def innermost_cost(iterator):
             order = [it for it in iterators if it != iterator] + [iterator]
-            return _reference_stride_cost(nest, arrays, parameters, order)
+            return _reference_stride_cost(nest, arrays, None, order)
         candidate = tuple(sorted(iterators, key=innermost_cost, reverse=True))
         evaluated = len(band) + 1
         if permutation_is_legal(nest, candidate):
-            cost = _reference_stride_cost(nest, arrays, parameters, candidate)
+            cost = _reference_stride_cost(nest, arrays, None, candidate)
             if cost < current_cost:
-                return candidate, cost, evaluated
-        return iterators, current_cost, evaluated
+                return candidate, cost, evaluated, current_cost
+        return iterators, current_cost, evaluated, current_cost
     best_order, best_cost, evaluated = iterators, current_cost, 0
     for order in legal_permutations(nest):
-        cost = _reference_stride_cost(nest, arrays, parameters, order)
+        cost = _reference_stride_cost(nest, arrays, None, order)
         evaluated += 1
         if cost < best_cost - 1e-12:
             best_cost, best_order = cost, order
         elif abs(cost - best_cost) <= 1e-12 and order < best_order:
             best_order = order
-    return best_order, best_cost, max(evaluated, 1)
+    return best_order, best_cost, max(evaluated, 1), current_cost
 
 
 def _fissioned(program):
@@ -311,16 +311,18 @@ def _deep_nest(depth=EXHAUSTIVE_DEPTH_LIMIT + 1):
 
 class TestOneWalkStridePricing:
     def _check(self, program, parameters):
+        """The search at the nominal extents, and the price of the nest's
+        own order both there and at ``parameters``."""
         checked = 0
         for form in (program, _fissioned(program)):
             for nest in form.top_level_loops():
-                assert (find_minimal_permutation(nest, form.arrays, parameters)
-                        == _brute_force_minimal_permutation(
-                            nest, form.arrays, parameters))
-                assert (nest_stride_cost(nest, form.arrays, parameters)
-                        == _reference_stride_cost(
-                            nest, form.arrays, parameters,
-                            [lp.iterator for lp in nest.perfectly_nested_band()]))
+                assert (find_minimal_permutation(nest, form.arrays)
+                        == _brute_force_minimal_permutation(nest, form.arrays))
+                order = [lp.iterator for lp in nest.perfectly_nested_band()]
+                for sizes in (None, parameters):
+                    assert (band_strides(nest, form.arrays, sizes).cost(order)
+                            == _reference_stride_cost(nest, form.arrays,
+                                                      sizes, order))
                 checked += 1
         return checked
 
@@ -329,7 +331,6 @@ class TestOneWalkStridePricing:
         for name in workloads.benchmark_names():
             spec = workloads.benchmark(name)
             for variant in ("a", "b"):
-                checked += self._check(spec.variant(variant), None)
                 checked += self._check(spec.variant(variant),
                                        spec.sizes("large"))
         assert checked > 200
@@ -345,13 +346,12 @@ class TestOneWalkStridePricing:
         program = _deep_nest()
         nest = program.body[0]
         assert len(nest.perfectly_nested_band()) > EXHAUSTIVE_DEPTH_LIMIT
-        found = find_minimal_permutation(nest, program.arrays, {"N": 12})
-        assert found == _brute_force_minimal_permutation(
-            nest, program.arrays, {"N": 12})
-        order, cost, evaluated = found
+        found = find_minimal_permutation(nest, program.arrays)
+        assert found == _brute_force_minimal_permutation(nest, program.arrays)
+        order, cost, evaluated, current_cost = found
         assert order == tuple(reversed([lp.iterator for lp in
                                         nest.perfectly_nested_band()]))
-        assert cost < nest_stride_cost(nest, program.arrays, {"N": 12})
+        assert cost < current_cost
         assert evaluated == len(order) + 1
 
 
