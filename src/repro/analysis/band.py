@@ -24,6 +24,8 @@ unit-stride share of a band loop its iterator
 layout of a container            its name
 accesses of a statement          the statement
 register pressure of a body      the body
+memory traffic of a schedule     the unannotated band + the names touched
+                                 before the nest (the cost model's)
 ===============================  =========================================
 """
 
@@ -157,6 +159,8 @@ class BandView:
         self._layouts: Dict[str, Tuple[float, Tuple[int, ...]]] = {}
         self._moves: Dict[int, List[AccessMoves]] = {}
         self._pressure: Dict[int, float] = {}
+        #: The cost model's memo (see :meth:`unannotated`).
+        self.traffic: Dict[Tuple, Any] = {}
 
     def fork(self) -> "BandView":
         """A view of the same nest whose frames are edited separately; the
@@ -174,6 +178,12 @@ class BandView:
     def state(self) -> Tuple[Frame, ...]:
         """The schedule as a hashable value."""
         return tuple(self.frames)
+
+    def unannotated(self) -> Tuple[Tuple, ...]:
+        """The band without its annotations (``parallel``, ``vectorized``,
+        ``unroll``): the loops that decide what the nest reads and writes,
+        and in which order."""
+        return tuple(frame[:6] for frame in self.frames)
 
     def changed(self) -> bool:
         """Whether the schedule differs from the nest the view was made of."""

@@ -376,7 +376,9 @@ class Session:
                                     threads=instance.threads):
                         result = instance.schedule(target, parameters)
             if not from_cache:
-                runtime = instance.price(result.program, parameters)
+                runtime = result.runtime_s
+                if runtime is None:  # a scheduler that walks its own way
+                    runtime = instance.price(result.program, parameters)
                 if not request.tune:
                     self.cache.store_schedule(key, result, runtime)
 

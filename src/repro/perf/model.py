@@ -22,8 +22,8 @@ generic loop nests, and atomic reductions are expensive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Mapping,
+                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
 from ..analysis.band import BandView, Frame, Target
 from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
@@ -157,13 +157,7 @@ class CostModel:
         # Containers already touched by an earlier nest of this program: later
         # nests re-read them from the cache level their footprint fits in
         # rather than from DRAM.
-        touched: Dict[str, float] = {}
-        if assume_warm_caches:
-            for name, arr in program.arrays.items():
-                try:
-                    touched[name] = float(arr.size_in_bytes(dict(parameters)))
-                except KeyError:
-                    touched[name] = 0.0
+        touched: Set[str] = set(program.arrays) if assume_warm_caches else set()
         for index, node in enumerate(program.body):
             cost = self.estimate_node(node, program, parameters, index, touched)
             if cost is not None:
@@ -173,7 +167,7 @@ class CostModel:
 
     def estimate_node(self, node: Union[Node, BandView], program: Program,
                       parameters: Mapping[str, int], index: int,
-                      touched: Dict[str, float],
+                      touched: Set[str],
                       analysis: "Optional[AnalysisManager]" = None
                       ) -> Optional[NestCost]:
         """Cost of the top-level ``node`` at ``index`` of ``program`` (None
@@ -182,17 +176,22 @@ class CostModel:
         never built.
 
         ``touched`` is the only thing one top-level node's cost reads of
-        the others: the *names* of the containers earlier nodes touched (the
-        byte counts beside them are written, never read).  Loop nests add
-        theirs to it.  ``analysis`` shares the model's one legality question
-        (is the parallel loop a reduction?) with whoever asked it before.
+        the others: the names of the containers earlier nodes touched.
+        Loop nests add theirs to it.  ``analysis`` shares the model's one
+        legality question (is the parallel loop a reduction?) with whoever
+        asked it before.
         """
         if isinstance(node, LibraryCall):
             return self._estimate_library_call(node, program, parameters, index)
         if isinstance(node, Loop):
-            node = BandView(node, program.arrays, parameters, analysis)
+            # A view of its own, which no fork will ask again.
+            view = BandView(node, program.arrays, parameters, analysis)
+            return self._estimate_nest(
+                view, index, touched,
+                _NestWalk(self.machine, view, touched).traffic())
         if isinstance(node, BandView):
-            return self._estimate_nest(node, index, touched)
+            return self._estimate_nest(node, index, touched,
+                                       self._traffic(node, touched))
         if isinstance(node, Computation):
             cost = NestCost(label=f"{index}:{node.name}",
                             flops=count_flops(node.value))
@@ -231,46 +230,74 @@ class CostModel:
 
     # -- loop nests -----------------------------------------------------------------
 
-    def _estimate_nest(self, view: BandView, index: int,
-                       touched: Optional[Dict[str, float]] = None) -> NestCost:
-        cost = NestCost(label=f"{index}:{view.frames[0].iterator}")
+    def _traffic(self, view: BandView, touched: Set[str]) -> "_Traffic":
+        """What the schedule ``view`` describes moves.  That depends on the
+        loops' order, bounds and tiles and not on their annotations (a
+        schedule changes the iteration space, never the accesses), so it is
+        walked once per unannotated band and set of touched names, and kept
+        on the view for its forks."""
+        key = (view.unannotated(), frozenset(touched))
+        memo = view.traffic.get(key)
+        if memo is not None and memo[0] is self.machine:
+            return memo[1]
+        traffic = _NestWalk(self.machine, view, touched).traffic()
+        view.traffic[key] = (self.machine, traffic)
+        return traffic
 
+    def _estimate_nest(self, view: BandView, index: int, touched: Set[str],
+                       traffic: "_Traffic") -> NestCost:
+        """A nest's cost from what its loops move, and what the annotations
+        decide — threads, loop overhead, vector or scalar flops, atomics —
+        added up from the walk's record, in the walk's order."""
+        touched.update(traffic.touched)
+        cost = NestCost(label=f"{index}:{view.frames[0].iterator}",
+                        flops=traffic.flops,
+                        bytes_by_level=dict(traffic.bytes_by_level))
         parallel_loop = self._outermost_parallel(view)
         if parallel_loop is not None:
             trip = self._trip(view.header(parallel_loop), view.parameters)
             cost.active_threads = max(1, min(self.threads, int(trip) or 1))
         threads = cost.active_threads
 
-        stats = _NestStatistics(self.machine, view, touched)
-        stats.walk(view.frames, view.inner)
-
-        cost.flops = stats.flops
-        cost.bytes_by_level = stats.bytes_by_level
-        cost.vectorized = stats.any_vectorized
+        # Loop bookkeeping: a vectorized loop retires vector_width
+        # iterations per issue, an unrolled one amortizes further.
+        band_simd = False
+        loop_iterations = 0.0
+        for frame, iterations in zip(view.frames, traffic.band_iterations):
+            effective_unroll = max(1, frame.unroll)
+            if frame.vectorized:
+                effective_unroll *= self.machine.vector_width
+                band_simd = True
+            loop_iterations += iterations / effective_unroll
+        for iterations in traffic.inner_iterations:
+            loop_iterations += iterations
+        cost.vectorized = band_simd or traffic.inner_vectorized
 
         # Compute time: flops executed under an (effective) SIMD schedule run
         # at the vector rate, everything else at the scalar rate.  Register
         # pressure above the budget disables effective vectorization (see
-        # _NestStatistics).
+        # _NestWalk).
+        scalar_flops, vector_flops = (traffic.flops_band_simd if band_simd
+                                       else traffic.flops_no_band_simd)
         scalar_rate = self.machine.frequency_hz * self.machine.scalar_flops_per_cycle * threads
         vector_rate = self.machine.frequency_hz * self.machine.vector_flops_per_cycle * threads
         cost.compute_time = 0.0
         if scalar_rate:
-            cost.compute_time += stats.scalar_flops / scalar_rate
+            cost.compute_time += scalar_flops / scalar_rate
         if vector_rate:
-            cost.compute_time += stats.vector_flops / vector_rate
+            cost.compute_time += vector_flops / vector_rate
 
         # Memory time: sum of per-level transfer times at the level bandwidths.
         memory_time = 0.0
         for level in MEMORY_LEVELS:
-            volume = stats.bytes_by_level[level]
+            volume = traffic.bytes_by_level[level]
             if volume <= 0:
                 continue
             memory_time += volume / self.machine.bandwidth_of(level, threads)
         cost.memory_time = memory_time
 
         # Loop bookkeeping overhead.
-        cost.overhead_time = (stats.loop_iterations * self.machine.loop_overhead_cycles
+        cost.overhead_time = (loop_iterations * self.machine.loop_overhead_cycles
                               / self.machine.frequency_hz / threads)
         if threads > 1:
             cost.overhead_time += self.machine.parallel_overhead_s
@@ -279,7 +306,7 @@ class CostModel:
         # serialize their updates through atomics.
         if parallel_loop is not None and threads > 1:
             if view.parallelism(parallel_loop).is_reduction:
-                cost.atomic_time = stats.write_iterations * self.machine.atomic_cost_s
+                cost.atomic_time = traffic.write_iterations * self.machine.atomic_cost_s
 
         cost.time = (max(cost.compute_time, cost.memory_time)
                      + cost.overhead_time + cost.atomic_time)
@@ -305,89 +332,121 @@ class CostModel:
         return max(0.0, (end - start) / step)
 
 
-class IncrementalEstimate:
-    """``estimate_seconds`` of a program of which one top-level node varies.
+#: What a :class:`NodePrices` table keeps of one pricing: the node's cost
+#: and the container names touched once it ran.
+Priced = Tuple[Optional[NestCost], FrozenSet[str]]
 
-    A search prices hundreds of candidate schedules of one nest; everything
-    else in the program is the same each time.  Top-level nodes are priced
-    in program order and coupled through one thing only — the set of
-    container names earlier nodes touched (see
-    :meth:`CostModel.estimate_node`) — so the nodes before ``index`` are
-    priced once, and the nodes after it once per distinct set of names the
-    varying node leaves behind.  The total is summed in program order, which
-    keeps it bit-identical to a from-scratch
-    :meth:`CostModel.estimate_seconds` of the same program.
+
+class NodePrices:
+    """Costs of top-level nodes, each priced once.
+
+    A top-level node's cost reads one thing of the program around it: the
+    set of container names the nodes before it touched (see
+    :meth:`CostModel.estimate_node`).  The table keeps a cost per node (by
+    identity; it holds the node, so the identity is not reused), index and
+    set of names touched before it, with the names touched after it.  A
+    scheduler's walk holds one table for the whole call: its searches price
+    each sibling nest once per set of names instead of once per search,
+    record the nest they build, and :meth:`seconds` of the scheduled
+    program — its costs summed in program order — is bit-identical to
+    :meth:`CostModel.estimate_seconds`.
+
+    A node must not change while the table holds its prices; a node edited
+    in place is :meth:`forgotten <forget>`.
     """
 
-    def __init__(self, model: CostModel, program: Program,
-                 parameters: Mapping[str, int], index: int,
-                 analysis: "Optional[AnalysisManager]" = None):
-        self._model = model
-        self._analysis = analysis
-        self._program = program
-        self._parameters = parameters
-        self._index = index
-        self._touched: Dict[str, float] = {}
-        #: The running total a from-scratch estimate has reached at ``index``.
-        self._prefix = 0.0
-        for time in self._times(range(index), self._touched):
-            self._prefix += time
-        #: Touched names after ``index`` -> costs of the nodes after it.
-        self._suffix: Dict[frozenset, List[float]] = {}
+    def __init__(self, model: CostModel, parameters: Mapping[str, int]):
+        self.model = model
+        self.parameters = parameters
+        self._nodes: Dict[int, Tuple[Node, Dict[Tuple[int, FrozenSet[str]],
+                                                Priced]]] = {}
 
-    def _times(self, indices: Sequence[int],
-               touched: Dict[str, float]) -> List[float]:
-        times = []
-        for index in indices:
-            cost = self._model.estimate_node(
-                self._program.body[index], self._program, self._parameters,
-                index, touched, self._analysis)
+    def _entries(self, node: Node) -> Dict[Tuple[int, FrozenSet[str]], Priced]:
+        held = self._nodes.get(id(node))
+        if held is None:
+            held = self._nodes[id(node)] = (node, {})
+        return held[1]
+
+    def cost(self, program: Program, index: int, before: FrozenSet[str],
+             analysis: "Optional[AnalysisManager]" = None) -> Priced:
+        """Cost of the top-level node at ``index`` of ``program`` after
+        nodes that touched ``before``, and the names touched after it."""
+        entries = self._entries(program.body[index])
+        priced = entries.get((index, before))
+        if priced is None:
+            touched = set(before)
+            cost = self.model.estimate_node(program.body[index], program,
+                                            self.parameters, index, touched,
+                                            analysis)
+            priced = entries[(index, before)] = (cost, frozenset(touched))
+        return priced
+
+    def record(self, node: Node, index: int, before: FrozenSet[str],
+               priced: Priced) -> None:
+        """Keep what pricing ``node`` (as a view, before it was built) at
+        ``index`` after ``before`` gave."""
+        self._entries(node)[(index, before)] = priced
+
+    def forget(self, node: Node) -> None:
+        self._nodes.pop(id(node), None)
+
+    def seconds(self, program: Program) -> float:
+        """``CostModel.estimate_seconds(program, parameters)``."""
+        total = 0.0
+        touched: FrozenSet[str] = frozenset()
+        for index in range(len(program.body)):
+            cost, touched = self.cost(program, index, touched)
             if cost is not None:
-                times.append(cost.time)
-        return times
-
-    def seconds(self, node: Union[Node, BandView]) -> float:
-        """Modeled seconds of the program this estimate was built for with
-        ``node`` (or the nest a view describes) at ``index``."""
-        touched = dict(self._touched)
-        cost = self._model.estimate_node(
-            node, self._program, self._parameters, self._index, touched,
-            self._analysis)
-        names = frozenset(touched)
-        suffix = self._suffix.get(names)
-        if suffix is None:
-            suffix = self._suffix[names] = self._times(
-                range(self._index + 1, len(self._program.body)), touched)
-        total = self._prefix
-        if cost is not None:
-            total += cost.time
-        for time in suffix:
-            total += time
+                total += cost.time
         return total
 
 
-class _NestStatistics:
-    """Collects flop and memory-traffic statistics of one loop nest, walking
-    the frames of its :class:`~repro.analysis.band.BandView` and the loops
-    below them.  What does not depend on the schedule — accesses, layouts,
-    strides, register pressure — is the view's to remember."""
+class _Traffic(NamedTuple):
+    """What one schedule of a loop nest moves, and a record of the walk for
+    the parts the band's annotations decide."""
+
+    flops: float
+    write_iterations: float
+    bytes_by_level: Dict[str, float]
+    #: Per band loop, its iterations (before unrolling and SIMD).
+    band_iterations: List[float]
+    #: Per loop below the band, in the walk's order, its iterations over
+    #: its own unrolling and SIMD width.
+    inner_iterations: List[float]
+    inner_vectorized: bool
+    #: ``(scalar, vector)`` flops with a SIMD-marked band loop and without.
+    flops_band_simd: Tuple[float, float]
+    flops_no_band_simd: Tuple[float, float]
+    #: The container names touched once the nest ran.
+    touched: FrozenSet[str]
+
+
+class _NestWalk:
+    """Walks the frames of a loop nest's
+    :class:`~repro.analysis.band.BandView` and the loops below them into
+    its :class:`_Traffic`.  What does not depend on the schedule —
+    accesses, layouts, strides, register pressure — is the view's to
+    remember."""
 
     def __init__(self, machine: MachineModel, view: BandView,
-                 touched: Optional[Dict[str, float]] = None):
+                 touched: Set[str]):
         self.machine = machine
         self.view = view
-        self._touched = touched if touched is not None else {}
+        #: The caller's set: the walk adds the names it touches.
+        self._touched = touched
         self.flops = 0.0
-        self.scalar_flops = 0.0
-        self.vector_flops = 0.0
-        self.loop_iterations = 0.0
         self.write_iterations = 0.0
-        self.any_vectorized = False
         self.bytes_by_level: Dict[str, float] = {lvl: 0.0 for lvl in MEMORY_LEVELS}
+        self.band_iterations: List[float] = []
+        self.inner_iterations: List[float] = []
+        self.inner_vectorized = False
+        # Scalar and vector flops with a SIMD-marked band loop and without.
+        self.flops_band_simd = [0.0, 0.0]
+        self.flops_no_band_simd = [0.0, 0.0]
         # The enclosing loops, outermost first: iterators, trip counts (at
-        # least 1), how many are SIMD-marked, the product of the trips
-        # outside each depth, and the parameters plus every enclosing
-        # iterator at its midpoint.
+        # least 1), how many loops below the band are SIMD-marked, the
+        # product of the trips outside each depth, and the parameters plus
+        # every enclosing iterator at its midpoint.
         self._iterators: List[str] = []
         self._trips: List[float] = []
         self._simd_marked = 0
@@ -396,6 +455,15 @@ class _NestStatistics:
         #: Cold-miss volume already charged per container (the first touch of
         #: a container is charged once, not once per syntactic access).
         self._cold_charged: Dict[str, float] = {}
+        self._band = len(view.frames)
+
+    def traffic(self) -> _Traffic:
+        self.walk(self.view.frames, self.view.inner)
+        return _Traffic(self.flops, self.write_iterations, self.bytes_by_level,
+                        self.band_iterations, self.inner_iterations,
+                        self.inner_vectorized, tuple(self.flops_band_simd),
+                        tuple(self.flops_no_band_simd),
+                        frozenset(self._touched))
 
     # -- traversal ------------------------------------------------------------------
 
@@ -418,20 +486,26 @@ class _NestStatistics:
             start, end, step = 0.0, 0.0, 1.0
         trip = max(0.0, (end - start) / step) if step > 0 else 0.0
 
-        effective_unroll = max(1, frame.unroll)
-        if frame.vectorized:
-            effective_unroll *= self.machine.vector_width
-            self.any_vectorized = True
-        self.loop_iterations += self._iterations[-1] * trip / effective_unroll
+        iterations = self._iterations[-1] * trip
+        below_band = len(self._iterators) >= self._band
+        if below_band:
+            effective_unroll = max(1, frame.unroll)
+            if frame.vectorized:
+                effective_unroll *= self.machine.vector_width
+                self.inner_vectorized = True
+            self.inner_iterations.append(iterations / effective_unroll)
+            self._simd_marked += frame.vectorized
+        else:
+            self.band_iterations.append(iterations)
 
         shadowed = bindings.get(frame.iterator, _UNBOUND)
         bindings[frame.iterator] = start + (end - start) / 2.0
         self._iterators.append(frame.iterator)
         self._trips.append(max(trip, 1.0))
         self._iterations.append(self._iterations[-1] * max(trip, 1.0))
-        self._simd_marked += frame.vectorized
         self.walk(frames[1:], body)
-        self._simd_marked -= frame.vectorized
+        if below_band:
+            self._simd_marked -= frame.vectorized
         self._iterations.pop()
         self._trips.pop()
         self._iterators.pop()
@@ -446,7 +520,8 @@ class _NestStatistics:
         multiplier = self._iterations[-1]
         self.flops += flops * multiplier
         # Library routines are hand-vectorized.
-        self.vector_flops += flops * multiplier
+        self.flops_band_simd[1] += flops * multiplier
+        self.flops_no_band_simd[1] += flops * multiplier
         arrays = self.view.arrays
         for name in set(call.inputs) | set(call.outputs):
             if name in arrays:
@@ -469,11 +544,10 @@ class _NestStatistics:
         # (heavily inlined/unrolled code such as the original CLOUDSC erosion
         # loop) fall back to scalar execution and pay spill traffic.
         pressure = self.view.register_pressure(body)
-        if self._simd_marked and pressure <= REGISTER_BUDGET:
-            self.vector_flops += comp_flops
-        else:
-            self.scalar_flops += comp_flops
-        if pressure > REGISTER_BUDGET:
+        fits = pressure <= REGISTER_BUDGET
+        self.flops_band_simd[fits] += comp_flops
+        self.flops_no_band_simd[fits and self._simd_marked > 0] += comp_flops
+        if not fits:
             spilled = pressure - REGISTER_BUDGET
             self.bytes_by_level["L1"] += iterations * spilled * 2.0 * 8.0
 
@@ -567,7 +641,7 @@ class _NestStatistics:
             else:
                 self.bytes_by_level["DRAM"] += volume
             self._cold_charged[array] = cold
-        self._touched[array] = max(self._touched.get(array, 0.0), cold)
+        self._touched.add(array)
 
         # Temporal re-use: for each loop the access is invariant to, the data
         # touched inside that loop is re-swept (trip - 1) times per execution

@@ -10,14 +10,14 @@ as the paper measures the code generated by each auto-scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..analysis.band import BandView
 from ..ir.nodes import Loop, Program
 from ..passes.analysis import AnalysisManager
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
-from ..perf.model import CostModel, IncrementalEstimate
-from ..transforms.base import BandSchedule, TransformationError
+from ..perf.model import CostModel, NodePrices, Priced
+from ..transforms.base import BandSchedule, TransformationError, set_nest
 from ..transforms.recipe import Recipe, apply_recipe
 
 
@@ -59,6 +59,9 @@ class ScheduleResult:
     #: entries of Figure 6).
     unsupported: bool = False
     notes: str = ""
+    #: Modeled seconds of ``program`` (:meth:`Scheduler.price`), set by the
+    #: walk that built it; copies and decoded results do not carry it.
+    runtime_s: Optional[float] = field(default=None, compare=False)
 
     def recipes(self) -> List[Recipe]:
         return [info.recipe for info in self.nests if info.recipe is not None]
@@ -147,8 +150,10 @@ class Scheduler:
         raise NotImplementedError
 
     def schedule_nest(self, program: Program, index: int,
-                      parameters: Mapping[str, int]) -> NestScheduleInfo:
-        """Schedule the top-level nest at ``index`` of ``program`` in place."""
+                      parameters: Mapping[str, int],
+                      prices: NodePrices) -> NestScheduleInfo:
+        """Schedule the top-level nest at ``index`` of ``program`` in place.
+        ``prices`` is the walk's table, for a search to price with."""
         recipe = self.recipe_for(program.body[index], index)
         application = apply_recipe(program, recipe, strict=False)
         status = "optimized" if application.applied else "unchanged"
@@ -157,86 +162,160 @@ class Scheduler:
 
     def schedule(self, program: Program, parameters: Mapping[str, int],
                  **nest_options) -> ScheduleResult:
-        """Produce a scheduled copy of ``program``.
+        """Produce a scheduled copy of ``program``, priced.
 
         ``nest_options`` are forwarded to every :meth:`schedule_nest` call
         (daisy's ``tune`` passes the label it seeds the database under).
+        The walk holds one :class:`~repro.perf.model.NodePrices` table for
+        the call: every search of it prices a sibling nest once and records
+        the nest it builds, and the result's ``runtime_s`` is :meth:`price`
+        from that table.  The table dies with the call.
         """
+        prices = NodePrices(self.cost_model, parameters)
         result = self.prepare(program)
         scheduled = result.program
         for index in range(len(scheduled.body)):
-            if isinstance(scheduled.body[index], Loop):
+            nest = scheduled.body[index]
+            if isinstance(nest, Loop):
                 result.nests.append(self.schedule_nest(
-                    scheduled, index, parameters, **nest_options))
+                    scheduled, index, parameters, prices, **nest_options))
+                if any(node is nest for node in scheduled.body):
+                    # Still there: a recipe step that annotates a loop below
+                    # the band may have edited it in place.
+                    prices.forget(nest)
+        result.runtime_s = self.price(scheduled, parameters, prices)
         return result
 
-    def price(self, program: Program, parameters: Mapping[str, int]) -> float:
-        """Modeled seconds of a program this scheduler produced."""
-        return self.cost_model.estimate_seconds(program, parameters)
+    def price(self, program: Program, parameters: Mapping[str, int],
+              prices: Optional[NodePrices] = None) -> float:
+        """Modeled seconds of a program this scheduler produced (from the
+        walk's table ``prices`` when one is given)."""
+        if prices is None:
+            return self.cost_model.estimate_seconds(program, parameters)
+        return prices.seconds(program)
 
     def estimate(self, program: Program, parameters: Mapping[str, int]) -> float:
         """Schedule the program and estimate its runtime in seconds."""
-        return self.price(self.schedule(program, parameters).program, parameters)
+        return self.schedule(program, parameters).runtime_s
 
 
 class NestPricer:
     """Modeled seconds of one program under candidate recipes for one of its
-    top-level nests — how every search prices a candidate.
+    top-level nests — how every search prices a candidate — and the nest
+    built by the recipe the search kept.
 
     Built once per search around one :class:`~repro.analysis.band.BandView`
     of the searched nest, over a frozen private copy of it (``program`` is
-    never mutated or frozen).  A recipe of band schedules for that nest is
-    interpreted on a fork of the view — its transformations run the very
-    ``schedule`` that ``apply_recipe`` runs between viewing and building —
-    and the outcome is priced as frames: no loop is built, only the changed
-    nest is re-priced (:class:`~repro.perf.model.IncrementalEstimate`), and
-    recipes that end in the same schedule share one price.  Anything else
-    (``Fuse``, an idiom replacement, an annotation below the band) is
-    applied to a full copy and priced whole.  Either way the price equals
-    ``CostModel.estimate_seconds`` of a copy of the program with the recipe
-    applied, bit for bit.  Legality questions go through ``analysis`` (the
-    caller's manager, or one private to this pricer).
+    never frozen, and only :meth:`build` mutates it).  A recipe of band
+    schedules for that nest is interpreted on a fork of the view — its
+    transformations run the very ``schedule`` that ``apply_recipe`` runs
+    between viewing and building — and the outcome is priced as frames: no
+    loop is built, the other top-level nodes come from ``prices`` (the
+    walk's :class:`~repro.perf.model.NodePrices`, or a table private to
+    this pricer), and recipes that end in the same schedule share one
+    price.  Anything else (``Fuse``, an idiom replacement, an annotation
+    below the band) is applied to a full copy and priced whole.  Either way
+    the price equals ``CostModel.estimate_seconds`` of a copy of the program
+    with the recipe applied, bit for bit.  Legality questions go through
+    ``analysis`` (the caller's manager, or one private to this pricer).
     """
 
     def __init__(self, cost_model: CostModel, program: Program, nest_index: int,
                  parameters: Mapping[str, int],
-                 analysis: Optional[AnalysisManager] = None):
+                 analysis: Optional[AnalysisManager] = None,
+                 prices: Optional[NodePrices] = None):
         self.cost_model = cost_model
         self.program = program
         self.nest_index = nest_index
         self.parameters = parameters
         # ``is not None``: an empty manager is falsy through ``__len__``.
         self.analysis = analysis if analysis is not None else AnalysisManager()
-        self._estimate = IncrementalEstimate(cost_model, program, parameters,
-                                             nest_index, self.analysis)
-        #: Schedule of the nest (the view's frames) -> modeled seconds.
-        self._prices: Dict[Tuple, float] = {}
+        self.prices = (prices if prices is not None
+                       else NodePrices(cost_model, parameters))
+        #: The running total a from-scratch estimate has reached at the
+        #: nest, and the names the nodes before it touched.
+        self._prefix = 0.0
+        self._before: FrozenSet[str] = frozenset()
+        for index in range(nest_index):
+            cost, self._before = self.prices.cost(program, index, self._before,
+                                                  self.analysis)
+            if cost is not None:
+                self._prefix += cost.time
+        #: Schedule of the nest (the view's frames) -> (modeled seconds,
+        #: what pricing the nest gave).
+        self._priced: Dict[Tuple, Tuple[float, Priced]] = {}
         self.view = BandView(program.body[nest_index].copy().freeze(),
                              program.arrays, parameters, self.analysis,
                              program.name)
 
-    def price(self, recipe: Recipe) -> float:
-        if not all(isinstance(transformation, BandSchedule)
+    def _on_view(self, recipe: Recipe) -> bool:
+        """Whether ``recipe`` is band schedules of this nest only."""
+        return all(isinstance(transformation, BandSchedule)
                    and transformation.nest_index == self.nest_index
                    and transformation.within_band(self.view)
-                   for transformation in recipe):
-            trial = self.program.copy()
-            apply_recipe(trial, recipe, strict=False, analysis=self.analysis)
-            return self.cost_model.estimate_seconds(trial, self.parameters)
+                   for transformation in recipe)
+
+    def _schedule(self, recipe: Recipe) -> Tuple[BandView, bool]:
+        """A fork of the view with ``recipe`` scheduled on it, and whether
+        any step applied."""
         view = self.view.fork()
+        applied = False
         for transformation in recipe:
             try:
                 transformation.schedule(view)
+                applied = True
             except TransformationError:
                 pass  # skipped, as ``apply_recipe(strict=False)`` skips it
-        state = view.state()
-        seconds = self._prices.get(state)
-        if seconds is None:
-            seconds = self._prices[state] = self._price(view)
-        return seconds
+        return view, applied
 
-    def _price(self, view: BandView) -> float:
-        return self._estimate.seconds(view)
+    def _priced_state(self, view: BandView) -> Tuple[float, Priced]:
+        state = view.state()
+        priced = self._priced.get(state)
+        if priced is None:
+            priced = self._priced[state] = self._price(view)
+        return priced
+
+    def price(self, recipe: Recipe) -> float:
+        if not self._on_view(recipe):
+            trial = self.program.copy()
+            apply_recipe(trial, recipe, strict=False, analysis=self.analysis)
+            return self.cost_model.estimate_seconds(trial, self.parameters)
+        return self._priced_state(self._schedule(recipe)[0])[0]
+
+    def _price(self, view: BandView) -> Tuple[float, Priced]:
+        touched = set(self._before)
+        cost = self.cost_model.estimate_node(
+            view, self.program, self.parameters, self.nest_index, touched,
+            self.analysis)
+        after = names = frozenset(touched)
+        total = self._prefix
+        if cost is not None:
+            total += cost.time
+        for index in range(self.nest_index + 1, len(self.program.body)):
+            later, names = self.prices.cost(self.program, index, names,
+                                            self.analysis)
+            if later is not None:
+                total += later.time
+        return total, (cost, after)
+
+    def build(self, recipe: Recipe) -> bool:
+        """Rewrite the program's nest by ``recipe`` as ``apply_recipe(...,
+        strict=False)`` would, and return whether any step applied.  A
+        recipe priced as a view is built from the frames that were priced,
+        and its price joins the table."""
+        if not self._on_view(recipe):
+            return bool(apply_recipe(self.program, recipe, strict=False,
+                                     analysis=self.analysis).applied)
+        view, applied = self._schedule(recipe)
+        _seconds, priced = self._priced_state(view)
+        own = BandView(self.program.body[self.nest_index])
+        own.frames = list(view.frames)
+        # A new nest even when no frame changed: the walk forgets the
+        # prices of a nest that is still there (it may be edited in place).
+        built = own.materialise()
+        set_nest(self.program, self.nest_index, built)
+        self.prices.record(built, self.nest_index, self._before, priced)
+        return applied
 
 
 def retarget_recipe(recipe: Recipe, nest_index: int, name: str = "") -> Recipe:

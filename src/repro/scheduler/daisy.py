@@ -23,9 +23,11 @@ from typing import Mapping, Optional
 from ..ir.nodes import Program
 from ..passes.analysis import AnalysisManager
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
+from ..perf.model import NodePrices
 from ..transforms.idiom import ReplaceWithLibraryCall, match_blas3
 from ..transforms.recipe import Recipe, apply_recipe
-from .base import NestScheduleInfo, ScheduleResult, Scheduler, retarget_recipe
+from .base import (NestPricer, NestScheduleInfo, ScheduleResult, Scheduler,
+                   retarget_recipe)
 from .database import TuningDatabase
 from .embedding import embed_nest
 from .evolutionary import EvolutionarySearch, SearchConfig
@@ -71,7 +73,8 @@ class DaisyScheduler(Scheduler):
                              label=label or program.name)
 
     def schedule_nest(self, program: Program, index: int,
-                      parameters: Mapping[str, int], seeding: bool = False,
+                      parameters: Mapping[str, int], prices: NodePrices,
+                      seeding: bool = False,
                       label: Optional[str] = None) -> NestScheduleInfo:
         """Idiom, then transfer, then search.  When ``seeding`` (tuning), the
         transfer step is skipped and what was found is recorded in the
@@ -114,10 +117,10 @@ class DaisyScheduler(Scheduler):
         seeds = ([] if embedding is None else
                  [retarget_recipe(neighbor.recipe, index) for _distance, neighbor
                   in self.database.query(embedding, k=10)])
-        outcome = self._search.search(program, index, parameters, seeds,
-                                      analysis=self._analysis)
-        apply_recipe(program, outcome.recipe, strict=False,
-                     analysis=self._analysis)
+        pricer = NestPricer(self.cost_model, program, index, parameters,
+                            self._analysis, prices)
+        outcome = self._search.run(pricer, seeds)
+        pricer.build(outcome.recipe)
         if seeding:
             self.database.add(embedding, outcome.recipe, runtime=outcome.runtime)
         return NestScheduleInfo(index, "optimized", outcome.recipe,

@@ -13,7 +13,7 @@ import json
 import random
 import zlib
 from dataclasses import dataclass, replace
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.dependence import legal_permutations
 from ..ir.nodes import Loop, Program
@@ -169,12 +169,18 @@ class EvolutionarySearch:
         being re-targeted to ``nest_index`` by the caller.  Legality answers
         are shared through ``analysis`` when the caller owns a manager.
         """
-        nest = program.body[nest_index]
-        if not isinstance(nest, Loop):
+        if not isinstance(program.body[nest_index], Loop):
             raise TransformationError(f"node {nest_index} is not a loop nest")
+        return self.run(NestPricer(self.cost_model, program, nest_index,
+                                   parameters, analysis), seed_recipes)
+
+    def run(self, pricer: NestPricer,
+            seed_recipes: Optional[Sequence[Recipe]] = None) -> SearchOutcome:
+        """:meth:`search` of the nest ``pricer`` prices; the caller builds
+        the winner with ``pricer.build(outcome.recipe)``."""
+        nest_index = pricer.nest_index
+        nest = pricer.program.body[nest_index]
         space = SEARCH_SPACE
-        pricer = NestPricer(self.cost_model, program, nest_index, parameters,
-                            analysis)
         orders = space.orders(nest, pricer.analysis)
         rng = nest_rng(self.config.seed, nest)
         population = [space.sample(orders, rng)
@@ -192,12 +198,26 @@ class EvolutionarySearch:
                 best_runtime, best_recipe = runtime, recipe
             return runtime
 
+        #: An elite carried into the next generation is evaluated again,
+        #: not scheduled and priced again.
+        runtimes: Dict[Candidate, float] = {}
+
+        def consider_candidate(candidate: Candidate) -> float:
+            nonlocal evaluated
+            runtime = runtimes.get(candidate)
+            if runtime is None:
+                runtime = runtimes[candidate] = consider(
+                    candidate.to_recipe(nest_index))
+            else:
+                evaluated += 1  # it cannot beat itself
+            return runtime
+
         for seed_recipe in (seed_recipes or []):
             consider(seed_recipe)
 
         for _epoch in range(self.config.epochs):
             for _generation in range(self.config.generations_per_epoch):
-                scored = [(consider(candidate.to_recipe(nest_index)), candidate)
+                scored = [(consider_candidate(candidate), candidate)
                           for candidate in population]
                 scored.sort(key=lambda item: item[0])
                 elite = [candidate for _, candidate in scored[:self.config.elite]]

@@ -22,10 +22,11 @@ The pythonic frontend marks Python-level loops by giving their iterators a
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Optional
 
 from ..ir.nodes import LibraryCall, Loop, Program
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
+from ..perf.model import NodePrices
 from ..transforms.fusion import fuse_producer_consumer_chains
 from ..transforms.idiom import match_blas3, build_library_call
 from ..transforms.recipe import Recipe
@@ -74,9 +75,10 @@ class NumpyScheduler(Scheduler):
     def recipe_for(self, nest: Loop, index: int) -> Recipe:
         return compiler_recipe(self.name, nest, index, auto_parallel=False)
 
-    def price(self, program: Program, parameters: Mapping[str, int]) -> float:
+    def price(self, program: Program, parameters: Mapping[str, int],
+              prices: Optional[NodePrices] = None) -> float:
         dispatches = _python_loop_iterations(program, parameters)
-        return (super().price(program, parameters)
+        return (super().price(program, parameters, prices)
                 + dispatches * PYTHON_DISPATCH_OVERHEAD)
 
 
@@ -105,7 +107,8 @@ class DaceScheduler(Scheduler):
         return result
 
     def schedule_nest(self, program: Program, index: int,
-                      parameters: Mapping[str, int]) -> NestScheduleInfo:
+                      parameters: Mapping[str, int],
+                      prices: NodePrices) -> NestScheduleInfo:
         # Library nodes: DaCe replaces loop nests that literally match a
         # BLAS pattern, but it does not normalize first.
         nest = program.body[index]
@@ -114,7 +117,7 @@ class DaceScheduler(Scheduler):
             program.body[index] = build_library_call(nest, match)
             return NestScheduleInfo(index, "optimized", None,
                                     f"library node {match.routine}")
-        return super().schedule_nest(program, index, parameters)
+        return super().schedule_nest(program, index, parameters, prices)
 
     def recipe_for(self, nest: Loop, index: int) -> Recipe:
         return compiler_recipe(self.name, nest, index, auto_parallel=True)

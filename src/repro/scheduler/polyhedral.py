@@ -25,6 +25,7 @@ from typing import Mapping
 from ..analysis.affine import computation_accesses, nest_statements
 from ..analysis.parallelism import analyze_loop_parallelism
 from ..ir.nodes import Computation, Loop, Program
+from ..perf.model import NodePrices
 from ..transforms.parallelize import Parallelize, Vectorize
 from ..transforms.recipe import Recipe
 from ..transforms.tiling import Tile
@@ -51,10 +52,11 @@ class PollyScheduler(Scheduler):
     name = "polly"
 
     def schedule_nest(self, program: Program, index: int,
-                      parameters: Mapping[str, int]) -> NestScheduleInfo:
+                      parameters: Mapping[str, int],
+                      prices: NodePrices) -> NestScheduleInfo:
         if not nest_is_scop(program.body[index]):
             return NestScheduleInfo(index, "unsupported", None, "not a SCoP")
-        return super().schedule_nest(program, index, parameters)
+        return super().schedule_nest(program, index, parameters, prices)
 
     def recipe_for(self, nest: Loop, index: int) -> Recipe:
         recipe = Recipe(f"polly#{index}")

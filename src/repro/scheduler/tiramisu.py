@@ -24,7 +24,8 @@ from ..ir.nodes import Loop, Program
 from ..normalization.fission import maximal_loop_fission
 from ..passes.analysis import AnalysisManager
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
-from ..transforms.recipe import Recipe, apply_recipe
+from ..perf.model import NodePrices
+from ..transforms.recipe import Recipe
 from .base import NestPricer, NestScheduleInfo, ScheduleResult, Scheduler
 from .evolutionary import CandidateSpace, nest_rng
 
@@ -72,16 +73,18 @@ class TiramisuScheduler(Scheduler):
         return result
 
     def schedule_nest(self, program: Program, index: int,
-                      parameters: Mapping[str, int]) -> NestScheduleInfo:
+                      parameters: Mapping[str, int],
+                      prices: NodePrices) -> NestScheduleInfo:
         # One manager per nest: what the support check asks, the search
         # does not derive again.
         analysis = AnalysisManager()
         if not self._supported(program.body[index], analysis):
             return NestScheduleInfo(index, "unsupported", None,
                                     "not a perfectly nested parallel loop")
-        recipe = self._mcts(program, index, parameters, analysis)
-        application = apply_recipe(program, recipe, strict=False)
-        status = "optimized" if application.applied else "unchanged"
+        pricer = NestPricer(self.cost_model, program, index, parameters,
+                            analysis, prices)
+        recipe = self._mcts(pricer)
+        status = "optimized" if pricer.build(recipe) else "unchanged"
         return NestScheduleInfo(index, status, recipe,
                                 f"mcts ({self.config.rollouts} rollouts)")
 
@@ -101,12 +104,9 @@ class TiramisuScheduler(Scheduler):
 
     # -- search -----------------------------------------------------------------------
 
-    def _mcts(self, program: Program, index: int,
-              parameters: Mapping[str, int],
-              analysis: AnalysisManager) -> Recipe:
-        nest = program.body[index]
-        pricer = NestPricer(self.cost_model, program, index, parameters,
-                            analysis)
+    def _mcts(self, pricer: NestPricer) -> Recipe:
+        index = pricer.nest_index
+        nest = pricer.program.body[index]
         orders = ROLLOUT_SPACE.orders(nest, pricer.analysis)
         rng = nest_rng(self.config.seed, nest)
 

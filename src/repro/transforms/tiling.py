@@ -6,6 +6,7 @@ from typing import Any, Dict, Mapping
 
 from ..analysis.band import BandView
 from ..ir.nodes import Loop
+from ..ir.symbols import Const
 from .base import BandSchedule, TransformationError
 
 
@@ -48,6 +49,17 @@ class Tile(BandSchedule):
         tiled = [it for it in iterators if self.tile_sizes.get(it, 0) > 1]
         if not tiled:
             return
+        # A point loop starts at its tile's origin: origins ``start + k *
+        # size`` are iterations of the loop only when its step divides the
+        # size.
+        for frame in view.frames:
+            size = self.tile_sizes.get(frame.iterator, 0)
+            if size > 1 and not (isinstance(frame.step, Const)
+                                 and frame.step.value > 0
+                                 and size % frame.step.value == 0):
+                raise TransformationError(
+                    f"cannot tile {frame.iterator!r} by {size}: its step "
+                    f"{frame.step} does not divide the size")
         # Rectangular tiling is strip-mining plus interchange; it is legal when
         # the tiled loops form a fully permutable band.  We approximate full
         # permutability by requiring that both the original and the reversed

@@ -243,7 +243,7 @@ def _recorded_bounds(monkeypatch, model, node, program, parameters):
         return result
 
     monkeypatch.setattr(Frame, "bounds", recording)
-    cost = model.estimate_node(node, program, parameters, 0, {})
+    cost = model.estimate_node(node, program, parameters, 0, set())
     monkeypatch.setattr(Frame, "bounds", bounds)
     return seen, cost.time
 

@@ -195,31 +195,46 @@ class TestCostModel:
         assert ({name: value.hex() for name, value in seconds.items()}
                 == self.PINNED_SECONDS)
 
-    def test_incremental_estimate_equals_from_scratch(self):
-        """One top-level node varies, the total is still what a from-scratch
-        estimate gives — also when the variant is a library call, which
-        leaves other containers touched for the nests after it."""
-        from repro.perf.model import IncrementalEstimate
+    def test_node_prices_equal_from_scratch(self):
+        """One table prices a program of which one top-level node varies:
+        the sum is still what a from-scratch estimate gives — also when the
+        variant is a library call, which leaves other containers touched
+        for the nests after it — and a node the table holds is priced once
+        per set of names touched before it."""
+        from repro.perf.model import NodePrices
         from repro.transforms import match_blas3
         from repro.workloads import registry as workloads
-        model = CostModel(threads=4)
+        calls = []
+
+        class Counting(CostModel):
+            def estimate_node(self, node, *args, **kwargs):
+                calls.append((id(node), args[2], frozenset(args[3])))
+                return super().estimate_node(node, *args, **kwargs)
+
+        model = Counting(threads=4)
         spec = workloads.benchmark("3mm")
         program = normalize_program(spec.variant("a"))
         parameters = spec.sizes("large")
-        calls = 0
+        replaced = 0
         for index, nest in enumerate(program.body):
-            incremental = IncrementalEstimate(model, program, parameters, index)
+            prices = NodePrices(model, parameters)
             recipes = [Recipe("same"), Recipe("par", [Parallelize(index)]),
                        Recipe("same again")]
             if match_blas3(nest) is not None:
-                calls += 1
+                replaced += 1
                 recipes.insert(1, Recipe("call", [ReplaceWithLibraryCall(index)]))
+            priced = []
             for recipe in recipes:
                 variant = program.copy()
                 apply_recipe(variant, recipe)
-                assert (incremental.seconds(variant.body[index])
-                        == model.estimate_seconds(variant, parameters))
-        assert calls >= 3
+                expected = model.estimate_seconds(variant, parameters)
+                mixed = program.snapshot()
+                mixed.body[index] = variant.body[index]
+                calls.clear()
+                assert prices.seconds(mixed) == expected
+                priced += [call for call in calls if call[1] != index]
+            assert len(priced) == len(set(priced))
+        assert replaced >= 3
 
 
 class TestMeasurementProtocol:

@@ -5,7 +5,7 @@ import contextlib
 import pytest
 
 from helpers import build_gemm, build_stencil, build_vector_add
-from repro.api import Session
+from repro.api import ScheduleRequest, Session
 from repro.interp import programs_equivalent
 from repro.ir import Loop, ProgramBuilder
 from repro.normalization import normalize_program
@@ -72,6 +72,28 @@ class TestTiling:
         reference = program.copy()
         Tile(0, {"i": 7}).apply(program)
         assert programs_equivalent(reference, program, {"N": 20})
+
+    def test_a_step_that_does_not_divide_the_size_is_refused(self):
+        """Tile origins ``1, 17, …`` are not iterations of a loop by 3, so
+        tiling it by 16 is refused — by ``apply_recipe`` and inside a
+        search — while a size the step divides applies.  The interpreter
+        is the oracle."""
+        source = ("double A[N];\ndouble B[N];\n"
+                  "for (i = 1; i < N; i += 3) { B[i] = A[i] + 1.0; }")
+        session = Session()
+        program = session.load(source)
+        refused = program.copy()
+        application = apply_recipe(refused, Recipe("r", [Tile(0, {"i": 16})]))
+        assert not application.applied and len(application.failed) == 1
+        assert programs_equivalent(program, refused, {"N": 400})
+        divided = program.copy()
+        assert apply_recipe(divided,
+                            Recipe("r", [Tile(0, {"i": 6})])).fully_applied
+        assert divided.body[0].perfectly_nested_band()[0].iterator == "i_t"
+        assert programs_equivalent(program, divided, {"N": 400})
+        response = session.schedule(ScheduleRequest(
+            program=source, parameters={"N": 4096}, normalize=False))
+        assert programs_equivalent(program, response.program, {"N": 400})
 
     def test_tile_size_one_is_noop(self):
         program = build_gemm(with_scaling=False)
