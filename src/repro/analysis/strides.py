@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..ir.arrays import Array
-from ..ir.nodes import Loop, Program
+from ..ir.nodes import Loop, Program, band_starts
 from .affine import AffineAccess, loop_nest_accesses
 
 #: Nominal extent used for size parameters without a concrete binding when
@@ -119,11 +119,10 @@ def band_strides(loop: Loop, arrays: Mapping[str, Array],
 
 def program_stride_cost(program: Program,
                         parameters: Optional[Mapping[str, int]] = None) -> float:
-    """Sum of the stride costs of all top-level loop nests of a program,
-    each in its current band order."""
+    """Sum of the stride costs of every band of a program, at every depth
+    (:func:`~repro.ir.nodes.band_starts`), each in its current order."""
     total = 0.0
-    for node in program.body:
-        if isinstance(node, Loop):
-            strides = band_strides(node, program.arrays, parameters)
-            total += strides.cost(tuple(strides.per_iterator))
+    for body, index in band_starts(program.body):
+        strides = band_strides(body[index], program.arrays, parameters)
+        total += strides.cost(tuple(strides.per_iterator))
     return total

@@ -529,6 +529,18 @@ def rename_iterators(node: Node, mapping: Mapping[str, str]) -> None:
     substitute_symbols(node, {old: Sym(new) for old, new in mapping.items()})
 
 
+def band_starts(body: List[Node]) -> Iterator[Tuple[List[Node], int]]:
+    """Where each maximal band starts: every loop of ``body``, then every
+    loop in the body of its band's innermost loop, recursively.  Yields
+    ``(body, index)``; the caller may replace ``body[index]`` before the
+    walk goes on below whatever it then holds."""
+    for index, node in enumerate(body):
+        if isinstance(node, Loop):
+            yield body, index
+            yield from band_starts(
+                body[index].perfectly_nested_band()[-1].body)
+
+
 class Program:
     """A complete program: container declarations plus a sequence of nodes.
 

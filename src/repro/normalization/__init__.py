@@ -4,9 +4,9 @@ The two normalization criteria of Section 2, one function each:
 
 * :func:`maximal_loop_fission` — split loop bodies into atomic nests, in
   one bottom-up sweep,
-* :func:`minimize_strides` — per nest, pick the legal loop order with the
-  minimal stride cost, priced at the nominal extents
-  (:func:`find_minimal_permutation` is the one search),
+* :func:`minimize_strides` — for every band, at every depth, pick the
+  legal loop order with the minimal stride cost, priced at the nominal
+  extents (:func:`find_minimal_permutation` is the one search),
 
 plus loop normal form and canonical iterator renaming, combined in
 :func:`normalize` (the pipeline of Figure 5).  The stages run as

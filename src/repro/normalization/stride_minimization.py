@@ -1,18 +1,18 @@
 """Stride minimization (Section 2.2).
 
 After maximal fission every loop nest is atomic.  The second normalization
-criterion replaces each nest with the legal permutation of its loops that
-minimizes the ``stride(loop)`` cost function — by exhaustive enumeration for
-practically-relevant depths, and by sorting groups of iterators as an
-approximation for deep nests.
+criterion replaces every band, at every depth, with the legal permutation of
+its loops that minimizes the ``stride(loop)`` cost function — by exhaustive
+enumeration for practically-relevant depths, and by sorting groups of
+iterators as an approximation for deep nests.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..ir.arrays import Array
-from ..ir.nodes import Loop, Node, Program
+from ..ir.nodes import Loop, Program, band_starts
 from ..analysis.band import BandView
 from ..analysis.dataflow import node_reads_writes
 from ..analysis.dependence import legal_permutations, permutation_is_legal
@@ -101,7 +101,11 @@ def _nest_key_material(nest: Loop,
 def minimize_strides(program: Program,
                      analysis: "Optional[AnalysisManager]" = None
                      ) -> Dict[str, float]:
-    """Apply stride minimization to every top-level loop nest, in place.
+    """Apply stride minimization to every band, at every depth, in place
+    (:func:`~repro.ir.nodes.band_starts`).  The legality of an inner band's
+    order is checked on its own nest alone: a dependence carried by an
+    enclosing loop has ``<`` on that loop, so it survives any order of the
+    loops inside it.
 
     Returns the pass's counters: ``nests_considered``, ``nests_permuted``,
     ``permutations_evaluated`` and the summed stride ``cost_before`` and
@@ -114,22 +118,19 @@ def minimize_strides(program: Program,
     counters: Dict[str, float] = {
         "nests_considered": 0, "nests_permuted": 0,
         "permutations_evaluated": 0, "cost_before": 0.0, "cost_after": 0.0}
-    new_body: List[Node] = []
-    for node in program.body:
-        if not isinstance(node, Loop):
-            new_body.append(node)
-            continue
+    for body, index in band_starts(program.body):
+        nest = body[index]
         counters["nests_considered"] += 1
         computed = []
 
-        def compute(nest: Loop = node) -> Tuple[Tuple[str, ...], float, int, float]:
+        def compute(nest: Loop = nest) -> Tuple[Tuple[str, ...], float, int, float]:
             computed.append(True)
             return find_minimal_permutation(nest, program.arrays)
 
         if analysis is not None:
             order, cost, evaluated, before = analysis.cached_node(
-                "minimal-permutation", node, compute,
-                extra=_nest_key_material(node, program.arrays))
+                "minimal-permutation", nest, compute,
+                extra=_nest_key_material(nest, program.arrays))
         else:
             order, cost, evaluated, before = compute()
 
@@ -137,14 +138,12 @@ def minimize_strides(program: Program,
         # A memo hit skipped the permutation search: it must not re-count
         # the cached run's evaluations as work done by this run.
         counters["permutations_evaluated"] += evaluated if computed else 0
-        current = tuple(loop.iterator for loop in node.perfectly_nested_band())
+        current = tuple(loop.iterator for loop in nest.perfectly_nested_band())
         if tuple(order) != current:
             # Rebuild the band in the new order; everything below it stays.
-            view = BandView(node)
+            view = BandView(nest)
             view.reorder(order)
-            node = view.materialise()
+            body[index] = view.materialise()
             counters["nests_permuted"] += 1
         counters["cost_after"] += cost
-        new_body.append(node)
-    program.body = new_body
     return counters

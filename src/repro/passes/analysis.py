@@ -23,7 +23,7 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from ..ir.canonical import node_fragment
 from ..ir.nodes import Node, Program
@@ -109,11 +109,6 @@ class AnalysisManager:
     def misses(self) -> int:
         with self._lock:
             return self._misses
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"hits": self._hits, "misses": self._misses,
-                    "entries": len(self._entries)}
 
     def clear(self) -> None:
         """Drop all memoized results (counters are kept)."""

@@ -81,7 +81,8 @@ class FissionSweepPass(Pass):
 
 
 class StrideMinimizationPass(Pass):
-    """Per nest, pick the legal loop order minimizing the stride cost."""
+    """For every band, at every depth, pick the legal loop order minimizing
+    the stride cost."""
 
     name = "stride-minimization"
 

@@ -14,10 +14,6 @@ from repro.workloads.registry import benchmark_names
 
 #: ``:a`` vs ``:b`` (the C variants of Figure 6) that normalize apart,
 #: with their causes.
-_TIME_LOOP = ("`minimize_strides` permutes only the band of each top-level "
-              "nest (ROADMAP item 1), so the sweeps below the sequential "
-              "time loop keep the order they were written in; not the "
-              "rename map and not fission")
 _PHANTOM_CYCLE = ("`body_dependences` reports a `*` cycle between "
                   "`corr[i0, i1+i0+1]` and `corr[i1+i0+1, i0]` that cannot "
                   "exist, because the test ignores the zero-based bounds "
@@ -26,9 +22,6 @@ _PHANTOM_CYCLE = ("`body_dependences` reports a `*` cycle between "
 AB_APART = {
     "correlation": _PHANTOM_CYCLE,
     "covariance": _PHANTOM_CYCLE,
-    "jacobi-2d": _TIME_LOOP,
-    "fdtd-2d": _TIME_LOOP,
-    "heat-3d": _TIME_LOOP,
 }
 
 #: ``:a`` vs ``:npbench`` (the Python variants of Figure 9) that normalize
@@ -70,7 +63,7 @@ def test_the_sets_cover_the_registry():
     names = set(benchmark_names())
     assert len(names) == 18
     assert set(AB_APART) <= names and set(NPBENCH_APART) <= names
-    assert len(names - set(AB_APART)) == 13
+    assert len(names - set(AB_APART)) == 16
     assert len(names - set(NPBENCH_APART)) == 11
 
 

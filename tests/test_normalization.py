@@ -157,6 +157,47 @@ class TestStrideMinimization:
         # j's bound references i, so i must stay outermost regardless of cost.
         assert order[0] == "i"
 
+    #: Every parameter distinct, at least two time steps.  jacobi-2d and
+    #: heat-3d declare one spatial extent; fdtd-2d's arrays are non-square.
+    STENCIL_SIZES = {"jacobi-2d": {"TSTEPS": 3, "N": 11},
+                     "fdtd-2d": {"TMAX": 3, "NX": 7, "NY": 11},
+                     "heat-3d": {"TSTEPS": 2, "N": 7}}
+
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    @pytest.mark.parametrize("name", sorted(STENCIL_SIZES))
+    def test_sweeps_below_the_time_loop_keep_the_results(self, name, variant):
+        """The bands below a sequential time loop are permuted on their own
+        (``jacobi-2d:b`` has two, written column-major), and the program
+        computes what it computed as written."""
+        program = workloads.benchmark(name).variant(variant)
+        normalized = normalize_program(program)
+        assert programs_equivalent(program, normalized,
+                                   self.STENCIL_SIZES[name])
+
+    def test_an_inner_band_keeps_a_dependence_its_own_loops_carry(self):
+        """The stride-optimal order of the inner band (``i`` outside ``j``)
+        would reverse the ``(<, >)`` dependence ``j`` carries; the time loop
+        around the band does not make that legal."""
+        b = ProgramBuilder("skewed", parameters=["T", "N", "M"])
+        b.add_array("A", ("N", "M"))
+        b.add_array("B", ("N", "M"))
+        with b.loop("t", 0, "T"):
+            with b.loop("j", 0, b.sym("M") - 1):
+                with b.loop("i", 1, "N"):
+                    b.assign(("A", "i", "j"),
+                             b.read("A", "i", "j") + b.read("A", b.sym("i") - 1,
+                                                             b.sym("j") + 1))
+            with b.loop("i", 0, "N"):
+                with b.loop("j", 0, "M"):
+                    b.assign(("B", "i", "j"), b.read("A", "i", "j"))
+        program = b.finish()
+        normalized, report = normalize(program)
+        sweep = normalized.body[0].body[0]
+        assert len(sweep.perfectly_nested_band()) == 2
+        counters = report.counters()
+        assert (counters["nests_considered"], counters["nests_permuted"]) == (3, 0)
+        assert programs_equivalent(program, normalized, {"T": 2, "N": 7, "M": 9})
+
     def test_minimization_never_increases_cost(self, gemm_program, gemm_params):
         from repro.analysis import program_stride_cost
         before = program_stride_cost(gemm_program, gemm_params)

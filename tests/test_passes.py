@@ -3,6 +3,8 @@ pipelines, fixed points, the pipeline registry, memoized analyses, the
 change flag transformations return, pipeline-identity cache keys, and
 normalization idempotence across every registered pipeline."""
 
+import itertools
+
 import pytest
 from helpers import build_gemm, build_vector_add
 
@@ -256,7 +258,7 @@ class TestAnalysisManager:
         assert manager.cached_node("k", loop, compute) == ("result",)
         assert manager.cached_node("k", loop, compute) == ("result",)
         assert len(calls) == 1
-        assert manager.stats() == {"hits": 1, "misses": 1, "entries": 1}
+        assert (manager.hits, manager.misses, len(manager)) == (1, 1, 1)
 
     def test_changed_content_recomputes(self):
         manager = AnalysisManager()
@@ -280,6 +282,19 @@ class TestAnalysisManager:
         second, _ = normalize(build_gemm_b(), analysis=manager)
         assert manager.hits > 0
         assert program_content_hash(first) == program_content_hash(second)
+
+    def test_every_gemm_loop_order_twice_through_one_manager(self):
+        """Six loop orders share a scaling nest and one canonical form: a
+        second pass over them computes nothing."""
+        manager = AnalysisManager()
+        forms = set()
+        for expected in ((5, 7), (17, 7)):
+            for order in itertools.permutations("ijk"):
+                normalized, _ = normalize(build_gemm(order=order),
+                                          analysis=manager)
+                forms.add(program_content_hash(normalized))
+            assert (manager.hits, manager.misses) == expected
+        assert len(manager) == 7 and len(forms) == 1
 
 
 class TestTransformationsReportChange:

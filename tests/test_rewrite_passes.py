@@ -7,6 +7,9 @@ Covers the tentpole's guarantees:
 * rewrites preserve semantics against the reference interpreter over a wide
   sample of expression-heavy fuzz programs (under the float tolerance the
   re-associating pipelines are registered for),
+* the flops each pipeline leaves on the FEM kernels and on eight
+  expression-heavy fuzz programs are pinned exactly, and each pipeline's
+  outputs agree with the program as written,
 * each rewrite pipeline keys the normalization cache distinctly, on the
   memory and the SQLite backend,
 * the fuzz oracle compares ``bit_exact=False`` pipelines under tolerance —
@@ -41,9 +44,9 @@ REWRITE_PIPELINES = ("rewrite", "rewrite-licm-only", "rewrite-cse-only",
 FEM_WORKLOADS = ("fem-mass", "fem-stiffness", "fem-rhs")
 
 
-def _fem_program(name):
+def _fem_program(name, size="mini"):
     spec = benchmark(name)
-    return spec.variant("a"), spec.sizes("mini"), dict(spec.scalars)
+    return spec.variant("a"), spec.sizes(size), dict(spec.scalars)
 
 
 def _inputs_for(program, parameters, scalars=(), seed=5):
@@ -60,8 +63,16 @@ def _inputs_for(program, parameters, scalars=(), seed=5):
     return inputs
 
 
-def _observable_outputs(program):
-    return [name for name, arr in program.arrays.items() if not arr.transient]
+def _assert_outputs_agree(program, parameters, pipeline, scalars=(), label=""):
+    inputs = _inputs_for(program, parameters, scalars)
+    reference = run_program(program, parameters, inputs)
+    rewritten, _ = normalize(program, NormalizationOptions(pipeline))
+    result = run_program(rewritten, parameters, inputs)
+    for output, arr in program.arrays.items():
+        if not arr.transient:
+            assert np.allclose(reference[output], result[output],
+                               rtol=1e-6, atol=1e-6, equal_nan=True), \
+                f"{pipeline} diverges on {output} ({label})"
 
 
 class TestIdempotence:
@@ -98,26 +109,63 @@ class TestSemanticPreservation:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_rewrite_preserves_outputs(self, seed):
         generated = generate_program(seed, "expression-heavy")
-        program, parameters = generated.program, generated.parameters
-        inputs = _inputs_for(program, parameters)
-        reference = run_program(program, parameters, inputs)
         # Rotate through the family so every pipeline sees many programs
         # without interpreting 50 x 5 programs.
-        pipeline = REWRITE_PIPELINES[seed % len(REWRITE_PIPELINES)]
-        rewritten, _ = normalize(program, NormalizationOptions(pipeline))
-        result = run_program(rewritten, parameters, inputs)
-        for output in _observable_outputs(program):
-            assert np.allclose(reference[output], result[output],
-                               rtol=1e-6, atol=1e-6, equal_nan=True), \
-                f"{pipeline} diverges on {output} (seed {seed})"
+        _assert_outputs_agree(generated.program, generated.parameters,
+                              REWRITE_PIPELINES[seed % len(REWRITE_PIPELINES)],
+                              label=f"seed {seed}")
 
-    def test_rewrite_reduces_fem_flops(self):
-        """The acceptance bar: LICM+CSE measurably reduce interpreter work."""
-        program, parameters, _ = _fem_program("fem-mass")
-        rewritten, _ = normalize(program, NormalizationOptions("rewrite"))
-        before = program_flops(program, parameters)
-        after = program_flops(rewritten, parameters)
-        assert after < 0.75 * before, (before, after)
+
+#: The ablation's pipelines, in the column order of :data:`FLOPS`.
+ABLATION = ("a-priori", "rewrite-licm-only", "rewrite-cse-only", "rewrite",
+            "a-priori+rewrite")
+
+#: ``program_flops`` before normalization, and after each :data:`ABLATION`
+#: pipeline: the FEM kernels at ``small`` sizes, the expression-heavy fuzz
+#: programs at their own parameters.
+FLOPS = {
+    "fem-mass": (165888, (165888, 83200, 165888, 83200, 83200)),
+    "fem-stiffness": (435456, (435456, 331776, 435456, 331776, 331776)),
+    "fem-rhs": (44928, (44928, 16960, 44928, 16384, 16384)),
+    "fuzz:expression-heavy-0": (1560, (1560, 1460, 780, 554, 549)),
+    "fuzz:expression-heavy-1": (589, (589, 358, 514, 305, 305)),
+    "fuzz:expression-heavy-2": (1014, (1014, 654, 510, 186, 186)),
+    "fuzz:expression-heavy-3": (707, (707, 665, 661, 569, 569)),
+    "fuzz:expression-heavy-4": (1665, (1665, 467, 937, 282, 267)),
+    "fuzz:expression-heavy-5": (1680, (1896, 1680, 723, 558, 618)),
+    "fuzz:expression-heavy-6": (2375, (2375, 409, 900, 323, 103)),
+    "fuzz:expression-heavy-7": (1082, (1082, 1082, 567, 387, 339)),
+}
+
+
+def _ablation_program(workload, size):
+    """``(program, parameters, scalars)`` of one :data:`FLOPS` row."""
+    if workload in FEM_WORKLOADS:
+        return _fem_program(workload, size)
+    generated = generate_program(int(workload.rsplit("-", 1)[1]),
+                                 "expression-heavy")
+    return generated.program, generated.parameters, {}
+
+
+class TestRewriteAblation:
+    """The flop reduction of each rewrite pipeline is deterministic, so it is
+    pinned exactly; outputs agree under the pipelines' float tolerance."""
+
+    @pytest.mark.parametrize("workload", sorted(FLOPS))
+    def test_flops_are_pinned(self, workload):
+        program, parameters, _ = _ablation_program(workload, "small")
+        before, after = FLOPS[workload]
+        assert program_flops(program, parameters) == before
+        assert tuple(
+            program_flops(normalize(program, NormalizationOptions(pipeline))[0],
+                          parameters)
+            for pipeline in ABLATION) == after
+
+    @pytest.mark.parametrize("pipeline", ABLATION)
+    @pytest.mark.parametrize("workload", sorted(FLOPS))
+    def test_outputs_agree(self, workload, pipeline):
+        program, parameters, scalars = _ablation_program(workload, "mini")
+        _assert_outputs_agree(program, parameters, pipeline, scalars, workload)
 
 
 class TestCacheKeys:
