@@ -172,8 +172,8 @@ class NormalizationCache:
         self.backend.bind(SCHEDULE_NAMESPACE, _encode_schedule, _decode_schedule)
         self.backend.bind(RESPONSE_NAMESPACE, _encode_response,
                           _decode_response, raw=True)
-        #: Long-lived memo of per-nest analyses, shared by every pipeline
-        #: run this cache performs (repeat/batch traffic hits it).
+        #: Long-lived memo of per-node analyses, shared by every pipeline
+        #: run this cache performs (the rewrite passes' written-array sets).
         self.analysis = AnalysisManager()
         #: Aggregated per-pass timings/change counters of every run.
         self.pass_stats = PassStats()

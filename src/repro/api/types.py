@@ -359,8 +359,11 @@ class SessionReport:
     every pipeline run the session's cache performed: per pass name, the
     number of runs, how many changed the program, total wall time, and the
     summed IR-size delta.  ``analysis_hits`` / ``analysis_misses`` count the
-    memoized per-nest analyses served and computed by the cache's
-    :class:`~repro.passes.analysis.AnalysisManager`.
+    memoized per-node analyses served and computed by the cache's
+    :class:`~repro.passes.analysis.AnalysisManager`.  Only the
+    expression-rewrite passes (``a-priori+rewrite`` and the ``rewrite*``
+    pipelines) consult it; the a-priori stages memoize nothing, so a session
+    on an a-priori pipeline reports 0 and 0.
     """
 
     schedule_calls: int = 0

@@ -29,7 +29,25 @@ from .nodes import Computation, LibraryCall, Loop, Node, Program
 from .symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod, Mul,
                       Read, Sym)
 
-_dumps = json.dumps
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value)``: the scalars a fragment holds are formatted
+    here, exactly as the encoder formats them; anything else (a float, a
+    list) goes through ``json.dumps``."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value)
 
 
 def expr_fragment(expr: Expr) -> str:
@@ -106,7 +124,7 @@ def node_fragment(node: Node) -> str:
         frag = ('{"flops": %s, "inputs": %s, "kind": "library_call", '
                 '"metadata": %s, "outputs": %s, "routine": %s}') % (
             expr_fragment(node.flop_expr), _dumps(list(node.inputs)),
-            _dumps(dict(node.metadata), sort_keys=True),
+            json.dumps(dict(node.metadata), sort_keys=True),
             _dumps(list(node.outputs)), _dumps(node.routine))
     else:
         raise TypeError(

@@ -20,34 +20,20 @@ tests the edges pairwise.  So no loop the sweep builds can be split again.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..ir.nodes import Loop, Node, Program
 from ..analysis.affine import nest_statements
 from ..analysis.dependence import body_dependences
 
-if TYPE_CHECKING:  # deferred to avoid a cycle with repro.passes.library
-    from ..passes.analysis import AnalysisManager
 
-
-def _dependence_edges(loop: Loop,
-                      analysis: "Optional[AnalysisManager]" = None
-                      ) -> Tuple[Tuple[int, int], ...]:
-    """Child-index dependence edges of ``loop``'s body (memoizable).
-
-    Only the index pairs matter for fission legality, and they depend solely
-    on the loop's content — so they memoize cleanly by content fingerprint.
-    """
-
-    def compute() -> Tuple[Tuple[int, int], ...]:
-        children = [nest_statements(child) for child in loop.body]
-        return tuple((source, sink) for source, sink, _found
-                     in body_dependences(loop.iterator, children)
-                     if source != sink)
-
-    if analysis is None:
-        return compute()
-    return analysis.cached_node("fission-edges", loop, compute)
+def _dependence_edges(loop: Loop) -> Tuple[Tuple[int, int], ...]:
+    """Child-index dependence edges of ``loop``'s body: only the index pairs
+    matter for fission legality."""
+    children = [nest_statements(child) for child in loop.body]
+    return tuple((source, sink) for source, sink, _found
+                 in body_dependences(loop.iterator, children)
+                 if source != sink)
 
 
 def scc_groups(count: int, edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
@@ -84,9 +70,7 @@ def scc_groups(count: int, edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
     return ordered
 
 
-def fission_loop(loop: Loop,
-                 analysis: "Optional[AnalysisManager]" = None
-                 ) -> Tuple[List[Loop], bool]:
+def fission_loop(loop: Loop) -> Tuple[List[Loop], bool]:
     """Split one loop into one loop per dependence-SCC of its body.
 
     Returns ``(loops, changed)``.  When no split is possible the original
@@ -97,7 +81,7 @@ def fission_loop(loop: Loop,
 
     # Ties in the topological order keep program order, so the split is
     # deterministic and order-preserving where the dependences allow it.
-    groups = scc_groups(len(loop.body), _dependence_edges(loop, analysis))
+    groups = scc_groups(len(loop.body), _dependence_edges(loop))
     if len(groups) <= 1:
         return [loop], False
 
@@ -107,9 +91,7 @@ def fission_loop(loop: Loop,
     return new_loops, True
 
 
-def _fission_nodes(nodes: List[Node],
-                   analysis: "Optional[AnalysisManager]" = None
-                   ) -> Tuple[List[Node], int]:
+def _fission_nodes(nodes: List[Node]) -> Tuple[List[Node], int]:
     """Fission every loop among ``nodes``, bottom-up; returns the nodes
     that replace them and the number of loops split."""
     out: List[Node] = []
@@ -118,18 +100,17 @@ def _fission_nodes(nodes: List[Node],
         if not isinstance(node, Loop):
             out.append(node)
             continue
-        node.body, below = _fission_nodes(node.body, analysis)
-        loops, changed = fission_loop(node, analysis)
+        node.body, below = _fission_nodes(node.body)
+        loops, changed = fission_loop(node)
         out.extend(loops)
         split += below + changed
     return out, split
 
 
-def maximal_loop_fission(program: Program,
-                         analysis: "Optional[AnalysisManager]" = None) -> int:
+def maximal_loop_fission(program: Program) -> int:
     """Apply maximal loop fission to a program, in place: one bottom-up
     sweep.  Returns the number of loops split."""
-    program.body, split = _fission_nodes(program.body, analysis)
+    program.body, split = _fission_nodes(program.body)
     return split
 
 

@@ -20,9 +20,9 @@ Every run returns a :class:`NormalizationReport`, the only record of the
 run: one instrumented :class:`~repro.passes.base.PassResult` per pass —
 wall time, change flag, counters, IR-size delta — which the Session/serving
 layers aggregate into their reports, and whose summed counters are the
-stage summaries.  Passing a shared
-:class:`~repro.passes.analysis.AnalysisManager` memoizes per-nest analyses
-(dependence edges, minimal permutations) across runs.
+stage summaries.  A shared :class:`~repro.passes.analysis.AnalysisManager`
+carries the rewrite passes' memoized analyses across runs; the a-priori
+stages memoize nothing.
 
 The pipeline never mutates its input; it returns a normalized copy together
 with the report of what each stage did.
@@ -140,8 +140,9 @@ def normalize(program: Program,
               ) -> Tuple[Program, NormalizationReport]:
     """Run the configured normalization pipeline on a copy of ``program``.
 
-    ``analysis`` optionally shares a memo of per-nest analyses across runs
-    (the normalization cache passes its own, long-lived manager here).
+    ``analysis`` optionally shares a memo of per-node analyses across runs
+    (the normalization cache passes its own, long-lived manager here); only
+    the expression-rewrite passes consult it.
     ``pipeline`` runs in place of the one ``options`` names: the cache
     hands over the instance it keyed with, and tests run unregistered
     stage lists this way.

@@ -9,17 +9,16 @@ iterators as an approximation for deep nests.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
+from itertools import permutations
+from typing import Dict, Mapping, Sequence, Tuple
 
 from ..ir.arrays import Array
 from ..ir.nodes import Loop, Program, band_starts
 from ..analysis.band import BandView
-from ..analysis.dataflow import node_reads_writes
-from ..analysis.dependence import legal_permutations, permutation_is_legal
+from ..analysis.dependence import (band_order_is_legal,
+                                   nest_direction_vectors,
+                                   permutation_is_legal)
 from ..analysis.strides import BandStrides, band_strides
-
-if TYPE_CHECKING:  # deferred to avoid a cycle with repro.passes.library
-    from ..passes.analysis import AnalysisManager
 
 #: Nests whose perfectly nested band is at most this deep are permuted by
 #: exhaustive enumeration; deeper nests use the grouped-sort approximation.
@@ -45,11 +44,13 @@ def find_minimal_permutation(nest: Loop, arrays: Mapping[str, Array]
     nominal extents.
 
     Returns ``(order, cost, evaluated, current_cost)``: ``evaluated`` is the
-    number of permutations whose cost was computed, ``current_cost`` the
-    cost of the nest's own order.  The current order is always a candidate,
-    so the result never increases the cost.  The statements are walked once
-    (:func:`~repro.analysis.strides.band_strides`); each order is then
-    priced as a weighted sum over that walk.
+    number of orders priced (every permutation of an exhaustive band),
+    ``current_cost`` the cost of the nest's own order.  The current order is
+    always a candidate, so the result never increases the cost.  The
+    statements are walked once (:func:`~repro.analysis.strides.band_strides`);
+    each order is then priced as a weighted sum over that walk.  The nest's
+    dependences are derived only when an order would beat the best so far,
+    so a band already in its minimal order asks no dependence question.
     """
     band = nest.perfectly_nested_band()
     iterators = tuple(loop.iterator for loop in band)
@@ -67,40 +68,31 @@ def find_minimal_permutation(nest: Loop, arrays: Mapping[str, Array]
                 return candidate, cost, evaluated, current_cost
         return iterators, current_cost, evaluated, current_cost
 
+    # Orders are priced in the order ``legal_permutations`` yields them, and
+    # an illegal order never changes the best: so only an order that would
+    # replace it needs the dependence question, asked of the nest once.
     best_order = iterators
     best_cost = current_cost
+    vectors = None
     evaluated = 0
-    for order in legal_permutations(nest):
+    for order in permutations(iterators):
         cost = strides.cost(order)
         evaluated += 1
-        if cost < best_cost - 1e-12:
-            best_cost = cost
+        cheaper = cost < best_cost - 1e-12
+        # Deterministic tie-break: lexicographically smallest order.
+        if not cheaper and not (abs(cost - best_cost) <= 1e-12
+                                and order < best_order):
+            continue
+        if vectors is None:
+            vectors = nest_direction_vectors(nest)
+        if band_order_is_legal(band, vectors, order):
             best_order = order
-        elif abs(cost - best_cost) <= 1e-12 and order < best_order:
-            # Deterministic tie-break: lexicographically smallest order.
-            best_order = order
-    return best_order, best_cost, max(evaluated, 1), current_cost
+            if cheaper:
+                best_cost = cost
+    return best_order, best_cost, evaluated, current_cost
 
 
-def _nest_key_material(nest: Loop,
-                       arrays: Mapping[str, Array]) -> Dict[str, object]:
-    """Extra key material for memoized per-nest permutation results.
-
-    Stride costs depend on the shapes/dtypes of the arrays the nest touches,
-    so they join the nest content fingerprint in the memo key — and no other
-    array of the program does: one nest in two programs shares its answer.
-    """
-    reads, writes = node_reads_writes(nest)
-    return {
-        "arrays": sorted((name, tuple(str(dim) for dim in arrays[name].shape),
-                          str(arrays[name].dtype))
-                         for name in reads | writes if name in arrays),
-    }
-
-
-def minimize_strides(program: Program,
-                     analysis: "Optional[AnalysisManager]" = None
-                     ) -> Dict[str, float]:
+def minimize_strides(program: Program) -> Dict[str, float]:
     """Apply stride minimization to every band, at every depth, in place
     (:func:`~repro.ir.nodes.band_starts`).  The legality of an inner band's
     order is checked on its own nest alone: a dependence carried by an
@@ -108,12 +100,10 @@ def minimize_strides(program: Program,
     loops inside it.
 
     Returns the pass's counters: ``nests_considered``, ``nests_permuted``,
-    ``permutations_evaluated`` and the summed stride ``cost_before`` and
-    ``cost_after``, priced at the nominal extents.  With an
-    :class:`~repro.passes.analysis.AnalysisManager`, the minimal permutation
-    of each nest — the expensive part: legality checks and cost evaluation
-    over every candidate order — is memoized by nest content, so repeated
-    normalization of equivalent nests skips the search entirely.
+    ``permutations_evaluated`` (the orders priced) and the summed stride
+    ``cost_before`` and ``cost_after``, priced at the nominal extents.
+    Nothing is memoized: one walk prices every order of a band, and
+    legality is asked only of an order that would win.
     """
     counters: Dict[str, float] = {
         "nests_considered": 0, "nests_permuted": 0,
@@ -121,23 +111,10 @@ def minimize_strides(program: Program,
     for body, index in band_starts(program.body):
         nest = body[index]
         counters["nests_considered"] += 1
-        computed = []
-
-        def compute(nest: Loop = nest) -> Tuple[Tuple[str, ...], float, int, float]:
-            computed.append(True)
-            return find_minimal_permutation(nest, program.arrays)
-
-        if analysis is not None:
-            order, cost, evaluated, before = analysis.cached_node(
-                "minimal-permutation", nest, compute,
-                extra=_nest_key_material(nest, program.arrays))
-        else:
-            order, cost, evaluated, before = compute()
-
+        order, cost, evaluated, before = find_minimal_permutation(
+            nest, program.arrays)
         counters["cost_before"] += before
-        # A memo hit skipped the permutation search: it must not re-count
-        # the cached run's evaluations as work done by this run.
-        counters["permutations_evaluated"] += evaluated if computed else 0
+        counters["permutations_evaluated"] += evaluated
         current = tuple(loop.iterator for loop in nest.perfectly_nested_band())
         if tuple(order) != current:
             # Rebuild the band in the new order; everything below it stays.

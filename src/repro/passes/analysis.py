@@ -1,20 +1,21 @@
-"""Memoized per-nest analyses shared across pipeline runs.
+"""Memoized per-node analyses shared across a scheduler's searches and a
+pipeline's runs.
 
-Normalization and scheduling repeatedly answer the same questions about loop
-nests: which statements of a body depend on each other (fission legality),
-which permutations of a band are legal, and what each order costs in strides.
-Computing those answers dominates pipeline wall time, yet normalized-
-equivalent workloads keep asking them about *identical* nests — the scaling
-loop of every GEMM variant, the repeated kernels of a batch, the second run
-of an idempotence check.
+A search asks the same questions about one nest over and over — the
+dependence direction vectors behind interchange and tiling legality, the
+parallelism flags behind ``Parallelize`` and the cost model — and the
+expression-rewrite passes ask which arrays a subtree writes at every
+hoisting and CSE decision.  :class:`AnalysisManager` memoizes those answers:
+the dependence questions under their ``dependence_skeleton``
+(``repro.analysis.dependence``), the rewrite family's under the node's
+*content fingerprint* (:meth:`AnalysisManager.cached_node`).  Content
+keying makes invalidation automatic: a pass that changes a node produces a
+new key, so stale entries are simply never looked up again.  A bounded LRU
+keeps the memory footprint flat under sustained traffic.
 
-:class:`AnalysisManager` memoizes analysis results keyed by the *content
-fingerprint* of the analyzed node (plus any extra key material, e.g. array
-shapes and parameter bindings for stride costs).  Content keying makes
-invalidation automatic: a pass that changes a nest produces a new
-fingerprint, so stale entries are simply never looked up again — entries are
-only recomputed when a pass reported a change to the nest they describe.
-A bounded LRU keeps the memory footprint flat under sustained traffic.
+The a-priori normalization stages memoize nothing: a fission edge set or a
+minimal permutation costs less to recompute than its key (a SHA-256 of a
+freshly built fragment) costs to build, so they take no manager.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 from ..ir.canonical import node_fragment
 from ..ir.nodes import Node, Program
@@ -36,8 +37,7 @@ def node_fingerprint(node: Node) -> str:
     Hashes the fragment the node already memoizes
     (:func:`repro.ir.canonical.node_fragment`), so a repeat fingerprint of
     an unchanged subtree costs one SHA-256, not a serialization walk.
-    Statement labels are not part of the content: an analysis whose answer
-    depends on them passes the label as ``extra`` key material.
+    Statement labels are not part of the content.
     """
     return hashlib.sha256(node_fragment(node).encode("utf-8")).hexdigest()
 
@@ -48,18 +48,14 @@ def program_fingerprint(program: Program) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _stable_extra(extra: Any) -> str:
-    return json.dumps(extra, sort_keys=True, default=repr)
-
-
 class AnalysisManager:
     """A bounded, thread-safe memo of per-node analysis results.
 
-    Results are keyed by ``(kind, content key)``; the content key is derived
-    from the analyzed node's fingerprint plus caller-supplied extra key
-    material.  The manager never copies values — analyses must therefore
-    return immutable data (tuples, frozen dataclasses, numbers), never IR
-    node references.
+    Results are keyed by ``(kind, content key)``; the content key is a
+    dependence skeleton (:meth:`get`) or the analyzed node's fingerprint
+    (:meth:`cached_node`).  The manager never copies values — analyses must
+    therefore return immutable data (tuples, frozen dataclasses, numbers),
+    never IR node references.
     """
 
     def __init__(self, max_entries: int = 4096):
@@ -90,13 +86,10 @@ class AnalysisManager:
                 self._entries.popitem(last=False)
         return value
 
-    def cached_node(self, kind: str, node: Node, compute: Callable[[], Any],
-                    extra: Optional[Any] = None) -> Any:
-        """Memoize ``compute()`` keyed by ``node``'s content (plus ``extra``)."""
-        key = node_fingerprint(node)
-        if extra is not None:
-            key = f"{key}|{_stable_extra(extra)}"
-        return self.get(kind, key, compute)
+    def cached_node(self, kind: str, node: Node,
+                    compute: Callable[[], Any]) -> Any:
+        """Memoize ``compute()`` keyed by ``node``'s content."""
+        return self.get(kind, node_fingerprint(node), compute)
 
     # -- introspection -----------------------------------------------------------
 

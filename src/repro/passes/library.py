@@ -73,7 +73,7 @@ class FissionSweepPass(Pass):
         # Each sweep reports its own splits, so the run's counters sum to
         # the total; ``atomic_nests`` is a gauge, reported by the final
         # no-change sweep only.
-        split = maximal_loop_fission(program, analysis)
+        split = maximal_loop_fission(program)
         if split:
             return True, {"loops_split": split}
         return False, {"loops_split": 0,
@@ -88,7 +88,7 @@ class StrideMinimizationPass(Pass):
 
     def apply(self, program: Program,
               analysis: AnalysisManager) -> ApplyOutcome:
-        counters = minimize_strides(program, analysis=analysis)
+        counters = minimize_strides(program)
         return counters["nests_permuted"] > 0, counters
 
 

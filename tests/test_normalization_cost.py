@@ -10,6 +10,7 @@ programs.
 """
 
 import ast
+import collections
 import contextlib
 import itertools
 import math
@@ -29,20 +30,20 @@ from repro.analysis.dependence import (EQ, _access_dependences,
                                        _directions_from_constraints,
                                        _gather_accesses, body_dependences,
                                        dependences_between, is_carried,
+                                       legal_permutations,
                                        nest_dependences, self_dependences)
 from repro.analysis.parallelism import classify_iterations
-from repro.analysis.strides import program_stride_cost
+from repro.analysis.strides import band_strides, program_stride_cost
 from repro.api import Session
 from repro.fuzz import generate_program
 from repro.interp import programs_equivalent
 from repro.ir import ProgramBuilder
-from repro.ir.nodes import Loop
+from repro.ir.nodes import Loop, band_starts
 from repro.normalization import (minimize_strides, normalize,
                                  stride_minimization)
 from repro.normalization.fission import _dependence_edges, scc_groups
-from repro.passes import (AnalysisManager, FissionSweepPass, FixedPoint,
-                          LoopNormalFormPass, Pass, Pipeline,
-                          ScalarExpansionPass, get_pipeline,
+from repro.passes import (FissionSweepPass, FixedPoint, LoopNormalFormPass,
+                          Pass, Pipeline, ScalarExpansionPass, get_pipeline,
                           program_fingerprint)
 from repro.passes.base import program_ir_size
 from repro.scheduler import (PerformanceEmbedding, TuningDatabase, embed_nest,
@@ -332,80 +333,114 @@ class TestOneBodyScan:
         assert loops == 1430 and 0 < split < loops and 0 < carrying < loops
 
 
-# -- stride minimization: one walk, nest-local key ----------------------------------
+# -- stride minimization: one walk, legality only for a winner -----------------------
+
+
+def _spec_minimal_order(nest, arrays):
+    """``find_minimal_permutation``'s exhaustive search as it was: the legal
+    orders first (``legal_permutations``), then the replacement rule over
+    them — cheaper by more than 1e-12, or tied within 1e-12 and
+    lexicographically smaller."""
+    band = nest.perfectly_nested_band()
+    strides = band_strides(nest, arrays)
+    best_order = tuple(loop.iterator for loop in band)
+    best_cost = strides.cost(best_order)
+    for order in legal_permutations(nest):
+        cost = strides.cost(order)
+        if cost < best_cost - 1e-12:
+            best_cost, best_order = cost, order
+        elif abs(cost - best_cost) <= 1e-12 and order < best_order:
+            best_order = order
+    return best_order, best_cost
+
+
+def _stride_corpus():
+    """``(name, pipeline)``: the registry variants under ``a-priori`` and
+    ``no-fission``, then small and medium fuzz programs, CLOUDSC and
+    erosion under ``a-priori``."""
+    names = [f"{name}:{variant}" for name in workloads.benchmark_names()
+             for variant in VARIANTS]
+    for pipeline in ("a-priori", "no-fission"):
+        for name in names:
+            yield name, pipeline
+    for name in ([f"fuzz:small-{seed}" for seed in range(40)]
+                 + [f"fuzz:medium-{seed}" for seed in range(20)]
+                 + ["cloudsc", "erosion"]):
+        yield name, "a-priori"
 
 
 class TestStrideMinimizationOnce:
     def test_report_costs_are_program_stride_costs(self):
-        manager = AnalysisManager()
         for label, program, _parameters in _programs():
             form = _fissioned(program)
             before = program_stride_cost(form)
             twin = form.copy()
-            counters = minimize_strides(form, manager)
+            counters = minimize_strides(form)
             assert counters["cost_before"] == before, label
             assert counters["cost_after"] == program_stride_cost(form), label
-            # The same question through the (now warm) memo and without one.
-            for analysis in (manager, None):
-                other = twin.copy()
-                again = minimize_strides(other, analysis)
-                assert (again["cost_before"], again["cost_after"],
-                        again["nests_permuted"]) == (
-                    counters["cost_before"], counters["cost_after"],
-                    counters["nests_permuted"]), label
-                assert program_fingerprint(other) == program_fingerprint(form)
+            again = minimize_strides(twin)
+            assert again == counters, label
+            assert program_fingerprint(twin) == program_fingerprint(form)
 
-    def test_one_walk_per_computed_nest(self, monkeypatch):
-        walks = []
+    def test_every_band_matches_the_legal_orders_first_search(self, monkeypatch):
+        """Pricing every order and asking legality only of a would-be winner
+        picks what filtering the legal orders first picked, ``==``, for
+        every band stride minimization meets."""
+        search = stride_minimization.find_minimal_permutation
+        bands, permuted = [], []
+
+        def checked(nest, arrays):
+            found = search(nest, arrays)
+            depth = len(nest.perfectly_nested_band())
+            assert found[:2] == _spec_minimal_order(nest, arrays), nest
+            assert found[2] == math.factorial(depth)
+            bands.append(depth)
+            permuted.append(found[0] != tuple(
+                loop.iterator for loop in nest.perfectly_nested_band()))
+            return found
+
+        monkeypatch.setattr(stride_minimization, "find_minimal_permutation",
+                            checked)
+        with contextlib.closing(Session()) as session:
+            for name, pipeline in _stride_corpus():
+                session.normalize(name, pipeline)
+        assert max(bands) <= stride_minimization.EXHAUSTIVE_DEPTH_LIMIT
+        # 615 bands by depth; 104 of them are permuted.
+        assert collections.Counter(bands) == {1: 331, 2: 217, 3: 59, 4: 8}
+        assert sum(permuted) == 104
+
+    def test_legality_is_asked_only_of_a_winner(self, monkeypatch):
+        """One walk per band, and at most one dependence question: none for
+        a band already in its minimal order."""
+        walks, questions = [], []
         walk = stride_minimization.band_strides
+        vectors = stride_minimization.nest_direction_vectors
         monkeypatch.setattr(
             stride_minimization, "band_strides",
-            lambda *args, **kwargs: walks.append(1) or walk(*args, **kwargs))
-        manager = AnalysisManager()
-        spec = workloads.benchmark("gemm")
-        form = _fissioned(spec.variant("a"))
-        nests = sum(1 for node in form.body if isinstance(node, Loop))
-        minimize_strides(form.copy(), manager)
-        assert len(walks) == nests == manager.misses
-        minimize_strides(form.copy(), manager)
-        assert len(walks) == nests and manager.hits == nests
+            lambda *args: walks.append(1) or walk(*args))
+        monkeypatch.setattr(
+            stride_minimization, "nest_direction_vectors",
+            lambda nest: questions.append(nest) or vectors(nest))
+        normalized = normalize(workloads.benchmark("gemm").variant("a"))[0]
+        del walks[:], questions[:]
+        counters = minimize_strides(normalized)
+        assert counters["nests_permuted"] == 0
+        assert len(walks) == counters["nests_considered"] == 2
+        assert questions == []
 
-    @staticmethod
-    def _scaled(extra_array, c_shape=("NI", "NJ")):
-        b = ProgramBuilder("scaled", parameters=["NI", "NJ"])
-        b.add_array("C", c_shape)
-        b.add_scalar("beta")
-        if extra_array:
-            b.add_array("unrelated", ("NJ", "NI", "NJ"))
-        with b.loop("i", 0, "NI"):
-            with b.loop("j", 0, "NJ"):
-                b.assign(("C", "i", "j"), b.read("C", "i", "j") * b.read("beta"))
-        return b.finish()
-
-    def test_memo_key_holds_only_the_arrays_the_nest_touches(self):
-        manager = AnalysisManager()
-        minimize_strides(self._scaled(False), manager)
-        assert (manager.hits, manager.misses) == (0, 1)
-        # Another program, another array nobody in the nest reads: a hit.
-        minimize_strides(self._scaled(True), manager)
-        assert (manager.hits, manager.misses) == (1, 1)
-        # An array the nest does touch, laid out differently: another key.
-        minimize_strides(self._scaled(False, c_shape=("NJ", "NI")), manager)
-        assert (manager.hits, manager.misses) == (1, 2)
-
-    def test_scaling_nest_is_shared_across_registry_programs(self):
-        """``C[i][j] *= beta`` opens both syrk and syr2k; syr2k declares one
-        array more, which used to keep the two nests under different keys."""
-        forms = {}
-        for name in ("syrk", "syr2k"):
-            spec = workloads.benchmark(name)
-            forms[name] = _fissioned(spec.variant("a"))
-        assert set(forms["syrk"].arrays) < set(forms["syr2k"].arrays)
-        manager = AnalysisManager()
-        minimize_strides(forms["syrk"], manager)
-        assert manager.hits == 0
-        minimize_strides(forms["syr2k"], manager)
-        assert manager.hits == 1
+        asked, deeper = [], 0
+        for name in workloads.benchmark_names():
+            form = _fissioned(workloads.benchmark(name).variant("b"))
+            for body, index in band_starts(form.body):
+                del questions[:]
+                stride_minimization.find_minimal_permutation(body[index],
+                                                             form.arrays)
+                assert len(questions) <= 1, name
+                asked.append(len(questions))
+                deeper += len(body[index].perfectly_nested_band()) > 1
+        # Filtering the legal orders first asked of every band deeper than
+        # one loop.
+        assert (sum(asked), deeper, len(asked)) == (28, 51, 70)
 
 
 # -- dependence tests read index facts --------------------------------------------------

@@ -276,25 +276,37 @@ class TestAnalysisManager:
         assert len(manager) == 2
 
     def test_shared_manager_warms_repeat_normalization(self):
-        manager = AnalysisManager()
-        first, _ = normalize(build_gemm_b(), analysis=manager)
-        assert manager.misses > 0 and manager.hits == 0
-        second, _ = normalize(build_gemm_b(), analysis=manager)
-        assert manager.hits > 0
-        assert program_content_hash(first) == program_content_hash(second)
+        """The rewrite family memoizes its written-array sets; the a-priori
+        stages memoize nothing, so they never touch the manager."""
+        for pipeline, expected in (("a-priori+rewrite", ((0, 10), (10, 10))),
+                                   ("a-priori", ((0, 0), (0, 0)))):
+            manager = AnalysisManager()
+            options = NormalizationOptions(pipeline)
+            first, _ = normalize(build_gemm_b(), options, analysis=manager)
+            traffic = [(manager.hits, manager.misses)]
+            second, _ = normalize(build_gemm_b(), options, analysis=manager)
+            traffic.append((manager.hits, manager.misses))
+            assert tuple(traffic) == expected, pipeline
+            assert program_content_hash(first) == program_content_hash(second)
 
     def test_every_gemm_loop_order_twice_through_one_manager(self):
-        """Six loop orders share a scaling nest and one canonical form: a
-        second pass over them computes nothing."""
-        manager = AnalysisManager()
-        forms = set()
-        for expected in ((5, 7), (17, 7)):
-            for order in itertools.permutations("ijk"):
-                normalized, _ = normalize(build_gemm(order=order),
-                                          analysis=manager)
-                forms.add(program_content_hash(normalized))
-            assert (manager.hits, manager.misses) == expected
-        assert len(manager) == 7 and len(forms) == 1
+        """Six loop orders share one canonical form: a second pass over them
+        computes nothing."""
+        for pipeline, expected, entries in (
+                ("a-priori+rewrite", ((38, 22), (98, 22)), 22),
+                ("a-priori", ((0, 0), (0, 0)), 0)):
+            manager = AnalysisManager()
+            options = NormalizationOptions(pipeline)
+            forms = set()
+            traffic = []
+            for _ in range(2):
+                for order in itertools.permutations("ijk"):
+                    normalized, _ = normalize(build_gemm(order=order),
+                                              options, analysis=manager)
+                    forms.add(program_content_hash(normalized))
+                traffic.append((manager.hits, manager.misses))
+            assert tuple(traffic) == expected, pipeline
+            assert len(manager) == entries and len(forms) == 1, pipeline
 
 
 class TestTransformationsReportChange:
@@ -427,11 +439,12 @@ class TestSessionPipelines:
         assert passes["stride-minimization"]["runs"] == 2
         assert passes["stride-minimization"]["wall_time_s"] > 0.0
         assert "maximal-fission" in passes
-        # The b-variant run reuses analyses of nests the a-variant produced.
-        assert report.analysis_misses > 0
+        # The a-priori stages memoize nothing: the cache's manager serves
+        # only the rewrite family.
+        assert (report.analysis_hits, report.analysis_misses) == (0, 0)
         data = report.to_dict()
         assert data["normalization_passes"] == passes
-        assert data["analysis_misses"] == report.analysis_misses
+        assert (data["analysis_hits"], data["analysis_misses"]) == (0, 0)
 
 
 class TestIdempotence:

@@ -12,6 +12,7 @@
 
 import gc
 import itertools
+import math
 import random
 import weakref
 
@@ -255,7 +256,9 @@ def _reference_stride_cost(nest, arrays, parameters, order):
 
 def _brute_force_minimal_permutation(nest, arrays):
     """``find_minimal_permutation`` as it was before the one-walk pricing:
-    one full walk of the nest per order, at the nominal extents."""
+    one full walk of the nest per order, at the nominal extents.  The
+    search prices every order of the band, legal or not, so ``evaluated``
+    is their number."""
     band = nest.perfectly_nested_band()
     iterators = tuple(loop.iterator for loop in band)
     current_cost = _reference_stride_cost(nest, arrays, None, iterators)
@@ -272,15 +275,14 @@ def _brute_force_minimal_permutation(nest, arrays):
             if cost < current_cost:
                 return candidate, cost, evaluated, current_cost
         return iterators, current_cost, evaluated, current_cost
-    best_order, best_cost, evaluated = iterators, current_cost, 0
+    best_order, best_cost = iterators, current_cost
     for order in legal_permutations(nest):
         cost = _reference_stride_cost(nest, arrays, None, order)
-        evaluated += 1
         if cost < best_cost - 1e-12:
             best_cost, best_order = cost, order
         elif abs(cost - best_cost) <= 1e-12 and order < best_order:
             best_order = order
-    return best_order, best_cost, max(evaluated, 1), current_cost
+    return best_order, best_cost, math.factorial(len(band)), current_cost
 
 
 def _fissioned(program):
