@@ -12,7 +12,10 @@ the schedule that is kept.
 
 What a view derives is a fact about the statements, the containers or an
 order of iterators, never about one candidate, so it is kept for the view's
-lifetime and shared by its :meth:`forks <BandView.fork>`:
+lifetime and shared by its :meth:`forks <BandView.fork>`.  It is the only
+analysis memo there is: a search asks its pricer's view, whose legal orders
+(``CandidateSpace.orders``) and schedules all read one derivation of the
+direction vectors.
 
 ===============================  =========================================
 fact                             keyed by
@@ -32,22 +35,18 @@ memory traffic of a schedule     the unannotated band + the names touched
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping,
-                    NamedTuple, Optional, Sequence, Tuple, Union)
+from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from ..ir.arrays import Array
 from ..ir.nodes import Computation, Loop, Node, read_accesses
 from ..ir.symbols import Const, Expr, Min, Sym
 from .affine import (AffineAccess, computation_accesses, loop_nest_accesses,
                      nest_statements)
-from .dependence import (Statements, band_order_is_legal, chain_skeleton,
-                         direction_vectors, skeleton_text)
+from .dependence import Statements, band_order_is_legal, direction_vectors
 from .parallelism import (ParallelismInfo, analyze_loop_parallelism,
                           classify_iterations)
 from .strides import DEFAULT_PARAMETER_VALUE, _array_strides, access_stride
-
-if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
-    from ..passes.analysis import AnalysisManager
 
 
 class Frame(NamedTuple):
@@ -131,14 +130,12 @@ class BandView:
     """The perfectly nested band of ``nest`` as frames over its inner body.
 
     ``arrays`` and ``parameters`` bind the layout facts (a view made only to
-    reorder or tile needs neither); legality answers are shared through
-    ``analysis`` under the keys the tree-based entry points use.  The view
-    assumes the subtree below the band does not change while it lives.
+    reorder or tile needs neither).  The view assumes the subtree below the
+    band does not change while it lives.
     """
 
     def __init__(self, nest: Loop, arrays: Optional[Mapping[str, Array]] = None,
                  parameters: Optional[Mapping[str, float]] = None,
-                 analysis: "Optional[AnalysisManager]" = None,
                  program_name: str = ""):
         band = nest.perfectly_nested_band()
         #: The nest the view was made of (its loops own ``inner``: a frozen
@@ -149,7 +146,6 @@ class BandView:
         self.inner: Sequence[Node] = band[-1].body
         self.arrays: Mapping[str, Array] = arrays if arrays is not None else {}
         self.parameters: Dict[str, float] = dict(parameters or {})
-        self.analysis = analysis
         self.program_name = program_name
         self._base: Tuple[Frame, ...] = tuple(self.frames)
         #: Whether :meth:`annotate` edited a loop below the band in place.
@@ -269,22 +265,6 @@ class BandView:
         return [(statement, outer + enclosing)
                 for child in self._children() for statement, enclosing in child]
 
-    def _skeleton(self, headers: Sequence[Tuple[str, Optional[str]]]) -> str:
-        """``dependence_skeleton`` of loops with ``headers`` nested over the
-        inner body, were they built."""
-        body_text = self._memo.get(("body-text",))
-        if body_text is None:
-            body_text = self._memo[("body-text",)] = "".join(
-                skeleton_text(node) for node in self.inner)
-        return chain_skeleton(headers, body_text)
-
-    def _shared(self, kind: str, headers: Sequence[Tuple[str, Optional[str]]],
-                compute) -> Any:
-        """``compute()``, or what the manager holds for the loop chain."""
-        if self.analysis is None:
-            return compute()
-        return self.analysis.get(kind, self._skeleton(headers), compute)
-
     # -- legality ---------------------------------------------------------------------
 
     def vectors(self) -> Tuple[Tuple[str, ...], ...]:
@@ -313,9 +293,8 @@ class BandView:
         headers = tuple((frame.iterator, frame.tile_of) for frame in frames)
         vectors = self._memo.get(("vectors", headers))
         if vectors is None:
-            vectors = self._memo[("vectors", headers)] = self._shared(
-                "nest-directions", headers, lambda: direction_vectors(
-                    self._statements([iterator for iterator, _ in headers])))
+            vectors = self._memo[("vectors", headers)] = direction_vectors(
+                self._statements([iterator for iterator, _ in headers]))
         return vectors
 
     def order_is_legal(self, order: Sequence[str]) -> bool:
@@ -331,7 +310,7 @@ class BandView:
     def parallelism(self, target: Target) -> ParallelismInfo:
         """``analyze_loop_parallelism`` of the loop at ``target``."""
         if not isinstance(target, int):
-            return analyze_loop_parallelism(target, analysis=self.analysis)
+            return analyze_loop_parallelism(target)
         frame = self.frames[target]
         inside = [inner.iterator for inner in self.frames[target + 1:]]
         # A classification reads which loops are inside, not their order; a
@@ -352,15 +331,12 @@ class BandView:
             point = self.find(frame.tile_of, below=target + 1)
             if point is not None:
                 return replace(self.parallelism(point), iterator=frame.iterator)
-        # Asked under one key whatever the order of the loops inside.
-        inside = sorted((f.iterator, f.tile_of)
-                        for f in self.frames[target + 1:])
-        return self._shared(
-            "loop-parallelism", [(frame.iterator, frame.tile_of)] + inside,
-            lambda: classify_iterations(
-                frame.iterator,
-                [self._statements([iterator for iterator, _ in inside])]
-                if inside else self._children()))
+        # Kept under one key whatever the order of the loops inside, so it
+        # is derived in one order: theirs, sorted.
+        inside = sorted(f.iterator for f in self.frames[target + 1:])
+        return classify_iterations(
+            frame.iterator,
+            [self._statements(inside)] if inside else self._children())
 
     def mostly_unit_stride(self, target: Target) -> bool:
         """True when at least half of the affine accesses under the loop at

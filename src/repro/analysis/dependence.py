@@ -17,19 +17,13 @@ conservatively as a dependence with unknown direction.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations, product
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..ir.canonical import node_fragment
 from ..ir.nodes import Computation, LibraryCall, Loop, Node
 from .affine import (AffineAccess, AffineIndex, computation_accesses,
                      nest_statements)
-
-if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
-    from ..passes.analysis import AnalysisManager
 
 #: Direction symbols: "<" (carried forward), "=" (same iteration),
 #: ">" (carried backward), "*" (unknown).
@@ -390,49 +384,6 @@ def band_bounds_respect_order(band: Sequence[Loop],
     return True
 
 
-def _loop_header(iterator: str, tile_of: Optional[str]) -> str:
-    return f"loop {iterator!r} {tile_of!r} ["
-
-
-def skeleton_text(node: Node) -> str:
-    """The text :func:`dependence_skeleton` hashes, for any subtree."""
-    parts: List[str] = []
-
-    def walk(node: Node) -> None:
-        if isinstance(node, Loop):
-            parts.append(_loop_header(node.iterator, node.tile_of))
-            for child in node.body:
-                walk(child)
-            parts.append("]")
-        else:
-            parts.append(node_fragment(node))
-
-    walk(node)
-    return "".join(parts)
-
-
-def chain_skeleton(headers: Sequence[Tuple[str, Optional[str]]],
-                   body_text: str) -> str:
-    """:func:`dependence_skeleton` of a chain of singly nested loops, given
-    as ``(iterator, tile_of)`` outermost first, over a body whose
-    :func:`skeleton_text` (children concatenated) is ``body_text`` — the
-    same key, without the loops having to exist."""
-    text = ("".join(_loop_header(*header) for header in headers)
-            + body_text + "]" * len(headers))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def dependence_skeleton(loop: Loop) -> str:
-    """Content key of everything dependence testing reads of a nest: the
-    iterators and tile links of its loops, their nesting, and the statements
-    (through their memoized canonical fragments).  Loop bounds and schedule
-    annotations are not part of it — no dependence test reads them — so one
-    answer serves a nest before and after it is tiled with other sizes or
-    marked parallel.
-    """
-    return hashlib.sha256(skeleton_text(loop).encode("utf-8")).hexdigest()
-
-
 def direction_vectors(statements: Statements) -> Tuple[Tuple[str, ...], ...]:
     """The distinct direction vectors of :func:`statement_dependences` —
     plain tuples of direction symbols; no :class:`Dependence` and no IR node
@@ -441,20 +392,10 @@ def direction_vectors(statements: Statements) -> Tuple[Tuple[str, ...], ...]:
         dep.directions for dep in statement_dependences(statements)))
 
 
-def nest_direction_vectors(loop: Loop,
-                           analysis: "Optional[AnalysisManager]" = None
-                           ) -> Tuple[Tuple[str, ...], ...]:
-    """The :func:`direction_vectors` of a nest.
-
-    Permutation legality reads nothing else of a dependence, and the vectors
-    are a fact about the nest's content: with an ``analysis`` manager they
-    are derived once per :func:`dependence_skeleton`, whichever permutation,
-    candidate or call asks.
-    """
-    if analysis is None:
-        return direction_vectors(nest_statements(loop))
-    return analysis.get("nest-directions", dependence_skeleton(loop),
-                        lambda: direction_vectors(nest_statements(loop)))
+def nest_direction_vectors(loop: Loop) -> Tuple[Tuple[str, ...], ...]:
+    """The :func:`direction_vectors` of a nest: all permutation legality
+    reads of a dependence."""
+    return direction_vectors(nest_statements(loop))
 
 
 def band_order_is_legal(band: Sequence[Loop],
@@ -499,8 +440,7 @@ def band_order_is_legal(band: Sequence[Loop],
     return True
 
 
-def permutation_is_legal(loop: Loop, permutation: Sequence[str],
-                         analysis: "Optional[AnalysisManager]" = None) -> bool:
+def permutation_is_legal(loop: Loop, permutation: Sequence[str]) -> bool:
     """Check whether reordering the nest's loops to ``permutation`` is legal.
 
     ``permutation`` lists the iterators of the perfectly nested band of
@@ -510,7 +450,7 @@ def permutation_is_legal(loop: Loop, permutation: Sequence[str],
     and call :func:`band_order_is_legal` per order.
     """
     return band_order_is_legal(loop.perfectly_nested_band(),
-                               nest_direction_vectors(loop, analysis),
+                               nest_direction_vectors(loop),
                                permutation)
 
 
@@ -547,11 +487,9 @@ def _lexicographically_non_negative(directions: Sequence[str]) -> bool:
     return True
 
 
-def legal_permutations(loop: Loop,
-                       analysis: "Optional[AnalysisManager]" = None
-                       ) -> List[Tuple[str, ...]]:
+def legal_permutations(loop: Loop) -> List[Tuple[str, ...]]:
     """Enumerate legal permutations of the nest's perfectly nested band."""
     band = loop.perfectly_nested_band()
-    vectors = nest_direction_vectors(loop, analysis)
+    vectors = nest_direction_vectors(loop)
     return [perm for perm in iter_permutations([lp.iterator for lp in band])
             if band_order_is_legal(band, vectors, perm)]

@@ -13,13 +13,9 @@ The rewrite family (``repro.passes.rewrite``) needs two kinds of answers:
   ``expr_reads`` collects the arrays a value expression loads from and
   ``written_arrays`` the arrays a subtree stores to; an expression is
   invariant in a loop iff the loop's iterator is not among its free
-  symbols and none of its read arrays is written in the loop body.  The
-  passes memoize ``written_arrays`` per subtree through the shared
-  :class:`~repro.passes.analysis.AnalysisManager` (kind
-  ``"written-arrays"``).
+  symbols and none of its read arrays is written in the loop body.
 
-Counts are static properties of the IR, so all results are immutable and
-safe to memoize by content fingerprint.
+Counts are static properties of the IR, so all results are immutable.
 """
 
 from __future__ import annotations

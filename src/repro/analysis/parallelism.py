@@ -12,23 +12,19 @@ Section 4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..ir.nodes import Computation, Loop, read_accesses
 from .affine import decompose_access, nest_statements
-from .dependence import (Statements, body_dependences, dependence_skeleton,
-                         is_carried)
-
-if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
-    from ..passes.analysis import AnalysisManager
+from .dependence import Statements, body_dependences, is_carried
 
 
 @dataclass(frozen=True)
 class ParallelismInfo:
     """Parallelism classification of a single loop.
 
-    A plain value — names, flags and direction symbols, no IR node — so an
-    :class:`~repro.passes.analysis.AnalysisManager` can hold it.
+    A plain value — names, flags and direction symbols, no IR node — so a
+    :class:`~repro.analysis.band.BandView` can keep it.
     """
 
     iterator: str
@@ -53,8 +49,7 @@ def _reduction_arrays(iterator: str, statements: Statements) -> Set[str]:
     return reductions
 
 
-def analyze_loop_parallelism(loop: Loop, arrays: Optional[dict] = None,
-                             analysis: "Optional[AnalysisManager]" = None
+def analyze_loop_parallelism(loop: Loop, arrays: Optional[dict] = None
                              ) -> ParallelismInfo:
     """Classify a single loop as parallel, reduction, or sequential.
 
@@ -70,30 +65,13 @@ def analyze_loop_parallelism(loop: Loop, arrays: Optional[dict] = None,
     of the corresponding point loop; the subscripts reference the point
     iterator, which plain dependence testing over the tile iterator cannot
     see.
-
-    With an ``analysis`` manager the classification is derived once per
-    :func:`~repro.analysis.dependence.dependence_skeleton` of the loop (and
-    per set of transient containers, the only thing read of ``arrays``).
     """
-    if analysis is None:
-        return _classify_loop(loop, arrays, None)
-    key = dependence_skeleton(loop)
-    if arrays is not None:
-        key += "|" + ",".join(sorted(
-            name for name, declared in arrays.items()
-            if getattr(declared, "transient", False)))
-    return analysis.get("loop-parallelism", key,
-                        lambda: _classify_loop(loop, arrays, analysis))
-
-
-def _classify_loop(loop: Loop, arrays: Optional[dict],
-                   analysis: "Optional[AnalysisManager]") -> ParallelismInfo:
     if loop.tile_of is not None and loop.iterator != loop.tile_of:
         for candidate in loop.iter_loops():
             if candidate is loop:
                 continue
             if candidate.iterator == loop.tile_of:
-                inner = analyze_loop_parallelism(candidate, arrays, analysis)
+                inner = analyze_loop_parallelism(candidate, arrays)
                 return replace(inner, iterator=loop.iterator)
     return classify_iterations(
         loop.iterator, [nest_statements(child) for child in loop.body], arrays)

@@ -26,9 +26,9 @@ from ..normalization.pipeline import (NormalizationOptions, NormalizationReport,
 from ..normalization.scalar_expansion import contract_arrays
 from ..observability import (Counter, Gauge, Histogram, MetricsRegistry,
                              merge_registry_dicts, render_registry_dict)
-from ..passes import (AnalysisManager, FixedPoint, Pass, PassResult,
-                      PassStats, Pipeline, get_pipeline, pipeline_bit_exact,
-                      pipeline_names, register_pipeline)
+from ..passes import (FixedPoint, Pass, PassResult, PassStats, Pipeline,
+                      get_pipeline, pipeline_bit_exact, pipeline_names,
+                      register_pipeline)
 from ..perf.machine import DEFAULT_MACHINE, CacheLevel, MachineModel
 from ..perf.model import CostModel
 from ..scheduler.base import NestScheduleInfo, ScheduleResult, Scheduler
@@ -73,7 +73,6 @@ __all__ = [
     "MachineModel", "CacheLevel", "DEFAULT_MACHINE", "CostModel",
     # pass framework
     "Pass", "PassResult", "PassStats", "Pipeline", "FixedPoint",
-    "AnalysisManager",
     "register_pipeline", "get_pipeline", "pipeline_names",
     "pipeline_bit_exact",
     # scheduler interface types

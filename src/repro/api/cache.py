@@ -37,7 +37,6 @@ from ..normalization.pipeline import (NormalizationOptions,
                                       NormalizationReport, normalize)
 from ..observability import CounterView, MetricsRegistry
 from ..observability.tracing import span as trace_span
-from ..passes.analysis import AnalysisManager
 from ..passes.base import PassStats
 from ..scheduler.base import ScheduleResult
 from .backends import CacheBackend, MemoryCacheBackend
@@ -172,9 +171,6 @@ class NormalizationCache:
         self.backend.bind(SCHEDULE_NAMESPACE, _encode_schedule, _decode_schedule)
         self.backend.bind(RESPONSE_NAMESPACE, _encode_response,
                           _decode_response, raw=True)
-        #: Long-lived memo of per-node analyses, shared by every pipeline
-        #: run this cache performs (the rewrite passes' written-array sets).
-        self.analysis = AnalysisManager()
         #: Aggregated per-pass timings/change counters of every run.
         self.pass_stats = PassStats()
         #: Instrument registry (a session that builds this cache passes its
@@ -239,7 +235,7 @@ class NormalizationCache:
 
         with trace_span("normalize.pipeline",
                         pipeline=getattr(pipeline, "name", "pipeline")):
-            normalized, report = normalize(program, options, self.analysis,
+            normalized, report = normalize(program, options,
                                            pipeline=pipeline)
         self.pass_stats.add(report.passes)
         canonical_hash = program_content_hash(normalized)

@@ -701,10 +701,9 @@ class Session:
 
     def report(self) -> SessionReport:
         """Counters: calls, cache hits/misses, backend traffic, database size,
-        per-pass normalization timings, and memoized-analysis traffic."""
+        and per-pass normalization timings."""
         stats = self.cache.stats
         backend = self.cache.backend
-        analysis = self.cache.analysis
         with self._lock:
             schedulers = sorted({name for name, _ in self._schedulers})
         return SessionReport(
@@ -725,6 +724,4 @@ class Session:
             response_cache_misses=stats.response_misses,
             database_version=self.database.version,
             normalization_passes=self.cache.pass_stats.to_dict(),
-            analysis_hits=analysis.hits,
-            analysis_misses=analysis.misses,
         )

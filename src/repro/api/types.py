@@ -358,12 +358,7 @@ class SessionReport:
     ``normalization_passes`` aggregates the instrumented pass results of
     every pipeline run the session's cache performed: per pass name, the
     number of runs, how many changed the program, total wall time, and the
-    summed IR-size delta.  ``analysis_hits`` / ``analysis_misses`` count the
-    memoized per-node analyses served and computed by the cache's
-    :class:`~repro.passes.analysis.AnalysisManager`.  Only the
-    expression-rewrite passes (``a-priori+rewrite`` and the ``rewrite*``
-    pipelines) consult it; the a-priori stages memoize nothing, so a session
-    on an a-priori pipeline reports 0 and 0.
+    summed IR-size delta.
     """
 
     schedule_calls: int = 0
@@ -389,8 +384,6 @@ class SessionReport:
     response_cache_misses: int = 0
     database_version: str = ""
     normalization_passes: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    analysis_hits: int = 0
-    analysis_misses: int = 0
     #: Online feedback: executed-schedule timings folded back into the
     #: tuning database (``applied`` updated an existing entry, ``added``
     #: created a measurement-born one, ``skipped`` found no nest to credit).

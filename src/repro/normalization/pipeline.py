@@ -20,9 +20,7 @@ Every run returns a :class:`NormalizationReport`, the only record of the
 run: one instrumented :class:`~repro.passes.base.PassResult` per pass —
 wall time, change flag, counters, IR-size delta — which the Session/serving
 layers aggregate into their reports, and whose summed counters are the
-stage summaries.  A shared :class:`~repro.passes.analysis.AnalysisManager`
-carries the rewrite passes' memoized analyses across runs; the a-priori
-stages memoize nothing.
+stage summaries.
 
 The pipeline never mutates its input; it returns a normalized copy together
 with the report of what each stage did.
@@ -35,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..ir.nodes import Program
-from ..passes.analysis import AnalysisManager
 from ..passes.base import PassResult
 from ..passes.pipeline import Pipeline
 from ..passes.registry import (PipelineRegistryError, get_pipeline,
@@ -134,15 +131,11 @@ class NormalizationOptions:
 
 
 def normalize(program: Program,
-              options: Optional[NormalizationOptions] = None,
-              analysis: Optional[AnalysisManager] = None, *,
+              options: Optional[NormalizationOptions] = None, *,
               pipeline: Optional[Pipeline] = None
               ) -> Tuple[Program, NormalizationReport]:
     """Run the configured normalization pipeline on a copy of ``program``.
 
-    ``analysis`` optionally shares a memo of per-node analyses across runs
-    (the normalization cache passes its own, long-lived manager here); only
-    the expression-rewrite passes consult it.
     ``pipeline`` runs in place of the one ``options`` names: the cache
     hands over the instance it keyed with, and tests run unregistered
     stage lists this way.
@@ -152,7 +145,7 @@ def normalize(program: Program,
         pipeline = options.to_pipeline()
     normalized = program.copy()
     return normalized, NormalizationReport(pipeline.name,
-                                           pipeline.run(normalized, analysis))
+                                           pipeline.run(normalized))
 
 
 def normalize_program(program: Program, **kwargs) -> Program:

@@ -1,19 +1,17 @@
 """``repro.passes`` — the unified, instrumented pass framework.
 
 One abstraction covers every normalization rewrite in the repo: a
-:class:`Pass` is a function of ``(program, analysis)`` that rewrites the
-program in place and returns ``(changed, counters)``.  Passes compose into
+:class:`Pass` is a function of its program that rewrites it in place and
+returns ``(changed, counters)``.  Passes compose into
 :class:`Pipeline` objects whose runs return one :class:`PassResult` per
 pass application, with wall time, change counters and IR-size deltas.  A
 normalization pipeline is selected by its registered name (``"a-priori"``
 and its ablations, the expression-rewrite family of
-:mod:`repro.passes.rewrite`), and an :class:`AnalysisManager` memoizes
-per-nest analyses so repeated normalization of equivalent nests gets
-measurably faster.
+:mod:`repro.passes.rewrite`).
 """
 
-from .analysis import AnalysisManager, node_fingerprint, program_fingerprint
-from .base import Pass, PassResult, PassStats, program_ir_size
+from .base import (Pass, PassResult, PassStats, program_fingerprint,
+                   program_ir_size)
 from .pipeline import DEFAULT_MAX_ITERATIONS, FixedPoint, Pipeline
 from .registry import (PipelineRegistryError, get_pipeline, has_pipeline,
                        pipeline_bit_exact, pipeline_names, register_pipeline,
@@ -28,13 +26,12 @@ from .rewrite import (CommonSubexpressionEliminationPass,
 __all__ = [
     # protocol + instrumentation
     "Pass", "PassResult", "PassStats", "program_ir_size",
+    "program_fingerprint",
     # composition
     "Pipeline", "FixedPoint", "DEFAULT_MAX_ITERATIONS",
     # registry
     "register_pipeline", "get_pipeline", "has_pipeline", "pipeline_names",
     "pipeline_bit_exact", "unregister_pipeline", "PipelineRegistryError",
-    # memoized analyses
-    "AnalysisManager", "node_fingerprint", "program_fingerprint",
     # shipped passes
     "LoopNormalFormPass", "ScalarExpansionPass", "FissionSweepPass",
     "StrideMinimizationPass", "CanonicalizeIteratorsPass", "ValidatePass",

@@ -1,25 +1,26 @@
 """The ``Pass`` protocol: one uniform, instrumented unit of program rewriting.
 
-A pass is a function of ``(program, analysis)``: :meth:`Pass.apply` mutates
-the program in place and returns ``(changed, counters)``, and its
+A pass is a function of its program: :meth:`Pass.apply` mutates the
+program in place and returns ``(changed, counters)``, and its
 :meth:`Pass.run` wrapper measures the application, producing a
 :class:`PassResult` with that flag and those counters, the IR-size delta,
 and wall time.  Pipelines (:mod:`repro.passes.pipeline`) compose passes,
-:class:`PassStats` aggregates their results across many runs for reporting,
-and the shared :class:`~repro.passes.analysis.AnalysisManager` lets passes
-reuse memoized analyses.
+and :class:`PassStats` aggregates their results across many runs for
+reporting.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from ..ir.nodes import Program
+from ..ir.serialization import program_to_dict
 from ..observability.tracing import span as _trace_span
-from .analysis import AnalysisManager
 
 
 def program_ir_size(program: Program) -> int:
@@ -32,6 +33,12 @@ def program_ir_size(program: Program) -> int:
         return total
 
     return sum(count(node) for node in program.body)
+
+
+def program_fingerprint(program: Program) -> str:
+    """Stable content hash of a whole program (used for change detection)."""
+    text = json.dumps(program_to_dict(program), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -89,28 +96,22 @@ class Pass:
     #: Name used in results, registries, and reports; set by subclasses.
     name: str = "pass"
 
-    def apply(self, program: Program,
-              analysis: AnalysisManager) -> ApplyOutcome:
+    def apply(self, program: Program) -> ApplyOutcome:
         raise NotImplementedError
 
     def run(self, program: Program,
-            analysis: Optional[AnalysisManager] = None,
             ir_size: Optional[int] = None) -> PassResult:
         """Apply the pass and measure it; returns the :class:`PassResult`.
 
-        ``analysis`` is the memo the pass asks its analyses through (a
-        fresh one when not given).  ``ir_size`` is the program's
-        :func:`program_ir_size` when the caller knows it (a pipeline hands
-        each pass the size its predecessor left); a pass that reports no
-        change leaves it as it was.
+        ``ir_size`` is the program's :func:`program_ir_size` when the caller
+        knows it (a pipeline hands each pass the size its predecessor left);
+        a pass that reports no change leaves it as it was.
         """
-        if analysis is None:
-            analysis = AnalysisManager()
         with _trace_span("pass:" + self.name) as span:
             size_before = (program_ir_size(program) if ir_size is None
                            else ir_size)
             started = time.perf_counter()
-            changed, counters = self.apply(program, analysis)
+            changed, counters = self.apply(program)
             wall_time = time.perf_counter() - started
             result = PassResult(pass_name=self.name, changed=changed,
                                 wall_time_s=wall_time, counters=counters,

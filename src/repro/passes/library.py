@@ -31,7 +31,6 @@ from ..normalization.loop_normal_form import (canonicalize_iterator_names,
                                               normalize_program_bounds)
 from ..normalization.scalar_expansion import expand_scalars
 from ..normalization.stride_minimization import minimize_strides
-from .analysis import AnalysisManager
 from .base import ApplyOutcome, Pass
 from .pipeline import FixedPoint, Pipeline
 from .registry import register_pipeline
@@ -42,8 +41,7 @@ class LoopNormalFormPass(Pass):
 
     name = "loop-normal-form"
 
-    def apply(self, program: Program,
-              analysis: AnalysisManager) -> ApplyOutcome:
+    def apply(self, program: Program) -> ApplyOutcome:
         return normalize_program_bounds(program), {}
 
 
@@ -52,8 +50,7 @@ class ScalarExpansionPass(Pass):
 
     name = "scalar-expansion"
 
-    def apply(self, program: Program,
-              analysis: AnalysisManager) -> ApplyOutcome:
+    def apply(self, program: Program) -> ApplyOutcome:
         expanded = len(expand_scalars(program))
         return expanded > 0, {"scalars_expanded": expanded}
 
@@ -68,8 +65,7 @@ class FissionSweepPass(Pass):
 
     name = "maximal-fission"
 
-    def apply(self, program: Program,
-              analysis: AnalysisManager) -> ApplyOutcome:
+    def apply(self, program: Program) -> ApplyOutcome:
         # Each sweep reports its own splits, so the run's counters sum to
         # the total; ``atomic_nests`` is a gauge, reported by the final
         # no-change sweep only.
@@ -86,8 +82,7 @@ class StrideMinimizationPass(Pass):
 
     name = "stride-minimization"
 
-    def apply(self, program: Program,
-              analysis: AnalysisManager) -> ApplyOutcome:
+    def apply(self, program: Program) -> ApplyOutcome:
         counters = minimize_strides(program)
         return counters["nests_permuted"] > 0, counters
 
@@ -97,8 +92,7 @@ class CanonicalizeIteratorsPass(Pass):
 
     name = "canonicalize-iterators"
 
-    def apply(self, program: Program,
-              analysis: AnalysisManager) -> ApplyOutcome:
+    def apply(self, program: Program) -> ApplyOutcome:
         return canonicalize_iterator_names(program), {}
 
 
@@ -107,8 +101,7 @@ class ValidatePass(Pass):
 
     name = "validate"
 
-    def apply(self, program: Program,
-              analysis: AnalysisManager) -> ApplyOutcome:
+    def apply(self, program: Program) -> ApplyOutcome:
         errors = validate_program(program, strict=False)
         return False, {"validation_errors": len(errors)}
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Union
 
 from ..ir.nodes import Program
-from .analysis import AnalysisManager
 from .base import Pass, PassResult
 
 #: Safety bound for fixed-point groups; well-formed passes converge far
@@ -40,14 +39,14 @@ class FixedPoint:
     def identity(self) -> str:
         return f"fp({'+'.join(p.name for p in self.passes)})"
 
-    def run(self, program: Program, analysis: AnalysisManager,
+    def run(self, program: Program,
             ir_size: Optional[int] = None) -> List[PassResult]:
         """Iterate to a fixed point; returns one result per application."""
         results: List[PassResult] = []
         for _iteration in range(self.max_iterations):
             changed = False
             for stage_pass in self.passes:
-                result = stage_pass.run(program, analysis, ir_size)
+                result = stage_pass.run(program, ir_size)
                 results.append(result)
                 ir_size = result.ir_size_after
                 changed = result.changed or changed
@@ -73,24 +72,18 @@ class Pipeline:
                  for stage in self.stages]
         return f"{self.name}[{','.join(parts)}]"
 
-    def run(self, program: Program,
-            analysis: Optional[AnalysisManager] = None) -> List[PassResult]:
+    def run(self, program: Program) -> List[PassResult]:
         """Run every stage in order, mutating ``program`` in place; returns
-        one result per pass application.  ``analysis`` is shared by every
-        pass (a fresh one when not given)."""
-        # ``is None``, not ``or``: an empty manager is falsy through
-        # ``__len__`` and must still be used (sharing it is the point).
-        if analysis is None:
-            analysis = AnalysisManager()
+        one result per pass application."""
         results: List[PassResult] = []
         # The IR size is taken once per pass boundary: each pass starts from
         # the size its predecessor left.
         ir_size: Optional[int] = None
         for stage in self.stages:
             if isinstance(stage, FixedPoint):
-                results += stage.run(program, analysis, ir_size)
+                results += stage.run(program, ir_size)
             else:
-                results.append(stage.run(program, analysis, ir_size))
+                results.append(stage.run(program, ir_size))
             if results:
                 ir_size = results[-1].ir_size_after
         return results

@@ -30,8 +30,7 @@ positions — index expressions and loop bounds are never touched, and
 ``Read`` nodes are leaves (their indices are address computation).  LICM
 refuses to speculate partial intrinsics (``log``/``div``/``pow``), since a
 zero-trip loop must not start raising domain errors.  Invariance facts come
-from :mod:`repro.analysis.flops`; per-subtree write sets are memoized
-through the shared :class:`~repro.passes.analysis.AnalysisManager`.
+from :mod:`repro.analysis.flops`.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from ..ir.arrays import Array
 from ..ir.nodes import ArrayAccess, Computation, Loop, Node, Program
 from ..ir.symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod,
                           Mul, Read, rebuild)
-from .analysis import AnalysisManager
 from .base import ApplyOutcome, Pass
 from .library import (CanonicalizeIteratorsPass, FissionSweepPass,
                       LoopNormalFormPass, ScalarExpansionPass,
@@ -158,8 +156,7 @@ class ConstantPreEvaluationPass(Pass):
 
     name = "pre-evaluate"
 
-    def apply(self, program: Program,
-              analysis: AnalysisManager) -> ApplyOutcome:
+    def apply(self, program: Program) -> ApplyOutcome:
         counters = {"exprs_folded": 0.0, "flops_saved": 0.0}
         changed = False
 
@@ -204,8 +201,7 @@ class FactorizationPass(Pass):
 
     name = "factorize"
 
-    def apply(self, program: Program,
-              analysis: AnalysisManager) -> ApplyOutcome:
+    def apply(self, program: Program) -> ApplyOutcome:
         counters = {"factored": 0.0, "flops_saved": 0.0}
         changed = False
 
@@ -289,8 +285,7 @@ class ExpansionPass(Pass):
     #: Do not expand a product into more than this many terms.
     max_terms = 64
 
-    def apply(self, program: Program,
-              analysis: AnalysisManager) -> ApplyOutcome:
+    def apply(self, program: Program) -> ApplyOutcome:
         counters = {"expanded": 0.0, "terms_created": 0.0}
         changed = False
 
@@ -344,14 +339,9 @@ class LoopInvariantCodeMotionPass(Pass):
 
     name = "licm"
 
-    def apply(self, program: Program,
-              analysis: AnalysisManager) -> ApplyOutcome:
+    def apply(self, program: Program) -> ApplyOutcome:
         counters = {"hoisted": 0.0, "hoisted_uses": 0.0, "flops_saved": 0.0}
         changed = False
-
-        def written(node: Node) -> frozenset:
-            return analysis.cached_node(
-                "written-arrays", node, lambda: written_arrays(node))
 
         def boundary_for(expr: Expr, chain: List[Loop]) -> Optional[int]:
             if _contains_unsafe_call(expr):
@@ -365,7 +355,7 @@ class LoopInvariantCodeMotionPass(Pass):
                 return None
             reads = expr_reads(expr)
             for level in range(innermost_used, len(chain)):
-                if not (reads & written(chain[level])):
+                if not (reads & written_arrays(chain[level])):
                     return level
             return None
 
@@ -441,14 +431,9 @@ class CommonSubexpressionEliminationPass(Pass):
 
     name = "cse"
 
-    def apply(self, program: Program,
-              analysis: AnalysisManager) -> ApplyOutcome:
+    def apply(self, program: Program) -> ApplyOutcome:
         counters = {"cse_hits": 0.0, "cse_temps": 0.0, "flops_saved": 0.0}
         changed = False
-
-        def written(node: Node) -> frozenset:
-            return analysis.cached_node(
-                "written-arrays", node, lambda: written_arrays(node))
 
         def collect(expr: Expr, into: Dict[Expr, int]) -> None:
             if isinstance(expr, Read):
@@ -476,7 +461,7 @@ class CommonSubexpressionEliminationPass(Pass):
                         live.setdefault(expr, []).extend([position] * count)
                     kill(frozenset({node.target.array}))
                 else:
-                    kill(written(node))
+                    kill(written_arrays(node))
             groups.extend(live.items())
             eligible = [(expr, positions) for expr, positions in groups
                         if len(positions) >= 2]

@@ -22,17 +22,14 @@ generic loop nests, and atomic reductions are expensive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Mapping,
-                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
+from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from ..analysis.band import BandView, Frame, Target
 from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
 from ..ir.symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod, Mul,
                           Read, Sym)
 from .machine import DEFAULT_MACHINE, MachineModel
-
-if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
-    from ..passes.analysis import AnalysisManager
 
 #: Cost (in FLOP equivalents) of intrinsics, relative to one multiply-add.
 INTRINSIC_FLOP_COST = {
@@ -167,9 +164,7 @@ class CostModel:
 
     def estimate_node(self, node: Union[Node, BandView], program: Program,
                       parameters: Mapping[str, int], index: int,
-                      touched: Set[str],
-                      analysis: "Optional[AnalysisManager]" = None
-                      ) -> Optional[NestCost]:
+                      touched: Set[str]) -> Optional[NestCost]:
         """Cost of the top-level ``node`` at ``index`` of ``program`` (None
         for node kinds the model does not price).  A loop nest may come as a
         :class:`~repro.analysis.band.BandView` of it — a schedule that was
@@ -177,15 +172,13 @@ class CostModel:
 
         ``touched`` is the only thing one top-level node's cost reads of
         the others: the names of the containers earlier nodes touched.
-        Loop nests add theirs to it.  ``analysis`` shares the model's one
-        legality question (is the parallel loop a reduction?) with whoever
-        asked it before.
+        Loop nests add theirs to it.
         """
         if isinstance(node, LibraryCall):
             return self._estimate_library_call(node, program, parameters, index)
         if isinstance(node, Loop):
             # A view of its own, which no fork will ask again.
-            view = BandView(node, program.arrays, parameters, analysis)
+            view = BandView(node, program.arrays, parameters)
             return self._estimate_nest(
                 view, index, touched,
                 _NestWalk(self.machine, view, touched).traffic())
@@ -367,8 +360,8 @@ class NodePrices:
             held = self._nodes[id(node)] = (node, {})
         return held[1]
 
-    def cost(self, program: Program, index: int, before: FrozenSet[str],
-             analysis: "Optional[AnalysisManager]" = None) -> Priced:
+    def cost(self, program: Program, index: int,
+             before: FrozenSet[str]) -> Priced:
         """Cost of the top-level node at ``index`` of ``program`` after
         nodes that touched ``before``, and the names touched after it."""
         entries = self._entries(program.body[index])
@@ -376,8 +369,7 @@ class NodePrices:
         if priced is None:
             touched = set(before)
             cost = self.model.estimate_node(program.body[index], program,
-                                            self.parameters, index, touched,
-                                            analysis)
+                                            self.parameters, index, touched)
             priced = entries[(index, before)] = (cost, frozenset(touched))
         return priced
 

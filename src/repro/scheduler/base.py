@@ -14,7 +14,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..analysis.band import BandView
 from ..ir.nodes import Loop, Program
-from ..passes.analysis import AnalysisManager
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..perf.model import CostModel, NodePrices, Priced
 from ..transforms.base import BandSchedule, TransformationError, set_nest
@@ -216,20 +215,17 @@ class NestPricer:
     price.  Anything else (``Fuse``, an idiom replacement, an annotation
     below the band) is applied to a full copy and priced whole.  Either way
     the price equals ``CostModel.estimate_seconds`` of a copy of the program
-    with the recipe applied, bit for bit.  Legality questions go through
-    ``analysis`` (the caller's manager, or one private to this pricer).
+    with the recipe applied, bit for bit.  The view's facts are the search's
+    one memo: its legal orders and every candidate read them.
     """
 
     def __init__(self, cost_model: CostModel, program: Program, nest_index: int,
-                 parameters: Mapping[str, int],
-                 analysis: Optional[AnalysisManager] = None,
+                 parameters: Mapping[str, int], *,
                  prices: Optional[NodePrices] = None):
         self.cost_model = cost_model
         self.program = program
         self.nest_index = nest_index
         self.parameters = parameters
-        # ``is not None``: an empty manager is falsy through ``__len__``.
-        self.analysis = analysis if analysis is not None else AnalysisManager()
         self.prices = (prices if prices is not None
                        else NodePrices(cost_model, parameters))
         #: The running total a from-scratch estimate has reached at the
@@ -237,16 +233,14 @@ class NestPricer:
         self._prefix = 0.0
         self._before: FrozenSet[str] = frozenset()
         for index in range(nest_index):
-            cost, self._before = self.prices.cost(program, index, self._before,
-                                                  self.analysis)
+            cost, self._before = self.prices.cost(program, index, self._before)
             if cost is not None:
                 self._prefix += cost.time
         #: Schedule of the nest (the view's frames) -> (modeled seconds,
         #: what pricing the nest gave).
         self._priced: Dict[Tuple, Tuple[float, Priced]] = {}
         self.view = BandView(program.body[nest_index].copy().freeze(),
-                             program.arrays, parameters, self.analysis,
-                             program.name)
+                             program.arrays, parameters, program.name)
 
     def _on_view(self, recipe: Recipe) -> bool:
         """Whether ``recipe`` is band schedules of this nest only."""
@@ -278,22 +272,20 @@ class NestPricer:
     def price(self, recipe: Recipe) -> float:
         if not self._on_view(recipe):
             trial = self.program.copy()
-            apply_recipe(trial, recipe, strict=False, analysis=self.analysis)
+            apply_recipe(trial, recipe, strict=False)
             return self.cost_model.estimate_seconds(trial, self.parameters)
         return self._priced_state(self._schedule(recipe)[0])[0]
 
     def _price(self, view: BandView) -> Tuple[float, Priced]:
         touched = set(self._before)
         cost = self.cost_model.estimate_node(
-            view, self.program, self.parameters, self.nest_index, touched,
-            self.analysis)
+            view, self.program, self.parameters, self.nest_index, touched)
         after = names = frozenset(touched)
         total = self._prefix
         if cost is not None:
             total += cost.time
         for index in range(self.nest_index + 1, len(self.program.body)):
-            later, names = self.prices.cost(self.program, index, names,
-                                            self.analysis)
+            later, names = self.prices.cost(self.program, index, names)
             if later is not None:
                 total += later.time
         return total, (cost, after)
@@ -304,8 +296,8 @@ class NestPricer:
         recipe priced as a view is built from the frames that were priced,
         and its price joins the table."""
         if not self._on_view(recipe):
-            return bool(apply_recipe(self.program, recipe, strict=False,
-                                     analysis=self.analysis).applied)
+            return bool(apply_recipe(self.program, recipe,
+                                     strict=False).applied)
         view, applied = self._schedule(recipe)
         _seconds, priced = self._priced_state(view)
         own = BandView(self.program.body[self.nest_index])

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ..ir.nodes import Program
-from ..passes.analysis import AnalysisManager
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..perf.model import NodePrices
 from ..transforms.idiom import ReplaceWithLibraryCall, match_blas3
@@ -56,10 +55,6 @@ class DaisyScheduler(Scheduler):
         self.config = config or DaisyConfig()
         super().__init__(machine, self.config.threads)
         self.database = database if database is not None else TuningDatabase()
-        #: Scheduler-lifetime memo: the search and every recipe application
-        #: ask it, so repeat scheduling of equivalent nests reuses
-        #: dependence/permutation analyses across calls.
-        self._analysis = AnalysisManager()
         self._search = EvolutionarySearch(self.cost_model, self.config.search)
 
     def tune(self, program: Program, parameters: Mapping[str, int],
@@ -84,17 +79,18 @@ class DaisyScheduler(Scheduler):
         blas = match_blas3(nest) is not None
         # The database is the embedding's only reader: embed the nest to
         # seed the database, or to query one that holds entries (a BLAS
-        # nest queries nothing).
+        # nest queries nothing, nor does a negative distance bound: no
+        # transfer, no seeds).
         embedding = None
-        if seeding or (len(self.database) and not blas):
+        if seeding or (len(self.database) and not blas
+                       and self.config.max_database_distance >= 0):
             embedding = embed_nest(nest, program.arrays, parameters,
-                                   label=label, analysis=self._analysis)
+                                   label=label)
 
         # 1. BLAS-3 idiom detection on the normalized nest.
         if blas:
             recipe = Recipe(f"{label}:blas", [ReplaceWithLibraryCall(index)])
-            application = apply_recipe(program, recipe, strict=False,
-                                       analysis=self._analysis)
+            application = apply_recipe(program, recipe, strict=False)
             if seeding:
                 self.database.add(embedding, recipe)
             status = "optimized" if application.fully_applied else "failed"
@@ -106,8 +102,7 @@ class DaisyScheduler(Scheduler):
                                              self.config.max_database_distance)
             if entry is not None:
                 recipe = retarget_recipe(entry.recipe, index)
-                if apply_recipe(program, recipe, strict=False,
-                                analysis=self._analysis).applied:
+                if apply_recipe(program, recipe, strict=False).applied:
                     return NestScheduleInfo(index, "optimized", recipe,
                                             f"transfer from {entry.label}")
                 # The recipe could not be applied at all: fall through.
@@ -118,7 +113,7 @@ class DaisyScheduler(Scheduler):
                  [retarget_recipe(neighbor.recipe, index) for _distance, neighbor
                   in self.database.query(embedding, k=10)])
         pricer = NestPricer(self.cost_model, program, index, parameters,
-                            self._analysis, prices)
+                            prices=prices)
         outcome = self._search.run(pricer, seeds)
         pricer.build(outcome.recipe)
         if seeding:

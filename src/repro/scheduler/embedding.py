@@ -12,8 +12,7 @@ footprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.affine import computation_accesses, nest_statements
 from ..analysis.parallelism import analyze_loop_parallelism
@@ -21,9 +20,6 @@ from ..analysis.strides import DEFAULT_PARAMETER_VALUE, _array_strides, access_s
 from ..ir.arrays import Array
 from ..ir.nodes import Computation, LibraryCall, Loop, Program
 from ..perf.model import count_flops
-
-if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
-    from ..passes.analysis import AnalysisManager
 
 #: Names of the embedding dimensions, in order.
 FEATURE_NAMES: Tuple[str, ...] = (
@@ -81,12 +77,8 @@ def _loop_trips(nest: Loop, parameters: Mapping[str, int]) -> Dict[str, float]:
 
 def embed_nest(nest: Loop, arrays: Mapping[str, Array],
                parameters: Optional[Mapping[str, int]] = None,
-               label: str = "",
-               analysis: "Optional[AnalysisManager]" = None
-               ) -> PerformanceEmbedding:
-    """Compute the performance embedding of one loop nest.  With an
-    ``analysis`` manager the loop classifications are shared with whoever
-    schedules the nest next."""
+               label: str = "") -> PerformanceEmbedding:
+    """Compute the performance embedding of one loop nest."""
     parameters = dict(parameters or {})
     trips = _loop_trips(nest, parameters)
     #: Container name -> (size in bytes, element strides), looked up once.
@@ -147,8 +139,7 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
     num_accesses = zero + unit + strided + non_affine
     denominator = max(num_accesses, 1)
     num_parallel = sum(1 for loop in nest.iter_loops()
-                       if analyze_loop_parallelism(
-                           loop, analysis=analysis).is_parallel)
+                       if analyze_loop_parallelism(loop).is_parallel)
     flops_per_iter = flops / max(total_iterations, 1.0)
 
     # np.log1p, not math.log1p: the two differ in the last bit on some

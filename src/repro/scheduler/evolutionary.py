@@ -13,11 +13,11 @@ import json
 import random
 import zlib
 from dataclasses import dataclass, replace
+from itertools import permutations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..analysis.dependence import legal_permutations
+from ..analysis.band import BandView
 from ..ir.nodes import Loop, Program
-from ..passes.analysis import AnalysisManager
 from ..perf.model import CostModel
 from ..transforms.base import TransformationError
 from ..transforms.interchange import Interchange
@@ -108,13 +108,14 @@ class CandidateSpace:
     max_permuted_band: int = 5
     require_unit_stride: bool = True
 
-    def orders(self, nest: Loop,
-               analysis: Optional[AnalysisManager] = None
-               ) -> List[Tuple[str, ...]]:
-        band = nest.perfectly_nested_band()
+    def orders(self, view: BandView) -> List[Tuple[str, ...]]:
+        """The legal orders of the view's band, in the sequence
+        ``legal_permutations`` of its nest gives them."""
+        band = view.order()
         if len(band) > self.max_permuted_band:
-            return [tuple(loop.iterator for loop in band)]
-        return legal_permutations(nest, analysis=analysis)
+            return [tuple(band)]
+        return [order for order in permutations(band)
+                if view.order_is_legal(order)]
 
     def sample(self, orders: Sequence[Tuple[str, ...]],
                rng: random.Random) -> Candidate:
@@ -160,19 +161,18 @@ class EvolutionarySearch:
 
     def search(self, program: Program, nest_index: int,
                parameters: Mapping[str, int],
-               seed_recipes: Optional[Sequence[Recipe]] = None,
-               analysis: Optional[AnalysisManager] = None) -> SearchOutcome:
+               seed_recipes: Optional[Sequence[Recipe]] = None
+               ) -> SearchOutcome:
         """Search for the best recipe for one nest of ``program``.
 
         ``seed_recipes`` (e.g. the best recipes of the most similar nests in
         the database, or Tiramisu-style candidates) are priced first, after
-        being re-targeted to ``nest_index`` by the caller.  Legality answers
-        are shared through ``analysis`` when the caller owns a manager.
+        being re-targeted to ``nest_index`` by the caller.
         """
         if not isinstance(program.body[nest_index], Loop):
             raise TransformationError(f"node {nest_index} is not a loop nest")
         return self.run(NestPricer(self.cost_model, program, nest_index,
-                                   parameters, analysis), seed_recipes)
+                                   parameters), seed_recipes)
 
     def run(self, pricer: NestPricer,
             seed_recipes: Optional[Sequence[Recipe]] = None) -> SearchOutcome:
@@ -181,7 +181,7 @@ class EvolutionarySearch:
         nest_index = pricer.nest_index
         nest = pricer.program.body[nest_index]
         space = SEARCH_SPACE
-        orders = space.orders(nest, pricer.analysis)
+        orders = space.orders(pricer.view)
         rng = nest_rng(self.config.seed, nest)
         population = [space.sample(orders, rng)
                       for _ in range(self.config.population_size)]

@@ -22,7 +22,6 @@ from typing import List, Mapping, Optional, Tuple
 from ..analysis.parallelism import analyze_loop_parallelism
 from ..ir.nodes import Loop, Program
 from ..normalization.fission import maximal_loop_fission
-from ..passes.analysis import AnalysisManager
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..perf.model import NodePrices
 from ..transforms.recipe import Recipe
@@ -75,14 +74,11 @@ class TiramisuScheduler(Scheduler):
     def schedule_nest(self, program: Program, index: int,
                       parameters: Mapping[str, int],
                       prices: NodePrices) -> NestScheduleInfo:
-        # One manager per nest: what the support check asks, the search
-        # does not derive again.
-        analysis = AnalysisManager()
-        if not self._supported(program.body[index], analysis):
+        if not self._supported(program.body[index]):
             return NestScheduleInfo(index, "unsupported", None,
                                     "not a perfectly nested parallel loop")
         pricer = NestPricer(self.cost_model, program, index, parameters,
-                            analysis, prices)
+                            prices=prices)
         recipe = self._mcts(pricer)
         status = "optimized" if pricer.build(recipe) else "unchanged"
         return NestScheduleInfo(index, status, recipe,
@@ -90,13 +86,13 @@ class TiramisuScheduler(Scheduler):
 
     # -- support check ------------------------------------------------------------------
 
-    def _supported(self, nest: Loop, analysis: AnalysisManager) -> bool:
+    def _supported(self, nest: Loop) -> bool:
         if not nest.is_perfect_nest():
             return False
         band = nest.perfectly_nested_band()
         # Only the outer (non-reduction) part of the band must be parallel;
         # require at least the outermost loop to be parallel.
-        if not analyze_loop_parallelism(band[0], analysis=analysis).is_parallel:
+        if not analyze_loop_parallelism(band[0]).is_parallel:
             return False
         # Loop bounds must be rectangular (no dependence on outer iterators).
         iterators = {loop.iterator for loop in band}
@@ -107,7 +103,7 @@ class TiramisuScheduler(Scheduler):
     def _mcts(self, pricer: NestPricer) -> Recipe:
         index = pricer.nest_index
         nest = pricer.program.body[index]
-        orders = ROLLOUT_SPACE.orders(nest, pricer.analysis)
+        orders = ROLLOUT_SPACE.orders(pricer.view)
         rng = nest_rng(self.config.seed, nest)
 
         # Rollouts: sample schedules, score them with the noisy surrogate.

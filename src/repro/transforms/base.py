@@ -3,9 +3,8 @@
 The daisy auto-scheduler (Section 4) stores *optimization recipes* — sequences
 of loop transformations such as interchange, tiling, parallelization and
 vectorization — in a database and applies them to normalized loop nests
-through :func:`repro.transforms.recipe.apply_recipe`, which hands every step
-the caller's :class:`~repro.passes.analysis.AnalysisManager`.  Each
-transformation is:
+through :func:`repro.transforms.recipe.apply_recipe`.  Each transformation
+is:
 
 * addressable (it names the top-level nest it applies to),
 * checkable (it can refuse to apply when illegal, via
@@ -16,12 +15,10 @@ transformation is:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Type
+from typing import Any, Dict, Type
 
 from ..analysis.band import BandView
 from ..ir.nodes import Loop, Program
-from ..passes.analysis import AnalysisManager
 
 
 class TransformationError(Exception):
@@ -35,9 +32,8 @@ class Transformation:
     Subclasses implement :meth:`apply`, which mutates the given program in
     place (programs are cheap to copy; callers that need the original copy it
     first), and :meth:`params`, which returns the JSON-serializable parameter
-    dictionary used for persistence.  ``apply(program, analysis=None)``
-    returns whether it rewrote the program (an illegal transformation
-    raises instead); legality questions go through ``analysis`` when given.
+    dictionary used for persistence.  ``apply(program)`` returns whether it
+    rewrote the program (an illegal transformation raises instead).
     """
 
     #: Registry of transformation names to classes, for deserialization.
@@ -54,8 +50,7 @@ class Transformation:
             raise ValueError(f"duplicate transformation name {cls.name!r}")
         Transformation.registry[cls.name] = cls
 
-    def apply(self, program: Program,
-              analysis: Optional[AnalysisManager] = None) -> bool:
+    def apply(self, program: Program) -> bool:
         raise NotImplementedError
 
     def params(self) -> Dict[str, Any]:
@@ -98,15 +93,13 @@ class BandSchedule(Transformation):
         loop of the subtree below its band."""
         return True
 
-    def view(self, program: Program,
-             analysis: Optional[AnalysisManager] = None) -> BandView:
+    def view(self, program: Program) -> BandView:
         """A view of the nest this transformation addresses."""
         return BandView(get_nest(program, self.nest_index), program.arrays,
-                        analysis=analysis, program_name=program.name)
+                        program_name=program.name)
 
-    def apply(self, program: Program,
-              analysis: Optional[AnalysisManager] = None) -> bool:
-        view = self.view(program, analysis)
+    def apply(self, program: Program) -> bool:
+        view = self.view(program)
         self.schedule(view)
         return build_view(program, self.nest_index, view)
 

@@ -15,7 +15,6 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional
 from ..analysis.dataflow import adjacent_flows
 from ..analysis.dependence import dependences_between
 from ..ir.nodes import Loop, Node, Program, rename_iterators
-from ..passes.analysis import AnalysisManager
 from .base import Transformation, TransformationError, get_nest
 
 
@@ -103,8 +102,7 @@ class Fuse(Transformation):
         return {"first_index": self.first_index, "second_index": self.second_index,
                 "depth": self.depth}
 
-    def apply(self, program: Program,
-              analysis: Optional[AnalysisManager] = None) -> bool:
+    def apply(self, program: Program) -> bool:
         if self.first_index == self.second_index:
             raise TransformationError("cannot fuse a nest with itself")
         first = get_nest(program, self.first_index)

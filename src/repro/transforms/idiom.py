@@ -17,7 +17,6 @@ from ..analysis.affine import decompose_access
 from ..ir.nodes import Computation, LibraryCall, Loop, Program
 from ..ir.serialization import node_to_dict
 from ..ir.symbols import Expr, Mul, Read
-from ..passes.analysis import AnalysisManager
 from .base import Transformation, TransformationError, get_nest
 
 
@@ -177,8 +176,7 @@ class ReplaceWithLibraryCall(Transformation):
         return {"nest_index": self.nest_index,
                 "expected_routine": self.expected_routine}
 
-    def apply(self, program: Program,
-              analysis: Optional[AnalysisManager] = None) -> bool:
+    def apply(self, program: Program) -> bool:
         nest = get_nest(program, self.nest_index)
         match = match_blas3(nest)
         if match is None:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..ir.nodes import Program
-from ..passes.analysis import AnalysisManager
 from ..analysis.band import BandView
 from .base import (BandSchedule, Transformation, TransformationError,
                    build_view)
@@ -71,18 +70,13 @@ class RecipeApplication:
 
 
 def apply_recipe(program: Program, recipe: Recipe,
-                 strict: bool = False,
-                 analysis: Optional[AnalysisManager] = None
-                 ) -> RecipeApplication:
+                 strict: bool = False) -> RecipeApplication:
     """Apply a recipe to ``program`` in place.
 
     With ``strict=True`` the first illegal transformation raises; otherwise
     illegal transformations are recorded and skipped — mirroring the paper's
     behavior that a transformation sequence "cannot be applied" when a B loop
-    nest does not reduce to an A loop nest.  The transformations answer
-    their legality questions through ``analysis`` when one is given, so a
-    caller applying many recipes to equivalent nests asks each question
-    once.
+    nest does not reduce to an A loop nest.
     """
     result = RecipeApplication(recipe=recipe)
     # Consecutive band schedules of one nest edit one view of it, built into
@@ -103,11 +97,11 @@ def apply_recipe(program: Program, recipe: Recipe,
                     if view is None or transformation.nest_index != viewed:
                         build()
                         viewed = transformation.nest_index
-                        view = transformation.view(program, analysis)
+                        view = transformation.view(program)
                     transformation.schedule(view)
                 else:
                     build()
-                    transformation.apply(program, analysis)
+                    transformation.apply(program)
                 result.applied.append(transformation)
             except TransformationError as error:
                 if strict:

@@ -1,7 +1,5 @@
 """Tests for affine access extraction and dependence analysis."""
 
-from itertools import permutations
-
 import pytest
 
 from helpers import build_gemm, build_stencil, build_vector_add
@@ -10,14 +8,9 @@ from repro.analysis import (EQ, LT, body_dependences, computation_accesses,
                             legal_permutations, nest_dependences,
                             nest_statements, permutation_is_legal,
                             self_dependences)
-from repro.analysis import analyze_loop_parallelism
 from repro.analysis.affine import decompose_index
-from repro.fuzz import generate_program
 from repro.ir import ProgramBuilder, access
 from repro.ir.symbols import Sym
-from repro.normalization import normalize_program
-from repro.passes import AnalysisManager
-from repro.transforms import tile_band
 
 
 class TestAffineDecomposition:
@@ -136,56 +129,3 @@ class TestPermutationLegality:
     def test_nest_dependences_cover_reduction(self, gemm_program):
         deps = nest_dependences(gemm_program.body[1])
         assert any(dep.array == "C" for dep in deps)
-
-
-class TestMemoizedLegality:
-    """The answers an ``AnalysisManager`` hands out equal the unmemoized
-    ones.  One manager is shared by every nest of every program, so an
-    answer that depended on anything outside its key (loop bounds, tile
-    sizes, schedule annotations) would be served to the wrong nest."""
-
-    @staticmethod
-    def _variants(nest):
-        """The nest as it is, and tiled with two sizes and annotated — the
-        states a search asks about."""
-        yield nest
-        iterators = [loop.iterator for loop in nest.perfectly_nested_band()]
-        for size in (4, 8):
-            tiled = tile_band(nest.copy(), {it: size for it in iterators})
-            yield tiled
-        tiled.parallel = True
-        tiled.perfectly_nested_band()[-1].vectorized = True
-        yield tiled
-
-    def test_memoized_answers_equal_unmemoized(self):
-        analysis = AnalysisManager()
-        orders = loops = 0
-        for seed in range(30):
-            generated = generate_program(seed, "small")
-            for program in (generated.program,
-                            normalize_program(generated.program)):
-                for top in program.top_level_loops():
-                    for nest in self._variants(top):
-                        band = [lp.iterator
-                                for lp in nest.perfectly_nested_band()]
-                        if len(band) <= 4:
-                            for order in permutations(band):
-                                orders += 1
-                                assert (permutation_is_legal(nest, order, analysis)
-                                        == permutation_is_legal(nest, order))
-                            assert (legal_permutations(nest, analysis=analysis)
-                                    == legal_permutations(nest))
-                        for loop in nest.iter_loops():
-                            for arrays in (None, program.arrays):
-                                loops += 1
-                                assert (analyze_loop_parallelism(
-                                    loop, arrays, analysis)
-                                    == analyze_loop_parallelism(loop, arrays))
-        assert orders > 500 and loops > 1000
-        assert analysis.hits > analysis.misses > 0
-
-    def test_mismatch_behaves_as_unmemoized(self, gemm_program):
-        analysis = AnalysisManager()
-        nest = gemm_program.body[1]
-        with pytest.raises(ValueError):
-            permutation_is_legal(nest, ["i", "j"], analysis)

@@ -30,7 +30,6 @@ from repro.ir.canonical import node_fragment
 from repro.ir.nodes import FrozenNodeError, Loop, Program
 from repro.ir.symbols import Const, Min, Sym
 from repro.normalization import normalize_program
-from repro.passes import AnalysisManager
 from repro.perf import CostModel
 from repro.scheduler.base import NestPricer
 from repro.scheduler.evolutionary import SEARCH_SPACE
@@ -305,11 +304,9 @@ class TestLegalityAnswers:
         unit-stride share, asked of the view in every order of the band and
         after tiling, equal what the analyses say about the built nest."""
         orders = tiled = 0
-        analysis = AnalysisManager()
         for program, index, _parameters in _fuzz_nests(range(10)):
             nest = program.body[index]
-            base = BandView(nest.copy().freeze(), program.arrays,
-                            analysis=analysis)
+            base = BandView(nest.copy().freeze(), program.arrays)
             band = base.order()
             for order in itertools.islice(itertools.permutations(band), 24):
                 for sizes in ({}, {order[0]: 16}, dict.fromkeys(order, 8)):
@@ -334,9 +331,6 @@ class TestLegalityAnswers:
                                 loops, nest_direction_vectors(built), target)
                     orders += 1
         assert orders > 150 and tiled > 100
-        # The manager was asked under the keys the tree entry points use.
-        assert {kind for kind, _ in analysis._entries} == {
-            "nest-directions", "loop-parallelism"}
 
 
 # -- (b) the program a recipe yields ------------------------------------------------------
@@ -496,15 +490,13 @@ class TestPrices:
     def test_price_equals_the_specified_programs_cost(self):
         """``price == estimate_seconds(copy + tree surgery)`` with ``==`` on
         fuzz programs as generated (imperfect nests, loops below the band)
-        and normalized, candidates over any order so refusals are included,
-        one manager shared by every pricer."""
+        and normalized, candidates over any order so refusals are included."""
         model = CostModel(threads=4)
-        analysis = AnalysisManager()
         rng = random.Random("view-prices")
         priced = imperfect = 0
         for program, index, parameters in _fuzz_nests(range(10), "medium"):
             imperfect += not program.body[index].is_perfect_nest()
-            pricer = NestPricer(model, program, index, parameters, analysis)
+            pricer = NestPricer(model, program, index, parameters)
             for space in (SEARCH_SPACE, ROLLOUT_SPACE):
                 for _ in range(3):
                     recipe = _any_candidate(program.body[index], rng,

@@ -98,7 +98,7 @@ class _ShortenFirstLoop(Pass):
 
     name = "inject-shorten"
 
-    def apply(self, program, analysis):
+    def apply(self, program):
         for loop in program.iter_loops():
             loop.end = loop.end - 1
             return True, {}

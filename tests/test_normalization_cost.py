@@ -89,10 +89,10 @@ class _Witnessed(Pass):
     def __init__(self, inner, log):
         self.inner, self.name, self.log = inner, inner.name, log
 
-    def apply(self, program, analysis):
+    def apply(self, program):
         before = program_fingerprint(program)
         size_before = program_ir_size(program)
-        outcome = self.inner.apply(program, analysis)
+        outcome = self.inner.apply(program)
         self.log.append((self.name, program_fingerprint(program) != before,
                          size_before, program_ir_size(program)))
         return outcome
@@ -712,13 +712,13 @@ class TestCounted:
     def test_a_transfer_pass_serialises_no_program_and_walks_each_nest_once(
             self, monkeypatch):
         import repro.passes
-        import repro.passes.analysis
+        import repro.passes.base
         fingerprints, walks, computed = [], [], []
 
         def counting(log, function):
             return lambda *args, **kwargs: log.append(1) or function(*args, **kwargs)
 
-        for module in (repro.passes, repro.passes.analysis):
+        for module in (repro.passes, repro.passes.base):
             monkeypatch.setattr(module, "program_fingerprint",
                                 counting(fingerprints, program_fingerprint))
         monkeypatch.setattr(

@@ -1,8 +1,9 @@
 """Tests for the unified pass framework (repro.passes) and its integration:
-pipelines, fixed points, the pipeline registry, memoized analyses, the
-change flag transformations return, pipeline-identity cache keys, and
-normalization idempotence across every registered pipeline."""
+pipelines, fixed points, the pipeline registry, the change flag
+transformations return, pipeline-identity cache keys, and normalization
+idempotence across every registered pipeline."""
 
+import importlib
 import itertools
 
 import pytest
@@ -14,7 +15,7 @@ from repro.api import (MemoryCacheBackend, NormalizationCache,
 from repro.interp import programs_equivalent
 from repro.ir import ProgramBuilder
 from repro.normalization import normalize
-from repro.passes import (AnalysisManager, FixedPoint, LoopNormalFormPass,
+from repro.passes import (FixedPoint, LoopNormalFormPass,
                           Pass, PassResult, PassStats, Pipeline,
                           PipelineRegistryError, ScalarExpansionPass,
                           ValidatePass, get_pipeline, pipeline_names,
@@ -66,7 +67,7 @@ class _CountingPass(Pass):
         self.remaining = changes
         self.applications = 0
 
-    def apply(self, program, analysis):
+    def apply(self, program):
         self.applications += 1
         if self.remaining > 0:
             self.remaining -= 1
@@ -90,7 +91,7 @@ class TestPassProtocol:
         class Renamer(Pass):
             name = "renamer"
 
-            def apply(self, program, analysis):
+            def apply(self, program):
                 changed = program.body[0].iterator != "renamed"
                 program.body[0].iterator = "renamed"
                 return changed, {}
@@ -128,14 +129,14 @@ class TestPipeline:
     def test_fixed_point_iterates_until_stable(self):
         stage = _CountingPass(changes=2)
         group = FixedPoint([stage], max_iterations=10)
-        results = group.run(build_vector_add(), AnalysisManager())
+        results = group.run(build_vector_add())
         # Two changing iterations plus the stabilizing one.
         assert stage.applications == 3
         assert [r.changed for r in results] == [True, True, False]
 
     def test_fixed_point_respects_iteration_bound(self):
         group = FixedPoint([_CountingPass(changes=100)], max_iterations=4)
-        results = group.run(build_vector_add(), AnalysisManager())
+        results = group.run(build_vector_add())
         assert [r.changed for r in results] == [True] * 4
 
     def test_identity_names_structure(self):
@@ -234,79 +235,106 @@ def _removed_spellings():
             program, options=NormalizationOptions()),
         "recipe-instrument": lambda: apply_recipe(
             program, Recipe("r", []), instrument=True),
+        # One memo, on the view: no analysis manager, and nothing that
+        # keyed or carried one.
+        **_no_analysis_manager(program),
+    }
+
+
+def _no_analysis_manager(program):
+    """What went with the analysis manager: each ``analysis`` keyword
+    (TypeError) and each deleted name (ImportError, AttributeError)."""
+    import repro.analysis.dependence as dependence
+    import repro.api
+    import repro.passes
+    from repro.analysis import analyze_loop_parallelism, legal_permutations
+    from repro.analysis.band import BandView
+    from repro.analysis.dependence import (nest_direction_vectors,
+                                           permutation_is_legal)
+    from repro.api.types import SessionReport
+    from repro.perf.model import CostModel, NodePrices
+    from repro.scheduler.base import NestPricer
+    from repro.scheduler.daisy import DaisyScheduler
+    from repro.scheduler.embedding import embed_nest
+    from repro.scheduler.evolutionary import EvolutionarySearch
+
+    program, _ = normalize(program)
+    nest = program.body[1]
+    model = CostModel(threads=4)
+    return {
+        "pass-run-analysis": lambda: LoopNormalFormPass().run(
+            program.copy(), analysis=None),
+        "pass-apply-analysis": lambda: LoopNormalFormPass().apply(
+            program.copy(), None),
+        "fixed-point-run-analysis": lambda: FixedPoint(
+            [LoopNormalFormPass()]).run(program.copy(), analysis=None),
+        "pipeline-run-analysis": lambda: get_pipeline("a-priori").run(
+            program.copy(), analysis=None),
+        "normalize-analysis": lambda: normalize(program, None, analysis=None),
+        "nest-pricer-analysis": lambda: NestPricer(
+            model, program, 1, PARAMS, analysis=None),
+        "search-analysis": lambda: EvolutionarySearch(model).search(
+            program, 1, PARAMS, [], analysis=None),
+        "apply-recipe-analysis": lambda: apply_recipe(
+            program.copy(), Recipe("r", []), analysis=None),
+        "transformation-apply-analysis": lambda: Interchange(
+            1, ("i1", "i0", "i2")).apply(program.copy(), analysis=None),
+        "band-schedule-view-analysis": lambda: Interchange(
+            1, ("i1", "i0", "i2")).view(program, analysis=None),
+        "band-view-analysis": lambda: BandView(nest, analysis=None),
+        "estimate-node-analysis": lambda: model.estimate_node(
+            nest, program, PARAMS, 1, set(), analysis=None),
+        "node-prices-cost-analysis": lambda: NodePrices(model, PARAMS).cost(
+            program, 1, frozenset(), analysis=None),
+        "embed-nest-analysis": lambda: embed_nest(
+            nest, program.arrays, PARAMS, analysis=None),
+        "loop-parallelism-analysis": lambda: analyze_loop_parallelism(
+            nest, analysis=None),
+        "nest-direction-vectors-analysis": lambda: nest_direction_vectors(
+            nest, analysis=None),
+        "permutation-is-legal-analysis": lambda: permutation_is_legal(
+            nest, ("i0", "i1", "i2"), analysis=None),
+        "legal-permutations-analysis": lambda: legal_permutations(
+            nest, analysis=None),
+        "session-report-analysis-hits": lambda: SessionReport(
+            analysis_hits=0),
+        "session-report-analysis-misses": lambda: SessionReport(
+            analysis_misses=0),
+        "analysis-module": lambda: importlib.import_module(
+            "repro.passes.analysis"),
+        "analysis-manager": lambda: repro.passes.AnalysisManager,
+        "api-analysis-manager": lambda: repro.api.AnalysisManager,
+        "node-fingerprint": lambda: repro.passes.node_fingerprint,
+        "dependence-skeleton": lambda: dependence.dependence_skeleton,
+        "chain-skeleton": lambda: dependence.chain_skeleton,
+        "skeleton-text": lambda: dependence.skeleton_text,
+        "loop-header": lambda: dependence._loop_header,
+        "band-view-skeleton": lambda: BandView._skeleton,
+        "band-view-shared": lambda: BandView._shared,
+        "cache-analysis": lambda: NormalizationCache().analysis,
+        "daisy-analysis": lambda: DaisyScheduler()._analysis,
     }
 
 
 @pytest.mark.parametrize("spelling", sorted(_removed_spellings()))
 def test_removed_spellings_raise(spelling):
     """A pipeline is a registered name: flag soup, a second options knob
-    and an instrumented recipe path are no longer accepted."""
-    with pytest.raises((TypeError, AttributeError)):
+    and an instrumented recipe path are no longer accepted; nor is an
+    analysis manager, anywhere."""
+    with pytest.raises((TypeError, AttributeError, ImportError)):
         _removed_spellings()[spelling]()
 
 
-class TestAnalysisManager:
-    def test_memoizes_by_content(self):
-        manager = AnalysisManager()
-        calls = []
-        loop = build_gemm_a().body[0]
-
-        def compute():
-            calls.append(1)
-            return ("result",)
-
-        assert manager.cached_node("k", loop, compute) == ("result",)
-        assert manager.cached_node("k", loop, compute) == ("result",)
-        assert len(calls) == 1
-        assert (manager.hits, manager.misses, len(manager)) == (1, 1, 1)
-
-    def test_changed_content_recomputes(self):
-        manager = AnalysisManager()
-        program = build_vector_add()
-        loop = program.body[0]
-        manager.cached_node("k", loop, lambda: 1)
-        loop.iterator = "other"  # a pass changed the nest
-        assert manager.cached_node("k", loop, lambda: 2) == 2
-        assert manager.misses == 2
-
-    def test_lru_bound(self):
-        manager = AnalysisManager(max_entries=2)
-        for index in range(5):
-            manager.get("k", str(index), lambda index=index: index)
-        assert len(manager) == 2
-
-    def test_shared_manager_warms_repeat_normalization(self):
-        """The rewrite family memoizes its written-array sets; the a-priori
-        stages memoize nothing, so they never touch the manager."""
-        for pipeline, expected in (("a-priori+rewrite", ((0, 10), (10, 10))),
-                                   ("a-priori", ((0, 0), (0, 0)))):
-            manager = AnalysisManager()
+class TestOneCanonicalForm:
+    def test_every_gemm_loop_order_shares_one_canonical_form(self):
+        """Six loop orders share one canonical form, with and without the
+        expression rewrites."""
+        for pipeline in ("a-priori+rewrite", "a-priori"):
             options = NormalizationOptions(pipeline)
-            first, _ = normalize(build_gemm_b(), options, analysis=manager)
-            traffic = [(manager.hits, manager.misses)]
-            second, _ = normalize(build_gemm_b(), options, analysis=manager)
-            traffic.append((manager.hits, manager.misses))
-            assert tuple(traffic) == expected, pipeline
-            assert program_content_hash(first) == program_content_hash(second)
-
-    def test_every_gemm_loop_order_twice_through_one_manager(self):
-        """Six loop orders share one canonical form: a second pass over them
-        computes nothing."""
-        for pipeline, expected, entries in (
-                ("a-priori+rewrite", ((38, 22), (98, 22)), 22),
-                ("a-priori", ((0, 0), (0, 0)), 0)):
-            manager = AnalysisManager()
-            options = NormalizationOptions(pipeline)
-            forms = set()
-            traffic = []
-            for _ in range(2):
-                for order in itertools.permutations("ijk"):
-                    normalized, _ = normalize(build_gemm(order=order),
-                                              options, analysis=manager)
-                    forms.add(program_content_hash(normalized))
-                traffic.append((manager.hits, manager.misses))
-            assert tuple(traffic) == expected, pipeline
-            assert len(manager) == entries and len(forms) == 1, pipeline
+            forms = {program_content_hash(normalize(build_gemm(order=order),
+                                                    options)[0])
+                     for order in itertools.permutations("ijk")}
+            assert len(forms) == 1, pipeline
 
 
 class TestTransformationsReportChange:
@@ -429,7 +457,7 @@ class TestSessionPipelines:
         assert response.report.pipeline == "no-stride"
         assert response.report.counters()["nests_considered"] == 0
 
-    def test_report_exposes_pass_timings_and_analysis(self):
+    def test_report_exposes_pass_timings(self):
         session = Session()
         session.normalize(build_gemm_a())
         session.normalize(build_gemm_b())
@@ -439,12 +467,8 @@ class TestSessionPipelines:
         assert passes["stride-minimization"]["runs"] == 2
         assert passes["stride-minimization"]["wall_time_s"] > 0.0
         assert "maximal-fission" in passes
-        # The a-priori stages memoize nothing: the cache's manager serves
-        # only the rewrite family.
-        assert (report.analysis_hits, report.analysis_misses) == (0, 0)
         data = report.to_dict()
         assert data["normalization_passes"] == passes
-        assert (data["analysis_hits"], data["analysis_misses"]) == (0, 0)
 
 
 class TestIdempotence:

@@ -156,16 +156,14 @@ def test_a_cold_pass_walks_each_band_once_and_each_sibling_once():
         CostModel.estimate_node, _NestWalk.traffic, NestPricer.build,
         NestPricer.price)
 
-    def counting_node(self, node, program, parameters, index, touched,
-                      analysis=None):
+    def counting_node(self, node, program, parameters, index, touched):
         if not isinstance(node, BandView):
             nodes.append((node, index, frozenset(touched)))
             return estimate_node(self, node, program, parameters, index,
-                                 touched, analysis)
+                                 touched)
         views.append(node)  # held, so the ids of their memos stay unique
         del walked[:]
-        cost = estimate_node(self, node, program, parameters, index, touched,
-                             analysis)
+        cost = estimate_node(self, node, program, parameters, index, touched)
         view_walks.extend(walked)
         return cost
 

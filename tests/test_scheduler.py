@@ -21,8 +21,8 @@ from repro.scheduler import (ClangScheduler, DaceScheduler, DaisyConfig,
                              nest_is_scop, retarget_recipe)
 from repro.fuzz import generate_program
 from repro.ir.canonical import node_fragment
-from repro.ir.nodes import Loop, Node
-from repro.passes import AnalysisManager
+from repro.analysis.band import BandView
+from repro.ir.nodes import Loop
 from repro.scheduler.base import NestPricer
 from repro.scheduler.embedding import EMBEDDING_SIZE
 from repro.scheduler.evolutionary import SEARCH_SPACE, Candidate
@@ -123,17 +123,6 @@ def _reference_price(model, program, recipe, parameters):
     return model.estimate_seconds(trial, parameters)
 
 
-def _holds_node(value):
-    if isinstance(value, Node):
-        return True
-    if isinstance(value, dict):
-        value = list(value.keys()) + list(value.values())
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return any(_holds_node(item) for item in value)
-    return any(_holds_node(item)
-               for item in getattr(value, "__dict__", {}).values())
-
-
 def _fuzz_programs(seeds):
     """Fuzz programs as generated and after a-priori normalization (the
     form daisy searches on), with their size bindings."""
@@ -147,10 +136,8 @@ class TestNestPricer:
     def test_price_equals_cost_of_a_full_copy(self):
         """Incremental price == (not approx) the whole-program estimate of
         a full copy with the recipe applied: every nest index of multi-nest
-        fuzz programs, candidates of both search spaces, one shared
-        analysis manager across all of them."""
+        fuzz programs, candidates of both search spaces."""
         model = CostModel(threads=4)
-        analysis = AnalysisManager()
         rng = random.Random("nest-pricer")
         priced = nests = 0
         for program, parameters in _fuzz_programs(range(12)):
@@ -158,9 +145,9 @@ class TestNestPricer:
                 if not isinstance(nest, Loop):
                     continue
                 nests += 1
-                pricer = NestPricer(model, program, index, parameters, analysis)
+                pricer = NestPricer(model, program, index, parameters)
                 for space in (SEARCH_SPACE, ROLLOUT_SPACE):
-                    orders = space.orders(nest, analysis)
+                    orders = space.orders(pricer.view)
                     for _ in range(4):
                         recipe = space.sample(orders, rng).to_recipe(index)
                         assert pricer.price(recipe) == _reference_price(
@@ -226,7 +213,7 @@ class TestNestPricer:
         index = next(i for i, node in enumerate(nodes)
                      if isinstance(node, Loop))
         pricer = NestPricer(model, program, index, parameters)
-        orders = SEARCH_SPACE.orders(nodes[index], pricer.analysis)
+        orders = SEARCH_SPACE.orders(pricer.view)
         rng = random.Random(0)
         for _ in range(100):
             pricer.price(SEARCH_SPACE.sample(orders, rng).to_recipe(index))
@@ -264,22 +251,10 @@ class TestNestPricer:
         assert len(asked) == 6 + 1 + 3
         assert len(priced) <= 6 + 1
 
-    def test_analysis_entries_hold_no_ir(self):
-        """What the search leaves in the scheduler's manager is plain data:
-        direction tuples and flags, never a node or a dependence."""
-        daisy = DaisyScheduler(config=DaisyConfig(threads=4, search=FAST_SEARCH))
-        daisy.schedule(build_jacobi2d_a(), {"TSTEPS": 10, "N": 64})
-        daisy.schedule(build_gemm(with_scaling=False), PARAMS)
-        entries = daisy._analysis._entries
-        kinds = {kind for kind, _key in entries}
-        assert {"nest-directions", "loop-parallelism"} <= kinds
-        assert daisy._analysis.hits > 0
-        assert not any(_holds_node(value) for value in entries.values())
-
     def test_candidates_are_hashable_values(self):
         rng = random.Random(1)
         nest = normalize_program(build_gemm(with_scaling=False)).body[0]
-        orders = SEARCH_SPACE.orders(nest)
+        orders = SEARCH_SPACE.orders(BandView(nest))
         candidate = SEARCH_SPACE.sample(orders, rng)
         assert isinstance(candidate, Candidate)
         assert candidate in {candidate}

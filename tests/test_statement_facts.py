@@ -35,7 +35,6 @@ from repro.normalization import normalize_program
 from repro.normalization.fission import maximal_loop_fission
 from repro.normalization.stride_minimization import (EXHAUSTIVE_DEPTH_LIMIT,
                                                      find_minimal_permutation)
-from repro.passes import AnalysisManager
 from repro.perf import CostModel, count_flops
 from repro.scheduler.base import NestPricer
 from repro.scheduler.evolutionary import SEARCH_SPACE, Candidate
@@ -65,7 +64,7 @@ def _reference_accesses(comp, enclosing):
             for access, is_write in accesses]
 
 
-def _assert_memos_match_fresh_ir(program, analysis):
+def _assert_memos_match_fresh_ir(program):
     fresh = program_from_dict(program_to_dict(program))
     assert program_content_hash(program) == program_content_hash(fresh)
     assert len(program.body) == len(fresh.body)
@@ -87,12 +86,11 @@ def _assert_memos_match_fresh_ir(program, analysis):
                 assert count_flops(comp.value) == count_flops(other.value)
                 assert accesses == expected == _reference_accesses(other, enclosing)
                 assert computation_accesses(comp, enclosing) == accesses
-        assert (nest_direction_vectors(node, analysis)
-                == nest_direction_vectors(twin))
+        assert nest_direction_vectors(node) == nest_direction_vectors(twin)
         assert (band_strides(node, program.arrays)
                 == band_strides(twin, fresh.arrays))
         for loop, other in zip(node.iter_loops(), twin.iter_loops()):
-            assert (analyze_loop_parallelism(loop, program.arrays, analysis)
+            assert (analyze_loop_parallelism(loop, program.arrays)
                     == analyze_loop_parallelism(other, fresh.arrays))
 
 
@@ -107,7 +105,7 @@ def _shifted(access, rng):
     return ArrayAccess(access.array, tuple(indices))
 
 
-def _edit(program, rng, analysis):
+def _edit(program, rng):
     """One random step; returns the program to continue with."""
     comps = list(program.iter_computations())
     loops = list(program.iter_loops())
@@ -141,7 +139,7 @@ def _edit(program, rng, analysis):
                 frozen.value = frozen.value + 1
         # The frozen view answers like any other program; work goes on in a
         # mutable copy that shares every target and value with it.
-        _assert_memos_match_fresh_ir(view, analysis)
+        _assert_memos_match_fresh_ir(view)
         program = view.copy()
     elif step == "interchange" and nests:
         index = rng.choice(nests)
@@ -163,15 +161,13 @@ class TestMemoizationSoundness:
     @pytest.mark.parametrize("seed", range(24))
     def test_every_memo_survives_random_edit_sequences(self, seed):
         """Edits go through every seam there is (attribute assignment, body
-        lists, copies, frozen views, transformations); one analysis manager
-        lives through all of them, as a scheduler's does."""
+        lists, copies, frozen views, transformations)."""
         rng = random.Random(f"memo-soundness:{seed}")
-        analysis = AnalysisManager()
         program = generate_program(seed, "medium").program
-        _assert_memos_match_fresh_ir(program, analysis)
+        _assert_memos_match_fresh_ir(program)
         for _ in range(10):
-            program = _edit(program, rng, analysis)
-            _assert_memos_match_fresh_ir(program, analysis)
+            program = _edit(program, rng)
+            _assert_memos_match_fresh_ir(program)
 
     def test_copies_share_statement_facts(self):
         """The memos hang off ``target``/``value``, which copies share: a
@@ -381,7 +377,6 @@ class TestSharedStatementPricer:
         parallelized sequential loops.  The program being scheduled keeps its
         nodes, their content, and stays unfrozen."""
         model = CostModel(threads=4)
-        analysis = AnalysisManager()
         rng = random.Random("shared-statements")
         priced = refused = nests = 0
         for seed in range(16):
@@ -395,7 +390,7 @@ class TestSharedStatementPricer:
                         continue
                     nests += 1
                     pricer = NestPricer(model, program, index,
-                                        generated.parameters, analysis)
+                                        generated.parameters)
                     for _ in range(6):
                         recipe = _any_order_candidate(nest, rng).to_recipe(index)
                         reference = program.copy()
