@@ -60,10 +60,6 @@ class AffineIndex:
     def iterator_names(self) -> Tuple[str, ...]:
         return tuple(name for name, coeff in self.coefficients if coeff != 0)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.affine and not self.coefficients and not self.offset_coefficients
-
     @staticmethod
     def non_affine() -> "AffineIndex":
         return AffineIndex((), (), 0.0, affine=False)

@@ -8,10 +8,17 @@ The expression language is intentionally small:
 
 * ``Const`` and ``Sym`` are the leaves.
 * ``Add`` and ``Mul`` are n-ary and flattened/folded on construction.
-* ``FloorDiv``, ``Mod``, ``Min``, ``Max`` cover the shapes introduced by
-  tiling and bounds normalization.
+* ``FloorDiv`` and ``Mod`` (one division family), ``Min`` and ``Max``
+  (one extremum family) cover the shapes introduced by tiling and bounds
+  normalization.
 * ``Read`` and ``Call`` only appear inside computation bodies (right-hand
   sides); index expressions and loop bounds never contain them.
+
+Each question is answered once, on :class:`Expr`: ``free_symbols`` and
+``substitute`` walk ``children()`` and re-fold through :func:`rebuild` (only
+the leaves override them).  ``evaluate`` is for index and bound
+expressions; statement values, and the one intrinsic table, belong to the
+interpreter (``repro.interp.executor``).
 
 Every expression is immutable and hashable, which lets analyses memoize on
 expressions and use them as dictionary keys.
@@ -25,9 +32,8 @@ compare by identity.
 
 from __future__ import annotations
 
-import math
 from types import MappingProxyType
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 ExprLike = Union["Expr", int, float, str]
@@ -92,30 +98,27 @@ class Expr:
 
     def free_symbols(self) -> frozenset:
         """Return the set of symbol names appearing in the expression."""
-        raise NotImplementedError
+        out = frozenset()
+        for child in self.children():
+            out |= child.free_symbols()
+        return out
 
     def substitute(self, mapping: Mapping[str, ExprLike]) -> "Expr":
-        """Return a new expression with symbols replaced per ``mapping``."""
-        raise NotImplementedError
+        """Return a new expression with symbols replaced per ``mapping``,
+        re-folded through :func:`rebuild`."""
+        return rebuild(self, [child.substitute(mapping)
+                              for child in self.children()])
 
-    def evaluate(self, env: Mapping[str, Number],
-                 functions: Optional[Mapping[str, Callable]] = None,
-                 arrays: Optional[Mapping[str, object]] = None) -> Number:
-        """Evaluate the expression numerically.
-
-        ``env`` maps symbol names to numbers.  ``functions`` maps intrinsic
-        names to callables (defaults to :data:`DEFAULT_FUNCTIONS`).  ``arrays``
-        maps array names to indexable objects and is only needed when the
-        expression contains :class:`Read` nodes.
-        """
-        raise NotImplementedError
+    def evaluate(self, env: Mapping[str, Number]) -> Number:
+        """Evaluate an index or bound expression; ``env`` maps symbol names
+        to numbers.  Statement values (array reads, intrinsic calls) are the
+        interpreter's to evaluate (``repro.interp``)."""
+        raise TypeError(f"{type(self).__name__} is not an index or bound "
+                        "expression; the interpreter evaluates statement values")
 
     def children(self) -> Tuple["Expr", ...]:
         """Return the direct sub-expressions."""
         return ()
-
-    def is_constant(self) -> bool:
-        return isinstance(self, Const)
 
     def as_affine(self) -> Optional[Tuple[Mapping[str, Number], Number]]:
         """Decompose into an affine form ``sum(coeff_s * s) + const``.
@@ -186,7 +189,7 @@ class Const(Expr):
     def substitute(self, mapping: Mapping[str, ExprLike]) -> Expr:
         return self
 
-    def evaluate(self, env, functions=None, arrays=None) -> Number:
+    def evaluate(self, env) -> Number:
         return self.value
 
     def _key(self) -> tuple:
@@ -214,7 +217,7 @@ class Sym(Expr):
             return _as_expr(mapping[self.name])
         return self
 
-    def evaluate(self, env, functions=None, arrays=None) -> Number:
+    def evaluate(self, env) -> Number:
         if self.name not in env:
             raise KeyError(f"symbol {self.name!r} is not bound")
         return env[self.name]
@@ -255,17 +258,8 @@ class Add(Expr):
             return flat[0]
         return Add(flat)
 
-    def free_symbols(self) -> frozenset:
-        out = frozenset()
-        for term in self.terms:
-            out |= term.free_symbols()
-        return out
-
-    def substitute(self, mapping) -> Expr:
-        return Add.make([t.substitute(mapping) for t in self.terms])
-
-    def evaluate(self, env, functions=None, arrays=None) -> Number:
-        return sum(t.evaluate(env, functions, arrays) for t in self.terms)
+    def evaluate(self, env) -> Number:
+        return sum(t.evaluate(env) for t in self.terms)
 
     def children(self) -> Tuple[Expr, ...]:
         return self.terms
@@ -314,19 +308,10 @@ class Mul(Expr):
             return flat[0]
         return Mul(flat)
 
-    def free_symbols(self) -> frozenset:
-        out = frozenset()
-        for factor in self.factors:
-            out |= factor.free_symbols()
-        return out
-
-    def substitute(self, mapping) -> Expr:
-        return Mul.make([f.substitute(mapping) for f in self.factors])
-
-    def evaluate(self, env, functions=None, arrays=None) -> Number:
+    def evaluate(self, env) -> Number:
         result = 1
         for factor in self.factors:
-            result *= factor.evaluate(env, functions, arrays)
+            result *= factor.evaluate(env)
         return result
 
     def children(self) -> Tuple[Expr, ...]:
@@ -345,186 +330,136 @@ class Mul(Expr):
         return "*".join(parts)
 
 
-class FloorDiv(Expr):
-    """Integer floor division, produced by tiling and bounds rewriting."""
+class _Division(Expr):
+    """A numerator over a denominator: the shape ``FloorDiv`` and ``Mod``
+    share.  Each keeps its own folding ``make`` and its own ``evaluate``."""
 
     __slots__ = ("numerator", "denominator")
+    _kind: str          # the ``_key`` tag
+    _operator: str      # printed between the operands
 
     def __init__(self, numerator: Expr, denominator: Expr):
         self.numerator = numerator
         self.denominator = denominator
 
     @staticmethod
-    def make(numerator: Expr, denominator: Expr) -> Expr:
+    def _operands(numerator: ExprLike, denominator: ExprLike) -> Tuple[Expr, Expr]:
+        """Coerce both operands, refusing a constant zero denominator."""
         numerator = _as_expr(numerator)
         denominator = _as_expr(denominator)
+        if isinstance(denominator, Const) and denominator.value == 0:
+            raise ValueError(f"division of {numerator} by a constant zero")
+        return numerator, denominator
+
+    def children(self) -> Tuple[Expr, ...]:
+        return (self.numerator, self.denominator)
+
+    def _key(self) -> tuple:
+        return (self._kind, self.numerator._key(), self.denominator._key())
+
+    def __str__(self) -> str:
+        return f"({self.numerator}){self._operator}({self.denominator})"
+
+
+class FloorDiv(_Division):
+    """Integer floor division, produced by tiling and bounds rewriting."""
+
+    __slots__ = ()
+    _kind = "floordiv"
+    _operator = "//"
+
+    @staticmethod
+    def make(numerator: ExprLike, denominator: ExprLike) -> Expr:
+        numerator, denominator = _Division._operands(numerator, denominator)
         if isinstance(denominator, Const) and denominator.value == 1:
             return numerator
         if isinstance(numerator, Const) and isinstance(denominator, Const):
             return Const(numerator.value // denominator.value)
         return FloorDiv(numerator, denominator)
 
-    def free_symbols(self) -> frozenset:
-        return self.numerator.free_symbols() | self.denominator.free_symbols()
-
-    def substitute(self, mapping) -> Expr:
-        return FloorDiv.make(self.numerator.substitute(mapping),
-                             self.denominator.substitute(mapping))
-
-    def evaluate(self, env, functions=None, arrays=None) -> Number:
-        denom = self.denominator.evaluate(env, functions, arrays)
+    def evaluate(self, env) -> Number:
+        denom = self.denominator.evaluate(env)
         if denom == 0:
             raise ZeroDivisionError("floor division by zero in symbolic expression")
-        return self.numerator.evaluate(env, functions, arrays) // denom
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.numerator, self.denominator)
-
-    def _key(self) -> tuple:
-        return ("floordiv", self.numerator._key(), self.denominator._key())
-
-    def __str__(self) -> str:
-        return f"({self.numerator})//({self.denominator})"
+        return self.numerator.evaluate(env) // denom
 
 
-class Mod(Expr):
+class Mod(_Division):
     """Integer modulo."""
 
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: Expr, denominator: Expr):
-        self.numerator = numerator
-        self.denominator = denominator
+    __slots__ = ()
+    _kind = "mod"
+    _operator = "%"
 
     @staticmethod
-    def make(numerator: Expr, denominator: Expr) -> Expr:
-        numerator = _as_expr(numerator)
-        denominator = _as_expr(denominator)
+    def make(numerator: ExprLike, denominator: ExprLike) -> Expr:
+        numerator, denominator = _Division._operands(numerator, denominator)
         if isinstance(numerator, Const) and isinstance(denominator, Const):
             return Const(numerator.value % denominator.value)
         return Mod(numerator, denominator)
 
-    def free_symbols(self) -> frozenset:
-        return self.numerator.free_symbols() | self.denominator.free_symbols()
+    def evaluate(self, env) -> Number:
+        return self.numerator.evaluate(env) % self.denominator.evaluate(env)
 
-    def substitute(self, mapping) -> Expr:
-        return Mod.make(self.numerator.substitute(mapping),
-                        self.denominator.substitute(mapping))
 
-    def evaluate(self, env, functions=None, arrays=None) -> Number:
-        return (self.numerator.evaluate(env, functions, arrays)
-                % self.denominator.evaluate(env, functions, arrays))
+class _Extremum(Expr):
+    """An n-ary ``min`` or ``max``: ``Min`` and ``Max`` differ only in
+    which of the two builtins ``_pick`` is."""
+
+    __slots__ = ("args",)
+    _kind: str          # "min" or "max": the ``_key`` tag and the printed name
+
+    def __init__(self, args: Sequence[Expr]):
+        self.args = tuple(args)
+
+    @classmethod
+    def make(cls, args: Sequence[ExprLike]) -> Expr:
+        flat = []
+        for arg in args:
+            arg = _as_expr(arg)
+            if isinstance(arg, cls):
+                flat.extend(arg.args)
+            else:
+                flat.append(arg)
+        consts = [a.value for a in flat if isinstance(a, Const)]
+        others = [a for a in flat if not isinstance(a, Const)]
+        unique = []
+        for expr in others:
+            if expr not in unique:
+                unique.append(expr)
+        if consts:
+            unique.append(Const(cls._pick(consts)))
+        if len(unique) == 1:
+            return unique[0]
+        return cls(unique)
+
+    def evaluate(self, env) -> Number:
+        return self._pick(a.evaluate(env) for a in self.args)
 
     def children(self) -> Tuple[Expr, ...]:
-        return (self.numerator, self.denominator)
+        return self.args
 
     def _key(self) -> tuple:
-        return ("mod", self.numerator._key(), self.denominator._key())
+        return (self._kind, tuple(a._key() for a in self.args))
 
     def __str__(self) -> str:
-        return f"({self.numerator})%({self.denominator})"
+        return f"{self._kind}(" + ", ".join(str(a) for a in self.args) + ")"
 
 
-class Min(Expr):
+class Min(_Extremum):
     """n-ary minimum, produced by tiling boundary handling."""
 
-    __slots__ = ("args",)
-
-    def __init__(self, args: Sequence[Expr]):
-        self.args = tuple(args)
-
-    @staticmethod
-    def make(args: Sequence[Expr]) -> Expr:
-        flat = []
-        for arg in args:
-            arg = _as_expr(arg)
-            if isinstance(arg, Min):
-                flat.extend(arg.args)
-            else:
-                flat.append(arg)
-        consts = [a.value for a in flat if isinstance(a, Const)]
-        others = [a for a in flat if not isinstance(a, Const)]
-        unique = []
-        for expr in others:
-            if expr not in unique:
-                unique.append(expr)
-        if consts:
-            unique.append(Const(min(consts)))
-        if len(unique) == 1:
-            return unique[0]
-        return Min(unique)
-
-    def free_symbols(self) -> frozenset:
-        out = frozenset()
-        for arg in self.args:
-            out |= arg.free_symbols()
-        return out
-
-    def substitute(self, mapping) -> Expr:
-        return Min.make([a.substitute(mapping) for a in self.args])
-
-    def evaluate(self, env, functions=None, arrays=None) -> Number:
-        return min(a.evaluate(env, functions, arrays) for a in self.args)
-
-    def children(self) -> Tuple[Expr, ...]:
-        return self.args
-
-    def _key(self) -> tuple:
-        return ("min", tuple(a._key() for a in self.args))
-
-    def __str__(self) -> str:
-        return "min(" + ", ".join(str(a) for a in self.args) + ")"
+    __slots__ = ()
+    _kind = "min"
+    _pick = staticmethod(min)
 
 
-class Max(Expr):
+class Max(_Extremum):
     """n-ary maximum."""
 
-    __slots__ = ("args",)
-
-    def __init__(self, args: Sequence[Expr]):
-        self.args = tuple(args)
-
-    @staticmethod
-    def make(args: Sequence[Expr]) -> Expr:
-        flat = []
-        for arg in args:
-            arg = _as_expr(arg)
-            if isinstance(arg, Max):
-                flat.extend(arg.args)
-            else:
-                flat.append(arg)
-        consts = [a.value for a in flat if isinstance(a, Const)]
-        others = [a for a in flat if not isinstance(a, Const)]
-        unique = []
-        for expr in others:
-            if expr not in unique:
-                unique.append(expr)
-        if consts:
-            unique.append(Const(max(consts)))
-        if len(unique) == 1:
-            return unique[0]
-        return Max(unique)
-
-    def free_symbols(self) -> frozenset:
-        out = frozenset()
-        for arg in self.args:
-            out |= arg.free_symbols()
-        return out
-
-    def substitute(self, mapping) -> Expr:
-        return Max.make([a.substitute(mapping) for a in self.args])
-
-    def evaluate(self, env, functions=None, arrays=None) -> Number:
-        return max(a.evaluate(env, functions, arrays) for a in self.args)
-
-    def children(self) -> Tuple[Expr, ...]:
-        return self.args
-
-    def _key(self) -> tuple:
-        return ("max", tuple(a._key() for a in self.args))
-
-    def __str__(self) -> str:
-        return "max(" + ", ".join(str(a) for a in self.args) + ")"
+    __slots__ = ()
+    _kind = "max"
+    _pick = staticmethod(max)
 
 
 class Read(Expr):
@@ -535,25 +470,6 @@ class Read(Expr):
     def __init__(self, array: str, indices: Sequence[ExprLike]):
         self.array = array
         self.indices = tuple(_as_expr(i) for i in indices)
-
-    def free_symbols(self) -> frozenset:
-        out = frozenset()
-        for index in self.indices:
-            out |= index.free_symbols()
-        return out
-
-    def substitute(self, mapping) -> Expr:
-        return Read(self.array, [i.substitute(mapping) for i in self.indices])
-
-    def evaluate(self, env, functions=None, arrays=None) -> Number:
-        if arrays is None or self.array not in arrays:
-            raise KeyError(f"array {self.array!r} is not bound")
-        index = tuple(int(i.evaluate(env, functions, arrays)) for i in self.indices)
-        data = arrays[self.array]
-        if len(index) == 0:
-            # Scalars are stored as zero-dimensional containers.
-            return data[()]
-        return data[index]
 
     def children(self) -> Tuple[Expr, ...]:
         return self.indices
@@ -567,19 +483,6 @@ class Read(Expr):
         return self.array + "[" + ", ".join(str(i) for i in self.indices) + "]"
 
 
-DEFAULT_FUNCTIONS: Dict[str, Callable] = {
-    "sqrt": math.sqrt,
-    "exp": math.exp,
-    "log": math.log,
-    "abs": abs,
-    "pow": pow,
-    "div": lambda a, b: a / b,
-    "fmax": max,
-    "fmin": min,
-    "select": lambda cond, then, other: then if cond > 0 else other,
-}
-
-
 class Call(Expr):
     """An intrinsic function call inside a computation body."""
 
@@ -588,24 +491,6 @@ class Call(Expr):
     def __init__(self, func: str, args: Sequence[ExprLike]):
         self.func = func
         self.args = tuple(_as_expr(a) for a in args)
-
-    def free_symbols(self) -> frozenset:
-        out = frozenset()
-        for arg in self.args:
-            out |= arg.free_symbols()
-        return out
-
-    def substitute(self, mapping) -> Expr:
-        return Call(self.func, [a.substitute(mapping) for a in self.args])
-
-    def evaluate(self, env, functions=None, arrays=None) -> Number:
-        table = dict(DEFAULT_FUNCTIONS)
-        if functions:
-            table.update(functions)
-        if self.func not in table:
-            raise KeyError(f"unknown intrinsic {self.func!r}")
-        values = [a.evaluate(env, functions, arrays) for a in self.args]
-        return table[self.func](*values)
 
     def children(self) -> Tuple[Expr, ...]:
         return self.args
@@ -620,9 +505,9 @@ class Call(Expr):
 def rebuild(expr: Expr, children: Sequence[Expr]) -> Expr:
     """``expr`` over new direct sub-expressions, built through the folding
     ``make`` constructors so constants re-fold; a leaf comes back as is."""
-    if isinstance(expr, (Add, Mul, Min, Max)):
+    if isinstance(expr, (Add, Mul, _Extremum)):
         return type(expr).make(children)
-    if isinstance(expr, (FloorDiv, Mod)):
+    if isinstance(expr, _Division):
         return type(expr).make(*children)
     if isinstance(expr, Read):
         return Read(expr.array, children)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import List, Set
 
 from .nodes import ArrayAccess, Computation, LibraryCall, Loop, Node, Program
-from .symbols import Read, Expr
 
 
 class ValidationError(Exception):
@@ -20,19 +19,6 @@ class ValidationError(Exception):
     def __init__(self, errors: List[str]):
         super().__init__("; ".join(errors))
         self.errors = errors
-
-
-def _collect_reads(expr: Expr) -> List[Read]:
-    found: List[Read] = []
-
-    def visit(node: Expr) -> None:
-        if isinstance(node, Read):
-            found.append(node)
-        for child in node.children():
-            visit(child)
-
-    visit(expr)
-    return found
 
 
 def validate_program(program: Program, strict: bool = True) -> List[str]:
@@ -63,9 +49,7 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
             if node.iterator in visible:
                 errors.append(f"loop {node.iterator!r} shadows an enclosing symbol")
             iterator_names.add(node.iterator)
-            bound_symbols = (node.start.free_symbols() | node.end.free_symbols()
-                             | node.step.free_symbols())
-            unknown = bound_symbols - visible
+            unknown = node.bound_symbols() - visible
             if unknown:
                 errors.append(
                     f"loop {node.iterator!r}: bounds use unbound symbols {sorted(unknown)}")
@@ -75,15 +59,12 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
         elif isinstance(node, Computation):
             where = f"computation {node.name}"
             check_access(node.target, where, visible)
+            # Index symbols are checked per access; what is left of the
+            # value's symbols appears outside every read.
+            scalar_symbols = node.value.free_symbols()
             for access in node.reads():
                 check_access(access, where, visible)
-            value_symbols = {
-                symbol for symbol in node.value.free_symbols()
-            }
-            read_symbols = set()
-            for read_node in _collect_reads(node.value):
-                read_symbols |= read_node.free_symbols()
-            scalar_symbols = value_symbols - read_symbols
+                scalar_symbols -= access.free_symbols()
             unknown = scalar_symbols - visible
             if unknown:
                 errors.append(f"{where}: value uses unbound symbols {sorted(unknown)}")

@@ -41,6 +41,20 @@ class TestExecution:
         # sqrt(x) + max(x, 2): 1+2, 2+4, 3+9
         assert np.allclose(result["y"], [3.0, 6.0, 12.0])
 
+    def test_rounding_and_tanh_intrinsics(self):
+        """The interpreter's table is the one intrinsic table: it has the
+        ``tanh`` the fuzz generator emits, and ``floor``/``ceil``."""
+        b = ProgramBuilder("p", parameters=["N"])
+        b.add_array("x", ("N",))
+        b.add_array("y", ("N",))
+        with b.loop("i", 0, "N"):
+            b.assign(("y", "i"), b.call("tanh", b.read("x", "i"))
+                     + b.call("floor", b.read("x", "i"))
+                     + b.call("ceil", b.read("x", "i")))
+        x = np.array([-1.5, 0.25, 2.0])
+        result = run_program(b.finish(), {"N": 3}, {"x": x})
+        assert np.allclose(result["y"], np.tanh(x) + np.floor(x) + np.ceil(x))
+
     def test_strided_and_offset_loops(self):
         b = ProgramBuilder("p", parameters=["N"])
         b.add_array("x", ("N",))

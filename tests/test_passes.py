@@ -238,6 +238,24 @@ def _removed_spellings():
         # One memo, on the view: no analysis manager, and nothing that
         # keyed or carried one.
         **_no_analysis_manager(program),
+        # One answer per expression question: ``Expr.evaluate`` takes only
+        # ``env``; statement values and intrinsics are the interpreter's.
+        **_no_statement_evaluation(),
+    }
+
+
+def _no_statement_evaluation():
+    import numpy
+
+    import repro.ir.symbols as symbols
+
+    return {
+        "evaluate-functions": lambda: symbols.Sym("i").evaluate(
+            {"i": 1}, functions={}),
+        "evaluate-arrays": lambda: symbols.read("A", 0).evaluate(
+            {}, arrays={"A": numpy.zeros(1)}),
+        "default-functions": lambda: symbols.DEFAULT_FUNCTIONS,
+        "expr-is-constant": lambda: symbols.Const(1).is_constant(),
     }
 
 

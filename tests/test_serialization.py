@@ -69,7 +69,8 @@ _leaf = st.one_of(st.integers(-20, 20).map(Const),
 def random_exprs(draw, depth=0):
     if depth >= 3 or draw(st.booleans()):
         return draw(_leaf)
-    kind = draw(st.sampled_from(["add", "mul", "min", "max", "read", "call", "floordiv"]))
+    kind = draw(st.sampled_from(["add", "mul", "min", "max", "read", "call",
+                                 "floordiv", "mod"]))
     left = draw(random_exprs(depth=depth + 1))
     right = draw(random_exprs(depth=depth + 1))
     if kind == "add":
@@ -84,10 +85,50 @@ def random_exprs(draw, depth=0):
         return Read("A", (left,))
     if kind == "call":
         return Call("fmax", (left, right))
-    return FloorDiv.make(left, Const(draw(st.integers(1, 8))))
+    family = FloorDiv if kind == "floordiv" else Mod
+    return family.make(left, Const(draw(st.integers(1, 8))))
 
 
 @given(random_exprs())
 @settings(max_examples=80, deadline=None)
 def test_expression_round_trip_property(expr):
     assert expr_from_dict(expr_to_dict(expr)) == expr
+
+
+def _sym_names(data):
+    """The ``sym`` names anywhere in an ``expr_to_dict`` tree."""
+    if isinstance(data, list):
+        return set().union(*map(_sym_names, data))
+    if not isinstance(data, dict):
+        return set()
+    if data["kind"] == "sym":
+        return {data["name"]}
+    return _sym_names(list(data.values()))
+
+
+def _replace_syms(data, mapping):
+    """``data`` with each ``sym`` entry named in ``mapping`` swapped for the
+    dict of its replacement."""
+    if isinstance(data, list):
+        return [_replace_syms(child, mapping) for child in data]
+    if not isinstance(data, dict):
+        return data
+    if data["kind"] == "sym" and data["name"] in mapping:
+        return expr_to_dict(mapping[data["name"]])
+    return {key: _replace_syms(value, mapping) for key, value in data.items()}
+
+
+@given(random_exprs())
+@settings(max_examples=80, deadline=None)
+def test_free_symbols_are_the_serialized_syms(expr):
+    assert expr.free_symbols() == _sym_names(expr_to_dict(expr))
+
+
+@given(random_exprs(), st.dictionaries(st.sampled_from(["i", "j", "N"]),
+                                       random_exprs(depth=2), max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_substitute_matches_a_rebuild_from_the_serialized_tree(expr, mapping):
+    """The reference rebuilds through the same ``make`` constructors from
+    the serialized tree; it never calls ``substitute``."""
+    expected = expr_from_dict(_replace_syms(expr_to_dict(expr), mapping))
+    assert expr.substitute(mapping) == expected

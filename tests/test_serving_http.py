@@ -162,6 +162,41 @@ class TestErrorHandling:
             ScheduleRequest(program="gemm:a", tune=True).to_dict())
         assert status == 400 and "tune" in payload["error"]
 
+    def test_a_constant_zero_divisor_is_400_on_a_kept_connection(
+            self, served, monkeypatch):
+        """A loop end of ``8 // 0`` (folded at decode) or ``NI // 0`` (not
+        foldable) is an invalid request; the connection serves on."""
+        _, server, client = served
+        connects = []
+        handler = server._httpd.RequestHandlerClass
+        setup = handler.setup
+        monkeypatch.setattr(handler, "setup",
+                            lambda self: (connects.append(1), setup(self)))
+        for numerator in ({"kind": "const", "value": 8},
+                          {"kind": "sym", "name": "NI"}):
+            body = ScheduleRequest(program=build_gemm(),
+                                   parameters=PARAMS).to_dict()
+            body["program"]["body"][0]["end"] = {
+                "kind": "floordiv", "numerator": numerator,
+                "denominator": {"kind": "const", "value": 0}}
+            status, payload = client.request("POST", "/v1/schedule", body)
+            assert status == 400 and "constant zero" in payload["error"]
+        response = client.schedule(ScheduleRequest(program=build_gemm(),
+                                                   parameters=PARAMS))
+        assert response.runtime_s > 0
+        assert len(connects) == 1
+
+    def test_a_loop_bound_that_reads_an_array_is_400(self, served):
+        """Bounds are index expressions: ``Expr.evaluate`` refuses a
+        ``Read`` in one instead of pricing the loop as empty."""
+        _, _, client = served
+        body = ScheduleRequest(program=build_gemm(), parameters=PARAMS).to_dict()
+        body["program"]["body"][0]["end"] = {
+            "kind": "read", "array": "A",
+            "indices": [{"kind": "const", "value": 0}] * 2}
+        status, payload = client.request("POST", "/v1/schedule", body)
+        assert status == 400 and "Read" in payload["error"]
+
     def test_body_must_be_an_object(self, served):
         _, _, client = served
         status, _ = client.request("POST", "/v1/schedule", None)

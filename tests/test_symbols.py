@@ -40,6 +40,22 @@ class TestConstruction:
     def test_mod_of_constants(self):
         assert Mod.make(Const(7), Const(3)) == Const(1)
 
+    @pytest.mark.parametrize("family", [FloorDiv, Mod])
+    @pytest.mark.parametrize("numerator", [Const(8), Sym("NI")])
+    def test_constant_zero_denominator_is_refused(self, family, numerator):
+        with pytest.raises(ValueError):
+            family.make(numerator, Const(0))
+        with pytest.raises(ValueError):
+            family.make(numerator, 0.0)
+
+    def test_family_members_keep_their_slots(self):
+        """Min/Max and FloorDiv/Mod share a base each; none gains a
+        ``__dict__``."""
+        for expr in (minimum(Sym("i"), Sym("j")), maximum(Sym("i"), Sym("j")),
+                     FloorDiv.make(Sym("i"), Sym("j")),
+                     Mod.make(Sym("i"), Sym("j"))):
+            assert not hasattr(expr, "__dict__"), type(expr).__name__
+
     def test_min_max_fold_constants(self):
         assert minimum(3, 5) == Const(3)
         assert maximum(3, 5) == Const(5)
@@ -96,16 +112,12 @@ class TestQueries:
         with pytest.raises(KeyError):
             Sym("i").evaluate({})
 
-    def test_read_evaluation_uses_arrays(self):
-        import numpy as np
-        expr = read("A", Sym("i") + 1)
-        value = expr.evaluate({"i": 1}, arrays={"A": np.array([0.0, 1.0, 2.0])})
-        assert value == 2.0
-
-    def test_call_evaluation(self):
-        assert call("sqrt", 16).evaluate({}) == 4.0
-        with pytest.raises(KeyError):
-            call("nope", 1).evaluate({})
+    def test_statement_values_are_not_evaluated_here(self):
+        """Reads and intrinsic calls are the interpreter's to evaluate."""
+        for expr in (read("A", Sym("i")), call("sqrt", 16),
+                     Sym("i") + read("A", 0)):
+            with pytest.raises(TypeError):
+                expr.evaluate({"i": 1})
 
     def test_equality_and_hashing(self):
         assert Sym("i") + 1 == Sym("i") + 1
