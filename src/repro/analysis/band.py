@@ -46,7 +46,7 @@ from .affine import (AffineAccess, computation_accesses, loop_nest_accesses,
 from .dependence import Statements, band_order_is_legal, direction_vectors
 from .parallelism import (ParallelismInfo, analyze_loop_parallelism,
                           classify_iterations)
-from .strides import DEFAULT_PARAMETER_VALUE, _array_strides, access_stride
+from .strides import _array_strides, access_stride
 
 
 class Frame(NamedTuple):
@@ -377,33 +377,24 @@ class BandView:
 
     def layout(self, name: str) -> Tuple[float, Tuple[int, ...]]:
         """Element size and row-major strides of a container at the view's
-        parameters (extents they leave unbound take the nominal value)."""
+        parameters, which bind its extents."""
         layout = self._layouts.get(name)
         if layout is None:
             array = self.arrays[name]
-            bindings = {key: int(value)
-                        for key, value in self.parameters.items()
-                        if isinstance(value, (int, float))}
-            for dim in array.shape:
-                for symbol in dim.free_symbols():
-                    bindings[symbol] = int(self.parameters.get(
-                        symbol, DEFAULT_PARAMETER_VALUE))
-            layout = self._layouts[name] = (float(array.element_size),
-                                            array.row_major_strides(bindings))
+            layout = self._layouts[name] = (
+                float(array.element_size),
+                array.row_major_strides(self.parameters))
         return layout
 
     def access_moves(self, comp: Computation,
                      iterators: Sequence[str]) -> List[AccessMoves]:
         """:data:`AccessMoves` of every access of ``comp``, enclosed by
-        ``iterators``, to a declared container, reads first.  Asked once per
-        statement: the loops a view adds (tile loops) bring iterators no
-        subscript mentions."""
+        ``iterators``, reads first.  Asked once per statement: the loops a
+        view adds (tile loops) bring iterators no subscript mentions."""
         moves = self._moves.get(id(comp))
         if moves is None:
             moves = self._moves[id(comp)] = []
             for access in computation_accesses(comp, iterators):
-                if access.array not in self.arrays:
-                    continue
                 elem, strides = self.layout(access.array)
                 varies: Optional[Dict[str, float]] = None
                 if access.affine:

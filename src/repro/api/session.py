@@ -35,6 +35,7 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping,
 
 from ..interp.executor import programs_equivalent, run_program
 from ..ir.nodes import Loop, Program
+from ..ir.validation import validate_bindings, validate_program
 from ..normalization.pipeline import NormalizationOptions
 from ..observability import CounterView, MetricsRegistry, Tracer
 from ..observability.tracing import NULL_SPAN, span as trace_span
@@ -171,15 +172,17 @@ class Session:
         (``"gemm"``, ``"gemm:b"``, ``"cloudsc"``, ``"erosion"``), or source
         text for a registered frontend (default: the C-like language).
         """
-        program, _ = self._resolve(source, variant=variant, frontend=frontend,
-                                   name=name)
-        return program
+        return self._resolve(source, variant=variant, frontend=frontend,
+                             name=name)[0]
 
     def _resolve(self, source: ProgramLike, *, variant: Optional[str] = None,
                  frontend: Optional[str] = None, name: Optional[str] = None
                  ) -> Tuple[Program, Optional[Dict[str, int]]]:
-        """Resolve ``source``; also return default parameters when known."""
+        """Resolve ``source``; also return the registry's default parameters
+        when known (its own dict).  Checks the structure of an IR program or
+        parsed text per call, and of a registry master once, when built."""
         if isinstance(source, Program):
+            validate_program(source)
             return source, None
         if not isinstance(source, str):
             raise TypeError(f"cannot load {type(source).__name__}; "
@@ -193,42 +196,51 @@ class Session:
         cache_key = f"{text}|{variant or ''}"
         with self._lock:
             cached = self._resolved.get(cache_key)
+        if cached is None:
+            workload, _, suffix = text.partition(":")
+            if workload == "cloudsc":
+                from ..workloads.cloudsc import build_cloudsc_model
+                cached = build_cloudsc_model(), None
+            elif workload == "erosion":
+                from ..workloads.cloudsc import build_erosion_kernel
+                cached = build_erosion_kernel(), None
+            elif workload == "fuzz":
+                cached = workload_registry.fuzz_program(suffix)
+            elif workload in workload_registry.benchmark_names():
+                spec = workload_registry.benchmark(workload)
+                cached = (spec.variant(suffix or variant or "a"),
+                          dict(spec.sizes(self.size)))
+            if cached is not None:
+                validate_program(cached[0])
+                cached[0].freeze()
+                with self._lock:
+                    self._resolved[cache_key] = cached
         if cached is not None:
             master, parameters = cached
-            return master.snapshot(), (dict(parameters)
-                                       if parameters is not None else None)
-
-        workload, _, suffix = text.partition(":")
-        resolved: Optional[Tuple[Program, Optional[Dict[str, int]]]] = None
-        if workload == "cloudsc":
-            from ..workloads.cloudsc import build_cloudsc_model
-            resolved = build_cloudsc_model(), None
-        elif workload == "erosion":
-            from ..workloads.cloudsc import build_erosion_kernel
-            resolved = build_erosion_kernel(), None
-        elif workload == "fuzz":
-            resolved = workload_registry.fuzz_program(suffix)
-        elif workload in workload_registry.benchmark_names():
-            spec = workload_registry.benchmark(workload)
-            program = spec.variant(suffix or variant or "a")
-            resolved = program, dict(spec.sizes(self.size))
-        if resolved is not None:
-            master, parameters = resolved
-            master.freeze()
-            with self._lock:
-                self._resolved[cache_key] = (master, parameters)
-            return master.snapshot(), (dict(parameters)
-                                       if parameters is not None else None)
+            return master.snapshot(), parameters
 
         if frontend is None and ("\n" in source or "{" in source or "=" in source):
             frontend = "clike"
         if frontend is not None:
             parse = FRONTENDS.get(frontend)
             program = parse(source, name or f"{frontend}_program")
+            validate_program(program)
             return program, None
         raise RegistryError(
             f"{source!r} is neither a known workload "
             f"({workload_registry.benchmark_names()}) nor parseable source text")
+
+    def _validated(self, source: ProgramLike,
+                   parameters: Optional[Mapping[str, int]]
+                   ) -> Tuple[Program, Dict[str, int]]:
+        """The request boundary: ``source`` resolved and checked, with
+        ``parameters`` (default: the registry's sizes) that must bind it,
+        or a :class:`~repro.ir.validation.ValidationError` (a ValueError)."""
+        program, defaults = self._resolve(source)
+        parameters = dict(parameters if parameters is not None
+                          else defaults or {})
+        validate_bindings(program, parameters)
+        return program, parameters
 
     # -- schedulers -------------------------------------------------------------------
 
@@ -270,9 +282,15 @@ class Session:
         ``pipeline`` selects a registered pipeline by name for this call;
         without it, the session's pipeline applies.
         """
+        if pipeline is not None:
+            NormalizationOptions(pipeline)  # a typo fails before loading
+        return self._normalize(self.load(source), pipeline)
+
+    def _normalize(self, program: Program,
+                   pipeline: Optional[str]) -> NormalizeResponse:
+        """:meth:`normalize` of a program already resolved and checked."""
         options = (self.normalization if pipeline is None
                    else NormalizationOptions(pipeline))
-        program = self.load(source)
         entry = self.cache.normalized(program, options)
         # Cache keys are name-insensitive: a hit may carry the program name
         # of whoever populated the entry.  Serve under the caller's name,
@@ -314,15 +332,8 @@ class Session:
                     trace_span("session.schedule", scheduler=name))
                 trace_id = request.trace.get("trace_id")
 
-            program, default_parameters = self._resolve(request.program)
-            parameters = (dict(request.parameters)
-                          if request.parameters is not None
-                          else default_parameters)
-            if parameters is None:
-                raise ValueError(
-                    f"no parameters given for {program.name!r} and none "
-                    "derivable from the workload registry")
-
+            program, parameters = self._validated(request.program,
+                                                  request.parameters)
             instance = self.scheduler(name, request.threads)
             normalizes = (scheduler_normalizes(name) if request.normalize is None
                           else request.normalize)
@@ -343,7 +354,7 @@ class Session:
             input_hash = canonical_hash = None
             norm_hit = from_cache = False
             if normalizes:
-                normalization = self.normalize(program, pipeline=request.pipeline)
+                normalization = self._normalize(program, request.pipeline)
                 target = normalization.program
                 input_hash = normalization.input_hash
                 canonical_hash = normalization.canonical_hash
@@ -565,17 +576,14 @@ class Session:
                  threads: Optional[int] = None,
                  assume_warm_caches: bool = False) -> float:
         """Modeled runtime of a program *as given* (no scheduling)."""
-        program, default_parameters = self._resolve(source)
-        parameters = parameters if parameters is not None else default_parameters
-        if parameters is None:
-            raise ValueError(f"no parameters given for {program.name!r}")
+        program, parameters = self._validated(source, parameters)
         return self._cost_model(threads).estimate_seconds(
             program, parameters, assume_warm_caches=assume_warm_caches)
 
     def cache_report(self, source: ProgramLike,
                      parameters: Mapping[str, int]) -> CacheReport:
         """Run the address trace of a program through the cache simulator."""
-        program = self.load(source)
+        program, parameters = self._validated(source, parameters)
         trace = TraceGenerator(program, parameters).trace()
         return CacheHierarchy(self.machine).run_trace(trace)
 
@@ -584,14 +592,10 @@ class Session:
                 inputs: Optional[Mapping[str, np.ndarray]] = None,
                 seed: int = 0) -> ExecuteResponse:
         """Interpret a program on concrete (or reproducible random) inputs."""
-        program, default_parameters = self._resolve(source)
-        parameters = (dict(parameters) if parameters is not None
-                      else default_parameters)
-        if parameters is None:
-            raise ValueError(f"no parameters given for {program.name!r}")
+        program, parameters = self._validated(source, parameters)
         self._counts.inc("execute_calls")
         outputs = run_program(program, parameters, inputs, seed)
-        return ExecuteResponse(program=program, parameters=dict(parameters),
+        return ExecuteResponse(program=program, parameters=parameters,
                                outputs=dict(outputs))
 
     def equivalent(self, first: ProgramLike, second: ProgramLike,
@@ -624,20 +628,18 @@ class Session:
             raise ValueError("measured runtime must be positive and finite "
                              f"seconds, got {value!r}")
         request = response.request
-        program, default_parameters = self._resolve(request.program)
-        parameters = (dict(request.parameters)
-                      if request.parameters is not None
-                      else default_parameters)
+        program, parameters = self._validated(request.program,
+                                              request.parameters)
         result = getattr(response, "result", None)
         nests = list(getattr(result, "nests", None) or ())
-        if parameters is None or not nests:
+        if not nests:
             return []
         target = program
         if getattr(response, "normalized", False):
             # A cache hit end to end: the response's recipes were produced
             # against exactly this normalized form, so nest indices and
             # embeddings line up with what the scheduler queried.
-            target = self.normalize(program, pipeline=request.pipeline).program
+            target = self._normalize(program, request.pipeline).program
         predicted = getattr(response, "runtime_s", None)
         scale = (value / float(predicted)
                  if predicted and float(predicted) > 0.0 else None)

@@ -488,19 +488,16 @@ class _Sampler:
         self.wrote_data = True
 
 
-def generate_program(seed: int, size_class: str = "small", *,
-                     validate: bool = True) -> GeneratedProgram:
+def generate_program(seed: int, size_class: str = "small") -> GeneratedProgram:
     """Generate one well-formed random program for ``(seed, size_class)``.
 
-    The result is deterministic in both arguments.  With ``validate=True``
-    (the default) the program is checked against
-    :func:`~repro.ir.validation.validate_program` before being returned —
-    a failure there is a generator bug, never a caller problem.
+    The result is deterministic in both arguments.  The program is checked
+    against :func:`~repro.ir.validation.validate_program` before being
+    returned — a failure there is a generator bug, never a caller problem.
     """
     if size_class not in SIZE_CLASSES:
         raise KeyError(f"unknown size class {size_class!r}; "
                        f"known: {sorted(SIZE_CLASSES)}")
     generated = _Sampler(seed, SIZE_CLASSES[size_class]).build()
-    if validate:
-        validate_program(generated.program, strict=True)
+    validate_program(generated.program)
     return generated

@@ -1,24 +1,60 @@
 """Structural validation of loop-nest programs.
 
 Validation catches malformed IR early: undeclared containers, rank
-mismatches, duplicate or shadowed iterators, and references to unbound
-symbols.  Every frontend and transformation is expected to leave programs
-in a state that passes :func:`validate_program`.
+mismatches, duplicate or shadowed iterators, references to unbound
+symbols, and statement values where a number is evaluated.  Every frontend
+and transformation is expected to leave programs in a state that passes
+:func:`validate_program`.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Iterator, List, Mapping, Sequence, Set, Tuple
 
 from .nodes import ArrayAccess, Computation, LibraryCall, Loop, Node, Program
+from .symbols import Call, Expr, FloorDiv, Mod, Read
 
 
-class ValidationError(Exception):
-    """Raised when a program violates structural invariants."""
+class ValidationError(ValueError):
+    """Raised when a program violates structural invariants or parameters
+    do not bind it; ``errors`` lists every problem found."""
 
-    def __init__(self, errors: List[str]):
-        super().__init__("; ".join(errors))
-        self.errors = errors
+    def __init__(self, errors: Sequence[str]):
+        self.errors = list(errors)
+        super().__init__(self.errors)  # the args unpickling passes back
+
+    def __str__(self) -> str:
+        return "; ".join(self.errors)
+
+
+def _index_expressions(program: Program) -> Iterator[Tuple[str, Expr]]:
+    """Every expression evaluated as a number that is not affine (only those
+    hold a statement value or a division), with where it sits: array
+    extents, loop bounds, access indices and library-call FLOP counts."""
+    for array in program.arrays.values():
+        for extent in array.shape:
+            if extent.as_affine() is None:
+                yield f"container {array.name!r} extent", extent
+    for loop in program.iter_loops():
+        for bound in (loop.start, loop.end, loop.step):
+            if bound.as_affine() is None:
+                yield f"loop {loop.iterator!r} bound", bound
+    for computation in program.iter_computations():
+        for access in (computation.target, *computation.reads()):
+            for index in access.indices:
+                if index.as_affine() is None:
+                    yield (f"computation {computation.name} index of "
+                           f"{access.array!r}", index)
+    for call in program.library_calls():
+        if call.flop_expr.as_affine() is None:
+            yield f"library call {call.routine} FLOP count", call.flop_expr
+
+
+def _parts(expr: Expr) -> Iterator[Expr]:
+    """``expr`` and its sub-expressions, innermost first."""
+    for child in expr.children():
+        yield from _parts(child)
+    yield expr
 
 
 def validate_program(program: Program, strict: bool = True) -> List[str]:
@@ -28,7 +64,6 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
     if any problem is found; otherwise the list is returned for inspection.
     """
     errors: List[str] = []
-    iterator_names: Set[str] = set()
 
     def check_access(access: ArrayAccess, where: str, visible: Set[str]) -> None:
         if access.array not in program.arrays:
@@ -48,7 +83,6 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
         if isinstance(node, Loop):
             if node.iterator in visible:
                 errors.append(f"loop {node.iterator!r} shadows an enclosing symbol")
-            iterator_names.add(node.iterator)
             unknown = node.bound_symbols() - visible
             if unknown:
                 errors.append(
@@ -79,7 +113,34 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
     visible_symbols = set(program.parameters)
     for node in program.body:
         check_node(node, visible_symbols)
+    for where, expr in _index_expressions(program):
+        for part in _parts(expr):
+            if isinstance(part, (Read, Call)):
+                errors.append(f"{where}: {part} is a {type(part).__name__}, "
+                              "not an index expression")
 
     if strict and errors:
         raise ValidationError(errors)
     return errors
+
+
+def validate_bindings(program: Program, parameters: Mapping[str, int]) -> None:
+    """Raise :class:`ValidationError` unless ``parameters`` bind ``program``
+    (which passes :func:`validate_program`): every symbol it uses needs a
+    value, and no ``//`` or ``%`` in an extent, bound, index or FLOP count
+    may divide by zero through a divisor that names no iterator."""
+    errors: List[str] = []
+    unbound = program.used_parameters() - set(parameters)
+    if unbound:
+        errors.append(f"no parameters given for {sorted(unbound)} "
+                      f"of {program.name!r}")
+    names = set(parameters) - {loop.iterator for loop in program.iter_loops()}
+    for where, expr in _index_expressions(program):
+        for part in _parts(expr):
+            if (isinstance(part, (FloorDiv, Mod))
+                    and part.denominator.free_symbols() <= names
+                    and part.denominator.evaluate(parameters) == 0):
+                errors.append(f"{where}: {part} divides by zero")
+                break
+    if errors:
+        raise ValidationError(errors)

@@ -5,14 +5,12 @@ from .machine import DEFAULT_MACHINE, CacheLevel, MachineModel
 from .measurement import (MeasurementProtocol, MeasurementResult,
                           measure_with_noise)
 from .model import CostModel, NestCost, RuntimeEstimate, count_flops
-from .trace import (TraceGenerator, TraceLayout, build_layout, count_accesses,
-                    generate_trace)
+from .trace import TraceGenerator, TraceLayout, build_layout, generate_trace
 
 __all__ = [
     "CacheHierarchy", "CacheLevelStats", "CacheReport",
     "DEFAULT_MACHINE", "CacheLevel", "MachineModel",
     "MeasurementProtocol", "MeasurementResult", "measure_with_noise",
     "CostModel", "NestCost", "RuntimeEstimate", "count_flops",
-    "TraceGenerator", "TraceLayout", "build_layout", "count_accesses",
-    "generate_trace",
+    "TraceGenerator", "TraceLayout", "build_layout", "generate_trace",
 ]

@@ -76,19 +76,6 @@ def _count_flops(expr: Expr) -> float:
     return 1.0
 
 
-def _safe_flops(call: LibraryCall, parameters: Mapping[str, float]) -> float:
-    """Evaluate a library call's FLOP expression, tolerating unbound symbols."""
-    if not call.flop_expr:
-        return 0.0
-    bindings = dict(parameters)
-    for symbol in call.flop_expr.free_symbols():
-        bindings.setdefault(symbol, 256)
-    try:
-        return float(call.flop_expr.evaluate(bindings))
-    except (KeyError, ZeroDivisionError):
-        return 0.0
-
-
 @dataclass
 class NestCost:
     """Cost break-down of one top-level node."""
@@ -203,16 +190,14 @@ class CostModel:
     def _estimate_library_call(self, call: LibraryCall, program: Program,
                                parameters: Mapping[str, int], index: int) -> NestCost:
         cost = NestCost(label=f"{index}:call:{call.routine}")
-        cost.flops = _safe_flops(call, dict(parameters))
-        flops = cost.flops
+        flops = cost.flops = float(call.flop_expr.evaluate(parameters))
         threads = self.threads
         peak = self.machine.peak_flops_per_core * threads * self.machine.blas_efficiency
         cost.compute_time = flops / peak if peak else 0.0
 
         operand_bytes = 0.0
         for name in set(call.inputs) | set(call.outputs):
-            if name in program.arrays:
-                operand_bytes += program.arrays[name].size_in_bytes(dict(parameters))
+            operand_bytes += program.arrays[name].size_in_bytes(parameters)
         cost.bytes_by_level["DRAM"] = operand_bytes
         cost.memory_time = operand_bytes / self.machine.bandwidth_of("DRAM", threads)
         cost.overhead_time = self.machine.parallel_overhead_s if threads > 1 else 0.0
@@ -248,7 +233,7 @@ class CostModel:
                         bytes_by_level=dict(traffic.bytes_by_level))
         parallel_loop = self._outermost_parallel(view)
         if parallel_loop is not None:
-            trip = self._trip(view.header(parallel_loop), view.parameters)
+            trip = self._trip(view, parallel_loop)
             cost.active_threads = max(1, min(self.threads, int(trip) or 1))
         threads = cost.active_threads
 
@@ -315,14 +300,22 @@ class CostModel:
                     return loop
         return None
 
-    def _trip(self, frame: Frame, bindings: Mapping[str, float]) -> float:
-        try:
+    def _trip(self, view: BandView, target: Target) -> float:
+        """Trip count of the loop at ``target``, the loops around it bound
+        at their midpoints, as the walk binds them."""
+        if isinstance(target, int):
+            frames = view.frames[:target + 1]
+        else:
+            # Every loop before it in pre-order binds its iterator; the last
+            # binding of each name the target sees is its enclosing loop's.
+            below = [loop for node in view.inner for loop in node.iter_loops()]
+            frames = [*view.frames,
+                      *map(Frame.of, below[:below.index(target) + 1])]
+        bindings = dict(view.parameters)
+        for frame in frames:
             start, end, step = frame.bounds(bindings)
-        except (KeyError, ZeroDivisionError):
-            return 0.0
-        if step <= 0:
-            return 0.0
-        return max(0.0, (end - start) / step)
+            bindings[frame.iterator] = start + (end - start) / 2.0
+        return max(0.0, (end - start) / step) if step > 0 else 0.0
 
 
 #: What a :class:`NodePrices` table keeps of one pricing: the node's cost
@@ -472,10 +465,7 @@ class _NestWalk:
             return
         frame = frames[0]
         bindings = self._bindings
-        try:
-            start, end, step = frame.bounds(bindings)
-        except (KeyError, ZeroDivisionError):
-            start, end, step = 0.0, 0.0, 1.0
+        start, end, step = frame.bounds(bindings)
         trip = max(0.0, (end - start) / step) if step > 0 else 0.0
 
         iterations = self._iterations[-1] * trip
@@ -508,7 +498,7 @@ class _NestWalk:
 
     def _handle_library_call(self, call: LibraryCall) -> None:
         parameters = self.view.parameters
-        flops = _safe_flops(call, parameters)
+        flops = float(call.flop_expr.evaluate(parameters))
         multiplier = self._iterations[-1]
         self.flops += flops * multiplier
         # Library routines are hand-vectorized.
@@ -516,9 +506,8 @@ class _NestWalk:
         self.flops_no_band_simd[1] += flops * multiplier
         arrays = self.view.arrays
         for name in set(call.inputs) | set(call.outputs):
-            if name in arrays:
-                self.bytes_by_level["DRAM"] += (
-                    arrays[name].size_in_bytes(parameters) * multiplier)
+            self.bytes_by_level["DRAM"] += (
+                arrays[name].size_in_bytes(parameters) * multiplier)
 
     # -- per computation --------------------------------------------------------------
 

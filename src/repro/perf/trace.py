@@ -138,28 +138,3 @@ def generate_trace(program: Program, parameters: Mapping[str, int]
                    ) -> List[Tuple[int, bool]]:
     """Materialize the full trace of a program (small sizes only)."""
     return list(TraceGenerator(program, parameters).trace())
-
-
-def count_accesses(program: Program, parameters: Mapping[str, int]) -> int:
-    """Number of dynamic memory accesses the trace would contain."""
-    total = 0
-
-    def recurse(node: Node, multiplier: int) -> None:
-        nonlocal total
-        if isinstance(node, Loop):
-            try:
-                trips = node.trip_count(dict(parameters))
-            except KeyError:
-                trips = 0
-            for child in node.body:
-                recurse(child, multiplier * trips)
-        elif isinstance(node, Computation):
-            total += multiplier * (len(node.reads()) + 1)
-        elif isinstance(node, LibraryCall):
-            original = node.metadata.get("original")
-            if original is not None:
-                recurse(node_from_dict(original), multiplier)
-
-    for node in program.body:
-        recurse(node, 1)
-    return total

@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.affine import computation_accesses, nest_statements
 from ..analysis.parallelism import analyze_loop_parallelism
-from ..analysis.strides import DEFAULT_PARAMETER_VALUE, _array_strides, access_stride
+from ..analysis.strides import _array_strides, access_stride
 from ..ir.arrays import Array
 from ..ir.nodes import Computation, LibraryCall, Loop, Program
 from ..perf.model import count_flops
@@ -57,29 +57,23 @@ class PerformanceEmbedding:
 
 
 def _loop_trips(nest: Loop, parameters: Mapping[str, int]) -> Dict[str, float]:
-    bindings = dict(parameters)
+    """Trip count of every loop of ``nest``, each evaluated with the loops
+    around it at their midpoints."""
+    env = dict(parameters)
     trips: Dict[str, float] = {}
-    midpoints: Dict[str, float] = {}
     for loop in nest.iter_loops():
-        env = {**bindings, **midpoints}
-        try:
-            start = loop.start.evaluate(env)
-            end = loop.end.evaluate(env)
-            step = loop.step.evaluate(env)
-            trip = max(0.0, (end - start) / step) if step > 0 else 0.0
-            midpoints[loop.iterator] = start + (end - start) / 2.0
-        except (KeyError, ZeroDivisionError):
-            trip = float(DEFAULT_PARAMETER_VALUE)
-            midpoints[loop.iterator] = trip / 2.0
-        trips[loop.iterator] = trip
+        start = loop.start.evaluate(env)
+        end = loop.end.evaluate(env)
+        step = loop.step.evaluate(env)
+        trips[loop.iterator] = max(0.0, (end - start) / step) if step > 0 else 0.0
+        env[loop.iterator] = start + (end - start) / 2.0
     return trips
 
 
 def embed_nest(nest: Loop, arrays: Mapping[str, Array],
-               parameters: Optional[Mapping[str, int]] = None,
+               parameters: Mapping[str, int],
                label: str = "") -> PerformanceEmbedding:
     """Compute the performance embedding of one loop nest."""
-    parameters = dict(parameters or {})
     trips = _loop_trips(nest, parameters)
     #: Container name -> (size in bytes, element strides), looked up once.
     layouts: Dict[str, Tuple[float, Tuple[int, ...]]] = {}
@@ -102,14 +96,11 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
                 has_reduction = 1.0
             innermost = enclosing[-1] if enclosing else None
             for access in computation_accesses(node, enclosing):
-                if access.array not in arrays:
-                    continue
                 layout = layouts.get(access.array)
                 if layout is None:
                     arr = arrays[access.array]
-                    layout = layouts[access.array] = (arr.size_in_bytes(
-                        {**{s: DEFAULT_PARAMETER_VALUE for dim in arr.shape
-                            for s in dim.free_symbols()}, **parameters}),
+                    layout = layouts[access.array] = (
+                        arr.size_in_bytes(parameters),
                         _array_strides(arr, parameters))
                 size_in_bytes, strides = layout
                 footprint += size_in_bytes
@@ -129,9 +120,7 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
                 else:
                     strided += 1
         elif isinstance(node, LibraryCall):
-            flops += float(node.flop_expr.evaluate(
-                {**{s: DEFAULT_PARAMETER_VALUE for s in node.flop_expr.free_symbols()},
-                 **parameters}))
+            flops += float(node.flop_expr.evaluate(parameters))
 
     for loop in nest.perfectly_nested_band():
         total_iterations *= max(trips.get(loop.iterator, 1.0), 1.0)
@@ -164,8 +153,7 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
     return PerformanceEmbedding(label=label or nest.iterator, vector=vector)
 
 
-def embed_program(program: Program,
-                  parameters: Optional[Mapping[str, int]] = None
+def embed_program(program: Program, parameters: Mapping[str, int]
                   ) -> List[PerformanceEmbedding]:
     """Embeddings of every top-level loop nest of a program."""
     embeddings = []

@@ -45,19 +45,16 @@ def _python_loop_iterations(program: Program, parameters: Mapping[str, int]) -> 
     for node in program.body:
         if isinstance(node, LibraryCall):
             total += 1.0
-            continue
-        if not isinstance(node, Loop):
-            continue
-        multiplier = 1.0
-        found_python_loop = False
-        for loop in node.perfectly_nested_band():
-            if loop.iterator.startswith(PYTHON_LOOP_PREFIX):
-                found_python_loop = True
-                try:
-                    multiplier *= max(1, loop.trip_count(dict(parameters)))
-                except (KeyError, ValueError):
-                    multiplier *= 1.0
-        total += multiplier if found_python_loop else 1.0
+        elif isinstance(node, Loop):
+            multiplier = 1.0
+            env = dict(parameters)
+            for loop in node.perfectly_nested_band():
+                if loop.iterator.startswith(PYTHON_LOOP_PREFIX):
+                    multiplier *= max(1, loop.trip_count(env))
+                # The loops below see this one at its midpoint.
+                env[loop.iterator] = (loop.start.evaluate(env)
+                                      + loop.end.evaluate(env)) / 2.0
+            total += multiplier
     return total
 
 

@@ -20,7 +20,8 @@ _SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, os.path.abspath(_SRC))
 
-from repro.ir import ProgramBuilder  # noqa: E402
+from repro.ir import (Array, ArrayAccess, Const, FloorDiv,  # noqa: E402
+                      ProgramBuilder, Read, Sym)
 from repro.observability import MetricsRegistry, Tracer  # noqa: E402
 
 
@@ -199,6 +200,41 @@ def prometheus_sample(metrics, sample_name, **labels):
 
 #: GEMM parameter bindings many API/serving tests schedule with.
 GEMM_PARAMS = {"NI": 64, "NJ": 48, "NK": 32}
+
+
+#: The ways a request can be malformed that the session's boundary refuses.
+MALFORMED = ("rank-mismatch", "undeclared-container", "unbound-parameter",
+             "read-in-bound", "read-in-index", "read-in-shape",
+             "constant-zero-divisor", "parameter-zero-divisor")
+
+
+def malformed_gemm(kind):
+    """``(build_gemm(), GEMM_PARAMS)`` made malformed in the way ``kind``
+    (one of :data:`MALFORMED`) names."""
+    program, parameters = build_gemm(), dict(GEMM_PARAMS)
+    update = program.body[1].body[0].body[0].body[0]    # C[i, j] += ...
+    a00 = Read("A", (Const(0), Const(0)))
+    if kind == "rank-mismatch":
+        update.target = ArrayAccess("C", (Sym("i"),))
+    elif kind == "undeclared-container":
+        update.value = Read("ghost", (Sym("i"), Sym("k")))
+    elif kind == "unbound-parameter":
+        del parameters["NK"]
+    elif kind == "read-in-bound":
+        program.body[0].end = a00
+    elif kind == "read-in-index":
+        update.target = ArrayAccess("C", (a00, Sym("j")))
+    elif kind == "read-in-shape":
+        program.arrays["B"] = Array("B", (Sym("NK"), a00))
+    elif kind == "constant-zero-divisor":
+        # The bare constructor: ``FloorDiv.make`` already refuses it.
+        program.body[0].end = FloorDiv(Const(8), Const(0))
+    else:
+        assert kind == "parameter-zero-divisor", kind
+        program.parameters.append("M")
+        program.body[0].end = FloorDiv(Sym("NI"), Sym("M"))
+        parameters["M"] = 0
+    return program, parameters
 
 
 def fast_session(**kwargs):

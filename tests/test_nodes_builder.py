@@ -1,13 +1,15 @@
 """Tests for loop-tree nodes, the builder API, printing and validation."""
 
+import pickle
+
 import pytest
 
-from helpers import build_gemm, build_vector_add
+from helpers import build_gemm, build_vector_add, malformed_gemm
 from repro.ir import (Computation, LibraryCall, Loop, ProgramBuilder,
                       ValidationError, access, to_pseudocode, to_tree,
                       validate_program)
 from repro.ir.nodes import rename_iterators
-from repro.ir.symbols import Read, Sym
+from repro.ir.symbols import Call, Read, Sym
 
 
 class TestComputation:
@@ -201,3 +203,26 @@ class TestValidation:
                 b.assign(("x", "i", "i"), 1.0)
         errors = validate_program(b.finish(), strict=False)
         assert any("shadows" in error for error in errors)
+
+    @pytest.mark.parametrize("kind, where", [
+        ("read-in-bound", "loop 'i' bound"),
+        ("read-in-index", "index of 'C'"),
+        ("read-in-shape", "container 'B' extent")])
+    def test_a_read_where_a_number_is_evaluated_is_named(self, kind, where):
+        program, _ = malformed_gemm(kind)
+        errors = validate_program(program, strict=False)
+        assert len(errors) == 1
+        assert where in errors[0] and ": A[0, 0] is a Read" in errors[0]
+
+    def test_a_call_in_a_bound_is_named(self):
+        program = build_gemm()
+        program.body[1].end = Call("exp", (Sym("NI"),))
+        assert validate_program(program, strict=False) == [
+            "loop 'i' bound: exp(NI) is a Call, not an index expression"]
+
+    def test_a_validation_error_is_a_value_error_that_survives_pickling(self):
+        error = pickle.loads(pickle.dumps(
+            ValidationError(["first problem", "second problem"])))
+        assert isinstance(error, ValueError)
+        assert error.errors == ["first problem", "second problem"]
+        assert str(error) == "first problem; second problem"

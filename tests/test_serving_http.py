@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from helpers import GEMM_PARAMS as PARAMS
-from helpers import build_gemm, fast_session
+from helpers import MALFORMED, build_gemm, fast_session, malformed_gemm
 
 from repro.api import ScheduleRequest, ScheduleResponse
 from repro.serving import ServingClient, ServingError, ServingServer
@@ -165,7 +165,8 @@ class TestErrorHandling:
     def test_a_constant_zero_divisor_is_400_on_a_kept_connection(
             self, served, monkeypatch):
         """A loop end of ``8 // 0`` (folded at decode) or ``NI // 0`` (not
-        foldable) is an invalid request; the connection serves on."""
+        foldable) is an invalid request, and so is every malformed kind the
+        session's boundary refuses; the connection serves on."""
         _, server, client = served
         connects = []
         handler = server._httpd.RequestHandlerClass
@@ -181,6 +182,13 @@ class TestErrorHandling:
                 "denominator": {"kind": "const", "value": 0}}
             status, payload = client.request("POST", "/v1/schedule", body)
             assert status == 400 and "constant zero" in payload["error"]
+        for kind in MALFORMED:
+            program, parameters = malformed_gemm(kind)
+            status, payload = client.request(
+                "POST", "/v1/schedule",
+                ScheduleRequest(program=program, parameters=parameters).to_dict())
+            assert status == 400, (kind, payload)
+            assert "runtime_s" not in payload
         response = client.schedule(ScheduleRequest(program=build_gemm(),
                                                    parameters=PARAMS))
         assert response.runtime_s > 0

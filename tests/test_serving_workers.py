@@ -11,7 +11,8 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from helpers import StubSession, fast_session, hold_next_batch, queue_behind
+from helpers import (StubSession, fast_session, hold_next_batch, malformed_gemm,
+                     queue_behind)
 
 from repro.api import (ScheduleRequest, ScheduleResponse, SearchConfig,
                        Session, SQLiteCacheBackend, TuningDatabase)
@@ -777,3 +778,19 @@ class TestPoolThroughService:
             assert full["pool"]["reports_collected"] == 2
             assert full["pool"]["merged"]["schedule_calls"] >= 1
         session.close()
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP items 4 and 20: workers._rebuild_error rebuilds only builtin "
+        "and registry error types by name, so a worker's ValidationError "
+        "comes back as a WorkerError and the reply is a 500, not a 400"))
+    def test_a_malformed_request_through_the_pool_is_400(self, shared_pool):
+        pool, _ = shared_pool
+        program, parameters = malformed_gemm("unbound-parameter")
+        session = Session(threads=4)
+        with ServingServer(session, pool=pool) as server:
+            status, payload = ServingClient(server.address).request(
+                "POST", "/v1/schedule", ScheduleRequest(
+                    program=program, parameters=parameters).to_dict())
+        session.close()
+        assert "ValidationError" in payload["error"]
+        assert status == 400, (status, payload)
