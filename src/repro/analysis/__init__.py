@@ -19,8 +19,7 @@ from .affine import (AffineAccess, AffineIndex, computation_accesses,
                      nest_statements)
 from .band import BandView, Frame
 from .dataflow import adjacent_flows, body_dataflow, node_reads_writes
-from .flops import (computation_flops, expr_flops, expr_reads, program_flops,
-                    written_arrays)
+from .flops import computation_flops, expr_flops, expr_reads, program_flops
 from .dependence import (ANY, EQ, GT, LT, Dependence, body_dependences,
                          dependences_between, legal_permutations,
                          nest_dependences, permutation_is_legal,
@@ -40,6 +39,5 @@ __all__ = [
     "permutation_is_legal", "self_dependences",
     "ParallelismInfo", "analyze_loop_parallelism",
     "computation_flops", "expr_flops", "expr_reads", "program_flops",
-    "written_arrays",
     "BandStrides", "access_stride", "band_strides", "program_stride_cost",
 ]

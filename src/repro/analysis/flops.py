@@ -10,25 +10,24 @@ The rewrite family (``repro.passes.rewrite``) needs two kinds of answers:
   which makes before/after comparisons exact even for triangular nests.
 
 * **What would an enclosing loop change about an expression?**
-  ``expr_reads`` collects the arrays a value expression loads from and
-  ``written_arrays`` the arrays a subtree stores to; an expression is
-  invariant in a loop iff the loop's iterator is not among its free
-  symbols and none of its read arrays is written in the loop body.
+  ``expr_reads`` collects the arrays a value expression loads from (what a
+  subtree stores to is :func:`repro.analysis.dataflow.node_reads_writes`);
+  an expression is invariant in a loop iff the loop's iterator is not among
+  its free symbols and none of its read arrays is written in the loop body.
 
 Counts are static properties of the IR, so all results are immutable.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
-from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
+from ..ir.nodes import Computation, LibraryCall, Node, Program
 from ..ir.symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod,
                           Mul, Read, Sym)
 
 __all__ = [
     "expr_flops", "expr_reads", "computation_flops", "program_flops",
-    "written_arrays",
 ]
 
 
@@ -76,19 +75,6 @@ def expr_reads(expr: Expr) -> frozenset:
 def computation_flops(computation: Computation) -> int:
     """Operations one execution of a statement performs (its RHS)."""
     return expr_flops(computation.value)
-
-
-def written_arrays(node: Union[Node, Program]) -> frozenset:
-    """Names of the arrays the subtree under ``node`` stores to."""
-    names = set()
-    if isinstance(node, Computation):
-        names.add(node.target.array)
-    elif isinstance(node, LibraryCall):
-        names.update(node.outputs)
-    elif isinstance(node, (Loop, Program)):
-        for child in node.body:
-            names.update(written_arrays(child))
-    return frozenset(names)
 
 
 def _flop_sensitivity(node: Node) -> frozenset:

@@ -529,6 +529,24 @@ def rename_iterators(node: Node, mapping: Mapping[str, str]) -> None:
     substitute_symbols(node, {old: Sym(new) for old, new in mapping.items()})
 
 
+def loop_sites(body: List[Node], owner: Optional[Loop] = None
+               ) -> Iterator[Tuple[Optional[Loop], List[Node], int]]:
+    """Where each loop under ``body`` sits, post-order: a loop's children
+    before the loop.  Yields ``(owner, body, index)``, ``owner`` being the
+    loop whose body holds the site (``None`` at the top); the caller may
+    replace ``body[index]`` with any number of nodes, which the walk then
+    steps over."""
+    index = 0
+    while index < len(body):
+        node = body[index]
+        if isinstance(node, Loop):
+            yield from loop_sites(node.body, node)
+            length = len(body)
+            yield owner, body, index
+            index += len(body) - length
+        index += 1
+
+
 def band_starts(body: List[Node]) -> Iterator[Tuple[List[Node], int]]:
     """Where each maximal band starts: every loop of ``body``, then every
     loop in the body of its band's innermost loop, recursively.  Yields

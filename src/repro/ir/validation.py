@@ -2,9 +2,9 @@
 
 Validation catches malformed IR early: undeclared containers, rank
 mismatches, duplicate or shadowed iterators, references to unbound
-symbols, and statement values where a number is evaluated.  Every frontend
-and transformation is expected to leave programs in a state that passes
-:func:`validate_program`.
+symbols, statement values where a number is evaluated, and loops that do
+not step forward.  Every frontend and transformation is expected to leave
+programs in a state that passes :func:`validate_program`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator, List, Mapping, Sequence, Set, Tuple
 
 from .nodes import ArrayAccess, Computation, LibraryCall, Loop, Node, Program
-from .symbols import Call, Expr, FloorDiv, Mod, Read
+from .symbols import Call, Const, Expr, FloorDiv, Mod, Read
 
 
 class ValidationError(ValueError):
@@ -87,6 +87,9 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
             if unknown:
                 errors.append(
                     f"loop {node.iterator!r}: bounds use unbound symbols {sorted(unknown)}")
+            if isinstance(node.step, Const) and node.step.value <= 0:
+                errors.append(
+                    f"loop {node.iterator!r}: step {node.step} is not positive")
             inner = visible | {node.iterator}
             for child in node.body:
                 check_node(child, inner)
@@ -127,8 +130,9 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
 def validate_bindings(program: Program, parameters: Mapping[str, int]) -> None:
     """Raise :class:`ValidationError` unless ``parameters`` bind ``program``
     (which passes :func:`validate_program`): every symbol it uses needs a
-    value, and no ``//`` or ``%`` in an extent, bound, index or FLOP count
-    may divide by zero through a divisor that names no iterator."""
+    value, no ``//`` or ``%`` in an extent, bound, index or FLOP count
+    may divide by zero through a divisor that names no iterator, and a
+    step that names no iterator must be positive."""
     errors: List[str] = []
     unbound = program.used_parameters() - set(parameters)
     if unbound:
@@ -142,5 +146,14 @@ def validate_bindings(program: Program, parameters: Mapping[str, int]) -> None:
                     and part.denominator.evaluate(parameters) == 0):
                 errors.append(f"{where}: {part} divides by zero")
                 break
+    for loop in program.iter_loops():
+        if loop.step.free_symbols() <= names:
+            try:
+                step = loop.step.evaluate(parameters)
+            except ZeroDivisionError:
+                continue    # listed above
+            if step <= 0:
+                errors.append(f"loop {loop.iterator!r}: step {loop.step} "
+                              f"is {step}, not positive")
     if errors:
         raise ValidationError(errors)

@@ -20,7 +20,7 @@ counters.
 
 from .fission import fission_loop, is_maximally_fissioned, maximal_loop_fission
 from .loop_normal_form import (canonicalize_iterator_names,
-                               normalize_loop_bounds, normalize_program_bounds)
+                               normalize_program_bounds)
 from .pipeline import (NormalizationOptions, NormalizationReport, normalize,
                        normalize_program)
 from .scalar_expansion import contract_arrays, expand_scalars
@@ -29,8 +29,7 @@ from .stride_minimization import (EXHAUSTIVE_DEPTH_LIMIT,
 
 __all__ = [
     "fission_loop", "is_maximally_fissioned", "maximal_loop_fission",
-    "canonicalize_iterator_names",
-    "normalize_loop_bounds", "normalize_program_bounds",
+    "canonicalize_iterator_names", "normalize_program_bounds",
     "NormalizationOptions", "NormalizationReport", "normalize",
     "normalize_program",
     "EXHAUSTIVE_DEPTH_LIMIT", "find_minimal_permutation", "minimize_strides",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..ir.nodes import Loop, Node, Program
+from ..ir.nodes import Loop, Program, loop_sites
 from ..analysis.affine import nest_statements
 from ..analysis.dependence import body_dependences
 
@@ -91,26 +91,16 @@ def fission_loop(loop: Loop) -> Tuple[List[Loop], bool]:
     return new_loops, True
 
 
-def _fission_nodes(nodes: List[Node]) -> Tuple[List[Node], int]:
-    """Fission every loop among ``nodes``, bottom-up; returns the nodes
-    that replace them and the number of loops split."""
-    out: List[Node] = []
-    split = 0
-    for node in nodes:
-        if not isinstance(node, Loop):
-            out.append(node)
-            continue
-        node.body, below = _fission_nodes(node.body)
-        loops, changed = fission_loop(node)
-        out.extend(loops)
-        split += below + changed
-    return out, split
-
-
 def maximal_loop_fission(program: Program) -> int:
     """Apply maximal loop fission to a program, in place: one bottom-up
-    sweep.  Returns the number of loops split."""
-    program.body, split = _fission_nodes(program.body)
+    sweep (:func:`~repro.ir.nodes.loop_sites`) that splices each loop's
+    split in its place.  Returns the number of loops split."""
+    split = 0
+    for _owner, body, index in loop_sites(program.body):
+        loops, changed = fission_loop(body[index])
+        if changed:
+            body[index:index + 1] = loops
+            split += 1
     return split
 
 

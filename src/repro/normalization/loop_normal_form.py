@@ -10,14 +10,14 @@ construction.
 
 from __future__ import annotations
 
-from ..ir.nodes import (Loop, Node, Program, rename_iterators,
+from ..ir.nodes import (Loop, Program, loop_sites, rename_iterators,
                         substitute_symbols)
 from ..ir.symbols import Const, Expr, FloorDiv, Sym
 
 
-def normalize_loop_bounds(node: Node) -> bool:
-    """Rewrite all loops in a subtree to start at 0 with step 1 (in place);
-    returns whether any loop was rewritten.
+def _normalize_single_loop(loop: Loop) -> bool:
+    """Rewrite one loop to start at 0 with step 1 (in place); returns
+    whether it was rewritten.
 
     For a loop ``for (i = start; i < end; i += step)`` the rewritten loop is
     ``for (i = 0; i < ceil((end - start) / step); i++)`` and every use of
@@ -25,21 +25,9 @@ def normalize_loop_bounds(node: Node) -> bool:
     a positive constant are left untouched (they cannot be lifted by the
     symbolic representation anyway).
     """
-    if not isinstance(node, Loop):
-        return False
-    changed = False
-    for child in node.body:
-        changed = normalize_loop_bounds(child) or changed
-    return _normalize_single_loop(node) or changed
-
-
-def _normalize_single_loop(loop: Loop) -> bool:
     start, step = loop.start, loop.step
-    if isinstance(step, Const) and step.value <= 0:
-        return False
-    if start == Const(0) and step == Const(1):
-        return False
-    if not isinstance(step, Const):
+    if (not isinstance(step, Const) or step.value <= 0
+            or (start == Const(0) and step == Const(1))):
         return False
 
     iterator = loop.iterator
@@ -63,11 +51,12 @@ def _normalize_single_loop(loop: Loop) -> bool:
 
 
 def normalize_program_bounds(program: Program) -> bool:
-    """Apply :func:`normalize_loop_bounds` to every top-level node (in
-    place); returns whether any loop was rewritten."""
+    """Rewrite every loop to start at 0 with step 1, children before their
+    loop (:func:`~repro.ir.nodes.loop_sites`), in place; returns whether any
+    loop was rewritten."""
     changed = False
-    for node in program.body:
-        changed = normalize_loop_bounds(node) or changed
+    for _owner, body, index in loop_sites(program.body):
+        changed = _normalize_single_loop(body[index]) or changed
     return changed
 
 

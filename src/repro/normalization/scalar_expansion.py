@@ -24,27 +24,32 @@ from collections import Counter
 from typing import List, Sequence, Set, Tuple
 
 from ..ir.arrays import Array
-from ..ir.nodes import ArrayAccess, Computation, LibraryCall, Loop, Node, Program
+from ..analysis.affine import nest_statements
+from ..ir.nodes import (ArrayAccess, Computation, LibraryCall, Loop, Node,
+                        Program, loop_sites)
 from ..ir.symbols import Expr, Read, Sym, rebuild
 
 
 def _accesses(nodes: Sequence[Node], names: Set[str]
               ) -> List[Tuple[str, bool, Tuple[Expr, ...]]]:
     """Every access to the named containers under ``nodes``, in program
-    order, as ``(name, is_write, indices)``: a statement's reads, then its
-    write; a library call's inputs, then its outputs, with no indices."""
+    order (:func:`~repro.analysis.affine.nest_statements`), as ``(name,
+    is_write, indices)``: a statement's reads, then its write; a library
+    call's inputs, then its outputs, with no indices."""
     out: List[Tuple[str, bool, Tuple[Expr, ...]]] = []
     for node in nodes:
-        if isinstance(node, Loop):
-            out += _accesses(node.body, names)
-        elif isinstance(node, LibraryCall):
-            out += [(name, False, ()) for name in node.inputs if name in names]
-            out += [(name, True, ()) for name in node.outputs if name in names]
-        else:
-            out += [(read.array, False, read.indices) for read in node.reads()
-                    if read.array in names]
-            if node.target.array in names:
-                out.append((node.target.array, True, node.target.indices))
+        for statement, _enclosing in nest_statements(node):
+            if isinstance(statement, LibraryCall):
+                out += [(name, False, ()) for name in statement.inputs
+                        if name in names]
+                out += [(name, True, ()) for name in statement.outputs
+                        if name in names]
+            else:
+                out += [(read.array, False, read.indices)
+                        for read in statement.reads() if read.array in names]
+                if statement.target.array in names:
+                    out.append((statement.target.array, True,
+                                statement.target.indices))
     return out
 
 
@@ -82,7 +87,7 @@ def contract_arrays(program: Program) -> int:
     for name in candidates:
         # The one loop whose own statements touch the array.
         direct_parents = [
-            loop for top in program.top_level_loops() for loop in top.iter_loops()
+            loop for loop in program.iter_loops()
             if _accesses([child for child in loop.body
                           if isinstance(child, Computation)], {name})]
         if len(direct_parents) != 1:
@@ -127,34 +132,24 @@ def expand_scalars(program: Program) -> List[Tuple[str, str]]:
         return (bool(accesses) and len(accesses) == global_counts[scalar]
                 and accesses[0][1])
 
-    def innermost_candidates(loop: Loop) -> List[Loop]:
-        # Post-order so that scalars are expanded over the innermost loop that
-        # fully contains their uses.
-        result = []
-        for child in loop.body:
-            if isinstance(child, Loop):
-                result.extend(innermost_candidates(child))
-        result.append(loop)
-        return result
-
+    # Post-order, so that scalars are expanded over the innermost loop that
+    # fully contains their uses.
     handled: Set[str] = set()
-    for top in list(program.body):
-        if not isinstance(top, Loop):
-            continue
-        for loop in innermost_candidates(top):
-            for scalar in sorted(transient_scalars - handled):
-                if not eligible_in_loop(loop, scalar):
-                    continue
-                new_name = f"{scalar}__x{loop.iterator}"
-                suffix = 0
-                while new_name in program.arrays:
-                    suffix += 1
-                    new_name = f"{scalar}__x{loop.iterator}{suffix}"
-                program.add_array(Array(name=new_name, shape=(loop.end,),
-                                        dtype=program.arrays[scalar].dtype,
-                                        transient=True))
-                _retarget(loop, scalar,
-                          ArrayAccess(new_name, (Sym(loop.iterator),)))
-                handled.add(scalar)
-                expanded.append((scalar, loop.iterator))
+    for _owner, body, index in loop_sites(program.body):
+        loop = body[index]
+        for scalar in sorted(transient_scalars - handled):
+            if not eligible_in_loop(loop, scalar):
+                continue
+            new_name = f"{scalar}__x{loop.iterator}"
+            suffix = 0
+            while new_name in program.arrays:
+                suffix += 1
+                new_name = f"{scalar}__x{loop.iterator}{suffix}"
+            program.add_array(Array(name=new_name, shape=(loop.end,),
+                                    dtype=program.arrays[scalar].dtype,
+                                    transient=True))
+            _retarget(loop, scalar,
+                      ArrayAccess(new_name, (Sym(loop.iterator),)))
+            handled.add(scalar)
+            expanded.append((scalar, loop.iterator))
     return expanded

@@ -15,9 +15,6 @@ from typing import Dict, Mapping, Sequence, Tuple
 from ..ir.arrays import Array
 from ..ir.nodes import Loop, Program, band_starts
 from ..analysis.band import BandView
-from ..analysis.dependence import (band_order_is_legal,
-                                   nest_direction_vectors,
-                                   permutation_is_legal)
 from ..analysis.strides import BandStrides, band_strides
 
 #: Nests whose perfectly nested band is at most this deep are permuted by
@@ -48,9 +45,10 @@ def find_minimal_permutation(nest: Loop, arrays: Mapping[str, Array]
     ``current_cost`` the cost of the nest's own order.  The current order is
     always a candidate, so the result never increases the cost.  The
     statements are walked once (:func:`~repro.analysis.strides.band_strides`);
-    each order is then priced as a weighted sum over that walk.  The nest's
-    dependences are derived only when an order would beat the best so far,
-    so a band already in its minimal order asks no dependence question.
+    each order is then priced as a weighted sum over that walk.  Legality is
+    asked of the nest's :class:`~repro.analysis.band.BandView`, made only
+    when an order would beat the best so far, so a band already in its
+    minimal order asks no dependence question.
     """
     band = nest.perfectly_nested_band()
     iterators = tuple(loop.iterator for loop in band)
@@ -61,19 +59,17 @@ def find_minimal_permutation(nest: Loop, arrays: Mapping[str, Array]
 
     if len(band) > EXHAUSTIVE_DEPTH_LIMIT:
         candidate = _grouped_sort_order(iterators, strides)
-        evaluated = len(band) + 1
-        if permutation_is_legal(nest, candidate):
-            cost = strides.cost(candidate)
-            if cost < current_cost:
-                return candidate, cost, evaluated, current_cost
-        return iterators, current_cost, evaluated, current_cost
+        cost = strides.cost(candidate)
+        if cost < current_cost and BandView(nest).order_is_legal(candidate):
+            return candidate, cost, len(band) + 1, current_cost
+        return iterators, current_cost, len(band) + 1, current_cost
 
-    # Orders are priced in the order ``legal_permutations`` yields them, and
-    # an illegal order never changes the best: so only an order that would
-    # replace it needs the dependence question, asked of the nest once.
+    # Every order is priced, and an illegal order never changes the best:
+    # so only an order that would replace it needs the dependence question,
+    # asked of one view of the nest.
     best_order = iterators
     best_cost = current_cost
-    vectors = None
+    view = None
     evaluated = 0
     for order in permutations(iterators):
         cost = strides.cost(order)
@@ -83,9 +79,9 @@ def find_minimal_permutation(nest: Loop, arrays: Mapping[str, Array]
         if not cheaper and not (abs(cost - best_cost) <= 1e-12
                                 and order < best_order):
             continue
-        if vectors is None:
-            vectors = nest_direction_vectors(nest)
-        if band_order_is_legal(band, vectors, order):
+        if view is None:
+            view = BandView(nest)
+        if view.order_is_legal(order):
             best_order = order
             if cheaper:
                 best_cost = cost

@@ -30,7 +30,8 @@ positions — index expressions and loop bounds are never touched, and
 ``Read`` nodes are leaves (their indices are address computation).  LICM
 refuses to speculate partial intrinsics (``log``/``div``/``pow``), since a
 zero-trip loop must not start raising domain errors.  Invariance facts come
-from :mod:`repro.analysis.flops`.
+from :mod:`repro.analysis.flops` and, for what a subtree writes,
+:func:`repro.analysis.dataflow.node_reads_writes`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.flops import expr_flops, expr_reads, written_arrays
+from ..analysis.dataflow import node_reads_writes
+from ..analysis.flops import expr_flops, expr_reads
 from ..interp.executor import INTRINSICS
 from ..ir.arrays import Array
 from ..ir.nodes import ArrayAccess, Computation, Loop, Node, Program
@@ -355,7 +357,7 @@ class LoopInvariantCodeMotionPass(Pass):
                 return None
             reads = expr_reads(expr)
             for level in range(innermost_used, len(chain)):
-                if not (reads & written_arrays(chain[level])):
+                if not (reads & node_reads_writes(chain[level])[1]):
                     return level
             return None
 
@@ -461,7 +463,7 @@ class CommonSubexpressionEliminationPass(Pass):
                         live.setdefault(expr, []).extend([position] * count)
                     kill(frozenset({node.target.array}))
                 else:
-                    kill(written_arrays(node))
+                    kill(node_reads_writes(node)[1])
             groups.extend(live.items())
             eligible = [(expr, positions) for expr, positions in groups
                         if len(positions) >= 2]

@@ -315,7 +315,7 @@ class CostModel:
         for frame in frames:
             start, end, step = frame.bounds(bindings)
             bindings[frame.iterator] = start + (end - start) / 2.0
-        return max(0.0, (end - start) / step) if step > 0 else 0.0
+        return max(0.0, (end - start) / step)
 
 
 #: What a :class:`NodePrices` table keeps of one pricing: the node's cost
@@ -466,7 +466,7 @@ class _NestWalk:
         frame = frames[0]
         bindings = self._bindings
         start, end, step = frame.bounds(bindings)
-        trip = max(0.0, (end - start) / step) if step > 0 else 0.0
+        trip = max(0.0, (end - start) / step)
 
         iterations = self._iterations[-1] * trip
         below_band = len(self._iterators) >= self._band

@@ -65,7 +65,7 @@ def _loop_trips(nest: Loop, parameters: Mapping[str, int]) -> Dict[str, float]:
         start = loop.start.evaluate(env)
         end = loop.end.evaluate(env)
         step = loop.step.evaluate(env)
-        trips[loop.iterator] = max(0.0, (end - start) / step) if step > 0 else 0.0
+        trips[loop.iterator] = max(0.0, (end - start) / step)
         env[loop.iterator] = start + (end - start) / 2.0
     return trips
 

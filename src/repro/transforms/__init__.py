@@ -8,7 +8,7 @@ from .idiom import (BlasMatch, ReplaceWithLibraryCall, blas_flop_expr,
 from .interchange import Interchange
 from .parallelize import Parallelize, Unroll, Vectorize
 from .recipe import Recipe, RecipeApplication, apply_recipe
-from .tiling import Tile, tile_band
+from .tiling import Tile
 
 __all__ = [
     "Transformation", "TransformationError", "get_nest", "set_nest",
@@ -19,5 +19,5 @@ __all__ = [
     "Interchange",
     "Parallelize", "Unroll", "Vectorize",
     "Recipe", "RecipeApplication", "apply_recipe",
-    "Tile", "tile_band",
+    "Tile",
 ]

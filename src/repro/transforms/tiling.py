@@ -5,26 +5,8 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping
 
 from ..analysis.band import BandView
-from ..ir.nodes import Loop
 from ..ir.symbols import Const
 from .base import BandSchedule, TransformationError
-
-
-def tile_band(nest: Loop, tile_sizes: Mapping[str, int]) -> Loop:
-    """Tile the perfectly nested band of ``nest``.
-
-    Every iterator appearing in ``tile_sizes`` is strip-mined into a tile
-    loop (iterating over tile origins with the tile size as step) and a point
-    loop (iterating within the tile, bounded by ``min(origin + size, end)``).
-    All tile loops are placed outside all point loops, preserving the
-    relative order within each group — the standard rectangular tiling.
-    """
-    view = BandView(nest)
-    unknown = set(tile_sizes) - set(view.order())
-    if unknown:
-        raise TransformationError(f"cannot tile unknown iterators {sorted(unknown)}")
-    view.tile(tile_sizes)
-    return view.materialise()
 
 
 class Tile(BandSchedule):

@@ -205,7 +205,8 @@ GEMM_PARAMS = {"NI": 64, "NJ": 48, "NK": 32}
 #: The ways a request can be malformed that the session's boundary refuses.
 MALFORMED = ("rank-mismatch", "undeclared-container", "unbound-parameter",
              "read-in-bound", "read-in-index", "read-in-shape",
-             "constant-zero-divisor", "parameter-zero-divisor")
+             "constant-zero-divisor", "parameter-zero-divisor",
+             "zero-step", "negative-step", "parameter-negative-step")
 
 
 def malformed_gemm(kind):
@@ -229,6 +230,12 @@ def malformed_gemm(kind):
     elif kind == "constant-zero-divisor":
         # The bare constructor: ``FloorDiv.make`` already refuses it.
         program.body[0].end = FloorDiv(Const(8), Const(0))
+    elif kind in ("zero-step", "negative-step"):
+        program.body[1].step = Const(0 if kind == "zero-step" else -1)
+    elif kind == "parameter-negative-step":
+        program.parameters.append("S")
+        program.body[1].step = Sym("S")
+        parameters["S"] = -1
     else:
         assert kind == "parameter-zero-divisor", kind
         program.parameters.append("M")

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from helpers import build_gemm, build_vector_add
+from helpers import build_gemm
 from repro.analysis.band import BandView, Frame
 from repro.analysis.affine import loop_nest_accesses
 from repro.analysis.dependence import (band_order_is_legal,
@@ -36,7 +36,7 @@ from repro.scheduler.evolutionary import SEARCH_SPACE
 from repro.scheduler.tiramisu import ROLLOUT_SPACE
 from repro.transforms import (Fuse, Interchange, Parallelize, Recipe,
                               ReplaceWithLibraryCall, Tile, TransformationError,
-                              Unroll, Vectorize, apply_recipe, tile_band)
+                              Unroll, Vectorize, apply_recipe)
 from repro.workloads import registry as workloads
 
 from test_scheduler import GOLDEN_PATH
@@ -287,17 +287,6 @@ class TestTripsAndMidpoints:
         with pytest.raises(KeyError):
             frame.bounds({"N": 1000})
         assert frame.bound_symbols() == loop.bound_symbols()
-
-    def test_tile_band_is_the_specification(self):
-        for program, index, _parameters in _fuzz_nests(range(8)):
-            nest = program.body[index]
-            iterators = [lp.iterator for lp in nest.perfectly_nested_band()]
-            sizes = {it: 8 * (position + 1)
-                     for position, it in enumerate(iterators[:2])}
-            assert (node_fragment(tile_band(nest.copy(), sizes))
-                    == node_fragment(_spec_tile_band(nest.copy(), sizes)))
-        with pytest.raises(TransformationError, match="unknown iterators"):
-            tile_band(build_vector_add().body[0], {"nope": 4})
 
 
 # -- legality answers -------------------------------------------------------------------

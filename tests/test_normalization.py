@@ -18,11 +18,12 @@ from repro.experiments.cloudsc_pipeline import PIPELINE, daisy_optimize
 from repro.fuzz.generator import SIZE_CLASSES
 from repro.interp import programs_equivalent, run_program
 from repro.ir import ProgramBuilder, program_to_dict, to_pseudocode
+from repro.ir.nodes import loop_sites
 from repro.normalization import (canonicalize_iterator_names, contract_arrays,
                                  expand_scalars, find_minimal_permutation,
                                  is_maximally_fissioned, maximal_loop_fission,
-                                 normalize, normalize_loop_bounds,
-                                 normalize_program, normalize_program_bounds)
+                                 normalize, normalize_program,
+                                 normalize_program_bounds)
 from repro.passes import (LoopNormalFormPass, Pipeline, ScalarExpansionPass,
                           ValidatePass)
 from repro.workloads import registry as workloads
@@ -56,7 +57,7 @@ class TestLoopNormalForm:
         with b.loop("i", 2, "N"):
             b.library_call("axpy", ["y"], ["x"], flop_expr=b.sym("i") * 2)
         program = b.finish()
-        assert normalize_loop_bounds(program.body[0])
+        assert normalize_program_bounds(program)
         call = program.body[0].body[0]
         assert call.flop_expr == ((b.sym("i") + 2) * 2)
 
@@ -132,6 +133,38 @@ def test_one_fission_sweep_is_maximal(corpus):
             split += maximal_loop_fission(program)
             assert is_maximally_fissioned(program), name
     assert split > 0
+
+
+#: Where the post-order loop walk is checked: every registry variant and
+#: ``fuzz:small-0..79``.
+LOOP_SITE_PROGRAMS = (
+    [f"{name}:{variant}" for name in workloads.benchmark_names()
+     for variant in ("a", "b", "npbench")]
+    + [f"fuzz:small-{seed}" for seed in range(80)])
+
+
+@pytest.mark.parametrize("replacement", [0, 1, 3])
+def test_loop_sites_visit_every_loop_once_children_first(replacement):
+    """``loop_sites`` visits each loop once, after every loop inside it, and
+    steps over the nodes a caller puts in a site's place: here ``replacement``
+    copies of the loop, which hold loops of their own."""
+    visits = 0
+    with contextlib.closing(Session()) as session:
+        for name in LOOP_SITE_PROGRAMS:
+            program = session.load(name).copy()
+            loops = list(program.iter_loops())    # alive: ids stay unique
+            inside = {id(loop): {id(inner) for inner in loop.iter_loops()}
+                      - {id(loop)} for loop in loops}
+            visited = []
+            for owner, body, index in loop_sites(program.body):
+                loop = body[index]
+                assert body is (program.body if owner is None else owner.body)
+                assert inside[id(loop)] <= set(visited), name
+                visited.append(id(loop))
+                body[index:index + 1] = [loop.copy() for _ in range(replacement)]
+            assert sorted(visited) == sorted(inside), name
+            visits += len(visited)
+    assert visits > len(LOOP_SITE_PROGRAMS)
 
 
 class TestStrideMinimization:

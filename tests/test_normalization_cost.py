@@ -412,15 +412,16 @@ class TestStrideMinimizationOnce:
     def test_legality_is_asked_only_of_a_winner(self, monkeypatch):
         """One walk per band, and at most one dependence question: none for
         a band already in its minimal order."""
+        import repro.analysis.band as views
         walks, questions = [], []
         walk = stride_minimization.band_strides
-        vectors = stride_minimization.nest_direction_vectors
+        vectors = views.direction_vectors
         monkeypatch.setattr(
             stride_minimization, "band_strides",
             lambda *args: walks.append(1) or walk(*args))
         monkeypatch.setattr(
-            stride_minimization, "nest_direction_vectors",
-            lambda nest: questions.append(nest) or vectors(nest))
+            views, "direction_vectors",
+            lambda found: questions.append(found) or vectors(found))
         normalized = normalize(workloads.benchmark("gemm").variant("a"))[0]
         del walks[:], questions[:]
         counters = minimize_strides(normalized)

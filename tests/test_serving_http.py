@@ -7,6 +7,7 @@ from helpers import GEMM_PARAMS as PARAMS
 from helpers import MALFORMED, build_gemm, fast_session, malformed_gemm
 
 from repro.api import ScheduleRequest, ScheduleResponse
+from repro.api.registry import SCHEDULERS
 from repro.serving import ServingClient, ServingError, ServingServer
 
 
@@ -193,6 +194,22 @@ class TestErrorHandling:
                                                    parameters=PARAMS))
         assert response.runtime_s > 0
         assert len(connects) == 1
+
+    @pytest.mark.parametrize("kind", ["zero-step", "negative-step",
+                                      "parameter-negative-step"])
+    def test_a_non_positive_step_is_400_under_every_scheduler(self, served,
+                                                              kind):
+        """Before the boundary refused it, icc priced ``gemm`` with a step
+        of ``-1`` on its main nest at 6.85 µs."""
+        _, _, client = served
+        program, parameters = malformed_gemm(kind)
+        for scheduler in SCHEDULERS.names():
+            status, payload = client.request(
+                "POST", "/v1/schedule",
+                ScheduleRequest(program=program, parameters=parameters,
+                                scheduler=scheduler).to_dict())
+            assert status == 400 and "not positive" in payload["error"], (
+                scheduler, payload)
 
     def test_a_loop_bound_that_reads_an_array_is_400(self, served):
         """Bounds are index expressions: ``Expr.evaluate`` refuses a
