@@ -19,7 +19,7 @@ def show_erosion_transformation():
     kernel = session.load("erosion")
     print("=== erosion loop nest, as written (Figure 10a) ===")
     print(to_pseudocode(kernel))
-    optimized, info = daisy_optimize(kernel, parallel_blocks=False)
+    optimized, info = daisy_optimize(kernel)
     print("\n=== after scalar expansion, maximal fission, producer/consumer "
           "fusion and array contraction (Figure 10b) ===")
     print(to_pseudocode(optimized))

@@ -280,6 +280,21 @@ def dependences_between(node_a: Node, node_b: Node,
             _access_dependences(accesses_a, accesses_b, common_iterators)]
 
 
+def carried_between(first: Sequence[Node], second: Sequence[Node],
+                    common_iterators: Sequence[str]) -> bool:
+    """Whether a dependence between two bodies under the same
+    ``common_iterators``, either way round, links two different iterations
+    of those loops — the one reason the bodies cannot share them (fusion).
+    Each body's accesses are gathered once."""
+    accesses_a, accesses_b = (
+        _gather_accesses([entry for node in body for entry in nest_statements(node)],
+                         common_iterators)
+        for body in (first, second))
+    return any(is_carried(found[2])
+               for source, sink in ((accesses_a, accesses_b), (accesses_b, accesses_a))
+               for found in _access_dependences(source, sink, common_iterators))
+
+
 def self_dependences(node: Node, common_iterators: Sequence[str]) -> List[Dependence]:
     """Dependences of a node on itself across iterations of the common loops."""
     deps = dependences_between(node, node, common_iterators)

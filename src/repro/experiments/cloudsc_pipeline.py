@@ -16,18 +16,22 @@ differ only by code-generation quality, which is outside the scope of the
 loop-nest model.
 
 Normalization runs through a :class:`repro.api.Session`: each harness passes
-its settings-scoped session (so repeated ``daisy_optimize`` calls within a
-figure — e.g. Figure 12's seven scaling points — hit one content-addressed
-cache), and callers that pass no session (the examples) share the
-module-level :func:`pipeline_session`.
+its settings-scoped session, and callers that pass no session (the examples)
+share the module-level :func:`pipeline_session`.  Figures 11 and 12 read
+their runtimes from :func:`model_runtimes`, which builds and optimizes the
+model once per run.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api import (Loop, Program, Session, analyze_loop_parallelism,
+from ..api import (CloudscConfiguration, Loop, Program, Session,
+                   analyze_loop_parallelism, build_cloudsc_model,
                    contract_arrays, fuse_adjacent_loops, fuse_chains_in_body)
+
+#: The versions of the model Figures 11 and 12 compare.
+VERSIONS = ("fortran", "c", "dace", "daisy")
 
 #: Runtime factors of the C and DaCe code generators relative to the tuned
 #: Fortran build, taken from the paper's Figure 11 (both versions share the
@@ -51,27 +55,25 @@ def pipeline_session() -> Session:
     return _shared_session
 
 
-def annotate_baseline(program: Program, parallel_blocks: bool = True) -> Program:
+def annotate_baseline(program: Program) -> Program:
     """Annotate a CLOUDSC-structured program the way the tuned build runs it.
 
     Innermost loops are marked SIMD (the compiler vectorizes the NPROMA loops,
     privatizing per-iteration scalars); the outermost block loop is marked
-    parallel when requested and legal.
+    parallel when legal (at one thread that prices the same as unmarked).
     """
     annotated = program.copy()
     for top in annotated.top_level_loops():
-        if parallel_blocks:
-            info = analyze_loop_parallelism(top, annotated.arrays)
-            if info.is_parallel:
-                top.parallel = True
+        if analyze_loop_parallelism(top, annotated.arrays).is_parallel:
+            top.parallel = True
         for loop in top.iter_loops():
             if not any(isinstance(child, Loop) for child in loop.body):
                 loop.vectorized = True
     return annotated
 
 
-def daisy_optimize(program: Program, parallel_blocks: bool = True,
-                   session: Optional[Session] = None) -> Tuple[Program, dict]:
+def daisy_optimize(program: Program, session: Optional[Session] = None
+                   ) -> Tuple[Program, dict]:
     """Run the daisy normalization-plus-fusion pipeline on a CLOUDSC program.
 
     Returns the optimized program and a small report dictionary.
@@ -84,7 +86,7 @@ def daisy_optimize(program: Program, parallel_blocks: bool = True,
     fused = 0
     # Re-join outer (block/vertical) loops that maximal fission separated —
     # splitting those only multiplies cold memory traffic and loop overhead.
-    fused += fuse_adjacent_loops(normalized.body, min_depth=2)
+    fused += fuse_adjacent_loops(normalized.body)
     # Inside, fuse producer/consumer chains no other nest touches (Figure
     # 10b) and demote temporaries that no longer cross loop boundaries back
     # to scalars.
@@ -93,7 +95,7 @@ def daisy_optimize(program: Program, parallel_blocks: bool = True,
         fused += fuse_chains_in_body(loop.body)
     contracted = contract_arrays(normalized)
 
-    annotated = annotate_baseline(normalized, parallel_blocks=parallel_blocks)
+    annotated = annotate_baseline(normalized)
     info = {
         "scalars_expanded": counters["scalars_expanded"],
         "loops_split": counters["loops_split"],
@@ -102,3 +104,25 @@ def daisy_optimize(program: Program, parallel_blocks: bool = True,
         "normalization_cache_hit": normalization.cache_hit,
     }
     return annotated, info
+
+
+def model_runtimes(session: Session,
+                   points: Sequence[Tuple[CloudscConfiguration, int]]
+                   ) -> Tuple[List[Dict[str, float]], dict]:
+    """Runtime of each of :data:`VERSIONS` of the full model at each
+    ``(configuration, threads)`` point, and :func:`daisy_optimize`'s report.
+    The model is built and optimized once, for all points."""
+    program = build_cloudsc_model()
+    baseline = annotate_baseline(program)
+    optimized, info = daisy_optimize(program, session=session)
+    runtimes = []
+    for configuration, threads in points:
+        parameters = configuration.parameters()
+        fortran = session.evaluate(baseline, parameters, threads=threads)
+        runtimes.append({
+            "fortran": fortran,
+            "c": fortran * C_CODEGEN_FACTOR,
+            "dace": fortran * DACE_CODEGEN_FACTOR,
+            "daisy": session.evaluate(optimized, parameters, threads=threads),
+        })
+    return runtimes, info

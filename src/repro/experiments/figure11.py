@@ -10,13 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..api import CloudscConfiguration, build_cloudsc_model
-from .cloudsc_pipeline import (C_CODEGEN_FACTOR, DACE_CODEGEN_FACTOR,
-                               PIPELINE, annotate_baseline,
-                               daisy_optimize)
+from ..api import CloudscConfiguration
+from .cloudsc_pipeline import PIPELINE, VERSIONS, model_runtimes
 from .common import ExperimentSettings, format_table
-
-VERSIONS = ("fortran", "c", "dace", "daisy")
 
 
 def run(settings: Optional[ExperimentSettings] = None,
@@ -24,31 +20,12 @@ def run(settings: Optional[ExperimentSettings] = None,
         ) -> List[Dict[str, object]]:
     settings = settings or ExperimentSettings()
     configuration = configuration or CloudscConfiguration(nproma=128, nblocks=512)
-    parameters = configuration.parameters()
-    session = settings.session(PIPELINE)
-
-    model_program = build_cloudsc_model()
-    baseline = annotate_baseline(model_program, parallel_blocks=False)
-    optimized, pipeline_info = daisy_optimize(model_program, parallel_blocks=False,
-                                              session=session)
-
-    fortran_runtime = session.evaluate(baseline, parameters, threads=1)
-    daisy_runtime = session.evaluate(optimized, parameters, threads=1)
-
-    runtimes = {
-        "fortran": fortran_runtime,
-        "c": fortran_runtime * C_CODEGEN_FACTOR,
-        "dace": fortran_runtime * DACE_CODEGEN_FACTOR,
-        "daisy": daisy_runtime,
-    }
-
-    rows: List[Dict[str, object]] = []
-    for version in VERSIONS:
-        rows.append({
-            "version": version,
-            "runtime_s": runtimes[version],
-            "normalized_runtime": runtimes[version] / fortran_runtime,
-        })
+    (runtimes,), pipeline_info = model_runtimes(settings.session(PIPELINE),
+                                                [(configuration, 1)])
+    rows: List[Dict[str, object]] = [
+        {"version": version, "runtime_s": runtimes[version],
+         "normalized_runtime": runtimes[version] / runtimes["fortran"]}
+        for version in VERSIONS]
     rows.append({"version": "pipeline", **pipeline_info})
     return rows
 

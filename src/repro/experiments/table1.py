@@ -31,9 +31,8 @@ def run(settings: Optional[ExperimentSettings] = None) -> List[Dict[str, object]
     session = settings.session(PIPELINE)
 
     kernel = build_erosion_kernel()
-    original = annotate_baseline(kernel, parallel_blocks=False)
-    optimized, pipeline_info = daisy_optimize(kernel, parallel_blocks=False,
-                                              session=session)
+    original = annotate_baseline(kernel)
+    optimized, pipeline_info = daisy_optimize(kernel, session=session)
 
     rows: List[Dict[str, object]] = []
     for name, program in (("original", original), ("optimized", optimized)):

@@ -57,7 +57,7 @@ class TestErosionKernel:
 
     def test_daisy_pipeline_preserves_semantics(self):
         kernel = build_erosion_kernel()
-        optimized, info = daisy_optimize(kernel, parallel_blocks=False)
+        optimized, info = daisy_optimize(kernel)
         assert info["scalars_expanded"] == 6
         assert info["arrays_contracted"] >= 1
         params = {"NPROMA": 16}
@@ -70,8 +70,8 @@ class TestErosionKernel:
     def test_optimized_kernel_is_faster_and_lighter_on_l1(self):
         kernel = build_erosion_kernel()
         params = {"NPROMA": 128}
-        original = annotate_baseline(kernel, parallel_blocks=False)
-        optimized, _ = daisy_optimize(kernel, parallel_blocks=False)
+        original = annotate_baseline(kernel)
+        optimized, _ = daisy_optimize(kernel)
         model = CostModel(threads=1)
         t_original = model.estimate_seconds(original, params, assume_warm_caches=True)
         t_optimized = model.estimate_seconds(optimized, params, assume_warm_caches=True)
@@ -97,7 +97,7 @@ class TestFullModel:
 
     def test_baseline_annotation_parallelizes_blocks(self):
         model = build_cloudsc_model()
-        annotated = annotate_baseline(model, parallel_blocks=True)
+        annotated = annotate_baseline(model)
         assert annotated.body[0].parallel
         innermost = [loop for loop in annotated.iter_loops()
                      if not any(hasattr(c, "iterator") for c in loop.body)]
@@ -117,8 +117,8 @@ class TestFullModel:
     def test_daisy_version_not_slower_than_baseline(self):
         model = build_cloudsc_model()
         params = CloudscConfiguration(nproma=128, nblocks=64).parameters()
-        baseline = annotate_baseline(model, parallel_blocks=True)
-        optimized, _ = daisy_optimize(model, parallel_blocks=True)
+        baseline = annotate_baseline(model)
+        optimized, _ = daisy_optimize(model)
         cost = CostModel(threads=12)
         assert (cost.estimate_seconds(optimized, params)
                 <= cost.estimate_seconds(baseline, params) * 1.05)
@@ -126,7 +126,7 @@ class TestFullModel:
     def test_block_loop_scales_with_threads(self):
         model = build_cloudsc_model()
         params = CloudscConfiguration(nproma=128, nblocks=64).parameters()
-        baseline = annotate_baseline(model, parallel_blocks=True)
+        baseline = annotate_baseline(model)
         sequential = CostModel(threads=1).estimate_seconds(baseline, params)
         parallel = CostModel(threads=12).estimate_seconds(baseline, params)
         assert parallel < sequential / 2

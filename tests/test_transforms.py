@@ -2,19 +2,20 @@
 
 import contextlib
 
+import numpy as np
 import pytest
 
 from helpers import build_gemm, build_stencil, build_vector_add
 from repro.api import ScheduleRequest, Session
-from repro.interp import programs_equivalent
+from repro.interp import programs_equivalent, run_program
 from repro.ir import Loop, ProgramBuilder
 from repro.normalization import normalize_program
 from repro.transforms import (Fuse, Interchange, Parallelize, Recipe,
                               ReplaceWithLibraryCall, Tile, Transformation,
                               TransformationError, Unroll, Vectorize,
-                              apply_recipe, can_fuse, detect_blas3_nests,
+                              apply_recipe, detect_blas3_nests, fuse,
                               fuse_adjacent_loops, fuse_chains_in_body,
-                              fuse_nests, fuse_producer_consumer_chains,
+                              fuse_producer_consumer_chains,
                               match_blas3)
 from repro.workloads import registry as workloads
 
@@ -167,7 +168,7 @@ class TestFusion:
 
     def test_can_fuse_producer_consumer(self):
         program = self._two_maps()
-        assert can_fuse(program.body[0], program.body[1])
+        assert fuse(program.body[0], program.body[1]) is not None
 
     def test_fuse_transformation(self):
         program = self._two_maps()
@@ -189,7 +190,7 @@ class TestFusion:
         # The consumer reads the previous iteration's producer value: the
         # matching band differs (bounds) and the dependence is not
         # loop-independent, so fusion must be refused.
-        assert not can_fuse(program.body[0], program.body[1])
+        assert fuse(program.body[0], program.body[1]) is None
 
     def test_fuse_chains_in_body(self):
         program = self._two_maps()
@@ -198,8 +199,108 @@ class TestFusion:
 
     def test_fuse_adjacent_respects_min_depth(self):
         program = self._two_maps()
-        assert fuse_adjacent_loops(program.body, min_depth=2) == 0
-        assert fuse_adjacent_loops(program.body, min_depth=1) == 1
+        assert fuse_adjacent_loops(program.body) == 0
+
+    def test_fuse_refuses_a_nest_that_is_not_the_next_one(self):
+        """``Fuse(1, 0)`` used to apply and put the consumer first."""
+        program = self._two_maps()
+        for first, second in ((1, 0), (0, 0), (0, 2)):
+            with pytest.raises(TransformationError, match="next one"):
+                Fuse(first, second).apply(program)
+        assert len(program.body) == 2
+        assert programs_equivalent(self._two_maps(), program, {"N": 16})
+
+    @staticmethod
+    def _map_then_nest(inner):
+        """``t[j] = 2 x[j]``, then an independent nest ``for i {for
+        <inner>}``: the two share one level, ``i`` renamed to ``j``."""
+        b = ProgramBuilder("p", parameters=["N"])
+        b.add_array("x", ("N",))
+        b.add_array("t", ("N",))
+        b.add_array("y", ("N", "N"))
+        with b.loop("j", 0, "N"):
+            b.assign(("t", "j"), b.read("x", "j") * 2)
+        with b.loop("i", 0, "N"):
+            with b.loop(inner, 0, "N"):
+                b.assign(("y", "i", inner), b.read("x", "i") + b.sym(inner))
+        return b.finish()
+
+    def test_fusion_refuses_to_capture_an_inner_iterator(self):
+        captured = self._map_then_nest("j")
+        assert fuse(captured.body[0], captured.body[1]) is None
+        with pytest.raises(TransformationError):
+            Fuse(0, 1).apply(captured)
+        # The same nest with a fresh inner name fuses, and soundly.
+        program = self._map_then_nest("k")
+        Fuse(0, 1).apply(program)
+        assert len(program.body) == 1
+        assert programs_equivalent(self._map_then_nest("k"), program, {"N": 9})
+
+    @pytest.mark.parametrize("variant", ["b", "npbench"])
+    def test_covariance_zeroing_nest_is_not_captured(self, variant):
+        """Nests 3 and 4 as written: ``for j {for i}`` then ``for i {for j
+        in i..M}``; renaming ``i`` to ``j`` made ``for (j = j; ...)``."""
+        with contextlib.closing(Session()) as session:
+            program = session.load(f"covariance:{variant}").copy()
+        first, second = program.body[3], program.body[4]
+        assert [first.iterator, second.iterator, second.body[0].iterator] == \
+            ["j", "i", "j"]
+        assert fuse(first, second) is None
+        with pytest.raises(TransformationError):
+            Fuse(3, 4).apply(program)
+
+
+#: Fusion's soundness corpus: every registry variant and ``fuzz:small-0..39``.
+FUSION_CORPUS = ([f"{name}:{variant}" for name in workloads.benchmark_names()
+                  for variant in ("a", "b", "npbench")]
+                 + [f"fuzz:small-{seed}" for seed in range(40)])
+
+
+def _mini_sizes(name):
+    workload, _, key = name.partition(":")
+    if workload == "fuzz":
+        return workloads.fuzz_program(key)[1]
+    return dict(workloads.benchmark(workload).sizes("mini"))
+
+
+@pytest.mark.parametrize("form, pairs, accepted", [
+    ("as-written", 124, 36), ("a-priori-keep-names", 204, 111)])
+def test_every_fusion_fuse_accepts_is_sound(form, pairs, accepted):
+    """Each adjacent pair of top-level loops of the corpus: a nest
+    :func:`fuse` accepts, spliced in for the pair, leaves every non-transient
+    container as it was at mini sizes (the ``programs_equivalent`` check,
+    with the inputs and the unfused run shared by a program's pairs).
+
+    ``a-priori`` is left out: it is ``a-priori-keep-names`` with iterators
+    renamed by depth, the same nests and the same verdicts on the registry,
+    and source names are where a rename can capture."""
+    seen = fused = 0
+    with contextlib.closing(Session()) as session:
+        for name in FUSION_CORPUS:
+            program = (session.load(name) if form == "as-written"
+                       else session.normalize(name, form).program)
+            parameters = _mini_sizes(name)
+            inputs = {array: spec.allocate(parameters, rng=np.random.default_rng(0))
+                      for array, spec in program.arrays.items() if not spec.transient}
+            expected = None
+            for index in range(len(program.body) - 1):
+                first, second = program.body[index:index + 2]
+                if not (isinstance(first, Loop) and isinstance(second, Loop)):
+                    continue
+                seen += 1
+                nest = fuse(first, second)
+                if nest is None:
+                    continue
+                fused += 1
+                candidate = program.copy()
+                candidate.body[index:index + 2] = [nest]
+                if expected is None:
+                    expected = run_program(program, parameters, inputs)
+                actual = run_program(candidate, parameters, inputs)
+                assert all(np.allclose(expected[array], actual[array],
+                                       rtol=1e-9, atol=1e-9)
+                           for array in inputs), (name, index)
+    assert (seen, fused) == (pairs, accepted)
 
 
 class TestFusionRules:
