@@ -15,8 +15,7 @@
 """
 
 from .affine import (AffineAccess, AffineIndex, computation_accesses,
-                     decompose_access, decompose_index, loop_nest_accesses,
-                     nest_statements)
+                     decompose_access, decompose_index, nest_statements)
 from .band import BandView, Frame
 from .dataflow import adjacent_flows, body_dataflow, node_reads_writes
 from .flops import computation_flops, expr_flops, expr_reads, program_flops
@@ -30,8 +29,7 @@ from .strides import (BandStrides, access_stride, band_strides,
 
 __all__ = [
     "AffineAccess", "AffineIndex", "computation_accesses",
-    "decompose_access", "decompose_index", "loop_nest_accesses",
-    "nest_statements",
+    "decompose_access", "decompose_index", "nest_statements",
     "BandView", "Frame",
     "adjacent_flows", "body_dataflow", "node_reads_writes",
     "ANY", "EQ", "GT", "LT", "Dependence", "body_dependences",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Tuple
 
 from ..ir.nodes import ArrayAccess, Computation, Loop, Node, read_accesses
 from ..ir.symbols import Expr
@@ -90,17 +90,40 @@ class AffineAccess:
         return iterator in self.columns
 
 
-def decompose_index(expr: Expr, iterators: Sequence[str]) -> AffineIndex:
-    """Decompose one subscript expression over the given iterators."""
+def decompose_index(expr: Expr, iterators: Iterable[str]) -> AffineIndex:
+    """Split one subscript into iterator and offset terms over ``iterators``.
+
+    The split depends on the subscript and on which of its own symbols are
+    iterators, nothing else, so it is kept on the (immutable) subscript
+    under that key: fission at every loop level, the embedding's per-loop
+    parallelism and every band view read one split wherever they agree on
+    it, and a bare iterator (an interned leaf) holds at most two.
+    """
+    symbols = expr.free_symbols()
+    used = symbols.intersection(iterators)
+    if len(used) == len(symbols):
+        used = symbols  # the same set: keep one object, not two
+    try:
+        memo = expr._split
+    except AttributeError:
+        memo = ()
+    for known, found in memo:
+        if known == used:
+            return found
+    found = _split_index(expr, used)
+    expr._split = memo + ((used, found),)
+    return found
+
+
+def _split_index(expr: Expr, iterators: FrozenSet[str]) -> AffineIndex:
     affine_form = expr.as_affine()
     if affine_form is None:
         return AffineIndex.non_affine()
     coeffs, constant = affine_form
-    iterator_set = set(iterators)
     iterator_coeffs = tuple(sorted(
-        (name, float(coeff)) for name, coeff in coeffs.items() if name in iterator_set))
+        (name, float(coeff)) for name, coeff in coeffs.items() if name in iterators))
     parameter_coeffs = tuple(sorted(
-        (name, float(coeff)) for name, coeff in coeffs.items() if name not in iterator_set))
+        (name, float(coeff)) for name, coeff in coeffs.items() if name not in iterators))
     return AffineIndex(iterator_coeffs, parameter_coeffs, float(constant))
 
 
@@ -111,7 +134,8 @@ def decompose_access(access: ArrayAccess, iterators: Iterable[str],
     The answer depends on the access and on which of the symbols in its
     subscripts are iterators, nothing else, so it is kept on the (immutable)
     access under that key: every copy of a statement, every candidate
-    schedule and every analysis reads the same decomposition.
+    schedule and every analysis reads the same decomposition.  A miss reads
+    each subscript's own memo (:func:`decompose_index`).
     """
     symbols = access.free_symbols()
     used = symbols.intersection(iterators)
@@ -161,13 +185,3 @@ def nest_statements(node: Node) -> List[Tuple[Node, Tuple[str, ...]]]:
 
     recurse(node, ())
     return result
-
-
-def loop_nest_accesses(loop: Node) -> List[Tuple[Computation, Tuple[str, ...],
-                                                 List[AffineAccess]]]:
-    """``(computation, enclosing iterators, accesses)`` of every computation
-    in a loop nest, each decomposed over the iterators that enclose it."""
-    return [(node, enclosing, computation_accesses(node, enclosing))
-            for node, enclosing in nest_statements(loop)
-            if isinstance(node, Computation)]
-

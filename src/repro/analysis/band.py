@@ -41,8 +41,7 @@ from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
 from ..ir.arrays import Array
 from ..ir.nodes import Computation, Loop, Node, read_accesses
 from ..ir.symbols import Const, Expr, Min, Sym
-from .affine import (AffineAccess, computation_accesses, loop_nest_accesses,
-                     nest_statements)
+from .affine import AffineAccess, computation_accesses, nest_statements
 from .dependence import Statements, band_order_is_legal, direction_vectors
 from .parallelism import (ParallelismInfo, analyze_loop_parallelism,
                           classify_iterations)
@@ -344,9 +343,10 @@ class BandView:
         containers' nominal extents."""
         iterator = self.header(target).iterator
         if not isinstance(target, int):
-            return self._unit_stride_share(
-                iterator, (accesses for _comp, _enclosing, accesses
-                           in loop_nest_accesses(target)))
+            return self._unit_stride_share(iterator, (
+                computation_accesses(statement, enclosing)
+                for statement, enclosing in nest_statements(target)
+                if isinstance(statement, Computation)))
         answer = self._memo.get(("unit-stride", iterator))
         if answer is None:
             answer = self._memo[("unit-stride", iterator)] = \

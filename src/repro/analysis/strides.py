@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..ir.arrays import Array
-from ..ir.nodes import Loop, Program, band_starts
-from .affine import AffineAccess, loop_nest_accesses
+from ..ir.nodes import Computation, Loop, Program, band_starts, read_accesses
+from .affine import AffineAccess, nest_statements
 
 #: Nominal extent used for size parameters without a concrete binding when
 #: evaluating symbolic strides.  Any value much larger than a cache line works;
@@ -88,32 +88,44 @@ def band_strides(loop: Loop, arrays: Mapping[str, Array],
     """Sum the strides of every access of the nest per band iterator.
 
     Loops below the perfectly nested band keep their position whatever the
-    band order; their strides are not charged.
+    band order; their strides are not charged.  Every band iterator encloses
+    every statement of the nest, so its coefficient in a subscript is the
+    subscript's affine coefficient (:meth:`~repro.ir.symbols.Expr.as_affine`)
+    whichever enclosing symbols count as iterators: no access is decomposed.
     """
     parameters = dict(parameters or {})
     per_iterator = {lp.iterator: 0.0 for lp in loop.perfectly_nested_band()}
     element_strides: Dict[str, Tuple[int, ...]] = {}
     non_affine = 0
     penalty = 0.0
-    for _comp, _enclosing, accesses in loop_nest_accesses(loop):
-        for access in accesses:
+    for statement, _enclosing in nest_statements(loop):
+        if not isinstance(statement, Computation):
+            continue
+        for access in (*read_accesses(statement.value), statement.target):
             if access.array not in arrays:
                 continue
             strides = element_strides.get(access.array)
             if strides is None:
                 strides = element_strides[access.array] = _array_strides(
                     arrays[access.array], parameters)
-            if not access.affine:
+            forms = [index.as_affine() for index in access.indices]
+            if None in forms:
                 non_affine += 1
                 # Unknown accesses are charged a large constant so that
                 # permutations cannot "hide" them.
                 penalty += max(strides) if strides else 1.0
                 continue
+            if len(strides) != len(forms):
+                continue
             # An iterator the access does not vary in moves it by 0.
-            for iterator in per_iterator.keys() & access.columns.keys():
-                stride = access_stride(access, iterator, strides)
-                if stride is not None:
-                    per_iterator[iterator] += abs(stride)
+            movement: Dict[str, float] = {}
+            for (coefficients, _constant), stride in zip(forms, strides):
+                for iterator, coefficient in coefficients.items():
+                    if iterator in per_iterator:
+                        movement[iterator] = (movement.get(iterator, 0.0)
+                                              + float(coefficient) * stride)
+            for iterator, moved in movement.items():
+                per_iterator[iterator] += abs(moved)
     return BandStrides(per_iterator, penalty, non_affine)
 
 

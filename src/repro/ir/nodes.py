@@ -327,11 +327,6 @@ class Computation(Node):
         return any(acc.array == self.target.array and acc.indices == self.target.indices
                    for acc in read_accesses(self.value))
 
-    def free_symbols(self) -> frozenset:
-        out = self.target.free_symbols()
-        out |= self.value.free_symbols()
-        return out
-
     def substitute(self, mapping) -> "Computation":
         return Computation(self.target.substitute(mapping),
                            self.value.substitute(mapping), name=self.name)
@@ -409,10 +404,6 @@ class Loop(Node):
         """True if the loop starts at 0 with unit step."""
         return self.start == Const(0) and self.step == Const(1)
 
-    def nested_iterators(self) -> List[str]:
-        """Iterators of this loop and all nested loops, in-order."""
-        return [loop.iterator for loop in self.iter_loops()]
-
     def perfectly_nested_band(self) -> List["Loop"]:
         """Longest chain of singly-nested loops starting at this loop.
 
@@ -436,13 +427,6 @@ class Loop(Node):
         """Maximum loop-nesting depth of this subtree."""
         child_depths = [child.depth() for child in self.body if isinstance(child, Loop)]
         return 1 + (max(child_depths) if child_depths else 0)
-
-    def free_symbols(self) -> frozenset:
-        out = self.start.free_symbols() | self.end.free_symbols() | self.step.free_symbols()
-        for child in self.body:
-            if isinstance(child, (Loop, Computation, LibraryCall)):
-                out |= child.free_symbols()
-        return out - frozenset(self.nested_iterators())
 
     def __repr__(self) -> str:
         flags = []
@@ -492,9 +476,6 @@ class LibraryCall(Node):
 
     def accessed_arrays(self) -> frozenset:
         return frozenset(self.outputs) | frozenset(self.inputs)
-
-    def free_symbols(self) -> frozenset:
-        return self.flop_expr.free_symbols()
 
     def __repr__(self) -> str:
         return (f"LibraryCall({self.routine}, outputs={list(self.outputs)}, "
@@ -647,16 +628,28 @@ class Program:
         return view
 
     def used_parameters(self) -> frozenset:
-        """Symbols referenced by the program that are not loop iterators."""
-        iterators = {loop.iterator for loop in self.iter_loops()}
-        used = frozenset()
-        for node in self.body:
-            if isinstance(node, (Loop, Computation, LibraryCall)):
-                used |= node.free_symbols()
+        """Symbols referenced by the program that are not loop iterators:
+        one walk, over the memoized symbols of each expression."""
+        symbols = set()
+        iterators = set()
         for arr in self.arrays.values():
             for dim in arr.shape:
-                used |= dim.free_symbols()
-        return used - iterators
+                symbols.update(dim.free_symbols())
+        stack = list(self.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Loop):
+                iterators.add(node.iterator)
+                symbols.update(node.start.free_symbols(),
+                               node.end.free_symbols(),
+                               node.step.free_symbols())
+                stack.extend(node.body)
+            elif isinstance(node, Computation):
+                symbols.update(node.target.free_symbols(),
+                               node.value.free_symbols())
+            elif isinstance(node, LibraryCall):
+                symbols.update(node.flop_expr.free_symbols())
+        return frozenset(symbols - iterators)
 
     def __repr__(self) -> str:
         return (f"Program({self.name!r}, {len(self.arrays)} containers, "

@@ -58,9 +58,12 @@ class Expr:
     # Memos, safe to keep forever because expressions are immutable:
     # ``_hash`` the structural hash, ``_frag`` the canonical JSON fragment
     # (written by ``repro.ir.canonical``), ``_affine`` the affine form,
-    # ``_reads`` the array reads in order (``repro.ir.nodes``), ``_flops``
-    # the operation count (``repro.perf.model``).
-    __slots__ = ("_hash", "_frag", "_affine", "_reads", "_flops")
+    # ``_free`` the free symbols, ``_reads`` the array reads in order
+    # (``repro.ir.nodes``), ``_flops`` the operation count
+    # (``repro.perf.model``), ``_split`` the subscript's splits into
+    # iterator and offset terms (``repro.analysis.affine``).
+    __slots__ = ("_hash", "_frag", "_affine", "_free", "_reads", "_flops",
+                 "_split")
 
     # -- construction helpers -------------------------------------------------
 
@@ -97,11 +100,25 @@ class Expr:
     # -- queries ---------------------------------------------------------------
 
     def free_symbols(self) -> frozenset:
-        """Return the set of symbol names appearing in the expression."""
-        out = frozenset()
-        for child in self.children():
-            out |= child.free_symbols()
-        return out
+        """Return the set of symbol names appearing in the expression.
+
+        Memoized on the expression asked about, not on its parts: one walk
+        on the first call, and every later call returns the same set.
+        """
+        try:
+            return self._free
+        except AttributeError:
+            pass
+        names = set()
+        stack = list(self.children())
+        while stack:
+            expr = stack.pop()
+            if isinstance(expr, Sym):
+                names.add(expr.name)
+            else:
+                stack.extend(expr.children())
+        self._free = found = frozenset(names)
+        return found
 
     def substitute(self, mapping: Mapping[str, ExprLike]) -> "Expr":
         """Return a new expression with symbols replaced per ``mapping``,
@@ -210,7 +227,11 @@ class Sym(Expr):
         self.name = name
 
     def free_symbols(self) -> frozenset:
-        return frozenset({self.name})
+        try:
+            return self._free
+        except AttributeError:
+            self._free = out = frozenset((self.name,))
+            return out
 
     def substitute(self, mapping: Mapping[str, ExprLike]) -> Expr:
         if self.name in mapping:

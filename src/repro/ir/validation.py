@@ -9,9 +9,11 @@ programs in a state that passes :func:`validate_program`.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, List, Mapping, Sequence, Set, Tuple
 
-from .nodes import ArrayAccess, Computation, LibraryCall, Loop, Node, Program
+from .nodes import (ArrayAccess, Computation, LibraryCall, Loop, Node, Program,
+                    read_accesses)
 from .symbols import Call, Const, Expr, FloorDiv, Mod, Read
 
 
@@ -27,27 +29,43 @@ class ValidationError(ValueError):
         return "; ".join(self.errors)
 
 
-def _index_expressions(program: Program) -> Iterator[Tuple[str, Expr]]:
-    """Every expression evaluated as a number that is not affine (only those
-    hold a statement value or a division), with where it sits: array
-    extents, loop bounds, access indices and library-call FLOP counts."""
-    for array in program.arrays.values():
-        for extent in array.shape:
-            if extent.as_affine() is None:
-                yield f"container {array.name!r} extent", extent
-    for loop in program.iter_loops():
+class _Evaluated:
+    """The expressions evaluated as numbers that are not affine (only those
+    hold a statement value or a division), with where each sits, gathered
+    by the walk that visits their nodes.  Iterating lists array extents,
+    then loop bounds, access indices and library-call FLOP counts, each in
+    program order."""
+
+    def __init__(self, program: Program):
+        self.extents = [(f"container {array.name!r} extent", extent)
+                        for array in program.arrays.values()
+                        for extent in array.shape if extent.as_affine() is None]
+        self.bounds: List[Tuple[str, Expr]] = []
+        self.indices: List[Tuple[str, Expr]] = []
+        self.flops: List[Tuple[str, Expr]] = []
+
+    def loop(self, loop: Loop) -> None:
         for bound in (loop.start, loop.end, loop.step):
             if bound.as_affine() is None:
-                yield f"loop {loop.iterator!r} bound", bound
-    for computation in program.iter_computations():
-        for access in (computation.target, *computation.reads()):
+                self.bounds.append((f"loop {loop.iterator!r} bound", bound))
+
+    def computation(self, computation: Computation,
+                    accesses: Sequence[ArrayAccess]) -> None:
+        """``accesses``: the target, then the reads in order."""
+        for access in accesses:
             for index in access.indices:
                 if index.as_affine() is None:
-                    yield (f"computation {computation.name} index of "
-                           f"{access.array!r}", index)
-    for call in program.library_calls():
+                    self.indices.append((f"computation {computation.name} "
+                                         f"index of {access.array!r}", index))
+
+    def call(self, call: LibraryCall) -> None:
         if call.flop_expr.as_affine() is None:
-            yield f"library call {call.routine} FLOP count", call.flop_expr
+            self.flops.append((f"library call {call.routine} FLOP count",
+                               call.flop_expr))
+
+    def __iter__(self) -> Iterator[Tuple[str, Expr]]:
+        return itertools.chain(self.extents, self.bounds, self.indices,
+                               self.flops)
 
 
 def _parts(expr: Expr) -> Iterator[Expr]:
@@ -64,6 +82,7 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
     if any problem is found; otherwise the list is returned for inspection.
     """
     errors: List[str] = []
+    evaluated = _Evaluated(program)
 
     def check_access(access: ArrayAccess, where: str, visible: Set[str]) -> None:
         if access.array not in program.arrays:
@@ -74,10 +93,10 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
             errors.append(
                 f"{where}: container {access.array!r} has rank {declared.rank} "
                 f"but is accessed with {access.rank} indices")
-        unknown = access.free_symbols() - visible
-        if unknown:
-            errors.append(
-                f"{where}: index uses unbound symbols {sorted(unknown)}")
+        symbols = access.free_symbols()
+        if not symbols <= visible:
+            errors.append(f"{where}: index uses unbound symbols "
+                          f"{sorted(symbols - visible)}")
 
     def check_node(node: Node, visible: Set[str]) -> None:
         if isinstance(node, Loop):
@@ -90,22 +109,28 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
             if isinstance(node.step, Const) and node.step.value <= 0:
                 errors.append(
                     f"loop {node.iterator!r}: step {node.step} is not positive")
+            evaluated.loop(node)
             inner = visible | {node.iterator}
             for child in node.body:
                 check_node(child, inner)
         elif isinstance(node, Computation):
             where = f"computation {node.name}"
+            reads = read_accesses(node.value)
+            evaluated.computation(node, (node.target, *reads))
             check_access(node.target, where, visible)
+            for access in reads:
+                check_access(access, where, visible)
             # Index symbols are checked per access; what is left of the
             # value's symbols appears outside every read.
-            scalar_symbols = node.value.free_symbols()
-            for access in node.reads():
-                check_access(access, where, visible)
-                scalar_symbols -= access.free_symbols()
-            unknown = scalar_symbols - visible
+            unknown = node.value.free_symbols() - visible
+            for access in reads:
+                if not unknown:
+                    break
+                unknown -= access.free_symbols()
             if unknown:
                 errors.append(f"{where}: value uses unbound symbols {sorted(unknown)}")
         elif isinstance(node, LibraryCall):
+            evaluated.call(node)
             for name in list(node.outputs) + list(node.inputs):
                 if name not in program.arrays:
                     errors.append(
@@ -116,7 +141,7 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
     visible_symbols = set(program.parameters)
     for node in program.body:
         check_node(node, visible_symbols)
-    for where, expr in _index_expressions(program):
+    for where, expr in evaluated:
         for part in _parts(expr):
             if isinstance(part, (Read, Call)):
                 errors.append(f"{where}: {part} is a {type(part).__name__}, "
@@ -138,15 +163,31 @@ def validate_bindings(program: Program, parameters: Mapping[str, int]) -> None:
     if unbound:
         errors.append(f"no parameters given for {sorted(unbound)} "
                       f"of {program.name!r}")
-    names = set(parameters) - {loop.iterator for loop in program.iter_loops()}
-    for where, expr in _index_expressions(program):
+    evaluated = _Evaluated(program)
+    loops: List[Loop] = []
+
+    def gather(nodes: Sequence[Node]) -> None:
+        for node in nodes:
+            if isinstance(node, Loop):
+                loops.append(node)
+                evaluated.loop(node)
+                gather(node.body)
+            elif isinstance(node, Computation):
+                evaluated.computation(
+                    node, (node.target, *read_accesses(node.value)))
+            elif isinstance(node, LibraryCall):
+                evaluated.call(node)
+
+    gather(program.body)
+    names = set(parameters) - {loop.iterator for loop in loops}
+    for where, expr in evaluated:
         for part in _parts(expr):
             if (isinstance(part, (FloorDiv, Mod))
                     and part.denominator.free_symbols() <= names
                     and part.denominator.evaluate(parameters) == 0):
                 errors.append(f"{where}: {part} divides by zero")
                 break
-    for loop in program.iter_loops():
+    for loop in loops:
         if loop.step.free_symbols() <= names:
             try:
                 step = loop.step.evaluate(parameters)

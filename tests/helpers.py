@@ -196,6 +196,75 @@ def prometheus_sample(metrics, sample_name, **labels):
     return metrics[base]["samples"][key]
 
 
+# -- reference derivations of memoized symbolic facts --------------------------
+
+
+def spec_free_symbols(expr):
+    """The symbols of an expression by a plain recursive walk, no memo."""
+    if isinstance(expr, Sym):
+        return frozenset({expr.name})
+    found = frozenset()
+    for child in expr.children():
+        found |= spec_free_symbols(child)
+    return found
+
+
+def spec_split(expr, iterators):
+    """A subscript split over ``iterators`` from its affine form, no memo."""
+    from repro.analysis.affine import AffineIndex
+
+    form = expr.as_affine()
+    if form is None:
+        return AffineIndex.non_affine()
+    coefficients, constant = form
+    return AffineIndex(
+        tuple(sorted((name, float(coefficient))
+                     for name, coefficient in coefficients.items()
+                     if name in iterators)),
+        tuple(sorted((name, float(coefficient))
+                     for name, coefficient in coefficients.items()
+                     if name not in iterators)),
+        float(constant))
+
+
+def nest_accesses(loop):
+    """``(computation, enclosing iterators, accesses)`` of every computation
+    of a nest, each decomposed over the iterators that enclose it."""
+    from repro.analysis.affine import computation_accesses, nest_statements
+    from repro.ir.nodes import Computation
+
+    return [(node, enclosing, computation_accesses(node, enclosing))
+            for node, enclosing in nest_statements(loop)
+            if isinstance(node, Computation)]
+
+
+def spec_band_strides(loop, arrays, parameters=None):
+    """``band_strides`` as it was before it read the subscripts' affine
+    forms: every access decomposed over the iterators enclosing it, each
+    band iterator's stride through ``access_stride``."""
+    from repro.analysis.strides import (BandStrides, _array_strides,
+                                        access_stride)
+
+    parameters = dict(parameters or {})
+    per_iterator = {lp.iterator: 0.0 for lp in loop.perfectly_nested_band()}
+    non_affine = 0
+    penalty = 0.0
+    for _comp, _enclosing, accesses in nest_accesses(loop):
+        for access in accesses:
+            if access.array not in arrays:
+                continue
+            strides = _array_strides(arrays[access.array], parameters)
+            if not access.affine:
+                non_affine += 1
+                penalty += max(strides) if strides else 1.0
+                continue
+            for iterator in per_iterator.keys() & access.columns.keys():
+                stride = access_stride(access, iterator, strides)
+                if stride is not None:
+                    per_iterator[iterator] += abs(stride)
+    return BandStrides(per_iterator, penalty, non_affine)
+
+
 # -- shared fast-session preset ------------------------------------------------
 
 #: GEMM parameter bindings many API/serving tests schedule with.
@@ -209,10 +278,16 @@ MALFORMED = ("rank-mismatch", "undeclared-container", "unbound-parameter",
              "zero-step", "negative-step", "parameter-negative-step")
 
 
-def malformed_gemm(kind):
-    """``(build_gemm(), GEMM_PARAMS)`` made malformed in the way ``kind``
-    (one of :data:`MALFORMED`) names."""
+def malformed_gemm(*kinds):
+    """``(build_gemm(), GEMM_PARAMS)`` made malformed in each way ``kinds``
+    (each one of :data:`MALFORMED`) name, in that order."""
     program, parameters = build_gemm(), dict(GEMM_PARAMS)
+    for kind in kinds:
+        _malform(program, parameters, kind)
+    return program, parameters
+
+
+def _malform(program, parameters, kind):
     update = program.body[1].body[0].body[0].body[0]    # C[i, j] += ...
     a00 = Read("A", (Const(0), Const(0)))
     if kind == "rank-mismatch":
@@ -241,7 +316,6 @@ def malformed_gemm(kind):
         program.parameters.append("M")
         program.body[0].end = FloorDiv(Sym("NI"), Sym("M"))
         parameters["M"] = 0
-    return program, parameters
 
 
 def fast_session(**kwargs):

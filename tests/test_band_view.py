@@ -14,9 +14,8 @@ import random
 
 import pytest
 
-from helpers import build_gemm
+from helpers import build_gemm, nest_accesses
 from repro.analysis.band import BandView, Frame
-from repro.analysis.affine import loop_nest_accesses
 from repro.analysis.dependence import (band_order_is_legal,
                                        nest_direction_vectors,
                                        permutation_is_legal)
@@ -90,7 +89,7 @@ def _spec_find(nest, iterator, innermost):
 
 def _spec_mostly_unit_stride(program, loop):
     good = total = 0
-    for _comp, _enclosing, accesses in loop_nest_accesses(loop):
+    for _comp, _enclosing, accesses in nest_accesses(loop):
         for access in accesses:
             if access.array not in program.arrays:
                 continue
@@ -266,7 +265,7 @@ class TestTripsAndMidpoints:
         model = CostModel(threads=4)
         for nest in program.body:
             sizes = {it: size for it, size in tile_sizes.items()
-                     if it in nest.nested_iterators()}
+                     if any(loop.iterator == it for loop in nest.iter_loops())}
             view = BandView(nest, program.arrays, parameters)
             view.tile(sizes)  # no legality: the numbers are what is tested
             built = _spec_tile_band(nest.copy(), sizes)
@@ -678,7 +677,7 @@ class TestPricedCandidatesExecute:
         for index, nest in enumerate(normalized.body):
             if not isinstance(nest, Loop):
                 continue
-            iterators = set(nest.nested_iterators())
+            iterators = {loop.iterator for loop in nest.iter_loops()}
             if not any(loop.bound_symbols() & iterators
                        for loop in nest.iter_loops()):
                 continue

@@ -40,7 +40,7 @@ class TestLoop:
             LibraryCall("axpy", ["y"], ["x"], flop_expr=Sym("j") * Sym("i"))])
         nest = Loop("i", 0, "N", body=[inner])
         rename_iterators(nest, {"i": "a", "j": "b"})
-        assert nest.nested_iterators() == ["a", "b"]
+        assert [loop.iterator for loop in nest.iter_loops()] == ["a", "b"]
         assert inner.start == Sym("a")
         assert str(inner.body[0].target) == "y[a, b]"
         assert inner.body[0].value == Read("x", (Sym("b"),))

@@ -557,11 +557,11 @@ class TestIndexFacts:
         assert len(tested) > 10000 and 0 < sum(tested) < len(tested)
 
     def test_facts_mirror_the_coefficient_tuples(self):
-        from repro.analysis.affine import loop_nest_accesses
+        from helpers import nest_accesses
         seen = 0
         for label, program, _parameters in itertools.islice(_programs(), 0, None, 5):
             for node in program.body:
-                for _comp, _enclosing, accesses in loop_nest_accesses(node):
+                for _comp, _enclosing, accesses in nest_accesses(node):
                     for access in accesses:
                         for index in access.indices:
                             assert index.coefficient_of == dict(index.coefficients)

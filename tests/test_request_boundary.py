@@ -9,7 +9,7 @@ from helpers import MALFORMED, build_gemm, fast_session, malformed_gemm
 import repro.api.session as session_module
 from repro.api import Session
 from repro.api.registry import SCHEDULERS
-from repro.ir import ArrayAccess, ValidationError
+from repro.ir import ArrayAccess, ValidationError, validate_program
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +29,54 @@ def test_every_scheduler_refuses_every_malformed_kind(session, kind,
     assert session.report().schedule_calls == calls
 
 
+#: The full refusal of each malformed kind, in order; the last two keys
+#: combine kinds, so the order across checks and across the kinds of
+#: expression (extents, then bounds, then indices) is pinned too.
+REFUSALS = {
+    ("rank-mismatch",): [
+        "computation S1: container 'C' has rank 2 but is accessed with 1 indices"],
+    ("undeclared-container",): [
+        "computation S1: access to undeclared container 'ghost'"],
+    ("unbound-parameter",): ["no parameters given for ['NK'] of 'gemm_ijk'"],
+    ("read-in-bound",): [
+        "loop 'i' bound: A[0, 0] is a Read, not an index expression"],
+    ("read-in-index",): [
+        "computation S1 index of 'C': A[0, 0] is a Read, not an index expression"],
+    ("read-in-shape",): [
+        "container 'B' extent: A[0, 0] is a Read, not an index expression"],
+    ("constant-zero-divisor",): ["loop 'i' bound: (8)//(0) divides by zero"],
+    ("parameter-zero-divisor",): ["loop 'i' bound: (NI)//(M) divides by zero"],
+    ("zero-step",): ["loop 'i': step 0 is not positive"],
+    ("negative-step",): ["loop 'i': step -1 is not positive"],
+    ("parameter-negative-step",): ["loop 'i': step S is -1, not positive"],
+    ("zero-step", "read-in-index", "read-in-shape", "undeclared-container",
+     "read-in-bound"): [
+        "loop 'i': step 0 is not positive",
+        "computation S1: access to undeclared container 'ghost'",
+        "container 'B' extent: A[0, 0] is a Read, not an index expression",
+        "loop 'i' bound: A[0, 0] is a Read, not an index expression",
+        "computation S1 index of 'C': A[0, 0] is a Read, not an index expression"],
+    ("parameter-negative-step", "parameter-zero-divisor", "unbound-parameter"): [
+        "no parameters given for ['NK'] of 'gemm_ijk'",
+        "loop 'i' bound: (NI)//(M) divides by zero",
+        "loop 'i': step S is -1, not positive"],
+}
+
+
+def test_every_malformed_kind_has_its_refusal_pinned():
+    assert {kinds[0] for kinds in REFUSALS if len(kinds) == 1} == set(MALFORMED)
+
+
 @pytest.mark.parametrize("entry", ["evaluate", "execute", "cache_report"])
-@pytest.mark.parametrize("kind", MALFORMED)
-def test_every_entry_point_refuses_every_malformed_kind(session, kind, entry):
-    program, parameters = malformed_gemm(kind)
-    with pytest.raises(ValidationError):
+@pytest.mark.parametrize("kinds", REFUSALS, ids="+".join)
+def test_every_entry_point_refuses_every_malformed_kind(session, kinds, entry):
+    program, parameters = malformed_gemm(*kinds)
+    with pytest.raises(ValidationError) as refused:
         getattr(session, entry)(program, parameters)
+    assert refused.value.errors == REFUSALS[kinds]
+    # The structure check refuses first and alone, or finds nothing.
+    assert validate_program(malformed_gemm(*kinds)[0], strict=False) in (
+        [], REFUSALS[kinds])
 
 
 def test_the_error_lists_every_problem(session):

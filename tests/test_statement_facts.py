@@ -18,9 +18,10 @@ import weakref
 
 import pytest
 
+from helpers import nest_accesses
 from repro.analysis import (analyze_loop_parallelism, band_strides,
                             computation_accesses, legal_permutations,
-                            loop_nest_accesses, permutation_is_legal)
+                            permutation_is_legal)
 from repro.analysis.affine import AffineAccess, decompose_index
 from repro.analysis.dependence import nest_direction_vectors
 from repro.analysis.strides import LEVEL_WEIGHT_DECAY, _array_strides
@@ -75,8 +76,8 @@ def _assert_memos_match_fresh_ir(program):
         # Every loop of the nest, not only the outermost: below it the same
         # access objects are decomposed over fewer iterators.
         for loop, other_loop in zip(node.iter_loops(), twin.iter_loops()):
-            facts, twin_facts = (loop_nest_accesses(loop),
-                                 loop_nest_accesses(other_loop))
+            facts, twin_facts = (nest_accesses(loop),
+                                 nest_accesses(other_loop))
             assert len(facts) == len(twin_facts)
             for (comp, enclosing, accesses), (other, other_enclosing, expected) in zip(
                     facts, twin_facts):
@@ -174,7 +175,7 @@ class TestMemoizationSoundness:
         copy's first question is already answered."""
         program = normalize_program(generate_program(5, "medium").program)
         nest = next(node for node in program.body if isinstance(node, Loop))
-        comp, enclosing, accesses = loop_nest_accesses(nest)[0]
+        comp, enclosing, accesses = nest_accesses(nest)[0]
         twin = next(nest.copy().iter_computations())
         assert twin is not comp and twin.value is comp.value
         for ours, theirs in zip(accesses,
