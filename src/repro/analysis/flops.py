@@ -1,13 +1,12 @@
-"""Flop counting and invariance facts for the expression-rewrite passes.
+"""The one flop counter, and invariance facts for the rewrite passes.
 
-The rewrite family (``repro.passes.rewrite``) needs two kinds of answers:
-
-* **How much work does an expression / program perform?**  ``expr_flops``
-  counts the arithmetic operations of a single evaluation of a value
-  expression (index arithmetic is addressing, not floating-point work, so
-  ``Read`` is a leaf); ``program_flops`` walks the loop structure and sums
-  operations over the *actual* iteration space for a parameter binding,
-  which makes before/after comparisons exact even for triangular nests.
+* **How much work does an expression / program perform?**  ``expr_flops``,
+  which the cost model, the embedding and the rewrite passes all read,
+  counts one evaluation of a value expression, each intrinsic at its weight
+  in :data:`repro.ir.symbols.INTRINSICS` (index arithmetic is addressing,
+  not work, so a ``Read`` is a leaf); ``program_flops`` sums operations
+  over the *actual* iteration space for a parameter binding, which makes
+  before/after comparisons exact even for triangular nests.
 
 * **What would an enclosing loop change about an expression?**
   ``expr_reads`` collects the arrays a value expression loads from (what a
@@ -23,36 +22,41 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from ..ir.nodes import Computation, LibraryCall, Node, Program
-from ..ir.symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod,
-                          Mul, Read, Sym)
+from ..ir.symbols import INTRINSICS, Call, Expr, Read
 
 __all__ = [
     "expr_flops", "expr_reads", "computation_flops", "program_flops",
 ]
 
 
-def expr_flops(expr: Expr) -> int:
+def expr_flops(expr: Expr) -> float:
     """Arithmetic operations performed by one evaluation of ``expr``.
 
-    An n-ary :class:`Add`/:class:`Mul`/:class:`Min`/:class:`Max` costs
-    ``n - 1`` operations, every intrinsic :class:`Call` costs one plus its
-    arguments, and leaves (constants, symbols, array reads) cost nothing —
-    index expressions inside a ``Read`` are address computation, not
-    floating-point work.
+    An :class:`Add`/:class:`Mul`/:class:`Min`/:class:`Max` of ``n`` operands
+    and a :class:`FloorDiv`/:class:`Mod` (two) cost ``n - 1``, a
+    :class:`Call` its intrinsic's weight, and leaves (constants, symbols,
+    array reads with whatever index arithmetic) nothing; each node adds what
+    its operands cost.  Memoized on the expression asked about (a
+    statement's value), not on its parts.
     """
-    if isinstance(expr, (Const, Sym, Read)):
-        return 0
-    if isinstance(expr, Add):
-        return (len(expr.terms) - 1) + sum(expr_flops(t) for t in expr.terms)
-    if isinstance(expr, Mul):
-        return (len(expr.factors) - 1) + sum(expr_flops(f) for f in expr.factors)
-    if isinstance(expr, (FloorDiv, Mod)):
-        return 1 + expr_flops(expr.numerator) + expr_flops(expr.denominator)
-    if isinstance(expr, (Min, Max, Call)):
-        args = expr.args
-        base = 1 if isinstance(expr, Call) else max(0, len(args) - 1)
-        return base + sum(expr_flops(a) for a in args)
-    raise TypeError(f"unsupported expression node: {type(expr).__name__}")
+    try:
+        return expr._flops
+    except AttributeError:
+        pass
+    flops = 0.0
+    stack = [expr]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, Read):
+            continue
+        children = part.children()
+        if isinstance(part, Call):
+            flops += INTRINSICS[part.func].flops
+        elif children:
+            flops += len(children) - 1
+        stack.extend(children)
+    expr._flops = flops
+    return flops
 
 
 def expr_reads(expr: Expr) -> frozenset:
@@ -72,7 +76,7 @@ def expr_reads(expr: Expr) -> frozenset:
     return out
 
 
-def computation_flops(computation: Computation) -> int:
+def computation_flops(computation: Computation) -> float:
     """Operations one execution of a statement performs (its RHS)."""
     return expr_flops(computation.value)
 
@@ -93,7 +97,7 @@ def _flop_sensitivity(node: Node) -> frozenset:
     return frozenset(sensitivity)
 
 
-def _node_flops(node: Node, env: dict) -> int:
+def _node_flops(node: Node, env: dict) -> float:
     if isinstance(node, Computation):
         return computation_flops(node)
     if isinstance(node, LibraryCall):
@@ -121,7 +125,7 @@ def _node_flops(node: Node, env: dict) -> int:
 
 
 def program_flops(program: Program,
-                  parameters: Optional[Mapping[str, int]] = None) -> int:
+                  parameters: Optional[Mapping[str, int]] = None) -> float:
     """Total arithmetic operations one run of ``program`` performs.
 
     Walks the loop structure numerically under ``parameters`` (exact for

@@ -10,32 +10,15 @@ come from the analytical model in :mod:`repro.perf`.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 
 from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
 from ..ir.serialization import node_from_dict
-from ..ir.symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod, Mul,
-                          Read, Sym)
+from ..ir.symbols import (INTRINSICS, Add, Call, Const, Expr, FloorDiv, Max,
+                          Min, Mod, Mul, Read, Sym)
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
     import numpy as np
-
-#: Intrinsics available to computations, evaluated element-wise on scalars.
-INTRINSICS: Dict[str, Callable] = {
-    "sqrt": math.sqrt,
-    "exp": math.exp,
-    "log": math.log,
-    "abs": abs,
-    "pow": pow,
-    "div": lambda a, b: a / b,
-    "fmax": max,
-    "fmin": min,
-    "floor": math.floor,
-    "ceil": math.ceil,
-    "tanh": math.tanh,
-    "select": lambda cond, then, other: then if cond > 0 else other,
-}
 
 
 class ExecutionError(Exception):
@@ -164,10 +147,11 @@ class Executor:
         if isinstance(expr, Read):
             return self.read_element(expr.array, expr.indices, env)
         if isinstance(expr, Call):
-            if expr.func not in INTRINSICS:
+            intrinsic = INTRINSICS.get(expr.func)
+            if intrinsic is None:
                 raise ExecutionError(f"unknown intrinsic {expr.func!r}")
-            args = [self.eval_expr(a, env) for a in expr.args]
-            return INTRINSICS[expr.func](*args)
+            return intrinsic.evaluate(*[self.eval_expr(a, env)
+                                        for a in expr.args])
         raise ExecutionError(f"cannot evaluate expression of type {type(expr).__name__}")
 
     def _checked_index(self, array: str, data: np.ndarray, indices,

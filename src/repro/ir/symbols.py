@@ -17,8 +17,11 @@ The expression language is intentionally small:
 Each question is answered once, on :class:`Expr`: ``free_symbols`` and
 ``substitute`` walk ``children()`` and re-fold through :func:`rebuild` (only
 the leaves override them).  ``evaluate`` is for index and bound
-expressions; statement values, and the one intrinsic table, belong to the
-interpreter (``repro.interp.executor``).
+expressions; statement values belong to the interpreter
+(``repro.interp.executor``).  :data:`INTRINSICS`, beside :class:`Call`, is
+the one table of the functions a call may name: the interpreter and
+constant folding evaluate through it, the validator refuses any other
+name, and the flop counter (``repro.analysis.flops``) reads its weights.
 
 Every expression is immutable and hashable, which lets analyses memoize on
 expressions and use them as dictionary keys.
@@ -32,8 +35,10 @@ compare by identity.
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 Number = Union[int, float]
 ExprLike = Union["Expr", int, float, str]
@@ -60,7 +65,7 @@ class Expr:
     # (written by ``repro.ir.canonical``), ``_affine`` the affine form,
     # ``_free`` the free symbols, ``_reads`` the array reads in order
     # (``repro.ir.nodes``), ``_flops`` the operation count
-    # (``repro.perf.model``), ``_split`` the subscript's splits into
+    # (``repro.analysis.flops``), ``_split`` the subscript's splits into
     # iterator and offset terms (``repro.analysis.affine``).
     __slots__ = ("_hash", "_frag", "_affine", "_free", "_reads", "_flops",
                  "_split")
@@ -521,6 +526,32 @@ class Call(Expr):
 
     def __str__(self) -> str:
         return f"{self.func}(" + ", ".join(str(a) for a in self.args) + ")"
+
+
+class Intrinsic(NamedTuple):
+    """What a :class:`Call` may name: its element-wise scalar evaluator and
+    its cost in FLOP equivalents, relative to one multiply-add."""
+
+    evaluate: Callable
+    flops: float
+
+
+#: The one intrinsic table, by name.
+INTRINSICS: Mapping[str, Intrinsic] = MappingProxyType({
+    "sqrt": Intrinsic(math.sqrt, 6.0),
+    "exp": Intrinsic(math.exp, 10.0),
+    "log": Intrinsic(math.log, 10.0),
+    "abs": Intrinsic(abs, 1.0),
+    "pow": Intrinsic(pow, 12.0),
+    "div": Intrinsic(lambda a, b: a / b, 4.0),
+    "fmax": Intrinsic(max, 1.0),
+    "fmin": Intrinsic(min, 1.0),
+    "floor": Intrinsic(math.floor, 1.0),
+    "ceil": Intrinsic(math.ceil, 1.0),
+    "tanh": Intrinsic(math.tanh, 12.0),
+    "select": Intrinsic(lambda cond, then, other: then if cond > 0 else other,
+                        1.0),
+})
 
 
 def rebuild(expr: Expr, children: Sequence[Expr]) -> Expr:

@@ -2,9 +2,10 @@
 
 Validation catches malformed IR early: undeclared containers, rank
 mismatches, duplicate or shadowed iterators, references to unbound
-symbols, statement values where a number is evaluated, and loops that do
-not step forward.  Every frontend and transformation is expected to leave
-programs in a state that passes :func:`validate_program`.
+symbols, statement values where a number is evaluated, calls of a function
+that is not an intrinsic, and loops that do not step forward.  Every
+frontend and transformation is expected to leave programs in a state that
+passes :func:`validate_program`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterator, List, Mapping, Sequence, Set, Tuple
 
 from .nodes import (ArrayAccess, Computation, LibraryCall, Loop, Node, Program,
                     read_accesses)
-from .symbols import Call, Const, Expr, FloorDiv, Mod, Read
+from .symbols import INTRINSICS, Call, Const, Expr, FloorDiv, Mod, Read
 
 
 class ValidationError(ValueError):
@@ -75,6 +76,20 @@ def _parts(expr: Expr) -> Iterator[Expr]:
     yield expr
 
 
+def _unknown_calls(value: Expr) -> List[Call]:
+    """The calls in a statement value (outside its subscripts, which are
+    index expressions) whose function is not an intrinsic."""
+    unknown = []
+    stack = [value]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, Call) and part.func not in INTRINSICS:
+            unknown.append(part)
+        if not isinstance(part, Read):
+            stack.extend(reversed(part.children()))
+    return unknown
+
+
 def validate_program(program: Program, strict: bool = True) -> List[str]:
     """Validate ``program`` and return the list of problems found.
 
@@ -129,6 +144,8 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
                 unknown -= access.free_symbols()
             if unknown:
                 errors.append(f"{where}: value uses unbound symbols {sorted(unknown)}")
+            errors.extend(f"{where}: {call} calls the unknown intrinsic "
+                          f"{call.func!r}" for call in _unknown_calls(node.value))
         elif isinstance(node, LibraryCall):
             evaluated.call(node)
             for name in list(node.outputs) + list(node.inputs):

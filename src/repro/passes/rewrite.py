@@ -41,11 +41,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.dataflow import node_reads_writes
 from ..analysis.flops import expr_flops, expr_reads
-from ..interp.executor import INTRINSICS
 from ..ir.arrays import Array
 from ..ir.nodes import ArrayAccess, Computation, Loop, Node, Program
-from ..ir.symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod,
-                          Mul, Read, rebuild)
+from ..ir.symbols import (INTRINSICS, Add, Call, Const, Expr, FloorDiv, Max,
+                          Min, Mod, Mul, Read, rebuild)
 from .base import ApplyOutcome, Pass
 from .library import (CanonicalizeIteratorsPass, FissionSweepPass,
                       LoopNormalFormPass, ScalarExpansionPass,
@@ -151,8 +150,9 @@ class ConstantPreEvaluationPass(Pass):
     Rebuilding through the ``make`` constructors folds constant
     ``Add``/``Mul``/``Min``/``Max``/``FloorDiv``/``Mod`` subtrees; on top of
     that, intrinsic calls whose arguments are all constants are evaluated
-    with the *interpreter's own* intrinsic table, so folding is bit-exact
-    with runtime evaluation.  Non-finite results are left unfolded (they
+    with the interpreter's intrinsic table
+    (:data:`repro.ir.symbols.INTRINSICS`), so folding is bit-exact with
+    runtime evaluation.  Non-finite results are left unfolded (they
     would not survive JSON serialization in the caches).
     """
 
@@ -166,11 +166,11 @@ class ConstantPreEvaluationPass(Pass):
             if not (isinstance(expr, Call)
                     and all(isinstance(arg, Const) for arg in expr.args)):
                 return expr
-            function = INTRINSICS.get(expr.func)
-            if function is None:
+            intrinsic = INTRINSICS.get(expr.func)
+            if intrinsic is None:
                 return expr
             try:
-                value = function(*[arg.value for arg in expr.args])
+                value = intrinsic.evaluate(*[arg.value for arg in expr.args])
             except (ArithmeticError, ValueError, OverflowError):
                 return expr
             if isinstance(value, float) and not math.isfinite(value):

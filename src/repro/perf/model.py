@@ -26,17 +26,9 @@ from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
                     Sequence, Set, Tuple, Union)
 
 from ..analysis.band import BandView, Frame, Target
+from ..analysis.flops import expr_flops
 from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
-from ..ir.symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod, Mul,
-                          Read, Sym)
 from .machine import DEFAULT_MACHINE, MachineModel
-
-#: Cost (in FLOP equivalents) of intrinsics, relative to one multiply-add.
-INTRINSIC_FLOP_COST = {
-    "sqrt": 6.0, "exp": 10.0, "log": 10.0, "pow": 12.0, "div": 4.0,
-    "abs": 1.0, "fmax": 1.0, "fmin": 1.0, "floor": 1.0, "ceil": 1.0,
-    "tanh": 12.0,
-}
 
 MEMORY_LEVELS = ("L1", "L2", "L3", "DRAM")
 
@@ -45,35 +37,6 @@ MEMORY_LEVELS = ("L1", "L2", "L3", "DRAM")
 REGISTER_BUDGET = 16
 
 _UNBOUND = object()
-
-
-def count_flops(expr: Expr) -> float:
-    """Number of arithmetic operations in an expression tree.  Memoized on
-    the expression asked about (a statement's value), not on its parts."""
-    try:
-        return expr._flops
-    except AttributeError:
-        flops = expr._flops = _count_flops(expr)
-        return flops
-
-
-def _count_flops(expr: Expr) -> float:
-    if isinstance(expr, (Const, Sym)):
-        return 0.0
-    if isinstance(expr, Read):
-        return sum(_count_flops(i) for i in expr.indices)
-    if isinstance(expr, Add):
-        return (len(expr.terms) - 1) + sum(_count_flops(t) for t in expr.terms)
-    if isinstance(expr, Mul):
-        return (len(expr.factors) - 1) + sum(_count_flops(f) for f in expr.factors)
-    if isinstance(expr, (FloorDiv, Mod)):
-        return 1 + sum(_count_flops(c) for c in expr.children())
-    if isinstance(expr, (Min, Max)):
-        return (len(expr.args) - 1) + sum(_count_flops(a) for a in expr.args)
-    if isinstance(expr, Call):
-        return (INTRINSIC_FLOP_COST.get(expr.func, 4.0)
-                + sum(_count_flops(a) for a in expr.args))
-    return 1.0
 
 
 @dataclass
@@ -174,7 +137,7 @@ class CostModel:
                                        self._traffic(node, touched))
         if isinstance(node, Computation):
             cost = NestCost(label=f"{index}:{node.name}",
-                            flops=count_flops(node.value))
+                            flops=expr_flops(node.value))
             cost.compute_time = cost.flops / self.machine.scalar_flops(1)
             cost.time = cost.compute_time
             return cost
@@ -516,7 +479,7 @@ class _NestWalk:
         """Charge ``comp``, a statement directly in ``body``, the body of
         the innermost enclosing loop."""
         iterations = self._iterations[-1]
-        comp_flops = count_flops(comp.value) * iterations
+        comp_flops = expr_flops(comp.value) * iterations
         self.flops += comp_flops
         self.write_iterations += iterations
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.affine import computation_accesses, nest_statements
+from ..analysis.flops import expr_flops
 from ..analysis.parallelism import analyze_loop_parallelism
 from ..analysis.strides import _array_strides, access_stride
 from ..ir.arrays import Array
 from ..ir.nodes import Computation, LibraryCall, Loop, Program
-from ..perf.model import count_flops
 
 #: Names of the embedding dimensions, in order.
 FEATURE_NAMES: Tuple[str, ...] = (
@@ -91,7 +91,7 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
             iterations = 1.0
             for iterator in enclosing:
                 iterations *= max(trips.get(iterator, 1.0), 1.0)
-            flops += count_flops(node.value) * iterations
+            flops += expr_flops(node.value) * iterations
             if node.is_reduction():
                 has_reduction = 1.0
             innermost = enclosing[-1] if enclosing else None

@@ -20,8 +20,8 @@ _SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, os.path.abspath(_SRC))
 
-from repro.ir import (Array, ArrayAccess, Const, FloorDiv,  # noqa: E402
-                      ProgramBuilder, Read, Sym)
+from repro.ir import (Array, ArrayAccess, Call, Const,  # noqa: E402
+                      FloorDiv, ProgramBuilder, Read, Sym)
 from repro.observability import MetricsRegistry, Tracer  # noqa: E402
 
 
@@ -275,7 +275,8 @@ GEMM_PARAMS = {"NI": 64, "NJ": 48, "NK": 32}
 MALFORMED = ("rank-mismatch", "undeclared-container", "unbound-parameter",
              "read-in-bound", "read-in-index", "read-in-shape",
              "constant-zero-divisor", "parameter-zero-divisor",
-             "zero-step", "negative-step", "parameter-negative-step")
+             "zero-step", "negative-step", "parameter-negative-step",
+             "unknown-intrinsic")
 
 
 def malformed_gemm(*kinds):
@@ -302,6 +303,8 @@ def _malform(program, parameters, kind):
         update.target = ArrayAccess("C", (a00, Sym("j")))
     elif kind == "read-in-shape":
         program.arrays["B"] = Array("B", (Sym("NK"), a00))
+    elif kind == "unknown-intrinsic":
+        update.value = Call("foo", (Read("A", (Sym("i"), Sym("k"))),))
     elif kind == "constant-zero-divisor":
         # The bare constructor: ``FloorDiv.make`` already refuses it.
         program.body[0].end = FloorDiv(Const(8), Const(0))

@@ -29,7 +29,7 @@ def test_every_scheduler_refuses_every_malformed_kind(session, kind,
     assert session.report().schedule_calls == calls
 
 
-#: The full refusal of each malformed kind, in order; the last two keys
+#: The full refusal of each malformed kind, in order; the last three keys
 #: combine kinds, so the order across checks and across the kinds of
 #: expression (extents, then bounds, then indices) is pinned too.
 REFUSALS = {
@@ -49,6 +49,8 @@ REFUSALS = {
     ("zero-step",): ["loop 'i': step 0 is not positive"],
     ("negative-step",): ["loop 'i': step -1 is not positive"],
     ("parameter-negative-step",): ["loop 'i': step S is -1, not positive"],
+    ("unknown-intrinsic",): [
+        "computation S1: foo(A[i, k]) calls the unknown intrinsic 'foo'"],
     ("zero-step", "read-in-index", "read-in-shape", "undeclared-container",
      "read-in-bound"): [
         "loop 'i': step 0 is not positive",
@@ -56,6 +58,10 @@ REFUSALS = {
         "container 'B' extent: A[0, 0] is a Read, not an index expression",
         "loop 'i' bound: A[0, 0] is a Read, not an index expression",
         "computation S1 index of 'C': A[0, 0] is a Read, not an index expression"],
+    ("unknown-intrinsic", "rank-mismatch", "zero-step"): [
+        "loop 'i': step 0 is not positive",
+        "computation S1: container 'C' has rank 2 but is accessed with 1 indices",
+        "computation S1: foo(A[i, k]) calls the unknown intrinsic 'foo'"],
     ("parameter-negative-step", "parameter-zero-divisor", "unbound-parameter"): [
         "no parameters given for ['NK'] of 'gemm_ijk'",
         "loop 'i' bound: (NI)//(M) divides by zero",

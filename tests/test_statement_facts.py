@@ -20,8 +20,8 @@ import pytest
 
 from helpers import nest_accesses
 from repro.analysis import (analyze_loop_parallelism, band_strides,
-                            computation_accesses, legal_permutations,
-                            permutation_is_legal)
+                            computation_accesses, expr_flops,
+                            legal_permutations, permutation_is_legal)
 from repro.analysis.affine import AffineAccess, decompose_index
 from repro.analysis.dependence import nest_direction_vectors
 from repro.analysis.strides import LEVEL_WEIGHT_DECAY, _array_strides
@@ -36,7 +36,7 @@ from repro.normalization import normalize_program
 from repro.normalization.fission import maximal_loop_fission
 from repro.normalization.stride_minimization import (EXHAUSTIVE_DEPTH_LIMIT,
                                                      find_minimal_permutation)
-from repro.perf import CostModel, count_flops
+from repro.perf import CostModel
 from repro.scheduler.base import NestPricer
 from repro.scheduler.evolutionary import SEARCH_SPACE, Candidate
 from repro.transforms import Interchange, Recipe, Tile, apply_recipe
@@ -84,7 +84,7 @@ def _assert_memos_match_fresh_ir(program):
                 assert enclosing == other_enclosing
                 assert comp.reads() == other.reads() == _reference_reads(other.value)
                 assert comp.is_reduction() == other.is_reduction()
-                assert count_flops(comp.value) == count_flops(other.value)
+                assert expr_flops(comp.value) == expr_flops(other.value)
                 assert accesses == expected == _reference_accesses(other, enclosing)
                 assert computation_accesses(comp, enclosing) == accesses
         assert nest_direction_vectors(node) == nest_direction_vectors(twin)
