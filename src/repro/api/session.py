@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import threading
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Tuple, Union)
 
 from ..interp.executor import programs_equivalent, run_program
-from ..ir.nodes import Loop, Program
+from ..ir.nodes import Program
 from ..ir.validation import validate_bindings, validate_program
 from ..normalization.pipeline import NormalizationOptions
 from ..observability import CounterView, MetricsRegistry, Tracer
@@ -44,8 +43,7 @@ from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..perf.model import CostModel
 from ..perf.trace import TraceGenerator
 from ..scheduler.base import Scheduler
-from ..scheduler.database import TuningDatabase, apply_feedback_record
-from ..scheduler.embedding import embed_nest
+from ..scheduler.database import TuningDatabase
 from ..scheduler.evolutionary import SearchConfig
 from ..scheduler.tiramisu import MctsConfig
 from ..workloads import registry as workload_registry
@@ -115,10 +113,6 @@ class Session:
             "repro_session_calls_total",
             "Session entry-point calls by kind.", ("kind",))
         self._fast_lane_calls = calls.labels("fast_lane")
-        feedback = self.metrics.counter(
-            "repro_feedback_measurements_total",
-            "Executed-schedule timings fed back into the tuning database, "
-            "by outcome (applied / added / skipped).", ("outcome",))
         #: What this session did since it was built, read off the registry
         #: series ``/metrics`` scrapes (:meth:`report` renders it).  A
         #: serving layer counts its coalesced rides on its own series.
@@ -128,8 +122,6 @@ class Session:
             "coalesced_requests": self.metrics.counter(
                 "repro_service_coalesced_total",
                 "Requests that rode an identical in-flight request."),
-            **{f"feedback_{outcome}": feedback.labels(outcome)
-               for outcome in ("applied", "added", "skipped")},
         })
 
         self._lock = threading.RLock()
@@ -603,101 +595,6 @@ class Session:
         """Observational equivalence of two programs on random inputs."""
         return programs_equivalent(self.load(first), self.load(second),
                                    parameters, **kwargs)
-
-    # -- online feedback ---------------------------------------------------------------
-
-    def measurement_feedback(self, response: Any,
-                             measured: Union[float, Any]
-                             ) -> List[Dict[str, Any]]:
-        """Feedback records of one executed schedule, without applying them.
-
-        ``response`` is the :class:`ScheduleResponse` whose schedule was
-        executed and ``measured`` its measured wall seconds (a bare float,
-        or anything with a ``median`` attribute such as a measurement
-        result).  Each per-nest recipe of the response yields one
-        plain-JSON record — the nest's embedding under the same
-        normalization the scheduler queried with, the recipe, the measured
-        value, and the program-level measured/predicted ratio — ready for
-        :func:`~repro.scheduler.database.apply_feedback_record` against any
-        tuning database (the worker pool ships these records to every
-        worker).  Plain callers use :meth:`record_measurement`, which
-        applies them to this session's database directly.
-        """
-        value = float(getattr(measured, "median", measured))
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError("measured runtime must be positive and finite "
-                             f"seconds, got {value!r}")
-        request = response.request
-        program, parameters = self._validated(request.program,
-                                              request.parameters)
-        result = getattr(response, "result", None)
-        nests = list(getattr(result, "nests", None) or ())
-        if not nests:
-            return []
-        target = program
-        if getattr(response, "normalized", False):
-            # A cache hit end to end: the response's recipes were produced
-            # against exactly this normalized form, so nest indices and
-            # embeddings line up with what the scheduler queried.
-            target = self._normalize(program, request.pipeline).program
-        predicted = getattr(response, "runtime_s", None)
-        scale = (value / float(predicted)
-                 if predicted and float(predicted) > 0.0 else None)
-        label = request.label or program.name
-        records: List[Dict[str, Any]] = []
-        for info in nests:
-            recipe = getattr(info, "recipe", None)
-            if recipe is None:
-                continue
-            index = info.nest_index
-            nest = (target.body[index]
-                    if 0 <= index < len(target.body) else None)
-            if not isinstance(nest, Loop):
-                # Nothing to embed (the IR moved under us): an explicit
-                # skip record, so appliers can count what was dropped.
-                records.append({"embedding": None, "nest_index": index,
-                                "recipe": recipe.to_dict()})
-                continue
-            embedding = embed_nest(nest, target.arrays, parameters,
-                                   label=f"{label}#{index}")
-            records.append({
-                "embedding": list(embedding.vector),
-                "label": embedding.label,
-                "recipe": recipe.to_dict(),
-                "measured": value,
-                "scale": scale,
-                "nest_index": index,
-            })
-        return records
-
-    def record_measurement(self, response: Any,
-                           measured: Union[float, Any]) -> Dict[str, int]:
-        """Feed an executed schedule's measured wall time back into the
-        tuning database, so nearest-neighbor seeding re-ranks by how
-        transferred recipes actually performed.
-
-        Closes the measurement-to-policy loop online: the matched entries'
-        measured-vs-predicted ratio biases every later query
-        (:meth:`~repro.scheduler.database.TuningDatabase.scored_query`), and
-        the database's content version advances, so schedule- and
-        response-level cache entries for affected programs revalidate
-        instead of serving the pre-feedback ranking.  Returns outcome
-        counts ``{"applied", "added", "skipped"}``, counted on
-        ``repro_feedback_measurements_total``, which :meth:`report` reads.
-        """
-        counts = {"applied": 0, "added": 0, "skipped": 0}
-        for record in self.measurement_feedback(response, measured):
-            counts[apply_feedback_record(record, self.database)] += 1
-        self.note_feedback(counts)
-        return counts
-
-    def note_feedback(self, counts: Mapping[str, int]) -> None:
-        """Count feedback outcomes on ``repro_feedback_measurements_total``,
-        which :meth:`report` reads (the worker pool applies records itself
-        and accounts for them here)."""
-        for outcome, count in counts.items():
-            if count:
-                self._counts.inc(f"feedback_{outcome}", count)
 
     # -- introspection ----------------------------------------------------------------
 

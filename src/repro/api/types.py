@@ -384,12 +384,6 @@ class SessionReport:
     response_cache_misses: int = 0
     database_version: str = ""
     normalization_passes: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Online feedback: executed-schedule timings folded back into the
-    #: tuning database (``applied`` updated an existing entry, ``added``
-    #: created a measurement-born one, ``skipped`` found no nest to credit).
-    feedback_applied: int = 0
-    feedback_added: int = 0
-    feedback_skipped: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)

@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` per :class:`~repro.api.Session` collects typed
 :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments from every
-layer: the session and its normalization cache (calls, feedback, cache
+layer: the session and its normalization cache (calls, cache
 traffic), the scheduling service (queue depth, per-priority end-to-end
 latency, admission sheds), and the worker pool (per-worker registries
 scatter-gathered and merged with :func:`merge_registry_dicts`).  The HTTP

@@ -5,16 +5,15 @@ SC'15], where measurements are taken until the variance drops below five
 percent, and the resulting median is reported as the runtime".  This module
 implements that protocol over an arbitrary measurement callable.  For the
 analytical cost model the callable is deterministic, so the protocol
-converges after the minimum number of repetitions; experiments can inject a
-noise model to exercise the full loop, which the test-suite uses to verify
-the stopping rule.
+converges after the minimum number of repetitions; a noisy callable exercises
+the full loop, which is how the test-suite verifies the stopping rule.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List
 
 
 @dataclass
@@ -66,22 +65,3 @@ class MeasurementProtocol:
             converged=converged,
         )
 
-
-def measure_with_noise(base_runtime: float, noise: float = 0.02,
-                       seed: Optional[int] = None,
-                       protocol: Optional[MeasurementProtocol] = None
-                       ) -> MeasurementResult:
-    """Measure a deterministic runtime under multiplicative Gaussian noise.
-
-    This mimics run-to-run variation of real measurements so that the
-    experiment harness exercises the full variance-bounded protocol rather
-    than short-circuiting on identical samples.
-    """
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    protocol = protocol or MeasurementProtocol()
-
-    def sample() -> float:
-        return max(0.0, base_runtime * (1.0 + rng.normal(0.0, noise)))
-
-    return protocol.run(sample)

@@ -12,7 +12,7 @@ footprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..analysis.affine import computation_accesses, nest_statements
 from ..analysis.flops import expr_flops
@@ -169,35 +169,3 @@ def pairwise_distance(first: Sequence[float], second: Sequence[float]) -> float:
     import numpy as np
     return float(np.linalg.norm(np.asarray(first) - np.asarray(second)))
 
-
-#: Clamp range of :func:`feedback_bias` — one measurement can at most
-#: quadruple or quarter an entry's effective distance, so a single noisy
-#: timing cannot permanently bury (or crown) a recipe.
-FEEDBACK_BIAS_RANGE: Tuple[float, float] = (0.25, 4.0)
-
-
-def feedback_bias(predicted_runtime: Optional[float],
-                  measured_runtime: Optional[float],
-                  measurements: int) -> float:
-    """Multiplicative nearest-neighbor re-ranking bias from measurements.
-
-    Transfer tuning ranks database entries by embedding distance alone;
-    online feedback (:meth:`repro.api.Session.record_measurement`) stores
-    how executed schedules *actually* performed.  The bias scales an
-    entry's distance by ``(measured / predicted) ** confidence`` where the
-    confidence weight ``measurements / (measurements + 1)`` grows toward 1
-    as evidence accumulates: entries that beat their cost-model prediction
-    rank closer, entries that disappointed rank farther.
-
-    Returns exactly ``1.0`` when there is no usable feedback, so scoring
-    with the bias is bitwise identical to plain distance ranking on
-    feedback-free databases.
-    """
-    if (measurements <= 0 or measured_runtime is None
-            or predicted_runtime is None or predicted_runtime <= 0.0
-            or measured_runtime <= 0.0):
-        return 1.0
-    ratio = measured_runtime / predicted_runtime
-    confidence = measurements / (measurements + 1.0)
-    low, high = FEEDBACK_BIAS_RANGE
-    return min(high, max(low, ratio ** confidence))

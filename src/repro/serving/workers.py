@@ -15,9 +15,8 @@ that property:
   neighbours on any worker as in one :class:`~repro.api.Session`.
 * **one mutation order** — a worker's tune hands its new entries back and
   leaves its own database as it found it; the coordinator appends what it
-  gathered in input order and broadcasts it, and broadcasts feedback with
-  its own decisions attached, both under one lock.  Every worker therefore
-  reads the coordinator's ``database.version``.
+  gathered in input order and broadcasts it under one lock.  Every worker
+  therefore reads the coordinator's ``database.version``.
 * **one shared cache file** — every worker session binds the same
   :class:`~repro.api.SQLiteCacheBackend` path (WAL mode, busy timeout,
   retried writes).  Schedule keys carry the shared database version, so a
@@ -35,7 +34,7 @@ far end of one pipe, and a round trip sends it one message and receives
 exactly one reply.  A worker that dies (OOM kill, segfault) is detected on
 its pipe: its batch items come back in-band as :class:`WorkerError` naming
 its index and exit code, the other workers keep serving, and every
-pool-wide round (report, metrics, a tune's or feedback's broadcast) raises
+pool-wide round (report, metrics, a tune's broadcast) raises
 that error.
 There is no automatic restart.
 """
@@ -54,8 +53,7 @@ from ..api.session import Session
 from ..api.types import ScheduleRequest, ScheduleResponse
 from ..observability import merge_registry_dicts
 from ..passes.registry import PipelineRegistryError
-from ..scheduler.database import (DatabaseEntry, TuningDatabase,
-                                  apply_feedback_record)
+from ..scheduler.database import DatabaseEntry, TuningDatabase
 from ..scheduler.evolutionary import SearchConfig
 from ..scheduler.tiramisu import MctsConfig
 
@@ -187,30 +185,10 @@ def _worker_absorb_entries(entry_dicts: List[Dict[str, Any]]) -> None:
         _WORKER_SESSION.database.add_entry(DatabaseEntry.from_dict(item))
 
 
-def _worker_apply_feedback(records: List[Dict[str, Any]]) -> Dict[str, int]:
-    """Online-feedback round (one message per worker).
-
-    The coordinator already applied every record to its own database and
-    marked which ones created a measurement-born entry
-    (``record["added"]``).  Holding the same entries, this worker applies
-    each record with that decision as ``add_missing``, so it updates the
-    same entry or creates the same one, and its version follows the
-    coordinator's.
-    """
-    session = _WORKER_SESSION
-    counts = {"applied": 0, "added": 0, "skipped": 0}
-    for record in records:
-        counts[apply_feedback_record(record, session.database,
-                                     add_missing=bool(record["added"]))] += 1
-    session.note_feedback(counts)
-    return counts
-
-
 #: What a worker does with each message ``(op, payload)``.
 _WORKER_OPS = {
     "schedule": lambda items: [_worker_schedule(item) for item in items],
     "absorb": _worker_absorb_entries,
-    "feedback": _worker_apply_feedback,
     "report": lambda _: _WORKER_SESSION.report().to_dict(),
     "metrics": lambda _: _WORKER_SESSION.metrics.to_dict(),
 }
@@ -266,9 +244,6 @@ class PoolStats:
     tuned: int = 0
     errors: int = 0
     gathered_entries: int = 0
-    feedback_applied: int = 0
-    feedback_added: int = 0
-    feedback_skipped: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return asdict(self)
@@ -301,10 +276,8 @@ class WorkerPool:
     error semantics.
 
     ``database`` seeds the workers: each one holds all of its entries, in
-    order.  The coordinator keeps its own copy (``pool.database``), built
-    from the same entry dicts as the workers' so that all start at one
-    :attr:`~repro.api.TuningDatabase.version`; :meth:`tune` and
-    :meth:`record_measurement` mutate it and then every worker the same way.
+    order.  The coordinator keeps its own copy (``pool.database``);
+    :meth:`tune` mutates it and then every worker the same way.
 
     Use as a context manager, or call :meth:`close` — worker processes are
     real OS resources.
@@ -322,8 +295,7 @@ class WorkerPool:
         #: serving layer points this at the coordinator session's tracer.
         self.tracer = None
         self.database = TuningDatabase(
-            [DatabaseEntry.from_dict(entry.to_dict())
-             for entry in (database.entries if database is not None else ())])
+            list(database.entries) if database is not None else None)
         #: Held while ``database`` changes and the change is broadcast, so
         #: every worker applies the coordinator's mutations in its order.
         self._database_lock = threading.Lock()
@@ -520,40 +492,6 @@ class WorkerPool:
             raise ValueError("WorkerPool.tune takes tune requests "
                              "(ScheduleRequest(..., tune=True))")
         return self.schedule_batch(requests)
-
-    # -- online feedback ---------------------------------------------------------
-
-    def record_measurement(self, records: Sequence[Dict[str, Any]]
-                           ) -> Dict[str, int]:
-        """Apply executed-schedule feedback records pool-wide.
-
-        ``records`` come from :meth:`repro.api.Session.measurement_feedback`
-        (plain JSON values, so they cross the process boundary unchanged).
-        The coordinator's database absorbs them first, deciding which
-        records update an existing entry and which create a
-        measurement-born one; then, under the same lock :meth:`tune` takes,
-        a broadcast carries the records with those decisions so every
-        worker applies them the same way.  Returns the coordinator-side
-        outcome counts ``{"applied", "added", "skipped"}``.  Safe to call
-        concurrently with :meth:`tune`.
-        """
-        self.start()  # workers are built from the database before feedback
-        prepared: List[Dict[str, Any]] = []
-        counts = {"applied": 0, "added": 0, "skipped": 0}
-        with self._database_lock:
-            for record in records:
-                record = dict(record)
-                outcome = apply_feedback_record(record, self.database,
-                                                add_missing=True)
-                counts[outcome] += 1
-                record["added"] = outcome == "added"
-                prepared.append(record)
-            if prepared:
-                self._broadcast("feedback", prepared)
-        self.stats.feedback_applied += counts["applied"]
-        self.stats.feedback_added += counts["added"]
-        self.stats.feedback_skipped += counts["skipped"]
-        return counts
 
     # -- introspection -----------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Each event is counted once, in the metrics registry.
 
-A session call, a feedback outcome, a coalesced ride, a cache hit or miss
+A session call, a coalesced ride, a cache hit or miss
 and a dropped alert snapshot each bump one registry series; the session
 report, ``cache.stats``, ``/v1/report`` and ``AlertEvaluator`` read that
 series.  A normalization report is its pass results: the stage summary is
@@ -14,7 +14,10 @@ stride minimization reaches every band, the ``jacobi-2d:b`` and ``cloudsc``
 entries also count the bands below their outer loops.  Since it prices every
 order and memoizes nothing, ``permutations_evaluated`` counts the orders
 priced (n! per band).  The report's ``analysis_hits``/``analysis_misses``
-went with the analysis manager (they read 0 and 0 here).
+went with the analysis manager (they read 0 and 0 here).  Since the
+measurement feedback went, the traffic records no measurement: its
+counter family and report fields are gone, the two entries it added
+(4 entries, not 6) and the normalization hit it read no longer happen.
 """
 
 import copy
@@ -56,7 +59,7 @@ def observe():
     session = fast_session()
     with ServingServer(session) as server:
         runner = server.runner
-        cold = runner.schedule(ScheduleRequest(program="gemm:a"))
+        runner.schedule(ScheduleRequest(program="gemm:a"))
         # The repeat is a schedule-cache hit, stored for the fast lane,
         # which answers the one after it.
         runner.schedule(ScheduleRequest(program="gemm:a"))
@@ -65,7 +68,6 @@ def observe():
         session.tune("atax:a")
         session.schedule_batch(["atax:b", "mvt:a"])   # atax:b transfers
         session.execute("gemm:a", SMALL_GEMM)
-        feedback = session.record_measurement(cold, 1e-3)
         bicg = ScheduleRequest(program="bicg:a")
         queue_behind(runner, bicg, [bicg, bicg])      # two coalesced riders
         _, payload = server.handle_report()
@@ -87,7 +89,6 @@ def observe():
                          for result in outcome.passes],
         }
     return {
-        "feedback": feedback,
         "report": report,
         "cache_stats": stats,
         "service": payload["service"],
@@ -235,7 +236,7 @@ PINNED = {
     },
     "cache_stats": {
         "evictions": 0,
-        "normalization_hits": 2,
+        "normalization_hits": 1,
         "normalization_misses": 6,
         "response_hits": 1,
         "response_misses": 4,
@@ -247,7 +248,6 @@ PINNED = {
         "repro_admission_shed_total",
         "repro_alert_clock_skew_total",
         "repro_cache_requests_total",
-        "repro_feedback_measurements_total",
         "repro_request_latency_seconds",
         "repro_service_batches_total",
         "repro_service_coalesced_total",
@@ -260,11 +260,6 @@ PINNED = {
         "repro_service_scheduled_total",
         "repro_session_calls_total"
     ],
-    "feedback": {
-        "added": 2,
-        "applied": 0,
-        "skipped": 0
-    },
     "normalized": {
         "cloudsc": {
             "counters": [
@@ -401,16 +396,13 @@ PINNED = {
         "cache_busy_retries": 0,
         "cache_disk_hits": 0,
         "cache_evictions": 0,
-        "cache_memory_hits": 5,
+        "cache_memory_hits": 4,
         "cache_writes": 11,
         "coalesced_requests": 2,
-        "database_entries": 6,
-        "database_version": "6:7959b9cbb72f2f49",
+        "database_entries": 4,
+        "database_version": "4:d1a56e875be876fa",
         "execute_calls": 1,
-        "feedback_added": 2,
-        "feedback_applied": 0,
-        "feedback_skipped": 0,
-        "normalization_hits": 2,
+        "normalization_hits": 1,
         "normalization_misses": 6,
         "normalization_passes": {
             "canonicalize-iterators": {

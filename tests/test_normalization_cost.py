@@ -48,7 +48,6 @@ from repro.passes import (FissionSweepPass, FixedPoint, LoopNormalFormPass,
 from repro.passes.base import program_ir_size
 from repro.scheduler import (PerformanceEmbedding, TuningDatabase, embed_nest,
                              pairwise_distance)
-from repro.scheduler.database import recipe_identity
 from repro.transforms import (Interchange, Parallelize, Recipe, Tile,
                               TransformationError, Unroll, Vectorize)
 from repro.workloads import registry as workloads
@@ -574,36 +573,22 @@ class TestIndexFacts:
 # -- the database scores a query against one matrix ---------------------------------
 
 
-def _spec_scored_query(entries, vector, k):
-    scored = []
-    for entry in entries:
-        distance = pairwise_distance(vector, entry.embedding)
-        scored.append((distance * entry.bias(), distance, entry))
-    scored.sort(key=lambda triple: triple[0])
-    return scored[:k]
+def _spec_query(entries, vector, k):
+    ranked = [(pairwise_distance(vector, entry.embedding), entry)
+              for entry in entries]
+    ranked.sort(key=lambda pair: pair[0])
+    return ranked[:k]
 
 
-def _spec_best_scored(entries, vector, max_distance):
+def _spec_best_match(entries, vector, max_distance):
     best = None
     for entry in entries:
         distance = pairwise_distance(vector, entry.embedding)
         if max_distance is not None and distance > max_distance:
             continue
-        score = distance * entry.bias()
-        if best is None or (score, distance) < (best[0], best[1]):
-            best = (score, distance, entry)
-    return best
-
-
-def _spec_measurement_target(entries, vector, recipe_key):
-    best = None
-    for entry in entries:
-        if recipe_identity(entry.recipe) != recipe_key:
-            continue
-        distance = pairwise_distance(vector, entry.embedding)
         if best is None or distance < best[0]:
             best = (distance, entry)
-    return best
+    return best[1] if best is not None else None
 
 
 def _embeddings(variant):
@@ -634,45 +619,37 @@ def seeded():
     queries += [PerformanceEmbedding("scaled", tuple(
         value * rng.choice((0.5, 1.0, 1.0 + 2 ** -40, 3.0)) for value in query.vector))
         for query in queries[::2]]
-    return entries, queries, recipes
+    return entries, queries
 
 
-def _filled(database, entries, feedback):
+def _filled(entries):
+    database = TuningDatabase()
     for embedding, recipe, runtime in entries:
         database.add(embedding, recipe, runtime=runtime)
-    if feedback:
-        rng = random.Random(9)
-        for embedding, recipe, runtime in entries[::2]:
-            for _ in range(rng.randint(1, 3)):
-                database.record_measurement(
-                    embedding, recipe, runtime * rng.choice((0.2, 0.9, 1.0, 5.0)))
     return database
 
 
-@pytest.mark.parametrize("feedback", [False, True], ids=["plain", "feedback"])
 class TestDatabaseMatrix:
-    def test_scores_are_the_pairwise_spec(self, seeded, feedback):
-        entries, queries, recipes = seeded
-        database = _filled(TuningDatabase(), entries, feedback)
+    def test_scores_are_the_pairwise_spec(self, seeded):
+        entries, queries = seeded
+        database = _filled(entries)
         assert len(database) >= 25
-        biased = sum(1 for entry in database.entries if entry.bias() != 1.0)
-        assert (biased > 0) == feedback
+        tied = 0
         for query in queries:
             for k in (1, 10, len(database) + 5):
-                assert (database.scored_query(query, k)
-                        == _spec_scored_query(database.entries, query.vector, k))
+                assert (database.query(query, k)
+                        == _spec_query(database.entries, query.vector, k))
             for bound in (None, 0.0, 0.35, 2.0):
-                assert (database.best_scored(query, bound)
-                        == _spec_best_scored(database.entries, query.vector, bound))
-            for recipe in recipes:
-                key = recipe_identity(recipe)
-                assert (database.find_measurement_target(query.vector, key)
-                        == _spec_measurement_target(database.entries,
-                                                    query.vector, key))
+                assert (database.best_match(query, bound)
+                        == _spec_best_match(database.entries, query.vector, bound))
+            nearest = database.query(query, 2)
+            tied += nearest[0][0] == nearest[1][0]
+        # Equal nearest distances, so the insertion-order tie-break counts.
+        assert tied > 0
 
-    def test_matrix_follows_every_way_entries_arrive(self, seeded, feedback):
-        entries, queries, _recipes = seeded
-        database = _filled(TuningDatabase(), entries, feedback)
+    def test_matrix_follows_every_way_entries_arrive(self, seeded):
+        entries, queries = seeded
+        database = _filled(entries)
         rewound = TuningDatabase(list(database.entries))
         checkpoint = rewound.checkpoint()
         for embedding, recipe, _runtime in entries[::-1]:
@@ -682,19 +659,17 @@ class TestDatabaseMatrix:
                   TuningDatabase.from_json(database.to_json()), rewound]
         for copy in copies:
             assert len(copy) == len(database)
+            assert copy.version == database.version
             for query in queries[::4]:
-                assert ([(score, distance) for score, distance, _entry
-                         in copy.scored_query(query, len(copy))]
-                        == [(score, distance) for score, distance, _entry
-                            in _spec_scored_query(copy.entries, query.vector,
-                                                  len(copy))])
+                assert (copy.query(query, len(copy))
+                        == _spec_query(copy.entries, query.vector, len(copy)))
 
 
 def test_vectorised_norms_are_not_the_pairwise_distance(seeded):
     """Why the database takes ``sqrt(row . row)`` row by row: the one-call
     norms sum in another order and differ in the last place on real rows."""
     import numpy as np
-    entries, queries, _recipes = seeded
+    entries, queries = seeded
     matrix = np.array([embedding.vector for embedding, _r, _t in entries])
     differing = 0
     for query in queries:

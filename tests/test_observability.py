@@ -408,7 +408,7 @@ def test_the_catalog_lists_every_declared_family():
         declared = session.metrics.names()
     session.close()
     assert sorted(name for name, _ in _catalog_rows()) == declared
-    assert len(declared) == 16
+    assert len(declared) == 15
 
 
 def test_every_catalog_row_names_its_reader():

@@ -1,6 +1,8 @@
 """Tests for the performance-model substrate: cache simulator, trace
 generation, analytical cost model, and the measurement protocol."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.ir.symbols import (INTRINSICS, Add, Call, Const, FloorDiv, Max, Min,
 from repro.normalization import normalize_program
 from repro.perf import (CacheHierarchy, CostModel, MachineModel,
                         MeasurementProtocol, TraceGenerator, build_layout,
-                        generate_trace, measure_with_noise)
+                        generate_trace)
 from repro.perf.machine import DEFAULT_MACHINE, CacheLevel
 from repro.transforms import Parallelize, Recipe, ReplaceWithLibraryCall, Tile, Vectorize, apply_recipe
 
@@ -286,6 +288,13 @@ class TestCostModel:
         assert replaced >= 3
 
 
+def _noisy(runtime, noise, seed):
+    """A measurement of ``runtime`` under seeded multiplicative Gaussian
+    noise of relative deviation ``noise``."""
+    gauss = random.Random(seed).gauss
+    return lambda: runtime * (1.0 + gauss(0.0, noise))
+
+
 class TestMeasurementProtocol:
     def test_deterministic_measurement_converges_quickly(self):
         protocol = MeasurementProtocol()
@@ -295,12 +304,12 @@ class TestMeasurementProtocol:
         assert result.median == 1.0
 
     def test_noisy_measurement_converges_below_threshold(self):
-        result = measure_with_noise(1.0, noise=0.02, seed=1)
+        result = MeasurementProtocol().run(_noisy(1.0, noise=0.02, seed=1))
         assert result.converged
         assert result.coefficient_of_variation <= 0.05
         assert 0.9 < result.median < 1.1
 
     def test_high_noise_hits_repetition_cap(self):
         protocol = MeasurementProtocol(max_relative_variation=1e-6, max_repetitions=10)
-        result = measure_with_noise(1.0, noise=0.5, seed=2, protocol=protocol)
+        result = protocol.run(_noisy(1.0, noise=0.5, seed=2))
         assert result.repetitions == 10

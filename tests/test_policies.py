@@ -1,11 +1,8 @@
-"""Tests for the serving queue's drain order, the options removed from
-the service, and the online measurement-feedback loop (session-,
-database-, and pool-level)."""
+"""Tests for the serving queue's drain order and the options removed from
+the service."""
 
 import importlib
 import json
-import math
-import types
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -13,20 +10,12 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from helpers import StubSession, fast_session, hold_next_batch, queue_behind
 
-from repro.api import ScheduleRequest, SearchConfig
-from repro.scheduler.database import (DatabaseEntry, TuningDatabase,
-                                      apply_feedback_record, recipe_base_name,
-                                      recipe_identity)
-from repro.scheduler.embedding import EMBEDDING_SIZE, PerformanceEmbedding
+from repro.api import ScheduleRequest
 from repro.serving import (ServiceConfig, ServiceRunner, ServingServer,
-                           WorkerConfig, WorkerPool, request_fingerprint)
+                           request_fingerprint)
 from repro.serving import cli
 from repro.serving.cli import build_parser
 from repro.serving.service import _Pending
-from repro.transforms.recipe import Recipe
-
-FAST_SEARCH = SearchConfig(population_size=4, epochs=1,
-                           generations_per_epoch=1)
 
 
 # -- removed options fail loudly, removed request keys are ignored ------------------
@@ -367,176 +356,3 @@ class TestRetryAfterRounding:
             assert rejected
             assert rejected[0].get("Retry-After") == header
         session.close()
-
-
-# -- the feedback loop: database level ----------------------------------------------
-
-def _vector(*head):
-    return tuple(list(head) + [0.0] * (EMBEDDING_SIZE - len(head)))
-
-
-def _embedding(label, *head):
-    return PerformanceEmbedding(label=label, vector=_vector(*head))
-
-
-class TestDatabaseFeedback:
-    def test_disappointing_measurement_flips_the_ranking(self):
-        """The tentpole acceptance at database scale: the predicted-best
-        entry stops winning once its executed schedule measures 100x worse
-        than predicted."""
-        database = TuningDatabase()
-        near = database.add(_embedding("near", 1.0),
-                            Recipe(name="near-recipe"), runtime=1.0)
-        far = database.add(_embedding("far", 2.0),
-                           Recipe(name="far-recipe"), runtime=1.0)
-        probe = _embedding("probe")
-        assert database.best_match(probe) is near
-        before = database.version
-        entry, created = database.record_measurement(
-            _embedding("run", 1.0), Recipe(name="near-recipe"), 100.0)
-        assert entry is near and not created
-        # Bias saturates at 4x: score(near) = 1.0 * 4.0 > score(far) = 2.0.
-        assert database.best_match(probe) is far
-        assert database.version != before  # caches must revalidate
-
-    def test_prediction_scale_projects_onto_the_entry_prediction(self):
-        database = TuningDatabase()
-        entry = database.add(_embedding("e", 1.0), Recipe(name="r"),
-                             runtime=0.25)
-        # A whole-program measurement at 2x its prediction credits the
-        # entry at 2x the *entry's* prediction, not the raw wall time.
-        database.record_measurement(_embedding("run", 1.0), Recipe(name="r"),
-                                    10.0, prediction_scale=2.0)
-        assert entry.measured_runtime == pytest.approx(0.5)
-        assert entry.measurements == 1
-
-    def test_unseen_recipe_becomes_a_measurement_born_entry(self):
-        database = TuningDatabase()
-        recipe = Recipe(name="searched@2")
-        entry, created = database.record_measurement(
-            _embedding("run", 3.0), recipe, 0.125)
-        assert created
-        assert len(database) == 1
-        # Stored canonically: base name, retargeted to nest 0.
-        assert entry.recipe.name == recipe_base_name(recipe.name) == "searched"
-        assert recipe_identity(entry.recipe) == recipe_identity(recipe)
-        assert entry.runtime is None and entry.bias() == 1.0
-
-    def test_apply_feedback_record_outcomes(self):
-        database = TuningDatabase()
-        database.add(_embedding("seeded", 1.0), Recipe(name="seeded"),
-                     runtime=1.0)
-        applied = {"embedding": list(_vector(1.0)), "label": "run",
-                   "recipe": Recipe(name="seeded").to_dict(),
-                   "measured": 2.0, "scale": 2.0, "nest_index": 0}
-        assert apply_feedback_record(applied, database) == "applied"
-        assert apply_feedback_record(
-            {"embedding": None, "nest_index": 1,
-             "recipe": Recipe(name="gone").to_dict()}, database) == "skipped"
-        novel = {"embedding": list(_vector(2.0)), "label": "run",
-                 "recipe": Recipe(name="novel").to_dict(),
-                 "measured": 0.5, "scale": None, "nest_index": 0}
-        # A pool worker whose coordinator updated an entry must not create
-        # one...
-        assert apply_feedback_record(novel, database,
-                                     add_missing=False) == "skipped"
-        assert len(database) == 1
-        # ...one whose coordinator created it does.
-        assert apply_feedback_record(novel, database) == "added"
-        assert len(database) == 2
-
-
-# -- the feedback loop: session level -----------------------------------------------
-
-class TestSessionFeedback:
-    def test_record_measurement_feeds_the_database_and_the_report(self):
-        session = fast_session()
-        try:
-            response = session.schedule("gemm:a")
-            records = session.measurement_feedback(response, 0.5)
-            assert records and any(record.get("embedding")
-                                   for record in records)
-            before = session.database.version
-            counts = session.record_measurement(response, 0.5)
-            assert sum(counts.values()) == len(records)
-            assert counts["applied"] + counts["added"] >= 1
-            assert session.database.version != before
-            report = session.report()
-            assert report.feedback_applied == counts["applied"]
-            assert report.feedback_added == counts["added"]
-            assert report.feedback_skipped == counts["skipped"]
-            assert report.to_dict()["feedback_applied"] == counts["applied"]
-            counter = session.metrics.get(
-                "repro_feedback_measurements_total")
-            assert counter is not None
-            assert counter.labels("applied").value == counts["applied"]
-        finally:
-            session.close()
-
-    def test_measured_objects_with_a_median_are_accepted(self):
-        session = fast_session()
-        try:
-            response = session.schedule("gemm:a")
-            records = session.measurement_feedback(
-                response, types.SimpleNamespace(median=0.25))
-            assert all(record["measured"] == 0.25 for record in records
-                       if record.get("embedding") is not None)
-        finally:
-            session.close()
-
-    def test_non_positive_or_non_finite_measurements_are_rejected(self):
-        session = fast_session()
-        try:
-            response = session.schedule("gemm:a")
-            for bad in (0.0, -1.0, math.nan, math.inf):
-                with pytest.raises(ValueError):
-                    session.measurement_feedback(response, bad)
-        finally:
-            session.close()
-
-
-# -- the feedback loop: pool level --------------------------------------------------
-
-class TestPoolFeedback:
-    def test_record_measurement_races_tune_redistribution(self, tmp_path):
-        """Feedback application concurrent with a tune() broadcast round on
-        a 2-worker pool: both must complete, the feedback must land in the
-        pool stats and on every worker, and every worker must end at the
-        coordinator's database version."""
-        session = fast_session()
-        try:
-            response = session.schedule("gemm:a")
-            records = session.measurement_feedback(response, 0.5)
-        finally:
-            session.close()
-        assert records and any(record.get("embedding")
-                               for record in records)
-        embeddable = sum(1 for record in records
-                         if record.get("embedding") is not None)
-        config = WorkerConfig(threads=2,
-                              cache_path=str(tmp_path / "cache.sqlite"),
-                              search=FAST_SEARCH)
-        with WorkerPool(2, config) as pool:
-            with ThreadPoolExecutor(max_workers=2) as executor:
-                tuned = executor.submit(
-                    pool.tune, [ScheduleRequest(program="gemm:a", tune=True,
-                                                label="gemm")])
-                feedback = executor.submit(pool.record_measurement, records)
-                tune_results = tuned.result(timeout=300)
-                counts = feedback.result(timeout=300)
-            assert not isinstance(tune_results[0], Exception)
-            assert sum(counts.values()) == len(records)
-            assert counts["applied"] + counts["added"] == embeddable
-            stats = pool.stats.to_dict()
-            assert stats["feedback_applied"] == counts["applied"]
-            assert stats["feedback_added"] == counts["added"]
-            assert stats["feedback_skipped"] == counts["skipped"]
-            report = pool.report()
-            # Every worker applied every record with the coordinator's
-            # decision, and so took the coordinator's mutations in its order.
-            for worker in report["per_worker"].values():
-                assert (worker["feedback_applied"], worker["feedback_added"],
-                        worker["feedback_skipped"]) \
-                    == (counts["applied"], counts["added"], counts["skipped"])
-                assert worker["database_entries"] == len(pool.database)
-                assert worker["database_version"] == pool.database.version

@@ -1,6 +1,7 @@
 """Tests for the tuning database: entry round-trips, the content version,
 checkpoint/rewind, and the one file format ``--db-path`` loads."""
 
+import dataclasses
 import json
 import sqlite3
 
@@ -44,6 +45,25 @@ class TestDatabaseEntryRoundTrip:
             "recipe": Recipe("r").to_dict(),
         })
         assert entry.runtime is None
+
+    def test_an_entry_never_changes(self):
+        """Entries are frozen, so the digest taken when one was added
+        stays its content: a database's version is its entries."""
+        database = TuningDatabase()
+        entry = database.add(embedding(1.0, "x"), Recipe("r"), runtime=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.runtime = 2.0
+        assert database.version == TuningDatabase([entry]).version
+
+    def test_measured_fields_of_older_dumps_are_ignored(self):
+        """Dumps written while entries carried measured runtimes load as
+        the entries they prescribe."""
+        item = {"embedding": [1.0] * EMBEDDING_SIZE,
+                "recipe": Recipe("r").to_dict(), "label": "x",
+                "runtime": 0.5}
+        entry = DatabaseEntry.from_dict(
+            {**item, "measured_runtime": 0.25, "measurements": 3})
+        assert entry.to_dict() == item
 
 
 class TestDatabaseVersion:
