@@ -1,5 +1,5 @@
 """Tests for the serving queue's drain order and the options removed from
-the service."""
+the service, the measurement feedback included."""
 
 import importlib
 import json
@@ -10,9 +10,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from helpers import StubSession, fast_session, hold_next_batch, queue_behind
 
-from repro.api import ScheduleRequest
+from repro.api import ScheduleRequest, Session, SessionReport, TuningDatabase
 from repro.serving import (ServiceConfig, ServiceRunner, ServingServer,
-                           request_fingerprint)
+                           WorkerPool, request_fingerprint)
 from repro.serving import cli
 from repro.serving.cli import build_parser
 from repro.serving.service import _Pending
@@ -162,6 +162,35 @@ def test_a_deadline_key_is_ignored():
 def test_a_deadline_keyword_is_rejected():
     with pytest.raises(TypeError, match="deadline_s"):
         ScheduleRequest(program="gemm:a", deadline_s=0.5)
+
+
+_FEEDBACK_REPORT_KEYS = ("feedback_applied", "feedback_added",
+                         "feedback_skipped")
+
+
+def test_feedback_keys_of_older_reports_are_ignored():
+    # Reports written while the session took measurement feedback load as
+    # the report without it.
+    without = SessionReport(schedule_calls=3, database_version="2:ab")
+    older = {**without.to_dict(),
+             **{key: 1 for key in _FEEDBACK_REPORT_KEYS}}
+    assert SessionReport.from_dict(older) == without
+
+
+@pytest.mark.parametrize("key", _FEEDBACK_REPORT_KEYS)
+def test_a_feedback_report_keyword_is_rejected(key):
+    with pytest.raises(TypeError, match=key):
+        SessionReport(**{key: 1})
+
+
+@pytest.mark.parametrize("owner, name", [
+    (Session, "record_measurement"), (Session, "measurement_feedback"),
+    (WorkerPool, "record_measurement"), (TuningDatabase, "record_measurement")],
+    ids=lambda value: getattr(value, "__name__", value))
+def test_the_feedback_entry_points_are_gone(owner, name):
+    # Transfer ranks by embedding distance alone: nothing takes a measured
+    # runtime back into the database.
+    assert not hasattr(owner, name)
 
 
 # -- drain order through the service ------------------------------------------------

@@ -285,6 +285,20 @@ class TestWorkerPool:
         assert len(given) == 1 and given.version == version
         pool.close()
 
+    def test_the_pool_shares_the_callers_entries(self):
+        """Entries never change, so the pool takes the caller's entry
+        objects as they are instead of a serialised copy of each."""
+        given = TuningDatabase()
+        for seed in (1.0, 2.0):
+            given.add(PerformanceEmbedding(f"nest{seed}",
+                                           (seed,) * EMBEDDING_SIZE),
+                      Recipe(f"r{seed}"), runtime=seed)
+        pool = WorkerPool(2, WorkerConfig(search=FAST_SEARCH), database=given)
+        assert pool.database.entries is not given.entries
+        assert all(ours is theirs for ours, theirs
+                   in zip(pool.database.entries, given.entries, strict=True))
+        pool.close()
+
     def test_closed_pool_refuses_work(self):
         config = WorkerConfig(threads=1, search=FAST_SEARCH)
         pool = WorkerPool(1, config)
@@ -399,6 +413,25 @@ class TestPoolAgreement:
             # the coordinator appended in input order: the result does not
             # depend on how the requests were split over the workers.
             assert pool.database.to_json() == separately_tuned.to_json()
+
+    def test_a_tune_on_a_seeded_pool_keeps_it_agreeing(self, tuned_database,
+                                                       num_workers):
+        """The coordinator appends a tune's entries after the seeded ones
+        and broadcasts them; every worker holds what a session that tuned
+        on the same seed holds, and schedules as it does."""
+        reference = _agreement_session(tuned_database)
+        try:
+            reference.tune("3mm:a", label="3mm")
+            expected = reference.database.to_json()
+        finally:
+            reference.close()
+        with _agreement_pool(num_workers, tuned_database) as pool:
+            tuned, = pool.tune([ScheduleRequest(program="3mm:a",
+                                                tune=True, label="3mm")])
+            assert not isinstance(tuned, Exception)
+            assert len(pool.database) > len(tuned_database)
+            assert pool.database.to_json() == expected
+            _assert_pool_schedules_like(pool, pool.database)
 
 
 def _within(seconds, call):

@@ -1,5 +1,6 @@
 """Tests for the tuning database: entry round-trips, the content version,
-checkpoint/rewind, and the one file format ``--db-path`` loads."""
+ranking by embedding distance, checkpoint/rewind, and the one file format
+``--db-path`` loads."""
 
 import dataclasses
 import json
@@ -103,6 +104,88 @@ class TestDatabaseVersion:
     def test_a_json_object_is_not_a_database(self):
         with pytest.raises(ValueError, match="JSON list of entries"):
             TuningDatabase.from_json(json.dumps({"shards": []}))
+
+
+def _by_add(entries, _tmp_path):
+    database = TuningDatabase()
+    for entry in entries:
+        database.add(PerformanceEmbedding(entry.label, entry.embedding),
+                     entry.recipe, runtime=entry.runtime)
+    return database
+
+
+def _by_add_entry(entries, _tmp_path):
+    database = TuningDatabase()
+    for entry in entries:
+        database.add_entry(entry)
+    return database
+
+
+def _by_constructor(entries, _tmp_path):
+    return TuningDatabase(list(entries))
+
+
+def _by_load(entries, tmp_path):
+    path = str(tmp_path / "tuned.json")
+    TuningDatabase(list(entries)).save(path)
+    return TuningDatabase.load(path)
+
+
+def _by_rewind(entries, _tmp_path):
+    database = TuningDatabase(list(entries))
+    checkpoint = database.checkpoint()
+    for i in range(20):  # past the matrix's spare capacity
+        database.add(embedding(60.0 + i, f"dropped{i}"), Recipe("dropped"),
+                     runtime=1.0)
+    database.rewind(checkpoint)
+    return database
+
+
+class TestVersionIsTheEntries:
+    """A database's version is a function of its entry sequence alone,
+    however the entries arrived."""
+
+    @pytest.mark.parametrize("build", [_by_add, _by_add_entry,
+                                       _by_constructor, _by_load, _by_rewind],
+                             ids=["add", "add-entry", "constructor", "load",
+                                  "rewind"])
+    def test_every_way_in_lands_on_one_version(self, tmp_path, build):
+        reference = seeded_database(5)
+        database = build(reference.entries, tmp_path)
+        assert database.entries == reference.entries
+        assert database.version == reference.version
+        probe = embedding(3.1)
+        assert database.query(probe, 5) == reference.query(probe, 5)
+
+    def test_the_order_of_the_entries_is_content(self):
+        """Equal distances go to the entry added first, so two orders of
+        one set of entries are two databases."""
+        forward = seeded_database(5)
+        backward = TuningDatabase(forward.entries[::-1])
+        assert len(forward) == len(backward)
+        assert forward.version != backward.version
+
+
+class TestTransferRanksByDistance:
+    """The nearest entry wins whatever runtime any entry records."""
+
+    @pytest.mark.parametrize("near_runtime, far_runtime", [
+        (None, 0.001), (1000.0, 0.001), (0.001, 1000.0)],
+        ids=["unmeasured-near", "slow-near", "fast-near"])
+    def test_the_nearest_entry_wins(self, near_runtime, far_runtime):
+        database = TuningDatabase()
+        far = database.add(embedding(2.0, "far"), Recipe("far"),
+                           runtime=far_runtime)
+        near = database.add(embedding(1.0, "near"), Recipe("near"),
+                            runtime=near_runtime)
+        probe = embedding(0.0)
+        assert database.best_match(probe) is near
+        assert [entry for _distance, entry
+                in database.query(probe, 2)] == [near, far]
+        # The bound is on distance: the far entry alone is out of reach.
+        reach = database.query(probe, 1)[0][0]
+        assert database.best_match(probe, max_distance=reach) is near
+        assert database.best_match(probe, max_distance=reach / 2) is None
 
 
 class TestCheckpointRewind:
