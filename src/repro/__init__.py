@@ -23,11 +23,11 @@ The package is organized in layers:
   pluggable backends, and batch scheduling.  **New code should go through
   this layer.**
 * :mod:`repro.observability` — dependency-free metrics (counters, gauges,
-  per-priority latency histograms) with Prometheus text rendering and
-  cross-process registry merging.
+  per-priority latency histograms) with Prometheus text rendering, request
+  traces and alert rules.
 * :mod:`repro.serving` — the scheduling service: priority queue, admission
-  control, multi-process worker pool, HTTP endpoint (``/metrics`` included),
-  and CLI.
+  control, micro-batching over one in-process session, HTTP endpoint
+  (``/metrics`` included), and CLI.
 * :mod:`repro.experiments` — per-figure/table reproduction harnesses.
 
 See ``README.md`` and ``docs/`` for the user-facing documentation.

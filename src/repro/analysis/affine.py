@@ -174,14 +174,18 @@ def nest_statements(node: Node) -> List[Tuple[Node, Tuple[str, ...]]]:
     order, with the iterators of the loops of the subtree that enclose it,
     outermost first — the one walk over a nest every analysis shares."""
     result: List[Tuple[Node, Tuple[str, ...]]] = []
-
-    def recurse(current: Node, enclosing: Tuple[str, ...]) -> None:
-        if isinstance(current, Loop):
-            inner = enclosing + (current.iterator,)
-            for child in current.body:
-                recurse(child, inner)
-        else:
-            result.append((current, enclosing))
-
-    recurse(node, ())
+    _gather_statements(node, (), result)
     return result
+
+
+def _gather_statements(node: Node, enclosing: Tuple[str, ...],
+                       result: List[Tuple[Node, Tuple[str, ...]]]) -> None:
+    # A module-level helper, not a closure: a recursive closure is a
+    # function<->cell cycle that keeps its locals alive until the cycle
+    # collector runs.
+    if isinstance(node, Loop):
+        inner = enclosing + (node.iterator,)
+        for child in node.body:
+            _gather_statements(child, inner, result)
+    else:
+        result.append((node, enclosing))

@@ -25,7 +25,7 @@ from ..normalization.pipeline import (NormalizationOptions, NormalizationReport,
                                       normalize_program)
 from ..normalization.scalar_expansion import contract_arrays
 from ..observability import (Counter, Gauge, Histogram, MetricsRegistry,
-                             merge_registry_dicts, render_registry_dict)
+                             render_registry_dict)
 from ..passes import (FixedPoint, Pass, PassResult, PassStats, Pipeline,
                       get_pipeline, pipeline_bit_exact, pipeline_names,
                       register_pipeline)
@@ -59,7 +59,7 @@ __all__ = [
     "ExecuteResponse", "SessionReport", "ProgramLike",
     # observability
     "MetricsRegistry", "Counter", "Gauge", "Histogram",
-    "merge_registry_dicts", "render_registry_dict",
+    "render_registry_dict",
     # caching / content addressing
     "NormalizationCache", "CacheStats",
     "CacheBackend", "BackendStats", "MemoryCacheBackend", "SQLiteCacheBackend",

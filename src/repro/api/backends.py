@@ -13,9 +13,10 @@ hit/write/eviction accounting.  Two backends ship:
   a small write-through in-memory hot layer keeps repeat lookups cheap.
   The backend distinguishes *memory hits* (served from the hot layer) from
   *disk hits* (decoded from SQLite), which :meth:`repro.api.Session.report`
-  surfaces.  The store is safe to share between processes (WAL journal,
-  busy timeout, retried writes, SQL-side recency stamps), which is how the
-  :class:`~repro.serving.workers.WorkerPool` workers share one cache file.
+  surfaces.  The store is safe to share between several processes (WAL
+  journal, busy timeout, retried writes, SQL-side recency stamps): two
+  ``serve`` processes, or a ``serve`` and a ``warm-cache`` run, may open
+  one cache file.
 
 Backends are deliberately ignorant of what they store: the cache layer
 binds ``encode``/``decode`` callables per namespace (:meth:`CacheBackend.bind`)
@@ -181,8 +182,8 @@ class SQLiteCacheBackend(CacheBackend):
     wall-clock timestamps.  A bounded write-through hot layer serves repeat
     lookups without touching SQLite or the codec.
 
-    Cross-process safety (one backend per worker of a
-    :class:`~repro.serving.workers.WorkerPool`, all on the same file):
+    Cross-process safety (one backend in each of several processes, all on
+    the same file):
 
     * the connection runs in **WAL mode** so readers never block the single
       writer and vice versa (falls back to the default journal silently on
@@ -240,7 +241,7 @@ class SQLiteCacheBackend(CacheBackend):
         self._dirty_seq: Dict[Tuple[str, str], None] = {}
 
     def _create_schema(self) -> None:
-        # WAL lets concurrent worker processes read while one writes; on
+        # WAL lets concurrent processes read while one writes; on
         # filesystems that refuse it SQLite keeps the rollback journal and
         # the busy timeout still serializes writers correctly.  Switching a
         # fresh file to WAL takes an exclusive lock that SQLite reports as

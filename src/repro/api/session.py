@@ -18,10 +18,8 @@ Typical use::
     print(response.summary(), session.report().summary())
 
 ``schedule_batch`` schedules a list of workloads in order through
-``schedule``, sharing the same cache and database, which is the seam every
-scaling feature (serving, multi-backend) plugs into; the serving layer's
-multi-process :class:`~repro.serving.workers.WorkerPool` is its parallel
-analogue, one session per worker over one shared SQLite cache file.
+``schedule``, sharing the same cache and database, which is the seam the
+serving layer's micro-batches run through.
 """
 
 from __future__ import annotations
@@ -106,7 +104,7 @@ class Session:
             cache_backend = SQLiteCacheBackend(cache_path)
         self.cache = NormalizationCache(backend=cache_backend,
                                         metrics=self.metrics)
-        # One tracer per session/process; serving layers share it so
+        # One tracer per session; serving layers share it so
         # request spans from every layer land in the same ring buffer.
         self.tracer = tracer if tracer is not None else Tracer()
         calls = self.metrics.counter(
@@ -315,10 +313,10 @@ class Session:
             span = NULL_SPAN
             trace_id = None
             if request.trace and self.tracer.enabled:
-                # A serving layer propagated a trace context (possibly from
-                # another process): re-activate it so pass/cache/search spans
-                # recorded below parent under the coordinator's span for
-                # this request.
+                # A serving layer propagated a trace context (from the
+                # request's thread to its batcher's): re-activate it so
+                # pass/cache/search spans recorded below parent under the
+                # service's span for this request.
                 stack.enter_context(self.tracer.activate(request.trace))
                 span = stack.enter_context(
                     trace_span("session.schedule", scheduler=name))

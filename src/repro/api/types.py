@@ -3,7 +3,7 @@
 Consumers used to pass ad-hoc ``(program, parameters)`` tuples around and
 unpack ``(program, report)`` results; the facade instead speaks small
 dataclasses that serialize to plain dictionaries (so batch jobs can be
-persisted, shipped to workers, and replayed).  ``from_dict`` reads the keys
+persisted, sent over HTTP, and replayed).  ``from_dict`` reads the keys
 it knows and ignores any other, so a request body carrying an unknown key
 is served exactly as the same body without it.
 """
@@ -61,7 +61,7 @@ class ScheduleRequest:
     priority: int = DEFAULT_PRIORITY
     client: Optional[str] = None
     #: Propagated trace context (``{"trace_id", "span_id"}``), set by a
-    #: serving layer so worker-side spans rejoin the coordinator's trace.
+    #: serving layer so the session's spans join the service's trace.
     #: Like ``priority``/``client`` it never affects the scheduling outcome
     #: and is excluded from coalescing fingerprints and cache keys.
     trace: Optional[Dict[str, str]] = None
@@ -133,8 +133,8 @@ class ScheduleResponse:
     scheduled), ``normalization_cache_hit`` when only the normalization was.
 
     A response is backed either by its fields (what a session constructs)
-    or by its JSON text (:meth:`from_json`: what the response fast lane, the
-    worker pool and the HTTP client hand over).  The serving layers mostly
+    or by its JSON text (:meth:`from_json`: what the response fast lane and
+    the HTTP client hand over).  The serving layers mostly
     shuttle response bytes onward — the HTTP handler replies with exactly
     :meth:`to_json` — so a text-backed response parses nothing until a
     *field* is read.  The first read of a scalar field decodes only what
@@ -349,11 +349,11 @@ class SessionReport:
     the in-process layer and persistent storage (disk hits only occur on
     persistent backends), and ``cache_busy_retries`` counts writes that
     found the store locked by another process and had to retry — the
-    contention signal of a cache file shared across worker processes.  ``coalesced_requests`` counts requests a serving
+    contention signal of a cache file shared across processes.
+    ``coalesced_requests`` counts requests a serving
     layer merged into an identical in-flight request instead of scheduling
     them again, and ``database_version`` is the tuning database's content
-    version (:attr:`~repro.scheduler.database.TuningDatabase.version`), which
-    every worker of a pool shares with its coordinator.
+    version (:attr:`~repro.scheduler.database.TuningDatabase.version`).
 
     ``normalization_passes`` aggregates the instrumented pass results of
     every pipeline run the session's cache performed: per pass name, the

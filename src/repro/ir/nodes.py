@@ -209,16 +209,17 @@ def read_accesses(expr: Expr) -> Tuple[ArrayAccess, ...]:
     except AttributeError:
         pass
     found: List[ArrayAccess] = []
-
-    def visit(part: Expr) -> None:
-        if isinstance(part, Read):
-            found.append(ArrayAccess(part.array, part.indices))
-        for child in part.children():
-            visit(child)
-
-    visit(expr)
+    _gather_reads(expr, found)
     expr._reads = reads = tuple(found)
     return reads
+
+
+def _gather_reads(expr: Expr, found: List[ArrayAccess]) -> None:
+    # Module-level, not a recursive closure (a function<->cell cycle).
+    if isinstance(expr, Read):
+        found.append(ArrayAccess(expr.array, expr.indices))
+    for child in expr.children():
+        _gather_reads(child, found)
 
 
 class Node:

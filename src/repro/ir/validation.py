@@ -90,6 +90,69 @@ def _unknown_calls(value: Expr) -> List[Call]:
     return unknown
 
 
+def _check_access(program: Program, access: ArrayAccess, where: str,
+                  visible: Set[str], errors: List[str]) -> None:
+    if access.array not in program.arrays:
+        errors.append(f"{where}: access to undeclared container {access.array!r}")
+        return
+    declared = program.arrays[access.array]
+    if declared.rank != access.rank:
+        errors.append(
+            f"{where}: container {access.array!r} has rank {declared.rank} "
+            f"but is accessed with {access.rank} indices")
+    symbols = access.free_symbols()
+    if not symbols <= visible:
+        errors.append(f"{where}: index uses unbound symbols "
+                      f"{sorted(symbols - visible)}")
+
+
+def _check_node(program: Program, node: Node, visible: Set[str],
+                errors: List[str], evaluated: _Evaluated) -> None:
+    """Check ``node``'s subtree in program order, appending to ``errors``
+    and gathering into ``evaluated`` (module-level, not a recursive
+    closure: that is a function<->cell cycle left for the collector)."""
+    if isinstance(node, Loop):
+        if node.iterator in visible:
+            errors.append(f"loop {node.iterator!r} shadows an enclosing symbol")
+        unknown = node.bound_symbols() - visible
+        if unknown:
+            errors.append(
+                f"loop {node.iterator!r}: bounds use unbound symbols {sorted(unknown)}")
+        if isinstance(node.step, Const) and node.step.value <= 0:
+            errors.append(
+                f"loop {node.iterator!r}: step {node.step} is not positive")
+        evaluated.loop(node)
+        inner = visible | {node.iterator}
+        for child in node.body:
+            _check_node(program, child, inner, errors, evaluated)
+    elif isinstance(node, Computation):
+        where = f"computation {node.name}"
+        reads = read_accesses(node.value)
+        evaluated.computation(node, (node.target, *reads))
+        _check_access(program, node.target, where, visible, errors)
+        for access in reads:
+            _check_access(program, access, where, visible, errors)
+        # Index symbols are checked per access; what is left of the
+        # value's symbols appears outside every read.
+        unknown = node.value.free_symbols() - visible
+        for access in reads:
+            if not unknown:
+                break
+            unknown -= access.free_symbols()
+        if unknown:
+            errors.append(f"{where}: value uses unbound symbols {sorted(unknown)}")
+        errors.extend(f"{where}: {call} calls the unknown intrinsic "
+                      f"{call.func!r}" for call in _unknown_calls(node.value))
+    elif isinstance(node, LibraryCall):
+        evaluated.call(node)
+        for name in list(node.outputs) + list(node.inputs):
+            if name not in program.arrays:
+                errors.append(
+                    f"library call {node.routine}: undeclared container {name!r}")
+    else:
+        errors.append(f"unexpected node type {type(node).__name__}")
+
+
 def validate_program(program: Program, strict: bool = True) -> List[str]:
     """Validate ``program`` and return the list of problems found.
 
@@ -99,65 +162,9 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
     errors: List[str] = []
     evaluated = _Evaluated(program)
 
-    def check_access(access: ArrayAccess, where: str, visible: Set[str]) -> None:
-        if access.array not in program.arrays:
-            errors.append(f"{where}: access to undeclared container {access.array!r}")
-            return
-        declared = program.arrays[access.array]
-        if declared.rank != access.rank:
-            errors.append(
-                f"{where}: container {access.array!r} has rank {declared.rank} "
-                f"but is accessed with {access.rank} indices")
-        symbols = access.free_symbols()
-        if not symbols <= visible:
-            errors.append(f"{where}: index uses unbound symbols "
-                          f"{sorted(symbols - visible)}")
-
-    def check_node(node: Node, visible: Set[str]) -> None:
-        if isinstance(node, Loop):
-            if node.iterator in visible:
-                errors.append(f"loop {node.iterator!r} shadows an enclosing symbol")
-            unknown = node.bound_symbols() - visible
-            if unknown:
-                errors.append(
-                    f"loop {node.iterator!r}: bounds use unbound symbols {sorted(unknown)}")
-            if isinstance(node.step, Const) and node.step.value <= 0:
-                errors.append(
-                    f"loop {node.iterator!r}: step {node.step} is not positive")
-            evaluated.loop(node)
-            inner = visible | {node.iterator}
-            for child in node.body:
-                check_node(child, inner)
-        elif isinstance(node, Computation):
-            where = f"computation {node.name}"
-            reads = read_accesses(node.value)
-            evaluated.computation(node, (node.target, *reads))
-            check_access(node.target, where, visible)
-            for access in reads:
-                check_access(access, where, visible)
-            # Index symbols are checked per access; what is left of the
-            # value's symbols appears outside every read.
-            unknown = node.value.free_symbols() - visible
-            for access in reads:
-                if not unknown:
-                    break
-                unknown -= access.free_symbols()
-            if unknown:
-                errors.append(f"{where}: value uses unbound symbols {sorted(unknown)}")
-            errors.extend(f"{where}: {call} calls the unknown intrinsic "
-                          f"{call.func!r}" for call in _unknown_calls(node.value))
-        elif isinstance(node, LibraryCall):
-            evaluated.call(node)
-            for name in list(node.outputs) + list(node.inputs):
-                if name not in program.arrays:
-                    errors.append(
-                        f"library call {node.routine}: undeclared container {name!r}")
-        else:
-            errors.append(f"unexpected node type {type(node).__name__}")
-
     visible_symbols = set(program.parameters)
     for node in program.body:
-        check_node(node, visible_symbols)
+        _check_node(program, node, visible_symbols, errors, evaluated)
     for where, expr in evaluated:
         for part in _parts(expr):
             if isinstance(part, (Read, Call)):
@@ -167,6 +174,23 @@ def validate_program(program: Program, strict: bool = True) -> List[str]:
     if strict and errors:
         raise ValidationError(errors)
     return errors
+
+
+def _gather_bindings(nodes: Sequence[Node], loops: List[Loop],
+                     evaluated: _Evaluated) -> None:
+    """Append every loop under ``nodes`` to ``loops`` and gather what
+    ``evaluated`` holds, in program order (module-level, not a recursive
+    closure)."""
+    for node in nodes:
+        if isinstance(node, Loop):
+            loops.append(node)
+            evaluated.loop(node)
+            _gather_bindings(node.body, loops, evaluated)
+        elif isinstance(node, Computation):
+            evaluated.computation(
+                node, (node.target, *read_accesses(node.value)))
+        elif isinstance(node, LibraryCall):
+            evaluated.call(node)
 
 
 def validate_bindings(program: Program, parameters: Mapping[str, int]) -> None:
@@ -182,20 +206,7 @@ def validate_bindings(program: Program, parameters: Mapping[str, int]) -> None:
                       f"of {program.name!r}")
     evaluated = _Evaluated(program)
     loops: List[Loop] = []
-
-    def gather(nodes: Sequence[Node]) -> None:
-        for node in nodes:
-            if isinstance(node, Loop):
-                loops.append(node)
-                evaluated.loop(node)
-                gather(node.body)
-            elif isinstance(node, Computation):
-                evaluated.computation(
-                    node, (node.target, *read_accesses(node.value)))
-            elif isinstance(node, LibraryCall):
-                evaluated.call(node)
-
-    gather(program.body)
+    _gather_bindings(program.body, loops, evaluated)
     names = set(parameters) - {loop.iterator for loop in loops}
     for where, expr in evaluated:
         for part in _parts(expr):

@@ -2,33 +2,30 @@
 
 One :class:`MetricsRegistry` per :class:`~repro.api.Session` collects typed
 :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments from every
-layer: the session and its normalization cache (calls, cache
-traffic), the scheduling service (queue depth, per-priority end-to-end
-latency, admission sheds), and the worker pool (per-worker registries
-scatter-gathered and merged with :func:`merge_registry_dicts`).  The HTTP
-layer serves it all as a Prometheus-text ``/metrics`` endpoint.  Each
-family has a named reader (a report field, an alert rule or the docs
-catalog in ``docs/observability.md``).
+layer: the session and its normalization cache (calls, cache traffic) and
+the scheduling service (queue depth, per-priority end-to-end latency,
+admission sheds).  The HTTP layer serves it all as a Prometheus-text
+``/metrics`` endpoint.  Each family has a named reader (a report field, an
+alert rule or the docs catalog in ``docs/observability.md``).
 
 On top of the aggregates, :mod:`repro.observability.tracing` records
-per-request span trees (deterministic trace ids, contextvar propagation,
-cross-process rejoin), and :mod:`repro.observability.alerts` evaluates
-declarative rules — threshold, rate, and SRE-style multi-window SLO
-burn — over registry snapshots.
+per-request span trees (deterministic trace ids, contextvar propagation),
+and :mod:`repro.observability.alerts` evaluates declarative rules —
+threshold, rate, and SRE-style multi-window SLO burn — over registry
+snapshots.
 """
 
 from .alerts import (AlertEvaluator, AlertMonitor, AlertRule, AlertState,
                      default_alert_rules)
 from .metrics import (DEFAULT_LATENCY_BUCKETS, Counter, CounterView, Gauge,
                       Histogram, MetricsError, MetricsRegistry,
-                      merge_registry_dicts, render_registry_dict)
+                      render_registry_dict)
 from .tracing import (Span, TraceRecord, Tracer, chrome_trace_document,
                       current_trace_id, span, traces_to_jsonl)
 
 __all__ = [
     "MetricsRegistry", "Counter", "CounterView", "Gauge", "Histogram",
-    "MetricsError", "DEFAULT_LATENCY_BUCKETS", "merge_registry_dicts",
-    "render_registry_dict",
+    "MetricsError", "DEFAULT_LATENCY_BUCKETS", "render_registry_dict",
     "Tracer", "Span", "TraceRecord", "span",
     "current_trace_id",
     "chrome_trace_document", "traces_to_jsonl",

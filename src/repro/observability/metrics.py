@@ -14,14 +14,12 @@ self-contained metrics core:
   instruments with optional label dimensions (``labels("5")`` /
   ``labels(priority="5")`` binds one labelled series).  Histograms use
   fixed upper-bound buckets (Prometheus ``le`` semantics).
+* **Snapshots** — :meth:`MetricsRegistry.to_dict` is a plain
+  JSON-serializable snapshot (the alert evaluator samples it, ``warm-cache
+  --metrics-json`` writes it).
 * **Prometheus text rendering** — :meth:`MetricsRegistry.render` (and
-  :func:`render_registry_dict` for merged snapshots) produce the
-  Prometheus text exposition format served by the ``/metrics`` endpoint.
-* **Mergeable snapshots** — :meth:`MetricsRegistry.to_dict` is a plain
-  JSON-serializable snapshot; :func:`merge_registry_dicts` sums snapshots
-  from many worker processes into one coordinator view (counters and
-  histogram buckets add; gauges add too, so per-worker queue depths and
-  sizes aggregate to pool totals).
+  :func:`render_registry_dict` for a snapshot) produce the Prometheus
+  text exposition format served by the ``/metrics`` endpoint.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Default latency buckets (seconds): sub-millisecond cache hits through
 #: multi-second cold scheduling runs.
@@ -195,7 +193,7 @@ class _GaugeSeries:
 
 
 class Gauge(_Instrument):
-    """A value that goes up and down (queue depth, worker count)."""
+    """A value that goes up and down (queue depth, a high-water mark)."""
 
     kind = "gauge"
 
@@ -354,7 +352,7 @@ class MetricsRegistry:
     # -- snapshots ---------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """A JSON-serializable snapshot (see :func:`merge_registry_dicts`)."""
+        """A JSON-serializable snapshot (see :func:`render_registry_dict`)."""
         with self._lock:
             instruments = list(self._metrics.values())
         snapshot: Dict[str, Any] = {}
@@ -425,61 +423,6 @@ class CounterView:
                 for name in (*self._counters, *self._gauges)}
 
 
-def merge_registry_dicts(snapshots: Iterable[Mapping[str, Any]]
-                         ) -> Dict[str, Any]:
-    """Sum many :meth:`MetricsRegistry.to_dict` snapshots into one.
-
-    Counters, gauges, and histogram buckets/sums add per label set (gauges
-    add so per-worker depths and sizes aggregate into pool totals); metric
-    type, label names, and histogram buckets must agree across snapshots.
-    """
-    merged: Dict[str, Any] = {}
-    for snapshot in snapshots:
-        for name, entry in snapshot.items():
-            target = merged.get(name)
-            if target is None:
-                merged[name] = {
-                    "type": entry["type"],
-                    "help": entry.get("help", ""),
-                    "labelnames": list(entry.get("labelnames", [])),
-                    "series": [dict(series, labels=list(series["labels"]),
-                                    **({"counts": list(series["counts"])}
-                                       if "counts" in series else {}))
-                               for series in entry.get("series", [])],
-                    **({"buckets": list(entry["buckets"])}
-                       if "buckets" in entry else {}),
-                }
-                continue
-            if target["type"] != entry["type"] \
-                    or target["labelnames"] != list(entry.get("labelnames", [])) \
-                    or target.get("buckets") != (
-                        list(entry["buckets"]) if "buckets" in entry else None):
-                raise MetricsError(
-                    f"cannot merge metric {name!r}: snapshots disagree on "
-                    "type, labels, or buckets")
-            by_labels = {tuple(series["labels"]): series
-                         for series in target["series"]}
-            for series in entry.get("series", []):
-                key = tuple(series["labels"])
-                existing = by_labels.get(key)
-                if existing is None:
-                    copied = dict(series, labels=list(series["labels"]))
-                    if "counts" in series:
-                        copied["counts"] = list(series["counts"])
-                    target["series"].append(copied)
-                    by_labels[key] = copied
-                elif "counts" in series:
-                    existing["counts"] = [a + b for a, b in
-                                          zip(existing["counts"],
-                                              series["counts"])]
-                    existing["sum"] += series["sum"]
-                else:
-                    existing["value"] += series["value"]
-    for entry in merged.values():
-        entry["series"].sort(key=lambda series: series["labels"])
-    return merged
-
-
 def _render_labels(labelnames: Sequence[str], values: Sequence[str],
                    extra: Optional[Tuple[str, str]] = None) -> str:
     pairs = [(name, value) for name, value in zip(labelnames, values)]
@@ -493,7 +436,7 @@ def _render_labels(labelnames: Sequence[str], values: Sequence[str],
 
 
 def render_registry_dict(snapshot: Mapping[str, Any]) -> str:
-    """Render a (possibly merged) registry snapshot as Prometheus text."""
+    """Render a registry snapshot as Prometheus text."""
     lines: List[str] = []
     for name in sorted(snapshot):
         entry = snapshot[name]

@@ -5,12 +5,11 @@ The tracer records *spans* — named, timed segments of work — grouped into
 id.  Within one process the active span propagates through a
 :class:`contextvars.ContextVar`, so deeply nested code (passes, cache
 lookups, scheduler search) can attach child spans via the module-level
-:func:`span` context manager without any plumbing.  Across process
-boundaries the context travels explicitly: the coordinator serializes
-``{"trace_id", "span_id"}`` into the request, the worker re-activates it
-with :meth:`Tracer.activate`, and its finished spans are exported with
-:meth:`Tracer.export_fragment` and re-absorbed coordinator-side with
-:meth:`Tracer.absorb` so the full span tree lands in one place.
+:func:`span` context manager without any plumbing.  Between the service
+and the session the context travels explicitly (a batch runs on the
+service's batcher thread): the service puts
+``{"trace_id", "span_id"}`` on the request and the session re-activates it
+with :meth:`Tracer.activate`.
 
 Finished traces live in a bounded in-memory ring buffer
 (:meth:`Tracer.traces` / :meth:`Tracer.get`) and export as JSONL
@@ -111,21 +110,6 @@ class Span:
             "thread": self.thread,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Span":
-        return cls(
-            trace_id=data["trace_id"],
-            span_id=data["span_id"],
-            parent_id=data.get("parent_id"),
-            name=data["name"],
-            start_s=data["start_s"],
-            end_s=data.get("end_s", 0.0),
-            attributes=dict(data.get("attributes", {})),
-            status=data.get("status", "ok"),
-            process=data.get("process", ""),
-            thread=data.get("thread", 0),
-        )
-
 
 class _NullSpan:
     """No-op span handed out when tracing is inactive or disabled."""
@@ -224,8 +208,7 @@ class TraceRecord:
 class Tracer:
     """Span factory + bounded ring buffer of finished traces.
 
-    Thread-safe; one instance per process.  Workers run their own tracer
-    and ship finished span fragments back to the coordinator in-band.
+    Thread-safe; one instance per session.
     """
 
     def __init__(self, capacity: int = 256, process: Optional[str] = None,
@@ -304,8 +287,8 @@ class Tracer:
         with self._lock:
             record = self._finished.get(span.trace_id)
             if record is not None:
-                # Late span for an already-finalized trace (e.g. absorbed
-                # worker fragments that raced the root close): append.
+                # Late span for an already-finalized trace (its caller
+                # stopped waiting: a timeout or stop()): append.
                 record.spans.append(span)
                 record.spans.sort(key=_span_order)
                 return
@@ -328,46 +311,6 @@ class Tracer:
         self._finished[root.trace_id] = TraceRecord.of_root(root, spans)
         while len(self._finished) > self.capacity:
             self._finished.popitem(last=False)
-
-    # -- cross-boundary plumbing -----------------------------------------
-
-    def export_fragment(self, trace_id: str) -> List[Dict[str, Any]]:
-        """Drain this process's finished spans for ``trace_id`` (worker side).
-
-        Spans recorded under a trace whose root lives in another process
-        never finalize locally; this pops them for in-band shipping.
-        """
-        with self._lock:
-            spans = self._open.pop(trace_id, [])
-            self._seq.pop(trace_id, None)
-            record = self._finished.get(trace_id)
-            if record is not None:
-                del self._finished[trace_id]
-        if record is not None:
-            spans = list(record.spans) + spans
-        return [s.to_dict() for s in spans]
-
-    def absorb(self, span_dicts: Iterable[Mapping[str, Any]]) -> None:
-        """Merge spans exported by another process (coordinator side)."""
-        spans = []
-        for data in span_dicts:
-            try:
-                spans.append(Span.from_dict(data))
-            except (KeyError, TypeError):
-                continue
-        late: Dict[str, TraceRecord] = {}
-        with self._lock:
-            for span in spans:
-                record = self._finished.get(span.trace_id)
-                if record is not None:
-                    record.spans.append(span)
-                    late[span.trace_id] = record
-                else:
-                    self._open.setdefault(span.trace_id, []).append(span)
-            # Spans that arrived after their trace was finalized: one sort
-            # per trace, not one per span.
-            for record in late.values():
-                record.spans.sort(key=_span_order)
 
     @contextlib.contextmanager
     def activate(self, context: Mapping[str, str]):

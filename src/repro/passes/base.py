@@ -25,14 +25,15 @@ from ..observability.tracing import span as _trace_span
 
 def program_ir_size(program: Program) -> int:
     """Node count of a program (loops, computations, library calls)."""
+    return sum(_subtree_size(node) for node in program.body)
 
-    def count(node) -> int:
-        total = 1
-        for child in getattr(node, "body", ()):
-            total += count(child)
-        return total
 
-    return sum(count(node) for node in program.body)
+def _subtree_size(node) -> int:
+    # Module-level, not a recursive closure (a function<->cell cycle).
+    total = 1
+    for child in getattr(node, "body", ()):
+        total += _subtree_size(child)
+    return total
 
 
 def program_fingerprint(program: Program) -> str:

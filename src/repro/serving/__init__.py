@@ -10,11 +10,6 @@ The subsystem layers onto :mod:`repro.api` without changing it:
   :class:`AdmissionError`), micro-batching over
   ``Session.schedule_batch``, and coalescing of identical in-flight
   requests by content hash.
-* :class:`WorkerPool` / :class:`WorkerConfig` — a multi-process worker pool
-  where every worker holds its own Session over one shared SQLite cache
-  file and a whole copy of the pool's tuning database; the service
-  scatters its micro-batches over the pool when one is attached
-  (``serve --workers N``).
 * :class:`ServingServer` / :class:`ServingClient` — a stdlib JSON-over-HTTP
   endpoint plus its client, speaking the existing
   ``ScheduleRequest`` / ``ScheduleResponse`` round-trips (load shedding
@@ -33,14 +28,10 @@ from .client import ServingClient, ServingError
 from .http import JsonAccessLog, ServingServer
 from .service import (AdmissionController, AdmissionError, RequestTiming,
                       ServiceConfig, ServiceRunner, request_fingerprint)
-from .workers import (PoolStats, WorkerConfig, WorkerError, WorkerPool,
-                      merge_worker_reports)
 
 __all__ = [
     "ServiceConfig", "ServiceRunner",
     "AdmissionController", "AdmissionError",
     "RequestTiming", "request_fingerprint",
-    "WorkerPool", "WorkerConfig", "WorkerError", "PoolStats",
-    "merge_worker_reports",
     "ServingServer", "ServingClient", "ServingError", "JsonAccessLog",
 ]

@@ -2,15 +2,13 @@
 
 Subcommands:
 
-* ``serve``      — boot the JSON-over-HTTP scheduling service;
-  ``--workers N`` serves through a multi-process
-  :class:`~repro.serving.workers.WorkerPool` sharing one SQLite cache,
-  ``--max-queue-depth`` / ``--max-client-inflight`` configure admission
-  control (load shedding with HTTP 429), ``--latency-slo`` sets the target
-  the SLO alert rules burn against, ``--access-log`` writes structured
-  JSON access logs, and ``--no-trace`` disables request tracing
-  (``/v1/traces``).  The Prometheus-text ``/metrics`` endpoint is always
-  served.
+* ``serve``      — boot the JSON-over-HTTP scheduling service, which
+  schedules in-process; ``--max-queue-depth`` / ``--max-client-inflight``
+  configure admission control (load shedding with HTTP 429),
+  ``--latency-slo`` sets the target the SLO alert rules burn against,
+  ``--access-log`` writes structured JSON access logs, and ``--no-trace``
+  disables request tracing (``/v1/traces``).  The Prometheus-text
+  ``/metrics`` endpoint is always served.
 * ``trace-dump``  — fetch finished traces from a running server and emit
   them as Chrome trace-event JSON (loadable in Perfetto /
   ``chrome://tracing``) or as JSONL, to ``--output`` or stdout.
@@ -40,7 +38,6 @@ from ..scheduler.database import TuningDatabase
 from ..workloads.registry import benchmark_names
 from .http import ServingServer
 from .service import ServiceConfig
-from .workers import WorkerConfig, WorkerPool
 
 
 def _session_arguments(parser: argparse.ArgumentParser) -> None:
@@ -65,13 +62,10 @@ def _session_arguments(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(database=None)
 
 
-def _build_session(args: argparse.Namespace,
-                   database: Optional[TuningDatabase] = None) -> Session:
-    if database is None:
-        database = args.database
+def _build_session(args: argparse.Namespace) -> Session:
     return Session(threads=args.threads, scheduler=args.scheduler,
                    size=args.size, cache_path=args.cache_path,
-                   pipeline=args.pipeline, database=database)
+                   pipeline=args.pipeline, database=args.database)
 
 
 def _format_pass_timings(report) -> str:
@@ -98,25 +92,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if not args.alert_interval > 0:
             raise ValueError(f"--alert-interval must be > 0, got "
                              f"{args.alert_interval!r}")
-    except ValueError as error:  # before any worker or session is built
+    except ValueError as error:  # before the session is built
         print(f"serve: {error}", file=sys.stderr)
         return 2
-    pool = None
-    session = None
+    session = _build_session(args)
     try:
-        if args.workers > 0:
-            worker_config = WorkerConfig(
-                scheduler=args.scheduler, threads=args.threads, size=args.size,
-                pipeline=args.pipeline, cache_path=args.cache_path)
-            pool = WorkerPool(args.workers, worker_config,
-                              database=args.database)
-            pool.start()
-            # The coordinator session does coalescing bookkeeping and
-            # reporting; all scheduling happens in the pool.  It shares the
-            # pool's database and (via WAL) the same cache file.
-            session = _build_session(args, database=pool.database)
-        else:
-            session = _build_session(args)
         access_log = None
         if args.access_log:
             access_log = (sys.stdout if args.access_log == "-"
@@ -124,26 +104,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if not args.trace:
             session.tracer.enabled = False
         server = ServingServer(session, host=args.host, port=args.port,
-                               config=config, pool=pool,
-                               access_log=access_log,
+                               config=config, access_log=access_log,
                                alert_interval_s=args.alert_interval)
         server.start()
         print(f"serving on {server.address} "
               f"(scheduler={args.scheduler}, threads={args.threads}, "
-              f"workers={args.workers or 'in-process'}, "
               f"cache={'sqlite:' + args.cache_path if args.cache_path else 'memory'}, "
               f"database={len(session.database)} entries, "
               f"queue-depth={args.max_queue_depth}, "
               f"tracing={'on' if args.trace else 'off'})", flush=True)
         server.serve_forever()
     finally:
-        # Reached on a clean shutdown *and* on boot failures (port in use,
-        # bad session config): flush buffered cache recency, close the
-        # backend connection, and stop the worker processes.
-        if pool is not None:
-            pool.close()
-        if session is not None:
-            session.close()
+        # Reached on a clean shutdown *and* on boot failures (port in use):
+        # flush buffered cache recency and close the backend connection.
+        session.close()
     return 0
 
 
@@ -179,8 +153,7 @@ def _cmd_warm_cache(args: argparse.Namespace) -> int:
         print(f"wrote report to {args.report_json}")
     if args.metrics_json:
         # The full instrument snapshot (counters, gauges, histogram
-        # buckets) — mergeable with other snapshots and renderable via
-        # repro.observability.render_registry_dict.
+        # buckets), renderable via repro.observability.render_registry_dict.
         with open(args.metrics_json, "w", encoding="utf-8") as handle:
             json.dump(session.metrics.to_dict(), handle, indent=2,
                       sort_keys=True)
@@ -230,9 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="most queued requests one schedule_batch call "
                             "takes (the batcher dispatches what is queued; "
                             "arrivals during a batch form the next one)")
-    serve.add_argument("--workers", type=int, default=0,
-                       help="serve through N worker processes sharing the "
-                            "cache (0: schedule in-process)")
     serve.add_argument("--max-queue-depth", type=int, default=256,
                        help="shed load (HTTP 429) beyond this many queued "
                             "requests (0: unbounded)")

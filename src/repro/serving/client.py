@@ -200,15 +200,9 @@ class ServingClient:
         """``GET /v1/traces/<id>``: one trace's full span tree."""
         return json.loads(self._checked("GET", f"/v1/traces/{trace_id}"))
 
-    def metrics(self, include_workers: bool = False) -> str:
-        """Scrape ``GET /metrics``: the Prometheus text exposition body.
-
-        ``include_workers`` merges every worker process's registry into the
-        scrape when the server runs a pool (slower — one round trip to
-        every worker).
-        """
-        return self._checked(
-            "GET", "/metrics" + ("?workers=1" if include_workers else ""))
+    def metrics(self) -> str:
+        """Scrape ``GET /metrics``: the Prometheus text exposition body."""
+        return self._checked("GET", "/metrics")
 
     def schedule(self, program: Union[ScheduleRequest, ProgramLike],
                  parameters: Optional[Mapping[str, int]] = None,

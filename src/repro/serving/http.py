@@ -3,16 +3,12 @@
 Routes:
 
 * ``GET  /healthz``     — liveness: ``{"status": "ok"}``.
-* ``GET  /v1/report``   — session counters plus service and admission
-  stats; with an attached worker pool, coordinator pool counters too, and
-  ``?workers=1`` additionally scatter-gathers every worker's session report
-  (slower — one round trip to every worker process).
+* ``GET  /v1/report``   — session counters plus service, admission and
+  alert stats.
 * ``GET  /metrics``     — the session's metrics registry in the Prometheus
   text exposition format (queue-depth gauge, per-priority latency
-  histograms, admission-shed counters, cache traffic); with an attached
-  worker pool, ``?workers=1`` merges every worker's registry into the
-  scrape (one round trip per worker, like the report).  A route that
-  raises (a dead worker, say) answers 500 with the error.
+  histograms, admission-shed counters, cache traffic).  A route that
+  raises answers 500 with the error.
 * ``GET  /v1/traces``   — newest-first summaries of the trace ring buffer
   (``?limit=N`` caps the listing); ``GET /v1/traces/<trace_id>`` returns
   one full span tree.  404 while the session's tracer is disabled.
@@ -52,20 +48,15 @@ import threading
 import time
 import uuid
 from http import HTTPStatus
-from typing import TYPE_CHECKING, Any, Dict, IO, Optional, Tuple, Union
+from typing import Any, Dict, IO, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from ..api.session import Session
 from ..api.types import (HIGHEST_PRIORITY, LOWEST_PRIORITY, ScheduleRequest)
 from ..ir.nodes import Program
-from ..observability import (AlertEvaluator, AlertMonitor,
-                             default_alert_rules, merge_registry_dicts,
-                             render_registry_dict)
+from ..observability import AlertEvaluator, AlertMonitor, default_alert_rules
 from .client import MAX_BODY_BYTES, MessageError, read_message
 from .service import AdmissionError, ServiceConfig, ServiceRunner
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .workers import WorkerPool
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -118,10 +109,6 @@ def _program_descriptor(program: Any) -> str:
 class ServingServer:
     """The HTTP front of one session + scheduling service.
 
-    ``pool`` optionally attaches a :class:`~repro.serving.workers.WorkerPool`
-    whose processes serve the micro-batches; the server reports through it
-    but does not own it — whoever created the pool closes it.
-
     ``access_log`` — a path or a writable text stream — enables the
     structured JSON access log for ``/v1/schedule`` traffic.  ``/metrics``
     is always served (it reads the registry every request writes); the
@@ -130,18 +117,13 @@ class ServingServer:
 
     def __init__(self, session: Session, host: str = "127.0.0.1",
                  port: int = 0, config: Optional[ServiceConfig] = None,
-                 pool: "Optional[WorkerPool]" = None,
                  access_log: "Union[None, str, IO[str]]" = None,
                  alert_rules=None,
                  alert_interval_s: float = 5.0):
         self.session = session
-        self.pool = pool
-        self.runner = ServiceRunner(session, config, pool=pool)
+        self.runner = ServiceRunner(session, config)
         self.metrics = session.metrics
         self.tracer = session.tracer
-        if pool is not None and pool.tracer is None:
-            # Worker span fragments rejoin the coordinator session's tracer.
-            pool.tracer = self.tracer
         service_config = self.runner.config
         self.alerts = AlertEvaluator(
             (default_alert_rules(
@@ -241,20 +223,10 @@ class ServingServer:
         return 200, {"status": "ok",
                      "uptime_s": round(time.monotonic() - self._started_at, 3)}
 
-    def handle_report(self, include_workers: bool = False
-                      ) -> Tuple[int, Dict[str, Any]]:
+    def handle_report(self) -> Tuple[int, Dict[str, Any]]:
         payload = self.session.report().to_dict()
         payload["service"] = self.runner.stats.to_dict()
         payload["admission"] = self.runner.admission.stats.to_dict()
-        if self.pool is not None:
-            if include_workers:
-                # Full scatter-gather: one session report per worker process
-                # plus the merged aggregate (waits for batches in flight;
-                # raises WorkerError if a worker is dead).
-                payload["pool"] = self.pool.report()
-            else:
-                payload["pool"] = {"num_workers": self.pool.num_workers,
-                                   **self.pool.stats.to_dict()}
         states = self.alerts.states()
         payload["alerts"] = {
             "firing": sorted(state.name for state in states if state.firing),
@@ -289,27 +261,11 @@ class ServingServer:
             return 404, {"error": f"unknown trace {trace_id!r}"}
         return 200, record.to_dict()
 
-    def render_metrics(self, include_workers: bool = False) -> str:
-        """The Prometheus text scrape body of ``GET /metrics``.
-
-        The coordinator registry (service queue/latency/admission plus the
-        coordinator session's cache traffic) renders directly; with a pool
-        and ``include_workers``, every worker's registry is gathered
-        (one round trip each) and merged in, so per-worker session and cache
-        counters aggregate into the scrape.
-        """
-        if self.pool is not None and include_workers:
-            gathered = self.pool.metrics()
-            snapshots = [self.metrics.to_dict()]
-            snapshots.extend(snapshot for _, snapshot
-                             in sorted(gathered["per_worker"].items()))
-            return render_registry_dict(merge_registry_dicts(snapshots))
-        return self.metrics.render()
-
-    def handle_metrics(self, include_workers: bool = False
-                       ) -> Tuple[int, str, str]:
-        """Returns ``(status, content_type, body)`` for ``GET /metrics``."""
-        return 200, PROMETHEUS_CONTENT_TYPE, self.render_metrics(include_workers)
+    def handle_metrics(self) -> Tuple[int, str, str]:
+        """Returns ``(status, content_type, body)`` for ``GET /metrics``:
+        the session's registry (service queue, latency and admission plus
+        the session's cache traffic) as Prometheus text."""
+        return 200, PROMETHEUS_CONTENT_TYPE, self.metrics.render()
 
     def _next_request_id(self) -> str:
         return f"{self._id_prefix}-{next(self._id_sequence)}"
@@ -421,9 +377,9 @@ class ServingServer:
         except Exception as error:  # noqa: BLE001 - surfaced as HTTP 500
             return failed(500, {"error": f"{type(error).__name__}: {error}"},
                           "error")
-        # Pool and fast-lane responses are backed by pre-encoded JSON text
-        # (the worker process or the response cache serialized them):
-        # ``to_json`` replies with those bytes verbatim.
+        # Fast-lane responses are backed by pre-encoded JSON text (the
+        # response cache serialized them): ``to_json`` replies with those
+        # bytes verbatim.
         return done(200, response.to_json(), "ok", request,
                     queue_wait_s=timing.queue_wait_s,
                     coalesced=timing.coalesced,
@@ -484,7 +440,7 @@ def _make_handler(server: ServingServer):
         def _reply(self, status: int, payload: "Dict[str, Any] | str",
                    close: bool = False,
                    content_type: str = "application/json") -> None:
-            # A str payload is pre-encoded (the worker-pool fast path).
+            # A str payload is pre-encoded (the fast lane, /metrics).
             body = (payload if isinstance(payload, str)
                     else json.dumps(payload)).encode("utf-8")
             # time.gmtime() alone reads C time(), a coarser clock that lags
@@ -513,26 +469,17 @@ def _make_handler(server: ServingServer):
             self.wfile.write("\r\n".join(head + ["", ""]).encode("latin-1")
                              + body)
 
-        @staticmethod
-        def _workers_flag(query: Dict[str, list]) -> bool:
-            flag = query.get("workers", [""])[-1].strip().lower()
-            return flag in ("1", "true", "yes", "on")
-
         def do_GET(self) -> None:  # noqa: N802 - named for its method
-            # A route that raises (a dead worker behind ``?workers=1``) is
-            # answered like an unexpected scheduling error, and the
-            # kept-alive connection stays usable.
+            # A route that raises is answered like an unexpected scheduling
+            # error, and the kept-alive connection stays usable.
             try:
                 parts = urlsplit(self.path)
                 if parts.path == "/healthz":
                     self._reply(*server.handle_healthz())
                 elif parts.path == "/v1/report":
-                    include_workers = self._workers_flag(parse_qs(parts.query))
-                    self._reply(*server.handle_report(include_workers))
+                    self._reply(*server.handle_report())
                 elif parts.path == "/metrics":
-                    include_workers = self._workers_flag(parse_qs(parts.query))
-                    status, content_type, text = \
-                        server.handle_metrics(include_workers)
+                    status, content_type, text = server.handle_metrics()
                     self._reply(status, text, content_type=content_type)
                 elif parts.path == "/alerts":
                     self._reply(*server.handle_alerts())

@@ -24,8 +24,7 @@ tests):
 * **micro-batching** — the batcher dispatches the most urgent request plus
   every request already queued behind it, up to
   :attr:`ServiceConfig.max_batch_size`, with no window for stragglers, and
-  runs the batch through :meth:`repro.api.Session.schedule_batch` — or a
-  :class:`~repro.serving.workers.WorkerPool` when one is attached.
+  runs the batch through :meth:`repro.api.Session.schedule_batch`.
 """
 from __future__ import annotations
 
@@ -37,16 +36,13 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.hashing import request_fingerprint
 from ..api.session import Session
 from ..api.types import ScheduleRequest, ScheduleResponse
 from ..ir.nodes import Program
 from ..observability import CounterView, MetricsRegistry, Span
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (workers use api)
-    from .workers import WorkerPool
 
 _NOT_RUNNING = "service is not running; call start() first"
 
@@ -220,8 +216,7 @@ class _Pending:
                                                repr=False)
     enqueued_at: float = 0.0
     claimed_at: float = 0.0
-    # Wall-clock twins of the stamps above: trace spans use ``time.time()``
-    # so coordinator and worker spans share one timeline.
+    # Wall-clock twins of the stamps above: trace spans use ``time.time()``.
     enqueued_wall: float = 0.0
     claimed_wall: float = 0.0
 
@@ -234,19 +229,12 @@ class ServiceRunner:
 
     :meth:`schedule` serves a response-cache hit on the calling thread; a
     miss is queued and its caller blocks until the batcher thread (the
-    runner's one thread) has run the batch that holds it.  ``pool``
-    optionally attaches a :class:`~repro.serving.workers.WorkerPool`, whose
-    ``schedule_batch`` has the in-band-exception contract of
-    ``Session.schedule_batch(return_exceptions=True)``: batches are then
-    scattered over processes with the same queueing, coalescing and error
-    semantics.
+    runner's one thread) has run the batch that holds it.
     """
 
-    def __init__(self, session: Session, config: Optional[ServiceConfig] = None,
-                 pool: "Optional[WorkerPool]" = None):
+    def __init__(self, session: Session, config: Optional[ServiceConfig] = None):
         self.session = session
         self.config = config or ServiceConfig()
-        self.pool = pool
         #: All service instruments live on the session's registry, so one
         #: ``/metrics`` scrape covers session, cache, and service.
         self.metrics = session.metrics
@@ -414,7 +402,7 @@ class ServiceRunner:
             if tracer.enabled:
                 root = self._open_root(request, request_id, arrived)
                 # Child spans of every downstream layer (queue, schedule,
-                # session, worker) attach under this root via the request:
+                # session) attach under this root via the request:
                 # the runner's own shallow copy, so the caller's object is
                 # never written to (a reused one would carry a stale id).
                 request = replace(request, trace=root.context())
@@ -470,8 +458,9 @@ class ServiceRunner:
         finally:
             if root is not None:
                 # Finishing the parentless root finalizes the trace into
-                # the ring buffer — after worker fragments were absorbed,
-                # since futures only resolve once the batch was decoded.
+                # the ring buffer; a future resolves only after its batch
+                # finished every span, so a span lands late only when the
+                # caller stopped waiting (a timeout or stop()).
                 tracer.finish(root, status=outcome)
 
     def _ride(self, leader: _Pending, request: ScheduleRequest,
@@ -574,23 +563,19 @@ class ServiceRunner:
                           pending.enqueued_wall, pending.claimed_wall,
                           {"priority": pending.priority})
             # The schedule span becomes the parent of everything the
-            # executing side records (session, passes, cache, search) —
-            # including worker-process spans, which rejoin through the
-            # serialized request.trace context.
+            # session records (passes, cache, search) through the request's
+            # trace context.
             span = tracer.begin(
                 "service.schedule", trace_id, parent_id=parent_id,
-                attrs={"executor": ("pool" if self.pool is not None
-                                    else "session"),
-                       "batch_size": len(batch)},
-                start_s=dispatched_wall)
+                attrs={"batch_size": len(batch)}, start_s=dispatched_wall)
             pending.request.trace = span.context()
             schedule_spans[pending.key] = span
         try:
             responses = self._schedule_batch(
                 [pending.request for pending in batch])
         except Exception as error:  # noqa: BLE001 - forwarded to callers
-            # A batch-level failure (a lost pool, say) fails every item;
-            # per-item failures come back in-band (return_exceptions).
+            # A batch-level failure fails every item; per-item failures
+            # come back in-band (return_exceptions).
             responses = [error] * len(batch)
         # Under the lock: stop() cancels waiters under it too, so a future
         # is resolved only if nobody cancelled it.
@@ -612,11 +597,8 @@ class ServiceRunner:
 
     def _schedule_batch(self, requests: List[ScheduleRequest]
                         ) -> List[ScheduleResponse]:
-        if self.pool is not None:
-            responses = self.pool.schedule_batch(requests)
-        else:
-            responses = self.session.schedule_batch(
-                requests, return_exceptions=True)
+        responses = self.session.schedule_batch(requests,
+                                                return_exceptions=True)
         # Feed the fast lane: responses whose normalization and schedule
         # both came from cache are deterministic repeats, so their encoded
         # bytes are stored for zero-parse serving (the store itself checks

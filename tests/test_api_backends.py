@@ -1,5 +1,7 @@
-"""Tests for the pluggable cache backends and persistent sessions."""
+"""Tests for the pluggable cache backends and persistent sessions, one
+SQLite cache file shared by several processes included."""
 
+import multiprocessing
 import threading
 
 import pytest
@@ -221,3 +223,123 @@ class TestPersistentSession:
         assert served.from_cache
         writer.cache.close()
         reader.cache.close()
+
+
+# -- cross-process cache correctness ------------------------------------------------
+
+def _identity_codec(backend):
+    backend.bind("ns", lambda value: value, lambda payload: payload)
+    return backend
+
+
+def _hammer_cache(path, worker_id, writes, barrier):
+    """Subprocess body: write distinct keys and re-read earlier ones while
+    sibling processes do the same against the same SQLite file."""
+    backend = _identity_codec(SQLiteCacheBackend(path, busy_timeout_s=10.0))
+    barrier.wait(timeout=60)  # maximize write overlap across processes
+    for index in range(writes):
+        key = f"w{worker_id}-k{index}"
+        backend.put("ns", key, {"worker": worker_id, "index": index})
+        read_back = backend.get("ns", key)
+        assert read_back == {"worker": worker_id, "index": index}
+        # Re-read an earlier key of *some* worker (whatever is visible).
+        other = backend.get("ns", f"w{worker_id}-k{max(0, index - 1)}")
+        assert other is not None
+    backend.close()
+
+
+def _open_fresh_caches(paths, barrier):
+    """Subprocess body: open each new cache file in step with a sibling
+    process doing the same, as two servers on one new cache file do."""
+    for path in paths:
+        barrier.wait(timeout=60)
+        try:
+            SQLiteCacheBackend(path).close()
+        except Exception:
+            barrier.abort()  # fail the sibling now, not at its timeout
+            raise
+
+
+class TestCrossProcessCache:
+    def test_wal_mode_and_busy_timeout_are_active(self, tmp_path):
+        backend = SQLiteCacheBackend(str(tmp_path / "cache.sqlite"))
+        journal = backend._conn.execute("PRAGMA journal_mode").fetchone()[0]
+        timeout = backend._conn.execute("PRAGMA busy_timeout").fetchone()[0]
+        assert journal == "wal"
+        assert timeout == 5000
+        assert backend.stats.to_dict()["busy_retries"] == 0
+        backend.close()
+
+    def test_processes_opening_one_new_file_at_once_all_succeed(self, tmp_path):
+        """Switching a new file to WAL is reported busy at once, without the
+        busy timeout; a backend must retry it rather than fail its
+        process's session build."""
+        paths = [str(tmp_path / f"new-{index}.sqlite") for index in range(20)]
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(2)
+        processes = [context.Process(target=_open_fresh_caches,
+                                     args=(paths, barrier))
+                     for _ in range(2)]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=120)
+            assert process.exitcode == 0
+        for path in paths:
+            backend = SQLiteCacheBackend(path)
+            assert backend._conn.execute(
+                "PRAGMA journal_mode").fetchone()[0] == "wal"
+            backend.close()
+
+    def test_two_processes_write_and_read_one_cache(self, tmp_path):
+        """The acceptance scenario: concurrent writers on one SQLite file,
+        no lost or corrupted entries."""
+        path = str(tmp_path / "shared.sqlite")
+        writes = 25
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(2)
+        processes = [
+            context.Process(target=_hammer_cache,
+                            args=(path, worker_id, writes, barrier))
+            for worker_id in range(2)]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=120)
+            assert process.exitcode == 0
+        # Every entry both processes wrote is present and intact.
+        backend = _identity_codec(SQLiteCacheBackend(path))
+        assert backend.sizes() == {"ns": 2 * writes}
+        for worker_id in range(2):
+            for index in range(writes):
+                value = backend.get("ns", f"w{worker_id}-k{index}")
+                assert value == {"worker": worker_id, "index": index}
+        backend.close()
+
+    def test_entry_written_by_one_backend_is_served_to_another(self, tmp_path):
+        path = str(tmp_path / "shared.sqlite")
+        writer = _identity_codec(SQLiteCacheBackend(path))
+        writer.put("ns", "key", {"payload": 42})
+        reader = _identity_codec(SQLiteCacheBackend(path))
+        assert reader.get("ns", "key") == {"payload": 42}
+        # Served from disk on first access, from the hot layer afterwards.
+        assert reader.stats.disk_hits == 1
+        assert reader.get("ns", "key") == {"payload": 42}
+        assert reader.stats.memory_hits == 1
+        writer.close()
+        reader.close()
+
+    def test_recency_stamps_interleave_across_connections(self, tmp_path):
+        """LRU eviction respects writes from *other* connections: the seq
+        stamp is computed in SQL, not from a per-process counter."""
+        path = str(tmp_path / "shared.sqlite")
+        first = _identity_codec(SQLiteCacheBackend(path, max_entries=2))
+        second = _identity_codec(SQLiteCacheBackend(path, max_entries=2))
+        first.put("ns", "a", {"v": 1})
+        second.put("ns", "b", {"v": 2})
+        first.put("ns", "c", {"v": 3})  # evicts "a", the globally oldest
+        assert first.get("ns", "a") is None
+        assert second.get("ns", "b") == {"v": 2}
+        assert second.get("ns", "c") == {"v": 3}
+        first.close()
+        second.close()

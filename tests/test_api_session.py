@@ -362,7 +362,7 @@ def test_warm_cache_counts_every_canonical_form_hit(tmp_path, capsys):
     lambda: fast_session().schedule_batch(["gemm:a"], max_workers=1),
 ], ids=["Session", "schedule_batch"])
 def test_removed_max_workers_spelling_is_rejected(call):
-    # A batch is a loop; parallel scheduling is the worker pool's job.
+    # A batch is a loop: nothing schedules in parallel.
     with pytest.raises(TypeError, match="max_workers"):
         call()
 

@@ -71,7 +71,7 @@ def observe():
         bicg = ScheduleRequest(program="bicg:a")
         queue_behind(runner, bicg, [bicg, bicg])      # two coalesced riders
         _, payload = server.handle_report()
-        scrape = server.render_metrics()
+        _, _, scrape = server.handle_metrics()
     report = session.report().to_dict()
     for entry in report["normalization_passes"].values():
         del entry["wall_time_s"]

@@ -25,8 +25,7 @@ import time
 import pytest
 
 from helpers import fast_session
-from repro.api import (ScheduleRequest, ScheduleResponse, SearchConfig,
-                       program_content_hash)
+from repro.api import ScheduleRequest, ScheduleResponse, program_content_hash
 from repro.api import types as api_types
 from repro.api.cache import ResponseEntry
 from repro.experiments.figure1 import LOOP_ORDERS, build_gemm_order
@@ -38,7 +37,7 @@ from repro.ir.serialization import (expr_from_dict, expr_to_dict,
 from repro.ir.symbols import (Add, Call, Const, FloorDiv, Max, Min, Mod, Mul,
                               Read, Sym, const, sym)
 from repro.serving import (AdmissionError, ServingClient, ServingError,
-                           ServingServer, WorkerConfig, WorkerPool)
+                           ServingServer)
 from repro.serving import http as http_module
 from repro.workloads.registry import benchmark, benchmark_names
 
@@ -294,18 +293,6 @@ class TestStagedDecodeEqualsEager:
                     ScheduleResponse.from_json(slow.to_json()))
             assert ScheduleResponse.from_json(
                 session.schedule(traced).to_json()).trace_id == TRACE["trace_id"]
-
-    def test_scalars_read_first_equal_eager_on_worker_replies(self):
-        config = WorkerConfig(threads=4, search=SearchConfig(
-            population_size=4, epochs=1, generations_per_epoch=1))
-        requests = [ScheduleRequest(program=name) for name in
-                    ("gemm:a", "gemm:b", "fuzz:small-0")]
-        requests += _requests()[-2:] + _adversarial_requests()[:4]
-        with WorkerPool(1, config) as pool:
-            for request in requests + requests:     # cold, then warm
-                response = pool.schedule(request)
-                _assert_scalars_first(response)
-            assert response.from_cache
 
     def test_other_layouts_are_parsed_whole(self, replies):
         for _, text in replies[::6]:
@@ -625,7 +612,7 @@ class TestStoreResponse:
                 response = session.schedule(served_as)
                 assert response.from_cache and response.normalization_cache_hit
                 assert (response.trace_id is None) == (served_as is request)
-                # Field-backed (in-process) and text-backed (a worker's).
+                # Field-backed (computed) and text-backed (a cached reply).
                 for candidate in (response,
                                   ScheduleResponse.from_json(response.to_json())):
                     session.store_response(served_as, candidate)
@@ -823,7 +810,7 @@ class TestClientConnections:
         assert counted_sockets["connects"] == 2
         # ... and a non-JSON error body keeps its status.
         monkeypatch.setattr(server, "handle_metrics",
-                            lambda workers=False: (503, "text/plain", "down"))
+                            lambda: (503, "text/plain", "down"))
         with pytest.raises(ServingError) as error:
             client.metrics()
         assert error.value.status == 503 and "503" in error.value.payload["error"]

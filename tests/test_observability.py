@@ -1,11 +1,10 @@
 """Tests of the observability subsystem: the metrics registry and its
 instruments (property-based histogram invariants included), concurrency
-safety across threads and real processes, the wiring through Session /
-ServiceRunner / WorkerPool, and the end-to-end ``/metrics`` scrape."""
+safety across threads, the wiring through Session / ServiceRunner, and the
+end-to-end ``/metrics`` scrape."""
 
 import json
 import math
-import multiprocessing
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -15,16 +14,12 @@ from helpers import (fast_session, hold_next_batch,
                      observation_streams, parse_prometheus_text,
                      prometheus_sample, uniform_buckets)
 
-from repro.api import SearchConfig, Session
+from repro.api import Session
 from repro.fuzz import Oracle
-from repro.observability import (DEFAULT_LATENCY_BUCKETS, MetricsError,
-                                 MetricsRegistry, merge_registry_dicts,
+from repro.observability import (MetricsError, MetricsRegistry,
                                  render_registry_dict)
 from repro.serving import (ServiceConfig, ServingClient, ServingError,
-                           ServingServer, WorkerConfig, WorkerPool)
-
-FAST_SEARCH = SearchConfig(population_size=4, epochs=1,
-                           generations_per_epoch=1)
+                           ServingServer)
 
 
 # -- the instruments -----------------------------------------------------------------
@@ -193,7 +188,7 @@ class TestHistogramProperties:
         assert prometheus_sample(parsed, "repro_p_bucket", le="2") == 2
 
 
-# -- merging snapshots ----------------------------------------------------------------
+# -- snapshots -----------------------------------------------------------------------
 
 def _sample_registry(observations):
     registry = MetricsRegistry()
@@ -206,46 +201,11 @@ def _sample_registry(observations):
     return registry
 
 
-class TestMerge:
-    def test_counters_gauges_and_histograms_sum(self):
-        first = _sample_registry([0.1, 1.0])
-        second = _sample_registry([2.0])
-        merged = merge_registry_dicts([first.to_dict(), second.to_dict()])
-        parsed = parse_prometheus_text(render_registry_dict(merged))
-        assert prometheus_sample(parsed, "repro_m_total", k="x") == 4
-        assert prometheus_sample(parsed, "repro_m_depth") == 6
-        assert prometheus_sample(parsed, "repro_m_seconds_count", p="5") == 3
-        assert prometheus_sample(parsed, "repro_m_seconds_bucket",
-                                 p="5", le="0.5") == 1
-        assert prometheus_sample(parsed, "repro_m_seconds_sum",
-                                 p="5") == pytest.approx(3.1)
-
-    def test_disjoint_series_union(self):
-        first = MetricsRegistry()
-        first.counter("repro_m_total", "", ("k",)).labels("a").inc()
-        second = MetricsRegistry()
-        second.counter("repro_m_total", "", ("k",)).labels("b").inc(2)
-        merged = merge_registry_dicts([first.to_dict(), second.to_dict()])
-        labels = {tuple(series["labels"]): series["value"]
-                  for series in merged["repro_m_total"]["series"]}
-        assert labels == {("a",): 1, ("b",): 2}
-
-    def test_incompatible_snapshots_raise(self):
-        first = MetricsRegistry()
-        first.counter("repro_m_total", "")
-        second = MetricsRegistry()
-        second.gauge("repro_m_total", "")
-        with pytest.raises(MetricsError):
-            merge_registry_dicts([first.to_dict(), second.to_dict()])
-
+class TestSnapshots:
     def test_histogram_series_carry_counts_and_sum_only(self):
-        first = _sample_registry([0.1, 1.0])
-        second = _sample_registry([2.0])
-        for snapshot in (first.to_dict(), second.to_dict(),
-                         merge_registry_dicts([first.to_dict(),
-                                               second.to_dict()])):
-            (series,) = snapshot["repro_m_seconds"]["series"]
-            assert set(series) == {"labels", "counts", "sum"}
+        snapshot = _sample_registry([0.1, 1.0, 2.0]).to_dict()
+        (series,) = snapshot["repro_m_seconds"]["series"]
+        assert set(series) == {"labels", "counts", "sum"}
         assert series["counts"] == [1, 1, 1]
 
     def test_observe_takes_a_value_only(self):
@@ -260,11 +220,11 @@ class TestMerge:
     def test_snapshot_is_json_serializable(self):
         registry = _sample_registry([0.2])
         round_tripped = json.loads(json.dumps(registry.to_dict()))
-        assert merge_registry_dicts([round_tripped]) \
-            == merge_registry_dicts([registry.to_dict()])
+        assert round_tripped == registry.to_dict()
+        assert render_registry_dict(round_tripped) == registry.render()
 
 
-# -- concurrency: threads and real processes -----------------------------------------
+# -- concurrency: threads ------------------------------------------------------------
 
 _STRESS_THREADS = 8
 _STRESS_INCREMENTS = 2000
@@ -279,18 +239,6 @@ def _thread_stress(registry, barrier):
         counter.labels("shared").inc()
         histogram.observe(index % 2)  # alternates below/above the bound
         gauge.set_max(index)
-
-
-def _process_stress(observations, queue):
-    """Subprocess body: observe into a fresh registry, ship the snapshot."""
-    registry = MetricsRegistry()
-    histogram = registry.histogram("repro_s_seconds", "", ("priority",),
-                                   buckets=DEFAULT_LATENCY_BUCKETS)
-    counter = registry.counter("repro_s_total", "")
-    for value in observations:
-        histogram.labels("0").observe(value)
-        counter.inc()
-    queue.put(registry.to_dict())
 
 
 class TestConcurrency:
@@ -311,32 +259,6 @@ class TestConcurrency:
         assert histogram.sum == expected / 2  # half the observations are 1.0
         assert registry.gauge("repro_s_gauge", "").value \
             == _STRESS_INCREMENTS - 1
-
-    def test_two_real_processes_merge_without_loss(self):
-        """Satellite: registries built in two real processes merge at the
-        coordinator with histogram count == sum of per-worker counts."""
-        context = multiprocessing.get_context("spawn")
-        queue = context.Queue()
-        streams = [[0.0001 * index for index in range(150)],
-                   [0.01 * index for index in range(75)]]
-        processes = [context.Process(target=_process_stress,
-                                     args=(stream, queue))
-                     for stream in streams]
-        for process in processes:
-            process.start()
-        snapshots = [queue.get(timeout=120) for _ in processes]
-        for process in processes:
-            process.join(timeout=120)
-            assert process.exitcode == 0
-        merged = merge_registry_dicts(snapshots)
-        parsed = parse_prometheus_text(render_registry_dict(merged))
-        total = sum(len(stream) for stream in streams)
-        assert prometheus_sample(parsed, "repro_s_seconds_count",
-                                 priority="0") == total
-        assert prometheus_sample(parsed, "repro_s_total") == total
-        expected_sum = sum(sum(stream) for stream in streams)
-        assert prometheus_sample(parsed, "repro_s_seconds_sum",
-                                 priority="0") == pytest.approx(expected_sum)
 
 
 # -- session and cache wiring ---------------------------------------------------------
@@ -542,58 +464,6 @@ class TestMetricsOverHttp:
         assert ok["request_id"] != bad["request_id"]
         assert ok["request_id"].split("-")[0] \
             == bad["request_id"].split("-")[0]
-        session.close()
-
-
-# -- the worker pool ------------------------------------------------------------------
-
-class TestPoolMetrics:
-    def test_merged_coordinator_view_is_consistent_with_workers(self, tmp_path):
-        """Acceptance: pool-backed end-to-end traffic; the merged registry
-        equals the sum of the per-worker registries."""
-        config = WorkerConfig(threads=4, search=FAST_SEARCH,
-                              cache_path=str(tmp_path / "cache.sqlite"))
-        session = fast_session()
-        with WorkerPool(2, config) as pool:
-            with ServingServer(session, pool=pool) as server:
-                client = ServingClient(server.address)
-                for name in ("gemm:a", "gemm:b", "atax:a", "mvt:a"):
-                    client.schedule(name)
-                gathered = pool.metrics()
-                scrape = client.metrics(include_workers=True)
-
-        assert gathered["num_workers"] == 2
-        assert gathered["registries_collected"] == 2
-        per_worker = list(gathered["per_worker"].values())
-        merged = gathered["merged"]
-
-        # Merged counters are exactly the per-worker sums, for every series
-        # of every counter the workers reported.
-        for name, entry in merged.items():
-            if entry["type"] != "counter":
-                continue
-            for series in entry["series"]:
-                expected = 0.0
-                for snapshot in per_worker:
-                    for candidate in snapshot.get(name, {}).get("series", []):
-                        if candidate["labels"] == series["labels"]:
-                            expected += candidate["value"]
-                assert series["value"] == pytest.approx(expected), \
-                    (name, series["labels"])
-
-        # The worker sessions did real scheduling: their merged schedule
-        # calls equal the traffic that was not coalesced away.
-        calls = {tuple(series["labels"]): series["value"]
-                 for series in merged["repro_session_calls_total"]["series"]}
-        assert calls[("schedule",)] == 4
-
-        # The ?workers=1 scrape contains the merged worker traffic on top
-        # of the coordinator's serving instruments.
-        parsed = parse_prometheus_text(scrape)
-        assert prometheus_sample(parsed, "repro_session_calls_total",
-                                 kind="schedule") >= 4
-        assert prometheus_sample(parsed, "repro_request_latency_seconds_count",
-                                 priority="5") == 4
         session.close()
 
 

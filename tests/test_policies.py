@@ -1,8 +1,11 @@
 """Tests for the serving queue's drain order and the options removed from
-the service, the measurement feedback included."""
+the service, the measurement feedback and the worker pool included."""
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -11,8 +14,8 @@ import pytest
 from helpers import StubSession, fast_session, hold_next_batch, queue_behind
 
 from repro.api import ScheduleRequest, Session, SessionReport, TuningDatabase
-from repro.serving import (ServiceConfig, ServiceRunner, ServingServer,
-                           WorkerPool, request_fingerprint)
+from repro.serving import (ServiceConfig, ServiceRunner, ServingClient,
+                           ServingServer, request_fingerprint)
 from repro.serving import cli
 from repro.serving.cli import build_parser
 from repro.serving.service import _Pending
@@ -42,8 +45,41 @@ def test_serve_help_lists_no_removed_flag(capsys):
     assert "--max-queue-depth" in usage
     for flag in ("--adaptive", "--aging-interval", "--push-url",
                  "--push-interval", "--batch-window", "--policy",
-                 "--metrics", "--no-metrics"):
+                 "--metrics", "--no-metrics", "--workers"):
         assert flag not in usage
+
+
+def test_serve_workers_exits_with_a_usage_error():
+    # The service schedules in-process: there is no worker pool to size.
+    source = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=source)
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.serving", "serve", "--workers", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: python -m repro.serving")
+    assert "unrecognized arguments: --workers 2" in done.stderr
+    assert done.stdout == ""
+
+
+def test_the_worker_pool_is_gone():
+    with pytest.raises(ImportError):
+        from repro.serving import WorkerPool  # noqa: F401
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.serving.workers")
+
+
+def test_the_report_has_no_pool_and_ignores_a_workers_query():
+    session = fast_session()
+    with ServingServer(session) as server:
+        with ServingClient(server.address) as client:
+            client.schedule("gemm:a")
+            report = client.report()
+            status, scattered = client.request("GET", "/v1/report?workers=1")
+    session.close()
+    assert "pool" not in report
+    assert status == 200
+    assert scattered.keys() == report.keys()
 
 
 @pytest.mark.parametrize("field,value", [("policy_weights", {9: 5.0}),
@@ -143,7 +179,7 @@ def test_serve_hands_the_server_its_session_and_nothing_else(
     assert cli.main(["serve", *flags]) == 0
     (served, kwargs), = built
     assert served is session and session.tracer.enabled is tracing
-    assert set(kwargs) == {"host", "port", "config", "pool", "access_log",
+    assert set(kwargs) == {"host", "port", "config", "access_log",
                            "alert_interval_s"}
     banner = capsys.readouterr().out
     assert banner.startswith("serving on http://127.0.0.1:0 (")
@@ -185,7 +221,7 @@ def test_a_feedback_report_keyword_is_rejected(key):
 
 @pytest.mark.parametrize("owner, name", [
     (Session, "record_measurement"), (Session, "measurement_feedback"),
-    (WorkerPool, "record_measurement"), (TuningDatabase, "record_measurement")],
+    (TuningDatabase, "record_measurement")],
     ids=lambda value: getattr(value, "__name__", value))
 def test_the_feedback_entry_points_are_gone(owner, name):
     # Transfer ranks by embedding distance alone: nothing takes a measured

@@ -17,7 +17,7 @@ Covers the tentpole's guarantees:
   bit-exact comparison while passing the tolerance mode,
 * the rewrite counters (hoisted/cse_hits/flops_saved) survive
   :class:`~repro.passes.PassStats` aggregation and surface end-to-end in
-  ``/v1/report`` over HTTP, including the worker-merged ``?workers=1`` view.
+  ``/v1/report`` over HTTP.
 """
 
 import numpy as np
@@ -35,7 +35,7 @@ from repro.ir import ProgramBuilder
 from repro.normalization import normalize
 from repro.passes import (PassResult, PassStats, pipeline_bit_exact,
                           program_fingerprint)
-from repro.serving import ServingClient, ServingServer, merge_worker_reports
+from repro.serving import ServingClient, ServingServer
 from repro.workloads import benchmark
 
 REWRITE_PIPELINES = ("rewrite", "rewrite-licm-only", "rewrite-cse-only",
@@ -304,7 +304,7 @@ class TestOracleToleranceMode:
 
 
 class TestPassStatsCounters:
-    """Satellite fix: pass counters survive aggregation and report merging."""
+    """Pass counters survive aggregation into the report."""
 
     def test_pass_stats_sums_counters(self):
         stats = PassStats()
@@ -323,20 +323,6 @@ class TestPassStatsCounters:
         snapshot = stats.to_dict()
         snapshot["cse"]["counters"]["cse_hits"] = 99
         assert stats.to_dict()["cse"]["counters"]["cse_hits"] == 1
-
-    def test_merge_worker_reports_deep_merges_counters(self):
-        left = {"schedule_calls": 1, "normalization_passes": {
-            "licm": {"runs": 1, "counters": {"hoisted": 2,
-                                             "flops_saved": 8.0}}}}
-        right = {"schedule_calls": 2, "normalization_passes": {
-            "licm": {"runs": 3, "counters": {"hoisted": 1, "cse_hits": 5}},
-            "cse": {"runs": 1, "counters": {"cse_hits": 7}}}}
-        merged = merge_worker_reports([left, right])
-        passes = merged["normalization_passes"]
-        assert passes["licm"]["runs"] == 4
-        assert passes["licm"]["counters"] == {"hoisted": 3, "flops_saved": 8.0,
-                                              "cse_hits": 5}
-        assert passes["cse"]["counters"] == {"cse_hits": 7}
 
     def test_session_report_carries_rewrite_counters(self):
         session = fast_session(pipeline="rewrite")
@@ -366,28 +352,4 @@ class TestHttpReportRewriteCounters:
             assert passes["licm"]["counters"]["hoisted"] >= 1
             assert passes["licm"]["counters"]["flops_saved"] > 0
             assert passes["cse"]["runs"] >= 1
-        session.close()
-
-    def test_workers_view_merges_rewrite_counters(self, tmp_path):
-        from repro.api import SearchConfig
-        from repro.serving import WorkerConfig, WorkerPool
-
-        config = WorkerConfig(
-            threads=2, cache_path=str(tmp_path / "cache.sqlite"),
-            search=SearchConfig(population_size=4, epochs=1,
-                                generations_per_epoch=1),
-            pipeline="rewrite")
-        session = fast_session()
-        with WorkerPool(2, config) as pool:
-            with ServingServer(session,
-                               pool=pool) as server:
-                client = ServingClient(server.address)
-                client.schedule("fem-rhs:a")
-                client.schedule("fem-mass:a")
-                status, full = client.request("GET", "/v1/report?workers=1")
-                assert status == 200
-                assert full["pool"]["reports_collected"] == 2
-                merged = full["pool"]["merged"]["normalization_passes"]
-                assert merged["licm"]["counters"]["hoisted"] >= 1
-                assert merged["licm"]["counters"]["flops_saved"] > 0
         session.close()

@@ -1,16 +1,22 @@
-"""Tests for the service core: queueing, micro-batching, coalescing."""
+"""Tests for the service core: queueing, micro-batching, coalescing,
+priority ordering, and admission control (HTTP included)."""
 
+import json
 import threading
 import time
-from concurrent.futures import CancelledError
+import urllib.error
+import urllib.request
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 
 import pytest
 from helpers import GEMM_PARAMS as PARAMS
-from helpers import (StubSession, build_gemm, fast_session, queue_behind,
-                     wait_until)
+from helpers import (StubSession, build_gemm, fast_session, hold_next_batch,
+                     queue_behind, wait_until)
 
 from repro.api import ScheduleRequest
-from repro.serving import ServiceConfig, ServiceRunner, request_fingerprint
+from repro.serving import (AdmissionController, AdmissionError,
+                           ServiceConfig, ServiceRunner, ServingClient,
+                           ServingServer, request_fingerprint)
 
 
 class TestRequestFingerprint:
@@ -215,3 +221,221 @@ def test_stop_cancels_waiters_at_once_and_outlives_no_batch():
     # stop() returned after the batch in flight, never before it.
     assert session.running == 0
     assert session.order == ["running"]     # the queued request never ran
+
+
+# -- priority ordering --------------------------------------------------------------
+
+def _drain(session, requests):
+    """Stack ``requests``, in order, behind a held gate request (the
+    batcher is pinned while they queue); returns the runner's stats."""
+    with ServiceRunner(session, ServiceConfig(max_batch_size=1)) as runner:
+        queue_behind(runner, ScheduleRequest(program="gate"), requests)
+    return runner.stats
+
+
+def _requests(*submissions):
+    return [ScheduleRequest(program=program, priority=priority)
+            for program, priority in submissions]
+
+
+class TestPriorityOrdering:
+    def test_queue_drains_strictly_by_priority_under_load(self):
+        session = StubSession()
+        _drain(session, _requests(("bulk-1", 9), ("bulk-2", 9), ("mid", 5),
+                                  ("urgent-1", 0), ("bulk-3", 9),
+                                  ("urgent-2", 0)))
+        assert session.order[0] == "gate"
+        assert session.order[1:] == [
+            # Priority first; FIFO within one priority class.
+            "urgent-1", "urgent-2", "mid", "bulk-1", "bulk-2", "bulk-3"]
+
+    def test_urgent_rider_reprioritizes_its_queued_leader(self):
+        """A priority-0 request that coalesces onto a queued priority-9
+        leader must pull the leader forward — it must not drain at the
+        leader's priority behind less urgent work."""
+        session = StubSession()
+        stats = _drain(session, _requests(("shared", 9), ("mid", 5),
+                                          ("shared", 0)))
+        # Without re-prioritization the order would be gate, mid, shared.
+        assert session.order == ["gate", "shared", "mid"]
+        assert stats.coalesced == 1
+
+    def test_default_priorities_keep_fifo_order(self):
+        session = StubSession()
+        _drain(session, [ScheduleRequest(program=f"r{index}")
+                         for index in range(4)])
+        assert session.order == ["gate", "r0", "r1", "r2", "r3"]
+
+
+# -- admission control --------------------------------------------------------------
+
+class TestAdmissionController:
+    def test_queue_depth_sheds_new_work_but_not_riders(self):
+        controller = AdmissionController(ServiceConfig(max_queue_depth=2))
+        controller.admit(ScheduleRequest(program="a"), queue_depth=1,
+                         rider=False)
+        with pytest.raises(AdmissionError) as caught:
+            controller.admit(ScheduleRequest(program="b"), queue_depth=2,
+                             rider=False)
+        assert caught.value.reason == "queue-full"
+        assert caught.value.retry_after_s > 0
+        # A coalescing rider adds no queue work and is exempt.
+        controller.admit(ScheduleRequest(program="a"), queue_depth=2,
+                         rider=True)
+        stats = controller.stats.to_dict()
+        assert stats == {"admitted": 2, "rejected_queue_full": 1,
+                         "rejected_client_limit": 0}
+
+    def test_client_limit_counts_inflight_and_releases(self):
+        controller = AdmissionController(
+            ServiceConfig(max_client_inflight=2))
+        alice = ScheduleRequest(program="a", client="alice")
+        controller.admit(alice, queue_depth=0, rider=False)
+        controller.admit(alice, queue_depth=0, rider=True)
+        with pytest.raises(AdmissionError) as caught:
+            controller.admit(alice, queue_depth=0, rider=False)
+        assert caught.value.reason == "client-limit"
+        # Other clients (and anonymous requests) are unaffected.
+        controller.admit(ScheduleRequest(program="a", client="bob"),
+                         queue_depth=0, rider=False)
+        controller.admit(ScheduleRequest(program="a"), queue_depth=0,
+                         rider=False)
+        controller.release(alice)
+        controller.admit(alice, queue_depth=0, rider=False)
+        assert controller.client_inflight("alice") == 2
+        assert controller.stats.rejected_client_limit == 1
+
+    def test_service_counts_rejections(self):
+        # Alice's first request is held in the executor (the gate); her
+        # second arrives while it is in flight and must be shed.
+        session = StubSession()
+        config = ServiceConfig(max_batch_size=1, max_client_inflight=1)
+        with ServiceRunner(session, config) as runner:
+            _, shed = queue_behind(
+                runner, ScheduleRequest(program="gate", client="alice"),
+                [ScheduleRequest(program="other", client="alice")])
+        assert isinstance(shed, AdmissionError)
+        assert runner.stats.rejected == 1
+        assert runner.admission.stats.rejected_client_limit == 1
+        assert session.order == ["gate"]
+
+
+class TestAdmissionOverHttp:
+    def test_queue_full_returns_429_with_retry_after(self):
+        """Flood a 1-deep queue with distinct cold requests: some must be
+        shed as HTTP 429 with Retry-After, the rest succeed."""
+        session = fast_session()
+        config = ServiceConfig(max_batch_size=1,
+                               max_queue_depth=1, retry_after_s=0.25)
+        with ServingServer(session, config=config) as server:
+            # The first batch runs once a request was shed: until then one
+            # request runs, one waits, and the rest find the queue full.
+            runner = server.runner
+            hold_next_batch(runner, lambda: runner.stats.rejected >= 1)
+            client = ServingClient(server.address)
+            programs = [("gemm:a", {"NI": 32 + index, "NJ": 32, "NK": 32})
+                        for index in range(8)]
+
+            def submit(item):
+                name, parameters = item
+                return client.request("POST", "/v1/schedule",
+                                      {"program": name,
+                                       "parameters": parameters})
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                outcomes = list(pool.map(submit, programs))
+            statuses = [status for status, _ in outcomes]
+            assert any(status == 429 for status in statuses)
+            assert any(status == 200 for status in statuses)
+            rejected = next(payload for status, payload in outcomes
+                            if status == 429)
+            assert rejected["reason"] == "queue-full"
+            assert rejected["retry_after_s"] == 0.25
+            report = client.report()
+            assert report["admission"]["rejected_queue_full"] >= 1
+            assert report["service"]["rejected"] >= 1
+        session.close()
+
+    def test_client_limit_returns_429_and_other_clients_pass(self):
+        session = fast_session()
+        config = ServiceConfig(max_batch_size=1, max_client_inflight=1)
+        with ServingServer(session, config=config) as server:
+            # Alice's first request runs once one of hers was shed.
+            runner = server.runner
+            hold_next_batch(runner, lambda: runner.stats.rejected >= 1)
+            client = ServingClient(server.address)
+
+            def submit(identity, size):
+                return client.request(
+                    "POST", "/v1/schedule",
+                    {"program": "correlation:a", "client": identity,
+                     "parameters": {"M": size, "N": size}})
+
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(submit, "alice", 24 + index)
+                           for index in range(6)]
+                outcomes = [future.result() for future in futures]
+            statuses = [status for status, _ in outcomes]
+            assert any(status == 429 for status in statuses)
+            assert any(status == 200 for status in statuses)
+            rejected = next(payload for status, payload in outcomes
+                            if status == 429)
+            assert rejected["reason"] == "client-limit"
+            # The limit is per-client: bob is admitted immediately.
+            status, _ = submit("bob", 16)
+            assert status == 200
+        session.close()
+
+    def test_retry_after_header_is_sent(self):
+        session = fast_session()
+        config = ServiceConfig(max_batch_size=1,
+                               max_client_inflight=1, retry_after_s=2.0)
+        with ServingServer(session, config=config) as server:
+            runner = server.runner
+            hold_next_batch(runner, lambda: runner.stats.rejected >= 1)
+            statuses = []
+
+            def submit(size):
+                body = json.dumps({"program": "correlation:a",
+                                   "client": "alice",
+                                   "parameters": {"M": size, "N": size}})
+                request = urllib.request.Request(
+                    server.address + "/v1/schedule", data=body.encode(),
+                    method="POST",
+                    headers={"Content-Type": "application/json"})
+                try:
+                    with urllib.request.urlopen(request, timeout=60) as reply:
+                        statuses.append((reply.status, dict(reply.headers)))
+                except urllib.error.HTTPError as error:
+                    statuses.append((error.code, dict(error.headers)))
+
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                list(pool.map(submit, [32 + index for index in range(6)]))
+            rejected = [headers for status, headers in statuses
+                        if status == 429]
+            assert rejected
+            assert rejected[0].get("Retry-After") == "2"
+        session.close()
+
+
+class TestClientOverrides:
+    def test_priority_and_client_override_a_ready_request(self, monkeypatch):
+        client = ServingClient("http://example.invalid")
+        captured = {}
+
+        class _Captured(Exception):
+            pass
+
+        def fake_checked(method, path, body=None):
+            captured["body"] = body
+            raise _Captured()
+
+        monkeypatch.setattr(client, "_checked", fake_checked)
+        original = ScheduleRequest(program="gemm:a")
+        with pytest.raises(_Captured):
+            client.schedule(original, priority=0, client="ops")
+        assert captured["body"]["priority"] == 0
+        assert captured["body"]["client"] == "ops"
+        # The caller's request object is not mutated (override on a copy).
+        assert original.priority == 5
+        assert original.client is None

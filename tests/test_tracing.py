@@ -1,15 +1,14 @@
 """Tests for end-to-end request tracing and SLO alert rules: tracer core
-semantics, cross-process span propagation through a real 2-worker pool,
-the /v1/traces and /alerts endpoints, and the trace-dump CLI exporters."""
+semantics, the /v1/traces and /alerts endpoints, and the trace-dump CLI
+exporters."""
 
-import collections
 import json
 import time
 
 import pytest
 from helpers import fast_session
 
-from repro.api import ScheduleRequest, SearchConfig, Session
+from repro.api import ScheduleRequest
 from repro.observability import (AlertEvaluator, AlertMonitor, AlertRule,
                                  MetricsRegistry, Tracer,
                                  chrome_trace_document, current_trace_id,
@@ -17,12 +16,8 @@ from repro.observability import (AlertEvaluator, AlertMonitor, AlertRule,
                                  traces_to_jsonl)
 from repro.observability import tracing as tracing_module
 from repro.serving import (AdmissionError, ServiceConfig, ServingClient,
-                           ServingError, ServingServer, WorkerConfig,
-                           WorkerPool)
+                           ServingError, ServingServer)
 from repro.serving.cli import main as cli_main
-
-FAST_SEARCH = SearchConfig(population_size=4, epochs=1,
-                           generations_per_epoch=1)
 
 
 # -- tracer core --------------------------------------------------------------------
@@ -106,89 +101,23 @@ class TestTracerCore:
         with pytest.raises(TypeError, match="max_open"):
             Tracer(max_open=8)
 
-    def test_fragment_export_rejoins_the_coordinator_trace(self):
-        """The worker/coordinator handshake, single-process edition: the
-        worker's spans never finalize locally and re-parent correctly
-        after absorb."""
-        coordinator = Tracer(process="coordinator")
-        worker = Tracer(process="worker")
+    def test_spans_finished_after_their_root_land_sorted(self):
+        """A caller that stops waiting (a timeout, ``stop()``) finishes its
+        request's root while the batch still runs: the batch's spans land
+        in the finalized trace, in order, under the one root."""
+        tracer = Tracer(process="p")
         trace_id = Tracer.trace_id_for("req-1")
-        root = coordinator.begin("request", trace_id)
-        with worker.activate({"trace_id": trace_id,
-                              "span_id": root.span_id}):
-            with span("worker-side"):
-                pass
-        assert worker.stored == 0  # no local root: nothing finalized
-        fragment = worker.export_fragment(trace_id)
-        assert len(fragment) == 1
-        assert worker.export_fragment(trace_id) == []  # drained
-        coordinator.absorb(fragment)
-        coordinator.finish(root)
-        record = coordinator.get(trace_id)
-        assert {s.name for s in record.spans} == {"request", "worker-side"}
-        shipped = next(s for s in record.spans if s.name == "worker-side")
-        assert shipped.parent_id == root.span_id
-        assert shipped.process == "worker"
-        assert record.summary()["processes"] == ["coordinator", "worker"]
-
-    def test_late_fragment_lands_in_the_finalized_trace(self):
-        coordinator = Tracer(process="coordinator")
-        worker = Tracer(process="worker")
-        trace_id = Tracer.trace_id_for("req-1")
-        root = coordinator.begin("request", trace_id)
-        worker.record(trace_id, root.span_id, "late", 0.0, 1.0)
-        coordinator.finish(root)  # finalizes before the fragment arrives
-        coordinator.absorb(worker.export_fragment(trace_id))
-        assert {s.name for s in coordinator.get(trace_id).spans} == \
-            {"request", "late"}
-
-    def test_late_spans_sort_once(self, monkeypatch):
-        """A 300-span worker fragment absorbed in reverse after its root
-        closed lands sorted, with one sort of the trace (not one per span);
-        late spans recorded one at a time land sorted too."""
-        def build(order, late_singles=False):
-            coordinator = Tracer(process="coordinator")
-            worker = Tracer(process="worker")
-            trace_id = Tracer.trace_id_for("req-1")
-            root = coordinator.begin("request", trace_id, start_s=0.0)
-            parents = [root.span_id]
-            for index in range(300):
-                # Ties on start_s exercise the span-id tiebreak; parents
-                # nest the fragment three levels deep.
-                span = worker.record(trace_id, parents[index // 100],
-                                     f"work-{index}", (index // 3) * 1e-3,
-                                     1.0)
-                if index % 100 == 0:
-                    parents.append(span.span_id)
-            coordinator.finish(root, end_s=1.0)
-            fragment = worker.export_fragment(trace_id)
-            if late_singles:
-                for data in order(fragment):
-                    coordinator.record(trace_id, root.span_id, data["name"],
-                                       data["start_s"], data["end_s"])
-            else:
-                coordinator.absorb(order(fragment))
-            return coordinator.get(trace_id)
-
-        forward = build(list)
-        calls = collections.Counter()
-        span_order = tracing_module._span_order
-
-        def counted(span):
-            calls["key"] += 1
-            return span_order(span)
-        monkeypatch.setattr(tracing_module, "_span_order", counted)
-        backward = build(lambda fragment: list(reversed(fragment)))
-        assert calls["key"] == 301          # one sort of 1 + 300 spans
-        spans = backward.spans
-        assert len(spans) == 301
-        assert spans == sorted(spans, key=span_order)
-        assert backward.to_dict()["tree"] == forward.to_dict()["tree"]
-        assert len(backward.tree()) == 1
-        singles = build(lambda fragment: list(reversed(fragment)),
-                        late_singles=True)
-        assert len(singles.spans) == 301
-        assert singles.spans == sorted(singles.spans, key=span_order)
+        root = tracer.begin("request", trace_id, start_s=0.0)
+        tracer.finish(root, end_s=1.0)
+        for index in reversed(range(300)):
+            # Ties on start_s exercise the span-id tiebreak.
+            tracer.record(trace_id, root.span_id, f"work-{index}",
+                          (index // 3) * 1e-3, 1.0)
+        record = tracer.get(trace_id)
+        assert len(record.spans) == 301
+        assert record.spans == sorted(record.spans,
+                                      key=tracing_module._span_order)
+        assert len(record.tree()) == 1
 
     def test_chrome_document_and_jsonl_exporters(self):
         tracer = Tracer(process="pid-test")
@@ -509,8 +438,8 @@ class TestHttpTracing:
         # No batch window: the claim-to-dispatch interval has no span.
         assert "service.batch" not in spans
         assert spans["service.schedule"]["attributes"]["batch_size"] == 1
-        # In process, the batch runs through the session (a pool is "pool").
-        assert spans["service.schedule"]["attributes"]["executor"] == "session"
+        # One executor (the session): the span names none.
+        assert "executor" not in spans["service.schedule"]["attributes"]
         tree = record["tree"]
         assert len(tree) == 1 and tree[0]["name"] == "request"
         # Queue wait is a measured sub-interval, not a placeholder.
@@ -598,46 +527,3 @@ class TestHttpTracing:
                  in capsys.readouterr().out.splitlines() if line.strip()]
         assert len(lines) >= 6
         assert len({line["trace_id"] for line in lines}) == 1
-
-
-# -- cross-process propagation ------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def traced_pool(tmp_path_factory):
-    cache = str(tmp_path_factory.mktemp("traced-pool") / "cache.sqlite")
-    config = WorkerConfig(threads=4, cache_path=cache, search=FAST_SEARCH)
-    with WorkerPool(2, config) as pool:
-        yield pool
-
-
-class TestCrossProcessTracing:
-    def test_one_request_yields_one_trace_spanning_both_processes(
-            self, traced_pool):
-        session = Session(threads=4)
-        with ServingServer(session, pool=traced_pool) as server:
-            client = ServingClient(server.address)
-            response = client.schedule("gemm:a")
-            assert response.trace_id
-            record = client.trace(response.trace_id)
-            assert record["span_count"] >= 6
-            assert len(record["processes"]) == 2
-            spans = record["spans"]
-            by_id = {s["span_id"]: s for s in spans}
-            coordinator = by_id[next(s["span_id"] for s in spans
-                                     if s["name"] == "request")]["process"]
-            # The worker-side session span rejoined under the
-            # coordinator's executor span, across the process boundary.
-            worker_side = next(s for s in spans
-                               if s["name"] == "session.schedule")
-            assert worker_side["process"] != coordinator
-            parent = by_id[worker_side["parent_id"]]
-            assert parent["name"] == "service.schedule"
-            assert parent["process"] == coordinator
-            assert parent["attributes"]["executor"] == "pool"
-            # Worker-side pass spans travelled too.
-            assert any(s["name"].startswith("pass:") and
-                       s["process"] == worker_side["process"]
-                       for s in spans)
-            # A single tree, rooted at the coordinator's request span.
-            assert len(record["tree"]) == 1
-        session.close()
