@@ -24,7 +24,7 @@ The package is organized in layers:
   this layer.**
 * :mod:`repro.observability` — dependency-free metrics (counters, gauges,
   per-priority latency histograms) with Prometheus text rendering, request
-  traces and alert rules.
+  traces and a queue-saturation alert.
 * :mod:`repro.serving` — the scheduling service: priority queue, admission
   control, micro-batching over one in-process session, HTTP endpoint
   (``/metrics`` included), and CLI.

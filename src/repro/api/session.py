@@ -110,7 +110,6 @@ class Session:
         calls = self.metrics.counter(
             "repro_session_calls_total",
             "Session entry-point calls by kind.", ("kind",))
-        self._fast_lane_calls = calls.labels("fast_lane")
         #: What this session did since it was built, read off the registry
         #: series ``/metrics`` scrapes (:meth:`report` renders it).  A
         #: serving layer counts its coalesced rides on its own series.
@@ -473,7 +472,6 @@ class Session:
         entry = self.cache.lookup_response(key) if key is not None else None
         if entry is None:
             return None
-        self._fast_lane_calls.inc()
         return ScheduleResponse.from_json(
             entry.before + json.dumps(request.to_dict()) + entry.after)
 

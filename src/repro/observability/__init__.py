@@ -1,4 +1,4 @@
-"""``repro.observability`` — dependency-free metrics, tracing, and alerts.
+"""``repro.observability`` — dependency-free metrics, tracing, and an alert.
 
 One :class:`MetricsRegistry` per :class:`~repro.api.Session` collects typed
 :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments from every
@@ -10,13 +10,11 @@ alert rule or the docs catalog in ``docs/observability.md``).
 
 On top of the aggregates, :mod:`repro.observability.tracing` records
 per-request span trees (deterministic trace ids, contextvar propagation),
-and :mod:`repro.observability.alerts` evaluates declarative rules —
-threshold, rate, and SRE-style multi-window SLO burn — over registry
-snapshots.
+and :mod:`repro.observability.alerts` holds the one alert rule, queue-depth
+saturation, evaluated on demand over a registry snapshot.
 """
 
-from .alerts import (AlertEvaluator, AlertMonitor, AlertRule, AlertState,
-                     default_alert_rules)
+from .alerts import AlertRule, AlertState, default_alert_rules
 from .metrics import (DEFAULT_LATENCY_BUCKETS, Counter, CounterView, Gauge,
                       Histogram, MetricsError, MetricsRegistry,
                       render_registry_dict)
@@ -29,6 +27,5 @@ __all__ = [
     "Tracer", "Span", "TraceRecord", "span",
     "current_trace_id",
     "chrome_trace_document", "traces_to_jsonl",
-    "AlertRule", "AlertState", "AlertEvaluator", "AlertMonitor",
-    "default_alert_rules",
+    "AlertRule", "AlertState", "default_alert_rules",
 ]

@@ -15,8 +15,8 @@ self-contained metrics core:
   ``labels(priority="5")`` binds one labelled series).  Histograms use
   fixed upper-bound buckets (Prometheus ``le`` semantics).
 * **Snapshots** — :meth:`MetricsRegistry.to_dict` is a plain
-  JSON-serializable snapshot (the alert evaluator samples it, ``warm-cache
-  --metrics-json`` writes it).
+  JSON-serializable snapshot (``/alerts`` evaluates its rule over one,
+  ``warm-cache --metrics-json`` writes it).
 * **Prometheus text rendering** — :meth:`MetricsRegistry.render` (and
   :func:`render_registry_dict` for a snapshot) produce the Prometheus
   text exposition format served by the ``/metrics`` endpoint.

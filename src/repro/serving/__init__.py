@@ -16,8 +16,8 @@ The subsystem layers onto :mod:`repro.api` without changing it:
   surfaces as ``429`` with a ``Retry-After`` hint), a Prometheus-text
   ``/metrics`` scrape backed by :mod:`repro.observability`, end-to-end
   request traces (``/v1/traces``, exportable via the ``trace-dump`` CLI),
-  SLO alert rules (``/alerts``), and an optional structured JSON access
-  log (:class:`JsonAccessLog`).
+  a queue-saturation alert evaluated per request (``/alerts``), and an
+  optional structured JSON access log (:class:`JsonAccessLog`).
 * persistence is provided by the pluggable cache backends
   (:class:`repro.api.SQLiteCacheBackend`) and the JSON tuning database
   (:meth:`repro.api.TuningDatabase.save`); the ``python -m repro.serving``

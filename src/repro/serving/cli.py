@@ -4,11 +4,11 @@ Subcommands:
 
 * ``serve``      — boot the JSON-over-HTTP scheduling service, which
   schedules in-process; ``--max-queue-depth`` / ``--max-client-inflight``
-  configure admission control (load shedding with HTTP 429),
-  ``--latency-slo`` sets the target the SLO alert rules burn against,
-  ``--access-log`` writes structured JSON access logs, and ``--no-trace``
-  disables request tracing (``/v1/traces``).  The Prometheus-text
-  ``/metrics`` endpoint is always served.
+  configure admission control (load shedding with HTTP 429; ``/alerts``
+  reports the queue at >= 80% of its depth), ``--access-log`` writes
+  structured JSON access logs, and ``--no-trace`` disables request
+  tracing (``/v1/traces``).  The Prometheus-text ``/metrics`` endpoint is
+  always served.
 * ``trace-dump``  — fetch finished traces from a running server and emit
   them as Chrome trace-event JSON (loadable in Perfetto /
   ``chrome://tracing``) or as JSONL, to ``--output`` or stdout.
@@ -87,11 +87,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         config = ServiceConfig(max_batch_size=args.max_batch,
                                max_queue_depth=args.max_queue_depth,
-                               max_client_inflight=args.max_client_inflight,
-                               latency_slo_s=args.latency_slo)
-        if not args.alert_interval > 0:
-            raise ValueError(f"--alert-interval must be > 0, got "
-                             f"{args.alert_interval!r}")
+                               max_client_inflight=args.max_client_inflight)
     except ValueError as error:  # before the session is built
         print(f"serve: {error}", file=sys.stderr)
         return 2
@@ -104,8 +100,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if not args.trace:
             session.tracer.enabled = False
         server = ServingServer(session, host=args.host, port=args.port,
-                               config=config, access_log=access_log,
-                               alert_interval_s=args.alert_interval)
+                               config=config, access_log=access_log)
         server.start()
         print(f"serving on {server.address} "
               f"(scheduler={args.scheduler}, threads={args.threads}, "
@@ -206,9 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queue-depth", type=int, default=256,
                        help="shed load (HTTP 429) beyond this many queued "
                             "requests (0: unbounded)")
-    serve.add_argument("--latency-slo", type=float, default=0.25,
-                       help="target p95 end-to-end latency in seconds "
-                            "(alert rules; default: 0.25)")
     serve.add_argument("--max-client-inflight", type=int, default=0,
                        help="per-client in-flight request limit "
                             "(0: unlimited)")
@@ -219,9 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=True,
                        help="disable request tracing and the /v1/traces "
                             "endpoints (tracing is on by default)")
-    serve.add_argument("--alert-interval", type=float, default=5.0,
-                       help="seconds between background alert-rule "
-                            "evaluations (default: 5)")
     serve.set_defaults(func=_cmd_serve)
 
     warm = commands.add_parser(

@@ -3,8 +3,8 @@
 Routes:
 
 * ``GET  /healthz``     — liveness: ``{"status": "ok"}``.
-* ``GET  /v1/report``   — session counters plus service, admission and
-  alert stats.
+* ``GET  /v1/report``   — session counters plus service and admission
+  stats, and the firing alert rules.
 * ``GET  /metrics``     — the session's metrics registry in the Prometheus
   text exposition format (queue-depth gauge, per-priority latency
   histograms, admission-shed counters, cache traffic).  A route that
@@ -12,9 +12,9 @@ Routes:
 * ``GET  /v1/traces``   — newest-first summaries of the trace ring buffer
   (``?limit=N`` caps the listing); ``GET /v1/traces/<trace_id>`` returns
   one full span tree.  404 while the session's tracer is disabled.
-* ``GET  /alerts``      — a fresh evaluation of every alert rule over the
-  live registry (threshold, rate, and multi-window SLO burn), with the
-  currently firing subset called out.
+* ``GET  /alerts``      — the alert rule (queue-depth saturation, absent
+  when the queue is unbounded) evaluated over a fresh registry snapshot,
+  with the firing subset called out.
 * ``POST /v1/schedule`` — body: a :class:`~repro.api.ScheduleRequest` dict
   (``{"program": "gemm:b"}`` at its simplest, optionally with ``priority``
   0-9 and an opaque ``client`` identity); response: the
@@ -54,7 +54,7 @@ from urllib.parse import parse_qs, urlsplit
 from ..api.session import Session
 from ..api.types import (HIGHEST_PRIORITY, LOWEST_PRIORITY, ScheduleRequest)
 from ..ir.nodes import Program
-from ..observability import AlertEvaluator, AlertMonitor, default_alert_rules
+from ..observability import default_alert_rules
 from .client import MAX_BODY_BYTES, MessageError, read_message
 from .service import AdmissionError, ServiceConfig, ServiceRunner
 
@@ -117,22 +117,13 @@ class ServingServer:
 
     def __init__(self, session: Session, host: str = "127.0.0.1",
                  port: int = 0, config: Optional[ServiceConfig] = None,
-                 access_log: "Union[None, str, IO[str]]" = None,
-                 alert_rules=None,
-                 alert_interval_s: float = 5.0):
+                 access_log: "Union[None, str, IO[str]]" = None):
         self.session = session
         self.runner = ServiceRunner(session, config)
         self.metrics = session.metrics
         self.tracer = session.tracer
-        service_config = self.runner.config
-        self.alerts = AlertEvaluator(
-            (default_alert_rules(
-                max_queue_depth=service_config.max_queue_depth,
-                latency_slo_s=service_config.latency_slo_s)
-             if alert_rules is None else list(alert_rules)),
-            snapshot_fn=self.metrics.to_dict,
-            metrics=self.metrics)
-        self._alert_monitor = AlertMonitor(self.alerts, alert_interval_s)
+        self.alert_rules = default_alert_rules(
+            self.runner.config.max_queue_depth)
         self.access_log = (JsonAccessLog(access_log)
                            if access_log is not None else None)
         # Request ids: a per-server random prefix plus a monotonic sequence
@@ -181,7 +172,6 @@ class ServingServer:
         if self._thread is not None:
             return
         self.runner.start()
-        self._alert_monitor.start()
         self._started_at = time.monotonic()
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         name="repro-serving-http", daemon=True)
@@ -211,7 +201,6 @@ class ServingServer:
                 connection.shutdown(socket.SHUT_RD)
             except OSError:
                 pass  # its handler closed it meanwhile
-        self._alert_monitor.stop()
         self.runner.stop()
         if self.access_log is not None:
             self.access_log.close()
@@ -227,20 +216,19 @@ class ServingServer:
         payload = self.session.report().to_dict()
         payload["service"] = self.runner.stats.to_dict()
         payload["admission"] = self.runner.admission.stats.to_dict()
-        states = self.alerts.states()
-        payload["alerts"] = {
-            "firing": sorted(state.name for state in states if state.firing),
-            "rules": len(self.alerts.rules),
-        }
+        _, alerts = self.handle_alerts()
+        payload["alerts"] = {"firing": alerts["firing"],
+                             "rules": len(self.alert_rules)}
         return 200, payload
 
     def handle_alerts(self) -> Tuple[int, Dict[str, Any]]:
         """``GET /alerts``: evaluate every rule over a fresh snapshot."""
-        states = self.alerts.sample_and_evaluate()
+        snapshot = self.metrics.to_dict()
+        states = [rule.evaluate(snapshot) for rule in self.alert_rules]
         return 200, {
             "alerts": [state.to_dict() for state in states],
             "firing": sorted(state.name for state in states if state.firing),
-            "rules": [rule.to_dict() for rule in self.alerts.rules],
+            "rules": [rule.to_dict() for rule in self.alert_rules],
         }
 
     def handle_traces(self, limit: Optional[int] = None

@@ -67,9 +67,6 @@ class ServiceConfig:
     max_client_inflight: int = 0
     #: Retry hint attached to admission rejections (HTTP ``Retry-After``).
     retry_after_s: float = 0.05
-    #: Target end-to-end latency SLO (the default alert rules burn
-    #: against it).
-    latency_slo_s: float = 0.25
 
     def __post_init__(self) -> None:
         # Out of range, each of these breaks the service silently: a batch
@@ -79,9 +76,6 @@ class ServiceConfig:
             if not getattr(self, name) >= low:
                 raise ValueError(
                     f"{name} must be >= {low}, got {getattr(self, name)!r}")
-        if not self.latency_slo_s > 0:
-            raise ValueError(
-                f"latency_slo_s must be > 0, got {self.latency_slo_s!r}")
 
 
 class AdmissionError(RuntimeError):

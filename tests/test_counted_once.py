@@ -1,10 +1,9 @@
 """Each event is counted once, in the metrics registry.
 
-A session call, a coalesced ride, a cache hit or miss
-and a dropped alert snapshot each bump one registry series; the session
-report, ``cache.stats``, ``/v1/report`` and ``AlertEvaluator`` read that
-series.  A normalization report is its pass results: the stage summary is
-read off the summed ``PassResult`` counters.
+A session call, a coalesced ride, and a cache hit or miss each bump one
+registry series; the session report, ``cache.stats`` and ``/v1/report``
+read that series.  A normalization report is its pass results: the stage
+summary is read off the summed ``PassResult`` counters.
 
 ``PINNED`` is what the reports said for the scripted traffic below when
 every event also had a private counter beside its series (timings
@@ -18,6 +17,8 @@ went with the analysis manager (they read 0 and 0 here).  Since the
 measurement feedback went, the traffic records no measurement: its
 counter family and report fields are gone, the two entries it added
 (4 entries, not 6) and the normalization hit it read no longer happen.
+Since the alert rules that needed a snapshot history went, no evaluator
+registers ``repro_alert_clock_skew_total``: the scrape has 14 families.
 """
 
 import copy
@@ -33,7 +34,6 @@ from repro.api import NormalizationOptions, ScheduleRequest, Session
 from repro.normalization import (fission_loop, maximal_loop_fission,
                                  minimize_strides, normalize)
 from repro.normalization.fission import _dependence_edges
-from repro.observability import AlertEvaluator, AlertRule, MetricsRegistry
 from repro.observability.tracing import Tracer
 from repro.passes import FixedPoint, LoopNormalFormPass, Pass
 from repro.serving import ServingServer
@@ -181,52 +181,6 @@ def test_a_transformation_is_not_a_pass():
     assert not isinstance(Interchange(0, ["i"]), Pass)
 
 
-# -- a dropped alert snapshot --------------------------------------------------
-
-def _snapshot(shed, good, bad):
-    return {
-        "repro_admission_shed_total": {
-            "type": "counter", "labelnames": [],
-            "series": [{"labels": [], "value": shed}]},
-        "repro_request_latency_seconds": {
-            "type": "histogram", "labelnames": [], "buckets": [0.1, 0.5],
-            "series": [{"labels": [], "counts": [good, 0, bad],
-                        "sum": 0.0}]},
-    }
-
-
-@pytest.mark.parametrize("shared", [False, True],
-                         ids=["private-registry", "shared-registry"])
-def test_a_snapshot_running_backwards_is_dropped_and_counted_once(shared):
-    registry = MetricsRegistry() if shared else None
-    evaluator = AlertEvaluator([
-        AlertRule(name="shed", kind="rate",
-                  metric="repro_admission_shed_total", threshold=0.5,
-                  window_s=60.0),
-        AlertRule(name="burn", kind="slo-burn-rate",
-                  metric="repro_request_latency_seconds", threshold=14.4,
-                  window_s=300.0, short_window_s=60.0, objective=0.95,
-                  latency_slo_s=0.1),
-    ], metrics=registry)
-    evaluator.ingest(_snapshot(shed=0, good=50, bad=0), ts=1000.0)
-    evaluator.ingest(_snapshot(shed=30, good=50, bad=70), ts=1030.0)
-    before = [state.to_dict() for state in evaluator.evaluate(now=1030.0)]
-    assert [state["firing"] for state in before] == [True, True]
-    assert evaluator.clock_skew_dropped == 0
-
-    # A wall-clock step backwards, carrying numbers that would change both
-    # the rate and the burn had it been ingested.
-    evaluator.ingest(_snapshot(shed=30, good=500, bad=70), ts=1010.0)
-    after = [state.to_dict() for state in evaluator.evaluate(now=1030.0)]
-
-    assert after == before
-    assert evaluator.clock_skew_dropped == 1
-    if shared:
-        assert registry.get("repro_alert_clock_skew_total").value == 1
-        # A second evaluator over the same registry starts from zero.
-        assert AlertEvaluator([], metrics=registry).clock_skew_dropped == 0
-
-
 #: The reports of ``observe()`` when each event had a private counter too.
 PINNED = {
     "admission": {
@@ -246,7 +200,6 @@ PINNED = {
     "families": [
         "repro_admission_admitted_total",
         "repro_admission_shed_total",
-        "repro_alert_clock_skew_total",
         "repro_cache_requests_total",
         "repro_request_latency_seconds",
         "repro_service_batches_total",

@@ -322,15 +322,15 @@ def _catalog_rows():
 
 def test_the_catalog_lists_every_declared_family():
     # Every layer that declares instruments on a session's registry: the
-    # session and its cache, a server's runner, admission control and
-    # alert evaluator, and a fuzz oracle.
+    # session and its cache, a server's runner and admission control, and
+    # a fuzz oracle.
     session = Session()
     with ServingServer(session):
         Oracle(session=session)
         declared = session.metrics.names()
     session.close()
     assert sorted(name for name, _ in _catalog_rows()) == declared
-    assert len(declared) == 15
+    assert len(declared) == 14
 
 
 def test_every_catalog_row_names_its_reader():
@@ -509,6 +509,11 @@ class TestFastLaneObservability:
                                  level="response", outcome="hit") == 2
         assert prometheus_sample(parsed, "repro_cache_requests_total",
                                  level="response", outcome="miss") == 2
+        # The response-hit series is the one count of a fast-lane hit: the
+        # session-call family has no fast-lane kind beside it.
+        call_kinds = {dict(labels).get("kind") for _, labels
+                      in parsed["repro_session_calls_total"]["samples"]}
+        assert "fast_lane" not in call_kinds and "schedule" in call_kinds
 
         # Every admitted request (fast lane included) is in the latency
         # distribution; only the slow-lane requests have a trace in the

@@ -1,5 +1,6 @@
 """Tests for the serving queue's drain order and the options removed from
-the service, the measurement feedback and the worker pool included."""
+the service, the measurement feedback, the worker pool and the background
+alert monitor included."""
 
 import importlib
 import json
@@ -28,13 +29,17 @@ from repro.serving.service import _Pending
                                    ["--push-interval", "1"],
                                    ["--batch-window", "0.01"],
                                    ["--policy", "weighted-fair"],
-                                   ["--metrics"], ["--no-metrics"]],
+                                   ["--metrics"], ["--no-metrics"],
+                                   ["--alert-interval", "5"],
+                                   ["--latency-slo", "0.25"]],
                          ids=lambda flags: flags[0])
 def test_removed_serve_flags_exit_with_a_usage_error(flags, capsys):
     with pytest.raises(SystemExit) as caught:
         build_parser().parse_args(["serve", *flags])
     assert caught.value.code == 2
-    assert flags[0] in capsys.readouterr().err
+    error = capsys.readouterr().err
+    assert error.startswith("usage: python -m repro.serving")
+    assert f"unrecognized arguments: {' '.join(flags)}" in error
 
 
 def test_serve_help_lists_no_removed_flag(capsys):
@@ -45,7 +50,8 @@ def test_serve_help_lists_no_removed_flag(capsys):
     assert "--max-queue-depth" in usage
     for flag in ("--adaptive", "--aging-interval", "--push-url",
                  "--push-interval", "--batch-window", "--policy",
-                 "--metrics", "--no-metrics", "--workers"):
+                 "--metrics", "--no-metrics", "--workers",
+                 "--alert-interval", "--latency-slo"):
         assert flag not in usage
 
 
@@ -60,6 +66,12 @@ def test_serve_workers_exits_with_a_usage_error():
     assert done.stderr.startswith("usage: python -m repro.serving")
     assert "unrecognized arguments: --workers 2" in done.stderr
     assert done.stdout == ""
+
+
+def test_the_alert_monitor_is_gone():
+    # The one rule is evaluated per request: no thread samples the registry.
+    with pytest.raises(ImportError):
+        from repro.observability import AlertMonitor  # noqa: F401
 
 
 def test_the_worker_pool_is_gone():
@@ -89,7 +101,8 @@ def test_the_report_has_no_pool_and_ignores_a_workers_query():
                                          ("batch_window_s", 0.01),
                                          ("max_workers", 4),
                                          ("fast_lane", False),
-                                         ("policy", "weighted-fair")])
+                                         ("policy", "weighted-fair"),
+                                         ("latency_slo_s", 0.25)])
 def test_removed_service_config_fields_are_rejected(field, value):
     with pytest.raises(TypeError, match=field):
         ServiceConfig(**{field: value})
@@ -98,9 +111,7 @@ def test_removed_service_config_fields_are_rejected(field, value):
 @pytest.mark.parametrize("field,value", [("max_batch_size", 0),
                                          ("max_queue_depth", -1),
                                          ("max_client_inflight", -1),
-                                         ("retry_after_s", -0.5),
-                                         ("latency_slo_s", 0.0),
-                                         ("latency_slo_s", float("nan"))])
+                                         ("retry_after_s", -0.5)])
 def test_out_of_range_service_config_values_are_rejected(field, value):
     # A batch size of 0 used to spin the batcher on empty batches while the
     # request it never claimed timed out.
@@ -110,10 +121,7 @@ def test_out_of_range_service_config_values_are_rejected(field, value):
 
 @pytest.mark.parametrize("flags", [["--max-batch", "0"],
                                    ["--max-queue-depth", "-1"],
-                                   ["--max-client-inflight", "-1"],
-                                   ["--latency-slo", "0"],
-                                   ["--alert-interval", "0"],
-                                   ["--alert-interval", "-5"]],
+                                   ["--max-client-inflight", "-1"]],
                          ids=lambda flags: " ".join(flags))
 def test_serve_exits_2_on_an_out_of_range_value(flags, capsys, monkeypatch):
     def boot(*args, **kwargs):
@@ -129,7 +137,9 @@ def test_serve_exits_2_on_an_out_of_range_value(flags, capsys, monkeypatch):
 @pytest.mark.parametrize("keyword,value", [("push_url", "http://x"),
                                            ("push_interval_s", 1.0),
                                            ("expose_metrics", False),
-                                           ("expose_traces", False)])
+                                           ("expose_traces", False),
+                                           ("alert_rules", []),
+                                           ("alert_interval_s", 5.0)])
 def test_removed_server_keywords_are_rejected(keyword, value):
     # Rejected by the signature, before a session is touched or a port bound.
     with pytest.raises(TypeError, match=keyword):
@@ -179,8 +189,7 @@ def test_serve_hands_the_server_its_session_and_nothing_else(
     assert cli.main(["serve", *flags]) == 0
     (served, kwargs), = built
     assert served is session and session.tracer.enabled is tracing
-    assert set(kwargs) == {"host", "port", "config", "access_log",
-                           "alert_interval_s"}
+    assert set(kwargs) == {"host", "port", "config", "access_log"}
     banner = capsys.readouterr().out
     assert banner.startswith("serving on http://127.0.0.1:0 (")
     assert f"tracing={'on' if tracing else 'off'})" in banner

@@ -1,16 +1,17 @@
-"""Tests for end-to-end request tracing and SLO alert rules: tracer core
-semantics, the /v1/traces and /alerts endpoints, and the trace-dump CLI
-exporters."""
+"""Tests for end-to-end request tracing and the queue-saturation alert:
+tracer core semantics, the /v1/traces and /alerts endpoints, and the
+trace-dump CLI exporters."""
 
 import json
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from helpers import fast_session
+from helpers import fast_session, hold_next_batch, wait_until
 
 from repro.api import ScheduleRequest
-from repro.observability import (AlertEvaluator, AlertMonitor, AlertRule,
-                                 MetricsRegistry, Tracer,
+from repro.observability import (AlertRule, MetricsRegistry, Tracer,
                                  chrome_trace_document, current_trace_id,
                                  default_alert_rules, span,
                                  traces_to_jsonl)
@@ -144,122 +145,51 @@ class TestTracerCore:
             {"request", "child"}
 
 
-# -- alert rules over synthetic snapshot streams ------------------------------------
+# -- the alert rule ----------------------------------------------------------------
 
-def _latency_snapshot(good, bad):
-    """A registry-snapshot fragment: ``good`` observations under 0.1s,
-    ``bad`` ones in the overflow bucket."""
-    return {"repro_request_latency_seconds": {
-        "type": "histogram", "labelnames": [], "buckets": [0.1, 0.5],
-        "series": [{"labels": [], "counts": [good, 0, bad],
-                    "sum": 0.1 * good + 2.0 * bad}]}}
-
-
-def _counter_snapshot(name, value):
-    return {name: {"type": "counter", "labelnames": [],
-                   "series": [{"labels": [], "value": value}]}}
-
-
-BURN_RULE = AlertRule(
-    name="latency-burn", kind="slo-burn-rate",
-    metric="repro_request_latency_seconds", threshold=14.4,
-    window_s=300.0, short_window_s=60.0, objective=0.95, latency_slo_s=0.1)
-
-
-class TestAlertEvaluator:
-    def test_burn_rate_fires_on_spike_and_resolves_on_recovery(self):
-        evaluator = AlertEvaluator([BURN_RULE])
-        evaluator.ingest(_latency_snapshot(good=50, bad=0), ts=1000.0)
-        evaluator.ingest(_latency_snapshot(good=50, bad=70), ts=1030.0)
-        state, = evaluator.evaluate()
-        # Every delta request breached the SLO: burn = 1.0 / 0.05 = 20x.
-        assert state.firing
-        assert state.value == pytest.approx(20.0)
-        assert state.since_s == 1030.0
-        assert state.detail["short_burn"] == pytest.approx(20.0)
-        # Healthy traffic dilutes the windowed error fraction below 14.4x.
-        evaluator.ingest(_latency_snapshot(good=5000, bad=70), ts=1060.0)
-        state, = evaluator.evaluate()
-        assert not state.firing and state.since_s is None
-        assert state.value < 1.0
-
-    def test_one_window_alone_does_not_fire(self):
-        """Multi-window semantics: a long-window burn with a quiet short
-        window stays silent (the spike already passed)."""
-        evaluator = AlertEvaluator([BURN_RULE])
-        evaluator.ingest(_latency_snapshot(good=0, bad=100), ts=1000.0)
-        evaluator.ingest(_latency_snapshot(good=0, bad=100), ts=1250.0)
-        evaluator.ingest(_latency_snapshot(good=2000, bad=100), ts=1290.0)
-        state, = evaluator.evaluate()
-        assert state.detail["long_burn"] is not None
-        assert not state.firing
-
-    def test_no_traffic_means_no_alert(self):
-        evaluator = AlertEvaluator([BURN_RULE])
-        evaluator.ingest(_latency_snapshot(good=10, bad=0), ts=1000.0)
-        evaluator.ingest(_latency_snapshot(good=10, bad=0), ts=1060.0)
-        state, = evaluator.evaluate()
-        assert state.value is None and not state.firing
-
-    def test_rate_rule_measures_per_second_increase(self):
-        rule = AlertRule(name="shed-rate", kind="rate",
-                         metric="repro_admission_shed_total",
-                         threshold=0.5, window_s=60.0)
-        evaluator = AlertEvaluator([rule])
-        evaluator.ingest(_counter_snapshot(rule.metric, 0), ts=1000.0)
-        evaluator.ingest(_counter_snapshot(rule.metric, 12), ts=1060.0)
-        state, = evaluator.evaluate()
-        assert state.value == pytest.approx(0.2)
-        assert not state.firing
-        evaluator.ingest(_counter_snapshot(rule.metric, 100), ts=1120.0)
-        state, = evaluator.evaluate()
-        assert state.firing
-
+class TestAlertRule:
     def test_threshold_rule_reads_a_real_registry_snapshot(self):
         """Shape compatibility with MetricsRegistry.to_dict, not a
         synthetic dict."""
         registry = MetricsRegistry()
         depth = registry.gauge("repro_service_queue_depth", "queued work")
-        rule = default_alert_rules(max_queue_depth=100)[1]
+        rule, = default_alert_rules(max_queue_depth=100)
         assert rule.name == "queue-depth-saturation"
-        evaluator = AlertEvaluator([rule], snapshot_fn=registry.to_dict)
         depth.set(10)
-        state, = evaluator.sample_and_evaluate(now=1000.0)
+        state = rule.evaluate(registry.to_dict())
         assert not state.firing and state.value == 10
-        depth.set(90)
-        state, = evaluator.sample_and_evaluate(now=1001.0)
+        depth.set(80)  # the comparison is >=: the bound itself fires
+        state = rule.evaluate(registry.to_dict())
         assert state.firing and state.threshold == 80.0
 
-    def test_default_rules_cover_the_ops_story(self):
-        rules = {rule.name: rule for rule in default_alert_rules()}
-        assert set(rules) == {"admission-shed-rate", "queue-depth-saturation",
-                              "latency-slo-fast-burn",
-                              "latency-slo-slow-burn"}
-        assert rules["latency-slo-fast-burn"].threshold == 14.4
-        assert rules["latency-slo-slow-burn"].severity == "ticket"
-        # An unbounded queue has no meaningful saturation threshold.
-        unbounded = [rule.name for rule in
-                     default_alert_rules(max_queue_depth=0)]
-        assert "queue-depth-saturation" not in unbounded
+    def test_an_unbounded_queue_has_no_rule(self):
+        assert default_alert_rules(max_queue_depth=0) == []
 
-    def test_a_misspelt_kind_is_refused(self):
-        # It used to be accepted and never fire, whatever its gauge read.
-        with pytest.raises(ValueError, match="'treshold'.*known kinds: "
-                                             "threshold, rate, slo-burn-rate"):
-            AlertRule(name="depth", kind="treshold",
-                      metric="repro_service_queue_depth", threshold=1.0)
+    def test_a_metric_without_series_reads_none_and_does_not_fire(self):
+        rule, = default_alert_rules(max_queue_depth=5)
+        state = rule.evaluate({})
+        assert state.value is None and not state.firing
 
-    def test_an_unknown_op_is_refused(self):
-        # It used to be read as ">" without a word.
-        with pytest.raises(ValueError, match="'=>'.*known ops: >, >=, <, <="):
-            AlertRule(name="depth", kind="threshold", op="=>",
-                      metric="repro_service_queue_depth", threshold=1.0)
+    def test_a_rule_and_its_state_carry_only_what_the_rule_uses(self):
+        rule, = default_alert_rules(max_queue_depth=5)
+        assert rule.to_dict() == {
+            "name": "queue-depth-saturation",
+            "metric": "repro_service_queue_depth", "threshold": 4.0,
+            "severity": "page",
+            "description": "Service queue depth is at >= 80% of "
+                           "max_queue_depth=5."}
+        assert list(rule.evaluate({}).to_dict()) == [
+            "name", "severity", "firing", "value", "threshold",
+            "description"]
 
-    @pytest.mark.parametrize("interval_s", [0.0, -1.0, float("nan")])
-    def test_a_monitor_interval_must_be_positive(self, interval_s):
-        # 0 sampled the registry in a busy loop.
-        with pytest.raises(ValueError, match="interval_s must be > 0"):
-            AlertMonitor(AlertEvaluator([BURN_RULE]), interval_s=interval_s)
+    @pytest.mark.parametrize("field,value", [
+        ("kind", "threshold"), ("labels", {}), ("op", ">="),
+        ("window_s", 60.0), ("short_window_s", 60.0), ("objective", 0.95),
+        ("latency_slo_s", 0.25)])
+    def test_removed_rule_fields_are_rejected(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            AlertRule(name="depth", metric="repro_service_queue_depth",
+                      threshold=1.0, **{field: value})
 
 
 # -- session + service tracing ------------------------------------------------------
@@ -458,31 +388,48 @@ class TestHttpTracing:
         status, payload = client.request("GET", "/v1/traces?limit=banana")
         assert status == 400
 
-    def test_alerts_endpoint_fires_on_a_latency_spike(self):
-        """A synthetic SLO (nothing is fast enough) must trip the
-        burn-rate rule as soon as traffic flows."""
+    def test_a_saturated_queue_fires_on_alerts_and_report_at_once(self):
+        """A queue at 80% of its depth names the rule on ``/alerts`` and
+        on ``/v1/report`` alike, the moment it is there: both evaluate a
+        fresh snapshot per request."""
         session = fast_session()
-        strict = AlertRule(
-            name="strict-latency", kind="slo-burn-rate",
-            metric="repro_request_latency_seconds", threshold=2.0,
-            window_s=300.0, short_window_s=60.0, objective=0.95,
-            latency_slo_s=1e-9)
-        server = ServingServer(session,
-                               alert_rules=[strict], alert_interval_s=60.0)
-        with server:
-            client = ServingClient(server.address)
-            baseline = client.alerts()
-            assert baseline["firing"] == []
-            client.schedule("gemm:a")
-            payload = client.alerts()
-            assert payload["firing"] == ["strict-latency"]
-            state, = payload["alerts"]
-            assert state["value"] == pytest.approx(20.0)
-            assert state["since_s"] is not None
-            report = client.report()
-            assert report["alerts"]["firing"] == ["strict-latency"]
-            assert report["alerts"]["rules"] == 1
+        config = ServiceConfig(max_queue_depth=5, max_batch_size=1)
+        with ServingServer(session, config=config) as server, \
+                ServingClient(server.address) as client:
+            runner = server.runner
+            depth = session.metrics.get("repro_service_queue_depth")
+            release = threading.Event()
+            held = hold_next_batch(runner, release.is_set)
+            first, *queued = (
+                ScheduleRequest(program=program) for program
+                in ("gemm:a", "mvt:a", "atax:a", "bicg:a", "2mm:a"))
+            with ThreadPoolExecutor(5) as pool:
+                futures = [pool.submit(runner.schedule, first)]
+                assert held.wait(60)
+                assert client.alerts()["firing"] == []
+                futures += [pool.submit(runner.schedule, request)
+                            for request in queued]
+                wait_until(lambda: depth.value == 4, 60)
+                report = client.report()  # before /alerts evaluates
+                alerts = client.alerts()
+                release.set()
+                for future in futures:
+                    future.result(60)
+            drained = client.alerts()
         session.close()
+        assert alerts["firing"] == ["queue-depth-saturation"]
+        state, = alerts["alerts"]
+        assert state["value"] == 4.0 and state["threshold"] == 4.0
+        assert report["alerts"] == {"firing": ["queue-depth-saturation"],
+                                    "rules": 1}
+        assert drained["firing"] == []
+
+    def test_an_unbounded_queue_serves_no_rule(self, served):
+        # ServiceConfig's default queue is unbounded: nothing to saturate.
+        _, _, client, _ = served
+        client.schedule("gemm:a")
+        assert client.alerts() == {"alerts": [], "firing": [], "rules": []}
+        assert client.report()["alerts"] == {"firing": [], "rules": 0}
 
     def test_disabled_tracing_404s_and_omits_trace_ids(self, tmp_path):
         session = fast_session()
