@@ -23,6 +23,7 @@ fact                             keyed by
 direction vectors                the band's ``(iterator, tile_of)`` order
 legality of a reordering         the band's order + the target order
 parallelism of a band loop       its iterator + the iterators inside it
+what parallelism may privatize   the view's program (one walk)
 unit-stride share of a band loop its iterator
 layout of a container            its name
 accesses of a statement          the statement
@@ -38,13 +39,11 @@ from dataclasses import replace
 from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-from ..ir.arrays import Array
-from ..ir.nodes import Computation, Loop, Node, read_accesses
+from ..ir.nodes import Computation, Loop, Node, Program, read_accesses
 from ..ir.symbols import Const, Expr, Min, Sym
 from .affine import AffineAccess, computation_accesses, nest_statements
 from .dependence import Statements, band_order_is_legal, direction_vectors
-from .parallelism import (ParallelismInfo, analyze_loop_parallelism,
-                          classify_iterations)
+from .parallelism import ParallelismInfo, classify_iterations, container_facts
 from .strides import _array_strides, access_stride
 
 
@@ -128,14 +127,14 @@ AccessMoves = Tuple[str, float, Optional[Dict[str, float]]]
 class BandView:
     """The perfectly nested band of ``nest`` as frames over its inner body.
 
-    ``arrays`` and ``parameters`` bind the layout facts (a view made only to
-    reorder or tile needs neither).  The view assumes the subtree below the
-    band does not change while it lives.
+    ``program`` (``nest``'s, or a copy of it) and ``parameters`` bind the
+    container facts (a view made only to reorder or tile needs neither).
+    The view assumes they and the subtree below the band do not change
+    while it lives.
     """
 
-    def __init__(self, nest: Loop, arrays: Optional[Mapping[str, Array]] = None,
-                 parameters: Optional[Mapping[str, float]] = None,
-                 program_name: str = ""):
+    def __init__(self, nest: Loop, program: Optional[Program] = None,
+                 parameters: Optional[Mapping[str, float]] = None):
         band = nest.perfectly_nested_band()
         #: The nest the view was made of (its loops own ``inner``: a frozen
         #: nest guards the body only while they live).
@@ -143,9 +142,8 @@ class BandView:
         self.frames: List[Frame] = [Frame.of(loop) for loop in band]
         #: The children of the innermost band loop, shared with ``nest``.
         self.inner: Sequence[Node] = band[-1].body
-        self.arrays: Mapping[str, Array] = arrays if arrays is not None else {}
+        self.program = program
         self.parameters: Dict[str, float] = dict(parameters or {})
-        self.program_name = program_name
         self._base: Tuple[Frame, ...] = tuple(self.frames)
         #: Whether :meth:`annotate` edited a loop below the band in place.
         self.edited_below = False
@@ -307,9 +305,10 @@ class BandView:
         return legal
 
     def parallelism(self, target: Target) -> ParallelismInfo:
-        """``analyze_loop_parallelism`` of the loop at ``target``."""
+        """:func:`~repro.analysis.parallelism.classify_iterations` of the
+        loop at ``target`` (a loop below the band asks a view of its own)."""
         if not isinstance(target, int):
-            return analyze_loop_parallelism(target)
+            return BandView(target, self.program).parallelism(0)
         frame = self.frames[target]
         inside = [inner.iterator for inner in self.frames[target + 1:]]
         # A classification reads which loops are inside, not their order; a
@@ -333,9 +332,12 @@ class BandView:
         # Kept under one key whatever the order of the loops inside, so it
         # is derived in one order: theirs, sorted.
         inside = sorted(f.iterator for f in self.frames[target + 1:])
+        facts = self._memo.get(("facts",))
+        if facts is None:
+            facts = self._memo[("facts",)] = container_facts(self.program)
         return classify_iterations(
             frame.iterator,
-            [self._statements(inside)] if inside else self._children())
+            [self._statements(inside)] if inside else self._children(), facts)
 
     def mostly_unit_stride(self, target: Target) -> bool:
         """True when at least half of the affine accesses under the loop at
@@ -361,13 +363,13 @@ class BandView:
         good = total = 0
         for accesses in statements:
             for access in accesses:
-                if access.array not in self.arrays:
+                if access.array not in self.program.arrays:
                     continue
                 total += 1
                 strides = self._memo.get(("nominal", access.array))
                 if strides is None:
                     strides = self._memo[("nominal", access.array)] = \
-                        _array_strides(self.arrays[access.array], {})
+                        _array_strides(self.program.arrays[access.array], {})
                 stride = access_stride(access, iterator, strides)
                 if stride is not None and abs(stride) <= 1:
                     good += 1
@@ -380,7 +382,7 @@ class BandView:
         parameters, which bind its extents."""
         layout = self._layouts.get(name)
         if layout is None:
-            array = self.arrays[name]
+            array = self.program.arrays[name]
             layout = self._layouts[name] = (
                 float(array.element_size),
                 array.row_major_strides(self.parameters))

@@ -1,20 +1,25 @@
-"""Parallel-loop detection.
+"""Parallel-loop detection: one classification, of a loop under the
+:func:`container_facts` of its program.
 
-A loop is (DOALL-)parallel when it carries no dependence: no two distinct
-iterations of the loop access the same memory location with at least one
-write.  Reductions (a read-modify-write of an element that is invariant in
-the loop) are detected separately because they can still be parallelized
-with atomic updates or privatization — at a cost the performance model
-charges for (the paper observes exactly this on correlation/covariance,
-Section 4.1).
+A loop is (DOALL-)parallel when every dependence it carries goes through a
+container each iteration can keep private: one that is ``transient`` (a
+non-transient scalar is never privatized), that each iteration writes
+before it reads it, and that nothing outside the loop reads — the scratch
+arrays of scalar expansion, which each CLOUDSC block iteration rewrites.
+Reductions (a read-modify-write of an element invariant in the loop) run in
+parallel with atomic updates, at a cost the performance model charges (the
+paper observes it on correlation/covariance, Section 4.1).  A
+:class:`~repro.analysis.band.BandView` asks :func:`classify_iterations`
+and keeps the answer; :func:`analyze_loop_parallelism` asks a view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Mapping, Sequence, Set, Tuple
 
-from ..ir.nodes import Computation, Loop, read_accesses
+from ..ir.nodes import (Computation, LibraryCall, Loop, Node, Program,
+                        read_accesses)
 from .affine import decompose_access, nest_statements
 from .dependence import Statements, body_dependences, is_carried
 
@@ -32,8 +37,8 @@ class ParallelismInfo:
     is_reduction: bool
     #: ``(array, kind, directions)`` of every dependence the loop carries.
     carried: Tuple[Tuple[str, str, Tuple[str, ...]], ...]
-    #: True when the loop is parallel only after privatizing per-iteration
-    #: scalar temporaries (OpenMP ``private`` / SIMD scalar expansion).
+    #: True when the loop is parallel only after privatizing containers
+    #: (OpenMP ``private`` / SIMD scalar expansion).
     requires_privatization: bool = False
 
 
@@ -49,40 +54,35 @@ def _reduction_arrays(iterator: str, statements: Statements) -> Set[str]:
     return reductions
 
 
-def analyze_loop_parallelism(loop: Loop, arrays: Optional[dict] = None
-                             ) -> ParallelismInfo:
-    """Classify a single loop as parallel, reduction, or sequential.
+def container_facts(program: Program) -> Dict[str, int]:
+    """What a classification reads of the program around a loop: each
+    container declared ``transient``, with how many times the program reads
+    it."""
+    facts = {name: 0 for name, array in program.arrays.items()
+             if array.transient}
+    for node in program.body if facts else ():
+        for statement, _enclosing in nest_statements(node):
+            for name, is_write in _accesses(statement):
+                if not is_write and name in facts:
+                    facts[name] += 1
+    return facts
 
-    Dependences carried only through per-iteration scalar temporaries do not
-    prevent parallel execution: compilers privatize such scalars (OpenMP
-    ``private`` clauses, SIMD scalar expansion).  When ``arrays`` (the
-    program's container table) is provided, scalars marked ``transient`` are
-    treated as privatizable; without the table, any rank-0 access pattern
-    (empty subscript list) is.
 
-    Tile loops (created by :class:`repro.transforms.tiling.Tile`) partition
-    the iteration space of their original loop, so their parallelism is that
-    of the corresponding point loop; the subscripts reference the point
-    iterator, which plain dependence testing over the tile iterator cannot
-    see.
-    """
-    if loop.tile_of is not None and loop.iterator != loop.tile_of:
-        for candidate in loop.iter_loops():
-            if candidate is loop:
-                continue
-            if candidate.iterator == loop.tile_of:
-                inner = analyze_loop_parallelism(candidate, arrays)
-                return replace(inner, iterator=loop.iterator)
-    return classify_iterations(
-        loop.iterator, [nest_statements(child) for child in loop.body], arrays)
+def analyze_loop_parallelism(loop: Loop, program: Program) -> ParallelismInfo:
+    """Classify ``loop``, a loop of ``program``, as parallel, reduction, or
+    sequential (:func:`classify_iterations`, through a view of the loop)."""
+    from .band import BandView
+
+    return BandView(loop, program).parallelism(0)
 
 
 def classify_iterations(iterator: str, children: Sequence[Statements],
-                        arrays: Optional[dict] = None) -> ParallelismInfo:
+                        facts: Mapping[str, int]) -> ParallelismInfo:
     """Classify a loop over ``iterator`` from the statements of its body:
     ``children`` holds, per direct child of the body, its
     :func:`~repro.analysis.affine.nest_statements` — all the classification
-    reads, so a loop that was never built can be asked about."""
+    reads of the loop, so a loop that was never built can be asked about —
+    and ``facts`` the :func:`container_facts` of its program."""
     carried = tuple(found[:3] for _source, _sink, found
                     in body_dependences(iterator, children)
                     if is_carried(found[2]))
@@ -90,7 +90,7 @@ def classify_iterations(iterator: str, children: Sequence[Statements],
         return ParallelismInfo(iterator, True, False, ())
 
     statements = [entry for child in children for entry in child]
-    privatizable = _privatizable_scalars(statements, arrays)
+    privatizable = _privatizable(statements, facts)
     remaining = [dep for dep in carried if dep[0] not in privatizable]
     if not remaining:
         return ParallelismInfo(iterator, True, False, carried,
@@ -103,46 +103,37 @@ def classify_iterations(iterator: str, children: Sequence[Statements],
     return ParallelismInfo(iterator, False, False, carried)
 
 
-def _privatizable_scalars(statements: Statements,
-                          arrays: Optional[dict]) -> Set[str]:
-    """Temporaries that can be privatized per iteration of the loop whose
-    body holds ``statements``.
+def _privatizable(statements: Statements,
+                  facts: Mapping[str, int]) -> Set[str]:
+    """The transient containers one iteration of the loop whose body holds
+    ``statements`` can keep private: those it writes before it reads them,
+    in statement order, and that the program reads nowhere else."""
+    written: Set[str] = set()
+    read_first: Set[str] = set()
+    reads = dict.fromkeys(facts, 0)
+    for statement, _enclosing in statements:
+        for name, is_write in _accesses(statement):
+            if is_write:
+                written.add(name)
+            elif name in facts:
+                reads[name] += 1
+                if name not in written:
+                    read_first.add(name)
+    return {name for name in written - read_first
+            if name in facts and reads[name] == facts[name]}
 
-    A container qualifies when, inside one iteration of the loop, it is
-    written before it is read (in statement order), and it does not carry a
-    value into later iterations or out of the loop:
 
-    * scalars (empty subscripts) always qualify structurally,
-    * higher-rank containers qualify only when declared ``transient`` and the
-      container table ``arrays`` is available — these are the scratch arrays
-      produced by scalar expansion, which each iteration of an outer parallel
-      loop (e.g. the CLOUDSC block loop) fully rewrites before reading.
-    """
-    candidates: Set[str] = set()
-    order: List[Tuple[str, bool, int]] = []
-    for node, _enclosing in statements:
-        if isinstance(node, Computation):
-            for acc in read_accesses(node.value):
-                order.append((acc.array, False, len(acc.indices)))
-            order.append((node.target.array, True, len(node.target.indices)))
-
-    seen_write: Set[str] = set()
-    disqualified: Set[str] = set()
-    for name, is_write, rank in order:
-        declared = arrays.get(name) if arrays is not None else None
-        is_transient = bool(getattr(declared, "transient", False))
-        if rank == 0:
-            if arrays is not None and not is_transient:
-                disqualified.add(name)
-                continue
-        else:
-            if not is_transient:
-                disqualified.add(name)
-                continue
-        if is_write:
-            seen_write.add(name)
-            candidates.add(name)
-        elif name not in seen_write:
-            disqualified.add(name)
-    return candidates - disqualified
-
+def _accesses(statement: Node) -> Iterator[Tuple[str, bool]]:
+    """``(container, is_write)`` of every access of a statement, in the
+    order it makes them: its reads, then its writes."""
+    if isinstance(statement, Computation):
+        for expr in (*statement.target.indices, statement.value):
+            for access in read_accesses(expr):
+                yield access.array, False
+        yield statement.target.array, True
+    elif isinstance(statement, LibraryCall):
+        # A routine may update its outputs (``C += A @ B``): it reads them.
+        for name in (*statement.inputs, *statement.outputs):
+            yield name, False
+        for name in statement.outputs:
+            yield name, True

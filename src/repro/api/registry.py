@@ -12,7 +12,7 @@ way::
     class OuterParallelScheduler(Scheduler):
         name = "outer-parallel"
 
-        def recipe_for(self, nest, index):
+        def recipe_for(self, program, index):
             return Recipe(f"{self.name}#{index}", [Parallelize(index)])
 
     @register_scheduler("outer-parallel", normalizes=True)

@@ -64,7 +64,7 @@ def annotate_baseline(program: Program) -> Program:
     """
     annotated = program.copy()
     for top in annotated.top_level_loops():
-        if analyze_loop_parallelism(top, annotated.arrays).is_parallel:
+        if analyze_loop_parallelism(top, annotated).is_parallel:
             top.parallel = True
         for loop in top.iter_loops():
             if not any(isinstance(child, Loop) for child in loop.body):

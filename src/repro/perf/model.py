@@ -128,7 +128,7 @@ class CostModel:
             return self._estimate_library_call(node, program, parameters, index)
         if isinstance(node, Loop):
             # A view of its own, which no fork will ask again.
-            view = BandView(node, program.arrays, parameters)
+            view = BandView(node, program, parameters)
             return self._estimate_nest(
                 view, index, touched,
                 _NestWalk(self.machine, view, touched).traffic())
@@ -467,7 +467,7 @@ class _NestWalk:
         # Library routines are hand-vectorized.
         self.flops_band_simd[1] += flops * multiplier
         self.flops_no_band_simd[1] += flops * multiplier
-        arrays = self.view.arrays
+        arrays = self.view.program.arrays
         for name in set(call.inputs) | set(call.outputs):
             self.bytes_by_level["DRAM"] += (
                 arrays[name].size_in_bytes(parameters) * multiplier)

@@ -144,8 +144,8 @@ class Scheduler:
         """The result whose program the nest walk rewrites in place."""
         return ScheduleResult(scheduler=self.name, program=program.copy())
 
-    def recipe_for(self, nest: Loop, index: int) -> Recipe:
-        """The recipe for the top-level nest at ``index``."""
+    def recipe_for(self, program: Program, index: int) -> Recipe:
+        """The recipe for the top-level nest at ``index`` of ``program``."""
         raise NotImplementedError
 
     def schedule_nest(self, program: Program, index: int,
@@ -153,7 +153,7 @@ class Scheduler:
                       prices: NodePrices) -> NestScheduleInfo:
         """Schedule the top-level nest at ``index`` of ``program`` in place.
         ``prices`` is the walk's table, for a search to price with."""
-        recipe = self.recipe_for(program.body[index], index)
+        recipe = self.recipe_for(program, index)
         application = apply_recipe(program, recipe, strict=False)
         status = "optimized" if application.applied else "unchanged"
         detail = self.detail or "; ".join(msg for _, msg in application.failed)
@@ -240,7 +240,7 @@ class NestPricer:
         #: what pricing the nest gave).
         self._priced: Dict[Tuple, Tuple[float, Priced]] = {}
         self.view = BandView(program.body[nest_index].copy().freeze(),
-                             program.arrays, parameters, program.name)
+                             program, parameters)
 
     def _on_view(self, recipe: Recipe) -> bool:
         """Whether ``recipe`` is band schedules of this nest only."""

@@ -14,19 +14,20 @@ is executed as written.  These baselines reproduce that behavior:
 from __future__ import annotations
 
 from ..analysis.parallelism import analyze_loop_parallelism
-from ..ir.nodes import Loop
+from ..ir.nodes import Program
 from ..transforms.parallelize import Parallelize, Vectorize
 from ..transforms.recipe import Recipe
 from .base import Scheduler
 
 
-def compiler_recipe(name: str, nest: Loop, index: int,
+def compiler_recipe(name: str, program: Program, index: int,
                     auto_parallel: bool) -> Recipe:
     """What an optimizing compiler does to a nest as written: vectorize the
     innermost loop, and with ``auto_parallel`` run the outermost loop in
     parallel when independence can be proven."""
     recipe = Recipe(f"{name}#{index}")
-    if auto_parallel and analyze_loop_parallelism(nest).is_parallel:
+    nest = program.body[index]
+    if auto_parallel and analyze_loop_parallelism(nest, program).is_parallel:
         recipe.add(Parallelize(index))
     recipe.add(Vectorize(index, require_unit_stride=True))
     return recipe
@@ -37,8 +38,8 @@ class ClangScheduler(Scheduler):
 
     name = "clang"
 
-    def recipe_for(self, nest: Loop, index: int) -> Recipe:
-        return compiler_recipe(self.name, nest, index, auto_parallel=False)
+    def recipe_for(self, program: Program, index: int) -> Recipe:
+        return compiler_recipe(self.name, program, index, auto_parallel=False)
 
 
 class IccScheduler(Scheduler):
@@ -46,5 +47,5 @@ class IccScheduler(Scheduler):
 
     name = "icc"
 
-    def recipe_for(self, nest: Loop, index: int) -> Recipe:
-        return compiler_recipe(self.name, nest, index, auto_parallel=True)
+    def recipe_for(self, program: Program, index: int) -> Recipe:
+        return compiler_recipe(self.name, program, index, auto_parallel=True)

@@ -73,7 +73,8 @@ def _loop_trips(nest: Loop, parameters: Mapping[str, int]) -> Dict[str, float]:
 def embed_nest(nest: Loop, arrays: Mapping[str, Array],
                parameters: Mapping[str, int],
                label: str = "") -> PerformanceEmbedding:
-    """Compute the performance embedding of one loop nest."""
+    """Compute the performance embedding of one loop nest (compared with
+    nests of other programs, so classified as a program of its own)."""
     trips = _loop_trips(nest, parameters)
     #: Container name -> (size in bytes, element strides), looked up once.
     layouts: Dict[str, Tuple[float, Tuple[int, ...]]] = {}
@@ -127,12 +128,13 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
 
     num_accesses = zero + unit + strided + non_affine
     denominator = max(num_accesses, 1)
+    alone = Program(label, list(arrays.values()), [nest])
     num_parallel = sum(1 for loop in nest.iter_loops()
-                       if analyze_loop_parallelism(loop).is_parallel)
+                       if analyze_loop_parallelism(loop, alone).is_parallel)
     flops_per_iter = flops / max(total_iterations, 1.0)
 
     # np.log1p, not math.log1p: the two differ in the last bit on some
-    # inputs, and stored embeddings must not move.
+    # inputs, and an embedding moves only when a feature of the nest does.
     import numpy as np
     vector = (
         float(np.log1p(total_iterations)),

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..analysis.affine import computation_accesses, nest_statements
-from ..analysis.parallelism import analyze_loop_parallelism
+from ..analysis.band import BandView
 from ..ir.nodes import Computation, Loop, Program
 from ..perf.model import NodePrices
 from ..transforms.parallelize import Parallelize, Vectorize
@@ -58,16 +58,15 @@ class PollyScheduler(Scheduler):
             return NestScheduleInfo(index, "unsupported", None, "not a SCoP")
         return super().schedule_nest(program, index, parameters, prices)
 
-    def recipe_for(self, nest: Loop, index: int) -> Recipe:
+    def recipe_for(self, program: Program, index: int) -> Recipe:
         recipe = Recipe(f"polly#{index}")
-        band = nest.perfectly_nested_band()
+        view = BandView(program.body[index], program)
 
         # Tile the parallel loops of the band (Polly tiles permutable bands).
         tile_sizes = {}
-        for loop in band:
-            info = analyze_loop_parallelism(loop)
-            if info.is_parallel and len(band) >= 2:
-                tile_sizes[loop.iterator] = POLLY_TILE_SIZE
+        for position, frame in enumerate(view.frames):
+            if len(view.frames) >= 2 and view.parallelism(position).is_parallel:
+                tile_sizes[frame.iterator] = POLLY_TILE_SIZE
         if tile_sizes:
             recipe.add(Tile(index, tile_sizes))
 

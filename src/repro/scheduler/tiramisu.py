@@ -74,7 +74,7 @@ class TiramisuScheduler(Scheduler):
     def schedule_nest(self, program: Program, index: int,
                       parameters: Mapping[str, int],
                       prices: NodePrices) -> NestScheduleInfo:
-        if not self._supported(program.body[index]):
+        if not self._supported(program.body[index], program):
             return NestScheduleInfo(index, "unsupported", None,
                                     "not a perfectly nested parallel loop")
         pricer = NestPricer(self.cost_model, program, index, parameters,
@@ -86,13 +86,13 @@ class TiramisuScheduler(Scheduler):
 
     # -- support check ------------------------------------------------------------------
 
-    def _supported(self, nest: Loop) -> bool:
+    def _supported(self, nest: Loop, program: Program) -> bool:
         if not nest.is_perfect_nest():
             return False
         band = nest.perfectly_nested_band()
         # Only the outer (non-reduction) part of the band must be parallel;
         # require at least the outermost loop to be parallel.
-        if not analyze_loop_parallelism(band[0]).is_parallel:
+        if not analyze_loop_parallelism(nest, program).is_parallel:
             return False
         # Loop bounds must be rectangular (no dependence on outer iterators).
         iterators = {loop.iterator for loop in band}

@@ -95,8 +95,7 @@ class BandSchedule(Transformation):
 
     def view(self, program: Program) -> BandView:
         """A view of the nest this transformation addresses."""
-        return BandView(get_nest(program, self.nest_index), program.arrays,
-                        program_name=program.name)
+        return BandView(get_nest(program, self.nest_index), program)
 
     def apply(self, program: Program) -> bool:
         view = self.view(program)

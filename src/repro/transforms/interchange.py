@@ -30,5 +30,5 @@ class Interchange(BandSchedule):
         if not view.order_is_legal(self.order):
             raise TransformationError(
                 f"interchange to {self.order} violates dependences in nest "
-                f"{self.nest_index} of {view.program_name!r}")
+                f"{self.nest_index} of {view.program.name!r}")
         view.reorder(self.order)

@@ -27,7 +27,7 @@ class Tile(BandSchedule):
         if unknown:
             raise TransformationError(
                 f"cannot tile unknown iterators {sorted(unknown)} in nest "
-                f"{self.nest_index} of {view.program_name!r}")
+                f"{self.nest_index} of {view.program.name!r}")
         tiled = [it for it in iterators if self.tile_sizes.get(it, 0) > 1]
         if not tiled:
             return
@@ -51,5 +51,5 @@ class Tile(BandSchedule):
             if not view.order_is_legal(candidate):
                 raise TransformationError(
                     f"tiling {self.tile_sizes} is not legal for nest "
-                    f"{self.nest_index} of {view.program_name!r}")
+                    f"{self.nest_index} of {view.program.name!r}")
         view.tile(self.tile_sizes)

@@ -10,6 +10,7 @@ from repro.analysis.strides import DEFAULT_PARAMETER_VALUE
 from repro.ir import ProgramBuilder
 from repro.normalization import normalize_program
 from repro.workloads.polybench import build_atax_b, build_gesummv_b
+from test_parallel_soundness import scalar_left_behind, scratch_read_after
 
 
 class TestDataflow:
@@ -64,8 +65,13 @@ class TestDataflow:
 
 class TestParallelism:
     def test_vector_add_parallel(self, vector_add_program):
-        info = analyze_loop_parallelism(vector_add_program.body[0])
+        info = analyze_loop_parallelism(vector_add_program.body[0],
+                                        vector_add_program)
         assert info.is_parallel and not info.is_reduction
+
+    def test_the_program_is_a_required_input(self, vector_add_program):
+        with pytest.raises(TypeError):
+            analyze_loop_parallelism(vector_add_program.body[0])
 
     def test_reduction_loop_detected(self):
         b = ProgramBuilder("p", parameters=["N"])
@@ -73,7 +79,8 @@ class TestParallelism:
         b.add_array("x", ("N",))
         with b.loop("i", 0, "N"):
             b.accumulate(("s",), b.read("x", "i"))
-        info = analyze_loop_parallelism(b.finish().body[0])
+        program = b.finish()
+        info = analyze_loop_parallelism(program.body[0], program)
         assert not info.is_parallel and info.is_reduction
 
     def test_sequential_recurrence(self):
@@ -81,7 +88,8 @@ class TestParallelism:
         b.add_array("x", ("N",))
         with b.loop("i", 1, "N"):
             b.assign(("x", "i"), b.read("x", b.sym("i") - 1) + 1.0)
-        info = analyze_loop_parallelism(b.finish().body[0])
+        program = b.finish()
+        info = analyze_loop_parallelism(program.body[0], program)
         assert not info.is_parallel and not info.is_reduction
 
     def test_privatizable_scalar_allows_parallelism(self):
@@ -93,20 +101,35 @@ class TestParallelism:
             b.assign(("tmp",), b.read("x", "i") * 2)
             b.assign(("y", "i"), b.read("tmp") + 1)
         program = b.finish()
-        info = analyze_loop_parallelism(program.body[0], program.arrays)
+        info = analyze_loop_parallelism(program.body[0], program)
+        assert info.is_parallel and info.requires_privatization
+
+    def test_a_non_transient_scalar_is_never_privatized(self):
+        program = scalar_left_behind()
+        info = analyze_loop_parallelism(program.body[0], program)
+        assert not info.is_parallel and not info.requires_privatization
+
+    def test_a_transient_read_after_the_loop_is_not_privatized(self):
+        program = scratch_read_after()
+        info = analyze_loop_parallelism(program.body[0], program)
+        assert not info.is_parallel
+        # Without the later reader, each iteration's row is its own.
+        del program.body[1]
+        info = analyze_loop_parallelism(program.body[0], program)
         assert info.is_parallel and info.requires_privatization
 
     def test_gemm_parallel_loops(self, gemm_program):
         nest = gemm_program.body[1]
         names = [loop.iterator for loop in nest.iter_loops()
-                 if analyze_loop_parallelism(loop).is_parallel]
+                 if analyze_loop_parallelism(loop, gemm_program).is_parallel]
         assert "i" in names and "j" in names and "k" not in names
         assert names[0] == nest.iterator == "i"
-        assert not all(analyze_loop_parallelism(loop).is_parallel
+        assert not all(analyze_loop_parallelism(loop, gemm_program).is_parallel
                        for loop in nest.perfectly_nested_band())
 
     def test_stencil_time_loop_sequential(self, stencil_program):
-        info = analyze_loop_parallelism(stencil_program.body[0])
+        info = analyze_loop_parallelism(stencil_program.body[0],
+                                        stencil_program)
         assert not info.is_parallel
 
 

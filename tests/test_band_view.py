@@ -11,6 +11,7 @@ specification.
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,8 @@ from repro.analysis.band import BandView, Frame
 from repro.analysis.dependence import (band_order_is_legal,
                                        nest_direction_vectors,
                                        permutation_is_legal)
-from repro.analysis.parallelism import analyze_loop_parallelism
+from repro.analysis.affine import nest_statements
+from repro.analysis.parallelism import classify_iterations, container_facts
 from repro.analysis.strides import _array_strides, access_stride
 from repro.api import program_content_hash
 from repro.fuzz import generate_program
@@ -101,6 +103,19 @@ def _spec_mostly_unit_stride(program, loop):
     return total == 0 or good * 2 >= total
 
 
+def _spec_parallelism(loop, program):
+    """The classification of a built loop, as before the view answered it:
+    a tile loop asks the first loop inside it with the tiled iterator."""
+    if loop.tile_of is not None and loop.iterator != loop.tile_of:
+        for candidate in loop.iter_loops():
+            if candidate is not loop and candidate.iterator == loop.tile_of:
+                inner = _spec_parallelism(candidate, program)
+                return replace(inner, iterator=loop.iterator)
+    return classify_iterations(
+        loop.iterator, [nest_statements(child) for child in loop.body],
+        container_facts(program))
+
+
 def _spec_apply(program, t):
     """One band schedule applied to the tree, as before the view."""
     if not isinstance(t, (Interchange, Tile, Parallelize, Vectorize, Unroll)):
@@ -147,7 +162,7 @@ def _spec_apply(program, t):
         program.body[index] = _spec_tile_band(nest, t.tile_sizes)
     elif isinstance(t, Parallelize):
         loop = _spec_find(nest, t.iterator, innermost=False)
-        info = analyze_loop_parallelism(loop)
+        info = _spec_parallelism(loop, program)
         if not (info.is_parallel or (info.is_reduction and t.allow_reductions)):
             raise TransformationError(
                 f"loop {loop.iterator!r} in nest {index} carries "
@@ -155,7 +170,7 @@ def _spec_apply(program, t):
         loop.parallel = True
     elif isinstance(t, Vectorize):
         loop = _spec_find(nest, t.iterator, innermost=True)
-        info = analyze_loop_parallelism(loop)
+        info = _spec_parallelism(loop, program)
         if not (info.is_parallel or info.is_reduction):
             raise TransformationError(
                 f"loop {loop.iterator!r} cannot be vectorized: it carries "
@@ -266,7 +281,7 @@ class TestTripsAndMidpoints:
         for nest in program.body:
             sizes = {it: size for it, size in tile_sizes.items()
                      if any(loop.iterator == it for loop in nest.iter_loops())}
-            view = BandView(nest, program.arrays, parameters)
+            view = BandView(nest, program, parameters)
             view.tile(sizes)  # no legality: the numbers are what is tested
             built = _spec_tile_band(nest.copy(), sizes)
             assert node_fragment(view.materialise()) == node_fragment(built)
@@ -299,7 +314,7 @@ class TestLegalityAnswers:
         orders = tiled = 0
         for program, index, _parameters in _fuzz_nests(range(10)):
             nest = program.body[index]
-            base = BandView(nest.copy().freeze(), program.arrays)
+            base = BandView(nest.copy().freeze(), program)
             band = base.order()
             for order in itertools.islice(itertools.permutations(band), 24):
                 for sizes in ({}, {order[0]: 16}, dict.fromkeys(order, 8)):
@@ -314,7 +329,7 @@ class TestLegalityAnswers:
                     loops = built.perfectly_nested_band()
                     for position, loop in enumerate(loops):
                         assert (view.parallelism(position)
-                                == analyze_loop_parallelism(loop))
+                                == _spec_parallelism(loop, program))
                         assert (view.mostly_unit_stride(position)
                                 == _spec_mostly_unit_stride(program, loop))
                     for target in itertools.islice(
@@ -450,7 +465,7 @@ class TestRecipesOnPrograms:
         assert [(t.name, msg) for t, msg in outcome.failed] == failed
         assert inner.unroll == 2
         assert program_content_hash(program) == program_content_hash(specified)
-        view = BandView(program.body[index], program.arrays)
+        view = BandView(program.body[index], program)
         assert not Unroll(index, inner.iterator).within_band(view)
         assert Unroll(index).within_band(view)
 

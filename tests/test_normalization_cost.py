@@ -32,7 +32,7 @@ from repro.analysis.dependence import (EQ, _access_dependences,
                                        dependences_between, is_carried,
                                        legal_permutations,
                                        nest_dependences, self_dependences)
-from repro.analysis.parallelism import classify_iterations
+from repro.analysis.parallelism import classify_iterations, container_facts
 from repro.analysis.strides import band_strides, program_stride_cost
 from repro.api import Session
 from repro.fuzz import generate_program
@@ -306,6 +306,7 @@ class TestOneBodyScan:
     def test_every_loop_body(self):
         loops = split = carrying = 0
         for label, program in _scan_programs():
+            facts = container_facts(program)
             for loop in program.iter_loops():
                 children = [nest_statements(child) for child in loop.body]
                 scan = body_dependences(loop.iterator, children)
@@ -319,11 +320,13 @@ class TestOneBodyScan:
                 carried = _spec_carried_dependences(loop.iterator, children)
                 assert [entry for entry in scan if is_carried(entry[2][2])] \
                     == carried, label
-                assert classify_iterations(loop.iterator, children).carried \
+                assert classify_iterations(loop.iterator, children,
+                                           facts).carried \
                     == tuple(found[:3] for *_, found in carried), label
                 # A band view asks with everything inside as one child.
                 whole = [[entry for child in children for entry in child]]
-                assert classify_iterations(loop.iterator, whole).carried == tuple(
+                assert classify_iterations(loop.iterator, whole,
+                                           facts).carried == tuple(
                     found[:3] for *_, found
                     in _spec_carried_dependences(loop.iterator, whole)), label
                 loops += 1

@@ -307,7 +307,7 @@ def _no_analysis_manager(program):
         "embed-nest-analysis": lambda: embed_nest(
             nest, program.arrays, PARAMS, analysis=None),
         "loop-parallelism-analysis": lambda: analyze_loop_parallelism(
-            nest, analysis=None),
+            nest, program, analysis=None),
         "nest-direction-vectors-analysis": lambda: nest_direction_vectors(
             nest, analysis=None),
         "permutation-is-legal-analysis": lambda: permutation_is_legal(

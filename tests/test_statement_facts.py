@@ -91,8 +91,8 @@ def _assert_memos_match_fresh_ir(program):
         assert (band_strides(node, program.arrays)
                 == band_strides(twin, fresh.arrays))
         for loop, other in zip(node.iter_loops(), twin.iter_loops()):
-            assert (analyze_loop_parallelism(loop, program.arrays)
-                    == analyze_loop_parallelism(other, fresh.arrays))
+            assert (analyze_loop_parallelism(loop, program)
+                    == analyze_loop_parallelism(other, fresh))
 
 
 def _shifted(access, rng):

@@ -126,7 +126,7 @@ def test_every_split_the_analyses_ask_for_equals_a_fresh_split(monkeypatch):
                     if isinstance(node, Loop):
                         nest_direction_vectors(node)
                         for loop in node.iter_loops():
-                            analyze_loop_parallelism(loop, program.arrays)
+                            analyze_loop_parallelism(loop, program)
                 embed_program(program, parameters)
     assert len(asked) > 5000 and len(accesses) > 10000
     contexts = {}

@@ -56,7 +56,7 @@ class TestOrdersFromTheView:
                     if not isinstance(nest, Loop):
                         continue
                     depths.append(len(nest.perfectly_nested_band()))
-                    view = BandView(nest.copy().freeze(), program.arrays)
+                    view = BandView(nest.copy().freeze(), program)
                     for space in (SEARCH_SPACE, ROLLOUT_SPACE):
                         orders = space.orders(view)
                         assert orders == _spec_orders(space, nest), name
