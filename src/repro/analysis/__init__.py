@@ -23,7 +23,7 @@ from .dependence import (ANY, EQ, GT, LT, Dependence, body_dependences,
                          dependences_between, legal_permutations,
                          nest_dependences, permutation_is_legal,
                          self_dependences)
-from .parallelism import ParallelismInfo, analyze_loop_parallelism
+from .parallelism import ParallelismInfo
 from .strides import (BandStrides, access_stride, band_strides,
                       program_stride_cost)
 
@@ -35,7 +35,7 @@ __all__ = [
     "ANY", "EQ", "GT", "LT", "Dependence", "body_dependences",
     "dependences_between", "legal_permutations", "nest_dependences",
     "permutation_is_legal", "self_dependences",
-    "ParallelismInfo", "analyze_loop_parallelism",
+    "ParallelismInfo",
     "computation_flops", "expr_flops", "expr_reads", "program_flops",
     "BandStrides", "access_stride", "band_strides", "program_stride_cost",
 ]

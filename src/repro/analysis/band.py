@@ -23,7 +23,7 @@ fact                             keyed by
 direction vectors                the band's ``(iterator, tile_of)`` order
 legality of a reordering         the band's order + the target order
 parallelism of a band loop       its iterator + the iterators inside it
-what parallelism may privatize   the view's program (one walk)
+what an iteration may privatize  nothing: one per view
 unit-stride share of a band loop its iterator
 layout of a container            its name
 accesses of a statement          the statement
@@ -43,7 +43,8 @@ from ..ir.nodes import Computation, Loop, Node, Program, read_accesses
 from ..ir.symbols import Const, Expr, Min, Sym
 from .affine import AffineAccess, computation_accesses, nest_statements
 from .dependence import Statements, band_order_is_legal, direction_vectors
-from .parallelism import ParallelismInfo, classify_iterations, container_facts
+from .parallelism import (ParallelismInfo, classify_iterations, container_facts,
+                          privatizable)
 from .strides import _array_strides, access_stride
 
 
@@ -308,7 +309,9 @@ class BandView:
         """:func:`~repro.analysis.parallelism.classify_iterations` of the
         loop at ``target`` (a loop below the band asks a view of its own)."""
         if not isinstance(target, int):
-            return BandView(target, self.program).parallelism(0)
+            below = BandView(target, self.program)
+            below._memo[("facts",)] = self._facts()
+            return below.parallelism(0)
         frame = self.frames[target]
         inside = [inner.iterator for inner in self.frames[target + 1:]]
         # A classification reads which loops are inside, not their order; a
@@ -321,6 +324,12 @@ class BandView:
             info = self._memo[key] = self._classify(target)
         return info
 
+    def _facts(self) -> Dict[str, int]:
+        facts = self._memo.get(("facts",))
+        if facts is None:
+            facts = self._memo[("facts",)] = container_facts(self.program)
+        return facts
+
     def _classify(self, target: int) -> ParallelismInfo:
         frame = self.frames[target]
         if frame.tile_of is not None and frame.iterator != frame.tile_of:
@@ -329,15 +338,18 @@ class BandView:
             point = self.find(frame.tile_of, below=target + 1)
             if point is not None:
                 return replace(self.parallelism(point), iterator=frame.iterator)
+        # What an iteration may keep private is read off the inner body
+        # alone: every band loop inside the target encloses all of it.
+        private = self._memo.get(("private",))
+        if private is None:
+            private = self._memo[("private",)] = privatizable(
+                self.inner, self._facts())
         # Kept under one key whatever the order of the loops inside, so it
         # is derived in one order: theirs, sorted.
         inside = sorted(f.iterator for f in self.frames[target + 1:])
-        facts = self._memo.get(("facts",))
-        if facts is None:
-            facts = self._memo[("facts",)] = container_facts(self.program)
         return classify_iterations(
             frame.iterator,
-            [self._statements(inside)] if inside else self._children(), facts)
+            [self._statements(inside)] if inside else self._children(), private)
 
     def mostly_unit_stride(self, target: Target) -> bool:
         """True when at least half of the affine accesses under the loop at

@@ -2,25 +2,24 @@
 :func:`container_facts` of its program.
 
 A loop is (DOALL-)parallel when every dependence it carries goes through a
-container each iteration can keep private: one that is ``transient`` (a
-non-transient scalar is never privatized), that each iteration writes
-before it reads it, and that nothing outside the loop reads — the scratch
-arrays of scalar expansion, which each CLOUDSC block iteration rewrites.
-Reductions (a read-modify-write of an element invariant in the loop) run in
-parallel with atomic updates, at a cost the performance model charges (the
-paper observes it on correlation/covariance, Section 4.1).  A
-:class:`~repro.analysis.band.BandView` asks :func:`classify_iterations`
-and keeps the answer; :func:`analyze_loop_parallelism` asks a view.
+container each iteration can keep private (:func:`privatizable`), such as
+the scratch arrays of scalar expansion, which each CLOUDSC block iteration
+rewrites whole.  Reductions (a read-modify-write of an element invariant in
+the loop) run in parallel with atomic updates, at a cost the performance
+model charges (the paper observes it on correlation/covariance, Section
+4.1).  A :class:`~repro.analysis.band.BandView` made with the program asks
+:func:`classify_iterations` and keeps the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Sequence, Set, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Mapping,
+                    Sequence, Set, Tuple)
 
 from ..ir.nodes import (Computation, LibraryCall, Loop, Node, Program,
                         read_accesses)
-from .affine import decompose_access, nest_statements
+from .affine import decompose_access
 from .dependence import Statements, body_dependences, is_carried
 
 
@@ -42,11 +41,11 @@ class ParallelismInfo:
     requires_privatization: bool = False
 
 
-def _reduction_arrays(iterator: str, statements: Statements) -> Set[str]:
+def _reductions(iterator: str, children: Sequence[Statements]) -> Set[str]:
     """Containers updated as ``X[..] = X[..] op expr`` with the subscript
     invariant in ``iterator``."""
     reductions: Set[str] = set()
-    for node, enclosing in statements:
+    for node, enclosing in (entry for child in children for entry in child):
         if isinstance(node, Computation) and node.is_reduction():
             target = decompose_access(node.target, (iterator, *enclosing), True)
             if target.affine and not target.uses_iterator(iterator):
@@ -58,82 +57,75 @@ def container_facts(program: Program) -> Dict[str, int]:
     """What a classification reads of the program around a loop: each
     container declared ``transient``, with how many times the program reads
     it."""
-    facts = {name: 0 for name, array in program.arrays.items()
-             if array.transient}
-    for node in program.body if facts else ():
-        for statement, _enclosing in nest_statements(node):
-            for name, is_write in _accesses(statement):
-                if not is_write and name in facts:
-                    facts[name] += 1
-    return facts
+    names = [name for name, array in program.arrays.items() if array.transient]
+    return _scan(program.body, names)[0] if names else {}
 
 
-def analyze_loop_parallelism(loop: Loop, program: Program) -> ParallelismInfo:
-    """Classify ``loop``, a loop of ``program``, as parallel, reduction, or
-    sequential (:func:`classify_iterations`, through a view of the loop)."""
-    from .band import BandView
-
-    return BandView(loop, program).parallelism(0)
+def privatizable(body: Sequence[Node],
+                 facts: Mapping[str, int]) -> FrozenSet[str]:
+    """The containers one iteration of a loop over ``body`` can keep
+    private, given the :func:`container_facts` of its program: transient
+    ones the program reads nowhere else, each of whose reads reads an
+    element the iteration wrote before (see :func:`_scan`)."""
+    reads, uncovered, written = _scan(body, facts)
+    return frozenset(name for name in written if name not in uncovered
+                     and reads[name] == facts[name])
 
 
 def classify_iterations(iterator: str, children: Sequence[Statements],
-                        facts: Mapping[str, int]) -> ParallelismInfo:
+                        private: AbstractSet[str]) -> ParallelismInfo:
     """Classify a loop over ``iterator`` from the statements of its body:
     ``children`` holds, per direct child of the body, its
     :func:`~repro.analysis.affine.nest_statements` — all the classification
     reads of the loop, so a loop that was never built can be asked about —
-    and ``facts`` the :func:`container_facts` of its program."""
+    and ``private`` the :func:`privatizable` containers of its body."""
     carried = tuple(found[:3] for _source, _sink, found
                     in body_dependences(iterator, children)
                     if is_carried(found[2]))
-    if not carried:
-        return ParallelismInfo(iterator, True, False, ())
-
-    statements = [entry for child in children for entry in child]
-    privatizable = _privatizable(statements, facts)
-    remaining = [dep for dep in carried if dep[0] not in privatizable]
+    remaining = [dep for dep in carried if dep[0] not in private]
     if not remaining:
         return ParallelismInfo(iterator, True, False, carried,
-                               requires_privatization=True)
-
-    reduction_targets = _reduction_arrays(iterator, statements)
-    non_reduction = [dep for dep in remaining if dep[0] not in reduction_targets]
-    if not non_reduction and reduction_targets:
-        return ParallelismInfo(iterator, False, True, carried)
-    return ParallelismInfo(iterator, False, False, carried)
+                               requires_privatization=bool(carried))
+    reductions = _reductions(iterator, children)
+    return ParallelismInfo(iterator, False,
+                           all(dep[0] in reductions for dep in remaining),
+                           carried)
 
 
-def _privatizable(statements: Statements,
-                  facts: Mapping[str, int]) -> Set[str]:
-    """The transient containers one iteration of the loop whose body holds
-    ``statements`` can keep private: those it writes before it reads them,
-    in statement order, and that the program reads nowhere else."""
-    written: Set[str] = set()
-    read_first: Set[str] = set()
-    reads = dict.fromkeys(facts, 0)
-    for statement, _enclosing in statements:
-        for name, is_write in _accesses(statement):
-            if is_write:
-                written.add(name)
-            elif name in facts:
+def _scan(body: Sequence[Node], names: Iterable[str]
+          ) -> Tuple[Dict[str, int], Set[str], Set[str]]:
+    """Of the containers ``names``, in the statements under ``body``: how
+    many times each is read, those with a read no earlier write covers, and
+    those written.  A write covers a read of the same subscripts when every
+    loop around it (inside ``body``) also encloses the read with the same
+    header: it then runs, in the same iteration, at the read's values of
+    its iterators (subscripts and loop bounds read no container)."""
+    reads = dict.fromkeys(names, 0)
+    uncovered: Set[str] = set()
+    writes: Dict[str, List[Tuple[tuple, tuple]]] = {}
+    # Pre-order, so in program order, with the headers of the loops around.
+    stack = [(node, ()) for node in reversed(body)]
+    while stack:
+        node, around = stack.pop()
+        if isinstance(node, Loop):
+            inner = (*around, (node.iterator, node.start, node.end, node.step))
+            stack.extend((child, inner) for child in reversed(node.body))
+            continue
+        if isinstance(node, LibraryCall):
+            # A routine reads its outputs too (``C += A @ B``), whole.
+            accessed = [(name, None) for name in (*node.inputs, *node.outputs)]
+        else:
+            accessed = [(access.array, access.indices)
+                        for expr in (*node.target.indices, node.value)
+                        for access in read_accesses(expr)]
+        for name, indices in accessed:
+            if name in reads:
                 reads[name] += 1
-                if name not in written:
-                    read_first.add(name)
-    return {name for name in written - read_first
-            if name in facts and reads[name] == facts[name]}
-
-
-def _accesses(statement: Node) -> Iterator[Tuple[str, bool]]:
-    """``(container, is_write)`` of every access of a statement, in the
-    order it makes them: its reads, then its writes."""
-    if isinstance(statement, Computation):
-        for expr in (*statement.target.indices, statement.value):
-            for access in read_accesses(expr):
-                yield access.array, False
-        yield statement.target.array, True
-    elif isinstance(statement, LibraryCall):
-        # A routine may update its outputs (``C += A @ B``): it reads them.
-        for name in (*statement.inputs, *statement.outputs):
-            yield name, False
-        for name in statement.outputs:
-            yield name, True
+                if indices is None or not any(
+                        written == indices and all(h in around for h in loops)
+                        for written, loops in writes.get(name, ())):
+                    uncovered.add(name)
+        if isinstance(node, Computation) and node.target.array in reads:
+            writes.setdefault(node.target.array, []).append(
+                (node.target.indices, around))
+    return reads, uncovered, set(writes)

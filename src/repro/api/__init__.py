@@ -16,7 +16,7 @@ blocks used by the CLOUDSC case-study pipeline — so that consumer modules
 never reach into ``repro.scheduler`` / ``repro.normalization`` directly.
 """
 
-from ..analysis.parallelism import analyze_loop_parallelism
+from ..analysis.band import BandView
 from ..interp.executor import programs_equivalent, run_program
 from ..ir.builder import ProgramBuilder
 from ..ir.nodes import Loop, Program
@@ -86,6 +86,6 @@ __all__ = [
     "CloudscConfiguration", "build_cloudsc_model", "build_erosion_kernel",
     "WEAK_SCALING_POINTS",
     # loop-level building blocks (CLOUDSC pipeline)
-    "analyze_loop_parallelism", "contract_arrays", "fuse_adjacent_loops",
+    "BandView", "contract_arrays", "fuse_adjacent_loops",
     "fuse_chains_in_body",
 ]

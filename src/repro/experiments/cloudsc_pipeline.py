@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api import (CloudscConfiguration, Loop, Program, Session,
-                   analyze_loop_parallelism, build_cloudsc_model,
-                   contract_arrays, fuse_adjacent_loops, fuse_chains_in_body)
+from ..api import (BandView, CloudscConfiguration, Loop, Program, Session,
+                   build_cloudsc_model, contract_arrays, fuse_adjacent_loops,
+                   fuse_chains_in_body)
 
 #: The versions of the model Figures 11 and 12 compare.
 VERSIONS = ("fortran", "c", "dace", "daisy")
@@ -64,7 +64,7 @@ def annotate_baseline(program: Program) -> Program:
     """
     annotated = program.copy()
     for top in annotated.top_level_loops():
-        if analyze_loop_parallelism(top, annotated).is_parallel:
+        if BandView(top, annotated).parallelism(0).is_parallel:
             top.parallel = True
         for loop in top.iter_loops():
             if not any(isinstance(child, Loop) for child in loop.body):

@@ -13,7 +13,7 @@ is executed as written.  These baselines reproduce that behavior:
 
 from __future__ import annotations
 
-from ..analysis.parallelism import analyze_loop_parallelism
+from ..analysis.band import BandView
 from ..ir.nodes import Program
 from ..transforms.parallelize import Parallelize, Vectorize
 from ..transforms.recipe import Recipe
@@ -26,8 +26,8 @@ def compiler_recipe(name: str, program: Program, index: int,
     innermost loop, and with ``auto_parallel`` run the outermost loop in
     parallel when independence can be proven."""
     recipe = Recipe(f"{name}#{index}")
-    nest = program.body[index]
-    if auto_parallel and analyze_loop_parallelism(nest, program).is_parallel:
+    if auto_parallel and BandView(program.body[index],
+                                  program).parallelism(0).is_parallel:
         recipe.add(Parallelize(index))
     recipe.add(Vectorize(index, require_unit_stride=True))
     return recipe

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..analysis.affine import computation_accesses, nest_statements
+from ..analysis.band import BandView
 from ..analysis.flops import expr_flops
-from ..analysis.parallelism import analyze_loop_parallelism
 from ..analysis.strides import _array_strides, access_stride
 from ..ir.arrays import Array
 from ..ir.nodes import Computation, LibraryCall, Loop, Program
@@ -73,8 +73,8 @@ def _loop_trips(nest: Loop, parameters: Mapping[str, int]) -> Dict[str, float]:
 def embed_nest(nest: Loop, arrays: Mapping[str, Array],
                parameters: Mapping[str, int],
                label: str = "") -> PerformanceEmbedding:
-    """Compute the performance embedding of one loop nest (compared with
-    nests of other programs, so classified as a program of its own)."""
+    """Compute the performance embedding of one loop nest (its parallel
+    loops classified with the nest as a program of its own)."""
     trips = _loop_trips(nest, parameters)
     #: Container name -> (size in bytes, element strides), looked up once.
     layouts: Dict[str, Tuple[float, Tuple[int, ...]]] = {}
@@ -128,9 +128,9 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
 
     num_accesses = zero + unit + strided + non_affine
     denominator = max(num_accesses, 1)
-    alone = Program(label, list(arrays.values()), [nest])
+    view = BandView(nest, Program(label, list(arrays.values()), [nest]))
     num_parallel = sum(1 for loop in nest.iter_loops()
-                       if analyze_loop_parallelism(loop, alone).is_parallel)
+                       if view.parallelism(loop).is_parallel)
     flops_per_iter = flops / max(total_iterations, 1.0)
 
     # np.log1p, not math.log1p: the two differ in the last bit on some

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
-from ..analysis.parallelism import analyze_loop_parallelism
+from ..analysis.band import BandView
 from ..ir.nodes import Loop, Program
 from ..normalization.fission import maximal_loop_fission
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
@@ -92,7 +92,7 @@ class TiramisuScheduler(Scheduler):
         band = nest.perfectly_nested_band()
         # Only the outer (non-reduction) part of the band must be parallel;
         # require at least the outermost loop to be parallel.
-        if not analyze_loop_parallelism(nest, program).is_parallel:
+        if not BandView(nest, program).parallelism(0).is_parallel:
             return False
         # Loop bounds must be rectangular (no dependence on outer iterators).
         iterators = {loop.iterator for loop in band}

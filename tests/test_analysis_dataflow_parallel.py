@@ -1,16 +1,21 @@
 """Tests for the dataflow summary, parallelism detection and strides."""
 
+import contextlib
+
 import pytest
 
 from helpers import build_gemm, build_stencil, build_vector_add
-from repro.analysis import (adjacent_flows, analyze_loop_parallelism,
-                            band_strides, body_dataflow, node_reads_writes,
+from repro.analysis import (BandView, adjacent_flows, band_strides,
+                            body_dataflow, nest_statements, node_reads_writes,
                             program_stride_cost)
+from repro.analysis.parallelism import (classify_iterations, container_facts,
+                                        privatizable)
 from repro.analysis.strides import DEFAULT_PARAMETER_VALUE
 from repro.ir import ProgramBuilder
 from repro.normalization import normalize_program
 from repro.workloads.polybench import build_atax_b, build_gesummv_b
-from test_parallel_soundness import scalar_left_behind, scratch_read_after
+from test_parallel_soundness import (scalar_left_behind, scratch_read_after,
+                                     triangular_scratch)
 
 
 class TestDataflow:
@@ -65,13 +70,17 @@ class TestDataflow:
 
 class TestParallelism:
     def test_vector_add_parallel(self, vector_add_program):
-        info = analyze_loop_parallelism(vector_add_program.body[0],
-                                        vector_add_program)
+        info = BandView(vector_add_program.body[0],
+                        vector_add_program).parallelism(0)
         assert info.is_parallel and not info.is_reduction
 
     def test_the_program_is_a_required_input(self, vector_add_program):
+        loop = vector_add_program.body[0]
+        children = [nest_statements(child) for child in loop.body]
         with pytest.raises(TypeError):
-            analyze_loop_parallelism(vector_add_program.body[0])
+            classify_iterations(loop.iterator, children)
+        with pytest.raises(TypeError):
+            privatizable(loop.body)
 
     def test_reduction_loop_detected(self):
         b = ProgramBuilder("p", parameters=["N"])
@@ -80,7 +89,7 @@ class TestParallelism:
         with b.loop("i", 0, "N"):
             b.accumulate(("s",), b.read("x", "i"))
         program = b.finish()
-        info = analyze_loop_parallelism(program.body[0], program)
+        info = BandView(program.body[0], program).parallelism(0)
         assert not info.is_parallel and info.is_reduction
 
     def test_sequential_recurrence(self):
@@ -89,7 +98,7 @@ class TestParallelism:
         with b.loop("i", 1, "N"):
             b.assign(("x", "i"), b.read("x", b.sym("i") - 1) + 1.0)
         program = b.finish()
-        info = analyze_loop_parallelism(program.body[0], program)
+        info = BandView(program.body[0], program).parallelism(0)
         assert not info.is_parallel and not info.is_reduction
 
     def test_privatizable_scalar_allows_parallelism(self):
@@ -101,35 +110,78 @@ class TestParallelism:
             b.assign(("tmp",), b.read("x", "i") * 2)
             b.assign(("y", "i"), b.read("tmp") + 1)
         program = b.finish()
-        info = analyze_loop_parallelism(program.body[0], program)
+        info = BandView(program.body[0], program).parallelism(0)
         assert info.is_parallel and info.requires_privatization
 
     def test_a_non_transient_scalar_is_never_privatized(self):
         program = scalar_left_behind()
-        info = analyze_loop_parallelism(program.body[0], program)
+        info = BandView(program.body[0], program).parallelism(0)
         assert not info.is_parallel and not info.requires_privatization
 
     def test_a_transient_read_after_the_loop_is_not_privatized(self):
         program = scratch_read_after()
-        info = analyze_loop_parallelism(program.body[0], program)
+        info = BandView(program.body[0], program).parallelism(0)
         assert not info.is_parallel
         # Without the later reader, each iteration's row is its own.
         del program.body[1]
-        info = analyze_loop_parallelism(program.body[0], program)
+        info = BandView(program.body[0], program).parallelism(0)
         assert info.is_parallel and info.requires_privatization
+
+    def test_a_read_of_an_element_the_iteration_did_not_write_is_not_private(self):
+        program = triangular_scratch()
+        info = BandView(program.body[0], program).parallelism(0)
+        assert not info.is_parallel
+        assert privatizable(program.body[0].body,
+                            container_facts(program)) == frozenset()
+        # Reading only ``X[0..i)``, each iteration reads its own writes.
+        program.body[0].body[1].end = program.body[0].body[0].end
+        info = BandView(program.body[0], program).parallelism(0)
+        assert info.is_parallel and info.requires_privatization
+
+    def test_a_write_covers_a_read_under_the_loops_around_it(self):
+        """``X[j]`` written under ``j`` and ``k`` covers a read of ``X[j]``
+        under ``j`` and ``k`` with the same headers, in either order; not a
+        read under ``j`` alone (``k`` may run no iteration), nor one of
+        ``X[j + 1]``."""
+        j = ("j", ProgramBuilder.sym("M") - 1)
+        k = ("k", "K")
+
+        def build(read_loops, offset):
+            b = ProgramBuilder("p", parameters=["N", "M", "K"])
+            b.add_array("A", ("N", "M"))
+            b.add_array("B", ("N", "M"))
+            b.add_array("X", ("M",), transient=True)
+            with b.loop("i", 0, "N"):
+                with b.loop("j", 0, j[1]), b.loop("k", 0, "K"):
+                    b.assign(("X", "j"), b.read("A", "i", "j"))
+                with contextlib.ExitStack() as loops:
+                    for iterator, end in read_loops:
+                        loops.enter_context(b.loop(iterator, 0, end))
+                    b.assign(("B", "i", "j"),
+                             b.read("X", b.sym("j") + offset))
+            return b.finish()
+
+        for read_loops, offset, private in (((j, k), 0, True),
+                                            ((k, j), 0, True),
+                                            ((j,), 0, False),
+                                            ((j, k), 1, False)):
+            program = build(read_loops, offset)
+            found = privatizable(program.body[0].body, container_facts(program))
+            assert found == (frozenset({"X"}) if private else frozenset()), \
+                (read_loops, offset)
 
     def test_gemm_parallel_loops(self, gemm_program):
         nest = gemm_program.body[1]
         names = [loop.iterator for loop in nest.iter_loops()
-                 if analyze_loop_parallelism(loop, gemm_program).is_parallel]
+                 if BandView(loop, gemm_program).parallelism(0).is_parallel]
         assert "i" in names and "j" in names and "k" not in names
         assert names[0] == nest.iterator == "i"
-        assert not all(analyze_loop_parallelism(loop, gemm_program).is_parallel
+        assert not all(BandView(loop, gemm_program).parallelism(0).is_parallel
                        for loop in nest.perfectly_nested_band())
 
     def test_stencil_time_loop_sequential(self, stencil_program):
-        info = analyze_loop_parallelism(stencil_program.body[0],
-                                        stencil_program)
+        info = BandView(stencil_program.body[0],
+                        stencil_program).parallelism(0)
         assert not info.is_parallel
 
 

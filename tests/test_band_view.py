@@ -21,7 +21,8 @@ from repro.analysis.dependence import (band_order_is_legal,
                                        nest_direction_vectors,
                                        permutation_is_legal)
 from repro.analysis.affine import nest_statements
-from repro.analysis.parallelism import classify_iterations, container_facts
+from repro.analysis.parallelism import (classify_iterations, container_facts,
+                                        privatizable)
 from repro.analysis.strides import _array_strides, access_stride
 from repro.api import program_content_hash
 from repro.fuzz import generate_program
@@ -113,7 +114,7 @@ def _spec_parallelism(loop, program):
                 return replace(inner, iterator=loop.iterator)
     return classify_iterations(
         loop.iterator, [nest_statements(child) for child in loop.body],
-        container_facts(program))
+        privatizable(loop.body, container_facts(program)))
 
 
 def _spec_apply(program, t):

@@ -32,7 +32,8 @@ from repro.analysis.dependence import (EQ, _access_dependences,
                                        dependences_between, is_carried,
                                        legal_permutations,
                                        nest_dependences, self_dependences)
-from repro.analysis.parallelism import classify_iterations, container_facts
+from repro.analysis.parallelism import (classify_iterations, container_facts,
+                                        privatizable)
 from repro.analysis.strides import band_strides, program_stride_cost
 from repro.api import Session
 from repro.fuzz import generate_program
@@ -320,13 +321,14 @@ class TestOneBodyScan:
                 carried = _spec_carried_dependences(loop.iterator, children)
                 assert [entry for entry in scan if is_carried(entry[2][2])] \
                     == carried, label
+                private = privatizable(loop.body, facts)
                 assert classify_iterations(loop.iterator, children,
-                                           facts).carried \
+                                           private).carried \
                     == tuple(found[:3] for *_, found in carried), label
                 # A band view asks with everything inside as one child.
                 whole = [[entry for child in children for entry in child]]
                 assert classify_iterations(loop.iterator, whole,
-                                           facts).carried == tuple(
+                                           private).carried == tuple(
                     found[:3] for *_, found
                     in _spec_carried_dependences(loop.iterator, whole)), label
                 loops += 1

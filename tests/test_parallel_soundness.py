@@ -11,9 +11,10 @@ end holding another iteration's values.
 
 The corpus is every registered scheduler over the 54 registry variants at
 ``mini`` sizes, ``fuzz:small-0..79`` and ``fuzz:medium-0..7``; CLOUDSC and
-the erosion kernel under daisy and ``annotate_baseline``; and two programs
+the erosion kernel under daisy and ``annotate_baseline``; and three programs
 the classifier once got wrong: a loop that leaves a value in a non-transient
-scalar, and one whose transient scratch array is read after it.
+scalar, one whose transient scratch array is read after it, and one that
+reads elements of its scratch array it did not write.
 """
 
 import contextlib
@@ -137,16 +138,35 @@ def scratch_read_after():
     return b.finish()
 
 
+def triangular_scratch():
+    """Each iteration of ``i`` writes ``X[0..i)`` and reads ``X[0..M)``:
+    the elements from ``i`` on hold what other iterations wrote, so ``X``
+    is not private to one and ``i`` is sequential, although ``X`` is
+    transient, written before it is read, and read nowhere else."""
+    b = ProgramBuilder("triangular_scratch", parameters=["N", "M"])
+    b.add_array("A", ("N", "M"))
+    b.add_array("B", ("N", "M"))
+    b.add_array("X", ("M",), transient=True)
+    with b.loop("i", 0, "N"):
+        with b.loop("j", 0, "i"):
+            b.assign(("X", "j"), b.read("A", "i", "j"))
+        with b.loop("j", 0, "M"):
+            b.assign(("B", "i", "j"), b.read("X", "j"))
+    return b.finish()
+
+
 HAND_BUILT = {"scalar_left_behind": scalar_left_behind,
-              "scratch_read_after": scratch_read_after}
+              "scratch_read_after": scratch_read_after,
+              "triangular_scratch": triangular_scratch}
 HAND_SIZES = {"N": 6, "M": 5}
 
 
 def test_the_reordered_run_sees_an_unsound_mark():
-    """The oracle itself: marking either hand-built loop parallel by hand
+    """The oracle itself: marking a hand-built loop parallel by hand
     changes an output, and marking a DOALL loop does not."""
     for build, output in ((scalar_left_behind, "s"),
-                          (scratch_read_after, "C")):
+                          (scratch_read_after, "C"),
+                          (triangular_scratch, "B")):
         program = build()
         program.body[0].parallel = True
         assert unsound_containers(program, HAND_SIZES) == [output]

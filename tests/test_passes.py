@@ -265,7 +265,7 @@ def _no_analysis_manager(program):
     import repro.analysis.dependence as dependence
     import repro.api
     import repro.passes
-    from repro.analysis import analyze_loop_parallelism, legal_permutations
+    from repro.analysis import legal_permutations
     from repro.analysis.band import BandView
     from repro.analysis.dependence import (nest_direction_vectors,
                                            permutation_is_legal)
@@ -306,8 +306,8 @@ def _no_analysis_manager(program):
             program, 1, frozenset(), analysis=None),
         "embed-nest-analysis": lambda: embed_nest(
             nest, program.arrays, PARAMS, analysis=None),
-        "loop-parallelism-analysis": lambda: analyze_loop_parallelism(
-            nest, program, analysis=None),
+        "loop-parallelism-analysis": lambda: BandView(
+            nest, program).parallelism(0, analysis=None),
         "nest-direction-vectors-analysis": lambda: nest_direction_vectors(
             nest, analysis=None),
         "permutation-is-legal-analysis": lambda: permutation_is_legal(

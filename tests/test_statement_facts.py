@@ -19,9 +19,9 @@ import weakref
 import pytest
 
 from helpers import nest_accesses
-from repro.analysis import (analyze_loop_parallelism, band_strides,
-                            computation_accesses, expr_flops,
-                            legal_permutations, permutation_is_legal)
+from repro.analysis import (BandView, band_strides, computation_accesses,
+                            expr_flops, legal_permutations,
+                            permutation_is_legal)
 from repro.analysis.affine import AffineAccess, decompose_index
 from repro.analysis.dependence import nest_direction_vectors
 from repro.analysis.strides import LEVEL_WEIGHT_DECAY, _array_strides
@@ -91,8 +91,8 @@ def _assert_memos_match_fresh_ir(program):
         assert (band_strides(node, program.arrays)
                 == band_strides(twin, fresh.arrays))
         for loop, other in zip(node.iter_loops(), twin.iter_loops()):
-            assert (analyze_loop_parallelism(loop, program)
-                    == analyze_loop_parallelism(other, fresh))
+            assert (BandView(loop, program).parallelism(0)
+                    == BandView(other, fresh).parallelism(0))
 
 
 def _shifted(access, rng):

@@ -18,8 +18,8 @@ from helpers import (fast_session, spec_band_strides, spec_free_symbols,
                      spec_split)
 
 from repro.analysis import affine
+from repro.analysis.band import BandView
 from repro.analysis.dependence import nest_direction_vectors
-from repro.analysis.parallelism import analyze_loop_parallelism
 from repro.analysis.strides import band_strides
 from repro.api import Session
 from repro.experiments.figure1 import LOOP_ORDERS, build_gemm_order
@@ -126,7 +126,7 @@ def test_every_split_the_analyses_ask_for_equals_a_fresh_split(monkeypatch):
                     if isinstance(node, Loop):
                         nest_direction_vectors(node)
                         for loop in node.iter_loops():
-                            analyze_loop_parallelism(loop, program)
+                            BandView(loop, program).parallelism(0)
                 embed_program(program, parameters)
     assert len(asked) > 5000 and len(accesses) > 10000
     contexts = {}
