@@ -71,12 +71,13 @@ def main():
         print("\n=== service report ===")
         for key in ("schedule_calls", "schedule_cache_hits",
                     "schedule_cache_misses", "normalization_hits",
-                    "coalesced_requests", "cache_backend", "cache_memory_hits",
+                    "cache_backend", "cache_memory_hits",
                     "cache_disk_hits", "database_version"):
             print(f"  {key:22} {report[key]}")
         service = report["service"]
         print(f"  {'service batches':22} {service['batches']} "
               f"(largest {service['largest_batch']})")
+        print(f"  {'service coalesced':22} {service['coalesced']}")
         print(f"\n{session.report().summary()}")
     session.close()
 

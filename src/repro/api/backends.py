@@ -115,9 +115,6 @@ class CacheBackend:
         """Entry counts per namespace."""
         raise NotImplementedError
 
-    def clear(self) -> None:
-        raise NotImplementedError
-
     def close(self) -> None:
         """Release resources (no-op for in-memory backends)."""
 
@@ -167,10 +164,6 @@ class MemoryCacheBackend(CacheBackend):
         with self._lock:
             return {namespace: len(store)
                     for namespace, store in self._stores.items()}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._stores.clear()
 
 
 class SQLiteCacheBackend(CacheBackend):
@@ -408,16 +401,6 @@ class SQLiteCacheBackend(CacheBackend):
             rows = self._conn.execute(
                 "SELECT namespace, COUNT(*) FROM cache GROUP BY namespace").fetchall()
             return {namespace: count for namespace, count in rows}
-
-    def clear(self) -> None:
-        def wipe() -> None:
-            self._conn.execute("DELETE FROM cache")
-            self._conn.commit()
-
-        with self._lock:
-            self._with_write_retries(wipe)
-            self._hot.clear()
-            self._dirty_seq.clear()
 
     def close(self) -> None:
         def flush() -> None:

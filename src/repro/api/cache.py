@@ -290,11 +290,5 @@ class NormalizationCache:
 
     # -- maintenance -----------------------------------------------------------------
 
-    def clear(self) -> None:
-        self.backend.clear()
-
     def close(self) -> None:
         self.backend.close()
-
-    def __len__(self) -> int:
-        return len(self.backend)

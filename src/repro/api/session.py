@@ -111,15 +111,10 @@ class Session:
             "repro_session_calls_total",
             "Session entry-point calls by kind.", ("kind",))
         #: What this session did since it was built, read off the registry
-        #: series ``/metrics`` scrapes (:meth:`report` renders it).  A
-        #: serving layer counts its coalesced rides on its own series.
+        #: series ``/metrics`` scrapes (:meth:`report` renders it).
         self._counts = CounterView({
-            **{f"{kind}_calls": calls.labels(kind)
-               for kind in ("schedule", "tune", "batch", "execute")},
-            "coalesced_requests": self.metrics.counter(
-                "repro_service_coalesced_total",
-                "Requests that rode an identical in-flight request."),
-        })
+            f"{kind}_calls": calls.labels(kind)
+            for kind in ("schedule", "tune", "batch", "execute")})
 
         self._lock = threading.RLock()
         self._schedulers: Dict[Tuple[str, int], Scheduler] = {}

@@ -350,10 +350,8 @@ class SessionReport:
     persistent backends), and ``cache_busy_retries`` counts writes that
     found the store locked by another process and had to retry — the
     contention signal of a cache file shared across processes.
-    ``coalesced_requests`` counts requests a serving
-    layer merged into an identical in-flight request instead of scheduling
-    them again, and ``database_version`` is the tuning database's content
-    version (:attr:`~repro.scheduler.database.TuningDatabase.version`).
+    ``database_version`` is the tuning database's content version
+    (:attr:`~repro.scheduler.database.TuningDatabase.version`).
 
     ``normalization_passes`` aggregates the instrumented pass results of
     every pipeline run the session's cache performed: per pass name, the
@@ -377,7 +375,6 @@ class SessionReport:
     cache_disk_hits: int = 0
     cache_writes: int = 0
     cache_busy_retries: int = 0
-    coalesced_requests: int = 0
     #: Response-level (fast-lane) cache traffic: hits were served as
     #: pre-encoded bytes without touching the session or the IR.
     response_cache_hits: int = 0
@@ -400,8 +397,6 @@ class SessionReport:
             extras += (f", {self.cache_backend} backend "
                        f"({self.cache_memory_hits} memory / "
                        f"{self.cache_disk_hits} disk hits)")
-        if self.coalesced_requests:
-            extras += f", {self.coalesced_requests} coalesced requests"
         return (f"{self.schedule_calls} schedules ({self.schedule_cache_hits} served "
                 f"from cache), {self.tune_calls} tunes, "
                 f"{self.normalization_hits}/{self.normalization_hits + self.normalization_misses} "

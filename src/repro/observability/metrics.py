@@ -395,15 +395,17 @@ class CounterView:
     fed by the same increments and cannot drift.
 
     ``counters`` maps a view attribute to a counter (or one labelled series
-    of it), ``gauges`` likewise; gauges read as they are.  Attributes and
-    :meth:`to_dict` return ints, counters first, in declaration order.
+    of it), or to a tuple of them read as their sum (a sum is counted
+    through its parts, not :meth:`inc`); ``gauges`` likewise; gauges read
+    as they are.  Attributes and :meth:`to_dict` return ints, counters
+    first, in declaration order.
     """
 
     def __init__(self, counters: Mapping[str, Any],
                  gauges: Optional[Mapping[str, Any]] = None):
         self._counters = dict(counters)
         self._gauges = dict(gauges or {})
-        self._base = {name: series.value
+        self._base = {name: _read(series)
                       for name, series in self._counters.items()}
 
     def inc(self, name: str, amount: float = 1.0) -> None:
@@ -413,7 +415,7 @@ class CounterView:
         # Only reached for names that are not instance attributes.
         if not name.startswith("_"):
             if name in self._counters:
-                return int(self._counters[name].value - self._base[name])
+                return int(_read(self._counters[name]) - self._base[name])
             if name in self._gauges:
                 return int(self._gauges[name].value)
         raise AttributeError(name)
@@ -421,6 +423,13 @@ class CounterView:
     def to_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name)
                 for name in (*self._counters, *self._gauges)}
+
+
+def _read(series: Any) -> float:
+    """A counter's value, or the sum of a tuple of counters."""
+    if isinstance(series, tuple):
+        return sum(part.value for part in series)
+    return series.value
 
 
 def _render_labels(labelnames: Sequence[str], values: Sequence[str],

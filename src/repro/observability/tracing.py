@@ -21,7 +21,6 @@ load directly.
 import contextlib
 import contextvars
 import hashlib
-import os
 import threading
 import time
 import uuid
@@ -78,7 +77,6 @@ class Span:
     end_s: float = 0.0
     attributes: Dict[str, Any] = field(default_factory=dict)
     status: str = "ok"
-    process: str = ""
     thread: int = 0
 
     def context(self) -> Dict[str, str]:
@@ -106,7 +104,6 @@ class Span:
             "duration_s": self.duration_s,
             "attributes": dict(self.attributes),
             "status": self.status,
-            "process": self.process,
             "thread": self.thread,
         }
 
@@ -169,7 +166,6 @@ class TraceRecord:
             "duration_s": self.duration_s,
             "status": self.status,
             "span_count": len(self.spans),
-            "processes": sorted({s.process for s in self.spans if s.process}),
             "attributes": dict(self.attributes),
         }
 
@@ -211,13 +207,11 @@ class Tracer:
     Thread-safe; one instance per session.
     """
 
-    def __init__(self, capacity: int = 256, process: Optional[str] = None,
-                 enabled: bool = True):
+    def __init__(self, capacity: int = 256, enabled: bool = True):
         if capacity < 1:
             raise ValueError("tracer capacity must be >= 1")
         self.capacity = capacity
         self.enabled = enabled
-        self.process = process if process is not None else f"pid-{os.getpid()}"
         self._lock = threading.RLock()
         self._open: "OrderedDict[str, List[Span]]" = OrderedDict()
         self._seq: Dict[str, int] = {}
@@ -236,8 +230,7 @@ class Tracer:
         with self._lock:
             seq = self._seq.get(trace_id, 0)
             self._seq[trace_id] = seq + 1
-        return _hash_id(
-            f"span:{trace_id}:{parent_id}:{name}:{self.process}:{seq}")
+        return _hash_id(f"span:{trace_id}:{parent_id}:{name}:{seq}")
 
     # -- span lifecycle ---------------------------------------------------
 
@@ -253,7 +246,6 @@ class Tracer:
             name=name,
             start_s=time.time() if start_s is None else start_s,
             attributes=dict(attrs) if attrs else {},
-            process=self.process,
             thread=threading.get_ident(),
         )
 
@@ -265,7 +257,7 @@ class Tracer:
         trace_id, span_id = _root_ids(request_id)
         return Span(trace_id=trace_id, span_id=span_id, parent_id=None,
                     name="request", start_s=start_s, attributes=attributes,
-                    process=self.process, thread=threading.get_ident())
+                    thread=threading.get_ident())
 
     def finish(self, span: Span, status: Optional[str] = None,
                end_s: Optional[float] = None) -> Span:
@@ -329,7 +321,6 @@ class Tracer:
             parent_id=None,
             name="",
             start_s=0.0,
-            process=self.process,
         )
         token = _ACTIVE.set((self, _SpanRef(anchor)))
         try:
@@ -451,18 +442,11 @@ def chrome_trace_document(traces) -> Dict[str, Any]:
     """Chrome trace-event JSON (``chrome://tracing`` / Perfetto loadable).
 
     ``traces`` is an iterable of :class:`TraceRecord` or trace dicts (as
-    returned by ``GET /v1/traces/<id>``).
+    returned by ``GET /v1/traces/<id>``).  Every span ran in the one
+    serving process, so every event carries pid 1.
     """
     events: List[Dict[str, Any]] = []
-    pids: Dict[str, int] = {}
     for data in _iter_span_dicts(traces):
-        process = data.get("process") or "process"
-        if process not in pids:
-            pids[process] = len(pids) + 1
-            events.append({
-                "name": "process_name", "ph": "M", "pid": pids[process],
-                "tid": 0, "args": {"name": process},
-            })
         args = dict(data.get("attributes", {}))
         args["trace_id"] = data.get("trace_id", "")
         args["status"] = data.get("status", "ok")
@@ -470,7 +454,7 @@ def chrome_trace_document(traces) -> Dict[str, Any]:
             "name": data.get("name", "span"),
             "cat": "repro",
             "ph": "X",
-            "pid": pids[process],
+            "pid": 1,
             "tid": data.get("thread", 0) % 2 ** 31,
             "ts": data.get("start_s", 0.0) * 1e6,
             "dur": max(data.get("end_s", 0.0) - data.get("start_s", 0.0),

@@ -241,13 +241,18 @@ class ServiceRunner:
         self._largest_batch = self.metrics.gauge(
             "repro_service_largest_batch",
             "High-water mark of the micro-batch size.")
+        self.admission = AdmissionController(self.config, self.metrics)
+        # Admission and the response cache already count requests, sheds
+        # and fast-lane hits: the view reads their series, restating none.
+        admitted = counter("repro_admission_admitted_total")
+        shed = counter("repro_admission_shed_total", labelnames=("reason",))
+        fast_lane = counter("repro_cache_requests_total",
+                            labelnames=("level", "outcome")
+                            ).labels("response", "hit")
         #: What this service did since it started: the view ``/v1/report``
-        #: renders from the ``repro_service_*`` instruments ``/metrics``
-        #: scrapes.
+        #: renders from the series ``/metrics`` scrapes.
         self.stats = CounterView({
-            "requests": counter(
-                "repro_service_requests_total",
-                "Requests admitted into the scheduling service."),
+            "requests": (admitted, fast_lane),
             "coalesced": counter(
                 "repro_service_coalesced_total",
                 "Requests that rode an identical in-flight request."),
@@ -256,17 +261,13 @@ class ServiceRunner:
             "scheduled": counter(
                 "repro_service_scheduled_total",
                 "Requests resolved with a schedule response."),
-            "fast_lane": counter(
-                "repro_service_fast_lane_total",
-                "Requests served from the response-level cache fast lane."),
+            "fast_lane": fast_lane,
             "errors": counter(
                 "repro_service_errors_total",
                 "Requests resolved with an exception."),
-            "rejected": counter(
-                "repro_service_rejected_total",
-                "Requests shed by admission control."),
+            "rejected": (shed.labels("queue-full"),
+                         shed.labels("client-limit")),
         }, {"largest_batch": self._largest_batch})
-        self.admission = AdmissionController(self.config, self.metrics)
         self._queue_depth = self.metrics.gauge(
             "repro_service_queue_depth",
             "Live requests in the service queue (stale entries excluded).")
@@ -375,8 +376,6 @@ class ServiceRunner:
         response = self.session.lookup_response(request, key)
         if response is None:
             return None, key, arrived
-        self.stats.inc("requests")
-        self.stats.inc("fast_lane")
         self.stats.inc("scheduled")
         timing = RequestTiming(
             total_s=max(0.0, time.perf_counter() - arrived), fast_lane=True)
@@ -409,13 +408,11 @@ class ServiceRunner:
                 try:
                     self.admission.admit(request, len(self._queue), rider)
                 except AdmissionError:
-                    self.stats.inc("rejected")
                     outcome = "shed"
                     raise
                 if root is not None:
                     tracer.record(root.trace_id, root.span_id,
                                   "service.admission", admit_wall, time.time())
-                self.stats.inc("requests")
                 started = time.perf_counter()
                 if rider:
                     self._ride(pending, request, root)
@@ -500,7 +497,7 @@ class ServiceRunner:
             copied.program.name = request.program.name
         # ``from_cache`` keeps its documented meaning (served from the
         # content-addressed cache): a rider of a cold leader was computed,
-        # not cache-served — coalescing is counted on the session report.
+        # not cache-served — rides are counted in ``stats.coalesced``.
         return ScheduleResponse(
             request=request, scheduler=response.scheduler,
             program=copied.program, result=copied,

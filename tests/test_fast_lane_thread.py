@@ -566,7 +566,6 @@ class TestSlowCacheRead:
 # -- counted, not only timed -------------------------------------------------------------
 
 FAST_LANE_INSTRUMENTS = {
-    "repro_service_requests_total", "repro_service_fast_lane_total",
     "repro_service_scheduled_total", "repro_session_calls_total",
     "repro_cache_requests_total", "repro_request_latency_seconds"}
 

@@ -330,7 +330,7 @@ def test_the_catalog_lists_every_declared_family():
         declared = session.metrics.names()
     session.close()
     assert sorted(name for name, _ in _catalog_rows()) == declared
-    assert len(declared) == 14
+    assert len(declared) == 11
 
 
 def test_every_catalog_row_names_its_reader():
@@ -391,13 +391,14 @@ class TestMetricsOverHttp:
         # Admission counters match the shed 429s; the queue is drained.
         assert prometheus_sample(parsed, "repro_admission_shed_total",
                                  reason="queue-full") == shed
-        assert prometheus_sample(parsed, "repro_service_rejected_total") \
-            == shed
         assert prometheus_sample(parsed, "repro_service_queue_depth") == 0
 
         # /v1/report renders from the same registry: the two views agree.
+        assert report["service"]["rejected"] == shed
         assert report["service"]["requests"] == prometheus_sample(
-            parsed, "repro_service_requests_total")
+            parsed, "repro_admission_admitted_total") + prometheus_sample(
+            parsed, "repro_cache_requests_total", level="response",
+            outcome="hit")
         assert report["service"]["coalesced"] == prometheus_sample(
             parsed, "repro_service_coalesced_total")
         assert report["admission"]["rejected_queue_full"] == shed
@@ -440,7 +441,7 @@ class TestMetricsOverHttp:
         assert report["service"]["requests"] == 0
         assert report["admission"]["admitted"] == 0
         cumulative = session.metrics.counter(
-            "repro_service_requests_total", "")
+            "repro_admission_admitted_total", "")
         assert cumulative.value == 1  # the scrape view never resets
         session.close()
 
@@ -498,8 +499,8 @@ class TestFastLaneObservability:
         assert report["service"]["fast_lane"] == 2
         assert report["service"]["requests"] == 4
         assert report["service"]["scheduled"] == 4
-        assert prometheus_sample(parsed, "repro_service_fast_lane_total") == 2
-        assert prometheus_sample(parsed, "repro_service_requests_total") == 4
+        assert prometheus_sample(parsed, "repro_admission_admitted_total") \
+            == 2
 
         # The session's response-cache counters tell the same story: two
         # probes missed (cold + first warm repeat), two hit.

@@ -385,7 +385,7 @@ def test_a_runner_reads_its_sessions_registry_and_tracer():
         runner.schedule(ScheduleRequest(program="p"))
     assert runner.metrics is session.metrics
     assert session.metrics.counter(
-        "repro_service_requests_total", "").value == 1
+        "repro_admission_admitted_total", "").value == 1
     assert session.metrics.counter(
         "repro_service_scheduled_total", "").value == 1
     # The stub's tracer is off: the miss opened no trace.

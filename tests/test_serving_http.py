@@ -119,8 +119,9 @@ class TestEndpoints:
         # One scheduler invocation total; everything else coalesced, hit the
         # schedule cache or took the fast lane, depending on arrival timing.
         assert report.schedule_cache_misses == 1
-        assert report.coalesced_requests + report.schedule_cache_hits \
-            + server.runner.stats.fast_lane == 5
+        stats = server.runner.stats
+        assert stats.coalesced + report.schedule_cache_hits \
+            + stats.fast_lane == 5
 
 
 class TestErrorHandling:

@@ -106,7 +106,7 @@ class TestTracerCore:
         """A caller that stops waiting (a timeout, ``stop()``) finishes its
         request's root while the batch still runs: the batch's spans land
         in the finalized trace, in order, under the one root."""
-        tracer = Tracer(process="p")
+        tracer = Tracer()
         trace_id = Tracer.trace_id_for("req-1")
         root = tracer.begin("request", trace_id, start_s=0.0)
         tracer.finish(root, end_s=1.0)
@@ -121,7 +121,7 @@ class TestTracerCore:
         assert len(record.tree()) == 1
 
     def test_chrome_document_and_jsonl_exporters(self):
-        tracer = Tracer(process="pid-test")
+        tracer = Tracer()
         with tracer.trace("request", request_id="req-1"):
             with span("child"):
                 pass
@@ -129,11 +129,10 @@ class TestTracerCore:
         doc = chrome_trace_document(records)
         assert doc["displayTimeUnit"] == "ms"
         events = doc["traceEvents"]
-        metas = [e for e in events if e["ph"] == "M"]
-        slices = [e for e in events if e["ph"] == "X"]
-        assert metas[0]["args"]["name"] == "pid-test"
-        assert len(slices) == 2
-        for event in slices:
+        # One process ran every span: one pid, no per-process metadata.
+        assert [e["ph"] for e in events] == ["X", "X"]
+        assert {e["pid"] for e in events} == {1}
+        for event in events:
             assert event["dur"] >= 0
             assert event["args"]["trace_id"] == records[0].trace_id
         # The dict form (as served by /v1/traces/<id>) renders identically.
