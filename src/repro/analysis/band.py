@@ -15,15 +15,26 @@ order of iterators, never about one candidate, so it is kept for the view's
 lifetime and shared by its :meth:`forks <BandView.fork>`.  It is the only
 analysis memo there is: a search asks its pricer's view, whose legal orders
 (``CandidateSpace.orders``) and schedules all read one derivation of the
-direction vectors.
+direction vectors, and daisy asks one view of a nest for its embedding, the
+recipe it transfers and that recipe's price.
+
+The program enters a classification only through its container facts
+(:func:`~repro.analysis.parallelism.container_facts`), which the view's
+maker hands it as :attr:`BandView.facts` — a schedule call derives them
+once — and the view derives from its program only when it was handed none.
+What a loop carries is a fact about the statements alone, so a view
+:meth:`under <BandView.under>` other facts (the nest as a program of its
+own, as an embedding classifies it) shares it.
 
 ===============================  =========================================
 fact                             keyed by
 ===============================  =========================================
 direction vectors                the band's ``(iterator, tile_of)`` order
 legality of a reordering         the band's order + the target order
-parallelism of a band loop       its iterator + the iterators inside it
-what an iteration may privatize  nothing: one per view
+what a band loop carries         its iterator + the iterators inside it
+parallelism of a band loop       the facts + its iterator + the iterators
+                                 inside it
+what an iteration may privatize  the facts: one per view and facts
 unit-stride share of a band loop its iterator
 layout of a container            its name
 accesses of a statement          the statement
@@ -43,8 +54,8 @@ from ..ir.nodes import Computation, Loop, Node, Program, read_accesses
 from ..ir.symbols import Const, Expr, Min, Sym
 from .affine import AffineAccess, computation_accesses, nest_statements
 from .dependence import Statements, band_order_is_legal, direction_vectors
-from .parallelism import (ParallelismInfo, classify_iterations, container_facts,
-                          privatizable)
+from .parallelism import (ParallelismInfo, carried_dependences,
+                          classify_carried, container_facts, privatizable)
 from .strides import _array_strides, access_stride
 
 
@@ -129,9 +140,9 @@ class BandView:
     """The perfectly nested band of ``nest`` as frames over its inner body.
 
     ``program`` (``nest``'s, or a copy of it) and ``parameters`` bind the
-    container facts (a view made only to reorder or tile needs neither).
-    The view assumes they and the subtree below the band do not change
-    while it lives.
+    containers (a view made only to reorder or tile needs neither).  The
+    view assumes they and the subtree below the band do not change while
+    it lives.
     """
 
     def __init__(self, nest: Loop, program: Optional[Program] = None,
@@ -148,8 +159,14 @@ class BandView:
         self._base: Tuple[Frame, ...] = tuple(self.frames)
         #: Whether :meth:`annotate` edited a loop below the band in place.
         self.edited_below = False
-        # The facts; forks share these dictionaries.
+        #: The :func:`~repro.analysis.parallelism.container_facts` of
+        #: ``program``: set by a maker that holds them, else derived on the
+        #: first parallelism question.
+        self.facts: Optional[Mapping[str, int]] = None
+        # The facts; forks share these dictionaries.  ``_classified`` holds
+        # what depends on ``facts`` too, ``_memo`` what the statements give.
         self._memo: Dict[Tuple, Any] = {}
+        self._classified: Dict[Tuple, Any] = {}
         self._layouts: Dict[str, Tuple[float, Tuple[int, ...]]] = {}
         self._moves: Dict[int, List[AccessMoves]] = {}
         self._pressure: Dict[int, float] = {}
@@ -162,6 +179,16 @@ class BandView:
         twin = BandView.__new__(BandView)
         twin.__dict__.update(self.__dict__)
         twin.frames = list(self.frames)
+        return twin
+
+    def under(self, facts: Mapping[str, int]) -> "BandView":
+        """A fork that classifies under container ``facts``: it shares what
+        the statements give, and the classifications too when ``facts``
+        are the view's own."""
+        twin = self.fork()
+        if facts != self.facts:
+            twin.facts = facts
+            twin._classified = {}
         return twin
 
     # -- the band ---------------------------------------------------------------------
@@ -306,11 +333,12 @@ class BandView:
         return legal
 
     def parallelism(self, target: Target) -> ParallelismInfo:
-        """:func:`~repro.analysis.parallelism.classify_iterations` of the
-        loop at ``target`` (a loop below the band asks a view of its own)."""
+        """:func:`~repro.analysis.parallelism.classify_carried` of the loop
+        at ``target`` under :attr:`facts` (a loop below the band asks a
+        view of its own, handed the same facts)."""
         if not isinstance(target, int):
             below = BandView(target, self.program)
-            below._memo[("facts",)] = self._facts()
+            below.facts = self._facts()
             return below.parallelism(0)
         frame = self.frames[target]
         inside = [inner.iterator for inner in self.frames[target + 1:]]
@@ -319,16 +347,15 @@ class BandView:
         key = ("parallelism", frame.iterator,
                frozenset(inside) if frame.tile_of in (None, frame.iterator)
                else tuple(inside))
-        info = self._memo.get(key)
+        info = self._classified.get(key)
         if info is None:
-            info = self._memo[key] = self._classify(target)
+            info = self._classified[key] = self._classify(target)
         return info
 
-    def _facts(self) -> Dict[str, int]:
-        facts = self._memo.get(("facts",))
-        if facts is None:
-            facts = self._memo[("facts",)] = container_facts(self.program)
-        return facts
+    def _facts(self) -> Mapping[str, int]:
+        if self.facts is None:
+            self.facts = container_facts(self.program)
+        return self.facts
 
     def _classify(self, target: int) -> ParallelismInfo:
         frame = self.frames[target]
@@ -338,18 +365,27 @@ class BandView:
             point = self.find(frame.tile_of, below=target + 1)
             if point is not None:
                 return replace(self.parallelism(point), iterator=frame.iterator)
-        # What an iteration may keep private is read off the inner body
-        # alone: every band loop inside the target encloses all of it.
-        private = self._memo.get(("private",))
-        if private is None:
-            private = self._memo[("private",)] = privatizable(
-                self.inner, self._facts())
         # Kept under one key whatever the order of the loops inside, so it
         # is derived in one order: theirs, sorted.
         inside = sorted(f.iterator for f in self.frames[target + 1:])
-        return classify_iterations(
-            frame.iterator,
-            [self._statements(inside)] if inside else self._children(), private)
+        children = [self._statements(inside)] if inside else self._children()
+        key = ("carried", frame.iterator, tuple(inside))
+        carried = self._memo.get(key)
+        if carried is None:
+            carried = self._memo[key] = carried_dependences(frame.iterator,
+                                                            children)
+        facts = self._facts()
+        if not any(dep[0] in facts for dep in carried):
+            # Only a transient container is ever private.
+            return classify_carried(frame.iterator, children, carried,
+                                    frozenset())
+        # What an iteration may keep private is read off the inner body
+        # alone: every band loop inside the target encloses all of it.
+        private = self._classified.get(("private",))
+        if private is None:
+            private = self._classified[("private",)] = privatizable(
+                self.inner, facts)
+        return classify_carried(frame.iterator, children, carried, private)
 
     def mostly_unit_stride(self, target: Target) -> bool:
         """True when at least half of the affine accesses under the loop at

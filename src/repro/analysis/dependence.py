@@ -233,6 +233,27 @@ def _classify(write_a: bool, write_b: bool) -> str:
 # -- public API ----------------------------------------------------------------
 
 
+def _pair_tests(accesses_a: List[Tuple[AffineAccess, frozenset]],
+                accesses_b: List[Tuple[AffineAccess, frozenset]],
+                common_iterators: Sequence[str]):
+    """``(access a, access b, (directions, distance))`` of every pair of an
+    earlier and a later access to one container, at least one a write, that
+    may depend — tested lazily, in ``product(accesses_a, accesses_b)``
+    order, so a caller can stop at the first."""
+    # Only accesses to one container can depend on each other.
+    sinks: Dict[str, List[Tuple[AffineAccess, frozenset]]] = {}
+    for entry in accesses_b:
+        sinks.setdefault(entry[0].array, []).append(entry)
+    for acc_a, private_a in accesses_a:
+        for acc_b, private_b in sinks.get(acc_a.array, ()):
+            if not (acc_a.is_write or acc_b.is_write):
+                continue
+            result = _test_access_pair(acc_a, private_a, acc_b, private_b,
+                                       common_iterators)
+            if result is not None:
+                yield acc_a, acc_b, result
+
+
 def _access_dependences(accesses_a: List[Tuple[AffineAccess, frozenset]],
                         accesses_b: List[Tuple[AffineAccess, frozenset]],
                         common_iterators: Sequence[str]
@@ -240,28 +261,16 @@ def _access_dependences(accesses_a: List[Tuple[AffineAccess, frozenset]],
                                         Tuple[Optional[int], ...]]]:
     """``(array, kind, directions, distance)`` of every distinct dependence
     from the gathered accesses of an earlier subtree to those of a later."""
-    # Only accesses to one container can depend on each other; pairs are
-    # still visited in ``product(accesses_a, accesses_b)`` order.
-    sinks: Dict[str, List[Tuple[AffineAccess, frozenset]]] = {}
-    for entry in accesses_b:
-        sinks.setdefault(entry[0].array, []).append(entry)
     found = []
     seen: Set[Tuple] = set()
-    for acc_a, private_a in accesses_a:
-        for acc_b, private_b in sinks.get(acc_a.array, ()):
-            if not (acc_a.is_write or acc_b.is_write):
-                continue
-            result = _test_access_pair(acc_a, private_a, acc_b, private_b,
-                                       common_iterators)
-            if result is None:
-                continue
-            directions, distances = result
-            kind = _classify(acc_a.is_write, acc_b.is_write)
-            key = (acc_a.array, kind, directions)
-            if key in seen:
-                continue
-            seen.add(key)
-            found.append((acc_a.array, kind, directions, distances))
+    for acc_a, acc_b, (directions, distances) in _pair_tests(
+            accesses_a, accesses_b, common_iterators):
+        kind = _classify(acc_a.is_write, acc_b.is_write)
+        key = (acc_a.array, kind, directions)
+        if key in seen:
+            continue
+        seen.add(key)
+        found.append((acc_a.array, kind, directions, distances))
     return found
 
 
@@ -321,9 +330,9 @@ def body_dependences(iterator: str, children: Sequence[Statements]
     A child's dependences on itself are reported only when the loop carries
     them, a child's on a later child all, and a later child's on an earlier
     one (backward) only when carried — in program order of the pairs, each
-    forward pair before its backward twin.  Fission reads the pairs of two
-    different children; parallelism the ones :func:`is_carried`.  Each
-    child's accesses are gathered once.
+    forward pair before its backward twin.  Parallelism reads the ones
+    :func:`is_carried`; fission only whether a pair of different children
+    has one (:func:`child_edges`).  Each child's accesses are gathered once.
     """
     common = [iterator]
     gathered = [_gather_accesses(child, common) for child in children]
@@ -336,6 +345,25 @@ def body_dependences(iterator: str, children: Sequence[Statements]
                     if source < sink or is_carried(dependence[2]):
                         found.append((source, sink, dependence))
     return found
+
+
+def child_edges(iterator: str, children: Sequence[Statements]
+                ) -> List[Tuple[int, int]]:
+    """The ``(source child, sink child)`` pairs of two different children
+    among which :func:`body_dependences` reports a dependence: a pair is
+    tested only until its first one — any for a later child's on an
+    earlier, a carried one the other way round."""
+    common = [iterator]
+    gathered = [_gather_accesses(child, common) for child in children]
+    edges = []
+    for i in range(len(gathered)):
+        for j in range(i + 1, len(gathered)):
+            if next(_pair_tests(gathered[i], gathered[j], common), None):
+                edges.append((i, j))
+            if any(is_carried(directions) for _a, _b, (directions, _distance)
+                   in _pair_tests(gathered[j], gathered[i], common)):
+                edges.append((j, i))
+    return edges
 
 
 def nest_dependences(loop: Loop) -> List[Dependence]:

@@ -7,8 +7,14 @@ the scratch arrays of scalar expansion, which each CLOUDSC block iteration
 rewrites whole.  Reductions (a read-modify-write of an element invariant in
 the loop) run in parallel with atomic updates, at a cost the performance
 model charges (the paper observes it on correlation/covariance, Section
-4.1).  A :class:`~repro.analysis.band.BandView` made with the program asks
-:func:`classify_iterations` and keeps the answer.
+4.1).
+
+What a loop carries (:func:`carried_dependences`) is read from the
+statements of its body alone; what an iteration may keep private, from the
+program around it too.  A :class:`~repro.analysis.band.BandView` keeps the
+two apart, so classifications under two sets of container facts — the
+program's, and the nest's as a program of its own — share one dependence
+test, and :func:`classify_carried` decides.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ from ..ir.nodes import (Computation, LibraryCall, Loop, Node, Program,
                         read_accesses)
 from .affine import decompose_access
 from .dependence import Statements, body_dependences, is_carried
+
+#: ``(array, kind, directions)`` of every dependence a loop carries.
+Carried = Tuple[Tuple[str, str, Tuple[str, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -35,7 +44,7 @@ class ParallelismInfo:
     is_parallel: bool
     is_reduction: bool
     #: ``(array, kind, directions)`` of every dependence the loop carries.
-    carried: Tuple[Tuple[str, str, Tuple[str, ...]], ...]
+    carried: Carried
     #: True when the loop is parallel only after privatizing containers
     #: (OpenMP ``private`` / SIMD scalar expansion).
     requires_privatization: bool = False
@@ -72,6 +81,16 @@ def privatizable(body: Sequence[Node],
                      and reads[name] == facts[name])
 
 
+def carried_dependences(iterator: str,
+                        children: Sequence[Statements]) -> Carried:
+    """``(array, kind, directions)`` of every dependence a loop over
+    ``iterator`` carries, read from ``children`` — per direct child of its
+    body, its :func:`~repro.analysis.affine.nest_statements` — alone."""
+    return tuple(found[:3] for _source, _sink, found
+                 in body_dependences(iterator, children)
+                 if is_carried(found[2]))
+
+
 def classify_iterations(iterator: str, children: Sequence[Statements],
                         private: AbstractSet[str]) -> ParallelismInfo:
     """Classify a loop over ``iterator`` from the statements of its body:
@@ -79,9 +98,17 @@ def classify_iterations(iterator: str, children: Sequence[Statements],
     :func:`~repro.analysis.affine.nest_statements` — all the classification
     reads of the loop, so a loop that was never built can be asked about —
     and ``private`` the :func:`privatizable` containers of its body."""
-    carried = tuple(found[:3] for _source, _sink, found
-                    in body_dependences(iterator, children)
-                    if is_carried(found[2]))
+    return classify_carried(iterator, children,
+                            carried_dependences(iterator, children), private)
+
+
+def classify_carried(iterator: str, children: Sequence[Statements],
+                     carried: Carried,
+                     private: AbstractSet[str]) -> ParallelismInfo:
+    """:func:`classify_iterations` given what the loop carries: it runs in
+    parallel when every container it carries a dependence through is
+    ``private``, and is a reduction when each of the others is updated in
+    place at an element invariant in ``iterator``."""
     remaining = [dep for dep in carried if dep[0] not in private]
     if not remaining:
         return ParallelismInfo(iterator, True, False, carried,

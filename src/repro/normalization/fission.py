@@ -14,7 +14,7 @@ next preserves all dependences.
 
 One bottom-up sweep is maximal.  A loop's children are split before the
 loop itself, and the statements of one SCC stay strongly connected in the
-loop of their own, because :func:`~repro.analysis.dependence.body_dependences`
+loop of their own, because :func:`~repro.analysis.dependence.child_edges`
 tests the edges pairwise.  So no loop the sweep builds can be split again.
 """
 
@@ -24,16 +24,14 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..ir.nodes import Loop, Program, loop_sites
 from ..analysis.affine import nest_statements
-from ..analysis.dependence import body_dependences
+from ..analysis.dependence import child_edges
 
 
-def _dependence_edges(loop: Loop) -> Tuple[Tuple[int, int], ...]:
-    """Child-index dependence edges of ``loop``'s body: only the index pairs
-    matter for fission legality."""
-    children = [nest_statements(child) for child in loop.body]
-    return tuple((source, sink) for source, sink, _found
-                 in body_dependences(loop.iterator, children)
-                 if source != sink)
+def _dependence_edges(loop: Loop) -> List[Tuple[int, int]]:
+    """Child-index dependence edges of ``loop``'s body: fission legality
+    reads only whether a pair of children has a dependence."""
+    return child_edges(loop.iterator,
+                       [nest_statements(child) for child in loop.body])
 
 
 def scc_groups(count: int, edges: Sequence[Tuple[int, int]]) -> List[List[int]]:

@@ -302,6 +302,10 @@ class NodePrices:
 
     A node must not change while the table holds its prices; a node edited
     in place is :meth:`forgotten <forget>`.
+
+    The table also carries the call's
+    :func:`~repro.analysis.parallelism.container_facts` of the program as
+    :attr:`facts`, which every pricer of the call hands its view.
     """
 
     def __init__(self, model: CostModel, parameters: Mapping[str, int]):
@@ -309,6 +313,10 @@ class NodePrices:
         self.parameters = parameters
         self._nodes: Dict[int, Tuple[Node, Dict[Tuple[int, FrozenSet[str]],
                                                 Priced]]] = {}
+        #: The program's container facts: derived by the call's first
+        #: pricer, dropped (``None``) when a step changes what the program
+        #: reads.
+        self.facts: Optional[Dict[str, int]] = None
 
     def _entries(self, node: Node) -> Dict[Tuple[int, FrozenSet[str]], Priced]:
         held = self._nodes.get(id(node))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..analysis.band import BandView
+from ..analysis.parallelism import container_facts
 from ..ir.nodes import Loop, Program
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..perf.model import CostModel, NodePrices, Priced
@@ -168,7 +169,10 @@ class Scheduler:
         The walk holds one :class:`~repro.perf.model.NodePrices` table for
         the call: every search of it prices a sibling nest once and records
         the nest it builds, and the result's ``runtime_s`` is :meth:`price`
-        from that table.  The table dies with the call.
+        from that table.  The table also carries the program's container
+        facts, derived once per program state: a band schedule never
+        changes what the program reads, a library call put in a nest's
+        place does.  The table dies with the call.
         """
         prices = NodePrices(self.cost_model, parameters)
         result = self.prepare(program)
@@ -182,6 +186,10 @@ class Scheduler:
                     # Still there: a recipe step that annotates a loop below
                     # the band may have edited it in place.
                     prices.forget(nest)
+                if not isinstance(scheduled.body[index], Loop):
+                    # A library call in the nest's place reads its operands
+                    # whole: what the program reads changed.
+                    prices.facts = None
         result.runtime_s = self.price(scheduled, parameters, prices)
         return result
 
@@ -216,7 +224,9 @@ class NestPricer:
     below the band) is applied to a full copy and priced whole.  Either way
     the price equals ``CostModel.estimate_seconds`` of a copy of the program
     with the recipe applied, bit for bit.  The view's facts are the search's
-    one memo: its legal orders and every candidate read them.
+    one memo: its legal orders and every candidate read them — and daisy's
+    embedding of the nest and the recipe it transfers.  The view classifies
+    under the container facts ``prices`` carries.
     """
 
     def __init__(self, cost_model: CostModel, program: Program, nest_index: int,
@@ -236,11 +246,14 @@ class NestPricer:
             cost, self._before = self.prices.cost(program, index, self._before)
             if cost is not None:
                 self._prefix += cost.time
-        #: Schedule of the nest (the view's frames) -> (modeled seconds,
-        #: what pricing the nest gave).
-        self._priced: Dict[Tuple, Tuple[float, Priced]] = {}
+        #: Schedule of the nest (the view's frames) -> what pricing the
+        #: nest gave.
+        self._priced: Dict[Tuple, Priced] = {}
         self.view = BandView(program.body[nest_index].copy().freeze(),
                              program, parameters)
+        if self.prices.facts is None:
+            self.prices.facts = container_facts(program)
+        self.view.facts = self.prices.facts
 
     def _on_view(self, recipe: Recipe) -> bool:
         """Whether ``recipe`` is band schedules of this nest only."""
@@ -262,7 +275,7 @@ class NestPricer:
                 pass  # skipped, as ``apply_recipe(strict=False)`` skips it
         return view, applied
 
-    def _priced_state(self, view: BandView) -> Tuple[float, Priced]:
+    def _priced_state(self, view: BandView) -> Priced:
         state = view.state()
         priced = self._priced.get(state)
         if priced is None:
@@ -274,13 +287,7 @@ class NestPricer:
             trial = self.program.copy()
             apply_recipe(trial, recipe, strict=False)
             return self.cost_model.estimate_seconds(trial, self.parameters)
-        return self._priced_state(self._schedule(recipe)[0])[0]
-
-    def _price(self, view: BandView) -> Tuple[float, Priced]:
-        touched = set(self._before)
-        cost = self.cost_model.estimate_node(
-            view, self.program, self.parameters, self.nest_index, touched)
-        after = names = frozenset(touched)
+        cost, names = self._priced_state(self._schedule(recipe)[0])
         total = self._prefix
         if cost is not None:
             total += cost.time
@@ -288,18 +295,26 @@ class NestPricer:
             later, names = self.prices.cost(self.program, index, names)
             if later is not None:
                 total += later.time
-        return total, (cost, after)
+        return total
+
+    def _price(self, view: BandView) -> Priced:
+        """What pricing the nest as ``view`` schedules it gives."""
+        touched = set(self._before)
+        cost = self.cost_model.estimate_node(
+            view, self.program, self.parameters, self.nest_index, touched)
+        return cost, frozenset(touched)
 
     def build(self, recipe: Recipe) -> bool:
         """Rewrite the program's nest by ``recipe`` as ``apply_recipe(...,
         strict=False)`` would, and return whether any step applied.  A
-        recipe priced as a view is built from the frames that were priced,
-        and its price joins the table."""
+        recipe of band schedules is built from the frames it schedules on
+        the view, and the nest's price joins the table (no total is priced
+        for it: the walk adds the nests up)."""
         if not self._on_view(recipe):
             return bool(apply_recipe(self.program, recipe,
                                      strict=False).applied)
         view, applied = self._schedule(recipe)
-        _seconds, priced = self._priced_state(view)
+        priced = self._priced_state(view)
         own = BandView(self.program.body[self.nest_index])
         own.frames = list(view.frames)
         # A new nest even when no frame changed: the walk forgets the

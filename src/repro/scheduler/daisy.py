@@ -28,7 +28,7 @@ from ..transforms.recipe import Recipe, apply_recipe
 from .base import (NestPricer, NestScheduleInfo, ScheduleResult, Scheduler,
                    retarget_recipe)
 from .database import TuningDatabase
-from .embedding import embed_nest
+from .embedding import embed_nest, embed_view
 from .evolutionary import EvolutionarySearch, SearchConfig
 
 #: Maximum embedding distance at which a database recipe is considered a match.
@@ -76,25 +76,28 @@ class DaisyScheduler(Scheduler):
         database under ``label``."""
         nest = program.body[index]
         label = f"{label or program.name}#{index}"
-        blas = match_blas3(nest) is not None
         # The database is the embedding's only reader: embed the nest to
         # seed the database, or to query one that holds entries (a BLAS
         # nest queries nothing, nor does a negative distance bound: no
         # transfer, no seeds).
-        embedding = None
-        if seeding or (len(self.database) and not blas
-                       and self.config.max_database_distance >= 0):
-            embedding = embed_nest(nest, program.arrays, parameters,
-                                   label=label)
+        embeds = seeding or (len(self.database) > 0
+                             and self.config.max_database_distance >= 0)
 
         # 1. BLAS-3 idiom detection on the normalized nest.
-        if blas:
+        if match_blas3(nest) is not None:
             recipe = Recipe(f"{label}:blas", [ReplaceWithLibraryCall(index)])
-            application = apply_recipe(program, recipe, strict=False)
             if seeding:
-                self.database.add(embedding, recipe)
+                self.database.add(embed_nest(nest, program.arrays, parameters,
+                                             label=label), recipe)
+            application = apply_recipe(program, recipe, strict=False)
             status = "optimized" if application.fully_applied else "failed"
             return NestScheduleInfo(index, status, recipe, "blas idiom")
+
+        # One view of the nest from here on: its embedding, the recipe it
+        # transfers or the search, and the price of what is built.
+        pricer = NestPricer(self.cost_model, program, index, parameters,
+                            prices=prices)
+        embedding = embed_view(pricer.view, label) if embeds else None
 
         # 2. Transfer tuning: nearest database entry within the distance bound.
         if not seeding and embedding is not None:
@@ -102,7 +105,7 @@ class DaisyScheduler(Scheduler):
                                              self.config.max_database_distance)
             if entry is not None:
                 recipe = retarget_recipe(entry.recipe, index)
-                if apply_recipe(program, recipe, strict=False).applied:
+                if pricer.build(recipe):
                     return NestScheduleInfo(index, "optimized", recipe,
                                             f"transfer from {entry.label}")
                 # The recipe could not be applied at all: fall through.
@@ -112,8 +115,6 @@ class DaisyScheduler(Scheduler):
         seeds = ([] if embedding is None else
                  [retarget_recipe(neighbor.recipe, index) for _distance, neighbor
                   in self.database.query(embedding, k=10)])
-        pricer = NestPricer(self.cost_model, program, index, parameters,
-                            prices=prices)
         outcome = self._search.run(pricer, seeds)
         pricer.build(outcome.recipe)
         if seeding:

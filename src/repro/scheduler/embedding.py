@@ -17,6 +17,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 from ..analysis.affine import computation_accesses, nest_statements
 from ..analysis.band import BandView
 from ..analysis.flops import expr_flops
+from ..analysis.parallelism import container_facts
 from ..analysis.strides import _array_strides, access_stride
 from ..ir.arrays import Array
 from ..ir.nodes import Computation, LibraryCall, Loop, Program
@@ -75,6 +76,15 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
                label: str = "") -> PerformanceEmbedding:
     """Compute the performance embedding of one loop nest (its parallel
     loops classified with the nest as a program of its own)."""
+    return embed_view(BandView(nest, Program(label, list(arrays.values()),
+                                             [nest]), parameters), label)
+
+
+def embed_view(view: BandView, label: str = "") -> PerformanceEmbedding:
+    """:func:`embed_nest` of the nest ``view`` was made of, at its
+    parameters, from what the view derives: the band loops are asked by
+    position, and what a loop carries is the view's one derivation."""
+    nest, arrays, parameters = view.nest, view.program.arrays, view.parameters
     trips = _loop_trips(nest, parameters)
     #: Container name -> (size in bytes, element strides), looked up once.
     layouts: Dict[str, Tuple[float, Tuple[int, ...]]] = {}
@@ -123,14 +133,19 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
         elif isinstance(node, LibraryCall):
             flops += float(node.flop_expr.evaluate(parameters))
 
-    for loop in nest.perfectly_nested_band():
+    band = nest.perfectly_nested_band()
+    for loop in band:
         total_iterations *= max(trips.get(loop.iterator, 1.0), 1.0)
 
     num_accesses = zero + unit + strided + non_affine
     denominator = max(num_accesses, 1)
-    view = BandView(nest, Program(label, list(arrays.values()), [nest]))
-    num_parallel = sum(1 for loop in nest.iter_loops()
-                       if view.parallelism(loop).is_parallel)
+    # An embedding is compared across programs: its loops are classified
+    # with the nest as a program of its own.
+    own = view.under(container_facts(Program(label, list(arrays.values()),
+                                             [nest])))
+    below = [loop for node in own.inner for loop in node.iter_loops()]
+    num_parallel = sum(1 for target in (*range(len(own.frames)), *below)
+                       if own.parallelism(target).is_parallel)
     flops_per_iter = flops / max(total_iterations, 1.0)
 
     # np.log1p, not math.log1p: the two differ in the last bit on some
@@ -139,7 +154,7 @@ def embed_nest(nest: Loop, arrays: Mapping[str, Array],
     vector = (
         float(np.log1p(total_iterations)),
         float(nest.depth()),
-        float(len(nest.perfectly_nested_band())),
+        float(len(band)),
         float(num_computations),
         float(num_accesses),
         float(min(flops_per_iter, 64.0)),

@@ -301,12 +301,19 @@ class TestDaisy:
         included), and a BLAS nest is never embedded to be looked up."""
         from repro.scheduler import daisy as daisy_module
 
+        from repro.scheduler.embedding import embed_view
+
         embedded = []
 
         def counted(nest, *args, **kwargs):
             embedded.append(kwargs["label"])
             return embed_nest(nest, *args, **kwargs)
+
+        def counted_view(view, label):
+            embedded.append(label)
+            return embed_view(view, label)
         monkeypatch.setattr(daisy_module, "embed_nest", counted)
+        monkeypatch.setattr(daisy_module, "embed_view", counted_view)
         daisy = self._daisy()
         stencil = {"TSTEPS": 10, "N": 64}
         jacobi2d_a = normalize_program(build_jacobi2d_a())
