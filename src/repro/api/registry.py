@@ -12,16 +12,19 @@ way::
     class OuterParallelScheduler(Scheduler):
         name = "outer-parallel"
 
-        def recipe_for(self, program, index):
+        def recipe_for(self, pricer):
+            index = pricer.nest_index
             return Recipe(f"{self.name}#{index}", [Parallelize(index)])
 
     @register_scheduler("outer-parallel", normalizes=True)
     def build_outer_parallel(machine=None, threads=1, **options):
         return OuterParallelScheduler(machine, threads)
 
-(:class:`~repro.scheduler.base.Scheduler` owns the walk over the nests; a
-subclass overrides ``recipe_for``, or ``schedule_nest`` / ``prepare`` /
-``price`` for more control.)
+(:class:`~repro.scheduler.base.Scheduler` owns the walk over the nests and
+builds each nest's recipe on one ``NestPricer``; a subclass overrides
+``recipe_for(pricer)`` — reading ``pricer.view`` of the nest, raising
+``Unsupported`` for a nest it leaves alone — or ``schedule_nest`` /
+``prepare`` / ``price`` for more control.)
 
 Frontends translate non-IR inputs (e.g. C-like source text) into
 :class:`~repro.ir.nodes.Program` objects and register under

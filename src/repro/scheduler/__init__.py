@@ -1,7 +1,7 @@
 """Auto-schedulers: daisy plus every baseline the paper compares against,
 and the transfer-tuning database they share (:class:`TuningDatabase`)."""
 
-from .base import (NestScheduleInfo, ScheduleResult, Scheduler,
+from .base import (NestScheduleInfo, ScheduleResult, Scheduler, Unsupported,
                    retarget_recipe)
 from .compiler_baseline import ClangScheduler, IccScheduler
 from .daisy import DaisyConfig, DaisyScheduler
@@ -14,7 +14,8 @@ from .polyhedral import PollyScheduler, nest_is_scop
 from .tiramisu import MctsConfig, TiramisuScheduler
 
 __all__ = [
-    "NestScheduleInfo", "ScheduleResult", "Scheduler", "retarget_recipe",
+    "NestScheduleInfo", "ScheduleResult", "Scheduler", "Unsupported",
+    "retarget_recipe",
     "ClangScheduler", "IccScheduler",
     "DaisyConfig", "DaisyScheduler",
     "DatabaseEntry", "TuningDatabase",

@@ -17,8 +17,8 @@ from ..analysis.parallelism import container_facts
 from ..ir.nodes import Loop, Program
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
 from ..perf.model import CostModel, NodePrices, Priced
-from ..transforms.base import BandSchedule, TransformationError, set_nest
-from ..transforms.recipe import Recipe, apply_recipe
+from ..transforms.base import BandSchedule, set_nest
+from ..transforms.recipe import Recipe, RecipeApplication, apply_recipe
 
 
 @dataclass
@@ -121,14 +121,20 @@ class ScheduleResult:
         )
 
 
+class Unsupported(Exception):
+    """Raised by :meth:`Scheduler.recipe_for` for a nest the scheduler does
+    not handle; the message is the reason."""
+
+
 class Scheduler:
     """Base class of all auto-schedulers and compiler baselines.
 
     :meth:`schedule` is the one walk over a program's top-level nests; a
     scheduler customizes it through four hooks: :meth:`prepare` (the copy the
     walk rewrites), :meth:`schedule_nest` (what happens to one nest),
-    :meth:`recipe_for` (the recipe the default ``schedule_nest`` applies) and
-    :meth:`price` (modeled seconds of the outcome).
+    :meth:`recipe_for` (the recipe the default ``schedule_nest`` builds on
+    the nest's one :class:`NestPricer`) and :meth:`price` (modeled seconds
+    of the outcome).
     """
 
     name = "scheduler"
@@ -145,8 +151,9 @@ class Scheduler:
         """The result whose program the nest walk rewrites in place."""
         return ScheduleResult(scheduler=self.name, program=program.copy())
 
-    def recipe_for(self, program: Program, index: int) -> Recipe:
-        """The recipe for the top-level nest at ``index`` of ``program``."""
+    def recipe_for(self, pricer: "NestPricer") -> Recipe:
+        """The recipe for the nest ``pricer`` prices, chosen on
+        ``pricer.view``; raises :class:`Unsupported` to leave it alone."""
         raise NotImplementedError
 
     def schedule_nest(self, program: Program, index: int,
@@ -154,8 +161,13 @@ class Scheduler:
                       prices: NodePrices) -> NestScheduleInfo:
         """Schedule the top-level nest at ``index`` of ``program`` in place.
         ``prices`` is the walk's table, for a search to price with."""
-        recipe = self.recipe_for(program, index)
-        application = apply_recipe(program, recipe, strict=False)
+        pricer = NestPricer(self.cost_model, program, index, parameters,
+                            prices=prices)
+        try:
+            recipe = self.recipe_for(pricer)
+        except Unsupported as reason:
+            return NestScheduleInfo(index, "unsupported", None, str(reason))
+        application = pricer.build(recipe)
         status = "optimized" if application.applied else "unchanged"
         detail = self.detail or "; ".join(msg for _, msg in application.failed)
         return NestScheduleInfo(index, status, recipe, detail)
@@ -209,11 +221,12 @@ class Scheduler:
 class NestPricer:
     """Modeled seconds of one program under candidate recipes for one of its
     top-level nests — how every search prices a candidate — and the nest
-    built by the recipe the search kept.
+    built by the recipe the scheduler chose (every scheduler builds its
+    nests here, see :meth:`Scheduler.schedule_nest`).
 
-    Built once per search around one :class:`~repro.analysis.band.BandView`
-    of the searched nest, over a frozen private copy of it (``program`` is
-    never frozen, and only :meth:`build` mutates it).  A recipe of band
+    Built once per nest around one :class:`~repro.analysis.band.BandView`
+    over a frozen private copy of the nest (``program`` is never frozen,
+    and only :meth:`build` mutates it).  A recipe of band
     schedules for that nest is interpreted on a fork of the view — its
     transformations run the very ``schedule`` that ``apply_recipe`` runs
     between viewing and building — and the outcome is priced as frames: no
@@ -223,10 +236,11 @@ class NestPricer:
     price.  Anything else (``Fuse``, an idiom replacement, an annotation
     below the band) is applied to a full copy and priced whole.  Either way
     the price equals ``CostModel.estimate_seconds`` of a copy of the program
-    with the recipe applied, bit for bit.  The view's facts are the search's
-    one memo: its legal orders and every candidate read them — and daisy's
-    embedding of the nest and the recipe it transfers.  The view classifies
-    under the container facts ``prices`` carries.
+    with the recipe applied, bit for bit.  The view's facts are the nest's
+    one memo: a search's legal orders and every candidate read them, and so
+    do a scheduler's ``recipe_for`` and daisy's embedding of the nest and
+    the recipe it transfers.  The view classifies under the container facts
+    ``prices`` carries.
     """
 
     def __init__(self, cost_model: CostModel, program: Program, nest_index: int,
@@ -262,18 +276,13 @@ class NestPricer:
                    and transformation.within_band(self.view)
                    for transformation in recipe)
 
-    def _schedule(self, recipe: Recipe) -> Tuple[BandView, bool]:
-        """A fork of the view with ``recipe`` scheduled on it, and whether
-        any step applied."""
+    def _schedule(self, recipe: Recipe) -> Tuple[BandView, RecipeApplication]:
+        """A fork of the view with ``recipe`` scheduled on it, and which
+        steps applied (a refusal is skipped, as ``apply_recipe`` skips it)."""
         view = self.view.fork()
-        applied = False
-        for transformation in recipe:
-            try:
-                transformation.schedule(view)
-                applied = True
-            except TransformationError:
-                pass  # skipped, as ``apply_recipe(strict=False)`` skips it
-        return view, applied
+        application = RecipeApplication(recipe)
+        application.attempt(recipe, lambda step: step.schedule(view))
+        return view, application
 
     def _priced_state(self, view: BandView) -> Priced:
         state = view.state()
@@ -304,16 +313,15 @@ class NestPricer:
             view, self.program, self.parameters, self.nest_index, touched)
         return cost, frozenset(touched)
 
-    def build(self, recipe: Recipe) -> bool:
+    def build(self, recipe: Recipe) -> RecipeApplication:
         """Rewrite the program's nest by ``recipe`` as ``apply_recipe(...,
-        strict=False)`` would, and return whether any step applied.  A
-        recipe of band schedules is built from the frames it schedules on
-        the view, and the nest's price joins the table (no total is priced
-        for it: the walk adds the nests up)."""
+        strict=False)`` would, and return what it applied and what it
+        refused.  A recipe of band schedules is built from the frames it
+        schedules on the view, and the nest's price joins the table (no
+        total is priced for it: the walk adds the nests up)."""
         if not self._on_view(recipe):
-            return bool(apply_recipe(self.program, recipe,
-                                     strict=False).applied)
-        view, applied = self._schedule(recipe)
+            return apply_recipe(self.program, recipe, strict=False)
+        view, application = self._schedule(recipe)
         priced = self._priced_state(view)
         own = BandView(self.program.body[self.nest_index])
         own.frames = list(view.frames)
@@ -322,7 +330,7 @@ class NestPricer:
         built = own.materialise()
         set_nest(self.program, self.nest_index, built)
         self.prices.record(built, self.nest_index, self._before, priced)
-        return applied
+        return application
 
 
 def retarget_recipe(recipe: Recipe, nest_index: int, name: str = "") -> Recipe:

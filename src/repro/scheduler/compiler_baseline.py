@@ -13,21 +13,19 @@ is executed as written.  These baselines reproduce that behavior:
 
 from __future__ import annotations
 
-from ..analysis.band import BandView
-from ..ir.nodes import Program
 from ..transforms.parallelize import Parallelize, Vectorize
 from ..transforms.recipe import Recipe
-from .base import Scheduler
+from .base import NestPricer, Scheduler
 
 
-def compiler_recipe(name: str, program: Program, index: int,
+def compiler_recipe(name: str, pricer: NestPricer,
                     auto_parallel: bool) -> Recipe:
     """What an optimizing compiler does to a nest as written: vectorize the
     innermost loop, and with ``auto_parallel`` run the outermost loop in
     parallel when independence can be proven."""
+    index = pricer.nest_index
     recipe = Recipe(f"{name}#{index}")
-    if auto_parallel and BandView(program.body[index],
-                                  program).parallelism(0).is_parallel:
+    if auto_parallel and pricer.view.parallelism(0).is_parallel:
         recipe.add(Parallelize(index))
     recipe.add(Vectorize(index, require_unit_stride=True))
     return recipe
@@ -38,8 +36,8 @@ class ClangScheduler(Scheduler):
 
     name = "clang"
 
-    def recipe_for(self, program: Program, index: int) -> Recipe:
-        return compiler_recipe(self.name, program, index, auto_parallel=False)
+    def recipe_for(self, pricer: NestPricer) -> Recipe:
+        return compiler_recipe(self.name, pricer, auto_parallel=False)
 
 
 class IccScheduler(Scheduler):
@@ -47,5 +45,5 @@ class IccScheduler(Scheduler):
 
     name = "icc"
 
-    def recipe_for(self, program: Program, index: int) -> Recipe:
-        return compiler_recipe(self.name, program, index, auto_parallel=True)
+    def recipe_for(self, pricer: NestPricer) -> Recipe:
+        return compiler_recipe(self.name, pricer, auto_parallel=True)

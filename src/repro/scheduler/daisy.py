@@ -105,7 +105,7 @@ class DaisyScheduler(Scheduler):
                                              self.config.max_database_distance)
             if entry is not None:
                 recipe = retarget_recipe(entry.recipe, index)
-                if pricer.build(recipe):
+                if pricer.build(recipe).applied:
                     return NestScheduleInfo(index, "optimized", recipe,
                                             f"transfer from {entry.label}")
                 # The recipe could not be applied at all: fall through.

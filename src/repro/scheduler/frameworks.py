@@ -30,7 +30,7 @@ from ..perf.model import NodePrices
 from ..transforms.fusion import fuse_producer_consumer_chains
 from ..transforms.idiom import match_blas3, build_library_call
 from ..transforms.recipe import Recipe
-from .base import NestScheduleInfo, ScheduleResult, Scheduler
+from .base import NestPricer, NestScheduleInfo, ScheduleResult, Scheduler
 from .compiler_baseline import compiler_recipe
 
 #: Interpreter dispatch cost of one NumPy operator call, seconds.
@@ -69,8 +69,8 @@ class NumpyScheduler(Scheduler):
         # NumPy element-wise operators are single threaded.
         super().__init__(machine, 1)
 
-    def recipe_for(self, program: Program, index: int) -> Recipe:
-        return compiler_recipe(self.name, program, index, auto_parallel=False)
+    def recipe_for(self, pricer: NestPricer) -> Recipe:
+        return compiler_recipe(self.name, pricer, auto_parallel=False)
 
     def price(self, program: Program, parameters: Mapping[str, int],
               prices: Optional[NodePrices] = None) -> float:
@@ -86,8 +86,8 @@ class NumbaScheduler(Scheduler):
     name = "numba"
     detail = "numba jit"
 
-    def recipe_for(self, program: Program, index: int) -> Recipe:
-        return compiler_recipe(self.name, program, index, auto_parallel=True)
+    def recipe_for(self, pricer: NestPricer) -> Recipe:
+        return compiler_recipe(self.name, pricer, auto_parallel=True)
 
 
 class DaceScheduler(Scheduler):
@@ -116,5 +116,5 @@ class DaceScheduler(Scheduler):
                                     f"library node {match.routine}")
         return super().schedule_nest(program, index, parameters, prices)
 
-    def recipe_for(self, program: Program, index: int) -> Recipe:
-        return compiler_recipe(self.name, program, index, auto_parallel=True)
+    def recipe_for(self, pricer: NestPricer) -> Recipe:
+        return compiler_recipe(self.name, pricer, auto_parallel=True)

@@ -20,16 +20,12 @@ This baseline reproduces that behavior on our IR:
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from ..analysis.affine import computation_accesses, nest_statements
-from ..analysis.band import BandView
-from ..ir.nodes import Computation, Loop, Program
-from ..perf.model import NodePrices
+from ..ir.nodes import Computation, Loop
 from ..transforms.parallelize import Parallelize, Vectorize
 from ..transforms.recipe import Recipe
 from ..transforms.tiling import Tile
-from .base import NestScheduleInfo, Scheduler
+from .base import NestPricer, Scheduler, Unsupported
 
 #: Default tile size used by Polly's isl scheduler.
 POLLY_TILE_SIZE = 32
@@ -51,16 +47,11 @@ class PollyScheduler(Scheduler):
 
     name = "polly"
 
-    def schedule_nest(self, program: Program, index: int,
-                      parameters: Mapping[str, int],
-                      prices: NodePrices) -> NestScheduleInfo:
-        if not nest_is_scop(program.body[index]):
-            return NestScheduleInfo(index, "unsupported", None, "not a SCoP")
-        return super().schedule_nest(program, index, parameters, prices)
-
-    def recipe_for(self, program: Program, index: int) -> Recipe:
+    def recipe_for(self, pricer: NestPricer) -> Recipe:
+        index, view = pricer.nest_index, pricer.view
+        if not nest_is_scop(view.nest):
+            raise Unsupported("not a SCoP")
         recipe = Recipe(f"polly#{index}")
-        view = BandView(program.body[index], program)
 
         # Tile the parallel loops of the band (Polly tiles permutable bands).
         tile_sizes = {}

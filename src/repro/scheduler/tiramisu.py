@@ -19,13 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
-from ..analysis.band import BandView
-from ..ir.nodes import Loop, Program
+from ..ir.nodes import Program
 from ..normalization.fission import maximal_loop_fission
 from ..perf.machine import DEFAULT_MACHINE, MachineModel
-from ..perf.model import NodePrices
 from ..transforms.recipe import Recipe
-from .base import NestPricer, NestScheduleInfo, ScheduleResult, Scheduler
+from .base import NestPricer, ScheduleResult, Scheduler, Unsupported
 from .evolutionary import CandidateSpace, nest_rng
 
 #: The schedule decisions the MCTS rolls out.
@@ -55,6 +53,7 @@ class TiramisuScheduler(Scheduler):
                  config: Optional[MctsConfig] = None):
         super().__init__(machine, threads)
         self.config = config or MctsConfig()
+        self.detail = f"mcts ({self.config.rollouts} rollouts)"
 
     def prepare(self, program: Program) -> ScheduleResult:
         result = super().prepare(program)
@@ -71,39 +70,22 @@ class TiramisuScheduler(Scheduler):
                                  for info in result.nests)
         return result
 
-    def schedule_nest(self, program: Program, index: int,
-                      parameters: Mapping[str, int],
-                      prices: NodePrices) -> NestScheduleInfo:
-        if not self._supported(program.body[index], program):
-            return NestScheduleInfo(index, "unsupported", None,
-                                    "not a perfectly nested parallel loop")
-        pricer = NestPricer(self.cost_model, program, index, parameters,
-                            prices=prices)
-        recipe = self._mcts(pricer)
-        status = "optimized" if pricer.build(recipe) else "unchanged"
-        return NestScheduleInfo(index, status, recipe,
-                                f"mcts ({self.config.rollouts} rollouts)")
-
-    # -- support check ------------------------------------------------------------------
-
-    def _supported(self, nest: Loop, program: Program) -> bool:
-        if not nest.is_perfect_nest():
-            return False
-        band = nest.perfectly_nested_band()
-        # Only the outer (non-reduction) part of the band must be parallel;
-        # require at least the outermost loop to be parallel.
-        if not BandView(nest, program).parallelism(0).is_parallel:
-            return False
-        # Loop bounds must be rectangular (no dependence on outer iterators).
-        iterators = {loop.iterator for loop in band}
-        return not any(loop.bound_symbols() & iterators for loop in band)
-
     # -- search -----------------------------------------------------------------------
 
-    def _mcts(self, pricer: NestPricer) -> Recipe:
+    def recipe_for(self, pricer: NestPricer) -> Recipe:
+        view = pricer.view
+        # The adapter converts perfect nests whose outermost loop is parallel
+        # (only the outer, non-reduction part of the band must be) and whose
+        # bounds are rectangular (no dependence on outer iterators).
+        iterators = set(view.order())
+        if (not view.nest.is_perfect_nest()
+                or not view.parallelism(0).is_parallel
+                or any(frame.bound_symbols() & iterators
+                       for frame in view.frames)):
+            raise Unsupported("not a perfectly nested parallel loop")
         index = pricer.nest_index
         nest = pricer.program.body[index]
-        orders = ROLLOUT_SPACE.orders(pricer.view)
+        orders = ROLLOUT_SPACE.orders(view)
         rng = nest_rng(self.config.seed, nest)
 
         # Rollouts: sample schedules, score them with the noisy surrogate.

@@ -9,7 +9,7 @@ its optimized form.  :func:`apply_recipe` is the one way to apply it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..ir.nodes import Program
 from ..analysis.band import BandView
@@ -68,6 +68,21 @@ class RecipeApplication:
         return (f"recipe {self.recipe.name!r}: applied {len(self.applied)}/"
                 f"{len(self.recipe)} transformations")
 
+    def attempt(self, steps: Iterable[Transformation],
+                run: Callable[[Transformation], Any],
+                strict: bool = False) -> None:
+        """``run`` each step in order, recording it as applied — or, when it
+        refuses, skipping it with its reason (raising when ``strict``)."""
+        for step in steps:
+            try:
+                run(step)
+            except TransformationError as error:
+                if strict:
+                    raise
+                self.failed.append((step, str(error)))
+            else:
+                self.applied.append(step)
+
 
 def apply_recipe(program: Program, recipe: Recipe,
                  strict: bool = False) -> RecipeApplication:
@@ -90,23 +105,20 @@ def apply_recipe(program: Program, recipe: Recipe,
             build_view(program, viewed, view)
             view = None
 
+    def run(transformation: Transformation) -> None:
+        nonlocal view, viewed
+        if not isinstance(transformation, BandSchedule):
+            build()
+            transformation.apply(program)
+            return
+        if view is None or transformation.nest_index != viewed:
+            build()
+            viewed = transformation.nest_index
+            view = transformation.view(program)
+        transformation.schedule(view)
+
     try:
-        for transformation in recipe.transformations:
-            try:
-                if isinstance(transformation, BandSchedule):
-                    if view is None or transformation.nest_index != viewed:
-                        build()
-                        viewed = transformation.nest_index
-                        view = transformation.view(program)
-                    transformation.schedule(view)
-                else:
-                    build()
-                    transformation.apply(program)
-                result.applied.append(transformation)
-            except TransformationError as error:
-                if strict:
-                    raise
-                result.failed.append((transformation, str(error)))
+        result.attempt(recipe, run, strict)
     finally:
         build()
     return result

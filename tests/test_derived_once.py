@@ -1,11 +1,13 @@
 """Each analysis fact of a schedule call is derived once, and each consumer
 asks only the question it needs.
 
-* A ``Session.schedule`` call with daisy — transferring from a seeded
-  database, or searching over an empty one — derives the container facts
-  of its program once per program state, what a loop carries once per
-  (nest, loop, loops inside), and its embedding asks the band loops of the
-  nest's one view by position (no view of a band loop of its own).
+* A ``Session.schedule`` call with any of the nine schedulers (daisy
+  transferring from a seeded database or searching over an empty one) —
+  derives the container facts of its program once per program state, what
+  a loop carries once per (nest, loop, loops inside), and asks the band
+  loops of a nest's one view by position (no view of a band loop of its
+  own).  Every view it makes is its pricers' or the cost model's: no
+  scheduler's hook and no ``apply_recipe`` beside the pricer views a nest.
 * Fission asks only whether a pair of children has a dependence: its edges
   are the distinct pairs of two different children that
   :func:`~repro.analysis.dependence.body_dependences` reports.
@@ -14,6 +16,7 @@ asks only the question it needs.
 """
 
 import contextlib
+import sys
 from collections import Counter
 
 import pytest
@@ -26,7 +29,7 @@ from repro.api import Session
 from repro.ir.nodes import LibraryCall, Loop
 from repro.normalization import fission
 from repro.perf import CostModel
-from repro.scheduler import SearchConfig
+from repro.scheduler import MctsConfig, SearchConfig
 from repro.scheduler import base as base_module
 from repro.scheduler import embedding as embedding_module
 from repro.scheduler.base import NestPricer, Scheduler
@@ -35,6 +38,15 @@ from repro.transforms.idiom import match_blas3
 from repro.workloads import registry as workloads
 
 FAST_SEARCH = SearchConfig(population_size=4, epochs=1, generations_per_epoch=1)
+FAST_MCTS = MctsConfig(rollouts=4, top_candidates=2)
+#: The seven baselines; with daisy and the evolutionary search, every
+#: scheduler the registry holds.
+BASELINES = ("clang", "icc", "numpy", "numba", "dace", "polly", "tiramisu")
+#: The maker of a view is the innermost function of ``repro.scheduler`` on
+#: the stack, or a view asked about a loop below its band (which views
+#: that loop).
+SCHEDULER_PACKAGE = "/repro/scheduler/"
+BELOW_THE_BAND = BandView.parallelism.__code__
 THREADS = 4
 VARIANTS = ("a", "b", "npbench")
 REGISTRY = [f"{name}:{variant}" for name in workloads.benchmark_names()
@@ -51,8 +63,9 @@ def _fuzz(size_class, count):
 class _Calls:
     """Per ``Scheduler.schedule`` call: each derivation of container facts
     (the program and the types of its top-level nodes), each dependence
-    scan of a loop (its iterator and statements), and each loop of a band
-    asked as a loop (which makes a view of its own)."""
+    scan of a loop (its iterator and statements), each loop of a band
+    asked as a loop (which makes a view of its own), and the maker of each
+    view (the innermost function of ``repro.scheduler`` on the stack)."""
 
     def __init__(self):
         self.open = None
@@ -62,6 +75,7 @@ class _Calls:
     def installed(self, monkeypatch):
         facts, scan = parallelism.container_facts, parallelism.body_dependences
         schedule, ask = Scheduler.schedule, BandView.parallelism
+        make_view = BandView.__init__
 
         def counted_facts(program):
             if self.open is not None:
@@ -85,9 +99,19 @@ class _Calls:
                 self.open["band_loops_asked"] += 1
             return ask(view, target)
 
+        def counted_view(band_view, *args, **kwargs):
+            if self.open is not None:
+                frame = sys._getframe(1)
+                while not (SCHEDULER_PACKAGE in frame.f_code.co_filename
+                           or frame.f_code is BELOW_THE_BAND):
+                    frame = frame.f_back
+                self.open["views"].append(frame.f_code.co_qualname)
+            make_view(band_view, *args, **kwargs)
+
         def counted_schedule(scheduler, program, parameters, **options):
             outer, self.open = self.open, {"facts": [], "scans": [],
-                                           "band_loops_asked": 0}
+                                           "band_loops_asked": 0,
+                                           "views": []}
             try:
                 result = schedule(scheduler, program, parameters, **options)
             finally:
@@ -103,46 +127,54 @@ class _Calls:
         monkeypatch.setattr(parallelism, "body_dependences", counted_scan)
         monkeypatch.setattr(Scheduler, "schedule", counted_schedule)
         monkeypatch.setattr(BandView, "parallelism", counted_ask)
+        monkeypatch.setattr(BandView, "__init__", counted_view)
         yield self
 
 
-def _schedule_corpus(monkeypatch, seeded):
+def _schedule_corpus(monkeypatch, scheduler, seeded):
     calls = _Calls()
-    with contextlib.closing(Session(threads=THREADS, search=FAST_SEARCH)) \
-            as session:
+    with contextlib.closing(Session(threads=THREADS, search=FAST_SEARCH,
+                                    mcts=FAST_MCTS)) as session:
         if seeded:
             session.seed(workloads.benchmark_names())
         with calls.installed(monkeypatch):
             details = Counter()
             for name in REGISTRY + _fuzz("small", 40):
-                response = session.schedule(name, scheduler="daisy")
+                response = session.schedule(name, scheduler=scheduler)
                 details.update(info.detail.split(" ")[0]
                                for info in response.result.nests)
     return calls.finished, details
 
 
-@pytest.fixture(scope="module", params=["seeded", "empty"])
-def daisy_calls(request):
+#: ``(scheduler, seeded database)`` of each counted corpus run.
+RUNS = {"daisy-seeded": ("daisy", True), "daisy-empty": ("daisy", False),
+        **{name: (name, False) for name in ("evolutionary",) + BASELINES}}
+
+
+@pytest.fixture(scope="module", params=list(RUNS))
+def schedule_calls(request):
+    scheduler, seeded = RUNS[request.param]
     with pytest.MonkeyPatch.context() as monkeypatch:
-        yield request.param, _schedule_corpus(monkeypatch,
-                                              request.param == "seeded")
+        yield request.param, _schedule_corpus(monkeypatch, scheduler, seeded)
 
 
-def test_the_corpus_takes_the_path_it_is_meant_to(daisy_calls):
-    mode, (calls, details) = daisy_calls
+def test_the_corpus_takes_the_path_it_is_meant_to(schedule_calls):
+    run, (calls, details) = schedule_calls
     assert calls
-    if mode == "seeded":
+    if run == "daisy-seeded":
         assert details["transfer"] > details["evolutionary"] > 0
-    else:
+    elif run in ("daisy-empty", "evolutionary"):
         assert details["transfer"] == 0 and details["evolutionary"] > 0
+    elif run in ("polly", "tiramisu"):
+        assert details["not"] > 0  # a nest reported unsupported
 
 
-def test_container_facts_once_per_program_state(daisy_calls):
+def test_container_facts_once_per_program_state(schedule_calls):
     """The call's program has its container facts derived once per state:
     only a library call put in a nest's place changes what it reads, and
     each other derivation is of the nest as a program of its own (an
     embedding's), once per embedded nest."""
-    _mode, (calls, _details) = daisy_calls
+    _run, (calls, _details) = schedule_calls
     derived = 0
     for call in calls:
         states = [state for program, state in call["facts"]
@@ -160,8 +192,9 @@ def test_container_facts_once_per_program_state(daisy_calls):
     assert derived
 
 
-def test_what_a_loop_carries_once_per_nest_loop_and_loops_inside(daisy_calls):
-    _mode, (calls, _details) = daisy_calls
+def test_what_a_loop_carries_once_per_nest_loop_and_loops_inside(
+        schedule_calls):
+    _run, (calls, _details) = schedule_calls
     scanned = 0
     for call in calls:
         keys = Counter(
@@ -173,9 +206,24 @@ def test_what_a_loop_carries_once_per_nest_loop_and_loops_inside(daisy_calls):
     assert scanned
 
 
-def test_the_embedding_asks_band_loops_by_position(daisy_calls):
-    _mode, (calls, _details) = daisy_calls
+def test_band_loops_are_asked_by_position(schedule_calls):
+    _run, (calls, _details) = schedule_calls
     assert sum(call["band_loops_asked"] for call in calls) == 0
+
+
+def test_a_nest_is_viewed_by_its_pricer_alone(schedule_calls):
+    """A view is made by a ``NestPricer`` (of the nest it chooses and
+    builds a recipe on, the nest it builds, a copy it prices whole, or a
+    sibling it prices), by the scheduler's final ``price`` of a nest no
+    pricer built, or by a view for a loop below its band.  No
+    ``recipe_for`` hook and no ``schedule_nest`` views a nest itself."""
+    _run, (calls, _details) = schedule_calls
+    makers = Counter(maker for call in calls for maker in call["views"])
+    assert makers["NestPricer.__init__"] > 0
+    outside = {maker for maker in makers
+               if not maker.startswith("NestPricer.")
+               and maker not in ("Scheduler.price", "BandView.parallelism")}
+    assert not outside, makers
 
 
 # -- fission asks whether an edge exists ------------------------------------------------

@@ -4,17 +4,20 @@ A search prices a schedule as ``CostModel.estimate_seconds`` of a copy of
 the program with the recipe applied, bit for bit — while the cost model
 walks each unannotated band once per search, each sibling nest is priced
 once per ``Scheduler.schedule`` call, and the winner is built from the
-frames that were priced.  daisy's evolutionary search and tiramisu's
-rollouts run over the 54 registry variants and ``fuzz:small-0..23``, and
-as they run:
+frames that were priced.  Every scheduler builds its nests on a
+``NestPricer``: daisy's evolutionary search, tiramisu's rollouts and the
+recipes of the other seven schedulers run over the 54 registry variants
+and ``fuzz:small-0..23``, and as they run:
 
-* every schedule they price equals the from-scratch price of
+* every schedule the searches price equals the from-scratch price of
   ``apply_recipe`` on a copy, and so does every neighbour of one daisy
   priced that differs from it only in its parallelize / vectorize / unroll
   steps (priced on the same pricer, so from the walk the schedule left);
-* the program the pricer builds from the winner has the ``node_fragment``
-  that ``apply_recipe`` builds, and the same steps applied;
-* ``response.runtime_s`` equals ``estimate_seconds(response.program)``.
+* the program the pricer builds from each recipe has the
+  ``node_fragment`` that ``apply_recipe`` builds, and the same steps
+  applied and refused, with the same reasons;
+* ``response.runtime_s`` equals the scheduler's from-scratch ``price`` of
+  ``response.program``.
 """
 
 import itertools
@@ -35,6 +38,8 @@ THREADS = 4
 CORPUS = ([f"{name}:{variant}" for name in workloads.benchmark_names()
            for variant in ("a", "b", "npbench")]
           + [f"fuzz:small-{seed}" for seed in range(24)])
+SCHEDULERS = ("daisy", "tiramisu", "evolutionary", "clang", "icc", "numpy",
+              "numba", "dace", "polly")
 
 
 def _parameters(name):
@@ -72,10 +77,11 @@ def _neighbours(recipe, index):
 
 @pytest.fixture(scope="module")
 def contract():
-    """Schedule the corpus with daisy and tiramisu, checking every price
-    and every build as it happens; returns what was checked."""
+    """Schedule the corpus with every scheduler, checking every price and
+    every build as it happens; returns what was checked."""
     price, build = NestPricer.price, NestPricer.build
-    counts = {"priced": 0, "neighbours": 0, "built": 0, "replies": 0}
+    counts = {"priced": 0, "neighbours": 0, "built": 0, "refused": 0,
+              "replies": 0}
     neighboured = set()
     with_neighbours = True
 
@@ -96,29 +102,31 @@ def contract():
     def checked_build(self, recipe):
         expected = self.program.copy()
         application = apply_recipe(expected, recipe, strict=False)
-        applied = build(self, recipe)
-        assert applied == bool(application.applied)
+        built = build(self, recipe)
+        assert built.applied == application.applied, recipe.to_dict()
+        assert built.failed == application.failed, recipe.to_dict()
         assert ([node_fragment(node) for node in self.program.body]
                 == [node_fragment(node) for node in expected.body])
         counts["built"] += 1
-        return applied
+        counts["refused"] += len(built.failed)
+        return built
 
     NestPricer.price, NestPricer.build = checked_price, checked_build
     try:
-        for scheduler in ("daisy", "tiramisu"):
-            # Both searches price through one NestPricer; the neighbours
-            # of one suffice.
+        for scheduler in SCHEDULERS:
+            # The searches price through one NestPricer; the neighbours of
+            # daisy's suffice.
             with_neighbours = scheduler == "daisy"
             session = Session(threads=THREADS, search=SearchConfig(
                 population_size=4, epochs=1, generations_per_epoch=1),
                 mcts=MctsConfig(rollouts=4, top_candidates=2))
-            model = CostModel(threads=THREADS)
             for name in CORPUS:
                 parameters = _parameters(name)
                 response = session.schedule(name, parameters,
                                             scheduler=scheduler)
-                assert response.runtime_s == model.estimate_seconds(
-                    response.program, parameters), (scheduler, name)
+                assert response.runtime_s == session.scheduler(
+                    scheduler).price(response.program, parameters), \
+                    (scheduler, name)
                 counts["replies"] += 1
             session.close()
     finally:
@@ -133,10 +141,11 @@ def test_every_priced_schedule_and_its_flag_neighbours(contract):
 
 def test_every_winner_is_built_as_apply_recipe_builds_it(contract):
     assert contract["built"] > 100
+    assert contract["refused"] > 100
 
 
 def test_runtime_is_the_estimate_of_the_program(contract):
-    assert contract["replies"] == 2 * len(CORPUS)
+    assert contract["replies"] == len(SCHEDULERS) * len(CORPUS)
 
 
 def test_a_cold_pass_walks_each_band_once_and_each_sibling_once():
@@ -172,9 +181,9 @@ def test_a_cold_pass_walks_each_band_once_and_each_sibling_once():
         return traffic(self)
 
     def recording_build(self, recipe):
-        applied = build(self, recipe)
+        application = build(self, recipe)
         built.add(id(self.program.body[self.nest_index]))
-        return applied
+        return application
 
     def counting_price(self, recipe):
         asked.append(recipe)
