@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import FrozenSet, Iterable, List, Mapping, Tuple
 
-from ..ir.nodes import ArrayAccess, Computation, Loop, Node, read_accesses
+from ..ir.nodes import (SLOTS, ArrayAccess, Computation, Loop, Node,
+                        read_accesses)
 from ..ir.symbols import Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, **SLOTS)
 class AffineIndex:
     """One subscript decomposed over the surrounding loop iterators.
 

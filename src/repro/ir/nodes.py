@@ -17,6 +17,7 @@ a loop nest replaced by an optimized library routine after idiom detection
 from __future__ import annotations
 
 import itertools
+import sys
 import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -148,9 +149,12 @@ class _Body(list):
 #: construction has no memo, no parent and no frozen flag to honour), and the
 #: memo slots of frozen dataclasses are filled through it.
 _set = object.__setattr__
+#: ``dataclass(slots=True)`` for the immutable value classes, where Python
+#: has it (3.10+); on 3.9 they keep a ``__dict__`` and behave the same.
+SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, **SLOTS)
 class ArrayAccess:
     """A single array access: container name plus symbolic index expressions.
 

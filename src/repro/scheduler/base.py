@@ -281,7 +281,7 @@ class NestPricer:
         steps applied (a refusal is skipped, as ``apply_recipe`` skips it)."""
         view = self.view.fork()
         application = RecipeApplication(recipe)
-        application.attempt(recipe, lambda step: step.schedule(view))
+        application.attempt(lambda step: step.schedule(view))
         return view, application
 
     def _priced_state(self, view: BandView) -> Priced:

@@ -9,7 +9,7 @@ its optimized form.  :func:`apply_recipe` is the one way to apply it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..ir.nodes import Program
 from ..analysis.band import BandView
@@ -68,12 +68,12 @@ class RecipeApplication:
         return (f"recipe {self.recipe.name!r}: applied {len(self.applied)}/"
                 f"{len(self.recipe)} transformations")
 
-    def attempt(self, steps: Iterable[Transformation],
-                run: Callable[[Transformation], Any],
+    def attempt(self, run: Callable[[Transformation], Any],
                 strict: bool = False) -> None:
-        """``run`` each step in order, recording it as applied — or, when it
-        refuses, skipping it with its reason (raising when ``strict``)."""
-        for step in steps:
+        """``run`` each step of the recipe in order, recording it as applied
+        — or, when it refuses, skipping it with its reason (raising when
+        ``strict``)."""
+        for step in self.recipe:
             try:
                 run(step)
             except TransformationError as error:
@@ -118,7 +118,7 @@ def apply_recipe(program: Program, recipe: Recipe,
         transformation.schedule(view)
 
     try:
-        result.attempt(recipe, run, strict)
+        result.attempt(run, strict)
     finally:
         build()
     return result

@@ -53,6 +53,21 @@ REGISTRY = [f"{name}:{variant}" for name in workloads.benchmark_names()
             for variant in VARIANTS]
 
 
+def _maker(frame):
+    """``Class.method`` of the function a frame runs, the class being the
+    one of its ``self`` that defines it (``co_qualname`` is 3.11+), or the
+    bare name of a function that is not a method."""
+    code = frame.f_code
+    if code is BELOW_THE_BAND:
+        return "BandView.parallelism"
+    owner = frame.f_locals.get("self")
+    for cls in type(owner).__mro__ if owner is not None else ():
+        function = cls.__dict__.get(code.co_name)
+        if getattr(function, "__code__", None) is code:
+            return f"{cls.__name__}.{code.co_name}"
+    return code.co_name
+
+
 def _fuzz(size_class, count):
     return [f"fuzz:{size_class}-{seed}" for seed in range(count)]
 
@@ -105,7 +120,7 @@ class _Calls:
                 while not (SCHEDULER_PACKAGE in frame.f_code.co_filename
                            or frame.f_code is BELOW_THE_BAND):
                     frame = frame.f_back
-                self.open["views"].append(frame.f_code.co_qualname)
+                self.open["views"].append(_maker(frame))
             make_view(band_view, *args, **kwargs)
 
         def counted_schedule(scheduler, program, parameters, **options):
