@@ -50,7 +50,8 @@ from dataclasses import replace
 from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-from ..ir.nodes import Computation, Loop, Node, Program, read_accesses
+from ..ir.nodes import (Computation, FrozenNodeError, Loop, Node, Program,
+                        read_accesses)
 from ..ir.symbols import Const, Expr, Min, Sym
 from .affine import AffineAccess, computation_accesses, nest_statements
 from .dependence import Statements, band_order_is_legal, direction_vectors
@@ -159,6 +160,9 @@ class BandView:
         self._base: Tuple[Frame, ...] = tuple(self.frames)
         #: Whether :meth:`annotate` edited a loop below the band in place.
         self.edited_below = False
+        #: Whether the view is a :meth:`fork`, which shares the subtree
+        #: below the band and so may not annotate it.
+        self.forked = False
         #: The :func:`~repro.analysis.parallelism.container_facts` of
         #: ``program``: set by a maker that holds them, else derived on the
         #: first parallelism question.
@@ -179,6 +183,7 @@ class BandView:
         twin = BandView.__new__(BandView)
         twin.__dict__.update(self.__dict__)
         twin.frames = list(self.frames)
+        twin.forked = True
         return twin
 
     def under(self, facts: Mapping[str, int]) -> "BandView":
@@ -228,12 +233,16 @@ class BandView:
 
     def annotate(self, target: Target, **flags: Any) -> None:
         """Set schedule annotations on a band frame — or, in place, on a
-        loop below the band."""
+        loop below the band, which a fork may not edit."""
         if isinstance(target, int):
             self.frames[target] = self.frames[target]._replace(**flags)
         else:
             for name, value in flags.items():
                 if getattr(target, name) != value:
+                    if self.forked:
+                        raise FrozenNodeError(
+                            f"a fork cannot annotate loop {target.iterator!r}"
+                            f" below its band: the subtree is shared")
                     setattr(target, name, value)
                     self.edited_below = True
 

@@ -77,8 +77,6 @@ class CacheBackend:
 
     #: Short identifier surfaced in ``Session.report()``.
     name = "backend"
-    #: True when entries survive the process (drives report bookkeeping).
-    persistent = False
 
     def __init__(self) -> None:
         self.stats = BackendStats()
@@ -126,7 +124,6 @@ class MemoryCacheBackend(CacheBackend):
     """Per-namespace ``OrderedDict`` LRU stores holding live objects."""
 
     name = "memory"
-    persistent = False
 
     def __init__(self, max_entries: int = 1024):
         super().__init__()
@@ -196,7 +193,6 @@ class SQLiteCacheBackend(CacheBackend):
     """
 
     name = "sqlite"
-    persistent = True
 
     _SCHEMA = """
         CREATE TABLE IF NOT EXISTS cache (

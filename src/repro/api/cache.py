@@ -165,7 +165,6 @@ class NormalizationCache:
         # ``if backend is not None``, not ``or``: an empty backend is falsy
         # through ``__len__`` and must still win over the default.
         self.backend = backend if backend is not None else MemoryCacheBackend(max_entries)
-        self.max_entries = getattr(self.backend, "max_entries", max_entries)
         self.backend.bind(NORMALIZED_NAMESPACE,
                           _encode_normalized, _decode_normalized)
         self.backend.bind(SCHEDULE_NAMESPACE, _encode_schedule, _decode_schedule)

@@ -225,16 +225,17 @@ class NestPricer:
     nests here, see :meth:`Scheduler.schedule_nest`).
 
     Built once per nest around one :class:`~repro.analysis.band.BandView`
-    over a frozen private copy of the nest (``program`` is never frozen,
-    and only :meth:`build` mutates it).  A recipe of band
-    schedules for that nest is interpreted on a fork of the view — its
-    transformations run the very ``schedule`` that ``apply_recipe`` runs
-    between viewing and building — and the outcome is priced as frames: no
-    loop is built, the other top-level nodes come from ``prices`` (the
-    walk's :class:`~repro.perf.model.NodePrices`, or a table private to
-    this pricer), and recipes that end in the same schedule share one
-    price.  Anything else (``Fuse``, an idiom replacement, an annotation
-    below the band) is applied to a full copy and priced whole.  Either way
+    of the program's own nest (only :meth:`build` mutates the program).  A
+    recipe of band schedules for that nest is interpreted on a fork of the
+    view, which edits frames of its own and cannot annotate the subtree
+    below the band — its transformations run the very ``schedule`` that
+    ``BandSchedule.apply`` runs between viewing and building — and the
+    outcome is priced as frames: no loop is built, the other top-level
+    nodes come from ``prices`` (the walk's
+    :class:`~repro.perf.model.NodePrices`, or a table private to this
+    pricer), and recipes that end in the same schedule share one price.
+    Anything else (``Fuse``, an idiom replacement, an annotation below the
+    band) is applied to a full copy and priced whole.  Either way
     the price equals ``CostModel.estimate_seconds`` of a copy of the program
     with the recipe applied, bit for bit.  The view's facts are the nest's
     one memo: a search's legal orders and every candidate read them, and so
@@ -263,8 +264,7 @@ class NestPricer:
         #: Schedule of the nest (the view's frames) -> what pricing the
         #: nest gave.
         self._priced: Dict[Tuple, Priced] = {}
-        self.view = BandView(program.body[nest_index].copy().freeze(),
-                             program, parameters)
+        self.view = BandView(program.body[nest_index], program, parameters)
         if self.prices.facts is None:
             self.prices.facts = container_facts(program)
         self.view.facts = self.prices.facts
@@ -316,18 +316,16 @@ class NestPricer:
     def build(self, recipe: Recipe) -> RecipeApplication:
         """Rewrite the program's nest by ``recipe`` as ``apply_recipe(...,
         strict=False)`` would, and return what it applied and what it
-        refused.  A recipe of band schedules is built from the frames it
-        schedules on the view, and the nest's price joins the table (no
-        total is priced for it: the walk adds the nests up)."""
+        refused.  A recipe of band schedules is built from the fork it was
+        priced on, and the nest's price joins the table (no total is priced
+        for it: the walk adds the nests up)."""
         if not self._on_view(recipe):
             return apply_recipe(self.program, recipe, strict=False)
         view, application = self._schedule(recipe)
         priced = self._priced_state(view)
-        own = BandView(self.program.body[self.nest_index])
-        own.frames = list(view.frames)
         # A new nest even when no frame changed: the walk forgets the
         # prices of a nest that is still there (it may be edited in place).
-        built = own.materialise()
+        built = view.materialise()
         set_nest(self.program, self.nest_index, built)
         self.prices.record(built, self.nest_index, self._before, priced)
         return application

@@ -9,12 +9,10 @@ its optimized form.  :func:`apply_recipe` is the one way to apply it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..ir.nodes import Program
-from ..analysis.band import BandView
-from .base import (BandSchedule, Transformation, TransformationError,
-                   build_view)
+from .base import Transformation, TransformationError
 
 
 @dataclass
@@ -86,7 +84,8 @@ class RecipeApplication:
 
 def apply_recipe(program: Program, recipe: Recipe,
                  strict: bool = False) -> RecipeApplication:
-    """Apply a recipe to ``program`` in place.
+    """Apply a recipe to ``program`` in place, one step at a time (a band
+    schedule views its nest, schedules the view and builds it).
 
     With ``strict=True`` the first illegal transformation raises; otherwise
     illegal transformations are recorded and skipped — mirroring the paper's
@@ -94,31 +93,5 @@ def apply_recipe(program: Program, recipe: Recipe,
     nest does not reduce to an A loop nest.
     """
     result = RecipeApplication(recipe=recipe)
-    # Consecutive band schedules of one nest edit one view of it, built into
-    # loops once — when something else comes next, or at the end.
-    view: Optional[BandView] = None
-    viewed = -1
-
-    def build() -> None:
-        nonlocal view
-        if view is not None:
-            build_view(program, viewed, view)
-            view = None
-
-    def run(transformation: Transformation) -> None:
-        nonlocal view, viewed
-        if not isinstance(transformation, BandSchedule):
-            build()
-            transformation.apply(program)
-            return
-        if view is None or transformation.nest_index != viewed:
-            build()
-            viewed = transformation.nest_index
-            view = transformation.view(program)
-        transformation.schedule(view)
-
-    try:
-        result.attempt(run, strict)
-    finally:
-        build()
+    result.attempt(lambda step: step.apply(program), strict)
     return result

@@ -37,8 +37,9 @@ from repro.scheduler.base import NestPricer
 from repro.scheduler.evolutionary import SEARCH_SPACE
 from repro.scheduler.tiramisu import ROLLOUT_SPACE
 from repro.transforms import (Fuse, Interchange, Parallelize, Recipe,
-                              ReplaceWithLibraryCall, Tile, TransformationError,
-                              Unroll, Vectorize, apply_recipe)
+                              RecipeApplication, ReplaceWithLibraryCall, Tile,
+                              TransformationError, Unroll, Vectorize,
+                              apply_recipe)
 from repro.workloads import registry as workloads
 
 from test_scheduler import GOLDEN_PATH
@@ -606,30 +607,33 @@ class TestNothingIsMutated:
         assert not any(loop.frozen for loop in program.iter_loops())
         assert not any(comp.frozen for comp in program.iter_computations())
         # The pricer's view: its own frames untouched by the forks, its
-        # subtree a frozen private copy.
+        # statements the program's.
         assert pricer.view.state() == before
         shared = [comp for node in pricer.view.inner
                   for comp in node.iter_computations()]
         originals = list(nodes[index].iter_computations())
-        assert all(copy is not original and copy.frozen
-                   for copy, original in zip(shared, originals))
-        with pytest.raises(FrozenNodeError):
-            shared[0].value = shared[0].value + 1
-        with pytest.raises(FrozenNodeError):
-            pricer.view.inner.append(shared[0])
+        assert shared and len(shared) == len(originals)
+        assert all(mine is theirs for mine, theirs in zip(shared, originals))
 
     def test_an_annotation_below_the_band_cannot_reach_the_shared_subtree(self):
-        """Such a recipe is priced on a full copy; run on the pricer's view
-        all the same, it raises instead of leaking into other candidates."""
+        """Such a recipe is priced on a full copy; run on a fork of the
+        pricer's view all the same, it raises — not as a refusal a recipe
+        would skip — instead of editing the program's nest."""
         program = _imperfect()
         pricer = NestPricer(CostModel(threads=4), program, 1,
                             {"N": 30, "M": 20})
         below = Unroll(1, "k", 4)
         assert not below.within_band(pricer.view)
+        fork = pricer.view.fork()
         with pytest.raises(FrozenNodeError):
-            below.schedule(pricer.view.fork())
+            RecipeApplication(Recipe("below", [below])).attempt(
+                lambda step: step.schedule(fork))
+        assert not fork.edited_below
         assert all(loop.unroll == 1 for node in pricer.view.inner
                    for loop in node.iter_loops())
+        assert all(loop.unroll == 1 for loop in program.iter_loops())
+        # The pricer's own view is the program's nest, not a copy of it.
+        assert pricer.view.nest is program.body[1]
 
 
 # -- priced candidates are executed ---------------------------------------------------------

@@ -7,7 +7,9 @@ asks only the question it needs.
   a loop carries once per (nest, loop, loops inside), and asks the band
   loops of a nest's one view by position (no view of a band loop of its
   own).  Every view it makes is its pricers' or the cost model's: no
-  scheduler's hook and no ``apply_recipe`` beside the pricer views a nest.
+  scheduler's hook and no ``apply_recipe`` beside the pricer views a nest,
+  and a pricer builds the nest from the view it priced (a compiler
+  baseline views each nest once).
 * Fission asks only whether a pair of children has a dependence: its edges
   are the distinct pairs of two different children that
   :func:`~repro.analysis.dependence.body_dependences` reports.
@@ -16,6 +18,7 @@ asks only the question it needs.
 """
 
 import contextlib
+import functools
 import sys
 from collections import Counter
 
@@ -55,14 +58,16 @@ REGISTRY = [f"{name}:{variant}" for name in workloads.benchmark_names()
 
 def _maker(frame):
     """``Class.method`` of the function a frame runs, the class being the
-    one of its ``self`` that defines it (``co_qualname`` is 3.11+), or the
-    bare name of a function that is not a method."""
+    one of its ``self`` that defines it (``co_qualname`` is 3.11+; a
+    counting wrapper stands for what it wraps), or the bare name of a
+    function that is not a method."""
     code = frame.f_code
     if code is BELOW_THE_BAND:
         return "BandView.parallelism"
     owner = frame.f_locals.get("self")
     for cls in type(owner).__mro__ if owner is not None else ():
         function = cls.__dict__.get(code.co_name)
+        function = getattr(function, "__wrapped__", function)
         if getattr(function, "__code__", None) is code:
             return f"{cls.__name__}.{code.co_name}"
     return code.co_name
@@ -90,7 +95,7 @@ class _Calls:
     def installed(self, monkeypatch):
         facts, scan = parallelism.container_facts, parallelism.body_dependences
         schedule, ask = Scheduler.schedule, BandView.parallelism
-        make_view = BandView.__init__
+        make_view, make_pricer = BandView.__init__, NestPricer.__init__
 
         def counted_facts(program):
             if self.open is not None:
@@ -123,10 +128,16 @@ class _Calls:
                 self.open["views"].append(_maker(frame))
             make_view(band_view, *args, **kwargs)
 
+        @functools.wraps(make_pricer)
+        def counted_pricer(pricer, *args, **kwargs):
+            if self.open is not None:
+                self.open["pricers"] += 1
+            make_pricer(pricer, *args, **kwargs)
+
         def counted_schedule(scheduler, program, parameters, **options):
             outer, self.open = self.open, {"facts": [], "scans": [],
                                            "band_loops_asked": 0,
-                                           "views": []}
+                                           "views": [], "pricers": 0}
             try:
                 result = schedule(scheduler, program, parameters, **options)
             finally:
@@ -143,6 +154,7 @@ class _Calls:
         monkeypatch.setattr(Scheduler, "schedule", counted_schedule)
         monkeypatch.setattr(BandView, "parallelism", counted_ask)
         monkeypatch.setattr(BandView, "__init__", counted_view)
+        monkeypatch.setattr(NestPricer, "__init__", counted_pricer)
         yield self
 
 
@@ -228,17 +240,26 @@ def test_band_loops_are_asked_by_position(schedule_calls):
 
 def test_a_nest_is_viewed_by_its_pricer_alone(schedule_calls):
     """A view is made by a ``NestPricer`` (of the nest it chooses and
-    builds a recipe on, the nest it builds, a copy it prices whole, or a
-    sibling it prices), by the scheduler's final ``price`` of a nest no
-    pricer built, or by a view for a loop below its band.  No
-    ``recipe_for`` hook and no ``schedule_nest`` views a nest itself."""
-    _run, (calls, _details) = schedule_calls
+    builds a recipe on, a copy it prices whole, or a sibling it prices), by
+    the scheduler's final ``price`` of a nest no pricer built, or by a view
+    for a loop below its band.  No ``recipe_for`` hook and no
+    ``schedule_nest`` views a nest itself, and ``build`` materialises the
+    view it priced instead of viewing the nest again: clang, icc, numpy
+    and numba, which choose one recipe per nest, make as many views as
+    pricers, one per loop nest."""
+    run, (calls, _details) = schedule_calls
     makers = Counter(maker for call in calls for maker in call["views"])
     assert makers["NestPricer.__init__"] > 0
+    assert makers["NestPricer.build"] == 0, makers
     outside = {maker for maker in makers
                if not maker.startswith("NestPricer.")
                and maker not in ("Scheduler.price", "BandView.parallelism")}
     assert not outside, makers
+    if run not in ("clang", "icc", "numpy", "numba"):
+        return
+    for call in calls:
+        nests = sum(isinstance(node, Loop) for node in call["program"].body)
+        assert len(call["views"]) == call["pricers"] == nests, call["views"]
 
 
 # -- fission asks whether an edge exists ------------------------------------------------

@@ -410,30 +410,32 @@ class TestSharedStatementPricer:
         # The sample did contain candidates a transformation refused.
         assert refused > priced // 10
 
-    def test_candidates_share_one_frozen_copy_of_the_statements(self):
-        """What a candidate copies is the frames; a transformation that tried
-        to rewrite a shared statement would raise instead of corrupting the
-        other candidates."""
+    def test_candidates_share_the_programs_statements(self):
+        """What a candidate copies is the frames: the pricer views the
+        program's own nest, and six interchanges priced on forks of the view
+        leave the program, its statements and the view's frames alone."""
         program = normalize_program(generate_program(3, "medium").program)
         parameters = generate_program(3, "medium").parameters
         index = next(i for i, node in enumerate(program.body)
                      if isinstance(node, Loop))
+        nodes = list(program.body)
+        fragments = [node_fragment(node) for node in nodes]
         pricer = NestPricer(CostModel(threads=4), program, index, parameters)
+        frames = pricer.view.state()
+        orders = itertools.cycle(itertools.permutations(
+            lp.iterator for lp in nodes[index].perfectly_nested_band()))
+        for order in itertools.islice(orders, 6):
+            pricer.price(Recipe("r", [Interchange(index, list(order))]))
+        # The view's statements are the program's.
         shared = [comp for node in pricer.view.inner
                   for comp in node.iter_computations()]
-        originals = list(program.body[index].iter_computations())
-        assert all(comp.frozen for comp in shared)
-        assert not any(comp.frozen for comp in originals)
-        assert all(copy is not original and copy.value is original.value
-                   for copy, original in zip(shared, originals))
-        # The loops below the band are as shared as the statements.
-        assert all(loop.frozen for node in pricer.view.inner
-                   for loop in node.iter_loops())
-        with pytest.raises(FrozenNodeError):
-            shared[0].value = shared[0].value + 1
-        orders = list(itertools.permutations(
-            lp.iterator for lp in program.body[index].perfectly_nested_band()))
-        before = [node_fragment(comp) for comp in shared]
-        for order in orders[:6]:
-            pricer.price(Recipe("r", [Interchange(index, list(order))]))
-        assert [node_fragment(comp) for comp in shared] == before
+        originals = list(nodes[index].iter_computations())
+        assert shared and len(shared) == len(originals)
+        assert all(mine is theirs for mine, theirs in zip(shared, originals))
+        # The program: same objects, same content, nothing frozen.
+        assert all(now is was for now, was in zip(program.body, nodes))
+        assert [node_fragment(node) for node in nodes] == fragments
+        assert not any(loop.frozen for loop in program.iter_loops())
+        assert not any(comp.frozen for comp in program.iter_computations())
+        # The pricer's own frames: untouched by the forks.
+        assert pricer.view.state() == frames
