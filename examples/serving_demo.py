@@ -75,8 +75,7 @@ def main():
                     "cache_disk_hits", "database_version"):
             print(f"  {key:22} {report[key]}")
         service = report["service"]
-        print(f"  {'service batches':22} {service['batches']} "
-              f"(largest {service['largest_batch']})")
+        print(f"  {'service scheduled':22} {service['scheduled']}")
         print(f"  {'service coalesced':22} {service['coalesced']}")
         print(f"\n{session.report().summary()}")
     session.close()

@@ -19,14 +19,14 @@ The package is organized in layers:
   transfer-tuning database.
 * :mod:`repro.workloads` — PolyBench A/B variants, NPBench variants, CLOUDSC proxy.
 * :mod:`repro.api` — the unified Session facade: pluggable scheduler and
-  frontend registries, a content-addressed normalization cache over
-  pluggable backends, and batch scheduling.  **New code should go through
+  frontend registries and a content-addressed normalization, schedule and
+  response cache over pluggable backends.  **New code should go through
   this layer.**
 * :mod:`repro.observability` — dependency-free metrics (counters, gauges,
   per-priority latency histograms) with Prometheus text rendering, request
   traces and a queue-saturation alert.
 * :mod:`repro.serving` — the scheduling service: priority queue, admission
-  control, micro-batching over one in-process session, HTTP endpoint
+  control, one request at a time over one in-process session, HTTP endpoint
   (``/metrics`` included), and CLI.
 * :mod:`repro.experiments` — per-figure/table reproduction harnesses.
 

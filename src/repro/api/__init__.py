@@ -3,8 +3,8 @@
 This package is the one blessed entry point for every consumer (experiments,
 examples, benchmarks, services): a :class:`Session` bundles the frontend →
 normalize → schedule → measure pipeline behind typed requests/responses, a
-content-addressed normalization cache, one shared transfer-tuning database,
-and batch scheduling (a batch replies exactly like sequential calls).
+content-addressed normalization cache, and one shared transfer-tuning
+database.
 
 Plugins register through :func:`register_scheduler` / :func:`register_frontend`;
 all built-in schedulers (daisy, polly, clang, icc, tiramisu, numpy, numba,

@@ -1,6 +1,6 @@
 """Content-addressed normalization and schedule caching.
 
-The cache has two levels, both keyed by content hashes
+The cache has three levels, all keyed by content hashes
 (:mod:`repro.api.hashing`) and safe to share across threads (a serving
 layer's handler threads read it while its batcher schedules):
 
@@ -157,7 +157,7 @@ def _decode_response(payload: str) -> ResponseEntry:
 
 
 class NormalizationCache:
-    """Two-level content-addressed cache shared by one (or more) sessions."""
+    """Three-level content-addressed cache shared by one (or more) sessions."""
 
     def __init__(self, max_entries: int = 1024,
                  backend: Optional[CacheBackend] = None,

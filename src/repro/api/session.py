@@ -17,9 +17,8 @@ Typical use::
     response = session.schedule("gemm:b")       # served via transfer tuning
     print(response.summary(), session.report().summary())
 
-``schedule_batch`` schedules a list of workloads in order through
-``schedule``, sharing the same cache and database, which is the seam the
-serving layer's micro-batches run through.
+Many workloads are scheduled by a loop over ``schedule``; the serving
+layer's batcher thread schedules each queued request the same way.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import contextlib
 import json
 import threading
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+                    Optional, Tuple, Union)
 
 from ..interp.executor import programs_equivalent, run_program
 from ..ir.nodes import Program
@@ -56,11 +55,6 @@ from .types import (ExecuteResponse, NormalizeResponse, ProgramLike,
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for annotations
     import numpy as np
-
-#: Items accepted by :meth:`Session.schedule_batch`.
-BatchItem = Union[ScheduleRequest, ProgramLike,
-                  Tuple[ProgramLike, Mapping[str, int]]]
-
 
 class Session:
     """One configured pipeline instance; thread-safe, so serving threads
@@ -114,7 +108,7 @@ class Session:
         #: series ``/metrics`` scrapes (:meth:`report` renders it).
         self._counts = CounterView({
             f"{kind}_calls": calls.labels(kind)
-            for kind in ("schedule", "tune", "batch", "execute")})
+            for kind in ("schedule", "tune", "execute")})
 
         self._lock = threading.RLock()
         self._schedulers: Dict[Tuple[str, int], Scheduler] = {}
@@ -431,7 +425,7 @@ class Session:
     # -- response fast lane -------------------------------------------------------------
     #
     # The response cache is a serving-side level *around* schedule(): a
-    # serving layer reads it before admission and writes it after a batch.
+    # serving layer reads it before admission and writes it after a schedule.
 
     def _response_key(self, request: ScheduleRequest,
                       key: Optional[str] = None) -> Optional[str]:
@@ -498,59 +492,12 @@ class Session:
             after = after[:cut] + "}"
         self.cache.store_response(key, ResponseEntry(text[:start], after))
 
-    # -- batching ---------------------------------------------------------------------
-
-    def schedule_batch(self, items: Sequence[BatchItem],
-                       return_exceptions: bool = False) -> List[ScheduleResponse]:
-        """Schedule many programs, one after another, through :meth:`schedule`.
-
-        A batch is a loop: results come back in input order and equal
-        sequential ``schedule()`` calls byte for byte, ``from_cache`` and
-        ``normalization_cache_hit`` included — a later item is served from
-        the cache entries an earlier one stored.
-
-        With ``return_exceptions=True`` a failing item yields its exception
-        in the result list instead of aborting the whole batch (the serving
-        layer uses this so one bad request cannot fail its batchmates).
-        Tune items are rejected either way: tuning mutates the database and
-        is issued on its own.
-        """
-        requests = [self._as_request(item) for item in items]
-        tune_message = ("tune requests mutate the database and must "
-                        "be issued sequentially, not via schedule_batch")
-        if not return_exceptions:
-            for request in requests:
-                if request.tune:
-                    raise ValueError(tune_message)
-        self._counts.inc("batch_calls")
-        responses: List[Any] = []
-        for request in requests:
-            if request.tune:          # only with return_exceptions (see above)
-                responses.append(ValueError(tune_message))
-                continue
-            try:
-                responses.append(self.schedule(request))
-            except Exception as error:  # noqa: BLE001 - handed to caller
-                if not return_exceptions:
-                    raise
-                responses.append(error)
-        return responses
-
     def close(self) -> None:
         """Release the cache backend if this session created it (an injected
         ``cache_backend=`` may be shared with other sessions and stays open).
         Idempotent."""
         if self._owns_cache:
             self.cache.close()
-
-    @staticmethod
-    def _as_request(item: BatchItem) -> ScheduleRequest:
-        if isinstance(item, ScheduleRequest):
-            return item
-        if isinstance(item, tuple):
-            program, parameters = item
-            return ScheduleRequest(program=program, parameters=parameters)
-        return ScheduleRequest(program=item)
 
     # -- measurement and execution ----------------------------------------------------
 

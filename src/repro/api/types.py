@@ -2,7 +2,7 @@
 
 Consumers used to pass ad-hoc ``(program, parameters)`` tuples around and
 unpack ``(program, report)`` results; the facade instead speaks small
-dataclasses that serialize to plain dictionaries (so batch jobs can be
+dataclasses that serialize to plain dictionaries (so requests can be
 persisted, sent over HTTP, and replayed).  ``from_dict`` reads the keys
 it knows and ignores any other, so a request body carrying an unknown key
 is served exactly as the same body without it.
@@ -361,7 +361,6 @@ class SessionReport:
 
     schedule_calls: int = 0
     tune_calls: int = 0
-    batch_calls: int = 0
     execute_calls: int = 0
     normalization_hits: int = 0
     normalization_misses: int = 0

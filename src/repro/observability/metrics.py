@@ -181,11 +181,6 @@ class _GaugeSeries:
         with self._lock:
             self._value = float(value)
 
-    def set_max(self, value: float) -> None:
-        """Keep the running maximum (high-water marks like largest batch)."""
-        with self._lock:
-            self._value = max(self._value, float(value))
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -193,7 +188,7 @@ class _GaugeSeries:
 
 
 class Gauge(_Instrument):
-    """A value that goes up and down (queue depth, a high-water mark)."""
+    """A value that goes up and down (queue depth)."""
 
     kind = "gauge"
 
@@ -202,9 +197,6 @@ class Gauge(_Instrument):
 
     def set(self, value: float) -> None:
         self._default().set(value)
-
-    def set_max(self, value: float) -> None:
-        self._default().set_max(value)
 
     @property
     def value(self) -> float:
@@ -245,7 +237,7 @@ class _HistogramSeries:
 
 
 class Histogram(_Instrument):
-    """Fixed-bucket distribution (latency per priority class, batch sizes)."""
+    """Fixed-bucket distribution (latency per priority class)."""
 
     kind = "histogram"
 
@@ -396,15 +388,12 @@ class CounterView:
 
     ``counters`` maps a view attribute to a counter (or one labelled series
     of it), or to a tuple of them read as their sum (a sum is counted
-    through its parts, not :meth:`inc`); ``gauges`` likewise; gauges read
-    as they are.  Attributes and :meth:`to_dict` return ints, counters
-    first, in declaration order.
+    through its parts, not :meth:`inc`).  Attributes and :meth:`to_dict`
+    return ints, in declaration order.
     """
 
-    def __init__(self, counters: Mapping[str, Any],
-                 gauges: Optional[Mapping[str, Any]] = None):
+    def __init__(self, counters: Mapping[str, Any]):
         self._counters = dict(counters)
-        self._gauges = dict(gauges or {})
         self._base = {name: _read(series)
                       for name, series in self._counters.items()}
 
@@ -413,16 +402,12 @@ class CounterView:
 
     def __getattr__(self, name: str) -> int:
         # Only reached for names that are not instance attributes.
-        if not name.startswith("_"):
-            if name in self._counters:
-                return int(_read(self._counters[name]) - self._base[name])
-            if name in self._gauges:
-                return int(self._gauges[name].value)
+        if not name.startswith("_") and name in self._counters:
+            return int(_read(self._counters[name]) - self._base[name])
         raise AttributeError(name)
 
     def to_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name)
-                for name in (*self._counters, *self._gauges)}
+        return {name: getattr(self, name) for name in self._counters}
 
 
 def _read(series: Any) -> float:

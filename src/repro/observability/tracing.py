@@ -6,8 +6,8 @@ id.  Within one process the active span propagates through a
 :class:`contextvars.ContextVar`, so deeply nested code (passes, cache
 lookups, scheduler search) can attach child spans via the module-level
 :func:`span` context manager without any plumbing.  Between the service
-and the session the context travels explicitly (a batch runs on the
-service's batcher thread): the service puts
+and the session the context travels explicitly (a request is scheduled
+on the service's batcher thread): the service puts
 ``{"trace_id", "span_id"}`` on the request and the session re-activates it
 with :meth:`Tracer.activate`.
 

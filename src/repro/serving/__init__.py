@@ -5,11 +5,10 @@ The subsystem layers onto :mod:`repro.api` without changing it:
 * :class:`ServiceRunner` — a blocking ``schedule()`` that serves
   response-cache hits on the calling thread and queues misses for one
   batcher thread: a queue drained by ``ScheduleRequest.priority`` (0 most
-  urgent, FIFO within one priority), admission control
-  (:class:`AdmissionController` sheds load with a typed
-  :class:`AdmissionError`), micro-batching over
-  ``Session.schedule_batch``, and coalescing of identical in-flight
-  requests by content hash.
+  urgent, FIFO within one priority) one request at a time through
+  ``Session.schedule``, admission control (:class:`AdmissionController`
+  sheds load with a typed :class:`AdmissionError`), and coalescing of
+  identical in-flight requests by content hash.
 * :class:`ServingServer` / :class:`ServingClient` — a stdlib JSON-over-HTTP
   endpoint plus its client, speaking the existing
   ``ScheduleRequest`` / ``ScheduleResponse`` round-trips (load shedding

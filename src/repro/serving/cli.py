@@ -85,8 +85,7 @@ def _format_pass_timings(report) -> str:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     try:
-        config = ServiceConfig(max_batch_size=args.max_batch,
-                               max_queue_depth=args.max_queue_depth,
+        config = ServiceConfig(max_queue_depth=args.max_queue_depth,
                                max_client_inflight=args.max_client_inflight)
     except ValueError as error:  # before the session is built
         print(f"serve: {error}", file=sys.stderr)
@@ -119,12 +118,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_warm_cache(args: argparse.Namespace) -> int:
     session = _build_session(args)
     names = args.workloads or sorted(benchmark_names())
-    requests: List[ScheduleRequest] = []
-    for name in names:
-        for variant in args.variants:
-            requests.append(ScheduleRequest(program=f"{name}:{variant}"))
-    responses = session.schedule_batch(requests)
-    hits = sum(1 for response in responses if response.from_cache)
+    requests = [ScheduleRequest(program=f"{name}:{variant}")
+                for name in names for variant in args.variants]
+    hits = sum(1 for request in requests
+               if session.schedule(request).from_cache)
     # Second pass feeds the response-level fast lane: each repeat is now
     # fully cache-served, so its final encoded bytes are stored — a later
     # ``serve`` run on this cache file answers these requests zero-parse,
@@ -135,7 +132,7 @@ def _cmd_warm_cache(args: argparse.Namespace) -> int:
         if session.lookup_response(request) is not None:
             warmed_fast += 1
     report = session.report()
-    print(f"warmed {len(responses)} schedules ({hits} already cached) "
+    print(f"warmed {len(requests)} schedules ({hits} already cached) "
           f"into {args.cache_path} "
           f"(pipeline={args.pipeline or 'a-priori'}, "
           f"fast lane ready for {warmed_fast} requests)")
@@ -194,10 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     _session_arguments(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8422)
-    serve.add_argument("--max-batch", type=int, default=16,
-                       help="most queued requests one schedule_batch call "
-                            "takes (the batcher dispatches what is queued; "
-                            "arrivals during a batch form the next one)")
     serve.add_argument("--max-queue-depth", type=int, default=256,
                        help="shed load (HTTP 429) beyond this many queued "
                             "requests (0: unbounded)")

@@ -30,9 +30,9 @@ the response-cache fast lane served it.
 
 Each handler thread reads one kept-alive connection, answers response-cache
 hits itself and blocks on the :class:`~repro.serving.service.ServiceRunner`
-only on a miss; the runner's batcher thread performs the actual
-micro-batching, so concurrent misses translate directly into batch
-formation and coalescing.
+only on a miss; the runner's batcher thread schedules the queued misses
+one at a time, most urgent first, and identical concurrent misses
+coalesce onto one schedule.
 """
 
 from __future__ import annotations
@@ -262,8 +262,9 @@ class ServingServer:
         """The trace the service recorded for a request it failed, if any.
 
         A shed, failed or cancelled request has no timing to name its
-        trace, and the exception that reports it may be shared by a whole
-        batch; the ring buffer is asked instead (failures are rare)."""
+        trace, and the exception that reports it may be shared with the
+        riders coalesced onto it; the ring buffer is asked instead
+        (failures are rare)."""
         tracer = self.tracer
         if not tracer.enabled:
             return None

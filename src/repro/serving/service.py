@@ -6,8 +6,8 @@ tests):
 
 * **response fast lane** — on the caller's thread, before any lock, a
   response-cache hit (:meth:`repro.api.Session.lookup_response`) is
-  answered with its stored bytes — no queue, no batch, no IR, no JSON
-  parse.  Entries are written back after each batch from responses whose
+  answered with its stored bytes — no queue, no IR, no JSON parse.
+  Entries are written back after each scheduled request from responses whose
   normalization and schedule both came from cache, so the fast lane is
   bit-identical to what the slow path would have served.
 * **admission control** — an :class:`AdmissionController` sheds load before
@@ -20,11 +20,10 @@ tests):
   identity do not split the key; they affect queue order and admission.
 * **priority queue** — a miss is queued and its caller blocks on a
   future; one batcher thread drains the queue by priority (0 most urgent),
-  FIFO within one priority.
-* **micro-batching** — the batcher dispatches the most urgent request plus
-  every request already queued behind it, up to
-  :attr:`ServiceConfig.max_batch_size`, with no window for stragglers, and
-  runs the batch through :meth:`repro.api.Session.schedule_batch`.
+  FIFO within one priority, one request at a time: it takes the most
+  urgent request, schedules it with :meth:`repro.api.Session.schedule`,
+  resolves its future and takes the next, so no reply waits for another
+  request's schedule.
 """
 from __future__ import annotations
 
@@ -36,7 +35,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..api.hashing import request_fingerprint
 from ..api.session import Session
@@ -49,14 +48,8 @@ _NOT_RUNNING = "service is not running; call start() first"
 
 @dataclass
 class ServiceConfig:
-    """Tunables of the scheduling service.
+    """Tunables of the scheduling service (admission control)."""
 
-    The batcher has no timer: it dispatches what is queued when it is free,
-    so batches grow only while requests arrive faster than batches run.
-    """
-
-    #: Largest batch handed to ``Session.schedule_batch`` at once.
-    max_batch_size: int = 16
     #: Most requests allowed in the service queue before load shedding
     #: rejects new arrivals.  0 (the default) is unbounded — identical to
     #: the pre-admission behavior, so existing programmatic consumers are
@@ -69,10 +62,10 @@ class ServiceConfig:
     retry_after_s: float = 0.05
 
     def __post_init__(self) -> None:
-        # Out of range, each of these breaks the service silently: a batch
-        # size of 0 spins the batcher on empty batches forever.
-        for name, low in (("max_batch_size", 1), ("max_queue_depth", 0),
-                          ("max_client_inflight", 0), ("retry_after_s", 0)):
+        # Out of range, a value would be read silently as another one: a
+        # negative queue depth or client limit as unbounded.
+        for name, low in (("max_queue_depth", 0), ("max_client_inflight", 0),
+                          ("retry_after_s", 0)):
             if not getattr(self, name) >= low:
                 raise ValueError(
                     f"{name} must be >= {low}, got {getattr(self, name)!r}")
@@ -178,7 +171,8 @@ class RequestTiming:
     """Per-request serving timings (returned by ``schedule_timed``).
 
     ``queue_wait_s`` is the time the request's queue entry (or, for a
-    coalesced rider, its leader's) spent queued before a batch claimed it;
+    coalesced rider, its leader's) spent queued before the batcher took
+    it, which includes every request scheduled ahead of it;
     ``total_s`` is end-to-end from admission to response; ``trace_id``
     names a miss's trace (``None`` for a hit or an untraced service).
     """
@@ -198,7 +192,7 @@ class _Pending:
     urgent priority any submitter brought, then arrival — FIFO within one
     priority.  An urgent coalescing rider moves its still-queued leader up
     in place.  ``enqueued_at`` / ``claimed_at`` (``perf_counter``;
-    0 until a batch claims the entry) feed the queue-wait metrics and
+    0 until the batcher takes the entry) feed the queue-wait metrics and
     access logs.
     """
 
@@ -223,7 +217,7 @@ class ServiceRunner:
 
     :meth:`schedule` serves a response-cache hit on the calling thread; a
     miss is queued and its caller blocks until the batcher thread (the
-    runner's one thread) has run the batch that holds it.
+    runner's one thread) has scheduled it.
     """
 
     def __init__(self, session: Session, config: Optional[ServiceConfig] = None):
@@ -238,9 +232,6 @@ class ServiceRunner:
         self._local_prefix = f"local-{os.getpid()}-"
         self._local_ids = itertools.count(1)
         counter = self.metrics.counter
-        self._largest_batch = self.metrics.gauge(
-            "repro_service_largest_batch",
-            "High-water mark of the micro-batch size.")
         self.admission = AdmissionController(self.config, self.metrics)
         # Admission and the response cache already count requests, sheds
         # and fast-lane hits: the view reads their series, restating none.
@@ -256,8 +247,6 @@ class ServiceRunner:
             "coalesced": counter(
                 "repro_service_coalesced_total",
                 "Requests that rode an identical in-flight request."),
-            "batches": counter(
-                "repro_service_batches_total", "Micro-batches executed."),
             "scheduled": counter(
                 "repro_service_scheduled_total",
                 "Requests resolved with a schedule response."),
@@ -267,7 +256,7 @@ class ServiceRunner:
                 "Requests resolved with an exception."),
             "rejected": (shed.labels("queue-full"),
                          shed.labels("client-limit")),
-        }, {"largest_batch": self._largest_batch})
+        })
         self._queue_depth = self.metrics.gauge(
             "repro_service_queue_depth",
             "Live requests in the service queue (stale entries excluded).")
@@ -307,7 +296,7 @@ class ServiceRunner:
 
     def stop(self) -> None:
         """Cancel every waiting request at once, then join the batcher after
-        the batch in flight (if any): no batch outlives ``stop()``."""
+        the request in flight (if any): no schedule outlives ``stop()``."""
         with self._cond:
             batcher, self._batcher = self._batcher, None
             if batcher is None:
@@ -449,7 +438,7 @@ class ServiceRunner:
         finally:
             if root is not None:
                 # Finishing the parentless root finalizes the trace into
-                # the ring buffer; a future resolves only after its batch
+                # the ring buffer; a future resolves only after its schedule
                 # finished every span, so a span lands late only when the
                 # caller stopped waiting (a timeout or stop()).
                 tracer.finish(root, status=outcome)
@@ -518,83 +507,50 @@ class ServiceRunner:
                     self._cond.wait()
                 if not self._running:
                     return
-                batch = self._claim()
-            self._dispatch(batch)
+                pending = heapq.heappop(self._queue)
+                pending.claimed_at = time.perf_counter()
+                pending.claimed_wall = time.time()
+                self._queue_depth.set(len(self._queue))
+            self._dispatch(pending)
 
-    def _claim(self) -> List[_Pending]:
-        """Claim the most urgent request and every request queued behind it
-        in priority order, up to ``max_batch_size`` (under the lock).  Nothing
-        waits for stragglers: requests that arrive while a batch runs form
-        the next one."""
-        queue = self._queue
-        claimed_at, claimed_wall = time.perf_counter(), time.time()
-        batch: List[_Pending] = []
-        while queue and len(batch) < self.config.max_batch_size:
-            pending = heapq.heappop(queue)
-            pending.claimed_at, pending.claimed_wall = claimed_at, claimed_wall
-            batch.append(pending)
-        self._queue_depth.set(len(queue))
-        return batch
-
-    def _dispatch(self, batch: List[_Pending]) -> None:
-        """Run one claimed batch on the batcher thread, then resolve its
-        futures."""
+    def _dispatch(self, pending: _Pending) -> None:
+        """Schedule one claimed request on the batcher thread, then resolve
+        its future."""
         tracer = self._tracer
-        self.stats.inc("batches")
-        self._largest_batch.set_max(len(batch))
-        dispatched_wall = time.time()
-        schedule_spans: Dict[str, Any] = {}
-        for pending in batch:
-            context = pending.request.trace
-            if not tracer.enabled or not context:
-                continue
-            trace_id = context["trace_id"]
-            parent_id = context.get("span_id")
+        request = pending.request
+        span = None
+        if tracer.enabled and request.trace:
+            trace_id = request.trace["trace_id"]
+            parent_id = request.trace.get("span_id")
             tracer.record(trace_id, parent_id, "service.queue",
                           pending.enqueued_wall, pending.claimed_wall,
                           {"priority": pending.priority})
             # The schedule span becomes the parent of everything the
             # session records (passes, cache, search) through the request's
             # trace context.
-            span = tracer.begin(
-                "service.schedule", trace_id, parent_id=parent_id,
-                attrs={"batch_size": len(batch)}, start_s=dispatched_wall)
-            pending.request.trace = span.context()
-            schedule_spans[pending.key] = span
+            span = tracer.begin("service.schedule", trace_id,
+                                parent_id=parent_id)
+            request.trace = span.context()
         try:
-            responses = self._schedule_batch(
-                [pending.request for pending in batch])
-        except Exception as error:  # noqa: BLE001 - forwarded to callers
-            # A batch-level failure fails every item; per-item failures
-            # come back in-band (return_exceptions).
-            responses = [error] * len(batch)
+            response = self.session.schedule(request)
+            # Feed the fast lane: a response whose normalization and
+            # schedule both came from cache is a deterministic repeat, so
+            # its encoded bytes are stored for zero-parse serving (the
+            # store itself checks the flags).
+            self.session.store_response(request, response)
+        except Exception as error:  # noqa: BLE001 - forwarded to the callers
+            response = error
+        failed = isinstance(response, Exception)
         # Under the lock: stop() cancels waiters under it too, so a future
         # is resolved only if nobody cancelled it.
         with self._cond:
-            for pending, response in zip(batch, responses):
-                self._inflight.pop(pending.key, None)
-                span = schedule_spans.pop(pending.key, None)
-                failed = isinstance(response, Exception)
-                if span is not None:
-                    tracer.finish(span, status="error" if failed else "ok")
-                # One invalid request must not fail its batchmates.
-                self.stats.inc("errors" if failed else "scheduled")
-                if pending.future.done():
-                    continue
-                if failed:
-                    pending.future.set_exception(response)
-                else:
-                    pending.future.set_result(response)
-
-    def _schedule_batch(self, requests: List[ScheduleRequest]
-                        ) -> List[ScheduleResponse]:
-        responses = self.session.schedule_batch(requests,
-                                                return_exceptions=True)
-        # Feed the fast lane: responses whose normalization and schedule
-        # both came from cache are deterministic repeats, so their encoded
-        # bytes are stored for zero-parse serving (the store itself checks
-        # the flags).
-        for request, response in zip(requests, responses):
-            if not isinstance(response, Exception):
-                self.session.store_response(request, response)
-        return responses
+            self._inflight.pop(pending.key, None)
+            if span is not None:
+                tracer.finish(span, status="error" if failed else "ok")
+            self.stats.inc("errors" if failed else "scheduled")
+            if pending.future.done():
+                return
+            if failed:
+                pending.future.set_exception(response)
+            else:
+                pending.future.set_result(response)

@@ -331,7 +331,7 @@ def fast_session(**kwargs):
     return Session(**kwargs)
 
 
-# -- serving: a stub session and a held batch --------------------------------
+# -- serving: a stub session and a held request -------------------------------
 
 def stub_response(program):
     """A ScheduleResponse-shaped object (enough for service bookkeeping and
@@ -348,14 +348,12 @@ def stub_response(program):
 
 class StubSession:
     """Session stand-in recording the order requests reach the executor
-    and the size of each batch (a runner counts coalesced rides in its
-    own ``stats``).  It has the members a runner reads: a registry, a
-    disabled tracer, and a response cache that never hits and keeps
-    nothing."""
+    (a runner counts coalesced rides in its own ``stats``).  It has the
+    members a runner reads: a registry, a disabled tracer, and a response
+    cache that never hits and keeps nothing."""
 
     def __init__(self):
         self.order = []
-        self.batches = []
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(enabled=False)
 
@@ -365,10 +363,9 @@ class StubSession:
     def store_response(self, request, response):
         pass
 
-    def schedule_batch(self, requests, return_exceptions=False):
-        self.batches.append(len(requests))
-        self.order.extend(request.program for request in requests)
-        return [stub_response(request.program) for request in requests]
+    def schedule(self, request):
+        self.order.append(request.program)
+        return stub_response(request.program)
 
 
 def wait_until(condition, timeout=60.0):
@@ -378,36 +375,36 @@ def wait_until(condition, timeout=60.0):
         time.sleep(0.001)
 
 
-def hold_next_batch(runner, until, timeout=60.0):
-    """Make the runner's next batch, once claimed, wait until ``until()``
-    is true; returns an event set when the batch starts waiting.  While it
-    waits nothing else is claimed, so arrivals queue (or are shed) as they
-    would behind a slow batch."""
+def hold_next_request(runner, until, timeout=60.0):
+    """Make the runner's next request, once claimed, wait until ``until()``
+    is true before it is scheduled; returns an event set when it starts
+    waiting.  While it waits nothing else is claimed, so arrivals queue (or
+    are shed) as they would behind a slow schedule."""
     session = runner.session
-    schedule_batch = session.schedule_batch
+    schedule = session.schedule
     held = threading.Event()
 
     def holding(*args, **kwargs):
-        session.schedule_batch = schedule_batch  # only this batch waits
+        session.schedule = schedule  # only this request waits
         held.set()
         wait_until(until, timeout)
-        return schedule_batch(*args, **kwargs)
+        return schedule(*args, **kwargs)
 
-    session.schedule_batch = holding
+    session.schedule = holding
     return held
 
 
 def queue_behind(runner, first, requests, timeout=60.0):
-    """Schedule ``first`` and hold its batch while ``requests`` are
+    """Schedule ``first`` and hold it while ``requests`` are
     submitted, one thread each, each admitted (or shed) before the next is
     sent; then release it.  Returns every outcome — a response or the
     exception raised — in the order ``[first, *requests]``.
 
     So ``requests`` queue in priority order or ride an identical in-flight
-    request, as a burst does behind a slow batch.
+    request, as a burst does behind a slow schedule.
     """
     release = threading.Event()
-    held = hold_next_batch(runner, release.is_set, timeout)
+    held = hold_next_request(runner, release.is_set, timeout)
 
     def outcome(request):
         try:

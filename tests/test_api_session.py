@@ -257,7 +257,10 @@ class TestSingleResponseType:
         session.close()
 
 
-class TestBatch:
+class TestScheduleLoop:
+    """Many programs are a loop over ``schedule``; a later request is
+    served from the entries an earlier one stored."""
+
     def items(self):
         return [
             (build_gemm(("i", "j", "k")), PARAMS),
@@ -272,79 +275,37 @@ class TestBatch:
                  tuple(info.status for info in r.result.nests))
                 for r in responses]
 
-    def test_batch_matches_sequential(self):
-        items = [(p, params) for p, params in self.items() if params is not None]
-        sequential = [fast_session().schedule(p, params) for p, params in items]
-        batched = fast_session().schedule_batch(items)
-        assert self._signature(batched) == self._signature(sequential)
+    @staticmethod
+    def _loop(session, items):
+        return [session.schedule(*item) if isinstance(item, tuple)
+                else session.schedule(item) for item in items]
 
-    def test_batch_is_deterministic_across_runs(self):
-        first = fast_session().schedule_batch(self.items())
-        second = fast_session().schedule_batch(self.items())
+    def test_a_loop_is_deterministic_across_sessions(self):
+        first = self._loop(fast_session(), self.items())
+        second = self._loop(fast_session(), self.items())
         assert self._signature(first) == self._signature(second)
 
-    def test_batch_equals_a_schedule_loop_byte_for_byte(self):
+    def test_a_loop_replies_alike_on_two_sessions_byte_for_byte(self):
         # Flags included: each b variant that normalizes onto its a
         # variant's canonical form is served from the entry the a stored.
         items = [f"{name}:{variant}" for name in benchmark_names()
                  for variant in "ab"]
         assert len(items) == 36
-        batched = Session(size="small").schedule_batch(items)
-        loop_session = Session(size="small")
-        looped = [loop_session.schedule(item) for item in items]
-        assert [r.to_json() for r in batched] == [r.to_json() for r in looped]
-        assert sum(r.from_cache for r in batched) == 16
+        first = self._loop(Session(size="small"), items)
+        second = self._loop(Session(size="small"), items)
+        assert [r.to_json() for r in first] == [r.to_json() for r in second]
+        assert sum(r.from_cache for r in first) == 16
 
-    def test_batch_shares_cache(self):
+    def test_a_loop_shares_the_cache(self):
         session = fast_session()
-        responses = session.schedule_batch(self.items())
+        responses = self._loop(session, self.items())
         # Item 1 is item 0 in another loop order: one canonical form, so
-        # the schedule item 0 stored serves item 1 in the same batch.
+        # the schedule item 0 stored serves item 1.
         assert not responses[0].from_cache
         assert responses[1].from_cache
         report = session.report()
         assert report.schedule_cache_hits == 1
-        assert report.batch_calls == 1
-
-    def test_batch_accepts_requests_and_preserves_order(self):
-        session = fast_session()
-        requests = [ScheduleRequest(program="gemm:a", scheduler="clang"),
-                    ScheduleRequest(program="atax:a", scheduler="clang")]
-        responses = session.schedule_batch(requests)
-        assert [r.request.program for r in responses] == ["gemm:a", "atax:a"]
-
-    def test_batch_rejects_tune_requests(self):
-        session = fast_session()
-        with pytest.raises(ValueError, match="tune requests"):
-            session.schedule_batch([ScheduleRequest(program="gemm:a", tune=True)])
-
-    def test_batch_return_exceptions_isolates_failures(self):
-        session = fast_session()
-        responses = session.schedule_batch(
-            [ScheduleRequest(program="gemm:a"),
-             ScheduleRequest(program="not-a-workload"),
-             ScheduleRequest(program="atax:a")],
-            return_exceptions=True)
-        assert responses[0].runtime_s > 0
-        assert isinstance(responses[1], Exception)
-        assert responses[2].runtime_s > 0
-
-    def test_batch_return_exceptions_rejects_tune_in_band(self):
-        session = fast_session()
-        responses = session.schedule_batch(
-            [ScheduleRequest(program="gemm:a"),
-             ScheduleRequest(program="gemm:a", tune=True)],
-            return_exceptions=True)
-        assert responses[0].runtime_s > 0
-        assert isinstance(responses[1], ValueError)
-        assert session.report().tune_calls == 0  # the tune never ran
-
-    def test_batch_without_return_exceptions_raises(self):
-        session = fast_session()
-        with pytest.raises(RegistryError):
-            session.schedule_batch([ScheduleRequest(program="not-a-workload"),
-                                    ScheduleRequest(program="gemm:a")])
-        assert session.report().schedule_calls == 0  # stopped at item 0
+        assert report.schedule_calls == 4
 
 
 def test_warm_cache_counts_every_canonical_form_hit(tmp_path, capsys):
@@ -359,10 +320,9 @@ def test_warm_cache_counts_every_canonical_form_hit(tmp_path, capsys):
 
 @pytest.mark.parametrize("call", [
     lambda: Session(max_workers=1),
-    lambda: fast_session().schedule_batch(["gemm:a"], max_workers=1),
-], ids=["Session", "schedule_batch"])
+], ids=["Session"])
 def test_removed_max_workers_spelling_is_rejected(call):
-    # A batch is a loop: nothing schedules in parallel.
+    # Nothing schedules in parallel.
     with pytest.raises(TypeError, match="max_workers"):
         call()
 

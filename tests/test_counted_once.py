@@ -21,7 +21,11 @@ Since the alert rules that needed a snapshot history went, no evaluator
 registers ``repro_alert_clock_skew_total``.  Since each serving fact is
 stated once, the service's request, fast-lane and rejected counts read the
 admission and response-cache series, the one ride count is the service's
-``coalesced``, and the scrape has 11 families.
+``coalesced``.  Since the service schedules one request at a time, the
+batch counters are gone: ``service.batches`` (4), ``service.largest_batch``
+(1) and the report's ``batch_calls`` (5: four service batches and one
+``schedule_batch`` call, now a loop over ``schedule``) went with their
+series, and the scrape has 9 families (11 before).
 """
 
 import copy
@@ -37,9 +41,10 @@ from repro.api import NormalizationOptions, ScheduleRequest, Session
 from repro.normalization import (fission_loop, maximal_loop_fission,
                                  minimize_strides, normalize)
 from repro.normalization.fission import _dependence_edges
+from repro.observability import MetricsRegistry
 from repro.observability.tracing import Tracer
 from repro.passes import FixedPoint, LoopNormalFormPass, Pass
-from repro.serving import ServingServer
+from repro.serving import ServiceConfig, ServiceRunner, ServingServer
 from repro.transforms import Interchange
 
 SMALL_GEMM = {"NI": 4, "NJ": 4, "NK": 4}
@@ -69,7 +74,8 @@ def observe():
         runner.schedule(ScheduleRequest(program="gemm:a"))
         runner.schedule(ScheduleRequest(program="gemm:b"))
         session.tune("atax:a")
-        session.schedule_batch(["atax:b", "mvt:a"])   # atax:b transfers
+        for program in ("atax:b", "mvt:a"):           # atax:b transfers
+            session.schedule(program)
         session.execute("gemm:a", SMALL_GEMM)
         bicg = ScheduleRequest(program="bicg:a")
         queue_behind(runner, bicg, [bicg, bicg])      # two coalesced riders
@@ -182,6 +188,14 @@ def _removed_spellings():
         "report-coalesced-requests": lambda: Session().report(
         ).coalesced_requests,
         "tracer-process": lambda: Tracer(process="p"),
+        # One request at a time: no batch entry point, size or count.
+        "session-schedule-batch": lambda: Session().schedule_batch,
+        "report-batch-calls": lambda: Session().report().batch_calls,
+        "service-config-max-batch-size": lambda: ServiceConfig(
+            max_batch_size=16),
+        "service-batches": lambda: ServiceRunner(Session()).stats.batches,
+        "gauge-set-max": lambda: MetricsRegistry().gauge(
+            "repro_g", "").set_max,
         # One implementation per normalization criterion.
         "nest-stride-report": lambda: repro.analysis.nest_stride_report,
         "stride-report": lambda: repro.analysis.StrideReport,
@@ -237,10 +251,8 @@ PINNED = {
         "repro_admission_shed_total",
         "repro_cache_requests_total",
         "repro_request_latency_seconds",
-        "repro_service_batches_total",
         "repro_service_coalesced_total",
         "repro_service_errors_total",
-        "repro_service_largest_batch",
         "repro_service_queue_depth",
         "repro_service_scheduled_total",
         "repro_session_calls_total"
@@ -376,7 +388,6 @@ PINNED = {
         }
     },
     "report": {
-        "batch_calls": 5,
         "cache_backend": "memory",
         "cache_busy_retries": 0,
         "cache_disk_hits": 0,
@@ -446,11 +457,9 @@ PINNED = {
         "tune_calls": 1
     },
     "service": {
-        "batches": 4,
         "coalesced": 2,
         "errors": 0,
         "fast_lane": 1,
-        "largest_batch": 1,
         "rejected": 0,
         "requests": 7,
         "scheduled": 5

@@ -499,7 +499,7 @@ class TestSlowCacheRead:
             warm(runner, third)
             thread = self._parked_caller(runner, backend, slow, outcome)
             try:
-                # A cold request is queued, batched and answered...
+                # A cold request is queued, scheduled and answered...
                 cold, timing = runner.schedule_timed(
                     ScheduleRequest(program="mvt:a"), timeout=10.0)
                 assert not timing.fast_lane and cold.runtime_s > 0

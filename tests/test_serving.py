@@ -1,6 +1,7 @@
-"""Tests for the service core: queueing, micro-batching, coalescing,
-priority ordering, and admission control (HTTP included)."""
+"""Tests for the service core: queueing one request at a time,
+coalescing, priority ordering, and admission control (HTTP included)."""
 
+import contextlib
 import json
 import threading
 import time
@@ -10,7 +11,7 @@ from concurrent.futures import CancelledError, ThreadPoolExecutor
 
 import pytest
 from helpers import GEMM_PARAMS as PARAMS
-from helpers import (StubSession, build_gemm, fast_session, hold_next_batch,
+from helpers import (StubSession, build_gemm, fast_session, hold_next_request,
                      queue_behind, wait_until)
 
 from repro.api import ScheduleRequest
@@ -79,17 +80,16 @@ class TestServiceRunner:
         responses[0].program.body.clear()
         assert responses[1].program.body and responses[2].program.body
 
-    def test_requests_queued_behind_a_batch_form_one_micro_batch(self):
+    def test_requests_queued_behind_a_held_request_are_each_scheduled(self):
         session = fast_session()
-        with ServiceRunner(session, ServiceConfig(max_batch_size=8)) as runner:
+        with ServiceRunner(session) as runner:
             responses = queue_behind(
                 runner, ScheduleRequest(program="gemm:a"),
                 [ScheduleRequest(program="atax:a"),
                  ScheduleRequest(program="bicg:a")])
         assert all(response.runtime_s > 0 for response in responses)
-        # The held batch, then one schedule_batch for both queued requests.
-        assert session.report().batch_calls == 2
-        assert runner.stats.largest_batch == 2
+        assert session.report().schedule_calls == 3
+        assert runner.stats.scheduled == 3
 
     def test_sequential_repeat_is_a_cache_hit_not_coalesced(self):
         session = fast_session()
@@ -104,26 +104,23 @@ class TestServiceRunner:
             with pytest.raises(ValueError, match="tune requests"):
                 runner.schedule(ScheduleRequest(program="gemm:a", tune=True))
 
-    def test_one_bad_request_does_not_fail_its_batchmates(self):
-        """A valid request sharing a micro-batch with an invalid one must
-        still be served (per-item failure isolation)."""
+    def test_a_bad_request_does_not_fail_the_request_queued_behind_it(self):
         session = fast_session()
-        with ServiceRunner(session, ServiceConfig(max_batch_size=8)) as runner:
-            _, good, bad = queue_behind(
+        with ServiceRunner(session) as runner:
+            _, bad, good = queue_behind(
                 runner, ScheduleRequest(program="mvt:a"),
-                [ScheduleRequest(program="gemm:a"),
-                 ScheduleRequest(program="no-such-workload-anywhere")])
+                [ScheduleRequest(program="no-such-workload-anywhere"),
+                 ScheduleRequest(program="gemm:a")])
         assert isinstance(bad, Exception)
         assert not isinstance(good, Exception) and good.runtime_s > 0
-        assert session.report().batch_calls == 2  # they shared one batch
-        assert runner.stats.largest_batch == 2
+        assert runner.stats.errors == 1 and runner.stats.scheduled == 2
 
     def test_errors_propagate_and_do_not_wedge_the_service(self):
         with ServiceRunner(fast_session()) as runner:
             with pytest.raises(Exception):
                 runner.schedule(
                     ScheduleRequest(program="no-such-workload-anywhere"))
-            # The batcher survives the failed batch and keeps serving.
+            # The batcher survives the failed request and keeps serving.
             response = runner.schedule(ScheduleRequest(program="gemm:a"))
         assert response.runtime_s > 0
 
@@ -168,9 +165,75 @@ class TestServiceRunner:
         assert session.order == ["p-0", "p-1"]
 
 
+class TestOneRequestAtATime:
+    """The batcher schedules the most urgent request, answers it, and only
+    then takes the next: no reply waits for another request's schedule."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _queue_three(session, wrap):
+        """Hold ``gemm:a`` while ``atax:a`` (B) and then ``bicg:a`` (C) are
+        admitted behind it, with ``session.schedule`` wrapped by
+        ``wrap(schedule)``; release it and yield the ``schedule_timed``
+        futures of B and C."""
+        session.schedule = wrap(session.schedule)
+        with ServiceRunner(session) as runner, ThreadPoolExecutor(3) as pool:
+            release = threading.Event()
+            held = hold_next_request(runner, release.is_set)
+            gate = pool.submit(runner.schedule,
+                               ScheduleRequest(program="gemm:a"), 60)
+            assert held.wait(60)
+            futures = []
+            for name in ("atax:a", "bicg:a"):
+                expected = runner.stats.requests + 1
+                futures.append(pool.submit(
+                    runner.schedule_timed, ScheduleRequest(program=name), 60))
+                wait_until(lambda: runner.stats.requests == expected)
+            release.set()
+            yield futures
+            assert gate.result(60).runtime_s > 0
+
+    def test_a_reply_does_not_wait_for_the_schedule_queued_behind_it(self):
+        scheduling_c, release_c = threading.Event(), threading.Event()
+
+        def wrap(schedule):
+            def blocking(request, *args, **kwargs):
+                if request.program == "bicg:a":
+                    scheduling_c.set()
+                    assert release_c.wait(60)
+                return schedule(request, *args, **kwargs)
+            return blocking
+
+        with self._queue_three(fast_session(), wrap) as (b, c):
+            try:
+                assert scheduling_c.wait(60)
+                # C's schedule is blocked, and B is answered all the same.
+                response, _ = b.result(30)
+                assert response.runtime_s > 0 and not c.done()
+            finally:
+                release_c.set()
+            assert c.result(60)[0].runtime_s > 0
+
+    def test_a_queue_wait_covers_the_schedules_ahead_of_it(self):
+        delay = 0.2
+
+        def wrap(schedule):
+            def slow(request, *args, **kwargs):
+                if request.program == "atax:a":
+                    time.sleep(delay)
+                return schedule(request, *args, **kwargs)
+            return slow
+
+        with self._queue_three(fast_session(), wrap) as (b, c):
+            (_, b_timing), (_, c_timing) = b.result(60), c.result(60)
+        # C was taken only after B's schedule, which took at least ``delay``.
+        assert c_timing.queue_wait_s >= delay
+        assert b_timing.queue_wait_s < c_timing.queue_wait_s
+
+
 class _BlockingSession(StubSession):
-    """A stub whose batches block until released, counting the calls that
-    are still running."""
+    """A stub whose schedules block until released, counting the calls
+    that are still running."""
 
     def __init__(self):
         super().__init__()
@@ -178,17 +241,17 @@ class _BlockingSession(StubSession):
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def schedule_batch(self, requests, return_exceptions=False):
+    def schedule(self, request):
         self.running += 1
         self.entered.set()
         try:
             assert self.release.wait(30)
-            return super().schedule_batch(requests, return_exceptions)
+            return super().schedule(request)
         finally:
             self.running -= 1
 
 
-def test_stop_cancels_waiters_at_once_and_outlives_no_batch():
+def test_stop_cancels_waiters_at_once_and_outlives_no_schedule():
     session = _BlockingSession()
     runner = ServiceRunner(session)
     runner.start()
@@ -208,7 +271,7 @@ def test_stop_cancels_waiters_at_once_and_outlives_no_batch():
     wait_until(lambda: runner.stats.requests == 2)
     stopper = threading.Thread(target=runner.stop)
     stopper.start()
-    for caller in callers:                  # cancelled, the batch still held
+    for caller in callers:                  # cancelled, the schedule still held
         caller.join(30)
         assert not caller.is_alive()
     assert [type(outcome) for outcome in outcomes] == [CancelledError] * 2
@@ -217,7 +280,7 @@ def test_stop_cancels_waiters_at_once_and_outlives_no_batch():
     session.release.set()
     stopper.join(30)
     assert not stopper.is_alive()
-    # stop() returned after the batch in flight, never before it.
+    # stop() returned after the schedule in flight, never before it.
     assert session.running == 0
     assert session.order == ["running"]     # the queued request never ran
 
@@ -227,7 +290,7 @@ def test_stop_cancels_waiters_at_once_and_outlives_no_batch():
 def _drain(session, requests):
     """Stack ``requests``, in order, behind a held gate request (the
     batcher is pinned while they queue); returns the runner's stats."""
-    with ServiceRunner(session, ServiceConfig(max_batch_size=1)) as runner:
+    with ServiceRunner(session, ServiceConfig()) as runner:
         queue_behind(runner, ScheduleRequest(program="gate"), requests)
     return runner.stats
 
@@ -305,10 +368,10 @@ class TestAdmissionController:
         assert controller.stats.rejected_client_limit == 1
 
     def test_service_counts_rejections(self):
-        # Alice's first request is held in the executor (the gate); her
+        # Alice's first request is held in the session (the gate); her
         # second arrives while it is in flight and must be shed.
         session = StubSession()
-        config = ServiceConfig(max_batch_size=1, max_client_inflight=1)
+        config = ServiceConfig(max_client_inflight=1)
         with ServiceRunner(session, config) as runner:
             _, shed = queue_behind(
                 runner, ScheduleRequest(program="gate", client="alice"),
@@ -324,13 +387,12 @@ class TestAdmissionOverHttp:
         """Flood a 1-deep queue with distinct cold requests: some must be
         shed as HTTP 429 with Retry-After, the rest succeed."""
         session = fast_session()
-        config = ServiceConfig(max_batch_size=1,
-                               max_queue_depth=1, retry_after_s=0.25)
+        config = ServiceConfig(max_queue_depth=1, retry_after_s=0.25)
         with ServingServer(session, config=config) as server:
-            # The first batch runs once a request was shed: until then one
+            # The first request runs once one was shed: until then one
             # request runs, one waits, and the rest find the queue full.
             runner = server.runner
-            hold_next_batch(runner, lambda: runner.stats.rejected >= 1)
+            hold_next_request(runner, lambda: runner.stats.rejected >= 1)
             client = ServingClient(server.address)
             programs = [("gemm:a", {"NI": 32 + index, "NJ": 32, "NK": 32})
                         for index in range(8)]
@@ -357,11 +419,11 @@ class TestAdmissionOverHttp:
 
     def test_client_limit_returns_429_and_other_clients_pass(self):
         session = fast_session()
-        config = ServiceConfig(max_batch_size=1, max_client_inflight=1)
+        config = ServiceConfig(max_client_inflight=1)
         with ServingServer(session, config=config) as server:
             # Alice's first request runs once one of hers was shed.
             runner = server.runner
-            hold_next_batch(runner, lambda: runner.stats.rejected >= 1)
+            hold_next_request(runner, lambda: runner.stats.rejected >= 1)
             client = ServingClient(server.address)
 
             def submit(identity, size):
@@ -387,11 +449,10 @@ class TestAdmissionOverHttp:
 
     def test_retry_after_header_is_sent(self):
         session = fast_session()
-        config = ServiceConfig(max_batch_size=1,
-                               max_client_inflight=1, retry_after_s=2.0)
+        config = ServiceConfig(max_client_inflight=1, retry_after_s=2.0)
         with ServingServer(session, config=config) as server:
             runner = server.runner
-            hold_next_batch(runner, lambda: runner.stats.rejected >= 1)
+            hold_next_request(runner, lambda: runner.stats.rejected >= 1)
             statuses = []
 
             def submit(size):

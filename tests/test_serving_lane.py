@@ -1,8 +1,7 @@
 """Tests for the one serving lane: a ServiceRunner and a ServingServer
 schedule every request through their own session, so what they serve is
-what that session, asked directly, replies — whatever the batch size, the
-arrival order, a tune between batches, or a cache file shared with another
-session."""
+what that session, asked directly, replies — whatever the arrival order,
+a tune between requests, or a cache file shared with another session."""
 
 import json
 import threading
@@ -12,7 +11,7 @@ from helpers import parse_prometheus_text, prometheus_sample, queue_behind
 
 from repro.api import (ScheduleRequest, ScheduleResponse, SearchConfig,
                        Session, TuningDatabase)
-from repro.serving import (ServiceConfig, ServiceRunner, ServingClient,
+from repro.serving import (ServiceRunner, ServingClient,
                            ServingServer)
 
 FAST_SEARCH = SearchConfig(population_size=4, epochs=1,
@@ -110,37 +109,33 @@ class TestLanesAgree:
             == _served(reference[program])
 
 
-@pytest.mark.parametrize("max_batch_size", [1, 2, 4])
 class TestServiceAgreement:
     def test_a_seeded_service_schedules_like_a_session(
-            self, tuned_database, reference, max_batch_size):
-        """Requests queued behind a held batch are claimed in micro-batches
-        of ``max_batch_size``; batching changes no reply and no entry."""
+            self, tuned_database, reference):
+        """Requests queued behind a held request are scheduled one by one;
+        queueing changes no reply and no entry."""
         session = _session(tuned_database)
         requests = _variants()
-        config = ServiceConfig(max_batch_size=max_batch_size)
-        with ServiceRunner(session, config) as runner:
+        with ServiceRunner(session) as runner:
             served = queue_behind(runner, requests[0], requests[1:])
-        assert runner.stats.largest_batch == max_batch_size
         assert [_served(response) for response in served] \
             == [_served(reference[request.program]) for request in requests]
         assert session.database.version == tuned_database.version
         session.close()
 
     def test_arrival_order_does_not_change_a_reply(
-            self, tuned_database, reference, max_batch_size):
+            self, tuned_database, reference):
         session = _session(tuned_database)
         requests = _variants()[::-1]
-        config = ServiceConfig(max_batch_size=max_batch_size)
-        with ServiceRunner(session, config) as runner:
+        with ServiceRunner(session) as runner:
             served = queue_behind(runner, requests[0], requests[1:])
         assert [_served(response) for response in served] \
             == [_served(reference[request.program]) for request in requests]
         session.close()
 
-    def test_a_tune_between_batches_keeps_the_service_agreeing(
-            self, tuned_database, max_batch_size):
-        """A tune on the service's session reaches the next batch, and no
+    def test_a_tune_between_requests_keeps_the_service_agreeing(
+            self, tuned_database):
+        """A tune on the service's session reaches the next request, and no
         reply cached before it is served after it: ``3mm:b`` schedules
         from the new ``3mm`` entries, as on a session that tuned on the
         same seed."""
@@ -148,8 +143,7 @@ class TestServiceAgreement:
         expected.tune("3mm:a", label="3mm")
         session = _session(tuned_database)
         variant = ScheduleRequest(program="3mm:b")
-        config = ServiceConfig(max_batch_size=max_batch_size)
-        with ServiceRunner(session, config) as runner:
+        with ServiceRunner(session) as runner:
             before = [runner.schedule(variant) for _ in range(3)]
             assert runner.stats.fast_lane == 1  # its reply was cached
             session.tune("3mm:a", label="3mm")
@@ -164,9 +158,9 @@ class TestServiceAgreement:
 
 
 class TestServiceResponses:
-    def test_batch_returns_in_order_with_inband_errors(self):
+    def test_queued_requests_return_in_order_with_their_own_errors(self):
         session = _session()
-        with ServiceRunner(session, ServiceConfig(max_batch_size=8)) as runner:
+        with ServiceRunner(session) as runner:
             results = queue_behind(
                 runner, ScheduleRequest(program="gemm:a"),
                 [ScheduleRequest(program="definitely-not-a-workload"),
@@ -269,8 +263,8 @@ class TestSharedCacheFile:
 class TestReportUnderTraffic:
     def test_report_and_metrics_rounds_are_consistent_under_traffic(self):
         """``/v1/report`` and ``/metrics`` read the registry every request
-        writes; read while batches run, neither fails and no counter goes
-        back."""
+        writes; read while requests are scheduled, neither fails and no
+        counter goes back."""
         session = _session()
         stop = threading.Event()
         failures = []
@@ -322,7 +316,6 @@ class TestReportUnderTraffic:
         assert service["requests"] == 4
         assert service["scheduled"] == 4
         assert service["fast_lane"] == 1
-        assert service["batches"] == 3
         assert service["errors"] == 0
         assert report["schedule_calls"] == 3
         assert report["cache_backend"] == "memory"

@@ -8,7 +8,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from helpers import fast_session, hold_next_batch, wait_until
+from helpers import fast_session, hold_next_request, wait_until
 
 from repro.api import ScheduleRequest
 from repro.observability import (AlertRule, MetricsRegistry, Tracer,
@@ -297,12 +297,11 @@ class TestHttpTracing:
             with pytest.raises(ServingError) as shed:
                 client.schedule("mvt:a")
             assert shed.value.status == 429
-            # A batch that fails after the request was admitted: a 500
+            # A schedule that fails after the request was admitted: a 500
             # whose root the slow lane recorded with status "error".
-            def broken_batch(requests):
+            def broken_schedule(request):
                 raise RuntimeError("executor lost")
-            monkeypatch.setattr(server.runner, "_schedule_batch",
-                                broken_batch)
+            monkeypatch.setattr(session, "schedule", broken_schedule)
             with pytest.raises(ServingError) as failed:
                 client.schedule("gemm:b")
             assert failed.value.status == 500
@@ -366,9 +365,9 @@ class TestHttpTracing:
                 "scheduler.search"} <= set(spans)
         # No batch window: the claim-to-dispatch interval has no span.
         assert "service.batch" not in spans
-        assert spans["service.schedule"]["attributes"]["batch_size"] == 1
-        # One executor (the session): the span names none.
-        assert "executor" not in spans["service.schedule"]["attributes"]
+        # One request on one executor (the session): the span names
+        # neither a batch size nor an executor.
+        assert spans["service.schedule"]["attributes"] == {}
         tree = record["tree"]
         assert len(tree) == 1 and tree[0]["name"] == "request"
         # Queue wait is a measured sub-interval, not a placeholder.
@@ -392,13 +391,13 @@ class TestHttpTracing:
         on ``/v1/report`` alike, the moment it is there: both evaluate a
         fresh snapshot per request."""
         session = fast_session()
-        config = ServiceConfig(max_queue_depth=5, max_batch_size=1)
+        config = ServiceConfig(max_queue_depth=5)
         with ServingServer(session, config=config) as server, \
                 ServingClient(server.address) as client:
             runner = server.runner
             depth = session.metrics.get("repro_service_queue_depth")
             release = threading.Event()
-            held = hold_next_batch(runner, release.is_set)
+            held = hold_next_request(runner, release.is_set)
             first, *queued = (
                 ScheduleRequest(program=program) for program
                 in ("gemm:a", "mvt:a", "atax:a", "bicg:a", "2mm:a"))
