@@ -307,6 +307,29 @@ class TestScheduleLoop:
         assert report.schedule_cache_hits == 1
         assert report.schedule_calls == 4
 
+    def test_a_shared_session_replies_like_fresh_sessions(self):
+        # An entry an earlier request stored changes no later reply.
+        shared = self._loop(fast_session(), self.items())
+        fresh = [self._loop(fast_session(), [item])[0] for item in self.items()]
+        assert self._signature(shared) == self._signature(fresh)
+
+    def test_a_loop_of_requests_replies_in_order(self):
+        session = fast_session()
+        requests = [ScheduleRequest(program="gemm:a", scheduler="clang"),
+                    ScheduleRequest(program="atax:a", scheduler="clang")]
+        responses = self._loop(session, requests)
+        assert [r.request.program for r in responses] == ["gemm:a", "atax:a"]
+        assert [r.scheduler for r in responses] == ["clang", "clang"]
+
+    def test_a_failing_request_does_not_spoil_the_next(self):
+        session = fast_session()
+        with pytest.raises(RegistryError):
+            session.schedule(ScheduleRequest(program="not-a-workload"))
+        assert session.report().schedule_calls == 0  # it failed validation
+        after = session.schedule(ScheduleRequest(program="atax:a"))
+        assert after.runtime_s > 0 and not after.from_cache
+        assert session.report().schedule_calls == 1
+
 
 def test_warm_cache_counts_every_canonical_form_hit(tmp_path, capsys):
     # Seven a/b pairs; every b normalizes onto its a.

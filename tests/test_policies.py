@@ -315,11 +315,16 @@ class TestBatcherTakesOneRequestAtATime:
         # The batcher waited for requests, never with a timeout.
         assert timeouts and set(timeouts) == {None}
 
-    def test_queued_requests_go_out_one_at_a_time_in_priority_order(self):
+    @pytest.mark.parametrize("grouped", [False, True],
+                             ids=["interleaved", "least-urgent-first"])
+    def test_queued_requests_go_out_one_at_a_time_in_priority_order(
+            self, grouped):
         mix = [ScheduleRequest(program=f"{name}-{i}", priority=priority)
                for i in range(1, 4)
                for name, priority in (("low", 7), ("high", 2), ("mid", 5))]
         mix.append(ScheduleRequest(program="high-4", priority=2))
+        if grouped:  # a stable sort keeps each class's arrival order
+            mix.sort(key=lambda request: -request.priority)
         session = StubSession()
         with ServiceRunner(session) as runner:
             _drain(runner, mix)

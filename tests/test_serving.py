@@ -104,13 +104,20 @@ class TestServiceRunner:
             with pytest.raises(ValueError, match="tune requests"):
                 runner.schedule(ScheduleRequest(program="gemm:a", tune=True))
 
-    def test_a_bad_request_does_not_fail_the_request_queued_behind_it(self):
+    @pytest.mark.parametrize("bad", [
+        ScheduleRequest(program="no-such-workload-anywhere"),
+        ScheduleRequest(program="gemm:a", scheduler="no-such-scheduler"),
+        ScheduleRequest(program="gemm:a", scheduler="clang", pipeline="default"),
+        ScheduleRequest(program="gemm:a", parameters={"NOPE": 3}),
+    ], ids=["unknown-workload", "unknown-scheduler", "inert-pipeline",
+            "missing-parameters"])
+    def test_a_bad_request_does_not_fail_the_request_queued_behind_it(
+            self, bad):
         session = fast_session()
         with ServiceRunner(session) as runner:
             _, bad, good = queue_behind(
                 runner, ScheduleRequest(program="mvt:a"),
-                [ScheduleRequest(program="no-such-workload-anywhere"),
-                 ScheduleRequest(program="gemm:a")])
+                [bad, ScheduleRequest(program="gemm:a")])
         assert isinstance(bad, Exception)
         assert not isinstance(good, Exception) and good.runtime_s > 0
         assert runner.stats.errors == 1 and runner.stats.scheduled == 2

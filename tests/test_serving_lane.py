@@ -123,10 +123,15 @@ class TestServiceAgreement:
         assert session.database.version == tuned_database.version
         session.close()
 
+    @pytest.mark.parametrize("order", [
+        lambda requests: requests[::-1],
+        lambda requests: requests[3:] + requests[:3],
+        lambda requests: requests[1::2] + requests[::2],
+    ], ids=["reversed", "rotated", "interleaved"])
     def test_arrival_order_does_not_change_a_reply(
-            self, tuned_database, reference):
+            self, tuned_database, reference, order):
         session = _session(tuned_database)
-        requests = _variants()[::-1]
+        requests = order(_variants())
         with ServiceRunner(session) as runner:
             served = queue_behind(runner, requests[0], requests[1:])
         assert [_served(response) for response in served] \
