@@ -8,8 +8,10 @@ a production deployment sees:
 * **cold**     — workloads the service has never scheduled,
 * **warm**     — repeats and normalized-equivalent variants (B variants,
   other GEMM loop orders) served from the content-addressed cache,
-* **duplicate** — concurrent identical requests, coalesced into a single
-  in-flight scheduler invocation.
+* **duplicate** — eight concurrent identical requests for a program no
+  earlier phase scheduled: one is scheduled and the others ride its
+  in-flight schedule (``service coalesced`` in the report counts the
+  riders, 7 when all eight arrive while it runs).
 
 Pass ``--cache PATH`` to back the cache with SQLite: run the demo twice and
 the second run's "cold" phase is served entirely from disk.
@@ -24,7 +26,7 @@ from repro.serving import ServingClient, ServingServer
 
 COLD = ["gemm:a", "atax:a", "bicg:a", "mvt:a"]
 WARM = ["gemm:b", "atax:b", "bicg:b", "mvt:b", "gemm:a"]
-DUPLICATE = ["gemm:a"] * 8
+DUPLICATE = ["covariance:a"] * 8
 
 
 def fire(client, names, workers=1):

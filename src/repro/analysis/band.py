@@ -37,7 +37,10 @@ parallelism of a band loop       the facts + its iterator + the iterators
 what an iteration may privatize  the facts: one per view and facts
 unit-stride share of a band loop its iterator
 layout of a container            its name
+legality of a tiling             the band's order + the tiled iterators
 accesses of a statement          the statement
+access plan of a statement       the statement + the iterators enclosing it
+                                 + the cache line (the cost model's)
 register pressure of a body      the body
 memory traffic of a schedule     the unannotated band + the names touched
                                  before the nest (the cost model's)
@@ -52,8 +55,9 @@ from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
 
 from ..ir.nodes import (Computation, FrozenNodeError, Loop, Node, Program,
                         read_accesses)
-from ..ir.symbols import Const, Expr, Min, Sym
+from ..ir.symbols import Expr, Min, Sym, const
 from .affine import AffineAccess, computation_accesses, nest_statements
+from .flops import expr_flops
 from .dependence import Statements, band_order_is_legal, direction_vectors
 from .parallelism import (ParallelismInfo, carried_dependences,
                           classify_carried, container_facts, privatizable)
@@ -126,15 +130,36 @@ class Frame(NamedTuple):
                     tile_of=frame.tile_of)
 
 
+#: A frame field's position.
+_FIELD = {name: position for position, name in enumerate(Frame._fields)}
+
 #: What a schedule annotation aims at: a band position, or a loop below the
 #: band (a node of the shared subtree).
 Target = Union[int, Loop]
 
-#: ``(container, element size, moves)`` of one access: ``moves`` maps every
-#: enclosing iterator the access varies in to the bytes between consecutive
-#: elements (0.0 when unknown); ``None`` for a non-affine access, which may
-#: vary in every loop.
-AccessMoves = Tuple[str, float, Optional[Dict[str, float]]]
+#: ``(element size, moves)`` of accesses: ``moves`` maps every enclosing
+#: iterator the access varies in to the bytes between consecutive elements
+#: (0.0 when unknown); ``None`` for a non-affine access, which may vary in
+#: every loop.  Accesses that move alike (the reads of a stencil, the read
+#: and write of an update) share one.
+AccessMoves = Tuple[float, Optional[Dict[str, float]]]
+
+#: What the cost model reads of the accesses that move alike, under one
+#: order of the loops enclosing their statement: ``(element size, terms,
+#: invariant)``.  ``terms`` holds, per loop level they vary in (outermost
+#: first), ``(level, bytes per distinct element from that level inwards,
+#: the levels they vary in from that level inwards)``; ``invariant`` holds
+#: the levels they do not vary in.
+MovesPlan = Tuple[float, Tuple[Tuple[int, float, Tuple[int, ...]], ...],
+                  Tuple[int, ...]]
+
+#: ``(flops per iteration, register pressure of its body, accesses,
+#: moves, the levels whose footprint the charges read)`` of one statement
+#: under one order of its enclosing loops: ``accesses`` holds ``(container,
+#: element size, index into moves)`` per access, reads first, and ``moves``
+#: a :data:`MovesPlan` per way its accesses move.
+StatementPlan = Tuple[float, float, Tuple[Tuple[str, float, int], ...],
+                      Tuple[MovesPlan, ...], Tuple[int, ...]]
 
 
 class BandView:
@@ -172,7 +197,8 @@ class BandView:
         self._memo: Dict[Tuple, Any] = {}
         self._classified: Dict[Tuple, Any] = {}
         self._layouts: Dict[str, Tuple[float, Tuple[int, ...]]] = {}
-        self._moves: Dict[int, List[AccessMoves]] = {}
+        self._moves: Dict[int, Tuple] = {}
+        self._plans: Dict[Tuple, StatementPlan] = {}
         self._pressure: Dict[int, float] = {}
         #: The cost model's memo (see :meth:`unannotated`).
         self.traffic: Dict[Tuple, Any] = {}
@@ -235,7 +261,10 @@ class BandView:
         """Set schedule annotations on a band frame — or, in place, on a
         loop below the band, which a fork may not edit."""
         if isinstance(target, int):
-            self.frames[target] = self.frames[target]._replace(**flags)
+            values = list(self.frames[target])
+            for name, value in flags.items():
+                values[_FIELD[name]] = value
+            self.frames[target] = Frame(*values)
         else:
             for name, value in flags.items():
                 if getattr(target, name) != value:
@@ -262,16 +291,18 @@ class BandView:
         tiles: List[Frame] = []
         points: List[Frame] = []
         for frame in self.frames:
-            frame = frame.realised()
-            size = tile_sizes.get(frame.iterator)
+            iterator, start, end, step, _, _, parallel, vectorized, unroll = \
+                frame.realised()
+            size = tile_sizes.get(iterator)
             if size is None or size <= 1:
-                points.append(frame._replace(tile_of=None))
+                points.append(Frame(iterator, start, end, step, None, 0,
+                                    parallel, vectorized, unroll))
                 continue
-            tiles.append(Frame(f"{frame.iterator}_t", frame.start, frame.end,
-                               Const(size), tile_of=frame.iterator,
-                               parallel=frame.parallel))
-            points.append(frame._replace(tile_of=frame.iterator, tile=size,
-                                         parallel=False))
+            # An interned size: its hash is computed once, not per state.
+            tiles.append(Frame(f"{iterator}_t", start, end, const(size),
+                               iterator, 0, parallel))
+            points.append(Frame(iterator, start, end, step, iterator, size,
+                                False, vectorized, unroll))
         self.frames = tiles + points
 
     def materialise(self) -> Loop:
@@ -333,12 +364,32 @@ class BandView:
 
     def order_is_legal(self, order: Sequence[str]) -> bool:
         """Whether reordering the band to ``order`` is legal
-        (:func:`~repro.analysis.dependence.band_order_is_legal`)."""
-        key = ("legal", tuple(self.order()), tuple(order))
+        (:func:`~repro.analysis.dependence.band_order_is_legal`).  The
+        band's own order reverses no dependence, so only its bounds are
+        checked and no direction vector is derived for it."""
+        current, order = tuple(self.order()), tuple(order)
+        key = ("legal", current, order)
         legal = self._memo.get(key)
         if legal is None:
             legal = self._memo[key] = band_order_is_legal(
-                self.frames, self.vectors(), order)
+                self.frames, () if order == current else self.vectors(),
+                order)
+        return legal
+
+    def tiling_is_legal(self, tiled: Sequence[str]) -> bool:
+        """Whether the band loops ``tiled`` (in band order) may be tiled:
+        rectangular tiling is strip-mining plus interchange, legal when the
+        tiled loops form a fully permutable band, which is approximated by
+        requiring that both their order and its reverse, moved outermost,
+        are legal orders."""
+        current, tiled = tuple(self.order()), tuple(tiled)
+        key = ("tiling", current, tiled)
+        legal = self._memo.get(key)
+        if legal is None:
+            others = tuple(it for it in current if it not in tiled)
+            legal = self._memo[key] = (
+                self.order_is_legal(tiled + others)
+                and self.order_is_legal(tiled[::-1] + others))
         return legal
 
     def parallelism(self, target: Target) -> ParallelismInfo:
@@ -445,14 +496,21 @@ class BandView:
                 array.row_major_strides(self.parameters))
         return layout
 
-    def access_moves(self, comp: Computation,
-                     iterators: Sequence[str]) -> List[AccessMoves]:
-        """:data:`AccessMoves` of every access of ``comp``, enclosed by
-        ``iterators``, reads first.  Asked once per statement: the loops a
-        view adds (tile loops) bring iterators no subscript mentions."""
-        moves = self._moves.get(id(comp))
-        if moves is None:
-            moves = self._moves[id(comp)] = []
+    def _access_moves(self, comp: Computation, iterators: Sequence[str]
+                      ) -> Tuple[Tuple[Tuple[str, float, int], ...],
+                                 List[AccessMoves], Optional[frozenset]]:
+        """``(accesses, moves, varying)`` of ``comp``, enclosed by
+        ``iterators``: per access, reads first, its container, element size
+        and index into ``moves``, the distinct :data:`AccessMoves`, and the
+        iterators any access varies in (``None`` when one is not affine).
+        Derived once per statement: the loops a view adds (tile loops)
+        bring iterators no subscript mentions."""
+        held = self._moves.get(id(comp))
+        if held is None:
+            accesses = []
+            moves: List[AccessMoves] = []
+            index: Dict[Tuple, int] = {}
+            varying: Optional[set] = set()
             for access in computation_accesses(comp, iterators):
                 elem, strides = self.layout(access.array)
                 varies: Optional[Dict[str, float]] = None
@@ -461,8 +519,77 @@ class BandView:
                     for iterator in access.columns:
                         stride = access_stride(access, iterator, strides)
                         varies[iterator] = abs(stride) * elem if stride else 0.0
-                moves.append((access.array, elem, varies))
-        return moves
+                    if varying is not None:
+                        varying.update(varies)
+                else:
+                    varying = None
+                key = (elem, None if varies is None
+                       else tuple(sorted(varies.items())))
+                if key not in index:
+                    index[key] = len(moves)
+                    moves.append((elem, varies))
+                accesses.append((access.array, elem, index[key]))
+            held = self._moves[id(comp)] = (
+                tuple(accesses), moves,
+                None if varying is None else frozenset(varying))
+        return held
+
+    def access_plan(self, comp: Computation, body: Sequence[Node],
+                    iterators: Tuple[str, ...], line: float
+                    ) -> Tuple[int, StatementPlan]:
+        """``(lead, plan)`` of ``comp``, a statement directly in ``body``,
+        enclosed by the loops ``iterators`` (outermost first), with cache
+        lines of ``line`` bytes.  ``lead`` counts the outermost loops no
+        access of it varies in (tile loops, say), and the
+        :data:`StatementPlan` covers the loops inside them, level 0 being
+        the first: everything the cost model charges the statement except
+        the trip counts, the same for every schedule that keeps the order
+        of those loops, whichever loops it tiles."""
+        accesses, moves, varying = self._access_moves(comp, iterators)
+        lead = 0
+        if varying is not None:
+            while lead < len(iterators) and iterators[lead] not in varying:
+                lead += 1
+        inside = iterators[lead:]
+        key = (id(comp), inside, line)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return lead, plan
+        depth = len(inside)
+        plans = []
+        read = {0}
+        for elem, varies in moves:
+            # The levels the accesses vary in and the bytes between two
+            # consecutive elements there (unknown: a line per element).
+            if varies is None:
+                levels, strides = list(range(depth)), [line] * depth
+            else:
+                levels, strides = [], []
+                for level, iterator in enumerate(inside):
+                    stride = varies.get(iterator)
+                    if stride is not None:
+                        levels.append(level)
+                        strides.append(stride or line)
+            # If *any* loop from a level inwards walks the container with
+            # (near-)unit stride, consecutive elements share cache lines
+            # even when another loop strides across rows; only an access
+            # with no dense dimension pulls a line per element.
+            terms = []
+            least = line
+            for first in reversed(range(len(levels))):
+                if first == len(levels) - 1 or strides[first] < least:
+                    least = strides[first]
+                terms.append((levels[first], min(max(least, elem), line),
+                              tuple(levels[first:])))
+            terms.reverse()
+            invariant = tuple(level for level in range(depth)
+                              if level not in levels)
+            read.update(level + 1 for level in invariant)
+            plans.append((elem, tuple(terms), invariant))
+        plan = self._plans[key] = (float(expr_flops(comp.value)),
+                                   self.register_pressure(body), accesses,
+                                   tuple(plans), tuple(sorted(read)))
+        return lead, plan
 
     def register_pressure(self, body: Sequence[Node]) -> float:
         """Distinct values live in one iteration of the statements directly

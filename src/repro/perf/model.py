@@ -196,7 +196,9 @@ class CostModel:
                         bytes_by_level=dict(traffic.bytes_by_level))
         parallel_loop = self._outermost_parallel(view)
         if parallel_loop is not None:
-            trip = self._trip(view, parallel_loop)
+            trip = (traffic.band_trips[parallel_loop]
+                    if isinstance(parallel_loop, int)
+                    else self._trip(view, parallel_loop))
             cost.active_threads = max(1, min(self.threads, int(trip) or 1))
         threads = cost.active_threads
 
@@ -263,17 +265,14 @@ class CostModel:
                     return loop
         return None
 
-    def _trip(self, view: BandView, target: Target) -> float:
-        """Trip count of the loop at ``target``, the loops around it bound
-        at their midpoints, as the walk binds them."""
-        if isinstance(target, int):
-            frames = view.frames[:target + 1]
-        else:
-            # Every loop before it in pre-order binds its iterator; the last
-            # binding of each name the target sees is its enclosing loop's.
-            below = [loop for node in view.inner for loop in node.iter_loops()]
-            frames = [*view.frames,
-                      *map(Frame.of, below[:below.index(target) + 1])]
+    def _trip(self, view: BandView, target: Loop) -> float:
+        """Trip count of the loop ``target`` below the band, the loops
+        around it bound at their midpoints, as the walk binds them (a band
+        loop's is the walk's own record)."""
+        # Every loop before it in pre-order binds its iterator; the last
+        # binding of each name the target sees is its enclosing loop's.
+        below = [loop for node in view.inner for loop in node.iter_loops()]
+        frames = [*view.frames, *map(Frame.of, below[:below.index(target) + 1])]
         bindings = dict(view.parameters)
         for frame in frames:
             start, end, step = frame.bounds(bindings)
@@ -364,7 +363,9 @@ class _Traffic(NamedTuple):
     flops: float
     write_iterations: float
     bytes_by_level: Dict[str, float]
-    #: Per band loop, its iterations (before unrolling and SIMD).
+    #: Per band loop, its trip count and its iterations (before unrolling
+    #: and SIMD).
+    band_trips: List[float]
     band_iterations: List[float]
     #: Per loop below the band, in the walk's order, its iterations over
     #: its own unrolling and SIMD width.
@@ -380,9 +381,11 @@ class _Traffic(NamedTuple):
 class _NestWalk:
     """Walks the frames of a loop nest's
     :class:`~repro.analysis.band.BandView` and the loops below them into
-    its :class:`_Traffic`.  What does not depend on the schedule —
-    accesses, layouts, strides, register pressure — is the view's to
-    remember."""
+    its :class:`_Traffic`: the perfect band as one flat loop, then the body
+    below it.  What does not depend on the schedule — accesses, layouts,
+    strides, register pressure, and per order of the loops around a
+    statement its :meth:`access plan <repro.analysis.band.BandView.access_plan>`
+    — is the view's to remember; the walk adds the trip counts."""
 
     def __init__(self, machine: MachineModel, view: BandView,
                  touched: Set[str]):
@@ -393,6 +396,7 @@ class _NestWalk:
         self.flops = 0.0
         self.write_iterations = 0.0
         self.bytes_by_level: Dict[str, float] = {lvl: 0.0 for lvl in MEMORY_LEVELS}
+        self.band_trips: List[float] = []
         self.band_iterations: List[float] = []
         self.inner_iterations: List[float] = []
         self.inner_vectorized = False
@@ -411,61 +415,72 @@ class _NestWalk:
         #: Cold-miss volume already charged per container (the first touch of
         #: a container is charged once, not once per syntactic access).
         self._cold_charged: Dict[str, float] = {}
-        self._band = len(view.frames)
+        self._line = float(machine.line_bytes)
 
     def traffic(self) -> _Traffic:
-        self.walk(self.view.frames, self.view.inner)
+        bindings = self._bindings
+        iterators, trips, iterations = (self._iterators, self._trips,
+                                        self._iterations)
+        for frame in self.view.frames:
+            start, end, step = frame.bounds(bindings)
+            trip = max(0.0, (end - start) / step)
+            outside = iterations[-1]
+            self.band_trips.append(trip)
+            self.band_iterations.append(outside * trip)
+            bindings[frame.iterator] = start + (end - start) / 2.0
+            iterators.append(frame.iterator)
+            trip = max(trip, 1.0)
+            trips.append(trip)
+            iterations.append(outside * trip)
+        self._body(self.view.inner)
         return _Traffic(self.flops, self.write_iterations, self.bytes_by_level,
-                        self.band_iterations, self.inner_iterations,
-                        self.inner_vectorized, tuple(self.flops_band_simd),
+                        self.band_trips, self.band_iterations,
+                        self.inner_iterations, self.inner_vectorized,
+                        tuple(self.flops_band_simd),
                         tuple(self.flops_no_band_simd),
                         frozenset(self._touched))
 
-    # -- traversal ------------------------------------------------------------------
+    # -- below the band ---------------------------------------------------------------
 
-    def walk(self, frames: Sequence[Frame], body: Sequence[Node]) -> None:
-        """Walk the loops ``frames`` stand for, nested over ``body``."""
-        if not frames:
-            for node in body:
-                if isinstance(node, Loop):
-                    self.walk((Frame.of(node),), node.body)
-                elif isinstance(node, Computation):
-                    self._handle_computation(node, body)
-                elif isinstance(node, LibraryCall):
-                    self._handle_library_call(node)
-            return
-        frame = frames[0]
+    def _body(self, body: Sequence[Node]) -> None:
+        for node in body:
+            if isinstance(node, Loop):
+                self._loop(node)
+            elif isinstance(node, Computation):
+                self._handle_computation(node, body)
+            elif isinstance(node, LibraryCall):
+                self._handle_library_call(node)
+
+    def _loop(self, loop: Loop) -> None:
+        """Walk a loop below the band, which binds its iterator for its
+        body and no further."""
         bindings = self._bindings
-        start, end, step = frame.bounds(bindings)
+        start = loop.start.evaluate(bindings)
+        end = loop.end.evaluate(bindings)
+        step = loop.step.evaluate(bindings)
         trip = max(0.0, (end - start) / step)
+        iterations = self._iterations[-1]
+        effective_unroll = max(1, loop.unroll)
+        if loop.vectorized:
+            effective_unroll *= self.machine.vector_width
+            self.inner_vectorized = True
+        self.inner_iterations.append(iterations * trip / effective_unroll)
+        self._simd_marked += loop.vectorized
 
-        iterations = self._iterations[-1] * trip
-        below_band = len(self._iterators) >= self._band
-        if below_band:
-            effective_unroll = max(1, frame.unroll)
-            if frame.vectorized:
-                effective_unroll *= self.machine.vector_width
-                self.inner_vectorized = True
-            self.inner_iterations.append(iterations / effective_unroll)
-            self._simd_marked += frame.vectorized
-        else:
-            self.band_iterations.append(iterations)
-
-        shadowed = bindings.get(frame.iterator, _UNBOUND)
-        bindings[frame.iterator] = start + (end - start) / 2.0
-        self._iterators.append(frame.iterator)
+        shadowed = bindings.get(loop.iterator, _UNBOUND)
+        bindings[loop.iterator] = start + (end - start) / 2.0
+        self._iterators.append(loop.iterator)
         self._trips.append(max(trip, 1.0))
-        self._iterations.append(self._iterations[-1] * max(trip, 1.0))
-        self.walk(frames[1:], body)
-        if below_band:
-            self._simd_marked -= frame.vectorized
+        self._iterations.append(iterations * max(trip, 1.0))
+        self._body(loop.body)
+        self._simd_marked -= loop.vectorized
         self._iterations.pop()
         self._trips.pop()
         self._iterators.pop()
         if shadowed is _UNBOUND:
-            del bindings[frame.iterator]
+            del bindings[loop.iterator]
         else:
-            bindings[frame.iterator] = shadowed
+            bindings[loop.iterator] = shadowed
 
     def _handle_library_call(self, call: LibraryCall) -> None:
         parameters = self.view.parameters
@@ -487,7 +502,10 @@ class _NestWalk:
         """Charge ``comp``, a statement directly in ``body``, the body of
         the innermost enclosing loop."""
         iterations = self._iterations[-1]
-        comp_flops = expr_flops(comp.value) * iterations
+        lead, (flops, pressure, accesses, moves, read) = \
+            self.view.access_plan(comp, body, tuple(self._iterators),
+                                  self._line)
+        comp_flops = flops * iterations
         self.flops += comp_flops
         self.write_iterations += iterations
 
@@ -495,116 +513,96 @@ class _NestWalk:
         # innermost loop body fits the register budget.  Oversized bodies
         # (heavily inlined/unrolled code such as the original CLOUDSC erosion
         # loop) fall back to scalar execution and pay spill traffic.
-        pressure = self.view.register_pressure(body)
         fits = pressure <= REGISTER_BUDGET
         self.flops_band_simd[fits] += comp_flops
         self.flops_no_band_simd[fits and self._simd_marked > 0] += comp_flops
+        bytes_by_level = self.bytes_by_level
         if not fits:
             spilled = pressure - REGISTER_BUDGET
-            self.bytes_by_level["L1"] += iterations * spilled * 2.0 * 8.0
+            bytes_by_level["L1"] += iterations * spilled * 2.0 * 8.0
 
-        iterators = self._iterators
+        # Per way the accesses move and loop level of the plan (the
+        # ``lead`` outermost loops hold the same as its level 0), the
+        # distinct bytes an access touches inside the loops from that level
+        # inwards: only the levels it varies in start a new value, their
+        # trips multiplied from the level inwards.
         trips = self._trips
-        depth = len(iterators)
-        line = float(self.machine.line_bytes)
+        inner = trips[lead:]
+        depth = len(inner)
+        distincts = []
+        for elem, terms, _invariant in moves:
+            distinct = [elem] * (depth + 1)
+            filled = 0
+            for level, per_element, inwards in terms:
+                product = 1.0
+                for varying in inwards:
+                    product *= inner[varying]
+                if product > 1.0:
+                    value = max(product * per_element, elem)
+                    for covered in range(filled, level + 1):
+                        distinct[covered] = value
+                filled = level + 1
+            distincts.append(distinct)
 
-        # Per access: the loop levels it varies in and the distinct bytes it
-        # touches inside each level.  Strides and layouts are the view's;
-        # the trips are combined in the same floating-point order as a
-        # straight evaluation per level would.
-        accounted = []
-        for array, elem, moves in self.view.access_moves(comp, iterators):
-            if moves is None:
-                terms = [(level, trips[level], line) for level in range(depth)]
-            else:
-                terms = [(level, trips[level], moves[iterator] or line)
-                         for level, iterator in enumerate(iterators)
-                         if iterator in moves]
-            accounted.append((array, elem, {term[0] for term in terms},
-                              self._distinct_bytes(terms, elem, line, depth)))
-
-        # Per loop level, the cache level that holds the footprint of one
-        # of its iterations (the distinct bytes all accesses of this
-        # computation touch inside it) — it serves temporal re-use.
-        sources = []
-        for level in range(depth + 1):
+        # Per loop level the charges read, the cache level that holds the
+        # footprint of one of its iterations (the distinct bytes all
+        # accesses of this computation touch inside it) — it serves
+        # temporal re-use.
+        fitting = self.machine.smallest_level_fitting
+        sources = {}
+        for level in read:
             footprint = 0.0
-            for _array, _elem, _used, distinct in accounted:
-                footprint += distinct[level]
-            sources.append(self.machine.smallest_level_fitting(footprint))
+            for _array, _elem, moved in accesses:
+                footprint += distincts[moved][level]
+            sources[level] = fitting(footprint)
 
-        for array, elem, used_levels, distinct in accounted:
-            self._account_access(array, elem, used_levels, distinct, sources,
-                                 iterations)
+        # Temporal re-use: for each loop an access is invariant to, the
+        # data touched inside that loop is re-swept (trip - 1) times per
+        # execution of the outer loops; the sweep is served by the smallest
+        # cache level that holds the footprint of one iteration of that
+        # loop.  L1 sweeps are already charged through the per-access L1
+        # term.  Accesses that move alike charge alike.
+        outside = self._iterations
+        sweeps = []
+        for (_elem, _terms, invariant), distinct in zip(moves, distincts):
+            charges = []
+            source = sources[0]
+            if source != "L1":
+                for level in range(lead):
+                    resweeps = trips[level] - 1.0
+                    if resweeps > 0:
+                        charges.append(
+                            (source, resweeps * outside[level] * distinct[0]))
+            for level in invariant:
+                resweeps = inner[level] - 1.0
+                source = sources[level + 1]
+                if resweeps > 0 and source != "L1":
+                    charges.append((source, resweeps * outside[lead + level]
+                                    * distinct[level + 1]))
+            sweeps.append(charges)
 
-    @staticmethod
-    def _distinct_bytes(terms: Sequence[Tuple[int, float, float]], elem: float,
-                        line: float, depth: int) -> List[float]:
-        """Per loop level ``0..depth``, the distinct bytes an access touches
-        inside the loops from that level inwards.  ``terms`` holds ``(level,
-        trip count, bytes between consecutive elements)`` of the levels the
-        access varies in, outermost first; only those start a new value."""
-        distinct_bytes = [elem] * (depth + 1)
-        filled = 0
-        for first, (level, _trip, _stride) in enumerate(terms):
-            distinct = 1.0
-            min_stride_bytes = line
-            for position in range(first, len(terms)):
-                _level, trip, stride_bytes = terms[position]
-                distinct *= trip
-                if position == first or stride_bytes < min_stride_bytes:
-                    min_stride_bytes = stride_bytes
-            if distinct > 1.0:
-                # Bytes per distinct element: if *any* used loop walks the
-                # array with (near-)unit stride, consecutive elements share
-                # cache lines even when another loop strides across rows
-                # (the spatial reuse is recovered at some cache level); only
-                # accesses with no dense dimension at all pull a full line
-                # per element.
-                bytes_per_element = min(max(min_stride_bytes, elem), line)
-                value = max(distinct * bytes_per_element, elem)
-                for covered in range(filled, level + 1):
-                    distinct_bytes[covered] = value
-            filled = level + 1
-        return distinct_bytes
+        cold_charged = self._cold_charged
+        touched = self._touched
+        for array, elem, moved in accesses:
+            # Every dynamic access touches L1 (or a register); charge L1
+            # port traffic.
+            bytes_by_level["L1"] += iterations * elem
 
-    def _account_access(self, array: str, elem: float, used_levels: set,
-                        distinct: Sequence[float], sources: Sequence[str],
-                        iterations: float) -> None:
-        """Charge one access: ``distinct[level]`` are the bytes it touches
-        inside loop ``level`` and deeper, ``used_levels`` the loops it varies
-        in, ``sources[level]`` the cache level one iteration of loop
-        ``level - 1`` fits in."""
-        # Every dynamic access touches L1 (or a register); charge L1 port traffic.
-        self.bytes_by_level["L1"] += iterations * elem
+            # Cold traffic: each distinct element is loaded at least once
+            # per nest.  The first nest touching a container pays DRAM;
+            # later nests (and later accesses within the same nest) re-read
+            # it from the cache level its footprint fits in.
+            cold = distincts[moved][0]
+            volume = max(0.0, cold - cold_charged.get(array, 0.0))
+            if volume > 0:
+                if array in touched:
+                    source = fitting(cold)
+                    if source != "L1":
+                        bytes_by_level[source] += volume
+                else:
+                    bytes_by_level["DRAM"] += volume
+                cold_charged[array] = cold
+            touched.add(array)
 
-        # Cold traffic: each distinct element is loaded at least once per
-        # nest.  The first nest touching a container pays DRAM; later nests
-        # (and later accesses within the same nest) re-read it from the cache
-        # level its footprint fits in.
-        cold = distinct[0]
-        already_nest = self._cold_charged.get(array, 0.0)
-        volume = max(0.0, cold - already_nest)
-        if volume > 0:
-            if array in self._touched:
-                source = self.machine.smallest_level_fitting(cold)
-                if source != "L1":
-                    self.bytes_by_level[source] += volume
-            else:
-                self.bytes_by_level["DRAM"] += volume
-            self._cold_charged[array] = cold
-        self._touched.add(array)
-
-        # Temporal re-use: for each loop the access is invariant to, the data
-        # touched inside that loop is re-swept (trip - 1) times per execution
-        # of the outer loops; the sweep is served by the smallest cache level
-        # that holds the footprint of one iteration of that loop.
-        trips = self._trips
-        for level in range(len(trips)):
-            if level in used_levels:
-                continue
-            resweeps = trips[level] - 1.0
-            # L1 sweeps are already charged through the per-access L1 term.
-            if resweeps > 0 and sources[level + 1] != "L1":
-                self.bytes_by_level[sources[level + 1]] += (
-                    resweeps * self._iterations[level] * distinct[level + 1])
+            for source, volume in sweeps[moved]:
+                bytes_by_level[source] += volume

@@ -264,6 +264,9 @@ class NestPricer:
         #: Schedule of the nest (the view's frames) -> what pricing the
         #: nest gave.
         self._priced: Dict[Tuple, Priced] = {}
+        #: Names touched once the nest ran -> the seconds of each node
+        #: after it, in program order.
+        self._later: Dict[FrozenSet[str], Tuple[float, ...]] = {}
         self.view = BandView(program.body[nest_index], program, parameters)
         if self.prices.facts is None:
             self.prices.facts = container_facts(program)
@@ -300,11 +303,25 @@ class NestPricer:
         total = self._prefix
         if cost is not None:
             total += cost.time
-        for index in range(self.nest_index + 1, len(self.program.body)):
-            later, names = self.prices.cost(self.program, index, names)
-            if later is not None:
-                total += later.time
+        for seconds in self._after(names):
+            total += seconds
         return total
+
+    def _after(self, names: FrozenSet[str]) -> Tuple[float, ...]:
+        """The seconds of each node after the nest that the model prices,
+        once the nest touched ``names``: looked up in the table once per
+        set of names, added up per candidate in program order as a
+        from-scratch estimate adds them."""
+        later = self._later.get(names)
+        if later is None:
+            seconds = []
+            touched = names
+            for index in range(self.nest_index + 1, len(self.program.body)):
+                cost, touched = self.prices.cost(self.program, index, touched)
+                if cost is not None:
+                    seconds.append(cost.time)
+            later = self._later[names] = tuple(seconds)
+        return later
 
     def _price(self, view: BandView) -> Priced:
         """What pricing the nest as ``view`` schedules it gives."""

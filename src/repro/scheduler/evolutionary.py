@@ -17,6 +17,7 @@ from itertools import permutations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.band import BandView
+from ..ir.canonical import node_fragment
 from ..ir.nodes import Loop, Program
 from ..perf.model import CostModel
 from ..transforms.base import TransformationError
@@ -27,11 +28,22 @@ from ..transforms.tiling import Tile
 from .base import NestPricer
 
 
-def nest_salt(nest: Loop) -> int:
-    """A deterministic salt derived from a nest's content."""
-    from ..ir.serialization import node_to_dict
+#: What precedes a computation's label in a canonical fragment (which
+#: holds it stripped, as ``""``).
+_LABEL = '"kind": "computation", "name": '
 
-    return zlib.crc32(json.dumps(node_to_dict(nest), sort_keys=True).encode("utf-8"))
+
+def nest_salt(nest: Loop) -> int:
+    """A deterministic salt derived from a nest's content: the CRC-32 of
+    the nest's ``node_to_dict`` as JSON with sorted keys, spelled as its
+    memoized canonical fragment with each computation's label put back, in
+    pre-order (a fragment strips labels; every other key is the same)."""
+    pieces = node_fragment(nest).split(_LABEL + '""')
+    labels = [statement.name for statement in nest.iter_computations()]
+    text = pieces[0] + "".join(
+        _LABEL + json.dumps(label) + piece
+        for label, piece in zip(labels, pieces[1:]))
+    return zlib.crc32(text.encode("utf-8"))
 
 
 def nest_rng(seed: int, nest: Loop) -> random.Random:

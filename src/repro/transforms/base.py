@@ -15,7 +15,7 @@ is:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Type
+from typing import Any, Dict, Mapping, Optional, Type
 
 from ..analysis.band import BandView
 from ..ir.nodes import Loop, Program
@@ -93,12 +93,21 @@ class BandSchedule(Transformation):
         loop of the subtree below its band."""
         return True
 
-    def view(self, program: Program) -> BandView:
-        """A view of the nest this transformation addresses."""
-        return BandView(get_nest(program, self.nest_index), program)
+    def view(self, program: Program,
+             facts: Optional[Mapping[str, int]] = None) -> BandView:
+        """A view of the nest this transformation addresses, classifying
+        under the program's container ``facts`` when the caller holds them
+        (else it derives them on its first parallelism question)."""
+        view = BandView(get_nest(program, self.nest_index), program)
+        view.facts = facts
+        return view
 
     def apply(self, program: Program) -> bool:
-        view = self.view(program)
+        return self.apply_on(program, self.view(program))
+
+    def apply_on(self, program: Program, view: BandView) -> bool:
+        """:meth:`apply` through ``view``, a view of the addressed nest of
+        ``program``: schedule it and build what it describes."""
         self.schedule(view)
         return build_view(program, self.nest_index, view)
 

@@ -22,11 +22,11 @@ class Interchange(BandSchedule):
 
     def schedule(self, view: BandView) -> None:
         current = view.order()
+        if self.order == current:
+            return
         if sorted(current) != sorted(self.order):
             raise TransformationError(
                 f"interchange order {self.order} does not match band {current}")
-        if self.order == current:
-            return
         if not view.order_is_legal(self.order):
             raise TransformationError(
                 f"interchange to {self.order} violates dependences in nest "

@@ -9,10 +9,10 @@ its optimized form.  :func:`apply_recipe` is the one way to apply it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..ir.nodes import Program
-from .base import Transformation, TransformationError
+from .base import BandSchedule, Transformation, TransformationError
 
 
 @dataclass
@@ -87,11 +87,31 @@ def apply_recipe(program: Program, recipe: Recipe,
     """Apply a recipe to ``program`` in place, one step at a time (a band
     schedule views its nest, schedules the view and builds it).
 
+    The program's container facts are derived at most once per program
+    state: the first view that needs them derives them and each later band
+    schedule's view is handed them.  A band schedule never changes what the
+    program reads; any other step (a library call put in a nest's place
+    reads its operands whole) drops them.
+
     With ``strict=True`` the first illegal transformation raises; otherwise
     illegal transformations are recorded and skipped — mirroring the paper's
     behavior that a transformation sequence "cannot be applied" when a B loop
     nest does not reduce to an A loop nest.
     """
     result = RecipeApplication(recipe=recipe)
-    result.attempt(lambda step: step.apply(program), strict)
+    facts: Optional[Mapping[str, int]] = None
+
+    def run(step: Transformation) -> None:
+        nonlocal facts
+        if not isinstance(step, BandSchedule):
+            step.apply(program)
+            facts = None
+            return
+        view = step.view(program, facts)
+        try:
+            step.apply_on(program, view)
+        finally:
+            facts = view.facts
+
+    result.attempt(run, strict)
     return result

@@ -42,14 +42,8 @@ class Tile(BandSchedule):
                 raise TransformationError(
                     f"cannot tile {frame.iterator!r} by {size}: its step "
                     f"{frame.step} does not divide the size")
-        # Rectangular tiling is strip-mining plus interchange; it is legal when
-        # the tiled loops form a fully permutable band.  We approximate full
-        # permutability by requiring that both the original and the reversed
-        # relative order of the tiled loops (moved outermost) are legal.
-        others = [it for it in iterators if it not in tiled]
-        for candidate in (tiled + others, list(reversed(tiled)) + others):
-            if not view.order_is_legal(candidate):
-                raise TransformationError(
-                    f"tiling {self.tile_sizes} is not legal for nest "
-                    f"{self.nest_index} of {view.program.name!r}")
+        if not view.tiling_is_legal(tiled):
+            raise TransformationError(
+                f"tiling {self.tile_sizes} is not legal for nest "
+                f"{self.nest_index} of {view.program.name!r}")
         view.tile(self.tile_sizes)

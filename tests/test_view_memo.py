@@ -3,7 +3,8 @@
 * the legal orders a search draws from (``CandidateSpace.orders(view)``)
   are the orders ``legal_permutations`` of the nest gives, in its
   sequence, for both search spaces and every nest of the corpus;
-* a search derives its nest's direction vectors once;
+* a search derives its nest's direction vectors once — none when its band
+  is one loop, whose only order is its own;
 * a scheduler whose distance bound is negative (``evolutionary``) reads
   no database when it schedules.
 """
@@ -71,7 +72,9 @@ class TestOneDerivationPerSearch:
     def test_each_search_derives_the_direction_vectors_once(self, monkeypatch):
         """A fresh session scheduling the 18 registry ``:a`` programs runs
         49 searches; each asks ``direction_vectors`` once, for its legal
-        orders and every candidate together."""
+        orders and every candidate together — except the 18 over a band of
+        one loop, which is only ever asked about its own order and derives
+        none."""
         derivations = []
         per_search = []
         derive = dependence.direction_vectors
@@ -84,7 +87,7 @@ class TestOneDerivationPerSearch:
         def search(self, pricer, seeds=None):
             del derivations[:]
             outcome = run(self, pricer, seeds)
-            per_search.append(len(derivations))
+            per_search.append((len(pricer.view.frames) > 1, len(derivations)))
             return outcome
 
         monkeypatch.setattr(dependence, "direction_vectors", counted)
@@ -94,7 +97,8 @@ class TestOneDerivationPerSearch:
             for name in workloads.benchmark_names():
                 session.schedule(f"{name}:a")
         assert len(per_search) == 49
-        assert per_search == [1] * 49
+        assert sum(not deep for deep, _ in per_search) == 18
+        assert per_search == [(deep, int(deep)) for deep, _ in per_search]
 
 
 class TestNegativeDistanceReadsNoDatabase:
