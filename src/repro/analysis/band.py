@@ -57,8 +57,8 @@ from ..ir.nodes import (Computation, FrozenNodeError, Loop, Node, Program,
                         read_accesses)
 from ..ir.symbols import Expr, Min, Sym, const
 from .affine import AffineAccess, computation_accesses, nest_statements
-from .flops import expr_flops
 from .dependence import Statements, band_order_is_legal, direction_vectors
+from .flops import expr_flops
 from .parallelism import (ParallelismInfo, carried_dependences,
                           classify_carried, container_facts, privatizable)
 from .strides import _array_strides, access_stride
