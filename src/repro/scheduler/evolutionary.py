@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 import random
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from ..analysis.band import BandView
 from ..ir.canonical import node_fragment
@@ -79,9 +80,8 @@ class SearchOutcome:
     evaluated: int
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One candidate schedule of a nest."""
+class Candidate(NamedTuple):
+    """One candidate schedule of a nest (a value: searches hash it)."""
 
     order: Tuple[str, ...]
     #: ``(iterator, tile size)`` per band loop, in ``order``.
@@ -146,18 +146,18 @@ class CandidateSpace:
                rng: random.Random) -> Candidate:
         roll = rng.random()
         if roll < 0.25:
-            return replace(candidate, order=tuple(rng.choice(orders)))
+            return candidate._replace(order=tuple(rng.choice(orders)))
         if roll < 0.6 and candidate.tile_sizes:
             retiled = rng.choice([name for name, _ in candidate.tile_sizes])
             size = rng.choice(self.tile_sizes)
-            return replace(candidate, tile_sizes=tuple(
+            return candidate._replace(tile_sizes=tuple(
                 (name, size if name == retiled else old)
                 for name, old in candidate.tile_sizes))
         if roll < 0.75:
-            return replace(candidate, parallelize=not candidate.parallelize)
+            return candidate._replace(parallelize=not candidate.parallelize)
         if roll < 0.9:
-            return replace(candidate, vectorize=not candidate.vectorize)
-        return replace(candidate, unroll=rng.choice(self.unroll_factors))
+            return candidate._replace(vectorize=not candidate.vectorize)
+        return candidate._replace(unroll=rng.choice(self.unroll_factors))
 
 
 #: The space the evolutionary search explores.
