@@ -39,9 +39,9 @@ unit-stride share of a band loop its iterator
 layout of a container            its name
 legality of a tiling             the band's order + the tiled iterators
 accesses of a statement          the statement
-access plan of a statement       the statement + the iterators enclosing it
-                                 + the cache line (the cost model's)
-register pressure of a body      the body
+access plan of a statement       the statement + the loops enclosing it
+                                 from the first one an access varies in +
+                                 the cache line (the cost model's)
 memory traffic of a schedule     the unannotated band + the names touched
                                  before the nest (the cost model's)
 ===============================  =========================================
@@ -199,7 +199,6 @@ class BandView:
         self._layouts: Dict[str, Tuple[float, Tuple[int, ...]]] = {}
         self._moves: Dict[int, Tuple] = {}
         self._plans: Dict[Tuple, StatementPlan] = {}
-        self._pressure: Dict[int, float] = {}
         #: The cost model's memo (see :meth:`unannotated`).
         self.traffic: Dict[Tuple, Any] = {}
 
@@ -586,17 +585,11 @@ class BandView:
                               if level not in levels)
             read.update(level + 1 for level in invariant)
             plans.append((elem, tuple(terms), invariant))
-        plan = self._plans[key] = (float(expr_flops(comp.value)),
-                                   self.register_pressure(body), accesses,
-                                   tuple(plans), tuple(sorted(read)))
+        # Distinct values live in one iteration of the statements directly
+        # in ``body`` (operands plus temporaries), a spill predictor.
+        pressure = float(sum(len(read_accesses(child.value)) + 1
+                             for child in body
+                             if isinstance(child, Computation)))
+        plan = self._plans[key] = (float(expr_flops(comp.value)), pressure,
+                                   accesses, tuple(plans), tuple(sorted(read)))
         return lead, plan
-
-    def register_pressure(self, body: Sequence[Node]) -> float:
-        """Distinct values live in one iteration of the statements directly
-        in ``body`` (operands plus temporaries), a spill predictor."""
-        pressure = self._pressure.get(id(body))
-        if pressure is None:
-            pressure = self._pressure[id(body)] = float(sum(
-                len(read_accesses(child.value)) + 1
-                for child in body if isinstance(child, Computation)))
-        return pressure

@@ -15,7 +15,7 @@ is:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Type
+from typing import Any, Dict, Type
 
 from ..analysis.band import BandView
 from ..ir.nodes import Loop, Program
@@ -93,14 +93,9 @@ class BandSchedule(Transformation):
         loop of the subtree below its band."""
         return True
 
-    def view(self, program: Program,
-             facts: Optional[Mapping[str, int]] = None) -> BandView:
-        """A view of the nest this transformation addresses, classifying
-        under the program's container ``facts`` when the caller holds them
-        (else it derives them on its first parallelism question)."""
-        view = BandView(get_nest(program, self.nest_index), program)
-        view.facts = facts
-        return view
+    def view(self, program: Program) -> BandView:
+        """A view of the nest this transformation addresses."""
+        return BandView(get_nest(program, self.nest_index), program)
 
     def apply(self, program: Program) -> bool:
         return self.apply_on(program, self.view(program))

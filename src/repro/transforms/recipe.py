@@ -107,7 +107,8 @@ def apply_recipe(program: Program, recipe: Recipe,
             step.apply(program)
             facts = None
             return
-        view = step.view(program, facts)
+        view = step.view(program)
+        view.facts = facts
         try:
             step.apply_on(program, view)
         finally:
