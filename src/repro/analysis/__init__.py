@@ -10,15 +10,15 @@
   schedule transformations edit, legality is asked of and the cost model
   walks.
 * :mod:`repro.analysis.strides` — the ``stride(loop)`` normalization criterion.
-* :mod:`repro.analysis.flops` — flop counting and invariance facts for the
-  expression-rewrite passes.
+* :mod:`repro.analysis.flops` — flop counting for the cost model and the
+  embedding.
 """
 
 from .affine import (AffineAccess, AffineIndex, computation_accesses,
                      decompose_access, decompose_index, nest_statements)
 from .band import BandView, Frame
 from .dataflow import adjacent_flows, body_dataflow, node_reads_writes
-from .flops import computation_flops, expr_flops, expr_reads, program_flops
+from .flops import computation_flops, expr_flops, program_flops
 from .dependence import (ANY, EQ, GT, LT, Dependence, body_dependences,
                          dependences_between, legal_permutations,
                          nest_dependences, permutation_is_legal,
@@ -36,6 +36,6 @@ __all__ = [
     "dependences_between", "legal_permutations", "nest_dependences",
     "permutation_is_legal", "self_dependences",
     "ParallelismInfo",
-    "computation_flops", "expr_flops", "expr_reads", "program_flops",
+    "computation_flops", "expr_flops", "program_flops",
     "BandStrides", "access_stride", "band_strides", "program_stride_cost",
 ]

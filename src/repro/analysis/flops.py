@@ -1,18 +1,11 @@
-"""The one flop counter, and invariance facts for the rewrite passes.
+"""The one flop counter.
 
-* **How much work does an expression / program perform?**  ``expr_flops``,
-  which the cost model, the embedding and the rewrite passes all read,
-  counts one evaluation of a value expression, each intrinsic at its weight
-  in :data:`repro.ir.symbols.INTRINSICS` (index arithmetic is addressing,
-  not work, so a ``Read`` is a leaf); ``program_flops`` sums operations
-  over the *actual* iteration space for a parameter binding, which makes
-  before/after comparisons exact even for triangular nests.
-
-* **What would an enclosing loop change about an expression?**
-  ``expr_reads`` collects the arrays a value expression loads from (what a
-  subtree stores to is :func:`repro.analysis.dataflow.node_reads_writes`);
-  an expression is invariant in a loop iff the loop's iterator is not among
-  its free symbols and none of its read arrays is written in the loop body.
+``expr_flops``, which the cost model and the embedding both read, counts one
+evaluation of a value expression, each intrinsic at its weight in
+:data:`repro.ir.symbols.INTRINSICS` (index arithmetic is addressing, not
+work, so a ``Read`` is a leaf); ``program_flops`` sums operations over the
+*actual* iteration space for a parameter binding, which makes before/after
+comparisons exact even for triangular nests.
 
 Counts are static properties of the IR, so all results are immutable.
 """
@@ -25,7 +18,7 @@ from ..ir.nodes import Computation, LibraryCall, Node, Program
 from ..ir.symbols import INTRINSICS, Call, Expr, Read
 
 __all__ = [
-    "expr_flops", "expr_reads", "computation_flops", "program_flops",
+    "expr_flops", "computation_flops", "program_flops",
 ]
 
 
@@ -57,23 +50,6 @@ def expr_flops(expr: Expr) -> float:
         stack.extend(children)
     expr._flops = flops
     return flops
-
-
-def expr_reads(expr: Expr) -> frozenset:
-    """Names of the arrays a value expression loads from.
-
-    Index expressions never contain reads in this IR, so the collector does
-    not descend into them.
-    """
-    if isinstance(expr, Read):
-        return frozenset({expr.array})
-    out = frozenset()
-    for child in expr.children():
-        if isinstance(child, Read):
-            out |= frozenset({child.array})
-        else:
-            out |= expr_reads(child)
-    return out
 
 
 def computation_flops(computation: Computation) -> float:

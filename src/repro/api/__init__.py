@@ -27,8 +27,7 @@ from ..normalization.scalar_expansion import contract_arrays
 from ..observability import (Counter, Gauge, Histogram, MetricsRegistry,
                              render_registry_dict)
 from ..passes import (FixedPoint, Pass, PassResult, PassStats, Pipeline,
-                      get_pipeline, pipeline_bit_exact, pipeline_names,
-                      register_pipeline)
+                      get_pipeline, pipeline_names, register_pipeline)
 from ..perf.machine import DEFAULT_MACHINE, CacheLevel, MachineModel
 from ..perf.model import CostModel
 from ..scheduler.base import NestScheduleInfo, ScheduleResult, Scheduler
@@ -74,7 +73,6 @@ __all__ = [
     # pass framework
     "Pass", "PassResult", "PassStats", "Pipeline", "FixedPoint",
     "register_pipeline", "get_pipeline", "pipeline_names",
-    "pipeline_bit_exact",
     # scheduler interface types
     "Scheduler", "ScheduleResult", "NestScheduleInfo", "TuningDatabase",
     # IR / execution conveniences

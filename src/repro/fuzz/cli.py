@@ -49,12 +49,6 @@ def _add_oracle_arguments(parser: argparse.ArgumentParser) -> None:
                         default=list(DEFAULT_SCHEDULERS), metavar="S1,S2,...",
                         help="schedulers to test (default: "
                              f"{','.join(DEFAULT_SCHEDULERS)})")
-    parser.add_argument("--tolerance", type=float, default=0.0,
-                        help="0 compares bit-exactly except for pipelines "
-                             "registered bit_exact=False, which use the "
-                             "oracle's rewrite tolerance (default); >0 "
-                             "forces np.allclose with this rtol/atol "
-                             "for every pipeline")
     parser.add_argument("--threads", type=int, default=4,
                         help="machine-model thread count (default: 4)")
     parser.add_argument("--exec-seed", type=int, default=0,
@@ -64,7 +58,7 @@ def _add_oracle_arguments(parser: argparse.ArgumentParser) -> None:
 def _build_oracle(args: argparse.Namespace) -> Oracle:
     config = OracleConfig(pipelines=args.pipelines,
                           schedulers=args.schedulers,
-                          tolerance=args.tolerance, threads=args.threads,
+                          threads=args.threads,
                           exec_seed=args.exec_seed)
     return Oracle(config)
 
@@ -89,7 +83,6 @@ def _minimize_verdict(oracle: Oracle, verdict: ProgramVerdict,
     generated = generate_program(verdict.seed, verdict.size_class)
     result = minimize_program(generated, divergence.spec,
                               session=oracle.session,
-                              tolerance=oracle.config.tolerance,
                               exec_seed=oracle.config.exec_seed)
     print(f"  minimized {generated.name}: "
           f"{result.original_statements} -> {result.statements} statements "

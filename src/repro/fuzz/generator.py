@@ -66,19 +66,6 @@ class GeneratorConfig:
     temporaries: float
     #: Probability of emitting a reduction idiom in a body.
     reductions: float
-    #: Use the expression-heavy operator grammar: mul-/add-rich, deeper
-    #: expressions, and no ``select`` (its discontinuity would turn benign
-    #: re-association rounding into branch flips under the tolerance oracle).
-    expression_profile: bool = False
-    #: Probability of reusing an already-generated subexpression verbatim
-    #: (redundancy: CSE fodder).
-    redundancy: float = 0.0
-    #: Probability that a product pulls one factor from the enclosing scope
-    #: only, excluding the innermost iterator (loop invariance: LICM fodder).
-    invariance: float = 0.0
-    #: Probability of emitting a polynomial sum ``c0 + c1*x + c2*x^2 ...``
-    #: over a shared base (factorization fodder).
-    polynomial: float = 0.0
 
 
 SIZE_CLASSES: Dict[str, GeneratorConfig] = {
@@ -98,15 +85,6 @@ SIZE_CLASSES: Dict[str, GeneratorConfig] = {
                              statements=(8, 18), arrays=(3, 5), max_rank=3,
                              params=(3, 4), param_values=(4, 8), expr_depth=3,
                              irregular=0.35, temporaries=0.45, reductions=0.4),
-    # Deep redundant subexpressions, loop-invariant factors, polynomial
-    # sums, and shared temporaries — the workload profile the rewrite
-    # passes (repro.passes.rewrite) are built for.
-    "expression-heavy": GeneratorConfig(
-        "expression-heavy", loops=(3, 6), max_depth=3, statements=(4, 10),
-        arrays=(2, 4), max_rank=3, params=(2, 3), param_values=(4, 7),
-        expr_depth=4, irregular=0.15, temporaries=0.5, reductions=0.3,
-        expression_profile=True, redundancy=0.35, invariance=0.4,
-        polynomial=0.25),
 }
 
 
@@ -157,19 +135,9 @@ class _Scope:
     iterators: List[_Iterator] = field(default_factory=list)
     #: Transient scalars guaranteed written before this point executes.
     temps: List[str] = field(default_factory=list)
-    #: Reusable subexpressions valid at this point (expression-heavy
-    #: redundancy).  Flows downward only: children copy the pool, so an
-    #: expression built under an inner iterator never leaks outward.
-    pool: List[Expr] = field(default_factory=list)
 
     def child(self) -> "_Scope":
-        return _Scope(list(self.iterators), list(self.temps), list(self.pool))
-
-    def outer(self) -> "_Scope":
-        """The scope without its innermost iterator (and without temps,
-        which may be written under it): what a loop-invariant factor may
-        reference."""
-        return _Scope(list(self.iterators[:-1]))
+        return _Scope(list(self.iterators), list(self.temps))
 
 
 class _Sampler:
@@ -278,42 +246,16 @@ class _Sampler:
     def expression(self, scope: _Scope, depth: Optional[int] = None) -> Expr:
         rng, config = self.rng, self.config
         depth = config.expr_depth if depth is None else depth
-        if (config.redundancy and scope.pool
-                and rng.random() < config.redundancy):
-            return rng.choice(scope.pool)
-        expr = self._fresh_expression(scope, depth)
-        if (config.redundancy and expr.children()
-                and rng.random() < 0.5):
-            scope.pool.append(expr)
-        return expr
-
-    def _fresh_expression(self, scope: _Scope, depth: int) -> Expr:
-        rng, config = self.rng, self.config
-        leaf_probability = 0.15 if config.expression_profile else 0.3
-        if depth <= 0 or rng.random() < leaf_probability:
+        if depth <= 0 or rng.random() < 0.3:
             return self.leaf(scope)
-        if (config.polynomial and depth >= 2
-                and rng.random() < config.polynomial):
-            return self.polynomial_sum(scope, depth)
-        if config.expression_profile:
-            # Mul-/add-rich and select-free: re-association noise must stay
-            # continuous for the tolerance oracle.
-            op = rng.choice(["add", "add", "add", "mul", "mul", "mul", "mul",
-                             "sub", "min", "max", "fmin", "fmax", "sqrt",
-                             "tanh"])
-        else:
-            op = rng.choice(["add", "add", "mul", "mul", "sub", "min", "max",
-                             "fmin", "fmax", "select", "sqrt", "tanh"])
+        op = rng.choice(["add", "add", "mul", "mul", "sub", "min", "max",
+                         "fmin", "fmax", "select", "sqrt", "tanh"])
         a = self.expression(scope, depth - 1)
         if op == "sqrt":
             return Call("sqrt", (Call("abs", (a,)),))
         if op == "tanh":
             return Call("tanh", (a,))
-        if (op == "mul" and config.invariance and scope.iterators
-                and rng.random() < config.invariance):
-            b = self.expression(scope.outer(), depth - 1)
-        else:
-            b = self.expression(scope, depth - 1)
+        b = self.expression(scope, depth - 1)
         if op == "add":
             return a + b
         if op == "sub":
@@ -327,17 +269,6 @@ class _Sampler:
         if op in ("fmin", "fmax"):
             return Call(op, (a, b))
         return Call("select", (a, b, self.expression(scope, depth - 1)))
-
-    def polynomial_sum(self, scope: _Scope, depth: int) -> Expr:
-        """``c0 + c1*x + c2*x^2 (+ c3*x^3)`` over a shared base ``x``."""
-        rng = self.rng
-        base = self.expression(scope, max(1, depth - 2))
-        terms: Expr = Const(rng.choice(_CONSTANTS))
-        power: Expr = base
-        for _ in range(rng.randint(2, 3)):
-            terms = terms + Const(rng.choice(_CONSTANTS)) * power
-            power = power * base
-        return terms
 
     # -- statements and loops ----------------------------------------------------
 

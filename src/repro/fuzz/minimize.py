@@ -179,7 +179,7 @@ def _shrunk_bindings(parameters: Mapping[str, int]):
 
 def minimize_program(generated: GeneratedProgram, spec: FailureSpec, *,
                      session: Optional[Session] = None,
-                     tolerance: float = 0.0, exec_seed: int = 0,
+                     exec_seed: int = 0,
                      max_rounds: int = 10,
                      max_tests: int = 2000) -> MinimizationResult:
     """Shrink ``generated`` while it keeps failing exactly per ``spec``.
@@ -204,7 +204,7 @@ def minimize_program(generated: GeneratedProgram, spec: FailureSpec, *,
         except Exception:  # noqa: BLE001 - malformed shrink, reject
             return False
         return reproduces_failure(session, candidate, bindings, spec,
-                                  tolerance=tolerance, exec_seed=exec_seed)
+                                  exec_seed=exec_seed)
 
     if not still_fails(result.program, result.parameters):
         raise ValueError(

@@ -14,13 +14,10 @@ For one generated program the oracle runs, on identical inputs:
    session's content-addressed cache now serves warm — must execute to the
    same outputs as the cold result.
 
-Comparison is bit-exact by default (``tolerance=0.0``): the repo's loop
+Comparison is bit-exact for every pipeline: the repo's loop
 transformations restructure iteration spaces but never reassociate the
 per-element operation order, so even floating-point reductions must match
-to the last bit.  Pipelines registered with ``bit_exact=False`` (the
-expression-rewrite family re-associates sums of products) are compared
-under ``OracleConfig.rewrite_tolerance`` via ``np.allclose`` instead;
-setting ``tolerance`` explicitly overrides both modes for every pipeline.
+to the last bit.
 
 Outcomes are counted once, by the :class:`OracleReport` a run returns:
 ``counts`` by outcome and ``checks`` summed over its verdicts.
@@ -35,7 +32,7 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
 from ..api import ScheduleRequest, SearchConfig, Session
 from ..interp.executor import ExecutionError, run_program
 from ..ir.nodes import Program
-from ..passes.registry import has_pipeline, pipeline_bit_exact, pipeline_names
+from ..passes.registry import has_pipeline, pipeline_names
 from ..api.registry import SCHEDULERS, RegistryError
 from ..scheduler.tiramisu import MctsConfig
 from .generator import GeneratedProgram, generate_program
@@ -149,17 +146,11 @@ class OracleReport:
 
 @dataclass
 class OracleConfig:
-    """What to test and how strictly to compare."""
+    """What to test."""
 
     pipelines: Optional[Sequence[str]] = None     # None -> all registered
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS
     threads: int = 4
-    #: 0.0 compares bit-exactly; > 0 switches to np.allclose(rtol=atol=...)
-    #: for *every* pipeline, overriding the per-pipeline ``bit_exact`` flag.
-    tolerance: float = 0.0
-    #: Relative/absolute tolerance applied to pipelines registered with
-    #: ``bit_exact=False`` (re-associating rewrites) when ``tolerance`` is 0.
-    rewrite_tolerance: float = 1e-6
     exec_seed: int = 0
     check_cache_consistency: bool = True
 
@@ -171,21 +162,6 @@ class OracleConfig:
                 raise KeyError(f"unknown pipeline {name!r}; "
                                f"registered: {pipeline_names()}")
         return names
-
-    def effective_tolerance(self, pipeline: Optional[str]) -> float:
-        """The comparison tolerance in force for one pipeline's checks."""
-        return _effective_tolerance(self.tolerance, self.rewrite_tolerance,
-                                    pipeline)
-
-
-def _effective_tolerance(tolerance: float, rewrite_tolerance: float,
-                         pipeline: Optional[str]) -> float:
-    if tolerance > 0.0:
-        return tolerance
-    if (pipeline is not None and has_pipeline(pipeline)
-            and not pipeline_bit_exact(pipeline)):
-        return rewrite_tolerance
-    return 0.0
 
 
 def _shared_inputs(program: Program, parameters: Mapping[str, int],
@@ -211,7 +187,7 @@ def _outputs(program: Program) -> List[str]:
 
 def _compare(reference: Mapping[str, np.ndarray],
              candidate: Mapping[str, np.ndarray],
-             names: Sequence[str], tolerance: float) -> List[Dict[str, Any]]:
+             names: Sequence[str]) -> List[Dict[str, Any]]:
     import numpy as np
     mismatches: List[Dict[str, Any]] = []
     for name in names:
@@ -225,24 +201,10 @@ def _compare(reference: Mapping[str, np.ndarray],
                                "expected": list(expected.shape),
                                "actual": list(actual.shape)})
             continue
-        if tolerance > 0.0:
-            # A tolerance comparison only checks positions where the
-            # reference is finite: once the reference overflows, a
-            # re-associating pipeline may legitimately saturate
-            # differently (nan vs +/-inf), so those entries carry no
-            # comparable value.  Bit-exact mode still flags them.
-            finite = np.isfinite(expected)
-            equal = np.allclose(expected[finite],
-                                np.asarray(actual)[finite],
-                                rtol=tolerance, atol=tolerance)
-        else:
-            equal = np.array_equal(expected, actual, equal_nan=True)
-        if not equal:
+        if not np.array_equal(expected, actual, equal_nan=True):
             with np.errstate(invalid="ignore"):
                 delta = np.abs(np.asarray(expected) - np.asarray(actual))
             delta = np.where(np.isnan(delta), np.inf, delta)
-            if tolerance > 0.0:
-                delta = np.where(np.isfinite(expected), delta, 0.0)
             flat = int(np.argmax(delta))
             index = list(np.unravel_index(flat, expected.shape)) \
                 if expected.shape else []
@@ -307,7 +269,6 @@ class Oracle:
         """Run one pipeline (and its schedulers); first divergence wins."""
         program, parameters = generated.program, generated.parameters
         seed_info = dict(seed=generated.seed, size_class=generated.size_class)
-        tolerance = self.config.effective_tolerance(pipeline)
         verdict.checks += 1
         try:
             normalized = self.session.normalize(program, pipeline=pipeline)
@@ -317,8 +278,7 @@ class Oracle:
                               detail=str(error), **seed_info)
         failure = self._execute_and_compare(
             normalized.program, parameters, inputs, outputs, reference,
-            FailureSpec("normalize", "mismatch", pipeline), seed_info,
-            tolerance=tolerance)
+            FailureSpec("normalize", "mismatch", pipeline), seed_info)
         if failure is not None:
             return failure
 
@@ -338,7 +298,7 @@ class Oracle:
             failure = self._execute_and_compare(
                 response.program, parameters, inputs, outputs, reference,
                 FailureSpec("schedule", "mismatch", pipeline, scheduler),
-                seed_info, tolerance=tolerance)
+                seed_info)
             if failure is not None:
                 return failure
 
@@ -355,8 +315,7 @@ class Oracle:
             failure = self._execute_and_compare(
                 warm.program, parameters, inputs, outputs, reference,
                 FailureSpec("cache", "mismatch", pipeline, scheduler),
-                seed_info, tolerance=tolerance,
-                detail="warm cache-served schedule diverged from cold result")
+                seed_info, detail="warm cache-served schedule diverged from cold result")
             if failure is not None:
                 return failure
         return None
@@ -364,10 +323,7 @@ class Oracle:
     def _execute_and_compare(self, program: Program, parameters, inputs,
                              outputs, reference, spec: FailureSpec,
                              seed_info: Dict[str, Any],
-                             tolerance: Optional[float] = None,
                              detail: str = "") -> Optional[Divergence]:
-        if tolerance is None:
-            tolerance = self.config.effective_tolerance(spec.pipeline)
         try:
             result = run_program(program, parameters, inputs,
                                  seed=self.config.exec_seed)
@@ -376,7 +332,7 @@ class Oracle:
                                 spec.scheduler,
                                 error_type=type(error).__name__)
             return Divergence(crash, detail=str(error), **seed_info)
-        mismatches = _compare(reference, result, outputs, tolerance)
+        mismatches = _compare(reference, result, outputs)
         if mismatches:
             return Divergence(spec, detail=detail, mismatches=mismatches,
                               **seed_info)
@@ -407,20 +363,14 @@ class Oracle:
 
 def reproduces_failure(session: Session, program: Program,
                        parameters: Mapping[str, int], spec: FailureSpec,
-                       tolerance: float = 0.0, exec_seed: int = 0) -> bool:
+                       exec_seed: int = 0) -> bool:
     """Does ``program`` still fail exactly per ``spec``?
 
     The minimizer's predicate: the reference interpreter must still execute
     the candidate cleanly (otherwise the shrink introduced a *new* problem),
     and the failing stage must fail again with the same kind — and, for
     crashes, the same exception type.
-
-    ``tolerance`` follows the oracle's rules: when 0 and the spec's pipeline
-    is registered as not bit-exact, the default rewrite tolerance applies so
-    the minimizer never "reproduces" rounding noise the oracle tolerated.
     """
-    tolerance = _effective_tolerance(
-        tolerance, OracleConfig.rewrite_tolerance, spec.pipeline)
     outputs = _outputs(program)
     inputs = _shared_inputs(program, parameters, exec_seed)
     try:
@@ -447,7 +397,7 @@ def reproduces_failure(session: Session, program: Program,
         except Exception as error:  # noqa: BLE001
             return matches("crash", error)
         return matches("mismatch", None) and bool(
-            _compare(reference, result, outputs, tolerance))
+            _compare(reference, result, outputs))
 
     request = ScheduleRequest(program=normalized.program,
                               parameters=parameters,
@@ -464,4 +414,4 @@ def reproduces_failure(session: Session, program: Program,
     except Exception as error:  # noqa: BLE001
         return matches("crash", error)
     return matches("mismatch", None) and bool(
-        _compare(reference, result, outputs, tolerance))
+        _compare(reference, result, outputs))

@@ -19,9 +19,9 @@ Each question is answered once, on :class:`Expr`: ``free_symbols`` and
 the leaves override them).  ``evaluate`` is for index and bound
 expressions; statement values belong to the interpreter
 (``repro.interp.executor``).  :data:`INTRINSICS`, beside :class:`Call`, is
-the one table of the functions a call may name: the interpreter and
-constant folding evaluate through it, the validator refuses any other
-name, and the flop counter (``repro.analysis.flops``) reads its weights.
+the one table of the functions a call may name: the interpreter evaluates
+through it, the validator refuses any other name, and the flop counter
+(``repro.analysis.flops``) reads its weights.
 
 Every expression is immutable and hashable, which lets analyses memoize on
 expressions and use them as dictionary keys.

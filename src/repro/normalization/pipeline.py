@@ -79,9 +79,8 @@ class NormalizationReport:
 
     def summary(self) -> str:
         """Fission's splits summed over its sweeps, and the atomic nests
-        and stride counters of their last report: in a fixed point over
-        the whole pipeline (``a-priori+rewrite``) each iteration's stride
-        pass considers every nest again."""
+        and stride counters of their last report: a pipeline that ran the
+        stride pass twice would otherwise count each nest twice."""
         last: Dict[str, float] = collections.defaultdict(int)
         for result in self.passes:
             last.update(result.counters)
@@ -111,8 +110,8 @@ class NormalizationReport:
 class NormalizationOptions:
     """Which registered pipeline normalizes.
 
-    ``pipeline`` names a registration (``"a-priori"``, an ablation, the
-    rewrite family, or a third-party one) and is checked on construction,
+    ``pipeline`` names a registration (``"a-priori"``, an ablation, or a
+    third-party one) and is checked on construction,
     so a typo fails before any program is touched.  A normal form takes no
     sizes: stride minimization prices strides at the nominal extents.
     """

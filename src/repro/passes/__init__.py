@@ -6,22 +6,17 @@ returns ``(changed, counters)``.  Passes compose into
 :class:`Pipeline` objects whose runs return one :class:`PassResult` per
 pass application, with wall time, change counters and IR-size deltas.  A
 normalization pipeline is selected by its registered name (``"a-priori"``
-and its ablations, the expression-rewrite family of
-:mod:`repro.passes.rewrite`).
+and its ablations).
 """
 
 from .base import (Pass, PassResult, PassStats, program_fingerprint,
                    program_ir_size)
 from .pipeline import DEFAULT_MAX_ITERATIONS, FixedPoint, Pipeline
 from .registry import (PipelineRegistryError, get_pipeline, has_pipeline,
-                       pipeline_bit_exact, pipeline_names, register_pipeline,
-                       unregister_pipeline)
+                       pipeline_names, register_pipeline, unregister_pipeline)
 from .library import (CanonicalizeIteratorsPass, FissionSweepPass,
                       LoopNormalFormPass, ScalarExpansionPass,
                       StrideMinimizationPass, ValidatePass)
-from .rewrite import (CommonSubexpressionEliminationPass,
-                      ConstantPreEvaluationPass, ExpansionPass,
-                      FactorizationPass, LoopInvariantCodeMotionPass)
 
 __all__ = [
     # protocol + instrumentation
@@ -31,11 +26,8 @@ __all__ = [
     "Pipeline", "FixedPoint", "DEFAULT_MAX_ITERATIONS",
     # registry
     "register_pipeline", "get_pipeline", "has_pipeline", "pipeline_names",
-    "pipeline_bit_exact", "unregister_pipeline", "PipelineRegistryError",
+    "unregister_pipeline", "PipelineRegistryError",
     # shipped passes
     "LoopNormalFormPass", "ScalarExpansionPass", "FissionSweepPass",
     "StrideMinimizationPass", "CanonicalizeIteratorsPass", "ValidatePass",
-    # expression-rewrite family
-    "ConstantPreEvaluationPass", "FactorizationPass", "ExpansionPass",
-    "LoopInvariantCodeMotionPass", "CommonSubexpressionEliminationPass",
 ]

@@ -132,9 +132,9 @@ class PassStats:
     the results of every pipeline run, powering the per-pass counters on
     ``Session.report()`` and the serving ``/v1/report`` endpoint.  Besides
     the built-in run/time/size statistics, each pass's named counters
-    (``hoisted``, ``cse_hits``, ``flops_saved``, ...) are summed under a
-    nested ``"counters"`` mapping, so rewrite-pass work is visible
-    end-to-end in the reports.
+    (``loops_split``, ``nests_permuted``, ...) are summed under a nested
+    ``"counters"`` mapping, so each pass's work is visible end-to-end in
+    the reports.
     """
 
     def __init__(self) -> None:

@@ -29,12 +29,10 @@ DEFAULT_MAX_ITERATIONS = 16
 class FixedPoint:
     """A group of passes repeated until none reports a change."""
 
-    def __init__(self, passes: Sequence[Pass],
-                 max_iterations: int = DEFAULT_MAX_ITERATIONS):
+    def __init__(self, passes: Sequence[Pass]):
         if not passes:
             raise ValueError("a fixed-point group needs at least one pass")
         self.passes: List[Pass] = list(passes)
-        self.max_iterations = max_iterations
 
     def identity(self) -> str:
         return f"fp({'+'.join(p.name for p in self.passes)})"
@@ -43,7 +41,7 @@ class FixedPoint:
             ir_size: Optional[int] = None) -> List[PassResult]:
         """Iterate to a fixed point; returns one result per application."""
         results: List[PassResult] = []
-        for _iteration in range(self.max_iterations):
+        for _iteration in range(DEFAULT_MAX_ITERATIONS):
             changed = False
             for stage_pass in self.passes:
                 result = stage_pass.run(program, ir_size)

@@ -3,18 +3,9 @@
 Pipelines are registered as zero-argument factories and instantiated fresh
 per lookup (pipelines are cheap to build, and fresh instances keep pass state
 out of the sharing equation).  The shipped names — ``"a-priori"`` and its
-ablations — are registered by :mod:`repro.passes.library`, the expression-
-rewrite family by :mod:`repro.passes.rewrite`; consumers select pipelines by
-name through ``Session``, ``ScheduleRequest``, the experiment harnesses, and
-the serving CLI instead of assembling option-flag soup.
-
-Each registration also declares whether the pipeline is **bit-exact**:
-whether its transformations preserve floating-point results to the last ulp.
-Loop-level normalization only reorders iterations of independent statements,
-so it is bit-exact; pipelines that reassociate or distribute arithmetic
-(``"rewrite"``, ``"a-priori+rewrite"``) are registered with
-``bit_exact=False`` and are compared by the differential oracle under a
-relative tolerance instead of ``array_equal``.
+ablations — are registered by :mod:`repro.passes.library`; consumers select
+pipelines by name through ``Session``, ``ScheduleRequest``, the experiment
+harnesses, and the serving CLI instead of assembling option-flag soup.
 """
 
 from __future__ import annotations
@@ -32,19 +23,12 @@ class PipelineRegistryError(KeyError):
 
 
 _PIPELINES: Dict[str, PipelineFactory] = {}
-_BIT_EXACT: Dict[str, bool] = {}
 _LOCK = threading.RLock()
 
 
-def register_pipeline(name: str, *, overwrite: bool = False,
-                      bit_exact: bool = True
+def register_pipeline(name: str, *, overwrite: bool = False
                       ) -> Callable[[PipelineFactory], PipelineFactory]:
-    """Decorator registering a zero-argument pipeline factory under ``name``.
-
-    ``bit_exact=False`` declares that the pipeline may reassociate or
-    distribute floating-point arithmetic, so differential checks must
-    compare its results under a tolerance rather than bit-for-bit.
-    """
+    """Decorator registering a zero-argument pipeline factory under ``name``."""
 
     def decorator(factory: PipelineFactory) -> PipelineFactory:
         with _LOCK:
@@ -53,7 +37,6 @@ def register_pipeline(name: str, *, overwrite: bool = False,
                     f"pipeline {name!r} is already registered; "
                     f"pass overwrite=True to replace it")
             _PIPELINES[name] = factory
-            _BIT_EXACT[name] = bit_exact
         return factory
 
     return decorator
@@ -79,18 +62,8 @@ def pipeline_names() -> List[str]:
         return sorted(_PIPELINES)
 
 
-def pipeline_bit_exact(name: str) -> bool:
-    """Whether the pipeline registered under ``name`` preserves results bitwise."""
-    with _LOCK:
-        if name not in _PIPELINES:
-            raise PipelineRegistryError(
-                f"unknown pipeline {name!r}; registered: {pipeline_names()}")
-        return _BIT_EXACT.get(name, True)
-
-
 def unregister_pipeline(name: str) -> None:
     with _LOCK:
         if name not in _PIPELINES:
             raise PipelineRegistryError(f"unknown pipeline {name!r}")
         del _PIPELINES[name]
-        _BIT_EXACT.pop(name, None)

@@ -1,13 +1,11 @@
 """FEM-assembly-style workloads: expression-heavy quadrature loop nests.
 
-Finite-element local-assembly kernels are the motivating workload for the
-expression-rewrite pass family (:mod:`repro.passes.rewrite`): their innermost
-statements multiply quadrature weights, inline Jacobian determinants, and
-basis-function tables, so large subexpressions are invariant with respect to
-one or two of the surrounding loops.  Generalized LICM hoists the per-element
-geometry factors and the per-quadrature-point coefficient polynomials out of
-the basis-function loops, which is exactly the transformation FEM code
-generators such as COFFEE perform by hand.
+Finite-element local-assembly kernels: their innermost statements multiply
+quadrature weights, inline Jacobian determinants, and basis-function tables,
+so large subexpressions are invariant with respect to one or two of the
+surrounding loops.  FEM code generators such as COFFEE hoist the
+per-element geometry factors and the per-quadrature-point coefficient
+polynomials out of the basis-function loops by hand.
 
 Three kernels, each with the registry's usual three variants:
 
@@ -23,8 +21,7 @@ Three kernels, each with the registry's usual three variants:
 The A variants are written the "natural" way with everything inline; the B
 variants permute loops but accumulate in the same order per output element;
 the NPBench-style variants materialize the geometry factors into transient
-temporaries operator by operator — i.e. they look like what the rewrite
-pipeline turns the A variants into.
+temporaries operator by operator — the hoisted form of the A variants.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from __future__ import annotations
 from .ir_helpers import Program, ProgramBuilder
 
 #: Coefficients of the inline source polynomial in ``fem-rhs`` (dyadic, so
-#: re-association in the rewrite passes stays cheap to compare).
+#: exactly representable).
 _C0, _C1, _C2 = 0.5, 0.25, 0.125
 
 

@@ -30,7 +30,8 @@ AB_APART = {
 #: covariance miss for the same reason as against ``:b``.
 NPBENCH_APART = dict(
     {name: "the NumPy variant re-associates `alpha*(A.B) + beta*C` through "
-           f"{tmp}, which is not bit-exact (the boundary of ROADMAP item 3)"
+           f"{tmp}; only a re-associating pipeline could converge it, and "
+           "none is registered since ROADMAP item 26"
      for name, tmp in (("gemm", "`tmp`"), ("2mm", "`tmp2`"))},
     **{name: f"the NumPy variant computes {arrays} in a nest of its own; "
              "sibling order, transient names and hoisting have no normal "

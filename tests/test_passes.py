@@ -5,18 +5,24 @@ idempotence across every registered pipeline."""
 
 import importlib
 import itertools
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 from helpers import build_gemm, build_vector_add
 
+import repro
 from repro.api import (MemoryCacheBackend, NormalizationCache,
                        NormalizationOptions, ScheduleRequest, Session,
                        SQLiteCacheBackend, program_content_hash)
 from repro.interp import programs_equivalent
 from repro.ir import ProgramBuilder
 from repro.normalization import normalize
-from repro.passes import (FixedPoint, LoopNormalFormPass,
-                          Pass, PassResult, PassStats, Pipeline,
+from repro.passes import (DEFAULT_MAX_ITERATIONS, FixedPoint,
+                          LoopNormalFormPass, Pass, PassResult, PassStats,
+                          Pipeline,
                           PipelineRegistryError, ScalarExpansionPass,
                           ValidatePass, get_pipeline, pipeline_names,
                           program_ir_size, register_pipeline,
@@ -41,10 +47,6 @@ PIPELINE_IDENTITIES = {
     "a-priori-keep-names": "a-priori-keep-names[loop-normal-form,"
                            "scalar-expansion,fp(maximal-fission),"
                            "stride-minimization,validate]",
-    "a-priori+rewrite": "a-priori+rewrite[fp(loop-normal-form+"
-                        "scalar-expansion+maximal-fission+pre-evaluate+"
-                        "factorize+licm+cse+stride-minimization+"
-                        "canonicalize-iterators),validate]",
     "identity": "identity[]",
     "no-fission": "no-fission[loop-normal-form,stride-minimization,"
                   "canonicalize-iterators,validate]",
@@ -53,11 +55,15 @@ PIPELINE_IDENTITIES = {
                            "canonicalize-iterators,validate]",
     "no-stride": "no-stride[loop-normal-form,scalar-expansion,"
                  "fp(maximal-fission),canonicalize-iterators,validate]",
-    "rewrite": "rewrite[pre-evaluate,factorize,licm,cse,validate]",
-    "rewrite-cse-only": "rewrite-cse-only[cse,validate]",
-    "rewrite-expand": "rewrite-expand[pre-evaluate,expand,licm,cse,validate]",
-    "rewrite-licm-only": "rewrite-licm-only[licm,validate]",
 }
+
+#: The pipelines and passes of the expression-rewrite family, which
+#: re-associated arithmetic and were deleted with it.
+DELETED_PIPELINES = ["a-priori+rewrite", "rewrite", "rewrite-cse-only",
+                     "rewrite-expand", "rewrite-licm-only"]
+DELETED_PASSES = ["CommonSubexpressionEliminationPass",
+                  "ConstantPreEvaluationPass", "ExpansionPass",
+                  "FactorizationPass", "LoopInvariantCodeMotionPass"]
 
 
 class _CountingPass(Pass):
@@ -128,16 +134,17 @@ class TestPipeline:
 
     def test_fixed_point_iterates_until_stable(self):
         stage = _CountingPass(changes=2)
-        group = FixedPoint([stage], max_iterations=10)
+        group = FixedPoint([stage])
         results = group.run(build_vector_add())
         # Two changing iterations plus the stabilizing one.
         assert stage.applications == 3
         assert [r.changed for r in results] == [True, True, False]
 
     def test_fixed_point_respects_iteration_bound(self):
-        group = FixedPoint([_CountingPass(changes=100)], max_iterations=4)
+        group = FixedPoint([_CountingPass(changes=100)])
         results = group.run(build_vector_add())
-        assert [r.changed for r in results] == [True] * 4
+        assert DEFAULT_MAX_ITERATIONS == 16
+        assert [r.changed for r in results] == [True] * 16
 
     def test_identity_names_structure(self):
         pipeline = get_pipeline("a-priori")
@@ -158,12 +165,48 @@ class TestPipeline:
         assert data["a"]["wall_time_s"] == pytest.approx(0.75)
         assert data["b"]["runs"] == 1
 
+    def test_pass_stats_sums_counters(self):
+        stats = PassStats()
+        stats.add([PassResult("maximal-fission", changed=True,
+                              counters={"loops_split": 2, "atomic_nests": 3})])
+        stats.add([PassResult("maximal-fission", changed=True,
+                              counters={"loops_split": 1})])
+        stats.add([PassResult("stride-minimization", changed=True,
+                              counters={"nests_permuted": 1,
+                                        "cost_before": 12.5})])
+        data = stats.to_dict()
+        assert data["maximal-fission"]["runs"] == 2
+        assert data["maximal-fission"]["counters"] == {"loops_split": 3,
+                                                       "atomic_nests": 3}
+        assert data["stride-minimization"]["counters"] == {
+            "nests_permuted": 1, "cost_before": 12.5}
+
+    def test_to_dict_snapshot_is_isolated(self):
+        stats = PassStats()
+        stats.add([PassResult("maximal-fission", changed=True,
+                              counters={"loops_split": 1})])
+        snapshot = stats.to_dict()
+        snapshot["maximal-fission"]["counters"]["loops_split"] = 99
+        assert stats.to_dict()["maximal-fission"]["counters"] == \
+            {"loops_split": 1}
+
 
 class TestRegistry:
     def test_shipped_pipelines_registered(self):
         assert set(NAMED_PIPELINES) <= set(pipeline_names())
         for name in NAMED_PIPELINES:
             assert get_pipeline(name).name == name
+
+    def test_registered_pipelines_are_the_shipped_six(self):
+        """What the package registers, read in a fresh interpreter: a test
+        or a docs snippet may have registered more in this one."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import json; from repro.passes import pipeline_names; "
+                "print(json.dumps(pipeline_names()))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src), check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert json.loads(out.stdout) == NAMED_PIPELINES
 
     def test_unknown_name_raises(self):
         with pytest.raises(PipelineRegistryError):
@@ -212,6 +255,14 @@ class TestUnknownPipelineFailsEarly:
         with pytest.raises(PipelineRegistryError):
             NormalizationOptions("typo")
 
+    @pytest.mark.parametrize("name", DELETED_PIPELINES)
+    def test_deleted_pipeline(self, name):
+        """No alias keeps a deleted pipeline's name alive."""
+        with pytest.raises(PipelineRegistryError):
+            NormalizationOptions(name)
+        with pytest.raises(PipelineRegistryError):
+            Session().normalize(build_gemm_a(), pipeline=name)
+
     def test_session(self):
         with pytest.raises(PipelineRegistryError):
             Session(pipeline="typo")
@@ -241,6 +292,47 @@ def _removed_spellings():
         # One answer per expression question: ``Expr.evaluate`` takes only
         # ``env``; statement values and intrinsics are the interpreter's.
         **_no_statement_evaluation(),
+        # Every pipeline is bit-exact: no rewrite family, no per-pipeline
+        # flag, no comparison tolerance.
+        **_no_rewrite_family(),
+    }
+
+
+def _no_rewrite_family():
+    import repro.analysis
+    import repro.api
+    import repro.passes
+    from repro.fuzz.generator import GeneratorConfig, generate_program
+    from repro.fuzz.minimize import minimize_program
+    from repro.fuzz.oracle import FailureSpec, OracleConfig, reproduces_failure
+
+    def import_pass(name):
+        return lambda: exec(f"from repro.passes import {name}", {})
+
+    spec = FailureSpec("normalize", "mismatch", "a-priori")
+    return {
+        **{f"import-{name}": import_pass(name) for name in DELETED_PASSES},
+        "rewrite-module": lambda: importlib.import_module(
+            "repro.passes.rewrite"),
+        "pipeline-bit-exact": lambda: repro.passes.pipeline_bit_exact,
+        "api-pipeline-bit-exact": lambda: repro.api.pipeline_bit_exact,
+        "register-pipeline-bit-exact": lambda: register_pipeline(
+            "test-not-bit-exact", bit_exact=False),
+        "oracle-tolerance": lambda: OracleConfig(tolerance=1e-6),
+        "oracle-rewrite-tolerance": lambda: OracleConfig(
+            rewrite_tolerance=1e-6),
+        "minimize-tolerance": lambda: minimize_program(
+            generate_program(0, "tiny"), spec, tolerance=1e-6),
+        "reproduces-failure-tolerance": lambda: reproduces_failure(
+            Session(), build_gemm_a(), PARAMS, spec, tolerance=1e-6),
+        "generator-expression-profile": lambda: GeneratorConfig(
+            "g", loops=(1, 1), max_depth=1, statements=(1, 1),
+            arrays=(1, 1), max_rank=1, params=(1, 1), param_values=(3, 3),
+            expr_depth=1, irregular=0.0, temporaries=0.0, reductions=0.0,
+            expression_profile=True),
+        "fixed-point-max-iterations": lambda: FixedPoint(
+            [LoopNormalFormPass()], max_iterations=4),
+        "expr-reads": lambda: repro.analysis.expr_reads,
     }
 
 
@@ -345,14 +437,10 @@ def test_removed_spellings_raise(spelling):
 
 class TestOneCanonicalForm:
     def test_every_gemm_loop_order_shares_one_canonical_form(self):
-        """Six loop orders share one canonical form, with and without the
-        expression rewrites."""
-        for pipeline in ("a-priori+rewrite", "a-priori"):
-            options = NormalizationOptions(pipeline)
-            forms = {program_content_hash(normalize(build_gemm(order=order),
-                                                    options)[0])
-                     for order in itertools.permutations("ijk")}
-            assert len(forms) == 1, pipeline
+        """Six loop orders share one canonical form."""
+        forms = {program_content_hash(normalize(build_gemm(order=order))[0])
+                 for order in itertools.permutations("ijk")}
+        assert len(forms) == 1
 
 
 class TestTransformationsReportChange:
@@ -412,22 +500,27 @@ class TestChangedFlag:
 
 
 class TestPipelineCacheKeys:
-    """Satellite: pipeline identity is part of normalization-cache keys."""
+    """Satellite: pipeline identity is part of normalization-cache keys, so
+    each shipped pipeline keys its own entry."""
 
     def _distinct_entries(self, cache):
         program = build_gemm_a()
-        full = cache.normalized(program, NormalizationOptions("a-priori"))
-        ablated = cache.normalized(program, NormalizationOptions("no-fission"))
-        # Both were misses: the ablated request must not be served from the
-        # full-pipeline entry.
-        assert not full.hit and not ablated.hit
-        assert full.input_hash != ablated.input_hash
-        assert len(full.program.body) > len(ablated.program.body)  # fissioned
+        entries = {}
+        for pipeline in NAMED_PIPELINES:
+            entries[pipeline] = cache.normalized(
+                program, NormalizationOptions(pipeline))
+            # Every first request is a miss: no pipeline is served from
+            # another's entry.
+            assert not entries[pipeline].hit, pipeline
+        assert len({entry.input_hash for entry in entries.values()}) == \
+            len(NAMED_PIPELINES)
+        assert len(entries["a-priori"].program.body) > \
+            len(entries["no-fission"].program.body)  # fissioned
         # Repeats hit their own entries.
-        assert cache.normalized(program, NormalizationOptions("a-priori")).hit
-        assert cache.normalized(program,
-                                NormalizationOptions("no-fission")).hit
-        assert cache.stats.normalization_misses == 2
+        for pipeline in NAMED_PIPELINES:
+            assert cache.normalized(
+                program, NormalizationOptions(pipeline)).hit, pipeline
+        assert cache.stats.normalization_misses == len(NAMED_PIPELINES)
 
     def test_memory_backend(self):
         self._distinct_entries(NormalizationCache(backend=MemoryCacheBackend()))
@@ -440,20 +533,21 @@ class TestPipelineCacheKeys:
         finally:
             cache.close()
 
-    def test_sqlite_distinct_across_restart(self, tmp_path):
+    @pytest.mark.parametrize("stored", NAMED_PIPELINES)
+    def test_sqlite_distinct_across_restart(self, tmp_path, stored):
         path = str(tmp_path / "cache.sqlite")
         program = build_gemm_a()
         cache = NormalizationCache(backend=SQLiteCacheBackend(path))
-        cache.normalized(program, NormalizationOptions("a-priori"))
+        cache.normalized(program, NormalizationOptions(stored))
         cache.close()
-        # A fresh process-equivalent cache must hit the full entry but miss
-        # for the ablated pipeline.
+        # A fresh process-equivalent cache must hit the stored entry but
+        # miss for every other pipeline.
         cache = NormalizationCache(backend=SQLiteCacheBackend(path))
         try:
-            assert cache.normalized(
-                program, NormalizationOptions("a-priori")).hit
-            assert not cache.normalized(
-                program, NormalizationOptions("no-fission")).hit
+            for pipeline in NAMED_PIPELINES:
+                assert cache.normalized(
+                    program, NormalizationOptions(pipeline)).hit == \
+                    (pipeline == stored), pipeline
         finally:
             cache.close()
 
@@ -487,6 +581,20 @@ class TestSessionPipelines:
         assert "maximal-fission" in passes
         data = report.to_dict()
         assert data["normalization_passes"] == passes
+
+    def test_report_carries_pass_counters(self):
+        """Each pass's counters are summed over the session's runs: gemm:a
+        splits 2 loops and permutes 1 of its 2 nests, gemm:b (already
+        split) permutes both of its nests."""
+        session = Session()
+        session.normalize(build_gemm_a())
+        session.normalize(build_gemm_b())
+        passes = session.report().normalization_passes
+        assert passes["maximal-fission"]["counters"] == {"loops_split": 2,
+                                                         "atomic_nests": 4}
+        assert passes["stride-minimization"]["counters"][
+            "nests_permuted"] == 3
+        assert passes["validate"]["counters"]["validation_errors"] == 0
 
 
 class TestIdempotence:

@@ -485,6 +485,26 @@ class TestAdmissionOverHttp:
         session.close()
 
 
+class TestReportOverHttp:
+    def test_v1_report_exposes_pass_counters(self):
+        """The normalizing pipeline's counters reach ``/v1/report``."""
+        session = fast_session()
+        with ServingServer(session) as server:
+            client = ServingClient(server.address)
+            status, _ = client.request(
+                "POST", "/v1/schedule",
+                ScheduleRequest(program="gemm:a",
+                                pipeline="a-priori").to_dict())
+            assert status == 200
+            passes = client.report()["normalization_passes"]
+            client.close()
+        session.close()
+        assert passes["maximal-fission"]["counters"]["loops_split"] == 2
+        assert passes["stride-minimization"]["runs"] == 1
+        assert passes["stride-minimization"]["counters"][
+            "nests_permuted"] == 1
+
+
 class TestClientOverrides:
     def test_priority_and_client_override_a_ready_request(self, monkeypatch):
         client = ServingClient("http://example.invalid")
