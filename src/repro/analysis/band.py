@@ -55,7 +55,7 @@ from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
 
 from ..ir.nodes import (Computation, FrozenNodeError, Loop, Node, Program,
                         read_accesses)
-from ..ir.symbols import Expr, Min, Sym, const
+from ..ir.symbols import Expr, Min, const, sym
 from .affine import AffineAccess, computation_accesses, nest_statements
 from .dependence import Statements, band_order_is_legal, direction_vectors
 from .flops import expr_flops
@@ -118,7 +118,7 @@ class Frame(NamedTuple):
         """This frame with its bounds as expressions (``tile == 0``)."""
         if not self.tile:
             return self
-        origin = Sym(self.origin)
+        origin = sym(self.origin)
         return self._replace(start=origin, tile=0,
                              end=Min.make([origin + self.tile, self.end]))
 

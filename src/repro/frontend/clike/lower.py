@@ -6,7 +6,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ...ir.builder import ProgramBuilder
 from ...ir.nodes import Program
-from ...ir.symbols import Call, Const, Expr, Read, Sym
+from ...ir.symbols import Call, Expr, Read, const, sym
 from .ast import (ArrayRef, Assignment, BinaryOp, CallExpr, Declaration,
                   Expression, ForLoop, Identifier, NumberLiteral,
                   SourceProgram, UnaryOp)
@@ -33,10 +33,10 @@ class _Lowerer:
     def lower_index(self, expression: Expression) -> Expr:
         """Lower an expression appearing in a subscript or loop bound."""
         if isinstance(expression, NumberLiteral):
-            return Const(int(expression.value) if float(expression.value).is_integer()
+            return const(int(expression.value) if float(expression.value).is_integer()
                          else expression.value)
         if isinstance(expression, Identifier):
-            return Sym(expression.name)
+            return sym(expression.name)
         if isinstance(expression, UnaryOp):
             return -self.lower_index(expression.operand)
         if isinstance(expression, BinaryOp):
@@ -57,15 +57,15 @@ class _Lowerer:
     def lower_value(self, expression: Expression) -> Expr:
         """Lower a right-hand-side expression."""
         if isinstance(expression, NumberLiteral):
-            return Const(expression.value)
+            return const(expression.value)
         if isinstance(expression, Identifier):
             name = expression.name
             if name in self.loop_iterators:
-                return Sym(name)
+                return sym(name)
             if name in self.declared and self.declared[name] == 0:
                 return Read(name, ())
             # Undeclared plain identifiers are size parameters / symbols.
-            return Sym(name)
+            return sym(name)
         if isinstance(expression, ArrayRef):
             return Read(expression.name,
                         tuple(self.lower_index(index) for index in expression.indices))

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..ir.builder import ProgramBuilder
 from ..ir.nodes import Program
 from ..ir.serialization import program_from_dict, program_to_dict
-from ..ir.symbols import Call, Const, Expr, Max, Min, Mod, Sym
+from ..ir.symbols import Call, Expr, Max, Min, Mod, const, sym
 from ..ir.validation import validate_program
 
 #: Exactly-representable constants; keeping them dyadic keeps the oracle's
@@ -200,19 +200,19 @@ class _Sampler:
             choices += ["mod"] * 2
         form = rng.choice(choices)
         if form == "plain":
-            return Sym(rng.choice(covering).name)
+            return sym(rng.choice(covering).name)
         if form == "reverse":
-            return Sym(param) - 1 - Sym(rng.choice(covering).name)
+            return sym(param) - 1 - sym(rng.choice(covering).name)
         if form == "mod":
             # Any non-negative affine combination, wrapped into range.
-            first = Sym(rng.choice(scope.iterators).name)
+            first = sym(rng.choice(scope.iterators).name)
             if len(scope.iterators) > 1 and rng.random() < 0.5:
-                second = Sym(rng.choice(scope.iterators).name)
-                return Mod.make(first + second, Sym(param))
-            return Mod.make(first + rng.randint(0, 3), Sym(param))
+                second = sym(rng.choice(scope.iterators).name)
+                return Mod.make(first + second, sym(param))
+            return Mod.make(first + rng.randint(0, 3), sym(param))
         # Constants 0/1 are safe: every parameter binding is >= 2 ... except
         # the smallest size classes, so clamp to 0 when the binding is tiny.
-        return Const(rng.randint(0, 1) if self.bindings[param] >= 2 else 0)
+        return const(rng.randint(0, 1) if self.bindings[param] >= 2 else 0)
 
     def access(self, array: str, scope: _Scope) -> Tuple[str, Tuple[Expr, ...]]:
         shape = self.data_arrays[array]
@@ -240,8 +240,8 @@ class _Sampler:
             return self.builder.read(rng.choice(scope.temps))
         if kind == "symbol":
             names = [it.name for it in scope.iterators] + self.params
-            return Sym(rng.choice(names))
-        return Const(rng.choice(_CONSTANTS))
+            return sym(rng.choice(names))
+        return const(rng.choice(_CONSTANTS))
 
     def expression(self, scope: _Scope, depth: Optional[int] = None) -> Expr:
         rng, config = self.rng, self.config
@@ -319,7 +319,7 @@ class _Sampler:
         param = rng.choice(self.params)
         iterator = self.fresh_iterator()
         start: Any = 0
-        end: Expr = Sym(param)
+        end: Expr = sym(param)
         step = 1
         covers = frozenset({param})
         if rng.random() < self.config.irregular:
@@ -334,14 +334,14 @@ class _Sampler:
             if form == "shifted" and self.bindings[param] >= 2:
                 start = 1
             elif form == "shortened" and self.bindings[param] >= 2:
-                end = Sym(param) - 1
+                end = sym(param) - 1
             elif form == "strided":
                 step = 2
             elif form == "triangular":
-                start = Sym(rng.choice(triangular).name)
+                start = sym(rng.choice(triangular).name)
             elif form == "minbound":
                 other = rng.choice(others)
-                end = Min.make([Sym(param), Sym(other)])
+                end = Min.make([sym(param), sym(other)])
                 covers = frozenset({param, other})
         return iterator, param, start, end, step, covers
 
@@ -412,7 +412,7 @@ class _Sampler:
         for temp in scope.temps[:2]:
             value = value + self.builder.read(temp)
         if not scope.temps:
-            value = value + Const(0.5)
+            value = value + const(0.5)
         self.builder.assign((name,) + tuple(iterators), value)
         for manager in reversed(stack):
             manager.__exit__(None, None, None)

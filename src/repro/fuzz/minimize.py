@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..api import Session
 from ..ir.nodes import Computation, Loop, Program, substitute_symbols
 from ..ir.serialization import program_to_dict
-from ..ir.symbols import Const
+from ..ir.symbols import const
 from ..ir.validation import validate_program
 from .generator import GeneratedProgram
 from .oracle import FailureSpec, reproduces_failure
@@ -152,7 +152,7 @@ def _simplify_candidates(program: Program):
         if not isinstance(node, Computation):
             continue
         replacements = [access.as_read() for access in node.reads()][:3]
-        replacements.append(Const(1.0))
+        replacements.append(const(1.0))
         for replacement in replacements:
             if replacement == node.value:
                 continue

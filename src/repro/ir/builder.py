@@ -26,7 +26,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .arrays import Array, array, scalar
 from .nodes import ArrayAccess, Computation, LibraryCall, Loop, Node, Program
-from .symbols import Call, Expr, ExprLike, Read, Sym, as_expr
+from .symbols import Call, Expr, ExprLike, Read, Sym, as_expr, sym
 
 AccessSpec = Union[ArrayAccess, Tuple]
 
@@ -78,7 +78,7 @@ class ProgramBuilder:
 
     @staticmethod
     def sym(name: str) -> Sym:
-        return Sym(name)
+        return sym(name)
 
     @staticmethod
     def call(func: str, *args: ExprLike) -> Call:

@@ -13,7 +13,9 @@ names already stripped) in a ``_frag`` slot; :func:`canonical_program_json`
 assembles the program-level JSON from those fragments.  Memos stay honest
 through the IR's mutation seams — attribute assignment and body-list
 operations clear the owning chain (see ``repro.ir.nodes``) — and
-expressions are immutable, so their fragments never expire.
+expressions are immutable, so their fragments never expire.  Expressions
+are hash-consed where they are built (``repro.ir.symbols``), so each
+distinct expression's fragment is formatted once per process.
 
 Byte-compatibility with the reference implementation is load-bearing
 (cache keys must not change across this optimization) and is enforced by
@@ -155,23 +157,3 @@ def canonical_program_json(program: Program) -> str:
     return '{"arrays": [%s], "body": [%s], "name": "", "parameters": %s}' % (
         arrays, body, _dumps(sorted(program.parameters)))
 
-
-# -- hash-consing ---------------------------------------------------------------
-
-#: Canonical instances of whole sub-expressions, keyed by their fragment.
-#: Bounded: once full, expressions are simply not interned.
-_EXPR_INTERN: dict = {}
-_EXPR_INTERN_LIMIT = 65536
-
-
-def intern_expr(expr: Expr) -> Expr:
-    """Hash-cons ``expr``: return the one canonical instance of its
-    structure, so identical sub-trees share memory, memoized hashes, and
-    identity-fast equality.  Safe because expressions are immutable."""
-    frag = expr_fragment(expr)
-    found = _EXPR_INTERN.get(frag)
-    if found is not None:
-        return found
-    if len(_EXPR_INTERN) < _EXPR_INTERN_LIMIT:
-        _EXPR_INTERN[frag] = expr
-    return expr

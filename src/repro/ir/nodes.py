@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .arrays import Array
-from .symbols import Const, Expr, ExprLike, Read, Sym, as_expr
+from .symbols import Expr, ExprLike, Read, as_expr, const, sym
 
 _node_counter = itertools.count()
 
@@ -407,7 +407,7 @@ class Loop(Node):
 
     def is_normalized(self) -> bool:
         """True if the loop starts at 0 with unit step."""
-        return self.start == Const(0) and self.step == Const(1)
+        return self.start == const(0) and self.step == const(1)
 
     def perfectly_nested_band(self) -> List["Loop"]:
         """Longest chain of singly-nested loops starting at this loop.
@@ -512,7 +512,7 @@ def rename_iterators(node: Node, mapping: Mapping[str, str]) -> None:
     for loop in node.iter_loops():
         if loop.iterator in mapping:
             loop.iterator = mapping[loop.iterator]
-    substitute_symbols(node, {old: Sym(new) for old, new in mapping.items()})
+    substitute_symbols(node, {old: sym(new) for old, new in mapping.items()})
 
 
 def loop_sites(body: List[Node], owner: Optional[Loop] = None

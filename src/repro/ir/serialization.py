@@ -4,6 +4,8 @@ The transfer-tuning database (Section 4) stores optimization recipes keyed by
 loop-nest embeddings.  Persisting those databases, and exchanging loop nests
 with the Tiramisu-style standalone search (which consumes a JSON
 representation in the paper), requires a stable serialization format.
+Decoded expressions are built through the hash-consing constructors of
+``repro.ir.symbols``, the one table of expressions.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import json
 from typing import Any, Dict, List
 
 from .arrays import Array
-from .canonical import intern_expr
 from .nodes import ArrayAccess, Computation, LibraryCall, Loop, Node, Program
 from .symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod, Mul,
                       Read, Sym, const, sym)
@@ -50,10 +51,10 @@ def expr_to_dict(expr: Expr) -> Dict[str, Any]:
 def expr_from_dict(data: Dict[str, Any]) -> Expr:
     """Inverse of :func:`expr_to_dict`.
 
-    Decoded expressions are hash-consed, so identical sub-trees across cache
-    entries share one instance: leaves come from the interned constructors
-    (the one leaf table, keyed by value), composites from
-    :func:`repro.ir.canonical.intern_expr`.
+    Decoding builds through the same constructors as every other
+    expression, so a decoded expression is the one instance of its
+    structure (``repro.ir.symbols``): identical sub-trees across cache
+    entries, and the programs built in this process, share it.
     """
     kind = data["kind"]
     if kind == "const":
@@ -61,26 +62,24 @@ def expr_from_dict(data: Dict[str, Any]) -> Expr:
     if kind == "sym":
         return sym(data["name"])
     if kind == "add":
-        built = Add.make([expr_from_dict(t) for t in data["terms"]])
-    elif kind == "mul":
-        built = Mul.make([expr_from_dict(f) for f in data["factors"]])
-    elif kind == "floordiv":
-        built = FloorDiv.make(expr_from_dict(data["numerator"]),
-                              expr_from_dict(data["denominator"]))
-    elif kind == "mod":
-        built = Mod.make(expr_from_dict(data["numerator"]),
-                         expr_from_dict(data["denominator"]))
-    elif kind == "min":
-        built = Min.make([expr_from_dict(a) for a in data["args"]])
-    elif kind == "max":
-        built = Max.make([expr_from_dict(a) for a in data["args"]])
-    elif kind == "read":
-        built = Read(data["array"], [expr_from_dict(i) for i in data["indices"]])
-    elif kind == "call":
-        built = Call(data["func"], [expr_from_dict(a) for a in data["args"]])
-    else:
-        raise ValueError(f"unknown expression kind {kind!r}")
-    return intern_expr(built)
+        return Add.make([expr_from_dict(t) for t in data["terms"]])
+    if kind == "mul":
+        return Mul.make([expr_from_dict(f) for f in data["factors"]])
+    if kind == "floordiv":
+        return FloorDiv.make(expr_from_dict(data["numerator"]),
+                             expr_from_dict(data["denominator"]))
+    if kind == "mod":
+        return Mod.make(expr_from_dict(data["numerator"]),
+                        expr_from_dict(data["denominator"]))
+    if kind == "min":
+        return Min.make([expr_from_dict(a) for a in data["args"]])
+    if kind == "max":
+        return Max.make([expr_from_dict(a) for a in data["args"]])
+    if kind == "read":
+        return Read(data["array"], [expr_from_dict(i) for i in data["indices"]])
+    if kind == "call":
+        return Call(data["func"], [expr_from_dict(a) for a in data["args"]])
+    raise ValueError(f"unknown expression kind {kind!r}")
 
 
 def node_to_dict(node: Node) -> Dict[str, Any]:

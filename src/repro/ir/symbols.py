@@ -28,9 +28,20 @@ expressions and use them as dictionary keys.
 
 Immutability is also what makes expressions cheap to re-hash: every
 expression memoizes its structural hash (and, via ``repro.ir.canonical``,
-its canonical JSON fragment) the first time it is computed, and ``Sym`` /
-small ``Const`` leaves are interned so the most common sub-expressions
-compare by identity.
+its canonical JSON fragment) the first time it is computed.
+
+One expression per structure: leaves are interned by :func:`sym` and
+:func:`const` (keyed by name and value), and every composite is hash-consed
+when it is built, through one bounded table keyed by its kind, its payload
+(array or function name) and the *identities* of its children.  The
+children are already the one instance of their own structure, so
+structurally equal expressions are one object, built by a builder, by
+``substitute``, by decoding, by pickle or by deepcopy, and each memo is
+derived once per process.  Identity, not ``==``, keeps ``Const(True)`` and
+``const(1)`` apart under a composite: they compare equal, but their
+canonical fragments differ.  The table is a cache, not a contract: once it
+is full, construction returns a correct instance that is simply not
+interned, so no code may use ``is`` as its only equality test.
 """
 
 from __future__ import annotations
@@ -79,10 +90,10 @@ class Expr:
         return Add.make([_as_expr(other), self])
 
     def __sub__(self, other: ExprLike) -> "Expr":
-        return Add.make([self, Mul.make([Const(-1), _as_expr(other)])])
+        return Add.make([self, Mul.make([const(-1), _as_expr(other)])])
 
     def __rsub__(self, other: ExprLike) -> "Expr":
-        return Add.make([_as_expr(other), Mul.make([Const(-1), self])])
+        return Add.make([_as_expr(other), Mul.make([const(-1), self])])
 
     def __mul__(self, other: ExprLike) -> "Expr":
         return Mul.make([self, _as_expr(other)])
@@ -91,7 +102,7 @@ class Expr:
         return Mul.make([_as_expr(other), self])
 
     def __neg__(self) -> "Expr":
-        return Mul.make([Const(-1), self])
+        return Mul.make([const(-1), self])
 
     def __floordiv__(self, other: ExprLike) -> "Expr":
         return FloorDiv.make(self, _as_expr(other))
@@ -217,6 +228,9 @@ class Const(Expr):
     def _key(self) -> tuple:
         return ("const", self.value)
 
+    def __reduce__(self):
+        return (const, (self.value,))
+
     def __str__(self) -> str:
         return str(self.value)
 
@@ -251,6 +265,9 @@ class Sym(Expr):
     def _key(self) -> tuple:
         return ("sym", self.name)
 
+    def __reduce__(self):
+        return (sym, (self.name,))
+
     def __str__(self) -> str:
         return self.name
 
@@ -260,8 +277,18 @@ class Add(Expr):
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Sequence[Expr]):
-        self.terms = tuple(terms)
+    def __new__(cls, terms: Sequence[Expr]) -> "Add":
+        terms = tuple(terms)
+        key = (cls, *map(id, terms))
+        try:
+            return _COMPOSITES[key]
+        except KeyError:
+            self = object.__new__(cls)
+            self.terms = terms
+            return _admit(key, self)
+
+    def __reduce__(self):
+        return (Add, (self.terms,))
 
     @staticmethod
     def make(terms: Sequence[Expr]) -> Expr:
@@ -308,8 +335,18 @@ class Mul(Expr):
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors: Sequence[Expr]):
-        self.factors = tuple(factors)
+    def __new__(cls, factors: Sequence[Expr]) -> "Mul":
+        factors = tuple(factors)
+        key = (cls, *map(id, factors))
+        try:
+            return _COMPOSITES[key]
+        except KeyError:
+            self = object.__new__(cls)
+            self.factors = factors
+            return _admit(key, self)
+
+    def __reduce__(self):
+        return (Mul, (self.factors,))
 
     @staticmethod
     def make(factors: Sequence[Expr]) -> Expr:
@@ -364,9 +401,18 @@ class _Division(Expr):
     _kind: str          # the ``_key`` tag
     _operator: str      # printed between the operands
 
-    def __init__(self, numerator: Expr, denominator: Expr):
-        self.numerator = numerator
-        self.denominator = denominator
+    def __new__(cls, numerator: Expr, denominator: Expr) -> "_Division":
+        key = (cls, id(numerator), id(denominator))
+        try:
+            return _COMPOSITES[key]
+        except KeyError:
+            self = object.__new__(cls)
+            self.numerator = numerator
+            self.denominator = denominator
+            return _admit(key, self)
+
+    def __reduce__(self):
+        return (type(self), (self.numerator, self.denominator))
 
     @staticmethod
     def _operands(numerator: ExprLike, denominator: ExprLike) -> Tuple[Expr, Expr]:
@@ -400,7 +446,7 @@ class FloorDiv(_Division):
         if isinstance(denominator, Const) and denominator.value == 1:
             return numerator
         if isinstance(numerator, Const) and isinstance(denominator, Const):
-            return Const(numerator.value // denominator.value)
+            return const(numerator.value // denominator.value)
         return FloorDiv(numerator, denominator)
 
     def evaluate(self, env) -> Number:
@@ -421,7 +467,7 @@ class Mod(_Division):
     def make(numerator: ExprLike, denominator: ExprLike) -> Expr:
         numerator, denominator = _Division._operands(numerator, denominator)
         if isinstance(numerator, Const) and isinstance(denominator, Const):
-            return Const(numerator.value % denominator.value)
+            return const(numerator.value % denominator.value)
         return Mod(numerator, denominator)
 
     def evaluate(self, env) -> Number:
@@ -435,8 +481,18 @@ class _Extremum(Expr):
     __slots__ = ("args",)
     _kind: str          # "min" or "max": the ``_key`` tag and the printed name
 
-    def __init__(self, args: Sequence[Expr]):
-        self.args = tuple(args)
+    def __new__(cls, args: Sequence[Expr]) -> "_Extremum":
+        args = tuple(args)
+        key = (cls, *map(id, args))
+        try:
+            return _COMPOSITES[key]
+        except KeyError:
+            self = object.__new__(cls)
+            self.args = args
+            return _admit(key, self)
+
+    def __reduce__(self):
+        return (type(self), (self.args,))
 
     @classmethod
     def make(cls, args: Sequence[ExprLike]) -> Expr:
@@ -454,7 +510,7 @@ class _Extremum(Expr):
             if expr not in unique:
                 unique.append(expr)
         if consts:
-            unique.append(Const(cls._pick(consts)))
+            unique.append(const(cls._pick(consts)))
         if len(unique) == 1:
             return unique[0]
         return cls(unique)
@@ -493,9 +549,19 @@ class Read(Expr):
 
     __slots__ = ("array", "indices")
 
-    def __init__(self, array: str, indices: Sequence[ExprLike]):
-        self.array = array
-        self.indices = tuple(_as_expr(i) for i in indices)
+    def __new__(cls, array: str, indices: Sequence[ExprLike]) -> "Read":
+        indices = tuple(map(_as_expr, indices))
+        key = (cls, array, *map(id, indices))
+        try:
+            return _COMPOSITES[key]
+        except KeyError:
+            self = object.__new__(cls)
+            self.array = array
+            self.indices = indices
+            return _admit(key, self)
+
+    def __reduce__(self):
+        return (Read, (self.array, self.indices))
 
     def children(self) -> Tuple[Expr, ...]:
         return self.indices
@@ -514,9 +580,19 @@ class Call(Expr):
 
     __slots__ = ("func", "args")
 
-    def __init__(self, func: str, args: Sequence[ExprLike]):
-        self.func = func
-        self.args = tuple(_as_expr(a) for a in args)
+    def __new__(cls, func: str, args: Sequence[ExprLike]) -> "Call":
+        args = tuple(map(_as_expr, args))
+        key = (cls, func, *map(id, args))
+        try:
+            return _COMPOSITES[key]
+        except KeyError:
+            self = object.__new__(cls)
+            self.func = func
+            self.args = args
+            return _admit(key, self)
+
+    def __reduce__(self):
+        return (Call, (self.func, self.args))
 
     def children(self) -> Tuple[Expr, ...]:
         return self.args
@@ -609,6 +685,24 @@ def _affine_decompose(expr: Expr) -> Tuple[Dict[str, Number], Number]:
         return ({name: coeff * const_part for name, coeff in coeffs.items()},
                 const * const_part)
     raise _NotAffine()
+
+
+# -- hash-consing -----------------------------------------------------------------
+
+#: The one table of composites: ``(class, payload..., id(child)...)`` -> the
+#: instance.  An entry holds its children alive, so no id in a key can be
+#: reused while the entry exists.  Bounded; once full, composites are
+#: simply not interned.
+_COMPOSITES: Dict[tuple, Expr] = {}
+_COMPOSITE_LIMIT = 65536
+
+
+def _admit(key: tuple, expr: Expr) -> Expr:
+    """Keep a freshly built composite under ``key`` while there is room; if
+    another thread stored one first, that one is the instance."""
+    if len(_COMPOSITES) < _COMPOSITE_LIMIT:
+        return _COMPOSITES.setdefault(key, expr)
+    return expr
 
 
 # -- convenience constructors --------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..ir.nodes import (Loop, Program, loop_sites, rename_iterators,
                         substitute_symbols)
-from ..ir.symbols import Const, Expr, FloorDiv, Sym
+from ..ir.symbols import Const, Expr, FloorDiv, const, sym
 
 
 def _normalize_single_loop(loop: Loop) -> bool:
@@ -27,11 +27,11 @@ def _normalize_single_loop(loop: Loop) -> bool:
     """
     start, step = loop.start, loop.step
     if (not isinstance(step, Const) or step.value <= 0
-            or (start == Const(0) and step == Const(1))):
+            or (start == const(0) and step == const(1))):
         return False
 
     iterator = loop.iterator
-    replacement: Expr = Sym(iterator)
+    replacement: Expr = sym(iterator)
     if step.value != 1:
         replacement = replacement * step.value
     replacement = replacement + start
@@ -44,9 +44,9 @@ def _normalize_single_loop(loop: Loop) -> bool:
     else:
         # ceil(span / step) == floor((span + step - 1) / step)
         new_end = FloorDiv.make(span + (step.value - 1), step)
-    loop.start = Const(0)
+    loop.start = const(0)
     loop.end = new_end
-    loop.step = Const(1)
+    loop.step = const(1)
     return True
 
 

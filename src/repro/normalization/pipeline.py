@@ -78,18 +78,15 @@ class NormalizationReport:
         return total
 
     def summary(self) -> str:
-        """Fission's splits summed over its sweeps, and the atomic nests
-        and stride counters of their last report: a pipeline that ran the
-        stride pass twice would otherwise count each nest twice."""
-        last: Dict[str, float] = collections.defaultdict(int)
-        for result in self.passes:
-            last.update(result.counters)
-        return (f"fission: split {self.counters()['loops_split']} loops into "
-                f"{last['atomic_nests']} atomic nests; "
-                f"strides: permuted {last['nests_permuted']}/"
-                f"{last['nests_considered']} nests "
-                f"(cost {last['cost_before']:.1f} -> "
-                f"{last['cost_after']:.1f})")
+        """Fission's and the stride pass's counters, summed over the run
+        (:meth:`counters`)."""
+        counters = self.counters()
+        return (f"fission: split {counters['loops_split']} loops into "
+                f"{counters['atomic_nests']} atomic nests; "
+                f"strides: permuted {counters['nests_permuted']}/"
+                f"{counters['nests_considered']} nests "
+                f"(cost {counters['cost_before']:.1f} -> "
+                f"{counters['cost_after']:.1f})")
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -27,7 +27,7 @@ from ..ir.arrays import Array
 from ..analysis.affine import nest_statements
 from ..ir.nodes import (ArrayAccess, Computation, LibraryCall, Loop, Node,
                         Program, loop_sites)
-from ..ir.symbols import Expr, Read, Sym, rebuild
+from ..ir.symbols import Expr, Read, rebuild, sym
 
 
 def _accesses(nodes: Sequence[Node], names: Set[str]
@@ -94,7 +94,7 @@ def contract_arrays(program: Program) -> int:
             continue
         loop = direct_parents[0]
         local = _accesses(loop.body, {name})
-        subscript = (Sym(loop.iterator),)
+        subscript = (sym(loop.iterator),)
         if (not local[0][1]
                 or any(indices != subscript for _, _, indices in local)
                 or len(_accesses(program.body, {name})) != len(local)):
@@ -149,7 +149,7 @@ def expand_scalars(program: Program) -> List[Tuple[str, str]]:
                                     dtype=program.arrays[scalar].dtype,
                                     transient=True))
             _retarget(loop, scalar,
-                      ArrayAccess(new_name, (Sym(loop.iterator),)))
+                      ArrayAccess(new_name, (sym(loop.iterator),)))
             handled.add(scalar)
             expanded.append((scalar, loop.iterator))
     return expanded

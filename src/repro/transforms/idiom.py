@@ -132,9 +132,9 @@ def blas_flop_expr(nest: Loop, match: BlasMatch) -> Expr:
     iterators; those iterators are replaced by half of their own extent so
     that the result is a closed-form expression over size parameters only.
     """
-    from ..ir.symbols import Const, FloorDiv
+    from ..ir.symbols import FloorDiv, const
 
-    flops: Expr = Const(2)
+    flops: Expr = const(2)
     substitution = {}
     for loop in nest.perfectly_nested_band():
         count = loop.symbolic_trip_count().substitute(substitution)

@@ -25,6 +25,13 @@ from repro.ir import (Array, ArrayAccess, Call, Const,  # noqa: E402
 from repro.observability import MetricsRegistry, Tracer  # noqa: E402
 
 
+#: The six pipelines the package registers, as ``pipeline_names()`` lists
+#: them: the paper's Figure 5, its Section 4.2 ablations, and the CLOUDSC
+#: variant that keeps source iterator names.
+SHIPPED_PIPELINES = ["a-priori", "a-priori-keep-names", "identity",
+                     "no-fission", "no-scalar-expansion", "no-stride"]
+
+
 def build_gemm(order=("i", "j", "k"), name=None, with_scaling=True):
     """A GEMM program with a configurable loop order (helper for many tests)."""
     order = list(order)

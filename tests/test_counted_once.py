@@ -28,14 +28,16 @@ batch counters are gone: ``service.batches`` (4), ``service.largest_batch``
 series, and the scrape has 9 families (11 before).
 """
 
+import collections
 import copy
 
 import pytest
-from helpers import fast_session, queue_behind
+from helpers import SHIPPED_PIPELINES, fast_session, queue_behind
 
 import repro.analysis
 import repro.normalization
 import repro.passes
+import repro.workloads.registry
 from repro.analysis import legal_permutations
 from repro.api import NormalizationOptions, ScheduleRequest, Session
 from repro.normalization import (fission_loop, maximal_loop_fission,
@@ -143,6 +145,38 @@ def test_the_new_stride_counters_are_the_summary_costs(observed):
                        if name == "stride-minimization"]
         assert (f"(cost {counters['cost_before']:.1f} -> "
                 f"{counters['cost_after']:.1f})") in entry["summary"], workload
+
+
+def _spec_summary(report):
+    """``NormalizationReport.summary`` as it was: fission's splits summed,
+    the atomic nests and the stride counters read off the last pass result
+    that reported them."""
+    last = collections.defaultdict(int)
+    for result in report.passes:
+        last.update(result.counters)
+    return (f"fission: split {report.counters()['loops_split']} loops into "
+            f"{last['atomic_nests']} atomic nests; "
+            f"strides: permuted {last['nests_permuted']}/"
+            f"{last['nests_considered']} nests "
+            f"(cost {last['cost_before']:.1f} -> "
+            f"{last['cost_after']:.1f})")
+
+
+def test_the_summary_reads_the_summed_counters():
+    """No pipeline reports a gauge twice, so the summed counters print the
+    same text, byte for byte, for every registry variant under every
+    shipped pipeline."""
+    loader = Session()
+    checked = 0
+    for name in repro.workloads.registry.benchmark_names():
+        for variant in ("a", "b", "npbench"):
+            program = loader.load(f"{name}:{variant}")
+            for pipeline in SHIPPED_PIPELINES:
+                _, report = normalize(program, NormalizationOptions(pipeline))
+                assert report.summary() == _spec_summary(report), \
+                    (name, variant, pipeline)
+                checked += 1
+    assert checked == 54 * 6
 
 
 def test_each_serving_fact_is_stated_once(observed):

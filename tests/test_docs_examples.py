@@ -6,7 +6,8 @@ its earlier snippets), with the working directory pointed at a temp dir so
 snippets may write relative paths like ``cache.sqlite`` freely.
 
 Fenced blocks tagged anything other than ``python`` (``bash``, ``text``,
-diagrams) are ignored.
+diagrams) are ignored.  A pipeline a snippet registers is unregistered once
+its document has run, so later tests see the shipped registry.
 """
 
 import os
@@ -14,7 +15,9 @@ import re
 
 import pytest
 
-import helpers  # noqa: F401 - puts src/ on sys.path for the snippets
+from helpers import SHIPPED_PIPELINES  # also puts src/ on sys.path
+
+from repro.passes import pipeline_names, unregister_pipeline
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
@@ -69,8 +72,18 @@ def test_documents_are_cross_linked():
             f"README.md does not link {document}"
 
 
+@pytest.fixture
+def pipelines_left_as_found():
+    """Unregister every pipeline registered while the test ran."""
+    before = set(pipeline_names())
+    yield
+    for name in set(pipeline_names()) - before:
+        unregister_pipeline(name)
+
+
 @pytest.mark.parametrize("document", DOCUMENTS)
-def test_documentation_snippets_execute(document, tmp_path, monkeypatch):
+def test_documentation_snippets_execute(document, tmp_path, monkeypatch,
+                                        pipelines_left_as_found):
     path = os.path.join(REPO_ROOT, document)
     blocks = extract_python_blocks(path)
     monkeypatch.chdir(tmp_path)  # snippets may write relative paths
@@ -78,3 +91,9 @@ def test_documentation_snippets_execute(document, tmp_path, monkeypatch):
     for line_number, source in blocks:
         code = compile(source, f"{document}:{line_number}", "exec")
         exec(code, namespace)  # noqa: S102 - the whole point of the test
+
+
+def test_the_snippets_leave_the_shipped_pipelines():
+    """Runs after every document's snippets (``docs/pipelines.md``
+    registers ``docs-demo``): the registry is the shipped one again."""
+    assert pipeline_names() == SHIPPED_PIPELINES

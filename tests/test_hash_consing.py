@@ -7,10 +7,18 @@ everything above the IR relies on: the memoized digest equals a
 from-scratch recomputation — on freshly built programs, and again after
 every registered normalization pipeline has mutated them in place (the
 mutation seams must have invalidated exactly the right fragments).
+
+Expressions are hash-consed where they are built: one object per structure
+however it was made (a builder, ``substitute``, a decode, pickle, deepcopy),
+leaves that compare equal but print differently (``Const(True)`` and
+``const(1)``) stay apart under a composite, and a full table still builds
+correct, merely un-interned, expressions.
 """
 
+import copy
 import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -22,9 +30,12 @@ from repro.ir.canonical import (canonical_program_json, expr_fragment,
                                 node_fragment)
 from repro.ir.nodes import (ArrayAccess, Computation, LibraryCall, Loop,
                             Program)
-from repro.ir.serialization import expr_to_dict
-from repro.ir.symbols import Add, Call, Const, Read, Sym
+from repro.ir import symbols
+from repro.ir.serialization import expr_from_dict, expr_to_dict
+from repro.ir.symbols import (Add, Call, Const, FloorDiv, Max, Min, Mod, Mul,
+                              Read, Sym, const, sym)
 from repro.passes import get_pipeline, pipeline_names
+from repro.workloads import registry as workloads
 
 
 def program_content_hash_reference(program, extra=None) -> str:
@@ -151,3 +162,143 @@ def test_fragments_format_scalars_as_json_dumps():
     assert canonical_program_json(program) == json.dumps(reference,
                                                          sort_keys=True)
     assert_digest_fresh(program, "awkward scalars")
+
+
+# -- one expression per structure -------------------------------------------------
+
+
+def _program_expressions(program):
+    """Every expression of a program and every part of each, in a fixed
+    order (so two builds of one program line up)."""
+    roots = [extent for array in program.arrays.values()
+             for extent in array.shape]
+    stack = list(reversed(program.body))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Loop):
+            roots += (node.start, node.end, node.step)
+            stack.extend(reversed(node.body))
+        elif isinstance(node, Computation):
+            roots += (*node.target.indices, node.value)
+        else:
+            roots.append(node.flop_expr)
+    found = []
+    while roots:
+        expr = roots.pop()
+        found.append(expr)
+        roots.extend(expr.children())
+    return found
+
+
+def _corpus():
+    """Every registry variant and 40 fuzz programs, each built twice, as
+    written and normalized (loop normal form substitutes, iterator
+    canonicalization renames)."""
+    pairs = [(f"{spec.name}:{variant}", spec.variant(variant),
+              spec.variant(variant))
+             for spec in workloads.all_benchmarks()
+             for variant in ("a", "b", "npbench")]
+    pairs += [(seed, generate_program(seed).program,
+               generate_program(seed).program) for seed in range(40)]
+    for label, first, second in pairs:
+        yield label, first, second
+        for program in (first, second):
+            get_pipeline("a-priori").run(program)
+        yield f"{label} under a-priori", first, second
+
+
+def test_one_object_per_structure():
+    """Built twice, substituted, decoded, pickled or deep-copied: every
+    expression of the corpus comes back as the very same object."""
+    seen = 0
+    for label, first, second in _corpus():
+        firsts = _program_expressions(first)
+        assert len(firsts) == len(_program_expressions(second))
+        for expr, twin in zip(firsts, _program_expressions(second)):
+            assert twin is expr, (label, str(expr))
+            assert expr.substitute({"not-a-symbol": 1}) is expr
+            assert expr_from_dict(expr_to_dict(expr)) is expr
+            assert pickle.loads(pickle.dumps(expr)) is expr
+            assert copy.deepcopy(expr) is copy.copy(expr) is expr
+            seen += 1
+    assert seen > 10000
+
+
+def test_every_constructor_returns_the_one_instance():
+    i, j, n = sym("i"), sym("j"), sym("N")
+    shapes = [
+        (i + 1, Add.make([sym("i"), const(1)]), Add([i, const(1)]),
+         (j + 1).substitute({"j": "i"})),
+        (n - 1, Add([n, const(-1)]), (n - 1).substitute({"M": 2})),
+        (i * 4, Mul([const(4), i]), (j * 4).substitute({"j": i})),
+        (i // 4, FloorDiv.make(i, 4), FloorDiv(i, const(4))),
+        (i % n, Mod.make("i", "N"), Mod(i, n)),
+        (symbols.minimum(i + 32, n), Min([i + 32, n]),
+         Min.make([Min.make([i + 32]), n])),
+        (symbols.maximum(i, 0), Max([i, const(0)])),
+        (symbols.read("A", i, j + 1), Read("A", ("i", j + 1)),
+         Read("A", (i, j)).substitute({"j": j + 1})),
+        (symbols.call("sqrt", i), Call("sqrt", [i]), Call("sqrt", ["i"])),
+    ]
+    for built in shapes:
+        assert all(other is built[0] for other in built[1:]), built
+    # The payload is part of the structure.
+    assert symbols.read("A", i) is not symbols.read("B", i)
+    assert symbols.call("sqrt", i) is not symbols.call("exp", i)
+    assert (i + n) is not Add([n, i])  # order is structure: no re-sorting
+
+
+def test_a_true_constant_keeps_its_fragment_under_a_composite():
+    """``Const(True) == const(1)``, but a composite over one is not the
+    composite over the other: each keeps its own canonical fragment."""
+    i = sym("i")
+    one = Add([i, const(1)])
+    flag = Add([i, Const(True)])
+    assert flag == one and flag is not one
+    assert expr_fragment(one) == json.dumps(expr_to_dict(one),
+                                            sort_keys=True)
+    assert expr_fragment(flag) == json.dumps(expr_to_dict(flag),
+                                             sort_keys=True)
+    assert expr_fragment(flag).endswith('{"kind": "const", "value": true}]}')
+    for value, text in ((1, "1"), (True, "true"), (0, "0"), (False, "false")):
+        data = {"kind": "read", "array": "A",
+                "indices": [{"kind": "sym", "name": "i"},
+                            {"kind": "const", "value": value}]}
+        decoded = expr_from_dict(data)
+        assert expr_to_dict(decoded) == data
+        assert expr_fragment(decoded).endswith(
+            '{"kind": "const", "value": %s}], "kind": "read"}' % text)
+
+
+def test_a_full_table_still_builds_correct_expressions(monkeypatch):
+    """Once the table is full nothing new is kept, interned structures still
+    come back as themselves, and every fresh expression is correct: equal to
+    and printed like the interned one, and programs built, hashed and
+    normalized through un-interned expressions give the bytes they give
+    with room in the table."""
+    held = symbols.sym("held") + 1
+    fresh = {"kind": "add", "terms": [{"kind": "sym", "name": "fresh"},
+                                       {"kind": "const", "value": 3}]}
+    size = len(symbols._COMPOSITES)
+    monkeypatch.setattr(symbols, "_COMPOSITE_LIMIT", size)
+    assert symbols.sym("held") + 1 is held
+    first, second = expr_from_dict(fresh), sym("fresh") + 3
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+    assert expr_fragment(first) == expr_fragment(second) == json.dumps(
+        fresh, sort_keys=True)
+    assert first.evaluate({"fresh": 4}) == 7
+    assert pickle.loads(pickle.dumps(first)) == first
+    normalized = {}
+    for seed in range(1000, 1020):  # seeds no other test builds
+        program = generate_program(seed).program
+        assert_digest_fresh(program, f"full table, seed {seed}")
+        get_pipeline("a-priori").run(program)
+        assert_digest_fresh(program, f"full table, seed {seed}, a-priori")
+        normalized[seed] = canonical_program_json(program)
+    assert len(symbols._COMPOSITES) == size
+    monkeypatch.undo()
+    for seed, text in normalized.items():
+        program = generate_program(seed).program
+        get_pipeline("a-priori").run(program)
+        assert canonical_program_json(program) == text, seed

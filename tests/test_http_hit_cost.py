@@ -31,7 +31,6 @@ from repro.api.cache import ResponseEntry
 from repro.experiments.figure1 import LOOP_ORDERS, build_gemm_order
 from repro.fuzz import generate_program
 from repro.ir import canonical, nodes, serialization
-from repro.ir.canonical import intern_expr
 from repro.ir.serialization import (expr_from_dict, expr_to_dict,
                                     program_from_dict, program_to_dict)
 from repro.ir.symbols import (Add, Call, Const, FloorDiv, Max, Min, Mod, Mul,
@@ -74,9 +73,18 @@ def _spec_response_entry(response: ScheduleResponse) -> ResponseEntry:
     return ResponseEntry(head[:-1] + ', "request": ', ", " + tail[1:])
 
 
+#: The table decoded expressions were interned in before every composite was
+#: hash-consed where it is built: keyed by the canonical fragment.
+_SPEC_INTERN = {}
+
+
+def _spec_intern(expr):
+    return _SPEC_INTERN.setdefault(canonical.expr_fragment(expr), expr)
+
+
 def _spec_expr_from_dict(data):
     """``expr_from_dict`` as it was: construct every node, leaves included,
-    then look its canonical fragment up in ``canonical._EXPR_INTERN``."""
+    then look its canonical fragment up in a fragment-keyed table."""
     kind = data["kind"]
     if kind == "const":
         built = Const(data["value"])
@@ -101,7 +109,7 @@ def _spec_expr_from_dict(data):
                      [_spec_expr_from_dict(a) for a in data["args"]])
     else:
         raise ValueError(f"unknown expression kind {kind!r}")
-    return intern_expr(built)
+    return _spec_intern(built)
 
 
 def _spec_program_from_dict(data, monkeypatch):

@@ -11,7 +11,7 @@ import subprocess
 import sys
 
 import pytest
-from helpers import build_gemm, build_vector_add
+from helpers import SHIPPED_PIPELINES, build_gemm, build_vector_add
 
 import repro
 from repro.api import (MemoryCacheBackend, NormalizationCache,
@@ -31,11 +31,6 @@ from repro.transforms import Interchange, Recipe, apply_recipe
 from repro.workloads.polybench import build_gemm_a, build_gemm_b
 
 PARAMS = {"NI": 8, "NJ": 9, "NK": 10}
-
-#: The six shipped pipeline names: the paper's Figure 5, its Section 4.2
-#: ablations, and the CLOUDSC variant that keeps source iterator names.
-NAMED_PIPELINES = ["a-priori", "a-priori-keep-names", "identity",
-                   "no-fission", "no-scalar-expansion", "no-stride"]
 
 #: Every registered pipeline's ``identity()``: the normalization cache keys
 #: its entries with these strings, so changing one orphans every persisted
@@ -193,8 +188,8 @@ class TestPipeline:
 
 class TestRegistry:
     def test_shipped_pipelines_registered(self):
-        assert set(NAMED_PIPELINES) <= set(pipeline_names())
-        for name in NAMED_PIPELINES:
+        assert set(SHIPPED_PIPELINES) <= set(pipeline_names())
+        for name in SHIPPED_PIPELINES:
             assert get_pipeline(name).name == name
 
     def test_registered_pipelines_are_the_shipped_six(self):
@@ -206,7 +201,7 @@ class TestRegistry:
         out = subprocess.run([sys.executable, "-c", code],
                              env=dict(os.environ, PYTHONPATH=src), check=True,
                              capture_output=True, text=True, timeout=120)
-        assert json.loads(out.stdout) == NAMED_PIPELINES
+        assert json.loads(out.stdout) == SHIPPED_PIPELINES
 
     def test_unknown_name_raises(self):
         with pytest.raises(PipelineRegistryError):
@@ -506,21 +501,21 @@ class TestPipelineCacheKeys:
     def _distinct_entries(self, cache):
         program = build_gemm_a()
         entries = {}
-        for pipeline in NAMED_PIPELINES:
+        for pipeline in SHIPPED_PIPELINES:
             entries[pipeline] = cache.normalized(
                 program, NormalizationOptions(pipeline))
             # Every first request is a miss: no pipeline is served from
             # another's entry.
             assert not entries[pipeline].hit, pipeline
         assert len({entry.input_hash for entry in entries.values()}) == \
-            len(NAMED_PIPELINES)
+            len(SHIPPED_PIPELINES)
         assert len(entries["a-priori"].program.body) > \
             len(entries["no-fission"].program.body)  # fissioned
         # Repeats hit their own entries.
-        for pipeline in NAMED_PIPELINES:
+        for pipeline in SHIPPED_PIPELINES:
             assert cache.normalized(
                 program, NormalizationOptions(pipeline)).hit, pipeline
-        assert cache.stats.normalization_misses == len(NAMED_PIPELINES)
+        assert cache.stats.normalization_misses == len(SHIPPED_PIPELINES)
 
     def test_memory_backend(self):
         self._distinct_entries(NormalizationCache(backend=MemoryCacheBackend()))
@@ -533,7 +528,7 @@ class TestPipelineCacheKeys:
         finally:
             cache.close()
 
-    @pytest.mark.parametrize("stored", NAMED_PIPELINES)
+    @pytest.mark.parametrize("stored", SHIPPED_PIPELINES)
     def test_sqlite_distinct_across_restart(self, tmp_path, stored):
         path = str(tmp_path / "cache.sqlite")
         program = build_gemm_a()
@@ -544,7 +539,7 @@ class TestPipelineCacheKeys:
         # miss for every other pipeline.
         cache = NormalizationCache(backend=SQLiteCacheBackend(path))
         try:
-            for pipeline in NAMED_PIPELINES:
+            for pipeline in SHIPPED_PIPELINES:
                 assert cache.normalized(
                     program, NormalizationOptions(pipeline)).hit == \
                     (pipeline == stored), pipeline
@@ -604,7 +599,7 @@ class TestIdempotence:
     WORKLOADS = ["gemm:a", "gemm:b", "atax:a", "mvt:b", "jacobi-2d:a",
                  "syrk:b"]
 
-    @pytest.mark.parametrize("pipeline", NAMED_PIPELINES)
+    @pytest.mark.parametrize("pipeline", SHIPPED_PIPELINES)
     def test_normalize_twice_is_noop(self, pipeline):
         session = Session()
         options = NormalizationOptions(pipeline)

@@ -24,6 +24,7 @@ from repro.analysis.strides import band_strides
 from repro.api import Session
 from repro.experiments.figure1 import LOOP_ORDERS, build_gemm_order
 from repro.ir import symbols
+from repro.ir.canonical import expr_fragment
 from repro.ir.nodes import Computation, LibraryCall, Loop, band_starts
 from repro.scheduler.embedding import embed_program
 from repro.workloads import registry as workloads
@@ -95,8 +96,13 @@ def test_every_split_the_analyses_ask_for_equals_a_fresh_split(monkeypatch):
     vectors, per-loop parallelism and the embedding of both forms: every
     split returned, memoized or not, equals one derived from scratch over
     the whole iterator context the analysis passed, and so does every
-    access decomposition (the access memo sits on top of the splits)."""
-    asked, accesses = [], []
+    access decomposition (the access memo sits on top of the splits).
+
+    Expressions are hash-consed, so how many splits are *computed* depends
+    on what the process built before; the corpus's questions do not.  A
+    question is a subscript's structure (its canonical fragment) and which
+    of its own symbols are iterators, the key its split is kept under."""
+    asked, accesses, questions = [], [], set()
     decompose_index = affine.decompose_index
     decompose_access = affine.decompose_access
 
@@ -113,6 +119,8 @@ def test_every_split_the_analyses_ask_for_equals_a_fresh_split(monkeypatch):
         assert found.indices == tuple(spec_split(index, iterators)
                                       for index in access.indices)
         accesses.append(found)
+        questions.update((expr_fragment(index), iterators & index.free_symbols())
+                         for index in access.indices)
         return found
 
     monkeypatch.setattr(affine, "decompose_index", recording)
@@ -128,7 +136,7 @@ def test_every_split_the_analyses_ask_for_equals_a_fresh_split(monkeypatch):
                         for loop in node.iter_loops():
                             BandView(loop, program).parallelism(0)
                 embed_program(program, parameters)
-    assert len(asked) > 5000 and len(accesses) > 10000
+    assert len(questions) == 157 and len(accesses) > 10000
     contexts = {}
     for expr, iterators, split in asked:
         assert split == spec_split(expr, iterators)
@@ -157,17 +165,27 @@ def test_band_strides_equal_the_decomposing_reference(corpus):
 # -- the memos do not grow with traffic -----------------------------------------------
 
 
-def _leaf_memo_entries():
-    """Memo entries held by interned ``Sym``/``Const`` leaves (a split memo
-    counts one per key), and the sizes of the intern tables."""
+def _memo_entries(expressions):
+    """Memo entries held by ``expressions`` (a split memo counts one per
+    key)."""
     entries = 0
-    leaves = (*symbols._SYM_INTERN.values(), *symbols._CONST_INTERN.values())
-    for leaf in leaves:
+    for expr in expressions:
         for slot in symbols.Expr.__slots__:
-            memo = getattr(leaf, slot, None)
+            memo = getattr(expr, slot, None)
             if memo is not None:
                 entries += len(memo) if slot == "_split" else 1
-    return entries, len(symbols._SYM_INTERN), len(symbols._CONST_INTERN)
+    return entries
+
+
+def _interned_memo_entries():
+    """Memo entries held by interned leaves and by interned composites, and
+    the sizes of the three tables."""
+    leaves = (*symbols._SYM_INTERN.values(), *symbols._CONST_INTERN.values())
+    return {"leaf memos": _memo_entries(leaves),
+            "composite memos": _memo_entries(symbols._COMPOSITES.values()),
+            "symbols": len(symbols._SYM_INTERN),
+            "constants": len(symbols._CONST_INTERN),
+            "composites": len(symbols._COMPOSITES)}
 
 
 def _transfer_pass(database):
@@ -186,16 +204,19 @@ def _transfer_pass(database):
         session.close()
 
 
-def test_leaf_memos_do_not_grow_with_traffic():
+def test_interned_memos_do_not_grow_with_traffic():
+    """Every expression of the traffic is one interned instance, so after
+    the first pass the tables and every memo on their entries stay put."""
     with contextlib.closing(fast_session(size="small")) as seeder:
         seeder.seed(workloads.benchmark_names())
         database = seeder.database
     _transfer_pass(database)
-    after_one = _leaf_memo_entries()
+    after_one = _interned_memo_entries()
     for _ in range(3):
         _transfer_pass(database)
-    assert _leaf_memo_entries() == after_one
-    assert after_one[0] > 0
+    assert _interned_memo_entries() == after_one
+    assert after_one["leaf memos"] > 0 and after_one["composite memos"] > 0
+    assert 0 < after_one["composites"] < symbols._COMPOSITE_LIMIT
     # A split is keyed by the subscript's own symbols, not by the context:
     # a bare symbol holds at most two (iterator or not).
     assert all(len(getattr(leaf, "_split", ())) <= 2
