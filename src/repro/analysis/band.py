@@ -16,7 +16,10 @@ lifetime and shared by its :meth:`forks <BandView.fork>`.  It is the only
 analysis memo there is: a search asks its pricer's view, whose legal orders
 (``CandidateSpace.orders``) and schedules all read one derivation of the
 direction vectors, and daisy asks one view of a nest for its embedding, the
-recipe it transfers and that recipe's price.
+recipe it transfers and that recipe's price.  Every dependence question is
+a projection of the view's one
+:class:`~repro.analysis.dependence.DependenceTable`, which the view of a
+loop below the band asks too.
 
 The program enters a classification only through its container facts
 (:func:`~repro.analysis.parallelism.container_facts`), which the view's
@@ -29,6 +32,9 @@ own, as an embedding classifies it) shares it.
 ===============================  =========================================
 fact                             keyed by
 ===============================  =========================================
+a pair test (the table's)        both accesses + the iterators private to
+                                 each + the common iterators
+accesses a pair test reads       the statement + the iterators known
 direction vectors                the band's ``(iterator, tile_of)`` order
 legality of a reordering         the band's order + the target order
 what a band loop carries         its iterator + the iterators inside it
@@ -57,10 +63,11 @@ from ..ir.nodes import (Computation, FrozenNodeError, Loop, Node, Program,
                         read_accesses)
 from ..ir.symbols import Expr, Min, const, sym
 from .affine import AffineAccess, computation_accesses, nest_statements
-from .dependence import Statements, band_order_is_legal, direction_vectors
+from .dependence import (EQ, DependenceTable, Statements,
+                         _expand_directions, _lexicographically_non_negative)
 from .flops import expr_flops
-from .parallelism import (ParallelismInfo, carried_dependences,
-                          classify_carried, container_facts, privatizable)
+from .parallelism import (ParallelismInfo, classify_carried, container_facts,
+                          privatizable)
 from .strides import _array_strides, access_stride
 
 
@@ -322,6 +329,14 @@ class BandView:
                 nest_statements(node) for node in self.inner]
         return children
 
+    def _table(self) -> DependenceTable:
+        """The one dependence table of the view, its forks and the loops
+        below its band."""
+        table = self._memo.get(("table",))
+        if table is None:
+            table = self._memo[("table",)] = DependenceTable()
+        return table
+
     def _statements(self, outer: Sequence[str]) -> Statements:
         """Every statement, enclosed by ``outer`` and then its loops below
         the band."""
@@ -332,8 +347,9 @@ class BandView:
     # -- legality ---------------------------------------------------------------------
 
     def vectors(self) -> Tuple[Tuple[str, ...], ...]:
-        """Dependence direction vectors of the nest as scheduled
-        (``nest_direction_vectors`` of the materialised nest).
+        """Dependence direction vectors of the nest as scheduled (the
+        table's :meth:`~repro.analysis.dependence.DependenceTable.vectors`
+        of the materialised nest).
 
         Subscripts are tested iterator by iterator, so reordering the band
         permutes the band entries of every vector and changes nothing else:
@@ -357,23 +373,54 @@ class BandView:
         headers = tuple((frame.iterator, frame.tile_of) for frame in frames)
         vectors = self._memo.get(("vectors", headers))
         if vectors is None:
-            vectors = self._memo[("vectors", headers)] = direction_vectors(
+            vectors = self._memo[("vectors", headers)] = self._table().vectors(
                 self._statements([iterator for iterator, _ in headers]))
         return vectors
 
     def order_is_legal(self, order: Sequence[str]) -> bool:
-        """Whether reordering the band to ``order`` is legal
-        (:func:`~repro.analysis.dependence.band_order_is_legal`).  The
-        band's own order reverses no dependence, so only its bounds are
+        """Whether reordering the band to ``order`` is legal.
+
+        Structurally, every loop bound must keep referencing only iterators
+        outside it: triangular and other non-rectangular domains constrain
+        which orders are expressible at all — moving ``j`` with bound
+        ``N - i`` above ``i`` leaves ``i`` unbound in ``j``'s header
+        regardless of dependences.  Semantically, the classical interchange
+        condition: every direction vector that can occur in the current
+        order (is lexicographically non-negative once its unknown ("*")
+        entries are expanded) must stay lexicographically non-negative.
+        The band's own order reverses no dependence, so only its bounds are
         checked and no direction vector is derived for it."""
         current, order = tuple(self.order()), tuple(order)
         key = ("legal", current, order)
         legal = self._memo.get(key)
         if legal is None:
-            legal = self._memo[key] = band_order_is_legal(
-                self.frames, () if order == current else self.vectors(),
-                order)
+            legal = self._memo[key] = self._legal(current, order)
         return legal
+
+    def _legal(self, current: Tuple[str, ...], order: Tuple[str, ...]) -> bool:
+        if sorted(current) != sorted(order):
+            raise ValueError(
+                f"permutation {list(order)} is not a reordering of "
+                f"{list(current)}")
+        position = {iterator: index for index, iterator in enumerate(order)}
+        if any(position[other] >= position[frame.iterator]
+               for frame in self.frames
+               for other in frame.bound_symbols() & position.keys()):
+            return False
+        if order == current:
+            return True
+        index_of = {iterator: index for index, iterator in enumerate(current)}
+        for vector in self.vectors():
+            # A vector spans the loops common to both endpoints: the band
+            # loops it does not reach are "=".
+            directions = list(vector) + [EQ] * (len(current) - len(vector))
+            for concrete in _expand_directions(directions):
+                if not _lexicographically_non_negative(concrete):
+                    continue  # cannot occur in the current order
+                if not _lexicographically_non_negative(
+                        [concrete[index_of[iterator]] for iterator in order]):
+                    return False
+        return True
 
     def tiling_is_legal(self, tiled: Sequence[str]) -> bool:
         """Whether the band loops ``tiled`` (in band order) may be tiled:
@@ -394,10 +441,11 @@ class BandView:
     def parallelism(self, target: Target) -> ParallelismInfo:
         """:func:`~repro.analysis.parallelism.classify_carried` of the loop
         at ``target`` under :attr:`facts` (a loop below the band asks a
-        view of its own, handed the same facts)."""
+        view of its own, handed the same facts and dependence table)."""
         if not isinstance(target, int):
             below = BandView(target, self.program)
             below.facts = self._facts()
+            below._memo[("table",)] = self._table()
             return below.parallelism(0)
         frame = self.frames[target]
         inside = [inner.iterator for inner in self.frames[target + 1:]]
@@ -431,8 +479,8 @@ class BandView:
         key = ("carried", frame.iterator, tuple(inside))
         carried = self._memo.get(key)
         if carried is None:
-            carried = self._memo[key] = carried_dependences(frame.iterator,
-                                                            children)
+            carried = self._memo[key] = self._table().carried(frame.iterator,
+                                                              children)
         facts = self._facts()
         if not any(dep[0] in facts for dep in carried):
             # Only a transient container is ever private.

@@ -9,7 +9,8 @@ the loop) run in parallel with atomic updates, at a cost the performance
 model charges (the paper observes it on correlation/covariance, Section
 4.1).
 
-What a loop carries (:func:`carried_dependences`) is read from the
+What a loop carries (:meth:`DependenceTable.carried
+<repro.analysis.dependence.DependenceTable.carried>`) is read from the
 statements of its body alone; what an iteration may keep private, from the
 program around it too.  A :class:`~repro.analysis.band.BandView` keeps the
 two apart, so classifications under two sets of container facts — the
@@ -26,10 +27,7 @@ from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Mapping,
 from ..ir.nodes import (Computation, LibraryCall, Loop, Node, Program,
                         read_accesses)
 from .affine import decompose_access
-from .dependence import Statements, body_dependences, is_carried
-
-#: ``(array, kind, directions)`` of every dependence a loop carries.
-Carried = Tuple[Tuple[str, str, Tuple[str, ...]], ...]
+from .dependence import Carried, Statements
 
 
 @dataclass(frozen=True)
@@ -81,34 +79,16 @@ def privatizable(body: Sequence[Node],
                      and reads[name] == facts[name])
 
 
-def carried_dependences(iterator: str,
-                        children: Sequence[Statements]) -> Carried:
-    """``(array, kind, directions)`` of every dependence a loop over
-    ``iterator`` carries, read from ``children`` — per direct child of its
-    body, its :func:`~repro.analysis.affine.nest_statements` — alone."""
-    return tuple(found[:3] for _source, _sink, found
-                 in body_dependences(iterator, children)
-                 if is_carried(found[2]))
-
-
-def classify_iterations(iterator: str, children: Sequence[Statements],
-                        private: AbstractSet[str]) -> ParallelismInfo:
-    """Classify a loop over ``iterator`` from the statements of its body:
-    ``children`` holds, per direct child of the body, its
-    :func:`~repro.analysis.affine.nest_statements` — all the classification
-    reads of the loop, so a loop that was never built can be asked about —
-    and ``private`` the :func:`privatizable` containers of its body."""
-    return classify_carried(iterator, children,
-                            carried_dependences(iterator, children), private)
-
-
 def classify_carried(iterator: str, children: Sequence[Statements],
                      carried: Carried,
                      private: AbstractSet[str]) -> ParallelismInfo:
-    """:func:`classify_iterations` given what the loop carries: it runs in
-    parallel when every container it carries a dependence through is
-    ``private``, and is a reduction when each of the others is updated in
-    place at an element invariant in ``iterator``."""
+    """Classify a loop over ``iterator`` from the statements of its body —
+    ``children`` holds, per direct child of the body, its
+    :func:`~repro.analysis.affine.nest_statements` — given what it
+    ``carried`` and the :func:`privatizable` containers of its body: it
+    runs in parallel when every container it carries a dependence through
+    is ``private``, and is a reduction when each of the others is updated
+    in place at an element invariant in ``iterator``."""
     remaining = [dep for dep in carried if dep[0] not in private]
     if not remaining:
         return ParallelismInfo(iterator, True, False, carried,

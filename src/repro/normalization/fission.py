@@ -14,8 +14,9 @@ next preserves all dependences.
 
 One bottom-up sweep is maximal.  A loop's children are split before the
 loop itself, and the statements of one SCC stay strongly connected in the
-loop of their own, because :func:`~repro.analysis.dependence.child_edges`
-tests the edges pairwise.  So no loop the sweep builds can be split again.
+loop of their own, because the dependence table's
+:meth:`~repro.analysis.dependence.DependenceTable.edges` tests the edges
+pairwise.  So no loop the sweep builds can be split again.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..ir.nodes import Loop, Program, loop_sites
 from ..analysis.affine import nest_statements
-from ..analysis.dependence import child_edges
+from ..analysis.dependence import DependenceTable
 
 
 def _dependence_edges(loop: Loop) -> List[Tuple[int, int]]:
     """Child-index dependence edges of ``loop``'s body: fission legality
     reads only whether a pair of children has a dependence."""
-    return child_edges(loop.iterator,
-                       [nest_statements(child) for child in loop.body])
+    return DependenceTable().edges(
+        loop.iterator, [nest_statements(child) for child in loop.body])
 
 
 def scc_groups(count: int, edges: Sequence[Tuple[int, int]]) -> List[List[int]]:

@@ -241,7 +241,10 @@ class ServiceRunner:
                             labelnames=("level", "outcome")
                             ).labels("response", "hit")
         #: What this service did since it started: the view ``/v1/report``
-        #: renders from the series ``/metrics`` scrapes.
+        #: renders from the series ``/metrics`` scrapes.  ``requests`` and
+        #: ``fast_lane`` count the session's response-cache hits, wherever
+        #: they come from: a direct ``session.lookup_response`` hit counts
+        #: as a request served on the fast lane (and schedules nothing).
         self.stats = CounterView({
             "requests": (admitted, fast_lane),
             "coalesced": counter(

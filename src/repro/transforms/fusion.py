@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from ..analysis.dataflow import adjacent_flows
-from ..analysis.dependence import carried_between
+from ..analysis.dependence import DependenceTable
 from ..ir.nodes import Loop, Node, Program, rename_iterators
 from .base import Transformation, TransformationError, get_nest
 
@@ -48,7 +48,8 @@ def fuse(first: Loop, second: Loop) -> Optional[Loop]:
         return None
     renamed = band_b[depth - 1].copy()
     rename_iterators(renamed, mapping)
-    if carried_between(inner_a, renamed.body, [loop.iterator for loop in band_a[:depth]]):
+    if DependenceTable().carried_either_way(
+            inner_a, renamed.body, [loop.iterator for loop in band_a[:depth]]):
         return None
     fused = first.copy()
     fused.perfectly_nested_band()[depth - 1].body.extend(renamed.body)

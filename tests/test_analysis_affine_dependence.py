@@ -1,13 +1,18 @@
-"""Tests for affine access extraction and dependence analysis."""
+"""Tests for affine access extraction and dependence analysis.
+
+The dependence questions are asked of the specification
+(``dependence_spec``), which ``tests/test_dependence_table.py`` holds the
+table's projections to.
+"""
 
 import pytest
 
+from dependence_spec import (body_dependences, dependences_between,
+                             nest_dependences, permutation_is_legal,
+                             self_dependences)
 from helpers import build_gemm, build_stencil, build_vector_add
-from repro.analysis import (EQ, LT, body_dependences, computation_accesses,
-                            decompose_access, dependences_between,
-                            legal_permutations, nest_dependences,
-                            nest_statements, permutation_is_legal,
-                            self_dependences)
+from repro.analysis import (EQ, LT, computation_accesses, decompose_access,
+                            legal_permutations, nest_statements)
 from repro.analysis.affine import decompose_index
 from repro.ir import ProgramBuilder, access
 from repro.ir.symbols import Sym

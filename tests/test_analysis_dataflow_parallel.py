@@ -5,10 +5,10 @@ import contextlib
 import pytest
 
 from helpers import build_gemm, build_stencil, build_vector_add
-from repro.analysis import (BandView, adjacent_flows, band_strides,
-                            body_dataflow, nest_statements, node_reads_writes,
-                            program_stride_cost)
-from repro.analysis.parallelism import (classify_iterations, container_facts,
+from repro.analysis import (BandView, DependenceTable, adjacent_flows,
+                            band_strides, body_dataflow, nest_statements,
+                            node_reads_writes, program_stride_cost)
+from repro.analysis.parallelism import (classify_carried, container_facts,
                                         privatizable)
 from repro.analysis.strides import DEFAULT_PARAMETER_VALUE
 from repro.ir import ProgramBuilder
@@ -77,8 +77,9 @@ class TestParallelism:
     def test_the_program_is_a_required_input(self, vector_add_program):
         loop = vector_add_program.body[0]
         children = [nest_statements(child) for child in loop.body]
+        carried = DependenceTable().carried(loop.iterator, children)
         with pytest.raises(TypeError):
-            classify_iterations(loop.iterator, children)
+            classify_carried(loop.iterator, children, carried)
         with pytest.raises(TypeError):
             privatizable(loop.body)
 

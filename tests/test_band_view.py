@@ -15,14 +15,12 @@ from dataclasses import replace
 
 import pytest
 
+from dependence_spec import (band_order_is_legal, classify_iterations,
+                             nest_direction_vectors, permutation_is_legal)
 from helpers import build_gemm, nest_accesses
 from repro.analysis.band import BandView, Frame
-from repro.analysis.dependence import (band_order_is_legal,
-                                       nest_direction_vectors,
-                                       permutation_is_legal)
 from repro.analysis.affine import nest_statements
-from repro.analysis.parallelism import (classify_iterations, container_facts,
-                                        privatizable)
+from repro.analysis.parallelism import container_facts, privatizable
 from repro.analysis.strides import _array_strides, access_stride
 from repro.api import program_content_hash
 from repro.fuzz import generate_program

@@ -14,7 +14,7 @@ from repro.workloads.registry import benchmark_names
 
 #: ``:a`` vs ``:b`` (the C variants of Figure 6) that normalize apart,
 #: with their causes.
-_PHANTOM_CYCLE = ("`body_dependences` reports a `*` cycle between "
+_PHANTOM_CYCLE = ("the dependence table reports a `*` cycle between "
                   "`corr[i0, i1+i0+1]` and `corr[i1+i0+1, i0]` that cannot "
                   "exist, because the test ignores the zero-based bounds "
                   "loop normal form guarantees (ROADMAP item 10), so the "

@@ -11,8 +11,9 @@ asks only the question it needs.
   and a pricer builds the nest from the view it priced (a compiler
   baseline views each nest once).
 * Fission asks only whether a pair of children has a dependence: its edges
-  are the distinct pairs of two different children that
-  :func:`~repro.analysis.dependence.body_dependences` reports.
+  are the distinct pairs of two different children that the body scan the
+  dependence table replaced (``dependence_spec.body_dependences``)
+  reports.
 * The embedding daisy computes from its view is the one ``embed_nest``
   computes, and the database it seeds is the one it always was.
 """
@@ -24,10 +25,12 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis import dependence, parallelism
+import dependence_spec
+from repro.analysis import parallelism
 from repro.analysis import band as band_module
 from repro.analysis.affine import nest_statements
 from repro.analysis.band import BandView
+from repro.analysis.dependence import DependenceTable
 from repro.api import Session
 from repro.ir.nodes import LibraryCall, Loop
 from repro.normalization import fission
@@ -93,7 +96,7 @@ class _Calls:
 
     @contextlib.contextmanager
     def installed(self, monkeypatch):
-        facts, scan = parallelism.container_facts, parallelism.body_dependences
+        facts, scan = parallelism.container_facts, DependenceTable.carried
         schedule, ask = Scheduler.schedule, BandView.parallelism
         make_view, make_pricer = BandView.__init__, NestPricer.__init__
 
@@ -104,14 +107,14 @@ class _Calls:
                                     for node in program.body)))
             return facts(program)
 
-        def counted_scan(iterator, children):
+        def counted_scan(table, iterator, children):
             if self.open is not None:
                 # The statements themselves are held, so their ids stay
                 # unique while the call is counted.
                 self.open["scans"].append((iterator, [
                     (statement, enclosing)
                     for child in children for statement, enclosing in child]))
-            return scan(iterator, children)
+            return scan(table, iterator, children)
 
         def counted_ask(view, target):
             if (self.open is not None and isinstance(target, Loop)
@@ -150,7 +153,7 @@ class _Calls:
                        embedding_module):
             if hasattr(module, "container_facts"):
                 monkeypatch.setattr(module, "container_facts", counted_facts)
-        monkeypatch.setattr(parallelism, "body_dependences", counted_scan)
+        monkeypatch.setattr(DependenceTable, "carried", counted_scan)
         monkeypatch.setattr(Scheduler, "schedule", counted_schedule)
         monkeypatch.setattr(BandView, "parallelism", counted_ask)
         monkeypatch.setattr(BandView, "__init__", counted_view)
@@ -276,7 +279,7 @@ def test_fission_edges_are_the_distinct_pairs_of_the_body_scan(monkeypatch):
         children = [nest_statements(child) for child in loop.body]
         pairs = dict.fromkeys(
             (source, sink) for source, sink, _found
-            in dependence.body_dependences(loop.iterator, children)
+            in dependence_spec.body_dependences(loop.iterator, children)
             if source != sink)
         met.append((fission._dependence_edges(loop) == list(pairs),
                     len(loop.body), len(pairs)))

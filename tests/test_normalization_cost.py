@@ -24,16 +24,17 @@ from math import gcd
 import networkx as nx
 import pytest
 
+from dependence_spec import (_access_dependences, _gather_accesses,
+                             body_dependences, carried_dependences,
+                             child_edges, classify_iterations,
+                             dependences_between, legal_permutations,
+                             nest_dependences, self_dependences)
 from repro.analysis import dependence
 from repro.analysis.affine import nest_statements
-from repro.analysis.dependence import (EQ, _access_dependences,
+from repro.analysis.dependence import (EQ, DependenceTable,
                                        _directions_from_constraints,
-                                       _gather_accesses, body_dependences,
-                                       dependences_between, is_carried,
-                                       legal_permutations,
-                                       nest_dependences, self_dependences)
-from repro.analysis.parallelism import (classify_iterations, container_facts,
-                                        privatizable)
+                                       is_carried)
+from repro.analysis.parallelism import container_facts, privatizable
 from repro.analysis.strides import band_strides, program_stride_cost
 from repro.api import Session
 from repro.fuzz import generate_program
@@ -301,15 +302,19 @@ def _scan_programs():
 
 
 class TestOneBodyScan:
-    """A loop's carried dependences come from one scan, which must answer
-    exactly what the two scans it replaced answered; fission's edges,
-    tested for existence only, are the distinct pairs of two children that
-    scan reports."""
+    """What a loop carries and fission's edges are projections of one
+    dependence table, which must answer exactly — the same tuples in the
+    same order — what the one body scan it replaced answered
+    (``dependence_spec``), and that scan what the two scans before it
+    answered; fission's edges, tested for existence only, are the distinct
+    pairs of two children the scan reports.  One table asked about every
+    loop of a program answers as a fresh table per loop."""
 
     def test_every_loop_body(self):
         loops = split = carrying = 0
         for label, program in _scan_programs():
             facts = container_facts(program)
+            shared = DependenceTable()
             for loop in program.iter_loops():
                 children = [nest_statements(child) for child in loop.body]
                 scan = body_dependences(loop.iterator, children)
@@ -320,20 +325,28 @@ class TestOneBodyScan:
                 # Fission asks only whether a pair has a dependence.
                 edges = dict.fromkeys((source, sink) for source, sink, _dep
                                       in spec if source != sink)
+                assert child_edges(loop.iterator, children) == list(edges)
                 assert _dependence_edges(loop) == list(edges), label
+                assert shared.edges(loop.iterator, children) == list(edges)
                 carried = _spec_carried_dependences(loop.iterator, children)
                 assert [entry for entry in scan if is_carried(entry[2][2])] \
                     == carried, label
+                expected = tuple(found[:3] for *_, found in carried)
+                assert carried_dependences(loop.iterator, children) \
+                    == expected, label
+                assert DependenceTable().carried(loop.iterator, children) \
+                    == expected, label
+                assert shared.carried(loop.iterator, children) == expected
                 private = privatizable(loop.body, facts)
                 assert classify_iterations(loop.iterator, children,
-                                           private).carried \
-                    == tuple(found[:3] for *_, found in carried), label
+                                           private).carried == expected
                 # A band view asks with everything inside as one child.
                 whole = [[entry for child in children for entry in child]]
-                assert classify_iterations(loop.iterator, whole,
-                                           private).carried == tuple(
+                expected = tuple(
                     found[:3] for *_, found
-                    in _spec_carried_dependences(loop.iterator, whole)), label
+                    in _spec_carried_dependences(loop.iterator, whole))
+                assert carried_dependences(loop.iterator, whole) == expected
+                assert shared.carried(loop.iterator, whole) == expected, label
                 loops += 1
                 split += bool(edges)
                 carrying += bool(carried)
@@ -419,16 +432,16 @@ class TestStrideMinimizationOnce:
     def test_legality_is_asked_only_of_a_winner(self, monkeypatch):
         """One walk per band, and at most one dependence question: none for
         a band already in its minimal order."""
-        import repro.analysis.band as views
         walks, questions = [], []
         walk = stride_minimization.band_strides
-        vectors = views.direction_vectors
+        vectors = DependenceTable.vectors
         monkeypatch.setattr(
             stride_minimization, "band_strides",
             lambda *args: walks.append(1) or walk(*args))
         monkeypatch.setattr(
-            views, "direction_vectors",
-            lambda found: questions.append(found) or vectors(found))
+            DependenceTable, "vectors",
+            lambda table, found: questions.append(found) or vectors(
+                table, found))
         normalized = normalize(workloads.benchmark("gemm").variant("a"))[0]
         del walks[:], questions[:]
         counters = minimize_strides(normalized)

@@ -290,7 +290,46 @@ def _removed_spellings():
         # Every pipeline is bit-exact: no rewrite family, no per-pipeline
         # flag, no comparison tolerance.
         **_no_rewrite_family(),
+        # Every dependence question is a projection of one table.
+        **_no_second_dependence_api(),
     }
+
+
+#: What the dependence table replaced, per module: each function gathered
+#: its accesses and tested its pairs again.
+DELETED_DEPENDENCE_API = {
+    "repro.analysis.dependence": (
+        "dependences_between", "carried_between", "self_dependences",
+        "body_dependences", "child_edges", "nest_dependences",
+        "statement_dependences", "direction_vectors",
+        "nest_direction_vectors", "band_order_is_legal",
+        "band_bounds_respect_order", "permutation_is_legal", "Dependence",
+        "_pair_tests", "_access_dependences"),
+    "repro.analysis.parallelism": ("carried_dependences",
+                                   "classify_iterations"),
+    "repro.analysis": ("Dependence", "body_dependences",
+                       "dependences_between", "nest_dependences",
+                       "permutation_is_legal", "self_dependences"),
+}
+
+
+def _no_second_dependence_api():
+    """One row per deleted name: looking it up raises ``AttributeError``,
+    importing it from the package ``ImportError``."""
+    def lookup(module, name):
+        return lambda: getattr(importlib.import_module(module), name)
+
+    def import_name(module, name):
+        return lambda: exec(f"from {module} import {name}", {})
+
+    rows = {}
+    for module, names in DELETED_DEPENDENCE_API.items():
+        for name in names:
+            where = module.rsplit(".", 1)[-1]
+            rows[f"{where}-{name}"] = (import_name(module, name)
+                                       if module == "repro.analysis"
+                                       else lookup(module, name))
+    return rows
 
 
 def _no_rewrite_family():
@@ -354,8 +393,6 @@ def _no_analysis_manager(program):
     import repro.passes
     from repro.analysis import legal_permutations
     from repro.analysis.band import BandView
-    from repro.analysis.dependence import (nest_direction_vectors,
-                                           permutation_is_legal)
     from repro.api.types import SessionReport
     from repro.perf.model import CostModel, NodePrices
     from repro.scheduler.base import NestPricer
@@ -395,10 +432,12 @@ def _no_analysis_manager(program):
             nest, program.arrays, PARAMS, analysis=None),
         "loop-parallelism-analysis": lambda: BandView(
             nest, program).parallelism(0, analysis=None),
-        "nest-direction-vectors-analysis": lambda: nest_direction_vectors(
-            nest, analysis=None),
-        "permutation-is-legal-analysis": lambda: permutation_is_legal(
-            nest, ("i0", "i1", "i2"), analysis=None),
+        # Both functions went with the second dependence API (below).
+        "nest-direction-vectors-analysis": lambda: (
+            dependence.nest_direction_vectors(nest, analysis=None)),
+        "permutation-is-legal-analysis": lambda: (
+            dependence.permutation_is_legal(nest, ("i0", "i1", "i2"),
+                                            analysis=None)),
         "legal-permutations-analysis": lambda: legal_permutations(
             nest, analysis=None),
         "session-report-analysis-hits": lambda: SessionReport(

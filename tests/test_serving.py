@@ -99,6 +99,22 @@ class TestServiceRunner:
         assert not first.from_cache and second.from_cache
         assert runner.stats.coalesced == 0
 
+    def test_stats_count_the_sessions_response_cache_hits(self):
+        """``requests`` and ``fast_lane`` read the session's response-cache
+        hit series: a direct ``session.lookup_response`` hit counts as a
+        request the runner served, and schedules nothing."""
+        session = fast_session()
+        request = ScheduleRequest(program="gemm:a")
+        with ServiceRunner(session) as runner:
+            for _ in range(3):  # scheduled, stored, then served fast
+                runner.schedule(request)
+            before = (runner.stats.requests, runner.stats.fast_lane,
+                      runner.stats.scheduled)
+            assert before[:2] == (3, 1)
+            assert session.lookup_response(request) is not None
+            assert (runner.stats.requests, runner.stats.fast_lane,
+                    runner.stats.scheduled) == (4, 2, before[2])
+
     def test_tune_requests_are_rejected(self):
         with ServiceRunner(fast_session()) as runner:
             with pytest.raises(ValueError, match="tune requests"):

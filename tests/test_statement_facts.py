@@ -18,12 +18,12 @@ import weakref
 
 import pytest
 
+from dependence_spec import (legal_permutations, nest_direction_vectors,
+                             permutation_is_legal)
 from helpers import nest_accesses
 from repro.analysis import (BandView, band_strides, computation_accesses,
-                            expr_flops, legal_permutations,
-                            permutation_is_legal)
+                            expr_flops)
 from repro.analysis.affine import AffineAccess, decompose_index
-from repro.analysis.dependence import nest_direction_vectors
 from repro.analysis.strides import LEVEL_WEIGHT_DECAY, _array_strides
 from repro.api.hashing import program_content_hash
 from repro.fuzz import generate_program
@@ -87,7 +87,9 @@ def _assert_memos_match_fresh_ir(program):
                 assert expr_flops(comp.value) == expr_flops(other.value)
                 assert accesses == expected == _reference_accesses(other, enclosing)
                 assert computation_accesses(comp, enclosing) == accesses
-        assert nest_direction_vectors(node) == nest_direction_vectors(twin)
+        assert (nest_direction_vectors(node) == nest_direction_vectors(twin)
+                == BandView(node, program).vectors()
+                == BandView(twin, fresh).vectors())
         assert (band_strides(node, program.arrays)
                 == band_strides(twin, fresh.arrays))
         for loop, other in zip(node.iter_loops(), twin.iter_loops()):

@@ -14,12 +14,12 @@ the memos on interned leaves do not grow with traffic.
 import contextlib
 
 import pytest
+from dependence_spec import nest_direction_vectors
 from helpers import (fast_session, spec_band_strides, spec_free_symbols,
                      spec_split)
 
 from repro.analysis import affine
 from repro.analysis.band import BandView
-from repro.analysis.dependence import nest_direction_vectors
 from repro.analysis.strides import band_strides
 from repro.api import Session
 from repro.experiments.figure1 import LOOP_ORDERS, build_gemm_order
@@ -133,6 +133,7 @@ def test_every_split_the_analyses_ask_for_equals_a_fresh_split(monkeypatch):
                 for node in program.body:
                     if isinstance(node, Loop):
                         nest_direction_vectors(node)
+                        BandView(node, program).vectors()
                         for loop in node.iter_loops():
                             BandView(loop, program).parallelism(0)
                 embed_program(program, parameters)

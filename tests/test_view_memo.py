@@ -3,8 +3,9 @@
 * the legal orders a search draws from (``CandidateSpace.orders(view)``)
   are the orders ``legal_permutations`` of the nest gives, in its
   sequence, for both search spaces and every nest of the corpus;
-* a search derives its nest's direction vectors once — none when its band
-  is one loop, whose only order is its own;
+* a search derives its nest's direction vectors at most once — none when
+  its band is one loop, whose only order is its own, or when a loop bound
+  alone refuses every other order;
 * a scheduler whose distance bound is negative (``evolutionary``) reads
   no database when it schedules.
 """
@@ -15,9 +16,9 @@ import contextlib
 import pytest
 from helpers import fast_session
 
-from repro.analysis import dependence, legal_permutations
-from repro.analysis import band as band_module
+from dependence_spec import legal_permutations
 from repro.analysis.band import BandView
+from repro.analysis.dependence import DependenceTable
 from repro.api import Session
 from repro.ir.nodes import Loop
 from repro.scheduler.database import TuningDatabase
@@ -30,7 +31,8 @@ VARIANTS = ("a", "b", "npbench")
 
 def _spec_orders(space, nest):
     """The orders a search drew from before the view answered: the band's
-    own order when it is too deep to permute, else ``legal_permutations``."""
+    own order when it is too deep to permute, else ``legal_permutations``
+    (the specification's)."""
     band = nest.perfectly_nested_band()
     if len(band) > space.max_permuted_band:
         return [tuple(loop.iterator for loop in band)]
@@ -71,34 +73,39 @@ class TestOrdersFromTheView:
 class TestOneDerivationPerSearch:
     def test_each_search_derives_the_direction_vectors_once(self, monkeypatch):
         """A fresh session scheduling the 18 registry ``:a`` programs runs
-        49 searches; each asks ``direction_vectors`` once, for its legal
-        orders and every candidate together — except the 18 over a band of
-        one loop, which is only ever asked about its own order and derives
-        none."""
+        49 searches; each asks its view's table for the direction vectors
+        at most once, for its legal orders and every candidate together.
+        The 18 over a band of one loop, which is only ever asked about its
+        own order, derive none, nor do the 4 over a triangular band, whose
+        other order leaves a loop bound unbound and so is refused before
+        any vector is derived."""
         derivations = []
         per_search = []
-        derive = dependence.direction_vectors
+        derive = DependenceTable.vectors
         run = EvolutionarySearch.run
 
-        def counted(statements):
+        def counted(table, statements):
             derivations.append(1)
-            return derive(statements)
+            return derive(table, statements)
 
         def search(self, pricer, seeds=None):
             del derivations[:]
             outcome = run(self, pricer, seeds)
-            per_search.append((len(pricer.view.frames) > 1, len(derivations)))
+            per_search.append((len(pricer.view.frames) > 1, len(derivations),
+                               pricer.program.name))
             return outcome
 
-        monkeypatch.setattr(dependence, "direction_vectors", counted)
-        monkeypatch.setattr(band_module, "direction_vectors", counted)
+        monkeypatch.setattr(DependenceTable, "vectors", counted)
         monkeypatch.setattr(EvolutionarySearch, "run", search)
         with contextlib.closing(Session(threads=4)) as session:
             for name in workloads.benchmark_names():
                 session.schedule(f"{name}:a")
         assert len(per_search) == 49
-        assert sum(not deep for deep, _ in per_search) == 18
-        assert per_search == [(deep, int(deep)) for deep, _ in per_search]
+        assert sum(not deep for deep, _, _ in per_search) == 18
+        assert all(count <= deep for deep, count, _ in per_search)
+        assert [name for deep, count, name in per_search
+                if deep and not count] == ["syrk_a", "syr2k_a",
+                                           "correlation_a", "covariance_a"]
 
 
 class TestNegativeDistanceReadsNoDatabase:
