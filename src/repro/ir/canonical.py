@@ -135,11 +135,17 @@ def node_fragment(node: Node) -> str:
     return frag
 
 
-def _array_fragment(arr: Array) -> str:
-    return '{"dtype": %s, "name": %s, "shape": [%s], "transient": %s}' % (
-        _dumps(arr.dtype), _dumps(arr.name),
-        ", ".join(expr_fragment(dim) for dim in arr.shape),
-        _dumps(arr.transient))
+def array_fragment(arr: Array) -> str:
+    """The canonical JSON fragment of one container declaration (memoized:
+    a declaration is immutable)."""
+    frag = arr.__dict__.get("_frag")
+    if frag is None:
+        frag = '{"dtype": %s, "name": %s, "shape": [%s], "transient": %s}' % (
+            _dumps(arr.dtype), _dumps(arr.name),
+            ", ".join(expr_fragment(dim) for dim in arr.shape),
+            _dumps(arr.transient))
+        object.__setattr__(arr, "_frag", frag)
+    return frag
 
 
 def canonical_program_json(program: Program) -> str:
@@ -151,7 +157,7 @@ def canonical_program_json(program: Program) -> str:
     a memo hit.
     """
     arrays = ", ".join(
-        _array_fragment(arr)
+        array_fragment(arr)
         for arr in sorted(program.arrays.values(), key=lambda a: a.name))
     body = ", ".join(node_fragment(node) for node in program.body)
     return '{"arrays": [%s], "body": [%s], "name": "", "parameters": %s}' % (

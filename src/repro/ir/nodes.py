@@ -154,6 +154,17 @@ _set = object.__setattr__
 SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
+def _with_fragment_of(source: "Node", copy: "Node") -> "Node":
+    """``copy`` holding ``source``'s memoized canonical fragment, if any: a
+    copy has the source's content, so it has its fragment.  Copies are made
+    bottom-up, so a copied node gets a memo only once every node below it
+    did — the invariant :func:`_invalidate` relies on."""
+    frag = getattr(source, "_frag", None)
+    if frag is not None:
+        _set(copy, "_frag", frag)
+    return copy
+
+
 @dataclass(frozen=True, **SLOTS)
 class ArrayAccess:
     """A single array access: container name plus symbolic index expressions.
@@ -302,7 +313,8 @@ class Computation(Node):
         _set(self, "value", as_expr(value))
 
     def copy(self) -> "Computation":
-        return Computation(self.target, self.value, name=self.name)
+        return _with_fragment_of(
+            self, Computation(self.target, self.value, name=self.name))
 
     def iter_computations(self) -> Iterator["Computation"]:
         yield self
@@ -374,7 +386,8 @@ class Loop(Node):
                     unroll=self.unroll, tile_of=self.tile_of)
 
     def copy(self) -> "Loop":
-        return self.with_body([child.copy() for child in self.body])
+        return _with_fragment_of(
+            self, self.with_body([child.copy() for child in self.body]))
 
     def iter_computations(self) -> Iterator[Computation]:
         for child in self.body:
@@ -470,8 +483,9 @@ class LibraryCall(Node):
         _set(self, "metadata", dict(metadata or {}))
 
     def copy(self) -> "LibraryCall":
-        return LibraryCall(self.routine, self.outputs, self.inputs,
-                           self.flop_expr, dict(self.metadata))
+        return _with_fragment_of(
+            self, LibraryCall(self.routine, self.outputs, self.inputs,
+                              self.flop_expr, dict(self.metadata)))
 
     def iter_computations(self) -> Iterator[Computation]:
         return iter(())

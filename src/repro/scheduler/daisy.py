@@ -6,8 +6,10 @@ daisy is the paper's auto-scheduler built on top of a-priori normalization:
    minimization) before daisy sees it,
 2. every nest matching a BLAS-3 kernel is replaced by the library call,
 3. every other nest is optimized with a recipe retrieved from the
-   transfer-tuning database by embedding similarity; if no suitable entry
-   exists, an evolutionary search finds a recipe (and stores it).
+   transfer-tuning database: the entry tuned on this very normalized nest
+   (looked up by its identity), else the one nearest by embedding
+   similarity; if no suitable entry exists, an evolutionary search finds a
+   recipe (and stores it).
 
 Because recipes are recorded against *normalized* nests with canonical
 iterator names, a recipe found on the A variant of a benchmark applies
@@ -28,7 +30,8 @@ from ..transforms.recipe import Recipe, apply_recipe
 from .base import (NestPricer, NestScheduleInfo, ScheduleResult, Scheduler,
                    retarget_recipe)
 from .database import TuningDatabase
-from .embedding import embed_nest, embed_view
+from .embedding import (PerformanceEmbedding, embed_nest, embed_view,
+                        nest_identity)
 from .evolutionary import EvolutionarySearch, SearchConfig
 
 #: Maximum embedding distance at which a database recipe is considered a match.
@@ -87,8 +90,10 @@ class DaisyScheduler(Scheduler):
         if match_blas3(nest) is not None:
             recipe = Recipe(f"{label}:blas", [ReplaceWithLibraryCall(index)])
             if seeding:
-                self.database.add(embed_nest(nest, program.arrays, parameters,
-                                             label=label), recipe)
+                self.database.add(
+                    embed_nest(nest, program.arrays, parameters, label=label),
+                    recipe, nest=nest_identity(nest, program.arrays,
+                                               parameters))
             application = apply_recipe(program, recipe, strict=False)
             status = "optimized" if application.fully_applied else "failed"
             return NestScheduleInfo(index, status, recipe, "blas idiom")
@@ -97,18 +102,28 @@ class DaisyScheduler(Scheduler):
         # transfers or the search, and the price of what is built.
         pricer = NestPricer(self.cost_model, program, index, parameters,
                             prices=prices)
-        embedding = embed_view(pricer.view, label) if embeds else None
-
-        # 2. Transfer tuning: nearest database entry within the distance bound.
-        if not seeding and embedding is not None:
-            entry = self.database.best_match(embedding,
-                                             self.config.max_database_distance)
+        identity = (nest_identity(nest, program.arrays, parameters)
+                    if embeds else None)
+        embedding = entry = None
+        if seeding:
+            embedding = embed_view(pricer.view, label)
+        elif embeds:
+            # 2. Transfer tuning.  An entry tuned on this very nest has its
+            #    embedding and is the nearest entry: neither is computed.
+            #    Otherwise, the nearest entry within the distance bound.
+            entry = self.database.exact(identity)
             if entry is not None:
-                recipe = retarget_recipe(entry.recipe, index)
-                if pricer.build(recipe).applied:
-                    return NestScheduleInfo(index, "optimized", recipe,
-                                            f"transfer from {entry.label}")
-                # The recipe could not be applied at all: fall through.
+                embedding = PerformanceEmbedding(label, entry.embedding)
+            else:
+                embedding = embed_view(pricer.view, label)
+                entry = self.database.best_match(
+                    embedding, self.config.max_database_distance)
+        if entry is not None:
+            recipe = retarget_recipe(entry.recipe, index)
+            if pricer.build(recipe).applied:
+                return NestScheduleInfo(index, "optimized", recipe,
+                                        f"transfer from {entry.label}")
+            # The recipe could not be applied at all: fall through.
 
         # 3. Evolutionary search (seeded with the recipes of the most similar
         #    nests, mirroring the epoch re-seeding of the paper).
@@ -118,6 +133,7 @@ class DaisyScheduler(Scheduler):
         outcome = self._search.run(pricer, seeds)
         pricer.build(outcome.recipe)
         if seeding:
-            self.database.add(embedding, outcome.recipe, runtime=outcome.runtime)
+            self.database.add(embedding, outcome.recipe,
+                              runtime=outcome.runtime, nest=identity)
         return NestScheduleInfo(index, "optimized", outcome.recipe,
                                 f"evolutionary search ({outcome.evaluated} evals)")

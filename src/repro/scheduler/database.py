@@ -4,8 +4,14 @@ The database stores pairs of (performance embedding, optimization recipe) for
 normalized loop nests.  The daisy scheduler seeds it from the normalized A
 variants of the benchmarks and queries it when scheduling new programs
 (Section 4, "Seeding a Scheduling Database").  Entries never change once
-added, so a database's :attr:`~TuningDatabase.version` is a digest of its
-entries alone.
+added, and none is ever removed, so a database's
+:attr:`~TuningDatabase.version` is a digest of its entries alone.
+
+An entry daisy seeds also records the
+:func:`~repro.scheduler.embedding.nest_identity` of the normalized nest it
+was tuned on (an entry loaded from a file without one has none): a nest
+with that identity has that entry's embedding, so
+:meth:`TuningDatabase.exact` answers it with one dictionary probe.
 """
 
 from __future__ import annotations
@@ -32,23 +38,31 @@ class DatabaseEntry:
     recipe: Recipe
     label: str = ""
     runtime: Optional[float] = None
+    #: The identity of the normalized nest the entry was tuned on, when
+    #: known (see :func:`~repro.scheduler.embedding.nest_identity`).
+    nest: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
-        return {
+        data = {
             "embedding": list(self.embedding),
             "recipe": self.recipe.to_dict(),
             "label": self.label,
             "runtime": self.runtime,
         }
+        if self.nest is not None:
+            data["nest"] = self.nest
+        return data
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "DatabaseEntry":
         runtime = data.get("runtime")
+        nest = data.get("nest")
         return DatabaseEntry(
             embedding=tuple(float(x) for x in data["embedding"]),
             recipe=Recipe.from_dict(data["recipe"]),
             label=str(data.get("label", "")),
             runtime=float(runtime) if runtime is not None else None,
+            nest=str(nest) if nest is not None else None,
         )
 
 
@@ -62,6 +76,10 @@ class TuningDatabase:
         self._vectors: Optional[np.ndarray] = None
         self._append_lock = threading.Lock()
         self._digest = hashlib.sha256(b"tuning-database")
+        #: Embedding -> the first entry added with it.
+        self._first: Dict[Tuple[float, ...], DatabaseEntry] = {}
+        #: Nest identity -> what :meth:`exact` answers for it.
+        self._exact: Dict[str, DatabaseEntry] = {}
         for entry in entries or []:
             self.add_entry(entry)
 
@@ -80,7 +98,13 @@ class TuningDatabase:
 
     def add_entry(self, entry: DatabaseEntry) -> DatabaseEntry:
         """Append a ready entry (the seam all mutation funnels through, so
-        the content version and the embedding matrix stay in sync)."""
+        the content version, the embedding matrix and the identity index
+        stay in sync)."""
+        content = entry.to_dict()
+        # The identity says which nest the entry came from, not what it
+        # transfers: :meth:`exact` answers what :meth:`best_match` would,
+        # so it changes no schedule and stays out of the version.
+        content.pop("nest", None)
         with self._append_lock:  # row, entry and digest advance together
             count = len(self.entries)
             if self._vectors is None or count == len(self._vectors):
@@ -92,36 +116,31 @@ class TuningDatabase:
             self._vectors[count] = entry.embedding
             self.entries.append(entry)
             self._digest.update(
-                json.dumps(entry.to_dict(), sort_keys=True).encode("utf-8"))
+                json.dumps(content, sort_keys=True).encode("utf-8"))
+            first = self._first.setdefault(entry.embedding, entry)
+            if entry.nest is not None:
+                self._exact.setdefault(entry.nest, first)
         return entry
 
     def add(self, embedding: PerformanceEmbedding, recipe: Recipe,
-            runtime: Optional[float] = None) -> DatabaseEntry:
-        """Insert a tuned nest into the database."""
+            runtime: Optional[float] = None,
+            nest: Optional[str] = None) -> DatabaseEntry:
+        """Insert a tuned nest into the database (``nest`` is its
+        identity, when known)."""
         if len(embedding.vector) != EMBEDDING_SIZE:
             raise ValueError(
                 f"embedding has {len(embedding.vector)} features, expected {EMBEDDING_SIZE}")
         return self.add_entry(
             DatabaseEntry(embedding=tuple(embedding.vector), recipe=recipe,
-                          label=embedding.label, runtime=runtime))
+                          label=embedding.label, runtime=runtime, nest=nest))
 
-    def checkpoint(self) -> Tuple[int, "hashlib._Hash"]:
-        """The state :meth:`rewind` returns to: the entry count and the
-        content digest."""
-        with self._append_lock:
-            return len(self.entries), self._digest.copy()
-
-    def rewind(self, checkpoint: Tuple[int, "hashlib._Hash"]
-               ) -> List[DatabaseEntry]:
-        """Drop the entries appended since ``checkpoint`` and restore its
-        :attr:`version` exactly; returns the dropped entries in insertion
-        order."""
-        count, digest = checkpoint
-        with self._append_lock:
-            dropped = self.entries[count:]
-            del self.entries[count:]
-            self._digest = digest.copy()
-        return dropped
+    def exact(self, nest: str) -> Optional[DatabaseEntry]:
+        """The entry :meth:`best_match` returns, at any bound >= 0, for a
+        nest whose identity is ``nest``: the first entry added with the
+        embedding of the first entry tuned on that nest (equal embeddings
+        are exactly those at distance 0).  None when no entry was tuned on
+        it."""
+        return self._exact.get(nest)
 
     def distances(self, vector: Sequence[float]) -> List[float]:
         """Euclidean distance from ``vector`` to every entry, in entry order.

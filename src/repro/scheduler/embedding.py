@@ -11,6 +11,9 @@ footprint.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -20,6 +23,7 @@ from ..analysis.flops import expr_flops
 from ..analysis.parallelism import container_facts
 from ..analysis.strides import _array_strides, access_stride
 from ..ir.arrays import Array
+from ..ir.canonical import array_fragment, node_fragment
 from ..ir.nodes import Computation, LibraryCall, Loop, Program
 
 #: Names of the embedding dimensions, in order.
@@ -168,6 +172,36 @@ def embed_view(view: BandView, label: str = "") -> PerformanceEmbedding:
         1.0 if nest.is_perfect_nest() else 0.0,
     )
     return PerformanceEmbedding(label=label or nest.iterator, vector=vector)
+
+
+#: The name of every container an access in a canonical fragment reads or
+#: writes, as the fragment spells it (JSON-escaped).  A library call's
+#: operands are not among them: the embedding reads no declaration for
+#: them.
+_ACCESSED = re.compile(r'"array": "((?:[^"\\]|\\.)*)"')
+
+
+def nest_identity(nest: Loop, arrays: Mapping[str, Array],
+                  parameters: Mapping[str, int]) -> str:
+    """A digest of exactly what :func:`embed_nest` reads: the nest's
+    canonical fragment (statement labels stripped), the declarations of the
+    containers it accesses, by name, and the parameter bindings.  Two nests
+    with one identity have one embedding.
+
+    The fragment is the one the canonical hash memoized (copies keep it),
+    and the accessed containers are read off it, so the tree is not walked.
+    """
+    fragment = node_fragment(nest)
+    # Only a name with an escape in it needs decoding.
+    names = sorted(json.loads(f'"{name}"') if "\\" in name else name
+                   for name in set(_ACCESSED.findall(fragment)))
+    text = "\n".join((
+        fragment,
+        # A name no container declares is a library call's metadata.
+        ", ".join(array_fragment(arrays[name]) for name in names
+                  if name in arrays),
+        repr(sorted(parameters.items()))))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def embed_program(program: Program, parameters: Mapping[str, int]

@@ -111,6 +111,70 @@ def test_interned_subtrees_share_digest_memos():
             program_content_hash_reference(second), f"seed {seed}"
 
 
+# -- a copy keeps its fragment ------------------------------------------------------
+
+
+def _fresh_fragment(node, program):
+    """``node_fragment(node)`` computed by the reference serializer."""
+    data = canonical_program_dict(Program("", list(program.arrays.values()),
+                                          [node]))
+    return json.dumps(data["body"][0], sort_keys=True)
+
+
+def _normalized(seed):
+    program = generate_program(seed).program
+    get_pipeline("a-priori").run(program)
+    canonical_program_json(program)  # the canonical hash memoizes fragments
+    return program
+
+
+def test_a_copy_keeps_the_fragment_of_its_source():
+    """A copied loop and a copied computation hold their source's memoized
+    fragment, which is the one the reference serializer computes."""
+    loops = computations = 0
+    for seed in range(20):
+        program = _normalized(seed)
+        for nest in program.body:
+            nodes = [nest, *nest.iter_loops(), *nest.iter_computations()]
+            for node in nodes:
+                copy = node.copy()
+                assert copy._frag is node._frag
+                assert node_fragment(copy) == _fresh_fragment(node, program)
+                loops += isinstance(node, Loop)
+                computations += isinstance(node, Computation)
+    assert loops > 20 and computations > 20
+
+
+def _ancestors(node):
+    while node is not None:
+        yield node
+        node = node._parent() if getattr(node, "_parent", None) else None
+
+
+@pytest.mark.parametrize("mutate", ["assign", "body"])
+def test_mutating_a_copy_clears_its_fragments_not_the_sources(mutate):
+    """A mutation of a copy clears the fragments of the mutated node and of
+    every loop around it, and leaves the source's fragments alone."""
+    for seed in range(20):
+        program = _normalized(seed)
+        before = canonical_program_json(program)
+        copy = program.copy()
+        deepest = max((loop for nest in copy.body
+                       for loop in nest.iter_loops()),
+                      key=lambda loop: len(list(_ancestors(loop))))
+        if mutate == "assign":
+            deepest.end = deepest.end + 1
+        else:
+            deepest.body.append(deepest.body[0].copy())
+        assert not any(hasattr(node, "_frag") for node in _ancestors(deepest))
+        assert all(hasattr(node, "_frag") for nest in program.body
+                   for node in nest.iter_loops())
+        assert canonical_program_json(program) == before
+        assert_digest_fresh(program, f"source of seed {seed}")
+        assert canonical_program_json(copy) != before
+        assert_digest_fresh(copy, f"copy of seed {seed}")
+
+
 #: Names a JSON encoder has to escape: quotes, backslashes, control
 #: characters, non-ASCII (including a character outside the BMP).
 AWKWARD_NAMES = ('q"uote', "back\\slash", "tab\tnew\nline\x01\x1f",

@@ -671,13 +671,8 @@ class TestDatabaseMatrix:
     def test_matrix_follows_every_way_entries_arrive(self, seeded):
         entries, queries = seeded
         database = _filled(entries)
-        rewound = TuningDatabase(list(database.entries))
-        checkpoint = rewound.checkpoint()
-        for embedding, recipe, _runtime in entries[::-1]:
-            rewound.add(embedding, recipe)
-        rewound.rewind(checkpoint)
         copies = [TuningDatabase(list(database.entries)),
-                  TuningDatabase.from_json(database.to_json()), rewound]
+                  TuningDatabase.from_json(database.to_json())]
         for copy in copies:
             assert len(copy) == len(database)
             assert copy.version == database.version

@@ -16,7 +16,8 @@ from helpers import SHIPPED_PIPELINES, build_gemm, build_vector_add
 import repro
 from repro.api import (MemoryCacheBackend, NormalizationCache,
                        NormalizationOptions, ScheduleRequest, Session,
-                       SQLiteCacheBackend, program_content_hash)
+                       SQLiteCacheBackend, TuningDatabase,
+                       program_content_hash)
 from repro.interp import programs_equivalent
 from repro.ir import ProgramBuilder
 from repro.normalization import normalize
@@ -292,6 +293,9 @@ def _removed_spellings():
         **_no_rewrite_family(),
         # Every dependence question is a projection of one table.
         **_no_second_dependence_api(),
+        # No entry ever leaves a tuning database.
+        "database-checkpoint": lambda: TuningDatabase().checkpoint,
+        "database-rewind": lambda: TuningDatabase().rewind,
     }
 
 

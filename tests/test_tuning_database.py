@@ -1,5 +1,5 @@
 """Tests for the tuning database: entry round-trips, the content version,
-ranking by embedding distance, checkpoint/rewind, and the one file format
+ranking by embedding distance, the identity index, and the one file format
 ``--db-path`` loads."""
 
 import dataclasses
@@ -24,7 +24,7 @@ def seeded_database(count: int = 12) -> TuningDatabase:
     database = TuningDatabase()
     for i in range(count):
         database.add(embedding(float(i), label=f"nest{i}"),
-                     Recipe(f"recipe{i}"), runtime=0.1 * i)
+                     Recipe(f"recipe{i}"), runtime=0.1 * i, nest=f"id{i}")
     return database
 
 
@@ -110,7 +110,7 @@ def _by_add(entries, _tmp_path):
     database = TuningDatabase()
     for entry in entries:
         database.add(PerformanceEmbedding(entry.label, entry.embedding),
-                     entry.recipe, runtime=entry.runtime)
+                     entry.recipe, runtime=entry.runtime, nest=entry.nest)
     return database
 
 
@@ -131,24 +131,13 @@ def _by_load(entries, tmp_path):
     return TuningDatabase.load(path)
 
 
-def _by_rewind(entries, _tmp_path):
-    database = TuningDatabase(list(entries))
-    checkpoint = database.checkpoint()
-    for i in range(20):  # past the matrix's spare capacity
-        database.add(embedding(60.0 + i, f"dropped{i}"), Recipe("dropped"),
-                     runtime=1.0)
-    database.rewind(checkpoint)
-    return database
-
-
 class TestVersionIsTheEntries:
     """A database's version is a function of its entry sequence alone,
     however the entries arrived."""
 
     @pytest.mark.parametrize("build", [_by_add, _by_add_entry,
-                                       _by_constructor, _by_load, _by_rewind],
-                             ids=["add", "add-entry", "constructor", "load",
-                                  "rewind"])
+                                       _by_constructor, _by_load],
+                             ids=["add", "add-entry", "constructor", "load"])
     def test_every_way_in_lands_on_one_version(self, tmp_path, build):
         reference = seeded_database(5)
         database = build(reference.entries, tmp_path)
@@ -156,6 +145,8 @@ class TestVersionIsTheEntries:
         assert database.version == reference.version
         probe = embedding(3.1)
         assert database.query(probe, 5) == reference.query(probe, 5)
+        assert ([database.exact(entry.nest) for entry in reference.entries]
+                == reference.entries)
 
     def test_the_order_of_the_entries_is_content(self):
         """Equal distances go to the entry added first, so two orders of
@@ -188,32 +179,57 @@ class TestTransferRanksByDistance:
         assert database.best_match(probe, max_distance=reach / 2) is None
 
 
-class TestCheckpointRewind:
-    def test_rewind_drops_the_appended_entries_and_restores_the_version(self):
-        database = seeded_database(4)
-        before = (database.version, list(database.entries))
-        checkpoint = database.checkpoint()
-        extra = [database.add(embedding(40.0 + i, f"extra{i}"), Recipe("x"))
-                 for i in range(20)]  # past the matrix's spare capacity
-        assert database.rewind(checkpoint) == extra
-        assert (database.version, database.entries) == before
-        probe = embedding(41.0)
-        assert database.best_match(probe).label == "nest3"
-        # Appending the same entries again lands on the same version as
-        # appending them the first time: the digest restarted where it was.
-        again = TuningDatabase(before[1] + extra)
-        for entry in extra:
-            database.add_entry(entry)
-        assert database.version == again.version
-        assert database.best_match(probe).label == "extra1"
+class TestNestIdentity:
+    """An entry may carry the identity of the nest it was tuned on;
+    ``exact`` answers for it what ``best_match`` answers for its
+    embedding."""
 
-    def test_rewind_to_the_same_checkpoint_twice(self):
-        database = seeded_database(2)
-        checkpoint = database.checkpoint()
-        for _ in range(2):
-            database.add(embedding(9.0, "x"), Recipe("x"))
-            assert len(database.rewind(checkpoint)) == 1
-            assert database.version == seeded_database(2).version
+    def test_save_and_load_keep_the_identity(self, tmp_path):
+        database = seeded_database(3)
+        path = str(tmp_path / "tuned.json")
+        database.save(path)
+        restored = TuningDatabase.load(path)
+        assert [entry.nest for entry in restored.entries] == \
+            ["id0", "id1", "id2"]
+        assert restored.entries == database.entries
+        assert restored.exact("id1") == database.exact("id1")
+        assert restored.to_json() == database.to_json()
+
+    def test_an_entry_without_an_identity_writes_no_key(self):
+        entry = DatabaseEntry(embedding(1.0).vector, Recipe("r"), "x")
+        assert "nest" not in entry.to_dict()
+        assert DatabaseEntry.from_dict(entry.to_dict()) == entry
+        tagged = dataclasses.replace(entry, nest="id")
+        assert tagged.to_dict() == {**entry.to_dict(), "nest": "id"}
+        assert DatabaseEntry.from_dict(tagged.to_dict()) == tagged
+
+    def test_the_identity_is_not_part_of_the_version(self):
+        """It changes no transfer, so a database loaded from a file
+        written without identities has the version it had."""
+        tagged = seeded_database(4)
+        bare = TuningDatabase([dataclasses.replace(entry, nest=None)
+                               for entry in tagged.entries])
+        assert bare.version == tagged.version
+        assert bare.exact("id0") is None
+
+    def test_exact_is_the_best_match_at_distance_zero(self):
+        """The first entry added with the embedding of the first entry
+        tuned on the nest, whichever nest that entry came from."""
+        database = TuningDatabase()
+        first = database.add(embedding(1.0, "first"), Recipe("r0"))
+        tuned = database.add(embedding(1.0, "tuned"), Recipe("r1"),
+                             nest="a")
+        again = database.add(embedding(2.0, "again"), Recipe("r2"),
+                             nest="a")
+        database.add(embedding(2.0, "other"), Recipe("r3"), nest="b")
+        assert tuned is not first
+        assert database.exact("a") is first
+        assert database.exact("b") is again
+        assert database.exact("c") is None
+        for nest, vector in (("a", 1.0), ("b", 2.0)):
+            for bound in (0.0, 6.0, None):
+                assert database.exact(nest) is database.best_match(
+                    embedding(vector), bound)
 
 
 def _write_sqlite(path):
