@@ -13,13 +13,17 @@ representation are simply left unoptimized (Section 4.1).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import FrozenSet, Iterable, List, Mapping, Tuple
 
-from ..ir.nodes import (SLOTS, ArrayAccess, Computation, Loop, Node,
-                        read_accesses)
-from ..ir.symbols import Expr
+from ..ir.nodes import Computation, Loop, Node, read_accesses
+from ..ir.symbols import Expr, Read
+
+#: ``dataclass(slots=True)`` for the immutable value classes, where Python
+#: has it (3.10+); on 3.9 they keep a ``__dict__`` and behave the same.
+SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
 @dataclass(frozen=True, **SLOTS)
@@ -128,15 +132,17 @@ def _split_index(expr: Expr, iterators: FrozenSet[str]) -> AffineIndex:
     return AffineIndex(iterator_coeffs, parameter_coeffs, float(constant))
 
 
-def decompose_access(access: ArrayAccess, iterators: Iterable[str],
+def decompose_access(access: Read, iterators: Iterable[str],
                      is_write: bool) -> AffineAccess:
-    """Decompose every subscript of ``access``.
+    """Decompose every subscript of ``access``, a read or a statement's
+    write target.
 
-    The answer depends on the access and on which of the symbols in its
-    subscripts are iterators, nothing else, so it is kept on the (immutable)
-    access under that key: every copy of a statement, every candidate
-    schedule and every analysis reads the same decomposition.  A miss reads
-    each subscript's own memo (:func:`decompose_index`).
+    The answer depends on the access, on whether it writes and on which of
+    the symbols in its subscripts are iterators, nothing else, so it is kept
+    on the (hash-consed) access under that key: every copy of a statement,
+    every program that builds the same access, every candidate schedule and
+    every analysis reads the same decomposition.  A miss reads each
+    subscript's own memo (:func:`decompose_index`).
     """
     symbols = access.free_symbols()
     used = symbols.intersection(iterators)
@@ -153,7 +159,7 @@ def decompose_access(access: ArrayAccess, iterators: Iterable[str],
         access.array,
         tuple(decompose_index(index, used) for index in access.indices),
         is_write)
-    object.__setattr__(access, "_decomposed", memo + ((used, is_write, found),))
+    access._decomposed = memo + ((used, is_write, found),)
     return found
 
 

@@ -59,13 +59,12 @@ from dataclasses import replace
 from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-from ..ir.nodes import (Computation, FrozenNodeError, Loop, Node, Program,
-                        read_accesses)
+from ..ir.nodes import Computation, FrozenNodeError, Loop, Node, Program
 from ..ir.symbols import Expr, Min, const, sym
 from .affine import AffineAccess, computation_accesses, nest_statements
 from .dependence import (EQ, DependenceTable, Statements,
                          _expand_directions, _lexicographically_non_negative)
-from .flops import expr_flops
+from .flops import expr_flops, register_pressure
 from .parallelism import (ParallelismInfo, classify_carried, container_facts,
                           privatizable)
 from .strides import _array_strides, access_stride
@@ -633,11 +632,7 @@ class BandView:
                               if level not in levels)
             read.update(level + 1 for level in invariant)
             plans.append((elem, tuple(terms), invariant))
-        # Distinct values live in one iteration of the statements directly
-        # in ``body`` (operands plus temporaries), a spill predictor.
-        pressure = float(sum(len(read_accesses(child.value)) + 1
-                             for child in body
-                             if isinstance(child, Computation)))
-        plan = self._plans[key] = (float(expr_flops(comp.value)), pressure,
+        plan = self._plans[key] = (float(expr_flops(comp.value)),
+                                   float(register_pressure(body)),
                                    accesses, tuple(plans), tuple(sorted(read)))
         return lead, plan

@@ -1,24 +1,27 @@
-"""The one flop counter.
+"""The one flop counter, and the one register-pressure count.
 
 ``expr_flops``, which the cost model and the embedding both read, counts one
 evaluation of a value expression, each intrinsic at its weight in
 :data:`repro.ir.symbols.INTRINSICS` (index arithmetic is addressing, not
 work, so a ``Read`` is a leaf); ``program_flops`` sums operations over the
 *actual* iteration space for a parameter binding, which makes before/after
-comparisons exact even for triangular nests.
+comparisons exact even for triangular nests.  ``register_pressure``, which
+the cost model and the trace generator both read against
+:data:`repro.perf.model.REGISTER_BUDGET`, counts the values one iteration
+of a body holds.
 
 Counts are static properties of the IR, so all results are immutable.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from ..ir.nodes import Computation, LibraryCall, Node, Program
 from ..ir.symbols import INTRINSICS, Call, Expr, Read
 
 __all__ = [
-    "expr_flops", "computation_flops", "program_flops",
+    "expr_flops", "computation_flops", "program_flops", "register_pressure",
 ]
 
 
@@ -50,6 +53,13 @@ def expr_flops(expr: Expr) -> float:
         stack.extend(children)
     expr._flops = flops
     return flops
+
+
+def register_pressure(body: Sequence[Node]) -> int:
+    """Distinct values live in one iteration of the statements directly in
+    ``body`` (each one's operands plus its result), a spill predictor."""
+    return sum(len(child.reads()) + 1 for child in body
+               if isinstance(child, Computation))
 
 
 def computation_flops(computation: Computation) -> float:

@@ -151,7 +151,7 @@ def _simplify_candidates(program: Program):
     for path, node in _paths(program):
         if not isinstance(node, Computation):
             continue
-        replacements = [access.as_read() for access in node.reads()][:3]
+        replacements = list(node.reads()[:3])
         replacements.append(const(1.0))
         for replacement in replacements:
             if replacement == node.value:

@@ -152,7 +152,6 @@ class OracleConfig:
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS
     threads: int = 4
     exec_seed: int = 0
-    check_cache_consistency: bool = True
 
     def resolved_pipelines(self) -> List[str]:
         names = (list(self.pipelines) if self.pipelines is not None
@@ -302,8 +301,6 @@ class Oracle:
             if failure is not None:
                 return failure
 
-            if not self.config.check_cache_consistency:
-                continue
             verdict.checks += 1
             try:
                 warm = self.session.schedule(request)

@@ -8,8 +8,7 @@ in a small symbolic expression language.
 
 from .arrays import DTYPES, Array, array, scalar
 from .builder import ProgramBuilder
-from .nodes import (ArrayAccess, Computation, LibraryCall, Loop, Node,
-                    Program, access)
+from .nodes import Computation, LibraryCall, Loop, Node, Program
 from .printer import loop_signature, to_pseudocode, to_tree
 from .serialization import (expr_from_dict, expr_to_dict, node_from_dict,
                             node_to_dict, program_from_dict, program_from_json,
@@ -22,7 +21,7 @@ from .validation import ValidationError, validate_program
 __all__ = [
     "Array", "array", "scalar", "DTYPES",
     "ProgramBuilder",
-    "ArrayAccess", "Computation", "LibraryCall", "Loop", "Node", "Program", "access",
+    "Computation", "LibraryCall", "Loop", "Node", "Program",
     "loop_signature", "to_pseudocode", "to_tree",
     "expr_from_dict", "expr_to_dict", "node_from_dict", "node_to_dict",
     "program_from_dict", "program_from_json", "program_to_dict", "program_to_json",

@@ -25,18 +25,18 @@ from contextlib import contextmanager
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .arrays import Array, array, scalar
-from .nodes import ArrayAccess, Computation, LibraryCall, Loop, Node, Program
+from .nodes import Computation, LibraryCall, Loop, Node, Program
 from .symbols import Call, Expr, ExprLike, Read, Sym, as_expr, sym
 
-AccessSpec = Union[ArrayAccess, Tuple]
+AccessSpec = Union[Read, Tuple]
 
 
-def _as_access(spec: AccessSpec) -> ArrayAccess:
-    if isinstance(spec, ArrayAccess):
+def _as_access(spec: AccessSpec) -> Read:
+    if isinstance(spec, Read):
         return spec
     if isinstance(spec, tuple) and spec:
         name, *indices = spec
-        return ArrayAccess(str(name), tuple(as_expr(i) for i in indices))
+        return Read(str(name), indices)
     raise TypeError(f"cannot interpret {spec!r} as an array access")
 
 
@@ -121,8 +121,7 @@ class ProgramBuilder:
                    name: Optional[str] = None) -> Computation:
         """Append a computation ``target = target + value`` (a reduction)."""
         target_access = _as_access(target)
-        rhs = target_access.as_read() + as_expr(value)
-        return self.assign(target_access, rhs, name=name)
+        return self.assign(target_access, target_access + value, name=name)
 
     def library_call(self, routine: str, outputs: Sequence[str],
                      inputs: Sequence[str], flop_expr: ExprLike = 0,

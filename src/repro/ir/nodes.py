@@ -17,9 +17,7 @@ a loop nest replaced by an optimized library routine after idiom detection
 from __future__ import annotations
 
 import itertools
-import sys
 import weakref
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .arrays import Array
@@ -146,12 +144,8 @@ class _Body(list):
 
 
 #: Fresh nodes are initialised past the mutation seam (a node under
-#: construction has no memo, no parent and no frozen flag to honour), and the
-#: memo slots of frozen dataclasses are filled through it.
+#: construction has no memo, no parent and no frozen flag to honour).
 _set = object.__setattr__
-#: ``dataclass(slots=True)`` for the immutable value classes, where Python
-#: has it (3.10+); on 3.9 they keep a ``__dict__`` and behave the same.
-SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
 def _with_fragment_of(source: "Node", copy: "Node") -> "Node":
@@ -165,74 +159,23 @@ def _with_fragment_of(source: "Node", copy: "Node") -> "Node":
     return copy
 
 
-@dataclass(frozen=True, **SLOTS)
-class ArrayAccess:
-    """A single array access: container name plus symbolic index expressions.
-
-    An access is immutable, so what analyses derive from it is kept on it, in
-    the two slots below (unset until first asked; equality, hashing and
-    ``repr`` never read them), and is shared by every copy of the statement
-    that holds it.
-    """
-
-    array: str
-    indices: Tuple[Expr, ...] = ()
-    _symbols: frozenset = field(init=False, repr=False, compare=False)
-    #: ``(iterators used, is_write, affine decomposition)`` entries; filled
-    #: by :func:`repro.analysis.affine.decompose_access`.
-    _decomposed: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        _set(self, "indices", tuple(as_expr(i) for i in self.indices))
-
-    @property
-    def rank(self) -> int:
-        return len(self.indices)
-
-    def free_symbols(self) -> frozenset:
-        try:
-            return self._symbols
-        except AttributeError:
-            out = frozenset()
-            for index in self.indices:
-                out |= index.free_symbols()
-            _set(self, "_symbols", out)
-            return out
-
-    def substitute(self, mapping) -> "ArrayAccess":
-        return ArrayAccess(self.array, tuple(i.substitute(mapping) for i in self.indices))
-
-    def as_read(self) -> Read:
-        return Read(self.array, self.indices)
-
-    def __str__(self) -> str:
-        if not self.indices:
-            return self.array
-        return self.array + "[" + ", ".join(str(i) for i in self.indices) + "]"
-
-
-def access(array: str, *indices: ExprLike) -> ArrayAccess:
-    """Convenience constructor for :class:`ArrayAccess`."""
-    return ArrayAccess(array, tuple(indices))
-
-
-def read_accesses(expr: Expr) -> Tuple[ArrayAccess, ...]:
+def read_accesses(expr: Expr) -> Tuple[Read, ...]:
     """All array reads appearing in ``expr``, in order.  Memoized on the
     expression asked about (a statement's value), not on its parts."""
     try:
         return expr._reads
     except AttributeError:
         pass
-    found: List[ArrayAccess] = []
+    found: List[Read] = []
     _gather_reads(expr, found)
     expr._reads = reads = tuple(found)
     return reads
 
 
-def _gather_reads(expr: Expr, found: List[ArrayAccess]) -> None:
+def _gather_reads(expr: Expr, found: List[Read]) -> None:
     # Module-level, not a recursive closure (a function<->cell cycle).
     if isinstance(expr, Read):
-        found.append(ArrayAccess(expr.array, expr.indices))
+        found.append(expr)
     for child in expr.children():
         _gather_reads(child, found)
 
@@ -299,13 +242,14 @@ class Computation(Node):
 
     Attributes:
         name: Statement label (``S0``, ``S1``, ...).
-        target: The written array element.
+        target: The written array element, as the :class:`Read` the value
+            reads it with (in ``C[i,j] = C[i,j] + ...`` one object).
         value: Right-hand-side expression; may contain :class:`Read` nodes.
     """
 
     __slots__ = ("name", "target", "value")
 
-    def __init__(self, target: ArrayAccess, value: ExprLike, name: Optional[str] = None):
+    def __init__(self, target: Read, value: ExprLike, name: Optional[str] = None):
         node_id = _next_id()
         _set(self, "node_id", node_id)
         _set(self, "name", name or f"S{node_id}")
@@ -322,27 +266,17 @@ class Computation(Node):
     def iter_loops(self) -> Iterator["Loop"]:
         return iter(())
 
-    def reads(self) -> List[ArrayAccess]:
+    def reads(self) -> Tuple[Read, ...]:
         """All array reads appearing in the right-hand side, in order."""
-        return list(read_accesses(self.value))
-
-    def writes(self) -> List[ArrayAccess]:
-        """The single write of this computation, as a one-element list."""
-        return [self.target]
-
-    def accesses(self) -> List[Tuple[str, ArrayAccess]]:
-        """All accesses as ``(kind, access)`` with kind ``"read"``/``"write"``."""
-        out = [("read", acc) for acc in self.reads()]
-        out.append(("write", self.target))
-        return out
+        return read_accesses(self.value)
 
     def accessed_arrays(self) -> frozenset:
-        return frozenset(acc.array for _, acc in self.accesses())
+        return frozenset([self.target.array,
+                          *(acc.array for acc in self.reads())])
 
     def is_reduction(self) -> bool:
         """True if the target element is also read (e.g. ``C[i,j] += ...``)."""
-        return any(acc.array == self.target.array and acc.indices == self.target.indices
-                   for acc in read_accesses(self.value))
+        return self.target in self.reads()
 
     def substitute(self, mapping) -> "Computation":
         return Computation(self.target.substitute(mapping),

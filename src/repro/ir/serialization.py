@@ -14,7 +14,7 @@ import json
 from typing import Any, Dict, List
 
 from .arrays import Array
-from .nodes import ArrayAccess, Computation, LibraryCall, Loop, Node, Program
+from .nodes import Computation, LibraryCall, Loop, Node, Program
 from .symbols import (Add, Call, Const, Expr, FloorDiv, Max, Min, Mod, Mul,
                       Read, Sym, const, sym)
 
@@ -133,8 +133,8 @@ def node_from_dict(data: Dict[str, Any]) -> Node:
             tile_of=data.get("tile_of"),
         )
     if kind == "computation":
-        target = ArrayAccess(data["target"]["array"],
-                             [expr_from_dict(i) for i in data["target"]["indices"]])
+        target = Read(data["target"]["array"],
+                      [expr_from_dict(i) for i in data["target"]["indices"]])
         return Computation(target, expr_from_dict(data["value"]), name=data["name"])
     if kind == "library_call":
         return LibraryCall(data["routine"], data["outputs"], data["inputs"],

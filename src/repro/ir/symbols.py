@@ -11,8 +11,10 @@ The expression language is intentionally small:
 * ``FloorDiv`` and ``Mod`` (one division family), ``Min`` and ``Max``
   (one extremum family) cover the shapes introduced by tiling and bounds
   normalization.
-* ``Read`` and ``Call`` only appear inside computation bodies (right-hand
-  sides); index expressions and loop bounds never contain them.
+* ``Read`` and ``Call`` only appear in computations: inside their values
+  (right-hand sides), and a ``Read`` is also a computation's write target,
+  the one access type.  Index expressions and loop bounds never contain
+  them.
 
 Each question is answered once, on :class:`Expr`: ``free_symbols`` and
 ``substitute`` walk ``children()`` and re-fold through :func:`rebuild` (only
@@ -77,9 +79,10 @@ class Expr:
     # ``_free`` the free symbols, ``_reads`` the array reads in order
     # (``repro.ir.nodes``), ``_flops`` the operation count
     # (``repro.analysis.flops``), ``_split`` the subscript's splits into
-    # iterator and offset terms (``repro.analysis.affine``).
+    # iterator and offset terms, ``_decomposed`` an access's decompositions
+    # of all its subscripts (``repro.analysis.affine``).
     __slots__ = ("_hash", "_frag", "_affine", "_free", "_reads", "_flops",
-                 "_split")
+                 "_split", "_decomposed")
 
     # -- construction helpers -------------------------------------------------
 
@@ -545,7 +548,9 @@ class Max(_Extremum):
 
 
 class Read(Expr):
-    """A read of an array element; only valid inside computation bodies."""
+    """An array element: read inside a computation's value, or written as
+    its target (in ``C[i,j] = C[i,j] + ...`` the write and the read are
+    one hash-consed instance)."""
 
     __slots__ = ("array", "indices")
 

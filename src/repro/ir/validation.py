@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, List, Mapping, Sequence, Set, Tuple
 
-from .nodes import (ArrayAccess, Computation, LibraryCall, Loop, Node, Program,
+from .nodes import (Computation, LibraryCall, Loop, Node, Program,
                     read_accesses)
 from .symbols import INTRINSICS, Call, Const, Expr, FloorDiv, Mod, Read
 
@@ -51,7 +51,7 @@ class _Evaluated:
                 self.bounds.append((f"loop {loop.iterator!r} bound", bound))
 
     def computation(self, computation: Computation,
-                    accesses: Sequence[ArrayAccess]) -> None:
+                    accesses: Sequence[Read]) -> None:
         """``accesses``: the target, then the reads in order."""
         for access in accesses:
             for index in access.indices:
@@ -90,16 +90,16 @@ def _unknown_calls(value: Expr) -> List[Call]:
     return unknown
 
 
-def _check_access(program: Program, access: ArrayAccess, where: str,
+def _check_access(program: Program, access: Read, where: str,
                   visible: Set[str], errors: List[str]) -> None:
     if access.array not in program.arrays:
         errors.append(f"{where}: access to undeclared container {access.array!r}")
         return
     declared = program.arrays[access.array]
-    if declared.rank != access.rank:
+    if declared.rank != len(access.indices):
         errors.append(
             f"{where}: container {access.array!r} has rank {declared.rank} "
-            f"but is accessed with {access.rank} indices")
+            f"but is accessed with {len(access.indices)} indices")
     symbols = access.free_symbols()
     if not symbols <= visible:
         errors.append(f"{where}: index uses unbound symbols "

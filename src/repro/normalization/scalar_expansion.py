@@ -25,8 +25,8 @@ from typing import List, Sequence, Set, Tuple
 
 from ..ir.arrays import Array
 from ..analysis.affine import nest_statements
-from ..ir.nodes import (ArrayAccess, Computation, LibraryCall, Loop, Node,
-                        Program, loop_sites)
+from ..ir.nodes import (Computation, LibraryCall, Loop, Node, Program,
+                        loop_sites)
 from ..ir.symbols import Expr, Read, rebuild, sym
 
 
@@ -53,13 +53,13 @@ def _accesses(nodes: Sequence[Node], names: Set[str]
     return out
 
 
-def _retarget(node: Node, name: str, new: ArrayAccess) -> None:
+def _retarget(node: Node, name: str, new: Read) -> None:
     """Point every statement access to ``name`` in a subtree at ``new``, in
     place."""
 
     def rewrite(expr: Expr) -> Expr:
         if isinstance(expr, Read) and expr.array == name:
-            return new.as_read()
+            return new
         return rebuild(expr, [rewrite(child) for child in expr.children()])
 
     for comp in node.iter_computations():
@@ -102,7 +102,7 @@ def contract_arrays(program: Program) -> int:
         dtype = program.arrays.pop(name).dtype
         program.arrays[name] = Array(name=name, shape=(), dtype=dtype,
                                      transient=True)
-        _retarget(loop, name, ArrayAccess(name, ()))
+        _retarget(loop, name, Read(name, ()))
         contracted += 1
     return contracted
 
@@ -148,8 +148,7 @@ def expand_scalars(program: Program) -> List[Tuple[str, str]]:
             program.add_array(Array(name=new_name, shape=(loop.end,),
                                     dtype=program.arrays[scalar].dtype,
                                     transient=True))
-            _retarget(loop, scalar,
-                      ArrayAccess(new_name, (sym(loop.iterator),)))
+            _retarget(loop, scalar, Read(new_name, (sym(loop.iterator),)))
             handled.add(scalar)
             expanded.append((scalar, loop.iterator))
     return expanded

@@ -16,10 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
+from ..analysis.flops import register_pressure
 from ..ir.arrays import Array
 from ..ir.nodes import Computation, LibraryCall, Loop, Node, Program
 from ..ir.serialization import node_from_dict
 from ..ir.symbols import Expr
+from .model import REGISTER_BUDGET
 
 #: Containers are placed at line-aligned addresses with this alignment.
 BASE_ALIGNMENT = 4096
@@ -70,18 +72,11 @@ class TraceGenerator:
 
     def __init__(self, program: Program, parameters: Mapping[str, int],
                  layout: Optional[TraceLayout] = None,
-                 register_budget: int = 16):
+                 register_budget: int = REGISTER_BUDGET):
         self.program = program
         self.parameters = dict(parameters)
         self.layout = layout or build_layout(program, parameters)
         self.register_budget = register_budget
-
-    def _loop_pressure(self, loop: Loop) -> int:
-        operands = 0
-        for child in loop.body:
-            if isinstance(child, Computation):
-                operands += len(child.reads()) + 1
-        return operands
 
     def _is_register_scalar(self, array: str, enclosing: Optional[Loop]) -> bool:
         declared = self.program.arrays.get(array)
@@ -89,7 +84,7 @@ class TraceGenerator:
             return False
         if enclosing is None:
             return True
-        return self._loop_pressure(enclosing) <= self.register_budget
+        return register_pressure(enclosing.body) <= self.register_budget
 
     def _eval(self, expr: Expr, env: Dict[str, int]) -> int:
         return int(expr.evaluate({**self.parameters, **env}))

@@ -354,15 +354,12 @@ def retarget_recipe(recipe: Recipe, nest_index: int, name: str = "") -> Recipe:
 
     Recipes in the tuning database were recorded against a nest of the
     program they were tuned on; transfer tuning applies them to the
-    structurally equivalent nest of another (normalized) program.
+    structurally equivalent nest of another (normalized) program.  No step
+    is mutated after construction, so a step already at ``nest_index``, or
+    addressing no single nest (``Fuse``), is shared, not rebuilt.
     """
-    from ..transforms.base import Transformation
-
-    retargeted = Recipe(name or f"{recipe.name}@{nest_index}", notes=recipe.notes)
-    for transformation in recipe.transformations:
-        params = dict(transformation.params())
-        if "nest_index" in params:
-            params["nest_index"] = nest_index
-        retargeted.add(Transformation.from_dict(
-            {"name": transformation.name, "params": params}))
-    return retargeted
+    steps = [step if getattr(step, "nest_index", nest_index) == nest_index
+             else type(step)(**{**step.params(), "nest_index": nest_index})
+             for step in recipe.transformations]
+    return Recipe(name or f"{recipe.name}@{nest_index}", steps,
+                  notes=recipe.notes)

@@ -104,8 +104,7 @@ def match_blas3(nest: Loop) -> Optional[BlasMatch]:
 
     uses_contraction = []
     for read_node in matrix_reads:
-        acc = decompose_access(
-            type(comp.target)(read_node.array, read_node.indices), iterators, False)
+        acc = decompose_access(read_node, iterators, False)
         if not acc.affine:
             return None
         used = {name for index in acc.indices for name in index.iterator_names()}

@@ -20,8 +20,8 @@ _SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, os.path.abspath(_SRC))
 
-from repro.ir import (Array, ArrayAccess, Call, Const,  # noqa: E402
-                      FloorDiv, ProgramBuilder, Read, Sym)
+from repro.ir import (Array, Call, Const, FloorDiv,  # noqa: E402
+                      ProgramBuilder, Read, Sym)
 from repro.observability import MetricsRegistry, Tracer  # noqa: E402
 
 
@@ -299,7 +299,7 @@ def _malform(program, parameters, kind):
     update = program.body[1].body[0].body[0].body[0]    # C[i, j] += ...
     a00 = Read("A", (Const(0), Const(0)))
     if kind == "rank-mismatch":
-        update.target = ArrayAccess("C", (Sym("i"),))
+        update.target = Read("C", (Sym("i"),))
     elif kind == "undeclared-container":
         update.value = Read("ghost", (Sym("i"), Sym("k")))
     elif kind == "unbound-parameter":
@@ -307,7 +307,7 @@ def _malform(program, parameters, kind):
     elif kind == "read-in-bound":
         program.body[0].end = a00
     elif kind == "read-in-index":
-        update.target = ArrayAccess("C", (a00, Sym("j")))
+        update.target = Read("C", (a00, Sym("j")))
     elif kind == "read-in-shape":
         program.arrays["B"] = Array("B", (Sym("NK"), a00))
     elif kind == "unknown-intrinsic":

@@ -14,13 +14,13 @@ from helpers import build_gemm, build_stencil, build_vector_add
 from repro.analysis import (EQ, LT, computation_accesses, decompose_access,
                             legal_permutations, nest_statements)
 from repro.analysis.affine import decompose_index
-from repro.ir import ProgramBuilder, access
+from repro.ir import ProgramBuilder, read
 from repro.ir.symbols import Sym
 
 
 class TestAffineDecomposition:
     def test_coefficients_extracted(self):
-        acc = decompose_access(access("A", Sym("i") * 2 + 1, Sym("j")), ["i", "j"], False)
+        acc = decompose_access(read("A", Sym("i") * 2 + 1, Sym("j")), ["i", "j"], False)
         assert acc.affine
         assert acc.indices[0].coefficient("i") == 2
         assert acc.indices[0].constant == 1
@@ -32,7 +32,7 @@ class TestAffineDecomposition:
         assert dict(index.offset_coefficients) == {"N": 1}
 
     def test_non_affine_flagged(self):
-        acc = decompose_access(access("A", Sym("i") * Sym("j")), ["i", "j"], False)
+        acc = decompose_access(read("A", Sym("i") * Sym("j")), ["i", "j"], False)
         assert not acc.affine
 
     def test_computation_accesses_order(self, gemm_program):

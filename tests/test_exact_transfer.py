@@ -26,7 +26,7 @@ from repro.analysis.band import BandView
 from repro.api import ScheduleRequest, SearchConfig, Session, TuningDatabase
 from repro.experiments.figure1 import LOOP_ORDERS, build_gemm_order
 from repro.ir.arrays import Array
-from repro.ir.nodes import ArrayAccess, Computation, LibraryCall, Loop
+from repro.ir.nodes import Computation, LibraryCall, Loop
 from repro.ir.symbols import Read, sym
 from repro.scheduler import daisy as daisy_module
 from repro.scheduler.daisy import DEFAULT_MAX_DISTANCE
@@ -86,7 +86,7 @@ WRITTEN, READ, ALSO_READ, UNUSED = 'q"uote', "back\\slash", "café", "unused"
 def _awkward_nest(label="S"):
     i = sym("i")
     return Loop("i", 0, sym("N"), body=[Computation(
-        ArrayAccess(WRITTEN, (i,)),
+        Read(WRITTEN, (i,)),
         Read(READ, (i,)) + Read(ALSO_READ, (i,)), name=label)])
 
 

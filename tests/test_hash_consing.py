@@ -28,14 +28,14 @@ from repro.fuzz import generate_program
 from repro.ir.arrays import Array
 from repro.ir.canonical import (canonical_program_json, expr_fragment,
                                 node_fragment)
-from repro.ir.nodes import (ArrayAccess, Computation, LibraryCall, Loop,
-                            Program)
+from repro.ir.nodes import Computation, LibraryCall, Loop, Program
 from repro.ir import symbols
 from repro.ir.serialization import expr_from_dict, expr_to_dict
 from repro.ir.symbols import (Add, Call, Const, FloorDiv, Max, Min, Mod, Mul,
                               Read, Sym, const, sym)
 from repro.passes import get_pipeline, pipeline_names
 from repro.workloads import registry as workloads
+from repro.workloads.polybench import build_gemm_a
 
 
 def program_content_hash_reference(program, extra=None) -> str:
@@ -199,7 +199,7 @@ def _awkward_program():
                      Call(AWKWARD_NAMES[-1 - index], (values[index],)),
                      values[(index + 3) % len(values)]))
         body.append(Loop(name, Const(-3), Const(big), Const(1), [
-            Computation(ArrayAccess(name, (syms[index],)), value)],
+            Computation(Read(name, (syms[index],)), value)],
             parallel=index % 2 == 0, vectorized=index % 3 == 0,
             unroll=big if index == 1 else index + 1,
             tile_of=None if index % 2 else AWKWARD_NAMES[index - 1]))
@@ -243,7 +243,7 @@ def _program_expressions(program):
             roots += (node.start, node.end, node.step)
             stack.extend(reversed(node.body))
         elif isinstance(node, Computation):
-            roots += (*node.target.indices, node.value)
+            roots += (node.target, node.value)
         else:
             roots.append(node.flop_expr)
     found = []
@@ -310,6 +310,24 @@ def test_every_constructor_returns_the_one_instance():
     assert symbols.read("A", i) is not symbols.read("B", i)
     assert symbols.call("sqrt", i) is not symbols.call("exp", i)
     assert (i + n) is not Add([n, i])  # order is structure: no re-sorting
+
+
+def test_a_reduction_writes_the_read_it_reads(monkeypatch):
+    """A statement's write target is a ``Read``, hash-consed like the reads
+    of its value: ``gemm:a``'s ``C[i,j] = C[i,j] + ...`` writes the very
+    object it reads while the table has room.  Once the table is full the
+    two are equal, not one, and the statement is still a reduction."""
+    update = list(build_gemm_a().iter_computations())[1]
+    (read_c,) = [read for read in update.reads() if read.array == "C"]
+    assert update.target == read_c and update.is_reduction()
+    assert len(symbols._COMPOSITES) < symbols._COMPOSITE_LIMIT
+    assert update.target is read_c
+    monkeypatch.setattr(symbols, "_COMPOSITE_LIMIT", len(symbols._COMPOSITES))
+    i, j = sym("i"), sym("j")
+    fresh = Computation(Read("fresh_C", (i, j)), Read("fresh_C", (i, j)) + 1)
+    assert fresh.target == fresh.reads()[0]
+    assert fresh.target is not fresh.reads()[0]
+    assert fresh.is_reduction()
 
 
 def test_a_true_constant_keeps_its_fragment_under_a_composite():

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import build_gemm, build_vector_add, malformed_gemm
 from repro.ir import (Computation, LibraryCall, Loop, ProgramBuilder,
-                      ValidationError, access, to_pseudocode, to_tree,
+                      ValidationError, read, to_pseudocode, to_tree,
                       validate_program)
 from repro.ir.nodes import rename_iterators
 from repro.ir.symbols import Call, Read, Sym
@@ -14,21 +14,21 @@ from repro.ir.symbols import Call, Read, Sym
 
 class TestComputation:
     def test_reads_and_writes(self):
-        comp = Computation(access("C", "i", "j"),
+        comp = Computation(read("C", "i", "j"),
                            Read("C", ("i", "j")) + Read("A", ("i", "k")) * Read("B", ("k", "j")))
         reads = [acc.array for acc in comp.reads()]
         assert reads == ["C", "A", "B"]
-        assert comp.writes()[0].array == "C"
+        assert comp.target.array == "C"
         assert comp.accessed_arrays() == {"A", "B", "C"}
 
     def test_reduction_detection(self):
-        reduction = Computation(access("s"), Read("s", ()) + Read("x", ("i",)))
-        plain = Computation(access("y", "i"), Read("x", ("i",)) * 2)
+        reduction = Computation(read("s"), Read("s", ()) + Read("x", ("i",)))
+        plain = Computation(read("y", "i"), Read("x", ("i",)) * 2)
         assert reduction.is_reduction()
         assert not plain.is_reduction()
 
     def test_substitute(self):
-        comp = Computation(access("y", "i"), Read("x", (Sym("i") + 1,)))
+        comp = Computation(read("y", "i"), Read("x", (Sym("i") + 1,)))
         shifted = comp.substitute({"i": Sym("j")})
         assert str(shifted.target) == "y[j]"
 
@@ -36,7 +36,7 @@ class TestComputation:
 class TestLoop:
     def test_rename_iterators_reaches_headers_statements_and_flops(self):
         inner = Loop("j", "i", "N", body=[
-            Computation(access("y", "i", "j"), Read("x", ("j",))),
+            Computation(read("y", "i", "j"), Read("x", ("j",))),
             LibraryCall("axpy", ["y"], ["x"], flop_expr=Sym("j") * Sym("i"))])
         nest = Loop("i", 0, "N", body=[inner])
         rename_iterators(nest, {"i": "a", "j": "b"})

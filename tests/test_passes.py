@@ -18,6 +18,7 @@ from repro.api import (MemoryCacheBackend, NormalizationCache,
                        NormalizationOptions, ScheduleRequest, Session,
                        SQLiteCacheBackend, TuningDatabase,
                        program_content_hash)
+from repro.fuzz.oracle import OracleConfig
 from repro.interp import programs_equivalent
 from repro.ir import ProgramBuilder
 from repro.normalization import normalize
@@ -296,6 +297,25 @@ def _removed_spellings():
         # No entry ever leaves a tuning database.
         "database-checkpoint": lambda: TuningDatabase().checkpoint,
         "database-rewind": lambda: TuningDatabase().rewind,
+        # A statement's write and its reads are one access type, ``Read``.
+        **_one_access_type(),
+        # The cache-consistency check always runs.
+        "oracle-check-cache-consistency": lambda: OracleConfig(
+            check_cache_consistency=True),
+    }
+
+
+def _one_access_type():
+    import repro.ir
+    import repro.ir.nodes
+    from repro.ir import Computation
+
+    return {
+        "ir-array-access": lambda: repro.ir.ArrayAccess,
+        "nodes-array-access": lambda: repro.ir.nodes.ArrayAccess,
+        "ir-access": lambda: repro.ir.access,
+        "computation-writes": lambda: Computation.writes,
+        "computation-accesses": lambda: Computation.accesses,
     }
 
 
@@ -342,7 +362,7 @@ def _no_rewrite_family():
     import repro.passes
     from repro.fuzz.generator import GeneratorConfig, generate_program
     from repro.fuzz.minimize import minimize_program
-    from repro.fuzz.oracle import FailureSpec, OracleConfig, reproduces_failure
+    from repro.fuzz.oracle import FailureSpec, reproduces_failure
 
     def import_pass(name):
         return lambda: exec(f"from repro.passes import {name}", {})

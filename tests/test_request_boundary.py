@@ -9,7 +9,7 @@ from helpers import MALFORMED, build_gemm, fast_session, malformed_gemm
 import repro.api.session as session_module
 from repro.api import Session
 from repro.api.registry import SCHEDULERS
-from repro.ir import ArrayAccess, ValidationError, validate_program
+from repro.ir import Read, ValidationError, validate_program
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ def test_every_entry_point_refuses_every_malformed_kind(session, kinds, entry):
 
 def test_the_error_lists_every_problem(session):
     program, parameters = malformed_gemm("rank-mismatch")
-    program.body[0].body[0].body[0].target = ArrayAccess("ghost", ())
+    program.body[0].body[0].body[0].target = Read("ghost", ())
     with pytest.raises(ValueError) as refused:
         session.schedule(program, parameters)
     errors = refused.value.errors
@@ -109,7 +109,7 @@ def test_a_rank_mismatched_registry_gemm_gets_no_price():
     session = fast_session()
     program = session.load("gemm:a").copy()
     for statement in program.iter_computations():
-        statement.target = ArrayAccess("C", statement.target.indices[:1])
+        statement.target = Read("C", statement.target.indices[:1])
     for scheduler in ("daisy", "icc", "polly"):
         with pytest.raises(ValidationError, match="rank 2"):
             session.schedule(program, {"NI": 1000, "NJ": 1100, "NK": 1200},

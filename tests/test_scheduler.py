@@ -28,7 +28,8 @@ from repro.scheduler.embedding import EMBEDDING_SIZE
 from repro.scheduler.evolutionary import SEARCH_SPACE, Candidate
 from repro.scheduler.tiramisu import ROLLOUT_SPACE
 from repro.transforms import (Fuse, Interchange, Parallelize, Recipe,
-                              ReplaceWithLibraryCall, apply_recipe)
+                              ReplaceWithLibraryCall, Tile, Transformation,
+                              Unroll, Vectorize, apply_recipe)
 from repro.workloads import registry as workloads
 from repro.workloads.polybench import (build_gemm_a, build_gemm_b,
                                        build_jacobi2d_a, build_jacobi2d_b)
@@ -94,6 +95,27 @@ class TestDatabase:
         recipe = Recipe("opt", [Interchange(0, ["i", "k", "j"]), Parallelize(0)])
         moved = retarget_recipe(recipe, 3)
         assert all(t.params()["nest_index"] == 3 for t in moved)
+
+    def test_retarget_recipe_shares_the_steps_it_need_not_move(self):
+        """A step already at the index, or addressing no single nest, is
+        the recipe's own; a moved step is the registry round trip's."""
+        recipe = Recipe("opt", [
+            Interchange(0, ["i", "k", "j"]), Tile(2, {"i": 32, "j": 8}),
+            Parallelize(0, "i", allow_reductions=True), Vectorize(2),
+            Unroll(0, "j", factor=2), ReplaceWithLibraryCall(0, "gemm"),
+            Fuse(0, 1)], notes="seeded")
+        moved = retarget_recipe(recipe, 2)
+        assert (moved.name, moved.notes) == ("opt@2", "seeded")
+        for old, new in zip(recipe, moved):
+            params = old.params()
+            if params.get("nest_index", 2) == 2:
+                assert new is old
+            else:
+                rebuilt = Transformation.from_dict(
+                    {"name": old.name, "params": {**params, "nest_index": 2}})
+                assert new is not old
+                assert new.to_dict() == rebuilt.to_dict()
+        assert retarget_recipe(recipe, 2, name="x").name == "x"
 
 
 class TestEvolutionarySearch:

@@ -1,5 +1,6 @@
 """Facts about statements are computed once and kept on immutable objects
-(``Expr``, ``ArrayAccess``, ``AffineAccess``); three oracles keep that honest:
+(``Expr``, a statement's reads and write target included, and
+``AffineAccess``); three oracles keep that honest:
 
 * memoization soundness — after any sequence of IR edits, every memoized
   answer equals the answer on a fresh IR rebuilt through serialization;
@@ -29,7 +30,7 @@ from repro.api.hashing import program_content_hash
 from repro.fuzz import generate_program
 from repro.ir import ProgramBuilder
 from repro.ir.canonical import node_fragment
-from repro.ir.nodes import ArrayAccess, Computation, FrozenNodeError, Loop
+from repro.ir.nodes import Computation, FrozenNodeError, Loop
 from repro.ir.serialization import program_from_dict, program_to_dict
 from repro.ir.symbols import Read, Sym
 from repro.normalization import normalize_program
@@ -48,7 +49,7 @@ from repro.workloads import registry as workloads
 
 def _reference_reads(expr):
     """Array reads of an expression in evaluation order, by a plain walk."""
-    found = [ArrayAccess(expr.array, expr.indices)] if isinstance(expr, Read) else []
+    found = [expr] if isinstance(expr, Read) else []
     for child in expr.children():
         found += _reference_reads(child)
     return found
@@ -56,9 +57,9 @@ def _reference_reads(expr):
 
 def _reference_accesses(comp, enclosing):
     """The decomposition of a statement's accesses from first principles:
-    fresh access objects, no memo on the way.  Reads first, the write last."""
+    no access memo on the way.  Reads first, the write last."""
     accesses = [(access, False) for access in _reference_reads(comp.value)]
-    accesses.append((ArrayAccess(comp.target.array, comp.target.indices), True))
+    accesses.append((comp.target, True))
     return [AffineAccess(access.array,
                          tuple(decompose_index(index, enclosing)
                                for index in access.indices), is_write)
@@ -82,7 +83,8 @@ def _assert_memos_match_fresh_ir(program):
             for (comp, enclosing, accesses), (other, other_enclosing, expected) in zip(
                     facts, twin_facts):
                 assert enclosing == other_enclosing
-                assert comp.reads() == other.reads() == _reference_reads(other.value)
+                assert (comp.reads() == other.reads()
+                        == tuple(_reference_reads(other.value)))
                 assert comp.is_reduction() == other.is_reduction()
                 assert expr_flops(comp.value) == expr_flops(other.value)
                 assert accesses == expected == _reference_accesses(other, enclosing)
@@ -105,7 +107,7 @@ def _shifted(access, rng):
     position = rng.randrange(len(access.indices))
     indices = list(access.indices)
     indices[position] = indices[position] + rng.choice((-1, 1, 2))
-    return ArrayAccess(access.array, tuple(indices))
+    return Read(access.array, indices)
 
 
 def _edit(program, rng):
@@ -122,7 +124,7 @@ def _edit(program, rng):
     elif step == "value" and comps:
         comp, donor = rng.choice(comps), rng.choice(comps)
         extra = _shifted(donor.target, rng)
-        comp.value = comp.value * 2 + Read(extra.array, extra.indices)
+        comp.value = comp.value * 2 + extra
     elif step == "reverse" and loops:
         rng.choice(loops).body.reverse()
     elif step == "move" and loops:

@@ -1,14 +1,17 @@
 """Each symbolic fact is derived once and kept on the immutable object it is
-a fact of: an expression's free symbols (``Expr._free``) and a subscript's
+a fact of: an expression's free symbols (``Expr._free``), a subscript's
 split into iterator and offset terms (``Expr._split``, keyed by which of
-its own symbols are iterators).  Stride pricing reads the subscripts'
-affine forms and splits nothing.
+its own symbols are iterators) and an access's decomposition
+(``Expr._decomposed`` on the ``Read``, a statement's write target
+included).  Stride pricing reads the subscripts' affine forms and splits
+nothing.
 
 The oracles: every memoized answer equals a fresh derivation
 (``tests/helpers.py``: a recursive walk, an unmemoized split, and the
 ``band_strides`` that decomposed every access) over the 54 registry
-variants, as written and under ``a-priori``, and ``fuzz:small-0..39``; and
-the memos on interned leaves do not grow with traffic.
+variants, as written and under ``a-priori``, and ``fuzz:small-0..39``; a
+second pass over that corpus splits nothing; and the memos on interned
+leaves and composites do not grow with traffic.
 """
 
 import contextlib
@@ -54,7 +57,7 @@ def _expressions(program):
                 roots += (current.start, current.end, current.step)
                 stack.extend(current.body)
             elif isinstance(current, Computation):
-                roots += (*current.target.indices, current.value)
+                roots += (current.target, current.value)
             elif isinstance(current, LibraryCall):
                 roots.append(current.flop_expr)
     while roots:
@@ -125,6 +128,24 @@ def test_every_split_the_analyses_ask_for_equals_a_fresh_split(monkeypatch):
 
     monkeypatch.setattr(affine, "decompose_index", recording)
     monkeypatch.setattr(affine, "decompose_access", recording_access)
+    _ask_the_corpus()
+    assert len(questions) == 157 and len(accesses) > 10000
+    for expr, iterators, split in asked:
+        assert split == spec_split(expr, iterators)
+    # Subscripts were asked about in more than one context and share one
+    # split per key.
+    contexts = {}
+    for fragment, used in questions:
+        contexts.setdefault(fragment, set()).add(used)
+    assert any(len(found) > 1 for found in contexts.values())
+    leaf = symbols.sym("i")
+    assert 0 < len(leaf._split) <= 2
+
+
+def _ask_the_corpus():
+    """The split questions of the corpus: normalization under ``a-priori``,
+    then direction vectors, per-loop parallelism and the embedding of both
+    forms of every program, in a fresh session."""
     with contextlib.closing(Session()) as session:
         for name in CORPUS:
             parameters = _parameters(name)
@@ -137,16 +158,25 @@ def test_every_split_the_analyses_ask_for_equals_a_fresh_split(monkeypatch):
                         for loop in node.iter_loops():
                             BandView(loop, program).parallelism(0)
                 embed_program(program, parameters)
-    assert len(questions) == 157 and len(accesses) > 10000
-    contexts = {}
-    for expr, iterators, split in asked:
-        assert split == spec_split(expr, iterators)
-        contexts.setdefault(id(expr), set()).add(iterators)
-    # Subscripts were asked about in more than one context and share one
-    # split per key.
-    assert any(len(found) > 1 for found in contexts.values())
-    leaf = symbols.sym("i")
-    assert 0 < len(leaf._split) <= 2
+
+
+def test_a_second_pass_over_the_corpus_splits_nothing(monkeypatch):
+    """A statement's write target is the hash-consed ``Read`` its reads
+    are, so every access of the corpus, written or read, keeps its
+    decompositions: asking the same questions again in the same process
+    calls ``decompose_index`` not once (1,851 times while each build of a
+    statement made a fresh target access)."""
+    _ask_the_corpus()
+    calls = []
+    decompose_index = affine.decompose_index
+
+    def counting(expr, iterators):
+        calls.append(expr)
+        return decompose_index(expr, iterators)
+
+    monkeypatch.setattr(affine, "decompose_index", counting)
+    _ask_the_corpus()
+    assert calls == []
 
 
 def test_band_strides_equal_the_decomposing_reference(corpus):
@@ -167,14 +197,15 @@ def test_band_strides_equal_the_decomposing_reference(corpus):
 
 
 def _memo_entries(expressions):
-    """Memo entries held by ``expressions`` (a split memo counts one per
-    key)."""
+    """Memo entries held by ``expressions`` (a split or decomposition memo
+    counts one per key)."""
     entries = 0
     for expr in expressions:
         for slot in symbols.Expr.__slots__:
             memo = getattr(expr, slot, None)
             if memo is not None:
-                entries += len(memo) if slot == "_split" else 1
+                entries += (len(memo) if slot in ("_split", "_decomposed")
+                            else 1)
     return entries
 
 
